@@ -52,7 +52,6 @@ func main() {
 	seed := flag.Uint64("seed", 2018, "simulation seed")
 	days := flag.Int("days", 45, "study horizon in days (>= 40)")
 	workers := flag.Int("workers", 0, "engine concurrency (0 = one worker per CPU, 1 = serial)")
-	stream := flag.Bool("stream", true, "bounded-memory campaign fold (O(workers) resident day units); -stream=false retains every pending day in memory")
 	experiment := flag.String("experiment", "", "run specific experiments (comma-separated IDs)")
 	checkpointDir := flag.String("checkpoint-dir", "", "spill finished experiments here so an interrupted run can resume")
 	resume := flag.Bool("resume", false, "continue from an existing -checkpoint-dir instead of refusing it")
@@ -108,7 +107,6 @@ func main() {
 	opts.Days = *days
 	opts.TargetDailyPeers = int(*scale * 30500)
 	opts.Workers = *workers
-	opts.Retain = !*stream
 	opts.CheckpointDir = *checkpointDir
 	study, err := core.NewStudy(opts)
 	if err != nil {

@@ -54,8 +54,9 @@ type Options struct {
 	// paper used 20: 10 floodfill + 10 non-floodfill).
 	MainFleetSize int
 	// Workers caps the concurrency of the campaign engine and of RunAll.
-	// Zero or negative selects one worker per CPU; 1 forces the serial
-	// reference path. Results are identical for every worker count.
+	// Zero or negative selects one worker per CPU; 1 runs every engine
+	// inline on the caller's goroutine. Results are identical for every
+	// worker count.
 	Workers int
 	// CheckpointDir, when non-empty, persists each finished experiment's
 	// Result so an interrupted RunAll resumes by loading completed
@@ -65,12 +66,6 @@ type Options struct {
 	// *checkpoint.MismatchError. Workers is excluded from the key — a
 	// study may resume at any width.
 	CheckpointDir string
-	// Retain disables the main campaign's streaming fold and keeps every
-	// pending merged day in memory, as the engine did before streaming
-	// existed. The zero value streams: campaign memory stays O(Workers)
-	// day units instead of O(Days). Both modes produce byte-identical
-	// datasets; see measure.CampaignConfig.Retain.
-	Retain bool
 }
 
 // DefaultOptions returns the 1/10-scale configuration used by tests and
@@ -150,7 +145,6 @@ func (s *Study) MainDatasetContext(ctx context.Context) (*measure.Dataset, error
 		StartDay:  0,
 		EndDay:    s.Opts.Days,
 		Workers:   s.Workers(),
-		Retain:    s.Opts.Retain,
 	})
 	if err != nil {
 		return nil, err

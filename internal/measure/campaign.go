@@ -14,6 +14,7 @@ import (
 	"github.com/i2pstudy/i2pstudy/internal/faults"
 	"github.com/i2pstudy/i2pstudy/internal/geo"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
+	"github.com/i2pstudy/i2pstudy/internal/obs"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -32,12 +33,13 @@ type CampaignConfig struct {
 	// atomically (written to a temp dir, then renamed), so an interrupted
 	// campaign never leaves a half-written day behind.
 	SnapshotDir string
-	// Workers caps the number of concurrent (day, observer) captures.
-	// Zero or negative selects one worker per CPU; 1 selects the
-	// reference serial path. Every worker count yields a byte-identical
-	// Dataset: captures are deterministic per (observer seed, day) and
-	// the merge tie-breaks by observer order, exactly as the serial loop
-	// does.
+	// Workers caps the number of days captured concurrently. Zero or
+	// negative selects one worker per CPU; 1 runs the same pipeline
+	// inline on the caller's goroutine. Every worker count yields a
+	// byte-identical Dataset: a day's capture is deterministic in (fleet,
+	// day) whichever worker runs it, and days fold in ascending order.
+	// Parallelism is across days only, so a campaign shorter than the
+	// worker count does not fan out within a day.
 	Workers int
 	// CheckpointDir, when non-empty, spills each completed day's merged
 	// observations to a checkpoint.Store so an interrupted campaign
@@ -48,16 +50,6 @@ type CampaignConfig struct {
 	// always proceeds in ascending day order, a resumed run's Dataset is
 	// byte-identical to an uninterrupted one at any Workers value.
 	CheckpointDir string
-	// Retain disables the streaming fold: the parallel engine keeps
-	// every pending merged day in memory (an unbounded reorder buffer
-	// and a day-deep channel), as it did before streaming existed. The
-	// zero value streams: completed day units fold into the fixed-size
-	// Dataset accumulators and are dropped immediately, the reorder
-	// buffer is bounded, and units arriving too far out of order are
-	// evicted to the checkpoint layer and reloaded at their fold turn —
-	// campaign memory stays O(workers) day units instead of O(days).
-	// Both modes produce byte-identical Datasets at any Workers value.
-	Retain bool
 }
 
 // DefaultObserverFleet returns the paper's main fleet: count observers at
@@ -84,11 +76,6 @@ type Campaign struct {
 	// Retained-unit accounting (see stream.go / MemStats).
 	retained     atomic.Int64
 	peakRetained atomic.Int64
-	evicted      atomic.Int64
-
-	// streamSlack overrides the streaming reorder buffer's bound
-	// (default: one unit per worker). Test hook only.
-	streamSlack int
 }
 
 // NewCampaign validates cfg against the network.
@@ -121,15 +108,16 @@ func (c *Campaign) Run() (*Dataset, error) {
 // paper's daily netDb cleanup is implicit: each day starts from an empty
 // observation set.
 //
-// With Workers != 1 the engine fans per-(day, observer) captures across a
-// worker pool, merges each day's records into hash-sharded maps, and
-// pipelines days: day N+1 collection overlaps day N accumulation and
-// snapshotting. Accumulation itself always proceeds in ascending day
-// order, so the resulting Dataset is identical to the serial path's.
+// One day is one task. A worker takes the next day in ascending order
+// once it is within the admission window of the fold (see dayWindow),
+// captures the whole fleet for it, and parks the merged unit; whichever
+// worker parks the next day due folds it, and any later days already
+// parked, into the Dataset. Capture of later days therefore overlaps
+// the fold and snapshot of earlier ones, while accumulation itself always
+// proceeds in ascending day order whatever the worker count.
 func (c *Campaign) RunContext(ctx context.Context) (*Dataset, error) {
 	c.retained.Store(0)
 	c.peakRetained.Store(0)
-	c.evicted.Store(0)
 	ds := NewDataset(c.cfg.StartDay, c.cfg.EndDay)
 	snap, err := c.newSnapshotter()
 	if err != nil {
@@ -147,12 +135,9 @@ func (c *Campaign) RunContext(ctx context.Context) (*Dataset, error) {
 			return nil, err
 		}
 	}
-	workers := resolveWorkers(c.cfg.Workers)
-	if workers <= 1 {
-		err = c.runSerial(ctx, ds, snap, store, from)
-	} else {
-		err = c.runParallel(ctx, ds, snap, store, from, workers)
-	}
+	err = c.run(ctx, from, func(day int, recs []*netdb.RouterInfo) error {
+		return c.commitDay(ds, snap, store, day, recs)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -161,10 +146,10 @@ func (c *Campaign) RunContext(ctx context.Context) (*Dataset, error) {
 
 // resume folds previously checkpointed days into ds and returns the
 // first day still to compute. Days are committed strictly in ascending
-// order (both run paths accumulate that way), so checkpointed days form
-// a contiguous prefix; a stray later unit — possible only if a past run
-// used a different day range, which the manifest hash already refuses —
-// is simply recomputed and overwritten.
+// order, so checkpointed days form a contiguous prefix; a stray later
+// unit — possible only if a past run used a different day range, which
+// the manifest hash already refuses — is simply recomputed and
+// overwritten.
 func (c *Campaign) resume(ds *Dataset, snap *snapshotter, store *checkpoint.Store) (int, error) {
 	db := c.net.GeoDB()
 	day := c.cfg.StartDay
@@ -194,20 +179,12 @@ func (c *Campaign) resume(ds *Dataset, snap *snapshotter, store *checkpoint.Stor
 // the netDb snapshot, spill the checkpoint unit, and cross the fault
 // boundary. The checkpoint write comes last of the persistence steps,
 // so a unit on disk guarantees the snapshot for that day is complete.
-// alreadySpilled marks a unit the streaming reorder buffer evicted to
-// the campaign's own checkpoint store before its fold turn: the bytes
-// on disk are identical to what would be written here (same canonical
-// encoding of the same records), so the save is skipped. An evicted
-// unit can land on disk before earlier days have committed, but resume
-// only consumes the contiguous prefix — a stray later unit is simply
-// recomputed and overwritten, exactly as the resume contract documents.
-func (c *Campaign) commitDay(ds *Dataset, db *geo.DB, snap *snapshotter, store *checkpoint.Store,
-	day int, recs []*netdb.RouterInfo, alreadySpilled bool) error {
-	ds.accumulateDay(db, day, recs)
+func (c *Campaign) commitDay(ds *Dataset, snap *snapshotter, store *checkpoint.Store, day int, recs []*netdb.RouterInfo) error {
+	ds.accumulateDay(c.net.GeoDB(), day, recs)
 	if err := snap.write(day, recs); err != nil {
 		return err
 	}
-	if store != nil && !alreadySpilled {
+	if store != nil {
 		data, err := encodeDayUnit(recs)
 		if err != nil {
 			return err
@@ -219,246 +196,125 @@ func (c *Campaign) commitDay(ds *Dataset, db *geo.DB, snap *snapshotter, store *
 	return faults.Hit("measure.campaign.day")
 }
 
-// runSerial is the reference implementation: days in order, observers in
-// order, one merged map per day. The parallel engine must stay
-// byte-identical to it (see TestCampaignParallelMatchesSerial).
-func (c *Campaign) runSerial(ctx context.Context, ds *Dataset, snap *snapshotter, store *checkpoint.Store, from int) error {
-	db := c.net.GeoDB()
-	// One merge map reused across days: each day starts from an empty map
-	// (the daily netDb cleanup) but keeps the previous day's capacity, so
-	// a long campaign stops paying rehash-and-discard per day.
-	merged := make(map[netdb.Hash]*netdb.RouterInfo)
-	var recs []*netdb.RouterInfo
-	for day := from; day < c.cfg.EndDay; day++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// Merge all observers' captures for the day, newest record wins;
-		// on a Published tie the earliest observer wins.
-		clear(merged)
-		for _, o := range c.obs {
-			for _, ri := range o.CollectDay(day) {
-				prev, ok := merged[ri.Identity]
-				if !ok || ri.Published.After(prev.Published) {
-					merged[ri.Identity] = ri
-				}
-			}
-		}
-		// Canonicalize to identity order before folding — the fold order
-		// that makes interned IDs (and checkpoint bytes) deterministic.
-		recs = recs[:0]
-		for _, ri := range merged {
-			recs = append(recs, ri)
-		}
-		sortByIdentity(recs)
-		// The serial path is already streaming by construction: exactly
-		// one day unit is resident at a time, and it is dropped (the
-		// slice reused) as soon as it is folded and spilled.
-		b := unitBytes(recs)
-		c.retainUnit(b)
-		err := c.commitDay(ds, db, snap, store, day, recs, false)
-		c.releaseUnit(b, false)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// mergedDay is one day's deduplicated observations in canonical
-// (identity-sorted) order — the one fold order both run paths share, so
-// interned IDs and checkpoint bytes never depend on shard layout or map
-// iteration order.
-type mergedDay struct {
-	day  int
-	recs []*netdb.RouterInfo
-	// bytes is the unit's estimated resident size (see unitBytes),
-	// carried so release accounting matches retain accounting exactly.
-	bytes int64
-}
-
-// runParallel is the concurrent campaign engine. Three overlapping stages:
-//
-//  1. capture — a FanOut pool runs CollectDay per (day, observer) and
-//     partitions each capture by identity-hash shard;
-//  2. merge — the worker completing a day's last capture merges its
-//     shards, each shard scanning observers in order (preserving the
-//     serial tie-break) on its own goroutine;
-//  3. accumulate — a single consumer folds merged days into the Dataset
-//     in ascending day order and writes snapshots, overlapping with
-//     later days' capture and merge work.
-func (c *Campaign) runParallel(ctx context.Context, ds *Dataset, snap *snapshotter, store *checkpoint.Store, from, workers int) error {
-	db := c.net.GeoDB()
+// run drives days [from, EndDay) through capture and, in ascending day
+// order, commit, on the resolved number of workers.
+func (c *Campaign) run(ctx context.Context, from int, commit func(day int, recs []*netdb.RouterInfo) error) error {
 	nDays := c.cfg.EndDay - from
-	nObs := len(c.obs)
 	if nDays <= 0 {
 		return ctx.Err()
 	}
-	shards := mergeShards(workers)
-
-	// captures[d][o][s] holds observer o's day-d records for hash shard s.
-	captures := make([][][][]*netdb.RouterInfo, nDays)
-	pending := make([]atomic.Int32, nDays)
-	for d := range captures {
-		captures[d] = make([][][]*netdb.RouterInfo, nObs)
-		pending[d].Store(int32(nObs))
-	}
-	// Streaming bounds the pipeline at both ends: the merged-day channel
-	// holds at most one unit per worker (a worker that races too far
-	// ahead of the fold blocks on send, throttling capture), and the
-	// reorder buffer holds at most slack units before evicting to the
-	// checkpoint layer. Together they cap resident day units at
-	// 2*workers + slack + 1 regardless of campaign length. Retained mode
-	// keeps the old day-deep channel and unbounded buffer.
-	streaming := !c.cfg.Retain
-	chCap, slack := nDays, 0
-	if streaming {
-		chCap = workers
-		slack = c.streamSlack
-		if slack <= 0 {
-			slack = workers
+	workers := min(resolveWorkers(c.cfg.Workers), nDays)
+	win := newDayWindow(from, c.cfg.EndDay, windowFactor*workers)
+	// A run that stops early strands the units parked behind the failure.
+	defer func() {
+		for _, u := range win.drain() {
+			c.releaseUnit(u.bytes)
 		}
+	}()
+	fold := func(day int, u *dayUnit) error {
+		err := commit(day, u.recs)
+		c.releaseUnit(u.bytes)
+		return err
 	}
-	mergedCh := make(chan *mergedDay, chCap)
-
-	// Shard maps are recycled across days: the merge stage flattens each
-	// day into a sorted record slice and immediately clears and returns
-	// its maps to the pool, so at steady state the engine holds roughly
-	// (in-flight days x shards) maps instead of allocating one set per
-	// day — the difference between O(days) and O(workers) map churn at
-	// 30K+ peers. Recycling cannot affect results: the flatten copies the
-	// record pointers out before the map is reused.
-	mapPool := sync.Pool{New: func() any { return make(map[netdb.Hash]*netdb.RouterInfo) }}
+	if workers == 1 {
+		if err := c.work(ctx, win, 0, fold); err != nil {
+			return err
+		}
+		obsStats().tasksSerial.Add(uint64(nDays))
+		return nil
+	}
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	collectErr := make(chan error, 1)
-	go func() {
-		// Task order is day-major, so early days complete (and unblock the
-		// in-order accumulator) first.
-		collectErr <- FanOut(cctx, nDays*nObs, workers, func(t int) error {
-			di, oi := t/nObs, t%nObs
-			day := from + di
-			captures[di][oi] = shardCapture(c.obs[oi].CollectDay(day), shards)
-			if pending[di].Add(-1) != 0 {
-				return nil
-			}
-			// Last capture for this day: merge its shards in parallel.
-			mergedShards := make([]map[netdb.Hash]*netdb.RouterInfo, shards)
-			var wg sync.WaitGroup
-			for s := 0; s < shards; s++ {
-				wg.Add(1)
-				go func(s int) {
-					defer wg.Done()
-					m := mapPool.Get().(map[netdb.Hash]*netdb.RouterInfo)
-					for o := 0; o < nObs; o++ {
-						for _, ri := range captures[di][o][s] {
-							prev, ok := m[ri.Identity]
-							if !ok || ri.Published.After(prev.Published) {
-								m[ri.Identity] = ri
-							}
-						}
-					}
-					mergedShards[s] = m
-				}(s)
-			}
-			wg.Wait()
-			captures[di] = nil // day fully merged; release the raw captures
-			// Flatten to the canonical identity-sorted slice off the
-			// accumulator's critical path, recycling the shard maps now.
-			n := 0
-			for _, m := range mergedShards {
-				n += len(m)
-			}
-			recs := make([]*netdb.RouterInfo, 0, n)
-			for _, m := range mergedShards {
-				for _, ri := range m {
-					recs = append(recs, ri)
-				}
-				clear(m)
-				mapPool.Put(m)
-			}
-			sortByIdentity(recs)
-			md := &mergedDay{day: day, recs: recs, bytes: unitBytes(recs)}
-			c.retainUnit(md.bytes)
-			mergedCh <- md
-			return nil
-		})
-		close(mergedCh)
-	}()
-
-	// In-order accumulator over the (bounded, in streaming mode) reorder
-	// buffer: merged days can arrive out of order, the Dataset fold must
-	// not. Each unit is folded into the fixed-size accumulators and
-	// dropped — or evicted to the checkpoint layer and reloaded at its
-	// turn — so the buffer never blocks and the channel always drains.
-	buffer := newDayBuffer(c, store, slack)
-	defer buffer.close()
-	next := from
-	var accErr error
-	for md := range mergedCh {
-		if accErr != nil {
-			c.releaseUnit(md.bytes, false)
-			continue // failing already; drain the channel
-		}
-		if err := buffer.put(md); err != nil {
-			accErr = err
-			cancel()
-			continue
-		}
-		for accErr == nil {
-			m, reloaded, ok, err := buffer.take(next)
-			if err != nil {
-				accErr = err
+	var (
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
+	for tid := 0; tid < workers; tid++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := c.work(cctx, win, tid, fold); err != nil {
+				errOnce.Do(func() { firstErr = err })
 				cancel()
-				break
 			}
+		}()
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return firstErr
+	}
+	obsStats().tasksParallel.Add(uint64(nDays))
+	return nil
+}
+
+// work is one worker's loop: admit a day, capture it, park it, then fold
+// whatever is due. At Workers 1 it runs on the caller's goroutine and
+// every day it parks is the day due, so the loop degenerates to capture,
+// fold, capture, fold.
+func (c *Campaign) work(ctx context.Context, win *dayWindow, tid int, fold func(day int, u *dayUnit) error) error {
+	claimed := c.net.NewClaimSet()
+	tr := obs.ActiveTracer()
+	for {
+		day, ok, err := win.admit(ctx)
+		if err != nil || !ok {
+			return err
+		}
+		var t0 time.Duration
+		if tr != nil {
+			t0 = tr.Now()
+		}
+		u := c.captureDay(day, claimed)
+		if tr != nil {
+			tr.Complete(tid, "day", t0, obs.Arg{Key: "day", Val: int64(day)})
+		}
+		c.retainUnit(u.bytes)
+		if err := win.put(day, u); err != nil {
+			c.releaseUnit(u.bytes)
+			return err
+		}
+		// Every captured day is a scheduler boundary the fault injector
+		// may target, as every FanOut task is.
+		if err := faults.Hit("measure.fanout.task"); err != nil {
+			return err
+		}
+		for {
+			due, u, ok := win.take()
 			if !ok {
 				break
 			}
-			if err := c.commitDay(ds, db, snap, store, next, m.recs, buffer.inCampaignStore(reloaded)); err != nil {
-				accErr = err
-				cancel() // stop the capture pool; drain below
+			// A failed fold keeps its turn: no later day may fold (or
+			// reach the checkpoint store) behind a day that did not.
+			if err := fold(due, u); err != nil {
+				return err
 			}
-			m.recs = nil // folded and spilled; drop the raw records
-			if !reloaded {
-				// A reloaded unit's accounting was already released at
-				// eviction; releasing it again would drive the gauges
-				// negative.
-				c.releaseUnit(m.bytes, false)
-			}
-			next++
+			win.folded()
 		}
 	}
-	if err := <-collectErr; accErr == nil && err != nil {
-		return err
-	}
-	return accErr
 }
 
-// shardCapture partitions one observer-day capture by identity hash.
-func shardCapture(recs []*netdb.RouterInfo, shards int) [][]*netdb.RouterInfo {
-	parts := make([][]*netdb.RouterInfo, shards)
-	if shards == 1 {
-		parts[0] = recs
-		return parts
+// captureDay is the merge: observers in fleet order over one claim set, so
+// each peer's record is the first observer's to see it — what "newest
+// wins, ties to the earliest observer" resolves to when every observer
+// stamps the day's time — and no other record is built. The result is
+// sorted to identity order, the fold order that makes interned IDs (and
+// checkpoint bytes) deterministic.
+func (c *Campaign) captureDay(day int, claimed sim.ClaimSet) *dayUnit {
+	clear(claimed)
+	recs := make([]*netdb.RouterInfo, 0, len(c.net.ActivePeers(day)))
+	for _, o := range c.obs {
+		recs = o.CaptureDay(day, claimed, recs)
 	}
-	for s := range parts {
-		parts[s] = make([]*netdb.RouterInfo, 0, len(recs)/shards+1)
-	}
-	for _, ri := range recs {
-		s := int(ri.Identity[0]) % shards
-		parts[s] = append(parts[s], ri)
-	}
-	return parts
+	sortByIdentity(recs)
+	return &dayUnit{recs: recs, bytes: unitBytes(recs)}
 }
 
 // accumulateDay folds one day's merged observations into the dataset.
 // recs must be in canonical identity-sorted order: intern IDs are
 // assigned on first sight, so the fold order — ascending days, sorted
 // records within a day — is what makes the Dataset byte-identical across
-// worker counts, resume, and streaming/retained modes.
+// worker counts and resume.
 func (ds *Dataset) accumulateDay(db *geo.DB, day int, recs []*netdb.RouterInfo) {
 	stats := ds.day(day)
 	// Per-day distinct-address counting rides the intern table's lastMark

@@ -6,8 +6,8 @@ import (
 	"os"
 	"reflect"
 	"testing"
+	"time"
 
-	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
 	"github.com/i2pstudy/i2pstudy/internal/measure/enginetest"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
@@ -28,113 +28,15 @@ func runStreamCampaign(t testing.TB, n *sim.Network, cfg CampaignConfig) (*Datas
 	return ds, c
 }
 
-// TestCampaignStreamingMatchesRetained is the tentpole contract, stated
-// through the shared harness: at every ladder width the streaming engine
-// produces a Dataset identical to the retained-mode reference while its
-// peak retained-unit count stays within the structural O(workers)
-// ceiling — never O(days).
-func TestCampaignStreamingMatchesRetained(t *testing.T) {
-	n := parallelTestNet(t)
-	mk := func(workers int, retain bool) CampaignConfig {
-		return CampaignConfig{
-			Observers: DefaultObserverFleet(8),
-			StartDay:  0,
-			EndDay:    30,
-			Workers:   workers,
-			Retain:    retain,
-		}
-	}
-	enginetest.Stream(t, []enginetest.StreamCase{{
-		Name: "campaign",
-		RunRetained: func(t testing.TB) any {
-			ds, _ := runStreamCampaign(t, n, mk(1, true))
-			if ds.TotalPeers() == 0 {
-				t.Fatal("retained reference observed nothing")
-			}
-			return ds
-		},
-		RunStreaming: func(t testing.TB, workers int) (any, int) {
-			ds, c := runStreamCampaign(t, n, mk(workers, false))
-			return ds, c.MemStats().PeakRetainedUnits
-		},
-		// The pipeline holds at most: one unit per capture worker between
-		// retain and channel send, one per channel slot, slack in the
-		// reorder buffer, and the unit being folded. With the default
-		// slack of one per worker that is 3*workers + 1.
-		MaxRetained: func(workers int) int { return 3*workers + 1 },
-	}})
-}
-
-// TestStreamingSmallSlackMatchesRetained squeezes the reorder buffer to
-// a single slot at an oversubscribed width, the configuration most
-// likely to force evictions through the spill store mid-run, and checks
-// the Dataset still matches the retained reference exactly. Whether a
-// given schedule actually evicts depends on merge completion order, so
-// eviction mechanics are pinned deterministically in the dayBuffer
-// tests below; this test proves that whenever they fire they are
-// invisible in the output.
-func TestStreamingSmallSlackMatchesRetained(t *testing.T) {
-	n := parallelTestNet(t)
-	reference, _ := runStreamCampaign(t, n, CampaignConfig{
-		Observers: DefaultObserverFleet(8),
-		StartDay:  0,
-		EndDay:    30,
-		Workers:   1,
-		Retain:    true,
-	})
-	for _, withStore := range []bool{false, true} {
-		cfg := CampaignConfig{
-			Observers: DefaultObserverFleet(8),
-			StartDay:  0,
-			EndDay:    30,
-			Workers:   8,
-		}
-		if withStore {
-			cfg.CheckpointDir = t.TempDir()
-		}
-		c, err := NewCampaign(n, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.streamSlack = 1
-		ds, err := c.RunContext(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ds, reference) {
-			t.Errorf("withStore=%v: slack-1 streaming dataset differs from retained reference", withStore)
-		}
-		ms := c.MemStats()
-		if ms.PeakRetainedUnits > 2*8+1+1 {
-			t.Errorf("withStore=%v: peak retained units %d exceeds slack-1 ceiling", withStore, ms.PeakRetainedUnits)
-		}
-		// Retain/release must balance: a leak here means some path (the
-		// evict-reload one, historically) releases twice or not at all.
-		if got := c.retained.Load(); got != 0 {
-			t.Errorf("withStore=%v: %d retained units leaked after the run", withStore, got)
-		}
-		t.Logf("withStore=%v: peak=%d evicted=%d", withStore, ms.PeakRetainedUnits, ms.UnitsEvicted)
-	}
-}
-
-// streamTestUnits builds canonical merged day units for a small
-// campaign, exactly as both run paths would before folding.
-func streamTestUnits(t *testing.T, days int) (*Campaign, [][]*netdb.RouterInfo) {
-	t.Helper()
-	n, err := sim.New(sim.Config{Seed: 13, Days: days, TargetDailyPeers: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCampaign(n, CampaignConfig{
-		Observers: DefaultObserverFleet(3),
-		StartDay:  0,
-		EndDay:    days,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	units := make([][]*netdb.RouterInfo, days)
-	for day := 0; day < days; day++ {
+// retainedUnits is the independent reference the pipeline is compared
+// against: every observer's full CollectDay, merged through a map by the
+// stated rule — newest Published wins, ties to the earliest observer —
+// with every day's unit retained in memory. It shares no code with
+// Observer.CaptureDay's claim set, so it is the test that fails if an
+// observer ever stamps a different Published.
+func retainedUnits(c *Campaign) [][]*netdb.RouterInfo {
+	units := make([][]*netdb.RouterInfo, c.cfg.EndDay)
+	for day := c.cfg.StartDay; day < c.cfg.EndDay; day++ {
 		merged := make(map[netdb.Hash]*netdb.RouterInfo)
 		for _, o := range c.obs {
 			for _, ri := range o.CollectDay(day) {
@@ -151,182 +53,312 @@ func streamTestUnits(t *testing.T, days int) (*Campaign, [][]*netdb.RouterInfo) 
 		sortByIdentity(recs)
 		units[day] = recs
 	}
-	return c, units
+	return units
 }
 
-// unitFingerprint is the canonical wire encoding of a unit — the
-// byte-identity yardstick for spill round-trips.
-func unitFingerprint(t *testing.T, recs []*netdb.RouterInfo) []byte {
+// foldUnits folds retained units in day order into a fresh Dataset.
+func foldUnits(c *Campaign, units [][]*netdb.RouterInfo) *Dataset {
+	ds := NewDataset(c.cfg.StartDay, c.cfg.EndDay)
+	for day := c.cfg.StartDay; day < c.cfg.EndDay; day++ {
+		ds.accumulateDay(c.net.GeoDB(), day, units[day])
+	}
+	return ds
+}
+
+// assertNeverSpilled checks what admission control makes true by
+// construction: nothing was evicted, every retain was released, and no
+// spill directory was created under the (test-private) temp root.
+func assertNeverSpilled(t testing.TB, c *Campaign, tmpRoot string) {
 	t.Helper()
-	data, err := encodeDayUnit(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestDayBufferEvictsAndReloads pins the eviction mechanics
-// deterministically: with slack 1 and days arriving furthest-first, the
-// buffer must spill the largest buffered day to a private temp store,
-// reload it byte-identically at its fold turn, and remove the temp
-// store on close.
-func TestDayBufferEvictsAndReloads(t *testing.T) {
-	c, units := streamTestUnits(t, 3)
-	want := make([][]byte, len(units))
-	for d, recs := range units {
-		want[d] = unitFingerprint(t, recs)
-	}
-
-	b := newDayBuffer(c, nil, 1)
-	put := func(day int) {
-		md := &mergedDay{day: day, recs: units[day], bytes: unitBytes(units[day])}
-		c.retainUnit(md.bytes)
-		if err := b.put(md); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put(2) // buffered
-	put(1) // exceeds slack: evicts day 2 (furthest)
-	if !b.spilled[2] || b.units[2] != nil {
-		t.Fatal("day 2 was not evicted as the furthest-out unit")
-	}
-	if b.tmpDir == "" {
-		t.Fatal("eviction without a campaign store must create a temp spill store")
-	}
-	put(0) // evicts day 1 too
-	if !b.spilled[1] {
-		t.Fatal("day 1 was not evicted")
-	}
-	if got := c.MemStats().UnitsEvicted; got != 2 {
-		t.Fatalf("UnitsEvicted = %d, want 2", got)
-	}
-
-	for day := 0; day < 3; day++ {
-		md, reloaded, ok, err := b.take(day)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("day %d unavailable at its fold turn", day)
-		}
-		if wantReloaded := day != 0; reloaded != wantReloaded {
-			t.Fatalf("day %d: reloaded = %v, want %v", day, reloaded, wantReloaded)
-		}
-		if b.inCampaignStore(reloaded) {
-			t.Fatalf("day %d: unit reported in the campaign store, but there is none", day)
-		}
-		if got := unitFingerprint(t, md.recs); !reflect.DeepEqual(got, want[day]) {
-			t.Fatalf("day %d round-tripped through the spill store with different bytes", day)
-		}
-		if !reloaded {
-			c.releaseUnit(md.bytes, false)
-		}
+	if got := c.MemStats().UnitsEvicted; got != 0 {
+		t.Errorf("UnitsEvicted = %d, want 0", got)
 	}
 	if got := c.retained.Load(); got != 0 {
-		t.Fatalf("retained units = %d after full drain, want 0", got)
+		t.Errorf("%d retained units leaked after the run", got)
 	}
-	if _, _, ok, _ := b.take(3); ok {
-		t.Fatal("take returned a unit that was never put")
-	}
-
-	tmp := b.tmpDir
-	if _, err := os.Stat(tmp); err != nil {
-		t.Fatalf("temp spill store missing before close: %v", err)
-	}
-	b.close()
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatalf("temp spill store survived close (err=%v)", err)
-	}
-}
-
-// TestDayBufferSpillsToCampaignStore checks the other spill target: when
-// the campaign has its own checkpoint store, eviction writes the unit
-// there — early, but byte-identical to the fold-time write — and take
-// reports fromSpill so commitDay skips the duplicate save.
-func TestDayBufferSpillsToCampaignStore(t *testing.T) {
-	c, units := streamTestUnits(t, 2)
-	store, err := checkpoint.Open(t.TempDir(), c.checkpointManifest())
+	ents, err := os.ReadDir(tmpRoot)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, e := range ents {
+		t.Errorf("campaign left %s under the temp root", e.Name())
+	}
+}
 
-	b := newDayBuffer(c, store, 1)
-	for day := 1; day >= 0; day-- {
-		md := &mergedDay{day: day, recs: units[day], bytes: unitBytes(units[day])}
-		c.retainUnit(md.bytes)
-		if err := b.put(md); err != nil {
+// TestCampaignStreamingMatchesRetained is the tentpole contract, stated
+// through the shared harness: at every ladder width the pipeline
+// produces the Dataset its Workers = 1 run produces while its peak
+// retained-unit count stays within the admission window — never
+// O(days) — and nothing is ever written to disk to get there. The
+// Workers = 1 Dataset in turn equals the fold of the retained,
+// map-merged CollectDay reference.
+func TestCampaignStreamingMatchesRetained(t *testing.T) {
+	n := parallelTestNet(t)
+	tmpRoot := t.TempDir()
+	t.Setenv("TMPDIR", tmpRoot)
+	cfg := CampaignConfig{Observers: DefaultObserverFleet(8), StartDay: 0, EndDay: 30}
+	var serial *Dataset
+	enginetest.Stream(t, []enginetest.StreamCase{{
+		Name: "campaign",
+		Run: func(t testing.TB, workers int) (any, int) {
+			cfg := cfg
+			cfg.Workers = workers
+			ds, c := runStreamCampaign(t, n, cfg)
+			if ds.TotalPeers() == 0 {
+				t.Fatal("campaign observed nothing")
+			}
+			assertNeverSpilled(t, c, tmpRoot)
+			if workers == 1 {
+				serial = ds
+			}
+			return ds, c.MemStats().PeakRetainedUnits
+		},
+		// A unit exists only for an admitted, not yet folded day, and
+		// there are at most window of those.
+		MaxRetained: func(workers int) int { return windowFactor * workers },
+	}})
+
+	c, err := NewCampaign(n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, foldUnits(c, retainedUnits(c))) {
+		t.Error("pipeline Dataset differs from the map-merged CollectDay reference")
+	}
+}
+
+// TestCampaignNeverEvicts runs the configuration that used to force
+// evictions — more workers than cores, with and without a checkpoint
+// store to spill into — and checks the Dataset matches the Workers = 1
+// run with the peak inside the window, retain/release balanced, and
+// nothing evicted.
+func TestCampaignNeverEvicts(t *testing.T) {
+	n := parallelTestNet(t)
+	ckpt := t.TempDir() // a sibling of tmpRoot, which must stay empty
+	tmpRoot := t.TempDir()
+	t.Setenv("TMPDIR", tmpRoot)
+	cfg := CampaignConfig{Observers: DefaultObserverFleet(8), StartDay: 0, EndDay: 30, Workers: 1}
+	reference, _ := runStreamCampaign(t, n, cfg)
+	for _, withStore := range []bool{false, true} {
+		cfg.Workers = 8
+		if withStore {
+			cfg.CheckpointDir = ckpt
+		}
+		ds, c := runStreamCampaign(t, n, cfg)
+		if !reflect.DeepEqual(ds, reference) {
+			t.Errorf("withStore=%v: Workers=8 dataset differs from the Workers=1 reference", withStore)
+		}
+		if peak := c.MemStats().PeakRetainedUnits; peak > windowFactor*8 {
+			t.Errorf("withStore=%v: peak retained units %d exceeds the window", withStore, peak)
+		}
+		assertNeverSpilled(t, c, tmpRoot)
+	}
+}
+
+// TestDayWindowParksOutOfOrderFoldsInOrder pins the ring mechanics:
+// units parked in any order come out in day order, one fold turn at a
+// time, and a day's admission slot comes back only when it has folded.
+func TestDayWindowParksOutOfOrderFoldsInOrder(t *testing.T) {
+	ctx := context.Background()
+	w := newDayWindow(5, 9, 3)
+	units := map[int]*dayUnit{}
+	for want := 5; want < 8; want++ {
+		day, ok, err := w.admit(ctx)
+		if err != nil || !ok || day != want {
+			t.Fatalf("admit = (%d, %v, %v), want day %d", day, ok, err, want)
+		}
+		units[day] = &dayUnit{bytes: int64(day)}
+	}
+	if len(w.slots) != cap(w.slots) {
+		t.Fatalf("window holds %d of %d slots after admitting a full window", len(w.slots), cap(w.slots))
+	}
+
+	park := func(day int) {
+		t.Helper()
+		if err := w.put(day, units[day]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if b.tmpDir != "" {
-		t.Fatal("buffer created a temp store despite having the campaign store")
+	takeWant := func(want int) {
+		t.Helper()
+		day, u, ok := w.take()
+		if !ok || day != want || u != units[want] {
+			t.Fatalf("take = (%d, %v, %v), want day %d", day, u, ok, want)
+		}
 	}
-	data, ok, err := store.Load(dayKey(1))
-	if err != nil || !ok {
-		t.Fatalf("evicted day 1 not in campaign store (ok=%v err=%v)", ok, err)
+	takeNothing := func(why string) {
+		t.Helper()
+		if day, _, ok := w.take(); ok {
+			t.Fatalf("take returned day %d %s", day, why)
+		}
 	}
-	if !reflect.DeepEqual(data, unitFingerprint(t, units[1])) {
-		t.Fatal("evicted unit bytes differ from the canonical encoding")
+
+	park(7)
+	takeNothing("while day 5 is not parked")
+	park(5)
+	takeWant(5)
+	park(6)
+	takeNothing("while day 5 is still being folded")
+	w.folded()
+	if len(w.slots) != 2 {
+		t.Fatalf("folding a day returned %d slots, want 1", 3-len(w.slots))
 	}
-	md, reloaded, ok, err := b.take(1)
-	if err != nil || !ok {
-		t.Fatalf("take(1) failed (ok=%v err=%v)", ok, err)
+	takeWant(6)
+	w.folded()
+	takeWant(7)
+	w.folded()
+	takeNothing("from an empty ring")
+
+	// The slots folded free admit the last day, and then no more.
+	if day, ok, err := w.admit(ctx); err != nil || !ok || day != 8 {
+		t.Fatalf("admit = (%d, %v, %v), want day 8", day, ok, err)
 	}
-	if !reloaded || !b.inCampaignStore(reloaded) {
-		t.Fatal("a unit evicted to the campaign store must come back as reloaded and already saved")
+	if _, ok, err := w.admit(ctx); ok || err != nil {
+		t.Fatalf("admit past the last day = (ok %v, err %v), want (false, nil)", ok, err)
 	}
-	if got := unitFingerprint(t, md.recs); !reflect.DeepEqual(got, data) {
-		t.Fatal("reloaded unit differs from its stored bytes")
+	if len(w.slots) != 1 {
+		t.Fatalf("%d slots held with one day in flight", len(w.slots))
 	}
-	b.close()
+}
+
+// TestDayWindowRefusesPutOutsideWindow: a unit for a day the window does
+// not cover — ahead of it, behind it, or already parked — is an error,
+// never a silent overwrite of another day's slot.
+func TestDayWindowRefusesPutOutsideWindow(t *testing.T) {
+	ctx := context.Background()
+	w := newDayWindow(0, 10, 2)
+	u := &dayUnit{}
+	for range 2 {
+		if _, ok, err := w.admit(ctx); !ok || err != nil {
+			t.Fatalf("admit = (ok %v, err %v)", ok, err)
+		}
+	}
+	if err := w.put(2, u); err == nil {
+		t.Error("put accepted day 2 into window [0, 2)")
+	}
+	if err := w.put(0, u); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.put(0, u); err == nil {
+		t.Error("put accepted day 0 twice")
+	}
+	if _, _, ok := w.take(); !ok {
+		t.Fatal("day 0 not available")
+	}
+	w.folded()
+	if err := w.put(0, u); err == nil {
+		t.Error("put accepted day 0 behind window [1, 3)")
+	}
+	if err := w.put(2, u); err != nil {
+		t.Errorf("put refused day 2 inside window [1, 3): %v", err)
+	}
+	if left := w.drain(); len(left) != 1 {
+		t.Errorf("drain returned %d units, want the one parked", len(left))
+	}
 }
 
 // TestStreamFoldOrderInvariant is the fold property test: whatever
-// order units arrive in and however tightly the buffer is bounded —
-// including spill-and-reload round-trips through the codec — draining
-// the buffer in ascending day order folds to a Dataset identical to
-// folding the units directly in order.
+// order admitted days finish capturing in and however narrow the window,
+// folding what the ring hands out yields a Dataset identical to folding
+// the units directly in order.
 func TestStreamFoldOrderInvariant(t *testing.T) {
 	const days = 10
-	c, units := streamTestUnits(t, days)
-
-	reference := NewDataset(0, days)
-	db := c.net.GeoDB()
-	for day, recs := range units {
-		reference.accumulateDay(db, day, recs)
+	n, err := sim.New(sim.Config{Seed: 13, Days: days, TargetDailyPeers: 200})
+	if err != nil {
+		t.Fatal(err)
 	}
+	c, err := NewCampaign(n, CampaignConfig{Observers: DefaultObserverFleet(3), StartDay: 0, EndDay: days})
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := retainedUnits(c)
+	reference := foldUnits(c, units)
+	db := n.GeoDB()
 
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 8; trial++ {
-		order := rng.Perm(days)
-		slack := 1 + rng.Intn(3)
-		b := newDayBuffer(c, nil, slack)
+		window := 1 + rng.Intn(4)
+		w := newDayWindow(0, days, window)
 		ds := NewDataset(0, days)
-		next := 0
-		for _, day := range order {
-			md := &mergedDay{day: day, recs: units[day], bytes: unitBytes(units[day])}
-			c.retainUnit(md.bytes)
-			if err := b.put(md); err != nil {
-				t.Fatal(err)
-			}
-			for {
-				m, _, ok, err := b.take(next)
+		var inFlight []int // admitted, still "capturing"
+		folded := 0
+		for folded < days {
+			for len(w.slots) < window {
+				day, ok, err := w.admit(ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !ok {
 					break
 				}
-				ds.accumulateDay(db, next, m.recs)
-				next++
+				inFlight = append(inFlight, day)
+			}
+			i := rng.Intn(len(inFlight))
+			day := inFlight[i]
+			inFlight = append(inFlight[:i], inFlight[i+1:]...)
+			if err := w.put(day, &dayUnit{recs: units[day]}); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				due, u, ok := w.take()
+				if !ok {
+					break
+				}
+				ds.accumulateDay(db, due, u.recs)
+				w.folded()
+				folded++
 			}
 		}
-		b.close()
-		if next != days {
-			t.Fatalf("trial %d (order %v, slack %d): folded %d of %d days", trial, order, slack, next, days)
-		}
 		if !reflect.DeepEqual(ds, reference) {
-			t.Fatalf("trial %d (order %v, slack %d): folded Dataset differs from in-order reference", trial, order, slack)
+			t.Fatalf("trial %d (window %d): folded Dataset differs from in-order reference", trial, window)
 		}
+	}
+}
+
+// TestCampaignCancelledWhileBlockedOnAdmission stalls the fold of the
+// first day so the other workers fill the window and block in admit,
+// then cancels: run must return the context's error, which it can only
+// do once every worker goroutine has exited.
+func TestCampaignCancelledWhileBlockedOnAdmission(t *testing.T) {
+	const workers = 4
+	n := parallelTestNet(t)
+	c, err := NewCampaign(n, CampaignConfig{
+		Observers: DefaultObserverFleet(2), StartDay: 0, EndDay: 30, Workers: workers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- c.run(ctx, 0, func(day int, _ []*netdb.RouterInfo) error {
+			<-ctx.Done() // day 0 never finishes folding
+			return ctx.Err()
+		})
+	}()
+
+	// With day 0 stuck in its fold, exactly the window's days can be
+	// admitted; once all of them are captured every other worker has
+	// nothing left to do but wait in admit.
+	deadline := time.Now().Add(30 * time.Second)
+	for c.retained.Load() < windowFactor*workers {
+		if time.Now().After(deadline) {
+			t.Fatalf("window never filled: %d units retained", c.retained.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != context.Canceled {
+			t.Fatalf("run returned %v, want context.Canceled", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not return after cancellation: a worker is stuck in admit")
+	}
+	if got := c.retained.Load(); got != 0 {
+		t.Errorf("%d retained units leaked after cancellation", got)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
@@ -70,14 +70,14 @@ func (c *Campaign) checkpointManifest() checkpoint.Manifest {
 func dayKey(day int) string { return fmt.Sprintf("day-%03d", day) }
 
 // sortByIdentity puts one day's merged records into canonical order.
-// This is the single canonicalization point of the pipeline: both run
-// paths sort here once, and everything downstream — the Dataset fold
-// (which assigns intern IDs on first sight), the snapshot, and the
-// checkpoint unit bytes — inherits an order independent of shard layout
-// and map iteration.
+// This is the single canonicalization point of the pipeline: everything
+// downstream — the Dataset fold (which assigns intern IDs on first
+// sight), the snapshot, and the checkpoint unit bytes — inherits an
+// order independent of which observer contributed which record.
+// Identities are distinct within a day, so the order is total.
 func sortByIdentity(recs []*netdb.RouterInfo) {
-	sort.Slice(recs, func(i, j int) bool {
-		return bytes.Compare(recs[i].Identity[:], recs[j].Identity[:]) < 0
+	slices.SortFunc(recs, func(a, b *netdb.RouterInfo) int {
+		return bytes.Compare(a.Identity[:], b.Identity[:])
 	})
 }
 
@@ -103,8 +103,7 @@ func encodeDayUnit(recs []*netdb.RouterInfo) ([]byte, error) {
 
 // decodeDayUnit inverts encodeDayUnit. Records come back in the same
 // canonical identity-sorted order they were written in, so accumulation
-// code cannot tell a resumed (or evicted-and-reloaded) day from a
-// computed one.
+// code cannot tell a resumed day from a computed one.
 func decodeDayUnit(data []byte) ([]*netdb.RouterInfo, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("measure: day unit truncated")

@@ -25,7 +25,7 @@ import (
 // few dozen bytes per peer plus the shared intern tables. Fold order is
 // canonical (ascending day, identity-sorted within a day), so the
 // interned IDs — and therefore the whole Dataset — are byte-identical
-// across worker counts, resume, and streaming/retained modes.
+// across worker counts and resume.
 type PeerTrack struct {
 	Hash netdb.Hash
 

@@ -21,21 +21,6 @@ func resolveWorkers(n int) int {
 	return n
 }
 
-// maxMergeShards bounds the per-day hash-shard fan-out; beyond this the
-// per-shard maps get too small to amortize goroutine overhead.
-const maxMergeShards = 16
-
-// mergeShards returns the hash-shard count for a given worker count.
-func mergeShards(workers int) int {
-	if workers < 1 {
-		return 1
-	}
-	if workers > maxMergeShards {
-		return maxMergeShards
-	}
-	return workers
-}
-
 // runQueue is one worker's contiguous run of task indices, claimable
 // from both ends through a single packed atomic word (hi<<32 | lo; the
 // run is [lo, hi)). The owner claims from the front, keeping ascending
@@ -82,9 +67,11 @@ func (q *runQueue) popBack() (int, bool) {
 // FanOut runs fn(i) for every i in [0, n) across a pool of workers,
 // stopping at the first error or context cancellation; workers <= 0
 // selects one worker per CPU. FanOut is the engine primitive shared by
-// ObserveGrid, the campaign capture stage, the experiment runner, and the
-// censor sweep grids: callers obtain worker-count-independent results by
-// writing into caller-owned slots indexed by task, never by arrival order.
+// ObserveGrid, the experiment runner, and the censor sweep grids (the
+// campaign, whose days must fold in order, admits them by window
+// instead — see dayWindow): callers obtain worker-count-independent
+// results by writing into caller-owned slots indexed by task, never by
+// arrival order.
 //
 // Scheduling is work-stealing: the index space is pre-split into one
 // contiguous run per worker, each worker drains its own run front-to-back

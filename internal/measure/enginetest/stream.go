@@ -9,20 +9,17 @@ import (
 	"github.com/i2pstudy/i2pstudy/internal/obs"
 )
 
-// StreamCase is one engine scenario for the streaming-memory contract:
-// a bounded-memory (streaming) mode must produce an artifact
-// byte-identical to the unbounded (retained) reference while holding
-// provably fewer in-flight units than the grid size.
+// StreamCase is one engine scenario for the bounded-memory contract: at
+// any width the engine must produce the artifact its Workers = 1 run
+// produces while holding provably fewer in-flight units than the grid
+// size.
 type StreamCase struct {
 	// Name labels the subtest.
 	Name string
-	// RunRetained executes the engine's retained (unbounded reference)
-	// mode at Workers = 1 and returns the reference artifact.
-	RunRetained func(t testing.TB) any
-	// RunStreaming executes the engine's streaming mode at the given
-	// worker count, returning the artifact and the peak number of
-	// simultaneously retained units the run observed.
-	RunStreaming func(t testing.TB, workers int) (artifact any, peakUnits int)
+	// Run executes the engine at the given worker count, returning the
+	// artifact and the peak number of simultaneously retained units the
+	// run observed.
+	Run func(t testing.TB, workers int) (artifact any, peakUnits int)
 	// MaxRetained returns the peak-unit ceiling the engine guarantees
 	// for a resolved worker count (the harness resolves the auto width
 	// to NumCPU before calling it). The ceiling must be derived from
@@ -31,16 +28,16 @@ type StreamCase struct {
 	MaxRetained func(workers int) int
 }
 
-// Stream asserts the streaming-memory contract for every case across
-// the canonical worker ladder: at each width the streaming artifact is
-// reflect.DeepEqual-identical to the retained serial reference, and the
+// Stream asserts the bounded-memory contract for every case across the
+// canonical worker ladder: at each width the artifact is
+// reflect.DeepEqual-identical to the Workers = 1 reference, and the
 // engine's peak retained-unit count stays within the structural ceiling
 // MaxRetained reports. Peak accounting is asserted as a unit count, not
 // a wall-clock ReadMemStats reading, so the contract is exact and free
 // of allocator noise.
 //
 // Like Golden, the whole ladder runs with observability fully enabled,
-// so streaming instrumentation can never influence a result.
+// so the accounting's instrumentation can never influence a result.
 func Stream(t *testing.T, cases []StreamCase) {
 	t.Helper()
 	prevReg, prevTr := obs.Active(), obs.ActiveTracer()
@@ -52,14 +49,16 @@ func Stream(t *testing.T, cases []StreamCase) {
 	})
 	for _, c := range cases {
 		t.Run(c.Name, func(t *testing.T) {
-			reference := c.RunRetained(t)
-			if reference == nil {
-				t.Fatal("retained reference produced no artifact")
-			}
+			var reference any
 			for _, w := range Workers() {
-				got, peak := c.RunStreaming(t, w)
-				if !reflect.DeepEqual(got, reference) {
-					t.Errorf("Workers=%d: streaming artifact differs from the retained reference", w)
+				got, peak := c.Run(t, w)
+				if got == nil {
+					t.Fatalf("Workers=%d: run produced no artifact", w)
+				}
+				if reference == nil {
+					reference = got // the ladder starts at Workers = 1
+				} else if !reflect.DeepEqual(got, reference) {
+					t.Errorf("Workers=%d: artifact differs from the Workers=1 reference", w)
 				}
 				resolved := w
 				if resolved <= 0 {

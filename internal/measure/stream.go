@@ -1,42 +1,43 @@
 package measure
 
 import (
+	"context"
 	"fmt"
-	"os"
+	"sync"
 	"sync/atomic"
 
-	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/obs"
 )
 
-// This file is the streaming-fold layer of the campaign engine: the
-// bookkeeping that makes campaign memory O(active work) instead of
-// O(grid). Completed day units fold into the fixed-size Dataset
-// accumulators and are dropped the moment they are folded; units that
-// arrive too far out of order are evicted to the checkpoint layer (a
-// spilled unit is by construction reloadable, so eviction is safe even
-// mid-run) and reloaded when their fold turn comes.
+// This file is the admission layer of the campaign engine: the
+// bookkeeping that makes campaign memory O(workers) instead of O(days).
+// A day is captured only once it is within window days of the in-order
+// fold, so a unit the fold is not about to need cannot exist; completed
+// units park in a window-slot ring and are dropped the moment they are
+// folded.
+
+// windowFactor is the admission window in days per worker: two, so a
+// worker that finishes day d+1 while day d is still being captured or
+// folded starts another day instead of stalling.
+const windowFactor = 2
 
 // MemStats reports the campaign engine's retained-unit accounting —
-// the evidence that a streaming run held O(workers) day units rather
-// than O(days).
+// the evidence that a run held O(workers) day units rather than O(days).
 type MemStats struct {
 	// PeakRetainedUnits is the high-water mark of merged day units
 	// simultaneously resident in memory.
 	PeakRetainedUnits int
-	// UnitsEvicted counts day units spilled to the checkpoint store by
-	// the reorder buffer before their fold turn.
+	// UnitsEvicted counts day units written to disk to make room before
+	// their fold turn. Admission control makes that impossible, so it
+	// always reads 0.
 	UnitsEvicted int
 }
 
 // MemStats returns the retained-unit accounting of the campaign's most
 // recent (or in-progress) run.
 func (c *Campaign) MemStats() MemStats {
-	return MemStats{
-		PeakRetainedUnits: int(c.peakRetained.Load()),
-		UnitsEvicted:      int(c.evicted.Load()),
-	}
+	return MemStats{PeakRetainedUnits: int(c.peakRetained.Load())}
 }
 
 // unitBytes estimates the resident size of one merged day unit. It is a
@@ -71,174 +72,127 @@ func (c *Campaign) retainUnit(bytes int64) {
 	s.residentBytes.Add(bytes)
 }
 
-// releaseUnit records one merged day unit leaving memory, either folded
-// into the Dataset or evicted to the spill store.
-func (c *Campaign) releaseUnit(bytes int64, evicted bool) {
+// releaseUnit records one merged day unit leaving memory.
+func (c *Campaign) releaseUnit(bytes int64) {
 	c.retained.Add(-1)
 	s := campaignObs()
 	s.retained.Add(-1)
 	s.residentBytes.Add(-bytes)
-	if evicted {
-		c.evicted.Add(1)
-		s.evicted.Inc()
-	}
 }
 
-// dayBuffer is the accumulator's reorder buffer: merged days can arrive
-// out of order, the Dataset fold must not. In streaming mode the buffer
-// is bounded — when more than slack units are waiting, the
-// furthest-out day (the one folded last) is encoded and evicted to a
-// checkpoint store, and reloaded when its turn comes. The spill target
-// is the campaign's own checkpoint store when one is configured (the
-// unit would be written there at fold time anyway, so eviction just
-// writes it early); otherwise a private temp store is created lazily
-// and removed when the run ends.
-type dayBuffer struct {
-	c     *Campaign
-	slack int // <= 0: unbounded (retained mode)
-
-	units   map[int]*mergedDay
-	spilled map[int]bool
-
-	store     *checkpoint.Store
-	userStore bool   // store is the campaign's CheckpointDir store
-	tmpDir    string // private spill dir, removed on close
+// dayUnit is one day's deduplicated observations in canonical
+// (identity-sorted) order — the fold order that makes interned IDs and
+// checkpoint bytes independent of which worker captured the day.
+type dayUnit struct {
+	recs []*netdb.RouterInfo
+	// bytes is the unit's estimated resident size (see unitBytes),
+	// carried so release accounting matches retain accounting exactly.
+	bytes int64
 }
 
-func newDayBuffer(c *Campaign, store *checkpoint.Store, slack int) *dayBuffer {
-	return &dayBuffer{
-		c:         c,
-		slack:     slack,
-		units:     make(map[int]*mergedDay),
-		spilled:   make(map[int]bool),
-		store:     store,
-		userStore: store != nil,
-	}
+// dayWindow admits days to capture and orders them for the fold. Tickets
+// ascend from the first day; a ticket is issued only against one of
+// window admission slots, and a slot is returned only when its day has
+// been folded. Folds go in day order, so the days admitted and not yet
+// folded are always the contiguous run [next, next+window) or a prefix
+// of it: a day outside the window is never captured, and slot
+// day%window of the ring is free whenever a day in the window parks.
+type dayWindow struct {
+	end    int           // first day not to capture
+	ticket atomic.Int64  // next day to admit
+	slots  chan struct{} // admission semaphore, capacity window
+
+	mu      sync.Mutex
+	next    int        // next day to fold
+	parked  []*dayUnit // parked[day%window], nil while the day is not in
+	folding bool       // a worker holds day next outside the ring
 }
 
-// put inserts a merged day, evicting furthest-out units while the
-// buffer exceeds its slack. put never blocks, which is what keeps the
-// bounded mergedCh deadlock-free: the accumulator can always drain.
-func (b *dayBuffer) put(md *mergedDay) error {
-	b.units[md.day] = md
-	if b.slack <= 0 {
-		return nil
+func newDayWindow(from, end, window int) *dayWindow {
+	w := &dayWindow{end: end, slots: make(chan struct{}, window), next: from, parked: make([]*dayUnit, window)}
+	w.ticket.Store(int64(from))
+	return w
+}
+
+// admit blocks until the next day is inside the window and returns it;
+// ok is false once every day has been handed out.
+func (w *dayWindow) admit(ctx context.Context) (day int, ok bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return 0, false, err
 	}
-	for len(b.units) > b.slack {
-		if err := b.evictFurthest(); err != nil {
-			return err
+	select {
+	case w.slots <- struct{}{}:
+	case <-ctx.Done():
+		return 0, false, ctx.Err()
+	}
+	day = int(w.ticket.Add(1)) - 1
+	if day >= w.end {
+		<-w.slots
+		return 0, false, nil
+	}
+	return day, true, nil
+}
+
+// put parks a captured day for the fold. A day outside the window is
+// refused: admit cannot have issued it.
+func (w *dayWindow) put(day int, u *dayUnit) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if day < w.next || day >= w.next+len(w.parked) || w.parked[day%len(w.parked)] != nil {
+		return fmt.Errorf("measure: day %d parked outside the fold window [%d, %d)", day, w.next, w.next+len(w.parked))
+	}
+	w.parked[day%len(w.parked)] = u
+	return nil
+}
+
+// take hands the caller the next day to fold if it is parked and no
+// other worker is folding. The caller folds it and then calls folded;
+// until then every other take reports nothing, which is what keeps the
+// fold in ascending day order without a goroutine of its own.
+func (w *dayWindow) take() (day int, u *dayUnit, ok bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	slot := w.next % len(w.parked)
+	if w.folding || w.parked[slot] == nil {
+		return 0, nil, false
+	}
+	u, w.parked[slot] = w.parked[slot], nil
+	w.folding = true
+	return w.next, u, true
+}
+
+// folded ends the caller's fold turn and returns the day's admission
+// slot, moving the window one day on.
+func (w *dayWindow) folded() {
+	w.mu.Lock()
+	w.next++
+	w.folding = false
+	w.mu.Unlock()
+	<-w.slots
+}
+
+// drain returns the units still parked when a run stops early.
+func (w *dayWindow) drain() []*dayUnit {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var left []*dayUnit
+	for i, u := range w.parked {
+		if u != nil {
+			left = append(left, u)
+			w.parked[i] = nil
 		}
 	}
-	return nil
+	return left
 }
 
-// evictFurthest spills the largest buffered day: it is the last one the
-// in-order fold will need, so evicting it frees memory for the longest
-// time per spill.
-func (b *dayBuffer) evictFurthest() error {
-	worst := -1
-	for d := range b.units {
-		if d > worst {
-			worst = d
-		}
-	}
-	md := b.units[worst]
-	if err := b.ensureStore(); err != nil {
-		return err
-	}
-	data, err := encodeDayUnit(md.recs)
-	if err != nil {
-		return err
-	}
-	if err := b.store.Save(dayKey(worst), data); err != nil {
-		return err
-	}
-	delete(b.units, worst)
-	b.spilled[worst] = true
-	md.recs = nil
-	b.c.releaseUnit(md.bytes, true)
-	return nil
-}
-
-// take returns the unit for day if it is available, reloading it from
-// the spill store when it was evicted. reloaded reports a unit that
-// came back from the spill store: its retained accounting was already
-// released at eviction (it is folded immediately and never re-enters
-// the buffer), so the caller must not release it again.
-func (b *dayBuffer) take(day int) (md *mergedDay, reloaded bool, ok bool, err error) {
-	if md, ok := b.units[day]; ok {
-		delete(b.units, day)
-		return md, false, true, nil
-	}
-	if !b.spilled[day] {
-		return nil, false, false, nil
-	}
-	data, found, err := b.store.Load(dayKey(day))
-	if err != nil {
-		return nil, false, false, err
-	}
-	if !found {
-		return nil, false, false, fmt.Errorf("measure: evicted day %d missing from spill store", day)
-	}
-	recs, err := decodeDayUnit(data)
-	if err != nil {
-		return nil, false, false, err
-	}
-	delete(b.spilled, day)
-	return &mergedDay{day: day, recs: recs}, true, true, nil
-}
-
-// inCampaignStore reports whether a reloaded unit's spill bytes already
-// live in the campaign's own checkpoint store (as opposed to the
-// private temp store), in which case the fold must not write the unit
-// again.
-func (b *dayBuffer) inCampaignStore(reloaded bool) bool {
-	return reloaded && b.userStore
-}
-
-// ensureStore lazily creates the private temp spill store for campaigns
-// running without a CheckpointDir.
-func (b *dayBuffer) ensureStore() error {
-	if b.store != nil {
-		return nil
-	}
-	dir, err := os.MkdirTemp("", "i2p-campaign-spill-")
-	if err != nil {
-		return fmt.Errorf("measure: spill store: %w", err)
-	}
-	store, err := checkpoint.Open(dir, b.c.checkpointManifest())
-	if err != nil {
-		os.RemoveAll(dir)
-		return fmt.Errorf("measure: spill store: %w", err)
-	}
-	b.tmpDir = dir
-	b.store = store
-	return nil
-}
-
-// close releases accounting for any units stranded by an error and
-// removes the private spill store. On a successful run the buffer is
-// already empty.
-func (b *dayBuffer) close() {
-	for _, md := range b.units {
-		b.c.releaseUnit(md.bytes, false)
-		md.recs = nil
-	}
-	b.units = nil
-	if b.tmpDir != "" {
-		os.RemoveAll(b.tmpDir)
-	}
-}
-
-// campaignStats holds the streaming engine's instrument handles; same
+// campaignStats holds the campaign engine's instrument handles; same
 // lazy-resolution pattern as engineStats.
 type campaignStats struct {
 	reg *obs.Registry
 
-	retained      *obs.Gauge   // i2p_measure_retained_units
-	retainedPeak  *obs.Gauge   // i2p_measure_retained_units_peak
-	residentBytes *obs.Gauge   // i2p_measure_resident_bytes
-	evicted       *obs.Counter // i2p_measure_units_evicted_total
+	retained      *obs.Gauge // i2p_measure_retained_units
+	retainedPeak  *obs.Gauge // i2p_measure_retained_units_peak
+	residentBytes *obs.Gauge // i2p_measure_resident_bytes
 }
 
 var disabledCampaignStats = &campaignStats{}
@@ -246,6 +200,11 @@ var disabledCampaignStats = &campaignStats{}
 var cachedCampaignStats atomic.Pointer[campaignStats]
 
 func resolveCampaignStats(r *obs.Registry) *campaignStats {
+	// Nothing increments this family any more (see MemStats.UnitsEvicted);
+	// it stays registered, at 0, for scripts/obssnap and the BENCH_campaign
+	// ledger that still carry the field.
+	r.Counter("i2p_measure_units_evicted_total",
+		"Merged day units written to disk before their fold turn; always 0 under admission control.")
 	return &campaignStats{
 		reg: r,
 		retained: r.Gauge("i2p_measure_retained_units",
@@ -254,8 +213,6 @@ func resolveCampaignStats(r *obs.Registry) *campaignStats {
 			"High-water mark of simultaneously resident merged day units."),
 		residentBytes: r.Gauge("i2p_measure_resident_bytes",
 			"Estimated bytes of merged day records resident in campaign memory."),
-		evicted: r.Counter("i2p_measure_units_evicted_total",
-			"Merged day units evicted to the spill store before their fold turn."),
 	}
 }
 

@@ -1,0 +1,185 @@
+package sim
+
+import (
+	"math"
+	"math/rand/v2"
+	"reflect"
+	"testing"
+	"time"
+
+	"github.com/i2pstudy/i2pstudy/internal/netdb"
+)
+
+// legacyRouterInfo is Peer.RouterInfoOn as it stood before it was split
+// into drawInfo and buildInfo: one pass that draws and builds together
+// and resolves every picked introducer's address by walking its
+// schedule. It is the reference the split is held to, bit for bit.
+func legacyRouterInfo(p *Peer, day int, dayTime time.Time, introducerPool []*Peer, rng *rand.Rand) *netdb.RouterInfo {
+	caps := netdb.Caps{
+		Class:       p.Class,
+		LegacyO:     p.LegacyO,
+		Floodfill:   p.Floodfill,
+		Reachable:   p.Status == StatusKnownIP && p.Reachable,
+		Unreachable: !(p.Status == StatusKnownIP && p.Reachable),
+	}
+	ri := &netdb.RouterInfo{Identity: p.ID, Published: dayTime, Version: "0.9.34"}
+	switch p.Status {
+	case StatusKnownIP:
+		v4, v6 := p.AddrOnDay(day)
+		port := uint16(9000 + rng.IntN(22001))
+		if v4.IsValid() {
+			ri.Addresses = append(ri.Addresses,
+				netdb.RouterAddress{Transport: netdb.TransportNTCP, Addr: v4, Port: port},
+				netdb.RouterAddress{Transport: netdb.TransportSSU, Addr: v4, Port: port})
+		}
+		if v6.IsValid() {
+			ri.Addresses = append(ri.Addresses, netdb.RouterAddress{Transport: netdb.TransportNTCP, Addr: v6, Port: port})
+		}
+	case StatusFirewalled, StatusToggling:
+		addr := netdb.RouterAddress{Transport: netdb.TransportSSU}
+		n := 1 + rng.IntN(3)
+		for i := 0; i < n && len(introducerPool) > 0; i++ {
+			in := introducerPool[rng.IntN(len(introducerPool))]
+			v4, _ := in.AddrOnDay(day)
+			if !v4.IsValid() {
+				continue
+			}
+			addr.Introducers = append(addr.Introducers, netdb.Introducer{
+				Hash: in.ID,
+				Tag:  rng.Uint32(),
+				Addr: v4,
+				Port: uint16(9000 + rng.IntN(22001)),
+			})
+		}
+		ri.Addresses = append(ri.Addresses, addr)
+		if p.Status == StatusToggling {
+			caps.Hidden = true
+		}
+	case StatusHidden:
+		caps.Hidden = true
+	}
+	ri.Caps = caps
+	return ri
+}
+
+// TestCaptureDayDrawParity: whatever subset of the day's sightings is
+// already claimed, CaptureDay returns exactly the records the legacy
+// sequential materialization produced for the unclaimed ones, claims
+// them, and leaves the stream where the legacy walk left it — the
+// discarded draws consumed neither more nor fewer values.
+func TestCaptureDayDrawParity(t *testing.T) {
+	n := testNetwork(t, 12)
+	claimSets := []struct {
+		name    string
+		claimed func(i int, p *Peer) bool
+	}{
+		{"none", func(int, *Peer) bool { return false }},
+		{"all", func(int, *Peer) bool { return true }},
+		{"every-other", func(i int, _ *Peer) bool { return i%2 == 1 }},
+		{"all-but-introduced", func(_ int, p *Peer) bool {
+			return p.Status != StatusFirewalled && p.Status != StatusToggling
+		}},
+	}
+	for _, cfg := range []ObserverConfig{
+		{Floodfill: true, SharedKBps: MaxSharedKBps, Seed: 1000},
+		{Floodfill: false, SharedKBps: 512, Seed: 7},
+	} {
+		o := n.NewObserver(cfg)
+		for _, day := range []int{0, 5, 11} {
+			idxs := o.ObserveDay(day)
+			if len(idxs) == 0 {
+				t.Fatalf("observer %+v saw nothing on day %d", cfg, day)
+			}
+			legacy := o.materializeRNG(day)
+			full := make([]*netdb.RouterInfo, 0, len(idxs))
+			for _, idx := range idxs {
+				full = append(full, legacyRouterInfo(n.Peers[idx], day, n.DayTime(day), n.Introducers(day), legacy))
+			}
+			legacyNext := legacy.Uint64()
+			if got := o.CollectDay(day); !reflect.DeepEqual(got, full) {
+				t.Fatalf("seed %d day %d: CollectDay differs from the legacy materialization", cfg.Seed, day)
+			}
+
+			for _, cs := range claimSets {
+				claimed := n.NewClaimSet()
+				var want []*netdb.RouterInfo
+				for i, idx := range idxs {
+					if cs.claimed(i, n.Peers[idx]) {
+						claimed[idx>>6] |= 1 << (idx & 63)
+					} else {
+						want = append(want, full[i])
+					}
+				}
+				rng := o.materializeRNG(day)
+				got := o.capture(day, rng, claimed, nil)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d day %d claimed=%s: %d records differ from the %d-record subsequence of CollectDay",
+						cfg.Seed, day, cs.name, len(got), len(want))
+				}
+				if rng.Uint64() != legacyNext {
+					t.Errorf("seed %d day %d claimed=%s: stream position differs after the walk", cfg.Seed, day, cs.name)
+				}
+				for _, idx := range idxs {
+					if claimed[idx>>6]&(1<<(idx&63)) == 0 {
+						t.Fatalf("seed %d day %d claimed=%s: peer %d seen but not claimed", cfg.Seed, day, cs.name, idx)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCoverageTableMatchesPerPeerForm pins the per-observer gamma table
+// the daily draw indexes to the public per-peer form and to the
+// expression the per-peer form used before the table existed, with ==
+// on the floats: one differing bit would move an observation draw.
+func TestCoverageTableMatchesPerPeerForm(t *testing.T) {
+	n := testNetwork(t, 10)
+	byClass := map[int]*Peer{}
+	for _, p := range n.Peers {
+		if byClass[p.affinityClass()] == nil {
+			byClass[p.affinityClass()] = p
+		}
+	}
+	if len(byClass) != affinityClasses {
+		t.Fatalf("network covers %d of %d affinity classes", len(byClass), affinityClasses)
+	}
+	legacy := func(o *Observer, p *Peer) float64 {
+		params := n.obs
+		var affinity float64
+		switch {
+		case p.TunnelEligible():
+			affinity = params.RelayAffinity
+		case p.Status == StatusKnownIP:
+			affinity = params.CreatorAffinity
+		case p.Status == StatusFirewalled || p.Status == StatusToggling:
+			affinity = params.FirewalledAffinity
+		default:
+			affinity = params.HiddenAffinity
+		}
+		f := params.TunnelCoverageMax * (1 - math.Exp(-float64(o.Cfg.SharedKBps)/params.TunnelSatKBps))
+		store := 0.0
+		if o.Cfg.Floodfill {
+			f *= params.FFTunnelPenalty
+			store = params.StoreCoverage
+		}
+		tun := f * affinity
+		return math.Max(0, math.Min(1, 1-(1-params.DLMCoverage)*(1-store)*(1-tun)))
+	}
+	for _, floodfill := range []bool{true, false} {
+		for _, kbps := range []int{128, 1024, MaxSharedKBps} {
+			o := n.NewObserver(ObserverConfig{Floodfill: floodfill, SharedKBps: kbps, Seed: 1})
+			for class, p := range byClass {
+				if got, want := o.gamma[class], legacy(o, p); got != want {
+					t.Errorf("floodfill=%v %d KB/s class %d: table %v, legacy expression %v", floodfill, kbps, class, got, want)
+				}
+				if got := o.CoverageFactor(p); got != o.gamma[class] {
+					t.Errorf("floodfill=%v %d KB/s class %d: CoverageFactor %v, table %v", floodfill, kbps, class, got, o.gamma[class])
+				}
+				if got, want := o.ObserveProbability(p), o.gamma[class]*p.Exposure; got != want {
+					t.Errorf("floodfill=%v %d KB/s class %d: ObserveProbability %v, table form %v", floodfill, kbps, class, got, want)
+				}
+			}
+		}
+	}
+}

@@ -3,6 +3,8 @@ package sim
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
+	"sync"
 
 	"github.com/i2pstudy/i2pstudy/internal/cache"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
@@ -112,6 +114,11 @@ type Observer struct {
 	// field pioneered inline now lives in cache.DayMemo, shared with the
 	// censor's victim views and the distrib owner epochs.
 	memo cache.DayMemo[[]int]
+
+	// gamma[class] is CoverageFactor for a peer of that affinity class,
+	// fixed at construction: the daily draw indexes it per peer instead
+	// of redoing the math.Exp behind it.
+	gamma [affinityClasses]float64
 }
 
 // NewObserver attaches an observer to the network. Bandwidth is clamped to
@@ -123,11 +130,15 @@ func (n *Network) NewObserver(cfg ObserverConfig) *Observer {
 	if cfg.SharedKBps > MaxSharedKBps {
 		cfg.SharedKBps = MaxSharedKBps
 	}
-	return &Observer{
+	o := &Observer{
 		Cfg:  cfg,
 		net:  n,
 		memo: cache.DayMemo[[]int]{Cap: observeMemoCap, Ring: observeMemoRing},
 	}
+	for class := range o.gamma {
+		o.gamma[class] = o.classCoverage(class)
+	}
+	return o
 }
 
 // tunnelFactor returns the tunnel-channel intensity for the observer's
@@ -141,31 +152,47 @@ func (o *Observer) tunnelFactor() float64 {
 	return f
 }
 
-// affinity returns the tunnel-channel weight for a peer.
-func (o *Observer) affinity(p *Peer) float64 {
-	params := o.net.obs
+// The tunnel-affinity classes a peer can fall in; see affinityClass.
+const (
+	affinityRelay = iota
+	affinityCreator
+	affinityFirewalled
+	affinityHidden
+	affinityClasses
+)
+
+// affinityClass returns which of the four tunnel-channel weights applies
+// to the peer.
+func (p *Peer) affinityClass() int {
 	switch {
 	case p.TunnelEligible():
-		return params.RelayAffinity
+		return affinityRelay
 	case p.Status == StatusKnownIP:
-		return params.CreatorAffinity
+		return affinityCreator
 	case p.Status == StatusFirewalled || p.Status == StatusToggling:
-		return params.FirewalledAffinity
+		return affinityFirewalled
 	default:
-		return params.HiddenAffinity
+		return affinityHidden
 	}
 }
 
-// CoverageFactor returns gamma_o(p): the fraction of peer p's exposure the
-// observer converts into an observation each day.
-func (o *Observer) CoverageFactor(p *Peer) float64 {
+// classCoverage returns gamma_o for one affinity class. CoverageFactor
+// and the per-observer table both come from here, so the floats — hence
+// the observation draws — cannot differ between them.
+func (o *Observer) classCoverage(class int) float64 {
 	params := o.net.obs
+	affinity := [affinityClasses]float64{
+		affinityRelay:      params.RelayAffinity,
+		affinityCreator:    params.CreatorAffinity,
+		affinityFirewalled: params.FirewalledAffinity,
+		affinityHidden:     params.HiddenAffinity,
+	}[class]
 	dlm := params.DLMCoverage
 	store := 0.0
 	if o.Cfg.Floodfill {
 		store = params.StoreCoverage
 	}
-	tun := o.tunnelFactor() * o.affinity(p)
+	tun := o.tunnelFactor() * affinity
 	gamma := 1 - (1-dlm)*(1-store)*(1-tun)
 	if gamma < 0 {
 		return 0
@@ -174,6 +201,12 @@ func (o *Observer) CoverageFactor(p *Peer) float64 {
 		return 1
 	}
 	return gamma
+}
+
+// CoverageFactor returns gamma_o(p): the fraction of peer p's exposure the
+// observer converts into an observation each day.
+func (o *Observer) CoverageFactor(p *Peer) float64 {
+	return o.classCoverage(p.affinityClass())
 }
 
 // ObserveProbability returns the probability that the observer sees peer p
@@ -204,12 +237,62 @@ func (o *Observer) observeDay(day int) []int {
 		return nil
 	}
 	rng := o.dayRNG(day)
-	out := make([]int, 0, len(active)/2)
+	// Draw into pooled scratch that holds a whole day, then keep a copy
+	// of exactly the sightings: the memo retains no slack however few of
+	// the active peers this observer sees, and nothing regrows.
+	scratch := drawScratch.Get().(*[]int)
+	out := (*scratch)[:0]
 	for _, idx := range active {
 		p := o.net.Peers[idx]
-		if rng.Float64() < o.ObserveProbability(p) {
+		if rng.Float64() < o.gamma[p.affinityClass()]*p.Exposure {
 			out = append(out, idx)
 		}
+	}
+	*scratch = out
+	out = slices.Clone(out)
+	drawScratch.Put(scratch)
+	return out
+}
+
+// drawScratch recycles observeDay's draw buffers.
+var drawScratch = sync.Pool{New: func() any { return new([]int) }}
+
+// ClaimSet is a bitset over peer index marking the peers some earlier
+// capture of the day already materialized.
+type ClaimSet []uint64
+
+// NewClaimSet returns an empty set sized for the network's peers.
+func (n *Network) NewClaimSet() ClaimSet { return make(ClaimSet, (len(n.Peers)+63)/64) }
+
+// CaptureDay appends to out the RouterInfos the observer captured on the
+// given day for peers not yet in claimed, and claims them. Every observer
+// stamps Published with the day's time, so across a fleet walked in order
+// the first observer to see a peer holds the record a newest-wins merge
+// keeps; CaptureDay builds only those. A peer already claimed still draws
+// from the materialization stream and discards the draw, so the records
+// built are bit-for-bit the ones CollectDay returns for the same peers.
+func (o *Observer) CaptureDay(day int, claimed ClaimSet, out []*netdb.RouterInfo) []*netdb.RouterInfo {
+	return o.capture(day, o.materializeRNG(day), claimed, out)
+}
+
+// materializeRNG returns the (observer, day) materialization stream,
+// independent of the observation draw's.
+func (o *Observer) materializeRNG(day int) *rand.Rand { return o.dayRNG(day + 1<<20) }
+
+// capture is CaptureDay over a caller-held stream, so a test can read
+// where the walk left it.
+func (o *Observer) capture(day int, rng *rand.Rand, claimed ClaimSet, out []*netdb.RouterInfo) []*netdb.RouterInfo {
+	pool := o.net.introducerPool(day)
+	dayTime := o.net.DayTime(day)
+	for _, idx := range o.ObserveDay(day) {
+		p := o.net.Peers[idx]
+		d := p.drawInfo(pool, rng)
+		word, bit := idx>>6, uint64(1)<<(idx&63)
+		if claimed[word]&bit != 0 {
+			continue
+		}
+		claimed[word] |= bit
+		out = append(out, p.buildInfo(day, dayTime, d))
 	}
 	return out
 }
@@ -218,13 +301,8 @@ func (o *Observer) observeDay(day int) []int {
 // given day — what the paper's harness read from the netDb directory on
 // its hourly scans before the daily cleanup (Section 4.3).
 func (o *Observer) CollectDay(day int) []*netdb.RouterInfo {
-	idxs := o.ObserveDay(day)
-	rng := o.dayRNG(day + 1<<20) // independent stream for materialization
-	out := make([]*netdb.RouterInfo, 0, len(idxs))
-	for _, idx := range idxs {
-		out = append(out, o.net.RouterInfoFor(o.net.Peers[idx], day, rng))
-	}
-	return out
+	out := make([]*netdb.RouterInfo, 0, len(o.ObserveDay(day)))
+	return o.CaptureDay(day, o.net.NewClaimSet(), out)
 }
 
 // UnionObserveDay returns the union of observations of several observers

@@ -252,70 +252,92 @@ func (p *Peer) UniqueASNs() int {
 	return len(seen)
 }
 
-// RouterInfoOn materializes the peer's RouterInfo as published on the given
-// study day. introducerPool supplies candidate introducers for firewalled
-// peers (known-IP reachable peers active the same day).
-func (p *Peer) RouterInfoOn(day int, dayTime time.Time, introducerPool []*Peer, rng *rand.Rand) *netdb.RouterInfo {
-	caps := netdb.Caps{
-		Class:       p.Class,
-		LegacyO:     p.LegacyO,
-		Floodfill:   p.Floodfill,
-		Reachable:   p.Status == StatusKnownIP && p.Reachable,
-		Unreachable: !(p.Status == StatusKnownIP && p.Reachable),
+// infoDraw is everything a RouterInfo takes from the materialization
+// stream: the published port of a known-IP peer, or the introducers a
+// firewalled peer advertises.
+type infoDraw struct {
+	port   uint16
+	intros [3]netdb.Introducer
+	n      int // introducers drawn into intros
+}
+
+// drawInfo consumes the peer's share of the materialization stream. The
+// call sequence on rng is the stream's contract: a record is bit-for-bit
+// what it always was only while every peer ahead of it in the stream,
+// built or discarded, has drawn exactly this.
+func (p *Peer) drawInfo(pool introducerPool, rng *rand.Rand) (d infoDraw) {
+	switch p.Status {
+	case StatusKnownIP:
+		d.port = uint16(9000 + rng.IntN(22001)) // I2P's 9000–31000 range
+	case StatusFirewalled, StatusToggling:
+		n := 1 + rng.IntN(3)
+		for i := 0; i < n && len(pool.peers) > 0; i++ {
+			pick := rng.IntN(len(pool.peers))
+			v4 := pool.v4[pick]
+			if !v4.IsValid() {
+				continue
+			}
+			d.intros[d.n] = netdb.Introducer{
+				Hash: pool.peers[pick].ID,
+				Tag:  rng.Uint32(),
+				Addr: v4,
+				Port: uint16(9000 + rng.IntN(22001)),
+			}
+			d.n++
+		}
 	}
+	return d
+}
+
+// buildInfo materializes the peer's RouterInfo as published on the given
+// study day from its draw.
+func (p *Peer) buildInfo(day int, dayTime time.Time, d infoDraw) *netdb.RouterInfo {
+	reachable := p.Status == StatusKnownIP && p.Reachable
 	ri := &netdb.RouterInfo{
 		Identity:  p.ID,
 		Published: dayTime,
 		Version:   "0.9.34",
+		Caps: netdb.Caps{
+			Class:       p.Class,
+			LegacyO:     p.LegacyO,
+			Floodfill:   p.Floodfill,
+			Reachable:   reachable,
+			Unreachable: !reachable,
+		},
 	}
 	switch p.Status {
 	case StatusKnownIP:
 		v4, v6 := p.AddrOnDay(day)
-		port := uint16(9000 + rng.IntN(22001)) // I2P's 9000–31000 range
+		n := 0
 		if v4.IsValid() {
-			ri.Addresses = append(ri.Addresses, netdb.RouterAddress{
-				Transport: netdb.TransportNTCP,
-				Addr:      v4,
-				Port:      port,
-			})
-			ri.Addresses = append(ri.Addresses, netdb.RouterAddress{
-				Transport: netdb.TransportSSU,
-				Addr:      v4,
-				Port:      port,
-			})
+			n += 2
 		}
 		if v6.IsValid() {
-			ri.Addresses = append(ri.Addresses, netdb.RouterAddress{
-				Transport: netdb.TransportNTCP,
-				Addr:      v6,
-				Port:      port,
-			})
+			n++
+		}
+		if n == 0 {
+			break
+		}
+		ri.Addresses = make([]netdb.RouterAddress, 0, n)
+		if v4.IsValid() {
+			ri.Addresses = append(ri.Addresses,
+				netdb.RouterAddress{Transport: netdb.TransportNTCP, Addr: v4, Port: d.port},
+				netdb.RouterAddress{Transport: netdb.TransportSSU, Addr: v4, Port: d.port})
+		}
+		if v6.IsValid() {
+			ri.Addresses = append(ri.Addresses,
+				netdb.RouterAddress{Transport: netdb.TransportNTCP, Addr: v6, Port: d.port})
 		}
 	case StatusFirewalled, StatusToggling:
-		addr := netdb.RouterAddress{Transport: netdb.TransportSSU}
-		n := 1 + rng.IntN(3)
-		for i := 0; i < n && len(introducerPool) > 0; i++ {
-			in := introducerPool[rng.IntN(len(introducerPool))]
-			v4, _ := in.AddrOnDay(day)
-			if !v4.IsValid() {
-				continue
-			}
-			addr.Introducers = append(addr.Introducers, netdb.Introducer{
-				Hash: in.ID,
-				Tag:  rng.Uint32(),
-				Addr: v4,
-				Port: uint16(9000 + rng.IntN(22001)),
-			})
-		}
-		ri.Addresses = append(ri.Addresses, addr)
-		if p.Status == StatusToggling {
-			// Within the day the peer also appeared with hidden config;
-			// the H flag records it, putting the peer in both groups.
-			caps.Hidden = true
-		}
+		ri.Addresses = []netdb.RouterAddress{{
+			Transport:   netdb.TransportSSU,
+			Introducers: append([]netdb.Introducer(nil), d.intros[:d.n]...),
+		}}
+		// Within the day a toggling peer also appeared with hidden config;
+		// the H flag records it, putting the peer in both groups.
+		ri.Caps.Hidden = p.Status == StatusToggling
 	case StatusHidden:
-		caps.Hidden = true
+		ri.Caps.Hidden = true
 	}
-	ri.Caps = caps
 	return ri
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"net/netip"
 	"time"
 
 	"github.com/i2pstudy/i2pstudy/internal/churn"
@@ -124,9 +125,17 @@ type Network struct {
 	activeByDay [][]int
 	// introducersByDay[d] caches the known-IP reachable peers available
 	// as introducers on day d.
-	introducersByDay [][]*Peer
+	introducersByDay []introducerPool
 
 	obs ObservationParams
+}
+
+// introducerPool is one day's candidate introducers, each with the IPv4
+// it publishes that day beside it, so an introducer draw reads the
+// address without walking the picked peer's schedule.
+type introducerPool struct {
+	peers []*Peer
+	v4    []netip.Addr // v4[i] is peers[i].AddrOnDay(day)'s IPv4
 }
 
 // New builds a network. Construction cost is O(peers x days).
@@ -435,25 +444,45 @@ func (n *Network) decorate(p *Peer, rng *rand.Rand) {
 	p.buildIPSchedule(n.geo, n.cfg.Days, rng)
 }
 
-// index builds the per-day active sets and introducer pools.
+// index builds the per-day active sets and introducer pools, counting
+// first so every slice is allocated once at its final size.
 func (n *Network) index() {
-	n.activeByDay = make([][]int, n.cfg.Days)
-	n.introducersByDay = make([][]*Peer, n.cfg.Days)
-	for _, p := range n.Peers {
-		for i, on := range p.Presence {
-			if !on {
-				continue
-			}
-			d := p.StartDay + i
-			if d < 0 || d >= n.cfg.Days {
-				continue
-			}
-			n.activeByDay[d] = append(n.activeByDay[d], p.Index)
-			if p.Status == StatusKnownIP && p.Reachable {
-				n.introducersByDay[d] = append(n.introducersByDay[d], p)
+	eachActiveDay := func(fn func(p *Peer, d int, introducer bool)) {
+		for _, p := range n.Peers {
+			introducer := p.Status == StatusKnownIP && p.Reachable
+			for i, on := range p.Presence {
+				if d := p.StartDay + i; on && d >= 0 && d < n.cfg.Days {
+					fn(p, d, introducer)
+				}
 			}
 		}
 	}
+	active := make([]int, n.cfg.Days)
+	introducers := make([]int, n.cfg.Days)
+	eachActiveDay(func(_ *Peer, d int, introducer bool) {
+		active[d]++
+		if introducer {
+			introducers[d]++
+		}
+	})
+	n.activeByDay = make([][]int, n.cfg.Days)
+	n.introducersByDay = make([]introducerPool, n.cfg.Days)
+	for d := range n.activeByDay {
+		n.activeByDay[d] = make([]int, 0, active[d])
+		n.introducersByDay[d] = introducerPool{
+			peers: make([]*Peer, 0, introducers[d]),
+			v4:    make([]netip.Addr, 0, introducers[d]),
+		}
+	}
+	eachActiveDay(func(p *Peer, d int, introducer bool) {
+		n.activeByDay[d] = append(n.activeByDay[d], p.Index)
+		if introducer {
+			pool := &n.introducersByDay[d]
+			v4, _ := p.AddrOnDay(d)
+			pool.peers = append(pool.peers, p)
+			pool.v4 = append(pool.v4, v4)
+		}
+	})
 }
 
 // PeerCount returns the number of peers ever materialized in the network.
@@ -476,8 +505,12 @@ func (n *Network) ActivePeers(day int) []int {
 // Introducers returns the known-IP reachable peers active on day, used as
 // the introducer pool for firewalled peers.
 func (n *Network) Introducers(day int) []*Peer {
+	return n.introducerPool(day).peers
+}
+
+func (n *Network) introducerPool(day int) introducerPool {
 	if day < 0 || day >= len(n.introducersByDay) {
-		return nil
+		return introducerPool{}
 	}
 	return n.introducersByDay[day]
 }
@@ -485,5 +518,5 @@ func (n *Network) Introducers(day int) []*Peer {
 // RouterInfoFor materializes the RouterInfo the given peer publishes on
 // day. rng drives port/introducer choices.
 func (n *Network) RouterInfoFor(p *Peer, day int, rng *rand.Rand) *netdb.RouterInfo {
-	return p.RouterInfoOn(day, n.DayTime(day), n.Introducers(day), rng)
+	return p.buildInfo(day, n.DayTime(day), p.drawInfo(n.introducerPool(day), rng))
 }

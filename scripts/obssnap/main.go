@@ -12,9 +12,9 @@
 // the timing numbers alone only show. Worker width follows GOMAXPROCS,
 // matching how the bench jobs pin cores.
 //
-// With -campaign the tool instead runs one streaming measurement
-// campaign and prints its memory accounting: the measure_* retained-unit
-// gauges and eviction counter from the obs registry, the campaign grid
+// With -campaign the tool instead runs one measurement campaign and
+// prints its memory accounting: the measure_* retained-unit gauges and
+// (always zero) eviction counter from the obs registry, the campaign grid
 // size, and the process's peak RSS. scripts/stream_smoke.sh asserts the
 // bounded-memory contract against these lines, and bench.sh splices
 // them into BENCH_campaign.json.
@@ -43,9 +43,9 @@ func main() {
 	seed := flag.Uint64("seed", 2018, "simulation seed")
 	days := flag.Int("days", 40, "study horizon in days")
 	experiment := flag.String("experiment", "figure-13", "experiment driving the counters")
-	campaign := flag.Bool("campaign", false, "snapshot the streaming campaign's memory accounting instead of sweep counters")
+	campaign := flag.Bool("campaign", false, "snapshot the campaign's memory accounting instead of sweep counters")
 	workers := flag.Int("workers", 4, "campaign engine width for -campaign")
-	checkpointDir := flag.String("checkpoint-dir", "", "campaign checkpoint directory for -campaign (also the eviction spill target)")
+	checkpointDir := flag.String("checkpoint-dir", "", "campaign checkpoint directory for -campaign")
 	flag.Parse()
 
 	reg := obs.NewRegistry()
@@ -91,7 +91,7 @@ func main() {
 	}
 }
 
-// runCampaign runs one streaming campaign and prints its memory
+// runCampaign runs one campaign and prints its memory
 // accounting as "key value" lines. The gauge/counter values come from
 // the obs registry — the same families an operator would scrape — so
 // the smoke script exercises the wiring end to end; the grid size and

@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
-# stream_smoke.sh — end-to-end check of the bounded-memory streaming
-# campaign: run one streaming campaign with a -checkpoint-dir (so
-# evictions spill into the real checkpoint layer), then assert the
-# memory accounting the engine printed:
+# stream_smoke.sh — end-to-end check of the bounded-memory campaign:
+# run one campaign with a -checkpoint-dir, then assert the memory
+# accounting the engine printed:
 #
 #   * the peak retained-unit count stays strictly below the grid size
-#     (the whole point of streaming: O(workers) resident days, not
-#     O(days)) and within the structural pipeline ceiling;
+#     (O(workers) resident days, not O(days)) and within the admission
+#     window;
 #   * retain/release balance: zero units and zero resident bytes remain
 #     after the run;
 #   * the checkpoint directory holds every day unit, so the same
@@ -18,8 +17,7 @@
 #
 # STREAM_DAYS / STREAM_WORKERS / STREAM_SCALE override the grid (default
 # 40 days x 8 observers at scale 0.02, workers 4 — small enough for CI,
-# big enough that a retained-mode run would hold 10x more days than the
-# streaming ceiling allows).
+# big enough that the grid is 5x the days the window admits).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,10 +44,10 @@ if [ -z "$peak" ] || [ -z "$retained" ] || [ -z "$resident" ] || [ -z "$grid" ];
   exit 1
 fi
 
-# The structural ceiling: one unit per capture worker between retain and
-# channel send, one per channel slot, the default slack of one per
-# worker, and the unit being folded (see measure.CampaignConfig.Retain).
-ceiling=$((3 * workers + 1))
+# The structural ceiling is the admission window: a unit exists only for
+# a day admitted and not yet folded, and at most two days per worker are
+# (windowFactor in internal/measure/stream.go).
+ceiling=$((2 * workers))
 if [ "$peak" -lt 1 ] || [ "$peak" -gt "$ceiling" ]; then
   echo "stream_smoke: peak retained units $peak outside [1, $ceiling]" >&2
   exit 1
@@ -63,8 +61,8 @@ if [ "$retained" -ne 0 ] || [ "$resident" -ne 0 ]; then
   exit 1
 fi
 
-# Every day must have committed a checkpoint unit (eviction spills early,
-# the fold spills the rest; either way the grid resumes from here).
+# Every day must have committed a checkpoint unit at its fold, so the
+# grid resumes from here.
 units="$(ls "$ckpt"/day-* 2>/dev/null | wc -l)"
 if [ "$units" -ne "$grid" ]; then
   echo "stream_smoke: checkpoint dir holds $units day units, want $grid" >&2
