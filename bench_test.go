@@ -247,11 +247,9 @@ func BenchmarkMainCampaignParallel(b *testing.B) { benchmarkMainCampaign(b, 0) }
 // tail of captures, folded into five window series) at the given engine
 // width. In -short mode the shared study is scaled down but the pair
 // still runs, so the CI bench smoke exercises the sweep engine; the
-// focused serial/parallel trajectory pair lives in internal/censor and
-// feeds BENCH_censor.json via scripts/bench.sh, and the rolling-window
-// engine's rolling-vs-from-scratch trio (BenchmarkSweepRolling*,
-// BenchmarkSweepFromScratchSerial) feeds BENCH_rolling.json from the
-// same package.
+// focused serial/parallel pair lives in internal/censor, beside the
+// rolling-window engine's rolling-vs-from-scratch trio
+// (BenchmarkSweepRolling*, BenchmarkSweepFromScratchSerial).
 func benchmarkAdversarySweep(b *testing.B, workers int) {
 	s := benchStudy(b)
 	day := s.Opts.Days - 5

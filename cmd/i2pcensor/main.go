@@ -26,124 +26,42 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log"
-	"os"
-	"os/signal"
-	"sort"
-	"strings"
-	"syscall"
 
-	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
+	"github.com/i2pstudy/i2pstudy/internal/cli"
 	"github.com/i2pstudy/i2pstudy/internal/core"
-	"github.com/i2pstudy/i2pstudy/internal/faults"
-	"github.com/i2pstudy/i2pstudy/internal/obs"
-	"github.com/i2pstudy/i2pstudy/internal/prof"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("i2pcensor: ")
+func main() { cli.Main("i2pcensor", run) }
 
-	scale := flag.Float64("scale", 0.1, "network scale relative to the paper's 30.5K daily peers")
-	seed := flag.Uint64("seed", 2018, "simulation seed")
-	days := flag.Int("days", 45, "study horizon in days (>= 40)")
-	workers := flag.Int("workers", 0, "engine concurrency (0 = one worker per CPU, 1 = serial)")
-	experiment := flag.String("experiment", "", "run specific experiments (comma-separated IDs)")
-	checkpointDir := flag.String("checkpoint-dir", "", "spill finished experiments here so an interrupted run can resume")
-	resume := flag.Bool("resume", false, "continue from an existing -checkpoint-dir instead of refusing it")
-	inject := flag.String("inject", "", "arm a deterministic fault: point:N:mode (mode = error|panic|exit)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	blockprofile := flag.String("blockprofile", "", "write a blocking-contention profile to this file on exit")
-	mutexprofile := flag.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
-	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON file of engine spans (open in Perfetto)")
+func run() error {
+	f := cli.Register()
 	flag.Parse()
-
-	if *inject != "" {
-		inj, err := faults.Parse(*inject)
-		if err != nil {
-			log.Fatal(err)
-		}
-		faults.Enable(faults.New(inj))
-	}
-	if *checkpointDir != "" && !*resume && checkpoint.Exists(*checkpointDir) {
-		log.Fatalf("%s holds a previous run's checkpoint; pass -resume to continue it (or point -checkpoint-dir elsewhere)", *checkpointDir)
-	}
-
-	stopProf, err := prof.StartOptions(prof.Options{
-		CPUProfile:   *cpuprofile,
-		MemProfile:   *memprofile,
-		BlockProfile: *blockprofile,
-		MutexProfile: *mutexprofile,
-	})
+	ctx, stop, err := f.Start()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			log.Print(err)
-		}
-	}()
-
-	closeTrace, err := obs.TraceToFile(*traceFile)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer func() {
-		if err := closeTrace(); err != nil {
-			log.Print(err)
-		}
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opts := core.DefaultOptions()
-	opts.Seed = *seed
-	opts.Days = *days
-	opts.TargetDailyPeers = int(*scale * 30500)
-	opts.Workers = *workers
-	opts.CheckpointDir = *checkpointDir
-	study, err := core.NewStudy(opts)
+	study, err := f.NewStudy()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("network: %d daily peers (scale %.2f), %d days, seed %d\n\n",
-		opts.TargetDailyPeers, *scale, opts.Days, opts.Seed)
+		study.Opts.TargetDailyPeers, f.Scale, study.Opts.Days, study.Opts.Seed)
 
 	// The experiment set is derived from the registry's category tags, so
 	// newly registered censorship and distribution experiments appear here
 	// automatically.
-	ids := append(core.ExperimentIDs(core.CategoryCensorship),
-		core.ExperimentIDs(core.CategoryDistribution)...)
-	if *experiment != "" {
-		ids = strings.Split(*experiment, ",")
-	}
+	ids := f.IDs(append(core.ExperimentIDs(core.CategoryCensorship),
+		core.ExperimentIDs(core.CategoryDistribution)...))
 	results, err := study.RunAll(ctx, ids...)
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			log.Fatal("interrupted")
-		}
-		log.Fatal(err)
+		return err
 	}
 	for _, res := range results {
-		fmt.Printf("=== %s: %s\n", res.ID, res.Title)
-		if e, ok := core.Lookup(res.ID); ok {
-			fmt.Printf("paper: %s\n\n", e.Paper)
-		}
-		fmt.Println(res.Text)
-		keys := make([]string, 0, len(res.Metrics))
-		for k := range res.Metrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Printf("  %-28s %.3f\n", k, res.Metrics[k])
-		}
-		fmt.Println()
+		cli.PrintResult(res)
 	}
+	return nil
 }

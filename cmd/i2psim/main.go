@@ -14,25 +14,23 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 
+	"github.com/i2pstudy/i2pstudy/internal/cli"
 	"github.com/i2pstudy/i2pstudy/internal/core"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 	"github.com/i2pstudy/i2pstudy/internal/stats"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("i2psim: ")
+func main() { cli.Main("i2psim", run) }
 
+func run() error {
 	peers := flag.Int("peers", 30500, "target daily peer population")
 	days := flag.Int("days", 90, "study horizon in days")
 	seed := flag.Uint64("seed", 2018, "simulation seed")
@@ -42,25 +40,19 @@ func main() {
 	flag.Parse()
 
 	if *experiments != "" {
-		if err := runExperiments(*experiments, *peers, *days, *seed, *workers); err != nil {
-			if errors.Is(err, context.Canceled) {
-				log.Fatal("interrupted")
-			}
-			log.Fatal(err)
-		}
-		return
+		return runExperiments(*experiments, *peers, *days, *seed, *workers)
 	}
 
 	net, err := sim.New(sim.Config{Seed: *seed, Days: *days, TargetDailyPeers: *peers})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	d := *day
 	if d < 0 {
 		d = *days / 2
 	}
 	if d >= *days {
-		log.Fatalf("day %d outside study horizon %d", d, *days)
+		return fmt.Errorf("day %d outside study horizon %d", d, *days)
 	}
 
 	active := net.ActivePeers(d)
@@ -108,6 +100,7 @@ func main() {
 	if flag.NArg() > 0 {
 		fmt.Fprintln(os.Stderr, "ignored arguments:", flag.Args())
 	}
+	return nil
 }
 
 // runExperiments drives the requested paper experiments through

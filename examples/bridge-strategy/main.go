@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -63,7 +64,7 @@ func main() {
 	cfg.Day = 20
 	cfg.HorizonDays = 10
 	cfg.Bridges = 80
-	evs, err := censor.EvaluateBridges(network, 5, cfg)
+	evs, err := censor.EvaluateBridgesContext(context.Background(), network, 5, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // Polychronakis — IMC 2018) as a self-contained Go library.
 //
 // The live I2P network is replaced by a calibrated synthetic network (see
-// DESIGN.md for the substitution argument); everything above it is real
+// internal/sim for the substitution argument); everything above it is real
 // systems code: the netDb data structures and wire codecs, the Kademlia
 // XOR metric with daily routing-key rotation, an NTCP-style obfuscated
 // transport over TCP, tunnels with layered CBC encryption, reseed servers

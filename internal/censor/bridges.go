@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"github.com/i2pstudy/i2pstudy/internal/measure"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -121,18 +120,10 @@ func DefaultBridgeConfig() BridgeConfig {
 	}
 }
 
-// EvaluateBridges runs every strategy against a censor with the given
-// blacklist window and returns one evaluation per strategy.
-//
-// Deprecated: use EvaluateBridgesContext, the canonical ctx-taking form;
-// this shim runs it under context.Background.
-func EvaluateBridges(network *sim.Network, windowDays int, cfg BridgeConfig) ([]BridgeEvaluation, error) {
-	return EvaluateBridgesContext(context.Background(), network, windowDays, cfg)
-}
-
-// EvaluateBridgesContext evaluates the bridge strategies with the
-// censor's per-day blacklists computed as adversary sweep cells across
-// the worker pool.
+// EvaluateBridgesContext runs every strategy against a censor with the
+// given blacklist window and returns one evaluation per strategy, with
+// the censor's per-day blacklists computed as adversary sweep cells
+// across the worker pool.
 func EvaluateBridgesContext(ctx context.Context, network *sim.Network, windowDays int, cfg BridgeConfig) ([]BridgeEvaluation, error) {
 	if cfg.Day+cfg.HorizonDays >= network.Days() {
 		return nil, fmt.Errorf("censor: bridge horizon (day %d + %d) exceeds network days (%d)",
@@ -147,8 +138,12 @@ func EvaluateBridgesContext(ctx context.Context, network *sim.Network, windowDay
 		Windows:  []int{windowDays},
 		Days:     days,
 		SeedBase: cfg.Seed + 500,
-	}, measure.Workers(cfg.Workers), measure.Capture(ctx))
+		Workers:  cfg.Workers,
+	})
 	if err != nil {
+		return nil, err
+	}
+	if err := sw.Capture(ctx); err != nil {
 		return nil, err
 	}
 	// One blocked-peer predicate per horizon day, evaluated as sweep

@@ -21,7 +21,6 @@ import (
 	"net/netip"
 
 	"github.com/i2pstudy/i2pstudy/internal/cache"
-	"github.com/i2pstudy/i2pstudy/internal/measure"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 	"github.com/i2pstudy/i2pstudy/internal/stats"
 )
@@ -301,22 +300,15 @@ func (c *Censor) blockedPeerFunc(k, window, day int) func(peerIdx int) bool {
 	}
 }
 
-// Figure13 sweeps censor fleet sizes and blacklist windows, producing one
-// series per window, each giving the cumulative blocking rate (percent)
-// versus the number of monitoring routers — the paper's Figure 13.
-//
-// Deprecated: use Figure13Context, the canonical ctx-taking form; this
-// shim runs it under context.Background with auto workers.
-func Figure13(network *sim.Network, maxRouters int, windows []int, day int, seedBase uint64) (*stats.Figure, error) {
-	return Figure13Context(context.Background(), network, maxRouters, windows, day, seedBase, 0)
-}
-
-// Figure13Context runs the Figure 13 sweep on the adversary engine: one
-// censor fleet and one victim are built once and shared by every window
-// series (observers are deterministic in (seed, day), so reuse never
-// changes a draw); captures warm through the parallel engine; each window
-// cell folds an incremental blacklist union over fleet prefixes. Any
-// workers value yields a byte-identical figure.
+// Figure13Context sweeps censor fleet sizes and blacklist windows,
+// producing one series per window, each giving the cumulative blocking
+// rate (percent) versus the number of monitoring routers — the paper's
+// Figure 13. It runs on the adversary engine: one censor fleet and one
+// victim are built once and shared by every window series (observers
+// are deterministic in (seed, day), so reuse never changes a draw);
+// captures warm through the parallel engine; each window cell folds an
+// incremental blacklist union over fleet prefixes. Any workers value
+// yields a byte-identical figure.
 func Figure13Context(ctx context.Context, network *sim.Network, maxRouters int, windows []int, day int, seedBase uint64, workers int) (*stats.Figure, error) {
 	if len(windows) == 0 {
 		windows = []int{1, 5, 10, 20, 30}
@@ -326,8 +318,12 @@ func Figure13Context(ctx context.Context, network *sim.Network, maxRouters int, 
 		Windows:  windows,
 		Days:     []int{day},
 		SeedBase: seedBase,
-	}, measure.Workers(workers), measure.Capture(ctx))
+		Workers:  workers,
+	})
 	if err != nil {
+		return nil, err
+	}
+	if err := sw.Capture(ctx); err != nil {
 		return nil, err
 	}
 	cells := sw.Cells()

@@ -1,6 +1,7 @@
 package censor
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -139,7 +140,7 @@ func TestFigure13Anchors(t *testing.T) {
 
 func TestFigure13FigureGeneration(t *testing.T) {
 	n := network(t)
-	fig, err := Figure13(n, 8, []int{1, 5}, 20, 1)
+	fig, err := Figure13Context(context.Background(), n, 8, []int{1, 5}, 20, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestBridgeStrategies(t *testing.T) {
 	cfg := DefaultBridgeConfig()
 	cfg.Day = 10
 	cfg.HorizonDays = 8
-	evs, err := EvaluateBridges(n, 5, cfg)
+	evs, err := EvaluateBridgesContext(context.Background(), n, 5, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestEvaluateBridgesValidation(t *testing.T) {
 	cfg := DefaultBridgeConfig()
 	cfg.Day = n.Days() - 1
 	cfg.HorizonDays = 10
-	if _, err := EvaluateBridges(n, 5, cfg); err == nil {
+	if _, err := EvaluateBridgesContext(context.Background(), n, 5, cfg); err == nil {
 		t.Fatal("horizon past study end accepted")
 	}
 }
@@ -305,7 +306,7 @@ func TestEclipseAttack(t *testing.T) {
 		t.Fatal("usable peers cannot be below the injected count")
 	}
 	// Sweep machinery.
-	fig, results, err := EclipseSweep(n, []int{2, 20}, 5, injected, day, 77)
+	fig, results, err := EclipseSweepContext(context.Background(), n, []int{2, 20}, 5, injected, day, 77, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

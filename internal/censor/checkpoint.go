@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
-	"github.com/i2pstudy/i2pstudy/internal/faults"
 	"github.com/i2pstudy/i2pstudy/internal/measure"
 )
 
@@ -76,70 +75,22 @@ func (s *Sweep) Run(ctx context.Context) ([]CellResult, error) {
 // byte-identical to an uninterrupted Run at any Workers value: results
 // live in cell-indexed slots and JSON round-trips them exactly.
 func (s *Sweep) RunCheckpointed(ctx context.Context, dir string) ([]CellResult, error) {
-	cells := s.Cells()
 	rows := len(s.Cfg.Windows) * len(s.Cfg.Fleets)
-	out := make([]CellResult, len(cells))
-
-	var store *checkpoint.Store
-	done := make([]bool, rows)
-	if dir != "" {
-		var err error
-		store, err = checkpoint.Open(dir, s.checkpointManifest())
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < rows; r++ {
-			var saved []CellResult
-			ok, err := store.LoadJSON(rowKey(r), &saved)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			if len(saved) != len(s.Cfg.Days) {
-				return nil, fmt.Errorf("censor: checkpoint row %d has %d cells, grid expects %d",
-					r, len(saved), len(s.Cfg.Days))
-			}
-			for j, res := range saved {
-				out[r+j*rows] = res
-			}
-			done[r] = true
-		}
+	out := make([]CellResult, len(s.Cfg.Days)*rows)
+	units, err := checkpoint.OpenUnits(dir, s.checkpointManifest(), out,
+		func(i int) int { return i % rows }, rowKey, "censor.sweep.cell")
+	if err != nil {
+		return nil, err
 	}
-
-	// comp fires once per row when its last cell completes — across
-	// whatever cost-split segments the planner cut — on the worker that
-	// ran that cell, with the atomic decrement ordering every other
-	// segment's slot writes before the spill.
-	counts := make([]int, rows)
-	for i := range cells {
-		if !done[i%rows] {
-			counts[i%rows]++
+	err = s.Each(ctx, func(i int, cu *Cursor) error {
+		if units.Resumed(i) {
+			return nil // cursor untouched
 		}
-	}
-	comp := measure.NewCompletion(counts)
-
-	err := s.Each(ctx, func(i int, cu *Cursor) error {
-		row := i % rows
-		if done[row] {
-			return nil // resumed row: result already loaded, cursor untouched
-		}
-		out[i] = CellResult{
+		return units.Commit(i, CellResult{
 			Cell:         cu.Cell(),
 			BlockingRate: cu.BlockingRate(),
 			BlacklistLen: cu.Blacklist().Len(),
-		}
-		if comp.Done(row) && store != nil {
-			saved := make([]CellResult, 0, len(s.Cfg.Days))
-			for j := row; j < len(cells); j += rows {
-				saved = append(saved, out[j])
-			}
-			if err := store.SaveJSON(rowKey(row), saved); err != nil {
-				return err
-			}
-		}
-		return faults.Hit("censor.sweep.cell")
+		})
 	})
 	if err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/i2pstudy/i2pstudy/internal/measure"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 	"github.com/i2pstudy/i2pstudy/internal/stats"
 )
@@ -91,16 +90,8 @@ func EclipseAttack(network *sim.Network, censorRouters, windowDays, injected, da
 	return res, err
 }
 
-// EclipseSweep evaluates the attack across censor fleet sizes, producing
-// the attacker-share curve.
-//
-// Deprecated: use EclipseSweepContext, the canonical ctx-taking form;
-// this shim runs it under context.Background with auto workers.
-func EclipseSweep(network *sim.Network, fleets []int, windowDays, injected, day int, seed uint64) (*stats.Figure, []EclipseResult, error) {
-	return EclipseSweepContext(context.Background(), network, fleets, windowDays, injected, day, seed, 0)
-}
-
-// EclipseSweepContext runs the eclipse sweep on the adversary engine: the
+// EclipseSweepContext evaluates the attack across censor fleet sizes,
+// producing the attacker-share curve. It runs on the adversary engine: the
 // fleet is built once at max(fleets), cells fan out across the worker
 // pool, and the figure folds in fleet order — byte-identical for any
 // workers value.
@@ -110,8 +101,12 @@ func EclipseSweepContext(ctx context.Context, network *sim.Network, fleets []int
 		Windows:  []int{windowDays},
 		Days:     []int{day},
 		SeedBase: seed,
-	}, measure.Workers(workers), measure.Capture(ctx))
+		Workers:  workers,
+	})
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := sw.Capture(ctx); err != nil {
 		return nil, nil, err
 	}
 	results := make([]EclipseResult, len(fleets))

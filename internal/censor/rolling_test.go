@@ -272,8 +272,7 @@ func benchmarkSweepRolling(b *testing.B, workers int) {
 }
 
 // BenchmarkSweepRollingSerial / Parallel are the rolling-engine perf
-// trajectory pair emitted by scripts/bench.sh as BENCH_rolling.json,
-// alongside BenchmarkSweepFromScratchSerial — the pre-rolling reference
+// pair, alongside BenchmarkSweepFromScratchSerial — the pre-rolling reference
 // that re-unions k x window router-day slices into a fresh set and
 // rebuilds the victim's netDb view per cell, exactly what every cell
 // paid before the rolling engine. rolling-vs-scratch serial is the

@@ -1,8 +1,6 @@
 package censor
 
 import (
-	"sync/atomic"
-
 	"github.com/i2pstudy/i2pstudy/internal/cache"
 	"github.com/i2pstudy/i2pstudy/internal/obs"
 )
@@ -20,39 +18,17 @@ const (
 // table), puts (ReleaseWindowCounter returns). news/gets is the pool
 // miss rate; gets - puts is the count of rows that never released.
 type poolStats struct {
-	reg             *obs.Registry
 	gets, news, put *obs.Counter
 }
 
-var disabledPoolStats = &poolStats{}
-
-var cachedPoolStats atomic.Pointer[poolStats]
-
-func resolvePoolStats(r *obs.Registry) *poolStats {
+var poolObs = obs.NewLazy(func(r *obs.Registry) poolStats {
 	ops := r.CounterVec("i2p_windowcounter_pool_total",
 		"WindowCounter pool traffic: get (acquisitions), new (pool-miss allocations), put (releases).", "op")
-	return &poolStats{reg: r, gets: ops.With("get"), news: ops.With("new"), put: ops.With("put")}
-}
-
-// windowPoolStats resolves the pool counters for the enabled registry;
-// disabled cost is one atomic load and a nil check.
-func windowPoolStats() *poolStats {
-	r := obs.Active()
-	if r == nil {
-		return disabledPoolStats
-	}
-	s := cachedPoolStats.Load()
-	if s != nil && s.reg == r {
-		return s
-	}
-	s = resolvePoolStats(r)
-	cachedPoolStats.Store(s)
-	return s
-}
+	return poolStats{gets: ops.With("get"), news: ops.With("new"), put: ops.With("put")}
+})
 
 func init() {
 	cache.PreRegisterRing(obsIDsRing)
 	cache.PreRegisterRing(victimAddrSetRing)
 	cache.PreRegisterRing(victimKnownPeersRing)
-	obs.OnEnable(func(r *obs.Registry) { resolvePoolStats(r) })
 }

@@ -43,7 +43,6 @@ type SweepConfig struct {
 	SeedBase uint64
 	// Workers caps engine concurrency: <= 0 selects one worker per CPU,
 	// 1 the serial reference path. Results are identical either way.
-	// A measure.Workers option passed to NewSweep overrides this field.
 	Workers int
 }
 
@@ -75,12 +74,8 @@ type Sweep struct {
 
 // NewSweep validates the grid and builds the shared adversary.
 // Non-positive windows are normalized to one day, matching NewCensor's
-// WindowDays clamp. Engine knobs ride the option shape shared with
-// distrib.NewSweep and distrib.NewTrustSweep: measure.Workers overrides
-// cfg.Workers, measure.Capture runs the capture pass before returning.
-func NewSweep(network *sim.Network, cfg SweepConfig, opts ...measure.EngineOption) (*Sweep, error) {
-	eo := measure.BuildOptions(opts...)
-	cfg.Workers = eo.WorkersOr(cfg.Workers)
+// WindowDays clamp.
+func NewSweep(network *sim.Network, cfg SweepConfig) (*Sweep, error) {
 	if len(cfg.Fleets) == 0 || len(cfg.Windows) == 0 || len(cfg.Days) == 0 {
 		return nil, fmt.Errorf("censor: sweep needs at least one fleet size, window and day")
 	}
@@ -109,18 +104,12 @@ func NewSweep(network *sim.Network, cfg SweepConfig, opts ...measure.EngineOptio
 	if err != nil {
 		return nil, err
 	}
-	sw := &Sweep{
+	return &Sweep{
 		Net:    network,
 		Cfg:    cfg,
 		Censor: c,
 		Victim: NewVictim(network, cfg.SeedBase+10_000),
-	}
-	if eo.CaptureCtx != nil {
-		if err := sw.Capture(eo.CaptureCtx); err != nil {
-			return nil, err
-		}
-	}
-	return sw, nil
+	}, nil
 }
 
 // Cells enumerates the grid in deterministic order: days outermost, then

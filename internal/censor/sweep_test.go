@@ -147,7 +147,7 @@ func TestFigure13MatchesReference(t *testing.T) {
 	n := network(t)
 	windows := []int{1, 5, 10}
 	ref := referenceFigure13(t, n, 8, windows, 20, 700)
-	got, err := Figure13(n, 8, windows, 20, 700)
+	got, err := Figure13Context(context.Background(), n, 8, windows, 20, 700, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestSweepBlockingRateMatchesBlockingRate(t *testing.T) {
 }
 
 // BenchmarkFigure13SweepSerial / Parallel are the adversary-engine perf
-// trajectory pair emitted by scripts/bench.sh as BENCH_censor.json. Each
+// pair. Each
 // iteration rebuilds the sweep (fresh observers, cold capture memos), so
 // the numbers measure real capture + fold work at each width.
 func benchmarkFigure13Sweep(b *testing.B, workers int) {

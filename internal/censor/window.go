@@ -32,7 +32,7 @@ type WindowCounter struct {
 // long rows split into segments), so rows draw from a per-index pool
 // instead of handing the garbage collector a fresh table each time.
 func (ix *AddrIndex) NewWindowCounter() *WindowCounter {
-	st := windowPoolStats()
+	st := poolObs.Get()
 	st.gets.Inc()
 	if v := ix.wcPool.Get(); v != nil {
 		return v.(*WindowCounter) // Reset on release, so ready to use
@@ -46,7 +46,7 @@ func (ix *AddrIndex) NewWindowCounter() *WindowCounter {
 // Releasing is optional — an unreleased counter is simply collected —
 // and must only ever see counters obtained from the same index.
 func (ix *AddrIndex) ReleaseWindowCounter(wc *WindowCounter) {
-	windowPoolStats().put.Inc()
+	poolObs.Get().put.Inc()
 	wc.Reset()
 	ix.wcPool.Put(wc)
 }

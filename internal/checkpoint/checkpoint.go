@@ -15,6 +15,12 @@
 // Resuming against a directory whose manifest disagrees on any key
 // field fails with a *MismatchError — stale shards are never silently
 // merged.
+//
+// The slot-filling engines (the three sweeps and the experiment runner)
+// do not drive a Store themselves: they declare their units to Units,
+// which owns loading, the save on a unit's last slot and the fault
+// point. The campaign, which folds binary day units in order, uses
+// Store.Save and Store.Load directly.
 package checkpoint
 
 import (
@@ -160,11 +166,9 @@ func (s *Store) Save(key string, data []byte) error {
 	if err := writeAtomic(s.dir, key, data); err != nil {
 		return err
 	}
-	st := ckptStats()
-	if st.rowsWritten != nil {
-		st.rowsWritten.Inc()
-		st.bytesSpilled.Add(uint64(len(data)))
-	}
+	st := stats.Get()
+	st.rowsWritten.Inc()
+	st.bytesSpilled.Add(uint64(len(data)))
 	return nil
 }
 
@@ -181,35 +185,8 @@ func (s *Store) Load(key string) (data []byte, ok bool, err error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("checkpoint: %w", err)
 	}
-	st := ckptStats()
-	if st.rowsResumed != nil {
-		st.rowsResumed.Inc()
-	}
+	stats.Get().rowsResumed.Inc()
 	return data, true, nil
-}
-
-// SaveJSON commits a unit encoded as JSON. JSON is the unit codec of
-// choice for engine results: encoding/json round-trips float64 exactly
-// and preserves the nil-vs-empty slice distinction, so a loaded unit is
-// reflect.DeepEqual to the computed one.
-func (s *Store) SaveJSON(key string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("checkpoint: encoding %s: %w", key, err)
-	}
-	return s.Save(key, data)
-}
-
-// LoadJSON loads a JSON-encoded unit into v; ok is false when absent.
-func (s *Store) LoadJSON(key string, v any) (ok bool, err error) {
-	data, ok, err := s.Load(key)
-	if err != nil || !ok {
-		return ok, err
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return false, fmt.Errorf("checkpoint: corrupt unit %s: %w", key, err)
-	}
-	return true, nil
 }
 
 // validKey rejects keys that would escape the directory or collide

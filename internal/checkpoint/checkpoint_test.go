@@ -45,20 +45,26 @@ func TestJSONRoundTripPreservesNilVsEmpty(t *testing.T) {
 		Empty []float64
 		Nil   []float64
 	}
-	s, err := Open(t.TempDir(), manifest())
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	open := func() (*Units[unit], []unit) {
+		slots := make([]unit, 1)
+		u, err := OpenUnits(dir, manifest(), slots, func(int) int { return 0 }, func(int) string { return "u" }, "test.point")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u, slots
 	}
 	want := unit{Vals: []float64{0.1, 2e-300, 3}, Empty: []float64{}}
-	if err := s.SaveJSON("u", want); err != nil {
+	u, _ := open()
+	if err := u.Commit(0, want); err != nil {
 		t.Fatal(err)
 	}
-	var got unit
-	if ok, err := s.LoadJSON("u", &got); err != nil || !ok {
-		t.Fatalf("LoadJSON ok=%v err=%v", ok, err)
+	u, got := open()
+	if !u.Resumed(0) {
+		t.Fatal("committed unit not resumed")
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip: got %#v, want %#v", got, want)
+	if !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("round trip: got %#v, want %#v", got[0], want)
 	}
 }
 
@@ -224,7 +230,7 @@ func TestObsCountersTrackSpillAndResume(t *testing.T) {
 	if _, ok, err := s.Load("row-000"); err != nil || !ok {
 		t.Fatalf("Load ok=%v err=%v", ok, err)
 	}
-	st := ckptStats()
+	st := stats.Get()
 	if got := st.rowsWritten.Load(); got != 1 {
 		t.Errorf("rows_written = %d, want 1", got)
 	}

@@ -1,29 +1,16 @@
 package checkpoint
 
-import (
-	"sync/atomic"
+import "github.com/i2pstudy/i2pstudy/internal/obs"
 
-	"github.com/i2pstudy/i2pstudy/internal/obs"
-)
-
-// checkpointStats holds the spill/resume instrument handles, resolved
-// once per enabled registry — same lazy pattern as measure's
-// engineStats, so the disabled cost is one atomic load and a nil check.
+// checkpointStats holds the spill/resume instrument handles.
 type checkpointStats struct {
-	reg *obs.Registry
-
 	rowsWritten  *obs.Counter // i2p_checkpoint_rows_written_total
 	rowsResumed  *obs.Counter // i2p_checkpoint_rows_resumed_total
 	bytesSpilled *obs.Counter // i2p_checkpoint_bytes_spilled_total
 }
 
-var disabledCheckpointStats = &checkpointStats{}
-
-var cachedCheckpointStats atomic.Pointer[checkpointStats]
-
-func resolveCheckpointStats(r *obs.Registry) *checkpointStats {
-	return &checkpointStats{
-		reg: r,
+var stats = obs.NewLazy(func(r *obs.Registry) checkpointStats {
+	return checkpointStats{
 		rowsWritten: r.Counter("i2p_checkpoint_rows_written_total",
 			"Completed units (rows, cells, day-shards) committed to a checkpoint directory."),
 		rowsResumed: r.Counter("i2p_checkpoint_rows_resumed_total",
@@ -31,26 +18,4 @@ func resolveCheckpointStats(r *obs.Registry) *checkpointStats {
 		bytesSpilled: r.Counter("i2p_checkpoint_bytes_spilled_total",
 			"Bytes of unit payload spilled to checkpoint directories."),
 	}
-}
-
-// ckptStats returns the instrument handles for the enabled registry, or
-// the inert zero set when observability is disabled.
-func ckptStats() *checkpointStats {
-	r := obs.Active()
-	if r == nil {
-		return disabledCheckpointStats
-	}
-	s := cachedCheckpointStats.Load()
-	if s != nil && s.reg == r {
-		return s
-	}
-	s = resolveCheckpointStats(r)
-	cachedCheckpointStats.Store(s)
-	return s
-}
-
-// Pre-create the checkpoint families on Enable so a scrape that lands
-// before the first spill still sees them at zero.
-func init() {
-	obs.OnEnable(func(r *obs.Registry) { resolveCheckpointStats(r) })
-}
+})

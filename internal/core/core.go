@@ -14,15 +14,15 @@ import (
 	"sync"
 
 	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
-	"github.com/i2pstudy/i2pstudy/internal/faults"
 	"github.com/i2pstudy/i2pstudy/internal/measure"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 	"github.com/i2pstudy/i2pstudy/internal/stats"
 )
 
 // runAllVersion is RunAll's checkpoint-format version; bump it when the
-// Result encoding or the unit keying changes.
-const runAllVersion = 1
+// Result encoding or the unit keying changes. Version 2: an experiment
+// unit is the one-element array of its Result, not the bare object.
+const runAllVersion = 2
 
 // checkpointManifest identifies this study for resume purposes. The
 // experiment set is not hashed: units are keyed by experiment ID, so
@@ -304,87 +304,40 @@ func (s *Study) RunAll(ctx context.Context, ids ...string) ([]*Result, error) {
 	// With a checkpoint directory, completed experiments load from disk
 	// instead of re-running. Units are keyed by experiment ID, so the
 	// requested subset (and its order) is free to differ between runs.
-	var store *checkpoint.Store
-	if s.Opts.CheckpointDir != "" {
-		var err error
-		store, err = checkpoint.Open(s.Opts.CheckpointDir, s.checkpointManifest())
-		if err != nil {
-			return nil, err
-		}
+	results := make([]*Result, len(exps))
+	units, err := checkpoint.OpenUnits(s.Opts.CheckpointDir, s.checkpointManifest(), results,
+		func(i int) int { return i },
+		func(i int) string { return "exp-" + exps[i].ID },
+		"core.runall.experiment")
+	if err != nil {
+		return nil, err
 	}
 
-	workers := s.Workers()
-	if workers > len(exps) {
-		workers = len(exps)
-	}
+	// Experiments run under cctx so the first failure stops the ones in
+	// flight, not only the ones FanOut has yet to start.
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	results := make([]*Result, len(exps))
-	tasks := make(chan int, len(exps))
-	for i := range exps {
-		if store != nil {
-			var res Result
-			ok, err := store.LoadJSON("exp-"+exps[i].ID, &res)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				results[i] = &res
-				continue
-			}
+	err = measure.FanOut(cctx, len(exps), s.Workers(), func(i int) error {
+		if units.Resumed(i) {
+			return nil
 		}
-		tasks <- i
-	}
-	close(tasks)
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
+		res, err := exps[i].Run(cctx, s)
+		if err == nil {
+			err = units.Commit(i, res)
+		}
+		switch {
+		case err == nil:
+			return nil
+		case errors.Is(err, context.Canceled) && cctx.Err() != nil:
+			// Cancellation fallout from the parent ctx or from a peer
+			// experiment's failure; FanOut reports the root cause, not
+			// this bystander's error.
+			return nil
+		}
 		cancel()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range tasks {
-				if cctx.Err() != nil {
-					continue
-				}
-				res, err := exps[i].Run(cctx, s)
-				switch {
-				case err == nil:
-					results[i] = res
-					if store != nil {
-						if err := store.SaveJSON("exp-"+exps[i].ID, res); err != nil {
-							fail(err)
-							continue
-						}
-					}
-					// A finished experiment is a fault boundary: an injected
-					// crash here leaves the unit committed, which is exactly
-					// what the resume goldens exercise.
-					if err := faults.Hit("core.runall.experiment"); err != nil {
-						fail(fmt.Errorf("%s: %w", exps[i].ID, err))
-					}
-				case errors.Is(err, context.Canceled) && cctx.Err() != nil:
-					// Cancellation fallout from the parent ctx or from a
-					// peer experiment's failure; the root cause is
-					// reported below, not this bystander's error.
-				default:
-					fail(fmt.Errorf("%s: %w", exps[i].ID, err))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("%s: %w", exps[i].ID, err)
+	})
+	if err != nil {
 		return nil, err
 	}
 	for i, res := range results {

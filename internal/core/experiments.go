@@ -433,7 +433,7 @@ func runFigure08(ctx context.Context, s *Study) (*Result, error) {
 	single, multi, _ := ds.IPCountShares()
 	// The >100-address tail needs hourly capture resolution, which the
 	// daily pipeline lacks; compute it from the simulator's ground-truth
-	// schedules (see DESIGN.md on capture resolution).
+	// schedules.
 	over100 := 0
 	knownIP := 0
 	for _, p := range s.Net.Peers {

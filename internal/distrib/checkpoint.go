@@ -5,14 +5,14 @@ import (
 	"fmt"
 
 	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
-	"github.com/i2pstudy/i2pstudy/internal/faults"
 	"github.com/i2pstudy/i2pstudy/internal/measure"
 )
 
 // Checkpoint-format versions; bump when a result encoding or unit
-// keying changes.
+// keying changes. sweepVersion 2: a cell unit is the one-element array
+// of its result, not the bare object.
 const (
-	sweepVersion      = 1
+	sweepVersion      = 2
 	trustSweepVersion = 1
 )
 
@@ -72,39 +72,20 @@ func cellKey(i int) string { return fmt.Sprintf("cell-%05d", i) }
 func (s *Sweep) RunCheckpointed(ctx context.Context, dir string) ([]CellResult, error) {
 	cells := s.Cells()
 	results := make([]CellResult, len(cells))
-
-	var store *checkpoint.Store
-	done := make([]bool, len(cells))
-	if dir != "" {
-		var err error
-		store, err = checkpoint.Open(dir, s.checkpointManifest())
-		if err != nil {
-			return nil, err
-		}
-		for i := range cells {
-			ok, err := store.LoadJSON(cellKey(i), &results[i])
-			if err != nil {
-				return nil, err
-			}
-			done[i] = ok
-		}
+	units, err := checkpoint.OpenUnits(dir, s.checkpointManifest(), results,
+		func(i int) int { return i }, cellKey, "distrib.sweep.cell")
+	if err != nil {
+		return nil, err
 	}
-
-	err := measure.FanOut(ctx, len(cells), s.Cfg.Workers, func(i int) error {
-		if done[i] {
-			return nil // resumed cell: result already loaded
+	err = measure.FanOut(ctx, len(cells), s.Cfg.Workers, func(i int) error {
+		if units.Resumed(i) {
+			return nil
 		}
 		res, err := s.runCell(cells[i])
 		if err != nil {
 			return err
 		}
-		results[i] = res
-		if store != nil {
-			if err := store.SaveJSON(cellKey(i), res); err != nil {
-				return err
-			}
-		}
-		return faults.Hit("distrib.sweep.cell")
+		return units.Commit(i, res)
 	})
 	if err != nil {
 		return nil, err
@@ -159,66 +140,23 @@ func (s *TrustSweep) RunCheckpointed(ctx context.Context, dir string) ([]TrustCe
 	cells := s.Cells()
 	rows := len(s.Cfg.Enumerators) * len(s.Cfg.Distributors)
 	results := make([]TrustCellResult, len(cells))
-
-	var store *checkpoint.Store
-	done := make([]bool, rows)
-	if dir != "" {
-		var err error
-		store, err = checkpoint.Open(dir, s.checkpointManifest())
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < rows; r++ {
-			var saved []TrustCellResult
-			ok, err := store.LoadJSON(trustRowKey(r), &saved)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			if len(saved) != s.Cfg.HorizonDays+1 {
-				return nil, fmt.Errorf("distrib: checkpoint row %d has %d cells, grid expects %d",
-					r, len(saved), s.Cfg.HorizonDays+1)
-			}
-			for j, res := range saved {
-				results[r+j*rows] = res
-			}
-			done[r] = true
-		}
+	units, err := checkpoint.OpenUnits(dir, s.checkpointManifest(), results,
+		func(i int) int { return i % rows }, trustRowKey, "distrib.trustsweep.cell")
+	if err != nil {
+		return nil, err
 	}
-
-	counts := make([]int, rows)
-	for i := range cells {
-		if !done[i%rows] {
-			counts[i%rows]++
-		}
-	}
-	comp := measure.NewCompletion(counts)
-
 	plan := s.rowPlan(cells)
 	states := make([]*trustState, len(plan))
-	err := measure.FanRows(ctx, plan, s.Cfg.Workers, func(planRow, i int) error {
-		c := cells[i]
-		row := i % rows
-		if done[row] {
-			return nil // resumed row: results already loaded, no state built
+	err = measure.FanRows(ctx, plan, s.Cfg.Workers, func(planRow, i int) error {
+		if units.Resumed(i) {
+			return nil // no state built
 		}
+		c := cells[i]
 		if states[planRow] == nil {
 			states[planRow] = s.newTrustState(c.Dist, c.Enum)
 		}
 		states[planRow].advanceTo(c.Day)
-		results[i] = states[planRow].result(c)
-		if comp.Done(row) && store != nil {
-			saved := make([]TrustCellResult, 0, s.Cfg.HorizonDays+1)
-			for j := row; j < len(cells); j += rows {
-				saved = append(saved, results[j])
-			}
-			if err := store.SaveJSON(trustRowKey(row), saved); err != nil {
-				return err
-			}
-		}
-		return faults.Hit("distrib.trustsweep.cell")
+		return units.Commit(i, states[planRow].result(c))
 	})
 	if err != nil {
 		return nil, err

@@ -7,7 +7,6 @@ import (
 	"math/rand/v2"
 
 	"github.com/i2pstudy/i2pstudy/internal/censor"
-	"github.com/i2pstudy/i2pstudy/internal/measure"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
@@ -39,7 +38,6 @@ type SweepConfig struct {
 	SeedBase uint64
 	// Workers caps engine concurrency: <= 0 one worker per CPU, 1 the
 	// serial reference path. Results are byte-identical either way.
-	// A measure.Workers option passed to NewSweep overrides this field.
 	Workers int
 }
 
@@ -125,13 +123,8 @@ type Sweep struct {
 }
 
 // NewSweep validates the grid and builds the shared backends. Building is
-// serial and deterministic; cells only read from it. Engine knobs ride
-// the option shape shared with censor.NewSweep and NewTrustSweep:
-// measure.Workers overrides cfg.Workers, measure.Capture runs the
-// capture pass before returning.
-func NewSweep(network *sim.Network, cfg SweepConfig, opts ...measure.EngineOption) (*Sweep, error) {
-	eo := measure.BuildOptions(opts...)
-	cfg.Workers = eo.WorkersOr(cfg.Workers)
+// serial and deterministic; cells only read from it.
+func NewSweep(network *sim.Network, cfg SweepConfig) (*Sweep, error) {
 	if len(cfg.Distributors) == 0 || len(cfg.Enumerators) == 0 || len(cfg.Days) == 0 {
 		return nil, fmt.Errorf("distrib: sweep needs at least one distributor, enumerator and day")
 	}
@@ -179,33 +172,7 @@ func NewSweep(network *sim.Network, cfg SweepConfig, opts ...measure.EngineOptio
 		s.backends[day] = b
 		s.apis[day] = api
 	}
-	if eo.CaptureCtx != nil {
-		if err := s.Capture(eo.CaptureCtx); err != nil {
-			return nil, err
-		}
-	}
 	return s, nil
-}
-
-// Capture warms the (network, day) owner-table epoch cache for every day
-// the grid's collateral folds touch, through the same worker pool the
-// cells fan out on. Optional — cells compute lazily — but without it the
-// first cell reaching each day pays for the table build serially.
-func (s *Sweep) Capture(ctx context.Context) error {
-	seen := make(map[int]bool)
-	var days []int
-	for _, day := range s.Cfg.Days {
-		for h := 0; h <= s.Cfg.HorizonDays; h++ {
-			if !seen[day+h] {
-				seen[day+h] = true
-				days = append(days, day+h)
-			}
-		}
-	}
-	return measure.FanOut(ctx, len(days), s.Cfg.Workers, func(i int) error {
-		ownersFor(s.Net, days[i])
-		return nil
-	})
 }
 
 // HandoutAPI returns the shared handout API for a distribution day —

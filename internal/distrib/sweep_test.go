@@ -176,8 +176,7 @@ func TestSweepCancelled(t *testing.T) {
 }
 
 // BenchmarkDistribSweepSerial / Parallel are the distribution-pipeline
-// perf trajectory pair emitted by scripts/bench.sh as BENCH_distrib.json.
-// Each iteration rebuilds the sweep with fresh backends, so the numbers
+// perf pair. Each iteration rebuilds the sweep with fresh backends, so the numbers
 // measure real partition + arms-race work at each width; the per-day
 // owner tables come from the process-wide (network, day) epoch cache,
 // so after the first iteration they are cache hits — repeated sweeps on

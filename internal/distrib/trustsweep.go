@@ -68,8 +68,6 @@ type TrustSweepConfig struct {
 	SeedBase uint64
 	// Workers caps engine concurrency: <= 0 one worker per CPU, 1 the
 	// serial reference path. Results are byte-identical either way.
-	// A measure.Workers option passed to NewTrustSweep overrides this
-	// field.
 	Workers int
 }
 
@@ -154,13 +152,8 @@ type TrustSweep struct {
 	splitBudget int
 }
 
-// NewTrustSweep validates the grid and builds the shared backend. Engine
-// knobs ride the option shape shared with censor.NewSweep and NewSweep:
-// measure.Workers overrides cfg.Workers, measure.Capture runs the
-// capture pass before returning.
-func NewTrustSweep(network *sim.Network, cfg TrustSweepConfig, opts ...measure.EngineOption) (*TrustSweep, error) {
-	eo := measure.BuildOptions(opts...)
-	cfg.Workers = eo.WorkersOr(cfg.Workers)
+// NewTrustSweep validates the grid and builds the shared backend.
+func NewTrustSweep(network *sim.Network, cfg TrustSweepConfig) (*TrustSweep, error) {
 	if err := validateTrustDistributors(cfg.Distributors); err != nil {
 		return nil, err
 	}
@@ -197,29 +190,15 @@ func NewTrustSweep(network *sim.Network, cfg TrustSweepConfig, opts ...measure.E
 	if err != nil {
 		return nil, err
 	}
-	s := &TrustSweep{
+	return &TrustSweep{
 		Net:        network,
 		Cfg:        cfg,
 		ix:         censor.IndexFor(network),
 		backend:    backend,
 		api:        api,
 		peerByHash: peerIndexByHash(network),
-	}
-	if eo.CaptureCtx != nil {
-		if err := s.Capture(eo.CaptureCtx); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
+	}, nil
 }
-
-// Capture implements the shared engine-option capture pass. The trust
-// sweep's shared substrate — the backend ring and handout API — is
-// already built eagerly by NewTrustSweep and its rolling rows carry all
-// remaining state privately, so there is nothing left to warm; the
-// method exists so measure.Capture means the same thing on all three
-// sweeps.
-func (s *TrustSweep) Capture(ctx context.Context) error { return ctx.Err() }
 
 // HandoutAPI returns the shared handout API over the sweep's backend —
 // the same request → handout path the rolling rows resolve through.

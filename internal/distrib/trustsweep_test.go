@@ -251,7 +251,7 @@ func TestTrustSweepCancelled(t *testing.T) {
 }
 
 // BenchmarkTrustSweepSerial / Parallel are the trust-engine perf
-// trajectory pair emitted by scripts/bench.sh as BENCH_trust.json. Rows
+// pair. Rows
 // (distributor x enumerator combinations) are the parallelism grain —
 // days within a row are inherently sequential — so the grid carries
 // 3 x 3 rows to give the pool something to fan out. The pair is

@@ -220,7 +220,7 @@ func (c *Campaign) run(ctx context.Context, from int, commit func(day int, recs 
 		if err := c.work(ctx, win, 0, fold); err != nil {
 			return err
 		}
-		obsStats().tasksSerial.Add(uint64(nDays))
+		engineObs.Get().tasksSerial.Add(uint64(nDays))
 		return nil
 	}
 
@@ -245,7 +245,7 @@ func (c *Campaign) run(ctx context.Context, from int, commit func(day int, recs 
 	if firstErr != nil {
 		return firstErr
 	}
-	obsStats().tasksParallel.Add(uint64(nDays))
+	engineObs.Get().tasksParallel.Add(uint64(nDays))
 	return nil
 }
 

@@ -257,8 +257,8 @@ func assertNoPartialSnapshots(t *testing.T, dir string) {
 	}
 }
 
-// BenchmarkCampaignSerial and BenchmarkCampaignParallel are the perf
-// trajectory pair emitted by scripts/bench.sh as BENCH_campaign.json.
+// BenchmarkCampaignSerial and BenchmarkCampaignParallel are the
+// campaign's perf pair.
 func benchmarkCampaign(b *testing.B, workers int) {
 	n, err := sim.New(sim.Config{Seed: 7, Days: 30, TargetDailyPeers: 3050})
 	if err != nil {

@@ -111,7 +111,7 @@ func fanOut(ctx context.Context, n, workers int, spanName string, fn func(tid, i
 		}
 		return faults.Hit("measure.fanout.task")
 	}
-	st := obsStats()
+	st := engineObs.Get()
 	tr := obs.ActiveTracer()
 	if workers == 1 {
 		// Serial fast path: no goroutines, no atomics. This is also the
@@ -260,7 +260,7 @@ func PlanRows(n, rows int, rowOf, key func(i int) int) RowPlan {
 	for _, row := range plan {
 		sort.SliceStable(row, func(a, b int) bool { return key(row[a]) < key(row[b]) })
 	}
-	obsStats().rowsPlanned.Add(uint64(len(plan)))
+	engineObs.Get().rowsPlanned.Add(uint64(len(plan)))
 	return plan
 }
 
@@ -313,7 +313,7 @@ func (p RowPlan) SplitRows(cost, seam func(i int) int, budget int) RowPlan {
 	if budget <= 0 {
 		return p
 	}
-	st := obsStats()
+	st := engineObs.Get()
 	out := make(RowPlan, 0, len(p))
 	for _, row := range p {
 		start, acc := 0, 0

@@ -3,13 +3,11 @@ package enginetest
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"reflect"
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/faults"
-	"github.com/i2pstudy/i2pstudy/internal/obs"
 )
 
 // CrashCase is one engine's crash-resume scenario.
@@ -43,14 +41,8 @@ type CrashCase struct {
 // can't take the test runner with it).
 func CrashResume(t *testing.T, seed uint64, cases []CrashCase) {
 	t.Helper()
-	prevReg, prevTr := obs.Active(), obs.ActiveTracer()
-	obs.Enable(obs.NewRegistry())
-	obs.EnableTrace(obs.NewTracer(io.Discard))
-	t.Cleanup(func() {
-		obs.Enable(prevReg)
-		obs.EnableTrace(prevTr)
-		faults.Enable(nil)
-	})
+	enableObs(t)
+	t.Cleanup(func() { faults.Enable(nil) })
 	for ci, c := range cases {
 		t.Run(c.Name, func(t *testing.T) {
 			// Reference: serial, no checkpointing, counting-only injector —

@@ -35,16 +35,13 @@ type Case struct {
 // auto width.
 func Workers() []int { return []int{1, 4, runtime.NumCPU(), 0} }
 
-// Golden asserts the worker-determinism contract for every case: each
-// ladder width produces an artifact reflect.DeepEqual-identical to the
-// serial reference. Cases run as subtests, so a failure names the
-// engine and the width that diverged.
-//
-// The whole ladder runs with observability fully enabled — a fresh
-// counter registry and a tracer draining to io.Discard — so these
-// goldens also enforce the obs layer's hard contract: counters and
-// spans record scheduling facts and must never influence a result.
-func Golden(t *testing.T, cases []Case) {
+// enableObs turns observability fully on for the rest of the test — a
+// fresh counter registry and a tracer draining to io.Discard — and
+// restores the previous switches at cleanup. Every harness here runs
+// under it, which is what holds the obs layer to its hard contract:
+// counters and spans record scheduling facts and never influence a
+// result.
+func enableObs(t *testing.T) {
 	t.Helper()
 	prevReg, prevTr := obs.Active(), obs.ActiveTracer()
 	obs.Enable(obs.NewRegistry())
@@ -53,6 +50,17 @@ func Golden(t *testing.T, cases []Case) {
 		obs.Enable(prevReg)
 		obs.EnableTrace(prevTr)
 	})
+}
+
+// Golden asserts the worker-determinism contract for every case: each
+// ladder width produces an artifact reflect.DeepEqual-identical to the
+// serial reference. Cases run as subtests, so a failure names the
+// engine and the width that diverged.
+//
+// The whole ladder runs with observability fully enabled (enableObs).
+func Golden(t *testing.T, cases []Case) {
+	t.Helper()
+	enableObs(t)
 	for _, c := range cases {
 		t.Run(c.Name, func(t *testing.T) {
 			ladder := Workers()

@@ -1,12 +1,9 @@
 package enginetest
 
 import (
-	"io"
 	"reflect"
 	"runtime"
 	"testing"
-
-	"github.com/i2pstudy/i2pstudy/internal/obs"
 )
 
 // StreamCase is one engine scenario for the bounded-memory contract: at
@@ -40,13 +37,7 @@ type StreamCase struct {
 // so the accounting's instrumentation can never influence a result.
 func Stream(t *testing.T, cases []StreamCase) {
 	t.Helper()
-	prevReg, prevTr := obs.Active(), obs.ActiveTracer()
-	obs.Enable(obs.NewRegistry())
-	obs.EnableTrace(obs.NewTracer(io.Discard))
-	t.Cleanup(func() {
-		obs.Enable(prevReg)
-		obs.EnableTrace(prevTr)
-	})
+	enableObs(t)
 	for _, c := range cases {
 		t.Run(c.Name, func(t *testing.T) {
 			var reference any

@@ -66,7 +66,7 @@ func (c *Campaign) retainUnit(bytes int64) {
 			break
 		}
 	}
-	s := campaignObs()
+	s := campaignObs.Get()
 	s.retained.Add(1)
 	s.retainedPeak.Set(c.peakRetained.Load())
 	s.residentBytes.Add(bytes)
@@ -75,7 +75,7 @@ func (c *Campaign) retainUnit(bytes int64) {
 // releaseUnit records one merged day unit leaving memory.
 func (c *Campaign) releaseUnit(bytes int64) {
 	c.retained.Add(-1)
-	s := campaignObs()
+	s := campaignObs.Get()
 	s.retained.Add(-1)
 	s.residentBytes.Add(-bytes)
 }
@@ -185,28 +185,15 @@ func (w *dayWindow) drain() []*dayUnit {
 	return left
 }
 
-// campaignStats holds the campaign engine's instrument handles; same
-// lazy-resolution pattern as engineStats.
+// campaignStats holds the campaign engine's instrument handles.
 type campaignStats struct {
-	reg *obs.Registry
-
 	retained      *obs.Gauge // i2p_measure_retained_units
 	retainedPeak  *obs.Gauge // i2p_measure_retained_units_peak
 	residentBytes *obs.Gauge // i2p_measure_resident_bytes
 }
 
-var disabledCampaignStats = &campaignStats{}
-
-var cachedCampaignStats atomic.Pointer[campaignStats]
-
-func resolveCampaignStats(r *obs.Registry) *campaignStats {
-	// Nothing increments this family any more (see MemStats.UnitsEvicted);
-	// it stays registered, at 0, for scripts/obssnap and the BENCH_campaign
-	// ledger that still carry the field.
-	r.Counter("i2p_measure_units_evicted_total",
-		"Merged day units written to disk before their fold turn; always 0 under admission control.")
-	return &campaignStats{
-		reg: r,
+var campaignObs = obs.NewLazy(func(r *obs.Registry) campaignStats {
+	return campaignStats{
 		retained: r.Gauge("i2p_measure_retained_units",
 			"Merged day units currently resident in campaign memory."),
 		retainedPeak: r.Gauge("i2p_measure_retained_units_peak",
@@ -214,24 +201,4 @@ func resolveCampaignStats(r *obs.Registry) *campaignStats {
 		residentBytes: r.Gauge("i2p_measure_resident_bytes",
 			"Estimated bytes of merged day records resident in campaign memory."),
 	}
-}
-
-func campaignObs() *campaignStats {
-	r := obs.Active()
-	if r == nil {
-		return disabledCampaignStats
-	}
-	s := cachedCampaignStats.Load()
-	if s != nil && s.reg == r {
-		return s
-	}
-	s = resolveCampaignStats(r)
-	cachedCampaignStats.Store(s)
-	return s
-}
-
-// Pre-create the campaign families on Enable so a scrape before the
-// first campaign still sees them at zero.
-func init() {
-	obs.OnEnable(func(r *obs.Registry) { resolveCampaignStats(r) })
-}
+})

@@ -344,8 +344,8 @@ func (r *wireReader) ip() netip.Addr {
 
 // Encode serializes the RouterInfo into the study's wire format and appends
 // a SHA-256 integrity tag. Real I2P records carry an EdDSA signature; the
-// tag is the offline substitute documented in DESIGN.md — it exercises the
-// same "verify before store" path without a key infrastructure.
+// tag is the offline substitute — it exercises the same "verify before
+// store" path without a key infrastructure.
 func (ri *RouterInfo) Encode() ([]byte, error) {
 	var w wireWriter
 	w.buf.Write(riMagic[:])

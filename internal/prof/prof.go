@@ -36,19 +36,11 @@ type Options struct {
 	MutexProfile string
 }
 
-// Start begins CPU profiling into cpuPath and arranges a heap profile
-// at memPath. Kept as the two-profile shorthand for callers that don't
-// need contention profiles; see StartOptions.
-func Start(cpuPath, memPath string) (stop func() error, err error) {
-	return StartOptions(Options{CPUProfile: cpuPath, MemProfile: memPath})
-}
-
 // StartOptions starts every requested profile. The returned stop
 // function finishes the CPU profile, writes the snapshot profiles and
 // restores the contention-sampling rates — call it once, on the way out
-// (note that os.Exit and log.Fatal skip deferred stops, so a run that
-// dies early loses its profiles, matching `go test -cpuprofile`
-// behavior).
+// (os.Exit and log.Fatal skip deferred stops, which is why the CLIs
+// defer it inside a run() error and exit from one site in main).
 func StartOptions(opts Options) (stop func() error, err error) {
 	var cpuFile *os.File
 	if opts.CPUProfile != "" {

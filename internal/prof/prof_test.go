@@ -13,7 +13,7 @@ func TestStartWritesProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.out")
 	mem := filepath.Join(dir, "mem.out")
-	stop, err := Start(cpu, mem)
+	stop, err := StartOptions(Options{CPUProfile: cpu, MemProfile: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestStartWritesProfiles(t *testing.T) {
 }
 
 func TestStartEmptyPathsIsNoOp(t *testing.T) {
-	stop, err := Start("", "")
+	stop, err := StartOptions(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestStartEmptyPathsIsNoOp(t *testing.T) {
 }
 
 func TestStartBadPathFails(t *testing.T) {
-	if _, err := Start(filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.out"), ""); err == nil {
+	if _, err := StartOptions(Options{CPUProfile: filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.out")}); err == nil {
 		t.Fatal("unwritable cpu path accepted")
 	}
 }

@@ -159,7 +159,7 @@ type Bundle struct {
 
 // signingTag computes the bundle's integrity tag. Real su3 files carry an
 // RSA signature from a known reseed operator; the keyed hash is the
-// offline substitute (documented in DESIGN.md).
+// offline substitute.
 func signingTag(body []byte, signer string) [32]byte {
 	key := sha256.Sum256([]byte("reseed-signer:" + signer))
 	h := sha256.New()

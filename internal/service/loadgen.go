@@ -17,8 +17,7 @@ import (
 // in-process (no sockets), measuring throughput and tail latency and
 // spot-checking the determinism contract — the same identity must
 // receive byte-identical JSON every time. It backs
-// BenchmarkServiceHandout and the acceptance run behind
-// BENCH_service.json.
+// BenchmarkServiceHandout and i2pdistribd -loadgen.
 
 // LoadGenConfig parameterizes a run.
 type LoadGenConfig struct {

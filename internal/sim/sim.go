@@ -1,6 +1,6 @@
 // Package sim builds and replays a synthetic I2P network calibrated to the
 // paper's measured marginals. It is the offline substitute for the live
-// network (see DESIGN.md): ~32K daily peers whose capacity flags, address
+// network: ~32K daily peers whose capacity flags, address
 // publication behaviour, churn, IP rotation and geographic mix follow
 // Sections 5.1–5.3, plus an observation model implementing the four
 // RouterInfo-propagation mechanisms of Section 4.2 through which observer
