@@ -19,17 +19,19 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"sort"
 	"strings"
 	"syscall"
 	"time"
 
 	"github.com/i2pstudy/i2pstudy/internal/censor"
+	"github.com/i2pstudy/i2pstudy/internal/cli"
 	"github.com/i2pstudy/i2pstudy/internal/obs"
 	"github.com/i2pstudy/i2pstudy/internal/service"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
@@ -43,9 +45,34 @@ var strategies = map[string]censor.BridgeStrategy{
 	"combined":     censor.BridgeCombined,
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("i2pdistribd: ")
+// Server timeouts: a client that never finishes its headers, stalls its
+// body or stops reading must not hold a connection forever. Handout and
+// bundle responses are small and computed in microseconds, so the main
+// listener's are tight; the debug listener's write timeout leaves room
+// for a 30 s CPU profile or execution trace.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	writeTimeout      = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	debugWriteTimeout = 90 * time.Second
+)
+
+// newServer builds a listener's http.Server with every timeout set.
+func newServer(h http.Handler, write time.Duration) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      write,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+func main() { cli.Main("i2pdistribd", run) }
+
+func run() error {
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 	addr := flag.String("addr", ":8472", "listen address (host:port; :0 picks a free port)")
 	scale := flag.Float64("scale", 0.1, "network scale relative to the paper's 30.5K daily peers")
@@ -65,7 +92,7 @@ func main() {
 
 	strat, ok := strategies[*strategy]
 	if !ok {
-		log.Fatalf("unknown strategy %q (want one of: %s)", *strategy, strings.Join(strategyNames(), ", "))
+		return fmt.Errorf("unknown strategy %q (want one of: %s)", *strategy, strings.Join(strategyNames(), ", "))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -83,7 +110,7 @@ func main() {
 		TargetDailyPeers: int(*scale * 30500),
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	svc, err := service.NewService(network, service.Config{
 		Day:           *day,
@@ -97,10 +124,9 @@ func main() {
 		Registry:      reg,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	log.Printf("pool: %d bridges on day %d (strategy %s, seed %d)",
-		svc.Backend().PoolSize(), *day, *strategy, *seed)
+	logger.Info("pool drawn", "bridges", svc.Backend().PoolSize(), "day", *day, "strategy", *strategy, "seed", *seed)
 
 	if *loadgen > 0 {
 		res, err := svc.LoadGen(ctx, service.LoadGenConfig{
@@ -108,19 +134,19 @@ func main() {
 			Workers:    *loadWorkers,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		out, _ := json.MarshalIndent(res, "", "  ")
 		fmt.Println(string(out))
 		if res.Mismatches > 0 || res.Errors > 0 {
-			log.Fatalf("loadgen: %d errors, %d determinism mismatches", res.Errors, res.Mismatches)
+			return fmt.Errorf("loadgen: %d errors, %d determinism mismatches", res.Errors, res.Mismatches)
 		}
-		return
+		return nil
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// The smoke job greps this exact line to learn the bound port.
 	fmt.Printf("listening on %s\n", ln.Addr())
@@ -129,18 +155,18 @@ func main() {
 	if *debugAddr != "" {
 		dln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Printf("debug listening on %s\n", dln.Addr())
-		debugSrv = &http.Server{Handler: debugMux()}
+		debugSrv = newServer(debugMux(), debugWriteTimeout)
 		go func() {
 			if err := debugSrv.Serve(dln); !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("debug server: %v", err)
+				logger.Error("debug server", "err", err)
 			}
 		}()
 	}
 
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := newServer(svc.Handler(), writeTimeout)
 	proberDone := make(chan struct{})
 	go func() {
 		defer close(proberDone)
@@ -154,17 +180,16 @@ func main() {
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(shutdownCtx); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if debugSrv != nil {
 			_ = debugSrv.Shutdown(shutdownCtx)
 		}
 		<-proberDone
-		log.Print("shut down cleanly")
+		logger.Info("shut down cleanly")
+		return nil
 	case err := <-serveErr:
-		if !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
+		return err
 	}
 }
 
@@ -188,5 +213,6 @@ func strategyNames() []string {
 	for name := range strategies {
 		names = append(names, name)
 	}
+	sort.Strings(names)
 	return names
 }

@@ -16,15 +16,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"os/signal"
-	"runtime"
-	"sync"
 	"syscall"
 	"time"
 
+	"github.com/i2pstudy/i2pstudy/internal/cli"
 	"github.com/i2pstudy/i2pstudy/internal/geo"
+	"github.com/i2pstudy/i2pstudy/internal/measure"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/stats"
 )
@@ -86,13 +85,13 @@ func (inv *inventory) merge(other *inventory) {
 	inv.countries.Merge(other.countries)
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("i2pnetdb: ")
+func main() { cli.Main("i2pnetdb", run) }
+
+func run() error {
 	workers := flag.Int("workers", 0, "inventory concurrency (0 = one worker per CPU)")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		log.Fatal("usage: i2pnetdb [-workers N] DIR")
+		return errors.New("usage: i2pnetdb [-workers N] DIR")
 	}
 	dir := flag.Arg(0)
 
@@ -102,16 +101,13 @@ func main() {
 	store := netdb.NewStore(false)
 	loaded, err := store.LoadDir(dir, time.Now().UTC())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("loaded %d RouterInfos from %s\n\n", loaded, dir)
 
 	inv, err := scan(ctx, store.RouterInfos(), *workers)
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			log.Fatal("interrupted")
-		}
-		log.Fatal(err)
+		return err
 	}
 
 	total := store.RouterCount()
@@ -131,39 +127,28 @@ func main() {
 		rows = append(rows, []string{kv.Key, fmt.Sprint(kv.Count)})
 	}
 	fmt.Println(stats.RenderTable(rows))
+	return nil
 }
 
-// scan aggregates the inventory across a worker pool, one shard per
-// worker, honoring ctx cancellation between records.
+// scanShard is how many records one scan task inventories: large enough
+// that a task outweighs its hand-out, small enough that Ctrl-C (checked
+// between tasks) lands promptly.
+const scanShard = 1024
+
+// scan aggregates the inventory shard by shard across the worker pool
+// and merges the shards, which commute.
 func scan(ctx context.Context, ris []*netdb.RouterInfo, workers int) (*inventory, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ris) {
-		workers = len(ris)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	db := geo.NewDB()
-	parts := make([]*inventory, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			part := newInventory()
-			for i := w; i < len(ris); i += workers {
-				if ctx.Err() != nil {
-					break
-				}
-				part.add(db, ris[i])
-			}
-			parts[w] = part
-		}(w)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	parts := make([]*inventory, (len(ris)+scanShard-1)/scanShard)
+	err := measure.FanOut(ctx, len(parts), workers, func(p int) error {
+		part := newInventory()
+		for _, ri := range ris[p*scanShard : min((p+1)*scanShard, len(ris))] {
+			part.add(db, ri)
+		}
+		parts[p] = part
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	inv := newInventory()

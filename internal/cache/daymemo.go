@@ -1,9 +1,8 @@
-// Package cache provides the bounded per-day memo the engines share: a
-// lock-free-on-hit map of day -> value with FIFO-ring residency, the
-// pattern sim.Observer.ObserveDay introduced for its draw memo. Values
-// must be pure functions of (owner state, day) — eviction simply
-// recomputes an identical value on the day's next visit, so a memo can
-// never change a result, only its cost.
+// Package cache provides the per-day memo the engines share: one slot per
+// study day, lock-free on a hit. Values must be pure functions of (owner
+// state, day), so a memo can never change a result, only its cost — and
+// because a memo is sized to its network's days, it can never hold more
+// days than the network has.
 package cache
 
 import (
@@ -13,73 +12,49 @@ import (
 	"github.com/i2pstudy/i2pstudy/internal/obs"
 )
 
-// DefaultDayMemoCap bounds a DayMemo whose Cap field is zero: a full
-// 90-day study stays resident, while long-lived owners revisiting
-// arbitrary days (enumeration sweeps, multi-horizon grids) stay at
-// O(cap x value size) instead of retaining every day ever computed.
-const DefaultDayMemoCap = 128
-
-// DayMemo memoizes one value per day with bounded residency. The zero
-// value is ready to use (Cap <= 0 selects DefaultDayMemoCap; set Cap
-// before first use to override). Hits are lock-free on a sync.Map; the
-// mutex guards only the FIFO eviction ring, so insertion-order eviction
-// never contends with hits. Concurrent first callers of one day share a
-// single compute through the entry's once. A DayMemo must not be copied
-// after first use.
+// DayMemo memoizes one value per study day. A hit is one atomic load;
+// concurrent first callers of one day share a single compute through
+// the slot's once. A DayMemo must not be copied after first use.
 type DayMemo[T any] struct {
-	// Cap bounds how many days stay resident (<= 0: DefaultDayMemoCap).
-	Cap int
-
-	// Ring names this memo's series in the i2p_cache_* metric families
-	// ("observe_day", "victim_addrset", ...). Empty renders as
-	// "unnamed"; set it with Cap, before first use.
-	Ring string
-
-	memo    sync.Map // int -> *dayMemoEntry[T]
-	mu      sync.Mutex
-	ring    []int // circular buffer of memoized days, len <= cap
-	ringPos int
+	// ring names this memo's series in the i2p_cache_* metric families
+	// ("observe_day", "victim_addrset", ...).
+	ring  string
+	slots []daySlot[T]
 
 	// stats caches this memo's instrument handles per enabled registry;
 	// nil/handles-nil while observability is disabled.
 	stats atomic.Pointer[dayMemoStats]
 }
 
-// dayMemoEntry is one memoized day. The once gate lets concurrent first
-// callers share a single compute without any memo-level lock during it;
-// done flips after the compute so Peek can tell a finished value from an
-// in-flight insertion.
-type dayMemoEntry[T any] struct {
+// daySlot is one study day's value. done flips after the compute, so a
+// reader that sees it set may read v without entering the once.
+type daySlot[T any] struct {
 	once sync.Once
 	done atomic.Bool
 	v    T
 }
 
-func (e *dayMemoEntry[T]) resolve(day int, compute func(day int) T) T {
-	e.once.Do(func() {
-		e.v = compute(day)
-		e.done.Store(true)
-	})
-	return e.v
+// NewDayMemo returns a memo for days [0, days), counted under the named
+// ring.
+func NewDayMemo[T any](days int, ring string) *DayMemo[T] {
+	return &DayMemo[T]{ring: ring, slots: make([]daySlot[T], days)}
 }
 
 // dayMemoStats is one memo's resolved instrument handles. A zero value
 // (all counters nil) is the disabled mode.
 type dayMemoStats struct {
-	reg                     *obs.Registry
-	hits, misses, evictions *obs.Counter
+	reg          *obs.Registry
+	hits, misses *obs.Counter
 }
 
 var disabledDayMemoStats = &dayMemoStats{}
 
 const (
-	hitsFamily      = "i2p_cache_hits_total"
-	missesFamily    = "i2p_cache_misses_total"
-	evictionsFamily = "i2p_cache_evictions_total"
+	hitsFamily   = "i2p_cache_hits_total"
+	missesFamily = "i2p_cache_misses_total"
 
-	hitsHelp      = "DayMemo lookups served from a resident day, by ring."
-	missesHelp    = "DayMemo lookups that inserted (computed) a day, by ring."
-	evictionsHelp = "DayMemo days evicted by FIFO residency pressure, by ring."
+	hitsHelp   = "DayMemo lookups served without computing, by ring."
+	missesHelp = "DayMemo lookups that computed their day, by ring."
 )
 
 // getStats resolves the memo's counters against the enabled registry,
@@ -94,15 +69,10 @@ func (m *DayMemo[T]) getStats() *dayMemoStats {
 	if s != nil && s.reg == r {
 		return s
 	}
-	ring := m.Ring
-	if ring == "" {
-		ring = "unnamed"
-	}
 	s = &dayMemoStats{
-		reg:       r,
-		hits:      r.CounterVec(hitsFamily, hitsHelp, "ring").With(ring),
-		misses:    r.CounterVec(missesFamily, missesHelp, "ring").With(ring),
-		evictions: r.CounterVec(evictionsFamily, evictionsHelp, "ring").With(ring),
+		reg:    r,
+		hits:   r.CounterVec(hitsFamily, hitsHelp, "ring").With(m.ring),
+		misses: r.CounterVec(missesFamily, missesHelp, "ring").With(m.ring),
 	}
 	m.stats.Store(s)
 	return s
@@ -116,68 +86,36 @@ func PreRegisterRing(ring string) {
 	obs.OnEnable(func(r *obs.Registry) {
 		r.CounterVec(hitsFamily, hitsHelp, "ring").With(ring)
 		r.CounterVec(missesFamily, missesHelp, "ring").With(ring)
-		r.CounterVec(evictionsFamily, evictionsHelp, "ring").With(ring)
 	})
 }
 
-// Get returns the day's value, computing it at most once while the day
-// stays resident. compute must be pure in (owner state, day); the result
-// is shared across callers and must be treated as read-only.
+// Get returns the day's value, computing it at most once. compute must
+// be pure in (owner state, day); the result is shared across callers and
+// must be treated as read-only. A day outside the memo's range is
+// computed on every call and not kept.
 func (m *DayMemo[T]) Get(day int, compute func(day int) T) T {
 	st := m.getStats()
-	// Hit path: lock-free, so callers hammering resident days (sweep
-	// rows revisiting one victim day per (fleet, window)) never serialize.
-	if v, ok := m.memo.Load(day); ok {
-		st.hits.Inc()
-		return v.(*dayMemoEntry[T]).resolve(day, compute)
-	}
-	e := &dayMemoEntry[T]{}
-	if v, loaded := m.memo.LoadOrStore(day, e); loaded {
-		st.hits.Inc()
-		e = v.(*dayMemoEntry[T])
-	} else {
+	if day < 0 || day >= len(m.slots) {
 		st.misses.Inc()
-		// This goroutine inserted the entry: record the day in the ring,
-		// evicting insertion-order when full. Evicting an entry another
-		// goroutine still holds is benign — its compute completes and is
-		// simply redone on the day's next visit.
-		m.mu.Lock()
-		cap := m.Cap
-		if cap <= 0 {
-			cap = DefaultDayMemoCap
-		}
-		if len(m.ring) < cap {
-			m.ring = append(m.ring, day)
-		} else {
-			m.memo.Delete(m.ring[m.ringPos])
-			m.ring[m.ringPos] = day
-			m.ringPos = (m.ringPos + 1) % cap
-			st.evictions.Inc()
-		}
-		m.mu.Unlock()
+		return compute(day)
 	}
-	// The compute runs outside the ring lock so distinct days never
-	// serialize; concurrent callers of one day share the entry's once.
-	return e.resolve(day, compute)
-}
-
-// Peek returns the day's value if it is resident and fully computed,
-// without computing, counting, or touching residency. Diagnostics and
-// tests only — engines use Get.
-func (m *DayMemo[T]) Peek(day int) (T, bool) {
-	if v, ok := m.memo.Load(day); ok {
-		e := v.(*dayMemoEntry[T])
-		if e.done.Load() {
-			return e.v, true
-		}
+	s := &m.slots[day]
+	if s.done.Load() {
+		st.hits.Inc()
+		return s.v
 	}
-	var zero T
-	return zero, false
-}
-
-// Resident reports how many days are currently memoized (ring length).
-func (m *DayMemo[T]) Resident() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.ring)
+	// The compute runs inside this slot's once only, so distinct days
+	// never serialize; callers that lose the race wait for the winner.
+	computed := false
+	s.once.Do(func() {
+		computed = true
+		s.v = compute(day)
+		s.done.Store(true)
+	})
+	if computed {
+		st.misses.Inc()
+	} else {
+		st.hits.Inc()
+	}
+	return s.v
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestDayMemoComputesOncePerResidentDay(t *testing.T) {
-	var m DayMemo[int]
+	m := NewDayMemo[int](4, "test")
 	var computes atomic.Int32
 	compute := func(day int) int {
 		computes.Add(1)
@@ -23,49 +23,36 @@ func TestDayMemoComputesOncePerResidentDay(t *testing.T) {
 	if got := computes.Load(); got != 4 {
 		t.Fatalf("computed %d times, want 4 (once per day)", got)
 	}
-	if m.Resident() != 4 {
-		t.Fatalf("resident = %d, want 4", m.Resident())
-	}
 }
 
-func TestDayMemoEvictsFIFOAndRecomputesIdentically(t *testing.T) {
-	m := DayMemo[int]{Cap: 2}
+// TestDayMemoOutOfRangeDayComputedNotKept: a day the memo has no slot
+// for — negative, or past the study — is computed on every call, never
+// retained, and never panics.
+func TestDayMemoOutOfRangeDayComputedNotKept(t *testing.T) {
+	m := NewDayMemo[int](3, "test")
 	var computes atomic.Int32
 	compute := func(day int) int {
 		computes.Add(1)
 		return day * 10
 	}
-	m.Get(0, compute) // ring: [0]
-	m.Get(1, compute) // ring: [0 1]
-	m.Get(2, compute) // evicts 0, ring: [2 1]
-	if m.Resident() != 2 {
-		t.Fatalf("resident = %d, want cap 2", m.Resident())
+	for _, day := range []int{-1, 3, 1 << 20} {
+		for i := 0; i < 2; i++ {
+			if got := m.Get(day, compute); got != day*10 {
+				t.Fatalf("Get(%d) = %d, want %d", day, got, day*10)
+			}
+		}
 	}
-	if got := m.Get(1, compute); got != 10 {
-		t.Fatalf("resident day recomputed wrong: %d", got)
-	}
-	if computes.Load() != 3 {
-		t.Fatalf("computed %d times before revisit, want 3", computes.Load())
-	}
-	// Day 0 was evicted: revisiting recomputes the identical value and
-	// evicts the next FIFO slot (1).
-	if got := m.Get(0, compute); got != 0 {
-		t.Fatalf("evicted day recomputed wrong: %d", got)
-	}
-	if computes.Load() != 4 {
-		t.Fatalf("computed %d times after revisit, want 4", computes.Load())
-	}
-	m.Get(2, compute) // still resident
-	if computes.Load() != 4 {
-		t.Fatal("day 2 should have stayed resident across the eviction")
+	if got := computes.Load(); got != 6 {
+		t.Fatalf("computed %d times, want 6 (every out-of-range call)", got)
 	}
 }
 
 // TestDayMemoConcurrentFirstCallersShareOneCompute: many goroutines
-// hitting one cold day observe exactly one compute (the entry's once),
-// and all see the same value.
+// hitting one cold day observe exactly one compute (the slot's once),
+// all see the same value, and the waiters count as hits.
 func TestDayMemoConcurrentFirstCallersShareOneCompute(t *testing.T) {
-	var m DayMemo[[]int]
+	r := withRegistry(t)
+	m := NewDayMemo[[]int](8, "race_ring")
 	var computes atomic.Int32
 	compute := func(day int) []int {
 		computes.Add(1)
@@ -90,4 +77,7 @@ func TestDayMemoConcurrentFirstCallersShareOneCompute(t *testing.T) {
 			t.Fatal("concurrent callers received different slices")
 		}
 	}
+	wantRendered(t, r,
+		`i2p_cache_hits_total{ring="race_ring"} 15`,
+		`i2p_cache_misses_total{ring="race_ring"} 1`)
 }

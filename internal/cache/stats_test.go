@@ -18,85 +18,65 @@ func withRegistry(t *testing.T) *obs.Registry {
 	return r
 }
 
-func TestDayMemoCountsHitsMissesEvictions(t *testing.T) {
-	r := withRegistry(t)
-	m := DayMemo[int]{Cap: 2, Ring: "test_ring"}
-	compute := func(day int) int { return day }
-
-	m.Get(0, compute) // miss
-	m.Get(0, compute) // hit
-	m.Get(1, compute) // miss
-	m.Get(2, compute) // miss + eviction of day 0
-	m.Get(1, compute) // hit
-
+// wantRendered fails the test for every line the registry's text
+// exposition does not contain.
+func wantRendered(t *testing.T, r *obs.Registry, lines ...string) {
+	t.Helper()
 	text := r.RenderText()
-	for _, want := range []string{
-		`i2p_cache_hits_total{ring="test_ring"} 2`,
-		`i2p_cache_misses_total{ring="test_ring"} 3`,
-		`i2p_cache_evictions_total{ring="test_ring"} 1`,
-	} {
+	for _, want := range lines {
 		if !strings.Contains(text, want) {
 			t.Errorf("render missing %q:\n%s", want, text)
 		}
 	}
 }
 
+func TestDayMemoCountsHitsMisses(t *testing.T) {
+	r := withRegistry(t)
+	m := NewDayMemo[int](2, "test_ring")
+	compute := func(day int) int { return day }
+
+	m.Get(0, compute) // miss
+	m.Get(0, compute) // hit
+	m.Get(1, compute) // miss
+	m.Get(2, compute) // out of range: a miss every time
+	m.Get(2, compute)
+	m.Get(1, compute) // hit
+
+	wantRendered(t, r,
+		`i2p_cache_hits_total{ring="test_ring"} 2`,
+		`i2p_cache_misses_total{ring="test_ring"} 4`)
+}
+
 func TestDayMemoStatsFollowRegistrySwap(t *testing.T) {
 	r1 := withRegistry(t)
-	m := DayMemo[int]{Ring: "swap_ring"}
+	m := NewDayMemo[int](2, "swap_ring")
 	m.Get(0, func(d int) int { return d })
-	if !strings.Contains(r1.RenderText(), `i2p_cache_misses_total{ring="swap_ring"} 1`) {
-		t.Fatalf("first registry missing the miss:\n%s", r1.RenderText())
-	}
+	wantRendered(t, r1, `i2p_cache_misses_total{ring="swap_ring"} 1`)
 
 	r2 := obs.NewRegistry()
 	obs.Enable(r2)
 	m.Get(1, func(d int) int { return d })
-	if !strings.Contains(r2.RenderText(), `i2p_cache_misses_total{ring="swap_ring"} 1`) {
-		t.Fatalf("stats did not re-resolve onto the swapped registry:\n%s", r2.RenderText())
-	}
+	m.Get(1, func(d int) int { return d })
+	wantRendered(t, r2,
+		`i2p_cache_misses_total{ring="swap_ring"} 1`,
+		`i2p_cache_hits_total{ring="swap_ring"} 1`)
+	// The first registry stopped counting at the swap.
+	wantRendered(t, r1, `i2p_cache_misses_total{ring="swap_ring"} 1`)
 }
 
 func TestDayMemoDisabledIsInert(t *testing.T) {
 	prev := obs.Active()
 	obs.Enable(nil)
 	t.Cleanup(func() { obs.Enable(prev) })
-	var m DayMemo[int]
+	m := NewDayMemo[int](4, "test")
 	if got := m.Get(3, func(d int) int { return d * 2 }); got != 6 {
 		t.Fatalf("Get with observability disabled = %d, want 6", got)
 	}
 }
 
-func TestDayMemoPeek(t *testing.T) {
-	var m DayMemo[int]
-	if _, ok := m.Peek(5); ok {
-		t.Fatal("Peek found a never-computed day")
-	}
-	m.Get(5, func(d int) int { return 50 })
-	v, ok := m.Peek(5)
-	if !ok || v != 50 {
-		t.Fatalf("Peek(5) = %d, %v; want 50, true", v, ok)
-	}
-	// Peek never inserts or computes.
-	if _, ok := m.Peek(6); ok {
-		t.Fatal("Peek(6) invented a value")
-	}
-	if m.Resident() != 1 {
-		t.Fatalf("Peek changed residency: %d", m.Resident())
-	}
-}
-
 func TestPreRegisterRingMaterializesAtZero(t *testing.T) {
 	PreRegisterRing("eager_ring")
-	r := withRegistry(t)
-	text := r.RenderText()
-	for _, want := range []string{
+	wantRendered(t, withRegistry(t),
 		`i2p_cache_hits_total{ring="eager_ring"} 0`,
-		`i2p_cache_misses_total{ring="eager_ring"} 0`,
-		`i2p_cache_evictions_total{ring="eager_ring"} 0`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("render missing %q:\n%s", want, text)
-		}
-	}
+		`i2p_cache_misses_total{ring="eager_ring"} 0`)
 }

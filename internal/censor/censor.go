@@ -36,13 +36,9 @@ type Censor struct {
 	// 1, 5, 10, 20 and 30 days).
 	WindowDays int
 
-	// obsIDs memoizes observedIDs per (router, day): one bounded
-	// cache.DayMemo ring per monitoring router, so a very long study
-	// holds O(routers x DayMemoCap) day-slices instead of every
-	// (router, day) pair ever computed. Eviction is invisible to
-	// results — slices are pure in (observer seed, day), so a redrawn
-	// day is byte-identical (TestObservedIDsMemoBounded).
-	obsIDs []cache.DayMemo[[]int32]
+	// obsIDs memoizes observedIDs per (router, day): one cache.DayMemo
+	// per monitoring router.
+	obsIDs []*cache.DayMemo[[]int32]
 }
 
 // NewCensor creates a censor running `routers` monitoring routers, split
@@ -64,9 +60,9 @@ func NewCensor(network *sim.Network, routers, windowDays int, seedBase uint64) (
 			Seed:       seedBase + uint64(i),
 		}))
 	}
-	c.obsIDs = make([]cache.DayMemo[[]int32], routers)
+	c.obsIDs = make([]*cache.DayMemo[[]int32], routers)
 	for i := range c.obsIDs {
-		c.obsIDs[i].Ring = obsIDsRing
+		c.obsIDs[i] = cache.NewDayMemo[[]int32](network.Days(), obsIDsRing)
 	}
 	return c, nil
 }
@@ -77,8 +73,8 @@ func (c *Censor) Routers() int { return len(c.observers) }
 // observedIDs returns the interned address IDs of peers observed by one
 // monitoring router on one day. Peers without published addresses
 // (firewalled, hidden) contribute nothing — they cannot be address-blocked
-// (Section 7.1). The result is memoized per (router, day) in the
-// router's bounded ring and must not be modified.
+// (Section 7.1). The result is memoized per (router, day) and must not
+// be modified.
 func (c *Censor) observedIDs(router, day int) []int32 {
 	return c.obsIDs[router].Get(day, func(day int) []int32 {
 		var out []int32
@@ -151,14 +147,13 @@ type Victim struct {
 	// (the other being accumulation over rotating addresses).
 	NetDbWindowDays int
 
-	// addrSets and knownPeers memoize the per-day netDb views in bounded
-	// rings (cache.DefaultDayMemoCap days, like sim's ObserveDay memo):
-	// every sweep cell sharing a day folds against the same victim view,
-	// so without the memo a (fleet x window) grid recomputes it
+	// addrSets and knownPeers memoize the per-day netDb views: every
+	// sweep cell sharing a day folds against the same victim view, so
+	// without the memo a (fleet x window) grid recomputes it
 	// fleets x windows times per day. Values are pure in (victim, day),
 	// shared across callers, and strictly read-only.
-	addrSets   cache.DayMemo[*AddrSet]
-	knownPeers cache.DayMemo[[]int]
+	addrSets   *cache.DayMemo[*AddrSet]
+	knownPeers *cache.DayMemo[[]int]
 }
 
 // NewVictim creates the stable client. It observes as an ordinary
@@ -174,8 +169,8 @@ func NewVictim(network *sim.Network, seed uint64) *Victim {
 		}),
 		ix:              indexFor(network),
 		NetDbWindowDays: 2,
-		addrSets:        cache.DayMemo[*AddrSet]{Ring: victimAddrSetRing},
-		knownPeers:      cache.DayMemo[[]int]{Ring: victimKnownPeersRing},
+		addrSets:        cache.NewDayMemo[*AddrSet](network.Days(), victimAddrSetRing),
+		knownPeers:      cache.NewDayMemo[[]int](network.Days(), victimKnownPeersRing),
 	}
 }
 
@@ -190,9 +185,9 @@ func retainStale(idx, d int) bool {
 }
 
 // addrSet returns the victim's known peer addresses on `day` as a set
-// over the address index, memoized per day in a bounded ring. The set is
-// shared by every caller (all cells of a sweep that evaluate the day)
-// and must not be mutated.
+// over the address index, memoized per day. The set is shared by every
+// caller (all cells of a sweep that evaluate the day) and must not be
+// mutated.
 func (v *Victim) addrSet(day int) *AddrSet {
 	return v.addrSets.Get(day, v.buildAddrSet)
 }
@@ -238,8 +233,8 @@ func (v *Victim) KnownAddresses(day int) map[netip.Addr]bool {
 
 // KnownPeers returns the peer indexes in the victim's netDb on `day`
 // (all statuses), used by the usability and bridge experiments — which
-// call it per day per sweep cell, so the result is memoized per day in
-// a bounded ring. Callers receive a shared slice and must not modify it.
+// call it per day per sweep cell, so the result is memoized per day.
+// Callers receive a shared slice and must not modify it.
 func (v *Victim) KnownPeers(day int) []int {
 	return v.knownPeers.Get(day, v.buildKnownPeers)
 }

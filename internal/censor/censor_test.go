@@ -2,7 +2,6 @@ package censor
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/sim"
@@ -318,62 +317,5 @@ func TestEclipseAttack(t *testing.T) {
 	}
 	if _, err := EclipseAttack(n, 0, 5, injected, day, 77); err == nil {
 		t.Fatal("zero-router censor accepted")
-	}
-}
-
-// TestObservedIDsMemoBounded is the obsIDs-memo regression guarantee:
-// the per-router day rings stay within their cap, and eviction is
-// invisible — a day redrawn after being evicted is byte-identical to
-// the unbounded path (a fresh censor computing the day exactly once),
-// because the slices are pure in (observer seed, day).
-func TestObservedIDsMemoBounded(t *testing.T) {
-	n := network(t)
-	bounded, err := NewCensor(n, 3, 5, 321)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unbounded, err := NewCensor(n, 3, 5, 321)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The unbounded reference holds every day of the study at once.
-	const cap = 4
-	for r := range bounded.obsIDs {
-		bounded.obsIDs[r].Cap = cap
-		unbounded.obsIDs[r].Cap = n.Days()
-	}
-	ref := make([][][]int32, bounded.Routers())
-	for r := 0; r < bounded.Routers(); r++ {
-		ref[r] = make([][]int32, n.Days())
-		for d := 0; d < n.Days(); d++ {
-			ref[r][d] = append([]int32(nil), unbounded.observedIDs(r, d)...)
-		}
-	}
-
-	// Two ascending passes over the whole study: the first fills and
-	// overflows the rings (n.Days() >> cap), the second revisits every
-	// evicted day and forces redraws.
-	for pass := 0; pass < 2; pass++ {
-		for d := 0; d < n.Days(); d++ {
-			for r := 0; r < bounded.Routers(); r++ {
-				if got := bounded.observedIDs(r, d); !reflect.DeepEqual(got, ref[r][d]) {
-					t.Fatalf("pass %d router %d day %d: evicted redraw differs from unbounded path", pass, r, d)
-				}
-			}
-		}
-	}
-	for r := range bounded.obsIDs {
-		if got := bounded.obsIDs[r].Resident(); got > cap {
-			t.Fatalf("router %d ring holds %d days, cap %d", r, got, cap)
-		}
-	}
-
-	// Blacklists fold evicted-and-redrawn slices identically too.
-	for _, day := range []int{10, 25, 39} {
-		want := unbounded.blacklistSet(3, 5, day)
-		got := bounded.blacklistSet(3, 5, day)
-		if !reflect.DeepEqual(got.words, want.words) || got.Len() != want.Len() {
-			t.Fatalf("day %d: blacklist over bounded memo differs from unbounded", day)
-		}
 	}
 }

@@ -53,9 +53,8 @@ func (s *Sweep) checkpointManifest() checkpoint.Manifest {
 }
 
 // rowKey names the checkpoint unit holding one completed (window,
-// fleet) row. Rows are keyed by their stable grid id — cell i belongs
-// to row i % (windows x fleets) — never by plan-row index, which
-// cost-splitting makes Workers-dependent.
+// fleet) row by its grid id: cell i belongs to row i % (windows x
+// fleets).
 func rowKey(row int) string { return fmt.Sprintf("row-%03d", row) }
 
 // Run evaluates the standard result for every cell of the grid,

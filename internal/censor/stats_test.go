@@ -1,9 +1,11 @@
 package censor
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"github.com/i2pstudy/i2pstudy/internal/measure/enginetest"
 	"github.com/i2pstudy/i2pstudy/internal/obs"
 )
 
@@ -58,6 +60,50 @@ func TestCensorRingsReportCacheTraffic(t *testing.T) {
 	for _, ring := range []string{obsIDsRing, victimAddrSetRing, victimKnownPeersRing} {
 		if !strings.Contains(text, `i2p_cache_misses_total{ring="`+ring+`"}`) {
 			t.Errorf("ring %q absent from cache families:\n%s", ring, text)
+		}
+	}
+}
+
+// TestSweepCacheMissesDeterministic: a day-indexed memo computes each
+// (owner, day) exactly once, so on a fixed grid the miss count per ring
+// is the number of distinct (owner, day) pairs the grid touches — the
+// same at every ladder width, whichever worker gets to a day first.
+func TestSweepCacheMissesDeterministic(t *testing.T) {
+	n := network(t)
+	cfg := SweepConfig{
+		Fleets:   []int{2, 5},
+		Windows:  []int{1, 4},
+		Days:     []int{6, 7, 8, 12, 30}, // 12 slides, 30 jumps past the window
+		SeedBase: 9100,
+	}
+	// Every router serves some cell of every window, so each touches the
+	// widest window's days; the victim's netDb reaches one day back.
+	censorDays := len(windowUnionDays(cfg.Days, 4))
+	victimDays := len(windowUnionDays(cfg.Days, 2))
+	want := map[string]int{
+		obsIDsRing:           5 * censorDays,
+		"observe_day":        5*censorDays + victimDays,
+		victimAddrSetRing:    len(cfg.Days),
+		victimKnownPeersRing: 0,
+	}
+	prev := obs.Active()
+	t.Cleanup(func() { obs.Enable(prev) })
+	for _, workers := range enginetest.Workers() {
+		r := obs.NewRegistry()
+		obs.Enable(r)
+		cfg.Workers = workers
+		sw, err := NewSweep(n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sw.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		text := r.RenderText()
+		for ring, misses := range want {
+			if got := counterValue(t, text, `i2p_cache_misses_total{ring="`+ring+`"}`); got != misses {
+				t.Errorf("Workers=%d ring %s: %d misses, want %d", workers, ring, got, misses)
+			}
 		}
 	}
 }

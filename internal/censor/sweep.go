@@ -63,13 +63,6 @@ type Sweep struct {
 	Cfg    SweepConfig
 	Censor *Censor
 	Victim *Victim
-
-	// splitBudget, when positive, overrides the cost-aware planner with a
-	// fixed per-segment budget and a free seam estimate, forcing rows to
-	// split far more aggressively than the planner ever would. It exists
-	// for the seam-stitching goldens, which prove split schedules
-	// byte-identical to unsplit ones; production callers leave it zero.
-	splitBudget int
 }
 
 // NewSweep validates the grid and builds the shared adversary.
@@ -183,27 +176,13 @@ func (s *Sweep) Capture(ctx context.Context) error {
 // outermost, so cell i belongs to row i % (windows x fleets); sorting a
 // row by day (stably — equal days share a blacklist, so order between
 // them cannot matter) guarantees its WindowCounter only ever slides
-// forward.
-//
-// Planning is cost-aware: sliding a row one day touches the entering
-// and expiring day-slices of every fleet router, so a cell's estimated
-// cost is its Fleet, and a row whose total exceeds the per-worker
-// budget is cut into segments. The seam estimate is Window x Fleet —
-// a segment's first cell starts from an empty WindowCounter, whose
-// fill is exactly the from-scratch union the rolling path is tested
-// byte-identical against — so wide-window rows, whose seams rival their
-// bodies, stay whole while cheap-seam rows stop binding tail latency.
+// forward. A plan row is a whole grid row at any Workers value, which
+// is what lets RunCheckpointed use the row as its checkpoint unit.
 func (s *Sweep) rowPlan(cells []Cell) measure.RowPlan {
 	rows := len(s.Cfg.Windows) * len(s.Cfg.Fleets)
-	rowOf := func(i int) int { return i % rows }
-	key := func(i int) int { return cells[i].Day }
-	cost := func(i int) int { return cells[i].Fleet }
-	seam := func(i int) int { return cells[i].Window * cells[i].Fleet }
-	if s.splitBudget > 0 {
-		return measure.PlanRows(len(cells), rows, rowOf, key).
-			SplitRows(cost, nil, s.splitBudget)
-	}
-	return measure.PlanRowsCost(len(cells), rows, rowOf, key, cost, seam, s.Cfg.Workers)
+	return measure.PlanRows(len(cells), rows,
+		func(i int) int { return i % rows },
+		func(i int) int { return cells[i].Day })
 }
 
 // rowState is one row's rolling blacklist: a WindowCounter covering the
@@ -308,8 +287,8 @@ func (cu *Cursor) BlockedPeerFunc() func(peerIdx int) bool {
 }
 
 // Each evaluates fn for every cell of the grid. Cells are scheduled as
-// rolling rows — one (window, fleet) row (or cost-split segment of one)
-// per worker at a time, days ascending, each row sliding one
+// rolling rows — one (window, fleet) row per worker at a time, days
+// ascending, each row sliding one
 // WindowCounter across its days (lazily, on first cursor access) — but
 // fn still receives the cell's position in Cells() order, so callers
 // write results into preallocated slots and the determinism contract of

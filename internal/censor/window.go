@@ -28,9 +28,9 @@ type WindowCounter struct {
 // NewWindowCounter returns an empty counter sized for the index's
 // address table, recycling a previously released one when available:
 // the counts array and set words are the sweep engines' per-row
-// allocation hot spot (one table-sized pair per rolling row, more once
-// long rows split into segments), so rows draw from a per-index pool
-// instead of handing the garbage collector a fresh table each time.
+// allocation hot spot (one table-sized pair per rolling row), so rows
+// draw from a per-index pool instead of handing the garbage collector a
+// fresh table each time.
 func (ix *AddrIndex) NewWindowCounter() *WindowCounter {
 	st := poolObs.Get()
 	st.gets.Inc()

@@ -17,36 +17,28 @@ func init() { cache.PreRegisterRing(ownersRing) }
 // Owner tables — owners[addrID] = the peer publishing the address on a
 // day, or -1 — are pure functions of the immutable network and the day,
 // exactly like the shared censor.AddrIndex they are built over. Every
-// arms-race cell folds one per horizon day (collateral accounting), and
-// before this cache each Sweep rebuilt its own full []int32 table per
-// day, so arms-race grids and repeated sweeps paid O(NumAddrs x days)
-// allocation per Sweep. The epoch cache shares the tables process-wide,
-// keyed (network, day) like censor.indexFor: one ownerEpoch per network
-// (pinned for the process lifetime, matching the index cache), with the
-// per-day tables in a bounded cache.DayMemo ring so unbounded horizons
-// cannot retain every day ever touched. Evicted days rebuild to
-// identical tables — the compute is pure in (network, day).
+// arms-race cell folds one per horizon day (collateral accounting), so
+// the tables are shared process-wide, keyed (network, day) like
+// censor.indexFor: one day-indexed cache.DayMemo per network (pinned
+// for the process lifetime, matching the index cache), which can hold
+// at most the network's own days.
 //
 // Epoch-cache contract: sim.Network is immutable after construction,
 // which is what makes lock-free sharing safe. Any future mutating
 // network API (live churn, streaming arrivals) must invalidate or epoch
 // these entries together with censor's AddrIndex cache and the
 // per-observer ObserveDay memos — see ROADMAP.md.
-
-// ownerEpoch is one network's owner-table cache.
-type ownerEpoch struct {
-	memo cache.DayMemo[[]int32]
-}
-
-var ownerCache sync.Map // *sim.Network -> *ownerEpoch
+var ownerCache sync.Map // *sim.Network -> *cache.DayMemo[[]int32]
 
 // ownersFor returns the day's shared addrID -> publishing-peer table.
 // The slice is shared across every sweep on the network and must be
 // treated as read-only.
 func ownersFor(n *sim.Network, day int) []int32 {
-	v, _ := ownerCache.LoadOrStore(n, &ownerEpoch{memo: cache.DayMemo[[]int32]{Ring: ownersRing}})
-	e := v.(*ownerEpoch)
-	return e.memo.Get(day, func(day int) []int32 { return buildOwners(n, day) })
+	v, ok := ownerCache.Load(n)
+	if !ok {
+		v, _ = ownerCache.LoadOrStore(n, cache.NewDayMemo[[]int32](n.Days(), ownersRing))
+	}
+	return v.(*cache.DayMemo[[]int32]).Get(day, func(day int) []int32 { return buildOwners(n, day) })
 }
 
 // buildOwners is the from-scratch reference compute behind ownersFor.

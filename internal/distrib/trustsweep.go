@@ -142,14 +142,6 @@ type TrustSweep struct {
 	backend    *Backend
 	api        *HandoutAPI
 	peerByHash map[netdb.Hash]int
-
-	// splitBudget, when positive, forces rowPlan to cut rows at that
-	// cost budget with a free seam — the test hook the seam-stitching
-	// tests use to prove a split row's fresh-state replay is
-	// byte-identical to the rolled-forward row. Production plans go
-	// through PlanRowsCost, whose real seam model (a full prefix
-	// replay) never finds a trust row worth cutting.
-	splitBudget int
 }
 
 // NewTrustSweep validates the grid and builds the shared backend.
@@ -232,23 +224,15 @@ func (s *TrustSweep) rowSeed(d *TrustSocial, e Enumerator) uint64 {
 		math.Float64bits(e.InsiderFrac))
 }
 
-// rowPlan builds the grid's cost-aware row plan: one (distributor,
-// enumerator) row per combination, days ascending. Cells cost one unit
-// each, but a trust row's seam is the full prefix replay — resuming at
-// horizon day h re-simulates days 0..h-1 — so PlanRowsCost's seam gate
-// correctly never cuts one: the cost model records *why* trust rows
-// stay whole rather than the scheduler just not trying. The splitBudget
-// hook forces cuts anyway (seam declared free) so tests can prove the
-// replay seam is byte-exact.
+// rowPlan builds the grid's row plan: one (distributor, enumerator) row
+// per combination, days ascending. Rows stay whole — resuming a row at
+// horizon day h would replay days 0..h-1 — so a plan row is a grid row,
+// the checkpoint unit.
 func (s *TrustSweep) rowPlan(cells []TrustCell) measure.RowPlan {
 	rows := len(s.Cfg.Enumerators) * len(s.Cfg.Distributors)
-	rowOf := func(i int) int { return i % rows }
-	key := func(i int) int { return cells[i].Day }
-	if s.splitBudget > 0 {
-		return measure.PlanRows(len(cells), rows, rowOf, key).SplitRows(nil, nil, s.splitBudget)
-	}
-	seam := func(i int) int { return cells[i].Day }
-	return measure.PlanRowsCost(len(cells), rows, rowOf, key, nil, seam, s.Cfg.Workers)
+	return measure.PlanRows(len(cells), rows,
+		func(i int) int { return i % rows },
+		func(i int) int { return cells[i].Day })
 }
 
 // Run evaluates every cell and returns results in Cells() order. Cells
@@ -258,10 +242,6 @@ func (s *TrustSweep) rowPlan(cells []TrustCell) measure.RowPlan {
 // byte-identical results; the first error (or ctx cancellation) stops
 // the remaining rows.
 func (s *TrustSweep) Run(ctx context.Context) ([]TrustCellResult, error) {
-	// One lazily-built state per plan row (see RunCheckpointed): a split
-	// row's later segment gets a fresh state whose advanceTo replays the
-	// prefix — the exact resumability Reference proves — so segments
-	// never share state.
 	return s.RunCheckpointed(ctx, "")
 }
 

@@ -305,3 +305,35 @@ func benchmarkTrustSweep(b *testing.B, workers int) {
 
 func BenchmarkTrustSweepSerial(b *testing.B)   { benchmarkTrustSweep(b, 1) }
 func BenchmarkTrustSweepParallel(b *testing.B) { benchmarkTrustSweep(b, 0) }
+
+// TestTrustSweepProductionPlanStaysWhole: at any pool width, plan row r
+// is exactly checkpoint unit r — every cell of one (distributor,
+// enumerator) combination, days ascending — so a row's trustState is
+// never rebuilt mid-horizon and a resumed unit skips a whole plan row.
+func TestTrustSweepProductionPlanStaysWhole(t *testing.T) {
+	n := network(t)
+	for _, workers := range []int{1, 4, 0} {
+		sw, err := NewTrustSweep(n, testTrustConfig(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := sw.Cells()
+		rows := len(sw.Cfg.Enumerators) * len(sw.Cfg.Distributors)
+		plan := sw.rowPlan(cells)
+		if len(plan) != rows {
+			t.Fatalf("workers=%d: plan has %d rows, want %d", workers, len(plan), rows)
+		}
+		for r, row := range plan {
+			if len(row) != sw.Cfg.HorizonDays+1 {
+				t.Fatalf("workers=%d: row %d holds %d cells, want the whole %d-day horizon",
+					workers, r, len(row), sw.Cfg.HorizonDays+1)
+			}
+			for k, i := range row {
+				if i%rows != r || cells[i].Day != k {
+					t.Fatalf("workers=%d: row %d position %d is cell %d (day %d)",
+						workers, r, k, i, cells[i].Day)
+				}
+			}
+		}
+	}
+}

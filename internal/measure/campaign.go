@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -216,36 +215,13 @@ func (c *Campaign) run(ctx context.Context, from int, commit func(day int, recs 
 		c.releaseUnit(u.bytes)
 		return err
 	}
-	if workers == 1 {
-		if err := c.work(ctx, win, 0, fold); err != nil {
-			return err
-		}
-		engineObs.Get().tasksSerial.Add(uint64(nDays))
-		return nil
+	err := runPool(ctx, workers, func(ctx context.Context, tid int) error {
+		return c.work(ctx, win, tid, fold)
+	})
+	if err != nil {
+		return err
 	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for tid := 0; tid < workers; tid++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := c.work(cctx, win, tid, fold); err != nil {
-				errOnce.Do(func() { firstErr = err })
-				cancel()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	engineObs.Get().tasksParallel.Add(uint64(nDays))
+	engineObs.Get().tasks(workers).Add(uint64(nDays))
 	return nil
 }
 
@@ -261,14 +237,9 @@ func (c *Campaign) work(ctx context.Context, win *dayWindow, tid int, fold func(
 		if err != nil || !ok {
 			return err
 		}
-		var t0 time.Duration
-		if tr != nil {
-			t0 = tr.Now()
-		}
+		t0 := tr.Now()
 		u := c.captureDay(day, claimed)
-		if tr != nil {
-			tr.Complete(tid, "day", t0, obs.Arg{Key: "day", Val: int64(day)})
-		}
+		tr.Complete(tid, "day", t0, obs.Arg{Key: "day", Val: int64(day)})
 		c.retainUnit(u.bytes)
 		if err := win.put(day, u); err != nil {
 			c.releaseUnit(u.bytes)

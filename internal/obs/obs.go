@@ -14,7 +14,7 @@
 //   - EnableTrace(tr) activates span emission the same way.
 //
 // Hard contract: observability is output-invariant. Counters and spans
-// record scheduling facts (tasks run, steals, cache hits, span timings) —
+// record scheduling facts (tasks run, cache hits, span timings) —
 // they must never influence a result. The worker-determinism goldens run
 // with both switches on (internal/measure/enginetest) to enforce this.
 package obs

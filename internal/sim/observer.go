@@ -87,33 +87,23 @@ type ObserverConfig struct {
 // filter (Section 4.1).
 const MaxSharedKBps = 8192
 
-// observeMemoCap bounds the per-observer ObserveDay memo: a full 90-day
-// study fits entirely, while long-lived fleets revisiting arbitrary days
-// (enumeration sweeps, multi-horizon grids) stay at O(cap x sightings)
-// instead of retaining every day ever visited. Evicted days simply redraw
-// — draws are pure in (seed, day), so eviction can never change a result.
-const observeMemoCap = 128
-
 // Observer is an instantiated measurement router on a network.
 //
 // Every observation method derives a private RNG from (Seed, day), so
 // calls are idempotent, days can be visited in any order, and one Observer
 // may be driven from many goroutines at once (the parallel campaign engine
 // and the censor sweep engine do exactly that). The only mutable state is
-// a bounded memo of per-day draws, which callers never see directly:
-// repeated ObserveDay calls return the same (shared, read-only) slice
-// instead of redrawing, so sweeps that revisit (observer, day) cells —
-// blacklist windows sliding over the same days, fleet prefixes sharing
-// routers — pay for each capture once while it stays resident.
+// a memo of per-day draws, which callers never see directly: repeated
+// ObserveDay calls return the same (shared, read-only) slice instead of
+// redrawing, so sweeps that revisit (observer, day) cells — blacklist
+// windows sliding over the same days, fleet prefixes sharing routers —
+// pay for each capture once.
 type Observer struct {
 	Cfg ObserverConfig
 	net *Network
 
-	// memo caches ObserveDay results keyed by day: lock-free hits,
-	// FIFO-ring residency bounded at observeMemoCap. The pattern this
-	// field pioneered inline now lives in cache.DayMemo, shared with the
-	// censor's victim views and the distrib owner epochs.
-	memo cache.DayMemo[[]int]
+	// memo caches ObserveDay results, one slot per study day.
+	memo *cache.DayMemo[[]int]
 
 	// gamma[class] is CoverageFactor for a peer of that affinity class,
 	// fixed at construction: the daily draw indexes it per peer instead
@@ -133,7 +123,7 @@ func (n *Network) NewObserver(cfg ObserverConfig) *Observer {
 	o := &Observer{
 		Cfg:  cfg,
 		net:  n,
-		memo: cache.DayMemo[[]int]{Cap: observeMemoCap, Ring: observeMemoRing},
+		memo: cache.NewDayMemo[[]int](n.Days(), observeMemoRing),
 	}
 	for class := range o.gamma {
 		o.gamma[class] = o.classCoverage(class)
@@ -223,9 +213,7 @@ func (o *Observer) dayRNG(day int) *rand.Rand {
 
 // ObserveDay returns the indexes of peers the observer sees on the given
 // study day. The result is deterministic for a given (seed, day) and is
-// memoized in a bounded FIFO ring (observeMemoCap days): callers receive
-// a shared slice and must not modify it. After an eviction a revisited
-// day is redrawn to an identical — though distinct — slice.
+// memoized: callers receive a shared slice and must not modify it.
 func (o *Observer) ObserveDay(day int) []int {
 	return o.memo.Get(day, o.observeDay)
 }

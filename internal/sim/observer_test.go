@@ -118,38 +118,6 @@ func TestObserveDayMemoized(t *testing.T) {
 	}
 }
 
-// TestObserveDayMemoBounded: the memo is a bounded FIFO ring — long-lived
-// observers visiting many days never retain more than observeMemoCap
-// entries, and an evicted day redraws to identical content.
-func TestObserveDayMemoBounded(t *testing.T) {
-	n := testNetwork(t, 10)
-	o := n.NewObserver(ObserverConfig{SharedKBps: 8192, Floodfill: true, Seed: 11})
-	first := append([]int(nil), o.ObserveDay(4)...)
-	// Visit far more days than the memo holds (out-of-window days draw
-	// empty but still occupy entries, which is exactly what a long-lived
-	// enumeration fleet would do).
-	for d := 0; d < 3*observeMemoCap; d++ {
-		o.ObserveDay(d)
-	}
-	if resident := o.memo.Resident(); resident > observeMemoCap {
-		t.Fatalf("memo holds %d entries, cap %d", resident, observeMemoCap)
-	}
-	// Day 4 was evicted; the redraw must be identical (pure in seed, day).
-	if _, resident := o.memo.Peek(4); resident {
-		t.Fatal("day 4 survived 3x-capacity insertions")
-	}
-	if got := o.ObserveDay(4); !reflect.DeepEqual(got, first) {
-		t.Fatal("redraw after eviction differs from the original draw")
-	}
-	// Resident hits stay memoized (same backing slice), so revisits
-	// between evictions never redraw.
-	a := o.ObserveDay(4)
-	b := o.ObserveDay(4)
-	if len(a) > 0 && &a[0] != &b[0] {
-		t.Fatal("resident day was redrawn on a hit")
-	}
-}
-
 // TestAddrScheduleMatchesAddrOnDay: the exported schedule reproduces
 // AddrOnDay for every peer and day.
 func TestAddrScheduleMatchesAddrOnDay(t *testing.T) {
