@@ -73,15 +73,16 @@ func (c *Censor) Routers() int { return len(c.observers) }
 // observedIDs returns the interned address IDs of peers observed by one
 // monitoring router on one day. Peers without published addresses
 // (firewalled, hidden) contribute nothing — they cannot be address-blocked
-// (Section 7.1). The result is memoized per (router, day) and must not
-// be modified.
+// (Section 7.1) and the index holds no schedule for them, so PeerIDs
+// answers -1. The result is memoized per (router, day) and must not be
+// modified.
 func (c *Censor) observedIDs(router, day int) []int32 {
 	return c.obsIDs[router].Get(day, func(day int) []int32 {
-		var out []int32
-		for _, idx := range c.observers[router].ObserveDay(day) {
-			if c.net.Peers[idx].Status != sim.StatusKnownIP {
-				continue
-			}
+		observed := c.observers[router].ObserveDay(day)
+		// About half the observed peers publish an address and few of
+		// those a second one, so one ID per sighting is room enough.
+		out := make([]int32, 0, len(observed))
+		for _, idx := range observed {
 			v4, v6 := c.ix.PeerIDs(idx, day)
 			if v4 < 0 {
 				continue

@@ -2,6 +2,7 @@ package censor
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/sim"
@@ -317,5 +318,37 @@ func TestEclipseAttack(t *testing.T) {
 	}
 	if _, err := EclipseAttack(n, 0, 5, injected, day, 77); err == nil {
 		t.Fatal("zero-router censor accepted")
+	}
+}
+
+// TestObservedIDsMatchesStatusCheckedLoop: observedIDs, which trusts the
+// address index to know who publishes nothing, returns exactly what the
+// loop that also asked each peer's Status returned.
+func TestObservedIDsMatchesStatusCheckedLoop(t *testing.T) {
+	n := network(t)
+	c, err := NewCensor(n, 4, 1, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < c.Routers(); r++ {
+		for day := 0; day < n.Days(); day++ {
+			var want []int32
+			for _, idx := range c.observers[r].ObserveDay(day) {
+				if n.Peers[idx].Status != sim.StatusKnownIP {
+					continue
+				}
+				v4, v6 := c.ix.PeerIDs(idx, day)
+				if v4 < 0 {
+					continue
+				}
+				want = append(want, v4)
+				if v6 >= 0 {
+					want = append(want, v6)
+				}
+			}
+			if got := c.observedIDs(r, day); !slices.Equal(got, want) {
+				t.Fatalf("router %d day %d: %d IDs, the status-checked loop gives %d", r, day, len(got), len(want))
+			}
+		}
 	}
 }

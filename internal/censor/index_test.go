@@ -8,7 +8,9 @@ import (
 )
 
 // TestAddrIndexMatchesAddrOnDay: the interned per-(peer, day) IDs resolve
-// to exactly the addresses AddrOnDay reports, for every peer and day.
+// to exactly the addresses AddrOnDay reports, for every peer and day —
+// and an IPv4 ID is present exactly for known-IP peers, which is what
+// lets Censor.observedIDs ask the index alone and never the peer's Status.
 func TestAddrIndexMatchesAddrOnDay(t *testing.T) {
 	n := network(t)
 	ix := NewAddrIndex(n)
@@ -16,7 +18,7 @@ func TestAddrIndexMatchesAddrOnDay(t *testing.T) {
 		t.Fatal("empty address table")
 	}
 	for _, p := range n.Peers {
-		for day := 0; day < n.Days(); day += 3 {
+		for day := 0; day < n.Days(); day++ {
 			v4, v6 := p.AddrOnDay(day)
 			id4, id6 := ix.PeerIDs(p.Index, day)
 			if p.Status != sim.StatusKnownIP {
@@ -24,6 +26,9 @@ func TestAddrIndexMatchesAddrOnDay(t *testing.T) {
 					t.Fatalf("peer %d: unknown-IP peer has interned addresses", p.Index)
 				}
 				continue
+			}
+			if id4 < 0 {
+				t.Fatalf("peer %d day %d: known-IP peer has no interned IPv4", p.Index, day)
 			}
 			check := func(id int32, addr netip.Addr) {
 				t.Helper()

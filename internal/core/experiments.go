@@ -16,6 +16,7 @@ import (
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 	"github.com/i2pstudy/i2pstudy/internal/stats"
 	"github.com/i2pstudy/i2pstudy/internal/transport"
+	"github.com/i2pstudy/i2pstudy/internal/tunnel"
 )
 
 func init() {
@@ -614,11 +615,15 @@ func runFigure14(ctx context.Context, s *Study) (*Result, error) {
 	// The client's netDb: what the victim knows on the experiment day.
 	victim := censor.NewVictim(s.Net, 911)
 	rng := rand.New(rand.NewPCG(14, 14))
-	var candidates []*netdb.RouterInfo
-	for _, idx := range victim.KnownPeers(day) {
+	known := victim.KnownPeers(day)
+	candidates := make([]*netdb.RouterInfo, 0, len(known))
+	for _, idx := range known {
 		p := s.Net.Peers[idx]
 		candidates = append(candidates, s.Net.RouterInfoFor(p, day, rng))
 	}
+	// One hop pool for every blocking level: the levels differ only in
+	// what the firewall drops, not in what the victim knows.
+	pool := tunnel.DefaultSelector().Prepare(candidates)
 	site := eepsite.NewSite(netdb.HashFromUint64(424242))
 	rates := []float64{0, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.97}
 	fig := &stats.Figure{
@@ -635,7 +640,7 @@ func runFigure14(ctx context.Context, s *Study) (*Result, error) {
 	crawls := make([]eepsite.CrawlStats, len(rates))
 	err := measure.FanOut(ctx, len(rates), s.Workers(), func(i int) error {
 		blocked := hashBlockFraction(rates[i])
-		client := eepsite.NewClient(candidates, blocked)
+		client := eepsite.NewPoolClient(pool, blocked)
 		st, err := client.Crawl(site, 100, rand.New(rand.NewPCG(uint64(rates[i]*1000)+1, 99)))
 		if err != nil {
 			return err

@@ -49,8 +49,6 @@ type FetchConfig struct {
 	PageBudget time.Duration
 	// HopsPerTunnel is the client tunnel length.
 	HopsPerTunnel int
-	// Selector filters hop candidates.
-	Selector tunnel.Selector
 }
 
 // DefaultFetchConfig returns the constants of the paper's experiment.
@@ -60,7 +58,6 @@ func DefaultFetchConfig() FetchConfig {
 		BuildTimeout:  10 * time.Second,
 		PageBudget:    60 * time.Second,
 		HopsPerTunnel: tunnel.DefaultHops,
-		Selector:      tunnel.DefaultSelector(),
 	}
 }
 
@@ -84,9 +81,9 @@ var ErrNoCandidates = errors.New("eepsite: not enough tunnel candidates in netDb
 
 // Client fetches eepsites through tunnels built from its local netDb view.
 type Client struct {
-	// Candidates is the client's netDb: the RouterInfos it can pick
-	// tunnel hops from.
-	Candidates []*netdb.RouterInfo
+	// Pool is the client's netDb prepared for hop selection: the
+	// RouterInfos it can pick tunnel hops from.
+	Pool *tunnel.HopPool
 	// Blocked reports whether a direct connection from the client to the
 	// peer is null-routed. nil means nothing is blocked.
 	Blocked func(h netdb.Hash) bool
@@ -94,9 +91,16 @@ type Client struct {
 	Config FetchConfig
 }
 
-// NewClient builds a client over a netDb view.
+// NewClient builds a client over a netDb view, preparing its hop pool
+// under the default selection policy.
 func NewClient(candidates []*netdb.RouterInfo, blocked func(netdb.Hash) bool) *Client {
-	return &Client{Candidates: candidates, Blocked: blocked, Config: DefaultFetchConfig()}
+	return NewPoolClient(tunnel.DefaultSelector().Prepare(candidates), blocked)
+}
+
+// NewPoolClient builds a client over an already prepared hop pool, so
+// clients that differ only in what is blocked share one.
+func NewPoolClient(pool *tunnel.HopPool, blocked func(netdb.Hash) bool) *Client {
+	return &Client{Pool: pool, Blocked: blocked, Config: DefaultFetchConfig()}
 }
 
 // blockedHop reports whether h is unreachable from the client.
@@ -104,8 +108,7 @@ func (c *Client) blockedHop(h netdb.Hash) bool {
 	return c.Blocked != nil && c.Blocked(h)
 }
 
-// Fetch performs one page load of site at the given time. The rng drives
-// hop selection.
+// Fetch performs one page load of site. The rng drives hop selection.
 func (c *Client) Fetch(site *Site, rng *rand.Rand) (FetchResult, error) {
 	cfg := c.Config
 	elapsed := time.Duration(0)
@@ -115,7 +118,7 @@ func (c *Client) Fetch(site *Site, rng *rand.Rand) (FetchResult, error) {
 		// One attempt: build an outbound and an inbound tunnel. The
 		// victim's direct contacts are the outbound gateway-side first
 		// hop and the inbound delivery hop.
-		hops, err := cfg.Selector.SelectHops(c.Candidates, 2*cfg.HopsPerTunnel, nil, rng)
+		hops, err := c.Pool.Select(2*cfg.HopsPerTunnel, nil, rng)
 		if err != nil {
 			return FetchResult{}, ErrNoCandidates
 		}
@@ -126,7 +129,7 @@ func (c *Client) Fetch(site *Site, rng *rand.Rand) (FetchResult, error) {
 		ok := !c.blockedHop(directOut) && !c.blockedHop(directIn)
 		if ok {
 			// Successful build: hop RTTs plus the base transfer time.
-			elapsed += time.Duration(2*cfg.HopsPerTunnel) * 250 * time.Millisecond
+			elapsed += time.Duration(2*cfg.HopsPerTunnel) * tunnel.DefaultHopRTT
 			load := elapsed + cfg.BaseLoadTime
 			if load > cfg.PageBudget {
 				return FetchResult{StatusCode: http.StatusGatewayTimeout, LoadTime: cfg.PageBudget, BuildAttempts: attempts}, nil

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -181,5 +182,79 @@ func TestCoverageTableMatchesPerPeerForm(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDrawColumnsMatchPeers pins the dense columns the daily draw reads
+// to the peers they were filled from, with == on the floats, and the draw
+// over them to the per-peer form it replaced: the same sightings in the
+// same order.
+func TestDrawColumnsMatchPeers(t *testing.T) {
+	n := testNetwork(t, 10)
+	if len(n.drawClass) != len(n.Peers) || len(n.drawExposure) != len(n.Peers) {
+		t.Fatalf("columns hold %d and %d entries for %d peers", len(n.drawClass), len(n.drawExposure), len(n.Peers))
+	}
+	observers := []*Observer{
+		n.NewObserver(ObserverConfig{Floodfill: true, SharedKBps: MaxSharedKBps, Seed: 1000}),
+		n.NewObserver(ObserverConfig{Floodfill: false, SharedKBps: 512, Seed: 7}),
+	}
+	for i, p := range n.Peers {
+		if p.Index != i {
+			t.Fatalf("peer at %d carries index %d", i, p.Index)
+		}
+		if int(n.drawClass[i]) != p.affinityClass() {
+			t.Fatalf("peer %d: class column %d, affinityClass %d", i, n.drawClass[i], p.affinityClass())
+		}
+		if n.drawExposure[i] != p.Exposure {
+			t.Fatalf("peer %d: exposure column %v, Exposure %v", i, n.drawExposure[i], p.Exposure)
+		}
+		for _, o := range observers {
+			if got, want := o.gamma[n.drawClass[i]]*n.drawExposure[i], o.ObserveProbability(p); got != want {
+				t.Fatalf("peer %d: dense product %v, ObserveProbability %v", i, got, want)
+			}
+		}
+	}
+	for _, o := range observers {
+		for day := 0; day < n.Days(); day++ {
+			rng := o.dayRNG(day)
+			var want []int
+			for _, idx := range n.ActivePeers(day) {
+				p := n.Peers[idx]
+				if rng.Float64() < o.gamma[p.affinityClass()]*p.Exposure {
+					want = append(want, idx)
+				}
+			}
+			if got := o.ObserveDay(day); !slices.Equal(got, want) {
+				t.Fatalf("seed %d day %d: %d sightings over the columns, %d over the peers", o.Cfg.Seed, day, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestUnionObserveDayFirstSeenOrder: the union lists each peer once, where
+// the first observer to see it reported it.
+func TestUnionObserveDayFirstSeenOrder(t *testing.T) {
+	n := testNetwork(t, 10)
+	observers := []*Observer{
+		n.NewObserver(ObserverConfig{Floodfill: true, SharedKBps: 128, Seed: 1}),
+		n.NewObserver(ObserverConfig{Floodfill: false, SharedKBps: 1024, Seed: 2}),
+		n.NewObserver(ObserverConfig{Floodfill: false, SharedKBps: MaxSharedKBps, Seed: 3}),
+	}
+	const day = 4
+	seen := map[int]bool{}
+	var want []int
+	for _, o := range observers {
+		for _, idx := range o.ObserveDay(day) {
+			if !seen[idx] {
+				seen[idx] = true
+				want = append(want, idx)
+			}
+		}
+	}
+	if got := UnionObserveDay(observers, day); !slices.Equal(got, want) {
+		t.Fatalf("union of %d peers differs from the %d first sightings", len(got), len(want))
+	}
+	if got := UnionObserveDay(nil, day); got != nil {
+		t.Fatalf("union of no observers = %v", got)
 	}
 }

@@ -230,9 +230,9 @@ func (o *Observer) observeDay(day int) []int {
 	// the active peers this observer sees, and nothing regrows.
 	scratch := drawScratch.Get().(*[]int)
 	out := (*scratch)[:0]
+	class, exposure := o.net.drawClass, o.net.drawExposure
 	for _, idx := range active {
-		p := o.net.Peers[idx]
-		if rng.Float64() < o.gamma[p.affinityClass()]*p.Exposure {
+		if rng.Float64() < o.gamma[class[idx]]*exposure[idx] {
 			out = append(out, idx)
 		}
 	}
@@ -251,6 +251,16 @@ type ClaimSet []uint64
 
 // NewClaimSet returns an empty set sized for the network's peers.
 func (n *Network) NewClaimSet() ClaimSet { return make(ClaimSet, (len(n.Peers)+63)/64) }
+
+// claim marks peer idx and reports whether it was unmarked until now.
+func (c ClaimSet) claim(idx int) bool {
+	word, bit := idx>>6, uint64(1)<<(idx&63)
+	if c[word]&bit != 0 {
+		return false
+	}
+	c[word] |= bit
+	return true
+}
 
 // CaptureDay appends to out the RouterInfos the observer captured on the
 // given day for peers not yet in claimed, and claims them. Every observer
@@ -275,12 +285,9 @@ func (o *Observer) capture(day int, rng *rand.Rand, claimed ClaimSet, out []*net
 	for _, idx := range o.ObserveDay(day) {
 		p := o.net.Peers[idx]
 		d := p.drawInfo(pool, rng)
-		word, bit := idx>>6, uint64(1)<<(idx&63)
-		if claimed[word]&bit != 0 {
-			continue
+		if claimed.claim(idx) {
+			out = append(out, p.buildInfo(day, dayTime, d))
 		}
-		claimed[word] |= bit
-		out = append(out, p.buildInfo(day, dayTime, d))
 	}
 	return out
 }
@@ -294,14 +301,17 @@ func (o *Observer) CollectDay(day int) []*netdb.RouterInfo {
 }
 
 // UnionObserveDay returns the union of observations of several observers
-// on one day, deduplicated, preserving no particular order.
+// on one day, deduplicated, each peer where the first observer in the
+// list to see it reported it.
 func UnionObserveDay(observers []*Observer, day int) []int {
-	seen := make(map[int]bool)
+	if len(observers) == 0 {
+		return nil
+	}
+	seen := observers[0].net.NewClaimSet()
 	var out []int
 	for _, o := range observers {
 		for _, idx := range o.ObserveDay(day) {
-			if !seen[idx] {
-				seen[idx] = true
+			if seen.claim(idx) {
 				out = append(out, idx)
 			}
 		}

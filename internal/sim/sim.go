@@ -126,6 +126,12 @@ type Network struct {
 	// introducersByDay[d] caches the known-IP reachable peers available
 	// as introducers on day d.
 	introducersByDay []introducerPool
+	// drawClass[i] and drawExposure[i] are Peers[i].affinityClass() and
+	// Peers[i].Exposure, the two per-peer inputs of the observation draw,
+	// as dense columns: the draw visits every active peer of a day for
+	// every observer and reads these instead of the scattered Peers.
+	drawClass    []uint8
+	drawExposure []float64
 
 	obs ObservationParams
 }
@@ -271,6 +277,8 @@ func (n *Network) populate() {
 		}
 		n.decorate(p, rng)
 		n.Peers = append(n.Peers, p)
+		n.drawClass = append(n.drawClass, uint8(p.affinityClass()))
+		n.drawExposure = append(n.drawExposure, p.Exposure)
 	}
 
 	// Steady-state initial population: for each age t, round(lambda *

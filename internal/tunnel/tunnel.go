@@ -7,12 +7,23 @@
 // paper's Figure 1): the requester's outbound, the responder's inbound, the
 // responder's outbound and the requester's inbound. The eepsite package
 // builds on this to reproduce the page-load experiment of Figure 14.
+//
+// Hop selection is prepare once, draw many: Selector.Prepare filters and
+// weights a netDb view into an immutable HopPool, and every tunnel-build
+// attempt after that is a HopPool.Select — a few binary searches over the
+// pool's prefix sums, shared freely between goroutines. The draw is
+// bit-compatible with a linear scan that subtracts weights from
+// x = rng.Float64() * total until x <= 0: the weights are small integers,
+// so every subtraction that leaves x positive is exact in float64 and
+// "x minus the first i weights <= 0" is the same predicate as
+// "x <= prefix[i]".
 package tunnel
 
 import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
@@ -28,6 +39,10 @@ const MaxHops = 7
 
 // DefaultHops is the common tunnel length used in the paper's figures.
 const DefaultHops = 2
+
+// DefaultHopRTT is the per-hop round-trip cost of tunnel construction when
+// no model is supplied: a mid-range figure for relayed hops.
+const DefaultHopRTT = 250 * time.Millisecond
 
 // Direction distinguishes inbound from outbound tunnels.
 type Direction int
@@ -131,9 +146,9 @@ func (s Selector) Eligible(ri *netdb.RouterInfo) bool {
 // weight returns the selection weight for an eligible record: bandwidth
 // class index squared, so O/P/X peers carry most tunnels, as the paper's
 // profiling citation (zzz & Schimmer 2009) describes.
-func (s Selector) weight(ri *netdb.RouterInfo) float64 {
-	idx := ri.Caps.Class.Index() + 1
-	return float64(idx * idx)
+func (s Selector) weight(ri *netdb.RouterInfo) int64 {
+	idx := int64(ri.Caps.Class.Index() + 1)
+	return idx * idx
 }
 
 // Errors from hop selection and tunnel building.
@@ -142,50 +157,191 @@ var (
 	ErrBuildFailed    = errors.New("tunnel: build failed")
 )
 
-// SelectHops draws n distinct hops from candidates, excluding any hash in
+// HopPool is a candidate set prepared for hop selection: the records that
+// pass a Selector's policy, as an identity column beside the running sum
+// of their weights. It is immutable once Prepare returns and safe for
+// concurrent Select.
+type HopPool struct {
+	ids []netdb.Hash
+	// prefix[i] is the summed weight of ids[0..i].
+	prefix []int64
+	// index maps an identity to its position in ids, for exclude.
+	index map[netdb.Hash]int32
+}
+
+// Prepare filters candidates by Eligible and weights them once, in input
+// order. A pool holds one entry per identity: of several records with the
+// same identity the first eligible one counts.
+func (s Selector) Prepare(candidates []*netdb.RouterInfo) *HopPool {
+	eligible := 0
+	for _, ri := range candidates {
+		if s.Eligible(ri) {
+			eligible++
+		}
+	}
+	p := &HopPool{
+		ids:    make([]netdb.Hash, 0, eligible),
+		prefix: make([]int64, 0, eligible),
+		index:  make(map[netdb.Hash]int32, eligible),
+	}
+	total := int64(0)
+	for _, ri := range candidates {
+		if !s.Eligible(ri) {
+			continue
+		}
+		if _, dup := p.index[ri.Identity]; dup {
+			continue
+		}
+		total += s.weight(ri)
+		p.index[ri.Identity] = int32(len(p.ids))
+		p.ids = append(p.ids, ri.Identity)
+		p.prefix = append(p.prefix, total)
+	}
+	return p
+}
+
+// weight returns the weight of the entry at pool position i.
+func (p *HopPool) weight(i int32) int64 {
+	if i == 0 {
+		return p.prefix[0]
+	}
+	return p.prefix[i] - p.prefix[i-1]
+}
+
+// Select draws n distinct hops from the pool, excluding any hash in
 // exclude (typically the owner itself and hops of the paired tunnel).
-// Selection is weighted random without replacement.
-func (s Selector) SelectHops(candidates []*netdb.RouterInfo, n int, exclude map[netdb.Hash]bool, rng *rand.Rand) ([]netdb.Hash, error) {
+// Selection is weighted random without replacement: each draw takes
+// x = rng.Float64() * (remaining weight) and picks the first remaining
+// entry whose running weight reaches x; the picked entry's slot is then
+// filled by the last remaining entry.
+//
+// The pool is never copied or edited. The entries left after exclude are
+// addressed through the sorted list of excluded positions, and the slots a
+// draw refilled are kept as at most n patches, so the running weight at
+// any slot is a prefix sum plus a few corrections and each draw is a
+// binary search.
+func (p *HopPool) Select(n int, exclude map[netdb.Hash]bool, rng *rand.Rand) ([]netdb.Hash, error) {
 	if n <= 0 || n > MaxHops {
 		return nil, fmt.Errorf("tunnel: invalid hop count %d", n)
 	}
-	type cand struct {
-		h netdb.Hash
-		w float64
-	}
-	pool := make([]cand, 0, len(candidates))
-	total := 0.0
-	for _, ri := range candidates {
-		if !s.Eligible(ri) || (exclude != nil && exclude[ri.Identity]) {
-			continue
+	var d draw
+	d.pool = p
+	d.gone = d.goneBuf[:0]
+	for h, on := range exclude {
+		if pos, ok := p.index[h]; on && ok {
+			at, _ := slices.BinarySearch(d.gone, pos)
+			d.gone = slices.Insert(d.gone, at, pos)
 		}
-		w := s.weight(ri)
-		pool = append(pool, cand{ri.Identity, w})
-		total += w
 	}
-	if len(pool) < n {
-		return nil, fmt.Errorf("%w: need %d, have %d", ErrNotEnoughPeers, n, len(pool))
+	live := len(p.ids) - len(d.gone)
+	if live < n {
+		return nil, fmt.Errorf("%w: need %d, have %d", ErrNotEnoughPeers, n, live)
 	}
+	total := d.running(live - 1)
 	hops := make([]netdb.Hash, 0, n)
 	for len(hops) < n {
-		x := rng.Float64() * total
-		idx := -1
-		for i := range pool {
-			x -= pool[i].w
-			if x <= 0 {
-				idx = i
-				break
+		x := rng.Float64() * float64(total)
+		// The first slot whose running weight reaches x; rounding in the
+		// product can leave x past every slot, which means the last one.
+		lo, hi := 0, live-1
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if x <= float64(d.running(mid)) {
+				hi = mid
+			} else {
+				lo = mid + 1
 			}
 		}
-		if idx < 0 {
-			idx = len(pool) - 1
+		at := d.entry(lo)
+		hops = append(hops, p.ids[at])
+		total -= p.weight(at)
+		live--
+		if lo != live {
+			d.refill(lo, d.entry(live))
 		}
-		hops = append(hops, pool[idx].h)
-		total -= pool[idx].w
-		pool[idx] = pool[len(pool)-1]
-		pool = pool[:len(pool)-1]
 	}
 	return hops, nil
+}
+
+// draw is the state of one Select: which pool positions exclude removed
+// and which slots earlier draws refilled. A slot is an index into the
+// entries still in play; before any draw slot v holds the v-th
+// non-excluded pool position.
+type draw struct {
+	pool *HopPool
+	// gone lists the excluded pool positions in ascending order; goneBuf
+	// backs it for the usual handful of excludes.
+	gone    []int32
+	goneBuf [2 * MaxHops]int32
+	// patch[:patches] are the refilled slots: slot holds pool position at,
+	// which weighs delta more than what the slot held before any draw.
+	patch [MaxHops]struct {
+		slot, at int32
+		delta    int64
+	}
+	patches int
+}
+
+// origin returns the pool position slot v held before any draw, and the
+// summed weight of the excluded positions before it.
+func (d *draw) origin(v int) (at int32, skipped int64) {
+	at = int32(v)
+	for _, g := range d.gone {
+		if g > at {
+			break
+		}
+		at++
+		skipped += d.pool.weight(g)
+	}
+	return at, skipped
+}
+
+// patched returns which patch holds slot v, or d.patches when none does.
+func (d *draw) patched(v int) int {
+	i := 0
+	for i < d.patches && int(d.patch[i].slot) != v {
+		i++
+	}
+	return i
+}
+
+// entry returns the pool position slot v holds now.
+func (d *draw) entry(v int) int32 {
+	if i := d.patched(v); i < d.patches {
+		return d.patch[i].at
+	}
+	at, _ := d.origin(v)
+	return at
+}
+
+// running returns the summed weight of slots 0..v as they stand now.
+func (d *draw) running(v int) int64 {
+	at, skipped := d.origin(v)
+	sum := d.pool.prefix[at] - skipped
+	for _, pt := range d.patch[:d.patches] {
+		if int(pt.slot) <= v {
+			sum += pt.delta
+		}
+	}
+	return sum
+}
+
+// refill records that slot v now holds pool position at.
+func (d *draw) refill(v int, at int32) {
+	i := d.patched(v)
+	if i == d.patches {
+		d.patches++
+	}
+	was, _ := d.origin(v)
+	d.patch[i].slot, d.patch[i].at = int32(v), at
+	d.patch[i].delta = d.pool.weight(at) - d.pool.weight(was)
+}
+
+// SelectHops draws n distinct hops from candidates, excluding any hash in
+// exclude: Prepare followed by one Select. A caller that draws more than
+// once from the same candidates should keep the pool.
+func (s Selector) SelectHops(candidates []*netdb.RouterInfo, n int, exclude map[netdb.Hash]bool, rng *rand.Rand) ([]netdb.Hash, error) {
+	return s.Prepare(candidates).Select(n, exclude, rng)
 }
 
 // BuildResult reports a tunnel construction attempt.
@@ -208,7 +364,7 @@ type Builder struct {
 	// null-routing firewall in here.
 	Reachable func(h netdb.Hash) bool
 	// HopRTT models the per-hop round-trip cost during construction. nil
-	// means a constant 250 ms, a mid-range figure for relayed hops.
+	// means a constant DefaultHopRTT.
 	HopRTT func(h netdb.Hash) time.Duration
 	// Timeout is charged when a hop is unreachable (the build request is
 	// silently dropped by a null-routing censor and the client waits).
@@ -229,7 +385,7 @@ func (b *Builder) rtt(h netdb.Hash) time.Duration {
 	if b.HopRTT != nil {
 		return b.HopRTT(h)
 	}
-	return 250 * time.Millisecond
+	return DefaultHopRTT
 }
 
 // Build attempts to construct a tunnel through hops at time now: the
