@@ -51,7 +51,7 @@ func NewCensor(network *sim.Network, routers, windowDays int, seedBase uint64) (
 	if windowDays <= 0 {
 		windowDays = 1
 	}
-	c := &Censor{net: network, ix: indexFor(network), WindowDays: windowDays}
+	c := &Censor{net: network, ix: IndexFor(network), WindowDays: windowDays}
 	for i := 0; i < routers; i++ {
 		c.observers = append(c.observers, network.NewObserver(sim.ObserverConfig{
 			Name:       fmt.Sprintf("censor-%02d", i),
@@ -168,7 +168,7 @@ func NewVictim(network *sim.Network, seed uint64) *Victim {
 			SharedKBps: 512,
 			Seed:       seed,
 		}),
-		ix:              indexFor(network),
+		ix:              IndexFor(network),
 		NetDbWindowDays: 2,
 		addrSets:        cache.NewDayMemo[*AddrSet](network.Days(), victimAddrSetRing),
 		knownPeers:      cache.NewDayMemo[[]int](network.Days(), victimKnownPeersRing),

@@ -203,29 +203,14 @@ func (s *AddrSet) ForEach(fn func(id int32)) {
 	}
 }
 
-// indexCache shares one AddrIndex per network across every censor, victim
-// and sweep built on it: the censorship experiments run concurrently on
-// one study network (core.Study.RunAll) and must not each re-intern the
-// address table. Entries pin their network for the process lifetime, which
-// is fine for the handful of long-lived networks a process builds.
-var indexCache sync.Map // *sim.Network -> *indexOnce
+// indexKey is the index's sim.Derive key.
+type indexKey struct{}
 
-type indexOnce struct {
-	once sync.Once
-	ix   *AddrIndex
-}
-
-// IndexFor returns the network's shared address index, building it at most
-// once per network. Exported for the distrib subsystem, whose
-// enumeration-fed blacklists are AddrSets over the same interned table the
-// censor sweeps use.
-func IndexFor(n *sim.Network) *AddrIndex { return indexFor(n) }
-
-// indexFor returns the network's shared address index, building it at
-// most once per network.
-func indexFor(n *sim.Network) *AddrIndex {
-	v, _ := indexCache.LoadOrStore(n, &indexOnce{})
-	e := v.(*indexOnce)
-	e.once.Do(func() { e.ix = NewAddrIndex(n) })
-	return e.ix
+// IndexFor returns the network's address index. It is network-owned
+// (sim.Derive): built at most once per network, shared by every censor,
+// victim, sweep and distrib blacklist on that network — the censorship
+// experiments run concurrently on one study network (core.Study.RunAll)
+// and must not each re-intern the address table — and collected with it.
+func IndexFor(n *sim.Network) *AddrIndex {
+	return sim.Derive(n, indexKey{}, func() *AddrIndex { return NewAddrIndex(n) })
 }

@@ -2,6 +2,7 @@ package censor
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/sim"
@@ -65,7 +66,7 @@ func TestAddrIndexIDOf(t *testing.T) {
 
 func TestAddrSetOps(t *testing.T) {
 	n := network(t)
-	ix := indexFor(n)
+	ix := IndexFor(n)
 	s := ix.NewSet()
 	if s.Len() != 0 || s.Has(0) {
 		t.Fatal("fresh set not empty")
@@ -101,7 +102,8 @@ func TestAddrSetOps(t *testing.T) {
 }
 
 // TestIndexSharedPerNetwork: every censor and victim on one network uses
-// one interned table.
+// one interned table, owned by that network — a second network built
+// from the same config interns an equal table of its own.
 func TestIndexSharedPerNetwork(t *testing.T) {
 	n := network(t)
 	c, err := NewCensor(n, 2, 1, 1)
@@ -109,8 +111,15 @@ func TestIndexSharedPerNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := NewVictim(n, 2)
-	if c.ix != v.ix || c.ix != indexFor(n) {
+	if c.ix != v.ix || c.ix != IndexFor(n) {
 		t.Fatal("censor and victim do not share the per-network index")
+	}
+	twin, err := sim.New(n.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tix := IndexFor(twin); tix == c.ix || !slices.Equal(tix.addrs, c.ix.addrs) {
+		t.Fatal("an identically configured network must own a distinct, equal index")
 	}
 }
 

@@ -16,7 +16,7 @@ func TestWindowCounterPoolCounters(t *testing.T) {
 	t.Cleanup(func() { obs.Enable(prev) })
 
 	n := network(t)
-	ix := indexFor(n)
+	ix := IndexFor(n)
 	wc := ix.NewWindowCounter()
 	ix.ReleaseWindowCounter(wc)
 	wc2 := ix.NewWindowCounter()

@@ -250,7 +250,7 @@ func benchmarkFigure13Sweep(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	indexFor(n) // the shared index is built once per network; exclude it
+	IndexFor(n) // the shared index is built once per network; exclude it
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

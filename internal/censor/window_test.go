@@ -41,7 +41,7 @@ func randomSlices(rng *rand.Rand, n, maxLen, numAddrs int) [][]int32 {
 // returns the counter to empty.
 func TestWindowCounterRemoveDayInvertsAddDay(t *testing.T) {
 	n := network(t)
-	ix := indexFor(n)
+	ix := IndexFor(n)
 	rng := rand.New(rand.NewPCG(2024, 7))
 	for trial := 0; trial < 20; trial++ {
 		wc := ix.NewWindowCounter()
@@ -82,7 +82,7 @@ func TestWindowCounterRemoveDayInvertsAddDay(t *testing.T) {
 // equals the from-scratch AddrSet union of the currently-held slices.
 func TestWindowCounterMatchesSetUnion(t *testing.T) {
 	n := network(t)
-	ix := indexFor(n)
+	ix := IndexFor(n)
 	rng := rand.New(rand.NewPCG(99, 3))
 	wc := ix.NewWindowCounter()
 	var held [][]int32
@@ -120,7 +120,7 @@ func TestWindowCounterMatchesSetUnion(t *testing.T) {
 // address's count transitions 0 -> 1, and Has/Len/Set stay consistent.
 func TestWindowCounterEnterHook(t *testing.T) {
 	n := network(t)
-	ix := indexFor(n)
+	ix := IndexFor(n)
 	wc := ix.NewWindowCounter()
 	var entered []int32
 	hook := func(id int32) { entered = append(entered, id) }
@@ -144,7 +144,7 @@ func TestWindowCounterEnterHook(t *testing.T) {
 
 func TestAddrSetRemoveAndClone(t *testing.T) {
 	n := network(t)
-	ix := indexFor(n)
+	ix := IndexFor(n)
 	s := ix.NewSet()
 	s.AddAll([]int32{1, 64, 65})
 	if s.Remove(-1) || s.Remove(2) {
@@ -193,7 +193,7 @@ func checkExpiryInvariant(t *testing.T, wc *WindowCounter, step int) {
 // live == {addr : count > 0} after every single operation.
 func TestWindowCounterInterleavingInvariant(t *testing.T) {
 	n := network(t)
-	ix := indexFor(n)
+	ix := IndexFor(n)
 	rng := rand.New(rand.NewPCG(2026, 11))
 	for trial := 0; trial < 8; trial++ {
 		wc := ix.NewWindowCounter()

@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"net"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/i2pstudy/i2pstudy/internal/censor"
@@ -766,37 +766,25 @@ func runDPIFingerprinting(ctx context.Context, s *Study) (*Result, error) {
 	detect := func(variant transport.Variant) (float64, error) {
 		var mb transport.Middlebox
 		cfg := transport.Config{Variant: variant, RouterHash: netdb.HashFromUint64(777), HandshakeTimeout: 5 * time.Second}
-		l, err := transport.Listen("tcp", "127.0.0.1:0", cfg)
-		if err != nil {
-			return 0, err
-		}
-		defer l.Close()
-		done := make(chan error, 1)
-		var acceptWG sync.WaitGroup
-		acceptWG.Add(1)
-		go func() {
-			defer acceptWG.Done()
-			for i := 0; i < flows; i++ {
-				c, err := l.Accept()
-				if err != nil {
-					done <- err
-					return
-				}
-				c.Close()
+		// Each flow handshakes over an in-memory pipe: the study opens no
+		// socket. Closing a side on return unblocks a peer left mid-message.
+		for range flows {
+			cc, sc := net.Pipe()
+			served := make(chan error, 1)
+			go func() {
+				_, err := transport.ServerHandshake(sc, cfg)
+				sc.Close()
+				served <- err
+			}()
+			c, err := transport.ClientHandshake(cc, cfg)
+			cc.Close()
+			if serr := <-served; err == nil {
+				err = serr
 			}
-			done <- nil
-		}()
-		for i := 0; i < flows; i++ {
-			c, err := transport.Dial("tcp", l.Addr().String(), cfg)
 			if err != nil {
 				return 0, err
 			}
 			mb.Observe(c.HandshakeTrace())
-			c.Close()
-		}
-		acceptWG.Wait()
-		if err := <-done; err != nil {
-			return 0, err
 		}
 		return mb.DetectionRate(), nil
 	}

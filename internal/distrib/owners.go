@@ -1,8 +1,6 @@
 package distrib
 
 import (
-	"sync"
-
 	"github.com/i2pstudy/i2pstudy/internal/cache"
 	"github.com/i2pstudy/i2pstudy/internal/censor"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
@@ -14,31 +12,21 @@ const ownersRing = "distrib_owners"
 
 func init() { cache.PreRegisterRing(ownersRing) }
 
-// Owner tables — owners[addrID] = the peer publishing the address on a
-// day, or -1 — are pure functions of the immutable network and the day,
-// exactly like the shared censor.AddrIndex they are built over. Every
-// arms-race cell folds one per horizon day (collateral accounting), so
-// the tables are shared process-wide, keyed (network, day) like
-// censor.indexFor: one day-indexed cache.DayMemo per network (pinned
-// for the process lifetime, matching the index cache), which can hold
-// at most the network's own days.
-//
-// Epoch-cache contract: sim.Network is immutable after construction,
-// which is what makes lock-free sharing safe. Any future mutating
-// network API (live churn, streaming arrivals) must invalidate or epoch
-// these entries together with censor's AddrIndex cache and the
-// per-observer ObserveDay memos — see ROADMAP.md.
-var ownerCache sync.Map // *sim.Network -> *cache.DayMemo[[]int32]
+// ownersKey is the owner memo's sim.Derive key.
+type ownersKey struct{}
 
-// ownersFor returns the day's shared addrID -> publishing-peer table.
-// The slice is shared across every sweep on the network and must be
-// treated as read-only.
+// ownersFor returns the day's addrID -> publishing-peer table
+// (owners[addrID] = the peer publishing the address that day, or -1), a
+// pure function of the immutable network and the day. Every arms-race
+// cell folds one per horizon day (collateral accounting), so the tables
+// are network-owned (sim.Derive): one day-indexed cache.DayMemo per
+// network, holding at most the network's own days, shared by every
+// sweep on it and collected with it. The slice is read-only.
 func ownersFor(n *sim.Network, day int) []int32 {
-	v, ok := ownerCache.Load(n)
-	if !ok {
-		v, _ = ownerCache.LoadOrStore(n, cache.NewDayMemo[[]int32](n.Days(), ownersRing))
-	}
-	return v.(*cache.DayMemo[[]int32]).Get(day, func(day int) []int32 { return buildOwners(n, day) })
+	memo := sim.Derive(n, ownersKey{}, func() *cache.DayMemo[[]int32] {
+		return cache.NewDayMemo[[]int32](n.Days(), ownersRing)
+	})
+	return memo.Get(day, func(day int) []int32 { return buildOwners(n, day) })
 }
 
 // buildOwners is the from-scratch reference compute behind ownersFor.

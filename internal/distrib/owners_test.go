@@ -1,16 +1,18 @@
 package distrib
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/censor"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
-// TestOwnersEpochShared: the owner tables are shared process-wide per
-// (network, day) — repeated lookups (and therefore repeated Sweeps on
-// one network) receive the same slice instead of rebuilding it — and
-// the cached table matches the from-scratch reference.
+// TestOwnersEpochShared: the owner tables are shared per network, not per
+// process — repeated lookups on one network (and therefore repeated
+// Sweeps on it) receive the same slice instead of rebuilding it, a
+// second network built from the same config gets equal content in its
+// own table — and the cached table matches the from-scratch reference.
 func TestOwnersEpochShared(t *testing.T) {
 	n := network(t)
 	day := 12
@@ -18,6 +20,19 @@ func TestOwnersEpochShared(t *testing.T) {
 	b := ownersFor(n, day)
 	if len(a) == 0 || &a[0] != &b[0] {
 		t.Fatal("owner table not shared across lookups")
+	}
+	twin, err := sim.New(n.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := ownersFor(twin, day); &c[0] == &a[0] || !slices.Equal(c, a) {
+		t.Fatal("an identically configured network must own a distinct, equal owner table")
+	}
+	rev := peerIndexByHash(n)
+	for _, p := range n.Peers {
+		if idx, ok := rev[p.ID]; !ok || idx != p.Index {
+			t.Fatalf("reverse map resolves peer %d to %d (present %v)", p.Index, idx, ok)
+		}
 	}
 	ref := buildOwners(n, day)
 	if len(a) != len(ref) {

@@ -7,7 +7,6 @@ import (
 	"math/rand/v2"
 
 	"github.com/i2pstudy/i2pstudy/internal/censor"
-	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -101,25 +100,21 @@ func (r CellResult) DaysToEnumerate(frac float64) int {
 }
 
 // Sweep binds a grid to a network with the shared substrate built once:
-// one backend pool per distribution day and the network's address index.
-// The per-day address-owner tables collateral accounting folds against
-// live outside the Sweep entirely, in the (network, day) epoch cache
-// (see owners.go) — repeated sweeps and arms-race grids share them.
+// one backend pool per distribution day. The address index, the
+// introducer-hash reverse map (view.go) and the per-day address-owner
+// tables collateral accounting folds against (owners.go) live outside
+// the Sweep, on the network itself (sim.Derive) — repeated sweeps and
+// arms-race grids share them.
 type Sweep struct {
 	Net *sim.Network
 	Cfg SweepConfig
 
-	ix       *censor.AddrIndex
 	backends map[int]*Backend
 	// apis serve every cell's handouts — one HandoutAPI per distribution
 	// day, the same request → handout code path the resident service
 	// (internal/service) exposes over HTTP, so the worker-determinism
 	// goldens covering these cells cover the daemon's responses too.
 	apis map[int]*HandoutAPI
-	// peerByHash resolves RouterInfo introducer hashes back to peer
-	// indexes, so enumerating a firewalled bridge's bundle also leaks the
-	// introducers it published.
-	peerByHash map[netdb.Hash]int
 }
 
 // NewSweep validates the grid and builds the shared backends. Building is
@@ -141,12 +136,10 @@ func NewSweep(network *sim.Network, cfg SweepConfig) (*Sweep, error) {
 		cfg.MaxResources = 200
 	}
 	s := &Sweep{
-		Net:        network,
-		Cfg:        cfg,
-		ix:         censor.IndexFor(network),
-		backends:   make(map[int]*Backend, len(cfg.Days)),
-		apis:       make(map[int]*HandoutAPI, len(cfg.Days)),
-		peerByHash: peerIndexByHash(network),
+		Net:      network,
+		Cfg:      cfg,
+		backends: make(map[int]*Backend, len(cfg.Days)),
+		apis:     make(map[int]*HandoutAPI, len(cfg.Days)),
 	}
 	for _, day := range cfg.Days {
 		if day+cfg.HorizonDays >= network.Days() {
@@ -213,11 +206,11 @@ func (s *Sweep) cellSeed(c Cell) uint64 {
 // cell-level measure.FanOut rather than measure.FanRows rows: an
 // arms-race cell carries no rolling state a row could slide — each cell
 // is seeded from its own coordinates and the owner tables it folds come
-// from the order-independent (network, day) epoch cache — so grouping
+// from the order-independent network-owned day memo — so grouping
 // cells into rows would only cap parallelism (a one-distributor,
 // one-enumerator, many-day grid would serialize) without saving any
 // work. Cells() enumerates days outermost, so index-order hand-out
-// already warms each day's owner-table epoch front-to-back. Every cell
+// already warms each day's owner table front-to-back. Every cell
 // is deterministic in its own coordinates, so any Workers value yields
 // byte-identical results. The first error (or ctx cancellation) cancels
 // the rest.
@@ -247,7 +240,7 @@ func (s *Sweep) runCell(c Cell) (CellResult, error) {
 
 	// The censor's enumeration-fed blacklist and discovery set, with
 	// the discover/usable rules shared with the trust rows (view.go).
-	cv := newCensorView(s.Net, s.ix, s.peerByHash, s.Cfg.IntroducersPerBridge, rng)
+	cv := newCensorView(s.Net, s.Cfg.IntroducersPerBridge, rng)
 
 	// requester is any sticky identity whose handout is cached by ring
 	// key: equal keys imply equal handouts, so the work (for

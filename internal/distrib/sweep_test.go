@@ -178,8 +178,8 @@ func TestSweepCancelled(t *testing.T) {
 // BenchmarkDistribSweepSerial / Parallel are the distribution-pipeline
 // perf pair. Each iteration rebuilds the sweep with fresh backends, so the numbers
 // measure real partition + arms-race work at each width; the per-day
-// owner tables come from the process-wide (network, day) epoch cache,
-// so after the first iteration they are cache hits — repeated sweeps on
+// owner tables come from the network-owned day memo (owners.go), so
+// after the first iteration they are cache hits — repeated sweeps on
 // one network are exactly the workload the cache exists for, and the
 // bench measures it that way. The pair is -short-safe: the CI bench
 // smoke covers it at -benchtime=1x.

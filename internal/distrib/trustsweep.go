@@ -8,7 +8,6 @@ import (
 
 	"github.com/i2pstudy/i2pstudy/internal/censor"
 	"github.com/i2pstudy/i2pstudy/internal/measure"
-	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -132,16 +131,14 @@ type TrustLeak struct {
 }
 
 // TrustSweep binds a trust grid to a network with the shared substrate
-// built once: the backend pool on the distribution day, the address
-// index, and the introducer-hash reverse map.
+// built once: the backend pool on the distribution day. The address
+// index and the introducer-hash reverse map are the network's (view.go).
 type TrustSweep struct {
 	Net *sim.Network
 	Cfg TrustSweepConfig
 
-	ix         *censor.AddrIndex
-	backend    *Backend
-	api        *HandoutAPI
-	peerByHash map[netdb.Hash]int
+	backend *Backend
+	api     *HandoutAPI
 }
 
 // NewTrustSweep validates the grid and builds the shared backend.
@@ -183,12 +180,10 @@ func NewTrustSweep(network *sim.Network, cfg TrustSweepConfig) (*TrustSweep, err
 		return nil, err
 	}
 	return &TrustSweep{
-		Net:        network,
-		Cfg:        cfg,
-		ix:         censor.IndexFor(network),
-		backend:    backend,
-		api:        api,
-		peerByHash: peerIndexByHash(network),
+		Net:     network,
+		Cfg:     cfg,
+		backend: backend,
+		api:     api,
 	}, nil
 }
 
@@ -321,7 +316,7 @@ func (s *TrustSweep) newTrustState(d *TrustSocial, e Enumerator) *trustState {
 		clean:       make([]int, n),
 		attempt:     make([]int, n),
 		handout:     make([][]Resource, n),
-		cv:          newCensorView(s.Net, s.ix, s.peerByHash, s.Cfg.IntroducersPerBridge, rng),
+		cv:          newCensorView(s.Net, s.Cfg.IntroducersPerBridge, rng),
 		day:         -1,
 
 		burnedBefore: make(map[int]bool),

@@ -32,11 +32,12 @@ type censorView struct {
 	discovered map[int]bool
 }
 
-func newCensorView(net *sim.Network, ix *censor.AddrIndex, peerByHash map[netdb.Hash]int, introducersPerBridge int, rng *rand.Rand) *censorView {
+func newCensorView(net *sim.Network, introducersPerBridge int, rng *rand.Rand) *censorView {
+	ix := censor.IndexFor(net)
 	return &censorView{
 		net:                  net,
 		ix:                   ix,
-		peerByHash:           peerByHash,
+		peerByHash:           peerIndexByHash(net),
 		introducersPerBridge: introducersPerBridge,
 		rng:                  rng,
 		bl:                   ix.NewSet(),
@@ -108,12 +109,18 @@ func (cv *censorView) anyUsable(rs []Resource, day int) bool {
 	return false
 }
 
-// peerIndexByHash builds the identity-hash -> peer-index reverse map
-// both sweeps resolve RouterInfo introducer hashes through.
+// peerByHashKey is the reverse map's sim.Derive key.
+type peerByHashKey struct{}
+
+// peerIndexByHash returns the network-owned (sim.Derive) identity-hash ->
+// peer-index reverse map both sweeps resolve RouterInfo introducer
+// hashes through; read-only.
 func peerIndexByHash(net *sim.Network) map[netdb.Hash]int {
-	m := make(map[netdb.Hash]int, len(net.Peers))
-	for _, p := range net.Peers {
-		m[p.ID] = p.Index
-	}
-	return m
+	return sim.Derive(net, peerByHashKey{}, func() map[netdb.Hash]int {
+		m := make(map[netdb.Hash]int, len(net.Peers))
+		for _, p := range net.Peers {
+			m[p.ID] = p.Index
+		}
+		return m
+	})
 }

@@ -141,6 +141,14 @@ func (s *Service) handleHandout(w http.ResponseWriter, r *http.Request) {
 	}
 	code := http.StatusOK
 	defer func() {
+		// dist is client input: a refused request is labelled with it only
+		// when it names a real distributor, so garbage values cannot mint
+		// metric series. Granted requests were validated by Serve.
+		if code != http.StatusOK {
+			if _, ok := s.api.Distributor(dist); !ok {
+				dist = "unknown"
+			}
+		}
 		s.metrics.ObserveRequest(dist, code, time.Since(start).Nanoseconds())
 	}()
 

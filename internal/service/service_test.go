@@ -14,6 +14,7 @@ import (
 
 	"github.com/i2pstudy/i2pstudy/internal/censor"
 	"github.com/i2pstudy/i2pstudy/internal/distrib"
+	"github.com/i2pstudy/i2pstudy/internal/obs/promtest"
 	"github.com/i2pstudy/i2pstudy/internal/reseed"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
@@ -266,5 +267,56 @@ func TestMetricsRender(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, body)
 		}
+	}
+}
+
+// TestUnknownDistributorBoundsRequestSeries: dist is unauthenticated
+// client input, so however many distinct garbage values a refused
+// request carries, they share one dist="unknown" series per status code;
+// a refused request naming a real distributor keeps its label.
+func TestUnknownDistributorBoundsRequestSeries(t *testing.T) {
+	const n = 1000
+	// series returns the dist/code label pairs of the request counter.
+	series := func(h http.Handler) map[[2]string]bool {
+		fams, err := promtest.Parse(get(t, h, "/metrics", "").Body.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[[2]string]bool)
+		f := promtest.Find(fams, "i2pdistribd_requests_total")
+		if f == nil { // no request counted yet
+			return out
+		}
+		for _, sm := range f.Samples {
+			dist, _ := sm.Get("dist")
+			code, _ := sm.Get("code")
+			out[[2]string{dist, code}] = true
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name, target string // target takes the request number twice
+		code         int
+		wantDist     string
+	}{
+		{"serve rejects", "/handout?dist=x%d&id=u%d", http.StatusNotFound, "unknown"},
+		{"missing id", "/handout?dist=x%d&attempt=%d", http.StatusBadRequest, "unknown"},
+		{"bad attempt", "/handout?dist=x%d&id=u&attempt=x%d", http.StatusBadRequest, "unknown"},
+		{"real distributor", "/handout?dist=email&attempt=%d%d", http.StatusBadRequest, "email"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newTestService(t, Config{}).Handler()
+			before := series(h)
+			for i := 0; i < n; i++ {
+				if r := get(t, h, fmt.Sprintf(tc.target, i, i), ""); r.Code != tc.code {
+					t.Fatalf("request %d: status %d, want %d", i, r.Code, tc.code)
+				}
+			}
+			after, want := series(h), [2]string{tc.wantDist, fmt.Sprint(tc.code)}
+			if len(after) != len(before)+1 || !after[want] {
+				t.Fatalf("%d requests took the request series from %d to %d, want exactly one new series %v:\n%v",
+					n, len(before), len(after), want, after)
+			}
+		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net/netip"
+	"sync"
 	"time"
 
 	"github.com/i2pstudy/i2pstudy/internal/churn"
@@ -113,8 +114,12 @@ const (
 // NewObserver only wraps a pointer to the network. The measurement engine
 // (measure.Campaign with Workers > 1, core.Study.RunAll) relies on this:
 // per-(observer, day) captures run on arbitrary goroutines with no
-// locking. Any future mutating API must either copy-on-write or take a
-// network-level lock, and must update this comment.
+// locking. Everything engines share that is a pure function of the
+// network — censor's address index, distrib's owner tables and identity
+// reverse map — is network-owned: it hangs off Derive and is collected
+// with the network. Any future mutating API must either copy-on-write or
+// take a network-level lock, must epoch the derived slot, and must update
+// this comment.
 type Network struct {
 	cfg   Config
 	model *churn.Model
@@ -134,6 +139,33 @@ type Network struct {
 	drawExposure []float64
 
 	obs ObservationParams
+
+	// derived is Derive's slot: key -> *derivedCell.
+	derived sync.Map
+}
+
+// derivedCell is one Derive key's build-once value.
+type derivedCell struct {
+	once sync.Once
+	v    any
+}
+
+// Derive returns the value build computes for key on n, running build at
+// most once per (network, key): concurrent first callers share the one
+// run, distinct keys never wait on each other, and a build may derive
+// other keys (but not its own). The value lives exactly as long as the
+// network does. Keys are unexported zero-size struct types owned by the
+// calling package (the context-key idiom), and every caller of a key
+// must pass an equivalent build — the value must be a pure function of
+// the immutable network, and is shared, so treat it as read-only.
+func Derive[T any](n *Network, key any, build func() T) T {
+	c, ok := n.derived.Load(key)
+	if !ok {
+		c, _ = n.derived.LoadOrStore(key, new(derivedCell))
+	}
+	cell := c.(*derivedCell)
+	cell.once.Do(func() { cell.v = build() })
+	return cell.v.(T)
 }
 
 // introducerPool is one day's candidate introducers, each with the IPv4

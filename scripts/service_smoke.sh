@@ -57,6 +57,13 @@ curl -fsS "$base/metrics" | grep -q 'i2pdistribd_requests_total' || {
 }
 curl -fsS "$base/healthz" | grep -q ok
 
+# Garbage dist values (404s) share one request series, whatever they say.
+for i in 1 2 3 4 5; do curl -s -o /dev/null "$base/handout?dist=bogus$i&id=bogus$i"; done
+[ "$(curl -fsS "$base/metrics" | grep -c '^i2pdistribd_requests_total{.*code="404"}')" -eq 1 ] || {
+  echo "service_smoke: unknown dist values minted more than one 404 series" >&2
+  exit 1
+}
+
 # Graceful shutdown: SIGTERM drains and the daemon logs the clean exit.
 kill -TERM "$pid"
 status=0
