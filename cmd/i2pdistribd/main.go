@@ -56,6 +56,9 @@ const (
 	writeTimeout      = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
 	debugWriteTimeout = 90 * time.Second
+	// shutdownTimeout is how long a SIGTERM waits for in-flight requests
+	// to finish before the process gives up on a clean exit.
+	shutdownTimeout = 5 * time.Second
 )
 
 // newServer builds a listener's http.Server with every timeout set.
@@ -158,7 +161,7 @@ func run() error {
 			return err
 		}
 		fmt.Printf("debug listening on %s\n", dln.Addr())
-		debugSrv = newServer(debugMux(), debugWriteTimeout)
+		debugSrv = newServer(debugMux(svc), debugWriteTimeout)
 		go func() {
 			if err := debugSrv.Serve(dln); !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("debug server", "err", err)
@@ -177,7 +180,7 @@ func run() error {
 
 	select {
 	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 		defer cancel()
 		if err := srv.Shutdown(shutdownCtx); err != nil {
 			return err
@@ -194,10 +197,12 @@ func run() error {
 }
 
 // debugMux is the opt-in -debug-addr surface: the standard pprof index
-// (heap, goroutine, block, mutex, 30s CPU captures) plus expvar. Built
-// by hand instead of importing the packages for their DefaultServeMux
-// side effects, so the main listener never exposes profiling routes.
-func debugMux() *http.ServeMux {
+// (heap, goroutine, block, mutex, 30s CPU captures), expvar, and the
+// prober's last published sweep (streaks, backoff, retired set) as
+// /debug/prober. Built by hand instead of importing the packages for
+// their DefaultServeMux side effects, so the main listener never exposes
+// profiling routes.
+func debugMux(svc *service.Service) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -205,6 +210,7 @@ func debugMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/prober", svc.DebugProber)
 	return mux
 }
 

@@ -8,9 +8,12 @@ import (
 	"net/netip"
 	"runtime/debug"
 	"strconv"
+	"strings"
+	"sync"
 	"time"
 
 	"github.com/i2pstudy/i2pstudy/internal/distrib"
+	"github.com/i2pstudy/i2pstudy/internal/obs"
 	"github.com/i2pstudy/i2pstudy/internal/reseed"
 )
 
@@ -24,6 +27,11 @@ import (
 // Responses are deterministic per identity: the JSON body is a pure
 // function of (identity, distributor, day, attempt, retired set), so the
 // golden tests can compare bytes across daemon restarts.
+//
+// A handout costs one pass over the raw query (parseQuery), admission,
+// one HandoutAPI.Serve and a few appends (writeHandout): everything
+// about a body that does not depend on the requester was encoded once,
+// in NewService (preencode).
 
 // BridgeJSON is one bridge in a handout response.
 type BridgeJSON struct {
@@ -133,81 +141,232 @@ func (s *Service) admit(w http.ResponseWriter, r *http.Request, id string) (uint
 	return key, 0
 }
 
+// maxQueryLen bounds the client input a handler parses: the longest
+// legitimate query is three short parameters, so anything past 1 KiB is
+// refused with 414 before a byte of it is looked at. It also bounds how
+// far one request can grow a pooled body buffer.
+const maxQueryLen = 1 << 10
+
+// query is the parameters the handlers take, as url.Values.Get would
+// report them ("" when absent).
+type query struct {
+	dist, id, attempt string
+}
+
+// parseQuery reads the request's parameters in one pass over RawQuery:
+// split on '&', cut on '=', the first occurrence of a key wins — what
+// url.ParseQuery does when nothing needs decoding, with the values left
+// as substrings of RawQuery instead of copied into a map. A query
+// carrying '%', '+' or ';' goes through net/url itself, so decoding
+// (and the rejected ';' separator) is net/url's by construction
+// (FuzzHandoutQuery). ok is false for a query over maxQueryLen.
+func parseQuery(r *http.Request) (q query, ok bool) {
+	raw := r.URL.RawQuery
+	if len(raw) > maxQueryLen {
+		return query{}, false
+	}
+	if strings.ContainsAny(raw, "%+;") {
+		v := r.URL.Query()
+		return query{dist: v.Get("dist"), id: v.Get("id"), attempt: v.Get("attempt")}, true
+	}
+	var haveDist, haveID, haveAttempt bool
+	for raw != "" {
+		var kv string
+		kv, raw, _ = strings.Cut(raw, "&")
+		key, val, _ := strings.Cut(kv, "=")
+		switch key {
+		case "dist":
+			if !haveDist {
+				q.dist, haveDist = val, true
+			}
+		case "id":
+			if !haveID {
+				q.id, haveID = val, true
+			}
+		case "attempt":
+			if !haveAttempt {
+				q.attempt, haveAttempt = val, true
+			}
+		}
+	}
+	return q, true
+}
+
+// refuse answers a request that failed a check before admission and
+// reports the status for the caller's metrics.
+func refuse(w http.ResponseWriter, msg string, code int) int {
+	if code == http.StatusMethodNotAllowed {
+		w.Header().Set("Allow", http.MethodGet) // RFC 9110 §15.5.6
+	}
+	http.Error(w, msg, code)
+	return code
+}
+
+// frontend is what a handout needs of its distributor, resolved once at
+// boot: the response body up to the identity and the granted-request
+// counter.
+type frontend struct {
+	head []byte       // {"distributor":"<name>","day":<day>,"id":
+	ok   *obs.Counter // i2pdistribd_requests_total{dist="<name>",code="200"}
+}
+
+// bridgeJSON is one resource as a handout carries it.
+func bridgeJSON(res distrib.Resource) BridgeJSON {
+	b := BridgeJSON{
+		Peer:     res.Peer,
+		Key:      strconv.FormatUint(res.Key, 10),
+		Identity: res.Record.Identity.String(),
+		Version:  res.Record.Version,
+	}
+	if len(res.Record.Addresses) > 0 {
+		if a := res.Record.Addresses[0]; a.Addr.IsValid() {
+			b.Addr, b.Port = a.Addr.String(), a.Port
+		}
+	}
+	return b
+}
+
+// preencode encodes everything about a handout body that does not
+// depend on the requester: each frontend's head and each resource's
+// BridgeJSON, once. Both are pure functions of the frozen backend —
+// retirement changes which resources Serve returns, never their bytes —
+// so neither is ever rebuilt.
+func (s *Service) preencode() error {
+	s.frontends = make(map[string]*frontend)
+	s.fragments = make(map[int][]byte, s.backend.PoolSize())
+	for _, name := range s.api.Distributors() {
+		head := appendJSONString([]byte(`{"distributor":`), name)
+		head = strconv.AppendInt(append(head, `,"day":`...), int64(s.cfg.Day), 10)
+		s.frontends[name] = &frontend{
+			head: append(head, `,"id":`...),
+			ok:   s.metrics.requestSeries(name, http.StatusOK),
+		}
+		for _, res := range s.backend.Partition(name).Resources() {
+			frag, err := json.Marshal(bridgeJSON(res))
+			if err != nil {
+				return fmt.Errorf("service: encode bridge %d: %w", res.Peer, err)
+			}
+			s.fragments[res.Peer] = frag
+		}
+	}
+	return nil
+}
+
+// appendJSONString appends s as encoding/json writes a string (HTML
+// escaping on). Printable ASCII outside the escaped set is the encoder's
+// identity case and is copied; anything else goes through the encoder.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			enc, _ := json.Marshal(s) // a string always encodes
+			return append(dst, enc...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// jsonContentType is shared by every handout response; handlers assign
+// it and nothing appends to it.
+var jsonContentType = []string{"application/json"}
+
+// bodyPool recycles handout body buffers. A body is written before its
+// buffer returns to the pool, and http.ResponseWriter.Write does not
+// retain what it is handed.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeHandout assembles the moat-style body — byte for byte what
+// json.NewEncoder(w).Encode(HandoutJSON{...}) writes (trailing newline,
+// "bridges":[] when empty; referenceHandoutBody in the tests) — from
+// the frontend's head, the identity and the pre-encoded fragments.
+func (s *Service) writeHandout(w http.ResponseWriter, fe *frontend, id string, h distrib.Handout) error {
+	buf := bodyPool.Get().(*[]byte)
+	b := append((*buf)[:0], fe.head...)
+	b = appendJSONString(b, id)
+	b = append(b, `,"granted":`...)
+	b = strconv.AppendBool(b, h.Granted)
+	b = append(b, `,"bridges":[`...)
+	for i, res := range h.Resources {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, s.fragments[res.Peer]...)
+	}
+	b = append(b, "]}\n"...)
+	w.Header()["Content-Type"] = jsonContentType
+	_, err := w.Write(b)
+	*buf = b
+	bodyPool.Put(buf)
+	return err
+}
+
+// observe counts one answered request: a granted one on its frontend's
+// pre-resolved series, any other under label.
+func (s *Service) observe(fe *frontend, label string, code int, start time.Time) {
+	nanos := time.Since(start).Nanoseconds()
+	if fe != nil && code == http.StatusOK {
+		fe.ok.Inc()
+		s.metrics.observeLatency(nanos)
+		return
+	}
+	s.metrics.ObserveRequest(label, code, nanos)
+}
+
 func (s *Service) handleHandout(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	dist := r.URL.Query().Get("dist")
+	q, ok := parseQuery(r)
+	if !ok {
+		// Nothing of the query was read, its dist included.
+		s.observe(nil, "unknown", refuse(w, "query too long", http.StatusRequestURITooLong), start)
+		return
+	}
+	dist := q.dist
 	if dist == "" {
 		dist = "https"
 	}
+	fe := s.frontends[dist]
 	code := http.StatusOK
 	defer func() {
-		// dist is client input: a refused request is labelled with it only
-		// when it names a real distributor, so garbage values cannot mint
-		// metric series. Granted requests were validated by Serve.
-		if code != http.StatusOK {
-			if _, ok := s.api.Distributor(dist); !ok {
-				dist = "unknown"
-			}
+		// dist is client input: a request is labelled with it only when
+		// it names a real distributor, so garbage values cannot mint
+		// metric series.
+		label := dist
+		if fe == nil {
+			label = "unknown"
 		}
-		s.metrics.ObserveRequest(dist, code, time.Since(start).Nanoseconds())
+		s.observe(fe, label, code, start)
 	}()
 
 	if r.Method != http.MethodGet {
-		code = http.StatusMethodNotAllowed
-		http.Error(w, "method not allowed", code)
+		code = refuse(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	id := r.URL.Query().Get("id")
-	if id == "" {
-		code = http.StatusBadRequest
-		http.Error(w, "missing id", code)
+	if q.id == "" {
+		code = refuse(w, "missing id", http.StatusBadRequest)
 		return
 	}
 	attempt := 0
-	if v := r.URL.Query().Get("attempt"); v != "" {
-		n, err := strconv.Atoi(v)
+	if q.attempt != "" {
+		n, err := strconv.Atoi(q.attempt)
 		if err != nil || n < 0 {
-			code = http.StatusBadRequest
-			http.Error(w, "bad attempt", code)
+			code = refuse(w, "bad attempt", http.StatusBadRequest)
 			return
 		}
 		attempt = n
 	}
-	key, denied := s.admit(w, r, id)
+	key, denied := s.admit(w, r, q.id)
 	if denied != 0 {
 		code = denied
 		return
 	}
 	h, err := s.Serve(distrib.Request{Dist: dist, ID: key, Attempt: attempt})
 	if err != nil {
-		code = http.StatusNotFound
-		http.Error(w, err.Error(), code)
+		code = refuse(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	resp := HandoutJSON{
-		Distributor: h.Distributor,
-		Day:         h.Day,
-		ID:          id,
-		Granted:     h.Granted,
-		Bridges:     make([]BridgeJSON, 0, len(h.Resources)),
-	}
-	for _, res := range h.Resources {
-		b := BridgeJSON{
-			Peer:     res.Peer,
-			Key:      strconv.FormatUint(res.Key, 10),
-			Identity: res.Record.Identity.String(),
-			Version:  res.Record.Version,
-		}
-		if len(res.Record.Addresses) > 0 {
-			if a := res.Record.Addresses[0]; a.Addr.IsValid() {
-				b.Addr, b.Port = a.Addr.String(), a.Port
-			}
-		}
-		resp.Bridges = append(resp.Bridges, b)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(resp); err != nil {
+	if err := s.writeHandout(w, fe, q.id, h); err != nil {
 		code = http.StatusInternalServerError
 	}
 }
@@ -219,38 +378,37 @@ func (s *Service) handleHandout(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleSeeds(w http.ResponseWriter, r *http.Request) {
 	const dist = "manual-reseed"
 	start := time.Now()
+	fe := s.frontends[dist]
 	code := http.StatusOK
-	defer func() {
-		s.metrics.ObserveRequest(dist, code, time.Since(start).Nanoseconds())
-	}()
+	defer func() { s.observe(fe, dist, code, start) }()
 
+	q, ok := parseQuery(r)
+	if !ok {
+		code = refuse(w, "query too long", http.StatusRequestURITooLong)
+		return
+	}
 	if r.Method != http.MethodGet {
-		code = http.StatusMethodNotAllowed
-		http.Error(w, "method not allowed", code)
+		code = refuse(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	id := r.URL.Query().Get("id")
-	if id == "" {
-		code = http.StatusBadRequest
-		http.Error(w, "missing id", code)
+	if q.id == "" {
+		code = refuse(w, "missing id", http.StatusBadRequest)
 		return
 	}
-	key, denied := s.admit(w, r, id)
+	key, denied := s.admit(w, r, q.id)
 	if denied != 0 {
 		code = denied
 		return
 	}
 	gkey, granted, err := s.api.Key(distrib.Request{Dist: dist, ID: key, Day: s.cfg.Day})
 	if err != nil || !granted {
-		code = http.StatusNotFound
-		http.Error(w, "no manual-reseed frontend", code)
+		code = refuse(w, "no manual-reseed frontend", http.StatusNotFound)
 		return
 	}
 	part := s.backend.Partition(dist)
 	data := s.bundles.Load().Bundle(part.SlotOf(gkey))
 	if len(data) == 0 {
-		code = http.StatusServiceUnavailable
-		http.Error(w, "no bundle available", code)
+		code = refuse(w, "no bundle available", http.StatusServiceUnavailable)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

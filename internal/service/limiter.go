@@ -19,10 +19,14 @@ import (
 // shard of an identity is a pure function of its key.
 const limiterShards = 64
 
-// bucket is one identity's token bucket. Tokens are in request units.
+// bucket is one identity's token bucket. Tokens are in request units;
+// last is the refill instant in nanoseconds since the limiter's epoch.
+// The table holds buckets by value and a bucket holds no pointer, so the
+// garbage collector never walks the shard maps however many identities
+// a flood mints.
 type bucket struct {
 	tokens float64
-	last   time.Time
+	last   int64
 }
 
 // Limiter is a sharded per-identity token bucket. Identities are the
@@ -36,10 +40,14 @@ type Limiter struct {
 	// the simulation never needs an exact LRU.
 	maxPerShard int
 	now         func() time.Time
+	// epoch is the construction instant bucket.last counts from. Both
+	// ends of every difference come from now, so the subtraction is the
+	// same integer time.Time.Sub yields, monotonic reading included.
+	epoch time.Time
 
 	shards [limiterShards]struct {
 		mu sync.Mutex
-		m  map[uint64]*bucket
+		m  map[uint64]bucket
 	}
 }
 
@@ -53,9 +61,9 @@ func NewLimiter(rate float64, burst int, now func() time.Time) *Limiter {
 	if now == nil {
 		now = time.Now
 	}
-	l := &Limiter{rate: rate, burst: float64(burst), maxPerShard: 1 << 16, now: now}
+	l := &Limiter{rate: rate, burst: float64(burst), maxPerShard: 1 << 16, now: now, epoch: now()}
 	for i := range l.shards {
-		l.shards[i].m = make(map[uint64]*bucket)
+		l.shards[i].m = make(map[uint64]bucket)
 	}
 	return l
 }
@@ -66,27 +74,28 @@ func (l *Limiter) Allow(id uint64) bool {
 		return true
 	}
 	s := &l.shards[(id^id>>32)%limiterShards]
-	now := l.now()
+	now := int64(l.now().Sub(l.epoch))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.m[id]
 	if !ok {
 		if len(s.m) >= l.maxPerShard {
-			s.m = make(map[uint64]*bucket)
+			s.m = make(map[uint64]bucket)
 		}
-		s.m[id] = &bucket{tokens: l.burst - 1, last: now}
+		s.m[id] = bucket{tokens: l.burst - 1, last: now}
 		return true
 	}
-	b.tokens += now.Sub(b.last).Seconds() * l.rate
+	b.tokens += time.Duration(now-b.last).Seconds() * l.rate
 	if b.tokens > l.burst {
 		b.tokens = l.burst
 	}
 	b.last = now
-	if b.tokens < 1 {
-		return false
+	allowed := b.tokens >= 1
+	if allowed {
+		b.tokens--
 	}
-	b.tokens--
-	return true
+	s.m[id] = b
+	return allowed
 }
 
 // Blacklist is the operator blacklist: an AddrSet over the study's

@@ -3,8 +3,6 @@ package service
 import (
 	"context"
 	"net/http"
-	"net/url"
-	"strconv"
 	"sync/atomic"
 	"testing"
 )
@@ -67,30 +65,18 @@ func TestLoadGenCancellation(t *testing.T) {
 	}
 }
 
-// benchRequest drives one /handout request through the handler with the
-// load generator's no-socket writer.
-func benchRequest(b *testing.B, h http.Handler, id string) {
-	rw := discardWriter{}
-	req := &http.Request{
-		Method:     http.MethodGet,
-		URL:        &url.URL{Path: "/handout", RawQuery: "dist=https&id=" + id},
-		RemoteAddr: "192.0.2.1:9999",
-	}
-	h.ServeHTTP(&rw, req)
-	if rw.code != http.StatusOK {
-		b.Fatalf("handout status %d", rw.code)
-	}
-}
-
 // BenchmarkServiceHandoutSerial measures the single-requester handout
-// path: admission, grant, arc walk, JSON encoding.
+// path: parse, admission, grant, arc walk, body assembly.
 func BenchmarkServiceHandoutSerial(b *testing.B) {
 	svc := newTestService(b, Config{})
 	h := svc.Handler()
+	client := newLoadClient("https", "bench-")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchRequest(b, h, "bench-"+strconv.Itoa(i))
+		if code := client.get(h, int64(i), false); code != http.StatusOK {
+			b.Fatalf("handout status %d", code)
+		}
 	}
 }
 
@@ -103,8 +89,12 @@ func BenchmarkServiceHandoutParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
+		client := newLoadClient("https", "bench-")
 		for pb.Next() {
-			benchRequest(b, h, "bench-"+strconv.FormatInt(ctr.Add(1), 10))
+			if code := client.get(h, ctr.Add(1), false); code != http.StatusOK {
+				b.Errorf("handout status %d", code)
+				return
+			}
 		}
 	})
 }

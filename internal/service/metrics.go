@@ -74,7 +74,18 @@ func (m *Metrics) Registry() *obs.Registry { return m.reg }
 // ObserveRequest records one handout request's distributor, status code
 // and latency.
 func (m *Metrics) ObserveRequest(dist string, code int, nanos int64) {
-	m.requests.With(dist, strconv.Itoa(code)).Inc()
+	m.requestSeries(dist, code).Inc()
+	m.observeLatency(nanos)
+}
+
+// requestSeries resolves one (distributor, status code) request counter.
+// The handlers resolve each frontend's 200 series once at boot and count
+// granted requests on it directly.
+func (m *Metrics) requestSeries(dist string, code int) *obs.Counter {
+	return m.requests.With(dist, strconv.Itoa(code))
+}
+
+func (m *Metrics) observeLatency(nanos int64) {
 	m.latency.Observe(float64(nanos) / 1e9)
 }
 

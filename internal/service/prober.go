@@ -2,7 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"slices"
 	"time"
 
 	"github.com/i2pstudy/i2pstudy/internal/distrib"
@@ -102,6 +105,61 @@ func (s *Service) ProbeOnce(ctx context.Context) {
 		if err := s.retire(dead); err != nil {
 			s.metrics.ObserveProbe("fail")
 		}
+	}
+	s.publishProberState(now)
+}
+
+// ProberPeer is one bridge the prober is backing off from: its
+// consecutive-failure streak and when it is next due a probe. A retired
+// bridge keeps the entry it retired with.
+type ProberPeer struct {
+	Peer    int       `json:"peer"`
+	Streak  int       `json:"streak"`
+	NextDue time.Time `json:"next_due"`
+}
+
+// ProberState is the probe loop's state as one completed sweep left it.
+type ProberState struct {
+	// SweptAt is when the sweep started on the service clock; the zero
+	// time means no sweep has completed yet.
+	SweptAt time.Time `json:"swept_at"`
+	// Peers are the bridges with a failure streak, ascending by peer.
+	Peers []ProberPeer `json:"peers"`
+	// Retired is the retired set, ascending.
+	Retired []int `json:"retired"`
+}
+
+// publishProberState copies the loop-owned maps into an immutable
+// snapshot and swaps it in, so readers never touch streaks or nextDue.
+func (s *Service) publishProberState(sweptAt time.Time) {
+	retired := s.retired.load()
+	st := &ProberState{
+		SweptAt: sweptAt,
+		Peers:   make([]ProberPeer, 0, len(s.streaks)),
+		Retired: make([]int, 0, len(retired)),
+	}
+	for peer, streak := range s.streaks {
+		st.Peers = append(st.Peers, ProberPeer{Peer: peer, Streak: streak, NextDue: s.nextDue[peer]})
+	}
+	slices.SortFunc(st.Peers, func(a, b ProberPeer) int { return a.Peer - b.Peer })
+	for peer := range retired {
+		st.Retired = append(st.Retired, peer)
+	}
+	slices.Sort(st.Retired)
+	s.proberState.Store(st)
+}
+
+// ProberState returns the snapshot the last completed sweep published
+// (NewService publishes an empty one). It is shared and immutable:
+// callers must not modify it.
+func (s *Service) ProberState() *ProberState { return s.proberState.Load() }
+
+// DebugProber serves ProberState as JSON; cmd/i2pdistribd mounts it on
+// the -debug-addr mux as /debug/prober, never on the public listener.
+func (s *Service) DebugProber(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(s.ProberState()); err != nil {
+		http.Error(w, "encode prober state", http.StatusInternalServerError)
 	}
 }
 

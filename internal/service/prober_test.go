@@ -3,8 +3,11 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -258,5 +261,107 @@ func TestRunProberStopsOnCancel(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("RunProber did not stop on ctx cancel")
+	}
+}
+
+// TestDebugProberAgainstConcurrentProbeOnce reads /debug/prober from
+// four goroutines while the probe loop sweeps and retires (run under
+// -race in CI): streaks and nextDue stay the loop's own, and every
+// snapshot a reader decodes is one whole sweep's — peers and the retired
+// set ascending, every retired bridge carrying the streak it retired
+// with, sweep times never going backwards.
+func TestDebugProberAgainstConcurrentProbeOnce(t *testing.T) {
+	var (
+		mu  sync.Mutex
+		clk = time.Unix(1700000000, 0)
+	)
+	now := func() time.Time { mu.Lock(); defer mu.Unlock(); return clk }
+	advance := func(d time.Duration) { mu.Lock(); clk = clk.Add(d); mu.Unlock() }
+
+	const failLimit = 3
+	dead := make(map[int]bool) // filled before the first ProbeOnce only
+	svc := newTestService(t, Config{
+		Probe: func(r distrib.Resource) error {
+			if dead[r.Peer] {
+				return errors.New("probe: connection refused")
+			}
+			return nil
+		},
+		Now:          now,
+		FailLimit:    failLimit,
+		ProbeBackoff: time.Second,
+	})
+	for _, name := range svc.HandoutAPI().Distributors() {
+		dead[svc.Backend().Partition(name).Resources()[0].Peer] = true
+	}
+	wantRetired := make([]int, 0, len(dead))
+	for peer := range dead {
+		wantRetired = append(wantRetired, peer)
+	}
+	slices.Sort(wantRetired)
+
+	read := func() (ProberState, error) {
+		rw := httptest.NewRecorder()
+		svc.DebugProber(rw, httptest.NewRequest("GET", "/debug/prober", nil))
+		var st ProberState
+		err := json.Unmarshal(rw.Body.Bytes(), &st)
+		return st, err
+	}
+	if st, err := read(); err != nil || !st.SweptAt.IsZero() || st.Peers == nil || st.Retired == nil || len(st.Peers)+len(st.Retired) != 0 {
+		t.Fatalf("before the first sweep: %+v, err %v", st, err)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for sweep := 0; sweep < 40; sweep++ {
+			svc.ProbeOnce(context.Background())
+			advance(20 * time.Second) // past the 16 s backoff cap: every sweep re-probes
+		}
+	}()
+	var readers sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var last time.Time
+			for {
+				st, err := read()
+				switch {
+				case err != nil:
+					t.Errorf("decode /debug/prober: %v", err)
+				case st.SweptAt.Before(last):
+					t.Errorf("sweep time went backwards: %v after %v", st.SweptAt, last)
+				case !slices.IsSortedFunc(st.Peers, func(a, b ProberPeer) int { return a.Peer - b.Peer }) || !slices.IsSorted(st.Retired):
+					t.Errorf("snapshot not ascending: %+v", st)
+				}
+				last = st.SweptAt
+				for _, peer := range st.Retired {
+					i, ok := slices.BinarySearchFunc(st.Peers, peer, func(p ProberPeer, peer int) int { return p.Peer - peer })
+					if !ok || st.Peers[i].Streak < failLimit {
+						t.Errorf("retired bridge %d without its streak in %+v", peer, st.Peers)
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	readers.Wait()
+
+	st := svc.ProberState()
+	if !slices.Equal(st.Retired, wantRetired) {
+		t.Fatalf("retired %v, want %v", st.Retired, wantRetired)
+	}
+	if len(st.Peers) != len(wantRetired) {
+		t.Fatalf("streaks %+v, want one per dead bridge %v", st.Peers, wantRetired)
+	}
+	for i, p := range st.Peers {
+		if p.Peer != wantRetired[i] || p.Streak != failLimit || !p.NextDue.After(time.Unix(1700000000, 0)) {
+			t.Fatalf("peer entry %+v, want bridge %d at streak %d with a backoff", p, wantRetired[i], failLimit)
+		}
 	}
 }

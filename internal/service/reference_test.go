@@ -1,0 +1,326 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"math/rand"
+	"net/http"
+	"net/url"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/i2pstudy/i2pstudy/internal/distrib"
+)
+
+// This file holds the references the request path's bit-compatible
+// rewrites are compared against (ROADMAP, "Bit-compatible rewrites keep
+// their reference"): the HandoutJSON + json.Encoder body assembly that
+// writeHandout replaced, the pointer-bucket time.Time limiter that the
+// pointer-free table replaced, and — in FuzzHandoutQuery — net/url as
+// parseQuery's oracle. They are not dead code.
+
+// referenceHandoutBody is the old body assembly: build the HandoutJSON
+// from the served handout and run it through a json.Encoder.
+func referenceHandoutBody(t testing.TB, svc *Service, dist, id string, attempt int) []byte {
+	t.Helper()
+	h, err := svc.Serve(distrib.Request{Dist: dist, ID: distrib.IdentityKey(id), Attempt: attempt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := HandoutJSON{
+		Distributor: h.Distributor,
+		Day:         h.Day,
+		ID:          id,
+		Granted:     h.Granted,
+		Bridges:     make([]BridgeJSON, 0, len(h.Resources)),
+	}
+	for _, res := range h.Resources {
+		b := BridgeJSON{
+			Peer:     res.Peer,
+			Key:      strconv.FormatUint(res.Key, 10),
+			Identity: res.Record.Identity.String(),
+			Version:  res.Record.Version,
+		}
+		if len(res.Record.Addresses) > 0 {
+			if a := res.Record.Addresses[0]; a.Addr.IsValid() {
+				b.Addr, b.Port = a.Addr.String(), a.Port
+			}
+		}
+		resp.Bridges = append(resp.Bridges, b)
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// hostileIDs are identities chosen against the string encoder: the
+// HTML-escaped set, quotes and backslashes, control bytes, invalid
+// UTF-8, the line separators encoding/json escapes, DEL, multi-byte
+// runes and an id longer than any fragment.
+var hostileIDs = []string{
+	"alice",
+	"load-123456",
+	`<script>&"\`,
+	"\xff\xfe-invalid-utf8",
+	"line\u2028sep\u2029",
+	"tab\tnew\nline\x00",
+	"del\x7f",
+	"naïve-идентичность",
+	"a b+c%41;d=e&f",
+	strings.Repeat("x", 300),
+}
+
+// differentialService is a service over the default frontends plus a
+// trust-social one, whose graph never minted a string identity: every
+// HTTP requester is uninvited there ("granted":false,"bridges":[]).
+func differentialService(t testing.TB) *Service {
+	t.Helper()
+	return newTestService(t, Config{
+		Distributors: append(distrib.DefaultDistributors(), distrib.NewTrustSocial(distrib.TrustSocialConfig{})),
+	})
+}
+
+// compareWithReference requests (dist, id, attempt) — percent-encoded,
+// and raw too when the id survives a query unescaped — and requires the
+// reference's bytes.
+func compareWithReference(t testing.TB, svc *Service, h http.Handler, dist, id string, attempt int) []byte {
+	t.Helper()
+	want := referenceHandoutBody(t, svc, dist, id, attempt)
+	v := url.Values{"dist": {dist}, "id": {id}, "attempt": {strconv.Itoa(attempt)}}
+	queries := []string{v.Encode()}
+	if id == url.QueryEscape(id) {
+		queries = append(queries, "dist="+dist+"&id="+id+"&attempt="+strconv.Itoa(attempt))
+	}
+	for _, q := range queries {
+		rw := &discardWriter{capture: true}
+		h.ServeHTTP(rw, &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/handout", RawQuery: q}})
+		if rw.code != http.StatusOK {
+			t.Fatalf("GET /handout?%s: status %d", q, rw.code)
+		}
+		if got := rw.body.Bytes(); !bytes.Equal(got, want) {
+			t.Fatalf("GET /handout?%s:\n got %q\nwant %q", q, got, want)
+		}
+		if ct := rw.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("GET /handout?%s: Content-Type %q", q, ct)
+		}
+	}
+	return want
+}
+
+// TestHandoutBodyMatchesReference is the body half of "no byte moved":
+// every frontend × hostile identity × attempt, before and after a
+// retirement, equals the old encoder's output and still decodes as
+// HandoutJSON.
+func TestHandoutBodyMatchesReference(t *testing.T) {
+	svc := differentialService(t)
+	h := svc.Handler()
+	sweep := func() (ungranted int) {
+		for _, dist := range svc.HandoutAPI().Distributors() {
+			for _, id := range hostileIDs {
+				for attempt := 0; attempt <= 2; attempt++ {
+					body := compareWithReference(t, svc, h, dist, id, attempt)
+					var resp HandoutJSON
+					if err := json.Unmarshal(body, &resp); err != nil {
+						t.Fatalf("%s/%q: body does not decode: %v", dist, id, err)
+					}
+					if resp.Distributor != dist || resp.Bridges == nil {
+						t.Fatalf("%s/%q: decoded %+v", dist, id, resp)
+					}
+					if !resp.Granted {
+						ungranted++
+						if want := `"granted":false,"bridges":[]}` + "\n"; !bytes.HasSuffix(body, []byte(want)) {
+							t.Fatalf("%s/%q: ungranted body %q lacks %q", dist, id, body, want)
+						}
+					}
+				}
+			}
+		}
+		return ungranted
+	}
+	if sweep() == 0 {
+		t.Fatal("no request was refused a grant; the trust-social frontend is not exercised")
+	}
+
+	// Retire the first bridge alice is served over https: her body must
+	// change, and every body must still equal the reference.
+	before := referenceHandoutBody(t, svc, "https", "alice", 0)
+	served, err := svc.Serve(distrib.Request{Dist: "https", ID: distrib.IdentityKey("alice")})
+	if err != nil || len(served.Resources) == 0 {
+		t.Fatalf("alice served %d bridges, err %v", len(served.Resources), err)
+	}
+	if err := svc.retire([]int{served.Resources[0].Peer}); err != nil {
+		t.Fatal(err)
+	}
+	if after := compareWithReference(t, svc, h, "https", "alice", 0); bytes.Equal(before, after) {
+		t.Fatal("retiring a served bridge left the body unchanged")
+	}
+	sweep()
+}
+
+// FuzzHandoutBody compares writeHandout with the reference encoder for
+// arbitrary identities on every frontend.
+func FuzzHandoutBody(f *testing.F) {
+	svc := differentialService(f)
+	h := svc.Handler()
+	dists := svc.HandoutAPI().Distributors()
+	for i, id := range hostileIDs {
+		f.Add(uint8(i), id, uint8(i%3))
+	}
+	f.Fuzz(func(t *testing.T, dist uint8, id string, attempt uint8) {
+		if id == "" || len(id) > 300 { // 400 and (escaped threefold) 414 have no body to compare
+			t.Skip()
+		}
+		compareWithReference(t, svc, h, dists[int(dist)%len(dists)], id, int(attempt))
+	})
+}
+
+// referenceLimiter is the limiter the pointer-free table replaced: one
+// heap bucket per identity holding the time.Time of its last refill.
+type referenceLimiter struct {
+	rate, burst float64
+	maxPerShard int
+	now         func() time.Time
+	shards      [limiterShards]map[uint64]*referenceBucket
+}
+
+type referenceBucket struct {
+	tokens float64
+	last   time.Time
+}
+
+func newReferenceLimiter(rate float64, burst, maxPerShard int, now func() time.Time) *referenceLimiter {
+	l := &referenceLimiter{rate: rate, burst: float64(burst), maxPerShard: maxPerShard, now: now}
+	for i := range l.shards {
+		l.shards[i] = make(map[uint64]*referenceBucket)
+	}
+	return l
+}
+
+func (l *referenceLimiter) Allow(id uint64) bool {
+	if l.rate <= 0 {
+		return true
+	}
+	shard := (id ^ id>>32) % limiterShards
+	m := l.shards[shard]
+	now := l.now()
+	b, ok := m[id]
+	if !ok {
+		if len(m) >= l.maxPerShard {
+			m = make(map[uint64]*referenceBucket)
+			l.shards[shard] = m
+		}
+		m[id] = &referenceBucket{tokens: l.burst - 1, last: now}
+		return true
+	}
+	b.tokens += now.Sub(b.last).Seconds() * l.rate
+	if b.tokens > l.burst {
+		b.tokens = l.burst
+	}
+	b.last = now
+	if b.tokens < 1 {
+		return false
+	}
+	b.tokens--
+	return true
+}
+
+// TestLimiterMatchesReference drives both limiters through one seeded
+// schedule of (identity, clock advance) — hot identities that drain and
+// refill, fresh ones that fill shards past maxPerShard and reset them —
+// and requires the same decision every time, on a wall-only clock and
+// on one carrying a monotonic reading.
+func TestLimiterMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		start time.Time
+	}{
+		{"wall clock", time.Unix(1700000000, 0)},
+		{"monotonic clock", time.Now()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const maxPerShard = 8
+			clk := tc.start
+			now := func() time.Time { return clk }
+			got := NewLimiter(5, 4, now)
+			got.maxPerShard = maxPerShard
+			want := newReferenceLimiter(5, 4, maxPerShard, now)
+
+			rng := rand.New(rand.NewSource(2018))
+			advances := []time.Duration{0, 0, time.Nanosecond, 10 * time.Microsecond, 700 * time.Microsecond, 3 * time.Millisecond, 9 * time.Millisecond}
+			allowed, refused, resets := 0, 0, 0
+			for step := 0; step < 200000; step++ {
+				clk = clk.Add(advances[rng.Intn(len(advances))])
+				if rng.Intn(1000) == 0 {
+					clk = clk.Add(2 * time.Second) // a lull: every bucket refills to its burst
+				}
+				id := uint64(rng.Intn(50)) // the hot set
+				if rng.Intn(4) == 0 {
+					id = rng.Uint64() // a fresh identity
+				}
+				shard := &got.shards[(id^id>>32)%limiterShards]
+				_, known := shard.m[id]
+				full := len(shard.m) >= maxPerShard
+				g, w := got.Allow(id), want.Allow(id)
+				if g != w {
+					t.Fatalf("step %d, identity %d: Allow = %v, reference %v", step, id, g, w)
+				}
+				if !known && full {
+					resets++
+				}
+				if g {
+					allowed++
+				} else {
+					refused++
+				}
+			}
+			if refused == 0 || resets == 0 {
+				t.Fatalf("schedule is vacuous: %d allowed, %d refused, %d shard resets", allowed, refused, resets)
+			}
+		})
+	}
+}
+
+// FuzzHandoutQuery holds parseQuery to its oracle: for any RawQuery the
+// handlers accept, the three parameters are what r.URL.Query().Get
+// reports — first occurrence wins, bare keys are empty, an undecodable
+// or ';'-separated pair is dropped — and only an over-long query is
+// refused.
+func FuzzHandoutQuery(f *testing.F) {
+	for _, raw := range []string{
+		"",
+		"dist=https&id=alice",
+		"id=a&id=b&dist=email&dist=social",
+		"id=&id=x",
+		"id&dist&attempt",
+		"&&id=x&&",
+		"=x&id==y=z",
+		"id=%41&dist=%",
+		"id=a+b&attempt=+1",
+		"id=a;dist=email&attempt=2",
+		"attempt=2&idx=1&xid=2&id=last",
+		"id=" + strings.Repeat("x", maxQueryLen),
+	} {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		r := &http.Request{URL: &url.URL{RawQuery: raw}}
+		got, ok := parseQuery(r)
+		if !ok {
+			if len(raw) <= maxQueryLen {
+				t.Fatalf("parseQuery refused a %d-byte query", len(raw))
+			}
+			return
+		}
+		if len(raw) > maxQueryLen {
+			t.Fatalf("parseQuery accepted a %d-byte query", len(raw))
+		}
+		v := r.URL.Query()
+		if want := (query{dist: v.Get("dist"), id: v.Get("id"), attempt: v.Get("attempt")}); got != want {
+			t.Fatalf("parseQuery(%q) = %+v, net/url says %+v", raw, got, want)
+		}
+	})
+}

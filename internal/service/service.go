@@ -126,6 +126,12 @@ type Service struct {
 	limiter   *Limiter
 	blacklist *Blacklist
 
+	// frontends (by distributor name) and fragments (by peer index) are
+	// the pre-encoded parts of a handout body; immutable after
+	// NewService (preencode).
+	frontends map[string]*frontend
+	fragments map[int][]byte
+
 	// retired is the atomically published set of retired peer indexes
 	// (nil map: nothing retired). Handlers read it lock-free; retire()
 	// copies, extends and swaps under retireMu.
@@ -137,9 +143,11 @@ type Service struct {
 	// exactly n distinct handouts). Rebuilt and swapped on retirement.
 	bundles reseed.BundleCache
 
-	// prober state, owned by the probe loop.
-	streaks map[int]int
-	nextDue map[int]time.Time
+	// prober state, owned by the probe loop; proberState is the copy
+	// each completed sweep publishes for everyone else.
+	streaks     map[int]int
+	nextDue     map[int]time.Time
+	proberState atomic.Pointer[ProberState]
 
 	// started stamps construction time for /healthz uptime.
 	started time.Time
@@ -178,6 +186,10 @@ func NewService(network *sim.Network, cfg Config) (*Service, error) {
 		s.cfg.Probe = s.simProbe
 	}
 	s.retired.store(nil)
+	s.publishProberState(time.Time{}) // no sweep yet
+	if err := s.preencode(); err != nil {
+		return nil, err
+	}
 	if err := s.rebuildBundles(); err != nil {
 		return nil, err
 	}

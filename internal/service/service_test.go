@@ -320,3 +320,43 @@ func TestUnknownDistributorBoundsRequestSeries(t *testing.T) {
 		})
 	}
 }
+
+// TestMethodAndQueryLimits covers the two checks that run before a
+// query is trusted: a non-GET is answered 405 with the Allow header
+// RFC 9110 §15.5.6 requires, and a query over maxQueryLen is answered
+// 414 unparsed — on /handout under dist="unknown", since the dist it
+// names was never read.
+func TestMethodAndQueryLimits(t *testing.T) {
+	seeds := "/" + reseed.SeedFileName
+	atLimit := "id=" + strings.Repeat("x", maxQueryLen-len("id="))
+	for _, tc := range []struct {
+		name, method, target string
+		code                 int
+		allow, series        string
+	}{
+		{"handout POST", http.MethodPost, "/handout?dist=email&id=a", http.StatusMethodNotAllowed, "GET", `dist="email",code="405"`},
+		{"handout DELETE, unknown dist", http.MethodDelete, "/handout?dist=nope&id=a", http.StatusMethodNotAllowed, "GET", `dist="unknown",code="405"`},
+		{"seeds POST", http.MethodPost, seeds + "?id=a", http.StatusMethodNotAllowed, "GET", `dist="manual-reseed",code="405"`},
+		{"handout query at the limit", http.MethodGet, "/handout?" + atLimit, http.StatusOK, "", `dist="https",code="200"`},
+		{"handout query over the limit", http.MethodGet, "/handout?" + atLimit + "x", http.StatusRequestURITooLong, "", `dist="unknown",code="414"`},
+		{"handout POST over the limit", http.MethodPost, "/handout?dist=email&" + atLimit, http.StatusRequestURITooLong, "", `dist="unknown",code="414"`},
+		{"seeds query at the limit", http.MethodGet, seeds + "?" + atLimit, http.StatusOK, "", `dist="manual-reseed",code="200"`},
+		{"seeds query over the limit", http.MethodGet, seeds + "?" + atLimit + "x", http.StatusRequestURITooLong, "", `dist="manual-reseed",code="414"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newTestService(t, Config{}).Handler()
+			rw := httptest.NewRecorder()
+			h.ServeHTTP(rw, httptest.NewRequest(tc.method, tc.target, nil))
+			if rw.Code != tc.code {
+				t.Fatalf("status %d, want %d", rw.Code, tc.code)
+			}
+			if got := rw.Header().Get("Allow"); got != tc.allow {
+				t.Fatalf("Allow header %q, want %q", got, tc.allow)
+			}
+			want := "i2pdistribd_requests_total{" + tc.series + "} 1\n"
+			if body := get(t, h, "/metrics", "").Body.String(); !strings.Contains(body, want) {
+				t.Fatalf("/metrics missing %q in:\n%s", want, body)
+			}
+		})
+	}
+}

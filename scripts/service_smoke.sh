@@ -64,6 +64,12 @@ for i in 1 2 3 4 5; do curl -s -o /dev/null "$base/handout?dist=bogus$i&id=bogus
   exit 1
 }
 
+# A query over the 1 KiB limit is refused unparsed.
+[ "$(curl -s -o /dev/null -w '%{http_code}' "$base/handout?dist=https&id=$(head -c 1100 /dev/zero | tr '\0' x)")" = 414 ] || {
+  echo "service_smoke: over-long query not refused with 414" >&2
+  exit 1
+}
+
 # Graceful shutdown: SIGTERM drains and the daemon logs the clean exit.
 kill -TERM "$pid"
 status=0
