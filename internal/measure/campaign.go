@@ -3,6 +3,7 @@ package measure
 import (
 	"context"
 	"fmt"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,12 +26,14 @@ type CampaignConfig struct {
 	Observers []sim.ObserverConfig
 	// StartDay (inclusive) and EndDay (exclusive) in study days.
 	StartDay, EndDay int
-	// SnapshotDir, when non-empty, persists one observer's netDb to disk
-	// each day (routerInfo-*.dat files) exactly as the paper's harness
+	// SnapshotDir, when non-empty, persists the fleet's merged netDb to
+	// disk each day (routerInfo-*.dat files) exactly as the paper's harness
 	// watched the Java router's netDb directory. Mostly useful for the
-	// CLI tools; analyses never read it back. Each day directory appears
-	// atomically (written to a temp dir, then renamed), so an interrupted
-	// campaign never leaves a half-written day behind.
+	// CLI tools; analyses never read it back. It is the one campaign path
+	// that materializes RouterInfos — the fold and the checkpoint store
+	// work from sightings. Each day directory appears atomically (written
+	// to a temp dir, then renamed), so an interrupted campaign never
+	// leaves a half-written day behind.
 	SnapshotDir string
 	// Workers caps the number of days captured concurrently. Zero or
 	// negative selects one worker per CPU; 1 runs the same pipeline
@@ -41,13 +44,16 @@ type CampaignConfig struct {
 	// worker count does not fan out within a day.
 	Workers int
 	// CheckpointDir, when non-empty, spills each completed day's merged
-	// observations to a checkpoint.Store so an interrupted campaign
-	// resumes by loading finished days instead of recomputing them. The
-	// directory is keyed by a manifest (network + fleet config hash,
-	// seed, engine version); resuming against state from a different run
-	// fails with a *checkpoint.MismatchError. Because accumulation
-	// always proceeds in ascending day order, a resumed run's Dataset is
-	// byte-identical to an uninterrupted one at any Workers value.
+	// sightings — (peer index, draw) records, checksummed per unit — to a
+	// checkpoint.Store so an interrupted campaign resumes by loading
+	// finished days instead of recomputing them. The directory is keyed
+	// by a manifest (network + fleet config hash, seed, engine version);
+	// resuming against state from a different run, or from the version 1
+	// format, fails with a *checkpoint.MismatchError. A loaded unit is
+	// verified against the network before it is folded. Because
+	// accumulation always proceeds in ascending day order, a resumed
+	// run's Dataset is byte-identical to an uninterrupted one at any
+	// Workers value.
 	CheckpointDir string
 }
 
@@ -102,7 +108,7 @@ func (c *Campaign) Run() (*Dataset, error) {
 }
 
 // RunContext executes the campaign: for every day, every observer captures
-// its RouterInfos (the union of its hourly netDb scans), the records are
+// its sightings (the union of its hourly netDb scans), the records are
 // merged, and the dataset accumulators are updated. The equivalent of the
 // paper's daily netDb cleanup is implicit: each day starts from an empty
 // observation set.
@@ -134,7 +140,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Dataset, error) {
 			return nil, err
 		}
 	}
-	err = c.run(ctx, from, func(day int, recs []*netdb.RouterInfo) error {
+	err = c.run(ctx, from, func(day int, recs []sim.Sighting) error {
 		return c.commitDay(ds, snap, store, day, recs)
 	})
 	if err != nil {
@@ -150,7 +156,6 @@ func (c *Campaign) RunContext(ctx context.Context) (*Dataset, error) {
 // the manifest hash already refuses — is simply recomputed and
 // overwritten.
 func (c *Campaign) resume(ds *Dataset, snap *snapshotter, store *checkpoint.Store) (int, error) {
-	db := c.net.GeoDB()
 	day := c.cfg.StartDay
 	for ; day < c.cfg.EndDay; day++ {
 		data, ok, err := store.Load(dayKey(day))
@@ -160,11 +165,11 @@ func (c *Campaign) resume(ds *Dataset, snap *snapshotter, store *checkpoint.Stor
 		if !ok {
 			break
 		}
-		recs, err := decodeDayUnit(data)
+		recs, err := decodeDayUnit(c.net, day, data)
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("checkpoint unit %s in %s: %w", dayKey(day), c.cfg.CheckpointDir, err)
 		}
-		ds.accumulateDay(db, day, recs)
+		ds.accumulateDay(c.net, day, recs)
 		// Re-write the snapshot so resumed runs leave the same SnapshotDir
 		// an uninterrupted run would (cheap, idempotent, atomic).
 		if err := snap.write(day, recs); err != nil {
@@ -178,17 +183,13 @@ func (c *Campaign) resume(ds *Dataset, snap *snapshotter, store *checkpoint.Stor
 // the netDb snapshot, spill the checkpoint unit, and cross the fault
 // boundary. The checkpoint write comes last of the persistence steps,
 // so a unit on disk guarantees the snapshot for that day is complete.
-func (c *Campaign) commitDay(ds *Dataset, snap *snapshotter, store *checkpoint.Store, day int, recs []*netdb.RouterInfo) error {
-	ds.accumulateDay(c.net.GeoDB(), day, recs)
+func (c *Campaign) commitDay(ds *Dataset, snap *snapshotter, store *checkpoint.Store, day int, recs []sim.Sighting) error {
+	ds.accumulateDay(c.net, day, recs)
 	if err := snap.write(day, recs); err != nil {
 		return err
 	}
 	if store != nil {
-		data, err := encodeDayUnit(recs)
-		if err != nil {
-			return err
-		}
-		if err := store.Save(dayKey(day), data); err != nil {
+		if err := store.Save(dayKey(day), encodeDayUnit(recs)); err != nil {
 			return err
 		}
 	}
@@ -197,7 +198,7 @@ func (c *Campaign) commitDay(ds *Dataset, snap *snapshotter, store *checkpoint.S
 
 // run drives days [from, EndDay) through capture and, in ascending day
 // order, commit, on the resolved number of workers.
-func (c *Campaign) run(ctx context.Context, from int, commit func(day int, recs []*netdb.RouterInfo) error) error {
+func (c *Campaign) run(ctx context.Context, from int, commit func(day int, recs []sim.Sighting) error) error {
 	nDays := c.cfg.EndDay - from
 	if nDays <= 0 {
 		return ctx.Err()
@@ -230,7 +231,7 @@ func (c *Campaign) run(ctx context.Context, from int, commit func(day int, recs 
 // every day it parks is the day due, so the loop degenerates to capture,
 // fold, capture, fold.
 func (c *Campaign) work(ctx context.Context, win *dayWindow, tid int, fold func(day int, u *dayUnit) error) error {
-	claimed := c.net.NewClaimSet()
+	sc := c.newDayCapture()
 	tr := obs.ActiveTracer()
 	for {
 		day, ok, err := win.admit(ctx)
@@ -238,7 +239,7 @@ func (c *Campaign) work(ctx context.Context, win *dayWindow, tid int, fold func(
 			return err
 		}
 		t0 := tr.Now()
-		u := c.captureDay(day, claimed)
+		u := c.captureDay(day, sc)
 		tr.Complete(tid, "day", t0, obs.Arg{Key: "day", Val: int64(day)})
 		c.retainUnit(u.bytes)
 		if err := win.put(day, u); err != nil {
@@ -265,68 +266,80 @@ func (c *Campaign) work(ctx context.Context, win *dayWindow, tid int, fold func(
 	}
 }
 
+// dayCapture is one worker's scratch for capturing days, reused from day
+// to day: only the sorted unit a capture returns is allocated per day,
+// at its exact size.
+type dayCapture struct {
+	claimed sim.ClaimSet
+	recs    []sim.Sighting // the day's sightings in capture order
+	keys    []uint64       // their sort keys (sortByIdentity)
+}
+
+func (c *Campaign) newDayCapture() *dayCapture {
+	return &dayCapture{claimed: c.net.NewClaimSet()}
+}
+
 // captureDay is the merge: observers in fleet order over one claim set, so
-// each peer's record is the first observer's to see it — what "newest
+// each peer's sighting is the first observer's to see it — what "newest
 // wins, ties to the earliest observer" resolves to when every observer
-// stamps the day's time — and no other record is built. The result is
-// sorted to identity order, the fold order that makes interned IDs (and
-// checkpoint bytes) deterministic.
-func (c *Campaign) captureDay(day int, claimed sim.ClaimSet) *dayUnit {
-	clear(claimed)
-	recs := make([]*netdb.RouterInfo, 0, len(c.net.ActivePeers(day)))
+// stamps the day's time — and no other is kept. The result is sorted to
+// identity order, the fold order that makes interned IDs (and checkpoint
+// bytes) deterministic.
+func (c *Campaign) captureDay(day int, sc *dayCapture) *dayUnit {
+	clear(sc.claimed)
+	sc.recs = sc.recs[:0]
 	for _, o := range c.obs {
-		recs = o.CaptureDay(day, claimed, recs)
+		sc.recs = o.CaptureDay(day, sc.claimed, sc.recs)
 	}
-	sortByIdentity(recs)
+	recs := sc.sortByIdentity(c.net)
 	return &dayUnit{recs: recs, bytes: unitBytes(recs)}
 }
 
-// accumulateDay folds one day's merged observations into the dataset.
-// recs must be in canonical identity-sorted order: intern IDs are
-// assigned on first sight, so the fold order — ascending days, sorted
-// records within a day — is what makes the Dataset byte-identical across
-// worker counts and resume.
-func (ds *Dataset) accumulateDay(db *geo.DB, day int, recs []*netdb.RouterInfo) {
+// accumulateDay folds one day's merged sightings into the dataset,
+// reading what each sighted peer's RouterInfo would publish that day
+// straight from the network's immutable peer: its scheduled addresses,
+// its capacity flags, and whether its draw holds an introducer. recs must
+// be in canonical identity-sorted order: intern IDs are assigned on
+// first sight, so the fold order — ascending days, sorted records within
+// a day — is what makes the Dataset byte-identical across worker counts
+// and resume.
+func (ds *Dataset) accumulateDay(network *sim.Network, day int, recs []sim.Sighting) {
+	db := network.GeoDB()
 	stats := ds.day(day)
-	// Per-day distinct-address counting rides the intern table's lastMark
-	// slot (day+1, so zero means never) instead of a fresh per-day map.
-	marker := int32(day + 1)
+	floodfill, reachable, unreachable := stats.GroupClass["floodfill"], stats.GroupClass["reachable"], stats.GroupClass["unreachable"]
 
-	for _, ri := range recs {
+	for _, s := range recs {
+		p := network.Peers[s.Peer]
 		stats.Peers++
 
 		// Peer tracking.
-		t := ds.track(ri.Identity, day)
+		t := ds.track(p.ID, day)
 
-		// Addresses.
-		for _, addr := range ri.IPs() {
-			id, g, fresh := ds.addrs.intern(db, addr)
-			if fresh && !g.resolved {
-				// One count per distinct unresolvable address — not per
-				// (record, address, day) occurrence, which used to inflate
-				// the summary once per day a bad address stayed alive.
-				ds.Unresolved++
-			}
-			t.ips, _ = insertSorted(t.ips, id)
-			if ds.addrs.lastMark[id] != marker {
-				ds.addrs.lastMark[id] = marker
-				stats.IPAll++
-				if g.is4 {
-					stats.IPv4++
-				} else {
-					stats.IPv6++
+		// Addresses and status classification (Section 5.1 / Figure 6), by
+		// what the peer publishes: RouterInfo.IPs order is IPv4 then IPv6.
+		var knownIP, firewalled, hidden bool
+		switch p.Status {
+		case sim.StatusKnownIP:
+			v4, v6 := p.AddrOnDay(day)
+			for _, addr := range [2]netip.Addr{v4, v6} {
+				if addr.IsValid() {
+					knownIP = true
+					ds.foldAddr(db, stats, t, day, addr)
 				}
 			}
-			if g.resolved {
-				t.asns, _ = insertSorted(t.asns, g.asn)
-				t.countries, _ = insertSorted(t.countries, g.country)
-			}
+			// A record with no usable address and no introducers reads as
+			// hidden, H flag or not.
+			hidden = !knownIP
+		case sim.StatusFirewalled, sim.StatusToggling:
+			// Every drawn introducer carries a valid address, so one is
+			// enough; a peer whose picks were all dropped reads as hidden.
+			// Toggling peers also carry the H flag: both groups.
+			firewalled = s.N > 0
+			hidden = p.Status == sim.StatusToggling || !firewalled
+		case sim.StatusHidden:
+			hidden = true
 		}
-
-		// Status classification (Section 5.1 / Figure 6).
-		firewalled := ri.Firewalled()
-		hidden := ri.HiddenPeer()
-		if ri.HasKnownIP() {
+		if knownIP {
 			t.EverKnownIP = true
 		} else {
 			stats.UnknownIP++
@@ -343,31 +356,64 @@ func (ds *Dataset) accumulateDay(db *geo.DB, day int, recs []*netdb.RouterInfo) 
 			stats.Overlap++
 		}
 
-		// Capacity flags (Figure 9, Table 1).
-		published := ri.Caps.PublishedClasses()
+		// Capacity flags (Figure 9, Table 1): the primary class plus the
+		// legacy O a P or X router also publishes (Caps.PublishedClasses).
+		letters := [2]netdb.BandwidthClass{p.Class, netdb.ClassO}
+		published := letters[:1]
+		if p.LegacyO && p.Class != netdb.ClassO {
+			published = letters[:2]
+		}
 		for _, cl := range published {
 			stats.ClassCounts[cl]++
 			t.classMask |= 1 << cl.Index()
 		}
-		t.primaryCount[ri.Caps.Class.Index()]++
-		if ri.Caps.Floodfill {
+		t.primaryCount[p.Class.Index()]++
+		group := unreachable
+		if p.Status == sim.StatusKnownIP && p.Reachable {
+			stats.Reachable++
+			group = reachable
+		} else {
+			stats.Unreachable++
+		}
+		for _, cl := range published {
+			group[cl]++
+		}
+		if p.Floodfill {
 			stats.Floodfill++
 			t.EverFloodfill = true
 			for _, cl := range published {
-				stats.GroupClass["floodfill"][cl]++
+				floodfill[cl]++
 			}
 		}
-		if ri.Caps.Reachable {
-			stats.Reachable++
-			for _, cl := range published {
-				stats.GroupClass["reachable"][cl]++
-			}
+	}
+}
+
+// foldAddr folds one published address of the peer behind t into the
+// day's distinct-address counters and the peer's address, AS and country
+// sets. Per-day distinct counting rides the intern table's lastMark slot
+// (day+1, so zero means never) instead of a fresh per-day map.
+func (ds *Dataset) foldAddr(db *geo.DB, stats *DayStats, t *PeerTrack, day int, addr netip.Addr) {
+	marker := int32(day + 1)
+	id, g, fresh := ds.addrs.intern(db, addr)
+	if fresh && !g.resolved {
+		// One count per distinct unresolvable address — not per
+		// (record, address, day) occurrence, which used to inflate
+		// the summary once per day a bad address stayed alive.
+		ds.Unresolved++
+	}
+	t.ips, _ = insertSorted(t.ips, id)
+	if ds.addrs.lastMark[id] != marker {
+		ds.addrs.lastMark[id] = marker
+		stats.IPAll++
+		if g.is4 {
+			stats.IPv4++
 		} else {
-			stats.Unreachable++
-			for _, cl := range published {
-				stats.GroupClass["unreachable"][cl]++
-			}
+			stats.IPv6++
 		}
+	}
+	if g.resolved {
+		t.asns, _ = insertSorted(t.asns, g.asn)
+		t.countries, _ = insertSorted(t.countries, g.country)
 	}
 }
 
@@ -405,14 +451,16 @@ func (c *Campaign) newSnapshotter() (*snapshotter, error) {
 	return &snapshotter{c: c, store: netdb.NewStore(false)}, nil
 }
 
-func (s *snapshotter) write(day int, recs []*netdb.RouterInfo) error {
+// write persists the day's netDb: real routerInfo files are its point, so
+// this is where the campaign's sightings become RouterInfos.
+func (s *snapshotter) write(day int, recs []sim.Sighting) error {
 	if s.store == nil {
 		return nil
 	}
 	now := s.c.net.DayTime(day)
 	s.store.Clear() // the daily cleanup of Section 4.3
-	for _, ri := range recs {
-		s.store.PutRouterInfo(ri, now)
+	for _, rec := range recs {
+		s.store.PutRouterInfo(s.c.net.RouterInfo(day, rec), now)
 	}
 	final := filepath.Join(s.c.cfg.SnapshotDir, fmt.Sprintf("day-%03d", day))
 	tmp := filepath.Join(s.c.cfg.SnapshotDir, fmt.Sprintf(".day-%03d.tmp", day))

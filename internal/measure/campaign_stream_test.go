@@ -50,17 +50,18 @@ func retainedUnits(c *Campaign) [][]*netdb.RouterInfo {
 		for _, ri := range merged {
 			recs = append(recs, ri)
 		}
-		sortByIdentity(recs)
+		referenceSortByIdentity(recs)
 		units[day] = recs
 	}
 	return units
 }
 
-// foldUnits folds retained units in day order into a fresh Dataset.
+// foldUnits folds retained units in day order into a fresh Dataset with
+// the RouterInfo fold the campaign used before it captured sightings.
 func foldUnits(c *Campaign, units [][]*netdb.RouterInfo) *Dataset {
 	ds := NewDataset(c.cfg.StartDay, c.cfg.EndDay)
 	for day := c.cfg.StartDay; day < c.cfg.EndDay; day++ {
-		ds.accumulateDay(c.net.GeoDB(), day, units[day])
+		ds.referenceAccumulateDay(c.net.GeoDB(), day, units[day])
 	}
 	return ds
 }
@@ -90,8 +91,8 @@ func assertNeverSpilled(t testing.TB, c *Campaign, tmpRoot string) {
 // produces the Dataset its Workers = 1 run produces while its peak
 // retained-unit count stays within the admission window — never
 // O(days) — and nothing is ever written to disk to get there. The
-// Workers = 1 Dataset in turn equals the fold of the retained,
-// map-merged CollectDay reference.
+// Workers = 1 Dataset — folded from sightings — in turn equals the
+// RouterInfo fold of the retained, map-merged CollectDay reference.
 func TestCampaignStreamingMatchesRetained(t *testing.T) {
 	n := parallelTestNet(t)
 	tmpRoot := t.TempDir()
@@ -259,8 +260,8 @@ func TestDayWindowRefusesPutOutsideWindow(t *testing.T) {
 
 // TestStreamFoldOrderInvariant is the fold property test: whatever
 // order admitted days finish capturing in and however narrow the window,
-// folding what the ring hands out yields a Dataset identical to folding
-// the units directly in order.
+// folding the captured sightings the ring hands out yields a Dataset
+// identical to the RouterInfo fold of the retained units in order.
 func TestStreamFoldOrderInvariant(t *testing.T) {
 	const days = 10
 	n, err := sim.New(sim.Config{Seed: 13, Days: days, TargetDailyPeers: 200})
@@ -271,9 +272,8 @@ func TestStreamFoldOrderInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units := retainedUnits(c)
-	reference := foldUnits(c, units)
-	db := n.GeoDB()
+	reference := foldUnits(c, retainedUnits(c))
+	sc := c.newDayCapture()
 
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
@@ -297,7 +297,7 @@ func TestStreamFoldOrderInvariant(t *testing.T) {
 			i := rng.Intn(len(inFlight))
 			day := inFlight[i]
 			inFlight = append(inFlight[:i], inFlight[i+1:]...)
-			if err := w.put(day, &dayUnit{recs: units[day]}); err != nil {
+			if err := w.put(day, c.captureDay(day, sc)); err != nil {
 				t.Fatal(err)
 			}
 			for {
@@ -305,7 +305,7 @@ func TestStreamFoldOrderInvariant(t *testing.T) {
 				if !ok {
 					break
 				}
-				ds.accumulateDay(db, due, u.recs)
+				ds.accumulateDay(n, due, u.recs)
 				w.folded()
 				folded++
 			}
@@ -333,7 +333,7 @@ func TestCampaignCancelledWhileBlockedOnAdmission(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		done <- c.run(ctx, 0, func(day int, _ []*netdb.RouterInfo) error {
+		done <- c.run(ctx, 0, func(day int, _ []sim.Sighting) error {
 			<-ctx.Done() // day 0 never finishes folding
 			return ctx.Err()
 		})

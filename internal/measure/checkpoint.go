@@ -2,18 +2,21 @@ package measure
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"slices"
 
 	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
-	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
 // campaignVersion is the Campaign engine's checkpoint-format version;
-// bump it when the day-unit encoding or keying changes.
-const campaignVersion = 1
+// bump it when the day-unit encoding or keying changes. Version 2 is the
+// sighting stream below; version 1 held netdb wire-encoded RouterInfos. A
+// unit names its peers by index into the manifest's network, so an API
+// that ever mutates a network must bump this or epoch the manifest.
+const campaignVersion = 2
 
 // HashNetwork folds every sim.Network config field that shapes engine
 // output into h. All five engines derive their checkpoint ConfigHash
@@ -69,66 +72,154 @@ func (c *Campaign) checkpointManifest() checkpoint.Manifest {
 // dayKey names the checkpoint unit holding one completed day.
 func dayKey(day int) string { return fmt.Sprintf("day-%03d", day) }
 
-// sortByIdentity puts one day's merged records into canonical order.
-// This is the single canonicalization point of the pipeline: everything
-// downstream — the Dataset fold (which assigns intern IDs on first
-// sight), the snapshot, and the checkpoint unit bytes — inherits an
-// order independent of which observer contributed which record.
-// Identities are distinct within a day, so the order is total.
-func sortByIdentity(recs []*netdb.RouterInfo) {
-	slices.SortFunc(recs, func(a, b *netdb.RouterInfo) int {
-		return bytes.Compare(a.Identity[:], b.Identity[:])
+// sortByIdentity returns the day's captured sightings in canonical order,
+// ascending by the sighted peers' identity hashes, as a slice of its own
+// that the next capture does not overwrite. This is the single
+// canonicalization point of the pipeline: everything downstream — the
+// Dataset fold (which assigns intern IDs on first sight), the snapshot,
+// and the checkpoint unit bytes — inherits an order independent of which
+// observer contributed which record. Identities are distinct, so the
+// order is total.
+//
+// Each sighting sorts as one integer, its peer's identity rank above its
+// position in sc.recs: a comparator that chases two peers to their
+// 32-byte hashes and swaps 44-byte sightings takes a third of the
+// capture's time.
+func (sc *dayCapture) sortByIdentity(network *sim.Network) []sim.Sighting {
+	rank := identityRank(network)
+	sc.keys = sc.keys[:0]
+	for i, s := range sc.recs {
+		sc.keys = append(sc.keys, uint64(rank[s.Peer])<<32|uint64(i))
+	}
+	slices.Sort(sc.keys)
+	sorted := make([]sim.Sighting, len(sc.recs))
+	for i, k := range sc.keys {
+		sorted[i] = sc.recs[uint32(k)]
+	}
+	return sorted
+}
+
+// identityRankKey is identityRank's sim.Derive slot.
+type identityRankKey struct{}
+
+// identityRank returns, by peer index, each peer's position among the
+// network's identity hashes in ascending byte order. Built on first use
+// and owned by the network.
+func identityRank(network *sim.Network) []int32 {
+	return sim.Derive(network, identityRankKey{}, func() []int32 {
+		peers := network.Peers
+		order := make([]int32, len(peers))
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			return bytes.Compare(peers[a].ID[:], peers[b].ID[:])
+		})
+		rank := make([]int32, len(peers))
+		for r, idx := range order {
+			rank[idx] = int32(r)
+		}
+		return rank
 	})
 }
 
-// encodeDayUnit serializes one day's merged observations using the
-// netdb wire codec. recs must already be in canonical identity-sorted
-// order (see sortByIdentity), which makes the unit's bytes deterministic.
-func encodeDayUnit(recs []*netdb.RouterInfo) ([]byte, error) {
-	var buf bytes.Buffer
-	var u [4]byte
-	binary.LittleEndian.PutUint32(u[:], uint32(len(recs)))
-	buf.Write(u[:])
-	for _, ri := range recs {
-		data, err := ri.Encode()
-		if err != nil {
-			return nil, fmt.Errorf("measure: encoding day unit: %w", err)
-		}
-		binary.LittleEndian.PutUint32(u[:], uint32(len(data)))
-		buf.Write(u[:])
-		buf.Write(data)
+// A day unit is a little-endian record stream:
+//
+//	magic "DU02" | count u32 | count × record | SHA-256 of all that precedes
+//	record: peer u32 | port u16 | n u8 | n × (pick u32 | tag u32 | port u16)
+//
+// — each sighting's peer index and draw, nothing the network already
+// holds. The checksum covers the whole unit and is verified before any
+// field is read.
+var dayUnitMagic = [4]byte{'D', 'U', '0', '2'}
+
+const (
+	dayUnitHeader = len(dayUnitMagic) + 4
+	recordSize    = 4 + 2 + 1 // a record with no introducers
+	introSize     = 4 + 4 + 2
+)
+
+// encodeDayUnit serializes one day's merged sightings. recs must already
+// be in canonical identity-sorted order (see sortByIdentity), which makes
+// the unit's bytes deterministic.
+func encodeDayUnit(recs []sim.Sighting) []byte {
+	size := dayUnitHeader + sha256.Size
+	for i := range recs {
+		size += recordSize + int(recs[i].N)*introSize
 	}
-	return buf.Bytes(), nil
+	le := binary.LittleEndian
+	buf := make([]byte, 0, size)
+	buf = append(buf, dayUnitMagic[:]...)
+	buf = le.AppendUint32(buf, uint32(len(recs)))
+	for i := range recs {
+		s := &recs[i]
+		buf = le.AppendUint32(buf, uint32(s.Peer))
+		buf = le.AppendUint16(buf, s.Port)
+		buf = append(buf, s.N)
+		for _, in := range s.Intros[:s.N] {
+			buf = le.AppendUint32(buf, in.Pick)
+			buf = le.AppendUint32(buf, in.Tag)
+			buf = le.AppendUint16(buf, in.Port)
+		}
+	}
+	sum := sha256.Sum256(buf)
+	return append(buf, sum[:]...)
 }
 
-// decodeDayUnit inverts encodeDayUnit. Records come back in the same
-// canonical identity-sorted order they were written in, so accumulation
-// code cannot tell a resumed day from a computed one.
-func decodeDayUnit(data []byte) ([]*netdb.RouterInfo, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("measure: day unit truncated")
+// decodeDayUnit inverts encodeDayUnit for the given day of the given
+// network, and refuses anything that network cannot have written: a unit
+// whose checksum does not match, and past that a peer index out of range
+// or offline that day, a draw the peer's status or the day's introducer
+// pool rules out (sim.Network.CheckSighting), records not strictly
+// ascending by identity, short or trailing bytes. Records come back in
+// the canonical order they were written in, so accumulation code cannot
+// tell a resumed day from a computed one.
+func decodeDayUnit(network *sim.Network, day int, data []byte) ([]sim.Sighting, error) {
+	if len(data) < dayUnitHeader+sha256.Size {
+		return nil, fmt.Errorf("measure: day unit truncated: %d bytes", len(data))
 	}
-	n := binary.LittleEndian.Uint32(data)
-	data = data[4:]
-	recs := make([]*netdb.RouterInfo, 0, n)
-	for i := uint32(0); i < n; i++ {
-		if len(data) < 4 {
+	body, tag := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
+	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], tag) {
+		return nil, fmt.Errorf("measure: day unit checksum mismatch")
+	}
+	if !bytes.Equal(body[:len(dayUnitMagic)], dayUnitMagic[:]) {
+		return nil, fmt.Errorf("measure: day unit magic %q, want %q", body[:len(dayUnitMagic)], dayUnitMagic[:])
+	}
+	le := binary.LittleEndian
+	count := le.Uint32(body[len(dayUnitMagic):])
+	body = body[dayUnitHeader:]
+	if uint64(count)*recordSize > uint64(len(body)) {
+		return nil, fmt.Errorf("measure: day unit truncated: %d records in %d bytes", count, len(body))
+	}
+	recs := make([]sim.Sighting, count)
+	for i := range recs {
+		s := &recs[i]
+		if len(body) < recordSize {
 			return nil, fmt.Errorf("measure: day unit truncated at record %d", i)
 		}
-		sz := binary.LittleEndian.Uint32(data)
-		data = data[4:]
-		if uint32(len(data)) < sz {
+		s.Peer = int32(le.Uint32(body))
+		s.Port = le.Uint16(body[4:])
+		s.N = body[6]
+		body = body[recordSize:]
+		if int(s.N) > len(s.Intros) {
+			return nil, fmt.Errorf("measure: day unit record %d: %d introducers, at most %d possible", i, s.N, len(s.Intros))
+		}
+		if len(body) < int(s.N)*introSize {
 			return nil, fmt.Errorf("measure: day unit truncated at record %d", i)
 		}
-		ri, err := netdb.DecodeRouterInfo(data[:sz])
-		if err != nil {
+		for j := range s.Intros[:s.N] {
+			s.Intros[j] = sim.IntroDraw{Pick: le.Uint32(body), Tag: le.Uint32(body[4:]), Port: le.Uint16(body[8:])}
+			body = body[introSize:]
+		}
+		if err := network.CheckSighting(day, *s); err != nil {
 			return nil, fmt.Errorf("measure: day unit record %d: %w", i, err)
 		}
-		recs = append(recs, ri)
-		data = data[sz:]
+		if i > 0 && bytes.Compare(network.Peers[recs[i-1].Peer].ID[:], network.Peers[s.Peer].ID[:]) >= 0 {
+			return nil, fmt.Errorf("measure: day unit record %d: identities not strictly ascending", i)
+		}
 	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("measure: day unit has %d trailing bytes", len(data))
+	if len(body) != 0 {
+		return nil, fmt.Errorf("measure: day unit has %d trailing bytes", len(body))
 	}
 	return recs, nil
 }

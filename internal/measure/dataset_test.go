@@ -25,22 +25,21 @@ func TestUnresolvedCountsDistinctAddresses(t *testing.T) {
 	if _, ok := db.Lookup(bogus); ok {
 		t.Fatal("test address unexpectedly resolves")
 	}
-	ri := &netdb.RouterInfo{
-		Identity: netdb.HashFromUint64(1),
-		Caps:     netdb.NewCaps(100, false, true),
-		Addresses: []netdb.RouterAddress{
-			{Transport: netdb.TransportNTCP, Addr: bogus, Port: 9001},
-		},
+	// The simulator never publishes an unresolvable address, so the test
+	// feeds the fold's per-address step directly.
+	fold := func(ds *Dataset, day int, id netdb.Hash, addr netip.Addr) {
+		ds.foldAddr(db, ds.day(day), ds.track(id, day), day, addr)
 	}
+	id := netdb.HashFromUint64(1)
 
 	ds := NewDataset(0, 10)
 	for day := 0; day < 10; day++ {
-		ds.accumulateDay(db, day, []*netdb.RouterInfo{ri})
+		fold(ds, day, id, bogus)
 	}
 	if ds.Unresolved != 1 {
 		t.Fatalf("Unresolved = %d, want 1 (one distinct unresolvable address over 10 days)", ds.Unresolved)
 	}
-	tr := ds.Peers[ri.Identity]
+	tr := ds.Peers[id]
 	if tr == nil || tr.IPCount() != 1 || tr.DaysObserved() != 10 {
 		t.Fatalf("track mis-accumulated: %+v", tr)
 	}
@@ -52,16 +51,10 @@ func TestUnresolvedCountsDistinctAddresses(t *testing.T) {
 		}
 	}
 	// A second distinct bad address on a later day adds exactly one more.
-	ri2 := &netdb.RouterInfo{
-		Identity: netdb.HashFromUint64(2),
-		Caps:     netdb.NewCaps(100, false, true),
-		Addresses: []netdb.RouterAddress{
-			{Transport: netdb.TransportNTCP, Addr: netip.MustParseAddr("2001:db8::2"), Port: 9001},
-		},
-	}
 	ds2 := NewDataset(0, 10)
 	for day := 0; day < 10; day++ {
-		ds2.accumulateDay(db, day, []*netdb.RouterInfo{ri, ri2})
+		fold(ds2, day, id, bogus)
+		fold(ds2, day, netdb.HashFromUint64(2), netip.MustParseAddr("2001:db8::2"))
 	}
 	if ds2.Unresolved != 2 {
 		t.Fatalf("Unresolved = %d, want 2", ds2.Unresolved)

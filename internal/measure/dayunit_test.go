@@ -1,0 +1,292 @@
+package measure
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
+	"github.com/i2pstudy/i2pstudy/internal/sim"
+)
+
+// dayUnitFixture is a small campaign whose captured days feed the codec
+// tests — a few dozen records a day, so the fuzzer minimizes what it
+// derives from them in milliseconds.
+func dayUnitFixture(t testing.TB) *Campaign {
+	t.Helper()
+	n, err := sim.New(sim.Config{Seed: 13, Days: 10, TargetDailyPeers: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCampaign(n, CampaignConfig{Observers: DefaultObserverFleet(3), StartDay: 0, EndDay: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// seal closes a unit body with its checksum, as encodeDayUnit does.
+func seal(body []byte) []byte {
+	sum := sha256.Sum256(body)
+	return append(bytes.Clone(body), sum[:]...)
+}
+
+// version1Unit is the day unit as campaignVersion 1 wrote it: a record
+// count, then each RouterInfo's netdb wire encoding behind its length.
+func version1Unit(t testing.TB, network *sim.Network, day int, recs []sim.Sighting) []byte {
+	t.Helper()
+	le := binary.LittleEndian
+	unit := le.AppendUint32(nil, uint32(len(recs)))
+	for _, s := range recs {
+		data, err := network.RouterInfo(day, s).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit = append(le.AppendUint32(unit, uint32(len(data))), data...)
+	}
+	return unit
+}
+
+// unsealed returns a unit's body, the checksum cut off.
+func unsealed(unit []byte) []byte { return unit[:len(unit)-sha256.Size] }
+
+// TestDayUnitRoundTrip: every captured day decodes back to the sightings
+// it was encoded from, in the order the capture sorted them to.
+func TestDayUnitRoundTrip(t *testing.T) {
+	c := dayUnitFixture(t)
+	sc := c.newDayCapture()
+	for day := c.cfg.StartDay; day < c.cfg.EndDay; day++ {
+		recs := c.captureDay(day, sc).recs
+		if len(recs) == 0 {
+			t.Fatalf("day %d captured nothing", day)
+		}
+		got, err := decodeDayUnit(c.net, day, encodeDayUnit(recs))
+		if err != nil {
+			t.Fatalf("day %d: %v", day, err)
+		}
+		if !reflect.DeepEqual(got, recs) {
+			t.Fatalf("day %d: decoded sightings differ from the encoded ones", day)
+		}
+	}
+	if got, err := decodeDayUnit(c.net, 0, encodeDayUnit(nil)); err != nil || len(got) != 0 {
+		t.Fatalf("empty unit = (%d records, %v)", len(got), err)
+	}
+}
+
+// TestDayUnitRefusesDoctoredBody reaches each of the decoder's validators
+// on its own: the body is doctored and the checksum recomputed over it,
+// so nothing but the named check stands between the unit and the fold.
+func TestDayUnitRefusesDoctoredBody(t *testing.T) {
+	c := dayUnitFixture(t)
+	const day = 4
+	valid := c.captureDay(day, c.newDayCapture()).recs
+	// The first record that advertises an introducer, and its offset in
+	// the unit.
+	intro, introOff := -1, dayUnitHeader
+	for i, s := range valid {
+		if s.N > 0 {
+			intro = i
+			break
+		}
+		introOff += recordSize + int(s.N)*introSize
+	}
+	if intro < 0 || len(valid) < 2 {
+		t.Fatalf("fixture day holds %d records, none with an introducer", len(valid))
+	}
+	offline := -1
+	for i, p := range c.net.Peers {
+		if !p.ActiveOn(day) {
+			offline = i
+			break
+		}
+	}
+	if offline < 0 {
+		t.Fatal("every peer of the fixture is online on the fixture day")
+	}
+
+	// doctorRecs edits a copy of the sightings and encodes it; doctorBody
+	// edits the valid unit's bytes.
+	doctorRecs := func(edit func(recs []sim.Sighting)) []byte {
+		recs := append([]sim.Sighting(nil), valid...)
+		edit(recs)
+		return encodeDayUnit(recs)
+	}
+	doctorBody := func(edit func(body []byte) []byte) []byte {
+		return seal(edit(bytes.Clone(unsealed(encodeDayUnit(valid)))))
+	}
+	cases := []struct {
+		name, want string
+		unit       []byte
+	}{
+		{"peer out of range", "outside the network", doctorRecs(func(recs []sim.Sighting) {
+			recs[0].Peer = int32(len(c.net.Peers))
+		})},
+		{"negative peer", "outside the network", doctorRecs(func(recs []sim.Sighting) {
+			recs[0].Peer = -1
+		})},
+		{"inactive peer", "not online", doctorRecs(func(recs []sim.Sighting) {
+			recs[0].Peer = int32(offline)
+		})},
+		{"duplicate identity", "not strictly ascending", doctorRecs(func(recs []sim.Sighting) {
+			recs[1] = recs[0]
+		})},
+		{"descending identities", "not strictly ascending", doctorRecs(func(recs []sim.Sighting) {
+			recs[0], recs[1] = recs[1], recs[0]
+		})},
+		{"n = 4", "4 introducers", doctorBody(func(body []byte) []byte {
+			body[introOff+6] = 4
+			return body
+		})},
+		{"pick == pool size", "past day 4's pool", doctorRecs(func(recs []sim.Sighting) {
+			recs[intro].Intros[0].Pick = uint32(len(c.net.Introducers(day)))
+		})},
+		{"truncated record", "truncated", doctorBody(func(body []byte) []byte {
+			return body[:len(body)-3]
+		})},
+		{"count past the records", "truncated", doctorBody(func(body []byte) []byte {
+			binary.LittleEndian.PutUint32(body[len(dayUnitMagic):], uint32(len(valid)+1))
+			return body
+		})},
+		{"trailing bytes", "trailing", doctorBody(func(body []byte) []byte {
+			return append(body, 0)
+		})},
+		{"wrong magic", "magic", doctorBody(func(body []byte) []byte {
+			body[0] ^= 1
+			return body
+		})},
+		{"version 1 unit", "checksum", version1Unit(t, c.net, day, valid)},
+		{"too short for a checksum", "truncated", encodeDayUnit(valid)[:dayUnitHeader]},
+	}
+	for _, tc := range cases {
+		recs, err := decodeDayUnit(c.net, day, tc.unit)
+		if err == nil {
+			t.Errorf("%s: accepted, %d records", tc.name, len(recs))
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: refused with %q, want the %q check", tc.name, err, tc.want)
+		}
+	}
+	if _, err := decodeDayUnit(c.net, day, encodeDayUnit(valid)); err != nil {
+		t.Fatalf("the undoctored unit is refused: %v", err)
+	}
+	// The unit belongs to its day: another day's pool and presence differ.
+	if _, err := decodeDayUnit(c.net, day+1, encodeDayUnit(valid)); err == nil {
+		t.Error("day 4's unit decoded as day 5's")
+	}
+}
+
+// TestDayUnitEveryByteIsCovered flips each byte of a unit in turn, the
+// checksum's own included: none survives.
+func TestDayUnitEveryByteIsCovered(t *testing.T) {
+	c := dayUnitFixture(t)
+	const day = 4
+	unit := encodeDayUnit(c.captureDay(day, c.newDayCapture()).recs)
+	for i := range unit {
+		unit[i] ^= 0x40
+		if _, err := decodeDayUnit(c.net, day, unit); err == nil {
+			t.Fatalf("unit accepted with byte %d of %d flipped", i, len(unit))
+		}
+		unit[i] ^= 0x40
+	}
+}
+
+// FuzzDayUnit holds the day-unit decoder to three properties on hostile
+// input: it never panics; whatever it accepts re-encodes to the bytes it
+// was given (decode ∘ encode is the identity, and the encoding is
+// canonical); and a valid unit with any one byte changed is refused. The
+// input is tried as given and again with the checksum recomputed over
+// its body, so the fuzzer gets past the checksum to the validators.
+func FuzzDayUnit(f *testing.F) {
+	c := dayUnitFixture(f)
+	const day = 4
+	sc := c.newDayCapture()
+	valid := encodeDayUnit(c.captureDay(day, sc).recs)
+	for _, d := range []int{0, day, 9} {
+		f.Add(encodeDayUnit(c.captureDay(d, sc).recs), uint(0), byte(1))
+	}
+	f.Add(encodeDayUnit(nil), uint(7), byte(0x80))
+	f.Add([]byte("DU02"), uint(40), byte(0xff))
+	f.Fuzz(func(t *testing.T, data []byte, pos uint, flip byte) {
+		roundTrip := func(unit []byte) {
+			recs, err := decodeDayUnit(c.net, day, unit)
+			if err != nil {
+				return
+			}
+			if again := encodeDayUnit(recs); !bytes.Equal(again, unit) {
+				t.Fatalf("accepted a %d-byte unit that re-encodes to %d different bytes", len(unit), len(again))
+			}
+		}
+		roundTrip(data)
+		if len(data) >= sha256.Size {
+			roundTrip(seal(unsealed(data)))
+		}
+		if flip != 0 {
+			mutated := bytes.Clone(valid)
+			mutated[pos%uint(len(mutated))] ^= flip
+			if _, err := decodeDayUnit(c.net, day, mutated); err == nil {
+				t.Fatalf("valid unit accepted with byte %d xor %#x", pos%uint(len(mutated)), flip)
+			}
+		}
+	})
+}
+
+// TestCampaignRefusesVersion1Store: a directory a version 1 campaign
+// wrote — RouterInfo wire records under the same keys — is refused at
+// the manifest, before a unit is read.
+func TestCampaignRefusesVersion1Store(t *testing.T) {
+	c := dayUnitFixture(t)
+	dir := t.TempDir()
+	v1 := c.checkpointManifest()
+	v1.Version = 1
+	store, err := checkpoint.Open(dir, v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	day0 := c.captureDay(0, c.newDayCapture()).recs
+	if err := store.Save(dayKey(0), version1Unit(t, c.net, 0, day0)); err != nil {
+		t.Fatal(err)
+	}
+	c.cfg.CheckpointDir = dir
+	_, err = c.Run()
+	var mismatch *checkpoint.MismatchError
+	if !errors.As(err, &mismatch) {
+		t.Fatalf("run over a version 1 store returned %v, want a *checkpoint.MismatchError", err)
+	}
+	if mismatch.Field != "version" || mismatch.Have != "1" || mismatch.Want != "2" {
+		t.Fatalf("mismatch = %+v, want version 1 against 2", mismatch)
+	}
+}
+
+// TestResumeErrorNamesUnit: a unit that fails to decode is reported with
+// its key and the store directory — the file an operator has to delete.
+func TestResumeErrorNamesUnit(t *testing.T) {
+	c := dayUnitFixture(t)
+	dir := t.TempDir()
+	c.cfg.CheckpointDir = dir
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, dayKey(3))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Run()
+	if err == nil {
+		t.Fatal("resume accepted a damaged unit")
+	}
+	for _, want := range []string{dayKey(3), dir, "checksum"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("resume error %q does not mention %q", err, want)
+		}
+	}
+}

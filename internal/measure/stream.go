@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
-	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/obs"
+	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
 // This file is the admission layer of the campaign engine: the
@@ -40,21 +41,9 @@ func (c *Campaign) MemStats() MemStats {
 	return MemStats{PeakRetainedUnits: int(c.peakRetained.Load())}
 }
 
-// unitBytes estimates the resident size of one merged day unit. It is a
-// telemetry estimate (struct sizes plus per-address and per-option
-// payloads), not an exact heap measurement — the retained-unit COUNT is
-// the contract the tests assert; bytes give operators a scale feel.
-func unitBytes(recs []*netdb.RouterInfo) int64 {
-	const (
-		recBase  = 176 // RouterInfo struct + slice/map headers + pointer
-		addrCost = 96  // RouterAddress struct + introducer slice header
-		optCost  = 48  // map entry + small strings
-	)
-	b := int64(len(recs)) * recBase
-	for _, ri := range recs {
-		b += int64(len(ri.Addresses))*addrCost + int64(len(ri.Options))*optCost
-	}
-	return b
+// unitBytes is the resident size of one merged day unit's records.
+func unitBytes(recs []sim.Sighting) int64 {
+	return int64(len(recs)) * int64(unsafe.Sizeof(sim.Sighting{}))
 }
 
 // retainUnit records one merged day unit entering memory.
@@ -84,9 +73,9 @@ func (c *Campaign) releaseUnit(bytes int64) {
 // (identity-sorted) order — the fold order that makes interned IDs and
 // checkpoint bytes independent of which worker captured the day.
 type dayUnit struct {
-	recs []*netdb.RouterInfo
-	// bytes is the unit's estimated resident size (see unitBytes),
-	// carried so release accounting matches retain accounting exactly.
+	recs []sim.Sighting
+	// bytes is the unit's resident size (see unitBytes), carried so
+	// release accounting matches retain accounting exactly.
 	bytes int64
 }
 
@@ -199,6 +188,6 @@ var campaignObs = obs.NewLazy(func(r *obs.Registry) campaignStats {
 		retainedPeak: r.Gauge("i2p_measure_retained_units_peak",
 			"High-water mark of simultaneously resident merged day units."),
 		residentBytes: r.Gauge("i2p_measure_resident_bytes",
-			"Estimated bytes of merged day records resident in campaign memory."),
+			"Bytes of merged day records (sightings) resident in campaign memory."),
 	}
 })

@@ -131,6 +131,29 @@ func TestRouterInfoClassification(t *testing.T) {
 	}
 }
 
+// TestFirewalledDoesNotAllocate: the classification walks the introducers
+// where they are. It used to collect them into a fresh slice first, once
+// per record of every inventory scan, and an introducer with no valid
+// address still does not make a peer firewalled.
+func TestFirewalledDoesNotAllocate(t *testing.T) {
+	fw := sampleFirewalledRouterInfo()
+	var got bool
+	if n := testing.AllocsPerRun(100, func() { got = fw.Firewalled() && !fw.HiddenPeer() }); n != 0 {
+		t.Errorf("Firewalled allocates %v times per call", n)
+	}
+	if !got {
+		t.Fatal("firewalled sample misclassified")
+	}
+	for i := range fw.Addresses {
+		for j := range fw.Addresses[i].Introducers {
+			fw.Addresses[i].Introducers[j].Addr = netip.Addr{}
+		}
+	}
+	if fw.Firewalled() || !fw.HiddenPeer() {
+		t.Fatal("a peer whose introducers carry no address should classify as hidden, not firewalled")
+	}
+}
+
 func TestRouterInfoClone(t *testing.T) {
 	ri := sampleFirewalledRouterInfo()
 	ri.Options = map[string]string{"a": "b"}

@@ -160,9 +160,11 @@ func (ri *RouterInfo) Firewalled() bool {
 	if ri.HasKnownIP() {
 		return false
 	}
-	for _, in := range ri.Introducers() {
-		if in.Addr.IsValid() {
-			return true
+	for i := range ri.Addresses {
+		for _, in := range ri.Addresses[i].Introducers {
+			if in.Addr.IsValid() {
+				return true
+			}
 		}
 	}
 	return false

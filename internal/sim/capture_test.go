@@ -64,10 +64,11 @@ func legacyRouterInfo(p *Peer, day int, dayTime time.Time, introducerPool []*Pee
 }
 
 // TestCaptureDayDrawParity: whatever subset of the day's sightings is
-// already claimed, CaptureDay returns exactly the records the legacy
-// sequential materialization produced for the unclaimed ones, claims
-// them, and leaves the stream where the legacy walk left it — the
-// discarded draws consumed neither more nor fewer values.
+// already claimed, Network.RouterInfo over CaptureDay's sightings is
+// exactly the records the legacy sequential materialization produced for
+// the unclaimed ones, record for record; CaptureDay claims them, and
+// leaves the stream where the legacy walk left it — the discarded draws
+// consumed neither more nor fewer values.
 func TestCaptureDayDrawParity(t *testing.T) {
 	n := testNetwork(t, 12)
 	claimSets := []struct {
@@ -112,7 +113,13 @@ func TestCaptureDayDrawParity(t *testing.T) {
 					}
 				}
 				rng := o.materializeRNG(day)
-				got := o.capture(day, rng, claimed, nil)
+				var got []*netdb.RouterInfo
+				for _, s := range o.capture(day, rng, claimed, nil) {
+					if err := n.CheckSighting(day, s); err != nil {
+						t.Fatalf("seed %d day %d claimed=%s: captured sighting refused: %v", cfg.Seed, day, cs.name, err)
+					}
+					got = append(got, n.RouterInfo(day, s))
+				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("seed %d day %d claimed=%s: %d records differ from the %d-record subsequence of CollectDay",
 						cfg.Seed, day, cs.name, len(got), len(want))
@@ -126,6 +133,57 @@ func TestCaptureDayDrawParity(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestCheckSightingRefusesWhatTheDrawCannotProduce: a sighting passes
+// only if drawInfo could have produced it for that peer on that day —
+// the guard between a sighting read from disk and RouterInfo's unchecked
+// indexing.
+func TestCheckSightingRefusesWhatTheDrawCannotProduce(t *testing.T) {
+	n := testNetwork(t, 12)
+	const day = 5
+	o := n.NewObserver(ObserverConfig{Floodfill: true, SharedKBps: MaxSharedKBps, Seed: 1000})
+	byStatus := map[Status]Sighting{}
+	var introduced Sighting
+	for _, s := range o.CaptureDay(day, n.NewClaimSet(), nil) {
+		if err := n.CheckSighting(day, s); err != nil {
+			t.Fatalf("captured sighting refused: %v", err)
+		}
+		byStatus[n.Peers[s.Peer].Status] = s
+		if s.N > 0 {
+			introduced = s
+		}
+	}
+	if len(byStatus) != 4 || introduced.N == 0 {
+		t.Fatalf("day %d covers %d of 4 statuses, introducers drawn: %v", day, len(byStatus), introduced.N > 0)
+	}
+	offline := -1
+	for i, p := range n.Peers {
+		if !p.ActiveOn(day) {
+			offline = i
+			break
+		}
+	}
+	edit := func(s Sighting, f func(*Sighting)) Sighting { f(&s); return s }
+	known, hidden := byStatus[StatusKnownIP], byStatus[StatusHidden]
+	for name, s := range map[string]Sighting{
+		"peer below range":            edit(known, func(s *Sighting) { s.Peer = -1 }),
+		"peer past range":             edit(known, func(s *Sighting) { s.Peer = int32(len(n.Peers)) }),
+		"peer offline":                edit(known, func(s *Sighting) { s.Peer = int32(offline) }),
+		"known-IP port below range":   edit(known, func(s *Sighting) { s.Port = 8999 }),
+		"known-IP port past range":    edit(known, func(s *Sighting) { s.Port = 31001 }),
+		"known-IP with an introducer": edit(known, func(s *Sighting) { s.N, s.Intros = introduced.N, introduced.Intros }),
+		"firewalled with a port":      edit(introduced, func(s *Sighting) { s.Port = 9000 }),
+		"four introducers":            edit(introduced, func(s *Sighting) { s.N = 4 }),
+		"pick past the pool":          edit(introduced, func(s *Sighting) { s.Intros[0].Pick = uint32(len(n.Introducers(day))) }),
+		"introducer port past range":  edit(introduced, func(s *Sighting) { s.Intros[0].Port = 31001 }),
+		"hidden with a port":          edit(hidden, func(s *Sighting) { s.Port = 9000 }),
+		"hidden with an introducer":   edit(hidden, func(s *Sighting) { s.N, s.Intros = introduced.N, introduced.Intros }),
+	} {
+		if err := n.CheckSighting(day, s); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

@@ -262,14 +262,15 @@ func (c ClaimSet) claim(idx int) bool {
 	return true
 }
 
-// CaptureDay appends to out the RouterInfos the observer captured on the
+// CaptureDay appends to out the sightings the observer captured on the
 // given day for peers not yet in claimed, and claims them. Every observer
 // stamps Published with the day's time, so across a fleet walked in order
 // the first observer to see a peer holds the record a newest-wins merge
-// keeps; CaptureDay builds only those. A peer already claimed still draws
+// keeps; CaptureDay keeps only those. A peer already claimed still draws
 // from the materialization stream and discards the draw, so the records
-// built are bit-for-bit the ones CollectDay returns for the same peers.
-func (o *Observer) CaptureDay(day int, claimed ClaimSet, out []*netdb.RouterInfo) []*netdb.RouterInfo {
+// Network.RouterInfo builds from the sightings are bit-for-bit the ones
+// CollectDay returns for the same peers.
+func (o *Observer) CaptureDay(day int, claimed ClaimSet, out []Sighting) []Sighting {
 	return o.capture(day, o.materializeRNG(day), claimed, out)
 }
 
@@ -279,14 +280,12 @@ func (o *Observer) materializeRNG(day int) *rand.Rand { return o.dayRNG(day + 1<
 
 // capture is CaptureDay over a caller-held stream, so a test can read
 // where the walk left it.
-func (o *Observer) capture(day int, rng *rand.Rand, claimed ClaimSet, out []*netdb.RouterInfo) []*netdb.RouterInfo {
+func (o *Observer) capture(day int, rng *rand.Rand, claimed ClaimSet, out []Sighting) []Sighting {
 	pool := o.net.introducerPool(day)
-	dayTime := o.net.DayTime(day)
 	for _, idx := range o.ObserveDay(day) {
-		p := o.net.Peers[idx]
-		d := p.drawInfo(pool, rng)
+		d := o.net.Peers[idx].drawInfo(pool, rng)
 		if claimed.claim(idx) {
-			out = append(out, p.buildInfo(day, dayTime, d))
+			out = append(out, Sighting{Peer: int32(idx), Draw: d})
 		}
 	}
 	return out
@@ -296,8 +295,12 @@ func (o *Observer) capture(day int, rng *rand.Rand, claimed ClaimSet, out []*net
 // given day — what the paper's harness read from the netDb directory on
 // its hourly scans before the daily cleanup (Section 4.3).
 func (o *Observer) CollectDay(day int) []*netdb.RouterInfo {
-	out := make([]*netdb.RouterInfo, 0, len(o.ObserveDay(day)))
-	return o.CaptureDay(day, o.net.NewClaimSet(), out)
+	seen := o.CaptureDay(day, o.net.NewClaimSet(), make([]Sighting, 0, len(o.ObserveDay(day))))
+	out := make([]*netdb.RouterInfo, len(seen))
+	for i, s := range seen {
+		out[i] = o.net.RouterInfo(day, s)
+	}
+	return out
 }
 
 // UnionObserveDay returns the union of observations of several observers

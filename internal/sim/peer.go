@@ -252,46 +252,71 @@ func (p *Peer) UniqueASNs() int {
 	return len(seen)
 }
 
-// infoDraw is everything a RouterInfo takes from the materialization
-// stream: the published port of a known-IP peer, or the introducers a
-// firewalled peer advertises.
-type infoDraw struct {
-	port   uint16
-	intros [3]netdb.Introducer
-	n      int // introducers drawn into intros
+// IntroDraw is one introducer a firewalled peer advertises, as drawn: the
+// position picked in the day's introducer pool, the introduction tag and
+// the contact port. The introducer's identity and address are the pool's
+// to resolve (buildInfo), so a draw is plain integers.
+type IntroDraw struct {
+	Pick uint32 // index into the day's introducer pool
+	Tag  uint32
+	Port uint16
 }
+
+// Draw is everything a RouterInfo takes from the materialization stream:
+// the published port of a known-IP peer, or the introducers a firewalled
+// peer advertises. Every introducer in Intros[:N] publishes a valid IPv4
+// on the day of the draw; a pick that does not is dropped by drawInfo.
+type Draw struct {
+	Port   uint16
+	N      uint8 // introducers drawn into Intros
+	Intros [3]IntroDraw
+}
+
+// Sighting is one captured record before it is materialized: which peer,
+// and what its RouterInfo took from the stream. With the immutable
+// network and the day it is a complete description of the record —
+// Network.RouterInfo rebuilds it bit for bit — so it is what the campaign
+// folds from and checkpoints.
+type Sighting struct {
+	Peer int32 // index into Network.Peers
+	Draw
+}
+
+// I2P picks its transport port from 9000–31000; drawPort draws one.
+const minPort, maxPort = 9000, 31000
+
+func drawPort(rng *rand.Rand) uint16 { return uint16(minPort + rng.IntN(maxPort-minPort+1)) }
 
 // drawInfo consumes the peer's share of the materialization stream. The
 // call sequence on rng is the stream's contract: a record is bit-for-bit
 // what it always was only while every peer ahead of it in the stream,
 // built or discarded, has drawn exactly this.
-func (p *Peer) drawInfo(pool introducerPool, rng *rand.Rand) (d infoDraw) {
+func (p *Peer) drawInfo(pool introducerPool, rng *rand.Rand) (d Draw) {
 	switch p.Status {
 	case StatusKnownIP:
-		d.port = uint16(9000 + rng.IntN(22001)) // I2P's 9000–31000 range
+		d.Port = drawPort(rng)
 	case StatusFirewalled, StatusToggling:
 		n := 1 + rng.IntN(3)
 		for i := 0; i < n && len(pool.peers) > 0; i++ {
 			pick := rng.IntN(len(pool.peers))
-			v4 := pool.v4[pick]
-			if !v4.IsValid() {
+			if !pool.v4[pick].IsValid() {
 				continue
 			}
-			d.intros[d.n] = netdb.Introducer{
-				Hash: pool.peers[pick].ID,
+			d.Intros[d.N] = IntroDraw{
+				Pick: uint32(pick),
 				Tag:  rng.Uint32(),
-				Addr: v4,
-				Port: uint16(9000 + rng.IntN(22001)),
+				Port: drawPort(rng),
 			}
-			d.n++
+			d.N++
 		}
 	}
 	return d
 }
 
 // buildInfo materializes the peer's RouterInfo as published on the given
-// study day from its draw.
-func (p *Peer) buildInfo(day int, dayTime time.Time, d infoDraw) *netdb.RouterInfo {
+// study day from its draw, resolving the drawn introducers against the
+// day's pool.
+func (p *Peer) buildInfo(day int, dayTime time.Time, pool introducerPool, d Draw) *netdb.RouterInfo {
 	reachable := p.Status == StatusKnownIP && p.Reachable
 	ri := &netdb.RouterInfo{
 		Identity:  p.ID,
@@ -321,18 +346,29 @@ func (p *Peer) buildInfo(day int, dayTime time.Time, d infoDraw) *netdb.RouterIn
 		ri.Addresses = make([]netdb.RouterAddress, 0, n)
 		if v4.IsValid() {
 			ri.Addresses = append(ri.Addresses,
-				netdb.RouterAddress{Transport: netdb.TransportNTCP, Addr: v4, Port: d.port},
-				netdb.RouterAddress{Transport: netdb.TransportSSU, Addr: v4, Port: d.port})
+				netdb.RouterAddress{Transport: netdb.TransportNTCP, Addr: v4, Port: d.Port},
+				netdb.RouterAddress{Transport: netdb.TransportSSU, Addr: v4, Port: d.Port})
 		}
 		if v6.IsValid() {
 			ri.Addresses = append(ri.Addresses,
-				netdb.RouterAddress{Transport: netdb.TransportNTCP, Addr: v6, Port: d.port})
+				netdb.RouterAddress{Transport: netdb.TransportNTCP, Addr: v6, Port: d.Port})
 		}
 	case StatusFirewalled, StatusToggling:
-		ri.Addresses = []netdb.RouterAddress{{
-			Transport:   netdb.TransportSSU,
-			Introducers: append([]netdb.Introducer(nil), d.intros[:d.n]...),
-		}}
+		// A peer whose every pick was dropped publishes a nil list, as it
+		// did when the list was appended to.
+		var intros []netdb.Introducer
+		if d.N > 0 {
+			intros = make([]netdb.Introducer, d.N)
+			for i, in := range d.Intros[:d.N] {
+				intros[i] = netdb.Introducer{
+					Hash: pool.peers[in.Pick].ID,
+					Tag:  in.Tag,
+					Addr: pool.v4[in.Pick],
+					Port: in.Port,
+				}
+			}
+		}
+		ri.Addresses = []netdb.RouterAddress{{Transport: netdb.TransportSSU, Introducers: intros}}
 		// Within the day a toggling peer also appeared with hidden config;
 		// the H flag records it, putting the peer in both groups.
 		ri.Caps.Hidden = p.Status == StatusToggling

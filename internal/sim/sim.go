@@ -555,8 +555,61 @@ func (n *Network) introducerPool(day int) introducerPool {
 	return n.introducersByDay[day]
 }
 
+// RouterInfo materializes the record a sighting stands for: the RouterInfo
+// the sighted peer publishes on day, with the port or introducers of its
+// draw. It is the one place a RouterInfo is built. s must be a sighting
+// of this network on day — CaptureDay's, or a stored one CheckSighting
+// accepted.
+func (n *Network) RouterInfo(day int, s Sighting) *netdb.RouterInfo {
+	return n.Peers[s.Peer].buildInfo(day, n.DayTime(day), n.introducerPool(day), s.Draw)
+}
+
 // RouterInfoFor materializes the RouterInfo the given peer publishes on
 // day. rng drives port/introducer choices.
 func (n *Network) RouterInfoFor(p *Peer, day int, rng *rand.Rand) *netdb.RouterInfo {
-	return p.buildInfo(day, n.DayTime(day), p.drawInfo(n.introducerPool(day), rng))
+	return n.RouterInfo(day, Sighting{Peer: int32(p.Index), Draw: p.drawInfo(n.introducerPool(day), rng)})
+}
+
+// CheckSighting reports why s cannot be a sighting this network produced
+// on day, or nil: the peer exists and is online that day, only a known-IP
+// peer carries a port and only a firewalled one introducers, every port
+// is one drawPort can return, and every pick names a member of the day's
+// introducer pool that publishes an IPv4. It is what stands between a
+// sighting read back from disk and RouterInfo's unchecked indexing.
+func (n *Network) CheckSighting(day int, s Sighting) error {
+	if s.Peer < 0 || int(s.Peer) >= len(n.Peers) {
+		return fmt.Errorf("sim: peer index %d outside the network's %d peers", s.Peer, len(n.Peers))
+	}
+	p := n.Peers[s.Peer]
+	if !p.ActiveOn(day) {
+		return fmt.Errorf("sim: peer %d is not online on day %d", s.Peer, day)
+	}
+	if int(s.N) > len(s.Intros) {
+		return fmt.Errorf("sim: peer %d: %d introducers drawn, at most %d possible", s.Peer, s.N, len(s.Intros))
+	}
+	validPort := func(port uint16) bool { return port >= minPort && port <= maxPort }
+	switch p.Status {
+	case StatusKnownIP:
+		if !validPort(s.Port) || s.N != 0 {
+			return fmt.Errorf("sim: known-IP peer %d drew port %d and %d introducers", s.Peer, s.Port, s.N)
+		}
+	case StatusFirewalled, StatusToggling:
+		if s.Port != 0 {
+			return fmt.Errorf("sim: firewalled peer %d drew port %d", s.Peer, s.Port)
+		}
+	default:
+		if s.Port != 0 || s.N != 0 {
+			return fmt.Errorf("sim: hidden peer %d drew port %d and %d introducers", s.Peer, s.Port, s.N)
+		}
+	}
+	pool := n.introducerPool(day)
+	for _, in := range s.Intros[:s.N] {
+		if int64(in.Pick) >= int64(len(pool.peers)) {
+			return fmt.Errorf("sim: peer %d: introducer pick %d past day %d's pool of %d", s.Peer, in.Pick, day, len(pool.peers))
+		}
+		if !pool.v4[in.Pick].IsValid() || !validPort(in.Port) {
+			return fmt.Errorf("sim: peer %d: introducer pick %d (port %d) is not one the draw keeps", s.Peer, in.Pick, in.Port)
+		}
+	}
+	return nil
 }
