@@ -76,6 +76,7 @@ func main() { cli.Main("i2pdistribd", run) }
 
 func run() error {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
+	slog.SetDefault(logger) // internal/service reports a failed retirement through it
 
 	addr := flag.String("addr", ":8472", "listen address (host:port; :0 picks a free port)")
 	scale := flag.Float64("scale", 0.1, "network scale relative to the paper's 30.5K daily peers")

@@ -2,7 +2,6 @@ package reseed
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
@@ -14,8 +13,8 @@ import (
 // rotate, so a partition of n resources has exactly n distinct handouts
 // — encode each once at build time and the hot path becomes a slice
 // lookup instead of a per-request CreateBundle. A BundleSet is immutable
-// after BuildBundleSet and safe for unbounded concurrent use; publish
-// rebuilt sets through a BundleCache.
+// after BuildBundleSet and safe for unbounded concurrent use; the service
+// publishes a rebuilt set as part of its next serving epoch.
 type BundleSet struct {
 	signer string
 	when   time.Time
@@ -59,18 +58,3 @@ func (s *BundleSet) Bundle(slot int) []byte {
 	}
 	return s.data[slot]
 }
-
-// BundleCache publishes the current BundleSet to concurrent readers with
-// an atomic swap: the prober's pool-retirement rebuild stores a fresh
-// set while request handlers keep serving the old one, and no reader
-// ever observes a half-built table. The zero value is an empty cache
-// (Load returns nil).
-type BundleCache struct {
-	p atomic.Pointer[BundleSet]
-}
-
-// Load returns the current set, nil before the first Store.
-func (c *BundleCache) Load() *BundleSet { return c.p.Load() }
-
-// Store atomically publishes a new set.
-func (c *BundleCache) Store(s *BundleSet) { c.p.Store(s) }

@@ -1,7 +1,6 @@
 package reseed
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -55,48 +54,5 @@ func TestBundleSetRoundTrip(t *testing.T) {
 	var nilSet *BundleSet
 	if nilSet.Bundle(0) != nil {
 		t.Fatal("nil set served a bundle")
-	}
-}
-
-// TestBundleCacheSwap: readers racing a Store only ever observe complete
-// sets — the old one or the new one, never a partial table.
-func TestBundleCacheSwap(t *testing.T) {
-	records := makeRecords(4)
-	when := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
-	old, err := BuildBundleSet([][]*netdb.RouterInfo{records[:4]}, "old", when)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := BuildBundleSet([][]*netdb.RouterInfo{records[:2]}, "fresh", when)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var c BundleCache
-	if c.Load() != nil {
-		t.Fatal("zero cache not empty")
-	}
-	c.Store(old)
-
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				s := c.Load()
-				if got := s.Signer(); got != "old" && got != "fresh" {
-					panic("torn bundle set read: " + got)
-				}
-				if _, err := ParseBundle(s.Bundle(0)); err != nil {
-					panic(err)
-				}
-			}
-		}()
-	}
-	c.Store(fresh)
-	wg.Wait()
-	if c.Load() != fresh {
-		t.Fatal("swap did not publish the new set")
 	}
 }

@@ -31,7 +31,7 @@ import (
 // A handout costs one pass over the raw query (parseQuery), admission,
 // one HandoutAPI.Serve and a few appends (writeHandout): everything
 // about a body that does not depend on the requester was encoded once,
-// in NewService (preencode).
+// when the epoch was built (preencode).
 
 // BridgeJSON is one bridge in a handout response.
 type BridgeJSON struct {
@@ -202,9 +202,9 @@ func refuse(w http.ResponseWriter, msg string, code int) int {
 	return code
 }
 
-// frontend is what a handout needs of its distributor, resolved once at
-// boot: the response body up to the identity and the granted-request
-// counter.
+// frontend is what a handout needs of its distributor, resolved once
+// per epoch: the response body up to the identity and the
+// granted-request counter.
 type frontend struct {
 	head []byte       // {"distributor":"<name>","day":<day>,"id":
 	ok   *obs.Counter // i2pdistribd_requests_total{dist="<name>",code="200"}
@@ -228,25 +228,25 @@ func bridgeJSON(res distrib.Resource) BridgeJSON {
 
 // preencode encodes everything about a handout body that does not
 // depend on the requester: each frontend's head and each resource's
-// BridgeJSON, once. Both are pure functions of the frozen backend —
-// retirement changes which resources Serve returns, never their bytes —
-// so neither is ever rebuilt.
-func (s *Service) preencode() error {
-	s.frontends = make(map[string]*frontend)
-	s.fragments = make(map[int][]byte, s.backend.PoolSize())
-	for _, name := range s.api.Distributors() {
+// BridgeJSON, once. Both are pure functions of the epoch's day and
+// frozen backend — retirement changes which resources serve returns,
+// never their bytes — so a successor epoch shares them.
+func (ep *epoch) preencode(m *Metrics) error {
+	ep.frontends = make(map[string]*frontend)
+	ep.fragments = make(map[int][]byte, ep.backend.PoolSize())
+	for _, name := range ep.api.Distributors() {
 		head := appendJSONString([]byte(`{"distributor":`), name)
-		head = strconv.AppendInt(append(head, `,"day":`...), int64(s.cfg.Day), 10)
-		s.frontends[name] = &frontend{
+		head = strconv.AppendInt(append(head, `,"day":`...), int64(ep.day), 10)
+		ep.frontends[name] = &frontend{
 			head: append(head, `,"id":`...),
-			ok:   s.metrics.requestSeries(name, http.StatusOK),
+			ok:   m.requestSeries(name, http.StatusOK),
 		}
-		for _, res := range s.backend.Partition(name).Resources() {
+		for _, res := range ep.backend.Partition(name).Resources() {
 			frag, err := json.Marshal(bridgeJSON(res))
 			if err != nil {
 				return fmt.Errorf("service: encode bridge %d: %w", res.Peer, err)
 			}
-			s.fragments[res.Peer] = frag
+			ep.fragments[res.Peer] = frag
 		}
 	}
 	return nil
@@ -281,7 +281,7 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 // json.NewEncoder(w).Encode(HandoutJSON{...}) writes (trailing newline,
 // "bridges":[] when empty; referenceHandoutBody in the tests) — from
 // the frontend's head, the identity and the pre-encoded fragments.
-func (s *Service) writeHandout(w http.ResponseWriter, fe *frontend, id string, h distrib.Handout) error {
+func (ep *epoch) writeHandout(w http.ResponseWriter, fe *frontend, id string, h distrib.Handout) error {
 	buf := bodyPool.Get().(*[]byte)
 	b := append((*buf)[:0], fe.head...)
 	b = appendJSONString(b, id)
@@ -292,7 +292,7 @@ func (s *Service) writeHandout(w http.ResponseWriter, fe *frontend, id string, h
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, s.fragments[res.Peer]...)
+		b = append(b, ep.fragments[res.Peer]...)
 	}
 	b = append(b, "]}\n"...)
 	w.Header()["Content-Type"] = jsonContentType
@@ -326,7 +326,10 @@ func (s *Service) handleHandout(w http.ResponseWriter, r *http.Request) {
 	if dist == "" {
 		dist = "https"
 	}
-	fe := s.frontends[dist]
+	// One load: frontend, grant, retired filter and fragments all come
+	// from the same epoch.
+	ep := s.epoch.Load()
+	fe := ep.frontends[dist]
 	code := http.StatusOK
 	defer func() {
 		// dist is client input: a request is labelled with it only when
@@ -361,24 +364,25 @@ func (s *Service) handleHandout(w http.ResponseWriter, r *http.Request) {
 		code = denied
 		return
 	}
-	h, err := s.Serve(distrib.Request{Dist: dist, ID: key, Attempt: attempt})
+	h, err := ep.serve(distrib.Request{Dist: dist, ID: key, Attempt: attempt})
 	if err != nil {
 		code = refuse(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	if err := s.writeHandout(w, fe, q.id, h); err != nil {
+	if err := ep.writeHandout(w, fe, q.id, h); err != nil {
 		code = http.StatusInternalServerError
 	}
 }
 
 // handleSeeds serves the manual-reseed frontend's pre-built signed
 // bundle for the requesting identity: the identity's grant resolves to a
-// partition slot, and the slot indexes the atomically swapped bundle
-// cache — no per-request encoding.
+// partition slot, and the slot indexes the bundle set of the same epoch
+// — no per-request encoding.
 func (s *Service) handleSeeds(w http.ResponseWriter, r *http.Request) {
 	const dist = "manual-reseed"
 	start := time.Now()
-	fe := s.frontends[dist]
+	ep := s.epoch.Load()
+	fe := ep.frontends[dist]
 	code := http.StatusOK
 	defer func() { s.observe(fe, dist, code, start) }()
 
@@ -400,13 +404,12 @@ func (s *Service) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		code = denied
 		return
 	}
-	gkey, granted, err := s.api.Key(distrib.Request{Dist: dist, ID: key, Day: s.cfg.Day})
+	gkey, granted, err := ep.api.Key(distrib.Request{Dist: dist, ID: key, Day: ep.day})
 	if err != nil || !granted {
 		code = refuse(w, "no manual-reseed frontend", http.StatusNotFound)
 		return
 	}
-	part := s.backend.Partition(dist)
-	data := s.bundles.Load().Bundle(part.SlotOf(gkey))
+	data := ep.bundles.Bundle(ep.backend.Partition(dist).SlotOf(gkey))
 	if len(data) == 0 {
 		code = refuse(w, "no bundle available", http.StatusServiceUnavailable)
 		return

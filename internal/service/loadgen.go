@@ -18,7 +18,7 @@ import (
 // in-process (no sockets), measuring throughput and tail latency and
 // spot-checking the determinism contract — the same identity must
 // receive byte-identical JSON every time. It backs
-// BenchmarkServiceHandout and i2pdistribd -loadgen.
+// BenchmarkServiceHandoutSerial/Parallel and i2pdistribd -loadgen.
 
 // LoadGenConfig parameterizes a run.
 type LoadGenConfig struct {
@@ -26,8 +26,6 @@ type LoadGenConfig struct {
 	Identities int
 	// Workers is the driving concurrency (<= 0: one per CPU).
 	Workers int
-	// Dist is the requested frontend (default "https").
-	Dist string
 	// VerifyEvery re-requests every Nth identity and byte-compares the
 	// two bodies (<= 0: 1000; the duplicate requests count toward
 	// throughput).
@@ -119,9 +117,6 @@ func (s *Service) LoadGen(ctx context.Context, cfg LoadGenConfig) (LoadGenResult
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
 	}
-	if cfg.Dist == "" {
-		cfg.Dist = "https"
-	}
 	if cfg.VerifyEvery <= 0 {
 		cfg.VerifyEvery = 1000
 	}
@@ -141,7 +136,7 @@ func (s *Service) LoadGen(ctx context.Context, cfg LoadGenConfig) (LoadGenResult
 			defer wg.Done()
 			lats := make([]int64, 0, cfg.Identities/cfg.Workers+1)
 			requests, errors, verified, mismatches := 0, 0, 0, 0
-			client := newLoadClient(cfg.Dist, "load-")
+			client := newLoadClient("https", "load-")
 			do := func(i int, capture bool) []byte {
 				t0 := time.Now()
 				code := client.get(handler, int64(i), capture)

@@ -41,9 +41,6 @@ type Metrics struct {
 	latency *obs.Histogram
 }
 
-// NewMetrics returns an instrument set on its own private registry.
-func NewMetrics() *Metrics { return NewMetricsOn(nil) }
-
 // NewMetricsOn builds the instrument set on the given registry (nil: a
 // fresh private one), so a caller that also obs.Enable's the registry
 // gets the engine counter families on the same /metrics page.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"slices"
 	"time"
@@ -39,13 +40,15 @@ func (s *Service) RunProber(ctx context.Context) error {
 
 // ProbeOnce sweeps the pool once: every live bridge whose backoff has
 // elapsed is probed, streaks update, and bridges at FailLimit retire.
-// Exported so tests (and the daemon's startup pass) can drive the loop
-// deterministically without a ticker.
+// Exported so tests and bench/ can drive the loop deterministically
+// without a ticker; like RunProber it owns streaks and nextDue, so calls
+// must not overlap.
 func (s *Service) ProbeOnce(ctx context.Context) {
 	now := s.cfg.Now()
+	ep := s.epoch.Load()
 	var dead []int
-	for _, name := range s.api.Distributors() {
-		part := s.backend.Partition(name)
+	for _, name := range ep.api.Distributors() {
+		part := ep.backend.Partition(name)
 		if part == nil {
 			continue
 		}
@@ -53,7 +56,7 @@ func (s *Service) ProbeOnce(ctx context.Context) {
 			if ctx.Err() != nil {
 				return
 			}
-			if s.Retired(r.Peer) {
+			if ep.retired[r.Peer] {
 				continue
 			}
 			if due, ok := s.nextDue[r.Peer]; ok && now.Before(due) {
@@ -89,7 +92,6 @@ func (s *Service) ProbeOnce(ctx context.Context) {
 				s.nextDue[r.Peer] = now.Add(backoff)
 				if s.streaks[r.Peer] >= s.cfg.FailLimit {
 					dead = append(dead, r.Peer)
-					s.metrics.ObserveProbe("retired")
 				}
 			} else {
 				s.metrics.ObserveProbe("ok")
@@ -98,12 +100,12 @@ func (s *Service) ProbeOnce(ctx context.Context) {
 			}
 		}
 	}
+	// A retirement that cannot be built publishes nothing: the bridges
+	// stay live with their streaks and are retired by the sweep after
+	// their backoff. That is not a probe outcome, so it goes to the log.
 	if len(dead) > 0 {
-		// rebuildBundles re-encodes from records already proven
-		// encodable, so the only failure mode is a ctx-free internal
-		// bug; surface it on the metrics rather than crashing the loop.
 		if err := s.retire(dead); err != nil {
-			s.metrics.ObserveProbe("fail")
+			slog.Error("retirement failed, still serving the previous epoch", "err", err, "peers", dead)
 		}
 	}
 	s.publishProberState(now)
@@ -132,7 +134,7 @@ type ProberState struct {
 // publishProberState copies the loop-owned maps into an immutable
 // snapshot and swaps it in, so readers never touch streaks or nextDue.
 func (s *Service) publishProberState(sweptAt time.Time) {
-	retired := s.retired.load()
+	retired := s.epoch.Load().retired
 	st := &ProberState{
 		SweptAt: sweptAt,
 		Peers:   make([]ProberPeer, 0, len(s.streaks)),

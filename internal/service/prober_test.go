@@ -237,6 +237,40 @@ func TestProberBackoffClampsOnLongStreaks(t *testing.T) {
 	}
 }
 
+// TestCancelledSweepCountsNoRetirement: a sweep cancelled after a bridge
+// reached FailLimit returns without retiring it, so it must not count
+// it either — outcome="retired" equals RetiredCount() after every sweep,
+// and the bridge is counted once, by the sweep that does retire it.
+func TestCancelledSweepCountsNoRetirement(t *testing.T) {
+	clk := time.Unix(1700000000, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var victim int
+	svc := newTestService(t, Config{
+		Probe: func(r distrib.Resource) error {
+			if r.Peer == victim {
+				cancel() // the sweep stops at the next bridge
+				return errors.New("probe: connection refused")
+			}
+			return nil
+		},
+		Now:          func() time.Time { return clk },
+		FailLimit:    1,
+		ProbeBackoff: time.Second,
+	})
+	victim = svc.Backend().Partition(svc.HandoutAPI().Distributors()[0]).Resources()[0].Peer
+
+	svc.ProbeOnce(ctx)
+	if n, counted := svc.RetiredCount(), probeCount(svc, "retired"); n != 0 || counted != 0 {
+		t.Fatalf("cancelled sweep: %d retired, counter at %d, want 0 and 0", n, counted)
+	}
+	clk = clk.Add(2 * time.Second)
+	svc.ProbeOnce(context.Background())
+	if n, counted := svc.RetiredCount(), probeCount(svc, "retired"); n != 1 || counted != 1 || !svc.Retired(victim) {
+		t.Fatalf("next sweep: %d retired, counter at %d, want 1 and 1", n, counted)
+	}
+}
+
 func containsIdentity(b *reseed.Bundle, id netdb.Hash) bool {
 	for _, rec := range b.Records {
 		if rec.Identity == id {

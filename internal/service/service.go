@@ -20,11 +20,17 @@
 //     of responses but never rebuilds the ring, so surviving bridges
 //     keep their frontend assignment and arc positions
 //     (FuzzHashringAssignment's retirement extension).
+//
+// The daemon adds one of its own: everything a request is answered from
+// — day, ring, handout API, pre-encoded bodies, retired set, seed
+// bundles — is one immutable epoch behind one atomic pointer. A handler
+// loads it once; a retirement is one swap to a successor, and one whose
+// bundles cannot be built swaps nothing (TestRetirementIsOneSwap,
+// TestFailedRetirementPublishesNothing).
 package service
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -111,37 +117,19 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// Service is the resident distributor. Request handlers are lock-free
-// against the pool state: retirements publish a fresh retired-set and
-// bundle table with atomic swaps, mirroring how the immutable Backend
-// is shared by sweep cells.
+// Service is the resident distributor. Handlers are lock-free: what they
+// answer from is the epoch, replaced whole and never modified. What is
+// per-client rather than per-pool — the limiter table, the blacklist —
+// and the probe loop's own bookkeeping stay outside it.
 type Service struct {
-	cfg     Config
-	net     *sim.Network
-	backend *distrib.Backend
-	api     *distrib.HandoutAPI
-	ix      *censor.AddrIndex
+	cfg Config
+	net *sim.Network
 
 	metrics   *Metrics
 	limiter   *Limiter
 	blacklist *Blacklist
 
-	// frontends (by distributor name) and fragments (by peer index) are
-	// the pre-encoded parts of a handout body; immutable after
-	// NewService (preencode).
-	frontends map[string]*frontend
-	fragments map[int][]byte
-
-	// retired is the atomically published set of retired peer indexes
-	// (nil map: nothing retired). Handlers read it lock-free; retire()
-	// copies, extends and swaps under retireMu.
-	retired  atomicMap
-	retireMu sync.Mutex
-
-	// bundles caches one pre-built su3 bundle per manual-reseed partition
-	// slot (grants there never rotate, so a partition of n resources has
-	// exactly n distinct handouts). Rebuilt and swapped on retirement.
-	bundles reseed.BundleCache
+	epoch atomic.Pointer[epoch]
 
 	// prober state, owned by the probe loop; proberState is the copy
 	// each completed sweep publishes for everyone else.
@@ -153,55 +141,104 @@ type Service struct {
 	started time.Time
 }
 
+// epoch is the serving state of one distribution day. It is immutable
+// once published: retirement copies it, replaces retired and bundles in
+// the copy and publishes that, sharing everything else.
+type epoch struct {
+	day     int
+	backend *distrib.Backend
+	api     *distrib.HandoutAPI
+
+	// frontends (by distributor name) and fragments (by peer index) are
+	// the pre-encoded parts of a handout body (preencode).
+	frontends map[string]*frontend
+	fragments map[int][]byte
+
+	// retired is the set of retired peer indexes (nil: nothing retired).
+	retired map[int]bool
+
+	// bundles holds one pre-built su3 bundle per manual-reseed partition
+	// slot, built against retired (grants there never rotate, so a
+	// partition of n resources has exactly n distinct handouts).
+	bundles *reseed.BundleSet
+}
+
 // NewService draws the day's pool and builds the serving state.
 func NewService(network *sim.Network, cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
-	backend, err := distrib.NewBackend(network, distrib.BackendConfig{
-		Strategy:     cfg.Strategy,
-		Day:          cfg.Day,
-		MaxResources: cfg.MaxResources,
-		Seed:         cfg.Seed,
-	}, cfg.Distributors)
-	if err != nil {
-		return nil, err
-	}
-	api, err := distrib.NewHandoutAPI(backend, cfg.Distributors)
-	if err != nil {
-		return nil, err
-	}
 	s := &Service{
-		cfg:     cfg,
-		net:     network,
-		backend: backend,
-		api:     api,
-		ix:      censor.IndexFor(network),
-		metrics: NewMetricsOn(cfg.Registry),
-		limiter: NewLimiter(cfg.RatePerSec, cfg.Burst, cfg.Now),
-		streaks: make(map[int]int),
-		nextDue: make(map[int]time.Time),
-		started: cfg.Now(),
+		cfg:       cfg,
+		net:       network,
+		metrics:   NewMetricsOn(cfg.Registry),
+		limiter:   NewLimiter(cfg.RatePerSec, cfg.Burst, cfg.Now),
+		blacklist: NewBlacklist(censor.IndexFor(network)),
+		streaks:   make(map[int]int),
+		nextDue:   make(map[int]time.Time),
+		started:   cfg.Now(),
 	}
-	s.blacklist = NewBlacklist(s.ix)
 	if cfg.Probe == nil {
 		s.cfg.Probe = s.simProbe
 	}
-	s.retired.store(nil)
+	ep, err := s.newEpoch(cfg.Day)
+	if err != nil {
+		return nil, err
+	}
+	s.publish(ep)
 	s.publishProberState(time.Time{}) // no sweep yet
-	if err := s.preencode(); err != nil {
-		return nil, err
-	}
-	if err := s.rebuildBundles(); err != nil {
-		return nil, err
-	}
-	s.refreshPoolGauges()
 	return s, nil
 }
 
-// Backend returns the immutable backend ring.
-func (s *Service) Backend() *distrib.Backend { return s.backend }
+// newEpoch draws day's pool and builds everything served from it. It is
+// the only place a backend, handout API, pre-encoded table or bundle set
+// is built.
+func (s *Service) newEpoch(day int) (*epoch, error) {
+	backend, err := distrib.NewBackend(s.net, distrib.BackendConfig{
+		Strategy:     s.cfg.Strategy,
+		Day:          day,
+		MaxResources: s.cfg.MaxResources,
+		Seed:         s.cfg.Seed,
+	}, s.cfg.Distributors)
+	if err != nil {
+		return nil, err
+	}
+	api, err := distrib.NewHandoutAPI(backend, s.cfg.Distributors)
+	if err != nil {
+		return nil, err
+	}
+	ep := &epoch{day: day, backend: backend, api: api}
+	if err := ep.preencode(s.metrics); err != nil {
+		return nil, err
+	}
+	if err := ep.buildBundles(s.cfg.Signer); err != nil {
+		return nil, err
+	}
+	return ep, nil
+}
 
-// HandoutAPI returns the shared handout code path.
-func (s *Service) HandoutAPI() *distrib.HandoutAPI { return s.api }
+// publish makes ep the serving state and brings the per-distributor live
+// pool-size gauges in line with it.
+func (s *Service) publish(ep *epoch) {
+	s.epoch.Store(ep)
+	for _, name := range ep.api.Distributors() {
+		part := ep.backend.Partition(name)
+		if part == nil {
+			continue
+		}
+		live := 0
+		for _, r := range part.Resources() {
+			if !ep.retired[r.Peer] {
+				live++
+			}
+		}
+		s.metrics.SetPoolSize(name, live)
+	}
+}
+
+// Backend returns the current epoch's immutable backend ring.
+func (s *Service) Backend() *distrib.Backend { return s.epoch.Load().backend }
+
+// HandoutAPI returns the shared handout code path, bound to that ring.
+func (s *Service) HandoutAPI() *distrib.HandoutAPI { return s.epoch.Load().api }
 
 // Metrics returns the instrument set.
 func (s *Service) Metrics() *Metrics { return s.metrics }
@@ -210,26 +247,30 @@ func (s *Service) Metrics() *Metrics { return s.metrics }
 func (s *Service) Blacklist() *Blacklist { return s.blacklist }
 
 // Retired reports whether a peer's bridge has been retired.
-func (s *Service) Retired(peer int) bool { return s.retired.load()[peer] }
+func (s *Service) Retired(peer int) bool { return s.epoch.Load().retired[peer] }
 
 // RetiredCount returns how many bridges have been retired.
-func (s *Service) RetiredCount() int { return len(s.retired.load()) }
+func (s *Service) RetiredCount() int { return len(s.epoch.Load().retired) }
 
-// Serve resolves a request through the shared handout path and filters
+// Serve resolves a request against the current epoch.
+func (s *Service) Serve(req distrib.Request) (distrib.Handout, error) {
+	return s.epoch.Load().serve(req)
+}
+
+// serve resolves a request through the shared handout path and filters
 // retired bridges out of the response. The ring is never rebuilt —
 // survivors keep their arc positions — so the filtered handout is a
 // subsequence of the pre-retirement one.
-func (s *Service) Serve(req distrib.Request) (distrib.Handout, error) {
-	req.Day = s.cfg.Day
-	h, err := s.api.Serve(req)
+func (ep *epoch) serve(req distrib.Request) (distrib.Handout, error) {
+	req.Day = ep.day
+	h, err := ep.api.Serve(req)
 	if err != nil {
 		return distrib.Handout{}, err
 	}
-	retired := s.retired.load()
-	if len(retired) > 0 && len(h.Resources) > 0 {
+	if len(ep.retired) > 0 && len(h.Resources) > 0 {
 		kept := make([]distrib.Resource, 0, len(h.Resources))
 		for _, r := range h.Resources {
-			if !retired[r.Peer] {
+			if !ep.retired[r.Peer] {
 				kept = append(kept, r)
 			}
 		}
@@ -238,117 +279,79 @@ func (s *Service) Serve(req distrib.Request) (distrib.Handout, error) {
 	return h, nil
 }
 
-// retire marks peers dead, publishes the extended retired set, rebuilds
-// the manual-reseed bundle cache against it and refreshes the pool
-// gauges. Handlers racing the swap serve either the old complete state
-// or the new complete state.
+// retire marks peers dead: it builds a successor of the current epoch —
+// a fresh retired set, the seed bundles re-signed against it, everything
+// else shared and nothing the predecessor holds mutated — and publishes
+// it with one swap, then counts each newly retired peer. If the bundles
+// cannot be built nothing is published: the peers stay live on every
+// endpoint and the error is the caller's to report. retire loads and
+// stores the pointer without a lock, so it has one caller at a time: the
+// probe loop (ProbeOnce), which is also what owns streaks and nextDue.
 func (s *Service) retire(peers []int) error {
-	if len(peers) == 0 {
-		return nil
+	old := s.epoch.Load()
+	next := *old
+	next.retired = make(map[int]bool, len(old.retired)+len(peers))
+	for p := range old.retired {
+		next.retired[p] = true
 	}
-	s.retireMu.Lock()
-	defer s.retireMu.Unlock()
-	old := s.retired.load()
-	next := make(map[int]bool, len(old)+len(peers))
-	for p := range old {
-		next[p] = true
-	}
-	changed := false
 	for _, p := range peers {
-		if !next[p] {
-			next[p] = true
-			changed = true
-		}
+		next.retired[p] = true
 	}
-	if !changed {
+	fresh := len(next.retired) - len(old.retired)
+	if fresh == 0 {
 		return nil
 	}
-	s.retired.store(next)
-	if err := s.rebuildBundles(); err != nil {
+	if err := next.buildBundles(s.cfg.Signer); err != nil {
 		return err
 	}
-	s.refreshPoolGauges()
+	s.publish(&next)
+	s.metrics.probe.With("retired").Add(uint64(fresh))
 	return nil
 }
 
-// rebuildBundles pre-encodes one su3 bundle per manual-reseed partition
-// slot against the current retired set and atomically swaps the table
-// in. A missing manual-reseed frontend leaves the cache empty.
-func (s *Service) rebuildBundles() error {
-	part := s.backend.Partition("manual-reseed")
+// buildBundles pre-encodes one su3 bundle per manual-reseed partition
+// slot against the epoch's retired set. A missing manual-reseed frontend
+// leaves the epoch without bundles.
+func (ep *epoch) buildBundles(signer string) error {
+	part := ep.backend.Partition("manual-reseed")
 	if part == nil || part.Len() == 0 {
 		return nil
 	}
-	d, ok := s.api.Distributor("manual-reseed")
+	d, ok := ep.api.Distributor("manual-reseed")
 	if !ok {
 		return nil
 	}
-	g, ok := d.Grant(0, s.cfg.Day, 0)
+	g, ok := d.Grant(0, ep.day, 0)
 	if !ok {
 		return nil
 	}
-	retired := s.retired.load()
 	res := part.Resources()
 	groups := make([][]*netdb.RouterInfo, len(res))
 	for slot := range res {
 		arc := part.GetMany(res[slot].Key, g.Count)
 		records := make([]*netdb.RouterInfo, 0, len(arc))
 		for _, r := range arc {
-			if !retired[r.Peer] {
+			if !ep.retired[r.Peer] {
 				records = append(records, r.Record)
 			}
 		}
 		groups[slot] = records
 	}
-	set, err := reseed.BuildBundleSet(groups, s.cfg.Signer, s.backend.When)
+	set, err := reseed.BuildBundleSet(groups, signer, ep.backend.When)
 	if err != nil {
-		return fmt.Errorf("service: rebuild bundle cache: %w", err)
+		return fmt.Errorf("service: build seed bundles: %w", err)
 	}
-	s.bundles.Store(set)
+	ep.bundles = set
 	return nil
 }
 
-// refreshPoolGauges updates the per-distributor live pool-size gauges.
-func (s *Service) refreshPoolGauges() {
-	retired := s.retired.load()
-	for _, name := range s.api.Distributors() {
-		part := s.backend.Partition(name)
-		if part == nil {
-			continue
-		}
-		live := 0
-		for _, r := range part.Resources() {
-			if !retired[r.Peer] {
-				live++
-			}
-		}
-		s.metrics.SetPoolSize(name, live)
-	}
-}
-
 // simProbe is the default reachability check: the bridge is up when its
-// peer is online in the simulated network on the distribution day —
+// peer is online in the simulated network on the day being served —
 // what a kraken-style prober would learn by dialing the published
 // address.
 func (s *Service) simProbe(r distrib.Resource) error {
-	if !s.net.Peers[r.Peer].ActiveOn(s.cfg.Day) {
+	if !s.net.Peers[r.Peer].ActiveOn(s.epoch.Load().day) {
 		return fmt.Errorf("service: peer %d offline", r.Peer)
 	}
 	return nil
 }
-
-// atomicMap publishes an immutable map[int]bool by atomic pointer swap;
-// readers never lock and stored maps are never mutated afterwards.
-type atomicMap struct {
-	p atomic.Pointer[map[int]bool]
-}
-
-func (a *atomicMap) load() map[int]bool {
-	m := a.p.Load()
-	if m == nil {
-		return nil
-	}
-	return *m
-}
-
-func (a *atomicMap) store(m map[int]bool) { a.p.Store(&m) }
