@@ -8,8 +8,7 @@
 // reproduces the entire evaluation and prints paper-comparable numbers
 // (scaled by Study.Scale(); see EXPERIMENTS.md for the paper-vs-measured
 // record). Micro-benchmarks for the hot substrate paths (codec, routing
-// keys, Kademlia selection, garlic layering, transport round trips) follow
-// at the bottom.
+// keys, Kademlia selection, garlic layering) follow at the bottom.
 package i2pstudy_test
 
 import (
@@ -24,7 +23,6 @@ import (
 	"github.com/i2pstudy/i2pstudy/internal/measure"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
-	"github.com/i2pstudy/i2pstudy/internal/transport"
 	"github.com/i2pstudy/i2pstudy/internal/tunnel"
 )
 
@@ -343,63 +341,6 @@ func BenchmarkGarlicWrapTraverse(b *testing.B) {
 		if _, err := tunnel.TraverseTunnel(tn, wrapped); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkTransportRoundTrip measures authenticated message round trips
-// over a real loopback TCP connection with the NTCP-style framing.
-func BenchmarkTransportRoundTrip(b *testing.B) {
-	cfg := transport.Config{
-		Variant:          transport.VariantNTCP,
-		RouterHash:       netdb.HashFromUint64(7),
-		HandshakeTimeout: 5 * time.Second,
-	}
-	l, err := transport.Listen("tcp", "127.0.0.1:0", cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	errCh := make(chan error, 1)
-	go func() {
-		srv, err := l.Accept()
-		if err != nil {
-			errCh <- err
-			return
-		}
-		defer srv.Close()
-		for {
-			msg, err := srv.ReadMessage()
-			if err != nil {
-				errCh <- nil
-				return
-			}
-			if err := srv.WriteMessage(msg); err != nil {
-				errCh <- err
-				return
-			}
-		}
-	}()
-	client, err := transport.Dial("tcp", l.Addr().String(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-
-	payload := make([]byte, 1024)
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := client.WriteMessage(payload); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := client.ReadMessage(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	client.Close()
-	if err := <-errCh; err != nil {
-		b.Fatal(err)
 	}
 }
 

@@ -26,6 +26,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -34,6 +35,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
 	"github.com/i2pstudy/i2pstudy/internal/cli"
 	"github.com/i2pstudy/i2pstudy/internal/core"
 	"github.com/i2pstudy/i2pstudy/internal/measure"
@@ -129,19 +131,20 @@ func writeSnapshots(ctx context.Context, study *core.Study, dir, checkpointDir s
 	return nil
 }
 
-// writeCSV exports one experiment's figure series to <dir>/<id>.csv.
+// writeCSV exports one experiment's figure series to <dir>/<id>.csv,
+// staged and renamed like every other artifact.
 func writeCSV(dir string, res *core.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, res.ID+".csv"))
-	if err != nil {
+	var buf bytes.Buffer
+	if err := res.Figure.WriteCSV(&buf); err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := res.Figure.WriteCSV(f); err != nil {
+	path := filepath.Join(dir, res.ID+".csv")
+	if err := checkpoint.WriteFileAtomic(path, buf.Bytes()); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n\n", f.Name())
+	fmt.Printf("wrote %s\n\n", path)
 	return nil
 }

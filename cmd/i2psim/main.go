@@ -5,24 +5,16 @@
 // Usage:
 //
 //	i2psim [-peers 30500] [-days 90] [-seed 2018] [-day 45]
-//	i2psim -experiments figure-05,figure-09 [-workers 0]
 //
-// With -experiments (comma-separated IDs, or "all"), the matching paper
-// experiments run through the parallel campaign engine instead of the
-// composition summary; Ctrl-C cancels cleanly.
+// The paper's experiments run from cmd/i2pmeasure and cmd/i2pcensor.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 
 	"github.com/i2pstudy/i2pstudy/internal/cli"
-	"github.com/i2pstudy/i2pstudy/internal/core"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 	"github.com/i2pstudy/i2pstudy/internal/stats"
@@ -35,13 +27,7 @@ func run() error {
 	days := flag.Int("days", 90, "study horizon in days")
 	seed := flag.Uint64("seed", 2018, "simulation seed")
 	day := flag.Int("day", -1, "day to summarize (default: middle of the study)")
-	experiments := flag.String("experiments", "", `comma-separated experiment IDs to run via the parallel runner, or "all"`)
-	workers := flag.Int("workers", 0, "engine concurrency (0 = one worker per CPU, 1 = serial)")
 	flag.Parse()
-
-	if *experiments != "" {
-		return runExperiments(*experiments, *peers, *days, *seed, *workers)
-	}
 
 	net, err := sim.New(sim.Config{Seed: *seed, Days: *days, TargetDailyPeers: *peers})
 	if err != nil {
@@ -99,41 +85,6 @@ func run() error {
 	fmt.Println(stats.RenderTable(rows))
 	if flag.NArg() > 0 {
 		fmt.Fprintln(os.Stderr, "ignored arguments:", flag.Args())
-	}
-	return nil
-}
-
-// runExperiments drives the requested paper experiments through
-// core.Study.RunAll, fanning them (and the shared campaign underneath)
-// across the worker pool.
-func runExperiments(spec string, peers, days int, seed uint64, workers int) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	study, err := core.NewStudy(core.Options{
-		Seed:             seed,
-		Days:             days,
-		TargetDailyPeers: peers,
-		Workers:          workers,
-	})
-	if err != nil {
-		return err
-	}
-	var ids []string
-	if spec != "all" {
-		for _, id := range strings.Split(spec, ",") {
-			if id = strings.TrimSpace(id); id != "" {
-				ids = append(ids, id)
-			}
-		}
-	}
-	results, err := study.RunAll(ctx, ids...)
-	if err != nil {
-		return err
-	}
-	for _, res := range results {
-		fmt.Printf("=== %s: %s\n", res.ID, res.Title)
-		fmt.Println(res.Text)
 	}
 	return nil
 }

@@ -6,9 +6,10 @@
 // internal/sim for the substitution argument); everything above it is real
 // systems code: the netDb data structures and wire codecs, the Kademlia
 // XOR metric with daily routing-key rotation, an NTCP-style obfuscated
-// transport over TCP, tunnels with layered CBC encryption, reseed servers
-// with signed su3-style bundles, the measurement pipeline behind every
-// figure in the paper's Section 5, and the Section 6 censorship models.
+// handshake and the wire sizes it shows a middlebox, tunnels with layered
+// CBC encryption, reseed servers with signed su3-style bundles, the
+// measurement pipeline behind every figure in the paper's Section 5, and
+// the Section 6 censorship models.
 //
 // Quick start:
 //

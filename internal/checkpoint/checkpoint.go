@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -376,10 +375,3 @@ func (h *Hasher) String(s string) {
 
 // Sum returns the hash accumulated so far.
 func (h *Hasher) Sum() uint64 { return h.h }
-
-// HashBytes is a convenience for one-shot hashing of raw bytes.
-func HashBytes(data []byte) uint64 {
-	f := fnv.New64a()
-	f.Write(data)
-	return f.Sum64()
-}

@@ -127,12 +127,19 @@ func (f *Flags) NewStudy() (*core.Study, error) {
 	return core.NewStudy(opts)
 }
 
-// IDs returns the experiments -experiment names, or all when it is unset.
+// IDs returns the experiments -experiment names, or all when it names
+// none. Space around an ID and empty items (a trailing comma) are ignored.
 func (f *Flags) IDs(all []string) []string {
-	if f.experiment != "" {
-		return strings.Split(f.experiment, ",")
+	var ids []string
+	for _, id := range strings.Split(f.experiment, ",") {
+		if id = strings.TrimSpace(id); id != "" {
+			ids = append(ids, id)
+		}
 	}
-	return all
+	if len(ids) == 0 {
+		return all
+	}
+	return ids
 }
 
 // PrintResult prints one experiment: the "=== id: title" header, what

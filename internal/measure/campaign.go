@@ -210,6 +210,9 @@ func (c *Campaign) run(ctx context.Context, from int, commit func(day int, recs 
 		for _, u := range win.drain() {
 			c.releaseUnit(u.bytes)
 		}
+		// Workers publish the peak as they raise it, last writer wins, so
+		// a stale Set can land last; the joined run's value is exact.
+		campaignObs.Get().retainedPeak.Set(c.peakRetained.Load())
 	}()
 	fold := func(day int, u *dayUnit) error {
 		err := commit(day, u.recs)
@@ -365,9 +368,7 @@ func (ds *Dataset) accumulateDay(network *sim.Network, day int, recs []sim.Sight
 		}
 		for _, cl := range published {
 			stats.ClassCounts[cl]++
-			t.classMask |= 1 << cl.Index()
 		}
-		t.primaryCount[p.Class.Index()]++
 		group := unreachable
 		if p.Status == sim.StatusKnownIP && p.Reachable {
 			stats.Reachable++

