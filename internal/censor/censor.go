@@ -19,6 +19,8 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"slices"
+	"sync"
 
 	"github.com/i2pstudy/i2pstudy/internal/cache"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
@@ -37,7 +39,7 @@ type Censor struct {
 	WindowDays int
 
 	// obsIDs memoizes observedIDs per (router, day): one cache.DayMemo
-	// per monitoring router.
+	// per monitoring router, and all a router's capture keeps.
 	obsIDs []*cache.DayMemo[[]int32]
 }
 
@@ -73,28 +75,45 @@ func (c *Censor) Routers() int { return len(c.observers) }
 // observedIDs returns the interned address IDs of peers observed by one
 // monitoring router on one day. Peers without published addresses
 // (firewalled, hidden) contribute nothing — they cannot be address-blocked
-// (Section 7.1) and the index holds no schedule for them, so PeerIDs
-// answers -1. The result is memoized per (router, day) and must not be
+// (Section 7.1) and the index holds no schedule for them, so their column
+// entry is -1. The result is memoized per (router, day) and must not be
 // modified.
+//
+// A monitoring router keeps address IDs, not sighting lists: the draw's
+// positions go straight through the day's ID column, so no peer-index
+// list is built or memoized for a censor's router (ObserveDay is never
+// asked), and the memo keeps a slice of exactly the IDs.
 func (c *Censor) observedIDs(router, day int) []int32 {
 	return c.obsIDs[router].Get(day, func(day int) []int32 {
-		observed := c.observers[router].ObserveDay(day)
-		// About half the observed peers publish an address and few of
-		// those a second one, so one ID per sighting is room enough.
-		out := make([]int32, 0, len(observed))
-		for _, idx := range observed {
-			v4, v6 := c.ix.PeerIDs(idx, day)
-			if v4 < 0 {
-				continue
-			}
-			out = append(out, v4)
-			if v6 >= 0 {
-				out = append(out, v6)
-			}
+		s := captureScratch.Get().(*captureBuf)
+		defer captureScratch.Put(s)
+		s.pos = c.observers[router].DrawDay(day, s.pos[:0])
+		col := c.ix.dayColumn(day)
+		// Every sighting stores both IDs and the sign bits advance the
+		// cursor — v4 when present, v6 only beside a v4 — because about
+		// half the observed peers publish an address and nothing predicts
+		// which. The last sighting may store one entry past its IDs.
+		ids := slices.Grow(s.ids[:0], 2*len(s.pos)+1)[:2*len(s.pos)+1]
+		n := 0
+		for _, j := range s.pos {
+			e := col[j]
+			ids[n] = e.v4
+			n += int(^uint32(e.v4) >> 31)
+			ids[n] = e.v6
+			n += int(^uint32(e.v4|e.v6) >> 31)
 		}
+		s.ids = ids
+		out := make([]int32, n)
+		copy(out, ids)
 		return out
 	})
 }
+
+// captureBuf is observedIDs' scratch: a day's drawn positions and the IDs
+// they map to, before the exactly-sized copy the memo keeps.
+type captureBuf struct{ pos, ids []int32 }
+
+var captureScratch = sync.Pool{New: func() any { return new(captureBuf) }}
 
 // blacklistSet compiles the blacklist in force on `day` using the first k
 // monitoring routers and the given window: the union of addresses

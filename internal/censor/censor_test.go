@@ -346,8 +346,12 @@ func TestObservedIDsMatchesStatusCheckedLoop(t *testing.T) {
 					want = append(want, v6)
 				}
 			}
-			if got := c.observedIDs(r, day); !slices.Equal(got, want) {
+			got := c.observedIDs(r, day)
+			if !slices.Equal(got, want) {
 				t.Fatalf("router %d day %d: %d IDs, the status-checked loop gives %d", r, day, len(got), len(want))
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("router %d day %d: the memo keeps capacity %d for %d IDs", r, day, cap(got), len(got))
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"sync"
 
+	"github.com/i2pstudy/i2pstudy/internal/cache"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -16,7 +17,13 @@ import (
 //
 // An AddrIndex is immutable after NewAddrIndex returns and safe for
 // unbounded concurrent use, matching sim.Network's concurrency contract.
+// The per-day ID columns (dayColumn) are part of the index: built lazily,
+// at most once per day, pure in (network, day), and — because the index
+// is the network's sim.Derive slot — shared by every censor and sweep on
+// the network, collected with it, and epoched with it should the network
+// ever grow a mutating API.
 type AddrIndex struct {
+	net *sim.Network
 	// addrs maps ID -> address (the reverse of the intern table).
 	addrs []netip.Addr
 	// ids is the intern table itself, kept for IDOf lookups (the service
@@ -25,6 +32,8 @@ type AddrIndex struct {
 	// segs holds, per peer index, the FromDay-ordered schedule with
 	// interned address IDs; nil for peers that never publish an address.
 	segs [][]idSeg
+	// dayIDs memoizes dayColumn, one column per study day.
+	dayIDs *cache.DayMemo[[]dayID]
 
 	// wcPool recycles WindowCounters across sweep rows and
 	// BlockingSeries calls (see NewWindowCounter/ReleaseWindowCounter).
@@ -40,9 +49,39 @@ type idSeg struct {
 	v4, v6  int32
 }
 
+// dayID is one position of a day's ID column: the address IDs the peer at
+// that position of ActivePeers(day) publishes on the day, -1 where absent.
+type dayID struct{ v4, v6 int32 }
+
 // NewAddrIndex builds the index for a network.
 func NewAddrIndex(n *sim.Network) *AddrIndex {
-	ix := &AddrIndex{segs: make([][]idSeg, len(n.Peers)), ids: make(map[netip.Addr]int32)}
+	// Read every schedule once and count its addresses first: the table
+	// and its reverse are sized up front (an upper bound — an address two
+	// segments share is counted twice) instead of regrowing by doubling
+	// on the way to the ≈ 160 K addresses of a paper-scale study.
+	scheds := make([][]sim.AddrSegment, len(n.Peers))
+	addrs := 0
+	for i, p := range n.Peers {
+		if p.Status != sim.StatusKnownIP {
+			continue
+		}
+		scheds[i] = p.AddrSchedule()
+		for _, seg := range scheds[i] {
+			if seg.V4.IsValid() {
+				addrs++
+			}
+			if seg.V6.IsValid() {
+				addrs++
+			}
+		}
+	}
+	ix := &AddrIndex{
+		net:    n,
+		addrs:  make([]netip.Addr, 0, addrs),
+		ids:    make(map[netip.Addr]int32, addrs),
+		segs:   make([][]idSeg, len(n.Peers)),
+		dayIDs: cache.NewDayMemo[[]dayID](n.Days(), dayIDsRing),
+	}
 	intern := func(a netip.Addr) int32 {
 		if !a.IsValid() {
 			return -1
@@ -55,11 +94,7 @@ func NewAddrIndex(n *sim.Network) *AddrIndex {
 		ix.addrs = append(ix.addrs, a)
 		return id
 	}
-	for i, p := range n.Peers {
-		if p.Status != sim.StatusKnownIP {
-			continue
-		}
-		sched := p.AddrSchedule()
+	for i, sched := range scheds {
 		if len(sched) == 0 {
 			continue
 		}
@@ -106,6 +141,26 @@ func (ix *AddrIndex) PeerIDs(idx, day int) (v4, v6 int32) {
 		cur = seg
 	}
 	return cur.v4, cur.v6
+}
+
+// dayColumn returns the day's ID column, aligned with the network's
+// ActivePeers(day): dayColumn(day)[j] is PeerIDs(ActivePeers(day)[j], day).
+// A monitoring router's capture maps the positions sim.Observer.DrawDay
+// keeps straight through it — one sequential 8-byte read per sighting
+// instead of a schedule walk behind a per-peer pointer. The column is
+// shared and must not be modified.
+func (ix *AddrIndex) dayColumn(day int) []dayID {
+	return ix.dayIDs.Get(day, ix.buildDayColumn)
+}
+
+// buildDayColumn is the compute behind dayColumn.
+func (ix *AddrIndex) buildDayColumn(day int) []dayID {
+	active := ix.net.ActivePeers(day)
+	col := make([]dayID, len(active))
+	for j, idx := range active {
+		col[j].v4, col[j].v6 = ix.PeerIDs(idx, day)
+	}
+	return col
 }
 
 // AddrSet is a bitset over an AddrIndex's address table with a cardinality

@@ -46,6 +46,91 @@ func TestAddrIndexMatchesAddrOnDay(t *testing.T) {
 	}
 }
 
+// TestDayIDsMatchPeerIDs: a day's ID column is PeerIDs at every position
+// of ActivePeers(day), -1s included, on every day — over an index patched
+// to hold the two shapes the simulator never produces but PeerIDs
+// defines: a schedule whose first segment starts after the day (the
+// first segment answers) and a v6-only segment. A censor on that index
+// then emits what the per-sighting PeerIDs loop emitted: an ID only when
+// v4 is present, v6 only beside a v4.
+func TestDayIDsMatchPeerIDs(t *testing.T) {
+	n := network(t)
+	ix := NewAddrIndex(n)
+	// The two known-IP peers online on the most days take the patches.
+	online := make([]int, len(n.Peers))
+	for day := 0; day < n.Days(); day++ {
+		for _, idx := range n.ActivePeers(day) {
+			if ix.segs[idx] != nil {
+				online[idx]++
+			}
+		}
+	}
+	byDays := make([]int, len(online))
+	for idx := range byDays {
+		byDays[idx] = idx
+	}
+	slices.SortStableFunc(byDays, func(a, b int) int { return online[b] - online[a] })
+	late, v6only := byDays[0], byDays[1]
+	ix.segs[late] = []idSeg{{fromDay: n.Days() / 2, v4: 3, v6: -1}, {fromDay: n.Days() - 5, v4: 4, v6: 5}}
+	ix.segs[v6only] = []idSeg{{fromDay: 0, v4: -1, v6: 6}}
+
+	positions := map[int]int{} // patched peer -> positions checked
+	for day := 0; day < n.Days(); day++ {
+		active := n.ActivePeers(day)
+		col := ix.dayColumn(day)
+		if len(col) != len(active) {
+			t.Fatalf("day %d: column of %d for %d active peers", day, len(col), len(active))
+		}
+		for j, idx := range active {
+			v4, v6 := ix.PeerIDs(idx, day)
+			if col[j] != (dayID{v4, v6}) {
+				t.Fatalf("day %d position %d (peer %d): column %+v, PeerIDs (%d, %d)", day, j, idx, col[j], v4, v6)
+			}
+			if idx == late || idx == v6only {
+				positions[idx]++
+			}
+		}
+	}
+	if v4, v6 := ix.PeerIDs(late, 0); v4 != 3 || v6 != -1 || positions[late] == 0 {
+		t.Fatalf("late-starting schedule answers (%d, %d) on day 0 at %d positions", v4, v6, positions[late])
+	}
+	if positions[v6only] == 0 {
+		t.Fatal("the v6-only peer is never active")
+	}
+	if col := ix.dayColumn(-1); len(col) != 0 {
+		t.Fatalf("out-of-range day has a column of %d", len(col))
+	}
+
+	c, err := NewCensor(n, 2, 1, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ix = ix
+	sawV6Only := false
+	for r := 0; r < c.Routers(); r++ {
+		for day := 0; day < n.Days(); day++ {
+			var want []int32
+			for _, idx := range c.observers[r].ObserveDay(day) {
+				sawV6Only = sawV6Only || idx == v6only
+				v4, v6 := ix.PeerIDs(idx, day)
+				if v4 < 0 {
+					continue
+				}
+				want = append(want, v4)
+				if v6 >= 0 {
+					want = append(want, v6)
+				}
+			}
+			if got := c.observedIDs(r, day); !slices.Equal(got, want) {
+				t.Fatalf("router %d day %d: %d IDs through the column, %d through PeerIDs", r, day, len(got), len(want))
+			}
+		}
+	}
+	if !sawV6Only {
+		t.Fatal("no router ever saw the v6-only peer")
+	}
+}
+
 // TestAddrIndexIDOf: every interned address resolves back to its ID, and
 // addresses the study never published resolve to -1.
 func TestAddrIndexIDOf(t *testing.T) {

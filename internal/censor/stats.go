@@ -9,6 +9,7 @@ import (
 // i2p_cache_* metric families.
 const (
 	obsIDsRing           = "censor_obs_ids"
+	dayIDsRing           = "censor_day_ids"
 	victimAddrSetRing    = "victim_addrset"
 	victimKnownPeersRing = "victim_known_peers"
 )
@@ -29,6 +30,7 @@ var poolObs = obs.NewLazy(func(r *obs.Registry) poolStats {
 
 func init() {
 	cache.PreRegisterRing(obsIDsRing)
+	cache.PreRegisterRing(dayIDsRing)
 	cache.PreRegisterRing(victimAddrSetRing)
 	cache.PreRegisterRing(victimKnownPeersRing)
 }

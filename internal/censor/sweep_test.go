@@ -266,3 +266,50 @@ func benchmarkFigure13Sweep(b *testing.B, workers int) {
 
 func BenchmarkFigure13SweepSerial(b *testing.B)   { benchmarkFigure13Sweep(b, 1) }
 func BenchmarkFigure13SweepParallel(b *testing.B) { benchmarkFigure13Sweep(b, 0) }
+
+// BenchmarkDrawDay measures the draw kernel alone: one monitoring
+// router's day over the active peers, into a warm out — no allocation,
+// and ns/peer is the cost of one draw, kept or not.
+func BenchmarkDrawDay(b *testing.B) {
+	n := network(b)
+	o := n.NewObserver(sim.ObserverConfig{Floodfill: true, SharedKBps: sim.MaxSharedKBps, Seed: 700})
+	out := make([]int32, 0, len(n.Peers))
+	peers := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		day := i % n.Days()
+		out = o.DrawDay(day, out[:0])
+		peers += len(n.ActivePeers(day))
+	}
+	b.StopTimer()
+	if len(out) == 0 {
+		b.Fatal("router saw nothing")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(peers), "ns/peer")
+}
+
+// BenchmarkCensorCapture measures a sweep's capture leg cold: 20
+// monitoring routers x 30 days drawn and mapped to address IDs on a
+// fresh censor per iteration (the network's index and its day columns
+// stay warm, as they do across the sweeps of a study). B/op is what the
+// capture keeps: the exactly-sized ID lists.
+func BenchmarkCensorCapture(b *testing.B) {
+	n := network(b)
+	cfg := SweepConfig{Fleets: []int{20}, Windows: []int{30}, Days: []int{35}, SeedBase: 700, Workers: 1}
+	capture := func() {
+		sw, err := NewSweep(n, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sw.Capture(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	capture() // builds what the network owns: the index and its day columns
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		capture()
+	}
+}

@@ -289,6 +289,65 @@ func TestDrawColumnsMatchPeers(t *testing.T) {
 	}
 }
 
+// TestDrawDayMatchesReference holds the draw kernel to the per-peer
+// rng.Float64() loop it replaced, draw for draw and RNG position: the
+// positions DrawDay keeps resolve to exactly that loop's sightings,
+// ascending; the PCG ends where the reference Rand ends; a non-empty out
+// keeps its prefix; and a day with nobody active returns out untouched.
+func TestDrawDayMatchesReference(t *testing.T) {
+	n := testNetwork(t, 10)
+	observers := []*Observer{
+		n.NewObserver(ObserverConfig{Floodfill: true, SharedKBps: MaxSharedKBps, Seed: 1000}),
+		n.NewObserver(ObserverConfig{Floodfill: false, SharedKBps: 512, Seed: 7}),
+	}
+	prefix := []int32{-7, 1 << 30}
+	for _, o := range observers {
+		for day := 0; day < n.Days(); day++ {
+			active := n.ActivePeers(day)
+			rng := o.dayRNG(day)
+			var want []int
+			for _, idx := range active {
+				p := n.Peers[idx]
+				if rng.Float64() < o.gamma[p.affinityClass()]*p.Exposure {
+					want = append(want, idx)
+				}
+			}
+			pcg := o.dayPCG(day)
+			got := o.drawDay(day, pcg, slices.Clone(prefix))
+			if !slices.Equal(got[:len(prefix)], prefix) {
+				t.Fatalf("seed %d day %d: prefix %v became %v", o.Cfg.Seed, day, prefix, got[:len(prefix)])
+			}
+			pos := got[len(prefix):]
+			if !slices.IsSorted(pos) {
+				t.Fatalf("seed %d day %d: positions not ascending", o.Cfg.Seed, day)
+			}
+			seen := make([]int, len(pos))
+			for i, j := range pos {
+				seen[i] = active[j]
+			}
+			if !slices.Equal(seen, want) {
+				t.Fatalf("seed %d day %d: %d sightings from the kernel, %d from the reference loop", o.Cfg.Seed, day, len(seen), len(want))
+			}
+			if g, w := pcg.Uint64(), rng.Uint64(); g != w {
+				t.Fatalf("seed %d day %d: generator left at %#x, reference at %#x", o.Cfg.Seed, day, g, w)
+			}
+			if again := o.DrawDay(day, nil); !slices.Equal(again, pos) {
+				t.Fatalf("seed %d day %d: DrawDay differs from the kernel over its own generator", o.Cfg.Seed, day)
+			}
+		}
+		for _, day := range []int{-1, n.Days(), n.Days() + 3} {
+			out := slices.Clone(prefix)
+			got := o.DrawDay(day, out)
+			if len(got) != len(out) || &got[0] != &out[0] || !slices.Equal(got, prefix) {
+				t.Fatalf("seed %d day %d: out-of-range day touched out: %v", o.Cfg.Seed, day, got)
+			}
+			if got := o.DrawDay(day, nil); got != nil {
+				t.Fatalf("seed %d day %d: out-of-range day appended %v", o.Cfg.Seed, day, got)
+			}
+		}
+	}
+}
+
 // TestUnionObserveDayFirstSeenOrder: the union lists each peer once, where
 // the first observer to see it reported it.
 func TestUnionObserveDayFirstSeenOrder(t *testing.T) {

@@ -95,9 +95,12 @@ const MaxSharedKBps = 8192
 // and the censor sweep engine do exactly that). The only mutable state is
 // a memo of per-day draws, which callers never see directly: repeated
 // ObserveDay calls return the same (shared, read-only) slice instead of
-// redrawing, so sweeps that revisit (observer, day) cells — blacklist
-// windows sliding over the same days, fleet prefixes sharing routers —
-// pay for each capture once.
+// redrawing, so engines that revisit (observer, day) cells — a victim's
+// netDb window sliding over the same days, a campaign's capture after
+// its draw — pay for each draw once. DrawDay is the draw itself, without
+// the memo or the peer-index list: a caller that turns a day's sightings
+// into something else at once (a censor's monitoring router keeps
+// address IDs) draws through it and memoizes its own product instead.
 type Observer struct {
 	Cfg ObserverConfig
 	net *Network
@@ -205,11 +208,14 @@ func (o *Observer) ObserveProbability(p *Peer) float64 {
 	return o.CoverageFactor(p) * p.Exposure
 }
 
-// dayRNG returns the deterministic RNG for (observer, day): repeated calls
-// to ObserveDay are idempotent and days can be visited in any order.
-func (o *Observer) dayRNG(day int) *rand.Rand {
-	return rand.New(rand.NewPCG(o.Cfg.Seed^0x9E3779B97F4A7C15, uint64(day)*0x2545F4914F6CDD1D+1))
+// dayPCG returns the deterministic generator for (observer, day): repeated
+// calls to ObserveDay are idempotent and days can be visited in any order.
+func (o *Observer) dayPCG(day int) *rand.PCG {
+	return rand.NewPCG(o.Cfg.Seed^0x9E3779B97F4A7C15, uint64(day)*0x2545F4914F6CDD1D+1)
 }
+
+// dayRNG wraps dayPCG for the draws that need more than Float64.
+func (o *Observer) dayRNG(day int) *rand.Rand { return rand.New(o.dayPCG(day)) }
 
 // ObserveDay returns the indexes of peers the observer sees on the given
 // study day. The result is deterministic for a given (seed, day) and is
@@ -218,32 +224,61 @@ func (o *Observer) ObserveDay(day int) []int {
 	return o.memo.Get(day, o.observeDay)
 }
 
-// observeDay performs the actual (seed, day)-deterministic draw.
+// observeDay resolves DrawDay's positions to peer indexes, in a slice of
+// exactly the sightings: the memo retains no slack however few of the
+// active peers this observer sees.
 func (o *Observer) observeDay(day int) []int {
-	active := o.net.ActivePeers(day)
-	if len(active) == 0 {
-		return nil
-	}
-	rng := o.dayRNG(day)
-	// Draw into pooled scratch that holds a whole day, then keep a copy
-	// of exactly the sightings: the memo retains no slack however few of
-	// the active peers this observer sees, and nothing regrows.
-	scratch := drawScratch.Get().(*[]int)
-	out := (*scratch)[:0]
-	class, exposure := o.net.drawClass, o.net.drawExposure
-	for _, idx := range active {
-		if rng.Float64() < o.gamma[class[idx]]*exposure[idx] {
-			out = append(out, idx)
+	scratch := posScratch.Get().(*[]int32)
+	pos := o.DrawDay(day, (*scratch)[:0])
+	var out []int
+	if len(pos) > 0 {
+		active := o.net.ActivePeers(day)
+		out = make([]int, len(pos))
+		for i, j := range pos {
+			out[i] = active[j]
 		}
 	}
-	*scratch = out
-	out = slices.Clone(out)
-	drawScratch.Put(scratch)
+	*scratch = pos
+	posScratch.Put(scratch)
 	return out
 }
 
-// drawScratch recycles observeDay's draw buffers.
-var drawScratch = sync.Pool{New: func() any { return new([]int) }}
+// posScratch recycles the position buffers observeDay draws into.
+var posScratch = sync.Pool{New: func() any { return new([]int32) }}
+
+// DrawDay performs the (seed, day)-deterministic observation draw and
+// appends to out, ascending, the positions in ActivePeers(day) of the
+// peers the observer sees; a day outside the study appends nothing. It is
+// the one loop that draws over a day's active peers — ObserveDay resolves
+// its positions to peer indexes and memoizes them, while a caller that
+// maps positions through a per-day column of its own (the censor's
+// address IDs) calls DrawDay directly and keeps no sighting list at all.
+// Nothing is memoized here: every call redraws.
+func (o *Observer) DrawDay(day int, out []int32) []int32 {
+	return o.drawDay(day, o.dayPCG(day), out)
+}
+
+// drawDay is DrawDay over a caller-held generator, so a test can read
+// where the draw left it. One draw per active peer, seen or not. Rand's
+// Float64 is float64(Uint64()<<11>>11) / (1<<53); drawing it from the
+// concrete PCG saves an interface call per peer. The keep is branch-free
+// — every position is stored and the comparison advances the cursor — as
+// a draw is taken about three times in five and cannot be predicted.
+func (o *Observer) drawDay(day int, pcg *rand.PCG, out []int32) []int32 {
+	active := o.net.ActivePeers(day)
+	n := len(out)
+	out = slices.Grow(out, len(active))[:n+len(active)]
+	class, exposure := o.net.drawClass, o.net.drawExposure
+	for j, idx := range active {
+		out[n] = int32(j)
+		keep := 0
+		if float64(pcg.Uint64()<<11>>11)/(1<<53) < o.gamma[class[idx]]*exposure[idx] {
+			keep = 1
+		}
+		n += keep
+	}
+	return out[:n]
+}
 
 // ClaimSet is a bitset over peer index marking the peers some earlier
 // capture of the day already materialized.
