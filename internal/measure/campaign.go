@@ -3,7 +3,6 @@ package measure
 import (
 	"context"
 	"fmt"
-	"net/netip"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,7 +11,6 @@ import (
 
 	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
 	"github.com/i2pstudy/i2pstudy/internal/faults"
-	"github.com/i2pstudy/i2pstudy/internal/geo"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/obs"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
@@ -48,7 +46,7 @@ type CampaignConfig struct {
 	// checkpoint.Store so an interrupted campaign resumes by loading
 	// finished days instead of recomputing them. The directory is keyed
 	// by a manifest (network + fleet config hash, seed, engine version);
-	// resuming against state from a different run, or from the version 1
+	// resuming against state from a different run, or from an older
 	// format, fails with a *checkpoint.MismatchError. A loaded unit is
 	// verified against the network before it is folded. Because
 	// accumulation always proceeds in ascending day order, a resumed
@@ -124,6 +122,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Dataset, error) {
 	c.retained.Store(0)
 	c.peakRetained.Store(0)
 	ds := NewDataset(c.cfg.StartDay, c.cfg.EndDay)
+	f := newFolder(ds, c.net)
 	snap, err := c.newSnapshotter()
 	if err != nil {
 		return nil, err
@@ -135,13 +134,13 @@ func (c *Campaign) RunContext(ctx context.Context) (*Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		from, err = c.resume(ds, snap, store)
+		from, err = c.resume(f, snap, store)
 		if err != nil {
 			return nil, err
 		}
 	}
 	err = c.run(ctx, from, func(day int, recs []sim.Sighting) error {
-		return c.commitDay(ds, snap, store, day, recs)
+		return c.commitDay(f, snap, store, day, recs)
 	})
 	if err != nil {
 		return nil, err
@@ -149,13 +148,13 @@ func (c *Campaign) RunContext(ctx context.Context) (*Dataset, error) {
 	return ds, nil
 }
 
-// resume folds previously checkpointed days into ds and returns the
+// resume folds previously checkpointed days into f and returns the
 // first day still to compute. Days are committed strictly in ascending
 // order, so checkpointed days form a contiguous prefix; a stray later
 // unit — possible only if a past run used a different day range, which
 // the manifest hash already refuses — is simply recomputed and
 // overwritten.
-func (c *Campaign) resume(ds *Dataset, snap *snapshotter, store *checkpoint.Store) (int, error) {
+func (c *Campaign) resume(f *folder, snap *snapshotter, store *checkpoint.Store) (int, error) {
 	day := c.cfg.StartDay
 	for ; day < c.cfg.EndDay; day++ {
 		data, ok, err := store.Load(dayKey(day))
@@ -169,7 +168,7 @@ func (c *Campaign) resume(ds *Dataset, snap *snapshotter, store *checkpoint.Stor
 		if err != nil {
 			return 0, fmt.Errorf("checkpoint unit %s in %s: %w", dayKey(day), c.cfg.CheckpointDir, err)
 		}
-		ds.accumulateDay(c.net, day, recs)
+		f.fold(day, recs)
 		// Re-write the snapshot so resumed runs leave the same SnapshotDir
 		// an uninterrupted run would (cheap, idempotent, atomic).
 		if err := snap.write(day, recs); err != nil {
@@ -183,8 +182,8 @@ func (c *Campaign) resume(ds *Dataset, snap *snapshotter, store *checkpoint.Stor
 // the netDb snapshot, spill the checkpoint unit, and cross the fault
 // boundary. The checkpoint write comes last of the persistence steps,
 // so a unit on disk guarantees the snapshot for that day is complete.
-func (c *Campaign) commitDay(ds *Dataset, snap *snapshotter, store *checkpoint.Store, day int, recs []sim.Sighting) error {
-	ds.accumulateDay(c.net, day, recs)
+func (c *Campaign) commitDay(f *folder, snap *snapshotter, store *checkpoint.Store, day int, recs []sim.Sighting) error {
+	f.fold(day, recs)
 	if err := snap.write(day, recs); err != nil {
 		return err
 	}
@@ -275,18 +274,18 @@ func (c *Campaign) work(ctx context.Context, win *dayWindow, tid int, fold func(
 type dayCapture struct {
 	claimed sim.ClaimSet
 	recs    []sim.Sighting // the day's sightings in capture order
-	keys    []uint64       // their sort keys (sortByIdentity)
+	pos     []int32        // by peer index, the peer's position in recs (sortByPeer)
 }
 
 func (c *Campaign) newDayCapture() *dayCapture {
-	return &dayCapture{claimed: c.net.NewClaimSet()}
+	return &dayCapture{claimed: c.net.NewClaimSet(), pos: make([]int32, len(c.net.Peers))}
 }
 
 // captureDay is the merge: observers in fleet order over one claim set, so
 // each peer's sighting is the first observer's to see it — what "newest
 // wins, ties to the earliest observer" resolves to when every observer
-// stamps the day's time — and no other is kept. The result is sorted to
-// identity order, the fold order that makes interned IDs (and checkpoint
+// stamps the day's time — and no other is kept. The result is sorted by
+// peer index, the fold order that makes interned IDs (and checkpoint
 // bytes) deterministic.
 func (c *Campaign) captureDay(day int, sc *dayCapture) *dayUnit {
 	clear(sc.claimed)
@@ -294,128 +293,8 @@ func (c *Campaign) captureDay(day int, sc *dayCapture) *dayUnit {
 	for _, o := range c.obs {
 		sc.recs = o.CaptureDay(day, sc.claimed, sc.recs)
 	}
-	recs := sc.sortByIdentity(c.net)
+	recs := sc.sortByPeer()
 	return &dayUnit{recs: recs, bytes: unitBytes(recs)}
-}
-
-// accumulateDay folds one day's merged sightings into the dataset,
-// reading what each sighted peer's RouterInfo would publish that day
-// straight from the network's immutable peer: its scheduled addresses,
-// its capacity flags, and whether its draw holds an introducer. recs must
-// be in canonical identity-sorted order: intern IDs are assigned on
-// first sight, so the fold order — ascending days, sorted records within
-// a day — is what makes the Dataset byte-identical across worker counts
-// and resume.
-func (ds *Dataset) accumulateDay(network *sim.Network, day int, recs []sim.Sighting) {
-	db := network.GeoDB()
-	stats := ds.day(day)
-	floodfill, reachable, unreachable := stats.GroupClass["floodfill"], stats.GroupClass["reachable"], stats.GroupClass["unreachable"]
-
-	for _, s := range recs {
-		p := network.Peers[s.Peer]
-		stats.Peers++
-
-		// Peer tracking.
-		t := ds.track(p.ID, day)
-
-		// Addresses and status classification (Section 5.1 / Figure 6), by
-		// what the peer publishes: RouterInfo.IPs order is IPv4 then IPv6.
-		var knownIP, firewalled, hidden bool
-		switch p.Status {
-		case sim.StatusKnownIP:
-			v4, v6 := p.AddrOnDay(day)
-			for _, addr := range [2]netip.Addr{v4, v6} {
-				if addr.IsValid() {
-					knownIP = true
-					ds.foldAddr(db, stats, t, day, addr)
-				}
-			}
-			// A record with no usable address and no introducers reads as
-			// hidden, H flag or not.
-			hidden = !knownIP
-		case sim.StatusFirewalled, sim.StatusToggling:
-			// Every drawn introducer carries a valid address, so one is
-			// enough; a peer whose picks were all dropped reads as hidden.
-			// Toggling peers also carry the H flag: both groups.
-			firewalled = s.N > 0
-			hidden = p.Status == sim.StatusToggling || !firewalled
-		case sim.StatusHidden:
-			hidden = true
-		}
-		if knownIP {
-			t.EverKnownIP = true
-		} else {
-			stats.UnknownIP++
-		}
-		if firewalled {
-			stats.Firewalled++
-			t.EverFirewalled = true
-		}
-		if hidden {
-			stats.Hidden++
-			t.EverHidden = true
-		}
-		if firewalled && hidden {
-			stats.Overlap++
-		}
-
-		// Capacity flags (Figure 9, Table 1): the primary class plus the
-		// legacy O a P or X router also publishes (Caps.PublishedClasses).
-		letters := [2]netdb.BandwidthClass{p.Class, netdb.ClassO}
-		published := letters[:1]
-		if p.LegacyO && p.Class != netdb.ClassO {
-			published = letters[:2]
-		}
-		for _, cl := range published {
-			stats.ClassCounts[cl]++
-		}
-		group := unreachable
-		if p.Status == sim.StatusKnownIP && p.Reachable {
-			stats.Reachable++
-			group = reachable
-		} else {
-			stats.Unreachable++
-		}
-		for _, cl := range published {
-			group[cl]++
-		}
-		if p.Floodfill {
-			stats.Floodfill++
-			t.EverFloodfill = true
-			for _, cl := range published {
-				floodfill[cl]++
-			}
-		}
-	}
-}
-
-// foldAddr folds one published address of the peer behind t into the
-// day's distinct-address counters and the peer's address, AS and country
-// sets. Per-day distinct counting rides the intern table's lastMark slot
-// (day+1, so zero means never) instead of a fresh per-day map.
-func (ds *Dataset) foldAddr(db *geo.DB, stats *DayStats, t *PeerTrack, day int, addr netip.Addr) {
-	marker := int32(day + 1)
-	id, g, fresh := ds.addrs.intern(db, addr)
-	if fresh && !g.resolved {
-		// One count per distinct unresolvable address — not per
-		// (record, address, day) occurrence, which used to inflate
-		// the summary once per day a bad address stayed alive.
-		ds.Unresolved++
-	}
-	t.ips, _ = insertSorted(t.ips, id)
-	if ds.addrs.lastMark[id] != marker {
-		ds.addrs.lastMark[id] = marker
-		stats.IPAll++
-		if g.is4 {
-			stats.IPv4++
-		} else {
-			stats.IPv6++
-		}
-	}
-	if g.resolved {
-		t.asns, _ = insertSorted(t.asns, g.asn)
-		t.countries, _ = insertSorted(t.countries, g.country)
-	}
 }
 
 // snapshotter persists one day's merged netDb at a time. Day directories

@@ -291,3 +291,32 @@ func BenchmarkCampaignParallel(b *testing.B) { benchmarkCampaign(b, 0) }
 func BenchmarkCampaignParallel4(b *testing.B) {
 	benchmarkCampaign(b, 4)
 }
+
+// BenchmarkCampaignResume times the pure-fold path: a campaign over a
+// finished checkpoint store loads, verifies and folds every day unit and
+// captures nothing. The store is written once, outside the timer.
+func BenchmarkCampaignResume(b *testing.B) {
+	n, err := sim.New(sim.Config{Seed: 7, Days: 30, TargetDailyPeers: 3050})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := CampaignConfig{Observers: DefaultObserverFleet(8), StartDay: 0, EndDay: 30, CheckpointDir: b.TempDir()}
+	c, err := NewCampaign(n, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ds, err := c.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if peak := c.MemStats().PeakRetainedUnits; peak != 0 || ds.TotalPeers() == 0 {
+			b.Fatalf("resume captured %d day units and observed %d peers", peak, ds.TotalPeers())
+		}
+	}
+}

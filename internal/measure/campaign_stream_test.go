@@ -52,7 +52,7 @@ func retainedUnits(c *Campaign) [][]*netdb.RouterInfo {
 		for _, ri := range merged {
 			recs = append(recs, ri)
 		}
-		referenceSortByIdentity(recs)
+		referenceSortByPeer(c.net, recs)
 		units[day] = recs
 	}
 	return units
@@ -300,7 +300,8 @@ func TestDayWindowRefusesPutOutsideWindow(t *testing.T) {
 
 // TestStreamFoldOrderInvariant is the fold property test: whatever
 // order admitted days finish capturing in and however narrow the window,
-// folding the captured sightings the ring hands out yields a Dataset
+// folding the captured sightings the ring hands out — through one fold
+// state carried across days, as the campaign does — yields a Dataset
 // identical to the RouterInfo fold of the retained units in order.
 func TestStreamFoldOrderInvariant(t *testing.T) {
 	const days = 10
@@ -321,6 +322,7 @@ func TestStreamFoldOrderInvariant(t *testing.T) {
 		window := 1 + rng.Intn(4)
 		w := newDayWindow(0, days, window)
 		ds := NewDataset(0, days)
+		f := newFolder(ds, n)
 		var inFlight []int // admitted, still "capturing"
 		folded := 0
 		for folded < days {
@@ -345,7 +347,7 @@ func TestStreamFoldOrderInvariant(t *testing.T) {
 				if !ok {
 					break
 				}
-				ds.accumulateDay(n, due, u.recs)
+				f.fold(due, u.recs)
 				w.folded()
 				folded++
 			}

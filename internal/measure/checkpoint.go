@@ -5,18 +5,20 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
 // campaignVersion is the Campaign engine's checkpoint-format version;
-// bump it when the day-unit encoding or keying changes. Version 2 is the
-// sighting stream below; version 1 held netdb wire-encoded RouterInfos. A
-// unit names its peers by index into the manifest's network, so an API
-// that ever mutates a network must bump this or epoch the manifest.
-const campaignVersion = 2
+// bump it when the day-unit encoding, keying or order changes. Version 3
+// is the sighting stream below in peer-index order; version 2 held the
+// same records in identity order, version 1 netdb wire-encoded
+// RouterInfos. A unit names its peers by index into the manifest's
+// network, so an API that ever mutates a network must bump this or epoch
+// the manifest.
+const campaignVersion = 3
 
 // HashNetwork folds every sim.Network config field that shapes engine
 // output into h. All five engines derive their checkpoint ConfigHash
@@ -72,66 +74,41 @@ func (c *Campaign) checkpointManifest() checkpoint.Manifest {
 // dayKey names the checkpoint unit holding one completed day.
 func dayKey(day int) string { return fmt.Sprintf("day-%03d", day) }
 
-// sortByIdentity returns the day's captured sightings in canonical order,
-// ascending by the sighted peers' identity hashes, as a slice of its own
-// that the next capture does not overwrite. This is the single
-// canonicalization point of the pipeline: everything downstream — the
-// Dataset fold (which assigns intern IDs on first sight), the snapshot,
+// sortByPeer returns the day's captured sightings in canonical order,
+// ascending by peer index, as a slice of its own that the next capture
+// does not overwrite. This is the single canonicalization point of the
+// pipeline: everything downstream — the fold (which assigns intern IDs on
+// first sight and walks its per-peer state in this order), the snapshot,
 // and the checkpoint unit bytes — inherits an order independent of which
-// observer contributed which record. Identities are distinct, so the
-// order is total.
+// observer contributed which record. A day holds one sighting per peer,
+// so the order is total.
 //
-// Each sighting sorts as one integer, its peer's identity rank above its
-// position in sc.recs: a comparator that chases two peers to their
-// 32-byte hashes and swaps 44-byte sightings takes a third of the
-// capture's time.
-func (sc *dayCapture) sortByIdentity(network *sim.Network) []sim.Sighting {
-	rank := identityRank(network)
-	sc.keys = sc.keys[:0]
+// No comparison sort is needed: the claim set is a bitset over peer index
+// holding exactly the day's sighted peers, so walking its set bits in
+// order and looking each peer up in a by-peer position table emits the
+// sightings sorted.
+func (sc *dayCapture) sortByPeer() []sim.Sighting {
 	for i, s := range sc.recs {
-		sc.keys = append(sc.keys, uint64(rank[s.Peer])<<32|uint64(i))
+		sc.pos[s.Peer] = int32(i)
 	}
-	slices.Sort(sc.keys)
-	sorted := make([]sim.Sighting, len(sc.recs))
-	for i, k := range sc.keys {
-		sorted[i] = sc.recs[uint32(k)]
+	sorted := make([]sim.Sighting, 0, len(sc.recs))
+	for w, word := range sc.claimed {
+		for ; word != 0; word &= word - 1 {
+			sorted = append(sorted, sc.recs[sc.pos[w<<6|bits.TrailingZeros64(word)]])
+		}
 	}
 	return sorted
 }
 
-// identityRankKey is identityRank's sim.Derive slot.
-type identityRankKey struct{}
-
-// identityRank returns, by peer index, each peer's position among the
-// network's identity hashes in ascending byte order. Built on first use
-// and owned by the network.
-func identityRank(network *sim.Network) []int32 {
-	return sim.Derive(network, identityRankKey{}, func() []int32 {
-		peers := network.Peers
-		order := make([]int32, len(peers))
-		for i := range order {
-			order[i] = int32(i)
-		}
-		slices.SortFunc(order, func(a, b int32) int {
-			return bytes.Compare(peers[a].ID[:], peers[b].ID[:])
-		})
-		rank := make([]int32, len(peers))
-		for r, idx := range order {
-			rank[idx] = int32(r)
-		}
-		return rank
-	})
-}
-
 // A day unit is a little-endian record stream:
 //
-//	magic "DU02" | count u32 | count × record | SHA-256 of all that precedes
+//	magic "DU03" | count u32 | count × record | SHA-256 of all that precedes
 //	record: peer u32 | port u16 | n u8 | n × (pick u32 | tag u32 | port u16)
 //
 // — each sighting's peer index and draw, nothing the network already
-// holds. The checksum covers the whole unit and is verified before any
-// field is read.
-var dayUnitMagic = [4]byte{'D', 'U', '0', '2'}
+// holds, records strictly ascending by peer index. The checksum covers
+// the whole unit and is verified before any field is read.
+var dayUnitMagic = [4]byte{'D', 'U', '0', '3'}
 
 const (
 	dayUnitHeader = len(dayUnitMagic) + 4
@@ -140,8 +117,8 @@ const (
 )
 
 // encodeDayUnit serializes one day's merged sightings. recs must already
-// be in canonical identity-sorted order (see sortByIdentity), which makes
-// the unit's bytes deterministic.
+// be in canonical peer order (see sortByPeer), which makes the unit's
+// bytes deterministic.
 func encodeDayUnit(recs []sim.Sighting) []byte {
 	size := dayUnitHeader + sha256.Size
 	for i := range recs {
@@ -171,7 +148,7 @@ func encodeDayUnit(recs []sim.Sighting) []byte {
 // whose checksum does not match, and past that a peer index out of range
 // or offline that day, a draw the peer's status or the day's introducer
 // pool rules out (sim.Network.CheckSighting), records not strictly
-// ascending by identity, short or trailing bytes. Records come back in
+// ascending by peer index, short or trailing bytes. Records come back in
 // the canonical order they were written in, so accumulation code cannot
 // tell a resumed day from a computed one.
 func decodeDayUnit(network *sim.Network, day int, data []byte) ([]sim.Sighting, error) {
@@ -214,8 +191,8 @@ func decodeDayUnit(network *sim.Network, day int, data []byte) ([]sim.Sighting, 
 		if err := network.CheckSighting(day, *s); err != nil {
 			return nil, fmt.Errorf("measure: day unit record %d: %w", i, err)
 		}
-		if i > 0 && bytes.Compare(network.Peers[recs[i-1].Peer].ID[:], network.Peers[s.Peer].ID[:]) >= 0 {
-			return nil, fmt.Errorf("measure: day unit record %d: identities not strictly ascending", i)
+		if i > 0 && recs[i-1].Peer >= s.Peer {
+			return nil, fmt.Errorf("measure: day unit record %d: peer %d after peer %d, not strictly ascending", i, s.Peer, recs[i-1].Peer)
 		}
 	}
 	if len(body) != 0 {

@@ -23,7 +23,7 @@ import (
 // whole run. At the paper's scale (30.5K daily peers, 90 days) the old
 // five-maps-per-peer layout dominated the heap; the compact layout is a
 // few dozen bytes per peer plus the shared intern tables. Fold order is
-// canonical (ascending day, identity-sorted within a day), so the
+// canonical (ascending day, ascending peer index within a day), so the
 // interned IDs — and therefore the whole Dataset — are byte-identical
 // across worker counts and resume.
 type PeerTrack struct {
@@ -54,8 +54,13 @@ type PeerTrack struct {
 	EverHidden     bool
 }
 
-// markSeen sets the bitset bit for a zero-based day index.
-func (p *PeerTrack) markSeen(idx int) {
+// observe records that the peer was seen on day, a study day of a
+// Dataset starting at startDay.
+func (p *PeerTrack) observe(day, startDay int) {
+	if day > p.LastDay {
+		p.LastDay = day
+	}
+	idx := day - startDay
 	p.seen[idx>>6] |= 1 << (idx & 63)
 }
 
@@ -152,9 +157,10 @@ type addrGeo struct {
 // addrIntern assigns dense uint32 IDs to every distinct public address a
 // campaign observes and memoizes its geo resolution, in the style of
 // censor.AddrIndex. IDs are assigned in canonical fold order (ascending
-// day, identity-sorted records, RouterInfo.IPs order), so two runs over
-// the same observations build identical tables regardless of worker
-// count or streaming mode.
+// day, ascending peer index, IPv4 before IPv6), so two runs over the same
+// observations build identical tables regardless of worker count or
+// streaming mode. No analysis reads an ID itself — only how many a peer
+// has — so the order is free to change with the fold's.
 type addrIntern struct {
 	ids map[netip.Addr]uint32
 	geo []addrGeo
@@ -284,10 +290,7 @@ func (ds *Dataset) track(h netdb.Hash, day int) *PeerTrack {
 		}
 		ds.Peers[h] = t
 	}
-	if day > t.LastDay {
-		t.LastDay = day
-	}
-	t.markSeen(day - ds.StartDay)
+	t.observe(day, ds.StartDay)
 	return t
 }
 

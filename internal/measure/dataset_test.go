@@ -28,7 +28,7 @@ func TestUnresolvedCountsDistinctAddresses(t *testing.T) {
 	// The simulator never publishes an unresolvable address, so the test
 	// feeds the fold's per-address step directly.
 	fold := func(ds *Dataset, day int, id netdb.Hash, addr netip.Addr) {
-		ds.foldAddr(db, ds.day(day), ds.track(id, day), day, addr)
+		ds.countAddr(ds.day(day), ds.addAddr(db, ds.track(id, day), addr))
 	}
 	id := netdb.HashFromUint64(1)
 

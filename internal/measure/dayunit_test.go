@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,6 +57,18 @@ func version1Unit(t testing.TB, network *sim.Network, day int, recs []sim.Sighti
 
 // unsealed returns a unit's body, the checksum cut off.
 func unsealed(unit []byte) []byte { return unit[:len(unit)-sha256.Size] }
+
+// version2Unit is the day unit as campaignVersion 2 wrote it: the same
+// records under the magic "DU02", in identity order.
+func version2Unit(network *sim.Network, recs []sim.Sighting) []byte {
+	recs = slices.Clone(recs)
+	slices.SortFunc(recs, func(a, b sim.Sighting) int {
+		return bytes.Compare(network.Peers[a.Peer].ID[:], network.Peers[b.Peer].ID[:])
+	})
+	body := unsealed(encodeDayUnit(recs))
+	copy(body, "DU02")
+	return seal(body)
+}
 
 // TestDayUnitRoundTrip: every captured day decodes back to the sightings
 // it was encoded from, in the order the capture sorted them to.
@@ -133,10 +147,10 @@ func TestDayUnitRefusesDoctoredBody(t *testing.T) {
 		{"inactive peer", "not online", doctorRecs(func(recs []sim.Sighting) {
 			recs[0].Peer = int32(offline)
 		})},
-		{"duplicate identity", "not strictly ascending", doctorRecs(func(recs []sim.Sighting) {
+		{"duplicate peer", fmt.Sprintf("peer %d after peer %d, not strictly ascending", valid[0].Peer, valid[0].Peer), doctorRecs(func(recs []sim.Sighting) {
 			recs[1] = recs[0]
 		})},
-		{"descending identities", "not strictly ascending", doctorRecs(func(recs []sim.Sighting) {
+		{"descending peers", fmt.Sprintf("peer %d after peer %d, not strictly ascending", valid[0].Peer, valid[1].Peer), doctorRecs(func(recs []sim.Sighting) {
 			recs[0], recs[1] = recs[1], recs[0]
 		})},
 		{"n = 4", "4 introducers", doctorBody(func(body []byte) []byte {
@@ -161,6 +175,7 @@ func TestDayUnitRefusesDoctoredBody(t *testing.T) {
 			return body
 		})},
 		{"version 1 unit", "checksum", version1Unit(t, c.net, day, valid)},
+		{"version 2 unit", "magic", version2Unit(c.net, valid)},
 		{"too short for a checksum", "truncated", encodeDayUnit(valid)[:dayUnitHeader]},
 	}
 	for _, tc := range cases {
@@ -210,7 +225,12 @@ func FuzzDayUnit(f *testing.F) {
 		f.Add(encodeDayUnit(c.captureDay(d, sc).recs), uint(0), byte(1))
 	}
 	f.Add(encodeDayUnit(nil), uint(7), byte(0x80))
-	f.Add([]byte("DU02"), uint(40), byte(0xff))
+	f.Add([]byte("DU03"), uint(40), byte(0xff))
+	v2 := version2Unit(c.net, c.captureDay(day, sc).recs)
+	if _, err := decodeDayUnit(c.net, day, v2); err == nil {
+		f.Fatal("a sealed version 2 unit decodes")
+	}
+	f.Add(v2, uint(0), byte(0))
 	f.Fuzz(func(t *testing.T, data []byte, pos uint, flip byte) {
 		roundTrip := func(unit []byte) {
 			recs, err := decodeDayUnit(c.net, day, unit)
@@ -235,30 +255,42 @@ func FuzzDayUnit(f *testing.F) {
 	})
 }
 
-// TestCampaignRefusesVersion1Store: a directory a version 1 campaign
-// wrote — RouterInfo wire records under the same keys — is refused at
-// the manifest, before a unit is read.
+// TestCampaignRefusesVersion1Store: a directory an older campaign wrote
+// — version 1's RouterInfo wire records, or version 2's identity-ordered
+// sightings, under the same keys — is refused at the manifest, before a
+// unit is read.
 func TestCampaignRefusesVersion1Store(t *testing.T) {
-	c := dayUnitFixture(t)
-	dir := t.TempDir()
-	v1 := c.checkpointManifest()
-	v1.Version = 1
-	store, err := checkpoint.Open(dir, v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	day0 := c.captureDay(0, c.newDayCapture()).recs
-	if err := store.Save(dayKey(0), version1Unit(t, c.net, 0, day0)); err != nil {
-		t.Fatal(err)
-	}
-	c.cfg.CheckpointDir = dir
-	_, err = c.Run()
-	var mismatch *checkpoint.MismatchError
-	if !errors.As(err, &mismatch) {
-		t.Fatalf("run over a version 1 store returned %v, want a *checkpoint.MismatchError", err)
-	}
-	if mismatch.Field != "version" || mismatch.Have != "1" || mismatch.Want != "2" {
-		t.Fatalf("mismatch = %+v, want version 1 against 2", mismatch)
+	for _, tc := range []struct {
+		version int
+		unit    func(c *Campaign, recs []sim.Sighting) []byte
+	}{
+		{1, func(c *Campaign, recs []sim.Sighting) []byte { return version1Unit(t, c.net, 0, recs) }},
+		{2, func(c *Campaign, recs []sim.Sighting) []byte { return version2Unit(c.net, recs) }},
+	} {
+		t.Run(fmt.Sprintf("version %d", tc.version), func(t *testing.T) {
+			c := dayUnitFixture(t)
+			dir := t.TempDir()
+			old := c.checkpointManifest()
+			old.Version = tc.version
+			store, err := checkpoint.Open(dir, old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			day0 := c.captureDay(0, c.newDayCapture()).recs
+			if err := store.Save(dayKey(0), tc.unit(c, day0)); err != nil {
+				t.Fatal(err)
+			}
+			c.cfg.CheckpointDir = dir
+			_, err = c.Run()
+			var mismatch *checkpoint.MismatchError
+			if !errors.As(err, &mismatch) {
+				t.Fatalf("run over a version %d store returned %v, want a *checkpoint.MismatchError", tc.version, err)
+			}
+			want := checkpoint.MismatchError{Field: "version", Have: fmt.Sprint(tc.version), Want: "3"}
+			if *mismatch != want {
+				t.Fatalf("mismatch = %+v, want %+v", *mismatch, want)
+			}
+		})
 	}
 }
 

@@ -1,24 +1,30 @@
 package measure
 
 import (
-	"bytes"
+	"cmp"
 	"slices"
 
 	"github.com/i2pstudy/i2pstudy/internal/geo"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
+	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
 // This file keeps the campaign's RouterInfo path as it stood before the
 // campaign captured sightings: the fold over materialized RouterInfos and
-// the identity sort over them. Nothing outside the tests runs it; the
+// the canonical sort over them. Nothing outside the tests runs it; the
 // sighting fold is held to it Dataset for Dataset
 // (TestCampaignStreamingMatchesRetained, TestStreamFoldOrderInvariant,
-// TestResumedDatasetMatchesRouterInfoFold).
+// TestResumedDatasetMatchesRouterInfoFold, TestFoldOrderMovesNoAnalysisByte).
 
-// referenceSortByIdentity is sortByIdentity over RouterInfos.
-func referenceSortByIdentity(recs []*netdb.RouterInfo) {
+// referenceSortByPeer is sortByPeer over RouterInfos: each record's
+// identity is mapped to its peer index through the network.
+func referenceSortByPeer(network *sim.Network, recs []*netdb.RouterInfo) {
+	index := make(map[netdb.Hash]int, len(network.Peers))
+	for i, p := range network.Peers {
+		index[p.ID] = i
+	}
 	slices.SortFunc(recs, func(a, b *netdb.RouterInfo) int {
-		return bytes.Compare(a.Identity[:], b.Identity[:])
+		return cmp.Compare(index[a.Identity], index[b.Identity])
 	})
 }
 

@@ -70,7 +70,7 @@ func (c *Campaign) releaseUnit(bytes int64) {
 }
 
 // dayUnit is one day's deduplicated observations in canonical
-// (identity-sorted) order — the fold order that makes interned IDs and
+// (peer-index) order — the fold order that makes interned IDs and
 // checkpoint bytes independent of which worker captured the day.
 type dayUnit struct {
 	recs []sim.Sighting

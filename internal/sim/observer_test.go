@@ -119,7 +119,8 @@ func TestObserveDayMemoized(t *testing.T) {
 }
 
 // TestAddrScheduleMatchesAddrOnDay: the exported schedule reproduces
-// AddrOnDay for every peer and day.
+// AddrOnDay for every peer and day, and SegmentOn names the segment it
+// was read from.
 func TestAddrScheduleMatchesAddrOnDay(t *testing.T) {
 	n := testNetwork(t, 10)
 	for _, p := range n.Peers {
@@ -128,23 +129,30 @@ func TestAddrScheduleMatchesAddrOnDay(t *testing.T) {
 			if sched != nil {
 				t.Fatalf("peer %d: unknown-IP peer has an address schedule", p.Index)
 			}
+			if seg := p.SegmentOn(0); seg != -1 {
+				t.Fatalf("peer %d: unknown-IP peer publishes segment %d", p.Index, seg)
+			}
 			continue
 		}
 		for day := 0; day < n.Days(); day++ {
 			v4, v6 := p.AddrOnDay(day)
 			var want AddrSegment
+			wantSeg := -1
 			if len(sched) > 0 {
-				want = sched[0]
-				for _, seg := range sched[1:] {
+				want, wantSeg = sched[0], 0
+				for i, seg := range sched[1:] {
 					if seg.FromDay > day {
 						break
 					}
-					want = seg
+					want, wantSeg = seg, i+1
 				}
 			}
 			if want.V4 != v4 || want.V6 != v6 {
 				t.Fatalf("peer %d day %d: schedule (%v, %v) != AddrOnDay (%v, %v)",
 					p.Index, day, want.V4, want.V6, v4, v6)
+			}
+			if seg := p.SegmentOn(day); seg != wantSeg {
+				t.Fatalf("peer %d day %d: SegmentOn = %d, the schedule says %d", p.Index, day, seg, wantSeg)
 			}
 		}
 	}

@@ -111,22 +111,37 @@ func (p *Peer) FirstActiveDay() int {
 	return -1
 }
 
+// SegmentOn returns the index of the address-schedule segment the peer
+// publishes on day — the last whose FromDay is at or before day, or the
+// first if none is — or -1 for a peer that never publishes an address.
+// The index never falls as day grows, so a caller folding days in
+// ascending order may keep what it derived from a segment's addresses
+// until the index moves. It is the one walk of the schedule: AddrOnDay
+// and ASNOnDay read the segment it names.
+func (p *Peer) SegmentOn(day int) int {
+	if len(p.ipSchedule) == 0 {
+		return -1
+	}
+	i := 0
+	for i+1 < len(p.ipSchedule) && p.ipSchedule[i+1].fromDay <= day {
+		i++
+	}
+	return i
+}
+
+// segment returns schedule segment i, or the zero segment for -1.
+func (p *Peer) segment(i int) ipAssignment {
+	if i < 0 {
+		return ipAssignment{}
+	}
+	return p.ipSchedule[i]
+}
+
 // AddrOnDay returns the peer's public IPv4 (and IPv6, if published) on the
 // given study day. Both are zero for unknown-IP peers.
 func (p *Peer) AddrOnDay(day int) (v4, v6 netip.Addr) {
-	if len(p.ipSchedule) == 0 {
-		return netip.Addr{}, netip.Addr{}
-	}
-	// The schedule is sorted by fromDay; find the last segment at or
-	// before day.
-	cur := p.ipSchedule[0]
-	for _, seg := range p.ipSchedule[1:] {
-		if seg.fromDay > day {
-			break
-		}
-		cur = seg
-	}
-	return cur.addr, cur.v6
+	s := p.segment(p.SegmentOn(day))
+	return s.addr, s.v6
 }
 
 // AddrSegment is one run of a peer's published address schedule: from
@@ -154,24 +169,7 @@ func (p *Peer) AddrSchedule() []AddrSegment {
 
 // ASNOnDay returns the autonomous system of the peer's address on day, or
 // zero for unknown-IP peers.
-func (p *Peer) ASNOnDay(day int) uint32 {
-	if len(p.ipSchedule) == 0 {
-		return 0
-	}
-	cur := p.ipSchedule[0]
-	for _, seg := range p.ipSchedule[1:] {
-		if seg.fromDay > day {
-			break
-		}
-		cur = seg
-	}
-	return cur.asn
-}
-
-// KnownIPOn reports whether the peer publishes an IP on the given day.
-func (p *Peer) KnownIPOn(day int) bool {
-	return p.Status == StatusKnownIP && len(p.ipSchedule) > 0
-}
+func (p *Peer) ASNOnDay(day int) uint32 { return p.segment(p.SegmentOn(day)).asn }
 
 // TunnelEligible reports whether other peers would select this peer as a
 // tunnel hop: reachable, publishing an address, with at least M bandwidth.
