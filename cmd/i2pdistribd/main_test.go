@@ -109,7 +109,7 @@ func TestShutdownDrainsUnderLoad(t *testing.T) {
 }
 
 // TestDebugProberIsDebugOnly: the prober's state is on the -debug-addr
-// mux and not on the public listener's.
+// mux and not on the public listener's route table.
 func TestDebugProberIsDebugOnly(t *testing.T) {
 	svc := newTestService(t)
 	svc.ProbeOnce(context.Background())
@@ -124,6 +124,6 @@ func TestDebugProberIsDebugOnly(t *testing.T) {
 		t.Fatalf("debug mux: status %d, err %v, body %q", rw.Code, err, rw.Body)
 	}
 	if rw := get(svc.Handler()); rw.Code != http.StatusNotFound {
-		t.Fatalf("public mux serves /debug/prober: status %d", rw.Code)
+		t.Fatalf("public handler serves /debug/prober: status %d", rw.Code)
 	}
 }

@@ -192,25 +192,20 @@ func NewBackend(network *sim.Network, cfg BackendConfig, distributors []Distribu
 	names := make([]string, len(distributors))
 	for i, d := range distributors {
 		names[i] = d.Name()
-		b.parts[d.Name()] = &Partition{backend: b, dist: d.Name()}
 	}
 	ring := buildRing(names)
+	owned := make(map[string][]Resource, len(distributors))
 	for _, r := range resources {
 		b.pool[r.Peer] = true
-		p := b.parts[ring.owner(r.Key)]
-		p.res = append(p.res, r)
+		// Materialize records once, with a per-resource RNG derived from
+		// (seed, key) so a record never depends on its neighbours.
+		rng := rand.New(rand.NewPCG(cfg.Seed, r.Key))
+		r.Record = network.RouterInfoFor(network.Peers[r.Peer], cfg.Day, rng)
+		owner := ring.owner(r.Key)
+		owned[owner] = append(owned[owner], r)
 	}
-
-	// Materialize records once, in ring order, with a per-resource RNG
-	// derived from (seed, key) so a record never depends on its neighbours.
-	for _, p := range b.parts {
-		p.byIdentity = make(map[netdb.Hash]int, len(p.res))
-		for i := range p.res {
-			r := &p.res[i]
-			rng := rand.New(rand.NewPCG(cfg.Seed, r.Key))
-			r.Record = network.RouterInfoFor(network.Peers[r.Peer], cfg.Day, rng)
-			p.byIdentity[r.Record.Identity] = i
-		}
+	for _, name := range names {
+		b.parts[name] = newPartition(b, name, owned[name])
 	}
 	return b, nil
 }
@@ -248,10 +243,28 @@ func (b *Backend) Partition(dist string) *Partition { return b.parts[dist] }
 // Partition is one distributor's share of a backend pool, in ring-key
 // order. Immutable and safe for concurrent use.
 type Partition struct {
-	backend    *Backend
-	dist       string
+	backend *Backend
+	dist    string
+	// ring is the resources twice over, so every arc GetMany serves —
+	// wrapping included — is one contiguous window of it; res is its
+	// first half.
+	ring       []Resource
 	res        []Resource
 	byIdentity map[netdb.Hash]int
+}
+
+// newPartition builds dist's partition over res, which is in ring-key
+// order and carries its records. It is the only way a Partition is made.
+func newPartition(b *Backend, dist string, res []Resource) *Partition {
+	n := len(res)
+	ring := make([]Resource, 2*n)
+	copy(ring, res)
+	copy(ring[n:], res)
+	p := &Partition{backend: b, dist: dist, ring: ring, res: ring[:n:n], byIdentity: make(map[netdb.Hash]int, n)}
+	for i, r := range p.res {
+		p.byIdentity[r.Record.Identity] = i
+	}
+	return p
 }
 
 // Len returns the partition size.
@@ -284,20 +297,16 @@ func (p *Partition) SlotOf(key uint64) int {
 
 // GetMany returns n consecutive resources clockwise from key, wrapping —
 // the rdsys handout rule. Requests never receive more than the partition
-// holds.
+// holds. The arc is a window onto the partition, not a copy: callers
+// must not modify it, and its capacity is its length, so an append
+// copies rather than writing into the partition.
 func (p *Partition) GetMany(key uint64, n int) []Resource {
 	if len(p.res) == 0 {
 		return nil
 	}
-	if n > len(p.res) {
-		n = len(p.res)
-	}
+	n = min(n, len(p.res))
 	i := p.SlotOf(key)
-	out := make([]Resource, 0, n)
-	for j := 0; j < n; j++ {
-		out = append(out, p.res[(i+j)%len(p.res)])
-	}
-	return out
+	return p.ring[i : i+n : i+n]
 }
 
 // byRecordIdentity maps a bundle record back to the partition resource it

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -188,6 +189,63 @@ func TestPartitionGetMany(t *testing.T) {
 	// Requests never exceed the partition.
 	if got := part.GetMany(1, part.Len()+10); len(got) != part.Len() {
 		t.Fatalf("oversized request returned %d of %d", len(got), part.Len())
+	}
+}
+
+// referenceGetMany is the arc walk GetMany replaced: n resources copied
+// out one at a time, modulo the partition size.
+func referenceGetMany(p *Partition, key uint64, n int) []Resource {
+	res := p.Resources()
+	if len(res) == 0 {
+		return nil
+	}
+	if n > len(res) {
+		n = len(res)
+	}
+	i := p.SlotOf(key)
+	out := make([]Resource, 0, n)
+	for j := 0; j < n; j++ {
+		out = append(out, res[(i+j)%len(res)])
+	}
+	return out
+}
+
+// TestGetManyMatchesReference holds the window GetMany returns to the
+// modulo walk for every slot of every partition, wrapping arcs and
+// oversized requests included, and checks that the window cannot be
+// used to write into the partition: its capacity is its length, so an
+// append copies.
+func TestGetManyMatchesReference(t *testing.T) {
+	b := testBackend(t, DefaultDistributors())
+	parts := []*Partition{newPartition(b, "empty", nil)}
+	for _, d := range DefaultDistributors() {
+		parts = append(parts, b.Partition(d.Name()))
+	}
+	for _, part := range parts {
+		res := part.Resources()
+		before := slices.Clone(res)
+		if got := part.GetMany(1, 3); len(res) == 0 && got != nil {
+			t.Fatalf("%s: empty partition served %v", part.Dist(), got)
+		}
+		for slot := range res {
+			key := res[slot].Key
+			for _, n := range []int{1, 3, part.Len(), part.Len() + 10} {
+				arc, want := part.GetMany(key, n), referenceGetMany(part, key, n)
+				if !slices.Equal(arc, want) {
+					t.Fatalf("%s slot %d n %d: arc %v, reference %v", part.Dist(), slot, n, arc, want)
+				}
+				if cap(arc) != len(arc) {
+					t.Fatalf("%s slot %d n %d: arc has cap %d, len %d", part.Dist(), slot, n, cap(arc), len(arc))
+				}
+				_ = append(arc, Resource{Peer: -1})
+				if !slices.Equal(res, before) || !slices.Equal(part.ring, append(before, before...)) {
+					t.Fatalf("%s slot %d n %d: appending to an arc changed the partition", part.Dist(), slot, n)
+				}
+				if next := part.GetMany(key, n+1); !slices.Equal(next, referenceGetMany(part, key, n+1)) {
+					t.Fatalf("%s slot %d n %d: appending to an arc changed the next arc", part.Dist(), slot, n)
+				}
+			}
+		}
 	}
 }
 

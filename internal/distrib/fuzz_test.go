@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+
+	"github.com/i2pstudy/i2pstudy/internal/netdb"
 )
 
 // FuzzHashringAssignment fuzzes the stable-assignment invariant of the
@@ -114,8 +116,12 @@ func FuzzHashringAssignment(f *testing.F) {
 		// be an order-preserving subsequence of the original with exactly
 		// the retired members removed, and every survivor keeps both its
 		// owner and its partition slot.
-		part := &Partition{dist: "fuzz", res: append([]Resource(nil), pool...)}
-		sort.Slice(part.res, func(i, j int) bool { return part.res[i].Key < part.res[j].Key })
+		ordered := append([]Resource(nil), pool...)
+		sort.Slice(ordered, func(i, j int) bool { return ordered[i].Key < ordered[j].Key })
+		for i := range ordered {
+			ordered[i].Record = &netdb.RouterInfo{Identity: netdb.Hash{byte(i), byte(i >> 8)}}
+		}
+		part := newPartition(nil, "fuzz", ordered)
 		retired := make(map[int]bool)
 		for _, r := range pool {
 			if mix(seed, 0x726574, uint64(r.Peer))%3 == 0 { // "ret"

@@ -51,7 +51,9 @@ type Handout struct {
 	// imply equal handouts, so callers may cache a handout until the
 	// requester's key changes.
 	Key uint64
-	// Resources is the served bridge set, in ring order from Key.
+	// Resources is the served bridge set, in ring order from Key. It may
+	// be a window onto the partition (Partition.GetMany): callers must
+	// not modify it.
 	Resources []Resource
 }
 
@@ -137,7 +139,8 @@ func (a *HandoutAPI) Key(req Request) (key uint64, granted bool, err error) {
 // Serve resolves one request through the single handout code path:
 // grant → partition arc → optional encoding round trip. Serve is
 // deterministic in (backend, request) and safe for unbounded concurrent
-// use.
+// use. The handout's Resources are shared with the partition; callers
+// must not modify them.
 func (a *HandoutAPI) Serve(req Request) (Handout, error) {
 	d, ok := a.dists[req.Dist]
 	if !ok {

@@ -59,14 +59,24 @@ type HandoutJSON struct {
 	Bridges     []BridgeJSON `json:"bridges"`
 }
 
-// Handler returns the daemon's route table.
-func (s *Service) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/handout", s.handleHandout)
-	mux.HandleFunc("/"+reseed.SeedFileName, s.handleSeeds)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	return mux
+// Handler returns the daemon's route table: four exact paths, matched
+// as the request names them. Anything else — a trailing slash, another
+// case, an uncleaned path such as //handout — is 404.
+func (s *Service) Handler() http.Handler { return http.HandlerFunc(s.route) }
+
+func (s *Service) route(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case "/handout":
+		s.handleHandout(w, r)
+	case "/" + reseed.SeedFileName:
+		s.handleSeeds(w, r)
+	case "/metrics":
+		s.handleMetrics(w, r)
+	case "/healthz":
+		s.handleHealthz(w, r)
+	default:
+		http.NotFound(w, r)
+	}
 }
 
 // HealthJSON is the /healthz response body: liveness plus enough build
@@ -126,12 +136,15 @@ func clientAddr(r *http.Request) netip.Addr {
 
 // admit runs the shared admission checks — blacklist then rate limit —
 // and reports the request's identity key. A non-zero status means the
-// response has been written.
+// response has been written. While the blacklist is empty the client
+// address is never parsed.
 func (s *Service) admit(w http.ResponseWriter, r *http.Request, id string) (uint64, int) {
 	key := distrib.IdentityKey(id)
-	if a := clientAddr(r); a.IsValid() && s.blacklist.Blocked(a) {
-		http.Error(w, "address blacklisted", http.StatusForbidden)
-		return key, http.StatusForbidden
+	if s.blacklist.Len() > 0 {
+		if a := clientAddr(r); a.IsValid() && s.blacklist.has(a) {
+			http.Error(w, "address blacklisted", http.StatusForbidden)
+			return key, http.StatusForbidden
+		}
 	}
 	if !s.limiter.Allow(key) {
 		w.Header().Set("Retry-After", "1")

@@ -1,8 +1,11 @@
 package service
 
 import (
+	"math/bits"
+	"math/rand/v2"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/i2pstudy/i2pstudy/internal/censor"
@@ -19,36 +22,110 @@ import (
 // shard of an identity is a pure function of its key.
 const limiterShards = 64
 
-// bucket is one identity's token bucket. Tokens are in request units;
-// last is the refill instant in nanoseconds since the limiter's epoch.
-// The table holds buckets by value and a bucket holds no pointer, so the
-// garbage collector never walks the shard maps however many identities
-// a flood mints.
-type bucket struct {
+// minSlots is a shard table's size before its first doubling.
+const minSlots = 16
+
+// slot is one identity's token bucket in a shard table. Tokens are in
+// request units; last is the refill instant in nanoseconds since the
+// limiter's epoch. A slot holds no pointer, so the garbage collector
+// never walks a table however many identities a flood mints.
+type slot struct {
+	key    uint64
 	tokens float64
 	last   int64
 }
 
+// limiterShard is one shard's flat open-addressed table: linear probing
+// from a keyed multiplicative hash, key 0 marking an empty slot,
+// doubling past a load of ¾. Identity 0 is a valid key, so its bucket
+// lives beside the table in zero.
+type limiterShard struct {
+	mu      sync.Mutex
+	slots   []slot // len is a power of two, at least minSlots
+	shift   uint   // 64 - log2(len(slots))
+	mul     uint64 // the shard's secret odd hash multiplier
+	n       int    // occupied slots
+	zero    slot
+	hasZero bool
+}
+
+// home is where id's probe sequence starts. The shard selector spends
+// the low six bits of id^id>>32; within a shard those are fixed by bits
+// 32–37, so id>>6 keeps everything that tells two members apart.
+// Identities are client-chosen, so the multiplier is drawn at random
+// per shard: with a public one, a flood could precompute keys whose
+// probe sequences all start together and pay for one long cluster on
+// every insert.
+func (s *limiterShard) home(id uint64) uint64 {
+	return (id >> 6) * s.mul >> s.shift
+}
+
+// lookup returns id's bucket, or the empty slot it goes in, and whether
+// it was found — one probe sequence, no second lookup.
+func (s *limiterShard) lookup(id uint64) (*slot, bool) {
+	if id == 0 {
+		return &s.zero, s.hasZero
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := s.home(id); ; i = (i + 1) & mask {
+		if b := &s.slots[i]; b.key == id || b.key == 0 {
+			return b, b.key == id
+		}
+	}
+}
+
+// len returns the number of identities the shard holds.
+func (s *limiterShard) len() int {
+	if s.hasZero {
+		return s.n + 1
+	}
+	return s.n
+}
+
+// alloc replaces the table with an empty one of size slots.
+func (s *limiterShard) alloc(size int) {
+	s.slots = make([]slot, size)
+	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	s.n = 0
+}
+
+// grow doubles the table and reinserts every bucket.
+func (s *limiterShard) grow() {
+	old, n := s.slots, s.n
+	s.alloc(2 * len(old))
+	for _, b := range old {
+		if b.key != 0 {
+			dst, _ := s.lookup(b.key)
+			*dst = b
+		}
+	}
+	s.n = n
+}
+
+// reset forgets every identity, keeping the table's size.
+func (s *limiterShard) reset() {
+	clear(s.slots)
+	s.n, s.hasZero = 0, false
+}
+
 // Limiter is a sharded per-identity token bucket. Identities are the
-// ring keys requests already carry, so the limiter needs no extra
-// hashing. Safe for concurrent use.
+// ring keys requests already carry, so placing one costs a multiply,
+// not a string hash. Safe for concurrent use.
 type Limiter struct {
 	rate  float64 // tokens per second
 	burst float64
-	// maxPerShard bounds memory under identity floods: when a shard
-	// fills, its table resets — a flood forgets oldest-first anyway, and
-	// the simulation never needs an exact LRU.
+	// maxPerShard bounds memory under identity floods: a new identity
+	// arriving at a shard that already holds maxPerShard empties it — a
+	// flood forgets oldest-first anyway, and the simulation never needs
+	// an exact LRU.
 	maxPerShard int
 	now         func() time.Time
-	// epoch is the construction instant bucket.last counts from. Both
+	// epoch is the construction instant slot.last counts from. Both
 	// ends of every difference come from now, so the subtraction is the
 	// same integer time.Time.Sub yields, monotonic reading included.
 	epoch time.Time
 
-	shards [limiterShards]struct {
-		mu sync.Mutex
-		m  map[uint64]bucket
-	}
+	shards [limiterShards]limiterShard
 }
 
 // NewLimiter returns a limiter granting rate requests per second with
@@ -63,7 +140,8 @@ func NewLimiter(rate float64, burst int, now func() time.Time) *Limiter {
 	}
 	l := &Limiter{rate: rate, burst: float64(burst), maxPerShard: 1 << 16, now: now, epoch: now()}
 	for i := range l.shards {
-		l.shards[i].m = make(map[uint64]bucket)
+		l.shards[i].mul = rand.Uint64() | 1
+		l.shards[i].alloc(minSlots)
 	}
 	return l
 }
@@ -77,33 +155,49 @@ func (l *Limiter) Allow(id uint64) bool {
 	now := int64(l.now().Sub(l.epoch))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, ok := s.m[id]
+	b, ok := s.lookup(id)
 	if !ok {
-		if len(s.m) >= l.maxPerShard {
-			s.m = make(map[uint64]bucket)
+		switch {
+		case s.len() >= l.maxPerShard:
+			s.reset()
+			b, _ = s.lookup(id)
+		case id != 0 && 4*(s.n+1) > 3*len(s.slots):
+			s.grow()
+			b, _ = s.lookup(id)
 		}
-		s.m[id] = bucket{tokens: l.burst - 1, last: now}
+		*b = slot{key: id, tokens: l.burst - 1, last: now}
+		if id == 0 {
+			s.hasZero = true
+		} else {
+			s.n++
+		}
 		return true
 	}
-	b.tokens += time.Duration(now-b.last).Seconds() * l.rate
-	if b.tokens > l.burst {
-		b.tokens = l.burst
+	// Requests read the clock before they queue on the lock, so one may
+	// arrive with an instant older than the bucket's: it refills nothing
+	// and leaves last where it is.
+	if now > b.last {
+		b.tokens += time.Duration(now-b.last).Seconds() * l.rate
+		if b.tokens > l.burst {
+			b.tokens = l.burst
+		}
+		b.last = now
 	}
-	b.last = now
-	allowed := b.tokens >= 1
-	if allowed {
-		b.tokens--
+	if b.tokens < 1 {
+		return false
 	}
-	s.m[id] = b
-	return allowed
+	b.tokens--
+	return true
 }
 
 // Blacklist is the operator blacklist: an AddrSet over the study's
 // interned address table, shared representation with the censor sweeps.
-// Mutations take the write lock; the hot-path membership check only
-// takes the read lock.
+// Mutations take the write lock and republish the set's size in n; the
+// hot-path membership check reads n first, so while nothing is blocked
+// it takes no lock and looks nothing up.
 type Blacklist struct {
 	ix *censor.AddrIndex
+	n  atomic.Int64
 
 	mu  sync.RWMutex
 	set *censor.AddrSet
@@ -117,28 +211,35 @@ func NewBlacklist(ix *censor.AddrIndex) *Blacklist {
 // Block adds an address. Addresses the study never interned are
 // unblockable — they cannot reach the ring either — and report false.
 func (b *Blacklist) Block(a netip.Addr) bool {
-	id := b.ix.IDOf(a)
-	if id < 0 {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.set.Add(id)
+	return b.update(a, (*censor.AddrSet).Add)
 }
 
 // Unblock removes an address.
 func (b *Blacklist) Unblock(a netip.Addr) bool {
+	return b.update(a, (*censor.AddrSet).Remove)
+}
+
+// update applies one mutation under the write lock and republishes n.
+func (b *Blacklist) update(a netip.Addr, op func(*censor.AddrSet, int32) bool) bool {
 	id := b.ix.IDOf(a)
 	if id < 0 {
 		return false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.set.Remove(id)
+	changed := op(b.set, id)
+	b.n.Store(int64(b.set.Len()))
+	return changed
 }
 
 // Blocked reports whether an address is blacklisted.
 func (b *Blacklist) Blocked(a netip.Addr) bool {
+	return b.Len() > 0 && b.has(a)
+}
+
+// has is Blocked without the empty-set shortcut, for callers that have
+// already read Len to skip work of their own.
+func (b *Blacklist) has(a netip.Addr) bool {
 	id := b.ix.IDOf(a)
 	if id < 0 {
 		return false
@@ -149,8 +250,4 @@ func (b *Blacklist) Blocked(a netip.Addr) bool {
 }
 
 // Len returns the number of blacklisted addresses.
-func (b *Blacklist) Len() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.set.Len()
-}
+func (b *Blacklist) Len() int { return int(b.n.Load()) }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestServiceLoadGen runs a small load generation end to end: every
@@ -97,4 +98,17 @@ func BenchmarkServiceHandoutParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkLimiterFlood measures admission under an identity flood: b.N
+// fresh identities through one Limiter, every one a table miss.
+func BenchmarkLimiterFlood(b *testing.B) {
+	l := NewLimiter(5, 4, time.Now)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !l.Allow(uint64(i+1) * 0x9E3779B97F4A7C15) {
+			b.Fatal("a fresh identity was refused")
+		}
+	}
 }

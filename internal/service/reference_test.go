@@ -228,12 +228,46 @@ func (l *referenceLimiter) Allow(id uint64) bool {
 	return true
 }
 
-// TestLimiterMatchesReference drives both limiters through one seeded
-// schedule of (identity, clock advance) — hot identities that drain and
-// refill, fresh ones that fill shards past maxPerShard and reset them —
-// and requires the same decision every time, on a wall-only clock and
-// on one carrying a monotonic reading.
+// has reports whether the shard holds id.
+func (s *limiterShard) has(id uint64) bool {
+	_, ok := s.lookup(id)
+	return ok
+}
+
+// inShard rewrites the low six bits of id so that it lands in shard.
+func inShard(id, shard uint64) uint64 {
+	return id&^63 | (id>>32^shard)&63
+}
+
+// collidingKeys returns n distinct identities of shard 5 whose probe
+// sequences, under multiplier mul, all start at the same slot of a
+// table of size slots.
+func collidingKeys(rng *rand.Rand, mul uint64, slots, n int) []uint64 {
+	probe := limiterShard{mul: mul}
+	probe.alloc(slots)
+	seen := make(map[uint64]bool, n)
+	keys := make([]uint64, 0, n)
+	for len(keys) < n {
+		id := inShard(rng.Uint64(), 5)
+		if id != 0 && !seen[id] && probe.home(id) == 3 {
+			seen[id] = true
+			keys = append(keys, id)
+		}
+	}
+	return keys
+}
+
+// TestLimiterMatchesReference drives both limiters through seeded
+// schedules of (identity, clock advance) and requires the same decision
+// every time, on a wall-only clock and on one carrying a monotonic
+// reading. Every schedule mixes a hot set (identities 0–49, identity 0's
+// bucket living beside its shard's table) that drains and refills with
+// other identities: fresh ones that fill shards past maxPerShard and
+// reset them; keys that share one probe sequence, through resets and
+// through a doubling; and a flood into four shards that doubles their
+// tables from minSlots up and then resets them.
 func TestLimiterMatchesReference(t *testing.T) {
+	var collide []uint64 // drawn per limiter, under its shard 5 multiplier
 	for _, tc := range []struct {
 		name  string
 		start time.Time
@@ -242,45 +276,168 @@ func TestLimiterMatchesReference(t *testing.T) {
 		{"monotonic clock", time.Now()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const maxPerShard = 8
-			clk := tc.start
-			now := func() time.Time { return clk }
-			got := NewLimiter(5, 4, now)
-			got.maxPerShard = maxPerShard
-			want := newReferenceLimiter(5, 4, maxPerShard, now)
+			for _, sc := range []struct {
+				name                  string
+				maxPerShard           int
+				other                 func(*rand.Rand) uint64
+				wantGrows, wantResets bool
+			}{
+				{"fresh", 8, func(rng *rand.Rand) uint64 { return rng.Uint64() }, false, true},
+				{"colliding", 8, func(rng *rand.Rand) uint64 { return collide[rng.Intn(len(collide))] }, false, true},
+				{"colliding past a doubling", 1 << 12, func(rng *rand.Rand) uint64 { return collide[rng.Intn(len(collide))] }, true, false},
+				{"flood", 1 << 12, func(rng *rand.Rand) uint64 { return inShard(rng.Uint64(), uint64(rng.Intn(4))) }, true, true},
+			} {
+				t.Run(sc.name, func(t *testing.T) {
+					clk := tc.start
+					now := func() time.Time { return clk }
+					got := NewLimiter(5, 4, now)
+					got.maxPerShard = sc.maxPerShard
+					want := newReferenceLimiter(5, 4, sc.maxPerShard, now)
+					collide = collidingKeys(rand.New(rand.NewSource(7)), got.shards[5].mul, minSlots, 24)
 
-			rng := rand.New(rand.NewSource(2018))
-			advances := []time.Duration{0, 0, time.Nanosecond, 10 * time.Microsecond, 700 * time.Microsecond, 3 * time.Millisecond, 9 * time.Millisecond}
-			allowed, refused, resets := 0, 0, 0
-			for step := 0; step < 200000; step++ {
-				clk = clk.Add(advances[rng.Intn(len(advances))])
-				if rng.Intn(1000) == 0 {
-					clk = clk.Add(2 * time.Second) // a lull: every bucket refills to its burst
-				}
-				id := uint64(rng.Intn(50)) // the hot set
-				if rng.Intn(4) == 0 {
-					id = rng.Uint64() // a fresh identity
-				}
-				shard := &got.shards[(id^id>>32)%limiterShards]
-				_, known := shard.m[id]
-				full := len(shard.m) >= maxPerShard
-				g, w := got.Allow(id), want.Allow(id)
-				if g != w {
-					t.Fatalf("step %d, identity %d: Allow = %v, reference %v", step, id, g, w)
-				}
-				if !known && full {
-					resets++
-				}
-				if g {
-					allowed++
-				} else {
-					refused++
-				}
-			}
-			if refused == 0 || resets == 0 {
-				t.Fatalf("schedule is vacuous: %d allowed, %d refused, %d shard resets", allowed, refused, resets)
+					rng := rand.New(rand.NewSource(2018))
+					advances := []time.Duration{0, 0, time.Nanosecond, 10 * time.Microsecond, 700 * time.Microsecond, 3 * time.Millisecond, 9 * time.Millisecond}
+					var allowed, refused, resets, grows int
+					var zero [2]int // identity 0's refusals and grants
+					for step := 0; step < 200000; step++ {
+						clk = clk.Add(advances[rng.Intn(len(advances))])
+						if rng.Intn(1000) == 0 {
+							clk = clk.Add(2 * time.Second) // a lull: every bucket refills to its burst
+						}
+						id := uint64(rng.Intn(50)) // the hot set
+						if rng.Intn(4) == 0 {
+							id = sc.other(rng)
+						}
+						shard := &got.shards[(id^id>>32)%limiterShards]
+						known, full, size := shard.has(id), shard.len() >= sc.maxPerShard, len(shard.slots)
+						g, w := got.Allow(id), want.Allow(id)
+						if g != w {
+							t.Fatalf("step %d, identity %d: Allow = %v, reference %v", step, id, g, w)
+						}
+						if !known && full {
+							resets++
+						}
+						if len(shard.slots) > size {
+							grows++
+						}
+						if id == 0 {
+							zero[b2i(g)]++
+						}
+						if g {
+							allowed++
+						} else {
+							refused++
+						}
+					}
+					if refused == 0 || zero[0] == 0 || zero[1] == 0 || (resets > 0) != sc.wantResets || (grows > 0) != sc.wantGrows {
+						t.Fatalf("schedule misses its cases: %d allowed, %d refused, identity 0 refused %d and allowed %d, %d shard resets, %d doublings",
+							allowed, refused, zero[0], zero[1], resets, grows)
+					}
+				})
 			}
 		})
+	}
+}
+
+// b2i counts a true as 1.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestLimiterRefillNeverRunsBackwards: requests read the clock before
+// they take the shard lock, so one can reach a bucket carrying an
+// instant older than the bucket's last refill. It must refill nothing
+// and leave last alone: tokens fall only by the grant, and last never
+// decreases.
+func TestLimiterRefillNeverRunsBackwards(t *testing.T) {
+	clk := time.Unix(1700000000, 0)
+	l := NewLimiter(5, 4, func() time.Time { return clk })
+	bucket := func(id uint64) slot {
+		b, ok := l.shards[(id^id>>32)%limiterShards].lookup(id)
+		if !ok {
+			t.Fatalf("identity %d has no bucket", id)
+		}
+		return *b
+	}
+	const id = 42
+	l.Allow(id) // 3 tokens left
+	clk = clk.Add(-time.Second)
+	if !l.Allow(id) {
+		t.Fatal("a request carrying an older instant was refused with tokens left")
+	}
+
+	rng := rand.New(rand.NewSource(2018))
+	for step := 0; step < 10000; step++ {
+		clk = clk.Add(time.Duration(rng.Intn(20)-10) * time.Millisecond)
+		before := bucket(id)
+		granted := l.Allow(id)
+		after := bucket(id)
+		if after.last < before.last {
+			t.Fatalf("step %d: last moved back from %d to %d", step, before.last, after.last)
+		}
+		if refill := after.tokens - before.tokens + float64(b2i(granted)); refill < 0 {
+			t.Fatalf("step %d: the refill took %.3f tokens", step, -refill)
+		}
+	}
+}
+
+// TestLimiterHashIsKeyed: identities are client-chosen, so against a
+// public hash multiplier a flood can precompute keys of one shard whose
+// home slots share a narrow band — one linear-probing cluster that every
+// fresh key walks to its end. The same keys, built against the fixed
+// constant, must spread under a limiter's own multipliers; a shard
+// forced onto the constant shows the cluster they were built for.
+func TestLimiterHashIsKeyed(t *testing.T) {
+	const public = 0x9E3779B97F4A7C15
+	const keys, slots = 3000, 4096 // 3000 identities double a shard to 4096 slots
+	target := limiterShard{mul: public}
+	target.alloc(slots)
+	rng := rand.New(rand.NewSource(2018))
+	flood := make([]uint64, 0, keys)
+	for seen := map[uint64]bool{}; len(flood) < keys; {
+		if id := inShard(rng.Uint64(), 5); id != 0 && !seen[id] && target.home(id) < 16 {
+			seen[id] = true
+			flood = append(flood, id)
+		}
+	}
+
+	// longestProbe floods one limiter and returns the longest probe
+	// sequence, home slot to bucket, among the flood's identities.
+	longestProbe := func(l *Limiter) int {
+		for _, id := range flood {
+			l.Allow(id)
+		}
+		s := &l.shards[5]
+		if len(s.slots) != slots {
+			t.Fatalf("the flood grew shard 5 to %d slots, want %d", len(s.slots), slots)
+		}
+		longest := 0
+		for _, id := range flood {
+			n := 1
+			for i := s.home(id); s.slots[i].key != id; i = (i + 1) & (slots - 1) {
+				n++
+			}
+			longest = max(longest, n)
+		}
+		return longest
+	}
+
+	a, b := NewLimiter(5, 4, nil), NewLimiter(5, 4, nil)
+	for i := range a.shards {
+		if m := a.shards[i].mul; m&1 == 0 || m == public || m == b.shards[i].mul || (i > 0 && m == a.shards[i-1].mul) {
+			t.Fatalf("shard %d multiplier %#x is even, public, or shared with another shard or limiter", i, m)
+		}
+	}
+	if n := longestProbe(a); n > keys/4 {
+		t.Errorf("under the limiter's multiplier the flood still probes %d slots for one key", n)
+	}
+	fixed := NewLimiter(5, 4, nil)
+	fixed.shards[5].mul = public
+	if n := longestProbe(fixed); n < keys/2 {
+		t.Fatalf("the flood built against the public multiplier probes only %d slots under it; the test no longer builds a cluster", n)
 	}
 }
 

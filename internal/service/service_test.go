@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -149,6 +150,42 @@ func TestRateLimit429(t *testing.T) {
 	advance(1500 * time.Millisecond)
 	if r := get(t, h, "/handout?id=alice", ""); r.Code != http.StatusOK {
 		t.Fatalf("bucket did not refill: status %d", r.Code)
+	}
+}
+
+// TestLimiterConcurrentGrants: on a frozen clock an identity is granted
+// exactly its burst, however many goroutines ask for it at once and
+// however often its shard's table doubles meanwhile.
+func TestLimiterConcurrentGrants(t *testing.T) {
+	clk := time.Unix(1700000000, 0)
+	const burst, workers, ids, rounds = 4, 4, 5000, 6
+	l := NewLimiter(5, burst, func() time.Time { return clk })
+	grants := make([][]int, workers)
+	var wg sync.WaitGroup
+	for w := range grants {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g := make([]int, ids)
+			for r := 0; r < rounds; r++ {
+				for i := range g {
+					if l.Allow(uint64(i) * 0x9E3779B97F4A7C15) {
+						g[i]++
+					}
+				}
+			}
+			grants[w] = g
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < ids; i++ {
+		total := 0
+		for w := range grants {
+			total += grants[w][i]
+		}
+		if total != burst {
+			t.Fatalf("identity %d granted %d times, want the burst %d", i, total, burst)
+		}
 	}
 }
 
@@ -358,5 +395,34 @@ func TestMethodAndQueryLimits(t *testing.T) {
 				t.Fatalf("/metrics missing %q in:\n%s", want, body)
 			}
 		})
+	}
+}
+
+// TestRouteTable: the four routes are exact paths, matched as the
+// request names them — a trailing slash, another case, an uncleaned path
+// or a subpath is 404, never a redirect — and a route answers a wrong
+// method itself.
+func TestRouteTable(t *testing.T) {
+	h := newTestService(t, Config{}).Handler()
+	do := func(method, path, query string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, "/", nil)
+		req.URL = &url.URL{Path: path, RawQuery: query}
+		rw := httptest.NewRecorder()
+		h.ServeHTTP(rw, req)
+		return rw
+	}
+	for _, path := range []string{"/handout", "/" + reseed.SeedFileName, "/metrics", "/healthz"} {
+		if rw := do(http.MethodGet, path, "id=route"); rw.Code != http.StatusOK {
+			t.Errorf("GET %s: status %d, want 200", path, rw.Code)
+		}
+	}
+	for _, path := range []string{"/", "/handout/", "/Handout", "//handout", "/metrics/x"} {
+		if rw := do(http.MethodGet, path, "id=route"); rw.Code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, rw.Code)
+		}
+	}
+	rw := do(http.MethodPost, "/handout", "id=route")
+	if rw.Code != http.StatusMethodNotAllowed || rw.Header().Get("Allow") != http.MethodGet {
+		t.Errorf("POST /handout: status %d, Allow %q; want 405, GET", rw.Code, rw.Header().Get("Allow"))
 	}
 }
