@@ -188,21 +188,21 @@ func (m *Model) SampleProfile(rng *rand.Rand) Profile {
 	}
 }
 
-// GeneratePresence replays the profile's presence chain for up to maxDays
-// days, returning one boolean per day. Day 0 is always online (the peer is
-// first observed when it joins). The slice length is min(SpanDays, maxDays),
-// and the last in-span day is forced online so that SpanDays is the true
-// first-to-last distance.
-func (p Profile) GeneratePresence(rng *rand.Rand, maxDays int) []bool {
+// AppendPresence replays the profile's presence chain for up to maxDays
+// days, appending one boolean per day to dst and returning the extended
+// slice. Day 0 is always online (the peer is first observed when it
+// joins). It appends min(SpanDays, maxDays) days, and the last in-span
+// day is forced online so that SpanDays is the true first-to-last
+// distance.
+func (p Profile) AppendPresence(dst []bool, rng *rand.Rand, maxDays int) []bool {
 	n := p.SpanDays
 	if n > maxDays {
 		n = maxDays
 	}
 	if n <= 0 {
-		return nil
+		return dst
 	}
-	out := make([]bool, n)
-	out[0] = true
+	dst = append(dst, true)
 	online := true
 	for d := 1; d < n; d++ {
 		var pOn float64
@@ -212,12 +212,12 @@ func (p Profile) GeneratePresence(rng *rand.Rand, maxDays int) []bool {
 			pOn = p.OffOn
 		}
 		online = rng.Float64() < pOn
-		out[d] = online
+		dst = append(dst, online)
 	}
 	if n == p.SpanDays {
-		out[n-1] = true
+		dst[len(dst)-1] = true
 	}
-	return out
+	return dst
 }
 
 // ExpectedDailyPresence returns the long-run fraction of in-span days the

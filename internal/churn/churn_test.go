@@ -70,7 +70,7 @@ func TestGeneratePresenceInvariants(t *testing.T) {
 	rng := testRNG(2)
 	for i := 0; i < 2000; i++ {
 		p := m.SampleProfile(rng)
-		pres := p.GeneratePresence(rng, 90)
+		pres := p.AppendPresence(nil, rng, 90)
 		if len(pres) == 0 {
 			t.Fatal("empty presence")
 		}
@@ -98,7 +98,7 @@ func TestChurnCalibration(t *testing.T) {
 	cont7, cont30, int7, int30 := 0, 0, 0, 0
 	for i := 0; i < n; i++ {
 		p := m.SampleProfile(rng)
-		pres := p.GeneratePresence(rng, studyDays)
+		pres := p.AppendPresence(nil, rng, studyDays)
 		run := LongestRun(pres)
 		span := SpanDays(pres)
 		if run >= 7 {
@@ -163,7 +163,7 @@ func TestExpectedActiveDaysSanity(t *testing.T) {
 	const n = 20000
 	for i := 0; i < n; i++ {
 		p := m.SampleProfile(rng)
-		sum += DaysOnline(p.GeneratePresence(rng, 90))
+		sum += DaysOnline(p.AppendPresence(nil, rng, 90))
 	}
 	mc := float64(sum) / float64(n)
 	if got < mc*0.7 || got > mc*1.3 {

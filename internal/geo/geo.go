@@ -13,10 +13,8 @@
 package geo
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net/netip"
 	"sort"
@@ -56,6 +54,12 @@ type Country struct {
 	Share float64
 	// ASNs lists the autonomous systems homed in this country.
 	ASNs []uint32
+
+	// ases[i] is ASNs[i]'s record and cumAS[i] the cumulative global
+	// share of ases[:i+1]: SampleAS's table, reached through the record
+	// with no lookup by code.
+	ases  []*AS
+	cumAS []float64
 }
 
 // Censored reports whether the country's press-freedom score exceeds the
@@ -73,7 +77,6 @@ type DB struct {
 	asList      []*AS      // sorted by global share descending, then ASN
 
 	cumCountry []float64 // cumulative country shares for sampling
-	cumAS      map[string][]float64
 	vpnASNs    []uint32
 }
 
@@ -88,7 +91,6 @@ func NewDB() *DB {
 		countries: make(map[string]*Country),
 		ases:      make(map[uint32]*AS),
 		v4block:   make(map[uint32]uint32),
-		cumAS:     make(map[string][]float64),
 		vpnASNs:   append([]uint32(nil), VPNASNs...),
 	}
 
@@ -220,16 +222,16 @@ func (db *DB) finish() {
 		sum += c.Share
 		db.cumCountry[i] = sum
 	}
-	db.cumAS = make(map[string][]float64, len(db.countries))
 	for _, c := range db.countries {
 		sort.Slice(c.ASNs, func(i, j int) bool { return c.ASNs[i] < c.ASNs[j] })
-		cum := make([]float64, len(c.ASNs))
+		c.ases = make([]*AS, len(c.ASNs))
+		c.cumAS = make([]float64, len(c.ASNs))
 		s := 0.0
 		for i, asn := range c.ASNs {
-			s += db.ases[asn].GlobalShare
-			cum[i] = s
+			c.ases[i] = db.ases[asn]
+			s += c.ases[i].GlobalShare
+			c.cumAS[i] = s
 		}
-		db.cumAS[c.Code] = cum
 	}
 }
 
@@ -347,24 +349,23 @@ func (db *DB) SampleCountry(rng *rand.Rand) *Country {
 	return db.countryList[i]
 }
 
-// SampleAS draws an AS within a country, weighted by the AS's share.
-// It returns nil for unknown countries.
-func (db *DB) SampleAS(country string, rng *rand.Rand) *AS {
-	c := db.countries[country]
-	if c == nil || len(c.ASNs) == 0 {
+// SampleAS draws an AS within a country of this database (as Country or
+// SampleCountry return it), weighted by the AS's share. It returns nil
+// for a nil country.
+func (db *DB) SampleAS(c *Country, rng *rand.Rand) *AS {
+	if c == nil || len(c.ases) == 0 {
 		return nil
 	}
-	cum := db.cumAS[country]
-	total := cum[len(cum)-1]
+	total := c.cumAS[len(c.cumAS)-1]
 	if total <= 0 {
-		return db.ases[c.ASNs[rng.IntN(len(c.ASNs))]]
+		return c.ases[rng.IntN(len(c.ases))]
 	}
 	x := rng.Float64() * total
-	i := sort.SearchFloat64s(cum, x)
-	if i >= len(c.ASNs) {
-		i = len(c.ASNs) - 1
+	i := sort.SearchFloat64s(c.cumAS, x)
+	if i >= len(c.ases) {
+		i = len(c.ases) - 1
 	}
-	return db.ases[c.ASNs[i]]
+	return c.ases[i]
 }
 
 // SampleVPNAS draws one of the hosting/VPN ASes used to model routers
@@ -372,107 +373,4 @@ func (db *DB) SampleAS(country string, rng *rand.Rand) *AS {
 func (db *DB) SampleVPNAS(rng *rand.Rand) *AS {
 	asn := db.vpnASNs[rng.IntN(len(db.vpnASNs))]
 	return db.ases[asn]
-}
-
-// Save writes the database in a line-oriented text format readable by Load.
-func (db *DB) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, c := range db.countryList {
-		if _, err := fmt.Fprintf(bw, "country %s %d %.6f %s\n", c.Code, c.Press, c.Share, c.Name); err != nil {
-			return err
-		}
-	}
-	for _, a := range db.asList {
-		if _, err := fmt.Fprintf(bw, "as %d %s %.8f %s\n", a.ASN, a.Country, a.GlobalShare, a.Name); err != nil {
-			return err
-		}
-		for _, blk := range a.blocks {
-			if _, err := fmt.Fprintf(bw, "v4 %d %d\n", blk, a.ASN); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// Load reads a database written by Save.
-func Load(r io.Reader) (*DB, error) {
-	db := &DB{
-		countries: make(map[string]*Country),
-		ases:      make(map[uint32]*AS),
-		v4block:   make(map[uint32]uint32),
-		cumAS:     make(map[string][]float64),
-		vpnASNs:   append([]uint32(nil), VPNASNs...),
-	}
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if text == "" {
-			continue
-		}
-		var kind string
-		if _, err := fmt.Sscanf(text, "%s", &kind); err != nil {
-			return nil, fmt.Errorf("geo: line %d: %w", line, err)
-		}
-		switch kind {
-		case "country":
-			c := &Country{}
-			var rest string
-			if _, err := fmt.Sscanf(text, "country %s %d %f", &c.Code, &c.Press, &c.Share); err != nil {
-				return nil, fmt.Errorf("geo: line %d: %w", line, err)
-			}
-			if n := len("country ") + len(c.Code); n < len(text) {
-				// Name is everything after the third space-separated field.
-				fields := 0
-				for i := 0; i < len(text); i++ {
-					if text[i] == ' ' {
-						fields++
-						if fields == 4 {
-							rest = text[i+1:]
-							break
-						}
-					}
-				}
-			}
-			c.Name = rest
-			db.countries[c.Code] = c
-		case "as":
-			a := &AS{}
-			if _, err := fmt.Sscanf(text, "as %d %s %f", &a.ASN, &a.Country, &a.GlobalShare); err != nil {
-				return nil, fmt.Errorf("geo: line %d: %w", line, err)
-			}
-			fields := 0
-			for i := 0; i < len(text); i++ {
-				if text[i] == ' ' {
-					fields++
-					if fields == 4 {
-						a.Name = text[i+1:]
-						break
-					}
-				}
-			}
-			db.ases[a.ASN] = a
-			if c := db.countries[a.Country]; c != nil {
-				c.ASNs = append(c.ASNs, a.ASN)
-			}
-		case "v4":
-			var blk, asn uint32
-			if _, err := fmt.Sscanf(text, "v4 %d %d", &blk, &asn); err != nil {
-				return nil, fmt.Errorf("geo: line %d: %w", line, err)
-			}
-			db.v4block[blk] = asn
-			if a := db.ases[asn]; a != nil {
-				a.blocks = append(a.blocks, blk)
-			}
-		default:
-			return nil, fmt.Errorf("geo: line %d: unknown record kind %q", line, kind)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	db.finish()
-	return db, nil
 }

@@ -171,6 +171,10 @@ func (p *Peer) AddrSchedule() []AddrSegment {
 // zero for unknown-IP peers.
 func (p *Peer) ASNOnDay(day int) uint32 { return p.segment(p.SegmentOn(day)).asn }
 
+// introducer reports whether the peer serves as an introducer for
+// firewalled peers on the days it is online: known-IP and reachable.
+func (p *Peer) introducer() bool { return p.Status == StatusKnownIP && p.Reachable }
+
 // TunnelEligible reports whether other peers would select this peer as a
 // tunnel hop: reachable, publishing an address, with at least M bandwidth.
 func (p *Peer) TunnelEligible() bool {
@@ -178,23 +182,33 @@ func (p *Peer) TunnelEligible() bool {
 }
 
 // buildIPSchedule precomputes the peer's address assignments across its
-// active window using its churn IP profile and the geo allocator.
-func (p *Peer) buildIPSchedule(db *geo.DB, horizonDays int, rng *rand.Rand) {
+// active window using its churn IP profile and the geo allocator. It
+// draws them into b's scratch and keeps exact-size copies.
+func (p *Peer) buildIPSchedule(db *geo.DB, horizonDays int, b *builder) {
 	if p.Status != StatusKnownIP {
 		return
 	}
-	pickASN := func() uint32 {
-		return p.ASPool[rng.IntN(len(p.ASPool))]
-	}
+	b.sched, b.extraIPs, b.extraASNs = b.sched[:0], b.extraIPs[:0], b.extraASNs[:0]
+	p.drawIPSchedule(db, horizonDays, b)
+	p.ipSchedule = b.segs.clone(b.sched)
+	p.extraIPs = b.addrs.clone(b.extraIPs)
+	p.extraASNs = b.asns.clone(b.extraASNs)
+}
+
+// drawIPSchedule appends the peer's schedule segments to b.sched, and
+// the addresses and ASes that same-day rotations replaced to b.extraIPs
+// and b.extraASNs.
+func (p *Peer) drawIPSchedule(db *geo.DB, horizonDays int, b *builder) {
+	rng := b.rng
 	mkSeg := func(day int) ipAssignment {
-		asn := pickASN()
+		asn := p.ASPool[rng.IntN(len(p.ASPool))]
 		seg := ipAssignment{fromDay: day, asn: asn, addr: db.RandomIPv4(asn, rng)}
 		if p.IPProfile.IPv6 {
 			seg.v6 = db.RandomIPv6(asn, rng)
 		}
 		return seg
 	}
-	p.ipSchedule = append(p.ipSchedule, mkSeg(p.StartDay))
+	b.sched = append(b.sched, mkSeg(p.StartDay))
 	if p.IPProfile.Mode == churn.IPStatic {
 		return
 	}
@@ -209,17 +223,16 @@ func (p *Peer) buildIPSchedule(db *geo.DB, horizonDays int, rng *rand.Rand) {
 		if day >= end {
 			return
 		}
-		if day <= p.ipSchedule[len(p.ipSchedule)-1].fromDay {
+		if last := &b.sched[len(b.sched)-1]; day <= last.fromDay {
 			// Multiple rotations within one day: the daily schedule keeps
 			// the last address, but the earlier one was still observable
 			// by hourly captures, so record it.
-			old := p.ipSchedule[len(p.ipSchedule)-1]
-			p.extraIPs = append(p.extraIPs, old.addr)
-			p.extraASNs = append(p.extraASNs, old.asn)
-			p.ipSchedule[len(p.ipSchedule)-1] = mkSeg(day)
+			b.extraIPs = append(b.extraIPs, last.addr)
+			b.extraASNs = append(b.extraASNs, last.asn)
+			*last = mkSeg(day)
 			continue
 		}
-		p.ipSchedule = append(p.ipSchedule, mkSeg(day))
+		b.sched = append(b.sched, mkSeg(day))
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -201,8 +202,7 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Observation != nil {
 		n.obs = *cfg.Observation
 	}
-	n.populate()
-	n.index()
+	n.index(n.populate())
 	return n, nil
 }
 
@@ -282,9 +282,87 @@ func residualProfile(m *churn.Model, age int, rng *rand.Rand) churn.Profile {
 	return churn.Profile{Class: sel.class, SpanDays: residual, OnOn: sel.onOn, OffOn: sel.offOn}
 }
 
-// populate creates the steady-state initial population plus daily arrivals.
-func (n *Network) populate() {
-	rng := rand.New(rand.NewPCG(n.cfg.Seed, n.cfg.Seed^0xD1B54A32D192ED03))
+// slabChunk is how many elements a slab allocates at a time.
+const slabChunk = 1 << 12
+
+// slab hands out exact-capacity windows of shared chunks, so the Peer
+// structs and the slices New gives each peer cost an allocation per
+// chunk, not one per peer. Chunks rather than one slab per network keep
+// every allocation small enough for the heap to place without growing.
+// A window's capacity is its length: an append to it reallocates and
+// never writes into a neighbour's window.
+type slab[T any] struct{ free []T }
+
+// room returns an empty slice that can take n appends without leaving
+// the slab; keep then carves what was appended off it.
+func (s *slab[T]) room(n int) []T {
+	if len(s.free) < n {
+		s.free = make([]T, max(n, slabChunk))
+	}
+	return s.free[:0]
+}
+
+// keep carves w, an append onto room's slice that stayed within its
+// room, off the slab and returns it capped at its length (nil if empty).
+func (s *slab[T]) keep(w []T) []T {
+	if len(w) == 0 {
+		return nil
+	}
+	s.free = s.free[len(w):]
+	return w[:len(w):len(w)]
+}
+
+// alloc returns a pointer to one element carved from the slab.
+func (s *slab[T]) alloc() *T {
+	p := &s.room(1)[:1][0]
+	s.free = s.free[1:]
+	return p
+}
+
+// clone returns an exact-size copy of src carved from the slab.
+func (s *slab[T]) clone(src []T) []T { return s.keep(append(s.room(len(src)), src...)) }
+
+// builder is populate's scratch: the slabs the peers' slices are carved
+// from, the address schedule being drawn, and the per-day counts index
+// sizes its slices by. It lives only while New runs.
+type builder struct {
+	rng      *rand.Rand
+	presence slab[bool]
+	asns     slab[uint32]
+	addrs    slab[netip.Addr]
+	segs     slab[ipAssignment]
+	// sched, extraIPs and extraASNs hold the schedule being drawn; the
+	// peer keeps slab copies of them.
+	sched     []ipAssignment
+	extraIPs  []netip.Addr
+	extraASNs []uint32
+	// active[d] and introducers[d] count the peers online on day d and
+	// those of them that are introducers.
+	active, introducers []int
+}
+
+// cohorts returns the peers each step of a steady-state draw adds: the
+// integer part of rate(i) plus the remainder carried from earlier steps.
+func cohorts(steps int, rate func(int) float64) []int {
+	out := make([]int, steps)
+	carry := 0.0
+	for i := range out {
+		exact := rate(i) + carry
+		out[i] = int(exact)
+		carry = exact - float64(out[i])
+	}
+	return out
+}
+
+// populate creates the steady-state initial population plus daily
+// arrivals, and counts each day's active peers and introducers for
+// index.
+func (n *Network) populate() *builder {
+	b := &builder{
+		rng:         rand.New(rand.NewPCG(n.cfg.Seed, n.cfg.Seed^0xD1B54A32D192ED03)),
+		active:      make([]int, n.cfg.Days),
+		introducers: make([]int, n.cfg.Days),
+	}
 	ccfg := n.model.Config()
 	// The arrival rate must use the *uncapped* expected active days per
 	// peer: the steady-state construction below integrates full spans, so
@@ -292,65 +370,77 @@ func (n *Network) populate() {
 	expected := n.model.ExpectedActiveDays(1 << 20)
 	lambda := float64(n.cfg.TargetDailyPeers) / expected
 
-	nextID := uint64(1)
+	// Steady-state initial population: for each age t, round(lambda *
+	// S(t)) peers that arrived t days ago and are still in-span. Then
+	// fresh arrivals during the study.
+	maxAge := int(ccfg.StableSpanFloor + 8*ccfg.StableSpanMean)
+	initial := cohorts(maxAge+1, func(t int) float64 { return lambda * survival(ccfg, float64(t)) })
+	arrivals := cohorts(n.cfg.Days, func(int) float64 { return lambda })
+	total := sum(initial) + sum(arrivals)
+	var peers slab[Peer]
+	n.Peers = make([]*Peer, total)
+	n.drawClass = make([]uint8, total)
+	n.drawExposure = make([]float64, total)
+
+	next := 0
 	addPeer := func(profile churn.Profile, startDay int, stationaryStart bool) {
-		p := &Peer{
-			Index:    len(n.Peers),
-			ID:       netdb.HashFromUint64(n.cfg.Seed<<32 | nextID),
+		p := peers.alloc()
+		*p = Peer{
+			Index:    next,
+			ID:       netdb.HashFromUint64(n.cfg.Seed<<32 | uint64(next+1)),
 			Profile:  profile,
 			StartDay: startDay,
 		}
-		nextID++
 		horizon := n.cfg.Days - startDay
+		w := b.presence.room(horizon)
 		if stationaryStart {
-			p.Presence = generatePresenceStationary(profile, rng, horizon)
+			w = appendPresenceStationary(w, profile, b.rng, horizon)
 		} else {
-			p.Presence = profile.GeneratePresence(rng, horizon)
+			w = profile.AppendPresence(w, b.rng, horizon)
 		}
-		n.decorate(p, rng)
-		n.Peers = append(n.Peers, p)
-		n.drawClass = append(n.drawClass, uint8(p.affinityClass()))
-		n.drawExposure = append(n.drawExposure, p.Exposure)
-	}
+		p.Presence = b.presence.keep(w)
+		n.decorate(p, b)
+		n.Peers[next] = p
+		n.drawClass[next] = uint8(p.affinityClass())
+		n.drawExposure[next] = p.Exposure
+		next++
 
-	// Steady-state initial population: for each age t, round(lambda *
-	// S(t)) peers that arrived t days ago and are still in-span.
-	maxAge := int(ccfg.StableSpanFloor + 8*ccfg.StableSpanMean)
-	carry := 0.0
-	for t := 0; t <= maxAge; t++ {
-		exact := lambda*survival(ccfg, float64(t)) + carry
-		count := int(exact)
-		carry = exact - float64(count)
-		for i := 0; i < count; i++ {
-			addPeer(residualProfile(n.model, t, rng), 0, true)
+		introducer := p.introducer()
+		for i, on := range p.Presence {
+			if on {
+				b.active[startDay+i]++
+				if introducer {
+					b.introducers[startDay+i]++
+				}
+			}
 		}
 	}
-	// Fresh arrivals during the study.
-	carry = 0.0
-	for d := 0; d < n.cfg.Days; d++ {
-		exact := lambda + carry
-		count := int(exact)
-		carry = exact - float64(count)
-		for i := 0; i < count; i++ {
-			addPeer(n.model.SampleProfile(rng), d, false)
+	for t, count := range initial {
+		for range count {
+			addPeer(residualProfile(n.model, t, b.rng), 0, true)
 		}
 	}
+	for d, count := range arrivals {
+		for range count {
+			addPeer(n.model.SampleProfile(b.rng), d, false)
+		}
+	}
+	return b
 }
 
-// generatePresenceStationary is GeneratePresence but with the day-0 state
-// drawn from the chain's stationary distribution (for peers already in the
-// network at study start).
-func generatePresenceStationary(p churn.Profile, rng *rand.Rand, maxDays int) []bool {
+// appendPresenceStationary is churn.Profile.AppendPresence but with the
+// day-0 state drawn from the chain's stationary distribution (for peers
+// already in the network at study start) and no forced last day.
+func appendPresenceStationary(dst []bool, p churn.Profile, rng *rand.Rand, maxDays int) []bool {
 	days := p.SpanDays
 	if days > maxDays {
 		days = maxDays
 	}
 	if days <= 0 {
-		return nil
+		return dst
 	}
-	out := make([]bool, days)
 	online := rng.Float64() < p.ExpectedDailyPresence()
-	out[0] = online
+	dst = append(dst, online)
 	for d := 1; d < days; d++ {
 		var pOn float64
 		if online {
@@ -359,14 +449,15 @@ func generatePresenceStationary(p churn.Profile, rng *rand.Rand, maxDays int) []
 			pOn = p.OffOn
 		}
 		online = rng.Float64() < pOn
-		out[d] = online
+		dst = append(dst, online)
 	}
-	return out
+	return dst
 }
 
 // decorate assigns all non-temporal attributes: status, class, geography,
 // exposure and the IP schedule.
-func (n *Network) decorate(p *Peer, rng *rand.Rand) {
+func (n *Network) decorate(p *Peer, b *builder) {
+	rng := b.rng
 	// Geography first: censored-country peers default to hidden.
 	country := n.geo.SampleCountry(rng)
 	p.Country = country.Code
@@ -442,33 +533,30 @@ func (n *Network) decorate(p *Peer, rng *rand.Rand) {
 	// IP profile and AS pool.
 	p.IPProfile = n.model.SampleIPProfile(rng)
 	fillPool := func(want int, pick func() uint32) {
-		seen := map[uint32]bool{}
+		pool := b.asns.room(want)
 		// Bounded attempts: sparse countries may not offer `want`
 		// distinct ASes through the home-country picker alone.
-		for attempts := 0; len(p.ASPool) < want && attempts < 40*want; attempts++ {
-			asn := pick()
-			if !seen[asn] {
-				seen[asn] = true
-				p.ASPool = append(p.ASPool, asn)
+		for attempts := 0; len(pool) < want && attempts < 40*want; attempts++ {
+			if asn := pick(); !slices.Contains(pool, asn) {
+				pool = append(pool, asn)
 			}
 		}
+		p.ASPool = b.asns.keep(pool)
 	}
 	switch p.IPProfile.Mode {
 	case churn.IPStatic, churn.IPDynamic:
-		as := n.geo.SampleAS(p.Country, rng)
-		p.ASPool = []uint32{as.ASN}
+		p.ASPool = b.asns.keep(append(b.asns.room(1), n.geo.SampleAS(country, rng).ASN))
 	case churn.IPMultiAS:
 		// Home ISPs, VPN endpoints and occasional foreign networks.
 		fillPool(p.IPProfile.ASFanout, func() uint32 {
 			x := rng.Float64()
 			switch {
 			case x < 0.45:
-				return n.geo.SampleAS(p.Country, rng).ASN
+				return n.geo.SampleAS(country, rng).ASN
 			case x < 0.75:
 				return n.geo.SampleVPNAS(rng).ASN
 			default:
-				c := n.geo.SampleCountry(rng)
-				return n.geo.SampleAS(c.Code, rng).ASN
+				return n.geo.SampleAS(n.geo.SampleCountry(rng), rng).ASN
 			}
 		})
 	case churn.IPHeavy:
@@ -477,52 +565,67 @@ func (n *Network) decorate(p *Peer, rng *rand.Rand) {
 			if rng.Float64() < 0.4 {
 				return n.geo.SampleVPNAS(rng).ASN
 			}
-			c := n.geo.SampleCountry(rng)
-			return n.geo.SampleAS(c.Code, rng).ASN
+			return n.geo.SampleAS(n.geo.SampleCountry(rng), rng).ASN
 		})
 	}
-	p.buildIPSchedule(n.geo, n.cfg.Days, rng)
+	p.buildIPSchedule(n.geo, n.cfg.Days, b)
 }
 
-// index builds the per-day active sets and introducer pools, counting
-// first so every slice is allocated once at its final size.
-func (n *Network) index() {
-	eachActiveDay := func(fn func(p *Peer, d int, introducer bool)) {
-		for _, p := range n.Peers {
-			introducer := p.Status == StatusKnownIP && p.Reachable
-			for i, on := range p.Presence {
-				if d := p.StartDay + i; on && d >= 0 && d < n.cfg.Days {
-					fn(p, d, introducer)
-				}
+// index builds the per-day active sets and introducer pools in one pass
+// over the peers. Each is a window of one flat allocation, placed by
+// populate's counts and filled through a per-day cursor. An introducer's
+// IPv4 comes from a segment cursor that only moves forward as its days
+// ascend, as SegmentOn's would.
+func (n *Network) index(b *builder) {
+	days := n.cfg.Days
+	active := make([]int, sum(b.active))
+	introducers := sum(b.introducers)
+	peers := make([]*Peer, introducers)
+	v4s := make([]netip.Addr, introducers)
+	// at[d] and intro[d] are where day d's next active peer and next
+	// introducer go.
+	at, intro := make([]int, days), make([]int, days)
+	n.activeByDay = make([][]int, days)
+	n.introducersByDay = make([]introducerPool, days)
+	a, k := 0, 0
+	for d := range days {
+		at[d], intro[d] = a, k
+		a, k = a+b.active[d], k+b.introducers[d]
+		n.activeByDay[d] = active[at[d]:a:a]
+		n.introducersByDay[d] = introducerPool{peers: peers[intro[d]:k:k], v4: v4s[intro[d]:k:k]}
+	}
+	for _, p := range n.Peers {
+		introducer := p.introducer()
+		seg := 0
+		for i, on := range p.Presence {
+			if !on {
+				continue
 			}
+			d := p.StartDay + i
+			active[at[d]] = p.Index
+			at[d]++
+			if !introducer {
+				continue
+			}
+			if len(p.ipSchedule) > 0 {
+				for seg+1 < len(p.ipSchedule) && p.ipSchedule[seg+1].fromDay <= d {
+					seg++
+				}
+				v4s[intro[d]] = p.ipSchedule[seg].addr
+			}
+			peers[intro[d]] = p
+			intro[d]++
 		}
 	}
-	active := make([]int, n.cfg.Days)
-	introducers := make([]int, n.cfg.Days)
-	eachActiveDay(func(_ *Peer, d int, introducer bool) {
-		active[d]++
-		if introducer {
-			introducers[d]++
-		}
-	})
-	n.activeByDay = make([][]int, n.cfg.Days)
-	n.introducersByDay = make([]introducerPool, n.cfg.Days)
-	for d := range n.activeByDay {
-		n.activeByDay[d] = make([]int, 0, active[d])
-		n.introducersByDay[d] = introducerPool{
-			peers: make([]*Peer, 0, introducers[d]),
-			v4:    make([]netip.Addr, 0, introducers[d]),
-		}
+}
+
+// sum returns the total of xs.
+func sum(xs []int) int {
+	t := 0
+	for _, x := range xs {
+		t += x
 	}
-	eachActiveDay(func(p *Peer, d int, introducer bool) {
-		n.activeByDay[d] = append(n.activeByDay[d], p.Index)
-		if introducer {
-			pool := &n.introducersByDay[d]
-			v4, _ := p.AddrOnDay(d)
-			pool.peers = append(pool.peers, p)
-			pool.v4 = append(pool.v4, v4)
-		}
-	})
+	return t
 }
 
 // PeerCount returns the number of peers ever materialized in the network.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"testing"
 
@@ -145,6 +146,10 @@ func TestRouterInfoMaterialization(t *testing.T) {
 	n := testNetwork(t, 10)
 	rng := rand.New(rand.NewPCG(1, 2))
 	day := 3
+	// The same draws resolved against referenceIndex's pool must encode
+	// to the same bytes: New's introducer pools are held to it here.
+	_, refIntros := referenceIndex(n)
+	refRNG := rand.New(rand.NewPCG(1, 2))
 	var sawKnown, sawFirewalled, sawHidden, sawToggling bool
 	for _, idx := range n.ActivePeers(day) {
 		p := n.Peers[idx]
@@ -160,6 +165,14 @@ func TestRouterInfoMaterialization(t *testing.T) {
 		}
 		if _, err := netdb.DecodeRouterInfo(data); err != nil {
 			t.Fatalf("decode: %v", err)
+		}
+		pool := refIntros[day]
+		ref, err := p.buildInfo(day, n.DayTime(day), pool, p.drawInfo(pool, refRNG)).Encode()
+		if err != nil {
+			t.Fatalf("encode reference: %v", err)
+		}
+		if !bytes.Equal(data, ref) {
+			t.Fatalf("peer %d: RouterInfo differs from the one over the reference pool", idx)
 		}
 		switch p.Status {
 		case StatusKnownIP:
