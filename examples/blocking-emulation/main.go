@@ -47,10 +47,10 @@ func main() {
 
 	fmt.Println("\n== Part 2: usability under blocking (Figure 14) ==")
 	// The victim's tunnel candidates come from its own netDb.
-	rng := rand.New(rand.NewPCG(5, 5))
+	pcg := rand.NewPCG(5, 5)
 	var candidates []*netdb.RouterInfo
 	for _, idx := range victim.KnownPeers(day) {
-		candidates = append(candidates, network.RouterInfoFor(network.Peers[idx], day, rng))
+		candidates = append(candidates, network.RouterInfoFor(network.Peers[idx], day, pcg))
 	}
 	site := eepsite.NewSite(netdb.HashFromUint64(808))
 

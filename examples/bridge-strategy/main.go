@@ -32,7 +32,7 @@ func main() {
 
 	fmt.Println("== Part 1: manual reseeding under a reseed blockade (Section 6.1) ==")
 	day := 10
-	rng := rand.New(rand.NewPCG(8, 8))
+	pcg := rand.NewPCG(8, 8)
 	var friendView []*netdb.RouterInfo
 	for i, idx := range network.ActivePeers(day) {
 		if i >= 150 {
@@ -40,7 +40,7 @@ func main() {
 		}
 		p := network.Peers[idx]
 		if p.Status == sim.StatusKnownIP {
-			friendView = append(friendView, network.RouterInfoFor(p, day, rng))
+			friendView = append(friendView, network.RouterInfoFor(p, day, pcg))
 		}
 	}
 	dir, err := os.MkdirTemp("", "i2pseeds")

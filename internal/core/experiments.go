@@ -406,9 +406,8 @@ func runFigure07(ctx context.Context, s *Study) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fig := ds.ChurnFigure()
-	p7 := ds.ChurnAt(7)
-	p30 := ds.ChurnAt(30)
+	fig, pts := ds.ChurnFigureWith(7, 30)
+	p7, p30 := pts[0], pts[1]
 	return &Result{
 		ID: "figure-07", Title: "Figure 7", Text: fig.Render(), Figure: fig,
 		Metrics: map[string]float64{
@@ -614,12 +613,12 @@ func runFigure14(ctx context.Context, s *Study) (*Result, error) {
 	day := s.experimentDay()
 	// The client's netDb: what the victim knows on the experiment day.
 	victim := censor.NewVictim(s.Net, 911)
-	rng := rand.New(rand.NewPCG(14, 14))
+	pcg := rand.NewPCG(14, 14)
 	known := victim.KnownPeers(day)
 	candidates := make([]*netdb.RouterInfo, 0, len(known))
 	for _, idx := range known {
 		p := s.Net.Peers[idx]
-		candidates = append(candidates, s.Net.RouterInfoFor(p, day, rng))
+		candidates = append(candidates, s.Net.RouterInfoFor(p, day, pcg))
 	}
 	// One hop pool for every blocking level: the levels differ only in
 	// what the firewall drops, not in what the victim knows.
@@ -684,7 +683,7 @@ func hashBlockFraction(rate float64) func(netdb.Hash) bool {
 
 func runReseedBlocking(ctx context.Context, s *Study) (*Result, error) {
 	day := 2
-	rng := rand.New(rand.NewPCG(61, 61))
+	pcg := rand.NewPCG(61, 61)
 	// Reseed servers serve live RouterInfos from the network.
 	provider := func() []*netdb.RouterInfo {
 		var out []*netdb.RouterInfo
@@ -694,7 +693,7 @@ func runReseedBlocking(ctx context.Context, s *Study) (*Result, error) {
 			}
 			p := s.Net.Peers[idx]
 			if p.Status == sim.StatusKnownIP {
-				out = append(out, s.Net.RouterInfoFor(p, day, rng))
+				out = append(out, s.Net.RouterInfoFor(p, day, pcg))
 			}
 		}
 		return out

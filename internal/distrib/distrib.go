@@ -197,10 +197,9 @@ func NewBackend(network *sim.Network, cfg BackendConfig, distributors []Distribu
 	owned := make(map[string][]Resource, len(distributors))
 	for _, r := range resources {
 		b.pool[r.Peer] = true
-		// Materialize records once, with a per-resource RNG derived from
+		// Materialize records once, with a per-resource stream derived from
 		// (seed, key) so a record never depends on its neighbours.
-		rng := rand.New(rand.NewPCG(cfg.Seed, r.Key))
-		r.Record = network.RouterInfoFor(network.Peers[r.Peer], cfg.Day, rng)
+		r.Record = network.RouterInfoFor(network.Peers[r.Peer], cfg.Day, rand.NewPCG(cfg.Seed, r.Key))
 		owner := ring.owner(r.Key)
 		owned[owner] = append(owned[owner], r)
 	}

@@ -2,6 +2,7 @@ package measure
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/i2pstudy/i2pstudy/internal/geo"
@@ -62,30 +63,74 @@ type ChurnPoint struct {
 
 // ChurnAt returns the percentage of observed peers seen at least n days
 // continuously and intermittently (Figure 7's two curves).
-func (ds *Dataset) ChurnAt(n int) ChurnPoint {
-	if len(ds.Peers) == 0 {
-		return ChurnPoint{Days: n}
+func (ds *Dataset) ChurnAt(n int) ChurnPoint { return ds.ChurnPoints(n)[0] }
+
+// ChurnPoints returns ChurnAt at each of the horizons, in order, from one
+// pass over the tracks: it counts the tracks by LongestRun and by Span,
+// and answers every horizon from the counts' suffix sums.
+func (ds *Dataset) ChurnPoints(horizons ...int) []ChurnPoint {
+	out := make([]ChurnPoint, len(horizons))
+	for i, n := range horizons {
+		out[i].Days = n
 	}
-	cont, inter := 0, 0
+	if len(ds.Peers) == 0 {
+		return out
+	}
+	// runs[v] and spans[v] count the tracks whose LongestRun and Span are
+	// v. A track is born on an observation, so its Span is at least 1: the
+	// clamp only guards the index and moves no count.
+	var runs, spans []int
+	bump := func(h []int, v int) []int {
+		if v >= len(h) {
+			h = append(h, make([]int, v+1-len(h))...)
+		}
+		h[v]++
+		return h
+	}
 	for _, t := range ds.Peers {
-		if t.LongestRun() >= n {
-			cont++
+		runs = bump(runs, t.LongestRun())
+		spans = bump(spans, max(t.Span(), 0))
+	}
+	// atLeast turns a count by value into the count of values >= n.
+	atLeast := func(h []int) []int {
+		for v := len(h) - 2; v >= 0; v-- {
+			h[v] += h[v+1]
 		}
-		if t.Span() >= n {
-			inter++
+		return h
+	}
+	runs, spans = atLeast(runs), atLeast(spans)
+	count := func(ge []int, n int) int {
+		switch {
+		case n <= 0:
+			return ge[0]
+		case n >= len(ge):
+			return 0
 		}
+		return ge[n]
 	}
 	total := float64(len(ds.Peers))
-	return ChurnPoint{
-		Days:         n,
-		Continuous:   100 * float64(cont) / total,
-		Intermittent: 100 * float64(inter) / total,
+	for i, n := range horizons {
+		out[i].Continuous = 100 * float64(count(runs, n)) / total
+		out[i].Intermittent = 100 * float64(count(spans, n)) / total
 	}
+	return out
 }
+
+// churnHorizons are Figure 7's: 10..80 days plus the paper's 7- and
+// 30-day anchor points.
+var churnHorizons = []int{7, 10, 20, 30, 40, 50, 60, 70, 80}
 
 // ChurnFigure reproduces Figure 7 over horizons of 10..80 days (plus the
 // paper's 7- and 30-day anchor points).
 func (ds *Dataset) ChurnFigure() *stats.Figure {
+	fig, _ := ds.ChurnFigureWith()
+	return fig
+}
+
+// ChurnFigureWith is ChurnFigure plus the ChurnPoints at the extra
+// horizons, all from one ChurnPoints pass over the tracks.
+func (ds *Dataset) ChurnFigureWith(extra ...int) (*stats.Figure, []ChurnPoint) {
+	pts := ds.ChurnPoints(append(slices.Clone(churnHorizons), extra...)...)
 	fig := &stats.Figure{
 		Title:  "Figure 7: Percentage of peers seen continuously or intermittently for n days",
 		XLabel: "days",
@@ -93,16 +138,14 @@ func (ds *Dataset) ChurnFigure() *stats.Figure {
 	}
 	cont := fig.AddSeries("continuously")
 	inter := fig.AddSeries("intermittently")
-	horizons := []int{7, 10, 20, 30, 40, 50, 60, 70, 80}
-	for _, n := range horizons {
-		if n > ds.EndDay-ds.StartDay {
+	for _, pt := range pts[:len(churnHorizons)] {
+		if pt.Days > ds.EndDay-ds.StartDay {
 			break
 		}
-		pt := ds.ChurnAt(n)
-		cont.Append(float64(n), pt.Continuous)
-		inter.Append(float64(n), pt.Intermittent)
+		cont.Append(float64(pt.Days), pt.Continuous)
+		inter.Append(float64(pt.Days), pt.Intermittent)
 	}
-	return fig
+	return fig, pts[len(churnHorizons):]
 }
 
 // IPChurnHistogram reproduces Figure 8: how many IP addresses each

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand/v2"
+	"net/netip"
 	"reflect"
 	"slices"
 	"testing"
@@ -63,6 +64,139 @@ func legacyRouterInfo(p *Peer, day int, dayTime time.Time, introducerPool []*Pee
 	return ri
 }
 
+// referenceDrawInfo is drawInfo as it stood over *rand.Rand, keyed by the
+// peer's Status: the reference the concrete-stream form over the class
+// column is held to, draw for draw and stream position.
+func referenceDrawInfo(p *Peer, pool introducerPool, rng *rand.Rand) (d Draw) {
+	drawPort := func() uint16 { return uint16(minPort + rng.IntN(maxPort-minPort+1)) }
+	switch p.Status {
+	case StatusKnownIP:
+		d.Port = drawPort()
+	case StatusFirewalled, StatusToggling:
+		n := 1 + rng.IntN(3)
+		for i := 0; i < n && len(pool.peers) > 0; i++ {
+			pick := rng.IntN(len(pool.peers))
+			if !pool.v4[pick].IsValid() {
+				continue
+			}
+			d.Intros[d.N] = IntroDraw{
+				Pick: uint32(pick),
+				Tag:  rng.Uint32(),
+				Port: drawPort(),
+			}
+			d.N++
+		}
+	}
+	return d
+}
+
+// sameState reports whether two generators stand at the same state.
+func sameState(t *testing.T, a, b *rand.PCG) bool {
+	t.Helper()
+	as, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, err := b.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slices.Equal(as, bs)
+}
+
+// TestDrawInfoMatchesReference walks every peer of the network through
+// drawInfo and referenceDrawInfo on twin streams — over the day's
+// introducer pool, an empty pool, and one where every other member
+// publishes no IPv4, so picks are dropped — and requires equal draws and
+// equal stream states after every peer.
+func TestDrawInfoMatchesReference(t *testing.T) {
+	n := testNetwork(t, 10)
+	const day = 4
+	full := n.introducerPool(day)
+	if len(full.peers) < 2 {
+		t.Fatalf("day %d has %d introducers", day, len(full.peers))
+	}
+	holey := introducerPool{peers: full.peers, v4: slices.Clone(full.v4)}
+	for i := 0; i < len(holey.v4); i += 2 {
+		holey.v4[i] = netip.Addr{}
+	}
+	for _, pc := range []struct {
+		name string
+		pool introducerPool
+	}{{"day", full}, {"empty", introducerPool{}}, {"holey", holey}} {
+		pcg, ref := rand.NewPCG(3, 4), rand.NewPCG(3, 4)
+		rng := rand.New(ref)
+		var classes [affinityClasses]int
+		lost := 0 // firewalled draws that kept no introducer
+		for i, p := range n.Peers {
+			class := n.drawClass[i]
+			classes[class]++
+			got, want := drawInfo(class, pc.pool, pcg), referenceDrawInfo(p, pc.pool, rng)
+			if got != want {
+				t.Fatalf("%s pool, peer %d (class %d): drawInfo %+v, reference %+v", pc.name, i, class, got, want)
+			}
+			if !sameState(t, pcg, ref) {
+				t.Fatalf("%s pool, peer %d (class %d): streams part after the draw", pc.name, i, class)
+			}
+			if class == affinityFirewalled && got.N == 0 {
+				lost++
+			}
+		}
+		for class, count := range classes {
+			if count == 0 {
+				t.Fatalf("network has no peer of affinity class %d", class)
+			}
+		}
+		if pc.name != "day" && lost == 0 {
+			t.Errorf("%s pool: every firewalled draw kept an introducer", pc.name)
+		}
+	}
+}
+
+// TestUint64nMatchesIntN holds uint64n to rand.Rand's reduction — IntN
+// where n fits an int, Uint64N past it — value for value and stream
+// position: at the bounds the draw uses, every power of two, n = 2^63+1
+// (where about half the first products fall below the threshold) and
+// random n. It also checks that the rejection loop ran.
+func TestUint64nMatchesIntN(t *testing.T) {
+	ns := []uint64{1, 2, 3, 22001, 1<<63 + 1}
+	for k := range 64 {
+		ns = append(ns, 1<<k)
+	}
+	pick := rand.New(rand.NewPCG(9, 9))
+	for range 200 {
+		ns = append(ns, pick.Uint64()>>pick.IntN(64)|1)
+	}
+	pcg, ref := rand.NewPCG(1, 2), rand.NewPCG(1, 2)
+	rng := rand.New(ref)
+	rejected := 0
+	for _, n := range ns {
+		for range 64 {
+			one := *pcg // where a draw that takes one value leaves the stream
+			one.Uint64()
+			got := uint64n(pcg, n)
+			var want uint64
+			if n <= math.MaxInt {
+				want = uint64(rng.IntN(int(n)))
+			} else {
+				want = rng.Uint64N(n)
+			}
+			if got != want {
+				t.Fatalf("n=%d: uint64n %d, rand.Rand %d", n, got, want)
+			}
+			if !sameState(t, pcg, ref) {
+				t.Fatalf("n=%d: streams part after the draw", n)
+			}
+			if !sameState(t, pcg, &one) {
+				rejected++
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no draw took the rejection loop")
+	}
+}
+
 // TestCaptureDayDrawParity: whatever subset of the day's sightings is
 // already claimed, Network.RouterInfo over CaptureDay's sightings is
 // exactly the records the legacy sequential materialization produced for
@@ -92,7 +226,7 @@ func TestCaptureDayDrawParity(t *testing.T) {
 			if len(idxs) == 0 {
 				t.Fatalf("observer %+v saw nothing on day %d", cfg, day)
 			}
-			legacy := o.materializeRNG(day)
+			legacy := rand.New(o.materializePCG(day))
 			full := make([]*netdb.RouterInfo, 0, len(idxs))
 			for _, idx := range idxs {
 				full = append(full, legacyRouterInfo(n.Peers[idx], day, n.DayTime(day), n.Introducers(day), legacy))
@@ -112,7 +246,7 @@ func TestCaptureDayDrawParity(t *testing.T) {
 						want = append(want, full[i])
 					}
 				}
-				rng := o.materializeRNG(day)
+				rng := o.materializePCG(day)
 				var got []*netdb.RouterInfo
 				for _, s := range o.capture(day, rng, claimed, nil) {
 					if err := n.CheckSighting(day, s); err != nil {
@@ -274,7 +408,7 @@ func TestDrawColumnsMatchPeers(t *testing.T) {
 	}
 	for _, o := range observers {
 		for day := 0; day < n.Days(); day++ {
-			rng := o.dayRNG(day)
+			rng := rand.New(o.dayPCG(day))
 			var want []int
 			for _, idx := range n.ActivePeers(day) {
 				p := n.Peers[idx]
@@ -304,7 +438,7 @@ func TestDrawDayMatchesReference(t *testing.T) {
 	for _, o := range observers {
 		for day := 0; day < n.Days(); day++ {
 			active := n.ActivePeers(day)
-			rng := o.dayRNG(day)
+			rng := rand.New(o.dayPCG(day))
 			var want []int
 			for _, idx := range active {
 				p := n.Peers[idx]
@@ -373,5 +507,27 @@ func TestUnionObserveDayFirstSeenOrder(t *testing.T) {
 	}
 	if got := UnionObserveDay(nil, day); got != nil {
 		t.Fatalf("union of no observers = %v", got)
+	}
+}
+
+// BenchmarkCaptureDay measures one observer-day of the campaign's
+// capture: the draw into pooled positions, the materialization stream
+// for every sighting and the claims. It reuses its buffers across
+// iterations, so allocs/op reads 0 once they are warm.
+func BenchmarkCaptureDay(b *testing.B) {
+	n := testNetwork(b, 30)
+	o := n.NewObserver(ObserverConfig{Floodfill: true, SharedKBps: MaxSharedKBps, Seed: 1000})
+	claimed := n.NewClaimSet()
+	var recs []Sighting
+	sightings := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(claimed)
+		recs = o.CaptureDay(i%n.Days(), claimed, recs[:0])
+		sightings += len(recs)
+	}
+	if sightings == 0 {
+		b.Fatal("observer captured nothing")
 	}
 }

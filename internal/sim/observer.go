@@ -96,11 +96,11 @@ const MaxSharedKBps = 8192
 // a memo of per-day draws, which callers never see directly: repeated
 // ObserveDay calls return the same (shared, read-only) slice instead of
 // redrawing, so engines that revisit (observer, day) cells — a victim's
-// netDb window sliding over the same days, a campaign's capture after
-// its draw — pay for each draw once. DrawDay is the draw itself, without
-// the memo or the peer-index list: a caller that turns a day's sightings
-// into something else at once (a censor's monitoring router keeps
-// address IDs) draws through it and memoizes its own product instead.
+// netDb window sliding over the same days — pay for each draw once.
+// DrawDay is the draw itself, without the memo or the peer-index list: a
+// caller that turns a day's sightings into something else at once draws
+// through it and keeps only its own product (a censor's monitoring router
+// keeps address IDs, CaptureDay keeps sightings, and neither memoizes).
 type Observer struct {
 	Cfg ObserverConfig
 	net *Network
@@ -214,9 +214,6 @@ func (o *Observer) dayPCG(day int) *rand.PCG {
 	return rand.NewPCG(o.Cfg.Seed^0x9E3779B97F4A7C15, uint64(day)*0x2545F4914F6CDD1D+1)
 }
 
-// dayRNG wraps dayPCG for the draws that need more than Float64.
-func (o *Observer) dayRNG(day int) *rand.Rand { return rand.New(o.dayPCG(day)) }
-
 // ObserveDay returns the indexes of peers the observer sees on the given
 // study day. The result is deterministic for a given (seed, day) and is
 // memoized: callers receive a shared slice and must not modify it.
@@ -243,17 +240,19 @@ func (o *Observer) observeDay(day int) []int {
 	return out
 }
 
-// posScratch recycles the position buffers observeDay draws into.
+// posScratch recycles the position buffers observeDay and capture draw
+// into: sync.Pool keeps them per P, so each worker reuses its own.
 var posScratch = sync.Pool{New: func() any { return new([]int32) }}
 
 // DrawDay performs the (seed, day)-deterministic observation draw and
 // appends to out, ascending, the positions in ActivePeers(day) of the
 // peers the observer sees; a day outside the study appends nothing. It is
 // the one loop that draws over a day's active peers — ObserveDay resolves
-// its positions to peer indexes and memoizes them, while a caller that
-// maps positions through a per-day column of its own (the censor's
-// address IDs) calls DrawDay directly and keeps no sighting list at all.
-// Nothing is memoized here: every call redraws.
+// its positions to peer indexes and memoizes them, CaptureDay turns them
+// into sightings, and a caller that maps positions through a per-day
+// column of its own (the censor's address IDs) calls DrawDay directly and
+// keeps no sighting list at all. Nothing is memoized here: every call
+// redraws.
 func (o *Observer) DrawDay(day int, out []int32) []int32 {
 	return o.drawDay(day, o.dayPCG(day), out)
 }
@@ -304,33 +303,43 @@ func (c ClaimSet) claim(idx int) bool {
 // keeps; CaptureDay keeps only those. A peer already claimed still draws
 // from the materialization stream and discards the draw, so the records
 // Network.RouterInfo builds from the sightings are bit-for-bit the ones
-// CollectDay returns for the same peers.
+// CollectDay returns for the same peers. The day is drawn through DrawDay
+// into pooled scratch, never through ObserveDay, so capturing memoizes
+// nothing: with out's capacity warm it allocates nothing either.
 func (o *Observer) CaptureDay(day int, claimed ClaimSet, out []Sighting) []Sighting {
-	return o.capture(day, o.materializeRNG(day), claimed, out)
+	return o.capture(day, o.materializePCG(day), claimed, out)
 }
 
-// materializeRNG returns the (observer, day) materialization stream,
+// materializePCG returns the (observer, day) materialization stream,
 // independent of the observation draw's.
-func (o *Observer) materializeRNG(day int) *rand.Rand { return o.dayRNG(day + 1<<20) }
+func (o *Observer) materializePCG(day int) *rand.PCG { return o.dayPCG(day + 1<<20) }
 
 // capture is CaptureDay over a caller-held stream, so a test can read
 // where the walk left it.
-func (o *Observer) capture(day int, rng *rand.Rand, claimed ClaimSet, out []Sighting) []Sighting {
-	pool := o.net.introducerPool(day)
-	for _, idx := range o.ObserveDay(day) {
-		d := o.net.Peers[idx].drawInfo(pool, rng)
+func (o *Observer) capture(day int, pcg *rand.PCG, claimed ClaimSet, out []Sighting) []Sighting {
+	scratch := posScratch.Get().(*[]int32)
+	pos := o.DrawDay(day, (*scratch)[:0])
+	// Room for every sighting at once: a fresh out is sized exactly.
+	out = slices.Grow(out, len(pos))
+	active, class, pool := o.net.ActivePeers(day), o.net.drawClass, o.net.introducerPool(day)
+	for _, j := range pos {
+		idx := active[j]
+		d := drawInfo(class[idx], pool, pcg)
 		if claimed.claim(idx) {
 			out = append(out, Sighting{Peer: int32(idx), Draw: d})
 		}
 	}
+	*scratch = pos
+	posScratch.Put(scratch)
 	return out
 }
 
 // CollectDay materializes the RouterInfos the observer captured on the
 // given day — what the paper's harness read from the netDb directory on
-// its hourly scans before the daily cleanup (Section 4.3).
+// its hourly scans before the daily cleanup (Section 4.3). It draws the
+// day once, through CaptureDay, and sizes its result from the capture.
 func (o *Observer) CollectDay(day int) []*netdb.RouterInfo {
-	seen := o.CaptureDay(day, o.net.NewClaimSet(), make([]Sighting, 0, len(o.ObserveDay(day))))
+	seen := o.CaptureDay(day, o.net.NewClaimSet(), nil)
 	out := make([]*netdb.RouterInfo, len(seen))
 	for i, s := range seen {
 		out[i] = o.net.RouterInfo(day, s)

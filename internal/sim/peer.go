@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"math/rand/v2"
 	"net/netip"
 	"time"
@@ -296,27 +297,50 @@ type Sighting struct {
 // I2P picks its transport port from 9000–31000; drawPort draws one.
 const minPort, maxPort = 9000, 31000
 
-func drawPort(rng *rand.Rand) uint16 { return uint16(minPort + rng.IntN(maxPort-minPort+1)) }
+func drawPort(pcg *rand.PCG) uint16 { return uint16(minPort + uint64n(pcg, maxPort-minPort+1)) }
 
-// drawInfo consumes the peer's share of the materialization stream. The
-// call sequence on rng is the stream's contract: a record is bit-for-bit
+// uint64n reduces pcg's next values to [0, n) exactly as rand.Rand.IntN
+// does — Lemire's multiply-high, a mask for a power of two, and the
+// rejection loop below the threshold — so it returns the same value and
+// leaves pcg where IntN over rand.New(pcg) would, without the call through
+// the Source interface. (Rand's 32-bit path reproduces this sequence too.)
+// n must be positive.
+func uint64n(pcg *rand.PCG, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return pcg.Uint64() & (n - 1)
+	}
+	hi, lo := bits.Mul64(pcg.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(pcg.Uint64(), n)
+		}
+	}
+	return hi
+}
+
+// drawInfo consumes one sighted peer's share of the materialization
+// stream, keyed by its affinity class (Network.drawClass) rather than the
+// scattered Peer: a known-IP peer (relay or creator) draws its port, a
+// firewalled or toggling one its introducers, a hidden one nothing. The
+// call sequence on pcg is the stream's contract: a record is bit-for-bit
 // what it always was only while every peer ahead of it in the stream,
 // built or discarded, has drawn exactly this.
-func (p *Peer) drawInfo(pool introducerPool, rng *rand.Rand) (d Draw) {
-	switch p.Status {
-	case StatusKnownIP:
-		d.Port = drawPort(rng)
-	case StatusFirewalled, StatusToggling:
-		n := 1 + rng.IntN(3)
-		for i := 0; i < n && len(pool.peers) > 0; i++ {
-			pick := rng.IntN(len(pool.peers))
+func drawInfo(class uint8, pool introducerPool, pcg *rand.PCG) (d Draw) {
+	switch class {
+	case affinityRelay, affinityCreator:
+		d.Port = drawPort(pcg)
+	case affinityFirewalled:
+		n := 1 + uint64n(pcg, 3)
+		for i := uint64(0); i < n && len(pool.peers) > 0; i++ {
+			pick := uint64n(pcg, uint64(len(pool.peers)))
 			if !pool.v4[pick].IsValid() {
 				continue
 			}
 			d.Intros[d.N] = IntroDraw{
 				Pick: uint32(pick),
-				Tag:  rng.Uint32(),
-				Port: drawPort(rng),
+				Tag:  uint32(pcg.Uint64() >> 32), // rand.Rand.Uint32
+				Port: drawPort(pcg),
 			}
 			d.N++
 		}

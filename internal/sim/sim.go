@@ -668,9 +668,9 @@ func (n *Network) RouterInfo(day int, s Sighting) *netdb.RouterInfo {
 }
 
 // RouterInfoFor materializes the RouterInfo the given peer publishes on
-// day. rng drives port/introducer choices.
-func (n *Network) RouterInfoFor(p *Peer, day int, rng *rand.Rand) *netdb.RouterInfo {
-	return n.RouterInfo(day, Sighting{Peer: int32(p.Index), Draw: p.drawInfo(n.introducerPool(day), rng)})
+// day, drawing its port or introducers from pcg as a capture would.
+func (n *Network) RouterInfoFor(p *Peer, day int, pcg *rand.PCG) *netdb.RouterInfo {
+	return n.RouterInfo(day, Sighting{Peer: int32(p.Index), Draw: drawInfo(n.drawClass[p.Index], n.introducerPool(day), pcg)})
 }
 
 // CheckSighting reports why s cannot be a sighting this network produced

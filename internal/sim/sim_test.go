@@ -144,7 +144,7 @@ func TestFloodfillShare(t *testing.T) {
 
 func TestRouterInfoMaterialization(t *testing.T) {
 	n := testNetwork(t, 10)
-	rng := rand.New(rand.NewPCG(1, 2))
+	pcg := rand.NewPCG(1, 2)
 	day := 3
 	// The same draws resolved against referenceIndex's pool must encode
 	// to the same bytes: New's introducer pools are held to it here.
@@ -153,7 +153,7 @@ func TestRouterInfoMaterialization(t *testing.T) {
 	var sawKnown, sawFirewalled, sawHidden, sawToggling bool
 	for _, idx := range n.ActivePeers(day) {
 		p := n.Peers[idx]
-		ri := n.RouterInfoFor(p, day, rng)
+		ri := n.RouterInfoFor(p, day, pcg)
 		if ri.Identity != p.ID {
 			t.Fatal("identity mismatch")
 		}
@@ -167,7 +167,7 @@ func TestRouterInfoMaterialization(t *testing.T) {
 			t.Fatalf("decode: %v", err)
 		}
 		pool := refIntros[day]
-		ref, err := p.buildInfo(day, n.DayTime(day), pool, p.drawInfo(pool, refRNG)).Encode()
+		ref, err := p.buildInfo(day, n.DayTime(day), pool, referenceDrawInfo(p, pool, refRNG)).Encode()
 		if err != nil {
 			t.Fatalf("encode reference: %v", err)
 		}
