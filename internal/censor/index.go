@@ -1,6 +1,7 @@
 package censor
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"net/netip"
 	"sync"
@@ -15,6 +16,16 @@ import (
 // bitset operations over small integers instead of map[netip.Addr]bool
 // rebuilds — the allocation hot spot of the original Section 6 sweeps.
 //
+// The intern table is one flat open-addressed []int32 (ID+1 per slot, 0
+// empty, at most half full), probed linearly from a fixed mix of the
+// address's 16 bytes; a slot matches only when addrs[ID] == the address,
+// so netip's equality holds (an IPv4 is not its v4-mapped IPv6 form, a
+// zoned address is not its unzoned one). The hash is fixed and unkeyed on
+// purpose: the table is filled once from the immutable network and no
+// request ever inserts into it, so a daemon client can probe it (the
+// service blacklist) but never shape it. A table that a client fills —
+// the service's limiter — needs a keyed hash instead.
+//
 // An AddrIndex is immutable after NewAddrIndex returns and safe for
 // unbounded concurrent use, matching sim.Network's concurrency contract.
 // The per-day ID columns (dayColumn) are part of the index: built lazily,
@@ -26,11 +37,13 @@ type AddrIndex struct {
 	net *sim.Network
 	// addrs maps ID -> address (the reverse of the intern table).
 	addrs []netip.Addr
-	// ids is the intern table itself, kept for IDOf lookups (the service
-	// blacklist maps reported addresses back onto the table).
-	ids map[netip.Addr]int32
+	// table is the intern table, kept for IDOf lookups (the service
+	// blacklist maps reported addresses back onto the IDs). Its length is
+	// a power of two; slots hold ID+1, 0 where empty.
+	table []int32
 	// segs holds, per peer index, the FromDay-ordered schedule with
 	// interned address IDs; nil for peers that never publish an address.
+	// Every peer's slice is carved from one backing array.
 	segs [][]idSeg
 	// dayIDs memoizes dayColumn, one column per study day.
 	dayIDs *cache.DayMemo[[]dayID]
@@ -53,58 +66,96 @@ type idSeg struct {
 // that position of ActivePeers(day) publishes on the day, -1 where absent.
 type dayID struct{ v4, v6 int32 }
 
-// NewAddrIndex builds the index for a network.
+// NewAddrIndex builds the index for a network. IDs are assigned in first
+// occurrence order: peers ascending, each schedule in FromDay order, v4
+// before v6.
 func NewAddrIndex(n *sim.Network) *AddrIndex {
-	// Read every schedule once and count its addresses first: the table
-	// and its reverse are sized up front (an upper bound — an address two
-	// segments share is counted twice) instead of regrowing by doubling
+	// Count segments and addresses first: the segment array, the table
+	// and its reverse are sized up front (addresses an upper bound — an
+	// address two segments share is counted twice) instead of regrowing
 	// on the way to the ≈ 160 K addresses of a paper-scale study.
-	scheds := make([][]sim.AddrSegment, len(n.Peers))
-	addrs := 0
-	for i, p := range n.Peers {
-		if p.Status != sim.StatusKnownIP {
-			continue
-		}
-		scheds[i] = p.AddrSchedule()
-		for _, seg := range scheds[i] {
-			if seg.V4.IsValid() {
+	segs, addrs := 0, 0
+	for _, p := range n.Peers {
+		k := p.NumAddrSegments()
+		segs += k
+		for j := range k {
+			_, v4, v6 := p.AddrSegmentAt(j)
+			if v4.IsValid() {
 				addrs++
 			}
-			if seg.V6.IsValid() {
+			if v6.IsValid() {
 				addrs++
 			}
 		}
+	}
+	size := 1
+	for size < 2*addrs {
+		size <<= 1
 	}
 	ix := &AddrIndex{
 		net:    n,
 		addrs:  make([]netip.Addr, 0, addrs),
-		ids:    make(map[netip.Addr]int32, addrs),
+		table:  make([]int32, size),
 		segs:   make([][]idSeg, len(n.Peers)),
 		dayIDs: cache.NewDayMemo[[]dayID](n.Days(), dayIDsRing),
 	}
-	intern := func(a netip.Addr) int32 {
-		if !a.IsValid() {
-			return -1
-		}
-		if id, ok := ix.ids[a]; ok {
-			return id
-		}
-		id := int32(len(ix.addrs))
-		ix.ids[a] = id
-		ix.addrs = append(ix.addrs, a)
-		return id
-	}
-	for i, sched := range scheds {
-		if len(sched) == 0 {
+	free := make([]idSeg, segs)
+	for i, p := range n.Peers {
+		k := p.NumAddrSegments()
+		if k == 0 {
 			continue
 		}
-		segs := make([]idSeg, len(sched))
-		for j, seg := range sched {
-			segs[j] = idSeg{fromDay: seg.FromDay, v4: intern(seg.V4), v6: intern(seg.V6)}
+		own := free[:k:k]
+		free = free[k:]
+		for j := range own {
+			from, v4, v6 := p.AddrSegmentAt(j)
+			own[j] = idSeg{fromDay: from, v4: ix.intern(v4), v6: ix.intern(v6)}
 		}
-		ix.segs[i] = segs
+		ix.segs[i] = own
 	}
 	return ix
+}
+
+// intern returns a's ID, assigning the next one on first sight, or -1 for
+// the zero Addr. Only NewAddrIndex calls it: the table never grows after.
+func (ix *AddrIndex) intern(a netip.Addr) int32 {
+	if !a.IsValid() {
+		return -1
+	}
+	slot := ix.slot(a)
+	if id := ix.table[slot]; id != 0 {
+		return id - 1
+	}
+	id := int32(len(ix.addrs))
+	ix.table[slot] = id + 1
+	ix.addrs = append(ix.addrs, a)
+	return id
+}
+
+// slot returns the table position holding a's ID, or the empty position
+// where a's probe sequence ends. The table is at most half full, so the
+// probe always ends.
+func (ix *AddrIndex) slot(a netip.Addr) int {
+	mask := len(ix.table) - 1
+	for i := int(addrHash(a)) & mask; ; i = (i + 1) & mask {
+		if id := ix.table[i]; id == 0 || ix.addrs[id-1] == a {
+			return i
+		}
+	}
+}
+
+// addrHash is the intern table's probe hash: splitmix64's finalizer over
+// the address's 16 bytes. It is the same for an IPv4 and its v4-mapped
+// IPv6 form, and ignores zones; slot's equality check tells those apart.
+func addrHash(a netip.Addr) uint64 {
+	b := a.As16()
+	h := binary.LittleEndian.Uint64(b[:8])*0x9E3779B97F4A7C15 ^ binary.LittleEndian.Uint64(b[8:])
+	h ^= h >> 30
+	h *= 0xBF58476D1CE4E5B9
+	h ^= h >> 27
+	h *= 0x94D049BB133111EB
+	h ^= h >> 31
+	return h
 }
 
 // NumAddrs returns the size of the interned address table.
@@ -113,12 +164,13 @@ func (ix *AddrIndex) NumAddrs() int { return len(ix.addrs) }
 // IDOf resolves an address to its interned ID, -1 when the address was
 // never published during the study. The service's operator blacklist
 // uses this to map reported addresses onto AddrSets over the same table
-// the censor sweeps block against.
+// the censor sweeps block against. It only probes: the table is never
+// written after NewAddrIndex.
 func (ix *AddrIndex) IDOf(a netip.Addr) int32 {
-	if id, ok := ix.ids[a]; ok {
-		return id
+	if !a.IsValid() {
+		return -1
 	}
-	return -1
+	return ix.table[ix.slot(a)] - 1
 }
 
 // PeerIDs returns the IDs of the addresses peer idx publishes on day, or

@@ -132,20 +132,141 @@ func TestDayIDsMatchPeerIDs(t *testing.T) {
 }
 
 // TestAddrIndexIDOf: every interned address resolves back to its ID, and
-// addresses the study never published resolve to -1.
+// addresses the study never published resolve to -1 — including the
+// forms that hash like a published address but are not equal to it under
+// netip's rules: an IPv4's v4-mapped IPv6 form and a zoned IPv6.
 func TestAddrIndexIDOf(t *testing.T) {
 	n := network(t)
 	ix := NewAddrIndex(n)
+	var v4, v6 netip.Addr
 	for id := int32(0); id < int32(ix.NumAddrs()); id++ {
-		if got := ix.IDOf(ix.addrs[id]); got != id {
+		a := ix.addrs[id]
+		if got := ix.IDOf(a); got != id {
 			t.Fatalf("IDOf(Addr(%d)) = %d", id, got)
 		}
+		if a.Is4() && !v4.IsValid() {
+			v4 = a
+		}
+		if a.Is6() && !v6.IsValid() {
+			v6 = a
+		}
 	}
-	if got := ix.IDOf(netip.MustParseAddr("203.0.113.77")); got != -1 {
-		t.Fatalf("IDOf(unpublished) = %d, want -1", got)
+	if !v4.IsValid() || !v6.IsValid() {
+		t.Fatalf("the study publishes no IPv4 (%v) or no IPv6 (%v)", v4, v6)
 	}
-	if got := ix.IDOf(netip.Addr{}); got != -1 {
-		t.Fatalf("IDOf(zero addr) = %d, want -1", got)
+	for _, a := range []netip.Addr{
+		{},
+		netip.MustParseAddr("203.0.113.77"),
+		netip.AddrFrom16(v4.As16()),
+		v6.WithZone("eth0"),
+	} {
+		if got := ix.IDOf(a); got != -1 {
+			t.Fatalf("IDOf(%v) = %d, want -1", a, got)
+		}
+	}
+}
+
+// refIndex is what referenceAddrIndex builds: the ID table and the
+// interned schedules, with the map it interned through.
+type refIndex struct {
+	addrs []netip.Addr
+	ids   map[netip.Addr]int32
+	segs  [][]idSeg
+}
+
+// referenceAddrIndex is the map-based intern pass the flat open-addressed
+// table replaced: peers ascending, each schedule in FromDay order, v4
+// before v6, first occurrence wins, one slice per peer.
+func referenceAddrIndex(n *sim.Network) refIndex {
+	ref := refIndex{ids: make(map[netip.Addr]int32), segs: make([][]idSeg, len(n.Peers))}
+	intern := func(a netip.Addr) int32 {
+		if !a.IsValid() {
+			return -1
+		}
+		if id, ok := ref.ids[a]; ok {
+			return id
+		}
+		id := int32(len(ref.addrs))
+		ref.ids[a] = id
+		ref.addrs = append(ref.addrs, a)
+		return id
+	}
+	for i, p := range n.Peers {
+		if p.Status != sim.StatusKnownIP {
+			continue
+		}
+		for j := range p.NumAddrSegments() {
+			from, v4, v6 := p.AddrSegmentAt(j)
+			ref.segs[i] = append(ref.segs[i], idSeg{fromDay: from, v4: intern(v4), v6: intern(v6)})
+		}
+	}
+	return ref
+}
+
+// TestAddrIndexMatchesReference: the flat table assigns every address the
+// ID the map-based reference does, interns every schedule alike, and
+// resolves every address back to its ID — at both bench seeds, at 0.1
+// scale and (outside -short) at paper scale.
+func TestAddrIndexMatchesReference(t *testing.T) {
+	scales := []int{3050}
+	if !testing.Short() {
+		scales = append(scales, 30500)
+	}
+	for _, seed := range []uint64{2018, 424242} {
+		for _, peers := range scales {
+			n, err := sim.New(sim.Config{Seed: seed, Days: 45, TargetDailyPeers: peers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, ref := NewAddrIndex(n), referenceAddrIndex(n)
+			if !slices.Equal(ix.addrs, ref.addrs) {
+				t.Fatalf("seed %d, %d peers: %d addresses, the reference interns %d", seed, peers, len(ix.addrs), len(ref.addrs))
+			}
+			for i := range ref.segs {
+				if !slices.Equal(ix.segs[i], ref.segs[i]) || (ix.segs[i] == nil) != (ref.segs[i] == nil) {
+					t.Fatalf("seed %d, %d peers: peer %d interned as %v, the reference %v", seed, peers, i, ix.segs[i], ref.segs[i])
+				}
+			}
+			for id, a := range ix.addrs {
+				if got := ix.IDOf(a); got != int32(id) || ref.ids[a] != got {
+					t.Fatalf("seed %d, %d peers: IDOf(%v) = %d, want %d", seed, peers, a, got, id)
+				}
+			}
+		}
+	}
+}
+
+// TestAddrIndexAllocs pins the build's allocation count: the table, the
+// reverse, the segment array and the per-peer slice headers are sized up
+// front, so no allocation is made per peer or per address.
+func TestAddrIndexAllocs(t *testing.T) {
+	n, err := sim.New(sim.Config{Seed: 2018, Days: 45, TargetDailyPeers: 3050})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(3, func() { NewAddrIndex(n) }); allocs > 16 {
+		t.Fatalf("NewAddrIndex makes %.0f allocations, want at most 16", allocs)
+	}
+}
+
+// indexSink keeps BenchmarkNewAddrIndex's build observable.
+var indexSink *AddrIndex
+
+// BenchmarkNewAddrIndex builds the address index of a paper-scale
+// network (0.1 scale under -short).
+func BenchmarkNewAddrIndex(b *testing.B) {
+	peers := 30500
+	if testing.Short() {
+		peers = 3050
+	}
+	n, err := sim.New(sim.Config{Seed: 2018, Days: 45, TargetDailyPeers: peers})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		indexSink = NewAddrIndex(n)
 	}
 }
 

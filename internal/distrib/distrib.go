@@ -32,9 +32,11 @@
 package distrib
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"time"
 
@@ -180,7 +182,7 @@ func NewBackend(network *sim.Network, cfg BackendConfig, distributors []Distribu
 	}
 	resources = capResources(resources, cfg.MaxResources)
 	// Ring order is the canonical resource order everywhere below.
-	sort.Slice(resources, func(i, j int) bool { return resources[i].Key < resources[j].Key })
+	slices.SortFunc(resources, func(a, b Resource) int { return cmp.Compare(a.Key, b.Key) })
 
 	b := &Backend{
 		Day:   cfg.Day,
@@ -223,9 +225,19 @@ func capResources(resources []Resource, max int) []Resource {
 	if max <= 0 || len(resources) <= max {
 		return resources
 	}
-	sort.Slice(resources, func(i, j int) bool {
-		return mix(resources[i].Key, selectionSalt) < mix(resources[j].Key, selectionSalt)
-	})
+	// Hash each resource once, not twice per comparison.
+	type ranked struct {
+		sel uint64
+		r   Resource
+	}
+	rs := make([]ranked, len(resources))
+	for i, r := range resources {
+		rs[i] = ranked{mix(r.Key, selectionSalt), r}
+	}
+	slices.SortFunc(rs, func(a, b ranked) int { return cmp.Compare(a.sel, b.sel) })
+	for i := range max {
+		resources[i] = rs[i].r
+	}
 	return resources[:max]
 }
 

@@ -164,6 +164,38 @@ func TestCapResourcesStability(t *testing.T) {
 	}
 }
 
+// TestPoolKeysDistinct: at both bench seeds no two peers share a ring key
+// or a selection key, so no pool the backend draws holds a tie, and the
+// cap and ring sorts order it one way whatever the sort algorithm. The
+// whole network is checked, a superset of every strategy's pool on every
+// day (paper scale outside -short).
+func TestPoolKeysDistinct(t *testing.T) {
+	peers := 30500
+	if testing.Short() {
+		peers = 3050
+	}
+	for _, seed := range []uint64{2018, 424242} {
+		n, err := sim.New(sim.Config{Seed: seed, Days: 45, TargetDailyPeers: peers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make(map[uint64]int, len(n.Peers))
+		sels := make(map[uint64]int, len(n.Peers))
+		for _, p := range n.Peers {
+			key := keyOf(p.ID)
+			if other, ok := keys[key]; ok {
+				t.Fatalf("seed %d: peers %d and %d share ring key %#x", seed, other, p.Index, key)
+			}
+			keys[key] = p.Index
+			sel := mix(key, selectionSalt)
+			if other, ok := sels[sel]; ok {
+				t.Fatalf("seed %d: peers %d and %d share selection key %#x", seed, other, p.Index, sel)
+			}
+			sels[sel] = p.Index
+		}
+	}
+}
+
 func TestPartitionGetMany(t *testing.T) {
 	b := testBackend(t, DefaultDistributors())
 	part := b.Partition("https")

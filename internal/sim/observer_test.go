@@ -118,38 +118,39 @@ func TestObserveDayMemoized(t *testing.T) {
 	}
 }
 
-// TestAddrScheduleMatchesAddrOnDay: the exported schedule reproduces
-// AddrOnDay for every peer and day, and SegmentOn names the segment it
-// was read from.
+// TestAddrScheduleMatchesAddrOnDay: the schedule read through
+// NumAddrSegments/AddrSegmentAt reproduces AddrOnDay for every peer and
+// day, and SegmentOn names the segment it was read from.
 func TestAddrScheduleMatchesAddrOnDay(t *testing.T) {
 	n := testNetwork(t, 10)
 	for _, p := range n.Peers {
-		sched := p.AddrSchedule()
+		segs := p.NumAddrSegments()
 		if p.Status != StatusKnownIP {
-			if sched != nil {
-				t.Fatalf("peer %d: unknown-IP peer has an address schedule", p.Index)
+			if segs != 0 {
+				t.Fatalf("peer %d: unknown-IP peer has an address schedule of %d", p.Index, segs)
 			}
 			if seg := p.SegmentOn(0); seg != -1 {
 				t.Fatalf("peer %d: unknown-IP peer publishes segment %d", p.Index, seg)
 			}
 			continue
 		}
+		if segs == 0 {
+			t.Fatalf("peer %d: known-IP peer has no address schedule", p.Index)
+		}
 		for day := 0; day < n.Days(); day++ {
 			v4, v6 := p.AddrOnDay(day)
-			var want AddrSegment
-			wantSeg := -1
-			if len(sched) > 0 {
-				want, wantSeg = sched[0], 0
-				for i, seg := range sched[1:] {
-					if seg.FromDay > day {
-						break
-					}
-					want, wantSeg = seg, i+1
+			_, want4, want6 := p.AddrSegmentAt(0)
+			wantSeg := 0
+			for i := 1; i < segs; i++ {
+				from, s4, s6 := p.AddrSegmentAt(i)
+				if from > day {
+					break
 				}
+				want4, want6, wantSeg = s4, s6, i
 			}
-			if want.V4 != v4 || want.V6 != v6 {
+			if want4 != v4 || want6 != v6 {
 				t.Fatalf("peer %d day %d: schedule (%v, %v) != AddrOnDay (%v, %v)",
-					p.Index, day, want.V4, want.V6, v4, v6)
+					p.Index, day, want4, want6, v4, v6)
 			}
 			if seg := p.SegmentOn(day); seg != wantSeg {
 				t.Fatalf("peer %d day %d: SegmentOn = %d, the schedule says %d", p.Index, day, seg, wantSeg)

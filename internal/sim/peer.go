@@ -145,27 +145,19 @@ func (p *Peer) AddrOnDay(day int) (v4, v6 netip.Addr) {
 	return s.addr, s.v6
 }
 
-// AddrSegment is one run of a peer's published address schedule: from
-// FromDay (inclusive) until the next segment's FromDay, the peer publishes
-// V4 (and V6 when valid). Mirrors what AddrOnDay consults day by day.
-type AddrSegment struct {
-	FromDay int
-	V4, V6  netip.Addr
-}
+// NumAddrSegments returns the length of the peer's address schedule: 0
+// for peers that never publish an address.
+func (p *Peer) NumAddrSegments() int { return len(p.ipSchedule) }
 
-// AddrSchedule returns the peer's daily address schedule in FromDay order,
-// or nil for peers that never publish an address. It lets analyses intern
-// every address the peer will ever publish in a single pass (the censor's
-// incremental blacklist index) instead of probing AddrOnDay per day.
-func (p *Peer) AddrSchedule() []AddrSegment {
-	if len(p.ipSchedule) == 0 {
-		return nil
-	}
-	out := make([]AddrSegment, len(p.ipSchedule))
-	for i, seg := range p.ipSchedule {
-		out[i] = AddrSegment{FromDay: seg.fromDay, V4: seg.addr, V6: seg.v6}
-	}
-	return out
+// AddrSegmentAt returns segment i of the peer's address schedule, in
+// FromDay order: from fromDay (inclusive) until the next segment's, the
+// peer publishes v4 (and v6 when valid) — what AddrOnDay consults day by
+// day. With NumAddrSegments it lets analyses intern every address the
+// peer will ever publish in one pass (the censor's address index)
+// without copying the schedule.
+func (p *Peer) AddrSegmentAt(i int) (fromDay int, v4, v6 netip.Addr) {
+	s := &p.ipSchedule[i]
+	return s.fromDay, s.addr, s.v6
 }
 
 // introducer reports whether the peer serves as an introducer for
