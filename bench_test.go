@@ -328,6 +328,8 @@ func BenchmarkClosestTo(b *testing.B) {
 }
 
 // BenchmarkObserveDay measures one observer-day over the shared network.
+// An observer memoizes nothing, so every iteration times the draw and
+// the peer-index slice it returns, even when it revisits a day.
 func BenchmarkObserveDay(b *testing.B) {
 	s := benchStudy(b)
 	o := s.Net.NewObserver(sim.ObserverConfig{
@@ -336,6 +338,7 @@ func BenchmarkObserveDay(b *testing.B) {
 		SharedKBps: sim.MaxSharedKBps,
 		Seed:       4242,
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {

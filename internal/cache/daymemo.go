@@ -16,14 +16,8 @@ import (
 // concurrent first callers of one day share a single compute through
 // the slot's once. A DayMemo must not be copied after first use.
 type DayMemo[T any] struct {
-	// ring names this memo's series in the i2p_cache_* metric families
-	// ("observe_day", "victim_addrset", ...).
-	ring  string
+	ring  *Ring
 	slots []daySlot[T]
-
-	// stats caches this memo's instrument handles per enabled registry;
-	// nil/handles-nil while observability is disabled.
-	stats atomic.Pointer[dayMemoStats]
 }
 
 // daySlot is one study day's value. done flips after the compute, so a
@@ -34,59 +28,35 @@ type daySlot[T any] struct {
 	v    T
 }
 
-// NewDayMemo returns a memo for days [0, days), counted under the named
-// ring.
-func NewDayMemo[T any](days int, ring string) *DayMemo[T] {
-	return &DayMemo[T]{ring: ring, slots: make([]daySlot[T], days)}
+// Ring names one family of memos in the i2p_cache_* metric families
+// ("censor_obs_ids", "victim_netdb", ...). Declare it as a package
+// variable: NewRing registers the series with every enabled registry,
+// so a scrape sees the ring at zero before its memos are first used.
+type Ring struct {
+	stats *obs.Lazy[ringStats]
 }
 
-// dayMemoStats is one memo's resolved instrument handles. A zero value
-// (all counters nil) is the disabled mode.
-type dayMemoStats struct {
-	reg          *obs.Registry
+// ringStats is one ring's resolved counters; the zero value (nil
+// handles) is the disabled mode.
+type ringStats struct {
 	hits, misses *obs.Counter
 }
 
-var disabledDayMemoStats = &dayMemoStats{}
-
-const (
-	hitsFamily   = "i2p_cache_hits_total"
-	missesFamily = "i2p_cache_misses_total"
-
-	hitsHelp   = "DayMemo lookups served without computing, by ring."
-	missesHelp = "DayMemo lookups that computed their day, by ring."
-)
-
-// getStats resolves the memo's counters against the enabled registry,
-// caching per registry identity. Disabled cost: one atomic load and a
-// nil check.
-func (m *DayMemo[T]) getStats() *dayMemoStats {
-	r := obs.Active()
-	if r == nil {
-		return disabledDayMemoStats
-	}
-	s := m.stats.Load()
-	if s != nil && s.reg == r {
-		return s
-	}
-	s = &dayMemoStats{
-		reg:    r,
-		hits:   r.CounterVec(hitsFamily, hitsHelp, "ring").With(m.ring),
-		misses: r.CounterVec(missesFamily, missesHelp, "ring").With(m.ring),
-	}
-	m.stats.Store(s)
-	return s
+// NewRing returns the ring counted under name.
+func NewRing(name string) *Ring {
+	return &Ring{stats: obs.NewLazy(func(r *obs.Registry) ringStats {
+		return ringStats{
+			hits: r.CounterVec("i2p_cache_hits_total",
+				"DayMemo lookups served without computing, by ring.", "ring").With(name),
+			misses: r.CounterVec("i2p_cache_misses_total",
+				"DayMemo lookups that computed their day, by ring.", "ring").With(name),
+		}
+	})}
 }
 
-// PreRegisterRing eagerly materializes the named ring's series in every
-// enabled registry, so a scrape sees the ring at zero before its memo is
-// first exercised. Owner packages call it from init for each ring name
-// they assign.
-func PreRegisterRing(ring string) {
-	obs.OnEnable(func(r *obs.Registry) {
-		r.CounterVec(hitsFamily, hitsHelp, "ring").With(ring)
-		r.CounterVec(missesFamily, missesHelp, "ring").With(ring)
-	})
+// NewDayMemo returns a memo for days [0, days), counted under ring.
+func NewDayMemo[T any](days int, ring *Ring) *DayMemo[T] {
+	return &DayMemo[T]{ring: ring, slots: make([]daySlot[T], days)}
 }
 
 // Get returns the day's value, computing it at most once. compute must
@@ -94,7 +64,7 @@ func PreRegisterRing(ring string) {
 // must be treated as read-only. A day outside the memo's range is
 // computed on every call and not kept.
 func (m *DayMemo[T]) Get(day int, compute func(day int) T) T {
-	st := m.getStats()
+	st := m.ring.stats.Get()
 	if day < 0 || day >= len(m.slots) {
 		st.misses.Inc()
 		return compute(day)

@@ -7,7 +7,7 @@ import (
 )
 
 func TestDayMemoComputesOncePerResidentDay(t *testing.T) {
-	m := NewDayMemo[int](4, "test")
+	m := NewDayMemo[int](4, testRing)
 	var computes atomic.Int32
 	compute := func(day int) int {
 		computes.Add(1)
@@ -29,7 +29,7 @@ func TestDayMemoComputesOncePerResidentDay(t *testing.T) {
 // for — negative, or past the study — is computed on every call, never
 // retained, and never panics.
 func TestDayMemoOutOfRangeDayComputedNotKept(t *testing.T) {
-	m := NewDayMemo[int](3, "test")
+	m := NewDayMemo[int](3, testRing)
 	var computes atomic.Int32
 	compute := func(day int) int {
 		computes.Add(1)
@@ -52,7 +52,7 @@ func TestDayMemoOutOfRangeDayComputedNotKept(t *testing.T) {
 // all see the same value, and the waiters count as hits.
 func TestDayMemoConcurrentFirstCallersShareOneCompute(t *testing.T) {
 	r := withRegistry(t)
-	m := NewDayMemo[[]int](8, "race_ring")
+	m := NewDayMemo[[]int](8, raceRing)
 	var computes atomic.Int32
 	compute := func(day int) []int {
 		computes.Add(1)

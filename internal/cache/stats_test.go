@@ -7,6 +7,16 @@ import (
 	"github.com/i2pstudy/i2pstudy/internal/obs"
 )
 
+// The tests' rings, declared as package variables like the engines'.
+// No memo counts under eagerRing: it exists to be seen at zero.
+var (
+	testRing  = NewRing("test")
+	raceRing  = NewRing("race_ring")
+	countRing = NewRing("count_ring")
+	swapRing  = NewRing("swap_ring")
+	eagerRing = NewRing("eager_ring")
+)
+
 // withRegistry enables a fresh registry for the test's duration and
 // returns it, restoring whatever was enabled before.
 func withRegistry(t *testing.T) *obs.Registry {
@@ -32,7 +42,7 @@ func wantRendered(t *testing.T, r *obs.Registry, lines ...string) {
 
 func TestDayMemoCountsHitsMisses(t *testing.T) {
 	r := withRegistry(t)
-	m := NewDayMemo[int](2, "test_ring")
+	m := NewDayMemo[int](2, countRing)
 	compute := func(day int) int { return day }
 
 	m.Get(0, compute) // miss
@@ -43,13 +53,13 @@ func TestDayMemoCountsHitsMisses(t *testing.T) {
 	m.Get(1, compute) // hit
 
 	wantRendered(t, r,
-		`i2p_cache_hits_total{ring="test_ring"} 2`,
-		`i2p_cache_misses_total{ring="test_ring"} 4`)
+		`i2p_cache_hits_total{ring="count_ring"} 2`,
+		`i2p_cache_misses_total{ring="count_ring"} 4`)
 }
 
 func TestDayMemoStatsFollowRegistrySwap(t *testing.T) {
 	r1 := withRegistry(t)
-	m := NewDayMemo[int](2, "swap_ring")
+	m := NewDayMemo[int](2, swapRing)
 	m.Get(0, func(d int) int { return d })
 	wantRendered(t, r1, `i2p_cache_misses_total{ring="swap_ring"} 1`)
 
@@ -68,14 +78,15 @@ func TestDayMemoDisabledIsInert(t *testing.T) {
 	prev := obs.Active()
 	obs.Enable(nil)
 	t.Cleanup(func() { obs.Enable(prev) })
-	m := NewDayMemo[int](4, "test")
+	m := NewDayMemo[int](4, testRing)
 	if got := m.Get(3, func(d int) int { return d * 2 }); got != 6 {
 		t.Fatalf("Get with observability disabled = %d, want 6", got)
 	}
 }
 
-func TestPreRegisterRingMaterializesAtZero(t *testing.T) {
-	PreRegisterRing("eager_ring")
+// TestRingMaterializesAtZero: a ring declared as a package variable is
+// on every enabled registry at zero before any memo counts under it.
+func TestRingMaterializesAtZero(t *testing.T) {
 	wantRendered(t, withRegistry(t),
 		`i2p_cache_hits_total{ring="eager_ring"} 0`,
 		`i2p_cache_misses_total{ring="eager_ring"} 0`)

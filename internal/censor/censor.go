@@ -80,8 +80,8 @@ func (c *Censor) Routers() int { return len(c.observers) }
 //
 // A monitoring router keeps address IDs, not sighting lists: the draw's
 // positions go straight through the day's ID column, so no peer-index
-// list is built or memoized for a censor's router (ObserveDay is never
-// asked), and the memo keeps a slice of exactly the IDs.
+// list is built for a censor's router (ObserveDay is never asked), and
+// the memo keeps a slice of exactly the IDs.
 func (c *Censor) observedIDs(router, day int) []int32 {
 	return c.obsIDs[router].Get(day, func(day int) []int32 {
 		s := captureScratch.Get().(*captureBuf)
@@ -108,8 +108,9 @@ func (c *Censor) observedIDs(router, day int) []int32 {
 	})
 }
 
-// captureBuf is observedIDs' scratch: a day's drawn positions and the IDs
-// they map to, before the exactly-sized copy the memo keeps.
+// captureBuf is the draw scratch of observedIDs and Victim.buildView: a
+// day's drawn positions and, for observedIDs, the IDs they map to before
+// the exactly-sized copy the memo keeps.
 type captureBuf struct{ pos, ids []int32 }
 
 var captureScratch = sync.Pool{New: func() any { return new(captureBuf) }}
@@ -137,28 +138,34 @@ func (c *Censor) blacklistSet(k, window, day int) *AddrSet {
 // Victim models the client the censor wants to cut off: "a long-term I2P
 // node who has been participating in the network and has many RouterInfos
 // in its netDb" (Section 6.2.2). Its netDb accumulates the peers a
-// client-grade router learns over the last few days.
+// client-grade router learns over the last netDbWindowDays days.
 type Victim struct {
 	net *sim.Network
 	obs *sim.Observer
 	ix  *AddrIndex
-	// NetDbWindowDays is how many trailing days of observations remain in
-	// the victim's netDb. Non-floodfill routers expire RouterInfos after a
-	// day (Section 4.3) but keep records on disk across restarts, so a
-	// long-term client holds today's view plus a partially stale tail; the
-	// default of 2 models that. Part of the tail belongs
-	// to peers already offline, which a short blacklist window can never
-	// cover — one of the two reasons wider windows raise blocking rates
-	// (the other being accumulation over rotating addresses).
-	NetDbWindowDays int
 
-	// addrSets and knownPeers memoize the per-day netDb views: every
-	// sweep cell sharing a day folds against the same victim view, so
-	// without the memo a (fleet x window) grid recomputes it
-	// fleets x windows times per day. Values are pure in (victim, day),
-	// shared across callers, and strictly read-only.
-	addrSets   *cache.DayMemo[*AddrSet]
-	knownPeers *cache.DayMemo[[]int]
+	// views memoizes the per-day netDb view: every sweep cell sharing a
+	// day folds against the same view, so without the memo a (fleet x
+	// window) grid would rebuild it fleets x windows times per day.
+	views *cache.DayMemo[*netDbView]
+}
+
+// netDbWindowDays is how many trailing days of observations remain in the
+// victim's netDb. Non-floodfill routers expire RouterInfos after a day
+// (Section 4.3) but keep records on disk across restarts, so a long-term
+// client holds today's view plus a partially stale tail. Part of the tail
+// belongs to peers already offline, which a short blacklist window can
+// never cover — one of the two reasons wider windows raise blocking rates
+// (the other being accumulation over rotating addresses).
+const netDbWindowDays = 2
+
+// netDbView is the victim's netDb on one day: the peers it knows, in
+// first-seen order (all statuses), and the addresses they published on
+// the days the victim saw them. It is shared by every caller and must
+// not be modified.
+type netDbView struct {
+	peers []int
+	addrs *AddrSet
 }
 
 // NewVictim creates the stable client. It observes as an ordinary
@@ -172,10 +179,8 @@ func NewVictim(network *sim.Network, seed uint64) *Victim {
 			SharedKBps: 512,
 			Seed:       seed,
 		}),
-		ix:              IndexFor(network),
-		NetDbWindowDays: 2,
-		addrSets:        cache.NewDayMemo[*AddrSet](network.Days(), victimAddrSetRing),
-		knownPeers:      cache.NewDayMemo[[]int](network.Days(), victimKnownPeersRing),
+		ix:    IndexFor(network),
+		views: cache.NewDayMemo[*netDbView](network.Days(), victimNetDbRing),
 	}
 }
 
@@ -189,74 +194,50 @@ func retainStale(idx, d int) bool {
 	return x%2 == 0
 }
 
-// addrSet returns the victim's known peer addresses on `day` as a set
-// over the address index, memoized per day. The set is shared by every
-// caller (all cells of a sweep that evaluate the day) and must not be
-// mutated.
-func (v *Victim) addrSet(day int) *AddrSet {
-	return v.addrSets.Get(day, v.buildAddrSet)
+// view returns the victim's netDb on day, memoized per day.
+func (v *Victim) view(day int) *netDbView {
+	return v.views.Get(day, v.buildView)
 }
 
-// buildAddrSet is the from-scratch reference compute behind addrSet: for
-// every peer
-// observed within the netDb window (today fully, earlier days subject to
-// expiry), the address the peer published on the observation day. The
-// golden equivalence tests and the pre-rolling benchmark comparator call
-// it directly to reproduce the unmemoized per-cell cost.
-func (v *Victim) buildAddrSet(day int) *AddrSet {
-	set := v.ix.NewSet()
-	start := day - v.NetDbWindowDays + 1
-	if start < 0 {
-		start = 0
-	}
-	for d := start; d <= day; d++ {
-		for _, idx := range v.obs.ObserveDay(d) {
-			if d < day && !retainStale(idx, d) {
-				continue
-			}
-			if v.net.Peers[idx].Status != sim.StatusKnownIP {
-				continue
-			}
-			v4, v6 := v.ix.PeerIDs(idx, d)
-			set.Add(v4)
-			set.Add(v6)
-		}
-	}
-	return set
-}
-
-// KnownPeers returns the peer indexes in the victim's netDb on `day`
-// (all statuses), used by the usability and bridge experiments — which
-// call it per day per sweep cell, so the result is memoized per day.
-// Callers receive a shared slice and must not modify it.
-func (v *Victim) KnownPeers(day int) []int {
-	return v.knownPeers.Get(day, v.buildKnownPeers)
-}
-
-// buildKnownPeers is the from-scratch compute behind KnownPeers. The
-// dedup runs on a bitset over peer indexes instead of the historical
-// map[int]bool — same first-seen append order, so the memoized slice is
-// byte-identical to what the map-based fold produced.
-func (v *Victim) buildKnownPeers(day int) []int {
+// buildView is the compute behind view: one walk over the draws of the
+// netDb window (today fully, earlier days subject to expiry) that keeps
+// each peer where it is first seen and, for every sighting, the address
+// the peer published on the observation day.
+func (v *Victim) buildView(day int) *netDbView {
+	s := captureScratch.Get().(*captureBuf)
+	defer captureScratch.Put(s)
 	seen := make([]uint64, (len(v.net.Peers)+63)/64)
-	var out []int
-	start := day - v.NetDbWindowDays + 1
-	if start < 0 {
-		start = 0
-	}
-	for d := start; d <= day; d++ {
-		for _, idx := range v.obs.ObserveDay(d) {
+	view := &netDbView{addrs: v.ix.NewSet()}
+	for d := max(day-netDbWindowDays+1, 0); d <= day; d++ {
+		s.pos = v.obs.DrawDay(d, s.pos[:0])
+		active := v.net.ActivePeers(d)
+		for _, j := range s.pos {
+			idx := active[j]
 			if d < day && !retainStale(idx, d) {
 				continue
 			}
 			if w, b := idx>>6, uint64(1)<<(idx&63); seen[w]&b == 0 {
 				seen[w] |= b
-				out = append(out, idx)
+				view.peers = append(view.peers, idx)
 			}
+			// Peers without a published address have no IDs (-1), which
+			// Add ignores.
+			v4, v6 := v.ix.PeerIDs(idx, d)
+			view.addrs.Add(v4)
+			view.addrs.Add(v6)
 		}
 	}
-	return out
+	return view
 }
+
+// addrSet returns the victim's known peer addresses on day as a set over
+// the address index. The set is shared and must not be mutated.
+func (v *Victim) addrSet(day int) *AddrSet { return v.view(day).addrs }
+
+// KnownPeers returns the peer indexes in the victim's netDb on day (all
+// statuses), in first-seen order, used by the usability and bridge
+// experiments. Callers receive a shared slice and must not modify it.
+func (v *Victim) KnownPeers(day int) []int { return v.view(day).peers }
 
 // BlockingRate computes the Section 6.2.1 metric on `day` with the first k
 // censor routers: "the rate of peer IP addresses seen in the netDb of the

@@ -391,7 +391,7 @@ func TestKnownAddressesMatchesReference(t *testing.T) {
 	v := NewVictim(n, 99)
 	day := 15
 	ref := make(map[netip.Addr]bool)
-	for d := day - v.NetDbWindowDays + 1; d <= day; d++ {
+	for d := day - netDbWindowDays + 1; d <= day; d++ {
 		for _, idx := range v.obs.ObserveDay(d) {
 			if d < day && !retainStale(idx, d) {
 				continue

@@ -5,13 +5,11 @@ import (
 	"github.com/i2pstudy/i2pstudy/internal/obs"
 )
 
-// Ring names for the censor's cache.DayMemo instances in the
-// i2p_cache_* metric families.
-const (
-	obsIDsRing           = "censor_obs_ids"
-	dayIDsRing           = "censor_day_ids"
-	victimAddrSetRing    = "victim_addrset"
-	victimKnownPeersRing = "victim_known_peers"
+// The censor's cache.DayMemo rings in the i2p_cache_* metric families.
+var (
+	obsIDsRing      = cache.NewRing("censor_obs_ids")
+	dayIDsRing      = cache.NewRing("censor_day_ids")
+	victimNetDbRing = cache.NewRing("victim_netdb")
 )
 
 // poolStats holds the WindowCounter pool's instrument handles: gets
@@ -27,10 +25,3 @@ var poolObs = obs.NewLazy(func(r *obs.Registry) poolStats {
 		"WindowCounter pool traffic: get (acquisitions), new (pool-miss allocations), put (releases).", "op")
 	return poolStats{gets: ops.With("get"), news: ops.With("new"), put: ops.With("put")}
 })
-
-func init() {
-	cache.PreRegisterRing(obsIDsRing)
-	cache.PreRegisterRing(dayIDsRing)
-	cache.PreRegisterRing(victimAddrSetRing)
-	cache.PreRegisterRing(victimKnownPeersRing)
-}

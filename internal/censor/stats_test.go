@@ -58,7 +58,7 @@ func TestCensorRingsReportCacheTraffic(t *testing.T) {
 	v.KnownPeers(6)
 
 	text := r.RenderText()
-	for _, ring := range []string{obsIDsRing, dayIDsRing, victimAddrSetRing, victimKnownPeersRing} {
+	for _, ring := range []string{"censor_obs_ids", "censor_day_ids", "victim_netdb"} {
 		if !strings.Contains(text, `i2p_cache_misses_total{ring="`+ring+`"}`) {
 			t.Errorf("ring %q absent from cache families:\n%s", ring, text)
 		}
@@ -79,18 +79,15 @@ func TestSweepCacheMissesDeterministic(t *testing.T) {
 		SeedBase: 9100,
 	}
 	// Every router serves some cell of every window, so each touches the
-	// widest window's days; the victim's netDb reaches one day back. A
-	// monitoring router draws straight into address IDs through the
-	// day's column — one column per capture day, whatever the fleet —
-	// so only the victim's observer memoizes a sighting list.
+	// widest window's days. A monitoring router draws straight into
+	// address IDs through the day's column — one column per capture day,
+	// whatever the fleet — and the victim builds one netDb view per
+	// evaluation day.
 	censorDays := len(windowUnionDays(cfg.Days, 4))
-	victimDays := len(windowUnionDays(cfg.Days, 2))
 	want := map[string]int{
-		obsIDsRing:           5 * censorDays,
-		dayIDsRing:           censorDays,
-		"observe_day":        victimDays,
-		victimAddrSetRing:    len(cfg.Days),
-		victimKnownPeersRing: 0,
+		"censor_obs_ids": 5 * censorDays,
+		"censor_day_ids": censorDays,
+		"victim_netdb":   len(cfg.Days),
 	}
 	prev := obs.Active()
 	t.Cleanup(func() { obs.Enable(prev) })
@@ -119,9 +116,9 @@ func TestSweepCacheMissesDeterministic(t *testing.T) {
 }
 
 // TestCaptureWarmsObservedIDs: Capture computes every (router, day) ID
-// list the sweep's cells fold — Run after it misses none — and does so
-// without any monitoring router memoizing a sighting list: asked
-// afterwards, every censor observer computes each capture day afresh.
+// list the sweep's cells fold — Run after it computes none — and leaves
+// the victim undrawn: its netDb views build inside Run's cells, one per
+// evaluation day.
 func TestCaptureWarmsObservedIDs(t *testing.T) {
 	prev := obs.Active()
 	r := obs.NewRegistry()
@@ -131,37 +128,31 @@ func TestCaptureWarmsObservedIDs(t *testing.T) {
 		return counterValue(t, r.RenderText(), `i2p_cache_misses_total{ring="`+ring+`"}`)
 	}
 
-	sw, err := NewSweep(network(t), SweepConfig{
+	cfg := SweepConfig{
 		Fleets: []int{2, 5}, Windows: []int{1, 4}, Days: []int{6, 7, 8, 12, 30}, SeedBase: 9100, Workers: 2,
-	})
+	}
+	sw, err := NewSweep(network(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Capture(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	days := sw.captureDays()
-	routerDays := sw.Censor.Routers() * len(days)
-	captured, observed := misses(obsIDsRing), misses("observe_day")
-	if captured != routerDays {
-		t.Fatalf("Capture computed %d ID lists, want routers x capture days = %d", captured, routerDays)
+	routerDays := sw.Censor.Routers() * len(sw.captureDays())
+	if got := misses("censor_obs_ids"); got != routerDays {
+		t.Fatalf("Capture computed %d ID lists, want routers x capture days = %d", got, routerDays)
+	}
+	if got := misses("victim_netdb"); got != 0 {
+		t.Fatalf("Capture built %d victim views, want 0", got)
 	}
 	if _, err := sw.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := misses(obsIDsRing); got != captured {
-		t.Fatalf("Run computed %d ID lists Capture had not warmed", got-captured)
+	if got := misses("censor_obs_ids"); got != routerDays {
+		t.Fatalf("Run computed %d ID lists Capture had not warmed", got-routerDays)
 	}
-	if got := misses("observe_day"); got != observed {
-		t.Fatalf("Run drew %d sighting lists Capture had not warmed", got-observed)
-	}
-	for _, o := range sw.Censor.observers {
-		for _, d := range days {
-			o.ObserveDay(d)
-		}
-	}
-	if got := misses("observe_day") - observed; got != routerDays {
-		t.Fatalf("censor observers computed %d of %d days afresh: the rest were memoized by the sweep", got, routerDays)
+	if got := misses("victim_netdb"); got != len(cfg.Days) {
+		t.Fatalf("Run built %d victim views, want one per evaluation day = %d", got, len(cfg.Days))
 	}
 }
 

@@ -158,26 +158,20 @@ func (s *Sweep) captureDays() []int {
 // Capture warms every (router, day) capture the sweep's cells will fold,
 // through the same worker pool as the measurement campaigns: each
 // monitoring router's address IDs (observedIDs — the draw mapped through
-// the day's ID column; no sighting list is kept) and the victim's
-// observations. It is optional — cells compute lazily — but without it
-// the first cells on each grid row pay for captures serially.
+// the day's ID column; no sighting list is kept). It is optional — cells
+// compute lazily — but without it the first cells on each grid row pay
+// for captures serially. The victim's netDb views are not warmed: each
+// builds inside the first cell that reads it, under the view memo's once,
+// so a sweep whose cells never read the victim never draws it.
 func (s *Sweep) Capture(ctx context.Context) error {
 	days := s.captureDays()
 	routers := s.Censor.Routers()
 	// Days outermost: the ticket hands tasks out in index order, so a
 	// day's column is built once and then read by every router while hot.
-	err := measure.FanOut(ctx, len(days)*routers, s.Cfg.Workers, func(t int) error {
+	return measure.FanOut(ctx, len(days)*routers, s.Cfg.Workers, func(t int) error {
 		s.Censor.observedIDs(t%routers, days[t/routers])
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	// The victim's netDb reaches NetDbWindowDays-1 days behind each
-	// evaluation day.
-	vdays := windowUnionDays(s.Cfg.Days, s.Victim.NetDbWindowDays)
-	_, err = measure.ObserveGrid(ctx, []*sim.Observer{s.Victim.obs}, vdays, s.Cfg.Workers)
-	return err
 }
 
 // rowPlan groups Cells() indices into rolling rows: one row per

@@ -161,8 +161,6 @@ func (s *Study) MainDatasetContext(ctx context.Context) (*measure.Dataset, error
 type Result struct {
 	// ID and Title identify the experiment.
 	ID, Title string
-	// Paper summarizes what the paper reports for this artifact.
-	Paper string
 	// Text is the rendered table/series (the regenerated artifact).
 	Text string
 	// Figure, when non-nil, is the structured series behind Text; the CLI

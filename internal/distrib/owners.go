@@ -6,11 +6,9 @@ import (
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
-// ownersRing names the owner-table memo's series in the i2p_cache_*
-// metric families.
-const ownersRing = "distrib_owners"
-
-func init() { cache.PreRegisterRing(ownersRing) }
+// ownersRing is the owner-table memo's ring in the i2p_cache_* metric
+// families.
+var ownersRing = cache.NewRing("distrib_owners")
 
 // ownersKey is the owner memo's sim.Derive key.
 type ownersKey struct{}

@@ -7,10 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/i2pstudy/i2pstudy/internal/censor"
 	"github.com/i2pstudy/i2pstudy/internal/distrib"
 	"github.com/i2pstudy/i2pstudy/internal/obs"
 	"github.com/i2pstudy/i2pstudy/internal/obs/promtest"
-	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
 // TestMetricsConformance runs the exposition through the structural
@@ -73,7 +73,7 @@ func TestSharedRegistryExposesEngineFamilies(t *testing.T) {
 	get(t, svc.Handler(), "/handout?id=alice", "")
 	// The daemon's serve path is memo-free by design; touch an engine-side
 	// day memo directly to prove its counts land on the shared page.
-	network(t).NewObserver(sim.ObserverConfig{Seed: 7}).ObserveDay(10)
+	censor.NewVictim(network(t), 7).KnownPeers(10)
 	text := svc.metrics.Render()
 	if errs := promtest.Lint(text); len(errs) != 0 {
 		t.Fatalf("shared exposition not conformant: %v\n%s", errs, text)
@@ -95,8 +95,8 @@ func TestSharedRegistryExposesEngineFamilies(t *testing.T) {
 			t.Errorf("family %q missing from shared exposition:\n%s", name, text)
 		}
 	}
-	// The fresh observer's first ObserveDay is a guaranteed miss, so the
-	// cache families carry real traffic, not just pre-registered zeros.
+	// A fresh victim's first view is a guaranteed miss, so the cache
+	// families carry real traffic, not just pre-registered zeros.
 	var traffic float64
 	for _, name := range []string{"i2p_cache_hits_total", "i2p_cache_misses_total"} {
 		for _, s := range promtest.Find(fams, name).Samples {
@@ -104,7 +104,7 @@ func TestSharedRegistryExposesEngineFamilies(t *testing.T) {
 		}
 	}
 	if traffic == 0 {
-		t.Error("no cache traffic counted after ObserveDay on the shared registry")
+		t.Error("no cache traffic counted after KnownPeers on the shared registry")
 	}
 }
 

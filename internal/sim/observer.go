@@ -6,16 +6,8 @@ import (
 	"slices"
 	"sync"
 
-	"github.com/i2pstudy/i2pstudy/internal/cache"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
 )
-
-// The observer draw memo reports cache traffic under this ring name;
-// pre-registering keeps the series visible (at zero) from the moment a
-// registry is enabled.
-const observeMemoRing = "observe_day"
-
-func init() { cache.PreRegisterRing(observeMemoRing) }
 
 // ObservationParams are the constants of the observation model. An
 // observer o sees peer p on a given day with probability
@@ -92,21 +84,14 @@ const MaxSharedKBps = 8192
 // Every observation method derives a private RNG from (Seed, day), so
 // calls are idempotent, days can be visited in any order, and one Observer
 // may be driven from many goroutines at once (the parallel campaign engine
-// and the censor sweep engine do exactly that). The only mutable state is
-// a memo of per-day draws, which callers never see directly: repeated
-// ObserveDay calls return the same (shared, read-only) slice instead of
-// redrawing, so engines that revisit (observer, day) cells — a victim's
-// netDb window sliding over the same days — pay for each draw once.
-// DrawDay is the draw itself, without the memo or the peer-index list: a
-// caller that turns a day's sightings into something else at once draws
-// through it and keeps only its own product (a censor's monitoring router
-// keeps address IDs, CaptureDay keeps sightings, and neither memoizes).
+// and the censor sweep engine do exactly that). An Observer holds nothing
+// mutable and memoizes nothing: every call redraws. DrawDay is the draw
+// itself; a caller that revisits a day keeps its own product of it (a
+// censor's monitoring router keeps address IDs, the victim one netDb view
+// per day, CaptureDay sightings).
 type Observer struct {
 	Cfg ObserverConfig
 	net *Network
-
-	// memo caches ObserveDay results, one slot per study day.
-	memo *cache.DayMemo[[]int]
 
 	// gamma[class] is CoverageFactor for a peer of that affinity class,
 	// fixed at construction: the daily draw indexes it per peer instead
@@ -123,11 +108,7 @@ func (n *Network) NewObserver(cfg ObserverConfig) *Observer {
 	if cfg.SharedKBps > MaxSharedKBps {
 		cfg.SharedKBps = MaxSharedKBps
 	}
-	o := &Observer{
-		Cfg:  cfg,
-		net:  n,
-		memo: cache.NewDayMemo[[]int](n.Days(), observeMemoRing),
-	}
+	o := &Observer{Cfg: cfg, net: n}
 	for class := range o.gamma {
 		o.gamma[class] = o.classCoverage(class)
 	}
@@ -215,16 +196,10 @@ func (o *Observer) dayPCG(day int) *rand.PCG {
 }
 
 // ObserveDay returns the indexes of peers the observer sees on the given
-// study day. The result is deterministic for a given (seed, day) and is
-// memoized: callers receive a shared slice and must not modify it.
+// study day, in ActivePeers(day) order: DrawDay's positions resolved
+// to peer indexes, in a slice of exactly the sightings. The result is
+// deterministic for a given (seed, day); every call redraws.
 func (o *Observer) ObserveDay(day int) []int {
-	return o.memo.Get(day, o.observeDay)
-}
-
-// observeDay resolves DrawDay's positions to peer indexes, in a slice of
-// exactly the sightings: the memo retains no slack however few of the
-// active peers this observer sees.
-func (o *Observer) observeDay(day int) []int {
 	scratch := posScratch.Get().(*[]int32)
 	pos := o.DrawDay(day, (*scratch)[:0])
 	var out []int
@@ -240,7 +215,7 @@ func (o *Observer) observeDay(day int) []int {
 	return out
 }
 
-// posScratch recycles the position buffers observeDay and capture draw
+// posScratch recycles the position buffers ObserveDay and capture draw
 // into: sync.Pool keeps them per P, so each worker reuses its own.
 var posScratch = sync.Pool{New: func() any { return new([]int32) }}
 
@@ -248,11 +223,10 @@ var posScratch = sync.Pool{New: func() any { return new([]int32) }}
 // appends to out, ascending, the positions in ActivePeers(day) of the
 // peers the observer sees; a day outside the study appends nothing. It is
 // the one loop that draws over a day's active peers — ObserveDay resolves
-// its positions to peer indexes and memoizes them, CaptureDay turns them
-// into sightings, and a caller that maps positions through a per-day
-// column of its own (the censor's address IDs) calls DrawDay directly and
-// keeps no sighting list at all. Nothing is memoized here: every call
-// redraws.
+// its positions to peer indexes, CaptureDay turns them into sightings,
+// and a caller that maps positions through a per-day column of its own
+// (the censor's address IDs) calls DrawDay directly and keeps no sighting
+// list at all. Nothing is memoized here: every call redraws.
 func (o *Observer) DrawDay(day int, out []int32) []int32 {
 	return o.drawDay(day, o.dayPCG(day), out)
 }
@@ -304,8 +278,8 @@ func (c ClaimSet) claim(idx int) bool {
 // from the materialization stream and discards the draw, so the records
 // Network.RouterInfo builds from the sightings are bit-for-bit the ones
 // CollectDay returns for the same peers. The day is drawn through DrawDay
-// into pooled scratch, never through ObserveDay, so capturing memoizes
-// nothing: with out's capacity warm it allocates nothing either.
+// into pooled scratch, never through ObserveDay, so with out's capacity
+// warm capturing allocates nothing.
 func (o *Observer) CaptureDay(day int, claimed ClaimSet, out []Sighting) []Sighting {
 	return o.capture(day, o.materializePCG(day), claimed, out)
 }
