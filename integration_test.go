@@ -117,7 +117,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	blockedPeer := cz.BlockedPeerFunc(20, day)
 	byHash := make(map[netdb.Hash]int)
 	for _, idx := range network.ActivePeers(day) {
-		byHash[network.Peers[idx].ID] = idx
+		byHash[network.Peers[idx].ID] = int(idx)
 	}
 	blocked := func(h netdb.Hash) bool {
 		idx, ok := byHash[h]

@@ -203,7 +203,8 @@ func EvaluateBridgesContext(ctx context.Context, network *sim.Network, windowDay
 // day in one pass over the day's active peers.
 func bridgePools(network *sim.Network, day int) map[BridgeStrategy][]int {
 	var knownIP, newlyJoined, firewalled []int
-	for _, idx := range network.ActivePeers(day) {
+	for _, id := range network.ActivePeers(day) {
+		idx := int(id)
 		p := network.Peers[idx]
 		switch p.Status {
 		case sim.StatusKnownIP:
@@ -248,8 +249,7 @@ func bridgeUsable(network *sim.Network, idx, day int, blocked func(int) bool, in
 			return false
 		}
 		for i := 0; i < introducers; i++ {
-			in := pool[rng.IntN(len(pool))]
-			if !blocked(in.Index) {
+			if !blocked(int(pool[rng.IntN(len(pool))])) {
 				return true
 			}
 		}

@@ -212,7 +212,7 @@ func (v *Victim) buildView(day int) *netDbView {
 		s.pos = v.obs.DrawDay(d, s.pos[:0])
 		active := v.net.ActivePeers(d)
 		for _, j := range s.pos {
-			idx := active[j]
+			idx := int(active[j])
 			if d < day && !retainStale(idx, d) {
 				continue
 			}

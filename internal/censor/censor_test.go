@@ -188,10 +188,10 @@ func TestBlockedPeerFunc(t *testing.T) {
 		p := n.Peers[idx]
 		if p.Status == sim.StatusKnownIP {
 			nKnown++
-			if blocked(idx) {
+			if blocked(int(idx)) {
 				nBlocked++
 			}
-		} else if blocked(idx) {
+		} else if blocked(int(idx)) {
 			t.Fatal("unknown-IP peer reported blocked")
 		}
 	}

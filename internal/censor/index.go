@@ -207,7 +207,7 @@ func (ix *AddrIndex) buildDayColumn(day int) []dayID {
 	active := ix.net.ActivePeers(day)
 	col := make([]dayID, len(active))
 	for j, idx := range active {
-		col[j].v4, col[j].v6 = ix.PeerIDs(idx, day)
+		col[j].v4, col[j].v6 = ix.PeerIDs(int(idx), day)
 	}
 	return col
 }

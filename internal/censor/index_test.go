@@ -81,7 +81,8 @@ func TestDayIDsMatchPeerIDs(t *testing.T) {
 		if len(col) != len(active) {
 			t.Fatalf("day %d: column of %d for %d active peers", day, len(col), len(active))
 		}
-		for j, idx := range active {
+		for j, id := range active {
+			idx := int(id)
 			v4, v6 := ix.PeerIDs(idx, day)
 			if col[j] != (dayID{v4, v6}) {
 				t.Fatalf("day %d position %d (peer %d): column %+v, PeerIDs (%d, %d)", day, j, idx, col[j], v4, v6)

@@ -38,12 +38,12 @@ func buildOwners(n *sim.Network, day int) []int32 {
 		if n.Peers[idx].Status != sim.StatusKnownIP {
 			continue
 		}
-		v4, v6 := ix.PeerIDs(idx, day)
+		v4, v6 := ix.PeerIDs(int(idx), day)
 		if v4 >= 0 {
-			owners[v4] = int32(idx)
+			owners[v4] = idx
 		}
 		if v6 >= 0 {
-			owners[v6] = int32(idx)
+			owners[v6] = idx
 		}
 	}
 	return owners

@@ -88,7 +88,7 @@ func (cv *censorView) usable(r Resource, day int) bool {
 		}
 		for i := 0; i < cv.introducersPerBridge; i++ {
 			in := pool[cv.rng.IntN(len(pool))]
-			v4, v6 := cv.ix.PeerIDs(in.Index, day)
+			v4, v6 := cv.ix.PeerIDs(int(in), day)
 			if !cv.bl.Has(v4) && !cv.bl.Has(v6) {
 				return true
 			}

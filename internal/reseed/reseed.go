@@ -191,7 +191,9 @@ func CreateBundle(records []*netdb.RouterInfo, signer string, now time.Time) ([]
 	return buf.Bytes(), nil
 }
 
-// ParseBundle verifies and decodes a bundle produced by CreateBundle.
+// ParseBundle verifies and decodes a bundle produced by CreateBundle. It
+// accepts no bundle CreateBundle would refuse to make: one with no
+// records is malformed, however it is signed.
 func ParseBundle(data []byte) (*Bundle, error) {
 	if len(data) < 4+1+8+2+32 {
 		return nil, ErrBadBundle
@@ -219,6 +221,9 @@ func ParseBundle(data []byte) (*Bundle, error) {
 	off += 8
 	count := int(binary.BigEndian.Uint16(body[off : off+2]))
 	off += 2
+	if count == 0 {
+		return nil, ErrBadBundle
+	}
 	b := &Bundle{
 		Signer:    signer,
 		CreatedAt: time.UnixMilli(int64(createdMilli)).UTC(),

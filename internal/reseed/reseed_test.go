@@ -1,6 +1,7 @@
 package reseed
 
 import (
+	"encoding/binary"
 	"errors"
 	"net/netip"
 	"path/filepath"
@@ -190,6 +191,21 @@ func TestBundleTamperDetection(t *testing.T) {
 func TestCreateBundleValidation(t *testing.T) {
 	if _, err := CreateBundle(nil, "s", time.Now()); err == nil {
 		t.Fatal("empty bundle accepted")
+	}
+}
+
+// TestParseBundleRefusesEmpty: a correctly signed bundle that carries no
+// records — one CreateBundle refuses to make — is malformed.
+func TestParseBundleRefusesEmpty(t *testing.T) {
+	const signer = "s"
+	body := append([]byte{}, bundleMagic[:]...)
+	body = append(body, byte(len(signer)))
+	body = append(body, signer...)
+	body = binary.BigEndian.AppendUint64(body, uint64(time.Date(2018, 4, 15, 0, 0, 0, 0, time.UTC).UnixMilli()))
+	body = binary.BigEndian.AppendUint16(body, 0)
+	tag := signingTag(body, signer)
+	if _, err := ParseBundle(append(body, tag[:]...)); !errors.Is(err, ErrBadBundle) {
+		t.Fatalf("zero-record bundle: err %v, want ErrBadBundle", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"math/rand/v2"
-	"net/netip"
 	"reflect"
 	"slices"
 	"testing"
@@ -76,7 +75,7 @@ func referenceDrawInfo(p *Peer, pool introducerPool, rng *rand.Rand) (d Draw) {
 		n := 1 + rng.IntN(3)
 		for i := 0; i < n && len(pool.peers) > 0; i++ {
 			pick := rng.IntN(len(pool.peers))
-			if !pool.v4[pick].IsValid() {
+			if pool.v4[pick] == ([4]byte{}) {
 				continue
 			}
 			d.Intros[d.N] = IntroDraw{
@@ -118,7 +117,7 @@ func TestDrawInfoMatchesReference(t *testing.T) {
 	}
 	holey := introducerPool{peers: full.peers, v4: slices.Clone(full.v4)}
 	for i := 0; i < len(holey.v4); i += 2 {
-		holey.v4[i] = netip.Addr{}
+		holey.v4[i] = [4]byte{}
 	}
 	for _, pc := range []struct {
 		name string
@@ -227,9 +226,13 @@ func TestCaptureDayDrawParity(t *testing.T) {
 				t.Fatalf("observer %+v saw nothing on day %d", cfg, day)
 			}
 			legacy := rand.New(o.materializePCG(day))
+			var pool []*Peer
+			for _, idx := range n.Introducers(day) {
+				pool = append(pool, n.Peers[idx])
+			}
 			full := make([]*netdb.RouterInfo, 0, len(idxs))
 			for _, idx := range idxs {
-				full = append(full, legacyRouterInfo(n.Peers[idx], day, n.DayTime(day), n.Introducers(day), legacy))
+				full = append(full, legacyRouterInfo(n.Peers[idx], day, n.DayTime(day), pool, legacy))
 			}
 			legacyNext := legacy.Uint64()
 			if got := o.CollectDay(day); !reflect.DeepEqual(got, full) {
@@ -413,7 +416,7 @@ func TestDrawColumnsMatchPeers(t *testing.T) {
 			for _, idx := range n.ActivePeers(day) {
 				p := n.Peers[idx]
 				if rng.Float64() < o.gamma[p.affinityClass()]*p.Exposure {
-					want = append(want, idx)
+					want = append(want, int(idx))
 				}
 			}
 			if got := o.ObserveDay(day); !slices.Equal(got, want) {
@@ -439,7 +442,7 @@ func TestDrawDayMatchesReference(t *testing.T) {
 		for day := 0; day < n.Days(); day++ {
 			active := n.ActivePeers(day)
 			rng := rand.New(o.dayPCG(day))
-			var want []int
+			var want []int32
 			for _, idx := range active {
 				p := n.Peers[idx]
 				if rng.Float64() < o.gamma[p.affinityClass()]*p.Exposure {
@@ -455,7 +458,7 @@ func TestDrawDayMatchesReference(t *testing.T) {
 			if !slices.IsSorted(pos) {
 				t.Fatalf("seed %d day %d: positions not ascending", o.Cfg.Seed, day)
 			}
-			seen := make([]int, len(pos))
+			seen := make([]int32, len(pos))
 			for i, j := range pos {
 				seen[i] = active[j]
 			}

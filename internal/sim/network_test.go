@@ -7,6 +7,8 @@ import (
 	"hash"
 	"math"
 	"net/netip"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -44,7 +46,10 @@ func (d *digester) addr(a netip.Addr) {
 
 // networkDigest is the SHA-256 over every field of every peer, the per-day
 // active sets, every introducer pool (peer index and IPv4) and the dense
-// draw columns: everything New builds.
+// draw columns: everything New builds. Narrow fields are read back as the
+// values they stand for (an index as an int, address bytes as a
+// netip.Addr) and fed at the widths the digest has always used, so a
+// change of storage alone leaves it unchanged.
 func networkDigest(n *Network) string {
 	d := &digester{h: sha256.New()}
 	d.int(len(n.Peers))
@@ -77,35 +82,38 @@ func networkDigest(n *Network) string {
 		}
 		d.bool(p.WellExposed)
 		d.f64(p.Exposure)
-		d.int(len(p.ipSchedule))
-		for _, seg := range p.ipSchedule {
-			d.int(seg.fromDay)
-			d.u64(uint64(seg.asn))
-			d.addr(seg.addr)
-			d.addr(seg.v6)
+		d.int(p.NumAddrSegments())
+		for i := range p.NumAddrSegments() {
+			from, v4, v6 := p.AddrSegmentAt(i)
+			d.int(from)
+			d.u64(uint64(p.ipSchedule[i].asn))
+			d.addr(v4)
+			d.addr(v6)
 		}
 		d.int(len(p.extraIPs))
 		for _, a := range p.extraIPs {
-			d.addr(a)
+			d.addr(addr4(a))
 		}
 		d.int(len(p.extraASNs))
 		for _, asn := range p.extraASNs {
 			d.u64(uint64(asn))
 		}
 	}
-	d.int(len(n.activeByDay))
-	for _, day := range n.activeByDay {
-		d.int(len(day))
-		for _, i := range day {
-			d.int(i)
+	d.int(n.Days())
+	for day := range n.Days() {
+		active := n.ActivePeers(day)
+		d.int(len(active))
+		for _, i := range active {
+			d.int(int(i))
 		}
 	}
-	d.int(len(n.introducersByDay))
-	for _, pool := range n.introducersByDay {
+	d.int(n.Days())
+	for day := range n.Days() {
+		pool := n.introducerPool(day)
 		d.int(len(pool.peers))
-		for i, p := range pool.peers {
-			d.int(p.Index)
-			d.addr(pool.v4[i])
+		for i, idx := range pool.peers {
+			d.int(int(idx))
+			d.addr(addr4(pool.v4[i]))
 		}
 	}
 	d.int(len(n.drawClass))
@@ -143,11 +151,19 @@ func TestNetworkGolden(t *testing.T) {
 	}
 }
 
+// referencePool is an introducer pool in the layout it had before the
+// columns were narrowed: the peers themselves and their netip.Addr IPv4s.
+type referencePool struct {
+	peers []*Peer
+	v4    []netip.Addr
+}
+
 // referenceIndex is Network.index as it stood before the single counted
-// pass: two walks of every peer's presence through a closure, each
-// introducer's IPv4 resolved by AddrOnDay from segment 0. New's index is
-// held to it slice for slice.
-func referenceIndex(n *Network) (activeByDay [][]int, introducersByDay []introducerPool) {
+// pass and the narrow columns: two walks of every peer's presence through
+// a closure into []int active sets and pointer pools, each introducer's
+// IPv4 resolved by AddrOnDay from segment 0. New's index is held to it
+// entry for entry.
+func referenceIndex(n *Network) (activeByDay [][]int, introducersByDay []referencePool) {
 	eachActiveDay := func(fn func(p *Peer, d int, introducer bool)) {
 		for _, p := range n.Peers {
 			introducer := p.Status == StatusKnownIP && p.Reachable
@@ -167,10 +183,10 @@ func referenceIndex(n *Network) (activeByDay [][]int, introducersByDay []introdu
 		}
 	})
 	activeByDay = make([][]int, n.cfg.Days)
-	introducersByDay = make([]introducerPool, n.cfg.Days)
+	introducersByDay = make([]referencePool, n.cfg.Days)
 	for d := range activeByDay {
 		activeByDay[d] = make([]int, 0, active[d])
-		introducersByDay[d] = introducerPool{
+		introducersByDay[d] = referencePool{
 			peers: make([]*Peer, 0, introducers[d]),
 			v4:    make([]netip.Addr, 0, introducers[d]),
 		}
@@ -188,7 +204,9 @@ func referenceIndex(n *Network) (activeByDay [][]int, introducersByDay []introdu
 }
 
 // checkIndexMatchesReference fails t unless n's active sets and
-// introducer pools equal referenceIndex's, slice for slice.
+// introducer pools equal referenceIndex's entry for entry: the same peer
+// indexes, and IPv4 bytes that are the reference address's (zero where
+// it is invalid).
 func checkIndexMatchesReference(t *testing.T, n *Network) {
 	t.Helper()
 	active, intros := referenceIndex(n)
@@ -197,19 +215,63 @@ func checkIndexMatchesReference(t *testing.T, n *Network) {
 			len(n.activeByDay), len(n.introducersByDay), len(active), len(intros))
 	}
 	for d := range active {
-		if !slices.Equal(n.activeByDay[d], active[d]) {
-			t.Fatalf("day %d: active set differs from the reference", d)
+		got := n.ActivePeers(d)
+		if len(got) != len(active[d]) {
+			t.Fatalf("day %d: %d active peers, reference %d", d, len(got), len(active[d]))
 		}
-		got, want := n.introducersByDay[d], intros[d]
-		if !slices.Equal(got.peers, want.peers) || !slices.Equal(got.v4, want.v4) {
-			t.Fatalf("day %d: introducer pool differs from the reference", d)
+		for j, idx := range got {
+			if int(idx) != active[d][j] {
+				t.Fatalf("day %d position %d: active peer %d, reference %d", d, j, idx, active[d][j])
+			}
+		}
+		pool, want := n.introducerPool(d), intros[d]
+		if len(pool.peers) != len(want.peers) || len(pool.v4) != len(want.v4) {
+			t.Fatalf("day %d: pool of %d peers and %d IPv4s, reference %d", d, len(pool.peers), len(pool.v4), len(want.peers))
+		}
+		if !slices.Equal(n.Introducers(d), pool.peers) {
+			t.Fatalf("day %d: Introducers differs from the pool", d)
+		}
+		for i, idx := range pool.peers {
+			var want4 [4]byte
+			if want.v4[i].IsValid() {
+				want4 = want.v4[i].As4()
+			}
+			if int(idx) != want.peers[i].Index || pool.v4[i] != want4 || addr4(pool.v4[i]) != want.v4[i] {
+				t.Fatalf("day %d pool position %d: peer %d at %v, reference peer %d at %v",
+					d, i, idx, pool.v4[i], want.peers[i].Index, want.v4[i])
+			}
 		}
 	}
 }
 
-// TestIndexMatchesReference: the single counted pass builds what the
-// two-pass walk did, at three seeds and on a horizon so short that most
-// spans and schedules are clamped by it.
+// checkNoZeroAddrs fails t if any address n generated is all zero bytes:
+// every known-IP segment carries an IPv4, and an IPv6 exactly when the
+// peer publishes one, so a zero there could only be 0.0.0.0 or :: drawn
+// and then misread as "none" by the zero sentinels.
+func checkNoZeroAddrs(t *testing.T, n *Network) {
+	t.Helper()
+	for _, p := range n.Peers {
+		for i, seg := range p.ipSchedule {
+			if seg.v4 == ([4]byte{}) {
+				t.Fatalf("peer %d segment %d: IPv4 0.0.0.0", p.Index, i)
+			}
+			if (seg.v6 == [16]byte{}) == p.IPProfile.IPv6 {
+				t.Fatalf("peer %d segment %d: IPv6 %v for a peer with IPv6 %v", p.Index, i, seg.v6, p.IPProfile.IPv6)
+			}
+		}
+		for i, a := range p.extraIPs {
+			if a == ([4]byte{}) {
+				t.Fatalf("peer %d rotation %d: IPv4 0.0.0.0", p.Index, i)
+			}
+		}
+	}
+}
+
+// TestIndexMatchesReference: the single counted pass over narrow columns
+// builds what the two-pass walk over []int and pointer pools did, at
+// three seeds and on horizons so short that most spans and schedules are
+// clamped by them, and no address it stores collides with the zero
+// sentinel.
 func TestIndexMatchesReference(t *testing.T) {
 	for _, cfg := range []Config{
 		{Seed: 2018, Days: 45, TargetDailyPeers: 1500},
@@ -222,20 +284,112 @@ func TestIndexMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkIndexMatchesReference(t, n)
+		checkNoZeroAddrs(t, n)
+	}
+}
+
+// hasPointer reports whether a value of type t holds anything the GC
+// scans: a pointer, slice, string, map, interface, channel or func,
+// directly or inside an array or struct field.
+func hasPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointer(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	default:
+		return true
+	}
+}
+
+// TestNetworkColumnsPointerFree: what the columns New fills hold — the
+// day columns' peer indexes, the introducer pools' indexes and IPv4s,
+// the address schedules' segments and same-day rotations — is nothing
+// the GC must scan, and a segment stays 28 bytes.
+func TestNetworkColumnsPointerFree(t *testing.T) {
+	if !hasPointer(reflect.TypeFor[netip.Addr]()) || !hasPointer(reflect.TypeFor[*Peer]()) {
+		t.Fatal("hasPointer misses the pointer in a netip.Addr or a *Peer")
+	}
+	var n Network
+	var p Peer
+	columns := map[string]reflect.Type{
+		"day column":       reflect.TypeOf(n.activeByDay).Elem().Elem(),
+		"address schedule": reflect.TypeOf(p.ipSchedule).Elem(),
+		"same-day IPv4s":   reflect.TypeOf(p.extraIPs).Elem(),
+	}
+	pool := reflect.TypeFor[introducerPool]()
+	for i := range pool.NumField() {
+		f := pool.Field(i)
+		if f.Type.Kind() != reflect.Slice {
+			t.Fatalf("introducerPool.%s is a %v, not a window of a column", f.Name, f.Type)
+		}
+		columns["introducerPool."+f.Name] = f.Type.Elem()
+	}
+	for name, elem := range columns {
+		if hasPointer(elem) {
+			t.Errorf("%s holds %v, which the GC scans", name, elem)
+		}
+	}
+	if size := reflect.TypeFor[ipAssignment]().Size(); size != 28 {
+		t.Errorf("ipAssignment is %d bytes, want 28", size)
+	}
+}
+
+// newNetworkBytes is what a 0.1-scale, 45-day New at seed 2018 allocates,
+// measured on go1.24/amd64. TestNewAllocatedBytes allows 3% above it: the
+// geo tables (≈ 1.6% of it) are maps, whose layout differs between Go
+// releases.
+const newNetworkBytes = 5_830_000
+
+// TestNewAllocatedBytes pins the bytes a 0.1-scale New allocates, so a
+// column that widens again, or a per-peer allocation that creeps back,
+// fails here rather than in a benchmark nobody reads.
+func TestNewAllocatedBytes(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := New(Config{Seed: 2018, Days: 45, TargetDailyPeers: 3050}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("New allocated %d bytes", got)
+	if limit := uint64(newNetworkBytes + 3*newNetworkBytes/100); got > limit {
+		t.Fatalf("New allocated %d bytes, want at most %d (%d + 3%%)", got, limit, newNetworkBytes)
 	}
 }
 
 // BenchmarkNetworkNew builds a network at paper scale (0.1 scale under
-// -short), 45 days, reporting allocations.
+// -short), 45 days, reporting allocations and, as live-MB/op, the heap
+// the last network built keeps once the GC has run: what a resident
+// network costs.
 func BenchmarkNetworkNew(b *testing.B) {
 	peers := 30500
 	if testing.Short() {
 		peers = 3050
 	}
 	b.ReportAllocs()
+	var n *Network
 	for i := 0; i < b.N; i++ {
-		if _, err := New(Config{Seed: 2018, Days: 45, TargetDailyPeers: peers}); err != nil {
+		var err error
+		if n, err = New(Config{Seed: 2018, Days: 45, TargetDailyPeers: peers}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	var with, without runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&with)
+	runtime.KeepAlive(n)
+	runtime.GC()
+	runtime.ReadMemStats(&without)
+	b.ReportMetric(float64(with.HeapAlloc-without.HeapAlloc)/1e6, "live-MB/op")
 }

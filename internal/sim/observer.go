@@ -207,7 +207,7 @@ func (o *Observer) ObserveDay(day int) []int {
 		active := o.net.ActivePeers(day)
 		out = make([]int, len(pos))
 		for i, j := range pos {
-			out[i] = active[j]
+			out[i] = int(active[j])
 		}
 	}
 	*scratch = pos
@@ -299,8 +299,8 @@ func (o *Observer) capture(day int, pcg *rand.PCG, claimed ClaimSet, out []Sight
 	for _, j := range pos {
 		idx := active[j]
 		d := drawInfo(class[idx], pool, pcg)
-		if claimed.claim(idx) {
-			out = append(out, Sighting{Peer: int32(idx), Draw: d})
+		if claimed.claim(int(idx)) {
+			out = append(out, Sighting{Peer: idx, Draw: d})
 		}
 	}
 	*scratch = pos

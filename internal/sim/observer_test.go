@@ -74,7 +74,7 @@ func TestObservationSubsetOfActives(t *testing.T) {
 	day := 5
 	active := make(map[int]bool)
 	for _, idx := range n.ActivePeers(day) {
-		active[idx] = true
+		active[int(idx)] = true
 	}
 	for _, idx := range o.ObserveDay(day) {
 		if !active[idx] {

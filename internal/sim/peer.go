@@ -43,12 +43,32 @@ func (s Status) String() string {
 	}
 }
 
-// ipAssignment is one segment of a peer's IP schedule.
+// ipAssignment is one segment of a peer's IP schedule, stored as raw
+// bytes so a schedule holds nothing the GC must scan. An all-zero address
+// means none: geo never generates 0.0.0.0 (its hosts start at .0.1) or ::
+// (its IPv6 space is 2a10::/16), so the zero value is free as a sentinel.
 type ipAssignment struct {
-	fromDay int // study day the address becomes active
+	fromDay int32 // study day the address becomes active
 	asn     uint32
-	addr    netip.Addr
-	v6      netip.Addr // zero unless the peer publishes IPv6
+	v4      [4]byte
+	v6      [16]byte // zero unless the peer publishes IPv6
+}
+
+// addr4 rebuilds an IPv4 stored as bytes, the zero Addr for zero bytes.
+// geo makes its addresses with AddrFrom4, so the value is == the one drawn.
+func addr4(b [4]byte) netip.Addr {
+	if b == ([4]byte{}) {
+		return netip.Addr{}
+	}
+	return netip.AddrFrom4(b)
+}
+
+// addrs returns the segment's IPv4 and IPv6, each zero when absent.
+func (s *ipAssignment) addrs() (v4, v6 netip.Addr) {
+	if s.v6 != ([16]byte{}) {
+		v6 = netip.AddrFrom16(s.v6)
+	}
+	return addr4(s.v4), v6
 }
 
 // Peer is one simulated router.
@@ -92,7 +112,7 @@ type Peer struct {
 	// the daily schedule collapses. Heavy rotators change addresses
 	// several times per day; hourly captures (the paper's resolution) see
 	// them all, which is how the >100-address tail of Figure 8 arises.
-	extraIPs  []netip.Addr
+	extraIPs  [][4]byte
 	extraASNs []uint32
 }
 
@@ -118,31 +138,26 @@ func (p *Peer) FirstActiveDay() int {
 // The index never falls as day grows, so a caller folding days in
 // ascending order may keep what it derived from a segment's addresses
 // until the index moves. It is the one walk of the schedule: AddrOnDay
-// and ASNOnDay read the segment it names.
+// reads the segment it names.
 func (p *Peer) SegmentOn(day int) int {
 	if len(p.ipSchedule) == 0 {
 		return -1
 	}
 	i := 0
-	for i+1 < len(p.ipSchedule) && p.ipSchedule[i+1].fromDay <= day {
+	for i+1 < len(p.ipSchedule) && int(p.ipSchedule[i+1].fromDay) <= day {
 		i++
 	}
 	return i
 }
 
-// segment returns schedule segment i, or the zero segment for -1.
-func (p *Peer) segment(i int) ipAssignment {
-	if i < 0 {
-		return ipAssignment{}
-	}
-	return p.ipSchedule[i]
-}
-
 // AddrOnDay returns the peer's public IPv4 (and IPv6, if published) on the
 // given study day. Both are zero for unknown-IP peers.
 func (p *Peer) AddrOnDay(day int) (v4, v6 netip.Addr) {
-	s := p.segment(p.SegmentOn(day))
-	return s.addr, s.v6
+	i := p.SegmentOn(day)
+	if i < 0 {
+		return netip.Addr{}, netip.Addr{}
+	}
+	return p.ipSchedule[i].addrs()
 }
 
 // NumAddrSegments returns the length of the peer's address schedule: 0
@@ -157,7 +172,8 @@ func (p *Peer) NumAddrSegments() int { return len(p.ipSchedule) }
 // without copying the schedule.
 func (p *Peer) AddrSegmentAt(i int) (fromDay int, v4, v6 netip.Addr) {
 	s := &p.ipSchedule[i]
-	return s.fromDay, s.addr, s.v6
+	v4, v6 = s.addrs()
+	return int(s.fromDay), v4, v6
 }
 
 // introducer reports whether the peer serves as an introducer for
@@ -191,9 +207,9 @@ func (p *Peer) drawIPSchedule(db *geo.DB, horizonDays int, b *builder) {
 	rng := b.rng
 	mkSeg := func(day int) ipAssignment {
 		asn := p.ASPool[rng.IntN(len(p.ASPool))]
-		seg := ipAssignment{fromDay: day, asn: asn, addr: db.RandomIPv4(asn, rng)}
+		seg := ipAssignment{fromDay: int32(day), asn: asn, v4: db.RandomIPv4(asn, rng).As4()}
 		if p.IPProfile.IPv6 {
-			seg.v6 = db.RandomIPv6(asn, rng)
+			seg.v6 = db.RandomIPv6(asn, rng).As16()
 		}
 		return seg
 	}
@@ -212,11 +228,11 @@ func (p *Peer) drawIPSchedule(db *geo.DB, horizonDays int, b *builder) {
 		if day >= end {
 			return
 		}
-		if last := &b.sched[len(b.sched)-1]; day <= last.fromDay {
+		if last := &b.sched[len(b.sched)-1]; day <= int(last.fromDay) {
 			// Multiple rotations within one day: the daily schedule keeps
 			// the last address, but the earlier one was still observable
 			// by hourly captures, so record it.
-			b.extraIPs = append(b.extraIPs, last.addr)
+			b.extraIPs = append(b.extraIPs, last.v4)
 			b.extraASNs = append(b.extraASNs, last.asn)
 			*last = mkSeg(day)
 			continue
@@ -229,9 +245,9 @@ func (p *Peer) drawIPSchedule(db *geo.DB, horizonDays int, b *builder) {
 // peer's schedule, including same-day rotations — Figure 8's per-peer
 // statistic at the paper's hourly capture resolution.
 func (p *Peer) UniqueIPs() int {
-	seen := make(map[netip.Addr]bool, len(p.ipSchedule)+len(p.extraIPs))
+	seen := make(map[[4]byte]bool, len(p.ipSchedule)+len(p.extraIPs))
 	for _, seg := range p.ipSchedule {
-		seen[seg.addr] = true
+		seen[seg.v4] = true
 	}
 	for _, a := range p.extraIPs {
 		seen[a] = true
@@ -309,7 +325,7 @@ func drawInfo(class uint8, pool introducerPool, pcg *rand.PCG) (d Draw) {
 		n := 1 + uint64n(pcg, 3)
 		for i := uint64(0); i < n && len(pool.peers) > 0; i++ {
 			pick := uint64n(pcg, uint64(len(pool.peers)))
-			if !pool.v4[pick].IsValid() {
+			if pool.v4[pick] == ([4]byte{}) {
 				continue
 			}
 			d.Intros[d.N] = IntroDraw{
@@ -325,8 +341,8 @@ func drawInfo(class uint8, pool introducerPool, pcg *rand.PCG) (d Draw) {
 
 // buildInfo materializes the peer's RouterInfo as published on the given
 // study day from its draw, resolving the drawn introducers against the
-// day's pool.
-func (p *Peer) buildInfo(day int, dayTime time.Time, pool introducerPool, d Draw) *netdb.RouterInfo {
+// day's pool and their identities through peers (Network.Peers).
+func (p *Peer) buildInfo(day int, dayTime time.Time, peers []*Peer, pool introducerPool, d Draw) *netdb.RouterInfo {
 	reachable := p.Status == StatusKnownIP && p.Reachable
 	ri := &netdb.RouterInfo{
 		Identity:  p.ID,
@@ -371,9 +387,9 @@ func (p *Peer) buildInfo(day int, dayTime time.Time, pool introducerPool, d Draw
 			intros = make([]netdb.Introducer, d.N)
 			for i, in := range d.Intros[:d.N] {
 				intros[i] = netdb.Introducer{
-					Hash: pool.peers[in.Pick].ID,
+					Hash: peers[pool.peers[in.Pick]].ID,
 					Tag:  in.Tag,
-					Addr: pool.v4[in.Pick],
+					Addr: netip.AddrFrom4(pool.v4[in.Pick]),
 					Port: in.Port,
 				}
 			}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"net/netip"
 	"slices"
 	"sync"
 	"time"
@@ -121,8 +120,11 @@ type Network struct {
 	geo   *geo.DB
 
 	Peers []*Peer
-	// activeByDay[d] lists indexes of peers online on study day d.
-	activeByDay [][]int
+	// activeByDay[d] lists indexes of peers online on study day d. The
+	// days are windows of one flat column, as are the introducer pools'
+	// peers and addresses: none holds a pointer, so the GC never scans
+	// them.
+	activeByDay [][]int32
 	// introducersByDay[d] caches the known-IP reachable peers available
 	// as introducers on day d.
 	introducersByDay []introducerPool
@@ -163,12 +165,12 @@ func Derive[T any](n *Network, key any, build func() T) T {
 	return cell.v.(T)
 }
 
-// introducerPool is one day's candidate introducers, each with the IPv4
-// it publishes that day beside it, so an introducer draw reads the
-// address without walking the picked peer's schedule.
+// introducerPool is one day's candidate introducers, by peer index, each
+// with the IPv4 it publishes that day beside it, so an introducer draw
+// reads the address without walking the picked peer's schedule.
 type introducerPool struct {
-	peers []*Peer
-	v4    []netip.Addr // v4[i] is peers[i].AddrOnDay(day)'s IPv4
+	peers []int32   // indexes into Network.Peers
+	v4    [][4]byte // v4[i] is peers[i]'s IPv4 on the day, zero for none
 }
 
 // New builds a network. Construction cost is O(peers x days).
@@ -323,12 +325,12 @@ type builder struct {
 	rng      *rand.Rand
 	presence slab[bool]
 	asns     slab[uint32]
-	addrs    slab[netip.Addr]
+	addrs    slab[[4]byte]
 	segs     slab[ipAssignment]
 	// sched, extraIPs and extraASNs hold the schedule being drawn; the
 	// peer keeps slab copies of them.
 	sched     []ipAssignment
-	extraIPs  []netip.Addr
+	extraIPs  [][4]byte
 	extraASNs []uint32
 	// active[d] and introducers[d] count the peers online on day d and
 	// those of them that are introducers.
@@ -572,14 +574,14 @@ func (n *Network) decorate(p *Peer, b *builder) {
 // ascend, as SegmentOn's would.
 func (n *Network) index(b *builder) {
 	days := n.cfg.Days
-	active := make([]int, sum(b.active))
+	active := make([]int32, sum(b.active))
 	introducers := sum(b.introducers)
-	peers := make([]*Peer, introducers)
-	v4s := make([]netip.Addr, introducers)
+	peers := make([]int32, introducers)
+	v4s := make([][4]byte, introducers)
 	// at[d] and intro[d] are where day d's next active peer and next
 	// introducer go.
 	at, intro := make([]int, days), make([]int, days)
-	n.activeByDay = make([][]int, days)
+	n.activeByDay = make([][]int32, days)
 	n.introducersByDay = make([]introducerPool, days)
 	a, k := 0, 0
 	for d := range days {
@@ -590,24 +592,25 @@ func (n *Network) index(b *builder) {
 	}
 	for _, p := range n.Peers {
 		introducer := p.introducer()
+		idx := int32(p.Index)
 		seg := 0
 		for i, on := range p.Presence {
 			if !on {
 				continue
 			}
 			d := p.StartDay + i
-			active[at[d]] = p.Index
+			active[at[d]] = idx
 			at[d]++
 			if !introducer {
 				continue
 			}
 			if len(p.ipSchedule) > 0 {
-				for seg+1 < len(p.ipSchedule) && p.ipSchedule[seg+1].fromDay <= d {
+				for seg+1 < len(p.ipSchedule) && int(p.ipSchedule[seg+1].fromDay) <= d {
 					seg++
 				}
-				v4s[intro[d]] = p.ipSchedule[seg].addr
+				v4s[intro[d]] = p.ipSchedule[seg].v4
 			}
-			peers[intro[d]] = p
+			peers[intro[d]] = idx
 			intro[d]++
 		}
 	}
@@ -624,16 +627,17 @@ func sum(xs []int) int {
 
 // ActivePeers returns the indexes of peers online on the given study day.
 // The returned slice is shared and must not be modified by callers.
-func (n *Network) ActivePeers(day int) []int {
+func (n *Network) ActivePeers(day int) []int32 {
 	if day < 0 || day >= len(n.activeByDay) {
 		return nil
 	}
 	return n.activeByDay[day]
 }
 
-// Introducers returns the known-IP reachable peers active on day, used as
-// the introducer pool for firewalled peers.
-func (n *Network) Introducers(day int) []*Peer {
+// Introducers returns the indexes of the known-IP reachable peers active
+// on day, used as the introducer pool for firewalled peers. The returned
+// slice is shared and must not be modified by callers.
+func (n *Network) Introducers(day int) []int32 {
 	return n.introducerPool(day).peers
 }
 
@@ -650,7 +654,7 @@ func (n *Network) introducerPool(day int) introducerPool {
 // of this network on day — CaptureDay's, or a stored one CheckSighting
 // accepted.
 func (n *Network) RouterInfo(day int, s Sighting) *netdb.RouterInfo {
-	return n.Peers[s.Peer].buildInfo(day, n.DayTime(day), n.introducerPool(day), s.Draw)
+	return n.Peers[s.Peer].buildInfo(day, n.DayTime(day), n.Peers, n.introducerPool(day), s.Draw)
 }
 
 // RouterInfoFor materializes the RouterInfo the given peer publishes on
@@ -696,7 +700,7 @@ func (n *Network) CheckSighting(day int, s Sighting) error {
 		if int64(in.Pick) >= int64(len(pool.peers)) {
 			return fmt.Errorf("sim: peer %d: introducer pick %d past day %d's pool of %d", s.Peer, in.Pick, day, len(pool.peers))
 		}
-		if !pool.v4[in.Pick].IsValid() || !validPort(in.Port) {
+		if pool.v4[in.Pick] == ([4]byte{}) || !validPort(in.Port) {
 			return fmt.Errorf("sim: peer %d: introducer pick %d (port %d) is not one the draw keeps", s.Peer, in.Pick, in.Port)
 		}
 	}

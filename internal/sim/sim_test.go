@@ -146,8 +146,9 @@ func TestRouterInfoMaterialization(t *testing.T) {
 	n := testNetwork(t, 10)
 	pcg := rand.NewPCG(1, 2)
 	day := 3
-	// The same draws resolved against referenceIndex's pool must encode
-	// to the same bytes: New's introducer pools are held to it here.
+	// The same draws made by the legacy one-pass materialization over
+	// referenceIndex's pool must encode to the same bytes: New's
+	// introducer pools are held to it here.
 	_, refIntros := referenceIndex(n)
 	refRNG := rand.New(rand.NewPCG(1, 2))
 	var sawKnown, sawFirewalled, sawHidden, sawToggling bool
@@ -166,8 +167,7 @@ func TestRouterInfoMaterialization(t *testing.T) {
 		if _, err := netdb.DecodeRouterInfo(data); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		pool := refIntros[day]
-		ref, err := p.buildInfo(day, n.DayTime(day), pool, referenceDrawInfo(p, pool, refRNG)).Encode()
+		ref, err := legacyRouterInfo(p, day, n.DayTime(day), refIntros[day].peers, refRNG).Encode()
 		if err != nil {
 			t.Fatalf("encode reference: %v", err)
 		}
@@ -456,7 +456,7 @@ func TestAddrLookupsResolveViaGeoDB(t *testing.T) {
 		if !ok {
 			t.Fatalf("peer address %v does not resolve", v4)
 		}
-		if asn := p.segment(p.SegmentOn(day)).asn; rec.ASN != asn {
+		if asn := p.ipSchedule[p.SegmentOn(day)].asn; rec.ASN != asn {
 			t.Fatalf("ASN mismatch: lookup %d, schedule %d", rec.ASN, asn)
 		}
 		checked++
