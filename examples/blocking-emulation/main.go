@@ -29,17 +29,21 @@ func main() {
 		log.Fatal(err)
 	}
 	day := 40
-	victim := censor.NewVictim(network, 1234)
+	fleets, windows := []int{2, 6, 10, 20}, []int{1, 5, 30}
+	// One censor fleet of 20 monitoring routers serves every (fleet,
+	// window) cell; the sweep's victim is the client being cut off.
+	sw, err := censor.NewSweep(network, censor.SweepConfig{
+		Fleets: fleets, Windows: windows, Days: []int{day}, SeedBase: 99,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("== Part 1: blocking rates (Figure 13) ==")
-	for _, window := range []int{1, 5, 30} {
-		cz, err := censor.NewCensor(network, 20, window, 99)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, window := range windows {
 		fmt.Printf("blacklist window %2d days: ", window)
-		for _, k := range []int{2, 6, 10, 20} {
-			rate := censor.BlockingRate(cz, victim, k, day)
+		for _, k := range fleets {
+			rate := sw.BlockingRate(censor.Cell{Fleet: k, Window: window, Day: day})
 			fmt.Printf(" %2d routers=%5.1f%% ", k, 100*rate)
 		}
 		fmt.Println()
@@ -47,6 +51,7 @@ func main() {
 
 	fmt.Println("\n== Part 2: usability under blocking (Figure 14) ==")
 	// The victim's tunnel candidates come from its own netDb.
+	victim := censor.NewVictim(network, 1234)
 	pcg := rand.NewPCG(5, 5)
 	var candidates []*netdb.RouterInfo
 	for _, idx := range victim.KnownPeers(day) {
@@ -54,20 +59,17 @@ func main() {
 	}
 	site := eepsite.NewSite(netdb.HashFromUint64(808))
 
-	// Tie the two parts together: derive the blocked-peer predicate from a
-	// real censor blacklist rather than a synthetic rate.
-	cz, err := censor.NewCensor(network, 20, 5, 99)
-	if err != nil {
-		log.Fatal(err)
-	}
-	blockedPeer := cz.BlockedPeerFunc(20, day)
+	// Tie the two parts together: block by a real censor blacklist (the
+	// full fleet, 5-day window) rather than a synthetic rate.
+	bl := sw.Blacklist(censor.Cell{Fleet: 20, Window: 5, Day: day})
+	ix := censor.IndexFor(network)
 	byHash := make(map[netdb.Hash]int)
 	for _, idx := range victim.KnownPeers(day) {
 		byHash[network.Peers[idx].ID] = idx
 	}
 	blocked := func(h netdb.Hash) bool {
 		idx, ok := byHash[h]
-		return ok && blockedPeer(idx)
+		return ok && ix.PeerBlocked(bl, idx, day)
 	}
 
 	client := eepsite.NewClient(candidates, nil)

@@ -110,18 +110,21 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// Step 5: a censor blacklists the network; the same client's fetches
 	// degrade into 504s.
-	cz, err := censor.NewCensor(network, 20, 5, 404)
+	sw, err := censor.NewSweep(network, censor.SweepConfig{
+		Fleets: []int{20}, Windows: []int{5}, Days: []int{day}, SeedBase: 404,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blockedPeer := cz.BlockedPeerFunc(20, day)
+	bl := sw.Blacklist(sw.Cells()[0])
+	ix := censor.IndexFor(network)
 	byHash := make(map[netdb.Hash]int)
 	for _, idx := range network.ActivePeers(day) {
 		byHash[network.Peers[idx].ID] = int(idx)
 	}
 	blocked := func(h netdb.Hash) bool {
 		idx, ok := byHash[h]
-		return ok && blockedPeer(idx)
+		return ok && ix.PeerBlocked(bl, idx, day)
 	}
 	blockedClient := eepsite.NewClient(candidates, blocked)
 	stats, err := blockedClient.Crawl(site, 30, rng)

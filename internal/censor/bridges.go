@@ -125,6 +125,12 @@ func DefaultBridgeConfig() BridgeConfig {
 // the censor's per-day blacklists computed as adversary sweep cells
 // across the worker pool.
 func EvaluateBridgesContext(ctx context.Context, network *sim.Network, windowDays int, cfg BridgeConfig) ([]BridgeEvaluation, error) {
+	if cfg.Bridges <= 0 {
+		return nil, fmt.Errorf("censor: need at least one bridge per strategy, got %d", cfg.Bridges)
+	}
+	if cfg.Day < 0 {
+		return nil, fmt.Errorf("censor: bridge distribution day %d is before the study", cfg.Day)
+	}
 	if cfg.Day+cfg.HorizonDays >= network.Days() {
 		return nil, fmt.Errorf("censor: bridge horizon (day %d + %d) exceeds network days (%d)",
 			cfg.Day, cfg.HorizonDays, network.Days())
@@ -146,15 +152,15 @@ func EvaluateBridgesContext(ctx context.Context, network *sim.Network, windowDay
 	if err := sw.Capture(ctx); err != nil {
 		return nil, err
 	}
-	// One blocked-peer predicate per horizon day, evaluated as sweep
-	// cells; cells[i].Day == days[i] because fleets and windows are
-	// singleton and Cells() enumerates days outermost. The grid is a
-	// single rolling row — the blacklist slides across the horizon — and
-	// each cursor snapshots its day's set so the predicates survive past
-	// the sweep for the serial survival fold below.
-	blocked := make([]func(int) bool, cfg.HorizonDays+1)
+	// One blacklist per horizon day, evaluated as sweep cells;
+	// cells[i].Day == days[i] because fleets and windows are singleton
+	// and Cells() enumerates days outermost. The grid is a single rolling
+	// row — the blacklist slides across the horizon — so each day's live
+	// set is cloned to survive past the sweep for the serial survival
+	// fold below.
+	blacklists := make([]*AddrSet, cfg.HorizonDays+1)
 	err = sw.Each(ctx, func(i int, cu *Cursor) error {
-		blocked[i] = cu.BlockedPeerFunc()
+		blacklists[i] = cu.Blacklist().Clone()
 		return nil
 	})
 	if err != nil {
@@ -162,6 +168,7 @@ func EvaluateBridgesContext(ctx context.Context, network *sim.Network, windowDay
 	}
 
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xBF58476D1CE4E5B9))
+	ix := sw.Censor.ix
 
 	pools := bridgePools(network, cfg.Day)
 
@@ -188,7 +195,7 @@ func EvaluateBridgesContext(ctx context.Context, network *sim.Network, windowDay
 			day := cfg.Day + d
 			usable := 0
 			for _, idx := range selected {
-				if bridgeUsable(network, idx, day, blocked[d], cfg.IntroducersPerBridge, rng) {
+				if ix.BridgeUsable(blacklists[d], idx, day, cfg.IntroducersPerBridge, rng) {
 					usable++
 				}
 			}
@@ -231,25 +238,28 @@ func BridgePool(network *sim.Network, strat BridgeStrategy, day int) []int {
 	return bridgePools(network, day)[strat]
 }
 
-// bridgeUsable reports whether a bridge peer can be used from behind the
-// firewall on the given day.
-func bridgeUsable(network *sim.Network, idx, day int, blocked func(int) bool, introducers int, rng *rand.Rand) bool {
-	p := network.Peers[idx]
+// BridgeUsable is the one Section 7.1 reachability rule: whether bridge
+// peer idx can be used from behind the firewall on day under blacklist
+// bl. A known-IP bridge must be active and off the blacklist; a
+// firewalled one must be active and draw, from the day's introducer pool,
+// at least one introducer off the blacklist within `introducers` tries.
+// The draws come from rng in call order, so the bridge evaluation and the
+// distrib sweeps that share this rule consume their streams identically.
+func (ix *AddrIndex) BridgeUsable(bl *AddrSet, idx, day, introducers int, rng *rand.Rand) bool {
+	p := ix.net.Peers[idx]
 	if !p.ActiveOn(day) {
 		return false
 	}
 	switch p.Status {
 	case sim.StatusKnownIP:
-		return !blocked(idx)
+		return !ix.PeerBlocked(bl, idx, day)
 	case sim.StatusFirewalled, sim.StatusToggling:
-		// Reachable via an introducer: usable while at least one drawn
-		// introducer is itself unblocked.
-		pool := network.Introducers(day)
+		pool := ix.net.Introducers(day)
 		if len(pool) == 0 {
 			return false
 		}
-		for i := 0; i < introducers; i++ {
-			if !blocked(int(pool[rng.IntN(len(pool))])) {
+		for range introducers {
+			if !ix.PeerBlocked(bl, int(pool[rng.IntN(len(pool))]), day) {
 				return true
 			}
 		}

@@ -29,30 +29,22 @@ import (
 // Censor models the adversary of Section 6.2.1: "(1) a group of monitoring
 // routers operated by a censor (e.g., ISP, government)".
 type Censor struct {
-	net       *sim.Network
 	observers []*sim.Observer
 	ix        *AddrIndex
-	// WindowDays is the blacklist time window: an address stays blocked
-	// for this many days after last being observed (the paper evaluates
-	// 1, 5, 10, 20 and 30 days).
-	WindowDays int
 
 	// obsIDs memoizes observedIDs per (router, day): one cache.DayMemo
 	// per monitoring router, and all a router's capture keeps.
 	obsIDs []*cache.DayMemo[[]int32]
 }
 
-// NewCensor creates a censor running `routers` monitoring routers, split
-// between floodfill and non-floodfill mode like the paper's fleet, with
-// the given blacklist window.
-func NewCensor(network *sim.Network, routers, windowDays int, seedBase uint64) (*Censor, error) {
+// newCensor creates a censor running `routers` monitoring routers, split
+// between floodfill and non-floodfill mode like the paper's fleet. The
+// blacklist window is not the censor's: each sweep cell names its own.
+func newCensor(network *sim.Network, routers int, seedBase uint64) (*Censor, error) {
 	if routers <= 0 {
 		return nil, fmt.Errorf("censor: need at least one monitoring router")
 	}
-	if windowDays <= 0 {
-		windowDays = 1
-	}
-	c := &Censor{net: network, ix: IndexFor(network), WindowDays: windowDays}
+	c := &Censor{ix: IndexFor(network)}
 	for i := 0; i < routers; i++ {
 		c.observers = append(c.observers, network.NewObserver(sim.ObserverConfig{
 			Name:       fmt.Sprintf("censor-%02d", i),
@@ -238,37 +230,6 @@ func (v *Victim) addrSet(day int) *AddrSet { return v.view(day).addrs }
 // statuses), in first-seen order, used by the usability and bridge
 // experiments. Callers receive a shared slice and must not modify it.
 func (v *Victim) KnownPeers(day int) []int { return v.view(day).peers }
-
-// BlockingRate computes the Section 6.2.1 metric on `day` with the first k
-// censor routers: "the rate of peer IP addresses seen in the netDb of the
-// victim, which can also be found in the netDb of routers that are
-// controlled by the censor". The censor and victim must share a network.
-func BlockingRate(c *Censor, v *Victim, k, day int) float64 {
-	vic := v.addrSet(day)
-	if vic.Len() == 0 {
-		return 0
-	}
-	bl := c.blacklistSet(k, c.WindowDays, day)
-	return float64(bl.IntersectCount(vic)) / float64(vic.Len())
-}
-
-// BlockedPeerFunc returns a predicate over peer indexes: whether the
-// peer's current address is on the blacklist on `day`. Peers without
-// addresses are never blocked.
-func (c *Censor) BlockedPeerFunc(k, day int) func(peerIdx int) bool {
-	return c.blockedPeerFunc(k, c.WindowDays, day)
-}
-
-// blockedPeerFunc is BlockedPeerFunc with an explicit window (the sweep
-// engine evaluates several windows against one censor fleet).
-func (c *Censor) blockedPeerFunc(k, window, day int) func(peerIdx int) bool {
-	set := c.blacklistSet(k, window, day)
-	ix := c.ix
-	return func(idx int) bool {
-		v4, v6 := ix.PeerIDs(idx, day)
-		return set.Has(v4) || set.Has(v6)
-	}
-}
 
 // Figure13Context sweeps censor fleet sizes and blacklist windows,
 // producing one series per window, each giving the cumulative blocking

@@ -25,15 +25,12 @@ func network(t testing.TB) *sim.Network {
 
 func TestNewCensorValidation(t *testing.T) {
 	n := network(t)
-	if _, err := NewCensor(n, 0, 1, 1); err == nil {
+	if _, err := newCensor(n, 0, 1); err == nil {
 		t.Fatal("zero routers accepted")
 	}
-	c, err := NewCensor(n, 5, 0, 1)
+	c, err := newCensor(n, 5, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c.WindowDays != 1 {
-		t.Fatalf("window defaulted to %d, want 1", c.WindowDays)
 	}
 	if c.Routers() != 5 {
 		t.Fatalf("routers = %d", c.Routers())
@@ -42,22 +39,18 @@ func TestNewCensorValidation(t *testing.T) {
 
 func TestBlacklistGrowsWithRoutersAndWindow(t *testing.T) {
 	n := network(t)
-	c, err := NewCensor(n, 20, 1, 7)
+	c, err := newCensor(n, 20, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	day := 20
-	b1 := len(blacklistMap(c, 1, day))
-	b5 := len(blacklistMap(c, 5, day))
-	b20 := len(blacklistMap(c, 20, day))
+	b1 := len(blacklistMap(c, 1, 1, day))
+	b5 := len(blacklistMap(c, 5, 1, day))
+	b20 := len(blacklistMap(c, 20, 1, day))
 	if !(b1 < b5 && b5 < b20) {
 		t.Fatalf("blacklist must grow with routers: %d, %d, %d", b1, b5, b20)
 	}
-	cw, err := NewCensor(n, 20, 10, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b20w10 := len(blacklistMap(cw, 20, day))
+	b20w10 := len(blacklistMap(c, 20, 10, day))
 	if b20w10 <= b20 {
 		t.Fatalf("10-day window (%d) must exceed 1-day window (%d)", b20w10, b20)
 	}
@@ -88,16 +81,20 @@ func TestVictimKnowsSubstantialNetDb(t *testing.T) {
 // windows push rates higher.
 func TestFigure13Anchors(t *testing.T) {
 	n := network(t)
-	v := NewVictim(n, 99)
 	day := 20
-
-	c1, err := NewCensor(n, 20, 1, 7)
+	sw, err := NewSweep(n, SweepConfig{Fleets: []int{20}, Windows: []int{1}, Days: []int{day}, SeedBase: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := BlockingRate(c1, v, 2, day)
-	r6 := BlockingRate(c1, v, 6, day)
-	r20 := BlockingRate(c1, v, 20, day)
+	// The anchors were set against this client, not the sweep's own.
+	sw.Victim = NewVictim(n, 99)
+	rate := func(k, window int) float64 {
+		return sw.BlockingRate(Cell{Fleet: k, Window: window, Day: day})
+	}
+
+	r2 := rate(2, 1)
+	r6 := rate(6, 1)
+	r20 := rate(20, 1)
 	if !(r2 < r6 && r6 < r20) {
 		t.Fatalf("rates must increase with routers: %.3f, %.3f, %.3f", r2, r6, r20)
 	}
@@ -112,12 +109,8 @@ func TestFigure13Anchors(t *testing.T) {
 	}
 
 	// Expanding the window raises rates (Figure 13's family of curves).
-	c5, err := NewCensor(n, 20, 5, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r10w5 := BlockingRate(c5, v, 10, day)
-	r10w1 := BlockingRate(c1, v, 10, day)
+	r10w5 := rate(10, 5)
+	r10w1 := rate(10, 1)
 	if r10w5 <= r10w1 {
 		t.Fatalf("5-day window (%.3f) must beat 1-day (%.3f)", r10w5, r10w1)
 	}
@@ -125,11 +118,7 @@ func TestFigure13Anchors(t *testing.T) {
 		t.Fatalf("10 routers @ 5-day window = %.3f, want >= 0.90 (paper: 95%%)", r10w5)
 	}
 
-	c30, err := NewCensor(n, 20, 30, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r20w30 := BlockingRate(c30, v, 20, day)
+	r20w30 := rate(20, 30)
 	if r20w30 < r20 {
 		t.Fatalf("30-day window (%.3f) must be at least the 1-day rate (%.3f)", r20w30, r20)
 	}
@@ -175,23 +164,24 @@ func TestFigure13FigureGeneration(t *testing.T) {
 	}
 }
 
-func TestBlockedPeerFunc(t *testing.T) {
+func TestPeerBlocked(t *testing.T) {
 	n := network(t)
-	c, err := NewCensor(n, 20, 5, 7)
+	day := 20
+	sw, err := NewSweep(n, SweepConfig{Fleets: []int{20}, Windows: []int{5}, Days: []int{day}, SeedBase: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	day := 20
-	blocked := c.BlockedPeerFunc(20, day)
+	bl, ix := sw.Blacklist(sw.Cells()[0]), IndexFor(n)
+	blocked := func(idx int32) bool { return ix.PeerBlocked(bl, int(idx), day) }
 	nBlocked, nKnown := 0, 0
 	for _, idx := range n.ActivePeers(day) {
 		p := n.Peers[idx]
 		if p.Status == sim.StatusKnownIP {
 			nKnown++
-			if blocked(int(idx)) {
+			if blocked(idx) {
 				nBlocked++
 			}
-		} else if blocked(int(idx)) {
+		} else if blocked(idx) {
 			t.Fatal("unknown-IP peer reported blocked")
 		}
 	}
@@ -263,6 +253,17 @@ func TestEvaluateBridgesValidation(t *testing.T) {
 	if _, err := EvaluateBridgesContext(context.Background(), n, 5, cfg); err == nil {
 		t.Fatal("horizon past study end accepted")
 	}
+	for name, edit := range map[string]func(*BridgeConfig){
+		"zero bridges":     func(c *BridgeConfig) { c.Bridges = 0 },
+		"negative bridges": func(c *BridgeConfig) { c.Bridges = -1 },
+		"negative day":     func(c *BridgeConfig) { c.Day = -1 },
+	} {
+		cfg := DefaultBridgeConfig()
+		edit(&cfg)
+		if _, err := EvaluateBridgesContext(context.Background(), n, 5, cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }
 
 func TestBridgeStrategyStrings(t *testing.T) {
@@ -318,7 +319,7 @@ func TestEclipseAttack(t *testing.T) {
 // loop that also asked each peer's Status returned.
 func TestObservedIDsMatchesStatusCheckedLoop(t *testing.T) {
 	n := network(t)
-	c, err := NewCensor(n, 4, 1, 77)
+	c, err := newCensor(n, 4, 77)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func (s *Sweep) eclipseCell(cu *Cursor, injected int) EclipseResult {
 		if s.Net.Peers[idx].Status != sim.StatusKnownIP {
 			continue
 		}
-		if v4, v6 := ix.PeerIDs(idx, cell.Day); !bl.Has(v4) && !bl.Has(v6) {
+		if !ix.PeerBlocked(bl, idx, cell.Day) {
 			usableHonest++
 		}
 	}

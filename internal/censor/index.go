@@ -192,6 +192,14 @@ func (ix *AddrIndex) PeerIDs(idx, day int) (v4, v6 int32) {
 	return cur.v4, cur.v6
 }
 
+// PeerBlocked reports whether peer idx's address on day — either of its
+// v4 and v6 — is on the blacklist bl. Peers without a published address
+// are never blocked.
+func (ix *AddrIndex) PeerBlocked(bl *AddrSet, idx, day int) bool {
+	v4, v6 := ix.PeerIDs(idx, day)
+	return bl.Has(v4) || bl.Has(v6)
+}
+
 // dayColumn returns the day's ID column, aligned with the network's
 // ActivePeers(day): dayColumn(day)[j] is PeerIDs(ActivePeers(day)[j], day).
 // A monitoring router's capture maps the positions sim.Observer.DrawDay
@@ -269,10 +277,10 @@ func (s *AddrSet) Has(id int32) bool {
 	return id >= 0 && s.words[id>>6]&(uint64(1)<<(id&63)) != 0
 }
 
-// Clone returns an independent copy of the set. Cursor.BlockedPeerFunc
-// snapshots the live rolling set this way, so predicates stay valid
-// after their row slides on; one O(words) copy per cell is still far
-// cheaper than the from-scratch union it replaces.
+// Clone returns an independent copy of the set. The bridge evaluation
+// keeps each horizon day's live rolling set this way (Cursor.Blacklist),
+// so the set stays valid after its row slides on; one O(words) copy per
+// cell is still far cheaper than the from-scratch union it replaces.
 func (s *AddrSet) Clone() *AddrSet {
 	return &AddrSet{words: append([]uint64(nil), s.words...), count: s.count}
 }

@@ -102,7 +102,7 @@ func TestDayIDsMatchPeerIDs(t *testing.T) {
 		t.Fatalf("out-of-range day has a column of %d", len(col))
 	}
 
-	c, err := NewCensor(n, 2, 1, 77)
+	c, err := newCensor(n, 2, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestAddrSetOps(t *testing.T) {
 // from the same config interns an equal table of its own.
 func TestIndexSharedPerNetwork(t *testing.T) {
 	n := network(t)
-	c, err := NewCensor(n, 2, 1, 1)
+	c, err := newCensor(n, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,17 +332,17 @@ func TestIndexSharedPerNetwork(t *testing.T) {
 
 // TestBlacklistAtMatchesMapReference rebuilds the blacklist the
 // pre-index way — per-day address maps unioned over routers and windows —
-// and checks the set-backed BlacklistAt returns exactly that map.
+// and checks the set-backed blacklistSet returns exactly that map.
 func TestBlacklistAtMatchesMapReference(t *testing.T) {
 	n := network(t)
-	c, err := NewCensor(n, 6, 4, 31)
+	c, err := newCensor(n, 6, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	day, k := 15, 5
+	day, k, window := 15, 5, 4
 	ref := make(map[netip.Addr]bool)
 	for r := 0; r < k; r++ {
-		for d := day - c.WindowDays + 1; d <= day; d++ {
+		for d := day - window + 1; d <= day; d++ {
 			for _, idx := range c.observers[r].ObserveDay(d) {
 				p := n.Peers[idx]
 				v4, v6 := p.AddrOnDay(d)
@@ -355,7 +355,7 @@ func TestBlacklistAtMatchesMapReference(t *testing.T) {
 			}
 		}
 	}
-	got := blacklistMap(c, k, day)
+	got := blacklistMap(c, k, window, day)
 	if len(got) != len(ref) {
 		t.Fatalf("blacklist size = %d, want %d", len(got), len(ref))
 	}
@@ -367,10 +367,10 @@ func TestBlacklistAtMatchesMapReference(t *testing.T) {
 }
 
 // blacklistMap materializes the blacklist in force on day under the
-// first k monitoring routers as an address map, for comparison with the
-// map-based references.
-func blacklistMap(c *Censor, k, day int) map[netip.Addr]bool {
-	return addrMap(c.ix, c.blacklistSet(k, c.WindowDays, day))
+// first k monitoring routers and the given window as an address map, for
+// comparison with the map-based references.
+func blacklistMap(c *Censor, k, window, day int) map[netip.Addr]bool {
+	return addrMap(c.ix, c.blacklistSet(k, window, day))
 }
 
 // knownAddressMap materializes the victim's netDb addresses on day.

@@ -48,12 +48,12 @@ func TestCensorRingsReportCacheTraffic(t *testing.T) {
 	t.Cleanup(func() { obs.Enable(prev) })
 
 	n := network(t)
-	c, err := NewCensor(n, 2, 5, 42)
+	c, err := newCensor(n, 2, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := NewVictim(n, 99)
-	c.blockedPeerFunc(2, 5, 6)
+	c.blacklistSet(2, 5, 6)
 	v.addrSet(6)
 	v.KnownPeers(6)
 

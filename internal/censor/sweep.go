@@ -66,8 +66,8 @@ type Sweep struct {
 }
 
 // NewSweep validates the grid and builds the shared adversary.
-// Non-positive windows are normalized to one day, matching NewCensor's
-// WindowDays clamp.
+// Non-positive windows are normalized to one day, so a zero-window cell
+// blocks what a one-day cell does instead of nothing.
 func NewSweep(network *sim.Network, cfg SweepConfig) (*Sweep, error) {
 	if len(cfg.Fleets) == 0 || len(cfg.Windows) == 0 || len(cfg.Days) == 0 {
 		return nil, fmt.Errorf("censor: sweep needs at least one fleet size, window and day")
@@ -82,18 +82,11 @@ func NewSweep(network *sim.Network, cfg SweepConfig) (*Sweep, error) {
 		}
 	}
 	windows := make([]int, len(cfg.Windows))
-	maxWindow := 0
 	for i, w := range cfg.Windows {
-		if w <= 0 {
-			w = 1
-		}
-		windows[i] = w
-		if w > maxWindow {
-			maxWindow = w
-		}
+		windows[i] = max(w, 1)
 	}
 	cfg.Windows = windows
-	c, err := NewCensor(network, maxFleet, maxWindow, cfg.SeedBase)
+	c, err := newCensor(network, maxFleet, cfg.SeedBase)
 	if err != nil {
 		return nil, err
 	}
@@ -238,8 +231,7 @@ func (st *rowState) advance(c *Censor, k, window, day int) {
 // byte-identical to the from-scratch Sweep.Blacklist of the same cell
 // (the golden rolling-equivalence tests enforce this) but built by
 // sliding, not re-unioning. The live set is only valid until the
-// callback returns; BlockedPeerFunc snapshots, so its predicate outlives
-// the row.
+// callback returns; Clone it to keep it past the row.
 type Cursor struct {
 	s    *Sweep
 	cell Cell
@@ -276,19 +268,6 @@ func (cu *Cursor) BlockingRate() float64 {
 	return float64(cu.counter().Set().IntersectCount(vic)) / float64(vic.Len())
 }
 
-// BlockedPeerFunc returns the cell's peer-blocking predicate over a
-// snapshot of the rolling blacklist, valid after the callback returns
-// (the bridge fold keeps one predicate per horizon day).
-func (cu *Cursor) BlockedPeerFunc() func(peerIdx int) bool {
-	set := cu.counter().Set().Clone()
-	ix := cu.s.Censor.ix
-	day := cu.cell.Day
-	return func(idx int) bool {
-		v4, v6 := ix.PeerIDs(idx, day)
-		return set.Has(v4) || set.Has(v6)
-	}
-}
-
 // Each evaluates fn for every cell of the grid. Cells are scheduled as
 // rolling rows — one (window, fleet) row per worker at a time, days
 // ascending, each row sliding one
@@ -302,8 +281,7 @@ func (cu *Cursor) BlockedPeerFunc() func(peerIdx int) bool {
 // The Cursor handed to fn is only valid until the callback returns: each
 // plan row reuses one Cursor across its cells (a row runs sequentially
 // on one worker), and the rows' WindowCounters return to the index's
-// pool when Each returns. Snapshotting accessors (BlockedPeerFunc)
-// remain safe to retain — they copy what they need.
+// pool when Each returns. A set kept past the callback must be a Clone.
 func (s *Sweep) Each(ctx context.Context, fn func(i int, cu *Cursor) error) error {
 	cells := s.Cells()
 	plan := s.rowPlan(cells)
@@ -332,12 +310,6 @@ func (s *Sweep) Blacklist(cell Cell) *AddrSet {
 	return s.Censor.blacklistSet(cell.Fleet, cell.Window, cell.Day)
 }
 
-// BlockedPeerFunc returns the cell's peer-blocking predicate over a
-// from-scratch blacklist (see Blacklist).
-func (s *Sweep) BlockedPeerFunc(cell Cell) func(peerIdx int) bool {
-	return s.Censor.blockedPeerFunc(cell.Fleet, cell.Window, cell.Day)
-}
-
 // BlockingRate returns the cell's blocking rate against the sweep victim
 // over a from-scratch blacklist (see Blacklist).
 func (s *Sweep) BlockingRate(cell Cell) float64 {
@@ -356,8 +328,12 @@ func (s *Sweep) BlockingRate(cell Cell) float64 {
 // WindowCounter accumulates router k's day-slices on top of routers
 // 1..k-1, and each address entering the union checks victim membership
 // in O(1), so the whole series costs one pass over each router-day's
-// observations instead of a union rebuild per fleet size.
+// observations instead of a union rebuild per fleet size. maxFleet is
+// clamped to the fleet the sweep built, and the window to at least one
+// day, as NewSweep clamps the grid's windows.
 func (s *Sweep) BlockingSeries(window, day, maxFleet int) []float64 {
+	maxFleet = min(maxFleet, s.Censor.Routers())
+	window = max(window, 1)
 	vic := s.Victim.addrSet(day)
 	wc := s.Censor.ix.NewWindowCounter()
 	defer s.Censor.ix.ReleaseWindowCounter(wc)
@@ -371,7 +347,7 @@ func (s *Sweep) BlockingSeries(window, day, maxFleet int) []float64 {
 	if start < 0 {
 		start = 0
 	}
-	out := make([]float64, 0, maxFleet)
+	out := make([]float64, 0, max(maxFleet, 0))
 	for k := 1; k <= maxFleet; k++ {
 		for d := start; d <= day; d++ {
 			wc.AddDayFunc(s.Censor.observedIDs(k-1, d), onEnter)

@@ -47,9 +47,8 @@ func TestNewSweepValidation(t *testing.T) {
 	}
 }
 
-// TestSweepWindowClamped: non-positive windows normalize to one day,
-// matching NewCensor's WindowDays clamp (a zero-window eclipse must not
-// silently produce an empty blacklist).
+// TestSweepWindowClamped: non-positive windows normalize to one day (a
+// zero-window eclipse must not silently produce an empty blacklist).
 func TestSweepWindowClamped(t *testing.T) {
 	n := network(t)
 	sw, err := NewSweep(n, SweepConfig{Fleets: []int{2}, Windows: []int{0}, Days: []int{10}, SeedBase: 3})
@@ -101,7 +100,7 @@ func referenceFigure13(t *testing.T, n *sim.Network, maxRouters int, windows []i
 	victim := NewVictim(n, seedBase+10_000)
 	victimIPs := knownAddressMap(victim, day)
 	for _, w := range windows {
-		c, err := NewCensor(n, maxRouters, w, seedBase)
+		c, err := newCensor(n, maxRouters, seedBase)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,24 +208,15 @@ func TestSweepWorkerDeterminism(t *testing.T) {
 	})
 }
 
-// TestSweepBlockingRateMatchesBlockingRate: the cell-level rate agrees
-// with the public Censor/Victim API.
+// TestSweepBlockingRateMatchesBlockingRate: the rolling Figure 13 series
+// ends on the cell-level from-scratch rate and never decreases.
 func TestSweepBlockingRateMatchesBlockingRate(t *testing.T) {
 	n := network(t)
 	sw, err := NewSweep(n, SweepConfig{Fleets: []int{5}, Windows: []int{7}, Days: []int{20}, SeedBase: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCensor(n, 5, 7, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := NewVictim(n, 7+10_000)
-	want := BlockingRate(c, v, 5, 20)
-	got := sw.BlockingRate(Cell{Fleet: 5, Window: 7, Day: 20})
-	if got != want {
-		t.Fatalf("sweep rate %v != BlockingRate %v", got, want)
-	}
+	want := sw.BlockingRate(Cell{Fleet: 5, Window: 7, Day: 20})
 	series := sw.BlockingSeries(7, 20, 5)
 	if len(series) != 5 {
 		t.Fatalf("series length %d", len(series))
@@ -238,6 +228,29 @@ func TestSweepBlockingRateMatchesBlockingRate(t *testing.T) {
 		if series[i] < series[i-1] {
 			t.Fatalf("cumulative series decreased at %d: %v", i, series)
 		}
+	}
+}
+
+// TestBlockingSeriesClamped: a series asked past the fleet the sweep
+// built stops at that fleet, and a non-positive window is one day, as
+// NewSweep clamps the grid's windows.
+func TestBlockingSeriesClamped(t *testing.T) {
+	n := network(t)
+	sw, err := NewSweep(n, SweepConfig{Fleets: []int{3}, Windows: []int{1}, Days: []int{20}, SeedBase: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sw.BlockingSeries(1, 20, 3)
+	if got := sw.BlockingSeries(1, 20, 8); !reflect.DeepEqual(got, want) {
+		t.Fatalf("series past the fleet = %v, want %v", got, want)
+	}
+	for _, w := range []int{0, -2} {
+		if got := sw.BlockingSeries(w, 20, 3); !reflect.DeepEqual(got, want) {
+			t.Fatalf("window %d series = %v, want the one-day series %v", w, got, want)
+		}
+	}
+	if got := sw.BlockingSeries(1, 20, -1); len(got) != 0 {
+		t.Fatalf("negative fleet series = %v, want empty", got)
 	}
 }
 

@@ -12,13 +12,12 @@ import (
 // cell (sweep.go) and the trust row (trustsweep.go): the enumeration-fed
 // blacklist and discovered set, with the one discover rule (leaked
 // resources blacklist their current addresses plus the introducer
-// addresses a firewalled bridge's record carries) and the one
-// reachability rule (active, and reachable from behind the firewall
-// despite the blacklist). Keeping both sweeps on this type keeps their
-// blacklists and survival figures computing identically by
-// construction.
+// addresses a firewalled bridge's record carries). Reachability is not
+// decided here: usable applies censor.AddrIndex.BridgeUsable, the rule
+// censor's own bridge evaluation applies, to this view's blacklist.
+// Keeping both sweeps on this type keeps their blacklists and survival
+// figures computing identically by construction.
 type censorView struct {
-	net        *sim.Network
 	ix         *censor.AddrIndex
 	peerByHash map[netdb.Hash]int
 	// introducersPerBridge is how many introducer draws a firewalled
@@ -35,7 +34,6 @@ type censorView struct {
 func newCensorView(net *sim.Network, introducersPerBridge int, rng *rand.Rand) *censorView {
 	ix := censor.IndexFor(net)
 	return &censorView{
-		net:                  net,
 		ix:                   ix,
 		peerByHash:           peerIndexByHash(net),
 		introducersPerBridge: introducersPerBridge,
@@ -68,35 +66,10 @@ func (cv *censorView) discover(rs []Resource, day int) {
 	}
 }
 
-// usable reports whether one handed-out bridge works on `day`: active,
-// and reachable from behind the firewall despite the blacklist
-// (directly, or for firewalled bridges through at least one unblocked
-// introducer).
+// usable reports whether one handed-out bridge works on `day` under the
+// view's blacklist, drawing introducers from the view's rng.
 func (cv *censorView) usable(r Resource, day int) bool {
-	p := cv.net.Peers[r.Peer]
-	if !p.ActiveOn(day) {
-		return false
-	}
-	switch p.Status {
-	case sim.StatusKnownIP:
-		v4, v6 := cv.ix.PeerIDs(r.Peer, day)
-		return !cv.bl.Has(v4) && !cv.bl.Has(v6)
-	case sim.StatusFirewalled, sim.StatusToggling:
-		pool := cv.net.Introducers(day)
-		if len(pool) == 0 {
-			return false
-		}
-		for i := 0; i < cv.introducersPerBridge; i++ {
-			in := pool[cv.rng.IntN(len(pool))]
-			v4, v6 := cv.ix.PeerIDs(int(in), day)
-			if !cv.bl.Has(v4) && !cv.bl.Has(v6) {
-				return true
-			}
-		}
-		return false
-	default:
-		return false
-	}
+	return cv.ix.BridgeUsable(cv.bl, r.Peer, day, cv.introducersPerBridge, cv.rng)
 }
 
 // anyUsable reports whether any resource of a handout is usable.
