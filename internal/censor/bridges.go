@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"github.com/i2pstudy/i2pstudy/internal/measure"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -128,6 +129,9 @@ func EvaluateBridgesContext(ctx context.Context, network *sim.Network, windowDay
 	if cfg.Bridges <= 0 {
 		return nil, fmt.Errorf("censor: need at least one bridge per strategy, got %d", cfg.Bridges)
 	}
+	if cfg.IntroducersPerBridge <= 0 {
+		return nil, fmt.Errorf("censor: a firewalled bridge needs at least one introducer, got %d", cfg.IntroducersPerBridge)
+	}
 	if cfg.Day < 0 {
 		return nil, fmt.Errorf("censor: bridge distribution day %d is before the study", cfg.Day)
 	}
@@ -154,13 +158,12 @@ func EvaluateBridgesContext(ctx context.Context, network *sim.Network, windowDay
 	}
 	// One blacklist per horizon day, evaluated as sweep cells;
 	// cells[i].Day == days[i] because fleets and windows are singleton
-	// and Cells() enumerates days outermost. The grid is a single rolling
-	// row — the blacklist slides across the horizon — so each day's live
-	// set is cloned to survive past the sweep for the serial survival
-	// fold below.
-	blacklists := make([]*AddrSet, cfg.HorizonDays+1)
-	err = sw.Each(ctx, func(i int, cu *Cursor) error {
-		blacklists[i] = cu.Blacklist().Clone()
+	// and Cells() enumerates days outermost. Each set is the cell's own,
+	// so it outlives the sweep for the serial survival fold below.
+	cells := sw.Cells()
+	blacklists := make([]*AddrSet, len(cells))
+	err = measure.FanOut(ctx, len(cells), cfg.Workers, func(i int) error {
+		blacklists[i] = sw.Blacklist(cells[i])
 		return nil
 	})
 	if err != nil {

@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"github.com/i2pstudy/i2pstudy/internal/cache"
+	"github.com/i2pstudy/i2pstudy/internal/measure"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 	"github.com/i2pstudy/i2pstudy/internal/stats"
 )
@@ -237,8 +238,8 @@ func (v *Victim) KnownPeers(day int) []int { return v.view(day).peers }
 // Figure 13. It runs on the adversary engine: one censor fleet and one
 // victim are built once and shared by every window series (observers
 // are deterministic in (seed, day), so reuse never changes a draw);
-// captures warm through the parallel engine; each window cell folds an
-// incremental blacklist union over fleet prefixes. Any workers value
+// captures warm through the parallel engine; each window cell grows one
+// blacklist set over fleet prefixes (BlockingSeries). Any workers value
 // yields a byte-identical figure.
 func Figure13Context(ctx context.Context, network *sim.Network, maxRouters int, windows []int, day int, seedBase uint64, workers int) (*stats.Figure, error) {
 	if len(windows) == 0 {
@@ -259,9 +260,8 @@ func Figure13Context(ctx context.Context, network *sim.Network, maxRouters int, 
 	}
 	cells := sw.Cells()
 	series := make([][]float64, len(cells))
-	err = sw.Each(ctx, func(i int, cu *Cursor) error {
-		cell := cu.Cell()
-		series[i] = sw.BlockingSeries(cell.Window, cell.Day, cell.Fleet)
+	err = measure.FanOut(ctx, len(cells), workers, func(i int) error {
+		series[i] = sw.BlockingSeries(cells[i].Window, cells[i].Day, cells[i].Fleet)
 		return nil
 	})
 	if err != nil {

@@ -257,6 +257,10 @@ func TestEvaluateBridgesValidation(t *testing.T) {
 		"zero bridges":     func(c *BridgeConfig) { c.Bridges = 0 },
 		"negative bridges": func(c *BridgeConfig) { c.Bridges = -1 },
 		"negative day":     func(c *BridgeConfig) { c.Day = -1 },
+		// Zero introducer draws would read every firewalled bridge as
+		// unusable.
+		"zero introducers":     func(c *BridgeConfig) { c.IntroducersPerBridge = 0 },
+		"negative introducers": func(c *BridgeConfig) { c.IntroducersPerBridge = -2 },
 	} {
 		cfg := DefaultBridgeConfig()
 		edit(&cfg)
@@ -311,6 +315,14 @@ func TestEclipseAttack(t *testing.T) {
 	}
 	if _, _, err := EclipseSweepContext(context.Background(), n, []int{0}, 5, injected, day, 77, 0); err == nil {
 		t.Fatal("zero-router censor accepted")
+	}
+	// Past the study the victim knows nothing, so the injected routers
+	// would be its whole usable view.
+	if _, _, err := EclipseSweepContext(context.Background(), n, []int{2}, 5, injected, n.Days(), 77, 0); err == nil {
+		t.Fatal("eclipse past the study accepted")
+	}
+	if _, _, err := EclipseSweepContext(context.Background(), n, []int{2}, 5, -1, day, 77, 0); err == nil {
+		t.Fatal("negative injected routers accepted")
 	}
 }
 

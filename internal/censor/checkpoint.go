@@ -10,7 +10,7 @@ import (
 
 // CellResult is the engine-owned product of one sweep cell: the
 // blocking rate against the sweep victim and the blacklist size. The
-// paper experiments fold richer products through Each's cursors; this
+// paper experiments fold richer products from the same cells; this
 // standard result is what checkpointed runs spill and resume, and what
 // the crash-resume goldens compare.
 type CellResult struct {
@@ -67,9 +67,8 @@ func (s *Sweep) Run(ctx context.Context) ([]CellResult, error) {
 // RunCheckpointed is Run with crash safety: when dir is non-empty,
 // every completed (window, fleet) row spills its results to a
 // checkpoint.Store there, and a rerun over the same directory loads
-// finished rows instead of recomputing them — skipped cells never even
-// build their rolling WindowCounter (cursors advance lazily). Resuming
-// against state from a different sweep fails with a
+// finished rows instead of recomputing them — a resumed cell builds no
+// blacklist. Resuming against state from a different sweep fails with a
 // *checkpoint.MismatchError. Interrupted or not, the returned slice is
 // byte-identical to an uninterrupted Run at any Workers value: results
 // live in cell-indexed slots and JSON round-trips them exactly.
@@ -81,14 +80,16 @@ func (s *Sweep) RunCheckpointed(ctx context.Context, dir string) ([]CellResult, 
 	if err != nil {
 		return nil, err
 	}
-	err = s.Each(ctx, func(i int, cu *Cursor) error {
+	cells := s.Cells()
+	err = measure.FanOut(ctx, len(cells), s.Cfg.Workers, func(i int) error {
 		if units.Resumed(i) {
-			return nil // cursor untouched
+			return nil
 		}
+		bl := s.Blacklist(cells[i])
 		return units.Commit(i, CellResult{
-			Cell:         cu.Cell(),
-			BlockingRate: cu.BlockingRate(),
-			BlacklistLen: cu.Blacklist().Len(),
+			Cell:         cells[i],
+			BlockingRate: s.blockingRate(bl, cells[i].Day),
+			BlacklistLen: bl.Len(),
 		})
 	})
 	if err != nil {

@@ -23,9 +23,8 @@ func crashSweepConfig(workers int) SweepConfig {
 // through the shared harness: a run killed by an injected fault and
 // resumed from its checkpoint directory yields CellResults
 // byte-identical to an uninterrupted run, at every ladder width, with
-// obs enabled. Rows checkpoint at (window, fleet) granularity; resumed
-// rows never rebuild their rolling WindowCounter (cursors advance
-// lazily, so a skipped cell costs nothing).
+// obs enabled. Rows checkpoint at (window, fleet) granularity; a
+// resumed row's cells build no blacklist.
 func TestCrashResume(t *testing.T) {
 	n := network(t)
 	enginetest.CrashResume(t, 2018, []enginetest.CrashCase{{
@@ -43,36 +42,6 @@ func TestCrashResume(t *testing.T) {
 			return res, nil
 		},
 	}})
-}
-
-// TestSweepRunMatchesCursorFold pins the engine-owned Run product to
-// the cursor accessors it folds: Run's CellResults must equal a manual
-// Each fold of the same accessors, in Cells() order.
-func TestSweepRunMatchesCursorFold(t *testing.T) {
-	n := network(t)
-	sw, err := NewSweep(n, crashSweepConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sw.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := sw.Cells()
-	if len(res) != len(cells) {
-		t.Fatalf("Run returned %d results for %d cells", len(res), len(cells))
-	}
-	for i, cell := range cells {
-		if res[i].Cell != cell {
-			t.Fatalf("result %d carries cell %+v, want %+v", i, res[i].Cell, cell)
-		}
-		if want := sw.BlockingRate(cell); res[i].BlockingRate != want {
-			t.Fatalf("cell %d: BlockingRate %v, want from-scratch %v", i, res[i].BlockingRate, want)
-		}
-		if want := sw.Blacklist(cell).Len(); res[i].BlacklistLen != want {
-			t.Fatalf("cell %d: BlacklistLen %d, want from-scratch %d", i, res[i].BlacklistLen, want)
-		}
-	}
 }
 
 // TestSweepCheckpointManifestMismatch locks the refusal path at the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/i2pstudy/i2pstudy/internal/measure"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 	"github.com/i2pstudy/i2pstudy/internal/stats"
 )
@@ -37,12 +38,9 @@ type EclipseResult struct {
 
 // eclipseCell evaluates the Section 7.2 scenario for one sweep cell: the
 // censor blocks every observed peer address, and `injected` whitelisted
-// attacker routers join the victim's usable view. It folds the cursor's
-// live rolling blacklist directly — no snapshot needed, everything
-// happens inside the callback.
-func (s *Sweep) eclipseCell(cu *Cursor, injected int) EclipseResult {
-	cell := cu.Cell()
-	bl := cu.Blacklist()
+// attacker routers join the victim's usable view.
+func (s *Sweep) eclipseCell(cell Cell, injected int) EclipseResult {
+	bl := s.Blacklist(cell)
 	ix := s.Censor.ix
 	usableHonest := 0
 	for _, idx := range s.Victim.KnownPeers(cell.Day) {
@@ -73,6 +71,9 @@ func (s *Sweep) eclipseCell(cu *Cursor, injected int) EclipseResult {
 // pool, and the figure folds in fleet order — byte-identical for any
 // workers value.
 func EclipseSweepContext(ctx context.Context, network *sim.Network, fleets []int, windowDays, injected, day int, seed uint64, workers int) (*stats.Figure, []EclipseResult, error) {
+	if injected < 0 {
+		return nil, nil, fmt.Errorf("censor: cannot inject %d attacker routers", injected)
+	}
 	sw, err := NewSweep(network, SweepConfig{
 		Fleets:   fleets,
 		Windows:  []int{windowDays},
@@ -86,9 +87,10 @@ func EclipseSweepContext(ctx context.Context, network *sim.Network, fleets []int
 	if err := sw.Capture(ctx); err != nil {
 		return nil, nil, err
 	}
-	results := make([]EclipseResult, len(fleets))
-	err = sw.Each(ctx, func(i int, cu *Cursor) error {
-		results[i] = sw.eclipseCell(cu, injected)
+	cells := sw.Cells()
+	results := make([]EclipseResult, len(cells))
+	err = measure.FanOut(ctx, len(cells), workers, func(i int) error {
+		results[i] = sw.eclipseCell(cells[i], injected)
 		return nil
 	})
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"net/netip"
-	"sync"
 
 	"github.com/i2pstudy/i2pstudy/internal/cache"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
@@ -14,7 +13,9 @@ import (
 // study into a dense ID table, built in one pass over the peers' address
 // schedules. Blacklists, victim netDb views and blocking rates then become
 // bitset operations over small integers instead of map[netip.Addr]bool
-// rebuilds — the allocation hot spot of the original Section 6 sweeps.
+// rebuilds — the allocation hot spot of the original Section 6 sweeps. A
+// sweep cell's blacklist is one AddrSet over the index, unioned from
+// scratch (Sweep.Blacklist).
 //
 // The intern table is one flat open-addressed []int32 (ID+1 per slot, 0
 // empty, at most half full), probed linearly from a fixed mix of the
@@ -47,12 +48,6 @@ type AddrIndex struct {
 	segs [][]idSeg
 	// dayIDs memoizes dayColumn, one column per study day.
 	dayIDs *cache.DayMemo[[]dayID]
-
-	// wcPool recycles WindowCounters across sweep rows and
-	// BlockingSeries calls (see NewWindowCounter/ReleaseWindowCounter).
-	// The pool does not make the index mutable in any observable way:
-	// counters are private per row while in use and zeroed on release.
-	wcPool sync.Pool
 }
 
 // idSeg is one interned segment of a peer's address schedule. IDs are -1
@@ -275,21 +270,6 @@ func (s *AddrSet) Remove(id int32) bool {
 // Has reports membership; negative IDs are never members.
 func (s *AddrSet) Has(id int32) bool {
 	return id >= 0 && s.words[id>>6]&(uint64(1)<<(id&63)) != 0
-}
-
-// Clone returns an independent copy of the set. The bridge evaluation
-// keeps each horizon day's live rolling set this way (Cursor.Blacklist),
-// so the set stays valid after its row slides on; one O(words) copy per
-// cell is still far cheaper than the from-scratch union it replaces.
-func (s *AddrSet) Clone() *AddrSet {
-	return &AddrSet{words: append([]uint64(nil), s.words...), count: s.count}
-}
-
-// Clear empties the set in place, keeping its capacity — the reuse
-// primitive behind WindowCounter.Reset.
-func (s *AddrSet) Clear() {
-	clear(s.words)
-	s.count = 0
 }
 
 // Len returns the number of addresses in the set.

@@ -308,6 +308,22 @@ func TestAddrSetOps(t *testing.T) {
 	}
 }
 
+func TestAddrSetRemove(t *testing.T) {
+	n := network(t)
+	ix := IndexFor(n)
+	s := ix.NewSet()
+	s.AddAll([]int32{1, 64, 65})
+	if s.Remove(-1) || s.Remove(2) {
+		t.Fatal("removing a non-member must report false")
+	}
+	if !s.Remove(64) || s.Has(64) || s.Len() != 2 {
+		t.Fatalf("Remove(64) broken: len %d", s.Len())
+	}
+	if !s.Add(64) || s.Len() != 3 {
+		t.Fatal("a removed member must add again")
+	}
+}
+
 // TestIndexSharedPerNetwork: every censor and victim on one network uses
 // one interned table, owned by that network — a second network built
 // from the same config interns an equal table of its own.
@@ -340,21 +356,7 @@ func TestBlacklistAtMatchesMapReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	day, k, window := 15, 5, 4
-	ref := make(map[netip.Addr]bool)
-	for r := 0; r < k; r++ {
-		for d := day - window + 1; d <= day; d++ {
-			for _, idx := range c.observers[r].ObserveDay(d) {
-				p := n.Peers[idx]
-				v4, v6 := p.AddrOnDay(d)
-				if p.Status == sim.StatusKnownIP && v4.IsValid() {
-					ref[v4] = true
-					if v6.IsValid() {
-						ref[v6] = true
-					}
-				}
-			}
-		}
-	}
+	ref := referenceBlacklists(c)(k, window, day)
 	got := blacklistMap(c, k, window, day)
 	if len(got) != len(ref) {
 		t.Fatalf("blacklist size = %d, want %d", len(got), len(ref))
@@ -363,6 +365,43 @@ func TestBlacklistAtMatchesMapReference(t *testing.T) {
 		if !got[ip] {
 			t.Fatalf("missing %v", ip)
 		}
+	}
+}
+
+// referenceBlacklists returns the pre-index blacklist builder over c's
+// fleet: each (router, day)'s addresses are gathered once the long way —
+// ObserveDay, the peer's status, AddrOnDay — and a blacklist is the union
+// of the first k routers' days in (day-window, day] as an address map.
+func referenceBlacklists(c *Censor) func(k, window, day int) map[netip.Addr]bool {
+	seen := make(map[[2]int][]netip.Addr)
+	routerDay := func(r, d int) []netip.Addr {
+		if addrs, ok := seen[[2]int{r, d}]; ok {
+			return addrs
+		}
+		var addrs []netip.Addr
+		for _, idx := range c.observers[r].ObserveDay(d) {
+			p := c.ix.net.Peers[idx]
+			v4, v6 := p.AddrOnDay(d)
+			if p.Status == sim.StatusKnownIP && v4.IsValid() {
+				addrs = append(addrs, v4)
+				if v6.IsValid() {
+					addrs = append(addrs, v6)
+				}
+			}
+		}
+		seen[[2]int{r, d}] = addrs
+		return addrs
+	}
+	return func(k, window, day int) map[netip.Addr]bool {
+		out := make(map[netip.Addr]bool)
+		for r := 0; r < k; r++ {
+			for d := max(day-window+1, 0); d <= day; d++ {
+				for _, a := range routerDay(r, d) {
+					out[a] = true
+				}
+			}
+		}
+		return out
 	}
 }
 

@@ -10,34 +10,6 @@ import (
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
-func TestWindowCounterPoolCounters(t *testing.T) {
-	prev := obs.Active()
-	r := obs.NewRegistry()
-	obs.Enable(r)
-	t.Cleanup(func() { obs.Enable(prev) })
-
-	n := network(t)
-	ix := IndexFor(n)
-	wc := ix.NewWindowCounter()
-	ix.ReleaseWindowCounter(wc)
-	wc2 := ix.NewWindowCounter()
-	ix.ReleaseWindowCounter(wc2)
-
-	text := r.RenderText()
-	// gets and puts are exact; news depends on whether the shared pool
-	// held a counter from an earlier test (and on GC clearing it), so it
-	// is only bounded by the acquisitions.
-	gets := counterValue(t, text, `i2p_windowcounter_pool_total{op="get"}`)
-	puts := counterValue(t, text, `i2p_windowcounter_pool_total{op="put"}`)
-	news := counterValue(t, text, `i2p_windowcounter_pool_total{op="new"}`)
-	if gets != 2 || puts != 2 {
-		t.Errorf("gets=%d puts=%d, want 2/2:\n%s", gets, puts, text)
-	}
-	if news > gets {
-		t.Errorf("news=%d exceeds gets=%d:\n%s", news, gets, text)
-	}
-}
-
 // TestCensorRingsReportCacheTraffic: the censor's memo rings surface in
 // the i2p_cache_* families under their declared ring names once a sweep
 // touches them.

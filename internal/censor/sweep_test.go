@@ -3,8 +3,11 @@ package censor
 import (
 	"context"
 	"fmt"
+	"maps"
+	"math/rand/v2"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/measure/enginetest"
@@ -20,6 +23,10 @@ func TestNewSweepValidation(t *testing.T) {
 		{Fleets: []int{2}, Days: []int{5}},
 		{Windows: []int{1}, Days: []int{5}},
 		{Fleets: []int{2, 0}, Windows: []int{1}, Days: []int{5}},
+		// A day outside the study draws nothing: every cell would be
+		// silently empty.
+		{Fleets: []int{2}, Windows: []int{1}, Days: []int{5, -1}},
+		{Fleets: []int{2}, Windows: []int{1}, Days: []int{n.Days()}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewSweep(n, cfg); err == nil {
@@ -82,8 +89,8 @@ func TestSweepCaptureCancelled(t *testing.T) {
 	if err := sw.Capture(ctx); err != context.Canceled {
 		t.Fatalf("Capture error = %v, want context.Canceled", err)
 	}
-	if err := sw.Each(ctx, func(int, *Cursor) error { return nil }); err != context.Canceled {
-		t.Fatalf("Each error = %v, want context.Canceled", err)
+	if _, err := sw.Run(ctx); err != context.Canceled {
+		t.Fatalf("Run error = %v, want context.Canceled", err)
 	}
 }
 
@@ -158,6 +165,80 @@ func TestFigure13MatchesReference(t *testing.T) {
 	}
 }
 
+// TestSweepRunMatchesMapReference holds the one blacklist path to the
+// map-based references across randomized (fleet, window, day) grids —
+// unsorted days, duplicates, windows wider than the day gaps and
+// narrower: every cell's Blacklist is the address union built the long
+// way, and Run's BlacklistLen and BlockingRate agree with it and with
+// the victim's netDb built the long way (referenceAddrSet). Run at
+// Workers 4 and NumCPU equals Run at 1. CI runs it under -race, so it
+// also proves concurrent cells share the observedIDs and victim memos
+// safely.
+func TestSweepRunMatchesMapReference(t *testing.T) {
+	n := network(t)
+	rng := rand.New(rand.NewPCG(7, 2026))
+	randomVals := func(count, lo, hi int) []int {
+		out := make([]int, count)
+		for i := range out {
+			out[i] = lo + rng.IntN(hi-lo+1)
+		}
+		return out
+	}
+	for trial := 0; trial < 3; trial++ {
+		cfg := SweepConfig{
+			Fleets:   randomVals(1+rng.IntN(3), 1, 8),
+			Windows:  randomVals(1+rng.IntN(3), 1, 12),
+			Days:     randomVals(3+rng.IntN(4), 0, n.Days()-1), // unsorted, dups possible
+			SeedBase: 7000 + uint64(trial),
+		}
+		var serial []CellResult
+		for _, workers := range []int{1, 4, runtime.NumCPU()} {
+			cfg.Workers = workers
+			sw, err := NewSweep(n, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sw.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers != 1 {
+				if !reflect.DeepEqual(res, serial) {
+					t.Fatalf("trial %d Workers=%d: results differ from serial", trial, workers)
+				}
+				continue
+			}
+			serial = res
+			ref := referenceBlacklists(sw.Censor)
+			for i, cell := range sw.Cells() {
+				want := ref(cell.Fleet, cell.Window, cell.Day)
+				if !maps.Equal(addrMap(sw.Censor.ix, sw.Blacklist(cell)), want) {
+					t.Fatalf("trial %d cell %d %+v: blacklist differs from the map reference", trial, i, cell)
+				}
+				if res[i].Cell != cell || res[i].BlacklistLen != len(want) {
+					t.Fatalf("trial %d cell %d %+v: result %+v, want blacklist length %d",
+						trial, i, cell, res[i], len(want))
+				}
+				vic := addrMap(sw.Victim.ix, referenceAddrSet(sw.Victim, cell.Day))
+				blocked := 0
+				for a := range vic {
+					if want[a] {
+						blocked++
+					}
+				}
+				wantRate := 0.0
+				if len(vic) > 0 {
+					wantRate = float64(blocked) / float64(len(vic))
+				}
+				if res[i].BlockingRate != wantRate {
+					t.Fatalf("trial %d cell %d %+v: rate %v, map reference %v",
+						trial, i, cell, res[i].BlockingRate, wantRate)
+				}
+			}
+		}
+	}
+}
+
 // TestSweepWorkerDeterminism is the adversary engine's golden equivalence
 // guarantee, stated through the shared enginetest harness: any Workers
 // value yields byte-identical figures for the blocking, eclipse and
@@ -208,8 +289,9 @@ func TestSweepWorkerDeterminism(t *testing.T) {
 	})
 }
 
-// TestSweepBlockingRateMatchesBlockingRate: the rolling Figure 13 series
-// ends on the cell-level from-scratch rate and never decreases.
+// TestSweepBlockingRateMatchesBlockingRate: the Figure 13 series, grown
+// over fleet prefixes, ends on the cell's blocking rate and never
+// decreases.
 func TestSweepBlockingRateMatchesBlockingRate(t *testing.T) {
 	n := network(t)
 	sw, err := NewSweep(n, SweepConfig{Fleets: []int{5}, Windows: []int{7}, Days: []int{20}, SeedBase: 7})

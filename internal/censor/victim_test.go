@@ -72,3 +72,20 @@ func TestVictimViewMatchesReference(t *testing.T) {
 		})
 	}
 }
+
+// TestVictimViewsMemoized: the per-day netDb view is built once and
+// shared — a revisit returns the same set and the same slice.
+func TestVictimViewsMemoized(t *testing.T) {
+	v := NewVictim(network(t), 424)
+	day := 17
+	set, peers := v.addrSet(day), v.KnownPeers(day)
+	if len(peers) == 0 {
+		t.Fatal("victim knows nothing")
+	}
+	if v.addrSet(day) != set {
+		t.Fatal("addrSet not memoized")
+	}
+	if got := v.KnownPeers(day); &got[0] != &peers[0] || len(got) != len(peers) {
+		t.Fatal("KnownPeers not memoized")
+	}
+}

@@ -10,7 +10,7 @@ import (
 // rides on internal/obs — the same zero-dependency registry the batch
 // engines count into — so a shared registry (Config.Registry) makes one
 // /metrics page carry the handout series next to the engine families
-// (i2p_engine_*, i2p_cache_*, i2p_windowcounter_*).
+// (i2p_engine_*, i2p_cache_*).
 
 // latencyBuckets are the handout-latency histogram upper bounds in
 // seconds, spanning sub-microsecond in-process serves to second-scale

@@ -87,7 +87,6 @@ func TestSharedRegistryExposesEngineFamilies(t *testing.T) {
 		"i2p_engine_rows_planned_total",
 		"i2p_cache_hits_total",
 		"i2p_cache_misses_total",
-		"i2p_windowcounter_pool_total",
 		"i2pdistribd_requests_total",
 		"i2pdistribd_probe_total",
 	} {
