@@ -165,7 +165,7 @@ func TestFigure13MatchesReference(t *testing.T) {
 	}
 }
 
-// TestSweepRunMatchesMapReference holds the one blacklist path to the
+// TestRollingSweepMatchesFromScratch holds the one blacklist path to the
 // map-based references across randomized (fleet, window, day) grids —
 // unsorted days, duplicates, windows wider than the day gaps and
 // narrower: every cell's Blacklist is the address union built the long
@@ -173,8 +173,9 @@ func TestFigure13MatchesReference(t *testing.T) {
 // the victim's netDb built the long way (referenceAddrSet). Run at
 // Workers 4 and NumCPU equals Run at 1. CI runs it under -race, so it
 // also proves concurrent cells share the observedIDs and victim memos
-// safely.
-func TestSweepRunMatchesMapReference(t *testing.T) {
+// safely. (The name is kept from the rolling-window engine these grids
+// were first held against; every cell is now built from scratch.)
+func TestRollingSweepMatchesFromScratch(t *testing.T) {
 	n := network(t)
 	rng := rand.New(rand.NewPCG(7, 2026))
 	randomVals := func(count, lo, hi int) []int {
@@ -235,6 +236,31 @@ func TestSweepRunMatchesMapReference(t *testing.T) {
 						trial, i, cell, res[i].BlockingRate, wantRate)
 				}
 			}
+		}
+	}
+}
+
+// TestRollingBlacklistAtEquivalence: on a fixed grid, each cell's
+// Sweep.Blacklist materializes to the same address map as the censor's
+// blacklistMap view and as the map-based referenceBlacklists union.
+func TestRollingBlacklistAtEquivalence(t *testing.T) {
+	n := network(t)
+	sw, err := NewSweep(n, SweepConfig{Fleets: []int{4}, Windows: []int{6}, Days: []int{12, 15, 20}, SeedBase: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sw.Censor
+	ref := referenceBlacklists(c)
+	for _, cell := range sw.Cells() {
+		got := addrMap(c.ix, sw.Blacklist(cell))
+		if len(got) == 0 {
+			t.Fatalf("cell %+v: empty blacklist", cell)
+		}
+		if !reflect.DeepEqual(got, blacklistMap(c, cell.Fleet, cell.Window, cell.Day)) {
+			t.Errorf("cell %+v: Sweep.Blacklist map view differs from blacklistMap", cell)
+		}
+		if !maps.Equal(got, ref(cell.Fleet, cell.Window, cell.Day)) {
+			t.Errorf("cell %+v: Sweep.Blacklist differs from the map reference", cell)
 		}
 	}
 }
