@@ -173,11 +173,9 @@ func EvaluateBridgesContext(ctx context.Context, network *sim.Network, windowDay
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xBF58476D1CE4E5B9))
 	ix := sw.Censor.ix
 
-	pools := bridgePools(network, cfg.Day)
-
 	var out []BridgeEvaluation
 	for _, strat := range []BridgeStrategy{BridgeRandom, BridgeNewlyJoined, BridgeFirewalled, BridgeCombined} {
-		pool := pools[strat]
+		pool := BridgePool(network, strat, cfg.Day)
 		ev := BridgeEvaluation{Strategy: strat, PoolSize: len(pool)}
 		if len(pool) == 0 {
 			out = append(out, ev)
@@ -209,36 +207,30 @@ func EvaluateBridgesContext(ctx context.Context, network *sim.Network, windowDay
 	return out, nil
 }
 
-// bridgePools builds every strategy's candidate pool at the distribution
-// day in one pass over the day's active peers.
-func bridgePools(network *sim.Network, day int) map[BridgeStrategy][]int {
-	var knownIP, newlyJoined, firewalled []int
+// BridgePool returns the peer indexes the given strategy would draw bridge
+// candidates from on the distribution day, in ActivePeers order — the
+// resource supply side of the distrib subsystem's backend and of the
+// bridge evaluation. The combined pool is the newly joined pool followed
+// by the firewalled one.
+func BridgePool(network *sim.Network, strat BridgeStrategy, day int) []int {
+	if strat == BridgeCombined {
+		return append(BridgePool(network, BridgeNewlyJoined, day), BridgePool(network, BridgeFirewalled, day)...)
+	}
+	var pool []int
 	for _, id := range network.ActivePeers(day) {
-		idx := int(id)
-		p := network.Peers[idx]
+		p := network.Peers[id]
+		var in bool
 		switch p.Status {
 		case sim.StatusKnownIP:
-			knownIP = append(knownIP, idx)
-			if p.FirstActiveDay() >= day-1 {
-				newlyJoined = append(newlyJoined, idx)
-			}
+			in = strat == BridgeRandom || strat == BridgeNewlyJoined && p.FirstActiveDay() >= day-1
 		case sim.StatusFirewalled, sim.StatusToggling:
-			firewalled = append(firewalled, idx)
+			in = strat == BridgeFirewalled
+		}
+		if in {
+			pool = append(pool, int(id))
 		}
 	}
-	return map[BridgeStrategy][]int{
-		BridgeRandom:      knownIP,
-		BridgeNewlyJoined: newlyJoined,
-		BridgeFirewalled:  firewalled,
-		BridgeCombined:    append(append([]int(nil), newlyJoined...), firewalled...),
-	}
-}
-
-// BridgePool returns the peer indexes the given strategy would draw bridge
-// candidates from on the distribution day — the resource supply side of the
-// distrib subsystem's backend.
-func BridgePool(network *sim.Network, strat BridgeStrategy, day int) []int {
-	return bridgePools(network, day)[strat]
+	return pool
 }
 
 // BridgeUsable is the one Section 7.1 reachability rule: whether bridge

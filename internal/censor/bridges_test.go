@@ -3,6 +3,7 @@ package censor
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/sim"
@@ -98,5 +99,56 @@ func TestBridgeUsableMatchesReference(t *testing.T) {
 				t.Fatalf("%d of %d calls usable: the comparison never saw both answers", usable, calls)
 			}
 		})
+	}
+}
+
+// referenceBridgePools is the pool builder BridgePool replaced, kept as
+// its reference: every strategy's pool in one pass over the day's active
+// peers, and the combined pool copied from the other two.
+func referenceBridgePools(network *sim.Network, day int) map[BridgeStrategy][]int {
+	var knownIP, newlyJoined, firewalled []int
+	for _, id := range network.ActivePeers(day) {
+		idx := int(id)
+		p := network.Peers[idx]
+		switch p.Status {
+		case sim.StatusKnownIP:
+			knownIP = append(knownIP, idx)
+			if p.FirstActiveDay() >= day-1 {
+				newlyJoined = append(newlyJoined, idx)
+			}
+		case sim.StatusFirewalled, sim.StatusToggling:
+			firewalled = append(firewalled, idx)
+		}
+	}
+	return map[BridgeStrategy][]int{
+		BridgeRandom:      knownIP,
+		BridgeNewlyJoined: newlyJoined,
+		BridgeFirewalled:  firewalled,
+		BridgeCombined:    append(append([]int(nil), newlyJoined...), firewalled...),
+	}
+}
+
+// TestBridgePoolMatchesReference: each strategy's pool holds the
+// reference's peers in the reference's order — the order the bridge
+// evaluation's permutation draws from — on every day, at both bench
+// seeds; a strategy that names no pool gets none.
+func TestBridgePoolMatchesReference(t *testing.T) {
+	for _, seed := range []uint64{2018, 424242} {
+		n := seedNetworks(t)[fmt.Sprint(seed)]
+		for day := 0; day < n.Days(); day++ {
+			ref := referenceBridgePools(n, day)
+			for _, strat := range []BridgeStrategy{BridgeRandom, BridgeNewlyJoined, BridgeFirewalled, BridgeCombined} {
+				got := BridgePool(n, strat, day)
+				if !slices.Equal(got, ref[strat]) {
+					t.Fatalf("seed %d day %d %v: pool of %d, the reference holds %d", seed, day, strat, len(got), len(ref[strat]))
+				}
+				if day == 5 && len(got) == 0 {
+					t.Fatalf("seed %d %v: empty pool on the bench's distribution day", seed, strat)
+				}
+			}
+			if got := BridgePool(n, BridgeStrategy(9), day); len(got) != 0 {
+				t.Fatalf("seed %d day %d: an unknown strategy has a pool of %d", seed, day, len(got))
+			}
+		}
 	}
 }

@@ -18,6 +18,7 @@ package censor
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -34,8 +35,9 @@ type Censor struct {
 	ix        *AddrIndex
 
 	// obsIDs memoizes observedIDs per (router, day): one cache.DayMemo
-	// per monitoring router, and all a router's capture keeps.
-	obsIDs []*cache.DayMemo[[]int32]
+	// per monitoring router, and all a router's capture keeps. A memo
+	// holds the set by value, so a router-day is one allocation.
+	obsIDs []*cache.DayMemo[AddrSet]
 }
 
 // newCensor creates a censor running `routers` monitoring routers, split
@@ -54,9 +56,9 @@ func newCensor(network *sim.Network, routers int, seedBase uint64) (*Censor, err
 			Seed:       seedBase + uint64(i),
 		}))
 	}
-	c.obsIDs = make([]*cache.DayMemo[[]int32], routers)
+	c.obsIDs = make([]*cache.DayMemo[AddrSet], routers)
 	for i := range c.obsIDs {
-		c.obsIDs[i] = cache.NewDayMemo[[]int32](network.Days(), obsIDsRing)
+		c.obsIDs[i] = cache.NewDayMemo[AddrSet](network.Days(), obsIDsRing)
 	}
 	return c, nil
 }
@@ -64,19 +66,23 @@ func newCensor(network *sim.Network, routers int, seedBase uint64) (*Censor, err
 // Routers returns the number of monitoring routers.
 func (c *Censor) Routers() int { return len(c.observers) }
 
-// observedIDs returns the interned address IDs of peers observed by one
-// monitoring router on one day. Peers without published addresses
+// observedIDs returns the set of interned addresses of peers observed by
+// one monitoring router on one day. Peers without published addresses
 // (firewalled, hidden) contribute nothing — they cannot be address-blocked
 // (Section 7.1) and the index holds no schedule for them, so their column
-// entry is -1. The result is memoized per (router, day) and must not be
-// modified.
+// entry is -1. The result is memoized per (router, day); its words are
+// shared and must not be modified.
 //
-// A monitoring router keeps address IDs, not sighting lists: the draw's
-// positions go straight through the day's ID column, so no peer-index
-// list is built for a censor's router (ObserveDay is never asked), and
-// the memo keeps a slice of exactly the IDs.
-func (c *Censor) observedIDs(router, day int) []int32 {
-	return c.obsIDs[router].Get(day, func(day int) []int32 {
+// A monitoring router keeps an address set per day, not sighting lists:
+// the draw's positions go straight through the day's ID column, so no
+// peer-index list is built for a censor's router (ObserveDay is never
+// asked), and the memo keeps one bit per address in the index:
+// NumAddrs/8 bytes, where an ID list would cost 4 bytes per observed
+// address — more than the set, at paper scale, for studies up to about
+// 110 days. Blacklists and Figure 13 series fold these sets a 64-bit
+// word at a time.
+func (c *Censor) observedIDs(router, day int) AddrSet {
+	return c.obsIDs[router].Get(day, func(day int) AddrSet {
 		s := captureScratch.Get().(*captureBuf)
 		defer captureScratch.Put(s)
 		s.pos = c.observers[router].DrawDay(day, s.pos[:0])
@@ -95,22 +101,31 @@ func (c *Censor) observedIDs(router, day int) []int32 {
 			n += int(^uint32(e.v4|e.v6) >> 31)
 		}
 		s.ids = ids
-		out := make([]int32, n)
-		copy(out, ids)
-		return out
+		// The compacted IDs are all present, so the bits go in without
+		// Add's branch, and the count is taken once: two peers may share
+		// an address.
+		set := *c.ix.NewSet()
+		for _, id := range ids[:n] {
+			set.words[id>>6] |= 1 << (id & 63)
+		}
+		for _, w := range set.words {
+			set.count += bits.OnesCount64(w)
+		}
+		return set
 	})
 }
 
 // captureBuf is the draw scratch of observedIDs and Victim.buildView: a
 // day's drawn positions and, for observedIDs, the IDs they map to before
-// the exactly-sized copy the memo keeps.
+// they are set in the router-day's AddrSet.
 type captureBuf struct{ pos, ids []int32 }
 
 var captureScratch = sync.Pool{New: func() any { return new(captureBuf) }}
 
 // blacklistSet compiles the blacklist in force on `day` using the first k
 // monitoring routers and the given window: the union of addresses
-// observed in (day-window, day], as a set over the address index.
+// observed in (day-window, day], as a fresh set over the address index
+// that shares no words with the memoized router-days.
 func (c *Censor) blacklistSet(k, window, day int) *AddrSet {
 	if k > len(c.observers) {
 		k = len(c.observers)
@@ -122,7 +137,8 @@ func (c *Censor) blacklistSet(k, window, day int) *AddrSet {
 	}
 	for r := 0; r < k; r++ {
 		for d := start; d <= day; d++ {
-			set.AddAll(c.observedIDs(r, d))
+			rd := c.observedIDs(r, d)
+			set.Union(&rd)
 		}
 	}
 	return set

@@ -2,7 +2,7 @@ package censor
 
 import (
 	"context"
-	"slices"
+	"fmt"
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/sim"
@@ -327,8 +327,9 @@ func TestEclipseAttack(t *testing.T) {
 }
 
 // TestObservedIDsMatchesStatusCheckedLoop: observedIDs, which trusts the
-// address index to know who publishes nothing, returns exactly what the
-// loop that also asked each peer's Status returned.
+// address index to know who publishes nothing, holds exactly the IDs the
+// loop that also asked each peer's Status returned, in a set the size of
+// the index.
 func TestObservedIDsMatchesStatusCheckedLoop(t *testing.T) {
 	n := network(t)
 	c, err := newCensor(n, 4, 77)
@@ -352,11 +353,91 @@ func TestObservedIDsMatchesStatusCheckedLoop(t *testing.T) {
 				}
 			}
 			got := c.observedIDs(r, day)
-			if !slices.Equal(got, want) {
-				t.Fatalf("router %d day %d: %d IDs, the status-checked loop gives %d", r, day, len(got), len(want))
+			if err := sameMembers(&got, want); err != nil {
+				t.Fatalf("router %d day %d: against the status-checked loop: %v", r, day, err)
 			}
-			if cap(got) != len(got) {
-				t.Fatalf("router %d day %d: the memo keeps capacity %d for %d IDs", r, day, cap(got), len(got))
+			if len(got.words) != (c.ix.NumAddrs()+63)/64 {
+				t.Fatalf("router %d day %d: the memo keeps %d words for %d addresses", r, day, len(got.words), c.ix.NumAddrs())
+			}
+		}
+	}
+}
+
+// referenceObservedIDs is the router-day capture the per-day AddrSet
+// replaced, kept as its reference: the drawn positions mapped through the
+// day's ID column, compacted branch-free — v4 when present, v6 only
+// beside a v4 — and copied into an exactly-sized ID list, with no memo.
+func referenceObservedIDs(c *Censor, router, day int) []int32 {
+	pos := c.observers[router].DrawDay(day, nil)
+	col := c.ix.dayColumn(day)
+	ids := make([]int32, 2*len(pos)+1)
+	n := 0
+	for _, j := range pos {
+		e := col[j]
+		ids[n] = e.v4
+		n += int(^uint32(e.v4) >> 31)
+		ids[n] = e.v6
+		n += int(^uint32(e.v4|e.v6) >> 31)
+	}
+	out := make([]int32, n)
+	copy(out, ids)
+	return out
+}
+
+// sameMembers reports how set differs from the members of ids, which may
+// repeat an address two peers share: every ID must be a member, the set
+// must hold nothing else, and Len must be the number of distinct IDs.
+func sameMembers(set *AddrSet, ids []int32) error {
+	distinct := make(map[int32]bool, len(ids))
+	for _, id := range ids {
+		if !set.Has(id) {
+			return fmt.Errorf("ID %d missing from the set", id)
+		}
+		distinct[id] = true
+	}
+	members := 0
+	set.ForEach(func(int32) { members++ })
+	if members != len(distinct) || set.Len() != len(distinct) {
+		return fmt.Errorf("set holds %d members with Len %d, want the %d distinct IDs", members, set.Len(), len(distinct))
+	}
+	return nil
+}
+
+// seedNetworks returns the test network and networks built at both bench
+// seeds, each built once per test binary.
+func seedNetworks(t testing.TB) map[string]*sim.Network {
+	t.Helper()
+	if seedNets == nil {
+		seedNets = map[string]*sim.Network{"test": network(t)}
+		for _, seed := range []uint64{2018, 424242} {
+			n, err := sim.New(sim.Config{Seed: seed, Days: 40, TargetDailyPeers: 1200})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seedNets[fmt.Sprint(seed)] = n
+		}
+	}
+	return seedNets
+}
+
+var seedNets map[string]*sim.Network
+
+// TestObservedSetMatchesReference: every router-day's set holds exactly
+// the IDs of referenceObservedIDs, and its Len is their number of
+// distinct IDs, on the test network and at both bench seeds.
+func TestObservedSetMatchesReference(t *testing.T) {
+	for name, n := range seedNetworks(t) {
+		c, err := newCensor(n, 4, 700)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < c.Routers(); r++ {
+			for day := 0; day < n.Days(); day++ {
+				ref := referenceObservedIDs(c, r, day)
+				got := c.observedIDs(r, day)
+				if err := sameMembers(&got, ref); err != nil {
+					t.Fatalf("%s: router %d day %d: %v", name, r, day, err)
+				}
 			}
 		}
 	}

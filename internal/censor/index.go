@@ -245,10 +245,13 @@ func (s *AddrSet) Add(id int32) bool {
 	return true
 }
 
-// AddAll unions ids into the set.
-func (s *AddrSet) AddAll(ids []int32) {
-	for _, id := range ids {
-		s.Add(id)
+// Union adds every member of t to s, a word at a time, for two sets over
+// the same index.
+func (s *AddrSet) Union(t *AddrSet) {
+	for i, w := range t.words {
+		nw := w &^ s.words[i]
+		s.words[i] |= nw
+		s.count += bits.OnesCount64(nw)
 	}
 }
 

@@ -1,6 +1,8 @@
 package censor
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"net/netip"
 	"slices"
 	"testing"
@@ -51,7 +53,7 @@ func TestAddrIndexMatchesAddrOnDay(t *testing.T) {
 // to hold the two shapes the simulator never produces but PeerIDs
 // defines: a schedule whose first segment starts after the day (the
 // first segment answers) and a v6-only segment. A censor on that index
-// then emits what the per-sighting PeerIDs loop emitted: an ID only when
+// then holds what the per-sighting PeerIDs loop emitted: an ID only when
 // v4 is present, v6 only beside a v4.
 func TestDayIDsMatchPeerIDs(t *testing.T) {
 	n := network(t)
@@ -122,8 +124,9 @@ func TestDayIDsMatchPeerIDs(t *testing.T) {
 					want = append(want, v6)
 				}
 			}
-			if got := c.observedIDs(r, day); !slices.Equal(got, want) {
-				t.Fatalf("router %d day %d: %d IDs through the column, %d through PeerIDs", r, day, len(got), len(want))
+			got := c.observedIDs(r, day)
+			if err := sameMembers(&got, want); err != nil {
+				t.Fatalf("router %d day %d: through the column, against PeerIDs: %v", r, day, err)
 			}
 		}
 	}
@@ -284,7 +287,9 @@ func TestAddrSetOps(t *testing.T) {
 	if !s.Add(3) || s.Add(3) {
 		t.Fatal("Add must report first insertion only")
 	}
-	s.AddAll([]int32{3, 5, 70, -1})
+	for _, id := range []int32{3, 5, 70, -1} {
+		s.Add(id)
+	}
 	if s.Len() != 3 {
 		t.Fatalf("len = %d, want 3", s.Len())
 	}
@@ -297,7 +302,9 @@ func TestAddrSetOps(t *testing.T) {
 		t.Fatal("spurious membership")
 	}
 	other := ix.NewSet()
-	other.AddAll([]int32{5, 70, 99})
+	for _, id := range []int32{5, 70, 99} {
+		other.Add(id)
+	}
 	if got := s.IntersectCount(other); got != 2 {
 		t.Fatalf("intersect = %d, want 2", got)
 	}
@@ -312,7 +319,9 @@ func TestAddrSetRemove(t *testing.T) {
 	n := network(t)
 	ix := IndexFor(n)
 	s := ix.NewSet()
-	s.AddAll([]int32{1, 64, 65})
+	for _, id := range []int32{1, 64, 65} {
+		s.Add(id)
+	}
 	if s.Remove(-1) || s.Remove(2) {
 		t.Fatal("removing a non-member must report false")
 	}
@@ -321,6 +330,57 @@ func TestAddrSetRemove(t *testing.T) {
 	}
 	if !s.Add(64) || s.Len() != 3 {
 		t.Fatal("a removed member must add again")
+	}
+}
+
+// TestAddrSetUnionMatchesMapOracle: Union leaves s holding the map union
+// of both sets' IDs with Len its size, on random sets of every density
+// over tables whose last word is partial and whole; a self-union and
+// unions with an empty set change nothing they should not.
+func TestAddrSetUnionMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(36, 64))
+	for _, size := range []int{1, 63, 64, 65, 130, 1000} {
+		newSet := func() *AddrSet { return &AddrSet{words: make([]uint64, (size+63)/64)} }
+		random := func(members int) (*AddrSet, map[int32]bool) {
+			set, m := newSet(), map[int32]bool{}
+			for range members {
+				id := int32(rng.IntN(size))
+				if members > size/2 && rng.IntN(4) == 0 {
+					id = int32(size - 1) // the table's last ID
+				}
+				set.Add(id)
+				m[id] = true
+			}
+			return set, m
+		}
+		check := func(what string, set *AddrSet, want map[int32]bool) {
+			t.Helper()
+			ids := make([]int32, 0, len(want))
+			for id := range want {
+				ids = append(ids, id)
+			}
+			if err := sameMembers(set, ids); err != nil {
+				t.Fatalf("size %d, %s: %v", size, what, err)
+			}
+		}
+		for _, members := range []int{0, 1, size / 3, size, 4 * size} {
+			s, sm := random(members)
+			u, um := random(rng.IntN(2 * size))
+			for id := range um {
+				sm[id] = true
+			}
+			s.Union(u)
+			check(fmt.Sprintf("%d random members", members), s, sm)
+			check("the other side", u, um)
+
+			s.Union(s)
+			check("self-union", s, sm)
+			s.Union(newSet())
+			check("an empty union", s, sm)
+			empty := newSet()
+			empty.Union(s)
+			check("union into an empty set", empty, sm)
+		}
 	}
 }
 

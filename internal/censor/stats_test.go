@@ -87,8 +87,8 @@ func TestSweepCacheMissesDeterministic(t *testing.T) {
 	}
 }
 
-// TestCaptureWarmsObservedIDs: Capture computes every (router, day) ID
-// list the sweep's cells fold — Run after it computes none — and leaves
+// TestCaptureWarmsObservedIDs: Capture computes every (router, day)
+// address set the sweep's cells fold — Run after it computes none — and leaves
 // the victim undrawn: its netDb views build inside Run's cells, one per
 // evaluation day.
 func TestCaptureWarmsObservedIDs(t *testing.T) {
@@ -112,7 +112,7 @@ func TestCaptureWarmsObservedIDs(t *testing.T) {
 	}
 	routerDays := sw.Censor.Routers() * len(sw.captureDays())
 	if got := misses("censor_obs_ids"); got != routerDays {
-		t.Fatalf("Capture computed %d ID lists, want routers x capture days = %d", got, routerDays)
+		t.Fatalf("Capture computed %d router-day sets, want routers x capture days = %d", got, routerDays)
 	}
 	if got := misses("victim_netdb"); got != 0 {
 		t.Fatalf("Capture built %d victim views, want 0", got)
@@ -121,7 +121,7 @@ func TestCaptureWarmsObservedIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := misses("censor_obs_ids"); got != routerDays {
-		t.Fatalf("Run computed %d ID lists Capture had not warmed", got-routerDays)
+		t.Fatalf("Run computed %d router-day sets Capture had not warmed", got-routerDays)
 	}
 	if got := misses("victim_netdb"); got != len(cfg.Days) {
 		t.Fatalf("Run built %d victim views, want one per evaluation day = %d", got, len(cfg.Days))

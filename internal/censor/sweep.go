@@ -3,6 +3,7 @@ package censor
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"github.com/i2pstudy/i2pstudy/internal/measure"
@@ -17,7 +18,7 @@ import (
 //
 // Cells fan out across the same worker pool as measure.ObserveGrid
 // (measure.FanOut), and each cell unions its own router-days from
-// scratch into a fresh AddrSet: the fleet's (router, day) address IDs
+// scratch into a fresh AddrSet: the fleet's (router, day) address sets
 // and the victim's netDb views are memoized per day, so what cells share
 // is computed once, and a cell depends on no other. The determinism
 // contract: every cell writes into a slot indexed by its grid position,
@@ -155,13 +156,14 @@ func (s *Sweep) captureDays() []int {
 
 // Capture warms every (router, day) capture the sweep's cells will fold,
 // through the same worker pool as the measurement campaigns: each
-// monitoring router's address IDs (observedIDs — the draw mapped through
-// the day's ID column; no sighting list is kept). It is optional — cells
-// compute lazily — but without it each cell draws its own router-days
-// serially, and cells sharing one wait on whichever draws it first. The
-// victim's netDb views are not warmed: each builds inside the first cell
-// that reads it, under the view memo's once, so a sweep whose cells never
-// read the victim never draws it.
+// monitoring router's address set for the day (observedIDs — the draw
+// mapped through the day's ID column into one bit per address; no
+// sighting list is kept). It is optional — cells compute lazily — but
+// without it each cell draws its own router-days serially, and cells
+// sharing one wait on whichever draws it first. The victim's netDb views
+// are not warmed: each builds inside the first cell that reads it, under
+// the view memo's once, so a sweep whose cells never read the victim
+// never draws it.
 func (s *Sweep) Capture(ctx context.Context) error {
 	days := s.captureDays()
 	routers := s.Censor.Routers()
@@ -198,26 +200,26 @@ func (s *Sweep) blockingRate(bl *AddrSet, day int) float64 {
 
 // BlockingSeries returns the cumulative blocking-rate fractions against
 // the sweep victim for fleet prefixes 1..maxFleet at (window, day) — one
-// Figure 13 curve. One set grows along the fleet axis: router k's
-// router-days join the union of routers 1..k-1, and each address the
-// union gains checks victim membership in O(1), so the whole series costs
-// one pass over each router-day's observations instead of a union
-// rebuild per fleet size. maxFleet is clamped to the fleet the sweep
-// built, and the window to at least one day, as NewSweep clamps the
-// grid's windows.
+// Figure 13 curve. One union grows along the fleet axis: router k's
+// router-days join the union of routers 1..k-1 a 64-bit word at a time,
+// and the bits a word gains are counted against the victim's word, so
+// the whole series costs one pass over each router-day's words instead
+// of a union rebuild per fleet size. maxFleet is clamped to the fleet
+// the sweep built, and the window to at least one day, as NewSweep
+// clamps the grid's windows.
 func (s *Sweep) BlockingSeries(window, day, maxFleet int) []float64 {
 	maxFleet = min(maxFleet, s.Censor.Routers())
 	start := max(day-max(window, 1)+1, 0)
 	vic := s.Victim.addrSet(day)
-	set := s.Censor.ix.NewSet()
+	union := make([]uint64, len(vic.words))
 	blocked := 0
 	out := make([]float64, 0, max(maxFleet, 0))
 	for k := 1; k <= maxFleet; k++ {
 		for d := start; d <= day; d++ {
-			for _, id := range s.Censor.observedIDs(k-1, d) {
-				if set.Add(id) && vic.Has(id) {
-					blocked++
-				}
+			for i, w := range s.Censor.observedIDs(k-1, d).words {
+				nw := w &^ union[i]
+				union[i] |= nw
+				blocked += bits.OnesCount64(nw & vic.words[i])
 			}
 		}
 		rate := 0.0

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand/v2"
 	"net/netip"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/measure/enginetest"
@@ -362,6 +364,180 @@ func TestBlockingSeriesClamped(t *testing.T) {
 	}
 }
 
+// referenceBlockingSeries is BlockingSeries before router-days became
+// sets, kept as its reference: one set grows along the fleet axis from
+// each router-day's ID list (referenceObservedIDs), and every ID the
+// union gains checks victim membership on its own.
+func referenceBlockingSeries(sw *Sweep, window, day, maxFleet int) []float64 {
+	maxFleet = min(maxFleet, sw.Censor.Routers())
+	start := max(day-max(window, 1)+1, 0)
+	vic := sw.Victim.addrSet(day)
+	set := sw.Censor.ix.NewSet()
+	blocked := 0
+	out := make([]float64, 0, max(maxFleet, 0))
+	for k := 1; k <= maxFleet; k++ {
+		for d := start; d <= day; d++ {
+			for _, id := range referenceObservedIDs(sw.Censor, k-1, d) {
+				if set.Add(id) && vic.Has(id) {
+					blocked++
+				}
+			}
+		}
+		rate := 0.0
+		if vic.Len() > 0 {
+			rate = float64(blocked) / float64(vic.Len())
+		}
+		out = append(out, rate)
+	}
+	return out
+}
+
+// TestBlockingSeriesMatchesReference: every rate of the word-parallel
+// series is bit-equal to the per-ID reference's, over windows and days
+// on the test network and at both bench seeds.
+func TestBlockingSeriesMatchesReference(t *testing.T) {
+	for name, n := range seedNetworks(t) {
+		sw, err := NewSweep(n, SweepConfig{Fleets: []int{8}, Windows: []int{1}, Days: []int{0}, SeedBase: 700})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, day := range []int{0, 3, 20, n.Days() - 1} {
+			for _, window := range []int{0, 1, 5, 30} {
+				got := sw.BlockingSeries(window, day, 8)
+				want := referenceBlockingSeries(sw, window, day, 8)
+				if len(got) != len(want) {
+					t.Fatalf("%s: window %d day %d: %d rates, the reference gives %d", name, window, day, len(got), len(want))
+				}
+				for k := range want {
+					if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+						t.Fatalf("%s: window %d day %d fleet %d: rate %v, the reference gives %v", name, window, day, k+1, got[k], want[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBlockingSeriesFoldMatchesMapOracle runs the series fold over random
+// router-days and random victim netDbs planted in the memos, against a
+// map union: dense, sparse and empty router-days, IDs in the index's last
+// word, and a victim that knows no address.
+func TestBlockingSeriesFoldMatchesMapOracle(t *testing.T) {
+	n := network(t)
+	ix := IndexFor(n)
+	size := ix.NumAddrs()
+	rng := rand.New(rand.NewPCG(36, 13))
+	random := func(members int) []int32 {
+		ids := make([]int32, members)
+		for i := range ids {
+			ids[i] = int32(rng.IntN(size))
+			if i%7 == 0 {
+				ids[i] = int32(size - 1 - rng.IntN(min(size, 64)))
+			}
+		}
+		return ids
+	}
+	toSet := func(ids []int32) *AddrSet {
+		set := ix.NewSet()
+		for _, id := range ids {
+			set.Add(id)
+		}
+		return set
+	}
+	const fleet, window = 5, 3
+	for _, day := range []int{20, 21} {
+		sw, err := NewSweep(n, SweepConfig{Fleets: []int{fleet}, Windows: []int{window}, Days: []int{day}, SeedBase: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		routerDays := make([][][]int32, fleet)
+		for r := range routerDays {
+			for d := day - window + 1; d <= day; d++ {
+				ids := random([]int{0, 10, size / 4, size}[(r+d)%4])
+				routerDays[r] = append(routerDays[r], ids)
+				sw.Censor.obsIDs[r].Get(d, func(int) AddrSet { return *toSet(ids) })
+			}
+		}
+		victim := random(size / 3)
+		if day == 21 {
+			victim = nil
+		}
+		sw.Victim.views.Get(day, func(int) *netDbView { return &netDbView{addrs: toSet(victim)} })
+
+		known := map[int32]bool{}
+		for _, id := range victim {
+			known[id] = true
+		}
+		union := map[int32]bool{}
+		want := make([]float64, 0, fleet)
+		for r := range routerDays {
+			for _, ids := range routerDays[r] {
+				for _, id := range ids {
+					union[id] = true
+				}
+			}
+			blocked := 0
+			for id := range known {
+				if union[id] {
+					blocked++
+				}
+			}
+			rate := 0.0
+			if len(known) > 0 {
+				rate = float64(blocked) / float64(len(known))
+			}
+			want = append(want, rate)
+		}
+		got := sw.BlockingSeries(window, day, fleet)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("day %d: series %v, the map union gives %v", day, got, want)
+		}
+	}
+}
+
+// TestBlacklistOwnsItsSet: a cell's blacklist shares no words with the
+// memoized router-days it unions or with the cell's next blacklist —
+// including a one-router, one-day cell, whose blacklist is exactly one
+// memoized set. Turning every bit of one blacklist over changes neither.
+func TestBlacklistOwnsItsSet(t *testing.T) {
+	n := network(t)
+	ix := IndexFor(n)
+	sw, err := NewSweep(n, SweepConfig{Fleets: []int{1, 3}, Windows: []int{1, 4}, Days: []int{20}, SeedBase: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type snapshot struct {
+		words []uint64
+		len   int
+	}
+	snap := func(s *AddrSet) snapshot { return snapshot{slices.Clone(s.words), s.Len()} }
+	memos := map[[2]int]snapshot{}
+	for r := 0; r < sw.Censor.Routers(); r++ {
+		for d := 17; d <= 20; d++ {
+			rd := sw.Censor.observedIDs(r, d)
+			memos[[2]int{r, d}] = snap(&rd)
+		}
+	}
+	for _, cell := range sw.Cells() {
+		bl := sw.Blacklist(cell)
+		want := snap(bl)
+		for id := range int32(ix.NumAddrs()) {
+			if !bl.Remove(id) {
+				bl.Add(id)
+			}
+		}
+		if next := sw.Blacklist(cell); !reflect.DeepEqual(snap(next), want) {
+			t.Fatalf("cell %+v: the next blacklist moved with a mutated one", cell)
+		}
+		for key, want := range memos {
+			rd := sw.Censor.observedIDs(key[0], key[1])
+			if !reflect.DeepEqual(snap(&rd), want) {
+				t.Fatalf("cell %+v: router %d's day %d moved with a mutated blacklist", cell, key[0], key[1])
+			}
+		}
+	}
+}
+
 // BenchmarkFigure13SweepSerial / Parallel are the adversary-engine perf
 // pair. Each
 // iteration rebuilds the sweep (fresh observers, cold capture memos), so
@@ -414,7 +590,8 @@ func BenchmarkDrawDay(b *testing.B) {
 // monitoring routers x 30 days drawn and mapped to address IDs on a
 // fresh censor per iteration (the network's index and its day columns
 // stay warm, as they do across the sweeps of a study). B/op is what the
-// capture keeps: the exactly-sized ID lists.
+// capture keeps: one index-sized AddrSet per router-day, NumAddrs/8
+// bytes each.
 func BenchmarkCensorCapture(b *testing.B) {
 	n := network(b)
 	cfg := SweepConfig{Fleets: []int{20}, Windows: []int{30}, Days: []int{35}, SeedBase: 700, Workers: 1}

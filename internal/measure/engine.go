@@ -2,6 +2,7 @@ package measure
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sort"
 	"sync"
@@ -25,8 +26,11 @@ func resolveWorkers(n int) int {
 // of them: the one place this package starts goroutines. One worker runs
 // inline on the caller's goroutine under the caller's context. A pool
 // runs under a derived context that the first failure cancels; that
-// failure is the error returned, because it is recorded before the
-// cancellation that makes bystanders return ctx.Err().
+// failure is the error returned. A worker that stopped on a cancelled
+// context is a bystander: its context error is returned only when no
+// worker failed otherwise, because a task may cancel the caller's
+// context before returning its own error (core.RunAll stops its
+// in-flight experiments that way), and a bystander can record first.
 func runPool(ctx context.Context, workers int, work func(ctx context.Context, tid int) error) error {
 	if workers == 1 {
 		return work(ctx, 0)
@@ -35,15 +39,22 @@ func runPool(ctx context.Context, workers int, work func(ctx context.Context, ti
 	defer cancel()
 	var (
 		wg       sync.WaitGroup
-		errOnce  sync.Once
+		mu       sync.Mutex
 		firstErr error
 	)
+	cancelled := func(err error) bool {
+		return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	}
 	for tid := 0; tid < workers; tid++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			if err := work(cctx, tid); err != nil {
-				errOnce.Do(func() { firstErr = err })
+				mu.Lock()
+				if firstErr == nil || cancelled(firstErr) && !cancelled(err) {
+					firstErr = err
+				}
+				mu.Unlock()
 				cancel()
 			}
 		}()

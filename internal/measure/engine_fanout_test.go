@@ -120,6 +120,34 @@ func TestFanOutStopsOnError(t *testing.T) {
 	}
 }
 
+// TestFanOutReportsRootCauseOverCancellation: a task that cancels the
+// caller's context and then fails — how core.RunAll stops its in-flight
+// experiments — is the error FanOut returns, even when another worker
+// sees the cancellation and stops first.
+func TestFanOutReportsRootCauseOverCancellation(t *testing.T) {
+	boom := errors.New("boom")
+	for trial := range 200 {
+		ctx, cancel := context.WithCancel(context.Background())
+		started, stopped := make(chan struct{}), make(chan struct{})
+		err := FanOut(ctx, 2, 2, func(i int) error {
+			if i == 1 {
+				close(started)
+				<-ctx.Done()
+				close(stopped)
+				return nil // this worker's next claim sees the cancellation
+			}
+			<-started
+			cancel()
+			<-stopped
+			return boom
+		})
+		cancel()
+		if !errors.Is(err, boom) {
+			t.Fatalf("trial %d: err = %v, want the failing task's boom", trial, err)
+		}
+	}
+}
+
 func TestFanOutCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
