@@ -25,7 +25,7 @@ import (
 )
 
 // Class buckets peers by longevity.
-type Class int
+type Class uint8
 
 // Longevity classes.
 const (
@@ -152,12 +152,13 @@ func NewModel(cfg Config) (*Model, error) {
 // Config returns the model's configuration.
 func (m *Model) Config() Config { return m.cfg }
 
-// Profile is a sampled temporal profile for one peer.
+// Profile is a sampled temporal profile for one peer. Its fields are
+// narrow because every simulated peer carries one.
 type Profile struct {
 	Class Class
 	// SpanDays is the number of days between the peer's first and last
 	// possible appearance (inclusive); at least 1.
-	SpanDays int
+	SpanDays int32
 	// OnOn and OffOn parameterize the daily presence Markov chain.
 	OnOn, OffOn float64
 }
@@ -167,13 +168,13 @@ func (m *Model) SampleProfile(rng *rand.Rand) Profile {
 	x := rng.Float64()
 	switch {
 	case x < m.cfg.StableFrac:
-		span := int(m.cfg.StableSpanFloor) + int(rng.ExpFloat64()*m.cfg.StableSpanMean)
+		span := int32(m.cfg.StableSpanFloor) + int32(rng.ExpFloat64()*m.cfg.StableSpanMean)
 		return Profile{Class: ClassStable, SpanDays: span, OnOn: m.cfg.StableOnOn, OffOn: m.cfg.StableOffOn}
 	case x < m.cfg.StableFrac+m.cfg.RegularFrac:
-		span := int(m.cfg.RegularSpanFloor) + int(rng.ExpFloat64()*m.cfg.RegularSpanMean)
+		span := int32(m.cfg.RegularSpanFloor) + int32(rng.ExpFloat64()*m.cfg.RegularSpanMean)
 		return Profile{Class: ClassRegular, SpanDays: span, OnOn: m.cfg.RegularOnOn, OffOn: m.cfg.RegularOffOn}
 	default:
-		span := int(m.cfg.TransientSpanFloor) + int(rng.ExpFloat64()*m.cfg.TransientSpanMean)
+		span := int32(m.cfg.TransientSpanFloor) + int32(rng.ExpFloat64()*m.cfg.TransientSpanMean)
 		return Profile{Class: ClassTransient, SpanDays: span, OnOn: m.cfg.TransientOnOn, OffOn: m.cfg.TransientOffOn}
 	}
 }
@@ -185,7 +186,7 @@ func (m *Model) SampleProfile(rng *rand.Rand) Profile {
 // day is forced online so that SpanDays is the true first-to-last
 // distance.
 func (p Profile) AppendPresence(dst []bool, rng *rand.Rand, maxDays int) []bool {
-	n := p.SpanDays
+	n := int(p.SpanDays)
 	if n > maxDays {
 		n = maxDays
 	}
@@ -204,7 +205,7 @@ func (p Profile) AppendPresence(dst []bool, rng *rand.Rand, maxDays int) []bool 
 		online = rng.Float64() < pOn
 		dst = append(dst, online)
 	}
-	if n == p.SpanDays {
+	if n == int(p.SpanDays) {
 		dst[len(dst)-1] = true
 	}
 	return dst
@@ -246,7 +247,7 @@ func (m *Model) ExpectedActiveDays(studyDays int) float64 {
 }
 
 // IPMode labels an IP-rotation behaviour.
-type IPMode int
+type IPMode uint8
 
 // IP rotation modes.
 const (
@@ -278,17 +279,18 @@ func (m IPMode) String() string {
 	}
 }
 
-// IPProfile is a sampled IP-rotation behaviour for one peer.
+// IPProfile is a sampled IP-rotation behaviour for one peer. Its fields
+// are narrow because every simulated peer carries one.
 type IPProfile struct {
 	Mode IPMode
+	// ASFanout is how many distinct ASes the peer may use (1 for static
+	// and dynamic). The paper observed maxima of 39 ASes and 25 countries.
+	ASFanout uint8
+	// IPv6 marks peers that additionally publish an IPv6 address.
+	IPv6 bool
 	// RotationMeanDays is this peer's mean days between address changes
 	// (unused for IPStatic).
 	RotationMeanDays float64
-	// ASFanout is how many distinct ASes the peer may use (1 for static
-	// and dynamic). The paper observed maxima of 39 ASes and 25 countries.
-	ASFanout int
-	// IPv6 marks peers that additionally publish an IPv6 address.
-	IPv6 bool
 }
 
 // SampleIPProfile draws an IP-rotation profile.
@@ -303,12 +305,12 @@ func (m *Model) SampleIPProfile(rng *rand.Rand) IPProfile {
 		mean := m.cfg.DynamicRotationMeanDays * (0.3 + rng.ExpFloat64())
 		return IPProfile{Mode: IPDynamic, RotationMeanDays: mean, ASFanout: 1, IPv6: v6}
 	case x < m.cfg.StaticFrac+m.cfg.DynamicFrac+m.cfg.MultiASFrac:
-		fan := 2 + rng.IntN(9) // 2..10
+		fan := uint8(2 + rng.IntN(9)) // 2..10
 		mean := m.cfg.DynamicRotationMeanDays * (0.2 + rng.ExpFloat64()*0.6)
 		return IPProfile{Mode: IPMultiAS, RotationMeanDays: mean, ASFanout: fan, IPv6: v6}
 	default:
 		// Heavy rotators: 11..39 ASes, sub-day to few-day rotation.
-		fan := 11 + rng.IntN(29) // 11..39
+		fan := uint8(11 + rng.IntN(29)) // 11..39
 		mean := m.cfg.HeavyRotationMeanDays * (0.3 + rng.ExpFloat64()*0.9)
 		if mean < 0.05 {
 			mean = 0.05

@@ -84,13 +84,13 @@ func TestGeneratePresenceInvariants(t *testing.T) {
 		if len(pres) == 0 {
 			t.Fatal("empty presence")
 		}
-		if len(pres) > 90 || len(pres) > p.SpanDays {
+		if len(pres) > 90 || len(pres) > int(p.SpanDays) {
 			t.Fatalf("presence length %d exceeds bounds (span %d)", len(pres), p.SpanDays)
 		}
 		if !pres[0] {
 			t.Fatal("day 0 must be online")
 		}
-		if len(pres) == p.SpanDays && !pres[len(pres)-1] {
+		if len(pres) == int(p.SpanDays) && !pres[len(pres)-1] {
 			t.Fatal("last in-span day must be online")
 		}
 	}

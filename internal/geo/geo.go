@@ -55,11 +55,11 @@ type Country struct {
 	// ASNs lists the autonomous systems homed in this country.
 	ASNs []uint32
 
-	// ases[i] is ASNs[i]'s record and cumAS[i] the cumulative global
+	// ases[i] is ASNs[i]'s record and cumAS.cum[i] the cumulative global
 	// share of ases[:i+1]: SampleAS's table, reached through the record
 	// with no lookup by code.
 	ases  []*AS
-	cumAS []float64
+	cumAS cumTable
 }
 
 // Censored reports whether the country's press-freedom score exceeds the
@@ -76,8 +76,8 @@ type DB struct {
 	countryList []*Country // sorted by share descending, then code
 	asList      []*AS      // sorted by global share descending, then ASN
 
-	cumCountry []float64 // cumulative country shares for sampling
-	vpnASNs    []uint32
+	cumCountry cumTable // cumulative country shares for sampling
+	vpnASes    []*AS
 }
 
 // v4Base is the first synthetic /16 block: 11.0.0.0. The space is
@@ -91,7 +91,6 @@ func NewDB() *DB {
 		countries: make(map[string]*Country),
 		ases:      make(map[uint32]*AS),
 		v4block:   make(map[uint32]uint32),
-		vpnASNs:   append([]uint32(nil), VPNASNs...),
 	}
 
 	totalShare := 0
@@ -216,23 +215,93 @@ func (db *DB) finish() {
 		return db.asList[i].ASN < db.asList[j].ASN
 	})
 
-	db.cumCountry = make([]float64, len(db.countryList))
+	cum := make([]float64, len(db.countryList))
 	sum := 0.0
 	for i, c := range db.countryList {
 		sum += c.Share
-		db.cumCountry[i] = sum
+		cum[i] = sum
 	}
+	db.cumCountry = newCumTable(cum)
 	for _, c := range db.countries {
 		sort.Slice(c.ASNs, func(i, j int) bool { return c.ASNs[i] < c.ASNs[j] })
 		c.ases = make([]*AS, len(c.ASNs))
-		c.cumAS = make([]float64, len(c.ASNs))
+		cum := make([]float64, len(c.ASNs))
 		s := 0.0
 		for i, asn := range c.ASNs {
 			c.ases[i] = db.ases[asn]
 			s += c.ases[i].GlobalShare
-			c.cumAS[i] = s
+			cum[i] = s
+		}
+		c.cumAS = newCumTable(cum)
+	}
+	db.vpnASes = make([]*AS, len(VPNASNs))
+	for i, asn := range VPNASNs {
+		db.vpnASes[i] = db.ases[asn]
+	}
+}
+
+// cumTable is a nondecreasing cumulative-share table with a guide table
+// over it: guide[k] is the first index whose share reaches the lower
+// edge of bucket k of len(guide) equal buckets of [0, total). A search
+// starts at its bucket's guess and so walks a few entries, most often
+// none, instead of bisecting the table.
+type cumTable struct {
+	cum   []float64
+	guide []int32
+	scale float64 // len(guide) / total; zero when total is not positive
+}
+
+// guideBuckets is how many guide buckets a table has per entry. Four
+// leave most buckets holding at most one entry's edge, so a search
+// rarely walks; one per entry measured ≈ 30 % slower per draw.
+const guideBuckets = 4
+
+// newCumTable builds the guide over cum.
+func newCumTable(cum []float64) cumTable {
+	t := cumTable{cum: cum, guide: make([]int32, max(guideBuckets*len(cum), 1))}
+	if len(cum) == 0 || cum[len(cum)-1] <= 0 {
+		return t
+	}
+	t.scale = float64(len(t.guide)) / cum[len(cum)-1]
+	i := 0
+	for k := range t.guide {
+		edge := float64(k) / t.scale
+		for i < len(cum) && cum[i] < edge {
+			i++
+		}
+		t.guide[k] = int32(i)
+	}
+	return t
+}
+
+// total returns the table's last cumulative share, zero if it is empty.
+func (t *cumTable) total() float64 {
+	if len(t.cum) == 0 {
+		return 0
+	}
+	return t.cum[len(t.cum)-1]
+}
+
+// search returns sort.SearchFloat64s(t.cum, x), the first index whose
+// share reaches x. The guide only picks where to start: walking back
+// while the entry before also reaches x and forward while the entry does
+// not makes the answer exact whatever the guess, rounding included.
+func (t *cumTable) search(x float64) int {
+	k := 0
+	if f := x * t.scale; f > 0 {
+		k = len(t.guide) - 1
+		if f < float64(len(t.guide)) {
+			k = int(f)
 		}
 	}
+	i := int(t.guide[k])
+	for i > 0 && t.cum[i-1] >= x {
+		i--
+	}
+	for i < len(t.cum) && t.cum[i] < x {
+		i++
+	}
+	return i
 }
 
 // Censored reports whether the country code is above the press-freedom
@@ -282,12 +351,8 @@ func (db *DB) Lookup(addr netip.Addr) (Record, bool) {
 }
 
 // RandomIPv4 returns a fresh IPv4 address inside one of the AS's /16
-// blocks. It panics if the ASN is unknown (a programming error in callers).
-func (db *DB) RandomIPv4(asn uint32, rng *rand.Rand) netip.Addr {
-	a := db.ases[asn]
-	if a == nil || len(a.blocks) == 0 {
-		panic(fmt.Sprintf("geo: unknown ASN %d", asn))
-	}
+// blocks. Every AS of a DB owns at least one block.
+func (a *AS) RandomIPv4(rng *rand.Rand) netip.Addr {
 	block := a.blocks[rng.IntN(len(a.blocks))]
 	host := uint32(rng.IntN(65534) + 1) // avoid .0.0 and broadcast-ish tails
 	ip := block<<16 | host
@@ -298,13 +363,10 @@ func (db *DB) RandomIPv4(asn uint32, rng *rand.Rand) netip.Addr {
 
 // RandomIPv6 returns an IPv6 address in the AS's synthetic 2a10::/16-based
 // space: the ASN is embedded in bytes 2–5, making lookup exact.
-func (db *DB) RandomIPv6(asn uint32, rng *rand.Rand) netip.Addr {
-	if db.ases[asn] == nil {
-		panic(fmt.Sprintf("geo: unknown ASN %d", asn))
-	}
+func (a *AS) RandomIPv6(rng *rand.Rand) netip.Addr {
 	var b [16]byte
 	b[0], b[1] = 0x2a, 0x10
-	binary.BigEndian.PutUint32(b[2:6], asn)
+	binary.BigEndian.PutUint32(b[2:6], a.ASN)
 	for i := 6; i < 16; i++ {
 		b[i] = byte(rng.IntN(256))
 	}
@@ -316,9 +378,8 @@ func (db *DB) SampleCountry(rng *rand.Rand) *Country {
 	if len(db.countryList) == 0 {
 		return nil
 	}
-	total := db.cumCountry[len(db.cumCountry)-1]
-	x := rng.Float64() * total
-	i := sort.SearchFloat64s(db.cumCountry, x)
+	x := rng.Float64() * db.cumCountry.total()
+	i := db.cumCountry.search(x)
 	if i >= len(db.countryList) {
 		i = len(db.countryList) - 1
 	}
@@ -332,12 +393,12 @@ func (db *DB) SampleAS(c *Country, rng *rand.Rand) *AS {
 	if c == nil || len(c.ases) == 0 {
 		return nil
 	}
-	total := c.cumAS[len(c.cumAS)-1]
+	total := c.cumAS.total()
 	if total <= 0 {
 		return c.ases[rng.IntN(len(c.ases))]
 	}
 	x := rng.Float64() * total
-	i := sort.SearchFloat64s(c.cumAS, x)
+	i := c.cumAS.search(x)
 	if i >= len(c.ases) {
 		i = len(c.ases) - 1
 	}
@@ -347,6 +408,5 @@ func (db *DB) SampleAS(c *Country, rng *rand.Rand) *AS {
 // SampleVPNAS draws one of the hosting/VPN ASes used to model routers
 // operated behind VPNs or Tor (Section 5.3.2).
 func (db *DB) SampleVPNAS(rng *rand.Rand) *AS {
-	asn := db.vpnASNs[rng.IntN(len(db.vpnASNs))]
-	return db.ases[asn]
+	return db.vpnASes[rng.IntN(len(db.vpnASes))]
 }

@@ -101,7 +101,7 @@ func TestLookupRoundTripIPv4(t *testing.T) {
 	rng := testRNG()
 	for _, asn := range []uint32{7922, 12389, 4134, 9121, 16276} {
 		for i := 0; i < 50; i++ {
-			addr := db.RandomIPv4(asn, rng)
+			addr := db.ases[asn].RandomIPv4(rng)
 			rec, ok := db.Lookup(addr)
 			if !ok {
 				t.Fatalf("Lookup(%v) failed for AS%d", addr, asn)
@@ -119,7 +119,7 @@ func TestLookupRoundTripIPv4(t *testing.T) {
 func TestLookupRoundTripIPv6(t *testing.T) {
 	db := NewDB()
 	rng := testRNG()
-	addr := db.RandomIPv6(4134, rng)
+	addr := db.ases[4134].RandomIPv6(rng)
 	if !addr.Is6() {
 		t.Fatal("RandomIPv6 returned non-IPv6")
 	}
@@ -213,7 +213,7 @@ func TestEveryCountryCanMintAddresses(t *testing.T) {
 		if a == nil {
 			t.Fatalf("SampleAS(%s) = nil", c.Code)
 		}
-		addr := db.RandomIPv4(a.ASN, rng)
+		addr := a.RandomIPv4(rng)
 		rec, ok := db.Lookup(addr)
 		if !ok || rec.CountryCode != c.Code {
 			t.Fatalf("country %s: minted %v resolved to %+v ok=%v", c.Code, addr, rec, ok)

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // digester feeds fixed-width encodings of a network's fields into one
@@ -57,28 +58,28 @@ func networkDigest(n *Network) string {
 		d.int(p.Index)
 		d.h.Write(p.ID[:])
 		d.int(int(p.Profile.Class))
-		d.int(p.Profile.SpanDays)
+		d.int(int(p.Profile.SpanDays))
 		d.f64(p.Profile.OnOn)
 		d.f64(p.Profile.OffOn)
 		d.int(int(p.IPProfile.Mode))
 		d.f64(p.IPProfile.RotationMeanDays)
-		d.int(p.IPProfile.ASFanout)
+		d.int(int(p.IPProfile.ASFanout))
 		d.bool(p.IPProfile.IPv6)
 		d.int(int(p.Status))
 		d.str(p.Country)
-		d.int(len(p.ASPool))
-		for _, asn := range p.ASPool {
+		d.int(len(p.asPool()))
+		for _, asn := range p.asPool() {
 			d.u64(uint64(asn))
 		}
 		d.int(int(p.Class))
 		d.bool(p.LegacyO)
-		d.int(p.RateKBps)
+		d.int(int(p.RateKBps))
 		d.bool(p.Floodfill)
 		d.bool(p.Reachable)
 		d.int(p.StartDay)
-		d.int(len(p.Presence))
-		for _, on := range p.Presence {
-			d.bool(on)
+		d.int(int(p.presenceDays))
+		for i := range int(p.presenceDays) {
+			d.bool(p.present(i))
 		}
 		d.bool(p.WellExposed)
 		d.f64(p.Exposure)
@@ -86,17 +87,18 @@ func networkDigest(n *Network) string {
 		for i := range p.NumAddrSegments() {
 			from, v4, v6 := p.AddrSegmentAt(i)
 			d.int(from)
-			d.u64(uint64(p.ipSchedule[i].asn))
+			d.u64(uint64(p.schedule()[i].asn))
 			d.addr(v4)
 			d.addr(v6)
 		}
-		d.int(len(p.extraIPs))
-		for _, a := range p.extraIPs {
-			d.addr(addr4(a))
+		rots := p.sameDayRotations()
+		d.int(len(rots))
+		for _, r := range rots {
+			d.addr(addr4(r.v4))
 		}
-		d.int(len(p.extraASNs))
-		for _, asn := range p.extraASNs {
-			d.u64(uint64(asn))
+		d.int(len(rots))
+		for _, r := range rots {
+			d.u64(uint64(r.asn))
 		}
 	}
 	d.int(n.Days())
@@ -167,8 +169,8 @@ func referenceIndex(n *Network) (activeByDay [][]int, introducersByDay []referen
 	eachActiveDay := func(fn func(p *Peer, d int, introducer bool)) {
 		for _, p := range n.Peers {
 			introducer := p.Status == StatusKnownIP && p.Reachable
-			for i, on := range p.Presence {
-				if d := p.StartDay + i; on && d >= 0 && d < n.cfg.Days {
+			for i := range int(p.presenceDays) {
+				if d := p.StartDay + i; p.present(i) && d >= 0 && d < n.cfg.Days {
 					fn(p, d, introducer)
 				}
 			}
@@ -251,7 +253,7 @@ func checkIndexMatchesReference(t *testing.T, n *Network) {
 func checkNoZeroAddrs(t *testing.T, n *Network) {
 	t.Helper()
 	for _, p := range n.Peers {
-		for i, seg := range p.ipSchedule {
+		for i, seg := range p.schedule() {
 			if seg.v4 == ([4]byte{}) {
 				t.Fatalf("peer %d segment %d: IPv4 0.0.0.0", p.Index, i)
 			}
@@ -259,8 +261,8 @@ func checkNoZeroAddrs(t *testing.T, n *Network) {
 				t.Fatalf("peer %d segment %d: IPv6 %v for a peer with IPv6 %v", p.Index, i, seg.v6, p.IPProfile.IPv6)
 			}
 		}
-		for i, a := range p.extraIPs {
-			if a == ([4]byte{}) {
+		for i, r := range p.sameDayRotations() {
+			if r.v4 == ([4]byte{}) {
 				t.Fatalf("peer %d rotation %d: IPv4 0.0.0.0", p.Index, i)
 			}
 		}
@@ -313,8 +315,9 @@ func hasPointer(t reflect.Type) bool {
 
 // TestNetworkColumnsPointerFree: what the columns New fills hold — the
 // day columns' peer indexes, the introducer pools' indexes and IPv4s,
-// the address schedules' segments and same-day rotations — is nothing
-// the GC must scan, and a segment stays 28 bytes.
+// and each peer's window with the address-schedule segments and
+// same-day rotations it stores — is nothing the GC must scan, and a
+// segment stays 28 bytes and a rotation 8, whole words of the window.
 func TestNetworkColumnsPointerFree(t *testing.T) {
 	if !hasPointer(reflect.TypeFor[netip.Addr]()) || !hasPointer(reflect.TypeFor[*Peer]()) {
 		t.Fatal("hasPointer misses the pointer in a netip.Addr or a *Peer")
@@ -322,9 +325,10 @@ func TestNetworkColumnsPointerFree(t *testing.T) {
 	var n Network
 	var p Peer
 	columns := map[string]reflect.Type{
-		"day column":       reflect.TypeOf(n.activeByDay).Elem().Elem(),
-		"address schedule": reflect.TypeOf(p.ipSchedule).Elem(),
-		"same-day IPv4s":   reflect.TypeOf(p.extraIPs).Elem(),
+		"day column":        reflect.TypeOf(n.activeByDay).Elem().Elem(),
+		"peer window":       reflect.TypeOf(p.window).Elem(),
+		"address schedule":  reflect.TypeOf(p.schedule()).Elem(),
+		"same-day rotation": reflect.TypeOf(p.sameDayRotations()).Elem(),
 	}
 	pool := reflect.TypeFor[introducerPool]()
 	for i := range pool.NumField() {
@@ -339,16 +343,27 @@ func TestNetworkColumnsPointerFree(t *testing.T) {
 			t.Errorf("%s holds %v, which the GC scans", name, elem)
 		}
 	}
-	if size := reflect.TypeFor[ipAssignment]().Size(); size != 28 {
-		t.Errorf("ipAssignment is %d bytes, want 28", size)
+	for typ, size := range map[reflect.Type]uintptr{reflect.TypeFor[ipAssignment](): 28, reflect.TypeFor[rotation](): 8} {
+		if typ.Size() != size || typ.Align() != 4 {
+			t.Errorf("%v is %d bytes aligned to %d, want %d bytes of 4-byte words", typ, typ.Size(), typ.Align(), size)
+		}
+	}
+}
+
+// TestPeerRecordSize pins the Peer record at 160 bytes or less, the
+// largest single part of a resident network, so a field that widens or
+// a per-peer slice that comes back fails here.
+func TestPeerRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(Peer{}); size > 160 {
+		t.Fatalf("Peer is %d bytes, want at most 160", size)
 	}
 }
 
 // newNetworkBytes is what a 0.1-scale, 45-day New at seed 2018 allocates,
 // measured on go1.24/amd64. TestNewAllocatedBytes allows 3% above it: the
-// geo tables (≈ 1.6% of it) are maps, whose layout differs between Go
+// geo tables (≈ 2.6% of it) are maps, whose layout differs between Go
 // releases.
-const newNetworkBytes = 5_830_000
+const newNetworkBytes = 3_970_000
 
 // TestNewAllocatedBytes pins the bytes a 0.1-scale New allocates, so a
 // column that widens again, or a per-peer allocation that creeps back,

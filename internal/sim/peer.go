@@ -5,15 +5,15 @@ import (
 	"math/rand/v2"
 	"net/netip"
 	"time"
+	"unsafe"
 
 	"github.com/i2pstudy/i2pstudy/internal/churn"
-	"github.com/i2pstudy/i2pstudy/internal/geo"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
 )
 
 // Status is a peer's address-publication behaviour, which drives the
 // paper's Figure 6 classification (Section 5.1).
-type Status int
+type Status uint8
 
 // Peer statuses.
 const (
@@ -54,6 +54,13 @@ type ipAssignment struct {
 	v6      [16]byte // zero unless the peer publishes IPv6
 }
 
+// rotation is one same-day address change the daily schedule collapses:
+// the IPv4 the peer gave up within the day and the AS it was in.
+type rotation struct {
+	v4  [4]byte
+	asn uint32
+}
+
 // addr4 rebuilds an IPv4 stored as bytes, the zero Addr for zero bytes.
 // geo makes its addresses with AddrFrom4, so the value is == the one drawn.
 func addr4(b [4]byte) netip.Addr {
@@ -71,62 +78,125 @@ func (s *ipAssignment) addrs() (v4, v6 netip.Addr) {
 	return addr4(s.v4), v6
 }
 
-// Peer is one simulated router.
+// Peer is one simulated router. The word-sized fields come first and the
+// narrow ones after them, so the record packs into 160 bytes
+// (TestPeerRecordSize).
 type Peer struct {
 	Index int
 	ID    netdb.Hash
 
 	Profile   churn.Profile
 	IPProfile churn.IPProfile
-	Status    Status
 
 	Country string
-	ASPool  []uint32
-
-	Class     netdb.BandwidthClass
-	LegacyO   bool
-	RateKBps  int
-	Floodfill bool
-	// Reachable marks known-IP peers that accept inbound connections
-	// (R flag); unknown-IP peers are always unreachable.
-	Reachable bool
 
 	// StartDay is the first study day the peer can appear (>= 0; peers
 	// already in the network at study start have StartDay 0 with a
 	// residual span).
 	StartDay int
-	// Presence holds one entry per day from StartDay; true means the peer
-	// was online at some point that day.
-	Presence []bool
+	// Exposure is the peer's base per-day observability in [0, 1].
+	Exposure float64
 
+	// window holds everything of the peer that varies in length, in one
+	// pointer-free run of words carved from a slab: the presence chain as
+	// a bitmap (bit i of the chain is day StartDay+i, online when set),
+	// the AS pool, the address schedule (scheduleWords per segment) and
+	// the same-day rotations (rotationWords each). The counts below say
+	// where each section ends.
+	window []uint32
+
+	RateKBps int32
+
+	// presenceDays is the length of the presence chain, the days from
+	// StartDay it covers.
+	presenceDays int32
+	// segments counts the address schedule, non-zero only for
+	// StatusKnownIP peers.
+	segments int32
+	// rotations counts the additional same-day rotations the daily
+	// schedule collapses. Heavy rotators change addresses several times
+	// per day; hourly captures (the paper's resolution) see them all,
+	// which is how the >100-address tail of Figure 8 arises.
+	rotations int32
+
+	Status    Status
+	Class     netdb.BandwidthClass
+	LegacyO   bool
+	Floodfill bool
+	// Reachable marks known-IP peers that accept inbound connections
+	// (R flag); unknown-IP peers are always unreachable.
+	Reachable bool
 	// WellExposed peers are broadly visible to any single observer on any
 	// day; the rest have a small per-day exposure, which produces the
 	// logarithmic union curve of Figure 4.
 	WellExposed bool
-	// Exposure is the peer's base per-day observability in [0, 1].
-	Exposure float64
 
-	// ipSchedule is non-empty only for StatusKnownIP peers.
-	ipSchedule []ipAssignment
-	// extraIPs and extraASNs record additional same-day rotations that
-	// the daily schedule collapses. Heavy rotators change addresses
-	// several times per day; hourly captures (the paper's resolution) see
-	// them all, which is how the >100-address tail of Figure 8 arises.
-	extraIPs  [][4]byte
-	extraASNs []uint32
+	asns uint8 // the AS pool's length; churn caps a fanout at 39
+}
+
+// Words a schedule segment and a same-day rotation take in a window.
+const (
+	scheduleWords = int(unsafe.Sizeof(ipAssignment{}) / 4)
+	rotationWords = int(unsafe.Sizeof(rotation{}) / 4)
+)
+
+// bitmapWords returns how many words a presence chain of days days takes.
+func bitmapWords(days int) int { return (days + 31) / 32 }
+
+// asWords views s, a slice of a pointer-free record made of 4-byte-aligned
+// words, as those words.
+func asWords[T ipAssignment | rotation](s []T) []uint32 {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0]))/4)
+}
+
+// fromWords views n records of type T stored at the start of w.
+func fromWords[T ipAssignment | rotation](w []uint32, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(w))), n)
+}
+
+// presence returns the window's presence bitmap.
+func (p *Peer) presence() []uint32 { return p.window[:bitmapWords(int(p.presenceDays))] }
+
+// present reports whether the peer is online on day StartDay+i of its
+// chain; i must be in [0, presenceDays).
+func (p *Peer) present(i int) bool { return p.window[i>>5]>>(i&31)&1 != 0 }
+
+// asPool returns the autonomous systems the peer draws its addresses from.
+func (p *Peer) asPool() []uint32 {
+	at := bitmapWords(int(p.presenceDays))
+	return p.window[at : at+int(p.asns)]
+}
+
+// schedule returns the peer's address schedule, in fromDay order.
+func (p *Peer) schedule() []ipAssignment {
+	at := bitmapWords(int(p.presenceDays)) + int(p.asns)
+	return fromWords[ipAssignment](p.window[at:], int(p.segments))
+}
+
+// sameDayRotations returns the addresses and ASes that same-day rotations
+// replaced, in the order they were drawn.
+func (p *Peer) sameDayRotations() []rotation {
+	at := bitmapWords(int(p.presenceDays)) + int(p.asns) + scheduleWords*int(p.segments)
+	return fromWords[rotation](p.window[at:], int(p.rotations))
 }
 
 // ActiveOn reports whether the peer is online on the given study day.
 func (p *Peer) ActiveOn(day int) bool {
 	idx := day - p.StartDay
-	return idx >= 0 && idx < len(p.Presence) && p.Presence[idx]
+	return idx >= 0 && idx < int(p.presenceDays) && p.present(idx)
 }
 
 // FirstActiveDay returns the first study day the peer is online, or -1.
 func (p *Peer) FirstActiveDay() int {
-	for i, on := range p.Presence {
-		if on {
-			return p.StartDay + i
+	for w, set := range p.presence() {
+		if set != 0 {
+			return p.StartDay + w<<5 + bits.TrailingZeros32(set)
 		}
 	}
 	return -1
@@ -140,11 +210,12 @@ func (p *Peer) FirstActiveDay() int {
 // until the index moves. It is the one walk of the schedule: AddrOnDay
 // reads the segment it names.
 func (p *Peer) SegmentOn(day int) int {
-	if len(p.ipSchedule) == 0 {
+	sched := p.schedule()
+	if len(sched) == 0 {
 		return -1
 	}
 	i := 0
-	for i+1 < len(p.ipSchedule) && int(p.ipSchedule[i+1].fromDay) <= day {
+	for i+1 < len(sched) && int(sched[i+1].fromDay) <= day {
 		i++
 	}
 	return i
@@ -157,12 +228,12 @@ func (p *Peer) AddrOnDay(day int) (v4, v6 netip.Addr) {
 	if i < 0 {
 		return netip.Addr{}, netip.Addr{}
 	}
-	return p.ipSchedule[i].addrs()
+	return p.schedule()[i].addrs()
 }
 
 // NumAddrSegments returns the length of the peer's address schedule: 0
 // for peers that never publish an address.
-func (p *Peer) NumAddrSegments() int { return len(p.ipSchedule) }
+func (p *Peer) NumAddrSegments() int { return int(p.segments) }
 
 // AddrSegmentAt returns segment i of the peer's address schedule, in
 // FromDay order: from fromDay (inclusive) until the next segment's, the
@@ -171,7 +242,7 @@ func (p *Peer) NumAddrSegments() int { return len(p.ipSchedule) }
 // peer will ever publish in one pass (the censor's address index)
 // without copying the schedule.
 func (p *Peer) AddrSegmentAt(i int) (fromDay int, v4, v6 netip.Addr) {
-	s := &p.ipSchedule[i]
+	s := &p.schedule()[i]
 	v4, v6 = s.addrs()
 	return int(s.fromDay), v4, v6
 }
@@ -186,30 +257,21 @@ func (p *Peer) TunnelEligible() bool {
 	return p.Status == StatusKnownIP && p.Reachable && p.Class.AtLeast(netdb.ClassM)
 }
 
-// buildIPSchedule precomputes the peer's address assignments across its
-// active window using its churn IP profile and the geo allocator. It
-// draws them into b's scratch and keeps exact-size copies.
-func (p *Peer) buildIPSchedule(db *geo.DB, horizonDays int, b *builder) {
+// drawIPSchedule draws the address assignments of a known-IP peer across
+// its active window, using its churn IP profile and the AS pool in b, into
+// b.sched, and the addresses and ASes that same-day rotations replaced
+// into b.rots.
+func (p *Peer) drawIPSchedule(horizonDays int, b *builder) {
+	b.sched, b.rots = b.sched[:0], b.rots[:0]
 	if p.Status != StatusKnownIP {
 		return
 	}
-	b.sched, b.extraIPs, b.extraASNs = b.sched[:0], b.extraIPs[:0], b.extraASNs[:0]
-	p.drawIPSchedule(db, horizonDays, b)
-	p.ipSchedule = b.segs.clone(b.sched)
-	p.extraIPs = b.addrs.clone(b.extraIPs)
-	p.extraASNs = b.asns.clone(b.extraASNs)
-}
-
-// drawIPSchedule appends the peer's schedule segments to b.sched, and
-// the addresses and ASes that same-day rotations replaced to b.extraIPs
-// and b.extraASNs.
-func (p *Peer) drawIPSchedule(db *geo.DB, horizonDays int, b *builder) {
 	rng := b.rng
 	mkSeg := func(day int) ipAssignment {
-		asn := p.ASPool[rng.IntN(len(p.ASPool))]
-		seg := ipAssignment{fromDay: int32(day), asn: asn, v4: db.RandomIPv4(asn, rng).As4()}
+		as := b.poolAS[rng.IntN(len(b.poolAS))]
+		seg := ipAssignment{fromDay: int32(day), asn: as.ASN, v4: as.RandomIPv4(rng).As4()}
 		if p.IPProfile.IPv6 {
-			seg.v6 = db.RandomIPv6(asn, rng).As16()
+			seg.v6 = as.RandomIPv6(rng).As16()
 		}
 		return seg
 	}
@@ -217,7 +279,7 @@ func (p *Peer) drawIPSchedule(db *geo.DB, horizonDays int, b *builder) {
 	if p.IPProfile.Mode == churn.IPStatic {
 		return
 	}
-	end := p.StartDay + len(p.Presence)
+	end := p.StartDay + len(b.presence)
 	if end > horizonDays {
 		end = horizonDays
 	}
@@ -232,8 +294,7 @@ func (p *Peer) drawIPSchedule(db *geo.DB, horizonDays int, b *builder) {
 			// Multiple rotations within one day: the daily schedule keeps
 			// the last address, but the earlier one was still observable
 			// by hourly captures, so record it.
-			b.extraIPs = append(b.extraIPs, last.v4)
-			b.extraASNs = append(b.extraASNs, last.asn)
+			b.rots = append(b.rots, rotation{v4: last.v4, asn: last.asn})
 			*last = mkSeg(day)
 			continue
 		}
@@ -245,12 +306,13 @@ func (p *Peer) drawIPSchedule(db *geo.DB, horizonDays int, b *builder) {
 // peer's schedule, including same-day rotations — Figure 8's per-peer
 // statistic at the paper's hourly capture resolution.
 func (p *Peer) UniqueIPs() int {
-	seen := make(map[[4]byte]bool, len(p.ipSchedule)+len(p.extraIPs))
-	for _, seg := range p.ipSchedule {
+	sched, rots := p.schedule(), p.sameDayRotations()
+	seen := make(map[[4]byte]bool, len(sched)+len(rots))
+	for _, seg := range sched {
 		seen[seg.v4] = true
 	}
-	for _, a := range p.extraIPs {
-		seen[a] = true
+	for _, r := range rots {
+		seen[r.v4] = true
 	}
 	return len(seen)
 }

@@ -10,6 +10,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"sync"
@@ -275,16 +276,16 @@ func residualProfile(m *churn.Model, age int, rng *rand.Rand) churn.Profile {
 	if residual < 1 {
 		residual = 1
 	}
-	return churn.Profile{Class: sel.class, SpanDays: residual, OnOn: sel.onOn, OffOn: sel.offOn}
+	return churn.Profile{Class: sel.class, SpanDays: int32(residual), OnOn: sel.onOn, OffOn: sel.offOn}
 }
 
 // slabChunk is how many elements a slab allocates at a time.
 const slabChunk = 1 << 12
 
 // slab hands out exact-capacity windows of shared chunks, so the Peer
-// structs and the slices New gives each peer cost an allocation per
-// chunk, not one per peer. Chunks rather than one slab per network keep
-// every allocation small enough for the heap to place without growing.
+// structs and their windows cost an allocation per chunk, not one per
+// peer. Chunks rather than one slab per network keep every allocation
+// small enough for the heap to place without growing.
 // A window's capacity is its length: an append to it reallocates and
 // never writes into a neighbour's window.
 type slab[T any] struct{ free []T }
@@ -315,26 +316,44 @@ func (s *slab[T]) alloc() *T {
 	return p
 }
 
-// clone returns an exact-size copy of src carved from the slab.
-func (s *slab[T]) clone(src []T) []T { return s.keep(append(s.room(len(src)), src...)) }
-
-// builder is populate's scratch: the slabs the peers' slices are carved
-// from, the address schedule being drawn, and the per-day counts index
-// sizes its slices by. It lives only while New runs.
+// builder is populate's scratch: the slab the peers' windows are carved
+// from, the peer being drawn, and the per-day counts index sizes its
+// slices by. It lives only while New runs.
 type builder struct {
-	rng      *rand.Rand
-	presence slab[bool]
-	asns     slab[uint32]
-	addrs    slab[[4]byte]
-	segs     slab[ipAssignment]
-	// sched, extraIPs and extraASNs hold the schedule being drawn; the
-	// peer keeps slab copies of them.
-	sched     []ipAssignment
-	extraIPs  [][4]byte
-	extraASNs []uint32
+	rng   *rand.Rand
+	words slab[uint32]
+	// presence, pool, sched and rots hold the peer being drawn: its
+	// presence chain, its AS pool (with each AS's record beside it in
+	// poolAS), its address schedule and its same-day rotations. carve
+	// packs them into the peer's window.
+	presence []bool
+	pool     []uint32
+	poolAS   []*geo.AS
+	sched    []ipAssignment
+	rots     []rotation
 	// active[d] and introducers[d] count the peers online on day d and
 	// those of them that are introducers.
 	active, introducers []int
+}
+
+// carve packs what b holds for p — its presence chain as a bitmap, its AS
+// pool, its schedule and its same-day rotations, in that order — into one
+// window carved from the word slab, and records each section's count.
+func (b *builder) carve(p *Peer) {
+	days := bitmapWords(len(b.presence))
+	w := b.words.room(days + len(b.pool) + scheduleWords*len(b.sched) + rotationWords*len(b.rots))[:days]
+	clear(w)
+	for i, on := range b.presence {
+		if on {
+			w[i>>5] |= 1 << (i & 31)
+		}
+	}
+	w = append(w, b.pool...)
+	w = append(w, asWords(b.sched)...)
+	w = append(w, asWords(b.rots)...)
+	p.window = b.words.keep(w)
+	p.presenceDays, p.asns = int32(len(b.presence)), uint8(len(b.pool))
+	p.segments, p.rotations = int32(len(b.sched)), int32(len(b.rots))
 }
 
 // cohorts returns the peers each step of a steady-state draw adds: the
@@ -388,21 +407,20 @@ func (n *Network) populate() *builder {
 			StartDay: startDay,
 		}
 		horizon := n.cfg.Days - startDay
-		w := b.presence.room(horizon)
 		if stationaryStart {
-			w = appendPresenceStationary(w, profile, b.rng, horizon)
+			b.presence = appendPresenceStationary(b.presence[:0], profile, b.rng, horizon)
 		} else {
-			w = profile.AppendPresence(w, b.rng, horizon)
+			b.presence = profile.AppendPresence(b.presence[:0], b.rng, horizon)
 		}
-		p.Presence = b.presence.keep(w)
 		n.decorate(p, b)
+		b.carve(p)
 		n.Peers[next] = p
 		n.drawClass[next] = uint8(p.affinityClass())
 		n.drawExposure[next] = p.Exposure
 		next++
 
 		introducer := p.introducer()
-		for i, on := range p.Presence {
+		for i, on := range b.presence {
 			if on {
 				b.active[startDay+i]++
 				if introducer {
@@ -428,7 +446,7 @@ func (n *Network) populate() *builder {
 // day-0 state drawn from the chain's stationary distribution (for peers
 // already in the network at study start) and no forced last day.
 func appendPresenceStationary(dst []bool, p churn.Profile, rng *rand.Rand, maxDays int) []bool {
-	days := p.SpanDays
+	days := int(p.SpanDays)
 	if days > maxDays {
 		days = maxDays
 	}
@@ -450,8 +468,8 @@ func appendPresenceStationary(dst []bool, p churn.Profile, rng *rand.Rand, maxDa
 	return dst
 }
 
-// decorate assigns all non-temporal attributes: status, class, geography,
-// exposure and the IP schedule.
+// decorate assigns all non-temporal attributes: status, class, geography
+// and exposure on p, and the AS pool and IP schedule into b's scratch.
 func (n *Network) decorate(p *Peer, b *builder) {
 	rng := b.rng
 	// Geography first: censored-country peers default to hidden.
@@ -501,7 +519,7 @@ func (n *Network) decorate(p *Peer, b *builder) {
 	if hi <= lo {
 		hi = lo + 1
 	}
-	p.RateKBps = lo + rng.IntN(hi-lo)
+	p.RateKBps = int32(lo + rng.IntN(hi-lo))
 	p.LegacyO = (p.Class == netdb.ClassP || p.Class == netdb.ClassX) && rng.Float64() < legacyOProb
 
 	// Reachability and floodfill mode (known-IP peers only).
@@ -528,43 +546,42 @@ func (n *Network) decorate(p *Peer, b *builder) {
 
 	// IP profile and AS pool.
 	p.IPProfile = n.model.SampleIPProfile(rng)
-	fillPool := func(want int, pick func() uint32) {
-		pool := b.asns.room(want)
+	b.pool, b.poolAS = b.pool[:0], b.poolAS[:0]
+	fillPool := func(want int, pick func() *geo.AS) {
 		// Bounded attempts: sparse countries may not offer `want`
 		// distinct ASes through the home-country picker alone.
-		for attempts := 0; len(pool) < want && attempts < 40*want; attempts++ {
-			if asn := pick(); !slices.Contains(pool, asn) {
-				pool = append(pool, asn)
+		for attempts := 0; len(b.pool) < want && attempts < 40*want; attempts++ {
+			if as := pick(); !slices.Contains(b.pool, as.ASN) {
+				b.pool, b.poolAS = append(b.pool, as.ASN), append(b.poolAS, as)
 			}
 		}
-		p.ASPool = b.asns.keep(pool)
 	}
 	switch p.IPProfile.Mode {
 	case churn.IPStatic, churn.IPDynamic:
-		p.ASPool = b.asns.keep(append(b.asns.room(1), n.geo.SampleAS(country, rng).ASN))
+		fillPool(1, func() *geo.AS { return n.geo.SampleAS(country, rng) })
 	case churn.IPMultiAS:
 		// Home ISPs, VPN endpoints and occasional foreign networks.
-		fillPool(p.IPProfile.ASFanout, func() uint32 {
+		fillPool(int(p.IPProfile.ASFanout), func() *geo.AS {
 			x := rng.Float64()
 			switch {
 			case x < 0.45:
-				return n.geo.SampleAS(country, rng).ASN
+				return n.geo.SampleAS(country, rng)
 			case x < 0.75:
-				return n.geo.SampleVPNAS(rng).ASN
+				return n.geo.SampleVPNAS(rng)
 			default:
-				return n.geo.SampleAS(n.geo.SampleCountry(rng), rng).ASN
+				return n.geo.SampleAS(n.geo.SampleCountry(rng), rng)
 			}
 		})
 	case churn.IPHeavy:
 		// VPN/Tor-style: mostly hosting ASes plus random countries.
-		fillPool(p.IPProfile.ASFanout, func() uint32 {
+		fillPool(int(p.IPProfile.ASFanout), func() *geo.AS {
 			if rng.Float64() < 0.4 {
-				return n.geo.SampleVPNAS(rng).ASN
+				return n.geo.SampleVPNAS(rng)
 			}
-			return n.geo.SampleAS(n.geo.SampleCountry(rng), rng).ASN
+			return n.geo.SampleAS(n.geo.SampleCountry(rng), rng)
 		})
 	}
-	p.buildIPSchedule(n.geo, n.cfg.Days, b)
+	p.drawIPSchedule(n.cfg.Days, b)
 }
 
 // index builds the per-day active sets and introducer pools in one pass
@@ -592,26 +609,26 @@ func (n *Network) index(b *builder) {
 	}
 	for _, p := range n.Peers {
 		introducer := p.introducer()
+		sched := p.schedule()
 		idx := int32(p.Index)
 		seg := 0
-		for i, on := range p.Presence {
-			if !on {
-				continue
-			}
-			d := p.StartDay + i
-			active[at[d]] = idx
-			at[d]++
-			if !introducer {
-				continue
-			}
-			if len(p.ipSchedule) > 0 {
-				for seg+1 < len(p.ipSchedule) && int(p.ipSchedule[seg+1].fromDay) <= d {
-					seg++
+		for w, set := range p.presence() {
+			for ; set != 0; set &= set - 1 {
+				d := p.StartDay + w<<5 + bits.TrailingZeros32(set)
+				active[at[d]] = idx
+				at[d]++
+				if !introducer {
+					continue
 				}
-				v4s[intro[d]] = p.ipSchedule[seg].v4
+				if len(sched) > 0 {
+					for seg+1 < len(sched) && int(sched[seg+1].fromDay) <= d {
+						seg++
+					}
+					v4s[intro[d]] = sched[seg].v4
+				}
+				peers[intro[d]] = idx
+				intro[d]++
 			}
-			peers[intro[d]] = idx
-			intro[d]++
 		}
 	}
 }

@@ -385,7 +385,7 @@ func TestIPChurnStatistics(t *testing.T) {
 	singleAS, over10AS := 0, 0
 	maxAS := 0
 	for _, p := range n.Peers {
-		if p.Status != StatusKnownIP || len(p.ipSchedule) == 0 {
+		if p.Status != StatusKnownIP || p.NumAddrSegments() == 0 {
 			continue
 		}
 		total++
@@ -456,7 +456,7 @@ func TestAddrLookupsResolveViaGeoDB(t *testing.T) {
 		if !ok {
 			t.Fatalf("peer address %v does not resolve", v4)
 		}
-		if asn := p.ipSchedule[p.SegmentOn(day)].asn; rec.ASN != asn {
+		if asn := p.schedule()[p.SegmentOn(day)].asn; rec.ASN != asn {
 			t.Fatalf("ASN mismatch: lookup %d, schedule %d", rec.ASN, asn)
 		}
 		checked++
@@ -471,15 +471,28 @@ func TestAddrLookupsResolveViaGeoDB(t *testing.T) {
 
 func TestPeerAccessors(t *testing.T) {
 	n := testNetwork(t, 10)
-	p := n.Peers[0]
-	if p.FirstActiveDay() < 0 && len(p.Presence) > 0 {
-		// first active day must exist for peers with any presence
-		any := false
-		for _, on := range p.Presence {
-			any = any || on
+	// ActiveOn and FirstActiveDay read a carved presence bitmap as the
+	// chain it packs, on chains that span several words and first come
+	// online in any of them.
+	for _, first := range []int{0, 5, 31, 32, 40, 69, -1} {
+		b := &builder{presence: make([]bool, 70)}
+		for i := max(first, 0); first >= 0 && i < len(b.presence); i += 3 {
+			b.presence[i] = true
 		}
-		if any {
-			t.Fatal("FirstActiveDay missing despite presence")
+		p := &Peer{StartDay: 7}
+		b.carve(p)
+		wantFirst := -1
+		if first >= 0 {
+			wantFirst = p.StartDay + first
+		}
+		if got := p.FirstActiveDay(); got != wantFirst {
+			t.Fatalf("chain first online at %d: FirstActiveDay %d, want %d", first, got, wantFirst)
+		}
+		for day := p.StartDay - 1; day <= p.StartDay+len(b.presence); day++ {
+			i := day - p.StartDay
+			if want := i >= 0 && i < len(b.presence) && b.presence[i]; p.ActiveOn(day) != want {
+				t.Fatalf("chain first online at %d: ActiveOn(%d) = %v, want %v", first, day, !want, want)
+			}
 		}
 	}
 	if n.ActivePeers(-1) != nil || n.ActivePeers(1000) != nil {
@@ -500,11 +513,11 @@ func TestPeerAccessors(t *testing.T) {
 // peer's schedule — Figure 12's per-peer statistic.
 func uniqueASNs(p *Peer) int {
 	seen := make(map[uint32]bool, 4)
-	for _, seg := range p.ipSchedule {
+	for _, seg := range p.schedule() {
 		seen[seg.asn] = true
 	}
-	for _, a := range p.extraASNs {
-		seen[a] = true
+	for _, r := range p.sameDayRotations() {
+		seen[r.asn] = true
 	}
 	return len(seen)
 }
