@@ -38,6 +38,15 @@ func main() { cli.Main("i2pcensor", run) }
 func run() error {
 	f := cli.Register()
 	flag.Parse()
+	// The experiment set is derived from the registry's category tags, so
+	// newly registered censorship and distribution experiments appear here
+	// automatically. A bad -experiment is refused before the network is
+	// built.
+	ids, err := f.IDs(append(core.ExperimentIDs(core.CategoryCensorship),
+		core.ExperimentIDs(core.CategoryDistribution)...))
+	if err != nil {
+		return err
+	}
 	ctx, stop, err := f.Start()
 	if err != nil {
 		return err
@@ -51,11 +60,6 @@ func run() error {
 	fmt.Printf("network: %d daily peers (scale %.2f), %d days, seed %d\n\n",
 		study.Opts.TargetDailyPeers, f.Scale, study.Opts.Days, study.Opts.Seed)
 
-	// The experiment set is derived from the registry's category tags, so
-	// newly registered censorship and distribution experiments appear here
-	// automatically.
-	ids := f.IDs(append(core.ExperimentIDs(core.CategoryCensorship),
-		core.ExperimentIDs(core.CategoryDistribution)...))
 	results, err := study.RunAll(ctx, ids...)
 	if err != nil {
 		return err

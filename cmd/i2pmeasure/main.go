@@ -65,6 +65,10 @@ func run() error {
 		return nil
 	}
 
+	ids, err := f.IDs(measurementIDs())
+	if err != nil {
+		return err
+	}
 	ctx, stop, err := f.Start()
 	if err != nil {
 		return err
@@ -91,7 +95,6 @@ func run() error {
 		}
 	}
 
-	ids := f.IDs(measurementIDs())
 	sort.Strings(ids)
 	start := time.Now()
 	results, err := study.RunAll(ctx, ids...)

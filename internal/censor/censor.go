@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"github.com/i2pstudy/i2pstudy/internal/cache"
@@ -69,44 +68,34 @@ func (c *Censor) Routers() int { return len(c.observers) }
 // observedIDs returns the set of interned addresses of peers observed by
 // one monitoring router on one day. Peers without published addresses
 // (firewalled, hidden) contribute nothing — they cannot be address-blocked
-// (Section 7.1) and the index holds no schedule for them, so their column
-// entry is -1. The result is memoized per (router, day); its words are
+// (Section 7.1) — so the router draws only the day column's addressed
+// positions. The result is memoized per (router, day); its words are
 // shared and must not be modified.
 //
 // A monitoring router keeps an address set per day, not sighting lists:
-// the draw's positions go straight through the day's ID column, so no
-// peer-index list is built for a censor's router (ObserveDay is never
-// asked), and the memo keeps one bit per address in the index:
-// NumAddrs/8 bytes, where an ID list would cost 4 bytes per observed
-// address — more than the set, at paper scale, for studies up to about
-// 110 days. Blacklists and Figure 13 series fold these sets a 64-bit
-// word at a time.
+// the draw keeps indexes into the day's ID column, so no peer-index list
+// is built for a censor's router (ObserveDay is never asked), and the
+// memo keeps one bit per address in the index: NumAddrs/8 bytes, where
+// an ID list would cost 4 bytes per observed address — more than the
+// set, at paper scale, for studies up to about 110 days. Blacklists and
+// Figure 13 series fold these sets a 64-bit word at a time.
 func (c *Censor) observedIDs(router, day int) AddrSet {
 	return c.obsIDs[router].Get(day, func(day int) AddrSet {
-		s := captureScratch.Get().(*captureBuf)
+		s := captureScratch.Get().(*[]int32)
 		defer captureScratch.Put(s)
-		s.pos = c.observers[router].DrawDay(day, s.pos[:0])
 		col := c.ix.dayColumn(day)
-		// Every sighting stores both IDs and the sign bits advance the
-		// cursor — v4 when present, v6 only beside a v4 — because about
-		// half the observed peers publish an address and nothing predicts
-		// which. The last sighting may store one entry past its IDs.
-		ids := slices.Grow(s.ids[:0], 2*len(s.pos)+1)[:2*len(s.pos)+1]
-		n := 0
-		for _, j := range s.pos {
-			e := col[j]
-			ids[n] = e.v4
-			n += int(^uint32(e.v4) >> 31)
-			ids[n] = e.v6
-			n += int(^uint32(e.v4|e.v6) >> 31)
-		}
-		s.ids = ids
-		// The compacted IDs are all present, so the bits go in without
-		// Add's branch, and the count is taken once: two peers may share
-		// an address.
+		*s = c.observers[router].DrawDayAt(day, col.at, (*s)[:0])
+		// Every kept peer has a v4. Its v6 bit goes in branch-free, as
+		// nothing predicts which peers publish one: an absent v6 (-1)
+		// or-s a zero bit into word 0. The count is taken once, as two
+		// peers may share an address.
 		set := *c.ix.NewSet()
-		for _, id := range ids[:n] {
-			set.words[id>>6] |= 1 << (id & 63)
+		for _, k := range *s {
+			e := col.ids[k]
+			set.words[e.v4>>6] |= 1 << (e.v4 & 63)
+			has := ^e.v6 >> 31 // all ones when v6 is present, else 0
+			v6 := e.v6 & has
+			set.words[v6>>6] |= uint64(has&1) << (v6 & 63)
 		}
 		for _, w := range set.words {
 			set.count += bits.OnesCount64(w)
@@ -115,12 +104,9 @@ func (c *Censor) observedIDs(router, day int) AddrSet {
 	})
 }
 
-// captureBuf is the draw scratch of observedIDs and Victim.buildView: a
-// day's drawn positions and, for observedIDs, the IDs they map to before
-// they are set in the router-day's AddrSet.
-type captureBuf struct{ pos, ids []int32 }
-
-var captureScratch = sync.Pool{New: func() any { return new(captureBuf) }}
+// captureScratch recycles the draw scratch of observedIDs (kept column
+// indexes) and Victim.buildView (drawn positions).
+var captureScratch = sync.Pool{New: func() any { return new([]int32) }}
 
 // blacklistSet compiles the blacklist in force on `day` using the first k
 // monitoring routers and the given window: the union of addresses
@@ -213,14 +199,14 @@ func (v *Victim) view(day int) *netDbView {
 // each peer where it is first seen and, for every sighting, the address
 // the peer published on the observation day.
 func (v *Victim) buildView(day int) *netDbView {
-	s := captureScratch.Get().(*captureBuf)
+	s := captureScratch.Get().(*[]int32)
 	defer captureScratch.Put(s)
 	seen := make([]uint64, (len(v.net.Peers)+63)/64)
 	view := &netDbView{addrs: v.ix.NewSet()}
 	for d := max(day-netDbWindowDays+1, 0); d <= day; d++ {
-		s.pos = v.obs.DrawDay(d, s.pos[:0])
+		*s = v.obs.DrawDay(d, (*s)[:0])
 		active := v.net.ActivePeers(d)
-		for _, j := range s.pos {
+		for _, j := range *s {
 			idx := int(active[j])
 			if d < day && !retainStale(idx, d) {
 				continue

@@ -363,21 +363,22 @@ func TestObservedIDsMatchesStatusCheckedLoop(t *testing.T) {
 	}
 }
 
-// referenceObservedIDs is the router-day capture the per-day AddrSet
-// replaced, kept as its reference: the drawn positions mapped through the
-// day's ID column, compacted branch-free — v4 when present, v6 only
-// beside a v4 — and copied into an exactly-sized ID list, with no memo.
+// referenceObservedIDs is the full-day router-day capture, kept as the
+// reference the subset draw over the addressed column is held to: every
+// active peer drawn through DrawDay, the kept positions mapped through
+// PeerIDs, compacted branch-free — v4 when present, v6 only beside a v4 —
+// and copied into an exactly-sized ID list, with no memo.
 func referenceObservedIDs(c *Censor, router, day int) []int32 {
 	pos := c.observers[router].DrawDay(day, nil)
-	col := c.ix.dayColumn(day)
+	active := c.ix.net.ActivePeers(day)
 	ids := make([]int32, 2*len(pos)+1)
 	n := 0
 	for _, j := range pos {
-		e := col[j]
-		ids[n] = e.v4
-		n += int(^uint32(e.v4) >> 31)
-		ids[n] = e.v6
-		n += int(^uint32(e.v4|e.v6) >> 31)
+		v4, v6 := c.ix.PeerIDs(int(active[j]), day)
+		ids[n] = v4
+		n += int(^uint32(v4) >> 31)
+		ids[n] = v6
+		n += int(^uint32(v4|v6) >> 31)
 	}
 	out := make([]int32, n)
 	copy(out, ids)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"net/netip"
+	"slices"
 
 	"github.com/i2pstudy/i2pstudy/internal/cache"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
@@ -33,7 +34,10 @@ import (
 // at most once per day, pure in (network, day), and — because the index
 // is the network's sim.Derive slot — shared by every censor and sweep on
 // the network, collected with it, and epoched with it should the network
-// ever grow a mutating API.
+// ever grow a mutating API. A column lists only a day's addressed
+// positions, so a monitoring router draws them through
+// sim.Observer.DrawDayAt, the subset form of the full-day DrawDay, held
+// to it draw for draw.
 type AddrIndex struct {
 	net *sim.Network
 	// addrs maps ID -> address (the reverse of the intern table).
@@ -47,7 +51,7 @@ type AddrIndex struct {
 	// Every peer's slice is carved from one backing array.
 	segs [][]idSeg
 	// dayIDs memoizes dayColumn, one column per study day.
-	dayIDs *cache.DayMemo[[]dayID]
+	dayIDs *cache.DayMemo[dayColumn]
 }
 
 // idSeg is one interned segment of a peer's address schedule. IDs are -1
@@ -57,9 +61,19 @@ type idSeg struct {
 	v4, v6  int32
 }
 
-// dayID is one position of a day's ID column: the address IDs the peer at
-// that position of ActivePeers(day) publishes on the day, -1 where absent.
+// dayID is one entry of a day's ID column: the address IDs a peer
+// publishes on the day, v6 -1 where absent.
 type dayID struct{ v4, v6 int32 }
+
+// dayColumn is a day's addressed peers: at[k] is a position in
+// ActivePeers(day) whose peer publishes an IPv4 on the day, ascending,
+// and ids[k] are that peer's PeerIDs. Every other position — the
+// firewalled and hidden peers, about half a day's active peers — is left
+// out, as nothing can be blacklisted for it.
+type dayColumn struct {
+	at  []int32
+	ids []dayID
+}
 
 // NewAddrIndex builds the index for a network. IDs are assigned in first
 // occurrence order: peers ascending, each schedule in FromDay order, v4
@@ -92,7 +106,7 @@ func NewAddrIndex(n *sim.Network) *AddrIndex {
 		addrs:  make([]netip.Addr, 0, addrs),
 		table:  make([]int32, size),
 		segs:   make([][]idSeg, len(n.Peers)),
-		dayIDs: cache.NewDayMemo[[]dayID](n.Days(), dayIDsRing),
+		dayIDs: cache.NewDayMemo[dayColumn](n.Days(), dayIDsRing),
 	}
 	free := make([]idSeg, segs)
 	for i, p := range n.Peers {
@@ -195,24 +209,36 @@ func (ix *AddrIndex) PeerBlocked(bl *AddrSet, idx, day int) bool {
 	return bl.Has(v4) || bl.Has(v6)
 }
 
-// dayColumn returns the day's ID column, aligned with the network's
-// ActivePeers(day): dayColumn(day)[j] is PeerIDs(ActivePeers(day)[j], day).
-// A monitoring router's capture maps the positions sim.Observer.DrawDay
-// keeps straight through it — one sequential 8-byte read per sighting
-// instead of a schedule walk behind a per-peer pointer. The column is
-// shared and must not be modified.
-func (ix *AddrIndex) dayColumn(day int) []dayID {
+// dayColumn returns the day's ID column: the positions of
+// ActivePeers(day) whose peer publishes an IPv4 on the day, and their
+// PeerIDs. A monitoring router's capture draws exactly these positions
+// (sim.Observer.DrawDayAt) and sets the IDs of the ones it keeps — one
+// sequential 8-byte read per sighting instead of a schedule walk behind a
+// per-peer pointer. The column is shared and must not be modified.
+func (ix *AddrIndex) dayColumn(day int) dayColumn {
 	return ix.dayIDs.Get(day, ix.buildDayColumn)
 }
 
-// buildDayColumn is the compute behind dayColumn.
-func (ix *AddrIndex) buildDayColumn(day int) []dayID {
+// buildDayColumn is the compute behind dayColumn. It is sized from the
+// peers that publish any address, which on a simulated network are
+// exactly the day's IPv4 publishers; should a peer publish only a v6
+// that day, the column is clipped to what it holds.
+func (ix *AddrIndex) buildDayColumn(day int) dayColumn {
 	active := ix.net.ActivePeers(day)
-	col := make([]dayID, len(active))
-	for j, idx := range active {
-		col[j].v4, col[j].v6 = ix.PeerIDs(int(idx), day)
+	n := 0
+	for _, idx := range active {
+		if ix.segs[idx] != nil {
+			n++
+		}
 	}
-	return col
+	col := dayColumn{at: make([]int32, 0, n), ids: make([]dayID, 0, n)}
+	for j, idx := range active {
+		if v4, v6 := ix.PeerIDs(int(idx), day); v4 >= 0 {
+			col.at = append(col.at, int32(j))
+			col.ids = append(col.ids, dayID{v4, v6})
+		}
+	}
+	return dayColumn{slices.Clip(col.at), slices.Clip(col.ids)}
 }
 
 // AddrSet is a bitset over an AddrIndex's address table with a cardinality

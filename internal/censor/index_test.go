@@ -48,13 +48,14 @@ func TestAddrIndexMatchesAddrOnDay(t *testing.T) {
 	}
 }
 
-// TestDayIDsMatchPeerIDs: a day's ID column is PeerIDs at every position
-// of ActivePeers(day), -1s included, on every day — over an index patched
+// TestDayIDsMatchPeerIDs: a day's ID column lists, ascending, exactly
+// the positions of ActivePeers(day) whose PeerIDs v4 is present, each
+// with its PeerIDs, sized exactly, on every day — over an index patched
 // to hold the two shapes the simulator never produces but PeerIDs
 // defines: a schedule whose first segment starts after the day (the
-// first segment answers) and a v6-only segment. A censor on that index
-// then holds what the per-sighting PeerIDs loop emitted: an ID only when
-// v4 is present, v6 only beside a v4.
+// first segment answers) and a v6-only segment, which the column leaves
+// out. A censor on that index then holds what the per-sighting PeerIDs
+// loop emitted: an ID only when v4 is present, v6 only beside a v4.
 func TestDayIDsMatchPeerIDs(t *testing.T) {
 	n := network(t)
 	ix := NewAddrIndex(n)
@@ -76,20 +77,24 @@ func TestDayIDsMatchPeerIDs(t *testing.T) {
 	ix.segs[late] = []idSeg{{fromDay: n.Days() / 2, v4: 3, v6: -1}, {fromDay: n.Days() - 5, v4: 4, v6: 5}}
 	ix.segs[v6only] = []idSeg{{fromDay: 0, v4: -1, v6: 6}}
 
-	positions := map[int]int{} // patched peer -> positions checked
+	positions := map[int]int{} // patched peer -> positions in a column
 	for day := 0; day < n.Days(); day++ {
-		active := n.ActivePeers(day)
-		col := ix.dayColumn(day)
-		if len(col) != len(active) {
-			t.Fatalf("day %d: column of %d for %d active peers", day, len(col), len(active))
-		}
-		for j, id := range active {
-			idx := int(id)
-			v4, v6 := ix.PeerIDs(idx, day)
-			if col[j] != (dayID{v4, v6}) {
-				t.Fatalf("day %d position %d (peer %d): column %+v, PeerIDs (%d, %d)", day, j, idx, col[j], v4, v6)
+		var want dayColumn
+		for j, id := range n.ActivePeers(day) {
+			if v4, v6 := ix.PeerIDs(int(id), day); v4 >= 0 {
+				want.at = append(want.at, int32(j))
+				want.ids = append(want.ids, dayID{v4, v6})
 			}
-			if idx == late || idx == v6only {
+		}
+		col := ix.dayColumn(day)
+		if !slices.Equal(col.at, want.at) || !slices.Equal(col.ids, want.ids) {
+			t.Fatalf("day %d: column of %d positions, PeerIDs has %d addressed", day, len(col.at), len(want.at))
+		}
+		if cap(col.at) != len(col.at) || cap(col.ids) != len(col.ids) {
+			t.Fatalf("day %d: column of %d positions holds room for %d and %d", day, len(col.at), cap(col.at), cap(col.ids))
+		}
+		for _, j := range col.at {
+			if idx := int(n.ActivePeers(day)[j]); idx == late || idx == v6only {
 				positions[idx]++
 			}
 		}
@@ -97,11 +102,11 @@ func TestDayIDsMatchPeerIDs(t *testing.T) {
 	if v4, v6 := ix.PeerIDs(late, 0); v4 != 3 || v6 != -1 || positions[late] == 0 {
 		t.Fatalf("late-starting schedule answers (%d, %d) on day 0 at %d positions", v4, v6, positions[late])
 	}
-	if positions[v6only] == 0 {
-		t.Fatal("the v6-only peer is never active")
+	if positions[v6only] != 0 {
+		t.Fatalf("the v6-only peer holds %d column positions", positions[v6only])
 	}
-	if col := ix.dayColumn(-1); len(col) != 0 {
-		t.Fatalf("out-of-range day has a column of %d", len(col))
+	if col := ix.dayColumn(-1); len(col.at) != 0 || len(col.ids) != 0 {
+		t.Fatalf("out-of-range day has a column of %d", len(col.at))
 	}
 
 	c, err := newCensor(n, 2, 77)

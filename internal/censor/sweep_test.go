@@ -586,12 +586,43 @@ func BenchmarkDrawDay(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(peers), "ns/peer")
 }
 
+// BenchmarkDrawDayAt measures the draw a monitoring router makes: one
+// router's day over its addressed column only, the generator jumping the
+// positions between, into a warm out. ns/peer is over all the day's
+// active peers, as in BenchmarkDrawDay, so the two compare directly;
+// addressed is the share of active peers the column holds.
+func BenchmarkDrawDayAt(b *testing.B) {
+	n := network(b)
+	ix := IndexFor(n)
+	o := n.NewObserver(sim.ObserverConfig{Floodfill: true, SharedKBps: sim.MaxSharedKBps, Seed: 700})
+	for day := range n.Days() {
+		ix.dayColumn(day) // the columns are the network's, built once
+	}
+	out := make([]int32, 0, len(n.Peers))
+	peers, addressed := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		day := i % n.Days()
+		col := ix.dayColumn(day)
+		out = o.DrawDayAt(day, col.at, out[:0])
+		peers += len(n.ActivePeers(day))
+		addressed += len(col.at)
+	}
+	b.StopTimer()
+	if len(out) == 0 {
+		b.Fatal("router saw nothing")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(peers), "ns/peer")
+	b.ReportMetric(float64(addressed)/float64(peers), "addressed")
+}
+
 // BenchmarkCensorCapture measures a sweep's capture leg cold: 20
-// monitoring routers x 30 days drawn and mapped to address IDs on a
-// fresh censor per iteration (the network's index and its day columns
-// stay warm, as they do across the sweeps of a study). B/op is what the
-// capture keeps: one index-sized AddrSet per router-day, NumAddrs/8
-// bytes each.
+// monitoring routers x 30 days, each router-day drawn over the day's
+// addressed column and its kept IDs set, on a fresh censor per iteration
+// (the network's index and its day columns stay warm, as they do across
+// the sweeps of a study). B/op is what the capture keeps: one
+// index-sized AddrSet per router-day, NumAddrs/8 bytes each.
 func BenchmarkCensorCapture(b *testing.B) {
 	n := network(b)
 	cfg := SweepConfig{Fleets: []int{20}, Windows: []int{30}, Days: []int{35}, SeedBase: 700, Workers: 1}

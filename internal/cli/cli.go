@@ -15,6 +15,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -128,18 +129,25 @@ func (f *Flags) NewStudy() (*core.Study, error) {
 }
 
 // IDs returns the experiments -experiment names, or all when it names
-// none. Space around an ID and empty items (a trailing comma) are ignored.
-func (f *Flags) IDs(all []string) []string {
+// none. Space around an ID and empty items (a trailing comma) are
+// ignored, and a repeated ID is kept once, where it first appears. An ID
+// the registry does not know is an error, so a command can refuse it
+// before it builds the network.
+func (f *Flags) IDs(all []string) ([]string, error) {
 	var ids []string
 	for _, id := range strings.Split(f.experiment, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			ids = append(ids, id)
+		if id = strings.TrimSpace(id); id == "" || slices.Contains(ids, id) {
+			continue
 		}
+		if _, ok := core.Lookup(id); !ok {
+			return nil, fmt.Errorf("-experiment: unknown experiment %q", id)
+		}
+		ids = append(ids, id)
 	}
 	if len(ids) == 0 {
-		return all
+		return all, nil
 	}
-	return ids
+	return ids, nil
 }
 
 // PrintResult prints one experiment: the "=== id: title" header, what

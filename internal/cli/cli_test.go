@@ -2,6 +2,7 @@ package cli
 
 import (
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -19,10 +20,20 @@ func TestIDs(t *testing.T) {
 		{"figure-13,", []string{"figure-13"}},
 		{",figure-13,,figure-14,", []string{"figure-13", "figure-14"}},
 		{" , ", all},
+		{"figure-13,figure-13", []string{"figure-13"}},
+		{"figure-14, figure-13 ,figure-14", []string{"figure-14", "figure-13"}},
 	} {
 		f := &Flags{experiment: tc.flag}
-		if got := f.IDs(all); !slices.Equal(got, tc.want) {
-			t.Errorf("-experiment %q: IDs = %q, want %q", tc.flag, got, tc.want)
+		got, err := f.IDs(all)
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("-experiment %q: IDs = %q, %v; want %q", tc.flag, got, err, tc.want)
+		}
+	}
+	for _, flag := range []string{"nope", "figure-13,nope", "figure-13, nope ,figure-14"} {
+		f := &Flags{experiment: flag}
+		got, err := f.IDs(all)
+		if err == nil || !strings.Contains(err.Error(), `unknown experiment "nope"`) || got != nil {
+			t.Errorf("-experiment %q: IDs = %q, %v; want the unknown ID refused", flag, got, err)
 		}
 	}
 }

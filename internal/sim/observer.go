@@ -86,9 +86,10 @@ const MaxSharedKBps = 8192
 // may be driven from many goroutines at once (the parallel campaign engine
 // and the censor sweep engine do exactly that). An Observer holds nothing
 // mutable and memoizes nothing: every call redraws. DrawDay is the draw
-// itself; a caller that revisits a day keeps its own product of it (a
-// censor's monitoring router keeps address IDs, the victim one netDb view
-// per day, CaptureDay sightings).
+// itself, over every active peer of a day; DrawDayAt is its subset form,
+// held to it draw for draw. A caller that revisits a day keeps its own
+// product of either (a censor's monitoring router keeps address IDs, the
+// victim one netDb view per day, CaptureDay sightings).
 type Observer struct {
 	Cfg ObserverConfig
 	net *Network
@@ -192,7 +193,13 @@ func (o *Observer) ObserveProbability(p *Peer) float64 {
 // dayPCG returns the deterministic generator for (observer, day): repeated
 // calls to ObserveDay are idempotent and days can be visited in any order.
 func (o *Observer) dayPCG(day int) *rand.PCG {
-	return rand.NewPCG(o.Cfg.Seed^0x9E3779B97F4A7C15, uint64(day)*0x2545F4914F6CDD1D+1)
+	s := o.dayState(day)
+	return rand.NewPCG(s.hi, s.lo)
+}
+
+// dayState is the state dayPCG starts from.
+func (o *Observer) dayState(day int) pcgState {
+	return pcgState{o.Cfg.Seed ^ 0x9E3779B97F4A7C15, uint64(day)*0x2545F4914F6CDD1D + 1}
 }
 
 // ObserveDay returns the indexes of peers the observer sees on the given
@@ -222,13 +229,47 @@ var posScratch = sync.Pool{New: func() any { return new([]int32) }}
 // DrawDay performs the (seed, day)-deterministic observation draw and
 // appends to out, ascending, the positions in ActivePeers(day) of the
 // peers the observer sees; a day outside the study appends nothing. It is
-// the one loop that draws over a day's active peers — ObserveDay resolves
-// its positions to peer indexes, CaptureDay turns them into sightings,
-// and a caller that maps positions through a per-day column of its own
-// (the censor's address IDs) calls DrawDay directly and keeps no sighting
-// list at all. Nothing is memoized here: every call redraws.
+// the full-day kernel, one draw per active peer in order: ObserveDay
+// resolves its positions to peer indexes, CaptureDay turns them into
+// sightings, and the victim's netDb view maps them itself. A caller that
+// needs only some positions (a censor's router, which can blacklist only
+// the peers that publish an address) draws through DrawDayAt instead.
+// Nothing is memoized here: every call redraws.
 func (o *Observer) DrawDay(day int, out []int32) []int32 {
 	return o.drawDay(day, o.dayPCG(day), out)
+}
+
+// DrawDayAt is DrawDay over a subset of the day's positions: at lists
+// positions in ActivePeers(day), strictly ascending, and DrawDayAt
+// appends to out, ascending, the indexes k into at of the peers the
+// observer sees. The draw at position at[k] is bit for bit the one
+// DrawDay makes there, so DrawDayAt keeps k exactly when DrawDay keeps
+// at[k]. The generator jumps over the positions between (pcgState.jump),
+// so the cost follows len(at), not the day's active peers; over every
+// position it is slower than DrawDay's stepping loop, which full-day
+// callers keep.
+func (o *Observer) DrawDayAt(day int, at, out []int32) []int32 {
+	active := o.net.ActivePeers(day)
+	n := len(out)
+	out = slices.Grow(out, len(at))[:n+len(at)]
+	class, exposure := o.net.drawClass, o.net.drawExposure
+	s, prev := o.dayState(day), int32(-1)
+	for k, j := range at {
+		g := uint(j - prev)
+		prev = j
+		for ; g > maxPCGJump; g -= maxPCGJump {
+			s = s.jump(maxPCGJump)
+		}
+		s = s.jump(g)
+		idx := active[j]
+		out[n] = int32(k)
+		keep := 0
+		if float64(s.dxsm()<<11>>11)/(1<<53) < o.gamma[class[idx]]*exposure[idx] {
+			keep = 1
+		}
+		n += keep
+	}
+	return out[:n]
 }
 
 // drawDay is DrawDay over a caller-held generator, so a test can read
