@@ -11,8 +11,8 @@
 // interns every address a peer will publish (so blacklists and netDb views
 // are bitsets, not maps), and the Sweep engine that executes declarative
 // (fleet x window x day) grids across the same worker pool — and under the
-// same any-worker-count-is-byte-identical determinism contract — as
-// measure.ObserveGrid.
+// same any-worker-count-is-byte-identical determinism contract — as every
+// other measure.FanOut caller.
 package censor
 
 import (

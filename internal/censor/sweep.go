@@ -16,11 +16,10 @@ import (
 // x day) cells over one shared adversary — a censor fleet built once at
 // the maximum size, a victim, and the network's address index.
 //
-// Cells fan out across the same worker pool as measure.ObserveGrid
-// (measure.FanOut), and each cell unions its own router-days from
-// scratch into a fresh AddrSet: the fleet's (router, day) address sets
-// and the victim's netDb views are memoized per day, so what cells share
-// is computed once, and a cell depends on no other. The determinism
+// Cells fan out as measure.FanOut tasks, and each cell unions its own
+// router-days from scratch into a fresh AddrSet: the fleet's (router,
+// day) address sets and the victim's netDb views are memoized per day,
+// so what cells share is computed once, and a cell depends on no other. The determinism
 // contract: every cell writes into a slot indexed by its grid position,
 // observations are deterministic in (observer seed, day), and folds run
 // in grid order — so any Workers value yields byte-identical figures.

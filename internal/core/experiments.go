@@ -180,6 +180,39 @@ func init() {
 // room for blacklist windows behind it.
 func (s *Study) experimentDay() int { return s.Opts.Days - 5 }
 
+// fleetDays answers the population figures' one question: seen[k][d] is
+// how many peers observers[k] saw on days[d], and union[k][d] how many
+// distinct peers observers[0..k] saw between them that day. Each day is
+// one measure.FanOut task that draws the observers in order into reused
+// scratch and claims their peers into the day's sim.ClaimSet, so the
+// counts are the same at any worker count.
+func fleetDays(ctx context.Context, s *Study, observers []*sim.Observer, days []int) (seen, union [][]int, err error) {
+	seen, union = make([][]int, len(observers)), make([][]int, len(observers))
+	for k := range observers {
+		seen[k], union[k] = make([]int, len(days)), make([]int, len(days))
+	}
+	err = measure.FanOut(ctx, len(days), s.Workers(), func(d int) error {
+		day := days[d]
+		active, claimed := s.Net.ActivePeers(day), s.Net.NewClaimSet()
+		var pos []int32
+		n := 0
+		for k, o := range observers {
+			pos = o.DrawDay(day, pos[:0])
+			for _, j := range pos {
+				if claimed.Claim(int(active[j])) {
+					n++
+				}
+			}
+			seen[k][d], union[k][d] = len(pos), n
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return seen, union, nil
+}
+
 func runFigure02(ctx context.Context, s *Study) (*Result, error) {
 	fig := &stats.Figure{
 		Title:  "Figure 2: peers observed by one high-end router, 5 days per mode",
@@ -190,24 +223,24 @@ func runFigure02(ctx context.Context, s *Study) (*Result, error) {
 	nfSeries := fig.AddSeries("non-floodfill")
 	ff := s.Net.NewObserver(sim.ObserverConfig{Name: "f2-ff", Floodfill: true, SharedKBps: sim.MaxSharedKBps, Seed: 21})
 	nf := s.Net.NewObserver(sim.ObserverConfig{Name: "f2-nf", Floodfill: false, SharedKBps: sim.MaxSharedKBps, Seed: 22})
-	// Five days per mode, captured through the parallel engine: the ff
-	// observer covers days 2-6, the nf observer days 7-11.
-	ffGrid, err := measure.ObserveGrid(ctx, []*sim.Observer{ff}, []int{2, 3, 4, 5, 6}, s.Workers())
+	// Five days per mode: the ff observer covers days 2-6, the nf
+	// observer days 7-11.
+	ffSeen, _, err := fleetDays(ctx, s, []*sim.Observer{ff}, []int{2, 3, 4, 5, 6})
 	if err != nil {
 		return nil, err
 	}
-	nfGrid, err := measure.ObserveGrid(ctx, []*sim.Observer{nf}, []int{7, 8, 9, 10, 11}, s.Workers())
+	nfSeen, _, err := fleetDays(ctx, s, []*sim.Observer{nf}, []int{7, 8, 9, 10, 11})
 	if err != nil {
 		return nil, err
 	}
 	var ffSum, nfSum float64
 	for d := 0; d < 5; d++ {
-		n := float64(len(ffGrid[0][d]))
+		n := float64(ffSeen[0][d])
 		ffSeries.Append(float64(d+1), n)
 		ffSum += n
 	}
 	for d := 0; d < 5; d++ {
-		n := float64(len(nfGrid[0][d]))
+		n := float64(nfSeen[0][d])
 		nfSeries.Append(float64(d+6), n)
 		nfSum += n
 	}
@@ -233,36 +266,25 @@ func runFigure03(ctx context.Context, s *Study) (*Result, error) {
 	nfS := fig.AddSeries("non-floodfill")
 	bothS := fig.AddSeries("both")
 	bandwidths := []int{128, 256, 1024, 2048, 3072, 4096, 5120}
-	// One floodfill + one non-floodfill observer per bandwidth point; the
-	// engine captures the whole (observer, day) grid concurrently and the
-	// fold below replays the original per-bandwidth averaging.
-	observers := make([]*sim.Observer, 0, 2*len(bandwidths))
-	for i, bw := range bandwidths {
-		observers = append(observers,
-			s.Net.NewObserver(sim.ObserverConfig{Floodfill: true, SharedKBps: bw, Seed: uint64(31 + i)}),
-			s.Net.NewObserver(sim.ObserverConfig{Floodfill: false, SharedKBps: bw, Seed: uint64(51 + i)}))
-	}
+	// One floodfill + one non-floodfill observer per bandwidth point,
+	// their counts and pair union averaged over three days to suppress
+	// sampling noise.
 	days := []int{day - 2, day - 1, day}
-	grid, err := measure.ObserveGrid(ctx, observers, days, s.Workers())
-	if err != nil {
-		return nil, err
-	}
 	var ff128, nf128, ff5120, nf5120, unionMin, unionMax float64
 	for i, bw := range bandwidths {
-		ffDays, nfDays := grid[2*i], grid[2*i+1]
-		// Average over three days to suppress sampling noise.
+		pair := []*sim.Observer{
+			s.Net.NewObserver(sim.ObserverConfig{Floodfill: true, SharedKBps: bw, Seed: uint64(31 + i)}),
+			s.Net.NewObserver(sim.ObserverConfig{Floodfill: false, SharedKBps: bw, Seed: uint64(51 + i)}),
+		}
+		seen, union, err := fleetDays(ctx, s, pair, days)
+		if err != nil {
+			return nil, err
+		}
 		var ffN, nfN, unionN float64
 		for d := range days {
-			ffN += float64(len(ffDays[d]))
-			nfN += float64(len(nfDays[d]))
-			union := make(map[int]bool, len(ffDays[d])+len(nfDays[d]))
-			for _, idx := range ffDays[d] {
-				union[idx] = true
-			}
-			for _, idx := range nfDays[d] {
-				union[idx] = true
-			}
-			unionN += float64(len(union))
+			ffN += float64(seen[0][d])
+			nfN += float64(seen[1][d])
+			unionN += float64(union[1][d])
 		}
 		ffN, nfN, unionN = ffN/3, nfN/3, unionN/3
 		ffS.Append(float64(bw), ffN)
@@ -309,25 +331,16 @@ func runFigure04(ctx context.Context, s *Study) (*Result, error) {
 	}
 	// The paper ran the fleet for five days and reports the cumulative
 	// number of peers observed daily across the first k routers; average
-	// the per-day union over the same five days. The 40x5 capture grid is
-	// the experiment's hot path and runs through the parallel engine; the
-	// cumulative-union fold below is sequential by construction.
+	// the per-day union over the same five days.
 	days := []int{6, 7, 8, 9, 10}
-	grid, err := measure.ObserveGrid(ctx, observers, days, s.Workers())
+	_, union, err := fleetDays(ctx, s, observers, days)
 	if err != nil {
 		return nil, err
 	}
-	perDaySeen := make([]map[int]bool, len(days))
-	for i := range perDaySeen {
-		perDaySeen[i] = make(map[int]bool)
-	}
 	for k := range observers {
 		sum := 0
-		for i := range days {
-			for _, idx := range grid[k][i] {
-				perDaySeen[i][idx] = true
-			}
-			sum += len(perDaySeen[i])
+		for _, n := range union[k] {
+			sum += n
 		}
 		series.Append(float64(k+1), float64(sum)/float64(len(days)))
 	}
@@ -862,19 +875,26 @@ func runEclipseAttack(ctx context.Context, s *Study) (*Result, error) {
 
 func runAblationObserverMix(ctx context.Context, s *Study) (*Result, error) {
 	day := s.experimentDay()
-	mix := func(ffCount, nfCount int, seedBase uint64) float64 {
-		var obs []*sim.Observer
-		for i := 0; i < ffCount; i++ {
-			obs = append(obs, s.Net.NewObserver(sim.ObserverConfig{Floodfill: true, SharedKBps: sim.MaxSharedKBps, Seed: seedBase + uint64(i)}))
+	// Three 6-router fleets: all floodfill, all non-floodfill, 3 + 3.
+	var cover [3]float64
+	for f, m := range [3]struct {
+		ff, nf   int
+		seedBase uint64
+	}{{6, 0, 800}, {0, 6, 900}, {3, 3, 1000}} {
+		var fleet []*sim.Observer
+		for i := 0; i < m.ff; i++ {
+			fleet = append(fleet, s.Net.NewObserver(sim.ObserverConfig{Floodfill: true, SharedKBps: sim.MaxSharedKBps, Seed: m.seedBase + uint64(i)}))
 		}
-		for i := 0; i < nfCount; i++ {
-			obs = append(obs, s.Net.NewObserver(sim.ObserverConfig{Floodfill: false, SharedKBps: sim.MaxSharedKBps, Seed: seedBase + 100 + uint64(i)}))
+		for i := 0; i < m.nf; i++ {
+			fleet = append(fleet, s.Net.NewObserver(sim.ObserverConfig{Floodfill: false, SharedKBps: sim.MaxSharedKBps, Seed: m.seedBase + 100 + uint64(i)}))
 		}
-		return float64(len(sim.UnionObserveDay(obs, day)))
+		_, union, err := fleetDays(ctx, s, fleet, []int{day})
+		if err != nil {
+			return nil, err
+		}
+		cover[f] = float64(union[len(fleet)-1][0])
 	}
-	allFF := mix(6, 0, 800)
-	allNF := mix(0, 6, 900)
-	half := mix(3, 3, 1000)
+	allFF, allNF, half := cover[0], cover[1], cover[2]
 	rows := [][]string{
 		{"fleet", "union coverage"},
 		{"6 floodfill", fmt.Sprintf("%.0f", allFF)},

@@ -145,18 +145,23 @@ func (s *TrustSweep) RunCheckpointed(ctx context.Context, dir string) ([]TrustCe
 	if err != nil {
 		return nil, err
 	}
-	plan := s.rowPlan(cells)
-	states := make([]*trustState, len(plan))
-	err = measure.FanRows(ctx, plan, s.Cfg.Workers, func(planRow, i int) error {
-		if units.Resumed(i) {
+	// Cells lay days outermost, so row r's cells are r, r+rows, … in
+	// ascending day order, and cell r is the row's first.
+	err = measure.FanOut(ctx, rows, s.Cfg.Workers, func(r int) error {
+		if units.Resumed(r) {
 			return nil // no state built
 		}
-		c := cells[i]
-		if states[planRow] == nil {
-			states[planRow] = s.newTrustState(c.Dist, c.Enum)
+		st := s.newTrustState(cells[r].Dist, cells[r].Enum)
+		for i := r; i < len(cells); i += rows {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			st.advanceTo(cells[i].Day)
+			if err := units.Commit(i, st.result(cells[i])); err != nil {
+				return err
+			}
 		}
-		states[planRow].advanceTo(c.Day)
-		return units.Commit(i, states[planRow].result(c))
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -24,10 +24,10 @@
 // sample.
 //
 // Determinism contract: distrib.Sweep inherits the engine contract of
-// measure.ObserveGrid and censor.Sweep — cells fan out through
-// measure.FanOut writing into slots indexed by grid position, every
-// random draw derives from (SeedBase, cell coordinates), and folds run in
-// grid order, so any Workers value yields byte-identical results
+// censor.Sweep — cells fan out through measure.FanOut writing into
+// slots indexed by grid position, every random draw derives from
+// (SeedBase, cell coordinates), and folds run in grid order, so any
+// Workers value yields byte-identical results
 // (TestDistribSweepWorkerDeterminism).
 package distrib
 

@@ -194,11 +194,11 @@ func (s *Sweep) cellSeed(c Cell) uint64 {
 }
 
 // Run evaluates every cell across the worker pool and returns results
-// in Cells() order. Unlike the censor sweep, cells stay on plain
-// cell-level measure.FanOut rather than measure.FanRows rows: an
-// arms-race cell carries no rolling state a row could slide — each cell
-// is seeded from its own coordinates and the owner tables it folds come
-// from the order-independent network-owned day memo — so grouping
+// in Cells() order. Unlike the trust sweep, cells are their own
+// measure.FanOut tasks rather than whole rows: an arms-race cell
+// carries no rolling state a row could slide — each cell is seeded
+// from its own coordinates and the owner tables it folds come from the
+// order-independent network-owned day memo — so grouping
 // cells into rows would only cap parallelism (a one-distributor,
 // one-enumerator, many-day grid would serialize) without saving any
 // work. Cells() enumerates days outermost, so index-order hand-out

@@ -7,7 +7,6 @@ import (
 	"math/rand/v2"
 
 	"github.com/i2pstudy/i2pstudy/internal/censor"
-	"github.com/i2pstudy/i2pstudy/internal/measure"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -23,17 +22,15 @@ import (
 // Unlike distrib.Sweep — whose cells each own a private horizon and
 // carry no cross-cell state, so they fan out cell-level — the trust
 // grid's day axis is inherently sequential: day h's trust levels, rate
-// counters and bans are day h-1's plus one step. The sweep therefore
-// reuses the PR 4 rolling-row machinery: cells group into one
-// (distributor, enumerator) row per combination via measure.PlanRows
-// (days ascending), rows fan out across the measure.FanRows pool, and
-// each row slides one trustState forward a day at a time. The
-// determinism contract is unchanged: every random draw derives from
-// (SeedBase, row coordinates) and is consumed in day order within the
-// row, results land in cell-indexed slots, so any Workers value yields
-// byte-identical results — and sliding is exactly resumable, so every
-// cell equals the from-scratch replay Reference computes
-// (TestTrustSweepResumesAcrossRows).
+// counters and bans are day h-1's plus one step. A (distributor,
+// enumerator) row is therefore one whole measure.FanOut task that
+// slides one trustState forward a day at a time through the row's
+// cells. The determinism contract is unchanged: every random draw
+// derives from (SeedBase, row coordinates) and is consumed in day order
+// within the row, results land in cell-indexed slots, so any Workers
+// value yields byte-identical results — and sliding is exactly
+// resumable, so every cell equals the from-scratch replay Reference
+// computes (TestTrustSweepResumesAcrossRows).
 
 // TrustSweepConfig declares a (trust distributor x enumerator x
 // horizon day) grid.
@@ -212,23 +209,12 @@ func (s *TrustSweep) rowSeed(d *TrustSocial, e Enumerator) uint64 {
 		math.Float64bits(e.InsiderFrac))
 }
 
-// rowPlan builds the grid's row plan: one (distributor, enumerator) row
-// per combination, days ascending. Rows stay whole — resuming a row at
-// horizon day h would replay days 0..h-1 — so a plan row is a grid row,
-// the checkpoint unit.
-func (s *TrustSweep) rowPlan(cells []TrustCell) measure.RowPlan {
-	rows := len(s.Cfg.Enumerators) * len(s.Cfg.Distributors)
-	return measure.PlanRows(len(cells), rows,
-		func(i int) int { return i % rows },
-		func(i int) int { return cells[i].Day })
-}
-
-// Run evaluates every cell and returns results in Cells() order. Cells
-// are scheduled as rolling rows — one (distributor, enumerator) row per
-// combination, days ascending, each row sliding one trustState a day at
-// a time through the measure.FanRows pool. Any Workers value yields
-// byte-identical results; the first error (or ctx cancellation) stops
-// the remaining rows.
+// Run evaluates every cell and returns results in Cells() order. Each
+// (distributor, enumerator) row is one measure.FanOut task that slides
+// one trustState through the row's days in ascending order. Any Workers
+// value yields byte-identical results; the first error (or ctx
+// cancellation) stops the remaining rows, and a row in flight stops at
+// its next day when ctx is cancelled.
 func (s *TrustSweep) Run(ctx context.Context) ([]TrustCellResult, error) {
 	return s.RunCheckpointed(ctx, "")
 }

@@ -105,29 +105,6 @@ func TestCampaignParallelRaceStress(t *testing.T) {
 	wg.Wait()
 }
 
-// TestObserveGridMatchesObserveDay checks the experiment-facing engine
-// primitive against direct ObserveDay calls.
-func TestObserveGridMatchesObserveDay(t *testing.T) {
-	n := parallelTestNet(t)
-	var observers []*sim.Observer
-	for _, cfg := range DefaultObserverFleet(4) {
-		observers = append(observers, n.NewObserver(cfg))
-	}
-	days := []int{3, 7, 12}
-	grid, err := ObserveGrid(context.Background(), observers, days, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for o, obs := range observers {
-		for d, day := range days {
-			want := obs.ObserveDay(day)
-			if !reflect.DeepEqual(grid[o][d], want) {
-				t.Errorf("grid[%d][%d] differs from ObserveDay(%d)", o, d, day)
-			}
-		}
-	}
-}
-
 // TestCampaignRunContextCancelled verifies cancellation surfaces the
 // context error on both paths and leaves no partially written snapshot
 // day behind.

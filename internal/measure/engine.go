@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"github.com/i2pstudy/i2pstudy/internal/faults"
 	"github.com/i2pstudy/i2pstudy/internal/obs"
-	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
 // resolveWorkers normalizes a worker-count knob: zero or negative selects
@@ -65,10 +63,11 @@ func runPool(ctx context.Context, workers int, work func(ctx context.Context, ti
 
 // FanOut runs fn(i) for every i in [0, n) across a pool of workers,
 // stopping at the first error or context cancellation; workers <= 0
-// selects one worker per CPU. FanOut is the engine primitive shared by
-// ObserveGrid, the experiment runner, and the sweep grids (the campaign,
+// selects one worker per CPU. FanOut is the one fan-out engine: the
+// population figures' fleet days, the experiment runner, the sweep grids
+// and the trust sweep's whole rows all run as its tasks (the campaign,
 // whose days must fold in order, admits them by window instead — see
-// dayWindow): callers obtain worker-count-independent results by writing
+// dayWindow). Callers obtain worker-count-independent results by writing
 // into caller-owned slots indexed by task, never by arrival order.
 //
 // Dispatch is one shared ascending ticket: every worker takes the next
@@ -78,15 +77,9 @@ func runPool(ctx context.Context, workers int, work func(ctx context.Context, ti
 // loop run inline, which is the reference the determinism goldens
 // compare against. Scheduling decides only when a task runs, never where
 // its result lands, so any Workers value yields byte-identical results.
-func FanOut(ctx context.Context, n, workers int, fn func(i int) error) error {
-	return fanOut(ctx, n, workers, "task", func(_, i int) error { return fn(i) })
-}
-
-// fanOut is FanOut's engine: fn also receives the running worker's index
-// so row engines can attach their spans to the right trace track, and
-// every task is a spanName span when tracing is enabled. Counters and
+// Every task is a "task" span when tracing is enabled; counters and
 // spans record scheduling facts only.
-func fanOut(ctx context.Context, n, workers int, spanName string, fn func(tid, i int) error) error {
+func FanOut(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -112,8 +105,8 @@ func fanOut(ctx context.Context, n, workers int, spanName string, fn func(tid, i
 			}
 			ran++
 			t0 := tr.Now()
-			err := fn(tid, i)
-			tr.Complete(tid, spanName, t0, obs.Arg{Key: "i", Val: int64(i)})
+			err := fn(i)
+			tr.Complete(tid, "task", t0, obs.Arg{Key: "i", Val: int64(i)})
 			if err != nil {
 				return err
 			}
@@ -128,90 +121,4 @@ func fanOut(ctx context.Context, n, workers int, spanName string, fn func(tid, i
 		return err
 	}
 	return ctx.Err()
-}
-
-// RowPlan groups task indices into rows for FanRows. Each row is a list
-// of task indices that run sequentially in listed order on one worker —
-// the unit a rolling computation (a sliding blacklist window, an
-// incremental cache walk) carries its state along — while the rows
-// themselves fan out across the pool like FanOut tasks. Rows must not
-// share task indices; a task listed in no row simply never runs.
-type RowPlan [][]int
-
-// PlanRows builds a RowPlan over n tasks: rowOf(i) assigns task i to a
-// row in [0, rows); within each row, tasks are stably sorted by
-// ascending key(i) — the day coordinate in the sweep engines, so a
-// row's rolling state only ever slides forward. Stability keeps
-// equal-key tasks in index order, making the schedule (though never the
-// results, which land in task-indexed slots) deterministic.
-func PlanRows(n, rows int, rowOf, key func(i int) int) RowPlan {
-	plan := make(RowPlan, rows)
-	for i := 0; i < n; i++ {
-		r := rowOf(i)
-		plan[r] = append(plan[r], i)
-	}
-	for _, row := range plan {
-		sort.SliceStable(row, func(a, b int) bool { return key(row[a]) < key(row[b]) })
-	}
-	engineObs.Get().rowsPlanned.Add(uint64(len(plan)))
-	return plan
-}
-
-// FanRows runs fn(row, task) for every task of every row across the
-// worker pool: rows are handed out like FanOut tasks, in plan order, and
-// each row's tasks run sequentially in listed order on a single worker,
-// so per-row state needs no locking. The determinism contract is
-// FanOut's — callers write results into caller-owned slots indexed by
-// task, never by arrival order, and any workers value yields
-// byte-identical output. The first error (or context cancellation) stops
-// the remaining rows; rows in flight stop after their current task.
-func FanRows(ctx context.Context, plan RowPlan, workers int, fn func(row, task int) error) error {
-	var failed atomic.Bool
-	tr := obs.ActiveTracer()
-	return fanOut(ctx, len(plan), workers, "row", func(tid, r int) error {
-		for _, t := range plan[r] {
-			// Another row already failed (fanOut holds its error) or the
-			// caller cancelled: abandon the rest of this row.
-			if failed.Load() {
-				return nil
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			c0 := tr.Now()
-			err := fn(r, t)
-			tr.Complete(tid, "cell", c0,
-				obs.Arg{Key: "row", Val: int64(r)},
-				obs.Arg{Key: "task", Val: int64(t)})
-			if err != nil {
-				failed.Store(true)
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// ObserveGrid fans the (observer, day) capture grid across a worker pool
-// and returns grid[o][d], the peer indexes observers[o] saw on days[d].
-// Each ObserveDay draw is deterministic in (observer seed, day), so the
-// grid is identical for any worker count — experiments that fold it
-// sequentially produce the same figures the serial loops did.
-func ObserveGrid(ctx context.Context, observers []*sim.Observer, days []int, workers int) ([][][]int, error) {
-	grid := make([][][]int, len(observers))
-	for i := range grid {
-		grid[i] = make([][]int, len(days))
-	}
-	if len(days) == 0 {
-		return grid, ctx.Err()
-	}
-	err := FanOut(ctx, len(observers)*len(days), workers, func(t int) error {
-		o, d := t/len(days), t%len(days)
-		grid[o][d] = observers[o].ObserveDay(days[d])
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return grid, nil
 }

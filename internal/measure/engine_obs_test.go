@@ -71,30 +71,6 @@ func TestFanOutCountsParallelTasks(t *testing.T) {
 	}
 }
 
-func TestPlanRowsCountsRows(t *testing.T) {
-	r, _ := withObs(t, false)
-	PlanRows(8, 2, func(i int) int { return i % 2 }, func(i int) int { return i })
-	if text := r.RenderText(); !strings.Contains(text, "i2p_engine_rows_planned_total 2") {
-		t.Errorf("rows planned wrong:\n%s", text)
-	}
-}
-
-func TestFanRowsEmitsRowAndCellSpans(t *testing.T) {
-	_, buf := withObs(t, true)
-	plan := RowPlan{{0, 1}, {2}, {3, 4}}
-	err := FanRows(context.Background(), plan, 2, func(row, task int) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := buf.String()
-	if strings.Count(tr, `"name":"cell"`) != 5 {
-		t.Errorf("want 5 cell spans:\n%s", tr)
-	}
-	if strings.Count(tr, `"name":"row"`) != 3 {
-		t.Errorf("want 3 row spans:\n%s", tr)
-	}
-}
-
 func TestObservabilityDisabledFanOutStillWorks(t *testing.T) {
 	prevReg, prevTr := obs.Active(), obs.ActiveTracer()
 	obs.Enable(nil)

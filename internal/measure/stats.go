@@ -9,7 +9,6 @@ type engineStats struct {
 	tasksSerial   *obs.Counter   // i2p_engine_tasks_total{mode="serial"}
 	tasksParallel *obs.Counter   // i2p_engine_tasks_total{mode="parallel"}
 	workerTasks   *obs.Histogram // i2p_engine_worker_tasks: tasks one worker ran in one FanOut
-	rowsPlanned   *obs.Counter   // i2p_engine_rows_planned_total
 }
 
 // tasks returns the task counter for a pool of the given resolved width.
@@ -33,7 +32,5 @@ var engineObs = obs.NewLazy(func(r *obs.Registry) engineStats {
 		tasksParallel: tasks.With("parallel"),
 		workerTasks: r.Histogram("i2p_engine_worker_tasks",
 			"Tasks one worker executed in one FanOut.", workerTasksBounds),
-		rowsPlanned: r.Counter("i2p_engine_rows_planned_total",
-			"Rows laid out by PlanRows."),
 	}
 })

@@ -84,7 +84,6 @@ func TestSharedRegistryExposesEngineFamilies(t *testing.T) {
 	}
 	for _, name := range []string{
 		"i2p_engine_tasks_total",
-		"i2p_engine_rows_planned_total",
 		"i2p_cache_hits_total",
 		"i2p_cache_misses_total",
 		"i2pdistribd_requests_total",

@@ -485,34 +485,6 @@ func TestDrawDayMatchesReference(t *testing.T) {
 	}
 }
 
-// TestUnionObserveDayFirstSeenOrder: the union lists each peer once, where
-// the first observer to see it reported it.
-func TestUnionObserveDayFirstSeenOrder(t *testing.T) {
-	n := testNetwork(t, 10)
-	observers := []*Observer{
-		n.NewObserver(ObserverConfig{Floodfill: true, SharedKBps: 128, Seed: 1}),
-		n.NewObserver(ObserverConfig{Floodfill: false, SharedKBps: 1024, Seed: 2}),
-		n.NewObserver(ObserverConfig{Floodfill: false, SharedKBps: MaxSharedKBps, Seed: 3}),
-	}
-	const day = 4
-	seen := map[int]bool{}
-	var want []int
-	for _, o := range observers {
-		for _, idx := range o.ObserveDay(day) {
-			if !seen[idx] {
-				seen[idx] = true
-				want = append(want, idx)
-			}
-		}
-	}
-	if got := UnionObserveDay(observers, day); !slices.Equal(got, want) {
-		t.Fatalf("union of %d peers differs from the %d first sightings", len(got), len(want))
-	}
-	if got := UnionObserveDay(nil, day); got != nil {
-		t.Fatalf("union of no observers = %v", got)
-	}
-}
-
 // BenchmarkCaptureDay measures one observer-day of the campaign's
 // capture: the draw into pooled positions, the materialization stream
 // for every sighting and the claims. It reuses its buffers across

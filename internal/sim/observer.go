@@ -231,10 +231,11 @@ var posScratch = sync.Pool{New: func() any { return new([]int32) }}
 // peers the observer sees; a day outside the study appends nothing. It is
 // the full-day kernel, one draw per active peer in order: ObserveDay
 // resolves its positions to peer indexes, CaptureDay turns them into
-// sightings, and the victim's netDb view maps them itself. A caller that
-// needs only some positions (a censor's router, which can blacklist only
-// the peers that publish an address) draws through DrawDayAt instead.
-// Nothing is memoized here: every call redraws.
+// sightings, and the victim's netDb view and the population figures'
+// fleet counts map them themselves. A caller that needs only some
+// positions (a censor's router, which can blacklist only the peers that
+// publish an address) draws through DrawDayAt instead. Nothing is
+// memoized here: every call redraws.
 func (o *Observer) DrawDay(day int, out []int32) []int32 {
 	return o.drawDay(day, o.dayPCG(day), out)
 }
@@ -295,14 +296,16 @@ func (o *Observer) drawDay(day int, pcg *rand.PCG, out []int32) []int32 {
 }
 
 // ClaimSet is a bitset over peer index marking the peers some earlier
-// capture of the day already materialized.
+// observer of the day already saw: the campaign's capture claims a peer
+// to keep its first sighting, and the population figures claim to count
+// a fleet's union.
 type ClaimSet []uint64
 
 // NewClaimSet returns an empty set sized for the network's peers.
 func (n *Network) NewClaimSet() ClaimSet { return make(ClaimSet, (len(n.Peers)+63)/64) }
 
-// claim marks peer idx and reports whether it was unmarked until now.
-func (c ClaimSet) claim(idx int) bool {
+// Claim marks peer idx and reports whether it was unmarked until now.
+func (c ClaimSet) Claim(idx int) bool {
 	word, bit := idx>>6, uint64(1)<<(idx&63)
 	if c[word]&bit != 0 {
 		return false
@@ -340,7 +343,7 @@ func (o *Observer) capture(day int, pcg *rand.PCG, claimed ClaimSet, out []Sight
 	for _, j := range pos {
 		idx := active[j]
 		d := drawInfo(class[idx], pool, pcg)
-		if claimed.claim(int(idx)) {
+		if claimed.Claim(int(idx)) {
 			out = append(out, Sighting{Peer: idx, Draw: d})
 		}
 	}
@@ -358,25 +361,6 @@ func (o *Observer) CollectDay(day int) []*netdb.RouterInfo {
 	out := make([]*netdb.RouterInfo, len(seen))
 	for i, s := range seen {
 		out[i] = o.net.RouterInfo(day, s)
-	}
-	return out
-}
-
-// UnionObserveDay returns the union of observations of several observers
-// on one day, deduplicated, each peer where the first observer in the
-// list to see it reported it.
-func UnionObserveDay(observers []*Observer, day int) []int {
-	if len(observers) == 0 {
-		return nil
-	}
-	seen := observers[0].net.NewClaimSet()
-	var out []int
-	for _, o := range observers {
-		for _, idx := range o.ObserveDay(day) {
-			if seen.claim(idx) {
-				out = append(out, idx)
-			}
-		}
 	}
 	return out
 }

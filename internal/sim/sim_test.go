@@ -289,7 +289,15 @@ func TestFigure3BandwidthCrossover(t *testing.T) {
 	for i, kbps := range []int{128, 1024, 5120} {
 		ff := n.NewObserver(ObserverConfig{Seed: uint64(10 + i), SharedKBps: kbps, Floodfill: true})
 		nf := n.NewObserver(ObserverConfig{Seed: uint64(20 + i), SharedKBps: kbps, Floodfill: false})
-		unions = append(unions, len(UnionObserveDay([]*Observer{ff, nf}, day)))
+		claimed, union := n.NewClaimSet(), 0
+		for _, o := range []*Observer{ff, nf} {
+			for _, idx := range o.ObserveDay(day) {
+				if claimed.Claim(idx) {
+					union++
+				}
+			}
+		}
+		unions = append(unions, union)
 	}
 	lo, hi := unions[0], unions[0]
 	for _, u := range unions {
