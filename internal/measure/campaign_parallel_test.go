@@ -105,6 +105,43 @@ func TestCampaignParallelRaceStress(t *testing.T) {
 	wg.Wait()
 }
 
+// TestObserveGridMatchesObserveDay fans an observer-by-day grid out
+// through FanOut the way the population figures draw it — DrawDay into
+// per-task scratch, positions resolved through ActivePeers, each cell
+// written to its own slot — and holds every cell to a direct ObserveDay
+// call, at one worker and at eight.
+func TestObserveGridMatchesObserveDay(t *testing.T) {
+	n := parallelTestNet(t)
+	var observers []*sim.Observer
+	for _, cfg := range DefaultObserverFleet(4) {
+		observers = append(observers, n.NewObserver(cfg))
+	}
+	days := []int{3, 7, 12}
+	for _, workers := range []int{1, 8} {
+		grid := make([][]int, len(observers)*len(days))
+		err := FanOut(context.Background(), len(grid), workers, func(i int) error {
+			o, day := observers[i%len(observers)], days[i/len(observers)]
+			active := n.ActivePeers(day)
+			var ids []int
+			for _, j := range o.DrawDay(day, nil) {
+				ids = append(ids, int(active[j]))
+			}
+			grid[i] = ids
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for o, obs := range observers {
+			for d, day := range days {
+				if want := obs.ObserveDay(day); !reflect.DeepEqual(grid[d*len(observers)+o], want) {
+					t.Errorf("workers=%d: cell (%d, %d) differs from ObserveDay(%d)", workers, o, d, day)
+				}
+			}
+		}
+	}
+}
+
 // TestCampaignRunContextCancelled verifies cancellation surfaces the
 // context error on both paths and leaves no partially written snapshot
 // day behind.

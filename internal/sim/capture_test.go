@@ -485,6 +485,52 @@ func TestDrawDayMatchesReference(t *testing.T) {
 	}
 }
 
+// TestUnionObserveDayFirstSeenOrder holds a fleet's union counted
+// through ClaimSet.Claim, observers in order, to the first sightings
+// of their ObserveDay lists kept through a map: the same peers in the
+// same order. A second pass claims nothing, and no observers claim
+// no peer.
+func TestUnionObserveDayFirstSeenOrder(t *testing.T) {
+	n := testNetwork(t, 10)
+	observers := []*Observer{
+		n.NewObserver(ObserverConfig{Floodfill: true, SharedKBps: 128, Seed: 1}),
+		n.NewObserver(ObserverConfig{Floodfill: false, SharedKBps: 1024, Seed: 2}),
+		n.NewObserver(ObserverConfig{Floodfill: false, SharedKBps: MaxSharedKBps, Seed: 3}),
+	}
+	const day = 4
+	seen := map[int]bool{}
+	var want []int
+	for _, o := range observers {
+		for _, idx := range o.ObserveDay(day) {
+			if !seen[idx] {
+				seen[idx] = true
+				want = append(want, idx)
+			}
+		}
+	}
+	union := func(fleet []*Observer, claimed ClaimSet) []int {
+		var got []int
+		for _, o := range fleet {
+			for _, idx := range o.ObserveDay(day) {
+				if claimed.Claim(idx) {
+					got = append(got, idx)
+				}
+			}
+		}
+		return got
+	}
+	claimed := n.NewClaimSet()
+	if got := union(observers, claimed); !slices.Equal(got, want) {
+		t.Fatalf("union of %d peers differs from the %d first sightings", len(got), len(want))
+	}
+	if got := union(observers, claimed); got != nil {
+		t.Fatalf("a second pass claimed %d peers already in the union", len(got))
+	}
+	if got := union(nil, n.NewClaimSet()); got != nil {
+		t.Fatalf("union of no observers = %v", got)
+	}
+}
+
 // BenchmarkCaptureDay measures one observer-day of the campaign's
 // capture: the draw into pooled positions, the materialization stream
 // for every sighting and the claims. It reuses its buffers across
