@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"github.com/i2pstudy/i2pstudy"
 )
@@ -42,8 +43,13 @@ func main() {
 		}
 		fmt.Printf("=== %s\n%s\n", res.Title, res.Text)
 		fmt.Println("headline metrics:")
-		for k, v := range res.Metrics {
-			fmt.Printf("  %s = %.2f\n", k, v)
+		keys := make([]string, 0, len(res.Metrics))
+		for k := range res.Metrics {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Printf("  %s = %.2f\n", k, res.Metrics[k])
 		}
 		fmt.Println()
 	}

@@ -22,7 +22,6 @@ import (
 	"sync"
 
 	"github.com/i2pstudy/i2pstudy/internal/cache"
-	"github.com/i2pstudy/i2pstudy/internal/measure"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 	"github.com/i2pstudy/i2pstudy/internal/stats"
 )
@@ -77,8 +76,10 @@ func (c *Censor) Routers() int { return len(c.observers) }
 // is built for a censor's router (ObserveDay is never asked), and the
 // memo keeps one bit per address in the index: NumAddrs/8 bytes, where
 // an ID list would cost 4 bytes per observed address — more than the
-// set, at paper scale, for studies up to about 110 days. Blacklists and
-// Figure 13 series fold these sets a 64-bit word at a time.
+// set, at paper scale, for studies up to about 110 days. Blacklists
+// union these sets a 64-bit word at a time; Figure 13's series
+// (Sweep.BlockingSeries) draws the victim's addresses itself and reads
+// none.
 func (c *Censor) observedIDs(router, day int) AddrSet {
 	return c.obsIDs[router].Get(day, func(day int) AddrSet {
 		s := captureScratch.Get().(*[]int32)
@@ -238,11 +239,11 @@ func (v *Victim) KnownPeers(day int) []int { return v.view(day).peers }
 // producing one series per window, each giving the cumulative blocking
 // rate (percent) versus the number of monitoring routers — the paper's
 // Figure 13. It runs on the adversary engine: one censor fleet and one
-// victim are built once and shared by every window series (observers
-// are deterministic in (seed, day), so reuse never changes a draw);
-// captures warm through the parallel engine; each window cell grows one
-// blacklist set over fleet prefixes (BlockingSeries). Any workers value
-// yields a byte-identical figure.
+// victim are built once, and one BlockingSeries walk answers every
+// window, drawing only the victim's addresses each router has not yet
+// seen, so no router-day set is built (observers are deterministic in
+// (seed, day), so sharing the fleet never changes a draw). Any workers
+// value yields a byte-identical figure.
 func Figure13Context(ctx context.Context, network *sim.Network, maxRouters int, windows []int, day int, seedBase uint64, workers int) (*stats.Figure, error) {
 	if len(windows) == 0 {
 		windows = []int{1, 5, 10, 20, 30}
@@ -257,15 +258,7 @@ func Figure13Context(ctx context.Context, network *sim.Network, maxRouters int, 
 	if err != nil {
 		return nil, err
 	}
-	if err := sw.Capture(ctx); err != nil {
-		return nil, err
-	}
-	cells := sw.Cells()
-	series := make([][]float64, len(cells))
-	err = measure.FanOut(ctx, len(cells), workers, func(i int) error {
-		series[i] = sw.BlockingSeries(cells[i].Window, cells[i].Day, cells[i].Fleet)
-		return nil
-	})
+	series, err := sw.BlockingSeries(ctx, sw.Cfg.Windows, day, maxRouters)
 	if err != nil {
 		return nil, err
 	}
@@ -274,8 +267,8 @@ func Figure13Context(ctx context.Context, network *sim.Network, maxRouters int, 
 		XLabel: "routers under censor control",
 		YLabel: "blocking rate (%)",
 	}
-	for i, cell := range cells {
-		s := fig.AddSeries(fmt.Sprintf("%d day", cell.Window))
+	for i, w := range sw.Cfg.Windows {
+		s := fig.AddSeries(fmt.Sprintf("%d day", w))
 		for k, rate := range series[i] {
 			s.Append(float64(k+1), 100*rate)
 		}

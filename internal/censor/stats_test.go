@@ -128,6 +128,37 @@ func TestCaptureWarmsObservedIDs(t *testing.T) {
 	}
 }
 
+// TestFigure13BuildsNoRouterDaySets: Figure 13 draws the victim's
+// addresses straight into its recency fold, so one Figure13Context call
+// on a fresh network computes no (router, day) address set, one victim
+// view, and one day column per day of the widest window.
+func TestFigure13BuildsNoRouterDaySets(t *testing.T) {
+	prev := obs.Active()
+	r := obs.NewRegistry()
+	obs.Enable(r)
+	t.Cleanup(func() { obs.Enable(prev) })
+
+	n, err := sim.New(network(t).Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const day = 35
+	windows := []int{1, 5, 10, 20, 30}
+	if _, err := Figure13Context(context.Background(), n, 20, windows, day, 700, 2); err != nil {
+		t.Fatal(err)
+	}
+	text := r.RenderText()
+	for ring, want := range map[string]int{
+		"censor_obs_ids": 0,
+		"victim_netdb":   1,
+		"censor_day_ids": len(windowUnionDays([]int{day}, 30)),
+	} {
+		if got := counterValue(t, text, `i2p_cache_misses_total{ring="`+ring+`"}`); got != want {
+			t.Errorf("ring %s: %d misses, want %d", ring, got, want)
+		}
+	}
+}
+
 // counterValue extracts one rendered series value.
 func counterValue(t *testing.T, text, series string) int {
 	t.Helper()

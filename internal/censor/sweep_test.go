@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"net/netip"
 	"reflect"
@@ -327,9 +328,13 @@ func TestSweepBlockingRateMatchesBlockingRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := sw.BlockingRate(Cell{Fleet: 5, Window: 7, Day: 20})
-	series := sw.BlockingSeries(7, 20, 5)
-	if len(series) != 5 {
-		t.Fatalf("series length %d", len(series))
+	all, err := sw.BlockingSeries(context.Background(), []int{7}, 20, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := all[0]
+	if len(all) != 1 || len(series) != 5 {
+		t.Fatalf("%d series, the first of length %d", len(all), len(series))
 	}
 	if series[4] != want {
 		t.Fatalf("series[4] = %v, want %v", series[4], want)
@@ -342,25 +347,43 @@ func TestSweepBlockingRateMatchesBlockingRate(t *testing.T) {
 }
 
 // TestBlockingSeriesClamped: a series asked past the fleet the sweep
-// built stops at that fleet, and a non-positive window is one day, as
-// NewSweep clamps the grid's windows.
+// built stops at that fleet, a non-positive window is one day, as
+// NewSweep clamps the grid's windows, a negative fleet gives empty
+// series, and the series come back in the order the windows were given.
 func TestBlockingSeriesClamped(t *testing.T) {
 	n := network(t)
 	sw, err := NewSweep(n, SweepConfig{Fleets: []int{3}, Windows: []int{1}, Days: []int{20}, SeedBase: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sw.BlockingSeries(1, 20, 3)
-	if got := sw.BlockingSeries(1, 20, 8); !reflect.DeepEqual(got, want) {
+	ctx := context.Background()
+	series := func(windows []int, maxFleet int) [][]float64 {
+		t.Helper()
+		out, err := sw.BlockingSeries(ctx, windows, 20, maxFleet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != len(windows) {
+			t.Fatalf("%d series for %d windows", len(out), len(windows))
+		}
+		return out
+	}
+	want := series([]int{1}, 3)[0]
+	wide := series([]int{4}, 3)[0]
+	if got := series([]int{1}, 8)[0]; !reflect.DeepEqual(got, want) {
 		t.Fatalf("series past the fleet = %v, want %v", got, want)
 	}
-	for _, w := range []int{0, -2} {
-		if got := sw.BlockingSeries(w, 20, 3); !reflect.DeepEqual(got, want) {
-			t.Fatalf("window %d series = %v, want the one-day series %v", w, got, want)
+	got := series([]int{0, 4, -2, 1}, 3)
+	if want := [][]float64{want, wide, want, want}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("series for windows 0, 4, -2, 1 = %v, want %v", got, want)
+	}
+	for _, got := range series([]int{1, 5}, -1) {
+		if len(got) != 0 {
+			t.Fatalf("negative fleet series = %v, want empty", got)
 		}
 	}
-	if got := sw.BlockingSeries(1, 20, -1); len(got) != 0 {
-		t.Fatalf("negative fleet series = %v, want empty", got)
+	if got := series(nil, 3); len(got) != 0 {
+		t.Fatalf("no windows gave %v", got)
 	}
 }
 
@@ -392,36 +415,97 @@ func referenceBlockingSeries(sw *Sweep, window, day, maxFleet int) []float64 {
 	return out
 }
 
-// TestBlockingSeriesMatchesReference: every rate of the word-parallel
-// series is bit-equal to the per-ID reference's, over windows and days
-// on the test network and at both bench seeds.
-func TestBlockingSeriesMatchesReference(t *testing.T) {
-	for name, n := range seedNetworks(t) {
-		sw, err := NewSweep(n, SweepConfig{Fleets: []int{8}, Windows: []int{1}, Days: []int{0}, SeedBase: 700})
-		if err != nil {
-			t.Fatal(err)
+// referenceWordSeries is BlockingSeries before the recency fold, kept as
+// a second reference: one union grows along the fleet axis over the
+// memoized router-day sets (observedIDs), router k's words joining the
+// union of routers 1..k-1 a 64-bit word at a time, and the bits a word
+// gains are counted against the victim's word.
+func referenceWordSeries(sw *Sweep, window, day, maxFleet int) []float64 {
+	maxFleet = min(maxFleet, sw.Censor.Routers())
+	start := max(day-max(window, 1)+1, 0)
+	vic := sw.Victim.addrSet(day)
+	union := make([]uint64, len(vic.words))
+	blocked := 0
+	out := make([]float64, 0, max(maxFleet, 0))
+	for k := 1; k <= maxFleet; k++ {
+		for d := start; d <= day; d++ {
+			for i, w := range sw.Censor.observedIDs(k-1, d).words {
+				nw := w &^ union[i]
+				union[i] |= nw
+				blocked += bits.OnesCount64(nw & vic.words[i])
+			}
 		}
-		for _, day := range []int{0, 3, 20, n.Days() - 1} {
-			for _, window := range []int{0, 1, 5, 30} {
-				got := sw.BlockingSeries(window, day, 8)
-				want := referenceBlockingSeries(sw, window, day, 8)
-				if len(got) != len(want) {
-					t.Fatalf("%s: window %d day %d: %d rates, the reference gives %d", name, window, day, len(got), len(want))
-				}
-				for k := range want {
-					if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-						t.Fatalf("%s: window %d day %d fleet %d: rate %v, the reference gives %v", name, window, day, k+1, got[k], want[k])
-					}
-				}
+		rate := 0.0
+		if vic.Len() > 0 {
+			rate = float64(blocked) / float64(vic.Len())
+		}
+		out = append(out, rate)
+	}
+	return out
+}
+
+// sameSeries fails t unless got holds one series per window, each
+// bit-equal to what ref gives for that window.
+func sameSeries(t *testing.T, name string, got [][]float64, windows []int, ref func(window int) []float64) {
+	t.Helper()
+	if len(got) != len(windows) {
+		t.Fatalf("%s: %d series for %d windows", name, len(got), len(windows))
+	}
+	for i, window := range windows {
+		want := ref(window)
+		if len(got[i]) != len(want) {
+			t.Fatalf("%s: window %d: %d rates, the reference gives %d", name, window, len(got[i]), len(want))
+		}
+		for k := range want {
+			if math.Float64bits(got[i][k]) != math.Float64bits(want[k]) {
+				t.Fatalf("%s: window %d fleet %d: rate %v, the reference gives %v", name, window, k+1, got[i][k], want[k])
 			}
 		}
 	}
 }
 
-// TestBlockingSeriesFoldMatchesMapOracle runs the series fold over random
-// router-days and random victim netDbs planted in the memos, against a
-// map union: dense, sparse and empty router-days, IDs in the index's last
-// word, and a victim that knows no address.
+// TestBlockingSeriesMatchesReference: every rate of the recency fold is
+// bit-equal to the per-ID reference's and to the word-parallel one's,
+// over windows and days on the test network and at both bench seeds —
+// all windows in one call, one of them wider than the day — and on
+// Figure 13's own cell: 20 routers, its five windows, day Days-5.
+func TestBlockingSeriesMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	for name, n := range seedNetworks(t) {
+		type cell struct {
+			fleet, day int
+			windows    []int
+		}
+		var cells []cell
+		for _, day := range []int{0, 3, 20, n.Days() - 1} {
+			cells = append(cells, cell{8, day, []int{0, 1, 5, 30, day + 2}})
+		}
+		cells = append(cells, cell{20, n.Days() - 5, []int{1, 5, 10, 20, 30}})
+		for _, c := range cells {
+			sw, err := NewSweep(n, SweepConfig{Fleets: []int{c.fleet}, Windows: []int{1}, Days: []int{0}, SeedBase: 700})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sw.BlockingSeries(ctx, c.windows, c.day, c.fleet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s: %d routers day %d", name, c.fleet, c.day)
+			sameSeries(t, label+" (per-ID reference)", got, c.windows, func(w int) []float64 {
+				return referenceBlockingSeries(sw, w, c.day, c.fleet)
+			})
+			sameSeries(t, label+" (word reference)", got, c.windows, func(w int) []float64 {
+				return referenceWordSeries(sw, w, c.day, c.fleet)
+			})
+		}
+	}
+}
+
+// TestBlockingSeriesFoldMatchesMapOracle runs the recency fold against
+// random victim netDbs planted in the view memo — empty, sparse, dense,
+// and IDs in the index's last word — and holds every window's series to
+// a map union over the router-days' reference ID lists
+// (referenceObservedIDs) intersected with the planted victim.
 func TestBlockingSeriesFoldMatchesMapOracle(t *testing.T) {
 	n := network(t)
 	ix := IndexFor(n)
@@ -437,61 +521,54 @@ func TestBlockingSeriesFoldMatchesMapOracle(t *testing.T) {
 		}
 		return ids
 	}
-	toSet := func(ids []int32) *AddrSet {
-		set := ix.NewSet()
-		for _, id := range ids {
-			set.Add(id)
-		}
-		return set
+	const fleet = 5
+	windows := []int{1, 3, 8}
+	victims := map[int][]int32{ // by evaluation day
+		20: random(size / 3),
+		21: nil,
+		22: random(10),
+		23: random(size),
 	}
-	const fleet, window = 5, 3
-	for _, day := range []int{20, 21} {
-		sw, err := NewSweep(n, SweepConfig{Fleets: []int{fleet}, Windows: []int{window}, Days: []int{day}, SeedBase: 1})
+	for day, victim := range victims {
+		sw, err := NewSweep(n, SweepConfig{Fleets: []int{fleet}, Windows: []int{1}, Days: []int{day}, SeedBase: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		routerDays := make([][][]int32, fleet)
-		for r := range routerDays {
-			for d := day - window + 1; d <= day; d++ {
-				ids := random([]int{0, 10, size / 4, size}[(r+d)%4])
-				routerDays[r] = append(routerDays[r], ids)
-				sw.Censor.obsIDs[r].Get(d, func(int) AddrSet { return *toSet(ids) })
-			}
-		}
-		victim := random(size / 3)
-		if day == 21 {
-			victim = nil
-		}
-		sw.Victim.views.Get(day, func(int) *netDbView { return &netDbView{addrs: toSet(victim)} })
-
+		set := ix.NewSet()
 		known := map[int32]bool{}
 		for _, id := range victim {
+			set.Add(id)
 			known[id] = true
 		}
-		union := map[int32]bool{}
-		want := make([]float64, 0, fleet)
-		for r := range routerDays {
-			for _, ids := range routerDays[r] {
-				for _, id := range ids {
-					union[id] = true
-				}
-			}
-			blocked := 0
-			for id := range known {
-				if union[id] {
-					blocked++
-				}
-			}
-			rate := 0.0
-			if len(known) > 0 {
-				rate = float64(blocked) / float64(len(known))
-			}
-			want = append(want, rate)
+		sw.Victim.views.Get(day, func(int) *netDbView { return &netDbView{addrs: set} })
+
+		got, err := sw.BlockingSeries(context.Background(), windows, day, fleet)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got := sw.BlockingSeries(window, day, fleet)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("day %d: series %v, the map union gives %v", day, got, want)
-		}
+		sameSeries(t, fmt.Sprintf("day %d, %d known", day, len(known)), got, windows, func(window int) []float64 {
+			union := map[int32]bool{}
+			want := make([]float64, 0, fleet)
+			for r := range fleet {
+				for d := max(day-window+1, 0); d <= day; d++ {
+					for _, id := range referenceObservedIDs(sw.Censor, r, d) {
+						union[id] = true
+					}
+				}
+				blocked := 0
+				for id := range known {
+					if union[id] {
+						blocked++
+					}
+				}
+				rate := 0.0
+				if len(known) > 0 {
+					rate = float64(blocked) / float64(len(known))
+				}
+				want = append(want, rate)
+			}
+			return want
+		})
 	}
 }
 
