@@ -6,9 +6,11 @@
 //	go test -bench=. -benchmem
 //
 // reproduces the entire evaluation and prints paper-comparable numbers
-// (scaled by Study.Scale(); see EXPERIMENTS.md for the paper-vs-measured
-// record). Micro-benchmarks for the hot substrate paths (codec, routing
-// keys, closest-floodfill selection) follow at the bottom.
+// (scaled by Study.Scale(); each experiment's Expectations in
+// internal/core hold the paper's bounds, and ROADMAP.md's "Measured
+// state" the paper-vs-measured record). Micro-benchmarks for the hot
+// substrate paths (codec, routing keys, closest-floodfill selection)
+// follow at the bottom.
 package i2pstudy_test
 
 import (

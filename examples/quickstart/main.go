@@ -19,8 +19,9 @@ func main() {
 	log.SetFlags(0)
 
 	// DefaultOptions builds a 1/10-scale network (≈3,050 daily peers, 45
-	// days). Counts scale linearly; every shape statistic matches the
-	// paper. Use i2pstudy.FullScaleOptions() for the 30.5K-peer network.
+	// days). Counts scale linearly; each experiment's Expectations bound
+	// its shapes by the paper's. Use i2pstudy.FullScaleOptions() for the
+	// 30.5K-peer network.
 	study, err := i2pstudy.NewStudy(i2pstudy.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)

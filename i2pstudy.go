@@ -45,8 +45,10 @@ type Result = core.Result
 func NewStudy(opts Options) (*Study, error) { return core.NewStudy(opts) }
 
 // DefaultOptions returns the 1/10-scale configuration used by tests and
-// benches: every shape statistic matches the paper; absolute counts scale
-// by Study.Scale().
+// benches; absolute counts scale by Study.Scale(). The shapes it is held
+// to are each experiment's Expectations, the paper's bounds in the
+// registry; ROADMAP.md's "Measured state" records where the output and
+// the paper still disagree.
 func DefaultOptions() Options { return core.DefaultOptions() }
 
 // FullScaleOptions returns the paper-scale configuration: ~30.5K daily

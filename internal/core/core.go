@@ -2,7 +2,8 @@
 // Study object owns a synthetic network, runs the main measurement
 // campaign, and exposes a registry of experiments — one per table and
 // figure in the paper's evaluation — each returning a rendered artifact
-// plus the headline metrics recorded in EXPERIMENTS.md.
+// plus headline metrics, which the experiment's Expectations bound by
+// what the paper reports.
 package core
 
 import (
@@ -47,8 +48,8 @@ type Options struct {
 	// at least 40 (Figure 13's 30-day blacklist window plus slack).
 	Days int
 	// TargetDailyPeers scales the network. The paper's network had ~30.5K
-	// daily peers; benches default to a 1/10-scale network, which
-	// preserves every shape statistic.
+	// daily peers; benches default to a 1/10-scale network, which the
+	// experiments' Expectations are asserted at.
 	TargetDailyPeers int
 	// MainFleetSize is the number of observers in the main campaign (the
 	// paper used 20: 10 floodfill + 10 non-floodfill).
@@ -166,8 +167,8 @@ type Result struct {
 	// Figure, when non-nil, is the structured series behind Text; the CLI
 	// tools export it as CSV.
 	Figure *stats.Figure
-	// Metrics carries the headline numbers for EXPERIMENTS.md and the
-	// bench harness.
+	// Metrics carries the headline numbers that the experiment's
+	// Expectations bound and the bench harness reports.
 	Metrics map[string]float64
 }
 
@@ -196,8 +197,12 @@ type Experiment struct {
 	ID string
 	// Title is the paper's caption, abbreviated.
 	Title string
-	// Paper summarizes the expected result from the paper.
+	// Paper summarizes the expected result from the paper; the CLIs
+	// print it on the artifact's paper: line.
 	Paper string
+	// Expectations are the bounds the paper puts on Run's metrics at
+	// DefaultOptions; TestKeyShapeMetrics asserts every row.
+	Expectations []Expectation
 	// Category groups the experiment for the CLIs; one of the Category*
 	// constants. Required at registration.
 	Category string
@@ -205,6 +210,22 @@ type Experiment struct {
 	// honor ctx cancellation between expensive stages and must treat the
 	// study's network as read-only so RunAll can run them concurrently.
 	Run func(context.Context, *Study) (*Result, error)
+}
+
+// Expectation bounds one of an experiment's metrics by what the paper
+// reports.
+type Expectation struct {
+	// Metric names the bounded value in Result.Metrics.
+	Metric string
+	// Per, when set, names a second metric the first is divided by: the
+	// bounded value is Metrics[Metric] / Metrics[Per]. It states an
+	// ordering between two metrics without adding a third.
+	Per string
+	// Lo and Hi bound the value inclusively; an open side is math.Inf.
+	// A strict bound is the next float inside it (math.Nextafter).
+	Lo, Hi float64
+	// Source is the paper's figure or section the bound comes from.
+	Source string
 }
 
 var (

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -27,8 +29,6 @@ func TestNewStudyValidation(t *testing.T) {
 	if _, err := NewStudy(Options{Days: 10, TargetDailyPeers: 100}); err == nil {
 		t.Fatal("too-short study accepted")
 	}
-	opts := DefaultOptions()
-	opts.MainFleetSize = 0
 	s, err := NewStudy(Options{Seed: 1, Days: 45, TargetDailyPeers: 500})
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +77,18 @@ func TestRegistryComplete(t *testing.T) {
 	for _, e := range got {
 		if e.Paper == "" || e.Title == "" {
 			t.Errorf("experiment %q lacks title/paper text", e.ID)
+		}
+		type key struct{ metric, per string }
+		seen := map[key]bool{}
+		for _, x := range e.Expectations {
+			if x.Metric == "" || x.Source == "" || !(x.Lo <= x.Hi) {
+				t.Errorf("%s: malformed expectation %+v", e.ID, x)
+			}
+			k := key{x.Metric, x.Per}
+			if seen[k] {
+				t.Errorf("%s: expectation %s/%s appears twice", e.ID, x.Metric, x.Per)
+			}
+			seen[k] = true
 		}
 	}
 }
@@ -129,99 +141,80 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 }
 
-// TestKeyShapeMetrics spot-checks the paper's headline shapes end to end
-// through the registry.
+// TestKeyShapeMetrics holds every experiment's metrics to the paper's
+// bounds in its Expectations, end to end at DefaultOptions.
 func TestKeyShapeMetrics(t *testing.T) {
 	s := study(t)
+	for _, e := range Experiments() {
+		if len(e.Expectations) == 0 {
+			continue
+		}
+		res, err := e.Run(context.Background(), s)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		for _, x := range e.Expectations {
+			if err := checkExpectation(e, res, x); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}
 
-	f2, err := s.RunExperiment("figure-02")
-	if err != nil {
-		t.Fatal(err)
+// checkExpectation reports whether res meets x. A missing metric, a NaN
+// and a zero or missing Per fail: a missing key reads 0, which would
+// meet a bound such as ntcp2_detection_rate <= 0.4.
+func checkExpectation(e Experiment, res *Result, x Expectation) error {
+	name := x.Metric
+	v, ok := res.Metrics[x.Metric]
+	if x.Per != "" {
+		name += " / " + x.Per
+		d, hasPer := res.Metrics[x.Per]
+		ok = ok && hasPer && d != 0
+		v /= d
 	}
-	if f2.Metrics["nonff_over_ff"] <= 1.0 {
-		t.Errorf("figure-02: non-ff should beat ff at 8MB/s, ratio %.3f", f2.Metrics["nonff_over_ff"])
+	switch {
+	case !ok:
+		return fmt.Errorf("%s: %s missing or divided by 0 (%s; paper: %s)", e.ID, name, x.Source, e.Paper)
+	case !(v >= x.Lo && v <= x.Hi): // a NaN fails both
+		return fmt.Errorf("%s: %s = %v, want in [%v, %v] (%s; paper: %s)", e.ID, name, v, x.Lo, x.Hi, x.Source, e.Paper)
 	}
-	if cov := f2.Metrics["coverage_of_actives"]; cov < 0.40 || cov > 0.62 {
-		t.Errorf("figure-02: coverage %.2f, want ~0.5", cov)
-	}
+	return nil
+}
 
-	f3, err := s.RunExperiment("figure-03")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f3.Metrics["ff_advantage_at_128"] <= 0 {
-		t.Error("figure-03: floodfill must win at 128 KB/s")
-	}
-	if f3.Metrics["nonff_advantage_at_5mb"] <= 0 {
-		t.Error("figure-03: non-floodfill must win at 5 MB/s")
-	}
-	if f3.Metrics["union_spread_ratio"] > 0.2 {
-		t.Errorf("figure-03: union spread %.2f, want flat", f3.Metrics["union_spread_ratio"])
-	}
-
-	f4, err := s.RunExperiment("figure-04")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if share := f4.Metrics["share_at_20"]; share < 0.90 {
-		t.Errorf("figure-04: 20-router share = %.3f, want >= 0.90 (paper 95.5%%)", share)
-	}
-
-	f13, err := s.RunExperiment("figure-13")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := f13.Metrics["rate_6routers_1day"]; r < 80 {
-		t.Errorf("figure-13: 6-router rate = %.1f%%, want ~90%%", r)
-	}
-	if r := f13.Metrics["rate_20routers_30day"]; r < 93 {
-		t.Errorf("figure-13: 20-router/30-day rate = %.1f%%, want ~98%%", r)
-	}
-
-	f14, err := s.RunExperiment("figure-14")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if to := f14.Metrics["timeout_65_pct"]; to < 20 || to > 70 {
-		t.Errorf("figure-14: timeouts at 65%% = %.1f%%, want ~40%%", to)
-	}
-	if to := f14.Metrics["timeout_95_pct"]; to < 85 {
-		t.Errorf("figure-14: timeouts at 95%% = %.1f%%, want 95-100%%", to)
-	}
-	if l := f14.Metrics["load_unblocked_s"]; l < 3 || l > 6 {
-		t.Errorf("figure-14: unblocked load = %.1fs, want ~3.4-4.4s", l)
-	}
-
-	dpi, err := s.RunExperiment("dpi-fingerprinting")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dpi.Metrics["ntcp_detection_rate"] != 1 {
-		t.Errorf("dpi: NTCP detection = %v, want 1", dpi.Metrics["ntcp_detection_rate"])
-	}
-	if dpi.Metrics["ntcp2_detection_rate"] > 0.4 {
-		t.Errorf("dpi: NTCP2 detection = %v, want ~0", dpi.Metrics["ntcp2_detection_rate"])
-	}
-
-	ff, err := s.RunExperiment("ablation-flood-fanout")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flooding goes to the floodfills *closest to the holder*, which under
-	// the XOR metric cluster around the record key, so replication grows
-	// slowly (non-strictly) with fan-out.
-	if !(ff.Metrics["replicas_fanout_1"] <= ff.Metrics["replicas_fanout_3"] &&
-		ff.Metrics["replicas_fanout_3"] <= ff.Metrics["replicas_fanout_8"] &&
-		ff.Metrics["replicas_fanout_1"] < ff.Metrics["replicas_fanout_8"]) {
-		t.Error("flood fan-out must not decrease replication")
-	}
-
-	mix, err := s.RunExperiment("ablation-observer-mix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mix.Metrics["mixed"] <= mix.Metrics["all_ff"]*0.98 {
-		t.Errorf("mixed fleet (%v) should match or beat all-floodfill (%v)",
-			mix.Metrics["mixed"], mix.Metrics["all_ff"])
+func TestCheckExpectation(t *testing.T) {
+	e := Experiment{ID: "synthetic", Paper: "the paper's prose"}
+	res := &Result{Metrics: map[string]float64{
+		"zero": 0, "one": 1, "two": 2, "nan": math.NaN(),
+	}}
+	above := math.Nextafter(1, math.Inf(1))
+	for _, c := range []struct {
+		name string
+		x    Expectation
+		pass bool
+	}{
+		{"on the lower bound", Expectation{Metric: "one", Lo: 1, Hi: 2}, true},
+		{"on the upper bound", Expectation{Metric: "two", Lo: 1, Hi: 2}, true},
+		{"a point bound", Expectation{Metric: "one", Lo: 1, Hi: 1}, true},
+		{"a ratio in bounds", Expectation{Metric: "one", Per: "two", Lo: 0.5, Hi: 0.5}, true},
+		{"missing metric", Expectation{Metric: "absent", Lo: math.Inf(-1), Hi: 0.4}, false},
+		{"NaN", Expectation{Metric: "nan", Lo: math.Inf(-1), Hi: math.Inf(1)}, false},
+		{"Per equal to 0", Expectation{Metric: "one", Per: "zero", Lo: math.Inf(-1), Hi: math.Inf(1)}, false},
+		{"missing Per", Expectation{Metric: "one", Per: "absent", Lo: math.Inf(-1), Hi: math.Inf(1)}, false},
+		{"one ulp below Lo", Expectation{Metric: "one", Lo: above, Hi: 2}, false},
+		{"one ulp above Hi", Expectation{Metric: "two", Lo: 1, Hi: math.Nextafter(2, 0)}, false},
+		{"strict row at its threshold", Expectation{Metric: "one", Lo: above, Hi: math.Inf(1)}, false},
+		{"strict ratio at its threshold", Expectation{Metric: "two", Per: "two", Lo: math.Inf(-1), Hi: math.Nextafter(1, 0)}, false},
+	} {
+		c.x.Source = "Figure 0"
+		err := checkExpectation(e, res, c.x)
+		switch {
+		case c.pass && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case !c.pass && err == nil:
+			t.Errorf("%s: passed", c.name)
+		case !c.pass && !(strings.Contains(err.Error(), "Figure 0") && strings.Contains(err.Error(), e.Paper)):
+			t.Errorf("%s: %q does not name the source and the paper", c.name, err)
+		}
 	}
 }

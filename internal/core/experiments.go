@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"net"
 	"strings"
@@ -26,6 +27,10 @@ func init() {
 		Title:    "Peers observed by one high-end router in floodfill vs non-floodfill mode",
 		Paper:    "~15-16K peers/day out of ~30.5K; non-floodfill slightly higher",
 		Run:      runFigure02,
+		Expectations: []Expectation{
+			{Metric: "nonff_over_ff", Lo: math.Nextafter(1, math.Inf(1)), Hi: math.Inf(1), Source: "Figure 2"},
+			{Metric: "coverage_of_actives", Lo: 0.40, Hi: 0.62, Source: "Figure 2"},
+		},
 	})
 	register(Experiment{
 		ID:       "figure-03",
@@ -33,6 +38,11 @@ func init() {
 		Title:    "Peers observed vs shared bandwidth (7 floodfill + 7 non-floodfill routers)",
 		Paper:    "floodfill wins <2MB/s by 1.5-2K, non-floodfill wins >2MB/s by 1-1.5K; pair union flat at 17-18K",
 		Run:      runFigure03,
+		Expectations: []Expectation{
+			{Metric: "ff_advantage_at_128", Lo: math.Nextafter(0, math.Inf(1)), Hi: math.Inf(1), Source: "Figure 3"},
+			{Metric: "nonff_advantage_at_5mb", Lo: math.Nextafter(0, math.Inf(1)), Hi: math.Inf(1), Source: "Figure 3"},
+			{Metric: "union_spread_ratio", Lo: math.Inf(-1), Hi: 0.2, Source: "Figure 3"},
+		},
 	})
 	register(Experiment{
 		ID:       "figure-04",
@@ -40,6 +50,9 @@ func init() {
 		Title:    "Cumulative peers observed by 1-40 routers",
 		Paper:    "logarithmic growth to ~32K; 20 routers reach 95.5%",
 		Run:      runFigure04,
+		Expectations: []Expectation{
+			{Metric: "share_at_20", Lo: 0.90, Hi: math.Inf(1), Source: "Figure 4"},
+		},
 	})
 	register(Experiment{
 		ID:       "figure-05",
@@ -117,6 +130,10 @@ func init() {
 		Title:    "Blocking rates vs censor routers and blacklist windows",
 		Paper:    "90% @6 routers, >95% @20 (1-day); 95% @10 (5-day); ~98% @20 (30-day)",
 		Run:      runFigure13,
+		Expectations: []Expectation{
+			{Metric: "rate_6routers_1day", Lo: 80, Hi: math.Inf(1), Source: "Figure 13"},
+			{Metric: "rate_20routers_30day", Lo: 93, Hi: math.Inf(1), Source: "Figure 13"},
+		},
 	})
 	register(Experiment{
 		ID:       "figure-14",
@@ -124,6 +141,11 @@ func init() {
 		Title:    "Page-load latency and timeouts under blocking",
 		Paper:    "3.4s unblocked; >20s + 40% timeouts @65%; >40s + >60% @70-90%; 95-100% timeouts >90%",
 		Run:      runFigure14,
+		Expectations: []Expectation{
+			{Metric: "timeout_65_pct", Lo: 20, Hi: 70, Source: "Figure 14"},
+			{Metric: "timeout_95_pct", Lo: 85, Hi: math.Inf(1), Source: "Figure 14"},
+			{Metric: "load_unblocked_s", Lo: 3, Hi: 6, Source: "Figure 14"},
+		},
 	})
 	register(Experiment{
 		ID:       "reseed-blocking",
@@ -145,6 +167,10 @@ func init() {
 		Title:    "DPI flow fingerprinting of NTCP vs NTCP2 (Section 2.2.2)",
 		Paper:    "NTCP's 288/304/448/48 handshake is fully detectable; NTCP2 padding defeats it",
 		Run:      runDPIFingerprinting,
+		Expectations: []Expectation{
+			{Metric: "ntcp_detection_rate", Lo: 1, Hi: 1, Source: "Section 2.2.2"},
+			{Metric: "ntcp2_detection_rate", Lo: math.Inf(-1), Hi: 0.4, Source: "Section 2.2.2"},
+		},
 	})
 	register(Experiment{
 		ID:       "port-blocking",
@@ -166,6 +192,9 @@ func init() {
 		Title:    "Ablation: observer mode mix (all-ff vs all-nonff vs half/half)",
 		Paper:    "Section 4.2: combining modes yields a more complete view than either alone",
 		Run:      runAblationObserverMix,
+		Expectations: []Expectation{
+			{Metric: "mixed", Per: "all_ff", Lo: math.Nextafter(0.98, math.Inf(1)), Hi: math.Inf(1), Source: "Section 4.2"},
+		},
 	})
 	register(Experiment{
 		ID:       "ablation-flood-fanout",
@@ -173,6 +202,14 @@ func init() {
 		Title:    "Ablation: floodfill flooding fan-out (1 vs 3 vs 8)",
 		Paper:    "Section 4.2: fresh entries flood to the 3 closest floodfills",
 		Run:      runAblationFloodFanout,
+		Expectations: []Expectation{
+			// Flooding goes to the floodfills closest to the holder, which
+			// under the XOR metric cluster around the record key, so
+			// replication grows slowly (non-strictly) with fan-out.
+			{Metric: "replicas_fanout_1", Per: "replicas_fanout_3", Lo: math.Inf(-1), Hi: 1, Source: "Section 4.2"},
+			{Metric: "replicas_fanout_3", Per: "replicas_fanout_8", Lo: math.Inf(-1), Hi: 1, Source: "Section 4.2"},
+			{Metric: "replicas_fanout_1", Per: "replicas_fanout_8", Lo: math.Inf(-1), Hi: math.Nextafter(1, math.Inf(-1)), Source: "Section 4.2"},
+		},
 	})
 }
 
@@ -961,9 +998,8 @@ func runAblationFloodFanout(ctx context.Context, s *Study) (*Result, error) {
 	}, nil
 }
 
-// measureTopGeo renders the top-N geo table (indirection avoids importing
-// measure for one function in this file's callers).
-var measureTopGeo = func(c *stats.Counter, n int, label string) string {
+// measureTopGeo renders the top-N geo table.
+func measureTopGeo(c *stats.Counter, n int, label string) string {
 	top := c.Top(n)
 	shares := c.CumulativeShare(top)
 	rows := [][]string{{label, "peers", "cum %"}}

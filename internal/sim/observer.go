@@ -44,8 +44,9 @@ type ObservationParams struct {
 	HiddenAffinity     float64 // hidden peers
 }
 
-// DefaultObservation returns constants calibrated against Figures 2–4 (see
-// the derivation in EXPERIMENTS.md).
+// DefaultObservation returns constants calibrated against Figures 2–4; the
+// figure-02, -03 and -04 rows of core's expectation table
+// (core.Experiment.Expectations) bound what they produce.
 func DefaultObservation() ObservationParams {
 	return ObservationParams{
 		DLMCoverage:       0.66,
