@@ -1,15 +1,21 @@
-// Command reachsyms is the symbol reach gate: it fails when an exported
-// package-level identifier under internal/ (a func, type, const, var or
-// method) is reached from no non-test code. Roots are every declaration
-// outside internal/ — the binaries, the scripts, the root package, the
-// examples and the bench/ module — plus init functions, the test
-// harness packages and blank package-level variables whose initializer
-// calls a function (kept for its side effects). A declaration is reached when a reached declaration names
-// it; a reference from inside its own declaration does not count, and
-// neither does one from a _test.go file, which is never loaded. A method
-// is also reached when its receiver type is reached and implements an
-// interface, declared anywhere in the loaded code or the standard library
-// it imports, that declares the method (String through fmt.Stringer,
+// Command reachsyms is the module's architecture check: one table of
+// rules (rules below), each a contract that keeps one way of doing a job
+// single, checked over the identifiers, imports and declarations of the
+// gated module's packages. TestModuleRules runs the whole table over the
+// module, so go test ./... enforces it; this command runs the same check.
+//
+// The last rule is symbol reach: it fails when an exported package-level
+// identifier under internal/ (a func, type, const, var or method) is
+// reached from no non-test code. Roots are every declaration outside
+// internal/ — the binaries, the scripts, the root package, the examples
+// and the bench/ module — plus init functions, the test harness packages
+// and blank package-level variables whose initializer calls a function
+// (kept for its side effects). A declaration is reached when a reached
+// declaration names it; a reference from inside its own declaration does
+// not count, and neither does one from a _test.go file. A method is also
+// reached when its receiver type is reached and implements an interface,
+// declared anywhere in the loaded code or the standard library it
+// imports, that declares the method (String through fmt.Stringer,
 // ServeHTTP through http.Handler).
 //
 // scripts/reachsyms/allow.txt names the symbols kept anyway, one per
@@ -17,11 +23,11 @@
 // contracts keep), interface (a use the checker cannot see), test-seam
 // (an accessor a test in another package reads; the line names the test)
 // or planned:<item> (a ROADMAP item that will use it). An entry whose
-// symbol is reached or no longer exists is stale and fails the gate too.
+// symbol is reached or no longer exists is stale and fails the check too.
 //
-// It uses only the standard library: go list for file sets, go/parser
-// and go/types for the module's packages, and the source importer for
-// the standard library.
+// It uses only the standard library: go list for file sets and the
+// standard library's export data, go/parser and go/types for the
+// module's packages.
 //
 // Usage, from the repository root:
 //
@@ -31,33 +37,135 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"log"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 )
 
-// harnesses are the packages under internal/ that exist for tests; their
-// exports are not candidates, and what they reference counts as reached.
-var harnesses = map[string]bool{
-	"internal/measure/enginetest": true,
-	"internal/obs/promtest":       true,
+// A rule is one architecture contract of the gated module.
+type rule struct {
+	Name     string
+	Contract string // why the rule holds; printed with each finding
+	Scope    scope
+	check    checker
+}
+
+// A checker returns a rule's findings over the packages in its scope.
+type checker func(l *loader, in []*loaded) ([]finding, error)
+
+// A firer names what a node of a scoped file fires on, or returns "".
+type firer func(info *types.Info, n ast.Node) string
+
+// A scope selects packages of the gated module by import path relative
+// to its root: "internal/censor" is that package, "internal/..." the
+// tree below internal/, "..." every package and "." the root package.
+// Each pattern of In must match a package, so a renamed package cannot
+// switch a rule off.
+type scope struct {
+	In, Except []string
+	Tests      bool // the packages' _test.go files too
+}
+
+// gated is what the reach rules hold to account: every package under
+// internal/ but the two test harnesses, whose exports are not candidates
+// and whose references count as reached.
+var gated = scope{
+	In:     []string{"internal/..."},
+	Except: []string{"internal/measure/enginetest", "internal/obs/promtest"},
+}
+
+// rules is the table, with symbol reach reading allowFile.
+func rules(allowFile string) []rule {
+	return []rule{{
+		Name: "no-global-network-cache",
+		Contract: "state derived from a network hangs off sim.Derive and dies with the network; " +
+			"a package-level cache keyed by *sim.Network pins every network the process ever built",
+		Scope: scope{In: []string{"internal/...", "cmd/..."}, Tests: true},
+		check: inFiles(networkCache),
+	}, {
+		Name: "one-publication-pointer",
+		Contract: "everything a request is answered from is one epoch behind one pointer; " +
+			"a second published pointer beside it is a second thing a handler can read at a different moment",
+		Scope: scope{In: []string{"internal/service"}},
+		check: inFiles(publication),
+	}, {
+		Name: "censor-keeps-address-sets",
+		Contract: "a monitoring router's capture draws the day's addressed column into one address set per day " +
+			"(Censor.observedIDs over sim.Observer.DrawDayAt), and the victim's netDb view is one walk over DrawDay; " +
+			"ObserveDay would build a peer-index list per observer-day that is read once",
+		Scope: scope{In: []string{"internal/censor"}},
+		check: inFiles(selector("ObserveDay")),
+	}, {
+		Name: "one-blacklist-build",
+		Contract: "a blacklist is the union of the first k monitoring routers' router-days in the window, " +
+			"built from scratch per sweep cell (censor.Sweep.Blacklist); " +
+			"a sliding multiset in the censor is the first step back to a second way of building it",
+		Scope: scope{In: []string{"internal/censor"}},
+		check: inFiles(identContaining("WindowCounter")),
+	}, {
+		Name: "one-union-path",
+		Contract: "how many distinct peers the first k observers see on a day is counted one way " +
+			"(core's fleetDays claims into a sim.ClaimSet per day), and every fan-out is a measure.FanOut task, " +
+			"a trust sweep's whole row included; a capture grid, a union helper or a row planner is a second way back",
+		Scope: scope{In: []string{"..."}},
+		check: inFiles(identContaining("ObserveGrid", "UnionObserveDay", "FanRows", "PlanRows", "RowPlan")),
+	}, {
+		Name: "one-reachability-rule",
+		Contract: "whether a handed-out bridge is reachable from behind the firewall is one rule, " +
+			"censor.AddrIndex.BridgeUsable, for censor's bridge evaluation and distrib's sweeps alike; " +
+			"its introducer draw lives there, and distrib reading the introducer pool is a second copy of the rule",
+		Scope: scope{In: []string{"internal/distrib"}},
+		check: inFiles(selector("Introducers")),
+	}, {
+		Name: "one-exit-site",
+		Contract: "every CLI exits from cli.Main only, after its deferred profile and trace stops have run " +
+			"(internal/faults keeps the injected exit); an os.Exit or log.Fatal anywhere else skips them",
+		Scope: scope{In: []string{"cmd/...", "internal/..."}, Except: []string{"internal/cli/...", "internal/faults/..."}},
+		check: inFiles(exits),
+	}, {
+		Name: "observers-memoize-nothing",
+		Contract: "an observer's draw is a pure function of (seed, day); what is worth keeping of it is kept by " +
+			"the caller that revisits the day (a censor's address IDs, the victim's netDb view); " +
+			"sim importing the memo package is the first step back to an observer-side memo",
+		Scope: scope{In: []string{"internal/sim"}},
+		check: importsNone("internal/cache"),
+	}, {
+		Name: "package-reach",
+		Contract: "a package under internal/ exists because a binary, a script or the root package reaches it " +
+			"(enginetest and promtest are the two test harnesses); an example or a test is a consumer, not a reason",
+		Scope: gated,
+		check: reachedFrom("cmd/...", "scripts/...", "."),
+	}, {
+		Name: "symbol-reach",
+		Contract: "an exported identifier under internal/ is reached from non-test code " +
+			"(a binary, a script, the root package, an example or bench/); delete the symbol, " +
+			"or allowlist it with a reason in scripts/reachsyms/allow.txt, and delete a stale entry",
+		Scope: gated,
+		check: symbolReach(allowFile),
+	}}
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("reachsyms: ")
-	findings, err := check([]string{".", "bench"}, filepath.Join("scripts", "reachsyms", "allow.txt"))
+	l, err := load(".", "bench")
+	if err != nil {
+		log.Fatal(err)
+	}
+	findings, err := l.check(rules(filepath.Join("scripts", "reachsyms", "allow.txt")))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,113 +173,385 @@ func main() {
 		fmt.Fprintln(os.Stderr, f)
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "reachsyms: %d finding(s): delete the symbol, or allowlist it with a reason in %s\n",
-			len(findings), filepath.Join("scripts", "reachsyms", "allow.txt"))
+		fmt.Fprintf(os.Stderr, "reachsyms: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }
 
-// A finding is one failure of the gate.
+// A finding is one failure of a rule.
 type finding struct {
-	Pos    string // file:line
-	Symbol string // package path below internal/, then the name
-	Msg    string
+	Pos      string // file:line, relative to the gated module's root
+	Rule     string
+	What     string // the identifier, import, package or symbol that fired
+	Contract string
 }
 
-func (f finding) String() string { return fmt.Sprintf("%s: %s %s", f.Pos, f.Symbol, f.Msg) }
+func (f finding) String() string {
+	return fmt.Sprintf("%s: %s: %s (%s)", f.Pos, f.Rule, f.What, f.Contract)
+}
 
-// check loads the non-test packages of the modules in dirs (the first is
-// the one whose internal/ is gated) and returns the unreached symbols and
-// the stale or malformed allowlist entries, sorted by position.
-func check(dirs []string, allowFile string) ([]finding, error) {
-	l := newLoader()
+// load type-checks the non-test packages of the modules in dirs; the
+// first is the gated one, which the scopes select from.
+func load(dirs ...string) (*loader, error) {
+	l, err := newLoader(dirs[0])
+	if err != nil {
+		return nil, err
+	}
 	for i, dir := range dirs {
 		if err := l.loadModule(dir, i == 0); err != nil {
 			return nil, err
 		}
 	}
-	g := l.graph()
-	ifaces := l.interfaces()
-	allow, findings, err := readAllow(allowFile)
-	if err != nil {
-		return nil, err
-	}
-	bySymbol := make(map[string]types.Object, len(g.candidates))
-	for _, c := range g.candidates {
-		bySymbol[c.symbol] = c.obj
-	}
+	return l, nil
+}
 
-	reached := g.reach(g.roots, ifaces)
-	var kept []types.Object
-	for sym, pos := range allow {
-		obj, ok := bySymbol[sym]
-		switch {
-		case !ok:
-			findings = append(findings, finding{pos, sym, "is allowlisted but names no exported symbol under internal/"})
-		case reached[obj]:
-			findings = append(findings, finding{pos, sym, "is allowlisted but reached: delete the entry"})
-		default:
-			kept = append(kept, obj)
+// check returns the findings of rules, sorted by position.
+func (l *loader) check(rules []rule) ([]finding, error) {
+	var findings []finding
+	for _, r := range rules {
+		in, err := l.scoped(r.Scope)
+		if err != nil {
+			return nil, fmt.Errorf("rule %s: %v", r.Name, err)
+		}
+		fs, err := r.check(l, in)
+		if err != nil {
+			return nil, fmt.Errorf("rule %s: %v", r.Name, err)
+		}
+		for _, f := range fs {
+			f.Rule, f.Contract = r.Name, r.Contract
+			findings = append(findings, f)
 		}
 	}
-	// What an allowlisted symbol uses is kept with it.
-	reached = g.reach(append(slices.Clone(g.roots), kept...), ifaces)
-	for _, c := range g.candidates {
-		if _, ok := allow[c.symbol]; ok || reached[c.obj] {
-			continue
-		}
-		if c.recv != nil && !reached[c.recv] {
-			continue // the receiver type is reported, not each method
-		}
-		findings = append(findings, finding{l.position(c.obj.Pos()), c.symbol, "is reached by no non-test code"})
-	}
-	slices.SortFunc(findings, func(a, b finding) int { return strings.Compare(a.Pos+a.Symbol, b.Pos+b.Symbol) })
+	slices.SortFunc(findings, func(a, b finding) int {
+		return cmp.Or(strings.Compare(a.Pos, b.Pos), strings.Compare(a.Rule, b.Rule), strings.Compare(a.What, b.What))
+	})
 	return findings, nil
 }
 
-// loader type-checks module packages in dependency order, resolving
-// standard-library imports from source.
+// match reports whether the relative import path rel matches one of the
+// scope patterns.
+func match(patterns []string, rel string) bool {
+	for _, pat := range patterns {
+		tree, ok := strings.CutSuffix(pat, "/...")
+		if pat == "..." || pat == rel || ok && (rel == tree || strings.HasPrefix(rel, tree+"/")) {
+			return true
+		}
+	}
+	return false
+}
+
+// scoped returns the gated module's packages in s, each followed by its
+// test packages when s.Tests is set.
+func (l *loader) scoped(s scope) ([]*loaded, error) {
+	for _, pat := range s.In {
+		if !slices.ContainsFunc(l.order, func(lp *loaded) bool { return lp.main && match([]string{pat}, lp.rel) }) {
+			return nil, fmt.Errorf("scope %s matches no package", pat)
+		}
+	}
+	var in []*loaded
+	for _, lp := range l.order {
+		if !lp.main || !match(s.In, lp.rel) || match(s.Except, lp.rel) {
+			continue
+		}
+		in = append(in, lp)
+		if s.Tests {
+			tests, err := l.tests(lp)
+			if err != nil {
+				return nil, err
+			}
+			in = append(in, tests...)
+		}
+	}
+	return in, nil
+}
+
+// inFiles returns a check that reports every node of the scoped files
+// that fire names, by the name it returns.
+func inFiles(fire firer) checker {
+	return func(l *loader, in []*loaded) ([]finding, error) {
+		var out []finding
+		for _, lp := range in {
+			for _, f := range lp.files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if what := fire(lp.info, n); what != "" {
+						out = append(out, finding{Pos: l.position(n.Pos()), What: what})
+					}
+					return true
+				})
+			}
+		}
+		return out, nil
+	}
+}
+
+// networkCache fires on a package-level var whose type is a sync.Map, a
+// pointer to one, or a map keyed by *sim.Network.
+func networkCache(info *types.Info, n ast.Node) string {
+	id, ok := n.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	v, ok := info.Defs[id].(*types.Var)
+	if !ok || v.Parent() != v.Pkg().Scope() {
+		return ""
+	}
+	m, isMap := v.Type().Underlying().(*types.Map)
+	if named(v.Type(), "sync", "Map") || isMap && named(m.Key(), "internal/sim", "Network") {
+		return "var " + id.Name + " " + types.TypeString(v.Type(), (*types.Package).Name)
+	}
+	return ""
+}
+
+// named reports whether t, or the type t points to, is the named type
+// name of the package whose import path is pkg or ends in "/"+pkg.
+func named(t types.Type, pkg, name string) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := types.Unalias(t).(*types.Named)
+	return ok && n.Obj().Pkg() != nil && n.Obj().Name() == name &&
+		(n.Obj().Pkg().Path() == pkg || strings.HasSuffix(n.Obj().Pkg().Path(), "/"+pkg))
+}
+
+// publication fires on atomic.Value and on atomic.Pointer of any type
+// but epoch and ProberState.
+func publication(info *types.Info, n ast.Node) string {
+	id, ok := n.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	switch obj := info.Uses[id]; {
+	case isObj(obj, "sync/atomic", "Value"):
+		return "atomic.Value"
+	case isObj(obj, "sync/atomic", "Pointer"):
+		arg := info.Instances[id].TypeArgs.At(0)
+		if n, ok := types.Unalias(arg).(*types.Named); ok && slices.Contains([]string{"epoch", "ProberState"}, n.Obj().Name()) {
+			return ""
+		}
+		return "atomic.Pointer[" + types.TypeString(arg, (*types.Package).Name) + "]"
+	}
+	return ""
+}
+
+// exits fires on os.Exit and log.Fatal*, however os and log are imported.
+func exits(info *types.Info, n ast.Node) string {
+	id, ok := n.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	fn, ok := info.Uses[id].(*types.Func)
+	if ok && (isObj(fn, "os", "Exit") || fn.Pkg() != nil && fn.Pkg().Path() == "log" && strings.HasPrefix(fn.Name(), "Fatal")) {
+		return fn.FullName()
+	}
+	return ""
+}
+
+func isObj(obj types.Object, pkgPath, name string) bool {
+	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
+}
+
+// selector returns a firer for a selector named name that denotes a
+// function or method, called or taken as a value. A field of another
+// type, such as a RouterAddress's Introducers list, does not fire.
+func selector(name string) firer {
+	return func(info *types.Info, n ast.Node) string {
+		if s, ok := n.(*ast.SelectorExpr); ok && s.Sel.Name == name && info.Uses[s.Sel] != nil {
+			if _, ok := info.Uses[s.Sel].Type().Underlying().(*types.Signature); ok {
+				return "." + name
+			}
+		}
+		return ""
+	}
+}
+
+// identContaining returns a firer for an identifier that contains one
+// of names.
+func identContaining(names ...string) firer {
+	return func(_ *types.Info, n ast.Node) string {
+		id, ok := n.(*ast.Ident)
+		if ok && slices.ContainsFunc(names, func(s string) bool { return strings.Contains(id.Name, s) }) {
+			return id.Name
+		}
+		return ""
+	}
+}
+
+// importsNone returns a check that reports each import, by a scoped
+// package, of target or of a package that imports it.
+func importsNone(target string) checker {
+	return func(l *loader, in []*loaded) ([]finding, error) {
+		var t *loaded
+		for _, lp := range l.order {
+			if lp.main && lp.rel == target {
+				t = lp
+			}
+		}
+		if t == nil {
+			return nil, fmt.Errorf("import %s matches no package", target)
+		}
+		var out []finding
+		for _, lp := range in {
+			for _, f := range lp.files {
+				for _, spec := range f.Imports {
+					path, _ := strconv.Unquote(spec.Path.Value)
+					dep := l.pkgs[path]
+					if dep == nil || !l.closure(dep.pkg)[t.pkg] {
+						continue
+					}
+					what := lp.rel + " imports " + target
+					if dep != t {
+						what = lp.rel + " imports " + dep.rel + ", which imports " + target
+					}
+					out = append(out, finding{Pos: l.position(spec.Pos()), What: what})
+				}
+			}
+		}
+		return out, nil
+	}
+}
+
+// reachedFrom returns a check that reports each scoped package outside
+// the import closure of the gated module's packages matching roots.
+func reachedFrom(roots ...string) checker {
+	return func(l *loader, in []*loaded) ([]finding, error) {
+		var from []*types.Package
+		for _, lp := range l.order {
+			if lp.main && match(roots, lp.rel) {
+				from = append(from, lp.pkg)
+			}
+		}
+		reached := l.closure(from...)
+		var out []finding
+		for _, lp := range in {
+			if !reached[lp.pkg] {
+				pos := l.rel(lp.list.Dir) + ":1"
+				if len(lp.files) > 0 {
+					pos = l.position(lp.files[0].Package)
+				}
+				out = append(out, finding{Pos: pos, What: lp.rel + " is imported by no binary, script or the root package"})
+			}
+		}
+		return out, nil
+	}
+}
+
+// closure returns the module packages that pkgs are or import.
+func (l *loader) closure(pkgs ...*types.Package) map[*types.Package]bool {
+	seen := map[*types.Package]bool{}
+	for len(pkgs) > 0 {
+		p := pkgs[len(pkgs)-1]
+		pkgs = pkgs[:len(pkgs)-1]
+		if seen[p] || l.pkgs[p.Path()] == nil || l.pkgs[p.Path()].pkg != p {
+			continue
+		}
+		seen[p] = true
+		pkgs = append(pkgs, p.Imports()...)
+	}
+	return seen
+}
+
+// symbolReach returns the symbol reach check: the unreached exported
+// declarations of the scoped packages and the stale or malformed
+// entries of allowFile.
+func symbolReach(allowFile string) checker {
+	return func(l *loader, in []*loaded) ([]finding, error) {
+		g := l.graph(in)
+		ifaces := l.interfaces()
+		allow, findings, err := readAllow(allowFile)
+		if err != nil {
+			return nil, err
+		}
+		bySymbol := make(map[string]types.Object, len(g.candidates))
+		for _, c := range g.candidates {
+			bySymbol[c.symbol] = c.obj
+		}
+
+		reached := g.reach(g.roots, ifaces)
+		var kept []types.Object
+		for sym, pos := range allow {
+			obj, ok := bySymbol[sym]
+			switch {
+			case !ok:
+				findings = append(findings, finding{Pos: pos, What: sym + " is allowlisted but names no exported symbol under internal/"})
+			case reached[obj]:
+				findings = append(findings, finding{Pos: pos, What: sym + " is allowlisted but reached: delete the entry"})
+			default:
+				kept = append(kept, obj)
+			}
+		}
+		// What an allowlisted symbol uses is kept with it.
+		reached = g.reach(append(slices.Clone(g.roots), kept...), ifaces)
+		for _, c := range g.candidates {
+			if _, ok := allow[c.symbol]; ok || reached[c.obj] {
+				continue
+			}
+			if c.recv != nil && !reached[c.recv] {
+				continue // the receiver type is reported, not each method
+			}
+			findings = append(findings, finding{Pos: l.position(c.obj.Pos()), What: c.symbol + " is reached by no non-test code"})
+		}
+		return findings, nil
+	}
+}
+
+// loader type-checks module packages in dependency order, importing the
+// standard library from the export data go list reports.
 type loader struct {
-	fset  *token.FileSet
-	std   types.Importer
-	pkgs  map[string]*types.Package // module packages by import path
-	order []*loaded
+	fset   *token.FileSet
+	root   string // the gated module's directory
+	std    types.Importer
+	export map[string]string  // export data files by standard import path
+	pkgs   map[string]*loaded // module packages by import path
+	order  []*loaded
 }
 
 type loaded struct {
-	rel   string // import path relative to the gated module root
-	gated bool   // under the gated module's internal/, not a harness
+	rel   string // import path relative to its module's root, "." for the root
+	main  bool   // in the gated module
+	list  listed
 	pkg   *types.Package
 	files []*ast.File
 	info  *types.Info
 }
 
-func newLoader() *loader {
-	// The standard library is read from source; without cgo its files
-	// need no C toolchain.
-	build.Default.CgoEnabled = false
-	fset := token.NewFileSet()
-	return &loader{
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil),
-		pkgs: map[string]*types.Package{},
+func newLoader(root string) (*loader, error) {
+	root, err := filepath.Abs(root)
+	if err != nil {
+		return nil, err
 	}
+	l := &loader{
+		fset:   token.NewFileSet(),
+		root:   root,
+		export: map[string]string{},
+		pkgs:   map[string]*loaded{},
+	}
+	l.std = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := l.export[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(file)
+	})
+	return l, nil
 }
 
 func (l *loader) Import(path string) (*types.Package, error) {
-	if p, ok := l.pkgs[path]; ok {
-		return p, nil
+	if lp, ok := l.pkgs[path]; ok {
+		return lp.pkg, nil
 	}
 	return l.std.Import(path)
 }
 
 // listed is the part of go list -json this program reads.
 type listed struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Standard   bool
-	Module     *struct {
+	ImportPath   string
+	Dir          string
+	Export       string
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Standard     bool
+	Module       *struct {
 		Path string
 		Main bool
 	}
@@ -181,10 +561,9 @@ type listed struct {
 // loadModule type-checks the non-test files of every package of the
 // module in dir that is not loaded yet. go list -deps prints a package
 // after everything it imports.
-func (l *loader) loadModule(dir string, gated bool) error {
-	cmd := exec.Command("go", "list", "-deps", "-json", "./...")
+func (l *loader) loadModule(dir string, main bool) error {
+	cmd := exec.Command("go", "list", "-deps", "-export", "-json", "./...")
 	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -197,55 +576,102 @@ func (l *loader) loadModule(dir string, gated bool) error {
 		if err := dec.Decode(&p); err != nil {
 			return fmt.Errorf("go list in %s: %v", dir, err)
 		}
-		if p.Standard || p.Module == nil || !p.Module.Main {
+		if p.Standard {
+			l.export[p.ImportPath] = p.Export
+			continue
+		}
+		if p.Module == nil || !p.Module.Main {
 			continue
 		}
 		if p.Error != nil {
 			return fmt.Errorf("%s: %s", p.ImportPath, p.Error.Err)
 		}
-		rel := strings.TrimPrefix(strings.TrimPrefix(p.ImportPath, p.Module.Path), "/")
-		if err := l.checkPackage(p, rel, gated && isInternal(rel) && !harnesses[rel]); err != nil {
+		files, err := l.parse(p.Dir, p.GoFiles)
+		if err != nil {
 			return err
 		}
+		pkg, info, err := l.typeCheck(p.ImportPath, files, false)
+		if err != nil {
+			return fmt.Errorf("type-check %s: %v", p.ImportPath, err)
+		}
+		rel := cmp.Or(strings.TrimPrefix(strings.TrimPrefix(p.ImportPath, p.Module.Path), "/"), ".")
+		lp := &loaded{rel: rel, main: main, list: p, pkg: pkg, files: files, info: info}
+		l.pkgs[p.ImportPath] = lp
+		l.order = append(l.order, lp)
 	}
 	return nil
 }
 
-func isInternal(rel string) bool { return rel == "internal" || strings.HasPrefix(rel, "internal/") }
-
-func (l *loader) checkPackage(p listed, rel string, gated bool) error {
-	files := make([]*ast.File, 0, len(p.GoFiles))
-	for _, name := range p.GoFiles {
-		f, err := parser.ParseFile(l.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+// tests returns lp's _test.go files as packages: the in-package ones
+// checked with lp's own files, the external test package on its own.
+// Only package-level declarations are checked and type errors are
+// dropped: an import only tests use has no export data here, and a rule
+// reads no more of a test file than its package-level var types.
+func (l *loader) tests(lp *loaded) ([]*loaded, error) {
+	var tests []*loaded
+	add := func(path string, names []string, with []*ast.File) error {
+		if len(names) == 0 {
+			return nil
+		}
+		files, err := l.parse(lp.list.Dir, names)
 		if err != nil {
 			return err
 		}
+		pkg, info, _ := l.typeCheck(path, append(with, files...), true)
+		tests = append(tests, &loaded{rel: lp.rel, main: true, list: lp.list, pkg: pkg, files: files, info: info})
+		return nil
+	}
+	if err := add(lp.list.ImportPath, lp.list.TestGoFiles, slices.Clone(lp.files)); err != nil {
+		return nil, err
+	}
+	if err := add(lp.list.ImportPath+"_test", lp.list.XTestGoFiles, nil); err != nil {
+		return nil, err
+	}
+	return tests, nil
+}
+
+func (l *loader) parse(dir string, names []string) ([]*ast.File, error) {
+	files := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
 		files = append(files, f)
 	}
+	return files, nil
+}
+
+// typeCheck checks files as the package path; a test package is checked
+// for its package-level declarations only, past any error.
+func (l *loader) typeCheck(path string, files []*ast.File, test bool) (*types.Package, *types.Info, error) {
 	info := &types.Info{
 		Defs: map[*ast.Ident]types.Object{},
 		Uses: map[*ast.Ident]types.Object{},
 		// Types holds interface literals and tells conversions from calls.
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Types:     map[ast.Expr]types.TypeAndValue{},
+		Instances: map[*ast.Ident]types.Instance{},
 	}
 	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(p.ImportPath, l.fset, files, info)
-	if err != nil {
-		return fmt.Errorf("type-check %s: %v", p.ImportPath, err)
+	if test {
+		conf.IgnoreFuncBodies = true
+		conf.Error = func(error) {}
 	}
-	l.pkgs[p.ImportPath] = pkg
-	l.order = append(l.order, &loaded{rel: rel, gated: gated, pkg: pkg, files: files, info: info})
-	return nil
+	pkg, err := conf.Check(path, l.fset, files, info)
+	return pkg, info, err
+}
+
+// rel returns file relative to the gated module's root.
+func (l *loader) rel(file string) string {
+	if rel, err := filepath.Rel(l.root, file); err == nil {
+		return rel
+	}
+	return file
 }
 
 func (l *loader) position(pos token.Pos) string {
 	p := l.fset.Position(pos)
-	if wd, err := os.Getwd(); err == nil {
-		if rel, err := filepath.Rel(wd, p.Filename); err == nil {
-			p.Filename = rel
-		}
-	}
-	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
+	return fmt.Sprintf("%s:%d", l.rel(p.Filename), p.Line)
 }
 
 // interfaces indexes by method name every interface with methods that
@@ -301,20 +727,23 @@ type graph struct {
 	candidates []candidate
 }
 
-// A candidate is an exported declaration under the gated internal/.
+// A candidate is an exported declaration of a gated package.
 type candidate struct {
 	obj    types.Object
 	recv   *types.TypeName // the receiver type, for a method
 	symbol string
 }
 
-func (l *loader) graph() *graph {
+// graph builds the declaration graph; the declarations of the gated
+// packages are candidates, every other declaration a root.
+func (l *loader) graph(gated []*loaded) *graph {
 	g := &graph{edges: map[types.Object][]types.Object{}, methods: map[*types.TypeName][]*types.Func{}}
 	for _, lp := range l.order {
+		isGated := slices.Contains(gated, lp)
 		prefix := strings.TrimPrefix(strings.TrimPrefix(lp.rel, "internal"), "/")
 		node := func(obj types.Object, decl ast.Node, root bool) {
 			g.edges[obj] = append(g.edges[obj], uses(lp.info, decl)...)
-			if root || !lp.gated {
+			if root || !isGated {
 				g.roots = append(g.roots, obj)
 			}
 		}
@@ -331,7 +760,7 @@ func (l *loader) graph() *graph {
 					if recv != nil {
 						g.methods[recv] = append(g.methods[recv], fn)
 					}
-					if lp.gated && fn.Exported() {
+					if isGated && fn.Exported() {
 						c := candidate{obj: fn, symbol: prefix + "." + fn.Name()}
 						if recv != nil {
 							c.recv = recv
@@ -345,7 +774,7 @@ func (l *loader) graph() *graph {
 						case *ast.TypeSpec:
 							tn := lp.info.Defs[s.Name]
 							node(tn, s, false)
-							if lp.gated && tn.Exported() {
+							if isGated && tn.Exported() {
 								g.candidates = append(g.candidates, candidate{obj: tn, symbol: prefix + "." + tn.Name()})
 							}
 						case *ast.ValueSpec:
@@ -359,7 +788,7 @@ func (l *loader) graph() *graph {
 									root = d.Tok == token.VAR && callsFunction(lp.info, s)
 								}
 								node(obj, s, root)
-								if lp.gated && obj.Exported() {
+								if isGated && obj.Exported() {
 									g.candidates = append(g.candidates, candidate{obj: obj, symbol: prefix + "." + obj.Name()})
 								}
 							}
@@ -491,12 +920,12 @@ func readAllow(path string) (map[string]string, []finding, error) {
 		sym := fields[0]
 		switch {
 		case len(fields) < 2 || !validReason(fields[1]):
-			bad = append(bad, finding{pos, sym, "needs one reason: reference, interface, test-seam or planned:<item>"})
+			bad = append(bad, finding{Pos: pos, What: sym + " needs one reason: reference, interface, test-seam or planned:<item>"})
 		case fields[1] == "test-seam" && len(fields) < 3:
-			bad = append(bad, finding{pos, sym, "is a test-seam entry that names no test"})
+			bad = append(bad, finding{Pos: pos, What: sym + " is a test-seam entry that names no test"})
 		default:
 			if _, dup := allow[sym]; dup {
-				bad = append(bad, finding{pos, sym, "is allowlisted twice"})
+				bad = append(bad, finding{Pos: pos, What: sym + " is allowlisted twice"})
 			}
 			allow[sym] = pos
 		}

@@ -3,29 +3,69 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// fixture is a module whose internal/lib holds one symbol per rule; its
-// main.go is the only non-test root.
+// fixture is a module that mirrors the gated module's layout: internal/lib
+// holds one symbol per symbol-reach case, and every other package holds
+// the forms one rule fires on and the forms no rule may fire on.
 var fixture = filepath.Join("testdata", "mod")
 
-func checkFixture(t *testing.T, allowFile string) map[string]string {
-	t.Helper()
-	findings, err := check([]string{fixture}, allowFile)
+// TestModuleRules runs every rule over this module with the real
+// allowlist, so go test ./... enforces the table.
+func TestModuleRules(t *testing.T) {
+	root := filepath.Join("..", "..")
+	l, err := load(root, filepath.Join(root, "bench"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	findings, err := l.check(rules("allow.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Error(f)
+	}
+}
+
+// fixtureLoader loads the fixture once for every test that checks it.
+var fixtureLoader = sync.OnceValues(func() (*loader, error) { return load(fixture) })
+
+func checkFixture(t *testing.T, r []rule) ([]finding, error) {
+	t.Helper()
+	l, err := fixtureLoader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l.check(r)
+}
+
+func checkFixtureRules(t *testing.T, allowFile string) []finding {
+	t.Helper()
+	findings, err := checkFixture(t, rules(allowFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return findings
+}
+
+// symbols returns the symbol-reach findings' messages by symbol.
+func symbols(findings []finding) map[string]string {
 	got := map[string]string{}
 	for _, f := range findings {
-		got[f.Symbol] += f.Msg + "; "
+		if f.Rule == "symbol-reach" {
+			sym, msg, _ := strings.Cut(f.What, " ")
+			got[sym] += msg + "; "
+		}
 	}
 	return got
 }
 
 func TestFixtureSymbols(t *testing.T) {
-	got := checkFixture(t, filepath.Join(fixture, "allow.txt"))
+	got := symbols(checkFixtureRules(t, filepath.Join(fixture, "allow.txt")))
 	for _, c := range []struct {
 		name, symbol string
 		flagged      bool
@@ -62,7 +102,7 @@ func TestStaleAllowlistFails(t *testing.T) {
 	if err := os.WriteFile(allow, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got := checkFixture(t, allow)
+	got := symbols(checkFixtureRules(t, allow))
 	for symbol, want := range map[string]string{
 		"lib.Entry":    "reached",
 		"lib.Gone":     "names no exported symbol",
@@ -71,6 +111,77 @@ func TestStaleAllowlistFails(t *testing.T) {
 	} {
 		if !strings.Contains(got[symbol], want) {
 			t.Errorf("%s: finding %q, want one containing %q", symbol, got[symbol], want)
+		}
+	}
+}
+
+// TestFixtureRules holds every rule of the table to exactly the findings
+// it makes on the fixture, by file and what fired. A rule deleted from
+// the table, or one whose scope no longer reaches its fixture, fails.
+// The forms the text gates missed are here: a var block, a _test.go
+// cache, a method value, an aliased os, a struct field, a package only an
+// example reaches and an import two levels down. So are the ones that
+// must not fire: a comment naming WindowCounter (censor.go), a string
+// "os.Exit(" (cmd/tool), internal/cache declaring WindowCounter, a
+// function-local sync.Map, the allowed atomic pointers and the exits in
+// internal/cli and internal/faults.
+func TestFixtureRules(t *testing.T) {
+	want := map[string][]string{
+		"no-global-network-cache": {
+			"internal/censor/censor.go: var seen sync.Map",
+			"internal/censor/censor_test.go: var captured *sync.Map",
+			"internal/distrib/distrib_test.go: var byNetwork map[*sim.Network]int",
+		},
+		"one-publication-pointer": {
+			"internal/service/service.go: atomic.Pointer[int]",
+			"internal/service/service.go: atomic.Value",
+		},
+		"censor-keeps-address-sets": {"internal/censor/censor.go: .ObserveDay"},
+		"one-blacklist-build":       {"internal/censor/censor.go: NewWindowCounter"},
+		"one-union-path":            {"examples/fleet/main.go: ObserveGrid"},
+		"one-reachability-rule":     {"internal/distrib/distrib.go: .Introducers"},
+		"one-exit-site": {
+			"cmd/tool/main.go: log.Fatal",
+			"internal/sim/sim.go: os.Exit",
+		},
+		"observers-memoize-nothing": {
+			"internal/sim/sim.go: internal/sim imports internal/draw, which imports internal/cache",
+		},
+		"package-reach": {"internal/orphan/orphan.go: internal/orphan is imported by no binary, script or the root package"},
+		"symbol-reach": {
+			"internal/lib/lib.go: lib.Dead is reached by no non-test code",
+			"internal/lib/lib.go: lib.Name.Loud is reached by no non-test code",
+			"internal/lib/lib.go: lib.Recursive is reached by no non-test code",
+			"internal/lib/lib.go: lib.TestOnly is reached by no non-test code",
+		},
+	}
+	got := map[string][]string{}
+	for _, f := range checkFixtureRules(t, filepath.Join(fixture, "allow.txt")) {
+		file, _, _ := strings.Cut(f.Pos, ":")
+		got[f.Rule] = append(got[f.Rule], file+": "+f.What)
+	}
+	table := rules("")
+	if len(table) != len(want) {
+		t.Errorf("%d rules, want %d", len(table), len(want))
+	}
+	for _, r := range table {
+		slices.Sort(got[r.Name])
+		if !slices.Equal(got[r.Name], want[r.Name]) {
+			t.Errorf("%s fired on\n\t%s\nwant\n\t%s", r.Name, strings.Join(got[r.Name], "\n\t"), strings.Join(want[r.Name], "\n\t"))
+		}
+	}
+}
+
+// TestScopeMatchesNothing checks that a rule whose scope or import target
+// names no package fails the check instead of passing silently.
+func TestScopeMatchesNothing(t *testing.T) {
+	for _, r := range []rule{
+		{Name: "renamed-scope", Scope: scope{In: []string{"internal/censr"}}, check: inFiles(identContaining("WindowCounter"))},
+		{Name: "renamed-target", Scope: scope{In: []string{"internal/sim"}}, check: importsNone("internal/cach")},
+	} {
+		_, err := checkFixture(t, []rule{r})
+		if err == nil || !strings.Contains(err.Error(), r.Name) || !strings.Contains(err.Error(), "matches no package") {
+			t.Errorf("%s: err = %v, want the rule named and its empty match", r.Name, err)
 		}
 	}
 }
