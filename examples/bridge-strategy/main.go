@@ -40,7 +40,7 @@ func main() {
 		}
 		p := network.Peers[idx]
 		if p.Status == sim.StatusKnownIP {
-			friendView = append(friendView, network.RouterInfoFor(p, day, pcg))
+			friendView = append(friendView, network.RouterInfo(day, network.SightingFor(p, day, pcg)))
 		}
 	}
 	dir, err := os.MkdirTemp("", "i2pseeds")

@@ -396,8 +396,7 @@ func sameMembers(set *AddrSet, ids []int32) error {
 		}
 		distinct[id] = true
 	}
-	members := 0
-	set.ForEach(func(int32) { members++ })
+	members := len(setMembers(set))
 	if members != len(distinct) || set.Len() != len(distinct) {
 		return fmt.Errorf("set holds %d members with Len %d, want the %d distinct IDs", members, set.Len(), len(distinct))
 	}

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"net/netip"
 	"slices"
+	"sync"
 
 	"github.com/i2pstudy/i2pstudy/internal/cache"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
@@ -241,6 +242,36 @@ func (ix *AddrIndex) buildDayColumn(day int) dayColumn {
 	return dayColumn{slices.Clip(col.at), slices.Clip(col.ids)}
 }
 
+// Holders calls fn once for each address of bl that a peer publishes on
+// day, with the peer holding it — when several do, the last of them in
+// ActivePeers(day) order. It walks the day's ID column, which holds
+// exactly the day's active known-IP peers (only they have schedules, and
+// every segment carries an IPv4), newest position first, so the first
+// entry naming an address decides it. The decided marks come from a pool:
+// a warm call allocates nothing.
+func (ix *AddrIndex) Holders(bl *AddrSet, day int, fn func(id int32, peer int)) {
+	col := ix.dayColumn(day)
+	active := ix.net.ActivePeers(day)
+	scratch := holderScratch.Get().(*[]uint64)
+	if cap(*scratch) < len(bl.words) {
+		*scratch = make([]uint64, len(bl.words))
+	}
+	decided := AddrSet{words: (*scratch)[:len(bl.words)]}
+	for k := len(col.ids) - 1; k >= 0 && decided.count < bl.count; k-- {
+		e := col.ids[k]
+		for _, id := range [2]int32{e.v4, e.v6} {
+			if bl.Has(id) && decided.Add(id) {
+				fn(id, int(active[col.at[k]]))
+			}
+		}
+	}
+	clear(decided.words)
+	holderScratch.Put(scratch)
+}
+
+// holderScratch recycles Holders' decided marks, one bitset per worker.
+var holderScratch = sync.Pool{New: func() any { return new([]uint64) }}
+
 // AddrSet is a bitset over an AddrIndex's address table with a cardinality
 // counter — the allocation-free replacement for map[netip.Addr]bool in the
 // blacklist and victim-netDb paths. The zero value is not usable; obtain
@@ -311,17 +342,6 @@ func (s *AddrSet) IntersectCount(t *AddrSet) int {
 		n += bits.OnesCount64(w & t.words[i])
 	}
 	return n
-}
-
-// ForEach calls fn for every ID in the set in ascending order.
-func (s *AddrSet) ForEach(fn func(id int32)) {
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(int32(wi<<6 + b))
-			w &^= 1 << b
-		}
-	}
 }
 
 // indexKey is the index's sim.Derive key.

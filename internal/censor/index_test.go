@@ -2,6 +2,7 @@ package censor
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"net/netip"
 	"slices"
@@ -313,11 +314,20 @@ func TestAddrSetOps(t *testing.T) {
 	if got := s.IntersectCount(other); got != 2 {
 		t.Fatalf("intersect = %d, want 2", got)
 	}
-	var got []int32
-	s.ForEach(func(id int32) { got = append(got, id) })
-	if len(got) != 3 || got[0] != 3 || got[1] != 5 || got[2] != 70 {
-		t.Fatalf("ForEach order = %v", got)
+	if got := setMembers(s); !slices.Equal(got, []int32{3, 5, 70}) {
+		t.Fatalf("members = %v", got)
 	}
+}
+
+// setMembers lists the IDs in s in ascending order.
+func setMembers(s *AddrSet) []int32 {
+	var ids []int32
+	for wi, w := range s.words {
+		for ; w != 0; w &= w - 1 {
+			ids = append(ids, int32(wi<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return ids
 }
 
 func TestAddrSetRemove(t *testing.T) {
@@ -484,7 +494,9 @@ func knownAddressMap(v *Victim, day int) map[netip.Addr]bool {
 
 func addrMap(ix *AddrIndex, set *AddrSet) map[netip.Addr]bool {
 	out := make(map[netip.Addr]bool, set.Len())
-	set.ForEach(func(id int32) { out[ix.addrs[id]] = true })
+	for _, id := range setMembers(set) {
+		out[ix.addrs[id]] = true
+	}
 	return out
 }
 

@@ -579,7 +579,7 @@ func runFigure10(ctx context.Context, s *Study) (*Result, error) {
 	for _, cc := range []string{"US", "RU", "GB", "FR", "CA", "AU"} {
 		big6 += countries.Get(cc)
 	}
-	text := "Figure 10: top 20 countries\n" + measureTopGeo(countries, 20, "country")
+	text := "Figure 10: top 20 countries\n" + measure.TopGeo(countries, 20, "country")
 	return &Result{
 		ID: "figure-10", Title: "Figure 10", Text: text,
 		Metrics: map[string]float64{
@@ -601,7 +601,7 @@ func runFigure11(ctx context.Context, s *Study) (*Result, error) {
 	ases := ds.ASCounter()
 	top := ases.Top(20)
 	shares := ases.CumulativeShare(top)
-	text := "Figure 11: top 20 autonomous systems\n" + measureTopGeo(ases, 20, "ASN")
+	text := "Figure 11: top 20 autonomous systems\n" + measure.TopGeo(ases, 20, "ASN")
 	return &Result{
 		ID: "figure-11", Title: "Figure 11", Text: text,
 		Metrics: map[string]float64{
@@ -668,7 +668,7 @@ func runFigure14(ctx context.Context, s *Study) (*Result, error) {
 	candidates := make([]*netdb.RouterInfo, 0, len(known))
 	for _, idx := range known {
 		p := s.Net.Peers[idx]
-		candidates = append(candidates, s.Net.RouterInfoFor(p, day, pcg))
+		candidates = append(candidates, s.Net.RouterInfo(day, s.Net.SightingFor(p, day, pcg)))
 	}
 	// One hop pool for every blocking level: the levels differ only in
 	// what the firewall drops, not in what the victim knows.
@@ -743,7 +743,7 @@ func runReseedBlocking(ctx context.Context, s *Study) (*Result, error) {
 			}
 			p := s.Net.Peers[idx]
 			if p.Status == sim.StatusKnownIP {
-				out = append(out, s.Net.RouterInfoFor(p, day, pcg))
+				out = append(out, s.Net.RouterInfo(day, s.Net.SightingFor(p, day, pcg)))
 			}
 		}
 		return out
@@ -996,15 +996,4 @@ func runAblationFloodFanout(ctx context.Context, s *Study) (*Result, error) {
 		Text:    stats.RenderTable(rows),
 		Metrics: metrics,
 	}, nil
-}
-
-// measureTopGeo renders the top-N geo table.
-func measureTopGeo(c *stats.Counter, n int, label string) string {
-	top := c.Top(n)
-	shares := c.CumulativeShare(top)
-	rows := [][]string{{label, "peers", "cum %"}}
-	for i, kv := range top {
-		rows = append(rows, []string{kv.Key, fmt.Sprint(kv.Count), fmt.Sprintf("%.1f", shares[i])})
-	}
-	return stats.RenderTable(rows)
 }

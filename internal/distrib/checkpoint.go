@@ -81,7 +81,7 @@ func (s *Sweep) RunCheckpointed(ctx context.Context, dir string) ([]CellResult, 
 		if units.Resumed(i) {
 			return nil
 		}
-		res, err := s.runCell(cells[i])
+		res, err := s.runCell(cells[i], nil)
 		if err != nil {
 			return err
 		}

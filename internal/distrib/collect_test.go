@@ -10,25 +10,21 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/i2pstudy/i2pstudy/internal/censor"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
-// TestDroppedNetworksAreCollected: everything engines derive from a
-// network — the address index, every day's owner table, the identity
-// reverse map — is owned by the network (sim.Derive), so a process that
-// builds, uses and drops networks one after another keeps a flat live
-// heap. With process-global caches keyed by *sim.Network the reading
-// grew by the whole network and its tables (≈ 12.7 MB here) per pass.
+// TestDroppedNetworksAreCollected: what the distrib sweeps derive from a
+// network — the address index and its day columns — is owned by the
+// network (sim.Derive), so a process that builds, runs an arms-race
+// sweep and a trust sweep on, and drops networks one after another
+// keeps a flat live heap. With process-global caches keyed by
+// *sim.Network the reading grew by the whole network and its tables
+// (≈ 12.7 MB here) per pass.
 func TestDroppedNetworksAreCollected(t *testing.T) {
 	pass := func(seed uint64) uint64 {
 		n, err := sim.New(sim.Config{Seed: seed, Days: 45, TargetDailyPeers: 3050})
 		if err != nil {
 			t.Fatal(err)
-		}
-		censor.IndexFor(n)
-		for day := 0; day < n.Days(); day++ {
-			ownersFor(n, day)
 		}
 		sw, err := NewSweep(n, testSweepConfig(0))
 		if err != nil {
@@ -37,7 +33,14 @@ func TestDroppedNetworksAreCollected(t *testing.T) {
 		if _, err := sw.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		n, sw = nil, nil
+		tsw, err := NewTrustSweep(n, testTrustConfig(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tsw.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		n, sw, tsw = nil, nil, nil
 		runtime.GC()
 		runtime.GC()
 		var ms runtime.MemStats

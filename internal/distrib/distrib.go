@@ -46,7 +46,10 @@ import (
 )
 
 // Resource is one distributable bridge: a peer drawn from a bridge
-// strategy pool, frozen with the RouterInfo it was distributed with.
+// strategy pool, frozen with the RouterInfo it was distributed with. The
+// peers that record names as introducers are held by its Backend, not
+// here: the daemon copies Resources per request, so a Resource stays
+// three words.
 type Resource struct {
 	// Peer is the peer's index in the backend's network.
 	Peer int
@@ -138,8 +141,12 @@ type Backend struct {
 	When time.Time
 
 	parts map[string]*Partition
-	// pool marks pool membership by peer index (collateral accounting).
-	pool map[int]bool
+	// pool maps each pool peer to the network indexes of the
+	// introducers its resource's Record names, in record order (none for
+	// a known-IP bridge): resolved from the same draw as the Record, so a
+	// censor reading a handout blocks them by index (censorView.discover).
+	// Membership is collateral accounting's InPool.
+	pool map[int][]int32
 }
 
 // BackendConfig parameterizes a backend build.
@@ -158,8 +165,8 @@ type BackendConfig struct {
 }
 
 // NewBackend draws the day's pool from the strategy, materializes each
-// resource's RouterInfo, and partitions the pool across the distributors
-// on a stable hashring.
+// resource's RouterInfo and resolves its introducers, and partitions the
+// pool across the distributors on a stable hashring.
 func NewBackend(network *sim.Network, cfg BackendConfig, distributors []Distributor) (*Backend, error) {
 	if len(distributors) == 0 {
 		return nil, fmt.Errorf("distrib: backend needs at least one distributor")
@@ -188,7 +195,7 @@ func NewBackend(network *sim.Network, cfg BackendConfig, distributors []Distribu
 		Day:   cfg.Day,
 		When:  network.DayTime(cfg.Day),
 		parts: make(map[string]*Partition, len(distributors)),
-		pool:  make(map[int]bool, len(resources)),
+		pool:  make(map[int][]int32, len(resources)),
 	}
 
 	names := make([]string, len(distributors))
@@ -198,10 +205,11 @@ func NewBackend(network *sim.Network, cfg BackendConfig, distributors []Distribu
 	ring := buildRing(names)
 	owned := make(map[string][]Resource, len(distributors))
 	for _, r := range resources {
-		b.pool[r.Peer] = true
 		// Materialize records once, with a per-resource stream derived from
 		// (seed, key) so a record never depends on its neighbours.
-		r.Record = network.RouterInfoFor(network.Peers[r.Peer], cfg.Day, rand.NewPCG(cfg.Seed, r.Key))
+		sighting := network.SightingFor(network.Peers[r.Peer], cfg.Day, rand.NewPCG(cfg.Seed, r.Key))
+		r.Record = network.RouterInfo(cfg.Day, sighting)
+		b.pool[r.Peer] = network.IntroducerPeers(cfg.Day, sighting)
 		owner := ring.owner(r.Key)
 		owned[owner] = append(owned[owner], r)
 	}
@@ -245,7 +253,10 @@ func capResources(resources []Resource, max int) []Resource {
 func (b *Backend) PoolSize() int { return len(b.pool) }
 
 // InPool reports whether a peer's resource is part of the day's pool.
-func (b *Backend) InPool(peer int) bool { return b.pool[peer] }
+func (b *Backend) InPool(peer int) bool {
+	_, ok := b.pool[peer]
+	return ok
+}
 
 // Partition returns the named distributor's arc of the ring (nil when the
 // distributor is unknown to this backend).

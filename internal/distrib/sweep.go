@@ -100,11 +100,12 @@ func (r CellResult) DaysToEnumerate(frac float64) int {
 }
 
 // Sweep binds a grid to a network with the shared substrate built once:
-// one backend pool per distribution day. The address index, the
-// introducer-hash reverse map (view.go) and the per-day address-owner
-// tables collateral accounting folds against (owners.go) live outside
-// the Sweep, on the network itself (sim.Derive) — repeated sweeps and
-// arms-race grids share them.
+// one backend pool per distribution day, holding each resource's
+// introducers by peer index. Cells resolve everything else through the
+// network's censor.AddrIndex (censor.IndexFor), its one derived state:
+// the blacklist, and through its day columns the peers holding the
+// blacklisted addresses each day (AddrIndex.Holders). A Sweep derives no
+// network table of its own.
 type Sweep struct {
 	Net *sim.Network
 	Cfg SweepConfig
@@ -197,13 +198,11 @@ func (s *Sweep) cellSeed(c Cell) uint64 {
 // in Cells() order. Unlike the trust sweep, cells are their own
 // measure.FanOut tasks rather than whole rows: an arms-race cell
 // carries no rolling state a row could slide — each cell is seeded
-// from its own coordinates and the owner tables it folds come from the
-// order-independent network-owned day memo — so grouping
-// cells into rows would only cap parallelism (a one-distributor,
-// one-enumerator, many-day grid would serialize) without saving any
-// work. Cells() enumerates days outermost, so index-order hand-out
-// already warms each day's owner table front-to-back. Every cell
-// is deterministic in its own coordinates, so any Workers value yields
+// from its own coordinates and the day columns it reads are the
+// index's, built once per day in any order — so grouping cells into
+// rows would only cap parallelism (a one-distributor, one-enumerator,
+// many-day grid would serialize) without saving any work. Every cell is
+// deterministic in its own coordinates, so any Workers value yields
 // byte-identical results. The first error (or ctx cancellation) cancels
 // the rest.
 func (s *Sweep) Run(ctx context.Context) ([]CellResult, error) {
@@ -214,8 +213,10 @@ func (s *Sweep) Run(ctx context.Context) ([]CellResult, error) {
 // users without a working bridge re-request from the frontend, the
 // enumerator harvests, discoveries feed the address blacklist, and the
 // series record the day's outcome. Everything is local to the cell and
-// deterministic in its seed.
-func (s *Sweep) runCell(c Cell) (CellResult, error) {
+// deterministic in its seed. A non-nil audit sees each day's blacklist
+// beside the bystanders counted on it; Run passes nil, and the
+// collateral test holds the count to its reference through it.
+func (s *Sweep) runCell(c Cell, audit func(day int, bl *censor.AddrSet, bystanders int)) (CellResult, error) {
 	backend := s.backends[c.Day]
 	api := s.apis[c.Day]
 	part := backend.Partition(c.Dist.Name())
@@ -232,7 +233,7 @@ func (s *Sweep) runCell(c Cell) (CellResult, error) {
 
 	// The censor's enumeration-fed blacklist and discovery set, with
 	// the discover/usable rules shared with the trust rows (view.go).
-	cv := newCensorView(s.Net, s.Cfg.IntroducersPerBridge, rng)
+	cv := newCensorView(s.Net, backend, s.Cfg.IntroducersPerBridge, rng)
 
 	// requester is any sticky identity whose handout is cached by ring
 	// key: equal keys imply equal handouts, so the work (for
@@ -340,14 +341,16 @@ func (s *Sweep) runCell(c Cell) (CellResult, error) {
 		res.Survival = append(res.Survival, frac(alive, part.Len()))
 		res.Enumerated = append(res.Enumerated, frac(len(cv.discovered), part.Len()))
 
-		owners := ownersFor(s.Net, day)
 		bystanders := 0
-		cv.bl.ForEach(func(id int32) {
-			if owner := owners[id]; owner >= 0 && !backend.InPool(int(owner)) {
+		cv.ix.Holders(cv.bl, day, func(_ int32, peer int) {
+			if !backend.InPool(peer) {
 				bystanders++
 			}
 		})
 		res.Collateral = append(res.Collateral, frac(bystanders, cv.bl.Len()))
+		if audit != nil {
+			audit(day, cv.bl, bystanders)
+		}
 	}
 	return res, nil
 }

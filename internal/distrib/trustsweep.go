@@ -128,8 +128,10 @@ type TrustLeak struct {
 }
 
 // TrustSweep binds a trust grid to a network with the shared substrate
-// built once: the backend pool on the distribution day. The address
-// index and the introducer-hash reverse map are the network's (view.go).
+// built once: the backend pool on the distribution day, holding each
+// resource's introducers by peer index. The address index is the
+// network's (censor.IndexFor); the rows resolve discoveries through it
+// (view.go) and derive no network table of their own.
 type TrustSweep struct {
 	Net *sim.Network
 	Cfg TrustSweepConfig
@@ -295,7 +297,7 @@ func (s *TrustSweep) newTrustState(d *TrustSocial, e Enumerator) *trustState {
 		clean:       make([]int, n),
 		attempt:     make([]int, n),
 		handout:     make([][]Resource, n),
-		cv:          newCensorView(s.Net, s.Cfg.IntroducersPerBridge, rng),
+		cv:          newCensorView(s.Net, s.backend, s.Cfg.IntroducersPerBridge, rng),
 		day:         -1,
 
 		burnedBefore: make(map[int]bool),

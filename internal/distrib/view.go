@@ -4,22 +4,25 @@ import (
 	"math/rand/v2"
 
 	"github.com/i2pstudy/i2pstudy/internal/censor"
-	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
 // censorView is the censor-side discovery state shared by the arms-race
 // cell (sweep.go) and the trust row (trustsweep.go): the enumeration-fed
 // blacklist and discovered set, with the one discover rule (leaked
-// resources blacklist their current addresses plus the introducer
-// addresses a firewalled bridge's record carries). Reachability is not
-// decided here: usable applies censor.AddrIndex.BridgeUsable, the rule
-// censor's own bridge evaluation applies, to this view's blacklist.
-// Keeping both sweeps on this type keeps their blacklists and survival
-// figures computing identically by construction.
+// resources blacklist their current addresses plus those of the
+// introducers a firewalled bridge's record names). It resolves
+// everything by peer index — the introducers through the backend that
+// drew the resources, the addresses through the network's
+// censor.AddrIndex — and keeps no network-derived table of its own.
+// Reachability is not decided here: usable applies
+// censor.AddrIndex.BridgeUsable, the rule censor's own bridge evaluation
+// applies, to this view's blacklist. Keeping both sweeps on this type
+// keeps their blacklists and survival figures computing identically by
+// construction.
 type censorView struct {
-	ix         *censor.AddrIndex
-	peerByHash map[netdb.Hash]int
+	ix      *censor.AddrIndex
+	backend *Backend
 	// introducersPerBridge is how many introducer draws a firewalled
 	// bridge gets per reachability check.
 	introducersPerBridge int
@@ -31,11 +34,11 @@ type censorView struct {
 	discovered map[int]bool
 }
 
-func newCensorView(net *sim.Network, introducersPerBridge int, rng *rand.Rand) *censorView {
+func newCensorView(net *sim.Network, backend *Backend, introducersPerBridge int, rng *rand.Rand) *censorView {
 	ix := censor.IndexFor(net)
 	return &censorView{
 		ix:                   ix,
-		peerByHash:           peerIndexByHash(net),
+		backend:              backend,
 		introducersPerBridge: introducersPerBridge,
 		rng:                  rng,
 		bl:                   ix.NewSet(),
@@ -45,25 +48,24 @@ func newCensorView(net *sim.Network, introducersPerBridge int, rng *rand.Rand) *
 
 // discover feeds leaked resources into the censor's state: the resource
 // peers are marked discovered and their current addresses join the
-// blacklist. A firewalled bridge's handout carries introducer addresses
-// instead of its own; the censor blocks those too — innocent known-IP
-// relays, which is where collateral damage comes from.
+// blacklist. A firewalled bridge's handout names introducers instead of
+// its own address; the censor blocks their current addresses too —
+// innocent known-IP relays, which is where collateral damage comes from.
 func (cv *censorView) discover(rs []Resource, day int) {
 	for _, r := range rs {
 		cv.discovered[r.Peer] = true
-		v4, v6 := cv.ix.PeerIDs(r.Peer, day)
-		cv.bl.Add(v4)
-		cv.bl.Add(v6)
-		for _, ra := range r.Record.Addresses {
-			for _, in := range ra.Introducers {
-				if idx, ok := cv.peerByHash[in.Hash]; ok {
-					iv4, iv6 := cv.ix.PeerIDs(idx, day)
-					cv.bl.Add(iv4)
-					cv.bl.Add(iv6)
-				}
-			}
+		cv.block(r.Peer, day)
+		for _, in := range cv.backend.pool[r.Peer] {
+			cv.block(int(in), day)
 		}
 	}
+}
+
+// block adds the addresses peer idx publishes on day to the blacklist.
+func (cv *censorView) block(idx, day int) {
+	v4, v6 := cv.ix.PeerIDs(idx, day)
+	cv.bl.Add(v4)
+	cv.bl.Add(v6)
 }
 
 // usable reports whether one handed-out bridge works on `day` under the
@@ -80,20 +82,4 @@ func (cv *censorView) anyUsable(rs []Resource, day int) bool {
 		}
 	}
 	return false
-}
-
-// peerByHashKey is the reverse map's sim.Derive key.
-type peerByHashKey struct{}
-
-// peerIndexByHash returns the network-owned (sim.Derive) identity-hash ->
-// peer-index reverse map both sweeps resolve RouterInfo introducer
-// hashes through; read-only.
-func peerIndexByHash(net *sim.Network) map[netdb.Hash]int {
-	return sim.Derive(net, peerByHashKey{}, func() map[netdb.Hash]int {
-		m := make(map[netdb.Hash]int, len(net.Peers))
-		for _, p := range net.Peers {
-			m[p.ID] = p.Index
-		}
-		return m
-	})
 }

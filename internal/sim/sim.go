@@ -674,10 +674,24 @@ func (n *Network) RouterInfo(day int, s Sighting) *netdb.RouterInfo {
 	return n.Peers[s.Peer].buildInfo(day, n.DayTime(day), n.Peers, n.introducerPool(day), s.Draw)
 }
 
-// RouterInfoFor materializes the RouterInfo the given peer publishes on
-// day, drawing its port or introducers from pcg as a capture would.
-func (n *Network) RouterInfoFor(p *Peer, day int, pcg *rand.PCG) *netdb.RouterInfo {
-	return n.RouterInfo(day, Sighting{Peer: int32(p.Index), Draw: drawInfo(n.drawClass[p.Index], n.introducerPool(day), pcg)})
+// SightingFor draws the sighting of the given peer on day, taking its
+// port or introducers from pcg as a capture would. RouterInfo
+// materializes it and IntroducerPeers resolves its introducers.
+func (n *Network) SightingFor(p *Peer, day int, pcg *rand.PCG) Sighting {
+	return Sighting{Peer: int32(p.Index), Draw: drawInfo(n.drawClass[p.Index], n.introducerPool(day), pcg)}
+}
+
+// IntroducerPeers returns the indexes of the peers that s's record names
+// as introducers, in record order: the members of day's introducer pool
+// its picks name, which RouterInfo resolves to identities and addresses.
+// s must be a sighting of this network on day.
+func (n *Network) IntroducerPeers(day int, s Sighting) []int32 {
+	pool := n.introducerPool(day)
+	out := make([]int32, s.N)
+	for i, in := range s.Intros[:s.N] {
+		out[i] = pool.peers[in.Pick]
+	}
+	return out
 }
 
 // CheckSighting reports why s cannot be a sighting this network produced

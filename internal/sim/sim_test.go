@@ -154,9 +154,25 @@ func TestRouterInfoMaterialization(t *testing.T) {
 	var sawKnown, sawFirewalled, sawHidden, sawToggling bool
 	for _, idx := range n.ActivePeers(day) {
 		p := n.Peers[idx]
-		ri := n.RouterInfoFor(p, day, pcg)
+		sighting := n.SightingFor(p, day, pcg)
+		ri := n.RouterInfo(day, sighting)
 		if ri.Identity != p.ID {
 			t.Fatal("identity mismatch")
+		}
+		// IntroducerPeers names, in order, the peers behind the record's
+		// introducers.
+		var intros []netdb.Introducer
+		for _, a := range ri.Addresses {
+			intros = append(intros, a.Introducers...)
+		}
+		peers := n.IntroducerPeers(day, sighting)
+		if len(peers) != len(intros) {
+			t.Fatalf("peer %d: %d introducer peers for %d introducers", idx, len(peers), len(intros))
+		}
+		for i, in := range intros {
+			if q := n.Peers[peers[i]]; q.ID != in.Hash || q.Status != StatusKnownIP {
+				t.Fatalf("peer %d: introducer %d resolves to peer %d, not the record's", idx, i, peers[i])
+			}
 		}
 		// Round-trip through the wire codec: everything the simulator
 		// emits must parse.
