@@ -90,7 +90,7 @@ func run() error {
 	probeInterval := flag.Duration("probe-interval", 30*time.Second, "reachability probe period")
 	failLimit := flag.Int("fail-limit", 3, "consecutive probe failures before a bridge retires")
 	loadgen := flag.Int("loadgen", 0, "run an in-process load generation with this many distinct identities, print JSON and exit")
-	loadWorkers := flag.Int("loadgen-workers", 0, "loadgen concurrency (0 = one per CPU)")
+	loadWorkers := flag.Int("loadgen-workers", 0, "loadgen concurrency (0 = GOMAXPROCS)")
 	debugAddr := flag.String("debug-addr", "", "optional debug listener (host:port) serving net/http/pprof and expvar; keep it off public interfaces")
 	flag.Parse()
 

@@ -270,9 +270,8 @@ type Partition struct {
 	// ring is the resources twice over, so every arc GetMany serves —
 	// wrapping included — is one contiguous window of it; res is its
 	// first half.
-	ring       []Resource
-	res        []Resource
-	byIdentity map[netdb.Hash]int
+	ring []Resource
+	res  []Resource
 }
 
 // newPartition builds dist's partition over res, which is in ring-key
@@ -282,11 +281,7 @@ func newPartition(b *Backend, dist string, res []Resource) *Partition {
 	ring := make([]Resource, 2*n)
 	copy(ring, res)
 	copy(ring[n:], res)
-	p := &Partition{backend: b, dist: dist, ring: ring, res: ring[:n:n], byIdentity: make(map[netdb.Hash]int, n)}
-	for i, r := range p.res {
-		p.byIdentity[r.Record.Identity] = i
-	}
-	return p
+	return &Partition{backend: b, dist: dist, ring: ring, res: ring[:n:n]}
 }
 
 // Len returns the partition size.
@@ -326,14 +321,4 @@ func (p *Partition) GetMany(key uint64, n int) []Resource {
 	n = min(n, len(p.res))
 	i := p.SlotOf(key)
 	return p.ring[i : i+n : i+n]
-}
-
-// byRecordIdentity maps a bundle record back to the partition resource it
-// was created from (used by the manual-reseed round trip).
-func (p *Partition) byRecordIdentity(id netdb.Hash) (Resource, bool) {
-	i, ok := p.byIdentity[id]
-	if !ok {
-		return Resource{}, false
-	}
-	return p.res[i], true
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/censor"
+	"github.com/i2pstudy/i2pstudy/internal/netdb"
+	"github.com/i2pstudy/i2pstudy/internal/reseed"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -319,35 +321,67 @@ func TestRingDistRotation(t *testing.T) {
 	}
 }
 
-// TestManualReseedBundleRoundTrip: the manual frontend hands out exactly
-// what a signed i2pseeds bundle can carry, mapped back to partition
-// resources.
+// TestManualReseedBundleRoundTrip holds the manual frontend to what a
+// signed i2pseeds bundle can carry: every slot's arc survives
+// reseed.CreateBundle and reseed.ParseBundle whole, records in arc order
+// with their identities, so Serve hands out the arc itself — and for a
+// sample of identities Serve returns exactly the granted arc.
 func TestManualReseedBundleRoundTrip(t *testing.T) {
 	b := testBackend(t, DefaultDistributors())
 	part := b.Partition("manual-reseed")
+	if part.Len() == 0 {
+		t.Fatal("empty manual-reseed partition")
+	}
+	for slot, r := range part.Resources() {
+		arc := part.GetMany(r.Key, 5)
+		records := make([]*netdb.RouterInfo, len(arc))
+		for i, res := range arc {
+			records[i] = res.Record
+		}
+		data, err := reseed.CreateBundle(records, "trusted-friend", part.When())
+		if err != nil {
+			t.Fatalf("slot %d: %v", slot, err)
+		}
+		bundle, err := reseed.ParseBundle(data)
+		if err != nil {
+			t.Fatalf("slot %d: %v", slot, err)
+		}
+		if len(bundle.Records) != len(arc) {
+			t.Fatalf("slot %d: bundle carries %d of %d records", slot, len(bundle.Records), len(arc))
+		}
+		for i, ri := range bundle.Records {
+			if ri.Identity != arc[i].Record.Identity {
+				t.Fatalf("slot %d: bundle record %d is %s, want %s", slot, i, ri.Identity.Short(), arc[i].Record.Identity.Short())
+			}
+		}
+	}
+
 	api, err := NewHandoutAPI(b, DefaultDistributors())
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := api.Serve(Request{Dist: "manual-reseed", ID: 1234, Day: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := h.Resources
-	key, granted, err := api.Key(Request{Dist: "manual-reseed", ID: 1234, Day: 10})
-	if err != nil || !granted {
-		t.Fatalf("manual-reseed grant: key err %v granted %v", err, granted)
-	}
-	want := part.GetMany(key, 5)
-	if len(got) != len(want) {
-		t.Fatalf("bundle round trip returned %d of %d resources", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Peer != want[i].Peer {
-			t.Fatal("bundle round trip reordered or replaced resources")
+	d, _ := api.Distributor("manual-reseed")
+	for i := uint64(0); i < 64; i++ {
+		id := mix(0x6d616e75616c, i) // "manual"
+		h, err := api.Serve(Request{Dist: "manual-reseed", ID: id, Day: 10})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got[i].Record.Identity != network(t).Peers[got[i].Peer].ID {
-			t.Fatal("record identity does not match the peer")
+		g, ok := d.Grant(id, 10, 0)
+		if !ok || !h.Granted || h.Key != g.Key {
+			t.Fatalf("identity %d: served key %d granted %v, grant %d ok %v", i, h.Key, h.Granted, g.Key, ok)
+		}
+		want := part.GetMany(h.Key, 5)
+		if len(h.Resources) != len(want) {
+			t.Fatalf("identity %d: served %d of %d resources", i, len(h.Resources), len(want))
+		}
+		for j := range want {
+			if h.Resources[j].Peer != want[j].Peer {
+				t.Fatalf("identity %d: resource %d is peer %d, want %d", i, j, h.Resources[j].Peer, want[j].Peer)
+			}
+			if h.Resources[j].Record.Identity != network(t).Peers[h.Resources[j].Peer].ID {
+				t.Fatal("record identity does not match the peer")
+			}
 		}
 	}
 }

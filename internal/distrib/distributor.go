@@ -1,17 +1,9 @@
 package distrib
 
-import (
-	"fmt"
-
-	"github.com/i2pstudy/i2pstudy/internal/netdb"
-	"github.com/i2pstudy/i2pstudy/internal/reseed"
-)
-
 // Grant is a frontend's decision for one request: the ring position the
 // requester is served from and how many resources the handout carries.
 // The mechanism that turns a grant into bridges (the clockwise arc
-// walk, manual-reseed's bundle round trip) lives in HandoutAPI.Serve —
-// frontends only decide policy.
+// walk) lives in HandoutAPI.Serve — frontends only decide policy.
 type Grant struct {
 	// Key is the ring position to serve from.
 	Key uint64
@@ -90,53 +82,13 @@ func NewSocial() Distributor {
 	return &ringDist{name: "social", handout: 2, rotationDays: 14, identityCost: 40}
 }
 
-// manualReseed is the out-of-band frontend of Section 6.1: a trusted
-// contact exports an i2pseeds.su3 bundle and hands it over outside the
-// network. Grants are permanently sticky and the handout is a real
-// reseed-codec round trip, so whatever the codec would reject can never
-// be distributed.
-type manualReseed struct {
-	ringDist
-	signer string
-}
-
-// NewManualReseed returns the manual-reseed frontend backed by
-// internal/reseed's signed seed bundles.
+// NewManualReseed returns the out-of-band frontend of Section 6.1: a
+// trusted contact exports an i2pseeds.su3 bundle of the granted arc and
+// hands it over outside the network. Grants are permanently sticky and
+// minting an identity is expensive. The daemon serves the signed bundles
+// (internal/service's seed endpoint); the handout itself is the arc.
 func NewManualReseed() Distributor {
-	return &manualReseed{
-		ringDist: ringDist{name: "manual-reseed", handout: 5, rotationDays: 0, identityCost: 500},
-		signer:   "trusted-friend",
-	}
-}
-
-// roundTrip implements the HandoutAPI encoding hook: the granted arc is
-// encoded into a signed bundle and decoded back, so the handout is
-// exactly what the codec would deliver out of band.
-func (d *manualReseed) roundTrip(part *Partition, sel []Resource) ([]Resource, error) {
-	if len(sel) == 0 {
-		return nil, nil
-	}
-	records := make([]*netdb.RouterInfo, 0, len(sel))
-	for _, r := range sel {
-		records = append(records, r.Record)
-	}
-	data, err := reseed.CreateBundle(records, d.signer, part.When())
-	if err != nil {
-		return nil, fmt.Errorf("distrib: manual-reseed bundle: %w", err)
-	}
-	bundle, err := reseed.ParseBundle(data)
-	if err != nil {
-		return nil, fmt.Errorf("distrib: manual-reseed bundle: %w", err)
-	}
-	out := make([]Resource, 0, len(bundle.Records))
-	for _, ri := range bundle.Records {
-		r, ok := part.byRecordIdentity(ri.Identity)
-		if !ok {
-			return nil, fmt.Errorf("distrib: bundle record %s not in partition", ri.Identity.Short())
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return &ringDist{name: "manual-reseed", handout: 5, rotationDays: 0, identityCost: 500}
 }
 
 // DefaultDistributors returns the four frontends of the pipeline in

@@ -15,10 +15,11 @@ package distrib
 //     ring position a requester is served from and how many resources
 //     the handout carries (or that the requester is served nothing —
 //     the trust channel's answer to uninvited identities).
-//   - HandoutAPI.Serve is the one *mechanism*: resolve the partition,
-//     take the granted arc clockwise, and run any frontend encoding
-//     round trip (manual-reseed's su3 bundle). No frontend carries its
-//     own copy of this walk anymore.
+//   - HandoutAPI.Serve is the one *mechanism*, the same for every
+//     frontend: resolve the partition and take the granted arc
+//     clockwise. No frontend carries its own copy of this walk, and no
+//     caller resolves a grant beside it — the daemon's seed endpoint
+//     takes its bundle slot from the handout's Key.
 
 import "fmt"
 
@@ -47,9 +48,8 @@ type Handout struct {
 	// ungranted handouts are empty with a zero Key (the trust channel
 	// serves uninvited identities nothing).
 	Granted bool
-	// Key is the ring position the handout was served from. Equal keys
-	// imply equal handouts, so callers may cache a handout until the
-	// requester's key changes.
+	// Key is the ring position the handout was served from; equal keys
+	// imply equal handouts (Partition.SlotOf(Key) indexes them).
 	Key uint64
 	// Resources is the served bridge set, in ring order from Key. It may
 	// be a window onto the partition (Partition.GetMany): callers must
@@ -61,14 +61,6 @@ type Handout struct {
 // email account) onto the requester ring — the service-side analog of
 // the sweeps' minted uint64 identities.
 func IdentityKey(s string) uint64 { return keyOfString(s) }
-
-// recordRoundTripper is the optional frontend hook for channels whose
-// handouts ride a real encoding (manual-reseed's su3 bundles): Serve
-// passes the granted arc through it so whatever the codec would reject
-// can never be distributed.
-type recordRoundTripper interface {
-	roundTrip(part *Partition, sel []Resource) ([]Resource, error)
-}
 
 // HandoutAPI serves deterministic per-identity handouts from one
 // backend. It is immutable after NewHandoutAPI and safe for unbounded
@@ -115,29 +107,11 @@ func (a *HandoutAPI) Distributor(name string) (Distributor, bool) {
 	return d, ok
 }
 
-// Key returns the ring key Serve would serve the request from, with
-// granted=false when the frontend serves this identity nothing. Equal
-// (key, granted) imply equal handouts, so callers may cache a handout
-// until the requester's key changes — sparing a re-request's work (for
-// manual-reseed, a whole bundle round trip) when the rotation bucket
-// hasn't moved.
-func (a *HandoutAPI) Key(req Request) (key uint64, granted bool, err error) {
-	d, ok := a.dists[req.Dist]
-	if !ok {
-		return 0, false, fmt.Errorf("distrib: unknown distributor %q", req.Dist)
-	}
-	g, ok := d.Grant(req.ID, req.Day, req.Attempt)
-	if !ok {
-		return 0, false, nil
-	}
-	return g.Key, true, nil
-}
-
 // Serve resolves one request through the single handout code path:
-// grant → partition arc → optional encoding round trip. Serve is
-// deterministic in (backend, request) and safe for unbounded concurrent
-// use. The handout's Resources are shared with the partition; callers
-// must not modify them.
+// grant → partition arc, and it fails only on an unknown distributor.
+// Serve is deterministic in (backend, request) and safe for unbounded
+// concurrent use. The handout's Resources are shared with the
+// partition; callers must not modify them.
 func (a *HandoutAPI) Serve(req Request) (Handout, error) {
 	d, ok := a.dists[req.Dist]
 	if !ok {
@@ -149,14 +123,6 @@ func (a *HandoutAPI) Serve(req Request) (Handout, error) {
 		return h, nil
 	}
 	h.Granted, h.Key = true, g.Key
-	part := a.backend.Partition(req.Dist)
-	sel := part.GetMany(g.Key, g.Count)
-	if rt, ok := d.(recordRoundTripper); ok {
-		var err error
-		if sel, err = rt.roundTrip(part, sel); err != nil {
-			return Handout{}, err
-		}
-	}
-	h.Resources = sel
+	h.Resources = a.backend.Partition(req.Dist).GetMany(g.Key, g.Count)
 	return h, nil
 }

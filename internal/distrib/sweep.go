@@ -235,28 +235,17 @@ func (s *Sweep) runCell(c Cell, audit func(day int, bl *censor.AddrSet, bystande
 	// the discover/usable rules shared with the trust rows (view.go).
 	cv := newCensorView(s.Net, backend, s.Cfg.IntroducersPerBridge, rng)
 
-	// requester is any sticky identity whose handout is cached by ring
-	// key: equal keys imply equal handouts, so the work (for
-	// manual-reseed, a whole bundle round trip) only reruns when the
-	// rotation bucket moves.
+	// requester is any sticky identity and its current handout.
 	type requester struct {
-		id, key uint64
+		id      uint64
 		handout []Resource
-		fetched bool
 	}
 	fetch := func(r *requester, day int) error {
-		key, _, err := api.Key(Request{Dist: c.Dist.Name(), ID: r.id, Day: day})
-		if err != nil {
-			return err
-		}
-		if r.fetched && r.key == key {
-			return nil
-		}
 		h, err := api.Serve(Request{Dist: c.Dist.Name(), ID: r.id, Day: day})
 		if err != nil {
 			return err
 		}
-		r.key, r.handout, r.fetched = key, h.Resources, true
+		r.handout = h.Resources
 		return nil
 	}
 
@@ -282,7 +271,7 @@ func (s *Sweep) runCell(c Cell, audit func(day int, bl *censor.AddrSet, bystande
 		// 1. Legitimate requests: day zero everyone bootstraps; later,
 		// only users whose current handout no longer works. Every attempt
 		// counts as a request (the insider can intercept each one), even
-		// when the unchanged ring key makes it a cached no-op.
+		// when the unchanged ring key serves the same handout again.
 		var requested []int
 		for u := range users {
 			if h > 0 && cv.anyUsable(users[u].handout, day) {
@@ -308,8 +297,8 @@ func (s *Sweep) runCell(c Cell, audit func(day int, bl *censor.AddrSet, bystande
 			}
 		case Sybil:
 			// Re-discovery stays daily — a re-queried bridge's *current*
-			// address lands on the blacklist even if the handout itself
-			// was cached — so address rotation never shakes the sybils.
+			// address lands on the blacklist even when the handout is
+			// unchanged — so address rotation never shakes the sybils.
 			for i := range sybils {
 				if err := fetch(&sybils[i], day); err != nil {
 					return CellResult{}, err

@@ -394,8 +394,8 @@ func (st *trustState) step(h int) {
 		}
 		limit := g.RequestLimit(st.level[u])
 		for r := 0; r < limit; r++ {
-			// Serve can only fail on an encoding round trip, which the
-			// trust channel never performs.
+			// Serve fails only on an unknown distributor, and the row's
+			// own is known.
 			served, _ := st.s.api.Serve(Request{
 				Dist: st.dist.Name(), ID: users[u].ID, Day: day, Attempt: st.attempt[u],
 			})

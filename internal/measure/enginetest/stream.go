@@ -19,9 +19,9 @@ type StreamCase struct {
 	Run func(t testing.TB, workers int) (artifact any, peakUnits int)
 	// MaxRetained returns the peak-unit ceiling the engine guarantees
 	// for a resolved worker count (the harness resolves the auto width
-	// to NumCPU before calling it). The ceiling must be derived from
-	// the engine's pipeline structure — O(workers) — never from the
-	// grid size.
+	// to GOMAXPROCS, as the engines do, before calling it). The ceiling
+	// must be derived from the engine's pipeline structure — O(workers)
+	// — never from the grid size.
 	MaxRetained func(workers int) int
 }
 
@@ -53,7 +53,7 @@ func Stream(t *testing.T, cases []StreamCase) {
 				}
 				resolved := w
 				if resolved <= 0 {
-					resolved = runtime.NumCPU()
+					resolved = runtime.GOMAXPROCS(0)
 				}
 				ceiling := c.MaxRetained(resolved)
 				if peak > ceiling {

@@ -15,22 +15,35 @@ import (
 // TestHandoutAllocationGate pins the granted fresh-identity /handout
 // path — route, parse, blacklist, a limiter-table miss, Serve, body
 // assembly, counters — at zero allocations inside the handler, with the
-// blacklist empty and with an unrelated address on it. The encoder path
-// it replaced made 28; a regression fails here instead of waiting for
-// the ledger's service.handler_allocs.
+// blacklist empty, with an unrelated address on it, and with every other
+// https bridge retired (the body skips them; the handout is not copied).
+// The encoder path it replaced made 28; a regression fails here instead
+// of waiting for the ledger's service.handler_allocs.
 func TestHandoutAllocationGate(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		block bool
+		name          string
+		block, retire bool
 	}{
-		{"empty blacklist", false},
-		{"unrelated address blocked", true},
+		{"empty blacklist", false, false},
+		{"unrelated address blocked", true, false},
+		{"bridges retired", false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			svc := newTestService(t, Config{RatePerSec: 5, Burst: 4})
 			if tc.block {
 				if addr := bridgeAddr(t, svc); !svc.Blacklist().Block(addr) {
 					t.Fatalf("Block(%s) = false", addr)
+				}
+			}
+			if tc.retire {
+				var peers []int
+				for i, r := range svc.Backend().Partition("https").Resources() {
+					if i%2 == 0 {
+						peers = append(peers, r.Peer)
+					}
+				}
+				if err := svc.retire(peers); err != nil {
+					t.Fatal(err)
 				}
 			}
 			h := svc.Handler()

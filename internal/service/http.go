@@ -306,7 +306,10 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 // writeHandout assembles the moat-style body — byte for byte what
 // json.NewEncoder(w).Encode(HandoutJSON{...}) writes (trailing newline,
 // "bridges":[] when empty; referenceHandoutBody in the tests) — from
-// the frontend's head, the identity and the pre-encoded fragments.
+// the frontend's head, the identity and the pre-encoded fragments. It
+// skips the epoch's retired bridges as it appends, so the body carries
+// the order-preserving subsequence Service.Serve returns without copying
+// the handout.
 func (ep *epoch) writeHandout(w http.ResponseWriter, fe *frontend, id string, h distrib.Handout) error {
 	buf := bodyPool.Get().(*[]byte)
 	b := append((*buf)[:0], fe.head...)
@@ -314,10 +317,15 @@ func (ep *epoch) writeHandout(w http.ResponseWriter, fe *frontend, id string, h 
 	b = append(b, `,"granted":`...)
 	b = strconv.AppendBool(b, h.Granted)
 	b = append(b, `,"bridges":[`...)
-	for i, res := range h.Resources {
-		if i > 0 {
+	first := true
+	for _, res := range h.Resources {
+		if ep.retired[res.Peer] {
+			continue
+		}
+		if !first {
 			b = append(b, ',')
 		}
+		first = false
 		b = append(b, ep.fragments[res.Peer]...)
 	}
 	b = append(b, "]}\n"...)
@@ -390,7 +398,7 @@ func (s *Service) handleHandout(w http.ResponseWriter, r *http.Request) {
 		code = denied
 		return
 	}
-	h, err := ep.serve(distrib.Request{Dist: dist, ID: key, Attempt: attempt})
+	h, err := ep.api.Serve(distrib.Request{Dist: dist, ID: key, Day: ep.day, Attempt: attempt})
 	if err != nil {
 		code = refuse(w, err.Error(), http.StatusNotFound)
 		return
@@ -401,9 +409,9 @@ func (s *Service) handleHandout(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSeeds serves the manual-reseed frontend's pre-built signed
-// bundle for the requesting identity: the identity's grant resolves to a
-// partition slot, and the slot indexes the bundle set of the same epoch
-// — no per-request encoding.
+// bundle for the requesting identity: the identity's handout key
+// resolves to a partition slot, and the slot indexes the bundle set of
+// the same epoch — no per-request encoding.
 func (s *Service) handleSeeds(w http.ResponseWriter, r *http.Request) {
 	const dist = "manual-reseed"
 	start := time.Now()
@@ -430,12 +438,12 @@ func (s *Service) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		code = denied
 		return
 	}
-	gkey, granted, err := ep.api.Key(distrib.Request{Dist: dist, ID: key, Day: ep.day})
-	if err != nil || !granted {
+	h, err := ep.api.Serve(distrib.Request{Dist: dist, ID: key, Day: ep.day})
+	if err != nil || !h.Granted {
 		code = refuse(w, "no manual-reseed frontend", http.StatusNotFound)
 		return
 	}
-	data := ep.bundles.Bundle(ep.backend.Partition(dist).SlotOf(gkey))
+	data := ep.bundles.Bundle(ep.backend.Partition(dist).SlotOf(h.Key))
 	if len(data) == 0 {
 		code = refuse(w, "no bundle available", http.StatusServiceUnavailable)
 		return

@@ -24,7 +24,7 @@ import (
 type LoadGenConfig struct {
 	// Identities is how many distinct identities request once.
 	Identities int
-	// Workers is the driving concurrency (<= 0: one per CPU).
+	// Workers is the driving concurrency (<= 0: GOMAXPROCS).
 	Workers int
 	// VerifyEvery re-requests every Nth identity and byte-compares the
 	// two bodies (<= 0: 1000; the duplicate requests count toward
@@ -115,7 +115,7 @@ func (s *Service) LoadGen(ctx context.Context, cfg LoadGenConfig) (LoadGenResult
 		return LoadGenResult{}, fmt.Errorf("service: loadgen needs identities")
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.NumCPU()
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.VerifyEvery <= 0 {
 		cfg.VerifyEvery = 1000

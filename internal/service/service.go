@@ -246,16 +246,14 @@ func (s *Service) Blacklist() *Blacklist { return s.blacklist }
 // RetiredCount returns how many bridges have been retired.
 func (s *Service) RetiredCount() int { return len(s.epoch.Load().retired) }
 
-// Serve resolves a request against the current epoch.
+// Serve resolves a request against the current epoch through the shared
+// handout path and filters retired bridges out of a copy of the arc —
+// the bridges /handout's body carries, which writeHandout filters as it
+// appends instead. The ring is never rebuilt — survivors keep their arc
+// positions — so the filtered handout is a subsequence of the
+// pre-retirement one.
 func (s *Service) Serve(req distrib.Request) (distrib.Handout, error) {
-	return s.epoch.Load().serve(req)
-}
-
-// serve resolves a request through the shared handout path and filters
-// retired bridges out of the response. The ring is never rebuilt —
-// survivors keep their arc positions — so the filtered handout is a
-// subsequence of the pre-retirement one.
-func (ep *epoch) serve(req distrib.Request) (distrib.Handout, error) {
+	ep := s.epoch.Load()
 	req.Day = ep.day
 	h, err := ep.api.Serve(req)
 	if err != nil {

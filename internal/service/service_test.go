@@ -262,13 +262,13 @@ func TestSeedsRoundTrip(t *testing.T) {
 	}
 
 	api := svc.HandoutAPI()
-	key, granted, err := api.Key(distrib.Request{Dist: "manual-reseed", ID: distrib.IdentityKey(id), Day: 10})
-	if err != nil || !granted {
-		t.Fatalf("Key: granted=%v err=%v", granted, err)
+	served, err := api.Serve(distrib.Request{Dist: "manual-reseed", ID: distrib.IdentityKey(id), Day: 10})
+	if err != nil || !served.Granted {
+		t.Fatalf("Serve: granted=%v err=%v", served.Granted, err)
 	}
 	d, _ := api.Distributor("manual-reseed")
 	g, _ := d.Grant(distrib.IdentityKey(id), 10, 0)
-	want := svc.Backend().Partition("manual-reseed").GetMany(key, g.Count)
+	want := svc.Backend().Partition("manual-reseed").GetMany(served.Key, g.Count)
 	if len(bundle.Records) != len(want) {
 		t.Fatalf("bundle has %d records, want %d", len(bundle.Records), len(want))
 	}

@@ -110,11 +110,10 @@ const (
 // (measure.Campaign with Workers > 1, core.Study.RunAll) relies on this:
 // per-(observer, day) captures run on arbitrary goroutines with no
 // locking. Everything engines share that is a pure function of the
-// network — censor's address index, distrib's owner tables and identity
-// reverse map — is network-owned: it hangs off Derive and is collected
-// with the network. Any future mutating API must either copy-on-write or
-// take a network-level lock, must epoch the derived slot, and must update
-// this comment.
+// network — censor's address index — is network-owned: it hangs off
+// Derive and is collected with the network. Any future mutating API must
+// either copy-on-write or take a network-level lock, must epoch the
+// derived slot, and must update this comment.
 type Network struct {
 	cfg   Config
 	model *churn.Model
