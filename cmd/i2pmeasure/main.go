@@ -12,7 +12,8 @@
 // Without -experiment, every measurement experiment runs in order
 // (comma-separated IDs select a subset). Experiments and the campaign
 // engine fan out across -workers goroutines (default: one per CPU);
-// results are identical for any worker count. Ctrl-C cancels the run
+// stdout is byte-identical for any worker count (the worker count and
+// the run time go to stderr). Ctrl-C cancels the run
 // cleanly — snapshot day directories are written atomically, so an
 // interrupted -snapshot-dir never holds a partial day.
 //
@@ -79,8 +80,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("network: %d daily peers (scale %.2f), %d days, seed %d, %d workers\n\n",
-		study.Opts.TargetDailyPeers, f.Scale, study.Opts.Days, study.Opts.Seed, study.Workers())
+	// stdout is the artifact, byte-identical at any -workers; the width
+	// and the run time go to stderr.
+	fmt.Fprintf(os.Stderr, "%d workers\n", study.Workers())
+	fmt.Printf("network: %d daily peers (scale %.2f), %d days, seed %d\n\n",
+		study.Opts.TargetDailyPeers, f.Scale, study.Opts.Days, study.Opts.Seed)
 
 	if *snapshotDir != "" {
 		// The snapshot campaign checkpoints under its own subdirectory:
@@ -109,7 +113,7 @@ func run() error {
 			}
 		}
 	}
-	fmt.Printf("completed %d experiments in %s\n", len(ids), time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "completed %d experiments in %s\n", len(ids), time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

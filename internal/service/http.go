@@ -454,6 +454,8 @@ func (s *Service) handleSeeds(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	// Counted here, per scrape, so the request path keeps no gauge.
+	s.metrics.limiterBuckets.Set(int64(s.limiter.buckets()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	fmt.Fprint(w, s.metrics.Render())
 }

@@ -35,10 +35,27 @@ type slot struct {
 	last   int64
 }
 
+// refill returns the tokens b holds at now before the clamp to the
+// burst: the one expression both Allow's refill and the reclaim rule
+// read, so a reclaimed bucket is exactly one that Allow would refill to
+// its burst.
+func (b *slot) refill(now int64, rate float64) float64 {
+	return b.tokens + time.Duration(now-b.last).Seconds()*rate
+}
+
+// refilled reports whether b has refilled to its burst by now. Such a
+// bucket decides what a missing one decides — its next request is
+// granted and leaves burst-1 tokens with last at now — so it can be
+// dropped without changing any decision.
+func (b *slot) refilled(now int64, rate, burst float64) bool {
+	return now > b.last && b.refill(now, rate) >= burst
+}
+
 // limiterShard is one shard's flat open-addressed table: linear probing
-// from a keyed multiplicative hash, key 0 marking an empty slot,
-// doubling past a load of ¾. Identity 0 is a valid key, so its bucket
-// lives beside the table in zero.
+// from a keyed multiplicative hash, key 0 marking an empty slot. Past a
+// load of ¾ it first reclaims its refilled buckets and doubles only if
+// more than half the slots still hold one. Identity 0 is a valid key,
+// so its bucket lives beside the table in zero.
 type limiterShard struct {
 	mu      sync.Mutex
 	slots   []slot // len is a power of two, at least minSlots
@@ -102,6 +119,46 @@ func (s *limiterShard) grow() {
 	s.n = n
 }
 
+// reclaim deletes every bucket that has refilled by now, identity 0's
+// included, in place. It walks the table once from just past an empty
+// slot, so every cluster is met from its start; each deletion shifts
+// the rest of its cluster back (backward-shift deletion), leaving every
+// probe sequence unbroken, and the slot is examined again for the
+// bucket shifted into it.
+func (s *limiterShard) reclaim(now int64, rate, burst float64) {
+	if s.hasZero && s.zero.refilled(now, rate, burst) {
+		s.hasZero = false
+	}
+	mask := uint64(len(s.slots) - 1)
+	start := uint64(0)
+	for s.slots[start].key != 0 { // the load stays at most ¾: one is empty
+		start++
+	}
+	for i, left := (start+1)&mask, len(s.slots)-1; left > 0; {
+		if b := &s.slots[i]; b.key != 0 && b.refilled(now, rate, burst) {
+			s.remove(i)
+			continue
+		}
+		i, left = (i+1)&mask, left-1
+	}
+}
+
+// remove empties slot hole and moves each later bucket of its cluster
+// that may sit there back into the hole, until the cluster ends.
+func (s *limiterShard) remove(hole uint64) {
+	mask := uint64(len(s.slots) - 1)
+	for i := (hole + 1) & mask; s.slots[i].key != 0; i = (i + 1) & mask {
+		// The bucket at i may fill the hole when its home is not after
+		// the hole: it is at least as far from home as from the hole.
+		if (i-s.home(s.slots[i].key))&mask >= (i-hole)&mask {
+			s.slots[hole] = s.slots[i]
+			hole = i
+		}
+	}
+	s.slots[hole] = slot{}
+	s.n--
+}
+
 // reset forgets every identity, keeping the table's size.
 func (s *limiterShard) reset() {
 	clear(s.slots)
@@ -110,14 +167,20 @@ func (s *limiterShard) reset() {
 
 // Limiter is a sharded per-identity token bucket. Identities are the
 // ring keys requests already carry, so placing one costs a multiply,
-// not a string hash. Safe for concurrent use.
+// not a string hash. A shard keeps only buckets that can still refuse:
+// one refilled to its burst is reclaimed before the table would double,
+// so under a flood of fresh identities the table is bounded by the
+// identities one refill horizon (burst/rate) brings, not by how many
+// the flood mints. Safe for concurrent use.
 type Limiter struct {
 	rate  float64 // tokens per second
 	burst float64
-	// maxPerShard bounds memory under identity floods: a new identity
-	// arriving at a shard that already holds maxPerShard empties it — a
-	// flood forgets oldest-first anyway, and the simulation never needs
-	// an exact LRU.
+	// maxPerShard bounds memory under identity floods. It counts only
+	// the buckets that can still refuse: a new identity arriving at a
+	// shard that holds maxPerShard first reclaims the refilled ones, and
+	// empties the shard only if maxPerShard unrefilled buckets remain.
+	// Emptying hands those drained identities a full burst, so it is the
+	// last resort of a flood that drains faster than buckets refill.
 	maxPerShard int
 	now         func() time.Time
 	// epoch is the construction instant slot.last counts from. Both
@@ -152,17 +215,26 @@ func (l *Limiter) Allow(id uint64) bool {
 		return true
 	}
 	s := &l.shards[(id^id>>32)%limiterShards]
-	now := int64(l.now().Sub(l.epoch))
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Read under the lock, the clock is monotone within a shard (unless
+	// an injected one runs backwards), so a reclaimed bucket never meets
+	// a request older than its refill.
+	now := int64(l.now().Sub(l.epoch))
 	b, ok := s.lookup(id)
 	if !ok {
-		switch {
-		case s.len() >= l.maxPerShard:
-			s.reset()
-			b, _ = s.lookup(id)
-		case id != 0 && 4*(s.n+1) > 3*len(s.slots):
-			s.grow()
+		crowded := id != 0 && 4*(s.n+1) > 3*len(s.slots)
+		if crowded || s.len() >= l.maxPerShard {
+			s.reclaim(now, l.rate, l.burst)
+			// Doubling only past half load leaves at least a quarter of
+			// the table to fill before the next reclaim, so reclaiming
+			// costs O(1) per insert amortized.
+			switch {
+			case s.len() >= l.maxPerShard:
+				s.reset()
+			case crowded && 2*s.n > len(s.slots):
+				s.grow()
+			}
 			b, _ = s.lookup(id)
 		}
 		*b = slot{key: id, tokens: l.burst - 1, last: now}
@@ -173,11 +245,10 @@ func (l *Limiter) Allow(id uint64) bool {
 		}
 		return true
 	}
-	// Requests read the clock before they queue on the lock, so one may
-	// arrive with an instant older than the bucket's: it refills nothing
-	// and leaves last where it is.
+	// An injected clock may run backwards: such an instant refills
+	// nothing and leaves last where it is.
 	if now > b.last {
-		b.tokens += time.Duration(now-b.last).Seconds() * l.rate
+		b.tokens = b.refill(now, l.rate)
 		if b.tokens > l.burst {
 			b.tokens = l.burst
 		}
@@ -188,6 +259,18 @@ func (l *Limiter) Allow(id uint64) bool {
 	}
 	b.tokens--
 	return true
+}
+
+// buckets returns the number of buckets held across all shards.
+func (l *Limiter) buckets() int {
+	n := 0
+	for i := range l.shards {
+		s := &l.shards[i]
+		s.mu.Lock()
+		n += s.len()
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // Blacklist is the operator blacklist: an AddrSet over the study's

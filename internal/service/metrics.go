@@ -39,6 +39,9 @@ type Metrics struct {
 	probe *obs.CounterVec
 	// latency is the handout latency histogram, in seconds.
 	latency *obs.Histogram
+	// limiterBuckets gauges the rate-limit buckets held across the
+	// limiter's shards, set when /metrics is scraped.
+	limiterBuckets *obs.Gauge
 }
 
 // NewMetricsOn builds the instrument set on the given registry (nil: a
@@ -58,6 +61,8 @@ func NewMetricsOn(reg *obs.Registry) *Metrics {
 			"Reachability probe outcomes.", "outcome"),
 		latency: reg.Histogram("i2pdistribd_handout_latency_seconds",
 			"Handout request latency.", latencyBuckets),
+		limiterBuckets: reg.Gauge("i2pdistribd_limiter_buckets",
+			"Per-identity rate-limit buckets held across the limiter's shards."),
 	}
 	for _, o := range probeOutcomes {
 		m.probe.With(o)

@@ -38,6 +38,7 @@ func TestMetricsConformance(t *testing.T) {
 		"i2pdistribd_pool_size",
 		"i2pdistribd_probe_total",
 		"i2pdistribd_handout_latency_seconds",
+		"i2pdistribd_limiter_buckets",
 	} {
 		if promtest.Find(fams, name) == nil {
 			t.Errorf("family %q missing from exposition", name)
@@ -103,6 +104,43 @@ func TestSharedRegistryExposesEngineFamilies(t *testing.T) {
 	}
 	if traffic == 0 {
 		t.Error("no cache traffic counted after KnownPeers on the shared registry")
+	}
+}
+
+// TestLimiterBucketsGaugeFalls: the bucket gauge, set when /metrics is
+// scraped, counts a flood's identities while their buckets can still
+// refuse, and falls once a new identity arriving at the full shard
+// reclaims the buckets that refilled — without the table doubling.
+func TestLimiterBucketsGaugeFalls(t *testing.T) {
+	clk := time.Unix(1700000000, 0)
+	svc := newTestService(t, Config{RatePerSec: 5, Burst: 4, Now: func() time.Time { return clk }})
+	h := svc.Handler()
+	scrape := func() float64 {
+		t.Helper()
+		fams, err := promtest.Parse(get(t, h, "/metrics", "").Body.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return promtest.Find(fams, "i2pdistribd_limiter_buckets").Samples[0].Value
+	}
+
+	// 96 identities of shard 5 fill its table to ¾ of 128 slots, so the
+	// next new one reclaims before it could double the table.
+	const flood = 96
+	shard := &svc.limiter.shards[5]
+	for i := range uint64(flood) {
+		svc.limiter.Allow(inShard((i+1)*0x9E3779B97F4A7C15, 5))
+	}
+	if got := scrape(); got != flood || len(shard.slots) != 128 {
+		t.Fatalf("after the flood the gauge reads %v over %d slots, want %d over 128", got, len(shard.slots), flood)
+	}
+	clk = clk.Add(time.Second) // past the refill horizon, burst/rate = 0.8 s
+	if got := scrape(); got != flood {
+		t.Fatalf("a scrape alone moved the gauge to %v, want %d: nothing reclaims before a shard fills", got, flood)
+	}
+	svc.limiter.Allow(inShard(0xfeed, 5))
+	if got := scrape(); got != 1 || len(shard.slots) != 128 {
+		t.Fatalf("after the reclaim the gauge reads %v over %d slots, want 1 over 128", got, len(shard.slots))
 	}
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -179,7 +180,9 @@ func FuzzHandoutBody(f *testing.F) {
 }
 
 // referenceLimiter is the limiter the pointer-free table replaced: one
-// heap bucket per identity holding the time.Time of its last refill.
+// heap bucket per identity holding the time.Time of its last refill. A
+// new identity arriving at a full shard drops the buckets refilled to
+// their burst, then empties the shard if it is still full.
 type referenceLimiter struct {
 	rate, burst float64
 	maxPerShard int
@@ -210,6 +213,13 @@ func (l *referenceLimiter) Allow(id uint64) bool {
 	b, ok := m[id]
 	if !ok {
 		if len(m) >= l.maxPerShard {
+			for k, b := range m {
+				if l.refilled(b, now) {
+					delete(m, k) // decides what a missing bucket decides
+				}
+			}
+		}
+		if len(m) >= l.maxPerShard {
 			m = make(map[uint64]*referenceBucket)
 			l.shards[shard] = m
 		}
@@ -226,6 +236,11 @@ func (l *referenceLimiter) Allow(id uint64) bool {
 	}
 	b.tokens--
 	return true
+}
+
+// refilled reports whether b has refilled to its burst by now.
+func (l *referenceLimiter) refilled(b *referenceBucket, now time.Time) bool {
+	return now.After(b.last) && b.tokens+now.Sub(b.last).Seconds()*l.rate >= l.burst
 }
 
 // has reports whether the shard holds id.
@@ -262,12 +277,18 @@ func collidingKeys(rng *rand.Rand, mul uint64, slots, n int) []uint64 {
 // every time, on a wall-only clock and on one carrying a monotonic
 // reading. Every schedule mixes a hot set (identities 0–49, identity 0's
 // bucket living beside its shard's table) that drains and refills with
-// other identities: fresh ones that fill shards past maxPerShard and
-// reset them; keys that share one probe sequence, through resets and
-// through a doubling; and a flood into four shards that doubles their
-// tables from minSlots up and then resets them.
+// other identities: fresh ones that, while the clock stands still, fill
+// shards with maxPerShard unrefilled buckets and reset them; keys that
+// share one probe sequence, through resets and through a doubling; a
+// flood into four shards that, on a still clock, doubles their tables
+// from minSlots up and then resets them; and the same flood on a moving
+// clock, whose buckets refill and are reclaimed, so its 12 500
+// identities per shard leave each table at the few slots one refill
+// horizon's arrivals need. Every schedule reclaims refilled buckets
+// somewhere: its lulls refill them all.
 func TestLimiterMatchesReference(t *testing.T) {
 	var collide []uint64 // drawn per limiter, under its shard 5 multiplier
+	flood := func(rng *rand.Rand) uint64 { return inShard(rng.Uint64(), uint64(rng.Intn(4))) }
 	for _, tc := range []struct {
 		name  string
 		start time.Time
@@ -280,12 +301,15 @@ func TestLimiterMatchesReference(t *testing.T) {
 				name                  string
 				maxPerShard           int
 				other                 func(*rand.Rand) uint64
+				still                 [2]int // the steps over which the clock stands still
 				wantGrows, wantResets bool
+				maxSlots              int // the largest table a shard may reach; 0: unbounded
 			}{
-				{"fresh", 8, func(rng *rand.Rand) uint64 { return rng.Uint64() }, false, true},
-				{"colliding", 8, func(rng *rand.Rand) uint64 { return collide[rng.Intn(len(collide))] }, false, true},
-				{"colliding past a doubling", 1 << 12, func(rng *rand.Rand) uint64 { return collide[rng.Intn(len(collide))] }, true, false},
-				{"flood", 1 << 12, func(rng *rand.Rand) uint64 { return inShard(rng.Uint64(), uint64(rng.Intn(4))) }, true, true},
+				{"fresh", 8, func(rng *rand.Rand) uint64 { return rng.Uint64() }, [2]int{50000, 60000}, false, true, 0},
+				{"colliding", 8, func(rng *rand.Rand) uint64 { return collide[rng.Intn(len(collide))] }, [2]int{}, false, true, 0},
+				{"colliding past a doubling", 1 << 12, func(rng *rand.Rand) uint64 { return collide[rng.Intn(len(collide))] }, [2]int{}, true, false, 0},
+				{"flood", 1 << 12, flood, [2]int{50000, 150000}, true, true, 0},
+				{"flood with refills", 1 << 12, flood, [2]int{}, true, false, 8 * minSlots},
 			} {
 				t.Run(sc.name, func(t *testing.T) {
 					clk := tc.start
@@ -297,29 +321,38 @@ func TestLimiterMatchesReference(t *testing.T) {
 
 					rng := rand.New(rand.NewSource(2018))
 					advances := []time.Duration{0, 0, time.Nanosecond, 10 * time.Microsecond, 700 * time.Microsecond, 3 * time.Millisecond, 9 * time.Millisecond}
-					var allowed, refused, resets, grows int
+					var allowed, refused, resets, reclaims, grows, peak int
 					var zero [2]int // identity 0's refusals and grants
 					for step := 0; step < 200000; step++ {
-						clk = clk.Add(advances[rng.Intn(len(advances))])
-						if rng.Intn(1000) == 0 {
-							clk = clk.Add(2 * time.Second) // a lull: every bucket refills to its burst
+						advance := advances[rng.Intn(len(advances))]
+						lull := rng.Intn(1000) == 0 // every bucket refills to its burst
+						if step < sc.still[0] || step >= sc.still[1] {
+							clk = clk.Add(advance)
+							if lull {
+								clk = clk.Add(2 * time.Second)
+							}
 						}
 						id := uint64(rng.Intn(50)) // the hot set
 						if rng.Intn(4) == 0 {
 							id = sc.other(rng)
 						}
 						shard := &got.shards[(id^id>>32)%limiterShards]
-						known, full, size := shard.has(id), shard.len() >= sc.maxPerShard, len(shard.slots)
+						known, held, size := shard.has(id), shard.len(), len(shard.slots)
+						reset := !known && held >= sc.maxPerShard && got.unrefilled(shard) >= sc.maxPerShard
 						g, w := got.Allow(id), want.Allow(id)
 						if g != w {
 							t.Fatalf("step %d, identity %d: Allow = %v, reference %v", step, id, g, w)
 						}
-						if !known && full {
+						switch {
+						case reset:
 							resets++
+						case !known && shard.len() <= held:
+							reclaims++
 						}
 						if len(shard.slots) > size {
 							grows++
 						}
+						peak = max(peak, len(shard.slots))
 						if id == 0 {
 							zero[b2i(g)]++
 						}
@@ -329,14 +362,31 @@ func TestLimiterMatchesReference(t *testing.T) {
 							refused++
 						}
 					}
-					if refused == 0 || zero[0] == 0 || zero[1] == 0 || (resets > 0) != sc.wantResets || (grows > 0) != sc.wantGrows {
-						t.Fatalf("schedule misses its cases: %d allowed, %d refused, identity 0 refused %d and allowed %d, %d shard resets, %d doublings",
-							allowed, refused, zero[0], zero[1], resets, grows)
+					if refused == 0 || zero[0] == 0 || zero[1] == 0 || (resets > 0) != sc.wantResets || (grows > 0) != sc.wantGrows ||
+						reclaims == 0 || sc.maxSlots > 0 && peak > sc.maxSlots {
+						t.Fatalf("schedule misses its cases: %d allowed, %d refused, identity 0 refused %d and allowed %d, %d shard resets, %d reclaims, %d doublings up to %d slots",
+							allowed, refused, zero[0], zero[1], resets, reclaims, grows, peak)
 					}
 				})
 			}
 		})
 	}
+}
+
+// unrefilled counts the buckets of s, identity 0's included, that have
+// not refilled to their burst on l's clock.
+func (l *Limiter) unrefilled(s *limiterShard) int {
+	now := int64(l.now().Sub(l.epoch))
+	n := 0
+	if s.hasZero && !s.zero.refilled(now, l.rate, l.burst) {
+		n++
+	}
+	for i := range s.slots {
+		if b := &s.slots[i]; b.key != 0 && !b.refilled(now, l.rate, l.burst) {
+			n++
+		}
+	}
+	return n
 }
 
 // b2i counts a true as 1.
@@ -347,11 +397,12 @@ func b2i(b bool) int {
 	return 0
 }
 
-// TestLimiterRefillNeverRunsBackwards: requests read the clock before
-// they take the shard lock, so one can reach a bucket carrying an
-// instant older than the bucket's last refill. It must refill nothing
-// and leave last alone: tokens fall only by the grant, and last never
-// decreases.
+// TestLimiterRefillNeverRunsBackwards: requests read the clock under
+// the shard lock, so on a monotone clock no request reaches a bucket
+// carrying an instant older than the bucket's last refill. An injected
+// clock may still run backwards, and Allow keeps its guard for it: such
+// a request must refill nothing and leave last alone — tokens fall only
+// by the grant, and last never decreases.
 func TestLimiterRefillNeverRunsBackwards(t *testing.T) {
 	clk := time.Unix(1700000000, 0)
 	l := NewLimiter(5, 4, func() time.Time { return clk })
@@ -382,6 +433,96 @@ func TestLimiterRefillNeverRunsBackwards(t *testing.T) {
 			t.Fatalf("step %d: the refill took %.3f tokens", step, -refill)
 		}
 	}
+}
+
+// FuzzLimiterMatchesReference holds Allow to referenceLimiter decision
+// for decision over arbitrary schedules with a small maxPerShard. Each
+// byte pair is one request: an identity of shard 0 or 1 (identity 0
+// among them) and a clock advance, from none up to past the refill
+// horizon. After every step the request's shard must keep its table
+// invariant — every bucket reachable from its home slot without
+// crossing an empty slot, n counting the occupied slots — which
+// backward-shift deletion is the first to break, and its buckets that
+// can still refuse must be the reference's, token for token.
+func FuzzLimiterMatchesReference(f *testing.F) {
+	f.Add(uint8(3), uint64(0x9E3779B97F4A7C15), []byte("\x00\x00\x00\x00\x02\x00\x04\x00\x06\x00\x08\x00\x00\x64\x0a\x00\x00\xc8"))
+	f.Add(uint8(63), uint64(1), bytes.Repeat([]byte{0x10, 0x00, 0x12, 0x00, 0x14, 0x00, 0x16, 0x40, 0x11, 0x65}, 40))
+	rng := rand.New(rand.NewSource(2018))
+	for range 4 {
+		schedule := make([]byte, 600)
+		rng.Read(schedule)
+		f.Add(uint8(rng.Intn(64)), rng.Uint64(), schedule)
+	}
+	f.Fuzz(func(t *testing.T, maxPerShard uint8, mul uint64, schedule []byte) {
+		clk := time.Unix(1700000000, 0)
+		now := func() time.Time { return clk }
+		got := NewLimiter(5, 4, now)
+		got.maxPerShard = 1 + int(maxPerShard%64)
+		for i := range got.shards {
+			got.shards[i].mul = mul | 1 // reproducible, and a poor one clusters
+		}
+		want := newReferenceLimiter(5, 4, got.maxPerShard, now)
+		for step := 0; step+1 < len(schedule); step += 2 {
+			who, when := uint64(schedule[step]), time.Duration(schedule[step+1])
+			clk = clk.Add(when * when * 20 * time.Microsecond) // 200 ms, one token, at 100
+			id := inShard((who>>1)*0x9E3779B97F4A7C15, who&1)
+			if g, w := got.Allow(id), want.Allow(id); g != w {
+				t.Fatalf("step %d, identity %#x: Allow = %v, reference %v", step/2, id, g, w)
+			}
+			shard := (id ^ id>>32) % limiterShards
+			if err := got.shards[shard].check(); err != nil {
+				t.Fatalf("step %d, identity %#x: %v", step/2, id, err)
+			}
+			if err := sameUnrefilled(got, want, shard); err != nil {
+				t.Fatalf("step %d, identity %#x: %v", step/2, id, err)
+			}
+		}
+	})
+}
+
+// check verifies the table invariant: every bucket is reachable from
+// its home slot without crossing an empty slot or its own key, and n
+// counts the occupied slots.
+func (s *limiterShard) check() error {
+	mask := uint64(len(s.slots) - 1)
+	n := 0
+	for i, b := range s.slots {
+		if b.key == 0 {
+			continue
+		}
+		n++
+		for j := s.home(b.key); j != uint64(i); j = (j + 1) & mask {
+			if k := s.slots[j].key; k == 0 || k == b.key {
+				return fmt.Errorf("the bucket of %#x at slot %d is cut off from its home slot %d at slot %d", b.key, i, s.home(b.key), j)
+			}
+		}
+	}
+	if n != s.n {
+		return fmt.Errorf("n = %d, but %d slots are occupied", s.n, n)
+	}
+	return nil
+}
+
+// sameUnrefilled requires the buckets of one shard that have not
+// refilled to be the same identities, tokens and refill instants in both
+// limiters.
+func sameUnrefilled(got *Limiter, want *referenceLimiter, shard uint64) error {
+	s, now := &got.shards[shard], want.now()
+	held := 0
+	for id, w := range want.shards[shard] {
+		if want.refilled(w, now) {
+			continue
+		}
+		held++
+		g, ok := s.lookup(id)
+		if !ok || g.tokens != w.tokens || g.last != int64(w.last.Sub(got.epoch)) {
+			return fmt.Errorf("identity %#x holds %v (found %v), reference %.17g tokens at %v", id, *g, ok, w.tokens, w.last.Sub(got.epoch))
+		}
+	}
+	if n := got.unrefilled(s); n != held {
+		return fmt.Errorf("%d unrefilled buckets, reference %d", n, held)
+	}
+	return nil
 }
 
 // TestLimiterHashIsKeyed: identities are client-chosen, so against a
