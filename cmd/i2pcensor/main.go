@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"github.com/i2pstudy/i2pstudy/internal/cli"
 	"github.com/i2pstudy/i2pstudy/internal/core"
@@ -65,7 +66,9 @@ func run() error {
 		return err
 	}
 	for _, res := range results {
-		cli.PrintResult(res)
+		if err := cli.WriteResult(os.Stdout, res); err != nil {
+			return err
+		}
 	}
 	return nil
 }

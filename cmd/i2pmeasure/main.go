@@ -106,7 +106,9 @@ func run() error {
 		return err
 	}
 	for _, res := range results {
-		cli.PrintResult(res)
+		if err := cli.WriteResult(os.Stdout, res); err != nil {
+			return err
+		}
 		if *csvDir != "" && res.Figure != nil {
 			if err := writeCSV(*csvDir, res); err != nil {
 				return fmt.Errorf("%s: csv: %w", res.ID, err)

@@ -1,17 +1,19 @@
 // Package cli is what cmd/i2pcensor and cmd/i2pmeasure share: the flag
 // block that configures a study run, the lifecycle those flags ask for
 // (fault injection, the existing-checkpoint refusal, profiles, the
-// trace file, Ctrl-C), and the result printer. A command is a
+// trace file, Ctrl-C), and the result writer. A command is a
 // run() error handed to Main, so every failure path returns through
 // the deferred stop — a failed or interrupted run still writes its
 // profiles and terminates its trace's JSON array.
 package cli
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -150,22 +152,26 @@ func (f *Flags) IDs(all []string) ([]string, error) {
 	return ids, nil
 }
 
-// PrintResult prints one experiment: the "=== id: title" header, what
-// the paper reports, the regenerated artifact, and the headline metrics
-// sorted by name.
-func PrintResult(res *core.Result) {
-	fmt.Printf("=== %s: %s\n", res.ID, res.Title)
+// WriteResult writes one experiment to w: the "=== id: title" header,
+// what the paper reports, the regenerated artifact, and the headline
+// metrics sorted by name. These bytes are what the binaries print and
+// what TestStudyDigests hashes.
+func WriteResult(w io.Writer, res *core.Result) error {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "=== %s: %s\n", res.ID, res.Title)
 	if e, ok := core.Lookup(res.ID); ok {
-		fmt.Printf("paper: %s\n\n", e.Paper)
+		fmt.Fprintf(&b, "paper: %s\n\n", e.Paper)
 	}
-	fmt.Println(res.Text)
+	fmt.Fprintln(&b, res.Text)
 	keys := make([]string, 0, len(res.Metrics))
 	for k := range res.Metrics {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf("  %-28s %.3f\n", k, res.Metrics[k])
+		fmt.Fprintf(&b, "  %-28s %.3f\n", k, res.Metrics[k])
 	}
-	fmt.Println()
+	b.WriteByte('\n')
+	_, err := w.Write(b.Bytes())
+	return err
 }

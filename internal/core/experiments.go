@@ -458,6 +458,7 @@ func runFigure07(ctx context.Context, s *Study) (*Result, error) {
 	}
 	fig, pts := ds.ChurnFigureWith(7, 30)
 	p7, p30 := pts[0], pts[1]
+	km := ds.SurvivalAt(7, 30)
 	return &Result{
 		ID: "figure-07", Title: "Figure 7", Text: fig.Render(), Figure: fig,
 		Metrics: map[string]float64{
@@ -468,8 +469,8 @@ func runFigure07(ctx context.Context, s *Study) (*Result, error) {
 			// Kaplan–Meier right-censoring correction: the finite study
 			// window depresses the naive long-horizon shares; these are
 			// the corrected counterparts of the intermittent curve.
-			"km_intermittent_7d":  ds.SurvivalAt(7),
-			"km_intermittent_30d": ds.SurvivalAt(30),
+			"km_intermittent_7d":  km[0],
+			"km_intermittent_30d": km[1],
 		},
 	}, nil
 }

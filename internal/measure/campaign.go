@@ -78,6 +78,12 @@ type Campaign struct {
 	// Retained-unit accounting (see stream.go / MemStats).
 	retained     atomic.Int64
 	peakRetained atomic.Int64
+
+	// scribble, when set, is handed every unit buffer, to its capacity,
+	// once its day is committed and before the buffer is refilled: a
+	// test seam that overwrites it, proving nothing reads a unit after
+	// its commit.
+	scribble func([]sim.Sighting)
 }
 
 // NewCampaign validates cfg against the network.
@@ -135,8 +141,9 @@ func (c *Campaign) RunContext(ctx context.Context) (*Dataset, error) {
 			return nil, err
 		}
 	}
+	var unit []byte // the encode buffer: the window serializes folds
 	err = c.run(ctx, from, func(day int, recs []sim.Sighting) error {
-		return c.commitDay(f, snap, store, day, recs)
+		return c.commitDay(f, snap, store, &unit, day, recs)
 	})
 	if err != nil {
 		return nil, err
@@ -149,9 +156,10 @@ func (c *Campaign) RunContext(ctx context.Context) (*Dataset, error) {
 // order, so checkpointed days form a contiguous prefix; a stray later
 // unit — possible only if a past run used a different day range, which
 // the manifest hash already refuses — is simply recomputed and
-// overwritten.
+// overwritten. Every unit decodes into one buffer, refilled day to day.
 func (c *Campaign) resume(f *folder, snap *snapshotter, store *checkpoint.Store) (int, error) {
 	day := c.cfg.StartDay
+	var recs []sim.Sighting
 	for ; day < c.cfg.EndDay; day++ {
 		data, ok, err := store.Load(dayKey(day))
 		if err != nil {
@@ -160,7 +168,7 @@ func (c *Campaign) resume(f *folder, snap *snapshotter, store *checkpoint.Store)
 		if !ok {
 			break
 		}
-		recs, err := decodeDayUnit(c.net, day, data)
+		recs, err = decodeDayUnit(c.net, day, data, recs)
 		if err != nil {
 			return 0, fmt.Errorf("checkpoint unit %s in %s: %w", dayKey(day), c.cfg.CheckpointDir, err)
 		}
@@ -170,6 +178,7 @@ func (c *Campaign) resume(f *folder, snap *snapshotter, store *checkpoint.Store)
 		if err := snap.write(day, recs); err != nil {
 			return 0, err
 		}
+		c.committed(recs)
 	}
 	return day, nil
 }
@@ -178,13 +187,16 @@ func (c *Campaign) resume(f *folder, snap *snapshotter, store *checkpoint.Store)
 // the netDb snapshot, spill the checkpoint unit, and cross the fault
 // boundary. The checkpoint write comes last of the persistence steps,
 // so a unit on disk guarantees the snapshot for that day is complete.
-func (c *Campaign) commitDay(f *folder, snap *snapshotter, store *checkpoint.Store, day int, recs []sim.Sighting) error {
+// The unit is encoded into *unit, the run's one encode buffer; nothing
+// holds recs once commitDay returns.
+func (c *Campaign) commitDay(f *folder, snap *snapshotter, store *checkpoint.Store, unit *[]byte, day int, recs []sim.Sighting) error {
 	f.fold(day, recs)
 	if err := snap.write(day, recs); err != nil {
 		return err
 	}
 	if store != nil {
-		if err := store.Save(dayKey(day), encodeDayUnit(recs)); err != nil {
+		*unit = encodeDayUnit((*unit)[:0], recs)
+		if err := store.Save(dayKey(day), *unit); err != nil {
 			return err
 		}
 	}
@@ -209,9 +221,13 @@ func (c *Campaign) run(ctx context.Context, from int, commit func(day int, recs 
 		// a stale Set can land last; the joined run's value is exact.
 		campaignObs.Get().retainedPeak.Set(c.peakRetained.Load())
 	}()
+	// A committed unit goes back to the window before its day's slot
+	// does (work calls folded after fold), for a later capture to refill.
 	fold := func(day int, u *dayUnit) error {
 		err := commit(day, u.recs)
 		c.releaseUnit(u.bytes)
+		c.committed(u.recs)
+		win.recycle(u)
 		return err
 	}
 	err := runPool(ctx, workers, func(ctx context.Context, tid int) error {
@@ -237,7 +253,7 @@ func (c *Campaign) work(ctx context.Context, win *dayWindow, tid int, fold func(
 			return err
 		}
 		t0 := tr.Now()
-		u := c.captureDay(day, sc)
+		u := c.captureDay(day, sc, win.reuse())
 		tr.Complete(tid, "day", t0, obs.Arg{Key: "day", Val: int64(day)})
 		c.retainUnit(u.bytes)
 		if err := win.put(day, u); err != nil {
@@ -265,8 +281,8 @@ func (c *Campaign) work(ctx context.Context, win *dayWindow, tid int, fold func(
 }
 
 // dayCapture is one worker's scratch for capturing days, reused from day
-// to day: only the sorted unit a capture returns is allocated per day,
-// at its exact size.
+// to day. The sorted unit a capture returns is not part of it: that
+// buffer comes from the admission window's free list.
 type dayCapture struct {
 	claimed sim.ClaimSet
 	recs    []sim.Sighting // the day's sightings in capture order
@@ -283,14 +299,30 @@ func (c *Campaign) newDayCapture() *dayCapture {
 // stamps the day's time — and no other is kept. The result is sorted by
 // peer index, the fold order that makes interned IDs (and checkpoint
 // bytes) deterministic.
-func (c *Campaign) captureDay(day int, sc *dayCapture) *dayUnit {
+//
+// The sorted sightings refill u, a committed unit; when u is nil, a new
+// unit is made with room for the day's active peers, which bound its
+// sightings, so a later day refilling it rarely has to grow it.
+func (c *Campaign) captureDay(day int, sc *dayCapture, u *dayUnit) *dayUnit {
 	clear(sc.claimed)
 	sc.recs = sc.recs[:0]
 	for _, o := range c.obs {
 		sc.recs = o.CaptureDay(day, sc.claimed, sc.recs)
 	}
-	recs := sc.sortByPeer()
-	return &dayUnit{recs: recs, bytes: unitBytes(recs)}
+	if u == nil {
+		u = &dayUnit{recs: make([]sim.Sighting, 0, len(c.net.ActivePeers(day)))}
+	}
+	u.recs = sc.sortByPeer(u.recs)
+	u.bytes = unitBytes(u.recs)
+	return u
+}
+
+// committed passes a committed unit's buffer to the scribble seam, if
+// one is set, before the buffer is refilled.
+func (c *Campaign) committed(recs []sim.Sighting) {
+	if c.scribble != nil {
+		c.scribble(recs[:cap(recs)])
+	}
 }
 
 // snapshotter persists one day's merged netDb at a time. Day directories

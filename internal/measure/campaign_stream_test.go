@@ -339,7 +339,7 @@ func TestStreamFoldOrderInvariant(t *testing.T) {
 			i := rng.Intn(len(inFlight))
 			day := inFlight[i]
 			inFlight = append(inFlight[:i], inFlight[i+1:]...)
-			if err := w.put(day, c.captureDay(day, sc)); err != nil {
+			if err := w.put(day, c.captureDay(day, sc, nil)); err != nil {
 				t.Fatal(err)
 			}
 			for {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
@@ -74,24 +75,25 @@ func (c *Campaign) checkpointManifest() checkpoint.Manifest {
 // dayKey names the checkpoint unit holding one completed day.
 func dayKey(day int) string { return fmt.Sprintf("day-%03d", day) }
 
-// sortByPeer returns the day's captured sightings in canonical order,
-// ascending by peer index, as a slice of its own that the next capture
-// does not overwrite. This is the single canonicalization point of the
-// pipeline: everything downstream — the fold (which assigns intern IDs on
-// first sight and walks its per-peer state in this order), the snapshot,
-// and the checkpoint unit bytes — inherits an order independent of which
-// observer contributed which record. A day holds one sighting per peer,
-// so the order is total.
+// sortByPeer writes the day's captured sightings into dst's storage, in
+// canonical order, ascending by peer index, and returns them. dst is a
+// unit buffer, not sc's, so the next capture does not overwrite it; it is
+// grown only if the day has more sightings than it holds. This is the
+// single canonicalization point of the pipeline: everything downstream —
+// the fold (which assigns intern IDs on first sight and walks its
+// per-peer state in this order), the snapshot, and the checkpoint unit
+// bytes — inherits an order independent of which observer contributed
+// which record. A day holds one sighting per peer, so the order is total.
 //
 // No comparison sort is needed: the claim set is a bitset over peer index
 // holding exactly the day's sighted peers, so walking its set bits in
 // order and looking each peer up in a by-peer position table emits the
 // sightings sorted.
-func (sc *dayCapture) sortByPeer() []sim.Sighting {
+func (sc *dayCapture) sortByPeer(dst []sim.Sighting) []sim.Sighting {
 	for i, s := range sc.recs {
 		sc.pos[s.Peer] = int32(i)
 	}
-	sorted := make([]sim.Sighting, 0, len(sc.recs))
+	sorted := slices.Grow(dst[:0], len(sc.recs))
 	for w, word := range sc.claimed {
 		for ; word != 0; word &= word - 1 {
 			sorted = append(sorted, sc.recs[sc.pos[w<<6|bits.TrailingZeros64(word)]])
@@ -116,17 +118,17 @@ const (
 	introSize     = 4 + 4 + 2
 )
 
-// encodeDayUnit serializes one day's merged sightings. recs must already
-// be in canonical peer order (see sortByPeer), which makes the unit's
-// bytes deterministic.
-func encodeDayUnit(recs []sim.Sighting) []byte {
+// encodeDayUnit serializes one day's merged sightings into buf's storage
+// (grown if it is short) and returns the unit. recs must already be in
+// canonical peer order (see sortByPeer), which makes the unit's bytes
+// deterministic.
+func encodeDayUnit(buf []byte, recs []sim.Sighting) []byte {
 	size := dayUnitHeader + sha256.Size
 	for i := range recs {
 		size += recordSize + int(recs[i].N)*introSize
 	}
 	le := binary.LittleEndian
-	buf := make([]byte, 0, size)
-	buf = append(buf, dayUnitMagic[:]...)
+	buf = append(slices.Grow(buf[:0], size), dayUnitMagic[:]...)
 	buf = le.AppendUint32(buf, uint32(len(recs)))
 	for i := range recs {
 		s := &recs[i]
@@ -150,8 +152,11 @@ func encodeDayUnit(recs []sim.Sighting) []byte {
 // pool rules out (sim.Network.CheckSighting), records not strictly
 // ascending by peer index, short or trailing bytes. Records come back in
 // the canonical order they were written in, so accumulation code cannot
-// tell a resumed day from a computed one.
-func decodeDayUnit(network *sim.Network, day int, data []byte) ([]sim.Sighting, error) {
+// tell a resumed day from a computed one. They are decoded into dst's
+// storage (grown if it is short), every field of every record written,
+// so what dst held before cannot show through; on an error the records
+// in dst are undefined.
+func decodeDayUnit(network *sim.Network, day int, data []byte, dst []sim.Sighting) ([]sim.Sighting, error) {
 	if len(data) < dayUnitHeader+sha256.Size {
 		return nil, fmt.Errorf("measure: day unit truncated: %d bytes", len(data))
 	}
@@ -168,15 +173,13 @@ func decodeDayUnit(network *sim.Network, day int, data []byte) ([]sim.Sighting, 
 	if uint64(count)*recordSize > uint64(len(body)) {
 		return nil, fmt.Errorf("measure: day unit truncated: %d records in %d bytes", count, len(body))
 	}
-	recs := make([]sim.Sighting, count)
+	recs := slices.Grow(dst[:0], int(count))[:count]
 	for i := range recs {
 		s := &recs[i]
 		if len(body) < recordSize {
 			return nil, fmt.Errorf("measure: day unit truncated at record %d", i)
 		}
-		s.Peer = int32(le.Uint32(body))
-		s.Port = le.Uint16(body[4:])
-		s.N = body[6]
+		*s = sim.Sighting{Peer: int32(le.Uint32(body)), Draw: sim.Draw{Port: le.Uint16(body[4:]), N: body[6]}}
 		body = body[recordSize:]
 		if int(s.N) > len(s.Intros) {
 			return nil, fmt.Errorf("measure: day unit record %d: %d introducers, at most %d possible", i, s.N, len(s.Intros))

@@ -65,7 +65,7 @@ func version2Unit(network *sim.Network, recs []sim.Sighting) []byte {
 	slices.SortFunc(recs, func(a, b sim.Sighting) int {
 		return bytes.Compare(network.Peers[a.Peer].ID[:], network.Peers[b.Peer].ID[:])
 	})
-	body := unsealed(encodeDayUnit(recs))
+	body := unsealed(encodeDayUnit(nil, recs))
 	copy(body, "DU02")
 	return seal(body)
 }
@@ -76,11 +76,11 @@ func TestDayUnitRoundTrip(t *testing.T) {
 	c := dayUnitFixture(t)
 	sc := c.newDayCapture()
 	for day := c.cfg.StartDay; day < c.cfg.EndDay; day++ {
-		recs := c.captureDay(day, sc).recs
+		recs := c.captureDay(day, sc, nil).recs
 		if len(recs) == 0 {
 			t.Fatalf("day %d captured nothing", day)
 		}
-		got, err := decodeDayUnit(c.net, day, encodeDayUnit(recs))
+		got, err := decodeDayUnit(c.net, day, encodeDayUnit(nil, recs), nil)
 		if err != nil {
 			t.Fatalf("day %d: %v", day, err)
 		}
@@ -88,7 +88,7 @@ func TestDayUnitRoundTrip(t *testing.T) {
 			t.Fatalf("day %d: decoded sightings differ from the encoded ones", day)
 		}
 	}
-	if got, err := decodeDayUnit(c.net, 0, encodeDayUnit(nil)); err != nil || len(got) != 0 {
+	if got, err := decodeDayUnit(c.net, 0, encodeDayUnit(nil, nil), nil); err != nil || len(got) != 0 {
 		t.Fatalf("empty unit = (%d records, %v)", len(got), err)
 	}
 }
@@ -99,7 +99,7 @@ func TestDayUnitRoundTrip(t *testing.T) {
 func TestDayUnitRefusesDoctoredBody(t *testing.T) {
 	c := dayUnitFixture(t)
 	const day = 4
-	valid := c.captureDay(day, c.newDayCapture()).recs
+	valid := c.captureDay(day, c.newDayCapture(), nil).recs
 	// The first record that advertises an introducer, and its offset in
 	// the unit.
 	intro, introOff := -1, dayUnitHeader
@@ -129,10 +129,10 @@ func TestDayUnitRefusesDoctoredBody(t *testing.T) {
 	doctorRecs := func(edit func(recs []sim.Sighting)) []byte {
 		recs := append([]sim.Sighting(nil), valid...)
 		edit(recs)
-		return encodeDayUnit(recs)
+		return encodeDayUnit(nil, recs)
 	}
 	doctorBody := func(edit func(body []byte) []byte) []byte {
-		return seal(edit(bytes.Clone(unsealed(encodeDayUnit(valid)))))
+		return seal(edit(bytes.Clone(unsealed(encodeDayUnit(nil, valid)))))
 	}
 	cases := []struct {
 		name, want string
@@ -176,21 +176,21 @@ func TestDayUnitRefusesDoctoredBody(t *testing.T) {
 		})},
 		{"version 1 unit", "checksum", version1Unit(t, c.net, day, valid)},
 		{"version 2 unit", "magic", version2Unit(c.net, valid)},
-		{"too short for a checksum", "truncated", encodeDayUnit(valid)[:dayUnitHeader]},
+		{"too short for a checksum", "truncated", encodeDayUnit(nil, valid)[:dayUnitHeader]},
 	}
 	for _, tc := range cases {
-		recs, err := decodeDayUnit(c.net, day, tc.unit)
+		recs, err := decodeDayUnit(c.net, day, tc.unit, nil)
 		if err == nil {
 			t.Errorf("%s: accepted, %d records", tc.name, len(recs))
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: refused with %q, want the %q check", tc.name, err, tc.want)
 		}
 	}
-	if _, err := decodeDayUnit(c.net, day, encodeDayUnit(valid)); err != nil {
+	if _, err := decodeDayUnit(c.net, day, encodeDayUnit(nil, valid), nil); err != nil {
 		t.Fatalf("the undoctored unit is refused: %v", err)
 	}
 	// The unit belongs to its day: another day's pool and presence differ.
-	if _, err := decodeDayUnit(c.net, day+1, encodeDayUnit(valid)); err == nil {
+	if _, err := decodeDayUnit(c.net, day+1, encodeDayUnit(nil, valid), nil); err == nil {
 		t.Error("day 4's unit decoded as day 5's")
 	}
 }
@@ -200,44 +200,55 @@ func TestDayUnitRefusesDoctoredBody(t *testing.T) {
 func TestDayUnitEveryByteIsCovered(t *testing.T) {
 	c := dayUnitFixture(t)
 	const day = 4
-	unit := encodeDayUnit(c.captureDay(day, c.newDayCapture()).recs)
+	unit := encodeDayUnit(nil, c.captureDay(day, c.newDayCapture(), nil).recs)
 	for i := range unit {
 		unit[i] ^= 0x40
-		if _, err := decodeDayUnit(c.net, day, unit); err == nil {
+		if _, err := decodeDayUnit(c.net, day, unit, nil); err == nil {
 			t.Fatalf("unit accepted with byte %d of %d flipped", i, len(unit))
 		}
 		unit[i] ^= 0x40
 	}
 }
 
-// FuzzDayUnit holds the day-unit decoder to three properties on hostile
+// FuzzDayUnit holds the day-unit decoder to four properties on hostile
 // input: it never panics; whatever it accepts re-encodes to the bytes it
 // was given (decode ∘ encode is the identity, and the encoding is
-// canonical); and a valid unit with any one byte changed is refused. The
-// input is tried as given and again with the checksum recomputed over
-// its body, so the fuzzer gets past the checksum to the validators.
+// canonical); decoding into a reused buffer full of garbage gives what
+// decoding into a fresh one does, the same sightings or the same error;
+// and a valid unit with any one byte changed is refused. The input is
+// tried as given and again with the checksum recomputed over its body,
+// so the fuzzer gets past the checksum to the validators.
 func FuzzDayUnit(f *testing.F) {
 	c := dayUnitFixture(f)
 	const day = 4
 	sc := c.newDayCapture()
-	valid := encodeDayUnit(c.captureDay(day, sc).recs)
+	valid := encodeDayUnit(nil, c.captureDay(day, sc, nil).recs)
 	for _, d := range []int{0, day, 9} {
-		f.Add(encodeDayUnit(c.captureDay(d, sc).recs), uint(0), byte(1))
+		f.Add(encodeDayUnit(nil, c.captureDay(d, sc, nil).recs), uint(0), byte(1))
 	}
-	f.Add(encodeDayUnit(nil), uint(7), byte(0x80))
+	f.Add(encodeDayUnit(nil, nil), uint(7), byte(0x80))
 	f.Add([]byte("DU03"), uint(40), byte(0xff))
-	v2 := version2Unit(c.net, c.captureDay(day, sc).recs)
-	if _, err := decodeDayUnit(c.net, day, v2); err == nil {
+	v2 := version2Unit(c.net, c.captureDay(day, sc, nil).recs)
+	if _, err := decodeDayUnit(c.net, day, v2, nil); err == nil {
 		f.Fatal("a sealed version 2 unit decodes")
 	}
 	f.Add(v2, uint(0), byte(0))
+	// Room for a fixture day's records, so most inputs decode into the
+	// dirty buffer's own storage rather than a grown copy.
+	dirty := make([]sim.Sighting, 2*len(c.net.Peers))
 	f.Fuzz(func(t *testing.T, data []byte, pos uint, flip byte) {
 		roundTrip := func(unit []byte) {
-			recs, err := decodeDayUnit(c.net, day, unit)
+			recs, err := decodeDayUnit(c.net, day, unit, nil)
+			scribbleSightings(dirty)
+			reused, reusedErr := decodeDayUnit(c.net, day, unit, dirty)
+			if fmt.Sprint(err) != fmt.Sprint(reusedErr) || !slices.Equal(recs, reused) {
+				t.Fatalf("a %d-byte unit decodes to (%d records, %v) fresh and (%d records, %v) into a dirty buffer, not the same",
+					len(unit), len(recs), err, len(reused), reusedErr)
+			}
 			if err != nil {
 				return
 			}
-			if again := encodeDayUnit(recs); !bytes.Equal(again, unit) {
+			if again := encodeDayUnit(nil, recs); !bytes.Equal(again, unit) {
 				t.Fatalf("accepted a %d-byte unit that re-encodes to %d different bytes", len(unit), len(again))
 			}
 		}
@@ -248,7 +259,7 @@ func FuzzDayUnit(f *testing.F) {
 		if flip != 0 {
 			mutated := bytes.Clone(valid)
 			mutated[pos%uint(len(mutated))] ^= flip
-			if _, err := decodeDayUnit(c.net, day, mutated); err == nil {
+			if _, err := decodeDayUnit(c.net, day, mutated, nil); err == nil {
 				t.Fatalf("valid unit accepted with byte %d xor %#x", pos%uint(len(mutated)), flip)
 			}
 		}
@@ -276,7 +287,7 @@ func TestCampaignRefusesVersion1Store(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			day0 := c.captureDay(0, c.newDayCapture()).recs
+			day0 := c.captureDay(0, c.newDayCapture(), nil).recs
 			if err := store.Save(dayKey(0), tc.unit(c, day0)); err != nil {
 				t.Fatal(err)
 			}

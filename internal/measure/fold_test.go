@@ -111,7 +111,7 @@ func TestFoldStateColdOrWarm(t *testing.T) {
 	warmFolder := newFolder(warm, c.net)
 	sc := c.newDayCapture()
 	for day := c.cfg.StartDay; day < c.cfg.EndDay; day++ {
-		recs := c.captureDay(day, sc).recs
+		recs := c.captureDay(day, sc, nil).recs
 		newFolder(cold, c.net).fold(day, recs)
 		warmFolder.fold(day, recs)
 	}

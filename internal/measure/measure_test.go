@@ -399,7 +399,7 @@ func TestSurvivalCorrectsCensoring(t *testing.T) {
 	_, ds := dataset(t)
 	for _, n := range []int{7, 20, 30} {
 		naive := ds.ChurnAt(n).Intermittent
-		km := ds.SurvivalAt(n)
+		km := ds.SurvivalAt(n)[0]
 		if km < naive-2 { // small slack for step interpolation
 			t.Fatalf("KM at %dd (%.1f%%) fell below naive (%.1f%%)", n, km, naive)
 		}
@@ -407,7 +407,7 @@ func TestSurvivalCorrectsCensoring(t *testing.T) {
 	// The 30-day corrected estimate should move toward the paper's 31%
 	// from the truncation-depressed naive value.
 	naive30 := ds.ChurnAt(30).Intermittent
-	km30 := ds.SurvivalAt(30)
+	km30 := ds.SurvivalAt(30)[0]
 	if km30 <= naive30 {
 		t.Fatalf("KM at 30d (%.1f%%) should exceed naive (%.1f%%) on a 40-day window", km30, naive30)
 	}
@@ -418,7 +418,7 @@ func TestSurvivalEmptyDataset(t *testing.T) {
 	if empty.SurvivalCurve() != nil {
 		t.Fatal("empty dataset should yield nil curve")
 	}
-	if empty.SurvivalAt(7) != 0 {
+	if got := empty.SurvivalAt(7); len(got) != 1 || got[0] != 0 {
 		t.Fatal("empty dataset survival should be 0")
 	}
 }

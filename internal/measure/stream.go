@@ -15,8 +15,8 @@ import (
 // bookkeeping that makes campaign memory O(workers) instead of O(days).
 // A day is captured only once it is within window days of the in-order
 // fold, so a unit the fold is not about to need cannot exist; completed
-// units park in a window-slot ring and are dropped the moment they are
-// folded.
+// units park in a window-slot ring, and the moment one is folded its
+// buffer goes on the window's free list for a later capture to refill.
 
 // windowFactor is the admission window in days per worker: two, so a
 // worker that finishes day d+1 while day d is still being captured or
@@ -71,7 +71,9 @@ func (c *Campaign) releaseUnit(bytes int64) {
 
 // dayUnit is one day's deduplicated observations in canonical
 // (peer-index) order — the fold order that makes interned IDs and
-// checkpoint bytes independent of which worker captured the day.
+// checkpoint bytes independent of which worker captured the day. Its
+// buffer outlives the day: once the day is committed, the window hands
+// it to a later capture to refill.
 type dayUnit struct {
 	recs []sim.Sighting
 	// bytes is the unit's resident size (see unitBytes), carried so
@@ -86,6 +88,12 @@ type dayUnit struct {
 // folded are always the contiguous run [next, next+window) or a prefix
 // of it: a day outside the window is never captured, and slot
 // day%window of the ring is free whenever a day in the window parks.
+//
+// The window also recycles the units themselves. A folded unit goes on
+// the free list before its day's slot is returned, and a capture takes
+// one off it only after admit, so the units in existence never outnumber
+// the admitted, unfolded days: a run allocates at most window of them,
+// however many days it folds.
 type dayWindow struct {
 	end    int           // first day not to capture
 	ticket atomic.Int64  // next day to admit
@@ -95,10 +103,12 @@ type dayWindow struct {
 	next    int        // next day to fold
 	parked  []*dayUnit // parked[day%window], nil while the day is not in
 	folding bool       // a worker holds day next outside the ring
+	free    []*dayUnit // folded units, for later captures to refill
 }
 
 func newDayWindow(from, end, window int) *dayWindow {
-	w := &dayWindow{end: end, slots: make(chan struct{}, window), next: from, parked: make([]*dayUnit, window)}
+	w := &dayWindow{end: end, slots: make(chan struct{}, window), next: from,
+		parked: make([]*dayUnit, window), free: make([]*dayUnit, 0, window)}
 	w.ticket.Store(int64(from))
 	return w
 }
@@ -160,7 +170,31 @@ func (w *dayWindow) folded() {
 	<-w.slots
 }
 
-// drain returns the units still parked when a run stops early.
+// reuse returns a folded unit for an admitted day's capture to refill,
+// or nil while the free list is empty.
+func (w *dayWindow) reuse() *dayUnit {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n := len(w.free)
+	if n == 0 {
+		return nil
+	}
+	u := w.free[n-1]
+	w.free = w.free[:n-1]
+	return u
+}
+
+// recycle puts a unit on the free list. A folded unit is recycled once
+// its day is committed and before folded returns the day's slot;
+// nothing may read it after.
+func (w *dayWindow) recycle(u *dayUnit) {
+	w.mu.Lock()
+	w.free = append(w.free, u)
+	w.mu.Unlock()
+}
+
+// drain recycles the units still parked when a run stops early and
+// returns them, so the caller can release their accounting.
 func (w *dayWindow) drain() []*dayUnit {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -168,6 +202,7 @@ func (w *dayWindow) drain() []*dayUnit {
 	for i, u := range w.parked {
 		if u != nil {
 			left = append(left, u)
+			w.free = append(w.free, u)
 			w.parked[i] = nil
 		}
 	}

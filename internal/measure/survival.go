@@ -1,7 +1,5 @@
 package measure
 
-import "sort"
-
 // This file implements a right-censored lifetime estimator for the churn
 // analysis. The paper's Figure 7 statistic ("percentage of peers seen for
 // at least n days") is biased downward near the end of a finite campaign:
@@ -24,72 +22,76 @@ type SurvivalPoint struct {
 // lifetime (first-to-last span). A peer whose last observation falls on
 // the campaign's final day is right-censored: its true lifetime is only
 // known to be at least its observed span.
+//
+// Spans are whole days, so one pass counts the tracks by span — and, of
+// those, the ones that died (were last seen before the final day) — and
+// the estimator walks the counts in ascending span order: the order a
+// sort by span would give, without materializing an observation per
+// peer.
 func (ds *Dataset) SurvivalCurve() []SurvivalPoint {
-	lastDay := ds.EndDay - 1
-	type obs struct {
-		duration int
-		died     bool
-	}
-	var observations []obs
-	// No un-observed-track guard is needed here (or in any ds.Peers
-	// iteration): Dataset.track requires the observing day and sets
-	// FirstDay at creation, so a track with FirstDay unset cannot exist —
-	// see TestTracksAlwaysObserved.
-	for _, t := range ds.Peers {
-		observations = append(observations, obs{
-			duration: t.Span(),
-			died:     t.LastDay < lastDay,
-		})
-	}
-	if len(observations) == 0 {
+	if len(ds.Peers) == 0 {
 		return nil
 	}
-	sort.Slice(observations, func(i, j int) bool {
-		return observations[i].duration < observations[j].duration
-	})
-
-	var curve []SurvivalPoint
-	surv := 1.0
-	atRisk := len(observations)
-	i := 0
-	curve = append(curve, SurvivalPoint{Days: 0, Probability: 1})
-	for i < len(observations) {
-		d := observations[i].duration
-		deaths, leaving := 0, 0
-		for i < len(observations) && observations[i].duration == d {
-			if observations[i].died {
-				deaths++
-			}
-			leaving++
-			i++
+	lastDay := ds.EndDay - 1
+	// leaving[d] counts the tracks whose span is d, deaths[d] those of
+	// them last seen before lastDay. No un-observed-track guard is needed
+	// here (or in any ds.Peers iteration): Dataset.track requires the
+	// observing day and sets FirstDay at creation, so a track with
+	// FirstDay unset cannot exist — see TestTracksAlwaysObserved. Its span
+	// is at least 1; the clamp only guards the index.
+	leaving := make([]int, ds.EndDay-ds.StartDay+1)
+	deaths := make([]int, len(leaving))
+	for _, t := range ds.Peers {
+		d := max(t.Span(), 0)
+		if d >= len(leaving) {
+			leaving = append(leaving, make([]int, d+1-len(leaving))...)
+			deaths = append(deaths, make([]int, d+1-len(deaths))...)
 		}
-		if deaths > 0 && atRisk > 0 {
-			surv *= 1 - float64(deaths)/float64(atRisk)
+		leaving[d]++
+		if t.LastDay < lastDay {
+			deaths[d]++
+		}
+	}
+
+	curve := []SurvivalPoint{{Days: 0, Probability: 1}}
+	surv := 1.0
+	atRisk := len(ds.Peers)
+	for d, n := range leaving {
+		if n == 0 {
+			continue
+		}
+		if deaths[d] > 0 && atRisk > 0 {
+			surv *= 1 - float64(deaths[d])/float64(atRisk)
 		}
 		curve = append(curve, SurvivalPoint{Days: d, Probability: surv})
-		atRisk -= leaving
+		atRisk -= n
 	}
 	return curve
 }
 
-// SurvivalAt returns the Kaplan–Meier P(lifetime >= n days) in percent,
-// interpolating the step function. It is the censoring-corrected
-// counterpart of ChurnAt(n).Intermittent.
-func (ds *Dataset) SurvivalAt(n int) float64 {
+// SurvivalAt returns the Kaplan–Meier P(lifetime >= n days) in percent at
+// each of the horizons, in order, interpolating the step function of one
+// SurvivalCurve. It is the censoring-corrected counterpart of
+// ChurnPoints' Intermittent shares.
+func (ds *Dataset) SurvivalAt(horizons ...int) []float64 {
+	out := make([]float64, len(horizons))
 	curve := ds.SurvivalCurve()
 	if len(curve) == 0 {
-		return 0
+		return out
 	}
 	// The survival function is right-continuous: P(T >= n) is the value
 	// just before the step at n, i.e. the probability at the largest
 	// duration < n... with spans measured inclusively, P(T >= n) is the
 	// curve value at the last point with Days < n.
-	p := 1.0
-	for _, pt := range curve {
-		if pt.Days >= n {
-			break
+	for i, n := range horizons {
+		p := 1.0
+		for _, pt := range curve {
+			if pt.Days >= n {
+				break
+			}
+			p = pt.Probability
 		}
-		p = pt.Probability
+		out[i] = 100 * p
 	}
-	return 100 * p
+	return out
 }
