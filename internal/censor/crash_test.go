@@ -2,11 +2,7 @@ package censor
 
 import (
 	"context"
-	"errors"
 	"testing"
-
-	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
-	"github.com/i2pstudy/i2pstudy/internal/measure/enginetest"
 )
 
 func crashSweepConfig(workers int) SweepConfig {
@@ -17,31 +13,6 @@ func crashSweepConfig(workers int) SweepConfig {
 		SeedBase: 700,
 		Workers:  workers,
 	}
-}
-
-// TestCrashResume is the censor sweep's crash-safety golden, stated
-// through the shared harness: a run killed by an injected fault and
-// resumed from its checkpoint directory yields CellResults
-// byte-identical to an uninterrupted run, at every ladder width, with
-// obs enabled. Rows checkpoint at (window, fleet) granularity; a
-// resumed row's cells build no blacklist.
-func TestCrashResume(t *testing.T) {
-	n := network(t)
-	enginetest.CrashResume(t, 2018, []enginetest.CrashCase{{
-		Name:  "blocking-grid",
-		Point: "censor.sweep.cell",
-		Run: func(t testing.TB, dir string, workers int) (any, error) {
-			sw, err := NewSweep(n, crashSweepConfig(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := sw.RunCheckpointed(context.Background(), dir)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
-		},
-	}})
 }
 
 // TestSweepRunMatchesCursorFold pins the engine-owned Run product to
@@ -71,34 +42,5 @@ func TestSweepRunMatchesCursorFold(t *testing.T) {
 		if want := sw.Blacklist(cell).Len(); res[i].BlacklistLen != want {
 			t.Fatalf("cell %d: BlacklistLen %d, want from-scratch %d", i, res[i].BlacklistLen, want)
 		}
-	}
-}
-
-// TestSweepCheckpointManifestMismatch locks the refusal path at the
-// engine level: a checkpoint directory written under one seed must not
-// resume a sweep with another.
-func TestSweepCheckpointMismatchRefused(t *testing.T) {
-	n := network(t)
-	dir := t.TempDir()
-	sw, err := NewSweep(n, crashSweepConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.RunCheckpointed(context.Background(), dir); err != nil {
-		t.Fatal(err)
-	}
-	cfg := crashSweepConfig(1)
-	cfg.SeedBase = 701
-	sw2, err := NewSweep(n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sw2.RunCheckpointed(context.Background(), dir)
-	var mm *checkpoint.MismatchError
-	if !errors.As(err, &mm) {
-		t.Fatalf("resume under a different seed: err = %v, want *checkpoint.MismatchError", err)
-	}
-	if mm.Field != "seed" {
-		t.Fatalf("MismatchError.Field = %q, want \"seed\"", mm.Field)
 	}
 }

@@ -59,6 +59,20 @@ type Cell struct {
 	Day int
 }
 
+// CellResult is the engine-owned product of one sweep cell: the
+// blocking rate against the sweep victim and the blacklist size. The
+// paper experiments fold richer products from the same cells; this
+// standard result is what Run returns and what the determinism goldens
+// compare.
+type CellResult struct {
+	Cell
+	// BlockingRate is the fraction of the victim's netDb addresses on
+	// the cell's blacklist (Figure 13's quantity).
+	BlockingRate float64
+	// BlacklistLen is the number of distinct blacklisted addresses.
+	BlacklistLen int
+}
+
 // Sweep binds a grid to a network with the adversary built once: the
 // shared censor fleet, the victim, and the network's address index. Its
 // cells (Run, BlockingRate, Blacklist) union memoized router-day sets;
@@ -124,6 +138,29 @@ func (s *Sweep) Cells() []Cell {
 		}
 	}
 	return out
+}
+
+// Run evaluates the standard result for every cell of the grid,
+// returning them in Cells() order. Each cell is one measure.FanOut task
+// that builds its blacklist and writes its cell-indexed slot, so any
+// Workers value yields byte-identical results. The first error (or ctx
+// cancellation) stops the rest.
+func (s *Sweep) Run(ctx context.Context) ([]CellResult, error) {
+	cells := s.Cells()
+	out := make([]CellResult, len(cells))
+	err := measure.FanOut(ctx, len(cells), s.Cfg.Workers, func(i int) error {
+		bl := s.Blacklist(cells[i])
+		out[i] = CellResult{
+			Cell:         cells[i],
+			BlockingRate: s.blockingRate(bl, cells[i].Day),
+			BlacklistLen: bl.Len(),
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // windowUnionDays returns the sorted union of (day-window, day] over the

@@ -1,10 +1,10 @@
-// Package checkpoint is the crash-safety layer shared by all five sweep
-// engines: completed rows, cells, or day-shards spill to disk as they
-// finish, so a run killed mid-sweep resumes by loading finished units
-// instead of recomputing them. Because every engine folds results in
-// stable order regardless of Workers, a resumed run's output is
-// byte-identical to an uninterrupted one — the determinism contract
-// extends across process deaths.
+// Package checkpoint is the crash-safety layer of the engines a run can
+// resume: core.Study.RunAll's finished experiments and the measurement
+// campaign's day units spill to disk as they finish, so a run killed
+// midway resumes by loading finished units instead of recomputing them.
+// Because both engines fold results in stable order regardless of
+// Workers, a resumed run's output is byte-identical to an uninterrupted
+// one — the determinism contract extends across process deaths.
 //
 // Layout: a checkpoint directory holds a manifest.json identifying the
 // run (engine name + version, config hash, seed) plus one file per
@@ -16,10 +16,9 @@
 // field fails with a *MismatchError — stale shards are never silently
 // merged.
 //
-// The slot-filling engines (the three sweeps and the experiment runner)
-// do not drive a Store themselves: they declare their units to Units,
-// which owns loading, the save on a unit's last slot and the fault
-// point. The campaign, which folds binary day units in order, uses
+// The experiment runner does not drive a Store itself: it declares its
+// slots to Units, which owns loading, the save on each Commit and the
+// fault point. The campaign, which folds binary day units in order, uses
 // Store.Save and Store.Load directly.
 package checkpoint
 
@@ -27,7 +26,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -354,9 +352,6 @@ func (h *Hasher) Uint64(v uint64) {
 
 // Int folds v.
 func (h *Hasher) Int(v int) { h.Uint64(uint64(v)) }
-
-// Float64 folds the IEEE-754 bits of v.
-func (h *Hasher) Float64(v float64) { h.Uint64(math.Float64bits(v)) }
 
 // String folds s length-prefixed, so ("ab","c") and ("a","bc") differ.
 func (h *Hasher) String(s string) {

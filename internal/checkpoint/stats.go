@@ -12,7 +12,7 @@ type checkpointStats struct {
 var stats = obs.NewLazy(func(r *obs.Registry) checkpointStats {
 	return checkpointStats{
 		rowsWritten: r.Counter("i2p_checkpoint_rows_written_total",
-			"Completed units (rows, cells, day-shards) committed to a checkpoint directory."),
+			"Completed units (experiments, campaign days) committed to a checkpoint directory."),
 		rowsResumed: r.Counter("i2p_checkpoint_rows_resumed_total",
 			"Units loaded from a checkpoint directory instead of recomputed."),
 		bytesSpilled: r.Counter("i2p_checkpoint_bytes_spilled_total",

@@ -3,17 +3,15 @@ package checkpoint
 import (
 	"encoding/json"
 	"fmt"
-	"sync/atomic"
 
 	"github.com/i2pstudy/i2pstudy/internal/faults"
 )
 
-// Units is the resumable-unit bookkeeping the slot-filling engines
-// share. An engine owns a slice of result slots; every slot belongs to
-// one unit (a sweep row, a cell, an experiment), and a unit is the atom
-// of resume: it is written once, when its last slot has been committed,
-// as the JSON array of its slots in ascending slot order, and a later
-// run over the same directory finds those slots already filled.
+// Units is the resumable-unit bookkeeping of a slot-filling engine. An
+// engine owns a slice of result slots, and every slot is its own unit
+// (an experiment of core.Study.RunAll): the atom of resume, written once
+// when it is committed, as the one-element JSON array of its slot, and
+// found already filled by a later run over the same directory.
 // encoding/json round-trips float64 exactly and keeps nil apart from
 // empty slices, so a resumed slot is reflect.DeepEqual to a computed
 // one. Scheduling stays with the engine: it skips slots that report
@@ -21,33 +19,18 @@ import (
 type Units[T any] struct {
 	store   *Store // nil: nothing is written
 	slots   []T
-	unitOf  func(slot int) int
-	members [][]int // unit -> its slots, ascending
-	key     func(unit int) string
+	key     func(slot int) string
 	point   string
-	pending []atomic.Int32 // unit -> slots not yet committed
-	resumed []bool         // unit -> loaded from the store
+	resumed []bool // slot -> loaded from the store
 }
 
-// OpenUnits groups slots into units by unitOf and, when dir is
-// non-empty, opens the checkpoint store there against m and loads every
-// unit it holds into the unit's slots. dir == "" checkpoints nothing;
-// Commit then only fills slots and crosses the fault point. A manifest
-// that disagrees with the directory's fails with a *MismatchError.
-func OpenUnits[T any](dir string, m Manifest, slots []T, unitOf func(slot int) int, key func(unit int) string, faultPoint string) (*Units[T], error) {
-	u := &Units[T]{slots: slots, unitOf: unitOf, key: key, point: faultPoint}
-	for i := range slots {
-		g := unitOf(i)
-		for g >= len(u.members) {
-			u.members = append(u.members, nil)
-		}
-		u.members[g] = append(u.members[g], i)
-	}
-	u.pending = make([]atomic.Int32, len(u.members))
-	u.resumed = make([]bool, len(u.members))
-	for g, ms := range u.members {
-		u.pending[g].Store(int32(len(ms)))
-	}
+// OpenUnits makes every slot a unit and, when dir is non-empty, opens
+// the checkpoint store there against m and loads every unit it holds
+// into its slot. dir == "" checkpoints nothing; Commit then only fills
+// slots and crosses the fault point. A manifest that disagrees with the
+// directory's fails with a *MismatchError.
+func OpenUnits[T any](dir string, m Manifest, slots []T, key func(slot int) string, faultPoint string) (*Units[T], error) {
+	u := &Units[T]{slots: slots, key: key, point: faultPoint, resumed: make([]bool, len(slots))}
 	if dir == "" {
 		return u, nil
 	}
@@ -55,8 +38,8 @@ func OpenUnits[T any](dir string, m Manifest, slots []T, unitOf func(slot int) i
 	if u.store, err = Open(dir, m); err != nil {
 		return nil, err
 	}
-	for g, ms := range u.members {
-		data, ok, err := u.store.Load(key(g))
+	for i := range slots {
+		data, ok, err := u.store.Load(key(i))
 		if err != nil {
 			return nil, err
 		}
@@ -65,41 +48,31 @@ func OpenUnits[T any](dir string, m Manifest, slots []T, unitOf func(slot int) i
 		}
 		var saved []T
 		if err := json.Unmarshal(data, &saved); err != nil {
-			return nil, fmt.Errorf("checkpoint: corrupt unit %s: %w", key(g), err)
+			return nil, fmt.Errorf("checkpoint: corrupt unit %s: %w", key(i), err)
 		}
-		if len(saved) != len(ms) {
-			return nil, fmt.Errorf("checkpoint: unit %s holds %d results, the run expects %d", key(g), len(saved), len(ms))
+		if len(saved) != 1 {
+			return nil, fmt.Errorf("checkpoint: unit %s holds %d results, the run expects 1", key(i), len(saved))
 		}
-		for j, i := range ms {
-			slots[i] = saved[j]
-		}
-		u.resumed[g] = true
+		slots[i], u.resumed[i] = saved[0], true
 	}
 	return u, nil
 }
 
 // Resumed reports whether slot was filled from the store, so the engine
 // must neither recompute nor Commit it.
-func (u *Units[T]) Resumed(slot int) bool { return u.resumed[u.unitOf(slot)] }
+func (u *Units[T]) Resumed(slot int) bool { return u.resumed[slot] }
 
-// Commit fills slot with v. The one caller that commits a unit's last
-// outstanding slot saves the unit — the atomic countdown orders every
-// other worker's slot writes before that save — and every Commit then
+// Commit fills slot with v, saves it when a store is open, and then
 // crosses the engine's fault point, so an injected crash always finds
 // the unit it follows already durable.
 func (u *Units[T]) Commit(slot int, v T) error {
 	u.slots[slot] = v
-	g := u.unitOf(slot)
-	if u.pending[g].Add(-1) == 0 && u.store != nil {
-		saved := make([]T, len(u.members[g]))
-		for j, i := range u.members[g] {
-			saved[j] = u.slots[i]
-		}
-		data, err := json.Marshal(saved)
+	if u.store != nil {
+		data, err := json.Marshal(u.slots[slot : slot+1])
 		if err != nil {
-			return fmt.Errorf("checkpoint: encoding unit %s: %w", u.key(g), err)
+			return fmt.Errorf("checkpoint: encoding unit %s: %w", u.key(slot), err)
 		}
-		if err := u.store.Save(u.key(g), data); err != nil {
+		if err := u.store.Save(u.key(slot), data); err != nil {
 			return err
 		}
 	}

@@ -14,19 +14,18 @@ import (
 )
 
 const (
-	testRows  = 3 // units
-	testDays  = 4 // slots per unit
+	testSlots = 5 // units, one slot each
 	testPoint = "test.units.slot"
 )
 
-func testRowKey(row int) string { return fmt.Sprintf("row-%03d", row) }
+func testKey(slot int) string { return fmt.Sprintf("exp-%03d", slot) }
 
-// openRows opens a Units over a testRows x testDays grid laid out like
-// the sweep engines': slot i belongs to row i % testRows.
-func openRows(t *testing.T, dir string) (*Units[int], []int) {
+// openSlots opens a Units over testSlots slots, each its own unit, as
+// core.Study.RunAll lays out its experiments.
+func openSlots(t *testing.T, dir string) (*Units[int], []int) {
 	t.Helper()
-	slots := make([]int, testRows*testDays)
-	u, err := OpenUnits(dir, manifest(), slots, func(i int) int { return i % testRows }, testRowKey, testPoint)
+	slots := make([]int, testSlots)
+	u, err := OpenUnits(dir, manifest(), slots, testKey, testPoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,16 +37,13 @@ func TestUnitsSaveOnceAfterLastSlot(t *testing.T) {
 	obs.Enable(reg)
 	t.Cleanup(func() { obs.Enable(nil) })
 	dir := t.TempDir()
-	u, slots := openRows(t, dir)
+	u, slots := openSlots(t, dir)
 
-	// Every slot but row 0's last: no unit may exist yet, however many
-	// goroutines the commits came from.
-	last := len(slots) - testRows
+	// Every slot but the last, from as many goroutines: each is saved by
+	// its own Commit, and the uncommitted one has no unit.
+	last := len(slots) - 1
 	var wg sync.WaitGroup
-	for i := range slots {
-		if i == last {
-			continue
-		}
+	for i := range last {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -57,66 +53,87 @@ func TestUnitsSaveOnceAfterLastSlot(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if _, err := os.Stat(filepath.Join(dir, testRowKey(0))); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("row 0 saved with a slot outstanding: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, testKey(last))); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("slot %d saved before its Commit: %v", last, err)
 	}
 	if err := u.Commit(last, 100+last); err != nil {
 		t.Fatal(err)
 	}
-	if got := stats.Get().rowsWritten.Load(); got != testRows {
-		t.Errorf("%d units written, want each of the %d exactly once", got, testRows)
+	if got := stats.Get().rowsWritten.Load(); got != testSlots {
+		t.Errorf("%d units written, want each of the %d exactly once", got, testSlots)
 	}
-	// A unit is the JSON array of its slots in ascending slot order.
-	for row := 0; row < testRows; row++ {
-		want := fmt.Sprintf("[%d,%d,%d,%d]", 100+row, 100+row+testRows, 100+row+2*testRows, 100+row+3*testRows)
-		if got, err := os.ReadFile(filepath.Join(dir, testRowKey(row))); err != nil || string(got) != want {
-			t.Errorf("row %d holds %q (err %v), want %s", row, got, err, want)
+	// A unit is the one-element JSON array of its slot.
+	for i := range slots {
+		want := fmt.Sprintf("[%d]", 100+i)
+		if got, err := os.ReadFile(filepath.Join(dir, testKey(i))); err != nil || string(got) != want {
+			t.Errorf("unit %s holds %q (err %v), want %s", testKey(i), got, err, want)
+		}
+	}
+}
+
+// A Commit saves its unit before it crosses the fault point, so a crash
+// injected there finds the unit durable.
+func TestUnitsSaveBeforeFaultPoint(t *testing.T) {
+	faults.Enable(faults.New(faults.Injection{Point: testPoint, N: 2, Mode: faults.Error}))
+	t.Cleanup(func() { faults.Enable(nil) })
+	dir := t.TempDir()
+	u, _ := openSlots(t, dir)
+	if err := u.Commit(3, 30); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Commit(1, 10); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("second Commit: err = %v, want the injected fault", err)
+	}
+	faults.Enable(nil)
+	u, slots := openSlots(t, dir)
+	for i, want := range []int{0, 10, 0, 30, 0} {
+		if slots[i] != want || u.Resumed(i) != (want != 0) {
+			t.Errorf("slot %d resumed as %d (Resumed %v), want %d", i, slots[i], u.Resumed(i), want)
 		}
 	}
 }
 
 func TestUnitsResumeFillsEveryMember(t *testing.T) {
 	dir := t.TempDir()
-	u, _ := openRows(t, dir)
-	// Row 1 completes; row 2 is left one slot short, so it is not a unit.
-	for i := 1; i < testRows*testDays; i += testRows {
+	u, _ := openSlots(t, dir)
+	// Odd slots commit; even slots never do, so they are not units.
+	for i := 1; i < testSlots; i += 2 {
 		if err := u.Commit(i, 10*i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := u.Commit(2, 20); err != nil {
-		t.Fatal(err)
-	}
 
-	u, slots := openRows(t, dir)
+	u, slots := openSlots(t, dir)
 	for i := range slots {
-		member := i%testRows == 1
-		if u.Resumed(i) != member {
-			t.Errorf("slot %d: Resumed = %v, want %v", i, u.Resumed(i), member)
+		committed := i%2 == 1
+		if u.Resumed(i) != committed {
+			t.Errorf("slot %d: Resumed = %v, want %v", i, u.Resumed(i), committed)
 		}
-		if want := 10 * i; member && slots[i] != want {
+		if want := 10 * i; committed && slots[i] != want {
 			t.Errorf("slot %d resumed as %d, want %d", i, slots[i], want)
 		}
-		if !member && slots[i] != 0 {
-			t.Errorf("slot %d of an unfinished row was filled with %d", i, slots[i])
+		if !committed && slots[i] != 0 {
+			t.Errorf("uncommitted slot %d was filled with %d", i, slots[i])
 		}
 	}
 }
 
+// A unit holds exactly one slot: a stored array of any other length is
+// refused, and the error names the unit's key.
 func TestUnitsWrongMemberCountNamesKey(t *testing.T) {
-	dir := t.TempDir()
-	u, slots := openRows(t, dir)
-	for i := range slots {
-		if err := u.Commit(i, i); err != nil {
+	for _, payload := range []string{`[]`, `[1,2]`} {
+		dir := t.TempDir()
+		s, err := Open(dir, manifest())
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// The same keys over a grid one day shorter: every stored row now
-	// holds one result too many.
-	short := make([]int, testRows*(testDays-1))
-	_, err := OpenUnits(dir, manifest(), short, func(i int) int { return i % testRows }, testRowKey, testPoint)
-	if err == nil || !strings.Contains(err.Error(), testRowKey(0)) {
-		t.Fatalf("err = %v, want one naming %s", err, testRowKey(0))
+		if err := s.Save(testKey(2), []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		_, err = OpenUnits(dir, manifest(), make([]int, testSlots), testKey, testPoint)
+		if err == nil || !strings.Contains(err.Error(), testKey(2)) {
+			t.Errorf("unit %s = %s: err = %v, want one naming the key", testKey(2), payload, err)
+		}
 	}
 }
 
@@ -127,7 +144,7 @@ func TestUnitsWithoutDirWriteNothingButCrossFaultPoint(t *testing.T) {
 	faults.Enable(counter)
 	t.Cleanup(func() { faults.Enable(nil) })
 
-	u, slots := openRows(t, "")
+	u, slots := openSlots(t, "")
 	for i := range slots {
 		if u.Resumed(i) {
 			t.Fatalf("slot %d resumed from no store", i)
@@ -147,9 +164,10 @@ func TestUnitsWithoutDirWriteNothingButCrossFaultPoint(t *testing.T) {
 	}
 }
 
-// The array payload changed what core.Study.RunAll and distrib.Sweep
-// store under unchanged keys, so their versions went from 1 to 2: a
-// directory written by the old build must be refused, not misread.
+// A store whose manifest carries an older version is refused before
+// any unit is read: RunAll moved from a bare Result to the one-element
+// array under the same keys at version 2, and a version-1 unit must not
+// be misread as the new format.
 func TestUnitsRefuseStoreOfOlderVersion(t *testing.T) {
 	dir := t.TempDir()
 	old := manifest()
@@ -163,7 +181,7 @@ func TestUnitsRefuseStoreOfOlderVersion(t *testing.T) {
 	now := old
 	now.Version++
 	_, err = OpenUnits(dir, now, make([]map[string]string, 1),
-		func(int) int { return 0 }, func(int) string { return "unit-0" }, testPoint)
+		func(int) string { return "unit-0" }, testPoint)
 	var mm *MismatchError
 	if !errors.As(err, &mm) || mm.Field != "version" {
 		t.Fatalf("err = %v, want a *MismatchError on version", err)

@@ -31,11 +31,17 @@ import (
 
 // Main runs a command and is its only exit site: an error is reported
 // on stderr under the command's name and exits 1, cancellation as a
-// plain "interrupted".
+// plain "interrupted". A run that succeeds without firing its -inject
+// fails too, so a crash drill aimed at a point the run never reaches
+// cannot pass.
 func Main(name string, run func() error) {
 	log.SetFlags(0)
 	log.SetPrefix(name + ": ")
-	if err := run(); err != nil {
+	err := run()
+	if err == nil {
+		err = unfired()
+	}
+	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			log.Fatal("interrupted")
 		}
@@ -80,6 +86,28 @@ func Register() *Flags {
 	return f
 }
 
+// armed is the fault -inject armed and the injector counting its
+// crossings, process-wide as faults.Enable is: Start sets it, and Main
+// reads it through unfired after a successful run.
+var armed struct {
+	inj faults.Injection
+	in  *faults.Injector
+}
+
+// unfired returns an error naming the armed injection's point when the
+// run crossed it fewer than N times, so the fault never fired; nil when
+// nothing was armed.
+func unfired() error {
+	if armed.in == nil {
+		return nil
+	}
+	if hits := armed.in.Hits(armed.inj.Point); hits < armed.inj.N {
+		return fmt.Errorf("-inject %s:%d:%s never fired: the run crossed %s %d times",
+			armed.inj.Point, armed.inj.N, armed.inj.Mode, armed.inj.Point, hits)
+	}
+	return nil
+}
+
 // Start arms the injected fault, refuses a checkpoint directory that
 // holds a previous run unless -resume was given, starts the requested
 // profiles and the trace file, and returns a context that SIGINT or
@@ -91,7 +119,8 @@ func (f *Flags) Start() (ctx context.Context, stop func(), err error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		faults.Enable(faults.New(inj))
+		armed.inj, armed.in = inj, faults.New(inj)
+		faults.Enable(armed.in)
 	}
 	if f.CheckpointDir != "" && !f.resume && checkpoint.Exists(f.CheckpointDir) {
 		return nil, nil, fmt.Errorf("%s holds a previous run's checkpoint; pass -resume to continue it (or point -checkpoint-dir elsewhere)", f.CheckpointDir)

@@ -325,7 +325,6 @@ func (s *Study) RunAll(ctx context.Context, ids ...string) ([]*Result, error) {
 	// requested subset (and its order) is free to differ between runs.
 	results := make([]*Result, len(exps))
 	units, err := checkpoint.OpenUnits(s.Opts.CheckpointDir, s.checkpointManifest(), results,
-		func(i int) int { return i },
 		func(i int) string { return "exp-" + exps[i].ID },
 		"core.runall.experiment")
 	if err != nil {

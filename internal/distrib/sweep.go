@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 
 	"github.com/i2pstudy/i2pstudy/internal/censor"
+	"github.com/i2pstudy/i2pstudy/internal/measure"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -206,7 +207,17 @@ func (s *Sweep) cellSeed(c Cell) uint64 {
 // byte-identical results. The first error (or ctx cancellation) cancels
 // the rest.
 func (s *Sweep) Run(ctx context.Context) ([]CellResult, error) {
-	return s.RunCheckpointed(ctx, "")
+	cells := s.Cells()
+	results := make([]CellResult, len(cells))
+	err := measure.FanOut(ctx, len(cells), s.Cfg.Workers, func(i int) error {
+		res, err := s.runCell(cells[i], nil)
+		results[i] = res
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // runCell simulates one cell's arms race over the horizon: each day,

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 
 	"github.com/i2pstudy/i2pstudy/internal/censor"
+	"github.com/i2pstudy/i2pstudy/internal/measure"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -218,7 +219,26 @@ func (s *TrustSweep) rowSeed(d *TrustSocial, e Enumerator) uint64 {
 // cancellation) stops the remaining rows, and a row in flight stops at
 // its next day when ctx is cancelled.
 func (s *TrustSweep) Run(ctx context.Context) ([]TrustCellResult, error) {
-	return s.RunCheckpointed(ctx, "")
+	cells := s.Cells()
+	rows := len(s.Cfg.Enumerators) * len(s.Cfg.Distributors)
+	results := make([]TrustCellResult, len(cells))
+	// Cells lay days outermost, so row r's cells are r, r+rows, … in
+	// ascending day order, and cell r is the row's first.
+	err := measure.FanOut(ctx, rows, s.Cfg.Workers, func(r int) error {
+		st := s.newTrustState(cells[r].Dist, cells[r].Enum)
+		for i := r; i < len(cells); i += rows {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			st.advanceTo(cells[i].Day)
+			results[i] = st.result(cells[i])
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // Reference replays one cell from scratch: a fresh trustState advanced

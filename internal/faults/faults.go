@@ -68,7 +68,7 @@ var ErrInjected = errors.New("faults: injected failure")
 
 // Injection arms one fault: the Nth crossing of Point fires Mode.
 type Injection struct {
-	// Point names the boundary, e.g. "censor.sweep.cell".
+	// Point names the boundary, e.g. "core.runall.experiment".
 	Point string
 	// N is the 1-based crossing count that fires. N == 0 never fires
 	// (the injector still counts crossings, which is how the harness

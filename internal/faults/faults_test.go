@@ -122,11 +122,11 @@ func TestConcurrentHitsFireExactlyOnce(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
-	inj, err := Parse("censor.sweep.cell:12:exit")
+	inj, err := Parse("core.runall.experiment:12:exit")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Injection{Point: "censor.sweep.cell", N: 12, Mode: Exit}
+	want := Injection{Point: "core.runall.experiment", N: 12, Mode: Exit}
 	if inj != want {
 		t.Fatalf("Parse = %+v, want %+v", inj, want)
 	}

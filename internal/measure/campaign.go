@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -305,7 +306,10 @@ func (c *Campaign) newDayCapture() *dayCapture {
 // sightings, so a later day refilling it rarely has to grow it.
 func (c *Campaign) captureDay(day int, sc *dayCapture, u *dayUnit) *dayUnit {
 	clear(sc.claimed)
-	sc.recs = sc.recs[:0]
+	// The claim set bounds the day's sightings by its active peers, so
+	// the scratch grows at most once, here, and never observer by
+	// observer.
+	sc.recs = slices.Grow(sc.recs[:0], len(c.net.ActivePeers(day)))
 	for _, o := range c.obs {
 		sc.recs = o.CaptureDay(day, sc.claimed, sc.recs)
 	}

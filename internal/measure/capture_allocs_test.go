@@ -35,3 +35,24 @@ func TestCaptureDayAllocs(t *testing.T) {
 		t.Fatalf("a warm CaptureDay makes %.0f allocations, want 0", allocs)
 	}
 }
+
+// TestCaptureDayGrowsScratchOnce: on a cold dayCapture, capturing a day
+// reallocates the sighting scratch at most once — it is sized to the
+// day's active peers before the first observer, not regrown observer by
+// observer as the fleet's sightings pile up.
+func TestCaptureDayGrowsScratchOnce(t *testing.T) {
+	n := parallelTestNet(t)
+	c, err := NewCampaign(n, CampaignConfig{Observers: DefaultObserverFleet(20), StartDay: 0, EndDay: 30, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := c.newDayCapture()
+	u := c.captureDay(12, sc, nil) // warm the unit and the pooled draw positions
+	allocs := testing.AllocsPerRun(20, func() {
+		sc.recs = nil
+		u = c.captureDay(12, sc, u)
+	})
+	if allocs > 1 {
+		t.Fatalf("capturing a day on a cold scratch makes %.0f allocations, want at most 1", allocs)
+	}
+}

@@ -15,8 +15,8 @@ type CrashCase struct {
 	// Name labels the subtest.
 	Name string
 	// Point is the engine's fault-injection boundary (e.g.
-	// "censor.sweep.cell") — the harness counts how many times a clean
-	// run crosses it, then arms a crash at a seeded crossing.
+	// "core.runall.experiment") — the harness counts how many times a
+	// clean run crosses it, then arms a crash at a seeded crossing.
 	Point string
 	// Run executes the engine at the given worker count with the given
 	// checkpoint directory ("" disables checkpointing) and returns a

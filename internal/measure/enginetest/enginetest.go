@@ -1,13 +1,16 @@
 // Package enginetest is the shared table-driven harness behind the
-// engines' worker-determinism goldens. Every parallel engine in the
-// repo — the measurement campaign, the censor sweep, the distrib
-// arms-race sweep, the trust-graph row engine, the experiment registry —
-// carries the same contract: any Workers value yields a byte-identical
-// artifact. This package states that contract once, as a table of
-// cases, instead of each package hand-rolling its own ladder loop;
-// adding an engine means adding a Case, and the ladder (serial
+// engines' worker-determinism goldens and crash drills. Every parallel
+// engine in the repo — the measurement campaign, the censor sweep, the
+// distrib arms-race sweep, the trust-graph row engine, the experiment
+// registry — carries the same contract: any Workers value yields a
+// byte-identical artifact. This package states that contract once, as a
+// table of cases, instead of each package hand-rolling its own ladder
+// loop; adding an engine means adding a Case, and the ladder (serial
 // reference, a fixed small width, one worker per CPU, and the auto
-// width) stays uniform everywhere.
+// width) stays uniform everywhere. CrashResume holds the units a binary
+// can resume — core.Study.RunAll's experiments, and the campaign's day
+// units — to resuming byte-identically; the sweeps carry no store of
+// their own and are drilled through RunAll.
 package enginetest
 
 import (

@@ -338,9 +338,11 @@ func (o *Observer) materializePCG(day int) *rand.PCG { return o.dayPCG(day + 1<<
 func (o *Observer) capture(day int, pcg *rand.PCG, claimed ClaimSet, out []Sighting) []Sighting {
 	scratch := posScratch.Get().(*[]int32)
 	pos := o.DrawDay(day, (*scratch)[:0])
-	// Room for every sighting at once: a fresh out is sized exactly.
-	out = slices.Grow(out, len(pos))
 	active, class, pool := o.net.ActivePeers(day), o.net.drawClass, o.net.introducerPool(day)
+	// Room for every sighting at once: a fresh out is sized exactly. No
+	// more than the day's active peers can be claimed, so an out already
+	// holding room for all of them (the campaign's scratch) never grows.
+	out = slices.Grow(out, max(min(len(pos), len(active)-len(out)), 0))
 	for _, j := range pos {
 		idx := active[j]
 		d := drawInfo(class[idx], pool, pcg)
