@@ -60,11 +60,7 @@ func main() {
 		reseed.SeedFileName, len(bundle.Records))
 
 	fmt.Println("== Part 2: bridge pools under a 6-router censor (Section 7.1) ==")
-	cfg := censor.DefaultBridgeConfig()
-	cfg.Day = 20
-	cfg.HorizonDays = 10
-	cfg.Bridges = 80
-	evs, err := censor.EvaluateBridgesContext(context.Background(), network, 5, cfg)
+	evs, err := censor.EvaluateBridgesContext(context.Background(), network, 5, 20, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -83,72 +83,47 @@ func (e BridgeEvaluation) FinalUsable() float64 {
 	return e.UsableByDay[len(e.UsableByDay)-1]
 }
 
-// BridgeConfig parameterizes an evaluation.
-type BridgeConfig struct {
-	// Day is the distribution day.
-	Day int
-	// HorizonDays is how many days of survival to track (Day+Horizon
-	// must stay within the network's study window).
-	HorizonDays int
-	// Bridges is how many bridges to hand out per strategy.
-	Bridges int
-	// CensorRouters is the censor fleet size. The default of 6 is the
-	// paper's "90% blocking with only six routers" adversary; at 20
-	// routers even introducer paths saturate and every strategy collapses
-	// toward zero, which is exactly the escalation Section 7.1 warns
-	// about.
-	CensorRouters int
-	// IntroducersPerBridge is how many introducers a firewalled bridge
-	// publishes.
-	IntroducersPerBridge int
-	// Seed drives selection.
-	Seed uint64
-	// Workers caps the engine concurrency for the censor-side captures
-	// and per-day blacklists (<= 0: one worker per CPU). The survival
-	// fold itself is serial and byte-identical for any value.
-	Workers int
-}
-
-// DefaultBridgeConfig returns the configuration used by the bench.
-func DefaultBridgeConfig() BridgeConfig {
-	return BridgeConfig{
-		Day:                  5,
-		HorizonDays:          10,
-		Bridges:              50,
-		CensorRouters:        6,
-		IntroducersPerBridge: 3,
-		Seed:                 1,
-	}
-}
+// The Section 7.1 evaluation's constants.
+const (
+	// bridgeHorizonDays is how many days of survival an evaluation
+	// tracks past the distribution day.
+	bridgeHorizonDays = 10
+	// bridgesPerStrategy is how many bridges each strategy hands out.
+	bridgesPerStrategy = 50
+	// bridgeCensorRouters is the censor fleet size: the paper's "90%
+	// blocking with only six routers" adversary. At 20 routers even
+	// introducer paths saturate and every strategy collapses toward
+	// zero, which is exactly the escalation Section 7.1 warns about.
+	bridgeCensorRouters = 6
+	// bridgeSeed drives the censor's fleet (offset by 500) and the
+	// bridge selection.
+	bridgeSeed = 1
+)
 
 // EvaluateBridgesContext runs every strategy against a censor with the
-// given blacklist window and returns one evaluation per strategy, with
-// the censor's per-day blacklists computed as adversary sweep cells
-// across the worker pool.
-func EvaluateBridgesContext(ctx context.Context, network *sim.Network, windowDays int, cfg BridgeConfig) ([]BridgeEvaluation, error) {
-	if cfg.Bridges <= 0 {
-		return nil, fmt.Errorf("censor: need at least one bridge per strategy, got %d", cfg.Bridges)
+// given blacklist window, distributing bridges on day and tracking them
+// for ten days, and returns one evaluation per strategy, with the
+// censor's per-day blacklists computed as adversary sweep cells across
+// the worker pool (workers <= 0: one per CPU). The survival fold itself
+// is serial and byte-identical for any workers value.
+func EvaluateBridgesContext(ctx context.Context, network *sim.Network, windowDays, day, workers int) ([]BridgeEvaluation, error) {
+	if day < 0 {
+		return nil, fmt.Errorf("censor: bridge distribution day %d is before the study", day)
 	}
-	if cfg.IntroducersPerBridge <= 0 {
-		return nil, fmt.Errorf("censor: a firewalled bridge needs at least one introducer, got %d", cfg.IntroducersPerBridge)
-	}
-	if cfg.Day < 0 {
-		return nil, fmt.Errorf("censor: bridge distribution day %d is before the study", cfg.Day)
-	}
-	if cfg.Day+cfg.HorizonDays >= network.Days() {
+	if day+bridgeHorizonDays >= network.Days() {
 		return nil, fmt.Errorf("censor: bridge horizon (day %d + %d) exceeds network days (%d)",
-			cfg.Day, cfg.HorizonDays, network.Days())
+			day, bridgeHorizonDays, network.Days())
 	}
-	days := make([]int, 0, cfg.HorizonDays+1)
-	for d := 0; d <= cfg.HorizonDays; d++ {
-		days = append(days, cfg.Day+d)
+	days := make([]int, 0, bridgeHorizonDays+1)
+	for d := 0; d <= bridgeHorizonDays; d++ {
+		days = append(days, day+d)
 	}
 	sw, err := NewSweep(network, SweepConfig{
-		Fleets:   []int{cfg.CensorRouters},
+		Fleets:   []int{bridgeCensorRouters},
 		Windows:  []int{windowDays},
 		Days:     days,
-		SeedBase: cfg.Seed + 500,
-		Workers:  cfg.Workers,
+		SeedBase: bridgeSeed + 500,
+		Workers:  workers,
 	})
 	if err != nil {
 		return nil, err
@@ -162,7 +137,7 @@ func EvaluateBridgesContext(ctx context.Context, network *sim.Network, windowDay
 	// so it outlives the sweep for the serial survival fold below.
 	cells := sw.Cells()
 	blacklists := make([]*AddrSet, len(cells))
-	err = measure.FanOut(ctx, len(cells), cfg.Workers, func(i int) error {
+	err = measure.FanOut(ctx, len(cells), workers, func(i int) error {
 		blacklists[i] = sw.Blacklist(cells[i])
 		return nil
 	})
@@ -170,21 +145,18 @@ func EvaluateBridgesContext(ctx context.Context, network *sim.Network, windowDay
 		return nil, err
 	}
 
-	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xBF58476D1CE4E5B9))
+	rng := rand.New(rand.NewPCG(bridgeSeed, bridgeSeed^0xBF58476D1CE4E5B9))
 	ix := sw.Censor.ix
 
 	var out []BridgeEvaluation
 	for _, strat := range []BridgeStrategy{BridgeRandom, BridgeNewlyJoined, BridgeFirewalled, BridgeCombined} {
-		pool := BridgePool(network, strat, cfg.Day)
+		pool := BridgePool(network, strat, day)
 		ev := BridgeEvaluation{Strategy: strat, PoolSize: len(pool)}
 		if len(pool) == 0 {
 			out = append(out, ev)
 			continue
 		}
-		nSel := cfg.Bridges
-		if nSel > len(pool) {
-			nSel = len(pool)
-		}
+		nSel := min(bridgesPerStrategy, len(pool))
 		perm := rng.Perm(len(pool))
 		selected := make([]int, 0, nSel)
 		for _, i := range perm[:nSel] {
@@ -192,11 +164,10 @@ func EvaluateBridgesContext(ctx context.Context, network *sim.Network, windowDay
 		}
 		ev.Selected = nSel
 
-		for d := 0; d <= cfg.HorizonDays; d++ {
-			day := cfg.Day + d
+		for d, bl := range blacklists {
 			usable := 0
 			for _, idx := range selected {
-				if ix.BridgeUsable(blacklists[d], idx, day, cfg.IntroducersPerBridge, rng) {
+				if ix.BridgeUsable(bl, idx, day+d, rng) {
 					usable++
 				}
 			}
@@ -233,14 +204,19 @@ func BridgePool(network *sim.Network, strat BridgeStrategy, day int) []int {
 	return pool
 }
 
+// introducersPerBridge is how many introducers a firewalled bridge
+// publishes: the draws BridgeUsable makes for one.
+const introducersPerBridge = 3
+
 // BridgeUsable is the one Section 7.1 reachability rule: whether bridge
 // peer idx can be used from behind the firewall on day under blacklist
 // bl. A known-IP bridge must be active and off the blacklist; a
 // firewalled one must be active and draw, from the day's introducer pool,
-// at least one introducer off the blacklist within `introducers` tries.
-// The draws come from rng in call order, so the bridge evaluation and the
-// distrib sweeps that share this rule consume their streams identically.
-func (ix *AddrIndex) BridgeUsable(bl *AddrSet, idx, day, introducers int, rng *rand.Rand) bool {
+// at least one introducer off the blacklist within introducersPerBridge
+// tries. The draws come from rng in call order, so the bridge evaluation
+// and the distrib sweeps that share this rule consume their streams
+// identically.
+func (ix *AddrIndex) BridgeUsable(bl *AddrSet, idx, day int, rng *rand.Rand) bool {
 	p := ix.net.Peers[idx]
 	if !p.ActiveOn(day) {
 		return false
@@ -253,7 +229,7 @@ func (ix *AddrIndex) BridgeUsable(bl *AddrSet, idx, day, introducers int, rng *r
 		if len(pool) == 0 {
 			return false
 		}
-		for range introducers {
+		for range introducersPerBridge {
 			if !ix.PeerBlocked(bl, int(pool[rng.IntN(len(pool))]), day) {
 				return true
 			}

@@ -79,9 +79,8 @@ func TestBridgeUsableMatchesReference(t *testing.T) {
 						return bl.Has(v4) || bl.Has(v6)
 					}
 					for idx := range n.Peers {
-						introducers := idx % 5
-						g := ix.BridgeUsable(bl, idx, day, introducers, got)
-						w := referenceBridgeUsable(n, idx, day, blocked, introducers, want)
+						g := ix.BridgeUsable(bl, idx, day, got)
+						w := referenceBridgeUsable(n, idx, day, blocked, introducersPerBridge, want)
 						if g != w {
 							t.Fatalf("set %d day %d peer %d: usable %v, the reference says %v", si, day, idx, g, w)
 						}

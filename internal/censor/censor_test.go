@@ -193,10 +193,7 @@ func TestPeerBlocked(t *testing.T) {
 
 func TestBridgeStrategies(t *testing.T) {
 	n := network(t)
-	cfg := DefaultBridgeConfig()
-	cfg.Day = 10
-	cfg.HorizonDays = 8
-	evs, err := EvaluateBridgesContext(context.Background(), n, 5, cfg)
+	evs, err := EvaluateBridgesContext(context.Background(), n, 5, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +206,7 @@ func TestBridgeStrategies(t *testing.T) {
 		if e.PoolSize == 0 {
 			t.Fatalf("strategy %v has empty pool", e.Strategy)
 		}
-		if len(e.UsableByDay) != cfg.HorizonDays+1 {
+		if len(e.UsableByDay) != bridgeHorizonDays+1 {
 			t.Fatalf("strategy %v has %d days", e.Strategy, len(e.UsableByDay))
 		}
 		for _, u := range e.UsableByDay {
@@ -247,26 +244,11 @@ func TestBridgeStrategies(t *testing.T) {
 
 func TestEvaluateBridgesValidation(t *testing.T) {
 	n := network(t)
-	cfg := DefaultBridgeConfig()
-	cfg.Day = n.Days() - 1
-	cfg.HorizonDays = 10
-	if _, err := EvaluateBridgesContext(context.Background(), n, 5, cfg); err == nil {
+	if _, err := EvaluateBridgesContext(context.Background(), n, 5, n.Days()-1, 0); err == nil {
 		t.Fatal("horizon past study end accepted")
 	}
-	for name, edit := range map[string]func(*BridgeConfig){
-		"zero bridges":     func(c *BridgeConfig) { c.Bridges = 0 },
-		"negative bridges": func(c *BridgeConfig) { c.Bridges = -1 },
-		"negative day":     func(c *BridgeConfig) { c.Day = -1 },
-		// Zero introducer draws would read every firewalled bridge as
-		// unusable.
-		"zero introducers":     func(c *BridgeConfig) { c.IntroducersPerBridge = 0 },
-		"negative introducers": func(c *BridgeConfig) { c.IntroducersPerBridge = -2 },
-	} {
-		cfg := DefaultBridgeConfig()
-		edit(&cfg)
-		if _, err := EvaluateBridgesContext(context.Background(), n, 5, cfg); err == nil {
-			t.Errorf("%s accepted", name)
-		}
+	if _, err := EvaluateBridgesContext(context.Background(), n, 5, -1, 0); err == nil {
+		t.Error("negative day accepted")
 	}
 }
 

@@ -304,11 +304,7 @@ func TestSweepWorkerDeterminism(t *testing.T) {
 		{
 			Name: "bridges",
 			Run: func(t testing.TB, workers int) any {
-				bcfg := DefaultBridgeConfig()
-				bcfg.Day = 10
-				bcfg.HorizonDays = 8
-				bcfg.Workers = workers
-				brs, err := EvaluateBridgesContext(ctx, n, 5, bcfg)
+				brs, err := EvaluateBridgesContext(ctx, n, 5, 10, workers)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -35,7 +35,7 @@ import (
 // Manifest identifies the run a checkpoint directory belongs to. A
 // directory is only resumable by a run with the identical manifest.
 type Manifest struct {
-	// Engine names the producing engine, e.g. "censor.Sweep".
+	// Engine names the producing engine, e.g. "core.Study.RunAll".
 	Engine string `json:"engine"`
 	// Version is the engine's checkpoint-format version; bump it when
 	// the unit encoding or the unit keying changes so old state is

@@ -7,7 +7,6 @@ import (
 	"math/rand/v2"
 	"net"
 	"strings"
-	"time"
 
 	"github.com/i2pstudy/i2pstudy/internal/censor"
 	"github.com/i2pstudy/i2pstudy/internal/eepsite"
@@ -785,11 +784,7 @@ func runReseedBlocking(ctx context.Context, s *Study) (*Result, error) {
 }
 
 func runBridgeStrategies(ctx context.Context, s *Study) (*Result, error) {
-	cfg := censor.DefaultBridgeConfig()
-	cfg.Day = s.experimentDay() - 11
-	cfg.HorizonDays = 10
-	cfg.Workers = s.Workers()
-	evs, err := censor.EvaluateBridgesContext(ctx, s.Net, 5, cfg)
+	evs, err := censor.EvaluateBridgesContext(ctx, s.Net, 5, s.experimentDay()-11, s.Workers())
 	if err != nil {
 		return nil, err
 	}
@@ -815,7 +810,7 @@ func runDPIFingerprinting(ctx context.Context, s *Study) (*Result, error) {
 	flows := 8
 	detect := func(variant transport.Variant) (float64, error) {
 		var mb transport.Middlebox
-		cfg := transport.Config{Variant: variant, RouterHash: netdb.HashFromUint64(777), HandshakeTimeout: 5 * time.Second}
+		cfg := transport.Config{Variant: variant, RouterHash: netdb.HashFromUint64(777)}
 		// Each flow handshakes over an in-memory pipe: the study opens no
 		// socket. Closing a side on return unblocks a peer left mid-message.
 		for range flows {

@@ -149,6 +149,10 @@ type Backend struct {
 	pool map[int][]int32
 }
 
+// DefaultMaxResources is the pool cap the sweeps and the service apply
+// when their config leaves MaxResources unset.
+const DefaultMaxResources = 200
+
 // BackendConfig parameterizes a backend build.
 type BackendConfig struct {
 	// Strategy selects the candidate pool (censor.BridgeCombined is the

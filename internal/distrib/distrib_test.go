@@ -414,6 +414,7 @@ func TestSweepValidation(t *testing.T) {
 		{Enumerators: DefaultEnumerators(), Days: []int{5}},
 		{Distributors: DefaultDistributors(), Enumerators: DefaultEnumerators(), Days: []int{35}, HorizonDays: 10},
 		{Distributors: DefaultDistributors(), Enumerators: DefaultEnumerators(), Days: []int{5}, HorizonDays: -1},
+		{Distributors: DefaultDistributors(), Enumerators: DefaultEnumerators(), Days: []int{-1}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewSweep(n, cfg); err == nil {

@@ -227,7 +227,7 @@ func TestResourceIntroducersMatchRecord(t *testing.T) {
 				t.Fatalf("seed %d, %v: no resource names an introducer", seed, strat)
 			}
 			for _, day := range []int{studyDistribDay, studyDistribDay + 10} {
-				cv := newCensorView(n, b, 3, nil)
+				cv := newCensorView(n, b, nil)
 				cv.discover(rs, day)
 				ref := ix.NewSet()
 				for _, r := range rs {

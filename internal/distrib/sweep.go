@@ -27,11 +27,8 @@ type SweepConfig struct {
 	HorizonDays int
 	// Users is the censored user population per cell (<= 0: 50).
 	Users int
-	// IntroducersPerBridge is how many introducer draws a firewalled
-	// bridge gets per reachability check (<= 0: 3, matching
-	// censor.DefaultBridgeConfig).
-	IntroducersPerBridge int
-	// MaxResources caps each day's backend pool (<= 0: 200).
+	// MaxResources caps each day's backend pool (<= 0:
+	// DefaultMaxResources).
 	MaxResources int
 	// SeedBase drives every random draw; cells derive private seeds from
 	// it and their own coordinates, never from grid position.
@@ -131,11 +128,8 @@ func NewSweep(network *sim.Network, cfg SweepConfig) (*Sweep, error) {
 	if cfg.Users <= 0 {
 		cfg.Users = 50
 	}
-	if cfg.IntroducersPerBridge <= 0 {
-		cfg.IntroducersPerBridge = 3
-	}
 	if cfg.MaxResources <= 0 {
-		cfg.MaxResources = 200
+		cfg.MaxResources = DefaultMaxResources
 	}
 	s := &Sweep{
 		Net:      network,
@@ -244,7 +238,7 @@ func (s *Sweep) runCell(c Cell, audit func(day int, bl *censor.AddrSet, bystande
 
 	// The censor's enumeration-fed blacklist and discovery set, with
 	// the discover/usable rules shared with the trust rows (view.go).
-	cv := newCensorView(s.Net, backend, s.Cfg.IntroducersPerBridge, rng)
+	cv := newCensorView(s.Net, backend, rng)
 
 	// requester is any sticky identity and its current handout.
 	type requester struct {

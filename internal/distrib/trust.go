@@ -26,50 +26,30 @@ type TrustGraphConfig struct {
 	// enumeration resistance the model exists to show — population
 	// cannot be minted, only invited.
 	Users int
-	// Seeds is the number of founding users (<= 0: 4). Seeds start at
-	// MaxLevel with no inviter.
-	Seeds int
-	// MaxLevel is the highest trust level (<= 0: 5). Invitees join one
-	// level below their inviter, floored at zero.
-	MaxLevel int
-	// InviteLevel is the minimum trust level required to invite
-	// (<= 0: 2), so trees have bounded depth: levels decrease with
-	// depth and users below InviteLevel cannot extend their chain.
-	InviteLevel int
-	// InviteBudget is how many invitations each user can ever issue
-	// (<= 0: 3).
-	InviteBudget int
-	// RateBase is the bridge-request rate limit at trust level zero, in
-	// requests per day (<= 0: 1); each level adds one request per day.
-	RateBase int
 	// Seed drives the graph draw: who invites whom is deterministic in
-	// (config, Seed).
+	// (Users, Seed).
 	Seed uint64
 }
 
-// withDefaults returns the config with the documented defaults filled
-// in.
-func (cfg TrustGraphConfig) withDefaults() TrustGraphConfig {
-	if cfg.Users <= 0 {
-		cfg.Users = 200
-	}
-	if cfg.Seeds <= 0 {
-		cfg.Seeds = 4
-	}
-	if cfg.MaxLevel <= 0 {
-		cfg.MaxLevel = 5
-	}
-	if cfg.InviteLevel <= 0 {
-		cfg.InviteLevel = 2
-	}
-	if cfg.InviteBudget <= 0 {
-		cfg.InviteBudget = 3
-	}
-	if cfg.RateBase <= 0 {
-		cfg.RateBase = 1
-	}
-	return cfg
-}
+// The invitation graph's shape.
+const (
+	// trustSeeds is the number of founding users. Seeds start at
+	// trustMaxLevel with no inviter.
+	trustSeeds = 4
+	// trustMaxLevel is the highest trust level. Invitees join one level
+	// below their inviter, floored at zero.
+	trustMaxLevel = 5
+	// trustInviteLevel is the minimum trust level required to invite, so
+	// trees have bounded depth: levels decrease with depth and users
+	// below it cannot extend their chain.
+	trustInviteLevel = 2
+	// trustInviteBudget is how many invitations each user can ever
+	// issue.
+	trustInviteBudget = 3
+	// trustRateBase is the bridge-request rate limit at trust level
+	// zero, in requests per day; each level adds one request per day.
+	trustRateBase = 1
+)
 
 // TrustUser is one node of the invitation graph.
 type TrustUser struct {
@@ -101,21 +81,19 @@ type TrustUser struct {
 // and safe for unbounded concurrent use — sweep rows share one graph and
 // copy only the mutable trust state.
 type TrustGraph struct {
-	cfg   TrustGraphConfig
 	users []TrustUser
 	byID  map[uint64]int
 }
 
 // NewTrustGraph grows the invitation graph deterministically: seeds
 // first, then one user at a time, each invited by a uniformly drawn
-// eligible user (level >= InviteLevel, budget left). Growth stops early
-// when no eligible inviter remains.
+// eligible user (level >= trustInviteLevel, budget left). Growth stops
+// early when no eligible inviter remains.
 func NewTrustGraph(cfg TrustGraphConfig) *TrustGraph {
-	cfg = cfg.withDefaults()
-	if cfg.Seeds > cfg.Users {
-		cfg.Seeds = cfg.Users
+	if cfg.Users <= 0 {
+		cfg.Users = 200
 	}
-	g := &TrustGraph{cfg: cfg}
+	g := &TrustGraph{}
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x7472757374)) // "trust"
 	budget := make([]int, 0, cfg.Users)
 	// eligible lists users that can still invite; the draw swaps spent
@@ -124,7 +102,7 @@ func NewTrustGraph(cfg TrustGraphConfig) *TrustGraph {
 	add := func(parent int) {
 		u := TrustUser{Index: len(g.users), Parent: parent, ID: mix(cfg.Seed, 0x696E76697465, uint64(len(g.users)))} // "invite"
 		if parent < 0 {
-			u.Root, u.Group, u.Level = u.Index, u.Index, cfg.MaxLevel
+			u.Root, u.Group, u.Level = u.Index, u.Index, trustMaxLevel
 		} else {
 			p := g.users[parent]
 			u.Root, u.Depth = p.Root, p.Depth+1
@@ -139,12 +117,12 @@ func NewTrustGraph(cfg TrustGraphConfig) *TrustGraph {
 			g.users[parent].Children = append(g.users[parent].Children, u.Index)
 		}
 		g.users = append(g.users, u)
-		budget = append(budget, cfg.InviteBudget)
-		if u.Level >= cfg.InviteLevel {
+		budget = append(budget, trustInviteBudget)
+		if u.Level >= trustInviteLevel {
 			eligible = append(eligible, u.Index)
 		}
 	}
-	for i := 0; i < cfg.Seeds; i++ {
+	for range min(trustSeeds, cfg.Users) {
 		add(-1)
 	}
 	for len(g.users) < cfg.Users && len(eligible) > 0 {
@@ -163,11 +141,8 @@ func NewTrustGraph(cfg TrustGraphConfig) *TrustGraph {
 	return g
 }
 
-// Config returns the (defaulted) config the graph was built with.
-func (g *TrustGraph) Config() TrustGraphConfig { return g.cfg }
-
-// Len returns the admitted population — at most Config().Users, less
-// when invitations saturated first.
+// Len returns the admitted population — at most the config's Users,
+// less when invitations saturated first.
 func (g *TrustGraph) Len() int { return len(g.users) }
 
 // Users returns the population in admission order; callers must not
@@ -186,13 +161,13 @@ func (g *TrustGraph) UserByID(id uint64) (TrustUser, bool) {
 }
 
 // RequestLimit returns the per-day bridge-request rate limit at a trust
-// level: RateBase at level zero, one more request per level. Negative
+// level: trustRateBase at level zero, one more request per level. Negative
 // levels (not produced by the graph) are clamped to the base rate.
 func (g *TrustGraph) RequestLimit(level int) int {
 	if level < 0 {
 		level = 0
 	}
-	return g.cfg.RateBase + level
+	return trustRateBase + level
 }
 
 // TrustSocialConfig parameterizes the trust-social frontend: the graph
@@ -204,48 +179,38 @@ type TrustSocialConfig struct {
 	Name string
 	// Graph parameterizes the invitation graph (see TrustGraphConfig).
 	Graph TrustGraphConfig
-	// Handout is the bridges-per-request count (<= 0: 2).
-	Handout int
-	// RotationDays is the handout rotation period (<= 0: 21 — social
-	// channels rotate slowly).
-	RotationDays int
-	// IdentityCost prices one fake identity on this channel
-	// (<= 0: 150): an identity is a real invitation, which is what the
-	// insider pays for.
-	IdentityCost float64
 	// PromoteDays is how many consecutive clean days earn one trust
 	// level (<= 0: 7).
 	PromoteDays int
 	// BanThreshold is the strike count at which a user is banned and
 	// their invitation subtree quarantined (<= 0: 2).
 	BanThreshold float64
-	// PropagateFrac is the fraction of a strike that propagates to the
-	// suspect's inviter, squared for the grandparent and so on
-	// (<= 0: 0.5; values >= 1 are clamped to 0.5).
-	PropagateFrac float64
 }
+
+// The trust-social frontend's fixed terms.
+const (
+	// trustHandout is the bridges-per-request count.
+	trustHandout = 2
+	// trustRotationDays is the handout rotation period: social channels
+	// rotate slowly.
+	trustRotationDays = 21
+	// trustIdentityCost prices one fake identity on this channel: an
+	// identity is a real invitation, which is what the insider pays for.
+	trustIdentityCost = 150
+	// trustPropagateFrac is the fraction of a strike that propagates to
+	// the suspect's inviter, squared for the grandparent and so on.
+	trustPropagateFrac = 0.5
+)
 
 func (cfg TrustSocialConfig) withDefaults() TrustSocialConfig {
 	if cfg.Name == "" {
 		cfg.Name = "trust-social"
-	}
-	if cfg.Handout <= 0 {
-		cfg.Handout = 2
-	}
-	if cfg.RotationDays <= 0 {
-		cfg.RotationDays = 21
-	}
-	if cfg.IdentityCost <= 0 {
-		cfg.IdentityCost = 150
 	}
 	if cfg.PromoteDays <= 0 {
 		cfg.PromoteDays = 7
 	}
 	if cfg.BanThreshold <= 0 {
 		cfg.BanThreshold = 2
-	}
-	if cfg.PropagateFrac <= 0 || cfg.PropagateFrac >= 1 {
-		cfg.PropagateFrac = 0.5
 	}
 	return cfg
 }
@@ -271,7 +236,7 @@ func NewTrustSocial(cfg TrustSocialConfig) *TrustSocial {
 func (d *TrustSocial) Name() string { return d.cfg.Name }
 
 // IdentityCost implements Distributor.
-func (d *TrustSocial) IdentityCost() float64 { return d.cfg.IdentityCost }
+func (d *TrustSocial) IdentityCost() float64 { return trustIdentityCost }
 
 // Graph returns the frozen invitation graph.
 func (d *TrustSocial) Graph() *TrustGraph { return d.graph }
@@ -285,11 +250,7 @@ func (d *TrustSocial) Config() TrustSocialConfig { return d.cfg }
 // bridges; attempts rotate a burned user to a fresh position without
 // moving their branch-mates.
 func (d *TrustSocial) groupKey(u TrustUser, day int, attempt int) uint64 {
-	bucket := uint64(0)
-	if d.cfg.RotationDays > 0 {
-		bucket = uint64(day / d.cfg.RotationDays)
-	}
-	return mix(keyOfString(d.cfg.Name), uint64(u.Group)+1, bucket, uint64(attempt))
+	return mix(keyOfString(d.cfg.Name), uint64(u.Group)+1, uint64(day/trustRotationDays), uint64(attempt))
 }
 
 // Grant implements Distributor: graph users are granted their group's
@@ -304,7 +265,7 @@ func (d *TrustSocial) Grant(id uint64, day, attempt int) (Grant, bool) {
 	if !ok {
 		return Grant{}, false
 	}
-	return Grant{Key: d.groupKey(u, day, attempt), Count: d.cfg.Handout}, true
+	return Grant{Key: d.groupKey(u, day, attempt), Count: trustHandout}, true
 }
 
 // validateTrustDistributors checks a trust sweep's frontend list:

@@ -12,9 +12,9 @@ import (
 // config and structurally sound — parent/child links agree, roots and
 // groups follow the invitation chain, invitees join one level below
 // their inviter, and nobody exceeds their invitation budget or invites
-// below InviteLevel.
+// below trustInviteLevel.
 func TestTrustGraphBuild(t *testing.T) {
-	cfg := TrustGraphConfig{Users: 150, Seeds: 3, Seed: 11}
+	cfg := TrustGraphConfig{Users: 150, Seed: 11}
 	g := NewTrustGraph(cfg)
 	if g2 := NewTrustGraph(cfg); !reflect.DeepEqual(g.Users(), g2.Users()) {
 		t.Fatal("graph build is not deterministic")
@@ -22,7 +22,6 @@ func TestTrustGraphBuild(t *testing.T) {
 	if g.Len() == 0 || g.Len() > 150 {
 		t.Fatalf("population %d outside (0, 150]", g.Len())
 	}
-	dcfg := g.Config()
 	for i, u := range g.Users() {
 		if u.Index != i {
 			t.Fatalf("user %d carries index %d", i, u.Index)
@@ -31,14 +30,14 @@ func TestTrustGraphBuild(t *testing.T) {
 			t.Fatalf("user %d not resolvable by ID", i)
 		}
 		if u.Parent < 0 {
-			if u.Root != i || u.Group != i || u.Depth != 0 || u.Level != dcfg.MaxLevel {
+			if u.Root != i || u.Group != i || u.Depth != 0 || u.Level != trustMaxLevel {
 				t.Fatalf("seed %d malformed: %+v", i, u)
 			}
 			continue
 		}
 		p := g.Users()[u.Parent]
-		if p.Level < dcfg.InviteLevel {
-			t.Fatalf("user %d invited by level-%d parent (InviteLevel %d)", i, p.Level, dcfg.InviteLevel)
+		if p.Level < trustInviteLevel {
+			t.Fatalf("user %d invited by level-%d parent (invite level %d)", i, p.Level, trustInviteLevel)
 		}
 		if want := p.Level - 1; u.Level != want && !(want < 0 && u.Level == 0) {
 			t.Fatalf("user %d level %d, inviter level %d", i, u.Level, p.Level)
@@ -64,8 +63,8 @@ func TestTrustGraphBuild(t *testing.T) {
 		}
 	}
 	for i, u := range g.Users() {
-		if len(u.Children) > dcfg.InviteBudget {
-			t.Fatalf("user %d issued %d invitations, budget %d", i, len(u.Children), dcfg.InviteBudget)
+		if len(u.Children) > trustInviteBudget {
+			t.Fatalf("user %d issued %d invitations, budget %d", i, len(u.Children), trustInviteBudget)
 		}
 	}
 	if _, ok := g.UserByID(0xDEADBEEF); ok {
@@ -74,15 +73,15 @@ func TestTrustGraphBuild(t *testing.T) {
 }
 
 // TestTrustGraphSaturation: growth is invitation-bound — with depth
-// capped by InviteLevel and budgets exhausted, the admitted population
-// saturates below an oversized target. That bound is the enumeration
-// resistance the model exists for.
+// capped by trustInviteLevel and budgets exhausted, the admitted
+// population saturates below an oversized target. That bound is the
+// enumeration resistance the model exists for.
 func TestTrustGraphSaturation(t *testing.T) {
-	g := NewTrustGraph(TrustGraphConfig{Users: 100000, Seeds: 2, MaxLevel: 3, InviteLevel: 2, InviteBudget: 2, Seed: 5})
-	// Capacity: 2 seeds at level 3, children at 2 (can invite), then 1
-	// (cannot): 2 * (1 + 2 + 4) = 14.
-	if g.Len() != 14 {
-		t.Fatalf("saturated population %d, want 14", g.Len())
+	g := NewTrustGraph(TrustGraphConfig{Users: 100000, Seed: 5})
+	// Capacity: 4 seeds at level 5, then levels 4, 3 and 2 (can invite,
+	// 3 each), then 1 (cannot): 4 * (1 + 3 + 9 + 27 + 81) = 484.
+	if g.Len() != 484 {
+		t.Fatalf("saturated population %d, want 484", g.Len())
 	}
 }
 
@@ -156,7 +155,7 @@ func TestTrustSocialHandout(t *testing.T) {
 		t.Fatal("group-mates received different handouts")
 	}
 	// Attempts rotate to a fresh arc without moving branch-mates.
-	if h1 := serve(a.ID, 10, 1); part.Len() > ts.Config().Handout && reflect.DeepEqual(h1, ha) {
+	if h1 := serve(a.ID, 10, 1); part.Len() > trustHandout && reflect.DeepEqual(h1, ha) {
 		t.Fatal("re-request attempt did not rotate the arc")
 	}
 }

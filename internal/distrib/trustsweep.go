@@ -56,9 +56,7 @@ type TrustSweepConfig struct {
 	// HorizonDays is how many days past distribution each row slides
 	// (Day+HorizonDays must stay inside the study window).
 	HorizonDays int
-	// IntroducersPerBridge mirrors SweepConfig (<= 0: 3).
-	IntroducersPerBridge int
-	// MaxResources caps the backend pool (<= 0: 200).
+	// MaxResources caps the backend pool (<= 0: DefaultMaxResources).
 	MaxResources int
 	// SeedBase drives every random draw; rows derive private seeds from
 	// it and their own coordinates, never from grid position.
@@ -156,11 +154,8 @@ func NewTrustSweep(network *sim.Network, cfg TrustSweepConfig) (*TrustSweep, err
 		return nil, fmt.Errorf("distrib: horizon (day %d + %d) exceeds network days (%d)",
 			cfg.Day, cfg.HorizonDays, network.Days())
 	}
-	if cfg.IntroducersPerBridge <= 0 {
-		cfg.IntroducersPerBridge = 3
-	}
 	if cfg.MaxResources <= 0 {
-		cfg.MaxResources = 200
+		cfg.MaxResources = DefaultMaxResources
 	}
 	dists := make([]Distributor, len(cfg.Distributors))
 	for i, d := range cfg.Distributors {
@@ -317,7 +312,7 @@ func (s *TrustSweep) newTrustState(d *TrustSocial, e Enumerator) *trustState {
 		clean:       make([]int, n),
 		attempt:     make([]int, n),
 		handout:     make([][]Resource, n),
-		cv:          newCensorView(s.Net, s.backend, s.Cfg.IntroducersPerBridge, rng),
+		cv:          newCensorView(s.Net, s.backend, rng),
 		day:         -1,
 
 		burnedBefore: make(map[int]bool),
@@ -389,7 +384,7 @@ func (st *trustState) step(h int) {
 	// 1. Promotion: PromoteDays consecutive clean days earn one level.
 	if h > 0 {
 		for u := range users {
-			if !st.banned[u] && st.clean[u] >= cfg.PromoteDays && st.level[u] < g.Config().MaxLevel {
+			if !st.banned[u] && st.clean[u] >= cfg.PromoteDays && st.level[u] < trustMaxLevel {
 				st.level[u]++
 				st.clean[u] = 0
 			}
@@ -473,7 +468,7 @@ func (st *trustState) step(h int) {
 	// 4. Salmon banning. Holders of a bridge that burned today are
 	// shared-bridge suspects: one direct strike and one trust level
 	// down each. Suspicion propagates up the invitation chain at
-	// PropagateFrac per hop, but propagated suspicion only demotes
+	// trustPropagateFrac per hop, but propagated suspicion only demotes
 	// trust (each accumulated unit costs the ancestor a level) — it
 	// never bans, so a noisy branch cannot cascade the whole tree away
 	// through its seed. Repeat offenders — direct strikes crossing
@@ -511,7 +506,7 @@ func (st *trustState) step(h int) {
 			if st.level[u] > 0 {
 				st.level[u]--
 			}
-			add := cfg.PropagateFrac
+			add := trustPropagateFrac
 			for v := users[u].Parent; v >= 0; v = users[v].Parent {
 				st.susp[v] += add
 				st.clean[v] = 0
@@ -521,7 +516,7 @@ func (st *trustState) step(h int) {
 						st.level[v]--
 					}
 				}
-				add *= cfg.PropagateFrac
+				add *= trustPropagateFrac
 			}
 		}
 		for u := range users {

@@ -15,13 +15,12 @@ func testTrustDistributors(seed uint64) []*TrustSocial {
 	return []*TrustSocial{
 		NewTrustSocial(TrustSocialConfig{
 			Name:  "trust-social",
-			Graph: TrustGraphConfig{Users: 160, Seeds: 4, Seed: seed},
+			Graph: TrustGraphConfig{Users: 160, Seed: seed},
 		}),
 		NewTrustSocial(TrustSocialConfig{
-			Name:          "trust-strict",
-			Graph:         TrustGraphConfig{Users: 160, Seeds: 4, Seed: seed + 1},
-			BanThreshold:  1,
-			PropagateFrac: 0.7,
+			Name:         "trust-strict",
+			Graph:        TrustGraphConfig{Users: 160, Seed: seed + 1},
+			BanThreshold: 1,
 		}),
 	}
 }
@@ -180,15 +179,11 @@ func TestTrustSweepResumesAcrossRows(t *testing.T) {
 			NewTrustSocial(TrustSocialConfig{
 				Name: "trust-a",
 				Graph: TrustGraphConfig{
-					Users:        60 + rng.IntN(150),
-					Seeds:        1 + rng.IntN(5),
-					MaxLevel:     2 + rng.IntN(5),
-					InviteBudget: 1 + rng.IntN(4),
-					Seed:         rng.Uint64(),
+					Users: 60 + rng.IntN(150),
+					Seed:  rng.Uint64(),
 				},
-				BanThreshold:  float64(1 + rng.IntN(3)),
-				PropagateFrac: 0.3 + 0.4*rng.Float64(),
-				PromoteDays:   1 + rng.IntN(6),
+				BanThreshold: float64(1 + rng.IntN(3)),
+				PromoteDays:  1 + rng.IntN(6),
 			}),
 			NewTrustSocial(TrustSocialConfig{
 				Name:  "trust-b",

@@ -23,9 +23,6 @@ import (
 type censorView struct {
 	ix      *censor.AddrIndex
 	backend *Backend
-	// introducersPerBridge is how many introducer draws a firewalled
-	// bridge gets per reachability check.
-	introducersPerBridge int
 	// rng drives the introducer draws; it is the owning cell's/row's
 	// private stream, consumed in call order.
 	rng *rand.Rand
@@ -34,15 +31,14 @@ type censorView struct {
 	discovered map[int]bool
 }
 
-func newCensorView(net *sim.Network, backend *Backend, introducersPerBridge int, rng *rand.Rand) *censorView {
+func newCensorView(net *sim.Network, backend *Backend, rng *rand.Rand) *censorView {
 	ix := censor.IndexFor(net)
 	return &censorView{
-		ix:                   ix,
-		backend:              backend,
-		introducersPerBridge: introducersPerBridge,
-		rng:                  rng,
-		bl:                   ix.NewSet(),
-		discovered:           make(map[int]bool),
+		ix:         ix,
+		backend:    backend,
+		rng:        rng,
+		bl:         ix.NewSet(),
+		discovered: make(map[int]bool),
 	}
 }
 
@@ -71,7 +67,7 @@ func (cv *censorView) block(idx, day int) {
 // usable reports whether one handed-out bridge works on `day` under the
 // view's blacklist, drawing introducers from the view's rng.
 func (cv *censorView) usable(r Resource, day int) bool {
-	return cv.ix.BridgeUsable(cv.bl, r.Peer, day, cv.introducersPerBridge, cv.rng)
+	return cv.ix.BridgeUsable(cv.bl, r.Peer, day, cv.rng)
 }
 
 // anyUsable reports whether any resource of a handout is usable.

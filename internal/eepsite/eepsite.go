@@ -37,36 +37,26 @@ func NewSite(dest netdb.Hash) *Site {
 	return &Site{Dest: dest, PageBytes: 4096}
 }
 
-// FetchConfig parameterizes the client behaviour.
-type FetchConfig struct {
-	// BaseLoadTime is the unblocked page load time; the paper measured
+// The client's timing constants: the paper's experiment.
+const (
+	// baseLoadTime is the unblocked page load time; the paper measured
 	// 3.4 seconds on its test eepsites.
-	BaseLoadTime time.Duration
-	// BuildTimeout is how long a tunnel build through a null-routed hop
+	baseLoadTime = 3400 * time.Millisecond
+	// buildTimeout is how long a tunnel build through a null-routed hop
 	// takes to give up (the Java router's build timeout is ~10 s).
-	BuildTimeout time.Duration
-	// PageBudget is the total time before the HTTP proxy returns 504.
-	PageBudget time.Duration
-	// HopsPerTunnel is the client tunnel length.
-	HopsPerTunnel int
-}
-
-// DefaultFetchConfig returns the constants of the paper's experiment.
-func DefaultFetchConfig() FetchConfig {
-	return FetchConfig{
-		BaseLoadTime:  3400 * time.Millisecond,
-		BuildTimeout:  10 * time.Second,
-		PageBudget:    60 * time.Second,
-		HopsPerTunnel: tunnel.DefaultHops,
-	}
-}
+	buildTimeout = 10 * time.Second
+	// pageBudget is the total time before the HTTP proxy returns 504.
+	pageBudget = 60 * time.Second
+	// hopsPerTunnel is the client tunnel length.
+	hopsPerTunnel = tunnel.DefaultHops
+)
 
 // FetchResult is one page-load outcome.
 type FetchResult struct {
 	// StatusCode is 200 on success, 504 on timeout.
 	StatusCode int
-	// LoadTime is the observed page load time (capped at PageBudget for
-	// timeouts).
+	// LoadTime is the observed page load time (capped at the 60 s page
+	// budget for timeouts).
 	LoadTime time.Duration
 	// BuildAttempts counts tunnel-pair construction attempts.
 	BuildAttempts int
@@ -87,8 +77,6 @@ type Client struct {
 	// Blocked reports whether a direct connection from the client to the
 	// peer is null-routed. nil means nothing is blocked.
 	Blocked func(h netdb.Hash) bool
-	// Config holds timing constants.
-	Config FetchConfig
 }
 
 // NewClient builds a client over a netDb view, preparing its hop pool
@@ -100,7 +88,7 @@ func NewClient(candidates []*netdb.RouterInfo, blocked func(netdb.Hash) bool) *C
 // NewPoolClient builds a client over an already prepared hop pool, so
 // clients that differ only in what is blocked share one.
 func NewPoolClient(pool *tunnel.HopPool, blocked func(netdb.Hash) bool) *Client {
-	return &Client{Pool: pool, Blocked: blocked, Config: DefaultFetchConfig()}
+	return &Client{Pool: pool, Blocked: blocked}
 }
 
 // blockedHop reports whether h is unreachable from the client.
@@ -110,7 +98,6 @@ func (c *Client) blockedHop(h netdb.Hash) bool {
 
 // Fetch performs one page load of site. The rng drives hop selection.
 func (c *Client) Fetch(site *Site, rng *rand.Rand) (FetchResult, error) {
-	cfg := c.Config
 	elapsed := time.Duration(0)
 	attempts := 0
 	for {
@@ -118,29 +105,29 @@ func (c *Client) Fetch(site *Site, rng *rand.Rand) (FetchResult, error) {
 		// One attempt: build an outbound and an inbound tunnel. The
 		// victim's direct contacts are the outbound gateway-side first
 		// hop and the inbound delivery hop.
-		hops, err := c.Pool.Select(2*cfg.HopsPerTunnel, nil, rng)
+		hops, err := c.Pool.Select(2*hopsPerTunnel, nil, rng)
 		if err != nil {
 			return FetchResult{}, ErrNoCandidates
 		}
-		out := hops[:cfg.HopsPerTunnel]
-		in := hops[cfg.HopsPerTunnel:]
+		out := hops[:hopsPerTunnel]
+		in := hops[hopsPerTunnel:]
 		directOut := out[0]       // first hop of the outbound tunnel
 		directIn := in[len(in)-1] // last hop of the inbound tunnel
 		ok := !c.blockedHop(directOut) && !c.blockedHop(directIn)
 		if ok {
 			// Successful build: hop RTTs plus the base transfer time.
-			elapsed += time.Duration(2*cfg.HopsPerTunnel) * tunnel.DefaultHopRTT
-			load := elapsed + cfg.BaseLoadTime
-			if load > cfg.PageBudget {
-				return FetchResult{StatusCode: http.StatusGatewayTimeout, LoadTime: cfg.PageBudget, BuildAttempts: attempts}, nil
+			elapsed += time.Duration(2*hopsPerTunnel) * tunnel.DefaultHopRTT
+			load := elapsed + baseLoadTime
+			if load > pageBudget {
+				return FetchResult{StatusCode: http.StatusGatewayTimeout, LoadTime: pageBudget, BuildAttempts: attempts}, nil
 			}
 			return FetchResult{StatusCode: http.StatusOK, LoadTime: load, BuildAttempts: attempts}, nil
 		}
 		// The build message to a null-routed contact is silently dropped;
 		// the client waits out the build timeout and retries.
-		elapsed += cfg.BuildTimeout
-		if elapsed+cfg.BaseLoadTime > cfg.PageBudget {
-			return FetchResult{StatusCode: http.StatusGatewayTimeout, LoadTime: cfg.PageBudget, BuildAttempts: attempts}, nil
+		elapsed += buildTimeout
+		if elapsed+baseLoadTime > pageBudget {
+			return FetchResult{StatusCode: http.StatusGatewayTimeout, LoadTime: pageBudget, BuildAttempts: attempts}, nil
 		}
 	}
 }

@@ -52,7 +52,7 @@ func TestFetchUnblockedMatchesBaseline(t *testing.T) {
 		t.Fatalf("attempts = %d, want 1", res.BuildAttempts)
 	}
 	// Base 3.4s + 4 hops x 250ms = 4.4s.
-	want := c.Config.BaseLoadTime + 4*250*time.Millisecond
+	want := baseLoadTime + 4*250*time.Millisecond
 	if res.LoadTime != want {
 		t.Fatalf("load = %v, want %v", res.LoadTime, want)
 	}
@@ -71,8 +71,8 @@ func TestFetchFullyBlockedTimesOut(t *testing.T) {
 	if res.StatusCode != 504 {
 		t.Fatalf("status = %d, want 504", res.StatusCode)
 	}
-	if res.LoadTime != c.Config.PageBudget {
-		t.Fatalf("timeout load = %v, want budget %v", res.LoadTime, c.Config.PageBudget)
+	if res.LoadTime != pageBudget {
+		t.Fatalf("timeout load = %v, want budget %v", res.LoadTime, pageBudget)
 	}
 	// With a 60s budget, 10s build timeout and 3.4s base: at most 6
 	// attempts fit.
@@ -156,11 +156,10 @@ func TestCrawlStatsHelpers(t *testing.T) {
 }
 
 func TestDefaultFetchConfigMatchesPaper(t *testing.T) {
-	cfg := DefaultFetchConfig()
-	if cfg.BaseLoadTime != 3400*time.Millisecond {
-		t.Fatalf("base load = %v, paper measured 3.4s", cfg.BaseLoadTime)
+	if baseLoadTime != 3400*time.Millisecond {
+		t.Fatalf("base load = %v, paper measured 3.4s", baseLoadTime)
 	}
-	if cfg.PageBudget <= cfg.BuildTimeout {
+	if pageBudget <= buildTimeout {
 		t.Fatal("budget must exceed one build timeout")
 	}
 }

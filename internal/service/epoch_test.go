@@ -197,10 +197,11 @@ func TestEpochIsTheWholeDay(t *testing.T) {
 }
 
 // TestFailedRetirementPublishesNothing: when the successor epoch cannot
-// be built (here: a signer name reseed.CreateBundle refuses) the sweep
-// returns, nothing is retired on any endpoint or counter, the failure is
-// logged with the peers it held back, and the bridge retires on the
-// first sweep past its backoff that can build.
+// be built (here: a record whose version string the RouterInfo codec
+// refuses to encode) the sweep returns, nothing is retired on any
+// endpoint or counter, the failure is logged with the peers it held
+// back, and the bridge retires on the first sweep past its backoff that
+// can build.
 func TestFailedRetirementPublishesNothing(t *testing.T) {
 	clk := time.Unix(1700000000, 0)
 
@@ -216,9 +217,9 @@ func TestFailedRetirementPublishesNothing(t *testing.T) {
 
 	var victim int
 	svc := newTestService(t, Config{
-		FailLimit:    1,
-		ProbeBackoff: time.Second,
-		Now:          func() time.Time { return clk },
+		FailLimit:     1,
+		ProbeInterval: time.Second,
+		Now:           func() time.Time { return clk },
 		Probe: func(r distrib.Resource) error {
 			if r.Peer == victim {
 				return errors.New("probe: connection refused")
@@ -227,7 +228,8 @@ func TestFailedRetirementPublishesNothing(t *testing.T) {
 		},
 	})
 	h := svc.Handler()
-	bridge := svc.Backend().Partition("manual-reseed").Resources()[0]
+	manual := svc.Backend().Partition("manual-reseed").Resources()
+	bridge := manual[0]
 	victim = bridge.Peer
 	victimID := seedIdentityFor(t, svc, "failed", victim)
 	var targets []string
@@ -246,8 +248,11 @@ func TestFailedRetirementPublishesNothing(t *testing.T) {
 	}
 	before := bodies()
 
-	signer := svc.cfg.Signer
-	svc.cfg.Signer = strings.Repeat("s", 256)
+	// A second bridge of the partition, still live, carries a record no
+	// bundle can hold, so every rebuild of the bundle set fails.
+	broken := manual[1].Record
+	version := broken.Version
+	broken.Version = strings.Repeat("v", 256)
 	svc.ProbeOnce(context.Background())
 	if svc.epoch.Load().retired[victim] || svc.RetiredCount() != 0 {
 		t.Fatalf("a retirement that could not be built retired %d bridges", svc.RetiredCount())
@@ -264,7 +269,7 @@ func TestFailedRetirementPublishesNothing(t *testing.T) {
 		t.Fatalf("failed retirement of bridge %d not logged: %q", victim, line)
 	}
 
-	svc.cfg.Signer = signer
+	broken.Version = version
 	clk = clk.Add(2 * time.Second)
 	svc.ProbeOnce(context.Background())
 	if !svc.epoch.Load().retired[victim] || svc.RetiredCount() != 1 {

@@ -191,12 +191,16 @@ type Limiter struct {
 	shards [limiterShards]limiterShard
 }
 
+// defaultBurst is the bucket depth NewLimiter grants when its caller
+// names none.
+const defaultBurst = 2
+
 // NewLimiter returns a limiter granting rate requests per second with
-// the given burst (<= 0: burst 2). rate <= 0 disables limiting — Allow
-// always grants.
+// the given burst (<= 0: defaultBurst). rate <= 0 disables limiting —
+// Allow always grants.
 func NewLimiter(rate float64, burst int, now func() time.Time) *Limiter {
 	if burst <= 0 {
-		burst = 2
+		burst = defaultBurst
 	}
 	if now == nil {
 		now = time.Now

@@ -26,11 +26,12 @@ type LoadGenConfig struct {
 	Identities int
 	// Workers is the driving concurrency (<= 0: GOMAXPROCS).
 	Workers int
-	// VerifyEvery re-requests every Nth identity and byte-compares the
-	// two bodies (<= 0: 1000; the duplicate requests count toward
-	// throughput).
-	VerifyEvery int
 }
+
+// verifyEvery is the determinism spot-check rate: LoadGen re-requests
+// every verifyEvery-th identity and byte-compares the two bodies (the
+// duplicate requests count toward throughput).
+const verifyEvery = 1000
 
 // LoadGenResult reports a run.
 type LoadGenResult struct {
@@ -117,9 +118,6 @@ func (s *Service) LoadGen(ctx context.Context, cfg LoadGenConfig) (LoadGenResult
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.VerifyEvery <= 0 {
-		cfg.VerifyEvery = 1000
-	}
 	handler := s.Handler()
 
 	var (
@@ -152,7 +150,7 @@ func (s *Service) LoadGen(ctx context.Context, cfg LoadGenConfig) (LoadGenResult
 				if n%1024 == 0 && ctx.Err() != nil {
 					break
 				}
-				verify := i%cfg.VerifyEvery == 0
+				verify := i%verifyEvery == 0
 				first = append(first[:0], do(i, verify)...)
 				if verify {
 					second := do(i, true)

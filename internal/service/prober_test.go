@@ -40,10 +40,10 @@ func TestProberRetiresDeadBridge(t *testing.T) {
 		return nil
 	}
 	svc := newTestService(t, Config{
-		Probe:        probe,
-		Now:          now,
-		FailLimit:    2,
-		ProbeBackoff: time.Second,
+		Probe:         probe,
+		Now:           now,
+		FailLimit:     2,
+		ProbeInterval: time.Second,
 	})
 	h := svc.Handler()
 	ctx := context.Background()
@@ -189,7 +189,7 @@ func TestProberRetiresDeadBridge(t *testing.T) {
 // TestProberBackoffClampsOnLongStreaks is the shift-overflow
 // regression: with a FailLimit large enough that a dying bridge keeps
 // failing past 63 consecutive probes, the backoff exponent used to run
-// off the end of time.Duration (ProbeBackoff << 63 wraps negative),
+// off the end of time.Duration (ProbeInterval << 63 wraps negative),
 // which put nextDue in the past and turned the dying bridge into a
 // hot probe loop. The backoff must stay positive and capped at 16x for
 // arbitrarily long streaks.
@@ -203,10 +203,10 @@ func TestProberBackoffClampsOnLongStreaks(t *testing.T) {
 
 	probe := func(r distrib.Resource) error { return errors.New("probe: connection refused") }
 	svc := newTestService(t, Config{
-		Probe:        probe,
-		Now:          now,
-		FailLimit:    200,
-		ProbeBackoff: time.Second,
+		Probe:         probe,
+		Now:           now,
+		FailLimit:     200,
+		ProbeInterval: time.Second,
 	})
 	ctx := context.Background()
 	peer := svc.Backend().Partition("https").Resources()[0].Peer
@@ -254,9 +254,9 @@ func TestCancelledSweepCountsNoRetirement(t *testing.T) {
 			}
 			return nil
 		},
-		Now:          func() time.Time { return clk },
-		FailLimit:    1,
-		ProbeBackoff: time.Second,
+		Now:           func() time.Time { return clk },
+		FailLimit:     1,
+		ProbeInterval: time.Second,
 	})
 	victim = svc.Backend().Partition(svc.HandoutAPI().Distributors()[0]).Resources()[0].Peer
 
@@ -321,9 +321,9 @@ func TestDebugProberAgainstConcurrentProbeOnce(t *testing.T) {
 			}
 			return nil
 		},
-		Now:          now,
-		FailLimit:    failLimit,
-		ProbeBackoff: time.Second,
+		Now:           now,
+		FailLimit:     failLimit,
+		ProbeInterval: time.Second,
 	})
 	for _, name := range svc.HandoutAPI().Distributors() {
 		dead[svc.Backend().Partition(name).Resources()[0].Peer] = true

@@ -50,30 +50,28 @@ type Config struct {
 	// censor.BridgeRandom; cmd/i2pdistribd defaults its flag to the
 	// paper's combined mix).
 	Strategy censor.BridgeStrategy
-	// MaxResources caps the pool (<= 0: 200, matching distrib.Sweep).
+	// MaxResources caps the pool (<= 0: distrib.DefaultMaxResources,
+	// matching distrib.Sweep).
 	MaxResources int
 	// Seed drives the backend build.
 	Seed uint64
 	// Distributors are the frontends (nil: distrib.DefaultDistributors).
 	Distributors []distrib.Distributor
-	// Signer names the su3 bundle signer (default "i2pdistribd").
-	Signer string
 
 	// RatePerSec is the per-identity token-bucket refill rate
 	// (<= 0: rate limiting disabled).
 	RatePerSec float64
-	// Burst is the per-identity bucket depth (<= 0: 2).
+	// Burst is the per-identity bucket depth (<= 0: NewLimiter's
+	// default of 2).
 	Burst int
 
-	// ProbeInterval is the reachability-probe loop period
-	// (<= 0: 30s).
+	// ProbeInterval is the reachability-probe loop period and the
+	// initial per-bridge backoff after a failed probe, doubling per
+	// consecutive failure (<= 0: 30s).
 	ProbeInterval time.Duration
 	// FailLimit is the consecutive-failure streak that retires a bridge
 	// (<= 0: 3).
 	FailLimit int
-	// ProbeBackoff is the initial per-bridge backoff after a failed
-	// probe, doubling per consecutive failure (<= 0: ProbeInterval).
-	ProbeBackoff time.Duration
 	// Probe overrides the reachability check (nil: the simulated default,
 	// "is the peer online on Day"). The prober calls it off the request
 	// path.
@@ -91,25 +89,16 @@ type Config struct {
 
 func (cfg Config) withDefaults() Config {
 	if cfg.MaxResources <= 0 {
-		cfg.MaxResources = 200
+		cfg.MaxResources = distrib.DefaultMaxResources
 	}
 	if cfg.Distributors == nil {
 		cfg.Distributors = distrib.DefaultDistributors()
-	}
-	if cfg.Signer == "" {
-		cfg.Signer = "i2pdistribd"
-	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = 2
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 30 * time.Second
 	}
 	if cfg.FailLimit <= 0 {
 		cfg.FailLimit = 3
-	}
-	if cfg.ProbeBackoff <= 0 {
-		cfg.ProbeBackoff = cfg.ProbeInterval
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -209,7 +198,7 @@ func (s *Service) newEpoch(day int) (*epoch, error) {
 	if err := ep.preencode(s.metrics); err != nil {
 		return nil, err
 	}
-	if err := ep.buildBundles(s.cfg.Signer); err != nil {
+	if err := ep.buildBundles(); err != nil {
 		return nil, err
 	}
 	return ep, nil
@@ -293,7 +282,7 @@ func (s *Service) retire(peers []int) error {
 	if fresh == 0 {
 		return nil
 	}
-	if err := next.buildBundles(s.cfg.Signer); err != nil {
+	if err := next.buildBundles(); err != nil {
 		return err
 	}
 	s.publish(&next)
@@ -301,10 +290,13 @@ func (s *Service) retire(peers []int) error {
 	return nil
 }
 
+// bundleSigner names the su3 bundles' signer.
+const bundleSigner = "i2pdistribd"
+
 // buildBundles pre-encodes one su3 bundle per manual-reseed partition
 // slot against the epoch's retired set. A missing manual-reseed frontend
 // leaves the epoch without bundles.
-func (ep *epoch) buildBundles(signer string) error {
+func (ep *epoch) buildBundles() error {
 	part := ep.backend.Partition("manual-reseed")
 	if part == nil || part.Len() == 0 {
 		return nil
@@ -329,7 +321,7 @@ func (ep *epoch) buildBundles(signer string) error {
 		}
 		groups[slot] = records
 	}
-	set, err := reseed.BuildBundleSet(groups, signer, ep.backend.When)
+	set, err := reseed.BuildBundleSet(groups, bundleSigner, ep.backend.When)
 	if err != nil {
 		return fmt.Errorf("service: build seed bundles: %w", err)
 	}

@@ -243,9 +243,9 @@ func TestBlacklist403(t *testing.T) {
 }
 
 // TestSeedsRoundTrip parses the served su3 bundle and checks it is
-// exactly the requester's granted arc, signed by the configured signer.
+// exactly the requester's granted arc, signed by the daemon's signer.
 func TestSeedsRoundTrip(t *testing.T) {
-	svc := newTestService(t, Config{Signer: "roundtrip-test"})
+	svc := newTestService(t, Config{})
 	h := svc.Handler()
 
 	const id = "seed-client"
@@ -257,8 +257,8 @@ func TestSeedsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bundle.Signer != "roundtrip-test" {
-		t.Fatalf("bundle signer %q, want %q", bundle.Signer, "roundtrip-test")
+	if bundle.Signer != bundleSigner {
+		t.Fatalf("bundle signer %q, want %q", bundle.Signer, bundleSigner)
 	}
 
 	api := svc.HandoutAPI()

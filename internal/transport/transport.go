@@ -77,16 +77,10 @@ type Config struct {
 	// before connecting (it comes from the RouterInfo). It keys the
 	// handshake obfuscation, like NTCP's use of Bob's router hash.
 	RouterHash [32]byte
-	// HandshakeTimeout bounds the handshake; zero means 10 seconds.
-	HandshakeTimeout time.Duration
 }
 
-func (c Config) timeout() time.Duration {
-	if c.HandshakeTimeout <= 0 {
-		return 10 * time.Second
-	}
-	return c.HandshakeTimeout
-}
+// handshakeTimeout bounds a handshake.
+const handshakeTimeout = 5 * time.Second
 
 // ErrBadHandshake reports a malformed message or a failed confirmation.
 var ErrBadHandshake = errors.New("transport: handshake failed")
@@ -258,7 +252,7 @@ func recvMsg(r io.Reader, fixedSize int, cfg Config, label string) ([]byte, int,
 
 // ClientHandshake runs the initiator side over an established net.Conn.
 func ClientHandshake(nc net.Conn, cfg Config) (*Conn, error) {
-	deadline := time.Now().Add(cfg.timeout())
+	deadline := time.Now().Add(handshakeTimeout)
 	if err := nc.SetDeadline(deadline); err != nil {
 		return nil, err
 	}
@@ -321,7 +315,7 @@ func ClientHandshake(nc net.Conn, cfg Config) (*Conn, error) {
 
 // ServerHandshake runs the responder side over an established net.Conn.
 func ServerHandshake(nc net.Conn, cfg Config) (*Conn, error) {
-	deadline := time.Now().Add(cfg.timeout())
+	deadline := time.Now().Add(handshakeTimeout)
 	if err := nc.SetDeadline(deadline); err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"net"
 	"slices"
 	"testing"
-	"time"
 )
 
 func testRouterHash() [32]byte {
@@ -31,7 +30,7 @@ func handshake(ccfg, scfg Config) (client, server *Conn, cerr, serr error) {
 // connPair completes a handshake between a client and a server Conn.
 func connPair(t *testing.T, variant Variant) (client, server *Conn) {
 	t.Helper()
-	cfg := Config{Variant: variant, RouterHash: testRouterHash(), HandshakeTimeout: 5 * time.Second}
+	cfg := Config{Variant: variant, RouterHash: testRouterHash()}
 	client, server, cerr, serr := handshake(cfg, cfg)
 	if cerr != nil {
 		t.Fatal(cerr)
@@ -143,7 +142,7 @@ func TestDPIDetectsNTCPButNotNTCP2(t *testing.T) {
 }
 
 func TestHandshakeFailsWithWrongRouterHash(t *testing.T) {
-	good := Config{Variant: VariantNTCP, RouterHash: testRouterHash(), HandshakeTimeout: 2 * time.Second}
+	good := Config{Variant: VariantNTCP, RouterHash: testRouterHash()}
 	bad := good
 	bad.RouterHash = sha256.Sum256([]byte("a different router"))
 
