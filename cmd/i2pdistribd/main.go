@@ -9,7 +9,7 @@
 // Usage:
 //
 //	i2pdistribd [-addr :8472] [-scale 0.1] [-seed 2018] [-day 10]
-//	i2pdistribd -loadgen 1000000   # in-process load run, no listener
+//	i2pdistribd -loadgen 1000000   # in-process load run, no listener, one worker per CPU
 package main
 
 import (
@@ -90,7 +90,6 @@ func run() error {
 	probeInterval := flag.Duration("probe-interval", 30*time.Second, "reachability probe period")
 	failLimit := flag.Int("fail-limit", 3, "consecutive probe failures before a bridge retires")
 	loadgen := flag.Int("loadgen", 0, "run an in-process load generation with this many distinct identities, print JSON and exit")
-	loadWorkers := flag.Int("loadgen-workers", 0, "loadgen concurrency (0 = GOMAXPROCS)")
 	debugAddr := flag.String("debug-addr", "", "optional debug listener (host:port) serving net/http/pprof and expvar; keep it off public interfaces")
 	flag.Parse()
 
@@ -133,10 +132,7 @@ func run() error {
 	logger.Info("pool drawn", "bridges", svc.Backend().PoolSize(), "day", *day, "strategy", *strategy, "seed", *seed)
 
 	if *loadgen > 0 {
-		res, err := svc.LoadGen(ctx, service.LoadGenConfig{
-			Identities: *loadgen,
-			Workers:    *loadWorkers,
-		})
+		res, err := svc.LoadGen(ctx, *loadgen)
 		if err != nil {
 			return err
 		}

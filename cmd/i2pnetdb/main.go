@@ -22,8 +22,8 @@ import (
 
 	"github.com/i2pstudy/i2pstudy/internal/cli"
 	"github.com/i2pstudy/i2pstudy/internal/geo"
-	"github.com/i2pstudy/i2pstudy/internal/measure"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
+	"github.com/i2pstudy/i2pstudy/internal/pool"
 	"github.com/i2pstudy/i2pstudy/internal/stats"
 )
 
@@ -139,7 +139,7 @@ const scanShard = 1024
 func scan(ctx context.Context, ris []*netdb.RouterInfo, workers int) (*inventory, error) {
 	db := geo.NewDB()
 	parts := make([]*inventory, (len(ris)+scanShard-1)/scanShard)
-	err := measure.FanOut(ctx, len(parts), workers, func(p int) error {
+	err := pool.FanOut(ctx, len(parts), workers, func(p int) error {
 		part := newInventory()
 		for _, ri := range ris[p*scanShard : min((p+1)*scanShard, len(ris))] {
 			part.add(db, ri)

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"github.com/i2pstudy/i2pstudy/internal/measure"
+	"github.com/i2pstudy/i2pstudy/internal/pool"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -137,7 +137,7 @@ func EvaluateBridgesContext(ctx context.Context, network *sim.Network, windowDay
 	// so it outlives the sweep for the serial survival fold below.
 	cells := sw.Cells()
 	blacklists := make([]*AddrSet, len(cells))
-	err = measure.FanOut(ctx, len(cells), workers, func(i int) error {
+	err = pool.FanOut(ctx, len(cells), workers, func(i int) error {
 		blacklists[i] = sw.Blacklist(cells[i])
 		return nil
 	})

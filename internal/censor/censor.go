@@ -12,7 +12,7 @@
 // are bitsets, not maps), and the Sweep engine that executes declarative
 // (fleet x window x day) grids across the same worker pool — and under the
 // same any-worker-count-is-byte-identical determinism contract — as every
-// other measure.FanOut caller.
+// other pool.FanOut caller.
 package censor
 
 import (

@@ -30,7 +30,7 @@ func newStudy(t testing.TB, seed uint64, workers int) *core.Study {
 
 // TestCrashResume is the censor sweep's crash drill, stated through the
 // shared harness over the one store a binary resumes, core.Study.RunAll's:
-// a run killed at a measure.fanout.task crossing — inside a sweep's
+// a run killed at a pool.task crossing — inside a sweep's
 // fan-out as often as between experiments — and resumed from its
 // checkpoint directory yields Results byte-identical to an uninterrupted
 // run, at every ladder width. One study per width is cached (the network
@@ -40,7 +40,7 @@ func TestCrashResume(t *testing.T) {
 	studies := map[int]*core.Study{}
 	enginetest.CrashResume(t, 2018, []enginetest.CrashCase{{
 		Name:  "blocking-grid",
-		Point: "measure.fanout.task",
+		Point: "pool.task",
 		Run: func(t testing.TB, dir string, workers int) (any, error) {
 			s, ok := studies[workers]
 			if !ok {

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/i2pstudy/i2pstudy/internal/measure"
+	"github.com/i2pstudy/i2pstudy/internal/pool"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 	"github.com/i2pstudy/i2pstudy/internal/stats"
 )
@@ -89,7 +89,7 @@ func EclipseSweepContext(ctx context.Context, network *sim.Network, fleets []int
 	}
 	cells := sw.Cells()
 	results := make([]EclipseResult, len(cells))
-	err = measure.FanOut(ctx, len(cells), workers, func(i int) error {
+	err = pool.FanOut(ctx, len(cells), workers, func(i int) error {
 		results[i] = sw.eclipseCell(cells[i], injected)
 		return nil
 	})

@@ -8,7 +8,7 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/i2pstudy/i2pstudy/internal/measure"
+	"github.com/i2pstudy/i2pstudy/internal/pool"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -18,7 +18,7 @@ import (
 // x day) cells over one shared adversary — a censor fleet built once at
 // the maximum size, a victim, and the network's address index.
 //
-// Cells fan out as measure.FanOut tasks, and each cell unions its own
+// Cells fan out as pool.FanOut tasks, and each cell unions its own
 // router-days from scratch into a fresh AddrSet: the fleet's (router,
 // day) address sets and the victim's netDb views are memoized per day,
 // so what cells share is computed once, and a cell depends on no other.
@@ -126,7 +126,7 @@ func NewSweep(network *sim.Network, cfg SweepConfig) (*Sweep, error) {
 
 // Cells enumerates the grid in deterministic order: days outermost, then
 // windows, then fleets, each in configured order. Callers fan cells out
-// by their position in this order (measure.FanOut) and write each
+// by their position in this order (pool.FanOut) and write each
 // result into that cell's preallocated slot.
 func (s *Sweep) Cells() []Cell {
 	out := make([]Cell, 0, len(s.Cfg.Days)*len(s.Cfg.Windows)*len(s.Cfg.Fleets))
@@ -141,14 +141,14 @@ func (s *Sweep) Cells() []Cell {
 }
 
 // Run evaluates the standard result for every cell of the grid,
-// returning them in Cells() order. Each cell is one measure.FanOut task
+// returning them in Cells() order. Each cell is one pool.FanOut task
 // that builds its blacklist and writes its cell-indexed slot, so any
 // Workers value yields byte-identical results. The first error (or ctx
 // cancellation) stops the rest.
 func (s *Sweep) Run(ctx context.Context) ([]CellResult, error) {
 	cells := s.Cells()
 	out := make([]CellResult, len(cells))
-	err := measure.FanOut(ctx, len(cells), s.Cfg.Workers, func(i int) error {
+	err := pool.FanOut(ctx, len(cells), s.Cfg.Workers, func(i int) error {
 		bl := s.Blacklist(cells[i])
 		out[i] = CellResult{
 			Cell:         cells[i],
@@ -213,7 +213,7 @@ func (s *Sweep) Capture(ctx context.Context) error {
 	routers := s.Censor.Routers()
 	// Days outermost: the ticket hands tasks out in index order, so a
 	// day's column is built once and then read by every router while hot.
-	return measure.FanOut(ctx, len(days)*routers, s.Cfg.Workers, func(t int) error {
+	return pool.FanOut(ctx, len(days)*routers, s.Cfg.Workers, func(t int) error {
 		s.Censor.observedIDs(t%routers, days[t/routers])
 		return nil
 	})
@@ -275,7 +275,7 @@ func (s *Sweep) BlockingSeries(ctx context.Context, windows []int, day, maxFleet
 	vic := s.Victim.addrSet(day)
 	rank := newAddrRanks(vic)
 	cols := make([]victimColumn, span) // by age: cols[a] is day-a's
-	err := measure.FanOut(ctx, span, s.Cfg.Workers, func(a int) error {
+	err := pool.FanOut(ctx, span, s.Cfg.Workers, func(a int) error {
 		cols[a] = rank.column(s.Censor.ix.dayColumn(day - a))
 		return nil
 	})
@@ -283,7 +283,7 @@ func (s *Sweep) BlockingSeries(ctx context.Context, windows []int, day, maxFleet
 		return nil, err
 	}
 	ages := make([][]int32, maxFleet)
-	err = measure.FanOut(ctx, maxFleet, s.Cfg.Workers, func(r int) error {
+	err = pool.FanOut(ctx, maxFleet, s.Cfg.Workers, func(r int) error {
 		ages[r] = s.Censor.routerAges(r, day, cols, vic.Len())
 		return nil
 	})

@@ -23,13 +23,15 @@
 package checkpoint
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
+
+	"github.com/i2pstudy/i2pstudy/internal/pool"
 )
 
 // Manifest identifies the run a checkpoint directory belongs to. A
@@ -256,8 +258,8 @@ func SyncDir(dir string) error {
 // up. It is the staging half of the directory-grain commit protocol:
 // write a tree, SyncTree it, rename it into place, SyncDir the parent —
 // after which the rename target is guaranteed to hold complete files
-// even across power loss. File syncs fan out over a small worker pool:
-// a day snapshot holds one file per router and serial fsync would make
+// even across power loss. File syncs are pool.FanOut tasks: a day
+// snapshot holds one file per router and serial fsync would make
 // durability O(peers) in disk round-trips.
 func SyncTree(root string) error {
 	var files []string
@@ -276,38 +278,11 @@ func SyncTree(root string) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: syncing tree %s: %w", root, err)
 	}
-	workers := min(8, max(1, len(files)))
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	next := make(chan string, len(files))
-	for _, f := range files {
-		next <- f
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for path := range next {
-				f, err := os.Open(path)
-				if err == nil {
-					err = f.Sync()
-					if cerr := f.Close(); err == nil {
-						err = cerr
-					}
-				}
-				if err != nil {
-					errOnce.Do(func() { firstErr = fmt.Errorf("checkpoint: syncing %s: %w", path, err) })
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+	// fsync is I/O-bound, so the width is fixed rather than per CPU;
+	// SyncDir's open, sync and close serve a file as well.
+	err = pool.FanOut(context.Background(), len(files), 8, func(i int) error { return SyncDir(files[i]) })
+	if err != nil {
+		return err
 	}
 	// Directories last, deepest first, so a directory's entries are
 	// durable before the directory itself is.

@@ -10,12 +10,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
 	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
 	"github.com/i2pstudy/i2pstudy/internal/measure"
+	"github.com/i2pstudy/i2pstudy/internal/pool"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 	"github.com/i2pstudy/i2pstudy/internal/stats"
 )
@@ -118,12 +118,7 @@ func (s *Study) Scale() float64 {
 }
 
 // Workers returns the study's effective engine concurrency.
-func (s *Study) Workers() int {
-	if s.Opts.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return s.Opts.Workers
-}
+func (s *Study) Workers() int { return pool.Width(s.Opts.Workers) }
 
 // MainDataset runs (once) and returns the main campaign with a background
 // context. See MainDatasetContext.
@@ -335,7 +330,7 @@ func (s *Study) RunAll(ctx context.Context, ids ...string) ([]*Result, error) {
 	// flight, not only the ones FanOut has yet to start.
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	err = measure.FanOut(cctx, len(exps), s.Workers(), func(i int) error {
+	err = pool.FanOut(cctx, len(exps), s.Workers(), func(i int) error {
 		if units.Resumed(i) {
 			return nil
 		}

@@ -12,6 +12,7 @@ import (
 	"github.com/i2pstudy/i2pstudy/internal/eepsite"
 	"github.com/i2pstudy/i2pstudy/internal/measure"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
+	"github.com/i2pstudy/i2pstudy/internal/pool"
 	"github.com/i2pstudy/i2pstudy/internal/reseed"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 	"github.com/i2pstudy/i2pstudy/internal/stats"
@@ -219,7 +220,7 @@ func (s *Study) experimentDay() int { return s.Opts.Days - 5 }
 // fleetDays answers the population figures' one question: seen[k][d] is
 // how many peers observers[k] saw on days[d], and union[k][d] how many
 // distinct peers observers[0..k] saw between them that day. Each day is
-// one measure.FanOut task that draws the observers in order into reused
+// one pool.FanOut task that draws the observers in order into reused
 // scratch and claims their peers into the day's sim.ClaimSet, so the
 // counts are the same at any worker count.
 func fleetDays(ctx context.Context, s *Study, observers []*sim.Observer, days []int) (seen, union [][]int, err error) {
@@ -227,7 +228,7 @@ func fleetDays(ctx context.Context, s *Study, observers []*sim.Observer, days []
 	for k := range observers {
 		seen[k], union[k] = make([]int, len(days)), make([]int, len(days))
 	}
-	err = measure.FanOut(ctx, len(days), s.Workers(), func(d int) error {
+	err = pool.FanOut(ctx, len(days), s.Workers(), func(d int) error {
 		day := days[d]
 		active, claimed := s.Net.ActivePeers(day), s.Net.NewClaimSet()
 		var pos []int32
@@ -672,7 +673,7 @@ func runFigure14(ctx context.Context, s *Study) (*Result, error) {
 	}
 	// One hop pool for every blocking level: the levels differ only in
 	// what the firewall drops, not in what the victim knows.
-	pool := tunnel.DefaultSelector().Prepare(candidates)
+	hops := tunnel.DefaultSelector().Prepare(candidates)
 	site := eepsite.NewSite(netdb.HashFromUint64(424242))
 	rates := []float64{0, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.97}
 	fig := &stats.Figure{
@@ -687,9 +688,9 @@ func runFigure14(ctx context.Context, s *Study) (*Result, error) {
 	// levels are independent cells: fan them across the engine pool and
 	// fold the figure serially in rate order.
 	crawls := make([]eepsite.CrawlStats, len(rates))
-	err := measure.FanOut(ctx, len(rates), s.Workers(), func(i int) error {
+	err := pool.FanOut(ctx, len(rates), s.Workers(), func(i int) error {
 		blocked := hashBlockFraction(rates[i])
-		client := eepsite.NewPoolClient(pool, blocked)
+		client := eepsite.NewPoolClient(hops, blocked)
 		st, err := client.Crawl(site, 100, rand.New(rand.NewPCG(uint64(rates[i]*1000)+1, 99)))
 		if err != nil {
 			return err

@@ -10,7 +10,7 @@ import (
 
 // TestCrashResume is the distrib sweeps' crash drill, stated through the
 // shared harness over the one store a binary resumes, core.Study.RunAll's:
-// a run killed at a measure.fanout.task crossing — an arms-race cell or a
+// a run killed at a pool.task crossing — an arms-race cell or a
 // whole trust row as often as an experiment — and resumed from its
 // checkpoint directory yields Results byte-identical to an uninterrupted
 // run, at every ladder width. One study per width is cached (the network
@@ -42,12 +42,12 @@ func TestCrashResume(t *testing.T) {
 	enginetest.CrashResume(t, 2018, []enginetest.CrashCase{
 		{
 			Name:  "arms-race",
-			Point: "measure.fanout.task",
+			Point: "pool.task",
 			Run:   drill("bridge-distribution", "distribution-enumeration"),
 		},
 		{
 			Name:  "trust-rows",
-			Point: "measure.fanout.task",
+			Point: "pool.task",
 			Run:   drill("trust-distribution"),
 		},
 	})

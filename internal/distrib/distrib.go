@@ -24,7 +24,7 @@
 // sample.
 //
 // Determinism contract: distrib.Sweep inherits the engine contract of
-// censor.Sweep — cells fan out through measure.FanOut writing into
+// censor.Sweep — cells fan out through pool.FanOut writing into
 // slots indexed by grid position, every random draw derives from
 // (SeedBase, cell coordinates), and folds run in grid order, so any
 // Workers value yields byte-identical results

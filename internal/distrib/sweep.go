@@ -7,7 +7,7 @@ import (
 	"math/rand/v2"
 
 	"github.com/i2pstudy/i2pstudy/internal/censor"
-	"github.com/i2pstudy/i2pstudy/internal/measure"
+	"github.com/i2pstudy/i2pstudy/internal/pool"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -191,7 +191,7 @@ func (s *Sweep) cellSeed(c Cell) uint64 {
 
 // Run evaluates every cell across the worker pool and returns results
 // in Cells() order. Unlike the trust sweep, cells are their own
-// measure.FanOut tasks rather than whole rows: an arms-race cell
+// pool.FanOut tasks rather than whole rows: an arms-race cell
 // carries no rolling state a row could slide — each cell is seeded
 // from its own coordinates and the day columns it reads are the
 // index's, built once per day in any order — so grouping cells into
@@ -203,7 +203,7 @@ func (s *Sweep) cellSeed(c Cell) uint64 {
 func (s *Sweep) Run(ctx context.Context) ([]CellResult, error) {
 	cells := s.Cells()
 	results := make([]CellResult, len(cells))
-	err := measure.FanOut(ctx, len(cells), s.Cfg.Workers, func(i int) error {
+	err := pool.FanOut(ctx, len(cells), s.Cfg.Workers, func(i int) error {
 		res, err := s.runCell(cells[i], nil)
 		results[i] = res
 		return err

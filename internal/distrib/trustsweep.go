@@ -7,7 +7,7 @@ import (
 	"math/rand/v2"
 
 	"github.com/i2pstudy/i2pstudy/internal/censor"
-	"github.com/i2pstudy/i2pstudy/internal/measure"
+	"github.com/i2pstudy/i2pstudy/internal/pool"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -24,7 +24,7 @@ import (
 // carry no cross-cell state, so they fan out cell-level — the trust
 // grid's day axis is inherently sequential: day h's trust levels, rate
 // counters and bans are day h-1's plus one step. A (distributor,
-// enumerator) row is therefore one whole measure.FanOut task that
+// enumerator) row is therefore one whole pool.FanOut task that
 // slides one trustState forward a day at a time through the row's
 // cells. The determinism contract is unchanged: every random draw
 // derives from (SeedBase, row coordinates) and is consumed in day order
@@ -208,7 +208,7 @@ func (s *TrustSweep) rowSeed(d *TrustSocial, e Enumerator) uint64 {
 }
 
 // Run evaluates every cell and returns results in Cells() order. Each
-// (distributor, enumerator) row is one measure.FanOut task that slides
+// (distributor, enumerator) row is one pool.FanOut task that slides
 // one trustState through the row's days in ascending order. Any Workers
 // value yields byte-identical results; the first error (or ctx
 // cancellation) stops the remaining rows, and a row in flight stops at
@@ -219,7 +219,7 @@ func (s *TrustSweep) Run(ctx context.Context) ([]TrustCellResult, error) {
 	results := make([]TrustCellResult, len(cells))
 	// Cells lay days outermost, so row r's cells are r, r+rows, … in
 	// ascending day order, and cell r is the row's first.
-	err := measure.FanOut(ctx, rows, s.Cfg.Workers, func(r int) error {
+	err := pool.FanOut(ctx, rows, s.Cfg.Workers, func(r int) error {
 		st := s.newTrustState(cells[r].Dist, cells[r].Enum)
 		for i := r; i < len(cells); i += rows {
 			if err := ctx.Err(); err != nil {

@@ -147,3 +147,38 @@ func TestModeString(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseInjection holds the -inject flag's parser to its grammar on
+// outside input: it must never panic, and every spec it accepts,
+// re-rendered as point:N:mode, must parse back to the same Injection.
+func FuzzParseInjection(f *testing.F) {
+	for _, spec := range []string{
+		"pool.task:1:error",
+		"measure.campaign.day:3:panic",
+		"core.runall.experiment:1:exit",
+		"core.runall.experiment:007:exit",
+		"pool.task:0:error",
+		"pool.task:18446744073709551616:error",
+		"pool.task:-1:error",
+		":1:error",
+		"pool.task:1:crash",
+		"pool.task:1",
+		"a:b:c:d",
+		"",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		in, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		again, err := Parse(fmt.Sprintf("%s:%d:%s", in.Point, in.N, in.Mode))
+		if err != nil {
+			t.Fatalf("Parse(%q) = %+v, whose rendering is refused: %v", spec, in, err)
+		}
+		if again != in {
+			t.Fatalf("Parse(%q) = %+v, re-rendered it parses to %+v", spec, in, again)
+		}
+	})
+}

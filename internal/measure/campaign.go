@@ -13,6 +13,7 @@ import (
 	"github.com/i2pstudy/i2pstudy/internal/faults"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/obs"
+	"github.com/i2pstudy/i2pstudy/internal/pool"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -211,7 +212,7 @@ func (c *Campaign) run(ctx context.Context, from int, commit func(day int, recs 
 	if nDays <= 0 {
 		return ctx.Err()
 	}
-	workers := min(resolveWorkers(c.cfg.Workers), nDays)
+	workers := min(pool.Width(c.cfg.Workers), nDays)
 	win := newDayWindow(from, c.cfg.EndDay, windowFactor*workers)
 	// A run that stops early strands the units parked behind the failure.
 	defer func() {
@@ -231,40 +232,38 @@ func (c *Campaign) run(ctx context.Context, from int, commit func(day int, recs 
 		win.recycle(u)
 		return err
 	}
-	err := runPool(ctx, workers, func(ctx context.Context, tid int) error {
+	return pool.Run(ctx, workers, func(ctx context.Context, tid int) (int, error) {
 		return c.work(ctx, win, tid, fold)
 	})
-	if err != nil {
-		return err
-	}
-	engineObs.Get().tasks(workers).Add(uint64(nDays))
-	return nil
 }
 
 // work is one worker's loop: admit a day, capture it, park it, then fold
 // whatever is due. At Workers 1 it runs on the caller's goroutine and
 // every day it parks is the day due, so the loop degenerates to capture,
-// fold, capture, fold.
-func (c *Campaign) work(ctx context.Context, win *dayWindow, tid int, fold func(day int, u *dayUnit) error) error {
+// fold, capture, fold. It returns how many days it captured, which the
+// pool counts as engine tasks.
+func (c *Campaign) work(ctx context.Context, win *dayWindow, tid int, fold func(day int, u *dayUnit) error) (int, error) {
 	sc := c.newDayCapture()
 	tr := obs.ActiveTracer()
+	captured := 0
 	for {
 		day, ok, err := win.admit(ctx)
 		if err != nil || !ok {
-			return err
+			return captured, err
 		}
 		t0 := tr.Now()
 		u := c.captureDay(day, sc, win.reuse())
+		captured++
 		tr.Complete(tid, "day", t0, obs.Arg{Key: "day", Val: int64(day)})
 		c.retainUnit(u.bytes)
 		if err := win.put(day, u); err != nil {
 			c.releaseUnit(u.bytes)
-			return err
+			return captured, err
 		}
 		// Every captured day is a scheduler boundary the fault injector
 		// may target, as every FanOut task is.
-		if err := faults.Hit("measure.fanout.task"); err != nil {
-			return err
+		if err := faults.Hit("pool.task"); err != nil {
+			return captured, err
 		}
 		for {
 			due, u, ok := win.take()
@@ -274,7 +273,7 @@ func (c *Campaign) work(ctx context.Context, win *dayWindow, tid int, fold func(
 			// A failed fold keeps its turn: no later day may fold (or
 			// reach the checkpoint store) behind a day that did not.
 			if err := fold(due, u); err != nil {
-				return err
+				return captured, err
 			}
 			win.folded()
 		}

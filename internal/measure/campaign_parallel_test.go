@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/measure/enginetest"
+	"github.com/i2pstudy/i2pstudy/internal/pool"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -119,7 +120,7 @@ func TestObserveGridMatchesObserveDay(t *testing.T) {
 	days := []int{3, 7, 12}
 	for _, workers := range []int{1, 8} {
 		grid := make([][]int, len(observers)*len(days))
-		err := FanOut(context.Background(), len(grid), workers, func(i int) error {
+		err := pool.FanOut(context.Background(), len(grid), workers, func(i int) error {
 			o, day := observers[i%len(observers)], days[i/len(observers)]
 			active := n.ActivePeers(day)
 			var ids []int

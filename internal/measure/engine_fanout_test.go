@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/i2pstudy/i2pstudy/internal/pool"
 )
 
 // TestFanOutRunsEachTaskOnce: the ticket hands every index out exactly
@@ -20,7 +22,7 @@ func TestFanOutRunsEachTaskOnce(t *testing.T) {
 		{100, 3}, {1000, 8}, {1000, 0},
 	} {
 		counts := make([]int32, tc.n)
-		err := FanOut(context.Background(), tc.n, tc.workers, func(i int) error {
+		err := pool.FanOut(context.Background(), tc.n, tc.workers, func(i int) error {
 			atomic.AddInt32(&counts[i], 1)
 			return nil
 		})
@@ -43,7 +45,7 @@ func TestFanOutUnevenLoad(t *testing.T) {
 	const n, workers = 64, 4
 	gate := make(chan struct{})
 	var done int32
-	err := FanOut(context.Background(), n, workers, func(i int) error {
+	err := pool.FanOut(context.Background(), n, workers, func(i int) error {
 		if i == 0 {
 			<-gate
 			return nil
@@ -68,7 +70,7 @@ func TestFanOutHandsOutInIndexOrder(t *testing.T) {
 		first []int
 	)
 	full := make(chan struct{})
-	err := FanOut(context.Background(), n, workers, func(i int) error {
+	err := pool.FanOut(context.Background(), n, workers, func(i int) error {
 		mu.Lock()
 		wait := len(first) < workers
 		if wait {
@@ -97,7 +99,7 @@ func TestFanOutStopsOnError(t *testing.T) {
 	// One worker: the error stops the walk immediately, so exactly tasks
 	// 0..3 run.
 	var ran int32
-	err := FanOut(context.Background(), 1000, 1, func(i int) error {
+	err := pool.FanOut(context.Background(), 1000, 1, func(i int) error {
 		atomic.AddInt32(&ran, 1)
 		if i == 3 {
 			return boom
@@ -112,7 +114,7 @@ func TestFanOutStopsOnError(t *testing.T) {
 	}
 	// Pooled: the first error is the one reported, even when every
 	// worker fails — never a bystander's context.Canceled.
-	err = FanOut(context.Background(), 100, 4, func(i int) error {
+	err = pool.FanOut(context.Background(), 100, 4, func(i int) error {
 		return boom
 	})
 	if !errors.Is(err, boom) {
@@ -129,7 +131,7 @@ func TestFanOutReportsRootCauseOverCancellation(t *testing.T) {
 	for trial := range 200 {
 		ctx, cancel := context.WithCancel(context.Background())
 		started, stopped := make(chan struct{}), make(chan struct{})
-		err := FanOut(ctx, 2, 2, func(i int) error {
+		err := pool.FanOut(ctx, 2, 2, func(i int) error {
 			if i == 1 {
 				close(started)
 				<-ctx.Done()
@@ -152,7 +154,7 @@ func TestFanOutCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		err := FanOut(ctx, 8, workers, func(i int) error {
+		err := pool.FanOut(ctx, 8, workers, func(i int) error {
 			return fmt.Errorf("task %d ran under a cancelled context", i)
 		})
 		if err != context.Canceled {
@@ -166,7 +168,7 @@ func TestFanOutCancelled(t *testing.T) {
 // goldens' reference path.
 func TestFanOutSerialFastPathOrder(t *testing.T) {
 	var order []int // unsynchronized: the loop runs inline
-	if err := FanOut(context.Background(), 8, 1, func(i int) error {
+	if err := pool.FanOut(context.Background(), 8, 1, func(i int) error {
 		order = append(order, i)
 		return nil
 	}); err != nil {

@@ -2,11 +2,14 @@ package measure
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/obs"
+	"github.com/i2pstudy/i2pstudy/internal/pool"
+	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
 // withObs enables a fresh registry (and optionally a tracer buffer) for
@@ -30,7 +33,7 @@ func withObs(t *testing.T, trace bool) (*obs.Registry, *strings.Builder) {
 
 func TestFanOutCountsSerialTasks(t *testing.T) {
 	r, _ := withObs(t, false)
-	err := FanOut(context.Background(), 5, 1, func(i int) error { return nil })
+	err := pool.FanOut(context.Background(), 5, 1, func(i int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +49,7 @@ func TestFanOutCountsParallelTasks(t *testing.T) {
 	// tasks and both tracks carry spans.
 	var others sync.WaitGroup
 	others.Add(3)
-	err := FanOut(context.Background(), 4, 2, func(i int) error {
+	err := pool.FanOut(context.Background(), 4, 2, func(i int) error {
 		if i == 0 {
 			others.Wait()
 			return nil
@@ -80,7 +83,7 @@ func TestObservabilityDisabledFanOutStillWorks(t *testing.T) {
 		obs.EnableTrace(prevTr)
 	})
 	got := make([]int, 16)
-	err := FanOut(context.Background(), 16, 4, func(i int) error {
+	err := pool.FanOut(context.Background(), 16, 4, func(i int) error {
 		got[i] = i * i
 		return nil
 	})
@@ -90,6 +93,25 @@ func TestObservabilityDisabledFanOutStillWorks(t *testing.T) {
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("slot %d = %d", i, v)
+		}
+	}
+}
+
+// TestCampaignCountsDaysAsEngineTasks: every captured day is one engine
+// task of the pool the campaign admits its days on, counted by that
+// pool's width like a FanOut task.
+func TestCampaignCountsDaysAsEngineTasks(t *testing.T) {
+	const days = 6
+	n, err := sim.New(sim.Config{Seed: 13, Days: days, TargetDailyPeers: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for workers, mode := range map[int]string{1: "serial", 2: "parallel"} {
+		r, _ := withObs(t, false)
+		runStreamCampaign(t, n, CampaignConfig{Observers: DefaultObserverFleet(3), EndDay: days, Workers: workers})
+		text := r.RenderText()
+		if want := fmt.Sprintf(`i2p_engine_tasks_total{mode=%q} %d`, mode, days); !strings.Contains(text, want) {
+			t.Errorf("Workers=%d: want %s in\n%s", workers, want, text)
 		}
 	}
 }

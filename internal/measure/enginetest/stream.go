@@ -2,8 +2,9 @@ package enginetest
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
+
+	"github.com/i2pstudy/i2pstudy/internal/pool"
 )
 
 // StreamCase is one engine scenario for the bounded-memory contract: at
@@ -19,7 +20,7 @@ type StreamCase struct {
 	Run func(t testing.TB, workers int) (artifact any, peakUnits int)
 	// MaxRetained returns the peak-unit ceiling the engine guarantees
 	// for a resolved worker count (the harness resolves the auto width
-	// to GOMAXPROCS, as the engines do, before calling it). The ceiling
+	// through pool.Width, as the engines do, before calling it). The ceiling
 	// must be derived from the engine's pipeline structure — O(workers)
 	// — never from the grid size.
 	MaxRetained func(workers int) int
@@ -51,11 +52,7 @@ func Stream(t *testing.T, cases []StreamCase) {
 				} else if !reflect.DeepEqual(got, reference) {
 					t.Errorf("Workers=%d: artifact differs from the Workers=1 reference", w)
 				}
-				resolved := w
-				if resolved <= 0 {
-					resolved = runtime.GOMAXPROCS(0)
-				}
-				ceiling := c.MaxRetained(resolved)
+				ceiling := c.MaxRetained(pool.Width(w))
 				if peak > ceiling {
 					t.Errorf("Workers=%d: peak retained units %d exceeds the structural ceiling %d", w, peak, ceiling)
 				}

@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"runtime"
-	"sort"
+	"slices"
 	"strconv"
-	"sync"
 	"time"
+
+	"github.com/i2pstudy/i2pstudy/internal/pool"
 )
 
 // This file is the service's load generator: millions of distinct
@@ -19,14 +19,6 @@ import (
 // spot-checking the determinism contract — the same identity must
 // receive byte-identical JSON every time. It backs
 // BenchmarkServiceHandoutSerial/Parallel and i2pdistribd -loadgen.
-
-// LoadGenConfig parameterizes a run.
-type LoadGenConfig struct {
-	// Identities is how many distinct identities request once.
-	Identities int
-	// Workers is the driving concurrency (<= 0: GOMAXPROCS).
-	Workers int
-}
 
 // verifyEvery is the determinism spot-check rate: LoadGen re-requests
 // every verifyEvery-th identity and byte-compares the two bodies (the
@@ -109,81 +101,72 @@ func (c *loadClient) get(h http.Handler, n int64, capture bool) int {
 	return c.rw.code
 }
 
-// LoadGen drives cfg.Identities distinct identities through the handler
-// and reports throughput, p99 latency, and determinism spot-checks.
-func (s *Service) LoadGen(ctx context.Context, cfg LoadGenConfig) (LoadGenResult, error) {
-	if cfg.Identities <= 0 {
+// LoadGen drives identities distinct identities through the handler,
+// one pool worker per CPU, and reports throughput, p99 latency, and
+// determinism spot-checks. Worker w requests identities w, w+W, w+2W and
+// so on, and keeps its counts and latencies in its own slot; the slots
+// merge in worker order.
+func (s *Service) LoadGen(ctx context.Context, identities int) (LoadGenResult, error) {
+	if identities <= 0 {
 		return LoadGenResult{}, fmt.Errorf("service: loadgen needs identities")
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
+	workers := pool.Width(0)
 	handler := s.Handler()
-
-	var (
-		mu       sync.Mutex
-		res      LoadGenResult
-		allLats  []int64
-		firstErr error
-	)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			lats := make([]int64, 0, cfg.Identities/cfg.Workers+1)
-			requests, errors, verified, mismatches := 0, 0, 0, 0
-			client := newLoadClient("https", "load-")
-			do := func(i int, capture bool) []byte {
-				t0 := time.Now()
-				code := client.get(handler, int64(i), capture)
-				lats = append(lats, time.Since(t0).Nanoseconds())
-				requests++
-				if code != http.StatusOK {
-					errors++
-				}
-				return client.rw.body.Bytes()
-			}
-			var first []byte
-			for n, i := 0, worker; i < cfg.Identities; n, i = n+1, i+cfg.Workers {
-				if n%1024 == 0 && ctx.Err() != nil {
-					break
-				}
-				verify := i%verifyEvery == 0
-				first = append(first[:0], do(i, verify)...)
-				if verify {
-					second := do(i, true)
-					verified++
-					if !bytes.Equal(first, second) {
-						mismatches++
-					}
-				}
-			}
-			mu.Lock()
-			res.Requests += requests
-			res.Errors += errors
-			res.Verified += verified
-			res.Mismatches += mismatches
-			allLats = append(allLats, lats...)
-			mu.Unlock()
-		}(w)
+	type share struct {
+		res  LoadGenResult
+		lats []int64
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		firstErr = err
+	shares := make([]share, workers)
+	start := time.Now()
+	// Requests are the daemon's traffic, not engine tasks: a worker
+	// reports none to the pool's task counter.
+	err := pool.Run(ctx, workers, func(ctx context.Context, w int) (int, error) {
+		sh := &shares[w]
+		sh.lats = make([]int64, 0, identities/workers+1)
+		client := newLoadClient("https", "load-")
+		do := func(i int, capture bool) []byte {
+			t0 := time.Now()
+			code := client.get(handler, int64(i), capture)
+			sh.lats = append(sh.lats, time.Since(t0).Nanoseconds())
+			sh.res.Requests++
+			if code != http.StatusOK {
+				sh.res.Errors++
+			}
+			return client.rw.body.Bytes()
+		}
+		var first []byte
+		for n, i := 0, w; i < identities; n, i = n+1, i+workers {
+			if n%1024 == 0 && ctx.Err() != nil {
+				return 0, ctx.Err()
+			}
+			verify := i%verifyEvery == 0
+			first = append(first[:0], do(i, verify)...)
+			if verify {
+				second := do(i, true)
+				sh.res.Verified++
+				if !bytes.Equal(first, second) {
+					sh.res.Mismatches++
+				}
+			}
+		}
+		return 0, nil
+	})
+	var res LoadGenResult
+	var lats []int64
+	for _, sh := range shares {
+		res.Requests += sh.res.Requests
+		res.Errors += sh.res.Errors
+		res.Verified += sh.res.Verified
+		res.Mismatches += sh.res.Mismatches
+		lats = append(lats, sh.lats...)
 	}
 	res.Elapsed = time.Since(start)
 	if res.Elapsed > 0 {
 		res.RequestsPerSec = float64(res.Requests) / res.Elapsed.Seconds()
 	}
-	if len(allLats) > 0 {
-		sort.Slice(allLats, func(i, j int) bool { return allLats[i] < allLats[j] })
-		idx := len(allLats) * 99 / 100
-		if idx >= len(allLats) {
-			idx = len(allLats) - 1
-		}
-		res.P99Latency = time.Duration(allLats[idx])
+	if len(lats) > 0 {
+		slices.Sort(lats)
+		res.P99Latency = time.Duration(lats[len(lats)*99/100])
 	}
-	return res, firstErr
+	return res, err
 }

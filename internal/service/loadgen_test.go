@@ -12,7 +12,7 @@ import (
 // request succeeds and every determinism spot-check matches.
 func TestServiceLoadGen(t *testing.T) {
 	svc := newTestService(t, Config{})
-	res, err := svc.LoadGen(context.Background(), LoadGenConfig{Identities: 3000})
+	res, err := svc.LoadGen(context.Background(), 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestServiceLoadGenMillionIdentities(t *testing.T) {
 		t.Skip("1M-identity load run skipped under -short")
 	}
 	svc := newTestService(t, Config{})
-	res, err := svc.LoadGen(context.Background(), LoadGenConfig{Identities: 1_000_000})
+	res, err := svc.LoadGen(context.Background(), 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestLoadGenCancellation(t *testing.T) {
 	svc := newTestService(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := svc.LoadGen(ctx, LoadGenConfig{Identities: 1_000_000, Workers: 2})
+	res, err := svc.LoadGen(ctx, 1_000_000)
 	if err == nil {
 		t.Fatal("cancelled loadgen returned nil error")
 	}

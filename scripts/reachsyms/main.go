@@ -118,10 +118,22 @@ func rules(allowFile string) []rule {
 	}, {
 		Name: "one-union-path",
 		Contract: "how many distinct peers the first k observers see on a day is counted one way " +
-			"(core's fleetDays claims into a sim.ClaimSet per day), and every fan-out is a measure.FanOut task, " +
+			"(core's fleetDays claims into a sim.ClaimSet per day), and every fan-out is a pool.FanOut task, " +
 			"a trust sweep's whole row included; a capture grid, a union helper or a row planner is a second way back",
 		Scope: scope{In: []string{"..."}},
 		check: inFiles(identContaining("ObserveGrid", "UnionObserveDay", "FanRows", "PlanRows", "RowPlan")),
+	}, {
+		Name: "one-pool",
+		Contract: "every worker pool is internal/pool: FanOut for indexed tasks, Run for per-worker loops, " +
+			"Width for the auto width; a WaitGroup anywhere else under internal/ is a second pool beside it",
+		Scope: scope{In: []string{"internal/..."}, Except: []string{"internal/pool"}},
+		check: inFiles(object("sync", "WaitGroup")),
+	}, {
+		Name: "below-the-campaign",
+		Contract: "censor, distrib and service schedule on internal/pool; importing internal/measure, " +
+			"the Section 5 campaign, links it into the blocking analyses and the daemon for nothing they use",
+		Scope: scope{In: []string{"internal/censor", "internal/distrib", "internal/service"}},
+		check: importsNone("internal/measure"),
 	}, {
 		Name: "one-reachability-rule",
 		Contract: "whether a handed-out bridge is reachable from behind the firewall is one rule, " +
@@ -344,6 +356,17 @@ func exits(info *types.Info, n ast.Node) string {
 		return fn.FullName()
 	}
 	return ""
+}
+
+// object returns a firer for an identifier that denotes the object name of
+// the package whose import path is pkgPath, however it is imported.
+func object(pkgPath, name string) firer {
+	return func(info *types.Info, n ast.Node) string {
+		if id, ok := n.(*ast.Ident); ok && isObj(info.Uses[id], pkgPath, name) {
+			return pkgPath + "." + name
+		}
+		return ""
+	}
 }
 
 func isObj(obj types.Object, pkgPath, name string) bool {

@@ -123,8 +123,9 @@ func TestStaleAllowlistFails(t *testing.T) {
 // example reaches and an import two levels down. So are the ones that
 // must not fire: a comment naming WindowCounter (censor.go), a string
 // "os.Exit(" (cmd/tool), internal/cache declaring WindowCounter, a
-// function-local sync.Map, the allowed atomic pointers and the exits in
-// internal/cli and internal/faults.
+// function-local sync.Map, the allowed atomic pointers, the exits in
+// internal/cli and internal/faults, and the WaitGroups in internal/pool
+// and in a _test.go file.
 func TestFixtureRules(t *testing.T) {
 	want := map[string][]string{
 		"no-global-network-cache": {
@@ -139,6 +140,8 @@ func TestFixtureRules(t *testing.T) {
 		"censor-keeps-address-sets": {"internal/censor/censor.go: .ObserveDay"},
 		"one-blacklist-build":       {"internal/censor/censor.go: NewWindowCounter"},
 		"one-union-path":            {"examples/fleet/main.go: ObserveGrid"},
+		"one-pool":                  {"internal/measure/measure.go: sync.WaitGroup"},
+		"below-the-campaign":        {"internal/distrib/distrib.go: internal/distrib imports internal/measure"},
 		"one-reachability-rule":     {"internal/distrib/distrib.go: .Introducers"},
 		"one-exit-site": {
 			"cmd/tool/main.go: log.Fatal",

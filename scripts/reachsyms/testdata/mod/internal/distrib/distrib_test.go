@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"sync"
 	"testing"
 
 	"example.com/fixture/internal/sim"
@@ -8,6 +9,13 @@ import (
 
 var byNetwork map[*sim.Network]int
 
+// A test's WaitGroup is not a second pool.
 func TestHand(t *testing.T) {
-	byNetwork[&sim.Network{}] = Hand(&sim.Network{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		byNetwork[&sim.Network{}] = Hand(&sim.Network{})
+	}()
+	wg.Wait()
 }
