@@ -31,13 +31,14 @@ import (
 	"os"
 
 	"github.com/i2pstudy/i2pstudy/internal/cli"
+	"github.com/i2pstudy/i2pstudy/internal/cli/studycli"
 	"github.com/i2pstudy/i2pstudy/internal/core"
 )
 
 func main() { cli.Main("i2pcensor", run) }
 
 func run() error {
-	f := cli.Register()
+	f := studycli.Register()
 	flag.Parse()
 	// The experiment set is derived from the registry's category tags, so
 	// newly registered censorship and distribution experiments appear here
@@ -48,11 +49,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	ctx, stop, err := f.Start()
+	stop, err := f.Start()
 	if err != nil {
 		return err
 	}
 	defer stop()
+	ctx, cancel := cli.SignalContext()
+	defer cancel()
 
 	study, err := f.NewStudy()
 	if err != nil {
@@ -66,7 +69,7 @@ func run() error {
 		return err
 	}
 	for _, res := range results {
-		if err := cli.WriteResult(os.Stdout, res); err != nil {
+		if err := studycli.WriteResult(os.Stdout, res); err != nil {
 			return err
 		}
 	}

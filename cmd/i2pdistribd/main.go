@@ -24,10 +24,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
-	"sort"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/i2pstudy/i2pstudy/internal/censor"
@@ -36,14 +33,6 @@ import (
 	"github.com/i2pstudy/i2pstudy/internal/service"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
-
-// strategies maps flag names onto candidate-pool strategies.
-var strategies = map[string]censor.BridgeStrategy{
-	"random":       censor.BridgeRandom,
-	"newly-joined": censor.BridgeNewlyJoined,
-	"firewalled":   censor.BridgeFirewalled,
-	"combined":     censor.BridgeCombined,
-}
 
 // Server timeouts: a client that never finishes its headers, stalls its
 // body or stops reading must not hold a connection forever. Handout and
@@ -93,12 +82,12 @@ func run() error {
 	debugAddr := flag.String("debug-addr", "", "optional debug listener (host:port) serving net/http/pprof and expvar; keep it off public interfaces")
 	flag.Parse()
 
-	strat, ok := strategies[*strategy]
-	if !ok {
-		return fmt.Errorf("unknown strategy %q (want one of: %s)", *strategy, strings.Join(strategyNames(), ", "))
+	strat, err := parseStrategy(*strategy)
+	if err != nil {
+		return err
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.SignalContext()
 	defer stop()
 
 	// Enable counting before the network and pool are built so even the
@@ -110,7 +99,7 @@ func run() error {
 	network, err := sim.New(sim.Config{
 		Seed:             *seed,
 		Days:             *days,
-		TargetDailyPeers: int(*scale * 30500),
+		TargetDailyPeers: int(*scale * sim.PaperDailyPeers),
 	})
 	if err != nil {
 		return err
@@ -211,11 +200,15 @@ func debugMux(svc *service.Service) *http.ServeMux {
 	return mux
 }
 
-func strategyNames() []string {
-	names := make([]string, 0, len(strategies))
-	for name := range strategies {
-		names = append(names, name)
+// parseStrategy returns the candidate-pool strategy whose name is name:
+// a -strategy value is a censor.BridgeStrategy's String.
+func parseStrategy(name string) (censor.BridgeStrategy, error) {
+	var names []string
+	for s := censor.BridgeRandom; s <= censor.BridgeCombined; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+		names = append(names, s.String())
 	}
-	sort.Strings(names)
-	return names
+	return 0, fmt.Errorf("unknown strategy %q (want one of: %s)", name, strings.Join(names, ", "))
 }

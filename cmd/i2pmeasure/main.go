@@ -38,22 +38,15 @@ import (
 
 	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
 	"github.com/i2pstudy/i2pstudy/internal/cli"
+	"github.com/i2pstudy/i2pstudy/internal/cli/studycli"
 	"github.com/i2pstudy/i2pstudy/internal/core"
 	"github.com/i2pstudy/i2pstudy/internal/measure"
 )
 
-// measurementIDs are the Section 5 artifacts plus the ablation studies
-// this tool owns, derived from the registry's category tags; censorship
-// experiments (core.CategoryCensorship) live in cmd/i2pcensor.
-func measurementIDs() []string {
-	return append(core.ExperimentIDs(core.CategoryPopulation),
-		core.ExperimentIDs(core.CategoryAblation)...)
-}
-
 func main() { cli.Main("i2pmeasure", run) }
 
 func run() error {
-	f := cli.Register()
+	f := studycli.Register()
 	list := flag.Bool("list", false, "list available experiments and exit")
 	snapshotDir := flag.String("snapshot-dir", "", "persist daily netDb snapshots (routerInfo-*.dat) under this directory")
 	csvDir := flag.String("csv-dir", "", "write each figure's data series as CSV under this directory")
@@ -66,15 +59,20 @@ func run() error {
 		return nil
 	}
 
-	ids, err := f.IDs(measurementIDs())
+	// The Section 5 artifacts and the ablations, by the registry's category
+	// tags; the censorship experiments are cmd/i2pcensor's.
+	ids, err := f.IDs(append(core.ExperimentIDs(core.CategoryPopulation),
+		core.ExperimentIDs(core.CategoryAblation)...))
 	if err != nil {
 		return err
 	}
-	ctx, stop, err := f.Start()
+	stop, err := f.Start()
 	if err != nil {
 		return err
 	}
 	defer stop()
+	ctx, cancel := cli.SignalContext()
+	defer cancel()
 
 	study, err := f.NewStudy()
 	if err != nil {
@@ -106,7 +104,7 @@ func run() error {
 		return err
 	}
 	for _, res := range results {
-		if err := cli.WriteResult(os.Stdout, res); err != nil {
+		if err := studycli.WriteResult(os.Stdout, res); err != nil {
 			return err
 		}
 		if *csvDir != "" && res.Figure != nil {

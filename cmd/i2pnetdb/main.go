@@ -16,9 +16,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
 
 	"github.com/i2pstudy/i2pstudy/internal/cli"
 	"github.com/i2pstudy/i2pstudy/internal/geo"
@@ -94,7 +91,7 @@ func run() error {
 	}
 	dir := flag.Arg(0)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.SignalContext()
 	defer stop()
 
 	store := netdb.NewStore()

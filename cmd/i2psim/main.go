@@ -23,7 +23,7 @@ import (
 func main() { cli.Main("i2psim", run) }
 
 func run() error {
-	peers := flag.Int("peers", 30500, "target daily peer population")
+	peers := flag.Int("peers", sim.PaperDailyPeers, "target daily peer population")
 	days := flag.Int("days", 90, "study horizon in days")
 	seed := flag.Uint64("seed", 2018, "simulation seed")
 	day := flag.Int("day", -1, "day to summarize (default: middle of the study)")

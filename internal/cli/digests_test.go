@@ -17,6 +17,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/i2pstudy/i2pstudy/internal/cli/studycli"
 	"github.com/i2pstudy/i2pstudy/internal/core"
 )
 
@@ -26,7 +27,7 @@ const digestsFile = "testdata/digests.json"
 
 // TestStudyDigests makes "no byte moved" checkable: every registered
 // experiment runs through RunAll at DefaultOptions, and the SHA-256 of
-// the bytes WriteResult prints for it must equal its line in
+// the bytes studycli.WriteResult prints for it must equal its line in
 // testdata/digests.json, keyed "seed/experiment". A bit-compatible change
 // leaves the file byte for byte; a declared output change rewrites
 // exactly its experiments' lines with -update. Workers 1 runs only
@@ -52,7 +53,7 @@ func TestStudyDigests(t *testing.T) {
 			}
 			for _, res := range results {
 				var b bytes.Buffer
-				if err := WriteResult(&b, res); err != nil {
+				if err := studycli.WriteResult(&b, res); err != nil {
 					t.Fatal(err)
 				}
 				sum := sha256.Sum256(b.Bytes())

@@ -78,7 +78,7 @@ func DefaultOptions() Options {
 // FullScaleOptions returns the paper-scale configuration (30.5K daily
 // peers, 90 days). Building it takes a few seconds and a few hundred MB.
 func FullScaleOptions() Options {
-	return Options{Seed: 2018, Days: 90, TargetDailyPeers: 30500, MainFleetSize: 20}
+	return Options{Seed: 2018, Days: 90, TargetDailyPeers: sim.PaperDailyPeers, MainFleetSize: 20}
 }
 
 // Study owns a network and caches the main campaign's dataset so that the
@@ -114,7 +114,7 @@ func NewStudy(opts Options) (*Study, error) {
 // Scale returns the study's size relative to the paper's ~30.5K daily
 // peers; multiply reported counts by 1/Scale to compare against the paper.
 func (s *Study) Scale() float64 {
-	return float64(s.Opts.TargetDailyPeers) / 30500
+	return float64(s.Opts.TargetDailyPeers) / sim.PaperDailyPeers
 }
 
 // Workers returns the study's effective engine concurrency.

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -91,6 +92,7 @@ type point struct {
 type Injector struct {
 	mu     sync.Mutex
 	points map[string]*point
+	armed  []string // the armed points, sorted and distinct
 	// exit is the Exit-mode action, replaceable so the injector's own
 	// tests don't take the test binary down with them.
 	exit atomic.Pointer[func(int)]
@@ -106,7 +108,10 @@ func New(injs ...Injection) *Injector {
 	for _, inj := range injs {
 		in.point(inj.Point).n = inj.N
 		in.point(inj.Point).mode = inj.Mode
+		in.armed = append(in.armed, inj.Point)
 	}
+	slices.Sort(in.armed)
+	in.armed = slices.Compact(in.armed)
 	return in
 }
 
@@ -165,6 +170,24 @@ func Hit(name string) error {
 		return nil
 	}
 	return in.hit(name)
+}
+
+// Unfired returns an error for each armed injection of the enabled
+// injector whose point the run crossed fewer than N times, in point
+// order, so a crash drill aimed at a point it never reaches cannot pass.
+func Unfired() error {
+	in := active.Load()
+	if in == nil {
+		return nil
+	}
+	var errs []error
+	for _, name := range in.armed {
+		if p := in.point(name); p.hits.Load() < p.n {
+			errs = append(errs, fmt.Errorf("-inject %s:%d:%s never fired: the run crossed %s %d times",
+				name, p.n, p.mode, name, p.hits.Load()))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // Parse builds an Injection from a CLI spec "point:N:mode", where mode

@@ -182,3 +182,23 @@ func FuzzParseInjection(f *testing.F) {
 		}
 	})
 }
+
+// Unfired names every armed point the run crossed fewer than N times,
+// in point order, and skips the points that fired and the counted ones.
+func TestUnfiredNamesArmedPointsInOrder(t *testing.T) {
+	in := New(Injection{Point: "b", N: 2, Mode: Exit}, Injection{Point: "a", N: 1, Mode: Panic},
+		Injection{Point: "c", N: 1, Mode: Error})
+	enable(t, in)
+	if err := Hit("b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := Hit("c"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Hit(c) = %v, want the injected fault", err)
+	}
+	Hit("counted")
+	const want = "-inject a:1:panic never fired: the run crossed a 0 times\n" +
+		"-inject b:2:exit never fired: the run crossed b 1 times"
+	if err := Unfired(); err == nil || err.Error() != want {
+		t.Fatalf("Unfired() = %v, want %q", err, want)
+	}
+}

@@ -1,6 +1,9 @@
 package obs
 
-import "os"
+import (
+	"errors"
+	"os"
+)
 
 // TraceToFile creates path, enables a tracer writing to it and returns
 // a close function that finishes the JSON array, disables tracing and
@@ -18,10 +21,6 @@ func TraceToFile(path string) (closeTrace func() error, err error) {
 	EnableTrace(tr)
 	return func() error {
 		EnableTrace(nil)
-		if err := tr.Close(); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+		return errors.Join(tr.Close(), f.Close())
 	}, nil
 }

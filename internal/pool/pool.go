@@ -154,11 +154,11 @@ var workerTasksBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
 var engineObs = obs.NewLazy(func(r *obs.Registry) engineStats {
 	tasks := r.CounterVec("i2p_engine_tasks_total",
-		"Tasks executed by the FanOut scheduler, by scheduling mode.", "mode")
+		"Tasks run by internal/pool workers (FanOut tasks and the units each Run worker reports), by scheduling mode.", "mode")
 	return engineStats{
 		tasksSerial:   tasks.With("serial"),
 		tasksParallel: tasks.With("parallel"),
 		workerTasks: r.Histogram("i2p_engine_worker_tasks",
-			"Tasks one worker executed in one FanOut.", workerTasksBounds),
+			"Tasks one internal/pool worker ran in one FanOut.", workerTasksBounds),
 	}
 })

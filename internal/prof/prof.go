@@ -17,6 +17,7 @@
 package prof
 
 import (
+	"errors"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -37,10 +38,11 @@ type Options struct {
 }
 
 // StartOptions starts every requested profile. The returned stop
-// function finishes the CPU profile, writes the snapshot profiles and
-// restores the contention-sampling rates — call it once, on the way out
-// (os.Exit and log.Fatal skip deferred stops, which is why the CLIs
-// defer it inside a run() error and exit from one site in main).
+// function finishes the CPU profile, writes the snapshot profiles,
+// restores the contention-sampling rates and joins every failure — call
+// it once, on the way out (os.Exit and log.Fatal skip deferred stops,
+// which is why the CLIs defer it inside a run() error and exit from one
+// site in main).
 func StartOptions(opts Options) (stop func() error, err error) {
 	var cpuFile *os.File
 	if opts.CPUProfile != "" {
@@ -62,35 +64,27 @@ func StartOptions(opts Options) (stop func() error, err error) {
 		runtime.SetMutexProfileFraction(1)
 	}
 	return func() error {
-		var firstErr error
+		var errs []error
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+			errs = append(errs, cpuFile.Close())
 		}
 		if opts.MemProfile != "" {
 			// A GC beforehand folds unreachable garbage out of the
 			// snapshot, so the profile shows live allocation, not
 			// collection timing.
 			runtime.GC()
-			if err := writeLookup("heap", opts.MemProfile); err != nil && firstErr == nil {
-				firstErr = err
-			}
+			errs = append(errs, writeLookup("heap", opts.MemProfile))
 		}
 		if opts.BlockProfile != "" {
-			if err := writeLookup("block", opts.BlockProfile); err != nil && firstErr == nil {
-				firstErr = err
-			}
+			errs = append(errs, writeLookup("block", opts.BlockProfile))
 			runtime.SetBlockProfileRate(0)
 		}
 		if opts.MutexProfile != "" {
-			if err := writeLookup("mutex", opts.MutexProfile); err != nil && firstErr == nil {
-				firstErr = err
-			}
+			errs = append(errs, writeLookup("mutex", opts.MutexProfile))
 			runtime.SetMutexProfileFraction(0)
 		}
-		return firstErr
+		return errors.Join(errs...)
 	}, nil
 }
 

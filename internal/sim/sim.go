@@ -45,6 +45,10 @@ type Config struct {
 	Observation *ObservationParams
 }
 
+// PaperDailyPeers is the paper's daily population, the TargetDailyPeers
+// of a paper-scale network and the unit of every -scale flag.
+const PaperDailyPeers = 30500
+
 // Status mix (Section 5.1 / Figure 6): per-day ~30.5K peers split into
 // ~15.5K known-IP, ~11.4K firewalled-only, ~1.4K hidden-only and ~2.6K
 // toggling between the last two.

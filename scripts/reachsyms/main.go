@@ -145,8 +145,14 @@ func rules(allowFile string) []rule {
 		Name: "one-exit-site",
 		Contract: "every CLI exits from cli.Main only, after its deferred profile and trace stops have run " +
 			"(internal/faults keeps the injected exit); an os.Exit or log.Fatal anywhere else skips them",
-		Scope: scope{In: []string{"cmd/...", "internal/..."}, Except: []string{"internal/cli/...", "internal/faults/..."}},
+		Scope: scope{In: []string{"cmd/...", "internal/..."}, Except: []string{"internal/cli", "internal/faults/..."}},
 		check: inFiles(exits),
+	}, {
+		Name: "tools-skip-the-study",
+		Contract: "i2pdistribd, i2pnetdb and i2psim run no study: reaching internal/measure (internal/core imports it) " +
+			"links the Section 5 campaign, and its idle counter families onto the daemon's /metrics, for nothing they use",
+		Scope: scope{In: []string{"cmd/i2pdistribd", "cmd/i2pnetdb", "cmd/i2psim"}},
+		check: importsNone("internal/measure"),
 	}, {
 		Name: "observers-memoize-nothing",
 		Contract: "an observer's draw is a pure function of (seed, day); what is worth keeping of it is kept by " +

@@ -9,6 +9,7 @@ import (
 
 	"example.com/fixture/internal/censor"
 	"example.com/fixture/internal/cli"
+	"example.com/fixture/internal/cli/studycli"
 	"example.com/fixture/internal/distrib"
 	"example.com/fixture/internal/faults"
 	"example.com/fixture/internal/service"
@@ -22,6 +23,9 @@ func main() {
 	})
 	if len(os.Args) > 2 {
 		faults.Exit(3)
+	}
+	if len(os.Args) > 3 {
+		studycli.Refuse()
 	}
 	log.Fatal("past cli.Main")
 }
