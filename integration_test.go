@@ -1,7 +1,10 @@
 package i2pstudy_test
 
 import (
+	"fmt"
+	"maps"
 	"math/rand/v2"
+	"net/netip"
 	"path/filepath"
 	"testing"
 	"time"
@@ -45,12 +48,12 @@ func TestEndToEndPipeline(t *testing.T) {
 	now := network.DayTime(day)
 
 	// Step 1: a measurement campaign with on-disk snapshots (the paper's
-	// netDb-directory watching).
+	// netDb-directory watching), over three days.
 	snapDir := t.TempDir()
 	campaign, err := measure.NewCampaign(network, measure.CampaignConfig{
 		Observers:   measure.DefaultObserverFleet(4),
 		StartDay:    day,
-		EndDay:      day + 1,
+		EndDay:      day + 3,
 		SnapshotDir: snapDir,
 	})
 	if err != nil {
@@ -64,15 +67,23 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal("campaign observed nothing")
 	}
 
-	// Step 2: reload the snapshot from disk — every record must parse and
-	// carry a verifiable integrity tag.
-	store := netdb.NewStore()
-	loaded, err := store.LoadDir(filepath.Join(snapDir, "day-020", "netDb"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded < ds.Days[0].Peers/2 {
-		t.Fatalf("reloaded %d of %d records", loaded, ds.Days[0].Peers)
+	// Step 2: reload each day's snapshot from disk — every record must
+	// parse and carry a verifiable integrity tag — and count it the
+	// paper's way, from the files: the counts must be the campaign's
+	// DayStats exactly.
+	var store *netdb.Store
+	for _, stats := range ds.Days {
+		dayStore := netdb.NewStore()
+		dir := filepath.Join(snapDir, fmt.Sprintf("day-%03d", stats.Day), "netDb")
+		if _, err := dayStore.LoadDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := snapshotCounts(dayStore.RouterInfos()), dayStatsCounts(stats); !maps.Equal(got, want) {
+			t.Fatalf("day %d: the netDb files count %v, the campaign %v", stats.Day, got, want)
+		}
+		if stats.Day == day {
+			store = dayStore
+		}
 	}
 
 	// Step 3: a reseed server backed by the reloaded store hands a fresh
@@ -138,6 +149,64 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal("blocking did not increase load time")
 	}
 }
+
+// snapshotCounts counts one day's reloaded RouterInfos the way the paper
+// post-processed its netDb archive (Sections 5.1 and 5.3): peers, flags,
+// the unknown-IP decomposition, distinct IPv4s and every published class
+// letter.
+func snapshotCounts(ris []*netdb.RouterInfo) map[string]int {
+	c := map[string]int{"peers": len(ris)}
+	v4 := make(map[netip.Addr]bool)
+	for _, ri := range ris {
+		if ri.Caps.Floodfill {
+			c["floodfill"]++
+		}
+		if ri.Caps.Reachable {
+			c["reachable"]++
+		}
+		if ri.UnknownIP() {
+			c["unknown-ip"]++
+		}
+		if ri.Firewalled() {
+			c["firewalled"]++
+		}
+		if ri.HiddenPeer() {
+			c["hidden"]++
+		}
+		if ri.Firewalled() && ri.HiddenPeer() {
+			c["overlap"]++
+		}
+		for _, a := range ri.IPs() {
+			if a.Is4() {
+				v4[a] = true
+			}
+		}
+		for _, cl := range ri.Caps.PublishedClasses() {
+			c["class-"+cl.String()]++
+		}
+	}
+	c["ipv4"] = len(v4)
+	maps.DeleteFunc(c, isZero)
+	return c
+}
+
+// dayStatsCounts is snapshotCounts' view of a campaign day.
+func dayStatsCounts(s *measure.DayStats) map[string]int {
+	c := map[string]int{
+		"peers": s.Peers, "floodfill": s.Floodfill, "reachable": s.Reachable,
+		"unknown-ip": s.UnknownIP, "firewalled": s.Firewalled, "hidden": s.Hidden,
+		"overlap": s.Overlap, "ipv4": s.IPv4,
+	}
+	for cl, n := range s.ClassCounts {
+		c["class-"+cl.String()] = n
+	}
+	maps.DeleteFunc(c, isZero)
+	return c
+}
+
+// isZero drops the counts of things a day did not see, which the netDb
+// files cannot name.
+func isZero(_ string, n int) bool { return n == 0 }
 
 // TestStudyDeterminism: identical options give byte-identical artifacts.
 func TestStudyDeterminism(t *testing.T) {
