@@ -75,7 +75,7 @@ func TestBridgeUsableMatchesReference(t *testing.T) {
 			for si, bl := range sets {
 				for _, day := range []int{0, 10, 25, n.Days() - 1} {
 					blocked := func(idx int) bool {
-						v4, v6 := ix.PeerIDs(idx, day)
+						v4, v6 := ix.addrs.PeerIDs(idx, day)
 						return bl.Has(v4) || bl.Has(v6)
 					}
 					for idx := range n.Peers {

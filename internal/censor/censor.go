@@ -218,7 +218,7 @@ func (v *Victim) buildView(day int) *netDbView {
 			}
 			// Peers without a published address have no IDs (-1), which
 			// Add ignores.
-			v4, v6 := v.ix.PeerIDs(idx, d)
+			v4, v6 := v.ix.addrs.PeerIDs(idx, d)
 			view.addrs.Add(v4)
 			view.addrs.Add(v6)
 		}

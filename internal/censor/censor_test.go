@@ -325,7 +325,7 @@ func TestObservedIDsMatchesStatusCheckedLoop(t *testing.T) {
 				if n.Peers[idx].Status != sim.StatusKnownIP {
 					continue
 				}
-				v4, v6 := c.ix.PeerIDs(idx, day)
+				v4, v6 := c.ix.addrs.PeerIDs(idx, day)
 				if v4 < 0 {
 					continue
 				}
@@ -356,7 +356,7 @@ func referenceObservedIDs(c *Censor, router, day int) []int32 {
 	ids := make([]int32, 2*len(pos)+1)
 	n := 0
 	for _, j := range pos {
-		v4, v6 := c.ix.PeerIDs(int(active[j]), day)
+		v4, v6 := c.ix.addrs.PeerIDs(int(active[j]), day)
 		ids[n] = v4
 		n += int(^uint32(v4) >> 31)
 		ids[n] = v6

@@ -17,7 +17,7 @@ func TestHoldersAllocatesNothing(t *testing.T) {
 	bl := ix.NewSet()
 	for k, idx := range n.ActivePeers(day) {
 		if k%3 == 0 {
-			v4, v6 := ix.PeerIDs(int(idx), day)
+			v4, v6 := ix.addrs.PeerIDs(int(idx), day)
 			bl.Add(v4)
 			bl.Add(v6)
 		}

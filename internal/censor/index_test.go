@@ -11,52 +11,15 @@ import (
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
-// TestAddrIndexMatchesAddrOnDay: the interned per-(peer, day) IDs resolve
-// to exactly the addresses AddrOnDay reports, for every peer and day —
-// and an IPv4 ID is present exactly for known-IP peers, which is what
-// lets Censor.observedIDs ask the index alone and never the peer's Status.
-func TestAddrIndexMatchesAddrOnDay(t *testing.T) {
-	n := network(t)
-	ix := NewAddrIndex(n)
-	if ix.NumAddrs() == 0 {
-		t.Fatal("empty address table")
-	}
-	for _, p := range n.Peers {
-		for day := 0; day < n.Days(); day++ {
-			v4, v6 := p.AddrOnDay(day)
-			id4, id6 := ix.PeerIDs(p.Index, day)
-			if p.Status != sim.StatusKnownIP {
-				if id4 >= 0 || id6 >= 0 {
-					t.Fatalf("peer %d: unknown-IP peer has interned addresses", p.Index)
-				}
-				continue
-			}
-			if id4 < 0 {
-				t.Fatalf("peer %d day %d: known-IP peer has no interned IPv4", p.Index, day)
-			}
-			check := func(id int32, addr netip.Addr) {
-				t.Helper()
-				if (id >= 0) != addr.IsValid() {
-					t.Fatalf("peer %d day %d: id %d vs addr %v validity mismatch", p.Index, day, id, addr)
-				}
-				if id >= 0 && ix.addrs[id] != addr {
-					t.Fatalf("peer %d day %d: id resolves to %v, want %v", p.Index, day, ix.addrs[id], addr)
-				}
-			}
-			check(id4, v4)
-			check(id6, v6)
-		}
-	}
-}
-
 // TestDayIDsMatchPeerIDs: a day's ID column lists, ascending, exactly
 // the positions of ActivePeers(day) whose PeerIDs v4 is present, each
-// with its PeerIDs, sized exactly, on every day — over an index patched
+// with its PeerIDs, sized exactly, on every day — over a lookup patched
 // to hold the two shapes the simulator never produces but PeerIDs
 // defines: a schedule whose first segment starts after the day (the
 // first segment answers) and a v6-only segment, which the column leaves
-// out. A censor on that index then holds what the per-sighting PeerIDs
-// loop emitted: an ID only when v4 is present, v6 only beside a v4.
+// out. A censor on an index whose memo holds those columns then holds
+// what the per-sighting PeerIDs loop emitted: an ID only when v4 is
+// present, v6 only beside a v4.
 func TestDayIDsMatchPeerIDs(t *testing.T) {
 	n := network(t)
 	ix := NewAddrIndex(n)
@@ -64,7 +27,7 @@ func TestDayIDsMatchPeerIDs(t *testing.T) {
 	online := make([]int, len(n.Peers))
 	for day := 0; day < n.Days(); day++ {
 		for _, idx := range n.ActivePeers(day) {
-			if ix.segs[idx] != nil {
+			if v4, _ := ix.addrs.PeerIDs(int(idx), day); v4 >= 0 {
 				online[idx]++
 			}
 		}
@@ -75,24 +38,36 @@ func TestDayIDsMatchPeerIDs(t *testing.T) {
 	}
 	slices.SortStableFunc(byDays, func(a, b int) int { return online[b] - online[a] })
 	late, v6only := byDays[0], byDays[1]
-	ix.segs[late] = []idSeg{{fromDay: n.Days() / 2, v4: 3, v6: -1}, {fromDay: n.Days() - 5, v4: 4, v6: 5}}
-	ix.segs[v6only] = []idSeg{{fromDay: 0, v4: -1, v6: 6}}
+	peerIDs := func(idx, day int) (v4, v6 int32) {
+		switch {
+		case idx == late && day >= n.Days()-5:
+			return 4, 5
+		case idx == late:
+			return 3, -1
+		case idx == v6only:
+			return -1, 6
+		}
+		return ix.addrs.PeerIDs(idx, day)
+	}
 
 	positions := map[int]int{} // patched peer -> positions in a column
 	for day := 0; day < n.Days(); day++ {
 		var want dayColumn
 		for j, id := range n.ActivePeers(day) {
-			if v4, v6 := ix.PeerIDs(int(id), day); v4 >= 0 {
+			if v4, v6 := peerIDs(int(id), day); v4 >= 0 {
 				want.at = append(want.at, int32(j))
 				want.ids = append(want.ids, dayID{v4, v6})
 			}
 		}
-		col := ix.dayColumn(day)
+		col := ix.dayIDs.Get(day, func(day int) dayColumn { return dayColumnOf(n.ActivePeers(day), day, peerIDs) })
 		if !slices.Equal(col.at, want.at) || !slices.Equal(col.ids, want.ids) {
 			t.Fatalf("day %d: column of %d positions, PeerIDs has %d addressed", day, len(col.at), len(want.at))
 		}
 		if cap(col.at) != len(col.at) || cap(col.ids) != len(col.ids) {
 			t.Fatalf("day %d: column of %d positions holds room for %d and %d", day, len(col.at), cap(col.at), cap(col.ids))
+		}
+		if got := ix.dayColumn(day); !slices.Equal(got.ids, col.ids) {
+			t.Fatalf("day %d: the memo does not hold the patched column", day)
 		}
 		for _, j := range col.at {
 			if idx := int(n.ActivePeers(day)[j]); idx == late || idx == v6only {
@@ -100,8 +75,8 @@ func TestDayIDsMatchPeerIDs(t *testing.T) {
 			}
 		}
 	}
-	if v4, v6 := ix.PeerIDs(late, 0); v4 != 3 || v6 != -1 || positions[late] == 0 {
-		t.Fatalf("late-starting schedule answers (%d, %d) on day 0 at %d positions", v4, v6, positions[late])
+	if positions[late] == 0 {
+		t.Fatal("the late-starting schedule holds no column position")
 	}
 	if positions[v6only] != 0 {
 		t.Fatalf("the v6-only peer holds %d column positions", positions[v6only])
@@ -121,7 +96,7 @@ func TestDayIDsMatchPeerIDs(t *testing.T) {
 			var want []int32
 			for _, idx := range c.observers[r].ObserveDay(day) {
 				sawV6Only = sawV6Only || idx == v6only
-				v4, v6 := ix.PeerIDs(idx, day)
+				v4, v6 := peerIDs(idx, day)
 				if v4 < 0 {
 					continue
 				}
@@ -138,145 +113,6 @@ func TestDayIDsMatchPeerIDs(t *testing.T) {
 	}
 	if !sawV6Only {
 		t.Fatal("no router ever saw the v6-only peer")
-	}
-}
-
-// TestAddrIndexIDOf: every interned address resolves back to its ID, and
-// addresses the study never published resolve to -1 — including the
-// forms that hash like a published address but are not equal to it under
-// netip's rules: an IPv4's v4-mapped IPv6 form and a zoned IPv6.
-func TestAddrIndexIDOf(t *testing.T) {
-	n := network(t)
-	ix := NewAddrIndex(n)
-	var v4, v6 netip.Addr
-	for id := int32(0); id < int32(ix.NumAddrs()); id++ {
-		a := ix.addrs[id]
-		if got := ix.IDOf(a); got != id {
-			t.Fatalf("IDOf(Addr(%d)) = %d", id, got)
-		}
-		if a.Is4() && !v4.IsValid() {
-			v4 = a
-		}
-		if a.Is6() && !v6.IsValid() {
-			v6 = a
-		}
-	}
-	if !v4.IsValid() || !v6.IsValid() {
-		t.Fatalf("the study publishes no IPv4 (%v) or no IPv6 (%v)", v4, v6)
-	}
-	for _, a := range []netip.Addr{
-		{},
-		netip.MustParseAddr("203.0.113.77"),
-		netip.AddrFrom16(v4.As16()),
-		v6.WithZone("eth0"),
-	} {
-		if got := ix.IDOf(a); got != -1 {
-			t.Fatalf("IDOf(%v) = %d, want -1", a, got)
-		}
-	}
-}
-
-// refIndex is what referenceAddrIndex builds: the ID table and the
-// interned schedules, with the map it interned through.
-type refIndex struct {
-	addrs []netip.Addr
-	ids   map[netip.Addr]int32
-	segs  [][]idSeg
-}
-
-// referenceAddrIndex is the map-based intern pass the flat open-addressed
-// table replaced: peers ascending, each schedule in FromDay order, v4
-// before v6, first occurrence wins, one slice per peer.
-func referenceAddrIndex(n *sim.Network) refIndex {
-	ref := refIndex{ids: make(map[netip.Addr]int32), segs: make([][]idSeg, len(n.Peers))}
-	intern := func(a netip.Addr) int32 {
-		if !a.IsValid() {
-			return -1
-		}
-		if id, ok := ref.ids[a]; ok {
-			return id
-		}
-		id := int32(len(ref.addrs))
-		ref.ids[a] = id
-		ref.addrs = append(ref.addrs, a)
-		return id
-	}
-	for i, p := range n.Peers {
-		if p.Status != sim.StatusKnownIP {
-			continue
-		}
-		for j := range p.NumAddrSegments() {
-			from, v4, v6 := p.AddrSegmentAt(j)
-			ref.segs[i] = append(ref.segs[i], idSeg{fromDay: from, v4: intern(v4), v6: intern(v6)})
-		}
-	}
-	return ref
-}
-
-// TestAddrIndexMatchesReference: the flat table assigns every address the
-// ID the map-based reference does, interns every schedule alike, and
-// resolves every address back to its ID — at both bench seeds, at 0.1
-// scale and (outside -short) at paper scale.
-func TestAddrIndexMatchesReference(t *testing.T) {
-	scales := []int{3050}
-	if !testing.Short() {
-		scales = append(scales, 30500)
-	}
-	for _, seed := range []uint64{2018, 424242} {
-		for _, peers := range scales {
-			n, err := sim.New(sim.Config{Seed: seed, Days: 45, TargetDailyPeers: peers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ix, ref := NewAddrIndex(n), referenceAddrIndex(n)
-			if !slices.Equal(ix.addrs, ref.addrs) {
-				t.Fatalf("seed %d, %d peers: %d addresses, the reference interns %d", seed, peers, len(ix.addrs), len(ref.addrs))
-			}
-			for i := range ref.segs {
-				if !slices.Equal(ix.segs[i], ref.segs[i]) || (ix.segs[i] == nil) != (ref.segs[i] == nil) {
-					t.Fatalf("seed %d, %d peers: peer %d interned as %v, the reference %v", seed, peers, i, ix.segs[i], ref.segs[i])
-				}
-			}
-			for id, a := range ix.addrs {
-				if got := ix.IDOf(a); got != int32(id) || ref.ids[a] != got {
-					t.Fatalf("seed %d, %d peers: IDOf(%v) = %d, want %d", seed, peers, a, got, id)
-				}
-			}
-		}
-	}
-}
-
-// TestAddrIndexAllocs pins the build's allocation count: the table, the
-// reverse, the segment array and the per-peer slice headers are sized up
-// front, so no allocation is made per peer or per address.
-func TestAddrIndexAllocs(t *testing.T) {
-	n, err := sim.New(sim.Config{Seed: 2018, Days: 45, TargetDailyPeers: 3050})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(3, func() { NewAddrIndex(n) }); allocs > 16 {
-		t.Fatalf("NewAddrIndex makes %.0f allocations, want at most 16", allocs)
-	}
-}
-
-// indexSink keeps BenchmarkNewAddrIndex's build observable.
-var indexSink *AddrIndex
-
-// BenchmarkNewAddrIndex builds the address index of a paper-scale
-// network (0.1 scale under -short).
-func BenchmarkNewAddrIndex(b *testing.B) {
-	peers := 30500
-	if testing.Short() {
-		peers = 3050
-	}
-	n, err := sim.New(sim.Config{Seed: 2018, Days: 45, TargetDailyPeers: peers})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		indexSink = NewAddrIndex(n)
 	}
 }
 
@@ -416,8 +252,14 @@ func TestIndexSharedPerNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tix := IndexFor(twin); tix == c.ix || !slices.Equal(tix.addrs, c.ix.addrs) {
+	tix := IndexFor(twin)
+	if tix == c.ix || tix.addrs == c.ix.addrs || tix.NumAddrs() != c.ix.NumAddrs() {
 		t.Fatal("an identically configured network must own a distinct, equal index")
+	}
+	for id := range int32(tix.NumAddrs()) {
+		if tix.addrs.Addr(id) != c.ix.addrs.Addr(id) {
+			t.Fatalf("the twin's address %d is %v, not %v", id, tix.addrs.Addr(id), c.ix.addrs.Addr(id))
+		}
 	}
 }
 
@@ -495,7 +337,7 @@ func knownAddressMap(v *Victim, day int) map[netip.Addr]bool {
 func addrMap(ix *AddrIndex, set *AddrSet) map[netip.Addr]bool {
 	out := make(map[netip.Addr]bool, set.Len())
 	for _, id := range setMembers(set) {
-		out[ix.addrs[id]] = true
+		out[ix.addrs.Addr(id)] = true
 	}
 	return out
 }

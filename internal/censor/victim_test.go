@@ -22,7 +22,7 @@ func referenceAddrSet(v *Victim, day int) *AddrSet {
 			if v.net.Peers[idx].Status != sim.StatusKnownIP {
 				continue
 			}
-			v4, v6 := v.ix.PeerIDs(idx, d)
+			v4, v6 := v.ix.addrs.PeerIDs(idx, d)
 			set.Add(v4)
 			set.Add(v6)
 		}

@@ -29,10 +29,13 @@ func Main(name string, run func() error) {
 		err = faults.Unfired()
 	}
 	if err != nil {
+		// The exit line has a logger of its own: a command that installs
+		// a slog default reroutes the standard one through slog.
+		exit := log.New(os.Stderr, name+": ", 0)
 		if errors.Is(err, context.Canceled) {
-			log.Fatal("interrupted")
+			exit.Fatal("interrupted")
 		}
-		log.Fatal(err)
+		exit.Fatal(err)
 	}
 }
 

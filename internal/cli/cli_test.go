@@ -1,7 +1,13 @@
 package cli
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"fmt"
+	"log/slog"
+	"os"
+	"os/exec"
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/faults"
@@ -30,5 +36,39 @@ func TestInjectThatNeverFires(t *testing.T) {
 	}
 	if err := faults.Unfired(); err != nil {
 		t.Fatalf("Unfired() after the point fired = %v, want nil", err)
+	}
+}
+
+// TestMainExitLineIgnoresSlogDefault: a command that installs a slog
+// default (the daemon does) reroutes the standard logger through slog,
+// yet Main's exit line stays "name: <err>", the same for an interrupted
+// run. Main exits, so each case runs in a child of the test binary.
+func TestMainExitLineIgnoresSlogDefault(t *testing.T) {
+	if err := os.Getenv("CLI_TEST_MAIN_ERR"); err != "" {
+		slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
+		Main("tool", func() error {
+			if err == "interrupted" {
+				return fmt.Errorf("stopping: %w", context.Canceled)
+			}
+			return errors.New(err)
+		})
+		return
+	}
+	for run, want := range map[string]string{
+		"unknown strategy \"nope\"": "tool: unknown strategy \"nope\"\n",
+		"interrupted":               "tool: interrupted\n",
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestMainExitLineIgnoresSlogDefault$")
+		cmd.Env = append(os.Environ(), "CLI_TEST_MAIN_ERR="+run)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%s: child exited with %v, want exit status 1", run, err)
+		}
+		if stderr.String() != want {
+			t.Errorf("%s: stderr = %q, want %q", run, stderr.String(), want)
+		}
 	}
 }

@@ -23,7 +23,7 @@ func buildOwners(n *sim.Network, day int) []int32 {
 		if n.Peers[idx].Status != sim.StatusKnownIP {
 			continue
 		}
-		v4, v6 := ix.PeerIDs(int(idx), day)
+		v4, v6 := n.AddrTable().PeerIDs(int(idx), day)
 		if v4 >= 0 {
 			owners[v4] = idx
 		}
@@ -43,7 +43,7 @@ func holderCounts(n *sim.Network, day int) []int {
 		if n.Peers[idx].Status != sim.StatusKnownIP {
 			continue
 		}
-		v4, v6 := ix.PeerIDs(int(idx), day)
+		v4, v6 := n.AddrTable().PeerIDs(int(idx), day)
 		for _, id := range []int32{v4, v6} {
 			if id >= 0 {
 				counts[id]++
@@ -231,12 +231,12 @@ func TestResourceIntroducersMatchRecord(t *testing.T) {
 				cv.discover(rs, day)
 				ref := ix.NewSet()
 				for _, r := range rs {
-					v4, v6 := ix.PeerIDs(r.Peer, day)
+					v4, v6 := n.AddrTable().PeerIDs(r.Peer, day)
 					ref.Add(v4)
 					ref.Add(v6)
 					for _, a := range r.Record.Addresses {
 						for _, in := range a.Introducers {
-							iv4, iv6 := ix.PeerIDs(int(byHash[in.Hash]), day)
+							iv4, iv6 := n.AddrTable().PeerIDs(int(byHash[in.Hash]), day)
 							ref.Add(iv4)
 							ref.Add(iv6)
 						}

@@ -13,8 +13,8 @@ import (
 // resources blacklist their current addresses plus those of the
 // introducers a firewalled bridge's record names). It resolves
 // everything by peer index — the introducers through the backend that
-// drew the resources, the addresses through the network's
-// censor.AddrIndex — and keeps no network-derived table of its own.
+// drew the resources, the addresses through the network's sim.AddrTable
+// — and keeps no network-derived table of its own.
 // Reachability is not decided here: usable applies
 // censor.AddrIndex.BridgeUsable, the rule censor's own bridge evaluation
 // applies, to this view's blacklist. Keeping both sweeps on this type
@@ -22,6 +22,7 @@ import (
 // construction.
 type censorView struct {
 	ix      *censor.AddrIndex
+	addrs   *sim.AddrTable
 	backend *Backend
 	// rng drives the introducer draws; it is the owning cell's/row's
 	// private stream, consumed in call order.
@@ -35,6 +36,7 @@ func newCensorView(net *sim.Network, backend *Backend, rng *rand.Rand) *censorVi
 	ix := censor.IndexFor(net)
 	return &censorView{
 		ix:         ix,
+		addrs:      net.AddrTable(),
 		backend:    backend,
 		rng:        rng,
 		bl:         ix.NewSet(),
@@ -59,7 +61,7 @@ func (cv *censorView) discover(rs []Resource, day int) {
 
 // block adds the addresses peer idx publishes on day to the blacklist.
 func (cv *censorView) block(idx, day int) {
-	v4, v6 := cv.ix.PeerIDs(idx, day)
+	v4, v6 := cv.addrs.PeerIDs(idx, day)
 	cv.bl.Add(v4)
 	cv.bl.Add(v6)
 }

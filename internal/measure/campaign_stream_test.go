@@ -63,7 +63,7 @@ func retainedUnits(c *Campaign) [][]*netdb.RouterInfo {
 func foldUnits(c *Campaign, units [][]*netdb.RouterInfo) *Dataset {
 	ds := NewDataset(c.cfg.StartDay, c.cfg.EndDay)
 	for day := c.cfg.StartDay; day < c.cfg.EndDay; day++ {
-		ds.referenceAccumulateDay(c.net.GeoDB(), day, units[day])
+		ds.referenceAccumulateDay(c.net, day, units[day])
 	}
 	return ds
 }
@@ -138,7 +138,7 @@ func TestCampaignStreamingMatchesRetained(t *testing.T) {
 // ends holding one unit per day and no staging file, so it can resume.
 func TestCampaignNeverEvicts(t *testing.T) {
 	n := parallelTestNet(t)
-	reg, _ := withObs(t, false)
+	reg := withObs(t)
 	ckpt := t.TempDir() // a sibling of tmpRoot, which must stay empty
 	tmpRoot := t.TempDir()
 	t.Setenv("TMPDIR", tmpRoot)

@@ -10,6 +10,7 @@ import (
 
 	"github.com/i2pstudy/i2pstudy/internal/geo"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
+	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
 // PeerTrack accumulates everything the campaign learned about one peer
@@ -21,9 +22,9 @@ import (
 // global-scale campaign holds one PeerTrack per distinct peer for the
 // whole run. At the paper's scale (30.5K daily peers, 90 days) the old
 // five-maps-per-peer layout dominated the heap; the compact layout is a
-// few dozen bytes per peer plus the shared intern tables. Fold order is
-// canonical (ascending day, ascending peer index within a day), so the
-// interned IDs — and therefore the whole Dataset — are byte-identical
+// few dozen bytes per peer plus two columns over the network's address
+// IDs (sim.AddrTable). Fold order is canonical (ascending day, ascending
+// peer index within a day), so the whole Dataset is byte-identical
 // across worker counts and resume.
 type PeerTrack struct {
 	Hash netdb.Hash
@@ -35,8 +36,8 @@ type PeerTrack struct {
 	// seen is a bitset over [StartDay, EndDay) marking observed days.
 	seen []uint64
 
-	// ips holds the interned IDs (Dataset.addrs) of every distinct
-	// public address observed, sorted ascending.
+	// ips holds the network's address IDs (sim.AddrTable) of every
+	// distinct public address observed, sorted ascending.
 	ips []uint32
 	// asns holds the distinct ASNs resolved for those addresses, sorted.
 	asns []uint32
@@ -136,54 +137,24 @@ func insertSorted[E interface{ ~uint16 | ~uint32 }](s []E, v E) ([]E, bool) {
 	return s, true
 }
 
-// addrGeo is the memoized geographic resolution of one interned address.
+// addrGeo is the geographic resolution of one network address, made the
+// first time the fold meets the address (seen). geo.DB.Lookup is pure, so
+// resolving once per distinct address is exact.
 type addrGeo struct {
-	asn      uint32
-	country  uint16
-	is4      bool
-	resolved bool
+	asn                 uint32
+	country             uint16
+	is4, seen, resolved bool
 }
 
-// addrIntern assigns dense uint32 IDs to every distinct public address a
-// campaign observes and memoizes its geo resolution, in the style of
-// censor.AddrIndex. IDs are assigned in canonical fold order (ascending
-// day, ascending peer index, IPv4 before IPv6), so two runs over the same
-// observations build identical tables regardless of worker count or
-// streaming mode. No analysis reads an ID itself — only how many a peer
-// has — so the order is free to change with the fold's.
-type addrIntern struct {
-	ids map[netip.Addr]uint32
-	geo []addrGeo
-	// lastMark[id] holds day+1 of the most recent day the address was
-	// counted, replacing the old per-day "seen this day" map for the
-	// distinct-IP day counters (zero = never).
-	lastMark []int32
-}
-
-func newAddrIntern() *addrIntern {
-	return &addrIntern{ids: make(map[netip.Addr]uint32)}
-}
-
-// intern returns the address's ID and memoized geo record, reporting
-// whether this is the first time the address was seen. geo.DB.Lookup is
-// pure, so resolving once per distinct address is exact — and it is what
-// makes Dataset.Unresolved count distinct unresolvable addresses rather
-// than (record, address, day) occurrences.
-func (a *addrIntern) intern(db *geo.DB, addr netip.Addr) (uint32, addrGeo, bool) {
-	if id, ok := a.ids[addr]; ok {
-		return id, a.geo[id], false
-	}
-	id := uint32(len(a.geo))
-	g := addrGeo{is4: addr.Is4()}
+// lookupGeo resolves one address through the geo database.
+func lookupGeo(db *geo.DB, addr netip.Addr) addrGeo {
+	g := addrGeo{is4: addr.Is4(), seen: true}
 	if rec, ok := db.Lookup(addr); ok {
 		g.asn = rec.ASN
 		g.country = packCountry(rec.CountryCode)
 		g.resolved = true
 	}
-	a.ids[addr] = id
-	a.geo = append(a.geo, g)
-	a.lastMark = append(a.lastMark, 0)
-	return id, g, true
+	return g
 }
 
 // DayStats summarizes one study day — the rows behind Figures 5, 6 and 9.
@@ -225,8 +196,8 @@ func newDayStats(day int) *DayStats {
 }
 
 // Dataset is the accumulated result of a campaign. It is a fixed-size
-// fold target: its memory is O(distinct peers + distinct addresses +
-// days), independent of how many day units are in flight, which is what
+// fold target: its memory is O(distinct peers + the network's addresses
+// + days), independent of how many day units are in flight, which is what
 // lets the streaming campaign drop raw merged records as soon as a day
 // has been folded and spilled.
 type Dataset struct {
@@ -241,8 +212,11 @@ type Dataset struct {
 	// could not resolve.
 	Unresolved int
 
-	// addrs interns every observed address with its memoized geo record.
-	addrs *addrIntern
+	// geo and lastMark are dense columns over the network's address IDs
+	// (sim.AddrTable), sized by the first fold: each address's resolution,
+	// and day+1 of the last day it was counted (zero = never).
+	geo      []addrGeo
+	lastMark []int32
 }
 
 // NewDataset prepares an empty dataset for the given day range.
@@ -251,12 +225,20 @@ func NewDataset(startDay, endDay int) *Dataset {
 		StartDay: startDay,
 		EndDay:   endDay,
 		Peers:    make(map[netdb.Hash]*PeerTrack),
-		addrs:    newAddrIntern(),
 	}
 	for d := startDay; d < endDay; d++ {
 		ds.Days = append(ds.Days, newDayStats(d))
 	}
 	return ds
+}
+
+// sizeAddrColumns sizes geo and lastMark to the network's address table,
+// once: the first fold over the Dataset calls it.
+func (ds *Dataset) sizeAddrColumns(addrs *sim.AddrTable) {
+	if ds.geo == nil {
+		ds.geo = make([]addrGeo, addrs.NumAddrs())
+		ds.lastMark = make([]int32, addrs.NumAddrs())
+	}
 }
 
 // day returns the DayStats for an absolute study day.

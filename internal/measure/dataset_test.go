@@ -2,7 +2,6 @@ package measure
 
 import (
 	"math/bits"
-	"net/netip"
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
@@ -19,29 +18,43 @@ func TestUnresolvedCountsDistinctAddresses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := n.GeoDB()
-	// The synthetic geo database resolves IPv6 only inside 2a10::/16, so
-	// a documentation-range address is unresolvable by construction.
-	bogus := netip.MustParseAddr("2001:db8::1")
-	if _, ok := db.Lookup(bogus); ok {
-		t.Fatal("test address unexpectedly resolves")
-	}
+	db, addrs := n.GeoDB(), n.AddrTable()
 	// The simulator never publishes an unresolvable address, so the test
-	// feeds the fold's per-address step directly.
-	fold := func(ds *Dataset, day int, id netdb.Hash, addr netip.Addr) {
-		ds.countAddr(ds.day(day), ds.addAddr(db, ds.track(id, day), addr))
+	// marks two of the network's IPv6 addresses unresolved in the geo
+	// column before the fold first meets them, and feeds the fold's
+	// per-address step directly.
+	var bogus []int32
+	for id := range int32(addrs.NumAddrs()) {
+		if addrs.Addr(id).Is6() && len(bogus) < 2 {
+			bogus = append(bogus, id)
+		}
 	}
-	id := netdb.HashFromUint64(1)
+	if len(bogus) < 2 {
+		t.Fatalf("the network publishes %d IPv6 addresses, want 2", len(bogus))
+	}
+	newDataset := func() *Dataset {
+		ds := NewDataset(0, 10)
+		ds.sizeAddrColumns(addrs)
+		for _, id := range bogus {
+			ds.geo[id] = addrGeo{seen: true}
+		}
+		return ds
+	}
+	fold := func(ds *Dataset, day int, h netdb.Hash, id int32) {
+		ds.addAddr(db, addrs, ds.track(h, day), id)
+		ds.countAddr(ds.day(day), id)
+	}
+	h := netdb.HashFromUint64(1)
 
-	ds := NewDataset(0, 10)
+	ds := newDataset()
 	for day := 0; day < 10; day++ {
-		fold(ds, day, id, bogus)
+		fold(ds, day, h, bogus[0])
 	}
 	if ds.Unresolved != 1 {
 		t.Fatalf("Unresolved = %d, want 1 (one distinct unresolvable address over 10 days)", ds.Unresolved)
 	}
-	tr := ds.Peers[id]
-	if tr == nil || tr.IPCount() != 1 || tr.DaysObserved() != 10 {
+	tr := ds.Peers[h]
+	if tr == nil || tr.IPCount() != 1 || tr.ASCount() != 0 || tr.DaysObserved() != 10 {
 		t.Fatalf("track mis-accumulated: %+v", tr)
 	}
 	// Unresolvable addresses still count toward the per-day IP totals
@@ -52,10 +65,10 @@ func TestUnresolvedCountsDistinctAddresses(t *testing.T) {
 		}
 	}
 	// A second distinct bad address on a later day adds exactly one more.
-	ds2 := NewDataset(0, 10)
+	ds2 := newDataset()
 	for day := 0; day < 10; day++ {
-		fold(ds2, day, id, bogus)
-		fold(ds2, day, netdb.HashFromUint64(2), netip.MustParseAddr("2001:db8::2"))
+		fold(ds2, day, h, bogus[0])
+		fold(ds2, day, netdb.HashFromUint64(2), bogus[1])
 	}
 	if ds2.Unresolved != 2 {
 		t.Fatalf("Unresolved = %d, want 2", ds2.Unresolved)

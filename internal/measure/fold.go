@@ -1,9 +1,6 @@
 package measure
 
 import (
-	"math"
-	"net/netip"
-
 	"github.com/i2pstudy/i2pstudy/internal/geo"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
@@ -11,19 +8,19 @@ import (
 
 // folder folds days of sightings into a Dataset, in ascending day order
 // and, within a day, ascending peer order. It keeps dense state by peer
-// index — each peer's track and the intern IDs of the address segment it
-// last folded — so a day walks network.Peers, that state and the tracks
-// in index order and touches a hash map only the first time it sees a
-// peer or one of its address segments.
+// index — each peer's track and the address IDs it last folded — so a
+// day walks network.Peers, that state and the tracks in index order and
+// touches a hash map only the first time it sees a peer.
 //
 // The state is a cache of what the Dataset already holds, kept beside it
 // rather than in it: a fresh folder over a half-folded Dataset looks
 // every peer up again and folds exactly what a warm one would
 // (TestFoldStateColdOrWarm).
 type folder struct {
-	ds  *Dataset
-	net *sim.Network
-	db  *geo.DB
+	ds    *Dataset
+	net   *sim.Network
+	db    *geo.DB
+	addrs *sim.AddrTable
 
 	peers []peerFold // by peer index
 
@@ -35,31 +32,25 @@ type folder struct {
 // peerFold is what the folder remembers of one peer.
 type peerFold struct {
 	track *PeerTrack // nil until the folder first sees the peer
-	// seg is the address-schedule segment (sim.Peer.SegmentOn) whose
-	// addresses are interned in addrs and already in the track's sets,
-	// or unfolded.
-	seg   int32
-	addrs [2]uint32 // IPv4 and IPv6 intern IDs, noAddr where not published
+	// ids are the IPv4 and IPv6 IDs (sim.AddrTable.PeerIDs) already in
+	// the track's sets, -1 where absent: a peer's sets grow only on a
+	// day its IDs differ from these.
+	ids [2]int32
 }
 
-const (
-	// unfolded is a peerFold.seg no segment index can equal.
-	unfolded = math.MinInt32
-	// noAddr is the intern ID of an address a segment does not publish.
-	noAddr = math.MaxUint32
-)
-
+// newFolder returns a folder of the network's sightings into ds.
 func newFolder(ds *Dataset, network *sim.Network) *folder {
-	return &folder{ds: ds, net: network, db: network.GeoDB(), peers: make([]peerFold, len(network.Peers))}
+	addrs := network.AddrTable()
+	ds.sizeAddrColumns(addrs)
+	return &folder{ds: ds, net: network, db: network.GeoDB(), addrs: addrs, peers: make([]peerFold, len(network.Peers))}
 }
 
 // fold folds one day's merged sightings into the Dataset, reading what
 // each sighted peer's RouterInfo would publish that day straight from the
 // network's immutable peer: its scheduled addresses, its capacity flags,
 // and whether its draw holds an introducer. recs must be in canonical
-// peer order: intern IDs are assigned on first sight, so the fold order —
-// ascending days, sorted records within a day — is what makes the Dataset
-// byte-identical across worker counts and resume.
+// peer order, ascending days and sorted records within a day, the order
+// every worker count and resume folds in.
 func (f *folder) fold(day int, recs []sim.Sighting) {
 	ds := f.ds
 	stats := ds.day(day)
@@ -71,7 +62,7 @@ func (f *folder) fold(day int, recs []sim.Sighting) {
 		t := st.track
 		if t == nil {
 			t = ds.track(p.ID, day)
-			*st = peerFold{track: t, seg: unfolded}
+			*st = peerFold{track: t, ids: [2]int32{-1, -1}}
 		} else {
 			t.observe(day, ds.StartDay)
 		}
@@ -81,13 +72,18 @@ func (f *folder) fold(day int, recs []sim.Sighting) {
 		var knownIP, firewalled, hidden bool
 		switch p.Status {
 		case sim.StatusKnownIP:
-			if seg := int32(p.SegmentOn(day)); seg != st.seg {
-				v4, v6 := p.AddrOnDay(day)
-				st.seg = seg
-				st.addrs = [2]uint32{ds.addAddr(f.db, t, v4), ds.addAddr(f.db, t, v6)}
+			var ids [2]int32
+			ids[0], ids[1] = f.addrs.PeerIDs(int(s.Peer), day)
+			if ids != st.ids {
+				st.ids = ids
+				for _, id := range ids {
+					if id >= 0 {
+						ds.addAddr(f.db, f.addrs, t, id)
+					}
+				}
 			}
-			for _, id := range st.addrs {
-				if id != noAddr {
+			for _, id := range ids {
+				if id >= 0 {
 					knownIP = true
 					ds.countAddr(stats, id)
 				}
@@ -165,39 +161,39 @@ func (c *classCounts) flush(m map[netdb.BandwidthClass]int) {
 	*c = classCounts{}
 }
 
-// addAddr interns one address the peer behind t publishes and adds it,
-// with its resolved AS and country, to the peer's sets. It returns the
-// intern ID, or noAddr for an address the peer does not publish.
-func (ds *Dataset) addAddr(db *geo.DB, t *PeerTrack, addr netip.Addr) uint32 {
-	if !addr.IsValid() {
-		return noAddr
+// addAddr adds network address id, with its resolved AS and country, to
+// the sets of the peer behind t, resolving the address on the fold's
+// first sight of it.
+func (ds *Dataset) addAddr(db *geo.DB, addrs *sim.AddrTable, t *PeerTrack, id int32) {
+	g := &ds.geo[id]
+	if !g.seen {
+		*g = lookupGeo(db, addrs.Addr(id))
 	}
-	id, g, fresh := ds.addrs.intern(db, addr)
-	if fresh && !g.resolved {
-		// One count per distinct unresolvable address — not per
-		// (record, address, day) occurrence, which used to inflate
-		// the summary once per day a bad address stayed alive.
-		ds.Unresolved++
-	}
-	t.ips, _ = insertSorted(t.ips, id)
+	t.ips, _ = insertSorted(t.ips, uint32(id))
 	if g.resolved {
 		t.asns, _ = insertSorted(t.asns, g.asn)
 		t.countries, _ = insertSorted(t.countries, g.country)
 	}
-	return id
 }
 
-// countAddr counts an interned address into its day's distinct-address
-// tallies, once a day. The count rides the intern table's lastMark slot
-// (day+1, so zero means never) instead of a fresh per-day map.
-func (ds *Dataset) countAddr(stats *DayStats, id uint32) {
+// countAddr counts address id into its day's distinct-address tallies,
+// once a day, through its lastMark slot (day+1, so zero means never)
+// instead of a fresh per-day map. The first count of an unresolvable
+// address is also its one count in Unresolved — one per distinct
+// address, not per (record, address, day) occurrence, which used to
+// inflate the summary once per day a bad address stayed alive.
+func (ds *Dataset) countAddr(stats *DayStats, id int32) {
 	marker := int32(stats.Day + 1)
-	if ds.addrs.lastMark[id] == marker {
+	last := ds.lastMark[id]
+	if last == marker {
 		return
 	}
-	ds.addrs.lastMark[id] = marker
+	if last == 0 && !ds.geo[id].resolved {
+		ds.Unresolved++
+	}
+	ds.lastMark[id] = marker
 	stats.IPAll++
-	if ds.addrs.geo[id].is4 {
+	if ds.geo[id].is4 {
 		stats.IPv4++
 	} else {
 		stats.IPv6++

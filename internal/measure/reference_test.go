@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 
-	"github.com/i2pstudy/i2pstudy/internal/geo"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
@@ -29,12 +28,15 @@ func referenceSortByPeer(network *sim.Network, recs []*netdb.RouterInfo) {
 }
 
 // referenceAccumulateDay is Dataset.accumulateDay as it read a day of
-// RouterInfos: addresses through IPs, status through HasKnownIP /
+// RouterInfos: addresses through IPs, each mapped to its ID through the
+// network's table (sim.AddrTable.IDOf), status through HasKnownIP /
 // Firewalled / HiddenPeer, classes through Caps.PublishedClasses.
-func (ds *Dataset) referenceAccumulateDay(db *geo.DB, day int, recs []*netdb.RouterInfo) {
+func (ds *Dataset) referenceAccumulateDay(network *sim.Network, day int, recs []*netdb.RouterInfo) {
+	addrs := network.AddrTable()
+	ds.sizeAddrColumns(addrs)
 	stats := ds.day(day)
-	// Per-day distinct-address counting rides the intern table's lastMark
-	// slot (day+1, so zero means never) instead of a fresh per-day map.
+	// Per-day distinct-address counting rides the lastMark column (day+1,
+	// so zero means never) instead of a fresh per-day map.
 	marker := int32(day + 1)
 
 	for _, ri := range recs {
@@ -45,16 +47,21 @@ func (ds *Dataset) referenceAccumulateDay(db *geo.DB, day int, recs []*netdb.Rou
 
 		// Addresses.
 		for _, addr := range ri.IPs() {
-			id, g, fresh := ds.addrs.intern(db, addr)
-			if fresh && !g.resolved {
-				// One count per distinct unresolvable address — not per
-				// (record, address, day) occurrence, which used to inflate
-				// the summary once per day a bad address stayed alive.
-				ds.Unresolved++
+			id := addrs.IDOf(addr)
+			g := &ds.geo[id]
+			if !g.seen {
+				*g = lookupGeo(network.GeoDB(), addr)
 			}
-			t.ips, _ = insertSorted(t.ips, id)
-			if ds.addrs.lastMark[id] != marker {
-				ds.addrs.lastMark[id] = marker
+			t.ips, _ = insertSorted(t.ips, uint32(id))
+			if ds.lastMark[id] != marker {
+				if ds.lastMark[id] == 0 && !g.resolved {
+					// One count per distinct unresolvable address — not
+					// per (record, address, day) occurrence, which used to
+					// inflate the summary once per day a bad address
+					// stayed alive.
+					ds.Unresolved++
+				}
+				ds.lastMark[id] = marker
 				stats.IPAll++
 				if g.is4 {
 					stats.IPv4++

@@ -1,4 +1,4 @@
-package measure
+package pool
 
 import (
 	"context"
@@ -6,11 +6,12 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"github.com/i2pstudy/i2pstudy/internal/pool"
+	"github.com/i2pstudy/i2pstudy/internal/obs"
 )
 
 // TestFanOutRunsEachTaskOnce: the ticket hands every index out exactly
@@ -22,7 +23,7 @@ func TestFanOutRunsEachTaskOnce(t *testing.T) {
 		{100, 3}, {1000, 8}, {1000, 0},
 	} {
 		counts := make([]int32, tc.n)
-		err := pool.FanOut(context.Background(), tc.n, tc.workers, func(i int) error {
+		err := FanOut(context.Background(), tc.n, tc.workers, func(i int) error {
 			atomic.AddInt32(&counts[i], 1)
 			return nil
 		})
@@ -45,7 +46,7 @@ func TestFanOutUnevenLoad(t *testing.T) {
 	const n, workers = 64, 4
 	gate := make(chan struct{})
 	var done int32
-	err := pool.FanOut(context.Background(), n, workers, func(i int) error {
+	err := FanOut(context.Background(), n, workers, func(i int) error {
 		if i == 0 {
 			<-gate
 			return nil
@@ -70,7 +71,7 @@ func TestFanOutHandsOutInIndexOrder(t *testing.T) {
 		first []int
 	)
 	full := make(chan struct{})
-	err := pool.FanOut(context.Background(), n, workers, func(i int) error {
+	err := FanOut(context.Background(), n, workers, func(i int) error {
 		mu.Lock()
 		wait := len(first) < workers
 		if wait {
@@ -99,7 +100,7 @@ func TestFanOutStopsOnError(t *testing.T) {
 	// One worker: the error stops the walk immediately, so exactly tasks
 	// 0..3 run.
 	var ran int32
-	err := pool.FanOut(context.Background(), 1000, 1, func(i int) error {
+	err := FanOut(context.Background(), 1000, 1, func(i int) error {
 		atomic.AddInt32(&ran, 1)
 		if i == 3 {
 			return boom
@@ -114,7 +115,7 @@ func TestFanOutStopsOnError(t *testing.T) {
 	}
 	// Pooled: the first error is the one reported, even when every
 	// worker fails — never a bystander's context.Canceled.
-	err = pool.FanOut(context.Background(), 100, 4, func(i int) error {
+	err = FanOut(context.Background(), 100, 4, func(i int) error {
 		return boom
 	})
 	if !errors.Is(err, boom) {
@@ -131,7 +132,7 @@ func TestFanOutReportsRootCauseOverCancellation(t *testing.T) {
 	for trial := range 200 {
 		ctx, cancel := context.WithCancel(context.Background())
 		started, stopped := make(chan struct{}), make(chan struct{})
-		err := pool.FanOut(ctx, 2, 2, func(i int) error {
+		err := FanOut(ctx, 2, 2, func(i int) error {
 			if i == 1 {
 				close(started)
 				<-ctx.Done()
@@ -154,7 +155,7 @@ func TestFanOutCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		err := pool.FanOut(ctx, 8, workers, func(i int) error {
+		err := FanOut(ctx, 8, workers, func(i int) error {
 			return fmt.Errorf("task %d ran under a cancelled context", i)
 		})
 		if err != context.Canceled {
@@ -168,7 +169,7 @@ func TestFanOutCancelled(t *testing.T) {
 // goldens' reference path.
 func TestFanOutSerialFastPathOrder(t *testing.T) {
 	var order []int // unsynchronized: the loop runs inline
-	if err := pool.FanOut(context.Background(), 8, 1, func(i int) error {
+	if err := FanOut(context.Background(), 8, 1, func(i int) error {
 		order = append(order, i)
 		return nil
 	}); err != nil {
@@ -176,5 +177,90 @@ func TestFanOutSerialFastPathOrder(t *testing.T) {
 	}
 	if want := []int{0, 1, 2, 3, 4, 5, 6, 7}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("serial order = %v, want %v", order, want)
+	}
+}
+
+// withObs enables a fresh registry (and optionally a tracer buffer) for
+// the test's duration, restoring the previous globals after.
+func withObs(t *testing.T, trace bool) (*obs.Registry, *strings.Builder) {
+	t.Helper()
+	prevReg, prevTr := obs.Active(), obs.ActiveTracer()
+	r := obs.NewRegistry()
+	obs.Enable(r)
+	var buf *strings.Builder
+	if trace {
+		buf = &strings.Builder{}
+		obs.EnableTrace(obs.NewTracer(buf))
+	}
+	t.Cleanup(func() {
+		obs.Enable(prevReg)
+		obs.EnableTrace(prevTr)
+	})
+	return r, buf
+}
+
+func TestFanOutCountsSerialTasks(t *testing.T) {
+	r, _ := withObs(t, false)
+	err := FanOut(context.Background(), 5, 1, func(i int) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := r.RenderText()
+	if !strings.Contains(text, `i2p_engine_tasks_total{mode="serial"} 5`) {
+		t.Errorf("serial task count wrong:\n%s", text)
+	}
+}
+
+func TestFanOutCountsParallelTasks(t *testing.T) {
+	r, buf := withObs(t, true)
+	// Task 0 blocks until every other task is done, so both workers run
+	// tasks and both tracks carry spans.
+	var others sync.WaitGroup
+	others.Add(3)
+	err := FanOut(context.Background(), 4, 2, func(i int) error {
+		if i == 0 {
+			others.Wait()
+			return nil
+		}
+		others.Done()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := r.RenderText()
+	if !strings.Contains(text, `i2p_engine_tasks_total{mode="parallel"} 4`) {
+		t.Errorf("parallel task count wrong:\n%s", text)
+	}
+	// One worker held task 0, so the other ran the remaining three.
+	if !strings.Contains(text, `i2p_engine_worker_tasks_bucket{le="1"} 1`) ||
+		!strings.Contains(text, `i2p_engine_worker_tasks_count 2`) {
+		t.Errorf("per-worker task histogram wrong:\n%s", text)
+	}
+	if n := strings.Count(buf.String(), `"name":"task"`); n != 4 {
+		t.Errorf("trace has %d task spans, want 4:\n%s", n, buf.String())
+	}
+}
+
+func TestObservabilityDisabledFanOutStillWorks(t *testing.T) {
+	prevReg, prevTr := obs.Active(), obs.ActiveTracer()
+	obs.Enable(nil)
+	obs.EnableTrace(nil)
+	t.Cleanup(func() {
+		obs.Enable(prevReg)
+		obs.EnableTrace(prevTr)
+	})
+	got := make([]int, 16)
+	err := FanOut(context.Background(), 16, 4, func(i int) error {
+		got[i] = i * i
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != i*i {
+			t.Fatalf("slot %d = %d", i, v)
+		}
 	}
 }

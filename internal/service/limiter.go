@@ -9,14 +9,15 @@ import (
 	"time"
 
 	"github.com/i2pstudy/i2pstudy/internal/censor"
+	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
 // This file is the admission side of the daemon: a per-identity token
 // bucket (the anti-enumeration rate limit every rdsys frontend applies
 // before its distributor even sees the request) and an operator
 // blacklist backed by the same censor.AddrSet bitsets the batch sweeps
-// block against — reported abuser addresses intern onto the study's
-// address table via AddrIndex.IDOf.
+// block against — reported abuser addresses resolve onto the network's
+// address table via sim.AddrTable.IDOf.
 
 // limiterShards keeps bucket contention off the parallel hot path; the
 // shard of an identity is a pure function of its key.
@@ -277,22 +278,22 @@ func (l *Limiter) buckets() int {
 	return n
 }
 
-// Blacklist is the operator blacklist: an AddrSet over the study's
-// interned address table, shared representation with the censor sweeps.
+// Blacklist is the operator blacklist: an AddrSet over the network's
+// address table, shared representation with the censor sweeps.
 // Mutations take the write lock and republish the set's size in n; the
 // hot-path membership check reads n first, so while nothing is blocked
 // it takes no lock and looks nothing up.
 type Blacklist struct {
-	ix *censor.AddrIndex
-	n  atomic.Int64
+	addrs *sim.AddrTable
+	n     atomic.Int64
 
 	mu  sync.RWMutex
 	set *censor.AddrSet
 }
 
-// NewBlacklist returns an empty blacklist over the index.
-func NewBlacklist(ix *censor.AddrIndex) *Blacklist {
-	return &Blacklist{ix: ix, set: ix.NewSet()}
+// NewBlacklist returns an empty blacklist over the network's addresses.
+func NewBlacklist(network *sim.Network) *Blacklist {
+	return &Blacklist{addrs: network.AddrTable(), set: censor.IndexFor(network).NewSet()}
 }
 
 // Block adds an address. Addresses the study never interned are
@@ -308,7 +309,7 @@ func (b *Blacklist) Unblock(a netip.Addr) bool {
 
 // update applies one mutation under the write lock and republishes n.
 func (b *Blacklist) update(a netip.Addr, op func(*censor.AddrSet, int32) bool) bool {
-	id := b.ix.IDOf(a)
+	id := b.addrs.IDOf(a)
 	if id < 0 {
 		return false
 	}
@@ -327,7 +328,7 @@ func (b *Blacklist) Blocked(a netip.Addr) bool {
 // has is Blocked without the empty-set shortcut, for callers that have
 // already read Len to skip work of their own.
 func (b *Blacklist) has(a netip.Addr) bool {
-	id := b.ix.IDOf(a)
+	id := b.addrs.IDOf(a)
 	if id < 0 {
 		return false
 	}

@@ -160,7 +160,7 @@ func NewService(network *sim.Network, cfg Config) (*Service, error) {
 		net:       network,
 		metrics:   NewMetricsOn(cfg.Registry),
 		limiter:   NewLimiter(cfg.RatePerSec, cfg.Burst, cfg.Now),
-		blacklist: NewBlacklist(censor.IndexFor(network)),
+		blacklist: NewBlacklist(network),
 		streaks:   make(map[int]int),
 		nextDue:   make(map[int]time.Time),
 		started:   cfg.Now(),

@@ -83,11 +83,12 @@ func networkDigest(n *Network) string {
 		}
 		d.bool(p.WellExposed)
 		d.f64(p.Exposure)
-		d.int(p.NumAddrSegments())
-		for i := range p.NumAddrSegments() {
-			from, v4, v6 := p.AddrSegmentAt(i)
-			d.int(from)
-			d.u64(uint64(p.schedule()[i].asn))
+		sched := p.schedule()
+		d.int(len(sched))
+		for i := range sched {
+			v4, v6 := sched[i].addrs()
+			d.int(int(sched[i].fromDay))
+			d.u64(uint64(sched[i].asn))
 			d.addr(v4)
 			d.addr(v6)
 		}

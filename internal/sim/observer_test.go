@@ -121,42 +121,42 @@ func TestObserveDayDeterministic(t *testing.T) {
 	}
 }
 
-// TestAddrScheduleMatchesAddrOnDay: the schedule read through
-// NumAddrSegments/AddrSegmentAt reproduces AddrOnDay for every peer and
-// day, and SegmentOn names the segment it was read from.
+// TestAddrScheduleMatchesAddrOnDay: the schedule read segment by segment
+// reproduces AddrOnDay for every peer and day, and segmentOn names the
+// segment it was read from.
 func TestAddrScheduleMatchesAddrOnDay(t *testing.T) {
 	n := testNetwork(t, 10)
 	for _, p := range n.Peers {
-		segs := p.NumAddrSegments()
+		sched := p.schedule()
 		if p.Status != StatusKnownIP {
-			if segs != 0 {
-				t.Fatalf("peer %d: unknown-IP peer has an address schedule of %d", p.Index, segs)
+			if len(sched) != 0 {
+				t.Fatalf("peer %d: unknown-IP peer has an address schedule of %d", p.Index, len(sched))
 			}
-			if seg := p.SegmentOn(0); seg != -1 {
+			if seg := p.segmentOn(0); seg != -1 {
 				t.Fatalf("peer %d: unknown-IP peer publishes segment %d", p.Index, seg)
 			}
 			continue
 		}
-		if segs == 0 {
+		if len(sched) == 0 {
 			t.Fatalf("peer %d: known-IP peer has no address schedule", p.Index)
 		}
 		for day := 0; day < n.Days(); day++ {
 			v4, v6 := p.AddrOnDay(day)
-			_, want4, want6 := p.AddrSegmentAt(0)
+			want4, want6 := sched[0].addrs()
 			wantSeg := 0
-			for i := 1; i < segs; i++ {
-				from, s4, s6 := p.AddrSegmentAt(i)
-				if from > day {
+			for i := 1; i < len(sched); i++ {
+				if int(sched[i].fromDay) > day {
 					break
 				}
-				want4, want6, wantSeg = s4, s6, i
+				want4, want6 = sched[i].addrs()
+				wantSeg = i
 			}
 			if want4 != v4 || want6 != v6 {
 				t.Fatalf("peer %d day %d: schedule (%v, %v) != AddrOnDay (%v, %v)",
 					p.Index, day, want4, want6, v4, v6)
 			}
-			if seg := p.SegmentOn(day); seg != wantSeg {
-				t.Fatalf("peer %d day %d: SegmentOn = %d, the schedule says %d", p.Index, day, seg, wantSeg)
+			if seg := p.segmentOn(day); seg != wantSeg {
+				t.Fatalf("peer %d day %d: segmentOn = %d, the schedule says %d", p.Index, day, seg, wantSeg)
 			}
 		}
 	}

@@ -202,14 +202,12 @@ func (p *Peer) FirstActiveDay() int {
 	return -1
 }
 
-// SegmentOn returns the index of the address-schedule segment the peer
-// publishes on day — the last whose FromDay is at or before day, or the
+// segmentOn returns the index of the address-schedule segment the peer
+// publishes on day — the last whose fromDay is at or before day, or the
 // first if none is — or -1 for a peer that never publishes an address.
-// The index never falls as day grows, so a caller folding days in
-// ascending order may keep what it derived from a segment's addresses
-// until the index moves. It is the one walk of the schedule: AddrOnDay
-// reads the segment it names.
-func (p *Peer) SegmentOn(day int) int {
+// It is the one walk of the schedule: AddrOnDay reads the segment it
+// names.
+func (p *Peer) segmentOn(day int) int {
 	sched := p.schedule()
 	if len(sched) == 0 {
 		return -1
@@ -224,27 +222,11 @@ func (p *Peer) SegmentOn(day int) int {
 // AddrOnDay returns the peer's public IPv4 (and IPv6, if published) on the
 // given study day. Both are zero for unknown-IP peers.
 func (p *Peer) AddrOnDay(day int) (v4, v6 netip.Addr) {
-	i := p.SegmentOn(day)
+	i := p.segmentOn(day)
 	if i < 0 {
 		return netip.Addr{}, netip.Addr{}
 	}
 	return p.schedule()[i].addrs()
-}
-
-// NumAddrSegments returns the length of the peer's address schedule: 0
-// for peers that never publish an address.
-func (p *Peer) NumAddrSegments() int { return int(p.segments) }
-
-// AddrSegmentAt returns segment i of the peer's address schedule, in
-// FromDay order: from fromDay (inclusive) until the next segment's, the
-// peer publishes v4 (and v6 when valid) — what AddrOnDay consults day by
-// day. With NumAddrSegments it lets analyses intern every address the
-// peer will ever publish in one pass (the censor's address index)
-// without copying the schedule.
-func (p *Peer) AddrSegmentAt(i int) (fromDay int, v4, v6 netip.Addr) {
-	s := &p.schedule()[i]
-	v4, v6 = s.addrs()
-	return int(s.fromDay), v4, v6
 }
 
 // introducer reports whether the peer serves as an introducer for

@@ -114,8 +114,9 @@ const (
 // (measure.Campaign with Workers > 1, core.Study.RunAll) relies on this:
 // per-(observer, day) captures run on arbitrary goroutines with no
 // locking. Everything engines share that is a pure function of the
-// network — censor's address index — is network-owned: it hangs off
-// Derive and is collected with the network. Any future mutating API must
+// network — the address table (AddrTable) and censor's address index over
+// it — is network-owned: it hangs off Derive, is built on first use and
+// is collected with the network. Any future mutating API must
 // either copy-on-write or take a network-level lock, must epoch the
 // derived slot, and must update this comment.
 type Network struct {
@@ -591,7 +592,7 @@ func (n *Network) decorate(p *Peer, b *builder) {
 // over the peers. Each is a window of one flat allocation, placed by
 // populate's counts and filled through a per-day cursor. An introducer's
 // IPv4 comes from a segment cursor that only moves forward as its days
-// ascend, as SegmentOn's would.
+// ascend, as segmentOn's would.
 func (n *Network) index(b *builder) {
 	days := n.cfg.Days
 	active := make([]int32, sum(b.active))

@@ -409,7 +409,7 @@ func TestIPChurnStatistics(t *testing.T) {
 	singleAS, over10AS := 0, 0
 	maxAS := 0
 	for _, p := range n.Peers {
-		if p.Status != StatusKnownIP || p.NumAddrSegments() == 0 {
+		if p.Status != StatusKnownIP || p.segments == 0 {
 			continue
 		}
 		total++
@@ -480,7 +480,7 @@ func TestAddrLookupsResolveViaGeoDB(t *testing.T) {
 		if !ok {
 			t.Fatalf("peer address %v does not resolve", v4)
 		}
-		if asn := p.schedule()[p.SegmentOn(day)].asn; rec.ASN != asn {
+		if asn := p.schedule()[p.segmentOn(day)].asn; rec.ASN != asn {
 			t.Fatalf("ASN mismatch: lookup %d, schedule %d", rec.ASN, asn)
 		}
 		checked++

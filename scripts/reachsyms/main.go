@@ -142,6 +142,12 @@ func rules(allowFile string) []rule {
 		Scope: scope{In: []string{"internal/distrib"}},
 		check: inFiles(selector("Introducers")),
 	}, {
+		Name: "one-address-table",
+		Contract: "every published address has one ID, the network's (sim.AddrTable); a map keyed by netip.Addr " +
+			"in the census, the censor, distrib or the daemon is a second address table beside it",
+		Scope: scope{In: []string{"internal/measure", "internal/censor", "internal/distrib", "internal/service"}},
+		check: inFiles(addrKeyedMap),
+	}, {
 		Name: "one-exit-site",
 		Contract: "every CLI exits from cli.Main only, after its deferred profile and trace stops have run " +
 			"(internal/faults keeps the injected exit); an os.Exit or log.Fatal anywhere else skips them",
@@ -347,6 +353,14 @@ func publication(info *types.Info, n ast.Node) string {
 			return ""
 		}
 		return "atomic.Pointer[" + types.TypeString(arg, (*types.Package).Name) + "]"
+	}
+	return ""
+}
+
+// addrKeyedMap fires on a map type whose key is a netip.Addr.
+func addrKeyedMap(info *types.Info, n ast.Node) string {
+	if m, ok := n.(*ast.MapType); ok && named(info.TypeOf(m.Key), "net/netip", "Addr") {
+		return types.TypeString(info.TypeOf(m), (*types.Package).Name)
 	}
 	return ""
 }

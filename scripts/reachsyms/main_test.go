@@ -122,7 +122,8 @@ func TestStaleAllowlistFails(t *testing.T) {
 // cache, a method value, an aliased os, a struct field, a package only an
 // example reaches, an import two levels down and an exit in a package
 // below internal/cli. So are the ones that must not fire: a comment
-// naming WindowCounter (censor.go), a string "os.Exit(" (cmd/tool),
+// naming WindowCounter (censor.go), a string "os.Exit(" (cmd/tool), an
+// address-keyed map in a _test.go file, a map holding addresses as values,
 // internal/cache declaring WindowCounter, a function-local sync.Map, the
 // allowed atomic pointers, the exits in internal/cli and internal/faults,
 // the WaitGroups in internal/pool and in a _test.go file, and the tools
@@ -144,6 +145,7 @@ func TestFixtureRules(t *testing.T) {
 		"one-pool":                  {"internal/measure/measure.go: sync.WaitGroup"},
 		"below-the-campaign":        {"internal/distrib/distrib.go: internal/distrib imports internal/measure"},
 		"one-reachability-rule":     {"internal/distrib/distrib.go: .Introducers"},
+		"one-address-table":         {"internal/measure/intern.go: map[netip.Addr]uint32"},
 		"one-exit-site": {
 			"cmd/tool/main.go: log.Fatal",
 			"internal/cli/studycli/studycli.go: os.Exit",
