@@ -2,6 +2,7 @@ package censor
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 
 	"github.com/i2pstudy/i2pstudy/internal/cache"
@@ -73,18 +74,18 @@ func (ix *AddrIndex) PeerBlocked(bl *AddrSet, idx, day int) bool {
 // sequential 8-byte read per sighting instead of a schedule walk behind a
 // per-peer pointer. The column is shared and must not be modified.
 func (ix *AddrIndex) dayColumn(day int) dayColumn {
-	return ix.dayIDs.Get(day, func(day int) dayColumn {
-		return dayColumnOf(ix.net.ActivePeers(day), day, ix.addrs.PeerIDs)
-	})
+	return ix.dayIDs.Get(day, func(day int) dayColumn { return ix.columnOf(day, ix.addrs.PeerIDs) })
 }
 
-// dayColumnOf builds the ID column of the day whose active peers are
-// active from the IDs peerIDs gives each, sized exactly: one pass counts
-// the IPv4 publishers, the second fills their entries.
-func dayColumnOf(active []int32, day int, peerIDs func(idx, day int) (v4, v6 int32)) dayColumn {
+// columnOf builds day's ID column from the IDs peerIDs gives each active
+// peer. It is sized from the peers that publish any address, which on a
+// simulated network are exactly the day's IPv4 publishers; should one
+// publish only a v6 that day, the column is clipped to what it holds.
+func (ix *AddrIndex) columnOf(day int, peerIDs func(idx, day int) (v4, v6 int32)) dayColumn {
+	active := ix.net.ActivePeers(day)
 	n := 0
 	for _, idx := range active {
-		if v4, _ := peerIDs(int(idx), day); v4 >= 0 {
+		if ix.addrs.Publishes(int(idx)) {
 			n++
 		}
 	}
@@ -95,7 +96,7 @@ func dayColumnOf(active []int32, day int, peerIDs func(idx, day int) (v4, v6 int
 			col.ids = append(col.ids, dayID{v4, v6})
 		}
 	}
-	return col
+	return dayColumn{slices.Clip(col.at), slices.Clip(col.ids)}
 }
 
 // Holders calls fn once for each address of bl that a peer publishes on

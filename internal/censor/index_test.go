@@ -59,7 +59,7 @@ func TestDayIDsMatchPeerIDs(t *testing.T) {
 				want.ids = append(want.ids, dayID{v4, v6})
 			}
 		}
-		col := ix.dayIDs.Get(day, func(day int) dayColumn { return dayColumnOf(n.ActivePeers(day), day, peerIDs) })
+		col := ix.dayIDs.Get(day, func(day int) dayColumn { return ix.columnOf(day, peerIDs) })
 		if !slices.Equal(col.at, want.at) || !slices.Equal(col.ids, want.ids) {
 			t.Fatalf("day %d: column of %d positions, PeerIDs has %d addressed", day, len(col.at), len(want.at))
 		}
@@ -245,8 +245,8 @@ func TestIndexSharedPerNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := NewVictim(n, 2)
-	if c.ix != v.ix || c.ix != IndexFor(n) {
-		t.Fatal("censor and victim do not share the per-network index")
+	if c.ix != v.ix || c.ix != IndexFor(n) || c.ix.addrs != n.AddrTable() {
+		t.Fatal("censor and victim do not share the per-network index over the network's table")
 	}
 	twin, err := sim.New(n.Config())
 	if err != nil {

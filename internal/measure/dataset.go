@@ -5,10 +5,8 @@
 package measure
 
 import (
-	"net/netip"
 	"sort"
 
-	"github.com/i2pstudy/i2pstudy/internal/geo"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
@@ -144,17 +142,6 @@ type addrGeo struct {
 	asn                 uint32
 	country             uint16
 	is4, seen, resolved bool
-}
-
-// lookupGeo resolves one address through the geo database.
-func lookupGeo(db *geo.DB, addr netip.Addr) addrGeo {
-	g := addrGeo{is4: addr.Is4(), seen: true}
-	if rec, ok := db.Lookup(addr); ok {
-		g.asn = rec.ASN
-		g.country = packCountry(rec.CountryCode)
-		g.resolved = true
-	}
-	return g
 }
 
 // DayStats summarizes one study day — the rows behind Figures 5, 6 and 9.

@@ -167,7 +167,11 @@ func (c *classCounts) flush(m map[netdb.BandwidthClass]int) {
 func (ds *Dataset) addAddr(db *geo.DB, addrs *sim.AddrTable, t *PeerTrack, id int32) {
 	g := &ds.geo[id]
 	if !g.seen {
-		*g = lookupGeo(db, addrs.Addr(id))
+		addr := addrs.Addr(id)
+		*g = addrGeo{is4: addr.Is4(), seen: true}
+		if rec, ok := db.Lookup(addr); ok {
+			g.asn, g.country, g.resolved = rec.ASN, packCountry(rec.CountryCode), true
+		}
 	}
 	t.ips, _ = insertSorted(t.ips, uint32(id))
 	if g.resolved {

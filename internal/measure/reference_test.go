@@ -50,7 +50,12 @@ func (ds *Dataset) referenceAccumulateDay(network *sim.Network, day int, recs []
 			id := addrs.IDOf(addr)
 			g := &ds.geo[id]
 			if !g.seen {
-				*g = lookupGeo(network.GeoDB(), addr)
+				*g = addrGeo{is4: addr.Is4(), seen: true}
+				if rec, ok := network.GeoDB().Lookup(addr); ok {
+					g.asn = rec.ASN
+					g.country = packCountry(rec.CountryCode)
+					g.resolved = true
+				}
 			}
 			t.ips, _ = insertSorted(t.ips, uint32(id))
 			if ds.lastMark[id] != marker {

@@ -141,6 +141,9 @@ func addrHash(a netip.Addr) uint64 {
 // NumAddrs returns the number of IDs: they run from 0 to NumAddrs()-1.
 func (t *AddrTable) NumAddrs() int { return len(t.addrs) }
 
+// Publishes reports whether peer idx publishes any address in the study.
+func (t *AddrTable) Publishes(idx int) bool { return t.segs[idx] != nil }
+
 // Addr returns the address with the given ID.
 func (t *AddrTable) Addr(id int32) netip.Addr { return t.addrs[id] }
 

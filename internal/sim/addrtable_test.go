@@ -162,24 +162,6 @@ func TestAddrIndexAllocs(t *testing.T) {
 	}
 }
 
-// TestAddrTableSharedPerNetwork: AddrTable builds the table once per
-// network, and a second network built from the same config owns a
-// distinct, equal table.
-func TestAddrTableSharedPerNetwork(t *testing.T) {
-	n := deriveNet(t)
-	tab := n.AddrTable()
-	if n.AddrTable() != tab {
-		t.Fatal("a second call built a second table")
-	}
-	twin, err := New(n.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tt := twin.AddrTable(); tt == tab || !slices.Equal(tt.addrs, tab.addrs) {
-		t.Fatal("an identically configured network must own a distinct, equal table")
-	}
-}
-
 // tableSink keeps BenchmarkNewAddrIndex's build observable.
 var tableSink *AddrTable
 
