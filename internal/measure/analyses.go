@@ -3,6 +3,7 @@ package measure
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"github.com/i2pstudy/i2pstudy/internal/geo"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
@@ -72,12 +73,12 @@ func (ds *Dataset) ChurnPoints(horizons ...int) []ChurnPoint {
 	for i, n := range horizons {
 		out[i].Days = n
 	}
-	if len(ds.Peers) == 0 {
+	if ds.observed == 0 {
 		return out
 	}
 	// runs[v] and spans[v] count the tracks whose LongestRun and Span are
-	// v. A track is born on an observation, so its Span is at least 1: the
-	// clamp only guards the index and moves no count.
+	// v. An observed track's Span is at least 1: the clamp only guards the
+	// index and moves no count.
 	var runs, spans []int
 	bump := func(h []int, v int) []int {
 		if v >= len(h) {
@@ -86,10 +87,10 @@ func (ds *Dataset) ChurnPoints(horizons ...int) []ChurnPoint {
 		h[v]++
 		return h
 	}
-	for _, t := range ds.Peers {
+	ds.eachTrack(func(t *PeerTrack) {
 		runs = bump(runs, t.LongestRun())
 		spans = bump(spans, max(t.Span(), 0))
-	}
+	})
 	// atLeast turns a count by value into the count of values >= n.
 	atLeast := func(h []int) []int {
 		for v := len(h) - 2; v >= 0; v-- {
@@ -107,7 +108,7 @@ func (ds *Dataset) ChurnPoints(horizons ...int) []ChurnPoint {
 		}
 		return ge[n]
 	}
-	total := float64(len(ds.Peers))
+	total := float64(ds.observed)
 	for i, n := range horizons {
 		out[i].Continuous = 100 * float64(count(runs, n)) / total
 		out[i].Intermittent = 100 * float64(count(spans, n)) / total
@@ -155,16 +156,11 @@ func (ds *Dataset) IPChurnHistogram(maxBucket int) *stats.IntHistogram {
 		maxBucket = 16
 	}
 	h := stats.NewIntHistogram()
-	for _, t := range ds.Peers {
-		n := t.IPCount()
-		if n == 0 {
-			continue // unknown-IP peer
+	ds.eachTrack(func(t *PeerTrack) {
+		if n := t.IPCount(); n > 0 { // n == 0: an unknown-IP peer
+			h.Observe(min(n, maxBucket))
 		}
-		if n > maxBucket {
-			n = maxBucket
-		}
-		h.Observe(n)
-	}
+	})
 	return h
 }
 
@@ -174,10 +170,10 @@ func (ds *Dataset) IPChurnHistogram(maxBucket int) *stats.IntHistogram {
 func (ds *Dataset) IPCountShares() (single, multi, over100 float64) {
 	total := 0
 	s, m, o := 0, 0, 0
-	for _, t := range ds.Peers {
+	ds.eachTrack(func(t *PeerTrack) {
 		n := t.IPCount()
 		if n == 0 {
-			continue
+			return
 		}
 		total++
 		switch {
@@ -189,7 +185,7 @@ func (ds *Dataset) IPCountShares() (single, multi, over100 float64) {
 		if n > 100 {
 			o++
 		}
-	}
+	})
 	if total == 0 {
 		return 0, 0, 0
 	}
@@ -360,22 +356,37 @@ func (ds *Dataset) EstimateFloodfillPopulation() FloodfillEstimate {
 // with several addresses is counted once per distinct country.
 func (ds *Dataset) CountryCounter() *stats.Counter {
 	c := stats.NewCounter()
-	for _, t := range ds.Peers {
-		for _, cc := range t.CountryCodes() {
-			c.Inc(cc)
-		}
+	for cc, n := range ds.countryTally() {
+		c.Add(unpackCountry(cc), n)
 	}
 	return c
+}
+
+// countryTally counts the observed peers by packed country (packCountry),
+// once per distinct country each resolved to: the keys are named only
+// once per country, not once per peer.
+func (ds *Dataset) countryTally() map[uint16]int {
+	n := make(map[uint16]int)
+	ds.eachTrack(func(t *PeerTrack) {
+		for _, cc := range t.countries {
+			n[cc]++
+		}
+	})
+	return n
 }
 
 // ASCounter reproduces Figure 11: a peer is counted once per distinct
 // autonomous system.
 func (ds *Dataset) ASCounter() *stats.Counter {
-	c := stats.NewCounter()
-	for _, t := range ds.Peers {
+	n := make(map[uint32]int)
+	ds.eachTrack(func(t *PeerTrack) {
 		for _, asn := range t.ASNs() {
-			c.Inc(fmt.Sprintf("%d", asn))
+			n[asn]++
 		}
+	})
+	c := stats.NewCounter()
+	for asn, k := range n {
+		c.Add(strconv.FormatUint(uint64(asn), 10), k)
 	}
 	return c
 }
@@ -393,11 +404,9 @@ type CensoredSummary struct {
 // press-freedom table.
 func (ds *Dataset) CensoredPeers(db *geo.DB) CensoredSummary {
 	counts := stats.NewCounter()
-	for _, t := range ds.Peers {
-		for _, cc := range t.CountryCodes() {
-			if db.Censored(cc) {
-				counts.Inc(cc)
-			}
+	for cc, n := range ds.countryTally() {
+		if code := unpackCountry(cc); db.Censored(code) {
+			counts.Add(code, n)
 		}
 	}
 	return CensoredSummary{
@@ -414,16 +423,11 @@ func (ds *Dataset) ASChurnHistogram(maxBucket int) *stats.IntHistogram {
 		maxBucket = 10
 	}
 	h := stats.NewIntHistogram()
-	for _, t := range ds.Peers {
-		n := t.ASCount()
-		if n == 0 {
-			continue
+	ds.eachTrack(func(t *PeerTrack) {
+		if n := t.ASCount(); n > 0 {
+			h.Observe(min(n, maxBucket))
 		}
-		if n > maxBucket {
-			n = maxBucket
-		}
-		h.Observe(n)
-	}
+	})
 	return h
 }
 
@@ -431,10 +435,10 @@ func (ds *Dataset) ASChurnHistogram(maxBucket int) *stats.IntHistogram {
 // known-IP peers in exactly one AS and in more than ten.
 func (ds *Dataset) ASCountShares() (single, over10 float64, maxASes int) {
 	total, s, o := 0, 0, 0
-	for _, t := range ds.Peers {
+	ds.eachTrack(func(t *PeerTrack) {
 		n := t.ASCount()
 		if n == 0 {
-			continue
+			return
 		}
 		total++
 		if n == 1 {
@@ -446,7 +450,7 @@ func (ds *Dataset) ASCountShares() (single, over10 float64, maxASes int) {
 		if n > maxASes {
 			maxASes = n
 		}
-	}
+	})
 	if total == 0 {
 		return 0, 0, 0
 	}

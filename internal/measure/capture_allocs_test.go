@@ -56,3 +56,30 @@ func TestCaptureDayGrowsScratchOnce(t *testing.T) {
 		t.Fatalf("capturing a day on a cold scratch makes %.0f allocations, want at most 1", allocs)
 	}
 }
+
+// TestTrackAllocatesNothing pins the census tracks at zero allocations
+// per sighting once the Dataset is sized: a peer's first observation
+// carves its seen words from the slab, and a repeat one only marks a bit.
+func TestTrackAllocatesNothing(t *testing.T) {
+	const peers, runs = 256, 100
+	ds := NewDataset(0, 90)
+	ds.sizeTracks(peers)
+	next := int32(0)
+	if allocs := testing.AllocsPerRun(runs, func() {
+		ds.track(next, 7)
+		next++
+	}); allocs != 0 {
+		t.Fatalf("a first ds.track allocates %.1f times", allocs)
+	}
+	if got := ds.TotalPeers(); got != runs+1 { // AllocsPerRun warms up once
+		t.Fatalf("TotalPeers = %d after %d first sightings", got, runs+1)
+	}
+	if allocs := testing.AllocsPerRun(runs, func() {
+		ds.track(3, 40)
+	}); allocs != 0 {
+		t.Fatalf("a repeat ds.track allocates %.1f times", allocs)
+	}
+	if tr := &ds.tracks[3]; tr.FirstDay != 7 || tr.LastDay != 40 || ds.TotalPeers() != runs+1 {
+		t.Fatalf("repeats moved the window to [%d, %d] or the count to %d", tr.FirstDay, tr.LastDay, ds.TotalPeers())
+	}
+}

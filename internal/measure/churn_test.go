@@ -9,11 +9,13 @@ import (
 // referenceChurnAt is ChurnAt as it stood before ChurnPoints: one walk of
 // every track per horizon. ChurnPoints is held to it, float for float.
 func referenceChurnAt(ds *Dataset, n int) ChurnPoint {
-	if len(ds.Peers) == 0 {
-		return ChurnPoint{Days: n}
-	}
-	cont, inter := 0, 0
-	for _, t := range ds.Peers {
+	cont, inter, total := 0, 0, 0
+	for i := range ds.tracks {
+		t := &ds.tracks[i]
+		if !t.observed() {
+			continue
+		}
+		total++
 		if t.LongestRun() >= n {
 			cont++
 		}
@@ -21,11 +23,13 @@ func referenceChurnAt(ds *Dataset, n int) ChurnPoint {
 			inter++
 		}
 	}
-	total := float64(len(ds.Peers))
+	if total == 0 {
+		return ChurnPoint{Days: n}
+	}
 	return ChurnPoint{
 		Days:         n,
-		Continuous:   100 * float64(cont) / total,
-		Intermittent: 100 * float64(inter) / total,
+		Continuous:   100 * float64(cont) / float64(total),
+		Intermittent: 100 * float64(inter) / float64(total),
 	}
 }
 
@@ -47,10 +51,10 @@ func TestChurnPointsMatchReference(t *testing.T) {
 		for i, n := range horizons {
 			want := referenceChurnAt(d, n)
 			if all[i] != want {
-				t.Fatalf("%d peers, horizon %d: ChurnPoints %+v, reference %+v", len(d.Peers), n, all[i], want)
+				t.Fatalf("%d peers, horizon %d: ChurnPoints %+v, reference %+v", d.TotalPeers(), n, all[i], want)
 			}
 			if got := d.ChurnAt(n); got != want {
-				t.Fatalf("%d peers, horizon %d: ChurnAt %+v, reference %+v", len(d.Peers), n, got, want)
+				t.Fatalf("%d peers, horizon %d: ChurnAt %+v, reference %+v", d.TotalPeers(), n, got, want)
 			}
 		}
 		if got := d.ChurnPoints(); len(got) != 0 {
@@ -73,10 +77,10 @@ func TestChurnPointsMatchReference(t *testing.T) {
 		}
 		fig, extra := d.ChurnFigureWith(7, 30)
 		if got, want := fig.Render(), ref.Render(); got != want {
-			t.Fatalf("%d peers: Figure 7 renders\n%s\nthe per-horizon loop rendered\n%s", len(d.Peers), got, want)
+			t.Fatalf("%d peers: Figure 7 renders\n%s\nthe per-horizon loop rendered\n%s", d.TotalPeers(), got, want)
 		}
 		if extra[0] != referenceChurnAt(d, 7) || extra[1] != referenceChurnAt(d, 30) {
-			t.Fatalf("%d peers: extra horizons %+v", len(d.Peers), extra)
+			t.Fatalf("%d peers: extra horizons %+v", d.TotalPeers(), extra)
 		}
 	}
 }

@@ -11,27 +11,29 @@ import (
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
-// PeerTrack accumulates everything the campaign learned about one peer
-// (keyed by identity hash), mirroring what the paper's post-processing
-// derived from archived RouterInfos.
+// PeerTrack accumulates everything the campaign learned about one peer,
+// mirroring what the paper's post-processing derived from archived
+// RouterInfos. A Dataset holds one per peer index (sim.Sighting.Peer);
+// the peer's identity hash is network.Peers[i].ID, not a copy here.
 //
 // The representation is deliberately compact — a bitset of seen days and
 // sorted slices of interned IDs instead of per-peer maps — because a
-// global-scale campaign holds one PeerTrack per distinct peer for the
-// whole run. At the paper's scale (30.5K daily peers, 90 days) the old
+// global-scale campaign holds one PeerTrack per peer of the network for
+// the whole run. At the paper's scale (30.5K daily peers, 90 days) the old
 // five-maps-per-peer layout dominated the heap; the compact layout is a
-// few dozen bytes per peer plus two columns over the network's address
-// IDs (sim.AddrTable). Fold order is canonical (ascending day, ascending
-// peer index within a day), so the whole Dataset is byte-identical
-// across worker counts and resume.
+// few dozen bytes per peer, every track's seen words carved from one
+// slab, plus two columns over the network's address IDs (sim.AddrTable).
+// Fold order is canonical (ascending day, ascending peer index within a
+// day), so the whole Dataset is byte-identical across worker counts and
+// resume.
 type PeerTrack struct {
-	Hash netdb.Hash
-
 	// FirstDay and LastDay bound the observation window (study days).
-	// A track is only ever created by an observation, so FirstDay is
-	// always a real day — see Dataset.track.
+	// Dataset.track sets both on the peer's first observation; a peer
+	// never observed keeps the zero track.
 	FirstDay, LastDay int
-	// seen is a bitset over [StartDay, EndDay) marking observed days.
+	// seen is a bitset over [StartDay, EndDay) marking observed days,
+	// carved from the Dataset's slab on the first observation: nil until
+	// then, which is what marks a slot never observed.
 	seen []uint64
 
 	// ips holds the network's address IDs (sim.AddrTable) of every
@@ -52,15 +54,8 @@ type PeerTrack struct {
 	EverHidden     bool
 }
 
-// observe records that the peer was seen on day, a study day of a
-// Dataset starting at startDay.
-func (p *PeerTrack) observe(day, startDay int) {
-	if day > p.LastDay {
-		p.LastDay = day
-	}
-	idx := day - startDay
-	p.seen[idx>>6] |= 1 << (idx & 63)
-}
+// observed reports whether the campaign ever saw the peer.
+func (p *PeerTrack) observed() bool { return p.seen != nil }
 
 // LongestRun returns the longest consecutive-day observation streak.
 func (p *PeerTrack) LongestRun() int {
@@ -96,16 +91,6 @@ func (p *PeerTrack) ASCount() int { return len(p.asns) }
 // ASNs returns the distinct ASNs in ascending order. The slice is the
 // track's own storage; callers must not modify it.
 func (p *PeerTrack) ASNs() []uint32 { return p.asns }
-
-// CountryCodes returns the distinct resolved country codes in ascending
-// (lexicographic) order.
-func (p *PeerTrack) CountryCodes() []string {
-	out := make([]string, len(p.countries))
-	for i, c := range p.countries {
-		out[i] = unpackCountry(c)
-	}
-	return out
-}
 
 // packCountry packs an ISO-2 country code ("US", "RU", ...) into a
 // uint16 whose numeric order equals the codes' lexicographic order. The
@@ -183,8 +168,8 @@ func newDayStats(day int) *DayStats {
 }
 
 // Dataset is the accumulated result of a campaign. It is a fixed-size
-// fold target: its memory is O(distinct peers + the network's addresses
-// + days), independent of how many day units are in flight, which is what
+// fold target: its memory is O(the network's peers + its addresses +
+// days), independent of how many day units are in flight, which is what
 // lets the streaming campaign drop raw merged records as soon as a day
 // has been folded and spilled.
 type Dataset struct {
@@ -192,12 +177,18 @@ type Dataset struct {
 	StartDay, EndDay int
 	// Days holds one entry per campaign day.
 	Days []*DayStats
-	// Peers tracks every peer ever observed.
-	Peers map[netdb.Hash]*PeerTrack
 
 	// Unresolved counts the distinct observed addresses the geo database
 	// could not resolve.
 	Unresolved int
+
+	// tracks holds one PeerTrack per peer index (sim.Sighting.Peer), sized
+	// by the first fold; a peer never observed keeps the zero track.
+	// observed counts the tracks that are not, and seen is the slab their
+	// day bitsets are carved from.
+	tracks   []PeerTrack
+	observed int
+	seen     []uint64
 
 	// geo and lastMark are dense columns over the network's address IDs
 	// (sim.AddrTable), sized by the first fold: each address's resolution,
@@ -208,15 +199,20 @@ type Dataset struct {
 
 // NewDataset prepares an empty dataset for the given day range.
 func NewDataset(startDay, endDay int) *Dataset {
-	ds := &Dataset{
-		StartDay: startDay,
-		EndDay:   endDay,
-		Peers:    make(map[netdb.Hash]*PeerTrack),
-	}
+	ds := &Dataset{StartDay: startDay, EndDay: endDay}
 	for d := startDay; d < endDay; d++ {
 		ds.Days = append(ds.Days, newDayStats(d))
 	}
 	return ds
+}
+
+// sizeTracks sizes the tracks and their seen slab to a network of peers
+// peers, once: the first fold over the Dataset calls it.
+func (ds *Dataset) sizeTracks(peers int) {
+	if ds.tracks == nil {
+		ds.tracks = make([]PeerTrack, peers)
+		ds.seen = make([]uint64, peers*ds.seenWords())
+	}
 }
 
 // sizeAddrColumns sizes geo and lastMark to the network's address table,
@@ -228,33 +224,48 @@ func (ds *Dataset) sizeAddrColumns(addrs *sim.AddrTable) {
 	}
 }
 
+// seenWords is the length of one track's seen bitset.
+func (ds *Dataset) seenWords() int { return (ds.EndDay - ds.StartDay + 63) / 64 }
+
 // day returns the DayStats for an absolute study day.
 func (ds *Dataset) day(d int) *DayStats {
 	return ds.Days[d-ds.StartDay]
 }
 
-// track records that the peer was observed on day and returns its
-// PeerTrack (creating it on first observation). Because creation always
-// carries the observing day, FirstDay is set at birth and a track with
-// FirstDay unset cannot exist — the analyses may iterate ds.Peers
-// without an "un-observed track" guard.
-func (ds *Dataset) track(h netdb.Hash, day int) *PeerTrack {
-	t, ok := ds.Peers[h]
-	if !ok {
-		t = &PeerTrack{
-			Hash:     h,
-			FirstDay: day,
-			LastDay:  day,
-			seen:     make([]uint64, (ds.EndDay-ds.StartDay+63)/64),
-		}
-		ds.Peers[h] = t
+// track records that peer idx was observed on day and returns its
+// PeerTrack. The first observation opens the window at day and carves the
+// track's seen words from the slab; days fold in ascending order, so that
+// day is the first the peer was seen. It allocates nothing
+// (TestTrackAllocatesNothing).
+func (ds *Dataset) track(idx int32, day int) *PeerTrack {
+	t := &ds.tracks[idx]
+	if !t.observed() {
+		w := ds.seenWords()
+		lo := int(idx) * w
+		*t = PeerTrack{FirstDay: day, LastDay: day, seen: ds.seen[lo : lo+w : lo+w]}
+		ds.observed++
 	}
-	t.observe(day, ds.StartDay)
+	if day > t.LastDay {
+		t.LastDay = day
+	}
+	i := day - ds.StartDay
+	t.seen[i>>6] |= 1 << (i & 63)
 	return t
 }
 
+// eachTrack calls fn with the track of every observed peer, in peer-index
+// order: the one place the analyses skip the zero tracks of peers the
+// campaign never saw.
+func (ds *Dataset) eachTrack(fn func(t *PeerTrack)) {
+	for i := range ds.tracks {
+		if t := &ds.tracks[i]; t.observed() {
+			fn(t)
+		}
+	}
+}
+
 // TotalPeers returns the number of distinct peers observed.
-func (ds *Dataset) TotalPeers() int { return len(ds.Peers) }
+func (ds *Dataset) TotalPeers() int { return ds.observed }
 
 // MeanDailyPeers returns the average daily unique-peer count.
 func (ds *Dataset) MeanDailyPeers() float64 {

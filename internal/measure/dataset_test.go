@@ -2,9 +2,9 @@ package measure
 
 import (
 	"math/bits"
+	"reflect"
 	"testing"
 
-	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -34,28 +34,28 @@ func TestUnresolvedCountsDistinctAddresses(t *testing.T) {
 	}
 	newDataset := func() *Dataset {
 		ds := NewDataset(0, 10)
+		ds.sizeTracks(len(n.Peers))
 		ds.sizeAddrColumns(addrs)
 		for _, id := range bogus {
 			ds.geo[id] = addrGeo{seen: true}
 		}
 		return ds
 	}
-	fold := func(ds *Dataset, day int, h netdb.Hash, id int32) {
-		ds.addAddr(db, addrs, ds.track(h, day), id)
+	fold := func(ds *Dataset, day int, idx, id int32) {
+		ds.addAddr(db, addrs, ds.track(idx, day), id)
 		ds.countAddr(ds.day(day), id)
 	}
-	h := netdb.HashFromUint64(1)
 
 	ds := newDataset()
 	for day := 0; day < 10; day++ {
-		fold(ds, day, h, bogus[0])
+		fold(ds, day, 1, bogus[0])
 	}
 	if ds.Unresolved != 1 {
 		t.Fatalf("Unresolved = %d, want 1 (one distinct unresolvable address over 10 days)", ds.Unresolved)
 	}
-	tr := ds.Peers[h]
-	if tr == nil || tr.IPCount() != 1 || tr.ASCount() != 0 || tr.DaysObserved() != 10 {
-		t.Fatalf("track mis-accumulated: %+v", tr)
+	tr := &ds.tracks[1]
+	if tr.IPCount() != 1 || tr.ASCount() != 0 || tr.DaysObserved() != 10 || ds.TotalPeers() != 1 {
+		t.Fatalf("track mis-accumulated: %+v (%d peers)", tr, ds.TotalPeers())
 	}
 	// Unresolvable addresses still count toward the per-day IP totals
 	// (they were observed, just not located), exactly as before the fix.
@@ -67,34 +67,52 @@ func TestUnresolvedCountsDistinctAddresses(t *testing.T) {
 	// A second distinct bad address on a later day adds exactly one more.
 	ds2 := newDataset()
 	for day := 0; day < 10; day++ {
-		fold(ds2, day, h, bogus[0])
-		fold(ds2, day, netdb.HashFromUint64(2), bogus[1])
+		fold(ds2, day, 1, bogus[0])
+		fold(ds2, day, 2, bogus[1])
 	}
 	if ds2.Unresolved != 2 {
 		t.Fatalf("Unresolved = %d, want 2", ds2.Unresolved)
 	}
 }
 
-// TestTracksAlwaysObserved proves the invariant that let SurvivalCurve
-// (and every other ds.Peers iteration) drop its un-observed-track guard:
-// Dataset.track requires the observing day, so every track in a
-// campaign-built dataset has a coherent, observed [FirstDay, LastDay]
-// window.
+// TestTracksAlwaysObserved proves the invariant the analyses lean on
+// when Dataset.eachTrack skips the unobserved slots: in a campaign-built
+// dataset every observed slot has a coherent, observed [FirstDay,
+// LastDay] window, every other slot is the zero track, and TotalPeers
+// counts the observed slots.
 func TestTracksAlwaysObserved(t *testing.T) {
-	_, ds := dataset(t)
-	for h, tr := range ds.Peers {
+	n, ds := dataset(t)
+	if len(ds.tracks) != len(n.Peers) {
+		t.Fatalf("%d tracks for %d peers", len(ds.tracks), len(n.Peers))
+	}
+	observed := 0
+	for i := range ds.tracks {
+		tr := &ds.tracks[i]
+		if !tr.observed() {
+			if !reflect.DeepEqual(*tr, PeerTrack{}) {
+				t.Fatalf("peer %d: never observed but its track is %+v", i, *tr)
+			}
+			continue
+		}
+		observed++
 		if tr.FirstDay < ds.StartDay || tr.LastDay >= ds.EndDay || tr.FirstDay > tr.LastDay {
-			t.Fatalf("%s: incoherent window [%d, %d]", h, tr.FirstDay, tr.LastDay)
+			t.Fatalf("peer %d: incoherent window [%d, %d]", i, tr.FirstDay, tr.LastDay)
 		}
 		if tr.DaysObserved() == 0 {
-			t.Fatalf("%s: track exists but was never observed", h)
+			t.Fatalf("peer %d: track carved but never observed", i)
 		}
 		for _, day := range []int{tr.FirstDay, tr.LastDay} {
 			idx := day - ds.StartDay
 			if tr.seen[idx>>6]&(1<<(idx&63)) == 0 {
-				t.Fatalf("%s: day %d bounds the window but is not marked seen", h, day)
+				t.Fatalf("peer %d: day %d bounds the window but is not marked seen", i, day)
 			}
 		}
+	}
+	if observed == 0 || observed == len(ds.tracks) {
+		t.Fatalf("%d of %d peers observed: want some but not all", observed, len(ds.tracks))
+	}
+	if ds.TotalPeers() != observed {
+		t.Fatalf("TotalPeers = %d, %d slots observed", ds.TotalPeers(), observed)
 	}
 }
 

@@ -8,41 +8,40 @@ import (
 
 // folder folds days of sightings into a Dataset, in ascending day order
 // and, within a day, ascending peer order. It keeps dense state by peer
-// index — each peer's track and the address IDs it last folded — so a
-// day walks network.Peers, that state and the tracks in index order and
-// touches a hash map only the first time it sees a peer.
+// index beside the Dataset's tracks (the address IDs each peer last
+// folded), so a day walks network.Peers, that state and the tracks in
+// index order and touches no map.
 //
 // The state is a cache of what the Dataset already holds, kept beside it
-// rather than in it: a fresh folder over a half-folded Dataset looks
-// every peer up again and folds exactly what a warm one would
-// (TestFoldStateColdOrWarm).
+// rather than in it: a fresh folder over a half-folded Dataset adds each
+// peer's addresses to its sets again, which moves nothing, and folds
+// exactly what a warm one would (TestFoldStateColdOrWarm).
 type folder struct {
 	ds    *Dataset
 	net   *sim.Network
 	db    *geo.DB
 	addrs *sim.AddrTable
 
-	peers []peerFold // by peer index
+	// ids holds, by peer index, the IPv4 and IPv6 IDs
+	// (sim.AddrTable.PeerIDs) already in the peer's track sets, -1 where
+	// absent: a peer's sets grow only on a day its IDs differ from these.
+	ids [][2]int32
 
 	// The day's capacity-flag tallies, written into its DayStats maps
 	// once the day is folded.
 	classes, floodfill, reachable, unreachable classCounts
 }
 
-// peerFold is what the folder remembers of one peer.
-type peerFold struct {
-	track *PeerTrack // nil until the folder first sees the peer
-	// ids are the IPv4 and IPv6 IDs (sim.AddrTable.PeerIDs) already in
-	// the track's sets, -1 where absent: a peer's sets grow only on a
-	// day its IDs differ from these.
-	ids [2]int32
-}
-
 // newFolder returns a folder of the network's sightings into ds.
 func newFolder(ds *Dataset, network *sim.Network) *folder {
 	addrs := network.AddrTable()
+	ds.sizeTracks(len(network.Peers))
 	ds.sizeAddrColumns(addrs)
-	return &folder{ds: ds, net: network, db: network.GeoDB(), addrs: addrs, peers: make([]peerFold, len(network.Peers))}
+	ids := make([][2]int32, len(network.Peers))
+	for i := range ids {
+		ids[i] = [2]int32{-1, -1}
+	}
+	return &folder{ds: ds, net: network, db: network.GeoDB(), addrs: addrs, ids: ids}
 }
 
 // fold folds one day's merged sightings into the Dataset, reading what
@@ -56,16 +55,8 @@ func (f *folder) fold(day int, recs []sim.Sighting) {
 	stats := ds.day(day)
 	for _, s := range recs {
 		p := f.net.Peers[s.Peer]
-		st := &f.peers[s.Peer]
 		stats.Peers++
-
-		t := st.track
-		if t == nil {
-			t = ds.track(p.ID, day)
-			*st = peerFold{track: t, ids: [2]int32{-1, -1}}
-		} else {
-			t.observe(day, ds.StartDay)
-		}
+		t := ds.track(s.Peer, day)
 
 		// Addresses and status classification (Section 5.1 / Figure 6), by
 		// what the peer publishes: RouterInfo.IPs order is IPv4 then IPv6.
@@ -74,8 +65,8 @@ func (f *folder) fold(day int, recs []sim.Sighting) {
 		case sim.StatusKnownIP:
 			var ids [2]int32
 			ids[0], ids[1] = f.addrs.PeerIDs(int(s.Peer), day)
-			if ids != st.ids {
-				st.ids = ids
+			if last := &f.ids[s.Peer]; ids != *last {
+				*last = ids
 				for _, id := range ids {
 					if id >= 0 {
 						ds.addAddr(f.db, f.addrs, t, id)

@@ -334,14 +334,14 @@ func TestSnapshotDirWritesNetDbFiles(t *testing.T) {
 
 func TestPeerTrackHelpers(t *testing.T) {
 	ds := NewDataset(0, 10)
-	h := netdb.HashFromUint64(1)
-	tr := ds.track(h, 2)
+	ds.sizeTracks(4)
+	tr := ds.track(1, 2)
 	if tr.FirstDay != 2 || tr.LastDay != 2 {
 		t.Fatalf("creation must set the window: first=%d last=%d", tr.FirstDay, tr.LastDay)
 	}
-	ds.track(h, 3)
-	ds.track(h, 6)
-	ds.track(h, 8)
+	ds.track(1, 3)
+	ds.track(1, 6)
+	ds.track(1, 8)
 	if tr.Span() != 7 {
 		t.Fatalf("span = %d, want 7", tr.Span())
 	}
@@ -351,12 +351,18 @@ func TestPeerTrackHelpers(t *testing.T) {
 	if tr.DaysObserved() != 4 {
 		t.Fatalf("days = %d, want 4", tr.DaysObserved())
 	}
-	// Same hash returns the same track.
-	if ds.track(h, 8) != tr {
+	// The same index returns the same track, and the peers beside it
+	// keep the zero track.
+	if ds.track(1, 8) != tr {
 		t.Fatal("track not memoized")
 	}
-	if len(ds.Peers) != 1 {
-		t.Fatal("one hash tracked twice")
+	if ds.TotalPeers() != 1 {
+		t.Fatalf("one peer observed, TotalPeers = %d", ds.TotalPeers())
+	}
+	for _, i := range []int{0, 2, 3} {
+		if ds.tracks[i].observed() {
+			t.Fatalf("peer %d observed but never tracked", i)
+		}
 	}
 	// Empty dataset churn does not divide by zero.
 	empty := NewDataset(0, 5)

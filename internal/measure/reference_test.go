@@ -15,24 +15,35 @@ import (
 // (TestCampaignStreamingMatchesRetained, TestStreamFoldOrderInvariant,
 // TestResumedDatasetMatchesRouterInfoFold, TestFoldOrderMovesNoAnalysisByte).
 
-// referenceSortByPeer is sortByPeer over RouterInfos: each record's
-// identity is mapped to its peer index through the network.
-func referenceSortByPeer(network *sim.Network, recs []*netdb.RouterInfo) {
-	index := make(map[netdb.Hash]int, len(network.Peers))
+// referencePeerIndex maps each peer's identity to its index in the
+// network, the one lookup the RouterInfo path needs.
+func referencePeerIndex(network *sim.Network) map[netdb.Hash]int32 {
+	index := make(map[netdb.Hash]int32, len(network.Peers))
 	for i, p := range network.Peers {
-		index[p.ID] = i
+		index[p.ID] = int32(i)
 	}
+	return index
+}
+
+// referenceSortByPeer is sortByPeer over RouterInfos: each record's
+// identity is mapped to its peer index through referencePeerIndex.
+func referenceSortByPeer(network *sim.Network, recs []*netdb.RouterInfo) {
+	index := referencePeerIndex(network)
 	slices.SortFunc(recs, func(a, b *netdb.RouterInfo) int {
 		return cmp.Compare(index[a.Identity], index[b.Identity])
 	})
 }
 
 // referenceAccumulateDay is Dataset.accumulateDay as it read a day of
-// RouterInfos: addresses through IPs, each mapped to its ID through the
-// network's table (sim.AddrTable.IDOf), status through HasKnownIP /
-// Firewalled / HiddenPeer, classes through Caps.PublishedClasses.
+// RouterInfos: the track through the identity's peer index
+// (referencePeerIndex), addresses through IPs, each mapped to its ID
+// through the network's table (sim.AddrTable.IDOf), status through
+// HasKnownIP / Firewalled / HiddenPeer, classes through
+// Caps.PublishedClasses.
 func (ds *Dataset) referenceAccumulateDay(network *sim.Network, day int, recs []*netdb.RouterInfo) {
 	addrs := network.AddrTable()
+	index := referencePeerIndex(network)
+	ds.sizeTracks(len(network.Peers))
 	ds.sizeAddrColumns(addrs)
 	stats := ds.day(day)
 	// Per-day distinct-address counting rides the lastMark column (day+1,
@@ -43,7 +54,11 @@ func (ds *Dataset) referenceAccumulateDay(network *sim.Network, day int, recs []
 		stats.Peers++
 
 		// Peer tracking.
-		t := ds.track(ri.Identity, day)
+		idx, ok := index[ri.Identity]
+		if !ok {
+			panic("a RouterInfo of no peer of the network")
+		}
+		t := ds.track(idx, day)
 
 		// Addresses.
 		for _, addr := range ri.IPs() {

@@ -29,19 +29,18 @@ type SurvivalPoint struct {
 // sort by span would give, without materializing an observation per
 // peer.
 func (ds *Dataset) SurvivalCurve() []SurvivalPoint {
-	if len(ds.Peers) == 0 {
+	if ds.observed == 0 {
 		return nil
 	}
 	lastDay := ds.EndDay - 1
-	// leaving[d] counts the tracks whose span is d, deaths[d] those of
-	// them last seen before lastDay. No un-observed-track guard is needed
-	// here (or in any ds.Peers iteration): Dataset.track requires the
-	// observing day and sets FirstDay at creation, so a track with
-	// FirstDay unset cannot exist — see TestTracksAlwaysObserved. Its span
-	// is at least 1; the clamp only guards the index.
+	// leaving[d] counts the observed tracks whose span is d, deaths[d]
+	// those of them last seen before lastDay. Dataset.eachTrack skips the
+	// zero tracks of peers never observed; an observed track's window is
+	// opened by its first observation (TestTracksAlwaysObserved), so its
+	// span is at least 1 and the clamp only guards the index.
 	leaving := make([]int, ds.EndDay-ds.StartDay+1)
 	deaths := make([]int, len(leaving))
-	for _, t := range ds.Peers {
+	ds.eachTrack(func(t *PeerTrack) {
 		d := max(t.Span(), 0)
 		if d >= len(leaving) {
 			leaving = append(leaving, make([]int, d+1-len(leaving))...)
@@ -51,11 +50,11 @@ func (ds *Dataset) SurvivalCurve() []SurvivalPoint {
 		if t.LastDay < lastDay {
 			deaths[d]++
 		}
-	}
+	})
 
 	curve := []SurvivalPoint{{Days: 0, Probability: 1}}
 	surv := 1.0
-	atRisk := len(ds.Peers)
+	atRisk := ds.observed
 	for d, n := range leaving {
 		if n == 0 {
 			continue

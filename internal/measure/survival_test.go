@@ -17,8 +17,10 @@ func referenceSurvivalCurve(ds *Dataset) []SurvivalPoint {
 		died     bool
 	}
 	var observations []obs
-	for _, t := range ds.Peers {
-		observations = append(observations, obs{duration: t.Span(), died: t.LastDay < lastDay})
+	for i := range ds.tracks {
+		if t := &ds.tracks[i]; t.observed() {
+			observations = append(observations, obs{duration: t.Span(), died: t.LastDay < lastDay})
+		}
 	}
 	if len(observations) == 0 {
 		return nil
@@ -81,7 +83,7 @@ func TestSurvivalCurveMatchesReference(t *testing.T) {
 	}
 	for _, d := range []*Dataset{ds, short, NewDataset(0, 5)} {
 		if got, want := d.SurvivalCurve(), referenceSurvivalCurve(d); !slices.Equal(got, want) {
-			t.Fatalf("%d peers: SurvivalCurve\n%v\nreference\n%v", len(d.Peers), got, want)
+			t.Fatalf("%d peers: SurvivalCurve\n%v\nreference\n%v", d.TotalPeers(), got, want)
 		}
 		var horizons []int
 		for h := d.EndDay + 2; h >= -1; h-- {
@@ -93,7 +95,7 @@ func TestSurvivalCurveMatchesReference(t *testing.T) {
 		}
 		for i, h := range horizons {
 			if want := referenceSurvivalAt(d, h); all[i] != want {
-				t.Fatalf("%d peers, horizon %d: SurvivalAt %v, reference %v", len(d.Peers), h, all[i], want)
+				t.Fatalf("%d peers, horizon %d: SurvivalAt %v, reference %v", d.TotalPeers(), h, all[i], want)
 			}
 		}
 	}

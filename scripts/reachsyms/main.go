@@ -146,7 +146,13 @@ func rules(allowFile string) []rule {
 		Contract: "every published address has one ID, the network's (sim.AddrTable); a map keyed by netip.Addr " +
 			"in the census, the censor, distrib or the daemon is a second address table beside it",
 		Scope: scope{In: []string{"internal/measure", "internal/censor", "internal/distrib", "internal/service"}},
-		check: inFiles(addrKeyedMap),
+		check: inFiles(keyedMap("net/netip", "Addr")),
+	}, {
+		Name: "one-peer-index",
+		Contract: "a peer has one ID in the census, its network index (sim.Sighting.Peer): the Dataset keeps its tracks " +
+			"and the fold its state by that index; a map keyed by netdb.Hash in measure is a second peer index beside it",
+		Scope: scope{In: []string{"internal/measure"}},
+		check: inFiles(keyedMap("internal/netdb", "Hash")),
 	}, {
 		Name: "one-exit-site",
 		Contract: "every CLI exits from cli.Main only, after its deferred profile and trace stops have run " +
@@ -357,12 +363,15 @@ func publication(info *types.Info, n ast.Node) string {
 	return ""
 }
 
-// addrKeyedMap fires on a map type whose key is a netip.Addr.
-func addrKeyedMap(info *types.Info, n ast.Node) string {
-	if m, ok := n.(*ast.MapType); ok && named(info.TypeOf(m.Key), "net/netip", "Addr") {
-		return types.TypeString(info.TypeOf(m), (*types.Package).Name)
+// keyedMap returns a firer for a map type whose key is the named type
+// name of package pkg (matched as named matches it).
+func keyedMap(pkg, name string) firer {
+	return func(info *types.Info, n ast.Node) string {
+		if m, ok := n.(*ast.MapType); ok && named(info.TypeOf(m.Key), pkg, name) {
+			return types.TypeString(info.TypeOf(m), (*types.Package).Name)
+		}
+		return ""
 	}
-	return ""
 }
 
 // exits fires on os.Exit and log.Fatal*, however os and log are imported.

@@ -123,11 +123,12 @@ func TestStaleAllowlistFails(t *testing.T) {
 // example reaches, an import two levels down and an exit in a package
 // below internal/cli. So are the ones that must not fire: a comment
 // naming WindowCounter (censor.go), a string "os.Exit(" (cmd/tool), an
-// address-keyed map in a _test.go file, a map holding addresses as values,
-// internal/cache declaring WindowCounter, a function-local sync.Map, the
-// allowed atomic pointers, the exits in internal/cli and internal/faults,
-// the WaitGroups in internal/pool and in a _test.go file, and the tools
-// that reach internal/cli but no campaign.
+// address-keyed map in a _test.go file, maps holding addresses or
+// identity hashes as values, internal/cache declaring WindowCounter, a
+// function-local sync.Map, the allowed atomic pointers, the exits in
+// internal/cli and internal/faults, the WaitGroups in internal/pool and
+// in a _test.go file, and the tools that reach internal/cli but no
+// campaign.
 func TestFixtureRules(t *testing.T) {
 	want := map[string][]string{
 		"no-global-network-cache": {
@@ -146,6 +147,7 @@ func TestFixtureRules(t *testing.T) {
 		"below-the-campaign":        {"internal/distrib/distrib.go: internal/distrib imports internal/measure"},
 		"one-reachability-rule":     {"internal/distrib/distrib.go: .Introducers"},
 		"one-address-table":         {"internal/measure/intern.go: map[netip.Addr]uint32"},
+		"one-peer-index":            {"internal/measure/tracks.go: map[netdb.Hash]int32"},
 		"one-exit-site": {
 			"cmd/tool/main.go: log.Fatal",
 			"internal/cli/studycli/studycli.go: os.Exit",

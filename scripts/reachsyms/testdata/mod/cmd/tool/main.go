@@ -12,13 +12,14 @@ import (
 	"example.com/fixture/internal/cli/studycli"
 	"example.com/fixture/internal/distrib"
 	"example.com/fixture/internal/faults"
+	"example.com/fixture/internal/netdb"
 	"example.com/fixture/internal/service"
 	"example.com/fixture/internal/sim"
 )
 
 func main() {
 	cli.Main(func() error {
-		fmt.Println("os.Exit(", censor.Capture(&sim.Observer{}), distrib.Hand(&sim.Network{}), service.New())
+		fmt.Println("os.Exit(", censor.Capture(&sim.Observer{}), distrib.Hand(&sim.Network{}), service.New(), netdb.Hash{})
 		return nil
 	})
 	if len(os.Args) > 2 {
