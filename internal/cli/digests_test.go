@@ -28,41 +28,56 @@ const digestsFile = "testdata/digests.json"
 // TestStudyDigests makes "no byte moved" checkable: every registered
 // experiment runs through RunAll at DefaultOptions, and the SHA-256 of
 // the bytes studycli.WriteResult prints for it must equal its line in
-// testdata/digests.json, keyed "seed/experiment". A bit-compatible change
-// leaves the file byte for byte; a declared output change rewrites
-// exactly its experiments' lines with -update. Workers 1 runs only
-// without -short; the determinism contract makes its digests Workers 0's.
+// testdata/digests.json, keyed "seed/experiment". The population and
+// ablation experiments also run at the paper's 90-day horizon, keyed
+// "seed/d90/experiment", so the census's long tail (Figure 8's peers
+// with over a hundred addresses, the horizon-bound churn of Figures 7
+// and 12) is pinned too. A bit-compatible change leaves the file byte
+// for byte; a declared output change rewrites exactly its experiments'
+// lines with -update. Workers 1 runs only without -short; the
+// determinism contract makes its digests Workers 0's.
 func TestStudyDigests(t *testing.T) {
 	workers := []int{0}
 	if !testing.Short() {
 		workers = append(workers, 1)
 	}
+	horizons := []struct {
+		days   int
+		prefix string
+		ids    []string // nil: every registered experiment
+	}{
+		{days: core.DefaultOptions().Days},
+		{days: 90, prefix: "d90/", ids: append(core.ExperimentIDs(core.CategoryPopulation), core.ExperimentIDs(core.CategoryAblation)...)},
+	}
 	got := map[string]string{}
 	for _, seed := range []uint64{2018, 424242} {
-		for _, w := range workers {
-			opts := core.DefaultOptions()
-			opts.Seed = seed
-			opts.Workers = w
-			study, err := core.NewStudy(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			results, err := study.RunAll(context.Background())
-			if err != nil {
-				t.Fatalf("seed %d, workers %d: %v", seed, w, err)
-			}
-			for _, res := range results {
-				var b bytes.Buffer
-				if err := studycli.WriteResult(&b, res); err != nil {
+		for _, h := range horizons {
+			for _, w := range workers {
+				opts := core.DefaultOptions()
+				opts.Seed = seed
+				opts.Days = h.days
+				opts.Workers = w
+				study, err := core.NewStudy(opts)
+				if err != nil {
 					t.Fatal(err)
 				}
-				sum := sha256.Sum256(b.Bytes())
-				key := fmt.Sprintf("%d/%s", seed, res.ID)
-				digest := hex.EncodeToString(sum[:])
-				if prev, ok := got[key]; ok && prev != digest {
-					t.Errorf("%s: workers %d printed %s, workers 0 %s", key, w, digest, prev)
+				results, err := study.RunAll(context.Background(), h.ids...)
+				if err != nil {
+					t.Fatalf("seed %d, %d days, workers %d: %v", seed, h.days, w, err)
 				}
-				got[key] = digest
+				for _, res := range results {
+					var b bytes.Buffer
+					if err := studycli.WriteResult(&b, res); err != nil {
+						t.Fatal(err)
+					}
+					sum := sha256.Sum256(b.Bytes())
+					key := fmt.Sprintf("%d/%s%s", seed, h.prefix, res.ID)
+					digest := hex.EncodeToString(sum[:])
+					if prev, ok := got[key]; ok && prev != digest {
+						t.Errorf("%s: workers %d printed %s, workers 0 %s", key, w, digest, prev)
+					}
+					got[key] = digest
+				}
 			}
 		}
 	}
