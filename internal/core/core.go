@@ -90,6 +90,11 @@ type Study struct {
 
 	mu      sync.Mutex
 	dataset *measure.Dataset
+
+	// fleetScratch recycles fleetDays' scratch (*fleetScratch) across
+	// days and experiments: sync.Pool keeps it per P, so each worker
+	// reuses its own, as sim's draw positions are kept.
+	fleetScratch sync.Pool
 }
 
 // NewStudy builds the network for the given options.

@@ -221,26 +221,31 @@ func (s *Study) experimentDay() int { return s.Opts.Days - 5 }
 // how many peers observers[k] saw on days[d], and union[k][d] how many
 // distinct peers observers[0..k] saw between them that day. Each day is
 // one pool.FanOut task that draws the observers in order into reused
-// scratch and claims their peers into the day's sim.ClaimSet, so the
-// counts are the same at any worker count.
+// scratch (Study.fleetScratch) and claims their peers into the day's
+// sim.ClaimSet, so the counts are the same at any worker count.
 func fleetDays(ctx context.Context, s *Study, observers []*sim.Observer, days []int) (seen, union [][]int, err error) {
 	seen, union = make([][]int, len(observers)), make([][]int, len(observers))
 	for k := range observers {
 		seen[k], union[k] = make([]int, len(days)), make([]int, len(days))
 	}
 	err = pool.FanOut(ctx, len(days), s.Workers(), func(d int) error {
+		sc, _ := s.fleetScratch.Get().(*fleetScratch)
+		if sc == nil {
+			sc = &fleetScratch{claimed: s.Net.NewClaimSet()}
+		}
+		defer s.fleetScratch.Put(sc)
+		clear(sc.claimed)
 		day := days[d]
-		active, claimed := s.Net.ActivePeers(day), s.Net.NewClaimSet()
-		var pos []int32
+		active := s.Net.ActivePeers(day)
 		n := 0
 		for k, o := range observers {
-			pos = o.DrawDay(day, pos[:0])
-			for _, j := range pos {
-				if claimed.Claim(int(active[j])) {
+			sc.pos = o.DrawDay(day, sc.pos[:0])
+			for _, j := range sc.pos {
+				if sc.claimed.Claim(int(active[j])) {
 					n++
 				}
 			}
-			seen[k][d], union[k][d] = len(pos), n
+			seen[k][d], union[k][d] = len(sc.pos), n
 		}
 		return nil
 	})
@@ -248,6 +253,14 @@ func fleetDays(ctx context.Context, s *Study, observers []*sim.Observer, days []
 		return nil, nil, err
 	}
 	return seen, union, nil
+}
+
+// fleetScratch is one fleetDays task's buffers: the observers' draw
+// positions and the day's claim set, sized for the study's network and
+// emptied before each day.
+type fleetScratch struct {
+	pos     []int32
+	claimed sim.ClaimSet
 }
 
 func runFigure02(ctx context.Context, s *Study) (*Result, error) {

@@ -66,7 +66,7 @@ type ChurnPoint struct {
 func (ds *Dataset) ChurnAt(n int) ChurnPoint { return ds.ChurnPoints(n)[0] }
 
 // ChurnPoints returns ChurnAt at each of the horizons, in order, from one
-// pass over the tracks: it counts the tracks by LongestRun and by Span,
+// pass over the tracks: it counts the tracks by longestRun and by Span,
 // and answers every horizon from the counts' suffix sums.
 func (ds *Dataset) ChurnPoints(horizons ...int) []ChurnPoint {
 	out := make([]ChurnPoint, len(horizons))
@@ -76,7 +76,7 @@ func (ds *Dataset) ChurnPoints(horizons ...int) []ChurnPoint {
 	if ds.observed == 0 {
 		return out
 	}
-	// runs[v] and spans[v] count the tracks whose LongestRun and Span are
+	// runs[v] and spans[v] count the tracks whose longestRun and Span are
 	// v. An observed track's Span is at least 1: the clamp only guards the
 	// index and moves no count.
 	var runs, spans []int
@@ -87,8 +87,8 @@ func (ds *Dataset) ChurnPoints(horizons ...int) []ChurnPoint {
 		h[v]++
 		return h
 	}
-	ds.eachTrack(func(t *PeerTrack) {
-		runs = bump(runs, t.LongestRun())
+	ds.eachTrack(func(i int, t *PeerTrack) {
+		runs = bump(runs, ds.longestRun(i))
 		spans = bump(spans, max(t.Span(), 0))
 	})
 	// atLeast turns a count by value into the count of values >= n.
@@ -156,8 +156,9 @@ func (ds *Dataset) IPChurnHistogram(maxBucket int) *stats.IntHistogram {
 		maxBucket = 16
 	}
 	h := stats.NewIntHistogram()
-	ds.eachTrack(func(t *PeerTrack) {
-		if n := t.IPCount(); n > 0 { // n == 0: an unknown-IP peer
+	sets := peerSets{ds: ds}
+	ds.eachTrack(func(i int, _ *PeerTrack) {
+		if n := sets.ipCount(i); n > 0 { // n == 0: an unknown-IP peer
 			h.Observe(min(n, maxBucket))
 		}
 	})
@@ -170,8 +171,9 @@ func (ds *Dataset) IPChurnHistogram(maxBucket int) *stats.IntHistogram {
 func (ds *Dataset) IPCountShares() (single, multi, over100 float64) {
 	total := 0
 	s, m, o := 0, 0, 0
-	ds.eachTrack(func(t *PeerTrack) {
-		n := t.IPCount()
+	sets := peerSets{ds: ds}
+	ds.eachTrack(func(i int, _ *PeerTrack) {
+		n := sets.ipCount(i)
 		if n == 0 {
 			return
 		}
@@ -367,8 +369,9 @@ func (ds *Dataset) CountryCounter() *stats.Counter {
 // once per country, not once per peer.
 func (ds *Dataset) countryTally() map[uint16]int {
 	n := make(map[uint16]int)
-	ds.eachTrack(func(t *PeerTrack) {
-		for _, cc := range t.countries {
+	sets := peerSets{ds: ds}
+	ds.eachTrack(func(i int, _ *PeerTrack) {
+		for _, cc := range sets.countriesOf(i) {
 			n[cc]++
 		}
 	})
@@ -379,8 +382,9 @@ func (ds *Dataset) countryTally() map[uint16]int {
 // autonomous system.
 func (ds *Dataset) ASCounter() *stats.Counter {
 	n := make(map[uint32]int)
-	ds.eachTrack(func(t *PeerTrack) {
-		for _, asn := range t.ASNs() {
+	sets := peerSets{ds: ds}
+	ds.eachTrack(func(i int, _ *PeerTrack) {
+		for _, asn := range sets.asnsOf(i) {
 			n[asn]++
 		}
 	})
@@ -423,8 +427,9 @@ func (ds *Dataset) ASChurnHistogram(maxBucket int) *stats.IntHistogram {
 		maxBucket = 10
 	}
 	h := stats.NewIntHistogram()
-	ds.eachTrack(func(t *PeerTrack) {
-		if n := t.ASCount(); n > 0 {
+	sets := peerSets{ds: ds}
+	ds.eachTrack(func(i int, _ *PeerTrack) {
+		if n := len(sets.asnsOf(i)); n > 0 {
 			h.Observe(min(n, maxBucket))
 		}
 	})
@@ -435,8 +440,9 @@ func (ds *Dataset) ASChurnHistogram(maxBucket int) *stats.IntHistogram {
 // known-IP peers in exactly one AS and in more than ten.
 func (ds *Dataset) ASCountShares() (single, over10 float64, maxASes int) {
 	total, s, o := 0, 0, 0
-	ds.eachTrack(func(t *PeerTrack) {
-		n := t.ASCount()
+	sets := peerSets{ds: ds}
+	ds.eachTrack(func(i int, _ *PeerTrack) {
+		n := len(sets.asnsOf(i))
 		if n == 0 {
 			return
 		}

@@ -31,39 +31,46 @@ func runStreamCampaign(t testing.TB, n *sim.Network, cfg CampaignConfig) (*Datas
 }
 
 // retainedUnits is the independent reference the pipeline is compared
-// against: every observer's full CollectDay, merged through a map by the
-// stated rule — newest Published wins, ties to the earliest observer —
-// with every day's unit retained in memory. It shares no code with
-// Observer.CaptureDay's claim set, so it is the test that fails if an
-// observer ever stamps a different Published.
+// against: every day's retainedUnit, with every day's unit retained in
+// memory.
 func retainedUnits(c *Campaign) [][]*netdb.RouterInfo {
 	units := make([][]*netdb.RouterInfo, c.cfg.EndDay)
 	for day := c.cfg.StartDay; day < c.cfg.EndDay; day++ {
-		merged := make(map[netdb.Hash]*netdb.RouterInfo)
-		for _, o := range c.obs {
-			for _, ri := range o.CollectDay(day) {
-				prev, ok := merged[ri.Identity]
-				if !ok || ri.Published.After(prev.Published) {
-					merged[ri.Identity] = ri
-				}
-			}
-		}
-		recs := make([]*netdb.RouterInfo, 0, len(merged))
-		for _, ri := range merged {
-			recs = append(recs, ri)
-		}
-		referenceSortByPeer(c.net, recs)
-		units[day] = recs
+		units[day] = retainedUnit(c, day)
 	}
 	return units
+}
+
+// retainedUnit is one day of the reference: every observer's full
+// CollectDay, merged through a map by the stated rule — newest Published
+// wins, ties to the earliest observer. It shares no code with
+// Observer.CaptureDay's claim set, so it is the test that fails if an
+// observer ever stamps a different Published.
+func retainedUnit(c *Campaign, day int) []*netdb.RouterInfo {
+	merged := make(map[netdb.Hash]*netdb.RouterInfo)
+	for _, o := range c.obs {
+		for _, ri := range o.CollectDay(day) {
+			prev, ok := merged[ri.Identity]
+			if !ok || ri.Published.After(prev.Published) {
+				merged[ri.Identity] = ri
+			}
+		}
+	}
+	recs := make([]*netdb.RouterInfo, 0, len(merged))
+	for _, ri := range merged {
+		recs = append(recs, ri)
+	}
+	referenceSortByPeer(c.net, recs)
+	return recs
 }
 
 // foldUnits folds retained units in day order into a fresh Dataset with
 // the RouterInfo fold the campaign used before it captured sightings.
 func foldUnits(c *Campaign, units [][]*netdb.RouterInfo) *Dataset {
 	ds := NewDataset(c.cfg.StartDay, c.cfg.EndDay)
+	sets := newReferenceSets(len(c.net.Peers))
 	for day := c.cfg.StartDay; day < c.cfg.EndDay; day++ {
-		ds.referenceAccumulateDay(c.net, day, units[day])
+		ds.referenceAccumulateDay(c.net, day, units[day], sets)
 	}
 	return ds
 }

@@ -16,7 +16,7 @@ func referenceChurnAt(ds *Dataset, n int) ChurnPoint {
 			continue
 		}
 		total++
-		if t.LongestRun() >= n {
+		if ds.longestRun(i) >= n {
 			cont++
 		}
 		if t.Span() >= n {

@@ -5,45 +5,38 @@
 package measure
 
 import (
-	"sort"
+	"slices"
 
+	"github.com/i2pstudy/i2pstudy/internal/geo"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
-// PeerTrack accumulates everything the campaign learned about one peer,
-// mirroring what the paper's post-processing derived from archived
-// RouterInfos. A Dataset holds one per peer index (sim.Sighting.Peer);
-// the peer's identity hash is network.Peers[i].ID, not a copy here.
+// PeerTrack accumulates what the campaign learned about one peer that is
+// not an address, mirroring what the paper's post-processing derived
+// from archived RouterInfos. A Dataset holds one per peer index
+// (sim.Sighting.Peer); the peer's identity hash is network.Peers[i].ID,
+// not a copy here.
 //
-// The representation is deliberately compact — a bitset of seen days and
-// sorted slices of interned IDs instead of per-peer maps — because a
-// global-scale campaign holds one PeerTrack per peer of the network for
-// the whole run. At the paper's scale (30.5K daily peers, 90 days) the old
-// five-maps-per-peer layout dominated the heap; the compact layout is a
-// few dozen bytes per peer, every track's seen words carved from one
-// slab, plus two columns over the network's address IDs (sim.AddrTable).
-// Fold order is canonical (ascending day, ascending peer index within a
-// day), so the whole Dataset is byte-identical across worker counts and
-// resume.
+// The representation is deliberately compact, because a global-scale
+// campaign holds one PeerTrack per peer of the network for the whole
+// run: the window and the flags, no slice and no pointer
+// (TestPeerTrackLayout). The days the peer was seen are its words of the
+// Dataset's seen slab, found by peer index, and the addresses it was seen
+// with are the Dataset's marks over the network's schedule segments
+// (sim.AddrTable), from which the analyses derive its addresses, ASes and
+// countries (peerSets). Fold order is canonical (ascending day, ascending
+// peer index within a day), and neither bitset depends on it, so the
+// whole Dataset is byte-identical across worker counts and resume.
 type PeerTrack struct {
 	// FirstDay and LastDay bound the observation window (study days).
 	// Dataset.track sets both on the peer's first observation; a peer
 	// never observed keeps the zero track.
-	FirstDay, LastDay int
-	// seen is a bitset over [StartDay, EndDay) marking observed days,
-	// carved from the Dataset's slab on the first observation: nil until
-	// then, which is what marks a slot never observed.
-	seen []uint64
+	FirstDay, LastDay int32
 
-	// ips holds the network's address IDs (sim.AddrTable) of every
-	// distinct public address observed, sorted ascending.
-	ips []uint32
-	// asns holds the distinct ASNs resolved for those addresses, sorted.
-	asns []uint32
-	// countries holds the distinct resolved countries as packed ISO-2
-	// codes (see packCountry), sorted.
-	countries []uint16
+	// opened marks a peer the campaign observed: Dataset.track sets it
+	// with the window, and the zero track's is false.
+	opened bool
 
 	// Flag observations.
 	EverFloodfill bool
@@ -55,42 +48,12 @@ type PeerTrack struct {
 }
 
 // observed reports whether the campaign ever saw the peer.
-func (p *PeerTrack) observed() bool { return p.seen != nil }
-
-// LongestRun returns the longest consecutive-day observation streak.
-func (p *PeerTrack) LongestRun() int {
-	best, cur := 0, 0
-	for _, w := range p.seen {
-		for b := 0; b < 64; b++ {
-			if w&(1<<b) != 0 {
-				cur++
-				if cur > best {
-					best = cur
-				}
-			} else {
-				// Padding bits past EndDay are always zero; they can only
-				// break a streak that has already ended.
-				cur = 0
-			}
-		}
-	}
-	return best
-}
+func (p *PeerTrack) observed() bool { return p.opened }
 
 // Span returns LastDay - FirstDay + 1, the intermittent-presence length.
 func (p *PeerTrack) Span() int {
-	return p.LastDay - p.FirstDay + 1
+	return int(p.LastDay-p.FirstDay) + 1
 }
-
-// IPCount returns the number of distinct public addresses observed.
-func (p *PeerTrack) IPCount() int { return len(p.ips) }
-
-// ASCount returns the number of distinct autonomous systems resolved.
-func (p *PeerTrack) ASCount() int { return len(p.asns) }
-
-// ASNs returns the distinct ASNs in ascending order. The slice is the
-// track's own storage; callers must not modify it.
-func (p *PeerTrack) ASNs() []uint32 { return p.asns }
 
 // packCountry packs an ISO-2 country code ("US", "RU", ...) into a
 // uint16 whose numeric order equals the codes' lexicographic order. The
@@ -104,20 +67,6 @@ func packCountry(cc string) uint16 {
 
 func unpackCountry(c uint16) string {
 	return string([]byte{byte(c >> 8), byte(c)})
-}
-
-// insertSorted inserts v into ascending-sorted s if absent, reporting
-// whether it was added. Per-peer sets are small (a handful of IPs/ASNs),
-// so binary search + copy beats a map by an order of magnitude in bytes.
-func insertSorted[E interface{ ~uint16 | ~uint32 }](s []E, v E) ([]E, bool) {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
-		return s, false
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s, true
 }
 
 // addrGeo is the geographic resolution of one network address, made the
@@ -168,10 +117,13 @@ func newDayStats(day int) *DayStats {
 }
 
 // Dataset is the accumulated result of a campaign. It is a fixed-size
-// fold target: its memory is O(the network's peers + its addresses +
-// days), independent of how many day units are in flight, which is what
+// fold target: its memory is O(the network's peers + its addresses and
+// schedule segments + days), independent of how many day units are in flight, which is what
 // lets the streaming campaign drop raw merged records as soon as a day
-// has been folded and spilled.
+// has been folded and spilled. It keeps no set per peer: a peer's days
+// and addresses are bits in two bitsets, one over (peer, day) and one
+// over the network's schedule segments, and the analyses derive the
+// per-peer sets from them (peerSets).
 type Dataset struct {
 	// StartDay and EndDay bound the campaign ([StartDay, EndDay)).
 	StartDay, EndDay int
@@ -184,11 +136,20 @@ type Dataset struct {
 
 	// tracks holds one PeerTrack per peer index (sim.Sighting.Peer), sized
 	// by the first fold; a peer never observed keeps the zero track.
-	// observed counts the tracks that are not, and seen is the slab their
-	// day bitsets are carved from.
+	// observed counts the tracks that are not, and seen is the slab of
+	// their day bitsets: peer i's are the seenWords() words at
+	// i*seenWords().
 	tracks   []PeerTrack
 	observed int
 	seen     []uint64
+
+	// addrs is the network's address table, set by the first fold.
+	// marked is a bitset over its segment positions (sim.AddrTable
+	// .NumSegments): a segment's bit is set the first time the fold sees
+	// its peer publishing it, so a peer's observed addresses are the IDs
+	// of its marked segments.
+	addrs  *sim.AddrTable
+	marked []uint64
 
 	// geo and lastMark are dense columns over the network's address IDs
 	// (sim.AddrTable), sized by the first fold: each address's resolution,
@@ -215,10 +176,13 @@ func (ds *Dataset) sizeTracks(peers int) {
 	}
 }
 
-// sizeAddrColumns sizes geo and lastMark to the network's address table,
-// once: the first fold over the Dataset calls it.
+// sizeAddrColumns sizes the segment marks, geo and lastMark to the
+// network's address table, once: the first fold over the Dataset calls
+// it.
 func (ds *Dataset) sizeAddrColumns(addrs *sim.AddrTable) {
-	if ds.geo == nil {
+	if ds.addrs == nil {
+		ds.addrs = addrs
+		ds.marked = make([]uint64, (addrs.NumSegments()+63)/64)
 		ds.geo = make([]addrGeo, addrs.NumAddrs())
 		ds.lastMark = make([]int32, addrs.NumAddrs())
 	}
@@ -233,35 +197,153 @@ func (ds *Dataset) day(d int) *DayStats {
 }
 
 // track records that peer idx was observed on day and returns its
-// PeerTrack. The first observation opens the window at day and carves the
-// track's seen words from the slab; days fold in ascending order, so that
-// day is the first the peer was seen. It allocates nothing
-// (TestTrackAllocatesNothing).
+// PeerTrack. The first observation opens the window at day; days fold in
+// ascending order, so that day is the first the peer was seen. It
+// allocates nothing (TestTrackAllocatesNothing).
 func (ds *Dataset) track(idx int32, day int) *PeerTrack {
 	t := &ds.tracks[idx]
-	if !t.observed() {
-		w := ds.seenWords()
-		lo := int(idx) * w
-		*t = PeerTrack{FirstDay: day, LastDay: day, seen: ds.seen[lo : lo+w : lo+w]}
+	if !t.opened {
+		*t = PeerTrack{FirstDay: int32(day), LastDay: int32(day), opened: true}
 		ds.observed++
 	}
-	if day > t.LastDay {
-		t.LastDay = day
+	if int32(day) > t.LastDay {
+		t.LastDay = int32(day)
 	}
-	i := day - ds.StartDay
-	t.seen[i>>6] |= 1 << (i & 63)
+	i := int(idx)*ds.seenWords()*64 + day - ds.StartDay
+	ds.seen[i>>6] |= 1 << (i & 63)
 	return t
 }
 
-// eachTrack calls fn with the track of every observed peer, in peer-index
-// order: the one place the analyses skip the zero tracks of peers the
-// campaign never saw.
-func (ds *Dataset) eachTrack(fn func(t *PeerTrack)) {
-	for i := range ds.tracks {
-		if t := &ds.tracks[i]; t.observed() {
-			fn(t)
+// seenOf returns peer idx's words of the seen slab: bit d marks day
+// StartDay+d.
+func (ds *Dataset) seenOf(idx int) []uint64 {
+	w := ds.seenWords()
+	return ds.seen[idx*w : idx*w+w]
+}
+
+// longestRun returns peer idx's longest consecutive-day observation
+// streak.
+func (ds *Dataset) longestRun(idx int) int {
+	best, cur := 0, 0
+	for _, w := range ds.seenOf(idx) {
+		for b := 0; b < 64; b++ {
+			if w&(1<<b) != 0 {
+				cur++
+				if cur > best {
+					best = cur
+				}
+			} else {
+				// Padding bits past EndDay are always zero; they can only
+				// break a streak that has already ended.
+				cur = 0
+			}
 		}
 	}
+	return best
+}
+
+// eachTrack calls fn with the index and track of every observed peer, in
+// peer-index order: the one place the analyses skip the zero tracks of
+// peers the campaign never saw.
+func (ds *Dataset) eachTrack(fn func(idx int, t *PeerTrack)) {
+	for i := range ds.tracks {
+		if t := &ds.tracks[i]; t.observed() {
+			fn(i, t)
+		}
+	}
+}
+
+// markSegment marks the segment at position pos as seen, resolving each
+// of its addresses on the fold's first sight of the address. geo.DB
+// .Lookup is pure, so resolving once per distinct address is exact.
+func (ds *Dataset) markSegment(db *geo.DB, pos int) {
+	word, bit := pos>>6, uint64(1)<<(pos&63)
+	if ds.marked[word]&bit != 0 {
+		return
+	}
+	ds.marked[word] |= bit
+	v4, v6 := ds.addrs.SegmentIDs(pos)
+	for _, id := range [2]int32{v4, v6} {
+		if id < 0 || ds.geo[id].seen {
+			continue
+		}
+		addr := ds.addrs.Addr(id)
+		g := addrGeo{is4: addr.Is4(), seen: true}
+		if rec, ok := db.Lookup(addr); ok {
+			g.asn, g.country, g.resolved = rec.ASN, packCountry(rec.CountryCode), true
+		}
+		ds.geo[id] = g
+	}
+}
+
+// peerSets derives a peer's distinct addresses, ASNs and countries from
+// its marked segments, through the Dataset's geo column. The slices are
+// scratch the next call reuses; the analyses run concurrently (RunAll),
+// so each call of an analysis owns one peerSets, and the Dataset holds
+// no buffer.
+type peerSets struct {
+	ds        *Dataset
+	ids       []int32
+	asns      []uint32
+	countries []uint16
+}
+
+// load gathers the address IDs of peer idx's marked segments, with
+// repeats: two segments may publish the same address.
+func (s *peerSets) load(idx int) {
+	s.ids = s.ids[:0]
+	lo, hi := s.ds.addrs.PeerSegments(idx)
+	for pos := lo; pos < hi; pos++ {
+		if s.ds.marked[pos>>6]&(1<<(pos&63)) == 0 {
+			continue
+		}
+		v4, v6 := s.ds.addrs.SegmentIDs(pos)
+		if v4 >= 0 {
+			s.ids = append(s.ids, v4)
+		}
+		if v6 >= 0 {
+			s.ids = append(s.ids, v6)
+		}
+	}
+}
+
+// ipCount returns the number of distinct public addresses peer idx was
+// observed with: zero for an unknown-IP peer.
+func (s *peerSets) ipCount(idx int) int {
+	s.load(idx)
+	slices.Sort(s.ids)
+	return len(slices.Compact(s.ids))
+}
+
+// asnsOf returns the distinct ASNs resolved for peer idx's addresses, in
+// ascending order, in scratch the next call reuses.
+func (s *peerSets) asnsOf(idx int) []uint32 {
+	s.load(idx)
+	s.asns = s.asns[:0]
+	for _, id := range s.ids {
+		if g := &s.ds.geo[id]; g.resolved {
+			s.asns = append(s.asns, g.asn)
+		}
+	}
+	slices.Sort(s.asns)
+	s.asns = slices.Compact(s.asns)
+	return s.asns
+}
+
+// countriesOf returns the distinct countries (packCountry) resolved for
+// peer idx's addresses, in ascending order, in scratch the next call
+// reuses.
+func (s *peerSets) countriesOf(idx int) []uint16 {
+	s.load(idx)
+	s.countries = s.countries[:0]
+	for _, id := range s.ids {
+		if g := &s.ds.geo[id]; g.resolved {
+			s.countries = append(s.countries, g.country)
+		}
+	}
+	slices.Sort(s.countries)
+	s.countries = slices.Compact(s.countries)
+	return s.countries
 }
 
 // TotalPeers returns the number of distinct peers observed.

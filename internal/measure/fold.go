@@ -7,25 +7,16 @@ import (
 )
 
 // folder folds days of sightings into a Dataset, in ascending day order
-// and, within a day, ascending peer order. It keeps dense state by peer
-// index beside the Dataset's tracks (the address IDs each peer last
-// folded), so a day walks network.Peers, that state and the tracks in
-// index order and touches no map.
-//
-// The state is a cache of what the Dataset already holds, kept beside it
-// rather than in it: a fresh folder over a half-folded Dataset adds each
-// peer's addresses to its sets again, which moves nothing, and folds
-// exactly what a warm one would (TestFoldStateColdOrWarm).
+// and, within a day, ascending peer order. A day walks network.Peers, the
+// network's segment table and the Dataset's tracks in index order and
+// touches no map. It keeps no per-peer state of its own: what a peer
+// published is the Dataset's segment marks, which a fold sets at most
+// once each, so a fresh folder over a half-folded Dataset folds exactly
+// what a warm one would (TestFoldStateColdOrWarm).
 type folder struct {
-	ds    *Dataset
-	net   *sim.Network
-	db    *geo.DB
-	addrs *sim.AddrTable
-
-	// ids holds, by peer index, the IPv4 and IPv6 IDs
-	// (sim.AddrTable.PeerIDs) already in the peer's track sets, -1 where
-	// absent: a peer's sets grow only on a day its IDs differ from these.
-	ids [][2]int32
+	ds  *Dataset
+	net *sim.Network
+	db  *geo.DB
 
 	// The day's capacity-flag tallies, written into its DayStats maps
 	// once the day is folded.
@@ -34,14 +25,9 @@ type folder struct {
 
 // newFolder returns a folder of the network's sightings into ds.
 func newFolder(ds *Dataset, network *sim.Network) *folder {
-	addrs := network.AddrTable()
 	ds.sizeTracks(len(network.Peers))
-	ds.sizeAddrColumns(addrs)
-	ids := make([][2]int32, len(network.Peers))
-	for i := range ids {
-		ids[i] = [2]int32{-1, -1}
-	}
-	return &folder{ds: ds, net: network, db: network.GeoDB(), addrs: addrs, ids: ids}
+	ds.sizeAddrColumns(network.AddrTable())
+	return &folder{ds: ds, net: network, db: network.GeoDB()}
 }
 
 // fold folds one day's merged sightings into the Dataset, reading what
@@ -63,20 +49,15 @@ func (f *folder) fold(day int, recs []sim.Sighting) {
 		var knownIP, firewalled, hidden bool
 		switch p.Status {
 		case sim.StatusKnownIP:
-			var ids [2]int32
-			ids[0], ids[1] = f.addrs.PeerIDs(int(s.Peer), day)
-			if last := &f.ids[s.Peer]; ids != *last {
-				*last = ids
-				for _, id := range ids {
-					if id >= 0 {
-						ds.addAddr(f.db, f.addrs, t, id)
+			if pos := ds.addrs.SegmentOn(int(s.Peer), day); pos >= 0 {
+				v4, v6 := ds.addrs.SegmentIDs(pos)
+				if knownIP = v4 >= 0 || v6 >= 0; knownIP {
+					ds.markSegment(f.db, pos)
+					for _, id := range [2]int32{v4, v6} {
+						if id >= 0 {
+							ds.countAddr(stats, id)
+						}
 					}
-				}
-			}
-			for _, id := range ids {
-				if id >= 0 {
-					knownIP = true
-					ds.countAddr(stats, id)
 				}
 			}
 			// A record with no usable address and no introducers reads as
@@ -150,25 +131,6 @@ func (c *classCounts) flush(m map[netdb.BandwidthClass]int) {
 		}
 	}
 	*c = classCounts{}
-}
-
-// addAddr adds network address id, with its resolved AS and country, to
-// the sets of the peer behind t, resolving the address on the fold's
-// first sight of it.
-func (ds *Dataset) addAddr(db *geo.DB, addrs *sim.AddrTable, t *PeerTrack, id int32) {
-	g := &ds.geo[id]
-	if !g.seen {
-		addr := addrs.Addr(id)
-		*g = addrGeo{is4: addr.Is4(), seen: true}
-		if rec, ok := db.Lookup(addr); ok {
-			g.asn, g.country, g.resolved = rec.ASN, packCountry(rec.CountryCode), true
-		}
-	}
-	t.ips, _ = insertSorted(t.ips, uint32(id))
-	if g.resolved {
-		t.asns, _ = insertSorted(t.asns, g.asn)
-		t.countries, _ = insertSorted(t.countries, g.country)
-	}
 }
 
 // countAddr counts address id into its day's distinct-address tallies,

@@ -345,11 +345,15 @@ func TestPeerTrackHelpers(t *testing.T) {
 	if tr.Span() != 7 {
 		t.Fatalf("span = %d, want 7", tr.Span())
 	}
-	if tr.LongestRun() != 2 {
-		t.Fatalf("run = %d, want 2", tr.LongestRun())
+	if ds.longestRun(1) != 2 {
+		t.Fatalf("run = %d, want 2", ds.longestRun(1))
 	}
-	if tr.DaysObserved() != 4 {
-		t.Fatalf("days = %d, want 4", tr.DaysObserved())
+	if ds.daysObserved(1) != 4 {
+		t.Fatalf("days = %d, want 4", ds.daysObserved(1))
+	}
+	// The peers beside it share the seen slab but not its words.
+	if ds.daysObserved(0) != 0 || ds.daysObserved(2) != 0 {
+		t.Fatal("a track's seen days leaked into its neighbours' words")
 	}
 	// The same index returns the same track, and the peers beside it
 	// keep the zero track.

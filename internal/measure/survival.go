@@ -40,14 +40,14 @@ func (ds *Dataset) SurvivalCurve() []SurvivalPoint {
 	// span is at least 1 and the clamp only guards the index.
 	leaving := make([]int, ds.EndDay-ds.StartDay+1)
 	deaths := make([]int, len(leaving))
-	ds.eachTrack(func(t *PeerTrack) {
+	ds.eachTrack(func(_ int, t *PeerTrack) {
 		d := max(t.Span(), 0)
 		if d >= len(leaving) {
 			leaving = append(leaving, make([]int, d+1-len(leaving))...)
 			deaths = append(deaths, make([]int, d+1-len(deaths))...)
 		}
 		leaving[d]++
-		if t.LastDay < lastDay {
+		if int(t.LastDay) < lastDay {
 			deaths[d]++
 		}
 	})

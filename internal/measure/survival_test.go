@@ -19,7 +19,7 @@ func referenceSurvivalCurve(ds *Dataset) []SurvivalPoint {
 	var observations []obs
 	for i := range ds.tracks {
 		if t := &ds.tracks[i]; t.observed() {
-			observations = append(observations, obs{duration: t.Span(), died: t.LastDay < lastDay})
+			observations = append(observations, obs{duration: t.Span(), died: int(t.LastDay) < lastDay})
 		}
 	}
 	if len(observations) == 0 {

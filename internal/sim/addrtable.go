@@ -19,6 +19,13 @@ import (
 // never shape it; a table a client fills (the service's limiter) needs a
 // keyed hash.
 //
+// Every segment of every peer's schedule has one global position: the
+// segments lie in one flat array, ordered by peer index and, within a
+// peer, by fromDay, and peer i's run is [off[i], off[i+1]). A consumer
+// that wants to remember which segments it saw (the census) keeps one
+// bit per position instead of a set per peer. No per-peer slice header
+// is kept.
+//
 // An AddrTable is immutable and safe for unbounded concurrent use. It is
 // built on first use (Network.AddrTable), not in New, so a run that never
 // asks for an address ID never pays for it.
@@ -28,16 +35,19 @@ type AddrTable struct {
 	// table is the intern table, kept for IDOf lookups. Its length is a
 	// power of two; slots hold ID+1, 0 where empty.
 	table []int32
-	// segs holds, per peer index, the fromDay-ordered schedule with
-	// interned address IDs; nil for peers that never publish an address.
-	// Every peer's slice is carved from one backing array.
-	segs [][]idSeg
+	// segs holds every peer's fromDay-ordered schedule with interned
+	// address IDs, peer after peer; a segment's index is its position.
+	segs []idSeg
+	// off holds, by peer index, where the peer's segments start in segs,
+	// plus one final entry: peer i's are segs[off[i]:off[i+1]], empty for
+	// peers that never publish an address.
+	off []int32
 }
 
 // idSeg is one interned segment of a peer's address schedule. IDs are -1
 // when the peer publishes no such address in the segment.
 type idSeg struct {
-	fromDay int
+	fromDay int32
 	v4, v6  int32
 }
 
@@ -77,21 +87,16 @@ func newAddrTable(n *Network) *AddrTable {
 	t := &AddrTable{
 		addrs: make([]netip.Addr, 0, addrs),
 		table: make([]int32, size),
-		segs:  make([][]idSeg, len(n.Peers)),
+		segs:  make([]idSeg, 0, segs),
+		off:   make([]int32, len(n.Peers)+1),
 	}
-	free := make([]idSeg, segs)
 	for i, p := range n.Peers {
 		sched := p.schedule()
-		if len(sched) == 0 {
-			continue
-		}
-		own := free[:len(sched):len(sched)]
-		free = free[len(sched):]
 		for j := range sched {
 			v4, v6 := sched[j].addrs()
-			own[j] = idSeg{fromDay: int(sched[j].fromDay), v4: t.intern(v4), v6: t.intern(v6)}
+			t.segs = append(t.segs, idSeg{fromDay: int32(sched[j].fromDay), v4: t.intern(v4), v6: t.intern(v6)})
 		}
-		t.segs[i] = own
+		t.off[i+1] = int32(len(t.segs))
 	}
 	return t
 }
@@ -142,7 +147,24 @@ func addrHash(a netip.Addr) uint64 {
 func (t *AddrTable) NumAddrs() int { return len(t.addrs) }
 
 // Publishes reports whether peer idx publishes any address in the study.
-func (t *AddrTable) Publishes(idx int) bool { return t.segs[idx] != nil }
+func (t *AddrTable) Publishes(idx int) bool { return t.off[idx+1] > t.off[idx] }
+
+// NumSegments returns the number of schedule segments of all peers: the
+// positions run from 0 to NumSegments()-1.
+func (t *AddrTable) NumSegments() int { return len(t.segs) }
+
+// PeerSegments returns the positions [lo, hi) of peer idx's segments, in
+// fromDay order; lo == hi for a peer that never publishes an address.
+// The peers' runs tile [0, NumSegments) in peer-index order.
+func (t *AddrTable) PeerSegments(idx int) (lo, hi int) {
+	return int(t.off[idx]), int(t.off[idx+1])
+}
+
+// SegmentIDs returns the IDs of the addresses published in the segment at
+// position pos, -1 where absent.
+func (t *AddrTable) SegmentIDs(pos int) (v4, v6 int32) {
+	return t.segs[pos].v4, t.segs[pos].v6
+}
 
 // Addr returns the address with the given ID.
 func (t *AddrTable) Addr(id int32) netip.Addr { return t.addrs[id] }
@@ -157,21 +179,28 @@ func (t *AddrTable) IDOf(a netip.Addr) int32 {
 	return t.table[t.slot(a)] - 1
 }
 
+// SegmentOn returns the position of the segment peer idx publishes on
+// day, or -1 for a peer that never publishes an address. It mirrors
+// Peer.AddrOnDay exactly, including the edge case that days before the
+// first segment report the first segment.
+func (t *AddrTable) SegmentOn(idx, day int) int {
+	lo, hi := t.PeerSegments(idx)
+	if lo == hi {
+		return -1
+	}
+	cur := lo
+	for pos := lo + 1; pos < hi && int(t.segs[pos].fromDay) <= day; pos++ {
+		cur = pos
+	}
+	return cur
+}
+
 // PeerIDs returns the IDs of the addresses peer idx publishes on day, or
-// -1 where absent. It mirrors Peer.AddrOnDay exactly, including the edge
-// case that days before the first segment report the first segment's
-// addresses.
+// -1 where absent: SegmentOn's segment's IDs.
 func (t *AddrTable) PeerIDs(idx, day int) (v4, v6 int32) {
-	segs := t.segs[idx]
-	if len(segs) == 0 {
+	pos := t.SegmentOn(idx, day)
+	if pos < 0 {
 		return -1, -1
 	}
-	cur := segs[0]
-	for _, seg := range segs[1:] {
-		if seg.fromDay > day {
-			break
-		}
-		cur = seg
-	}
-	return cur.v4, cur.v6
+	return t.SegmentIDs(pos)
 }

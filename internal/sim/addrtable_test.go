@@ -79,6 +79,52 @@ func TestAddrIndexIDOf(t *testing.T) {
 	}
 }
 
+// TestAddrTableSegmentsMatchPeerIDs: for every peer and day, the segment
+// SegmentOn names carries exactly the IDs PeerIDs reports (-1 for a peer
+// with no segment), and the peers' PeerSegments ranges tile
+// [0, NumSegments) in peer-index order, each segment in fromDay order.
+func TestAddrTableSegmentsMatchPeerIDs(t *testing.T) {
+	n := testNetwork(t, 40)
+	tab := n.AddrTable()
+	next := 0
+	for i := range n.Peers {
+		lo, hi := tab.PeerSegments(i)
+		if lo != next || hi < lo {
+			t.Fatalf("peer %d: segments [%d, %d), want them to start at %d", i, lo, hi, next)
+		}
+		next = hi
+		if tab.Publishes(i) != (hi > lo) {
+			t.Fatalf("peer %d: Publishes %v with %d segments", i, tab.Publishes(i), hi-lo)
+		}
+		for pos := lo + 1; pos < hi; pos++ {
+			if tab.segs[pos-1].fromDay >= tab.segs[pos].fromDay {
+				t.Fatalf("peer %d: segments %d and %d out of fromDay order", i, pos-1, pos)
+			}
+		}
+		// Day -1 is before every peer's first segment: SegmentOn names
+		// the first one, as AddrOnDay reports it.
+		for day := -1; day < n.Days(); day++ {
+			v4, v6 := tab.PeerIDs(i, day)
+			pos := tab.SegmentOn(i, day)
+			if pos < 0 {
+				if lo != hi || v4 != -1 || v6 != -1 {
+					t.Fatalf("peer %d day %d: no segment, PeerIDs (%d, %d), %d segments", i, day, v4, v6, hi-lo)
+				}
+				continue
+			}
+			if pos < lo || pos >= hi {
+				t.Fatalf("peer %d day %d: segment %d outside its range [%d, %d)", i, day, pos, lo, hi)
+			}
+			if s4, s6 := tab.SegmentIDs(pos); s4 != v4 || s6 != v6 {
+				t.Fatalf("peer %d day %d: segment %d carries (%d, %d), PeerIDs (%d, %d)", i, day, pos, s4, s6, v4, v6)
+			}
+		}
+	}
+	if next != tab.NumSegments() {
+		t.Fatalf("the peers' segments end at %d of %d", next, tab.NumSegments())
+	}
+}
+
 // refIndex is what referenceAddrIndex builds: the ID table and the
 // interned schedules, with the map it interned through.
 type refIndex struct {
@@ -110,16 +156,17 @@ func referenceAddrIndex(n *Network) refIndex {
 		}
 		for _, seg := range p.schedule() {
 			v4, v6 := seg.addrs()
-			ref.segs[i] = append(ref.segs[i], idSeg{fromDay: int(seg.fromDay), v4: intern(v4), v6: intern(v6)})
+			ref.segs[i] = append(ref.segs[i], idSeg{fromDay: int32(seg.fromDay), v4: intern(v4), v6: intern(v6)})
 		}
 	}
 	return ref
 }
 
 // TestAddrIndexMatchesReference: the flat table assigns every address the
-// ID the map-based reference does, interns every schedule alike, and
-// resolves every address back to its ID — at both bench seeds, at 0.1
-// scale and (outside -short) at paper scale.
+// ID the map-based reference does, interns every schedule alike (each
+// peer's offset range of the flat segment array holds the reference's
+// per-peer slice), and resolves every address back to its ID — at both
+// bench seeds, at 0.1 scale and (outside -short) at paper scale.
 func TestAddrIndexMatchesReference(t *testing.T) {
 	scales := []int{3050}
 	if !testing.Short() {
@@ -136,8 +183,9 @@ func TestAddrIndexMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d, %d peers: %d addresses, the reference interns %d", seed, peers, len(tab.addrs), len(ref.addrs))
 			}
 			for i := range ref.segs {
-				if !slices.Equal(tab.segs[i], ref.segs[i]) || (tab.segs[i] == nil) != (ref.segs[i] == nil) {
-					t.Fatalf("seed %d, %d peers: peer %d interned as %v, the reference %v", seed, peers, i, tab.segs[i], ref.segs[i])
+				lo, hi := tab.PeerSegments(i)
+				if own := tab.segs[lo:hi]; !slices.Equal(own, ref.segs[i]) || tab.Publishes(i) != (ref.segs[i] != nil) {
+					t.Fatalf("seed %d, %d peers: peer %d interned as %v, the reference %v", seed, peers, i, own, ref.segs[i])
 				}
 			}
 			for id, a := range tab.addrs {
@@ -150,7 +198,7 @@ func TestAddrIndexMatchesReference(t *testing.T) {
 }
 
 // TestAddrIndexAllocs pins the build's allocation count: the table, the
-// reverse, the segment array and the per-peer slice headers are sized up
+// reverse, the flat segment array and the per-peer offsets are sized up
 // front, so no allocation is made per peer or per address.
 func TestAddrIndexAllocs(t *testing.T) {
 	n, err := New(Config{Seed: 2018, Days: 45, TargetDailyPeers: 3050})
