@@ -5,6 +5,7 @@
 package measure
 
 import (
+	"cmp"
 	"slices"
 
 	"github.com/i2pstudy/i2pstudy/internal/geo"
@@ -311,12 +312,11 @@ func (s *peerSets) load(idx int) {
 // observed with: zero for an unknown-IP peer.
 func (s *peerSets) ipCount(idx int) int {
 	s.load(idx)
-	slices.Sort(s.ids)
-	return len(slices.Compact(s.ids))
+	return len(distinct(s.ids))
 }
 
 // asnsOf returns the distinct ASNs resolved for peer idx's addresses, in
-// ascending order, in scratch the next call reuses.
+// no particular order, in scratch the next call reuses.
 func (s *peerSets) asnsOf(idx int) []uint32 {
 	s.load(idx)
 	s.asns = s.asns[:0]
@@ -325,13 +325,11 @@ func (s *peerSets) asnsOf(idx int) []uint32 {
 			s.asns = append(s.asns, g.asn)
 		}
 	}
-	slices.Sort(s.asns)
-	s.asns = slices.Compact(s.asns)
-	return s.asns
+	return distinct(s.asns)
 }
 
 // countriesOf returns the distinct countries (packCountry) resolved for
-// peer idx's addresses, in ascending order, in scratch the next call
+// peer idx's addresses, in no particular order, in scratch the next call
 // reuses.
 func (s *peerSets) countriesOf(idx int) []uint16 {
 	s.load(idx)
@@ -341,9 +339,29 @@ func (s *peerSets) countriesOf(idx int) []uint16 {
 			s.countries = append(s.countries, g.country)
 		}
 	}
-	slices.Sort(s.countries)
-	s.countries = slices.Compact(s.countries)
-	return s.countries
+	return distinct(s.countries)
+}
+
+// distinct returns the distinct values of v, reordering v in place. Most
+// peers carry a handful of distinct values, which a scan dedupes faster
+// than a sort; past smallSet of them (Figure 8's tail of peers with a
+// hundred addresses) what is left is sorted.
+func distinct[E cmp.Ordered](v []E) []E {
+	const smallSet = 16
+	out := v[:0]
+	for i, x := range v {
+		if slices.Contains(out, x) {
+			continue
+		}
+		if len(out) == smallSet {
+			// out and v[i:] hold every distinct value of v.
+			v = v[:len(out)+copy(v[len(out):], v[i:])]
+			slices.Sort(v)
+			return slices.Compact(v)
+		}
+		out = append(out, x)
+	}
+	return out
 }
 
 // TotalPeers returns the number of distinct peers observed.

@@ -221,10 +221,10 @@ func TestPeerSetsMatchReference(t *testing.T) {
 				if got, want := derived.ipCount(i), len(sets.ips[i]); got != want {
 					t.Fatalf("seed %d, %d days, peer %d: %d addresses, the reference %d", seed, days, i, got, want)
 				}
-				if got := derived.asnsOf(i); !slices.Equal(got, sets.asns[i]) {
+				if got := sortedCopy(derived.asnsOf(i)); !slices.Equal(got, sets.asns[i]) {
 					t.Fatalf("seed %d, %d days, peer %d: ASNs %v, the reference %v", seed, days, i, got, sets.asns[i])
 				}
-				if got := derived.countriesOf(i); !slices.Equal(got, sets.countries[i]) {
+				if got := sortedCopy(derived.countriesOf(i)); !slices.Equal(got, sets.countries[i]) {
 					t.Fatalf("seed %d, %d days, peer %d: countries %v, the reference %v", seed, days, i, got, sets.countries[i])
 				}
 				if len(sets.ips[i]) > 100 {
@@ -237,4 +237,12 @@ func TestPeerSetsMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sortedCopy returns a sorted copy of s: peerSets lists its ASNs and
+// countries in no particular order.
+func sortedCopy[E cmp.Ordered](s []E) []E {
+	c := slices.Clone(s)
+	slices.Sort(c)
+	return c
 }
