@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"github.com/i2pstudy/i2pstudy/internal/cli"
+	"github.com/i2pstudy/i2pstudy/internal/geo"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 	"github.com/i2pstudy/i2pstudy/internal/stats"
@@ -50,7 +51,7 @@ func run() error {
 	ff, reach := 0, 0
 	countries := stats.NewCounter()
 	for _, idx := range active {
-		p := net.Peers[idx]
+		p := &net.Peers[idx]
 		statusCounts[p.Status]++
 		classCounts[p.Class]++
 		if p.Floodfill {
@@ -59,7 +60,7 @@ func run() error {
 		if p.Reachable && p.Status == sim.StatusKnownIP {
 			reach++
 		}
-		countries.Inc(p.Country)
+		countries.Inc(geo.UnpackCountry(p.Country))
 	}
 
 	rows := [][]string{{"status", "peers", "share"}}

@@ -55,7 +55,7 @@ func main() {
 	pcg := rand.NewPCG(5, 5)
 	var candidates []*netdb.RouterInfo
 	for _, idx := range victim.KnownPeers(day) {
-		candidates = append(candidates, network.RouterInfo(day, network.SightingFor(network.Peers[idx], day, pcg)))
+		candidates = append(candidates, network.RouterInfo(day, network.SightingFor(idx, day, pcg)))
 	}
 	site := eepsite.NewSite(netdb.HashFromUint64(808))
 

@@ -38,9 +38,8 @@ func main() {
 		if i >= 150 {
 			break
 		}
-		p := network.Peers[idx]
-		if p.Status == sim.StatusKnownIP {
-			friendView = append(friendView, network.RouterInfo(day, network.SightingFor(p, day, pcg)))
+		if network.Peers[idx].Status == sim.StatusKnownIP {
+			friendView = append(friendView, network.RouterInfo(day, network.SightingFor(int(idx), day, pcg)))
 		}
 	}
 	dir, err := os.MkdirTemp("", "i2pseeds")

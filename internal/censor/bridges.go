@@ -189,11 +189,10 @@ func BridgePool(network *sim.Network, strat BridgeStrategy, day int) []int {
 	}
 	var pool []int
 	for _, id := range network.ActivePeers(day) {
-		p := network.Peers[id]
 		var in bool
-		switch p.Status {
+		switch network.Peers[id].Status {
 		case sim.StatusKnownIP:
-			in = strat == BridgeRandom || strat == BridgeNewlyJoined && p.FirstActiveDay() >= day-1
+			in = strat == BridgeRandom || strat == BridgeNewlyJoined && network.FirstActiveDay(int(id)) >= day-1
 		case sim.StatusFirewalled, sim.StatusToggling:
 			in = strat == BridgeFirewalled
 		}
@@ -217,11 +216,10 @@ const introducersPerBridge = 3
 // and the distrib sweeps that share this rule consume their streams
 // identically.
 func (ix *AddrIndex) BridgeUsable(bl *AddrSet, idx, day int, rng *rand.Rand) bool {
-	p := ix.net.Peers[idx]
-	if !p.ActiveOn(day) {
+	if !ix.net.ActiveOn(idx, day) {
 		return false
 	}
-	switch p.Status {
+	switch ix.net.Peers[idx].Status {
 	case sim.StatusKnownIP:
 		return !ix.PeerBlocked(bl, idx, day)
 	case sim.StatusFirewalled, sim.StatusToggling:

@@ -14,11 +14,10 @@ import (
 // the address index: blocked is any predicate over peer indexes, and a
 // firewalled bridge draws its introducers from rng in call order.
 func referenceBridgeUsable(network *sim.Network, idx, day int, blocked func(int) bool, introducers int, rng *rand.Rand) bool {
-	p := network.Peers[idx]
-	if !p.ActiveOn(day) {
+	if !network.ActiveOn(idx, day) {
 		return false
 	}
-	switch p.Status {
+	switch network.Peers[idx].Status {
 	case sim.StatusKnownIP:
 		return !blocked(idx)
 	case sim.StatusFirewalled, sim.StatusToggling:
@@ -108,11 +107,10 @@ func referenceBridgePools(network *sim.Network, day int) map[BridgeStrategy][]in
 	var knownIP, newlyJoined, firewalled []int
 	for _, id := range network.ActivePeers(day) {
 		idx := int(id)
-		p := network.Peers[idx]
-		switch p.Status {
+		switch network.Peers[idx].Status {
 		case sim.StatusKnownIP:
 			knownIP = append(knownIP, idx)
-			if p.FirstActiveDay() >= day-1 {
+			if network.FirstActiveDay(idx) >= day-1 {
 				newlyJoined = append(newlyJoined, idx)
 			}
 		case sim.StatusFirewalled, sim.StatusToggling:

@@ -297,9 +297,8 @@ func referenceBlacklists(c *Censor) func(k, window, day int) map[netip.Addr]bool
 		}
 		var addrs []netip.Addr
 		for _, idx := range c.observers[r].ObserveDay(d) {
-			p := c.ix.net.Peers[idx]
-			v4, v6 := p.AddrOnDay(d)
-			if p.Status == sim.StatusKnownIP && v4.IsValid() {
+			v4, v6 := c.ix.net.AddrOnDay(idx, d)
+			if c.ix.net.Peers[idx].Status == sim.StatusKnownIP && v4.IsValid() {
 				addrs = append(addrs, v4)
 				if v6.IsValid() {
 					addrs = append(addrs, v6)
@@ -355,11 +354,10 @@ func TestKnownAddressesMatchesReference(t *testing.T) {
 			if d < day && !retainStale(idx, d) {
 				continue
 			}
-			p := n.Peers[idx]
-			if p.Status != sim.StatusKnownIP {
+			if n.Peers[idx].Status != sim.StatusKnownIP {
 				continue
 			}
-			v4, v6 := p.AddrOnDay(d)
+			v4, v6 := n.AddrOnDay(int(idx), d)
 			if v4.IsValid() {
 				ref[v4] = true
 			}

@@ -123,9 +123,8 @@ func referenceFigure13(t *testing.T, n *sim.Network, maxRouters int, windows []i
 		for k := 1; k <= maxRouters; k++ {
 			for d := start; d <= day; d++ {
 				for _, idx := range c.observers[k-1].ObserveDay(d) {
-					p := n.Peers[idx]
-					v4, v6 := p.AddrOnDay(d)
-					if p.Status == sim.StatusKnownIP && v4.IsValid() {
+					v4, v6 := n.AddrOnDay(idx, d)
+					if n.Peers[idx].Status == sim.StatusKnownIP && v4.IsValid() {
 						bl[v4] = true
 						if v6.IsValid() {
 							bl[v6] = true

@@ -497,18 +497,14 @@ func runFigure08(ctx context.Context, s *Study) (*Result, error) {
 	single, multi, _ := ds.IPCountShares()
 	// The >100-address tail needs hourly capture resolution, which the
 	// daily pipeline lacks; compute it from the simulator's ground-truth
-	// schedules.
-	over100 := 0
+	// schedules. Only known-IP peers publish addresses.
 	knownIP := 0
-	for _, p := range s.Net.Peers {
-		if p.Status != sim.StatusKnownIP {
-			continue
-		}
-		knownIP++
-		if p.UniqueIPs() > 100 {
-			over100++
+	for i := range s.Net.Peers {
+		if s.Net.Peers[i].Status == sim.StatusKnownIP {
+			knownIP++
 		}
 	}
+	over100 := s.Net.ManyIPPeers(100)
 	rows := [][]string{{"IPs", "peers", "share"}}
 	for _, v := range h.Values() {
 		rows = append(rows, []string{fmt.Sprint(v), fmt.Sprint(h.Count(v)), fmt.Sprintf("%.1f%%", h.Share(v))})
@@ -675,14 +671,15 @@ func runFigure13(ctx context.Context, s *Study) (*Result, error) {
 
 func runFigure14(ctx context.Context, s *Study) (*Result, error) {
 	day := s.experimentDay()
-	// The client's netDb: what the victim knows on the experiment day.
+	// The client's netDb: what the victim knows on the experiment day,
+	// as hop selection reads it — identity, flags and whether the peer
+	// publishes an address — with no RouterInfo built.
 	victim := censor.NewVictim(s.Net, 911)
-	pcg := rand.NewPCG(14, 14)
 	known := victim.KnownPeers(day)
-	candidates := make([]*netdb.RouterInfo, 0, len(known))
-	for _, idx := range known {
-		p := s.Net.Peers[idx]
-		candidates = append(candidates, s.Net.RouterInfo(day, s.Net.SightingFor(p, day, pcg)))
+	candidates := make([]tunnel.Candidate, len(known))
+	for i, idx := range known {
+		caps, knownIP := s.Net.CapsOn(idx, day)
+		candidates[i] = tunnel.Candidate{Identity: s.Net.Peers[idx].ID, Caps: caps, KnownIP: knownIP}
 	}
 	// One hop pool for every blocking level: the levels differ only in
 	// what the firewall drops, not in what the victim knows.
@@ -755,9 +752,8 @@ func runReseedBlocking(ctx context.Context, s *Study) (*Result, error) {
 			if i >= 600 {
 				break
 			}
-			p := s.Net.Peers[idx]
-			if p.Status == sim.StatusKnownIP {
-				out = append(out, s.Net.RouterInfo(day, s.Net.SightingFor(p, day, pcg)))
+			if s.Net.Peers[idx].Status == sim.StatusKnownIP {
+				out = append(out, s.Net.RouterInfo(day, s.Net.SightingFor(int(idx), day, pcg)))
 			}
 		}
 		return out

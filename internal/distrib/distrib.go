@@ -211,7 +211,7 @@ func NewBackend(network *sim.Network, cfg BackendConfig, distributors []Distribu
 	for _, r := range resources {
 		// Materialize records once, with a per-resource stream derived from
 		// (seed, key) so a record never depends on its neighbours.
-		sighting := network.SightingFor(network.Peers[r.Peer], cfg.Day, rand.NewPCG(cfg.Seed, r.Key))
+		sighting := network.SightingFor(r.Peer, cfg.Day, rand.NewPCG(cfg.Seed, r.Key))
 		r.Record = network.RouterInfo(cfg.Day, sighting)
 		b.pool[r.Peer] = network.IntroducerPeers(cfg.Day, sighting)
 		owner := ring.owner(r.Key)

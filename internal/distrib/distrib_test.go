@@ -183,17 +183,17 @@ func TestPoolKeysDistinct(t *testing.T) {
 		}
 		keys := make(map[uint64]int, len(n.Peers))
 		sels := make(map[uint64]int, len(n.Peers))
-		for _, p := range n.Peers {
+		for i, p := range n.Peers {
 			key := keyOf(p.ID)
 			if other, ok := keys[key]; ok {
-				t.Fatalf("seed %d: peers %d and %d share ring key %#x", seed, other, p.Index, key)
+				t.Fatalf("seed %d: peers %d and %d share ring key %#x", seed, other, i, key)
 			}
-			keys[key] = p.Index
+			keys[key] = i
 			sel := mix(key, selectionSalt)
 			if other, ok := sels[sel]; ok {
-				t.Fatalf("seed %d: peers %d and %d share selection key %#x", seed, other, p.Index, sel)
+				t.Fatalf("seed %d: peers %d and %d share selection key %#x", seed, other, i, sel)
 			}
-			sels[sel] = p.Index
+			sels[sel] = i
 		}
 	}
 }

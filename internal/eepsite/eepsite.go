@@ -72,16 +72,21 @@ var ErrNoCandidates = errors.New("eepsite: not enough tunnel candidates in netDb
 // Client fetches eepsites through tunnels built from its local netDb view.
 type Client struct {
 	// Pool is the client's netDb prepared for hop selection: the
-	// RouterInfos it can pick tunnel hops from.
+	// routers it can pick tunnel hops from.
 	Pool *tunnel.HopPool
 	// Blocked reports whether a direct connection from the client to the
 	// peer is null-routed. nil means nothing is blocked.
 	Blocked func(h netdb.Hash) bool
 }
 
-// NewClient builds a client over a netDb view, preparing its hop pool
-// under the default selection policy.
-func NewClient(candidates []*netdb.RouterInfo, blocked func(netdb.Hash) bool) *Client {
+// NewClient builds a client over a netDb view of records, preparing its
+// hop pool under the default selection policy from what hop selection
+// reads of each record (tunnel.CandidateOf).
+func NewClient(records []*netdb.RouterInfo, blocked func(netdb.Hash) bool) *Client {
+	candidates := make([]tunnel.Candidate, len(records))
+	for i, ri := range records {
+		candidates[i] = tunnel.CandidateOf(ri)
+	}
 	return NewPoolClient(tunnel.DefaultSelector().Prepare(candidates), blocked)
 }
 

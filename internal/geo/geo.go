@@ -304,6 +304,23 @@ func (t *cumTable) search(x float64) int {
 	return i
 }
 
+// PackCountry packs an ISO-2 country code ("US", "RU", ...) into a
+// uint16 whose numeric order equals the codes' lexicographic order, and
+// any code that is not two bytes long into 0. Every code the database
+// holds is two bytes, its rest-of-world entries' included
+// (TestPackCountry), so a packed code names its country.
+func PackCountry(cc string) uint16 {
+	if len(cc) != 2 {
+		return 0
+	}
+	return uint16(cc[0])<<8 | uint16(cc[1])
+}
+
+// UnpackCountry returns the country code PackCountry packed into c.
+func UnpackCountry(c uint16) string {
+	return string([]byte{byte(c >> 8), byte(c)})
+}
+
 // Censored reports whether the country code is above the press-freedom
 // threshold. Unknown codes are not censored.
 func (db *DB) Censored(code string) bool {

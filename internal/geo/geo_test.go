@@ -28,6 +28,30 @@ func TestNewDBBasics(t *testing.T) {
 	}
 }
 
+// TestPackCountry: every code the database holds packs to a distinct
+// non-zero value that unpacks to the code, and packed order is the codes'
+// lexicographic order.
+func TestPackCountry(t *testing.T) {
+	db := NewDB()
+	byPacked := make(map[uint16]string, len(db.countryList))
+	for _, c := range db.countryList {
+		packed := PackCountry(c.Code)
+		if packed == 0 || UnpackCountry(packed) != c.Code {
+			t.Fatalf("country %q packs to %#x, which unpacks to %q", c.Code, packed, UnpackCountry(packed))
+		}
+		if other, dup := byPacked[packed]; dup {
+			t.Fatalf("countries %q and %q pack alike", other, c.Code)
+		}
+		byPacked[packed] = c.Code
+	}
+	if PackCountry("AA") >= PackCountry("AB") || PackCountry("AB") >= PackCountry("BA") {
+		t.Fatal("packed country order must match lexicographic order")
+	}
+	if PackCountry("") != 0 || PackCountry("USA") != 0 {
+		t.Fatal("a code that is not two bytes must pack to 0")
+	}
+}
+
 func TestCountrySharesCalibration(t *testing.T) {
 	db := NewDB()
 	// Figure 10: US+RU+GB+FR+CA+AU > 40% of peers.

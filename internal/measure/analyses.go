@@ -359,12 +359,12 @@ func (ds *Dataset) EstimateFloodfillPopulation() FloodfillEstimate {
 func (ds *Dataset) CountryCounter() *stats.Counter {
 	c := stats.NewCounter()
 	for cc, n := range ds.countryTally() {
-		c.Add(unpackCountry(cc), n)
+		c.Add(geo.UnpackCountry(cc), n)
 	}
 	return c
 }
 
-// countryTally counts the observed peers by packed country (packCountry),
+// countryTally counts the observed peers by packed country (geo.PackCountry),
 // once per distinct country each resolved to: the keys are named only
 // once per country, not once per peer.
 func (ds *Dataset) countryTally() map[uint16]int {
@@ -409,7 +409,7 @@ type CensoredSummary struct {
 func (ds *Dataset) CensoredPeers(db *geo.DB) CensoredSummary {
 	counts := stats.NewCounter()
 	for cc, n := range ds.countryTally() {
-		if code := unpackCountry(cc); db.Censored(code) {
+		if code := geo.UnpackCountry(cc); db.Censored(code) {
 			counts.Add(code, n)
 		}
 	}

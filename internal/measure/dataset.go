@@ -6,6 +6,7 @@ package measure
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"github.com/i2pstudy/i2pstudy/internal/geo"
@@ -54,20 +55,6 @@ func (p *PeerTrack) observed() bool { return p.opened }
 // Span returns LastDay - FirstDay + 1, the intermittent-presence length.
 func (p *PeerTrack) Span() int {
 	return int(p.LastDay-p.FirstDay) + 1
-}
-
-// packCountry packs an ISO-2 country code ("US", "RU", ...) into a
-// uint16 whose numeric order equals the codes' lexicographic order. The
-// offline geo database only ever emits two-letter codes.
-func packCountry(cc string) uint16 {
-	if len(cc) != 2 {
-		return 0
-	}
-	return uint16(cc[0])<<8 | uint16(cc[1])
-}
-
-func unpackCountry(c uint16) string {
-	return string([]byte{byte(c >> 8), byte(c)})
 }
 
 // addrGeo is the geographic resolution of one network address, made the
@@ -223,24 +210,31 @@ func (ds *Dataset) seenOf(idx int) []uint64 {
 }
 
 // longestRun returns peer idx's longest consecutive-day observation
-// streak.
+// streak. It steps from run to run of set bits, a few steps a word: the
+// run carried in from earlier words ends at the word's first zero, the
+// word's top run carries out, and the runs between are measured one
+// shift each. Padding bits past EndDay are always zero; they can only
+// end a streak, never extend one.
 func (ds *Dataset) longestRun(idx int) int {
-	best, cur := 0, 0
+	best, carried := 0, 0
 	for _, w := range ds.seenOf(idx) {
-		for b := 0; b < 64; b++ {
-			if w&(1<<b) != 0 {
-				cur++
-				if cur > best {
-					best = cur
-				}
-			} else {
-				// Padding bits past EndDay are always zero; they can only
-				// break a streak that has already ended.
-				cur = 0
-			}
+		if w == ^uint64(0) {
+			carried += 64
+			continue
+		}
+		low := bits.TrailingZeros64(^w)
+		best = max(best, carried+low)
+		carried = bits.LeadingZeros64(^w)
+		// w>>low starts at a zero and so does every step after a run,
+		// which keeps each run below 64 bits.
+		for m := w >> low; m != 0; {
+			m >>= bits.TrailingZeros64(m)
+			run := bits.TrailingZeros64(^m)
+			best = max(best, run)
+			m >>= run
 		}
 	}
-	return best
+	return max(best, carried)
 }
 
 // eachTrack calls fn with the index and track of every observed peer, in
@@ -271,7 +265,7 @@ func (ds *Dataset) markSegment(db *geo.DB, pos int) {
 		addr := ds.addrs.Addr(id)
 		g := addrGeo{is4: addr.Is4(), seen: true}
 		if rec, ok := db.Lookup(addr); ok {
-			g.asn, g.country, g.resolved = rec.ASN, packCountry(rec.CountryCode), true
+			g.asn, g.country, g.resolved = rec.ASN, geo.PackCountry(rec.CountryCode), true
 		}
 		ds.geo[id] = g
 	}
@@ -328,7 +322,7 @@ func (s *peerSets) asnsOf(idx int) []uint32 {
 	return distinct(s.asns)
 }
 
-// countriesOf returns the distinct countries (packCountry) resolved for
+// countriesOf returns the distinct countries (geo.PackCountry) resolved for
 // peer idx's addresses, in no particular order, in scratch the next call
 // reuses.
 func (s *peerSets) countriesOf(idx int) []uint16 {

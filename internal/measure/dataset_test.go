@@ -2,6 +2,7 @@ package measure
 
 import (
 	"math/bits"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"testing"
@@ -190,12 +191,6 @@ func TestPeerTrackCompactSets(t *testing.T) {
 	if multi == 0 {
 		t.Fatal("no peer has more than one marked segment: the test exercises no union")
 	}
-	if cc := unpackCountry(packCountry("US")); cc != "US" {
-		t.Fatalf("country round-trip = %q", cc)
-	}
-	if packCountry("AA") >= packCountry("AB") || packCountry("AB") >= packCountry("BA") {
-		t.Fatal("packed country order must match lexicographic order")
-	}
 }
 
 // TestPeerTrackLayout pins what a track costs per peer of the network:
@@ -211,6 +206,93 @@ func TestPeerTrackLayout(t *testing.T) {
 		switch f := typ.Field(i); f.Type.Kind() {
 		case reflect.Slice, reflect.Map, reflect.Pointer, reflect.String, reflect.Interface:
 			t.Fatalf("PeerTrack.%s is a %s", f.Name, f.Type)
+		}
+	}
+}
+
+// referenceLongestRun is longestRun as it stood before it stepped from
+// run to run: one test per bit of every seen word.
+func referenceLongestRun(ds *Dataset, idx int) int {
+	best, cur := 0, 0
+	for _, w := range ds.seenOf(idx) {
+		for b := 0; b < 64; b++ {
+			if w&(1<<b) != 0 {
+				cur++
+				if cur > best {
+					best = cur
+				}
+			} else {
+				cur = 0
+			}
+		}
+	}
+	return best
+}
+
+// TestLongestRunMatchesReference holds longestRun to the bit loop over
+// random words, all-ones words, runs that cross word boundaries (a
+// word's top run into the next word's bottom run, and across whole
+// all-ones words), single bits at either end of a word, and a campaign
+// whose last word is padded with zeros past EndDay.
+func TestLongestRunMatchesReference(t *testing.T) {
+	for _, days := range []int{1, 63, 64, 65, 90, 200} {
+		words := (days + 63) / 64
+		pad := ^uint64(0) >> (64*words - days) // the last word's days
+		patterns := [][]uint64{
+			make([]uint64, words), // never seen
+		}
+		ones := make([]uint64, words)
+		for i := range ones {
+			ones[i] = ^uint64(0)
+		}
+		patterns = append(patterns, ones)
+		if words > 1 {
+			// A top run carried into the next word's bottom run, and one
+			// carried through an all-ones word.
+			cross := make([]uint64, words)
+			cross[0] = 0xF << 60
+			cross[1] = 0x7
+			patterns = append(patterns, cross)
+			through := make([]uint64, words)
+			through[0] = 1 << 63
+			for i := 1; i < words-1; i++ {
+				through[i] = ^uint64(0)
+			}
+			through[words-1] = 1
+			patterns = append(patterns, through)
+			edges := make([]uint64, words)
+			for i := range edges {
+				edges[i] = 1 | 1<<63
+			}
+			patterns = append(patterns, edges)
+		}
+		rng := rand.New(rand.NewPCG(uint64(days), 7))
+		for range 200 {
+			w := make([]uint64, words)
+			for i := range w {
+				switch rng.IntN(4) {
+				case 0:
+					w[i] = rng.Uint64()
+				case 1:
+					w[i] = rng.Uint64() | rng.Uint64() // long runs
+				case 2:
+					w[i] = rng.Uint64() & rng.Uint64() // short runs
+				default:
+					w[i] = ^uint64(0) << rng.IntN(64) >> rng.IntN(64) // one run
+				}
+			}
+			patterns = append(patterns, w)
+		}
+		ds := NewDataset(0, days)
+		ds.sizeTracks(len(patterns))
+		for idx, p := range patterns {
+			p[len(p)-1] &= pad // padding past EndDay stays zero
+			copy(ds.seenOf(idx), p)
+		}
+		for idx, p := range patterns {
+			if got, want := ds.longestRun(idx), referenceLongestRun(ds, idx); got != want {
+				t.Fatalf("%d days, words %x: longestRun %d, reference %d", days, p, got, want)
+			}
 		}
 	}
 }

@@ -114,8 +114,8 @@ func TestDayUnitRefusesDoctoredBody(t *testing.T) {
 		t.Fatalf("fixture day holds %d records, none with an introducer", len(valid))
 	}
 	offline := -1
-	for i, p := range c.net.Peers {
-		if !p.ActiveOn(day) {
+	for i := range c.net.Peers {
+		if !c.net.ActiveOn(i, day) {
 			offline = i
 			break
 		}

@@ -40,7 +40,7 @@ func (f *folder) fold(day int, recs []sim.Sighting) {
 	ds := f.ds
 	stats := ds.day(day)
 	for _, s := range recs {
-		p := f.net.Peers[s.Peer]
+		p := &f.net.Peers[s.Peer]
 		stats.Peers++
 		t := ds.track(s.Peer, day)
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/i2pstudy/i2pstudy/internal/geo"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
@@ -39,7 +40,7 @@ func referenceSortByPeer(network *sim.Network, recs []*netdb.RouterInfo) {
 
 // referenceSets is what a PeerTrack kept before the Dataset marked
 // schedule segments: by peer index, the sorted sets of the address IDs,
-// the resolved ASNs and the packed countries (packCountry) the peer was
+// the resolved ASNs and the packed countries (geo.PackCountry) the peer was
 // observed with, each grown by insertSorted. peerSets is held to it
 // (TestPeerSetsMatchReference).
 type referenceSets struct {
@@ -110,7 +111,7 @@ func (ds *Dataset) referenceAccumulateDay(network *sim.Network, day int, recs []
 				*g = addrGeo{is4: addr.Is4(), seen: true}
 				if rec, ok := network.GeoDB().Lookup(addr); ok {
 					g.asn = rec.ASN
-					g.country = packCountry(rec.CountryCode)
+					g.country = geo.PackCountry(rec.CountryCode)
 					g.resolved = true
 				}
 			}

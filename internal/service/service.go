@@ -334,7 +334,7 @@ func (ep *epoch) buildBundles() error {
 // what a kraken-style prober would learn by dialing the published
 // address.
 func (s *Service) simProbe(r distrib.Resource) error {
-	if !s.net.Peers[r.Peer].ActiveOn(s.epoch.Load().day) {
+	if !s.net.ActiveOn(r.Peer, s.epoch.Load().day) {
 		return fmt.Errorf("service: peer %d offline", r.Peer)
 	}
 	return nil

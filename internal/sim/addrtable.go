@@ -67,8 +67,8 @@ func newAddrTable(n *Network) *AddrTable {
 	// table and its reverse up front (addresses an upper bound: an address
 	// two segments share is counted twice).
 	segs, addrs := 0, 0
-	for _, p := range n.Peers {
-		sched := p.schedule()
+	for i := range n.Peers {
+		sched := n.schedule(i)
 		segs += len(sched)
 		for i := range sched {
 			v4, v6 := sched[i].addrs()
@@ -90,8 +90,8 @@ func newAddrTable(n *Network) *AddrTable {
 		segs:  make([]idSeg, 0, segs),
 		off:   make([]int32, len(n.Peers)+1),
 	}
-	for i, p := range n.Peers {
-		sched := p.schedule()
+	for i := range n.Peers {
+		sched := n.schedule(i)
 		for j := range sched {
 			v4, v6 := sched[j].addrs()
 			t.segs = append(t.segs, idSeg{fromDay: int32(sched[j].fromDay), v4: t.intern(v4), v6: t.intern(v6)})
@@ -181,7 +181,7 @@ func (t *AddrTable) IDOf(a netip.Addr) int32 {
 
 // SegmentOn returns the position of the segment peer idx publishes on
 // day, or -1 for a peer that never publishes an address. It mirrors
-// Peer.AddrOnDay exactly, including the edge case that days before the
+// Network.AddrOnDay exactly, including the edge case that days before the
 // first segment report the first segment.
 func (t *AddrTable) SegmentOn(idx, day int) int {
 	lo, hi := t.PeerSegments(idx)

@@ -17,10 +17,10 @@ func TestAddrIndexMatchesAddrOnDay(t *testing.T) {
 	if tab.NumAddrs() == 0 {
 		t.Fatal("empty address table")
 	}
-	for _, p := range n.Peers {
+	for i, p := range n.Peers {
 		for day := 0; day < n.Days(); day++ {
-			v4, v6 := p.AddrOnDay(day)
-			id4, id6 := tab.PeerIDs(p.Index, day)
+			v4, v6 := n.AddrOnDay(i, day)
+			id4, id6 := tab.PeerIDs(i, day)
 			if p.Status != StatusKnownIP {
 				if id4 >= 0 || id6 >= 0 {
 					t.Fatalf("peer %d: unknown-IP peer has interned addresses", p.Index)
@@ -154,7 +154,7 @@ func referenceAddrIndex(n *Network) refIndex {
 		if p.Status != StatusKnownIP {
 			continue
 		}
-		for _, seg := range p.schedule() {
+		for _, seg := range n.schedule(i) {
 			v4, v6 := seg.addrs()
 			ref.segs[i] = append(ref.segs[i], idSeg{fromDay: int32(seg.fromDay), v4: intern(v4), v6: intern(v6)})
 		}

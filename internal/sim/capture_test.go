@@ -12,10 +12,12 @@ import (
 )
 
 // legacyRouterInfo is Peer.RouterInfoOn as it stood before it was split
-// into drawInfo and buildInfo: one pass that draws and builds together
-// and resolves every picked introducer's address by walking its
-// schedule. It is the reference the split is held to, bit for bit.
-func legacyRouterInfo(p *Peer, day int, dayTime time.Time, introducerPool []*Peer, rng *rand.Rand) *netdb.RouterInfo {
+// into a draw and a build: one pass over peer idx that draws and builds
+// together and resolves every picked introducer (a peer index) by
+// walking its schedule. It is the reference the split is held to, bit
+// for bit.
+func legacyRouterInfo(n *Network, idx, day int, dayTime time.Time, introducerPool []int, rng *rand.Rand) *netdb.RouterInfo {
+	p := &n.Peers[idx]
 	caps := netdb.Caps{
 		Class:       p.Class,
 		LegacyO:     p.LegacyO,
@@ -26,7 +28,7 @@ func legacyRouterInfo(p *Peer, day int, dayTime time.Time, introducerPool []*Pee
 	ri := &netdb.RouterInfo{Identity: p.ID, Published: dayTime, Version: "0.9.34"}
 	switch p.Status {
 	case StatusKnownIP:
-		v4, v6 := p.AddrOnDay(day)
+		v4, v6 := n.AddrOnDay(idx, day)
 		port := uint16(9000 + rng.IntN(22001))
 		if v4.IsValid() {
 			ri.Addresses = append(ri.Addresses,
@@ -38,15 +40,15 @@ func legacyRouterInfo(p *Peer, day int, dayTime time.Time, introducerPool []*Pee
 		}
 	case StatusFirewalled, StatusToggling:
 		addr := netdb.RouterAddress{Transport: netdb.TransportSSU}
-		n := 1 + rng.IntN(3)
-		for i := 0; i < n && len(introducerPool) > 0; i++ {
+		k := 1 + rng.IntN(3)
+		for i := 0; i < k && len(introducerPool) > 0; i++ {
 			in := introducerPool[rng.IntN(len(introducerPool))]
-			v4, _ := in.AddrOnDay(day)
+			v4, _ := n.AddrOnDay(in, day)
 			if !v4.IsValid() {
 				continue
 			}
 			addr.Introducers = append(addr.Introducers, netdb.Introducer{
-				Hash: in.ID,
+				Hash: n.Peers[in].ID,
 				Tag:  rng.Uint32(),
 				Addr: v4,
 				Port: uint16(9000 + rng.IntN(22001)),
@@ -127,10 +129,10 @@ func TestDrawInfoMatchesReference(t *testing.T) {
 		rng := rand.New(ref)
 		var classes [affinityClasses]int
 		lost := 0 // firewalled draws that kept no introducer
-		for i, p := range n.Peers {
+		for i := range n.Peers {
 			class := n.drawClass[i]
 			classes[class]++
-			got, want := drawInfo(class, pc.pool, pcg), referenceDrawInfo(p, pc.pool, rng)
+			got, want := drawInfo(class, pc.pool, pcg), referenceDrawInfo(&n.Peers[i], pc.pool, rng)
 			if got != want {
 				t.Fatalf("%s pool, peer %d (class %d): drawInfo %+v, reference %+v", pc.name, i, class, got, want)
 			}
@@ -226,13 +228,13 @@ func TestCaptureDayDrawParity(t *testing.T) {
 				t.Fatalf("observer %+v saw nothing on day %d", cfg, day)
 			}
 			legacy := rand.New(o.materializePCG(day))
-			var pool []*Peer
+			var pool []int
 			for _, idx := range n.Introducers(day) {
-				pool = append(pool, n.Peers[idx])
+				pool = append(pool, int(idx))
 			}
 			full := make([]*netdb.RouterInfo, 0, len(idxs))
 			for _, idx := range idxs {
-				full = append(full, legacyRouterInfo(n.Peers[idx], day, n.DayTime(day), pool, legacy))
+				full = append(full, legacyRouterInfo(n, idx, day, n.DayTime(day), pool, legacy))
 			}
 			legacyNext := legacy.Uint64()
 			if got := o.CollectDay(day); !reflect.DeepEqual(got, full) {
@@ -243,7 +245,7 @@ func TestCaptureDayDrawParity(t *testing.T) {
 				claimed := n.NewClaimSet()
 				var want []*netdb.RouterInfo
 				for i, idx := range idxs {
-					if cs.claimed(i, n.Peers[idx]) {
+					if cs.claimed(i, &n.Peers[idx]) {
 						claimed[idx>>6] |= 1 << (idx & 63)
 					} else {
 						want = append(want, full[i])
@@ -297,8 +299,8 @@ func TestCheckSightingRefusesWhatTheDrawCannotProduce(t *testing.T) {
 		t.Fatalf("day %d covers %d of 4 statuses, introducers drawn: %v", day, len(byStatus), introduced.N > 0)
 	}
 	offline := -1
-	for i, p := range n.Peers {
-		if !p.ActiveOn(day) {
+	for i := range n.Peers {
+		if !n.ActiveOn(i, day) {
 			offline = i
 			break
 		}
@@ -332,8 +334,8 @@ func TestCheckSightingRefusesWhatTheDrawCannotProduce(t *testing.T) {
 func TestCoverageTableMatchesPerPeerForm(t *testing.T) {
 	n := testNetwork(t, 10)
 	byClass := map[int]*Peer{}
-	for _, p := range n.Peers {
-		if byClass[p.affinityClass()] == nil {
+	for i := range n.Peers {
+		if p := &n.Peers[i]; byClass[p.affinityClass()] == nil {
 			byClass[p.affinityClass()] = p
 		}
 	}
@@ -372,7 +374,7 @@ func TestCoverageTableMatchesPerPeerForm(t *testing.T) {
 				if got := o.CoverageFactor(p); got != o.gamma[class] {
 					t.Errorf("floodfill=%v %d KB/s class %d: CoverageFactor %v, table %v", floodfill, kbps, class, got, o.gamma[class])
 				}
-				if got, want := o.ObserveProbability(p), o.gamma[class]*p.Exposure; got != want {
+				if got, want := o.ObserveProbability(p), o.gamma[class]*n.drawExposure[p.Index]; got != want {
 					t.Errorf("floodfill=%v %d KB/s class %d: ObserveProbability %v, table form %v", floodfill, kbps, class, got, want)
 				}
 			}
@@ -380,10 +382,9 @@ func TestCoverageTableMatchesPerPeerForm(t *testing.T) {
 	}
 }
 
-// TestDrawColumnsMatchPeers pins the dense columns the daily draw reads
-// to the peers they were filled from, with == on the floats, and the draw
-// over them to the per-peer form it replaced: the same sightings in the
-// same order.
+// TestDrawColumnsMatchPeers pins the class column the daily draw reads
+// to the peers it was filled from, and the draw over the columns to the
+// per-peer form it replaced: the same sightings in the same order.
 func TestDrawColumnsMatchPeers(t *testing.T) {
 	n := testNetwork(t, 10)
 	if len(n.drawClass) != len(n.Peers) || len(n.drawExposure) != len(n.Peers) {
@@ -393,15 +394,13 @@ func TestDrawColumnsMatchPeers(t *testing.T) {
 		n.NewObserver(ObserverConfig{Floodfill: true, SharedKBps: MaxSharedKBps, Seed: 1000}),
 		n.NewObserver(ObserverConfig{Floodfill: false, SharedKBps: 512, Seed: 7}),
 	}
-	for i, p := range n.Peers {
-		if p.Index != i {
+	for i := range n.Peers {
+		p := &n.Peers[i]
+		if int(p.Index) != i {
 			t.Fatalf("peer at %d carries index %d", i, p.Index)
 		}
 		if int(n.drawClass[i]) != p.affinityClass() {
 			t.Fatalf("peer %d: class column %d, affinityClass %d", i, n.drawClass[i], p.affinityClass())
-		}
-		if n.drawExposure[i] != p.Exposure {
-			t.Fatalf("peer %d: exposure column %v, Exposure %v", i, n.drawExposure[i], p.Exposure)
 		}
 		for _, o := range observers {
 			if got, want := o.gamma[n.drawClass[i]]*n.drawExposure[i], o.ObserveProbability(p); got != want {
@@ -414,8 +413,7 @@ func TestDrawColumnsMatchPeers(t *testing.T) {
 			rng := rand.New(o.dayPCG(day))
 			var want []int
 			for _, idx := range n.ActivePeers(day) {
-				p := n.Peers[idx]
-				if rng.Float64() < o.gamma[p.affinityClass()]*p.Exposure {
+				if rng.Float64() < o.gamma[n.Peers[idx].affinityClass()]*n.drawExposure[idx] {
 					want = append(want, int(idx))
 				}
 			}
@@ -444,8 +442,7 @@ func TestDrawDayMatchesReference(t *testing.T) {
 			rng := rand.New(o.dayPCG(day))
 			var want []int32
 			for _, idx := range active {
-				p := n.Peers[idx]
-				if rng.Float64() < o.gamma[p.affinityClass()]*p.Exposure {
+				if rng.Float64() < o.gamma[n.Peers[idx].affinityClass()]*n.drawExposure[idx] {
 					want = append(want, idx)
 				}
 			}

@@ -12,6 +12,8 @@ import (
 	"slices"
 	"testing"
 	"unsafe"
+
+	"github.com/i2pstudy/i2pstudy/internal/geo"
 )
 
 // digester feeds fixed-width encodings of a network's fields into one
@@ -54,8 +56,8 @@ func (d *digester) addr(a netip.Addr) {
 func networkDigest(n *Network) string {
 	d := &digester{h: sha256.New()}
 	d.int(len(n.Peers))
-	for _, p := range n.Peers {
-		d.int(p.Index)
+	for i, p := range n.Peers {
+		d.int(int(p.Index))
 		d.h.Write(p.ID[:])
 		d.int(int(p.Profile.Class))
 		d.int(int(p.Profile.SpanDays))
@@ -66,9 +68,9 @@ func networkDigest(n *Network) string {
 		d.int(int(p.IPProfile.ASFanout))
 		d.bool(p.IPProfile.IPv6)
 		d.int(int(p.Status))
-		d.str(p.Country)
-		d.int(len(p.asPool()))
-		for _, asn := range p.asPool() {
+		d.str(geo.UnpackCountry(p.Country))
+		d.int(len(n.asPool(i)))
+		for _, asn := range n.asPool(i) {
 			d.u64(uint64(asn))
 		}
 		d.int(int(p.Class))
@@ -76,14 +78,14 @@ func networkDigest(n *Network) string {
 		d.int(int(p.RateKBps))
 		d.bool(p.Floodfill)
 		d.bool(p.Reachable)
-		d.int(p.StartDay)
+		d.int(int(p.StartDay))
 		d.int(int(p.presenceDays))
-		for i := range int(p.presenceDays) {
-			d.bool(p.present(i))
+		for day := range int(p.presenceDays) {
+			d.bool(n.ActiveOn(i, int(p.StartDay)+day))
 		}
 		d.bool(p.WellExposed)
-		d.f64(p.Exposure)
-		sched := p.schedule()
+		d.f64(n.drawExposure[i])
+		sched := n.schedule(i)
 		d.int(len(sched))
 		for i := range sched {
 			v4, v6 := sched[i].addrs()
@@ -92,7 +94,7 @@ func networkDigest(n *Network) string {
 			d.addr(v4)
 			d.addr(v6)
 		}
-		rots := p.sameDayRotations()
+		rots := n.sameDayRotations(i)
 		d.int(len(rots))
 		for _, r := range rots {
 			d.addr(addr4(r.v4))
@@ -155,9 +157,10 @@ func TestNetworkGolden(t *testing.T) {
 }
 
 // referencePool is an introducer pool in the layout it had before the
-// columns were narrowed: the peers themselves and their netip.Addr IPv4s.
+// columns were narrowed: the peers' indexes as ints and their netip.Addr
+// IPv4s.
 type referencePool struct {
-	peers []*Peer
+	peers []int
 	v4    []netip.Addr
 }
 
@@ -167,19 +170,20 @@ type referencePool struct {
 // IPv4 resolved by AddrOnDay from segment 0. New's index is held to it
 // entry for entry.
 func referenceIndex(n *Network) (activeByDay [][]int, introducersByDay []referencePool) {
-	eachActiveDay := func(fn func(p *Peer, d int, introducer bool)) {
-		for _, p := range n.Peers {
+	eachActiveDay := func(fn func(idx, d int, introducer bool)) {
+		for idx, p := range n.Peers {
 			introducer := p.Status == StatusKnownIP && p.Reachable
+			presence := n.presence(idx)
 			for i := range int(p.presenceDays) {
-				if d := p.StartDay + i; p.present(i) && d >= 0 && d < n.cfg.Days {
-					fn(p, d, introducer)
+				if d := int(p.StartDay) + i; presence[i>>5]>>(i&31)&1 != 0 && d >= 0 && d < n.cfg.Days {
+					fn(idx, d, introducer)
 				}
 			}
 		}
 	}
 	active := make([]int, n.cfg.Days)
 	introducers := make([]int, n.cfg.Days)
-	eachActiveDay(func(_ *Peer, d int, introducer bool) {
+	eachActiveDay(func(_, d int, introducer bool) {
 		active[d]++
 		if introducer {
 			introducers[d]++
@@ -190,16 +194,16 @@ func referenceIndex(n *Network) (activeByDay [][]int, introducersByDay []referen
 	for d := range activeByDay {
 		activeByDay[d] = make([]int, 0, active[d])
 		introducersByDay[d] = referencePool{
-			peers: make([]*Peer, 0, introducers[d]),
+			peers: make([]int, 0, introducers[d]),
 			v4:    make([]netip.Addr, 0, introducers[d]),
 		}
 	}
-	eachActiveDay(func(p *Peer, d int, introducer bool) {
-		activeByDay[d] = append(activeByDay[d], p.Index)
+	eachActiveDay(func(idx, d int, introducer bool) {
+		activeByDay[d] = append(activeByDay[d], idx)
 		if introducer {
 			pool := &introducersByDay[d]
-			v4, _ := p.AddrOnDay(d)
-			pool.peers = append(pool.peers, p)
+			v4, _ := n.AddrOnDay(idx, d)
+			pool.peers = append(pool.peers, idx)
 			pool.v4 = append(pool.v4, v4)
 		}
 	})
@@ -239,9 +243,9 @@ func checkIndexMatchesReference(t *testing.T, n *Network) {
 			if want.v4[i].IsValid() {
 				want4 = want.v4[i].As4()
 			}
-			if int(idx) != want.peers[i].Index || pool.v4[i] != want4 || addr4(pool.v4[i]) != want.v4[i] {
+			if int(idx) != want.peers[i] || pool.v4[i] != want4 || addr4(pool.v4[i]) != want.v4[i] {
 				t.Fatalf("day %d pool position %d: peer %d at %v, reference peer %d at %v",
-					d, i, idx, pool.v4[i], want.peers[i].Index, want.v4[i])
+					d, i, idx, pool.v4[i], want.peers[i], want.v4[i])
 			}
 		}
 	}
@@ -253,8 +257,8 @@ func checkIndexMatchesReference(t *testing.T, n *Network) {
 // and then misread as "none" by the zero sentinels.
 func checkNoZeroAddrs(t *testing.T, n *Network) {
 	t.Helper()
-	for _, p := range n.Peers {
-		for i, seg := range p.schedule() {
+	for idx, p := range n.Peers {
+		for i, seg := range n.schedule(idx) {
 			if seg.v4 == ([4]byte{}) {
 				t.Fatalf("peer %d segment %d: IPv4 0.0.0.0", p.Index, i)
 			}
@@ -262,7 +266,7 @@ func checkNoZeroAddrs(t *testing.T, n *Network) {
 				t.Fatalf("peer %d segment %d: IPv6 %v for a peer with IPv6 %v", p.Index, i, seg.v6, p.IPProfile.IPv6)
 			}
 		}
-		for i, r := range p.sameDayRotations() {
+		for i, r := range n.sameDayRotations(idx) {
 			if r.v4 == ([4]byte{}) {
 				t.Fatalf("peer %d rotation %d: IPv4 0.0.0.0", p.Index, i)
 			}
@@ -316,20 +320,19 @@ func hasPointer(t reflect.Type) bool {
 
 // TestNetworkColumnsPointerFree: what the columns New fills hold — the
 // day columns' peer indexes, the introducer pools' indexes and IPv4s,
-// and each peer's window with the address-schedule segments and
-// same-day rotations it stores — is nothing the GC must scan, and a
-// segment stays 28 bytes and a rotation 8, whole words of the window.
+// and the word slab with the address-schedule segments and same-day
+// rotations the peers' windows store — is nothing the GC must scan, and
+// a segment stays 28 bytes and a rotation 8, whole words of the window.
 func TestNetworkColumnsPointerFree(t *testing.T) {
 	if !hasPointer(reflect.TypeFor[netip.Addr]()) || !hasPointer(reflect.TypeFor[*Peer]()) {
 		t.Fatal("hasPointer misses the pointer in a netip.Addr or a *Peer")
 	}
 	var n Network
-	var p Peer
 	columns := map[string]reflect.Type{
 		"day column":        reflect.TypeOf(n.activeByDay).Elem().Elem(),
-		"peer window":       reflect.TypeOf(p.window).Elem(),
-		"address schedule":  reflect.TypeOf(p.schedule()).Elem(),
-		"same-day rotation": reflect.TypeOf(p.sameDayRotations()).Elem(),
+		"word slab chunk":   reflect.TypeOf(n.words.chunks).Elem().Elem(),
+		"address schedule":  reflect.TypeOf(n.schedule).Out(0).Elem(),
+		"same-day rotation": reflect.TypeOf(n.sameDayRotations).Out(0).Elem(),
 	}
 	pool := reflect.TypeFor[introducerPool]()
 	for i := range pool.NumField() {
@@ -351,20 +354,28 @@ func TestNetworkColumnsPointerFree(t *testing.T) {
 	}
 }
 
-// TestPeerRecordSize pins the Peer record at 160 bytes or less, the
-// largest single part of a resident network, so a field that widens or
-// a per-peer slice that comes back fails here.
-func TestPeerRecordSize(t *testing.T) {
-	if size := unsafe.Sizeof(Peer{}); size > 160 {
-		t.Fatalf("Peer is %d bytes, want at most 160", size)
+// TestPeerLayout pins what a peer's row costs: at most 112 bytes, the
+// largest single part of a resident network, and no pointer, slice,
+// string or map for the collector to walk, so Network.Peers is one
+// allocation it never scans. A field that widens, or a per-peer slice
+// that comes back, fails here.
+func TestPeerLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Peer{}); size > 112 {
+		t.Fatalf("Peer is %d bytes, want at most 112", size)
+	}
+	typ := reflect.TypeFor[Peer]()
+	for i := range typ.NumField() {
+		if f := typ.Field(i); hasPointer(f.Type) {
+			t.Errorf("Peer.%s is a %v, which the GC scans", f.Name, f.Type)
+		}
 	}
 }
 
 // newNetworkBytes is what a 0.1-scale, 45-day New at seed 2018 allocates,
 // measured on go1.24/amd64. TestNewAllocatedBytes allows 3% above it: the
-// geo tables (≈ 2.6% of it) are maps, whose layout differs between Go
+// geo tables (≈ 3.6% of it) are maps, whose layout differs between Go
 // releases.
-const newNetworkBytes = 3_970_000
+const newNetworkBytes = 2_870_000
 
 // TestNewAllocatedBytes pins the bytes a 0.1-scale New allocates, so a
 // column that widens again, or a per-peer allocation that creeps back,

@@ -188,7 +188,7 @@ func (o *Observer) CoverageFactor(p *Peer) float64 {
 // ObserveProbability returns the probability that the observer sees peer p
 // on any day p is online.
 func (o *Observer) ObserveProbability(p *Peer) float64 {
-	return o.CoverageFactor(p) * p.Exposure
+	return o.CoverageFactor(p) * o.net.drawExposure[p.Index]
 }
 
 // dayPCG returns the deterministic generator for (observer, day): repeated

@@ -13,7 +13,7 @@ func TestCoverageFactorBounds(t *testing.T) {
 	n := testNetwork(t, 10)
 	f := func(kbps uint16, ff bool, peerSel uint16) bool {
 		o := n.NewObserver(ObserverConfig{SharedKBps: int(kbps), Floodfill: ff, Seed: 1})
-		p := n.Peers[int(peerSel)%len(n.Peers)]
+		p := &n.Peers[int(peerSel)%len(n.Peers)]
 		gamma := o.CoverageFactor(p)
 		prob := o.ObserveProbability(p)
 		return gamma >= 0 && gamma <= 1 && prob >= 0 && prob <= 1 && prob <= gamma+1e-12
@@ -31,7 +31,7 @@ func TestCoverageMonotoneInBandwidth(t *testing.T) {
 	mid := n.NewObserver(ObserverConfig{SharedKBps: 1024, Seed: 1})
 	high := n.NewObserver(ObserverConfig{SharedKBps: 8192, Seed: 1})
 	for i := 0; i < 500; i++ {
-		p := n.Peers[i*7%len(n.Peers)]
+		p := &n.Peers[i*7%len(n.Peers)]
 		gl, gm, gh := low.CoverageFactor(p), mid.CoverageFactor(p), high.CoverageFactor(p)
 		if !(gl <= gm+1e-12 && gm <= gh+1e-12) {
 			t.Fatalf("coverage not monotone in bandwidth: %v %v %v", gl, gm, gh)
@@ -47,7 +47,7 @@ func TestFloodfillStoreChannelHelpsAtLowBandwidth(t *testing.T) {
 	ff := n.NewObserver(ObserverConfig{SharedKBps: 128, Floodfill: true, Seed: 1})
 	nf := n.NewObserver(ObserverConfig{SharedKBps: 128, Floodfill: false, Seed: 1})
 	for i := 0; i < 500; i++ {
-		p := n.Peers[i*11%len(n.Peers)]
+		p := &n.Peers[i*11%len(n.Peers)]
 		if ff.CoverageFactor(p) < nf.CoverageFactor(p) {
 			t.Fatalf("peer %d: low-bandwidth floodfill coverage below non-floodfill", i)
 		}
@@ -126,13 +126,13 @@ func TestObserveDayDeterministic(t *testing.T) {
 // segment it was read from.
 func TestAddrScheduleMatchesAddrOnDay(t *testing.T) {
 	n := testNetwork(t, 10)
-	for _, p := range n.Peers {
-		sched := p.schedule()
+	for idx, p := range n.Peers {
+		sched := n.schedule(idx)
 		if p.Status != StatusKnownIP {
 			if len(sched) != 0 {
 				t.Fatalf("peer %d: unknown-IP peer has an address schedule of %d", p.Index, len(sched))
 			}
-			if seg := p.segmentOn(0); seg != -1 {
+			if seg := n.segmentOn(idx, 0); seg != -1 {
 				t.Fatalf("peer %d: unknown-IP peer publishes segment %d", p.Index, seg)
 			}
 			continue
@@ -141,7 +141,7 @@ func TestAddrScheduleMatchesAddrOnDay(t *testing.T) {
 			t.Fatalf("peer %d: known-IP peer has no address schedule", p.Index)
 		}
 		for day := 0; day < n.Days(); day++ {
-			v4, v6 := p.AddrOnDay(day)
+			v4, v6 := n.AddrOnDay(idx, day)
 			want4, want6 := sched[0].addrs()
 			wantSeg := 0
 			for i := 1; i < len(sched); i++ {
@@ -155,7 +155,7 @@ func TestAddrScheduleMatchesAddrOnDay(t *testing.T) {
 				t.Fatalf("peer %d day %d: schedule (%v, %v) != AddrOnDay (%v, %v)",
 					p.Index, day, want4, want6, v4, v6)
 			}
-			if seg := p.segmentOn(day); seg != wantSeg {
+			if seg := n.segmentOn(idx, day); seg != wantSeg {
 				t.Fatalf("peer %d day %d: segmentOn = %d, the schedule says %d", p.Index, day, seg, wantSeg)
 			}
 		}

@@ -1,10 +1,11 @@
 package sim
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"math/rand/v2"
 	"net/netip"
-	"time"
+	"slices"
 	"unsafe"
 
 	"github.com/i2pstudy/i2pstudy/internal/churn"
@@ -78,32 +79,31 @@ func (s *ipAssignment) addrs() (v4, v6 netip.Addr) {
 	return addr4(s.v4), v6
 }
 
-// Peer is one simulated router. The word-sized fields come first and the
-// narrow ones after them, so the record packs into 160 bytes
-// (TestPeerRecordSize).
+// Peer is one simulated router's row: fixed-width fields only, no
+// pointer, slice or string, so Network.Peers is one allocation the GC
+// never scans. The structs come first, the 32-bit fields after them and
+// the bytes last, so the row packs into 112 bytes (TestPeerLayout).
+// What varies in length lives in the row's window of the network's word
+// slab; the Network methods that read it take the peer's index.
 type Peer struct {
-	Index int
-	ID    netdb.Hash
-
 	Profile   churn.Profile
 	IPProfile churn.IPProfile
+	ID        netdb.Hash
 
-	Country string
-
+	Index int32
 	// StartDay is the first study day the peer can appear (>= 0; peers
 	// already in the network at study start have StartDay 0 with a
 	// residual span).
-	StartDay int
-	// Exposure is the peer's base per-day observability in [0, 1].
-	Exposure float64
+	StartDay int32
 
-	// window holds everything of the peer that varies in length, in one
-	// pointer-free run of words carved from a slab: the presence chain as
-	// a bitmap (bit i of the chain is day StartDay+i, online when set),
-	// the AS pool, the address schedule (scheduleWords per segment) and
-	// the same-day rotations (rotationWords each). The counts below say
-	// where each section ends.
-	window []uint32
+	// window is where the peer's window starts in the network's word
+	// slab, its chunk and offset (wordSlab.at). The window holds everything
+	// of the peer that varies in length, in one pointer-free run of
+	// words: the presence chain as a bitmap (bit i of the chain is day
+	// StartDay+i, online when set), the AS pool, the address schedule
+	// (scheduleWords per segment) and the same-day rotations
+	// (rotationWords each). The counts below say where each section ends.
+	window uint32
 
 	RateKBps int32
 
@@ -119,6 +119,9 @@ type Peer struct {
 	// which is how the >100-address tail of Figure 8 arises.
 	rotations int32
 
+	// Country is the peer's home country, packed (geo.PackCountry).
+	Country uint16
+
 	Status    Status
 	Class     netdb.BandwidthClass
 	LegacyO   bool
@@ -128,7 +131,9 @@ type Peer struct {
 	Reachable bool
 	// WellExposed peers are broadly visible to any single observer on any
 	// day; the rest have a small per-day exposure, which produces the
-	// logarithmic union curve of Figure 4.
+	// logarithmic union curve of Figure 4. The exposure itself is a
+	// column of the network (drawExposure), the one place the draw
+	// reads it.
 	WellExposed bool
 
 	asns uint8 // the AS pool's length; churn caps a fanout at 39
@@ -160,55 +165,65 @@ func fromWords[T ipAssignment | rotation](w []uint32, n int) []T {
 	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(w))), n)
 }
 
-// presence returns the window's presence bitmap.
-func (p *Peer) presence() []uint32 { return p.window[:bitmapWords(int(p.presenceDays))] }
+// windowOf returns peer idx's row and the words of the slab from where
+// its window starts; the row's counts say how many of them are its.
+func (n *Network) windowOf(idx int) (*Peer, []uint32) {
+	p := &n.Peers[idx]
+	return p, n.words.at(p.window)
+}
 
-// present reports whether the peer is online on day StartDay+i of its
-// chain; i must be in [0, presenceDays).
-func (p *Peer) present(i int) bool { return p.window[i>>5]>>(i&31)&1 != 0 }
+// presence returns peer idx's presence bitmap.
+func (n *Network) presence(idx int) []uint32 {
+	p, w := n.windowOf(idx)
+	return w[:bitmapWords(int(p.presenceDays))]
+}
 
-// asPool returns the autonomous systems the peer draws its addresses from.
-func (p *Peer) asPool() []uint32 {
+// asPool returns the autonomous systems peer idx draws its addresses from.
+func (n *Network) asPool(idx int) []uint32 {
+	p, w := n.windowOf(idx)
 	at := bitmapWords(int(p.presenceDays))
-	return p.window[at : at+int(p.asns)]
+	return w[at : at+int(p.asns)]
 }
 
-// schedule returns the peer's address schedule, in fromDay order.
-func (p *Peer) schedule() []ipAssignment {
+// schedule returns peer idx's address schedule, in fromDay order.
+func (n *Network) schedule(idx int) []ipAssignment {
+	p, w := n.windowOf(idx)
 	at := bitmapWords(int(p.presenceDays)) + int(p.asns)
-	return fromWords[ipAssignment](p.window[at:], int(p.segments))
+	return fromWords[ipAssignment](w[at:], int(p.segments))
 }
 
-// sameDayRotations returns the addresses and ASes that same-day rotations
-// replaced, in the order they were drawn.
-func (p *Peer) sameDayRotations() []rotation {
+// sameDayRotations returns the addresses and ASes that peer idx's
+// same-day rotations replaced, in the order they were drawn.
+func (n *Network) sameDayRotations(idx int) []rotation {
+	p, w := n.windowOf(idx)
 	at := bitmapWords(int(p.presenceDays)) + int(p.asns) + scheduleWords*int(p.segments)
-	return fromWords[rotation](p.window[at:], int(p.rotations))
+	return fromWords[rotation](w[at:], int(p.rotations))
 }
 
-// ActiveOn reports whether the peer is online on the given study day.
-func (p *Peer) ActiveOn(day int) bool {
-	idx := day - p.StartDay
-	return idx >= 0 && idx < int(p.presenceDays) && p.present(idx)
+// ActiveOn reports whether peer idx is online on the given study day.
+func (n *Network) ActiveOn(idx, day int) bool {
+	p, w := n.windowOf(idx)
+	i := day - int(p.StartDay)
+	return i >= 0 && i < int(p.presenceDays) && w[i>>5]>>(i&31)&1 != 0
 }
 
-// FirstActiveDay returns the first study day the peer is online, or -1.
-func (p *Peer) FirstActiveDay() int {
-	for w, set := range p.presence() {
+// FirstActiveDay returns the first study day peer idx is online, or -1.
+func (n *Network) FirstActiveDay(idx int) int {
+	for w, set := range n.presence(idx) {
 		if set != 0 {
-			return p.StartDay + w<<5 + bits.TrailingZeros32(set)
+			return int(n.Peers[idx].StartDay) + w<<5 + bits.TrailingZeros32(set)
 		}
 	}
 	return -1
 }
 
-// segmentOn returns the index of the address-schedule segment the peer
+// segmentOn returns the index of the address-schedule segment peer idx
 // publishes on day — the last whose fromDay is at or before day, or the
 // first if none is — or -1 for a peer that never publishes an address.
 // It is the one walk of the schedule: AddrOnDay reads the segment it
 // names.
-func (p *Peer) segmentOn(day int) int {
-	sched := p.schedule()
+func (n *Network) segmentOn(idx, day int) int {
+	sched := n.schedule(idx)
 	if len(sched) == 0 {
 		return -1
 	}
@@ -219,14 +234,14 @@ func (p *Peer) segmentOn(day int) int {
 	return i
 }
 
-// AddrOnDay returns the peer's public IPv4 (and IPv6, if published) on the
-// given study day. Both are zero for unknown-IP peers.
-func (p *Peer) AddrOnDay(day int) (v4, v6 netip.Addr) {
-	i := p.segmentOn(day)
+// AddrOnDay returns peer idx's public IPv4 (and IPv6, if published) on
+// the given study day. Both are zero for unknown-IP peers.
+func (n *Network) AddrOnDay(idx, day int) (v4, v6 netip.Addr) {
+	i := n.segmentOn(idx, day)
 	if i < 0 {
 		return netip.Addr{}, netip.Addr{}
 	}
-	return p.schedule()[i].addrs()
+	return n.schedule(idx)[i].addrs()
 }
 
 // introducer reports whether the peer serves as an introducer for
@@ -257,11 +272,11 @@ func (p *Peer) drawIPSchedule(horizonDays int, b *builder) {
 		}
 		return seg
 	}
-	b.sched = append(b.sched, mkSeg(p.StartDay))
+	b.sched = append(b.sched, mkSeg(int(p.StartDay)))
 	if p.IPProfile.Mode == churn.IPStatic {
 		return
 	}
-	end := p.StartDay + len(b.presence)
+	end := int(p.StartDay) + len(b.presence)
 	if end > horizonDays {
 		end = horizonDays
 	}
@@ -284,19 +299,31 @@ func (p *Peer) drawIPSchedule(horizonDays int, b *builder) {
 	}
 }
 
-// UniqueIPs returns the number of distinct IPv4 addresses across the
-// peer's schedule, including same-day rotations — Figure 8's per-peer
-// statistic at the paper's hourly capture resolution.
-func (p *Peer) UniqueIPs() int {
-	sched, rots := p.schedule(), p.sameDayRotations()
-	seen := make(map[[4]byte]bool, len(sched)+len(rots))
-	for _, seg := range sched {
-		seen[seg.v4] = true
+// ManyIPPeers returns how many peers publish more than limit distinct
+// IPv4 addresses across their schedules and same-day rotations — Figure
+// 8's tail at the paper's hourly capture resolution. A peer with no more
+// segments and rotations together than limit cannot pass, so only the
+// rest are deduplicated, in one scratch the call reuses.
+func (n *Network) ManyIPPeers(limit int) int {
+	var v4s []uint32
+	many := 0
+	for i := range n.Peers {
+		if p := &n.Peers[i]; int(p.segments)+int(p.rotations) <= limit {
+			continue
+		}
+		v4s = v4s[:0]
+		for _, seg := range n.schedule(i) {
+			v4s = append(v4s, binary.BigEndian.Uint32(seg.v4[:]))
+		}
+		for _, r := range n.sameDayRotations(i) {
+			v4s = append(v4s, binary.BigEndian.Uint32(r.v4[:]))
+		}
+		slices.Sort(v4s)
+		if len(slices.Compact(v4s)) > limit {
+			many++
+		}
 	}
-	for _, r := range rots {
-		seen[r.v4] = true
-	}
-	return len(seen)
+	return many
 }
 
 // IntroDraw is one introducer a firewalled peer advertises, as drawn: the
@@ -383,67 +410,18 @@ func drawInfo(class uint8, pool introducerPool, pcg *rand.PCG) (d Draw) {
 	return d
 }
 
-// buildInfo materializes the peer's RouterInfo as published on the given
-// study day from its draw, resolving the drawn introducers against the
-// day's pool and their identities through peers (Network.Peers).
-func (p *Peer) buildInfo(day int, dayTime time.Time, peers []*Peer, pool introducerPool, d Draw) *netdb.RouterInfo {
-	reachable := p.Status == StatusKnownIP && p.Reachable
-	ri := &netdb.RouterInfo{
-		Identity:  p.ID,
-		Published: dayTime,
-		Version:   "0.9.34",
-		Caps: netdb.Caps{
-			Class:       p.Class,
-			LegacyO:     p.LegacyO,
-			Floodfill:   p.Floodfill,
-			Reachable:   reachable,
-			Unreachable: !reachable,
-		},
+// caps returns the capacity flags the peer publishes: its class and
+// flags, R when it is a reachable known-IP peer and U otherwise, and H
+// when it is hidden or, within the day, toggles to hidden. They do not
+// change from day to day.
+func (p *Peer) caps() netdb.Caps {
+	reachable := p.introducer()
+	return netdb.Caps{
+		Class:       p.Class,
+		LegacyO:     p.LegacyO,
+		Floodfill:   p.Floodfill,
+		Reachable:   reachable,
+		Unreachable: !reachable,
+		Hidden:      p.Status == StatusHidden || p.Status == StatusToggling,
 	}
-	switch p.Status {
-	case StatusKnownIP:
-		v4, v6 := p.AddrOnDay(day)
-		n := 0
-		if v4.IsValid() {
-			n += 2
-		}
-		if v6.IsValid() {
-			n++
-		}
-		if n == 0 {
-			break
-		}
-		ri.Addresses = make([]netdb.RouterAddress, 0, n)
-		if v4.IsValid() {
-			ri.Addresses = append(ri.Addresses,
-				netdb.RouterAddress{Transport: netdb.TransportNTCP, Addr: v4, Port: d.Port},
-				netdb.RouterAddress{Transport: netdb.TransportSSU, Addr: v4, Port: d.Port})
-		}
-		if v6.IsValid() {
-			ri.Addresses = append(ri.Addresses,
-				netdb.RouterAddress{Transport: netdb.TransportNTCP, Addr: v6, Port: d.Port})
-		}
-	case StatusFirewalled, StatusToggling:
-		// A peer whose every pick was dropped publishes a nil list, as it
-		// did when the list was appended to.
-		var intros []netdb.Introducer
-		if d.N > 0 {
-			intros = make([]netdb.Introducer, d.N)
-			for i, in := range d.Intros[:d.N] {
-				intros[i] = netdb.Introducer{
-					Hash: peers[pool.peers[in.Pick]].ID,
-					Tag:  in.Tag,
-					Addr: netip.AddrFrom4(pool.v4[in.Pick]),
-					Port: in.Port,
-				}
-			}
-		}
-		ri.Addresses = []netdb.RouterAddress{{Transport: netdb.TransportSSU, Introducers: intros}}
-		// Within the day a toggling peer also appeared with hidden config;
-		// the H flag records it, putting the peer in both groups.
-		ri.Caps.Hidden = p.Status == StatusToggling
-	case StatusHidden:
-		ri.Caps.Hidden = true
-	}
-	return ri
 }

@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
+	"net/netip"
 	"slices"
 	"sync"
 	"time"
@@ -124,7 +125,10 @@ type Network struct {
 	model *churn.Model
 	geo   *geo.DB
 
-	Peers []*Peer
+	// Peers holds one row per peer, indexed by peer: one allocation of
+	// pointer-free rows. words is the slab their windows are carved from.
+	Peers []Peer
+	words wordSlab
 	// activeByDay[d] lists indexes of peers online on study day d. The
 	// days are windows of one flat column, as are the introducer pools'
 	// peers and addresses: none holds a pointer, so the GC never scans
@@ -133,10 +137,11 @@ type Network struct {
 	// introducersByDay[d] caches the known-IP reachable peers available
 	// as introducers on day d.
 	introducersByDay []introducerPool
-	// drawClass[i] and drawExposure[i] are Peers[i].affinityClass() and
-	// Peers[i].Exposure, the two per-peer inputs of the observation draw,
-	// as dense columns: the draw visits every active peer of a day for
-	// every observer and reads these instead of the scattered Peers.
+	// drawClass[i] is Peers[i].affinityClass() and drawExposure[i] the
+	// peer's base per-day observability in [0, 1], the two per-peer inputs
+	// of the observation draw, as dense columns: the draw visits every
+	// active peer of a day for every observer and reads these instead of
+	// the scattered Peers. The exposure is kept nowhere else.
 	drawClass    []uint8
 	drawExposure []float64
 
@@ -283,49 +288,53 @@ func residualProfile(m *churn.Model, age int, rng *rand.Rand) churn.Profile {
 	return churn.Profile{Class: sel.class, SpanDays: int32(residual), OnOn: sel.onOn, OffOn: sel.offOn}
 }
 
-// slabChunk is how many elements a slab allocates at a time.
-const slabChunk = 1 << 12
+// The word slab's chunks are chunkWords words, and a window's position
+// is its chunk's number above windowBits and its offset in the chunk
+// below them.
+const (
+	windowBits = 12
+	chunkWords = 1 << windowBits
+)
 
-// slab hands out exact-capacity windows of shared chunks, so the Peer
-// structs and their windows cost an allocation per chunk, not one per
-// peer. Chunks rather than one slab per network keep every allocation
-// small enough for the heap to place without growing.
-// A window's capacity is its length: an append to it reallocates and
-// never writes into a neighbour's window.
-type slab[T any] struct{ free []T }
+// wordSlab hands out the peers' windows from chunks of chunkWords words
+// (one larger chunk for a window that needs more), so the windows cost an
+// allocation per chunk, not one per peer. Chunks rather than one slab
+// per network keep every allocation small enough for the heap to place
+// without growing. A window starts in the first chunkWords words of its
+// chunk, so its offset fits in windowBits.
+type wordSlab struct {
+	chunks [][]uint32
+	used   int // words of the last chunk carved off
+}
 
 // room returns an empty slice that can take n appends without leaving
 // the slab; keep then carves what was appended off it.
-func (s *slab[T]) room(n int) []T {
-	if len(s.free) < n {
-		s.free = make([]T, max(n, slabChunk))
+func (s *wordSlab) room(n int) []uint32 {
+	if last := len(s.chunks) - 1; last < 0 || s.used+n > len(s.chunks[last]) || s.used >= chunkWords {
+		s.chunks = append(s.chunks, make([]uint32, max(n, chunkWords)))
+		s.used = 0
 	}
-	return s.free[:0]
+	return s.chunks[len(s.chunks)-1][s.used:s.used]
 }
 
 // keep carves w, an append onto room's slice that stayed within its
-// room, off the slab and returns it capped at its length (nil if empty).
-func (s *slab[T]) keep(w []T) []T {
-	if len(w) == 0 {
-		return nil
-	}
-	s.free = s.free[len(w):]
-	return w[:len(w):len(w)]
+// room, off the slab and returns its position.
+func (s *wordSlab) keep(w []uint32) uint32 {
+	pos := uint32(len(s.chunks)-1)<<windowBits | uint32(s.used)
+	s.used += len(w)
+	return pos
 }
 
-// alloc returns a pointer to one element carved from the slab.
-func (s *slab[T]) alloc() *T {
-	p := &s.room(1)[:1][0]
-	s.free = s.free[1:]
-	return p
+// at returns the words of the slab from position pos to the end of its
+// chunk.
+func (s *wordSlab) at(pos uint32) []uint32 {
+	return s.chunks[pos>>windowBits][pos&(chunkWords-1):]
 }
 
-// builder is populate's scratch: the slab the peers' windows are carved
-// from, the peer being drawn, and the per-day counts index sizes its
-// slices by. It lives only while New runs.
+// builder is populate's scratch: the peer being drawn, and the per-day
+// counts index sizes its slices by. It lives only while New runs.
 type builder struct {
-	rng   *rand.Rand
-	words slab[uint32]
+	rng *rand.Rand
 	// presence, pool, sched and rots hold the peer being drawn: its
 	// presence chain, its AS pool (with each AS's record beside it in
 	// poolAS), its address schedule and its same-day rotations. carve
@@ -342,10 +351,10 @@ type builder struct {
 
 // carve packs what b holds for p — its presence chain as a bitmap, its AS
 // pool, its schedule and its same-day rotations, in that order — into one
-// window carved from the word slab, and records each section's count.
-func (b *builder) carve(p *Peer) {
+// window carved from words, and records each section's count.
+func (b *builder) carve(p *Peer, words *wordSlab) {
 	days := bitmapWords(len(b.presence))
-	w := b.words.room(days + len(b.pool) + scheduleWords*len(b.sched) + rotationWords*len(b.rots))[:days]
+	w := words.room(days + len(b.pool) + scheduleWords*len(b.sched) + rotationWords*len(b.rots))[:days]
 	clear(w)
 	for i, on := range b.presence {
 		if on {
@@ -355,7 +364,7 @@ func (b *builder) carve(p *Peer) {
 	w = append(w, b.pool...)
 	w = append(w, asWords(b.sched)...)
 	w = append(w, asWords(b.rots)...)
-	p.window = b.words.keep(w)
+	p.window = words.keep(w)
 	p.presenceDays, p.asns = int32(len(b.presence)), uint8(len(b.pool))
 	p.segments, p.rotations = int32(len(b.sched)), int32(len(b.rots))
 }
@@ -396,19 +405,18 @@ func (n *Network) populate() *builder {
 	initial := cohorts(maxAge+1, func(t int) float64 { return lambda * survival(ccfg, float64(t)) })
 	arrivals := cohorts(n.cfg.Days, func(int) float64 { return lambda })
 	total := sum(initial) + sum(arrivals)
-	var peers slab[Peer]
-	n.Peers = make([]*Peer, total)
+	n.Peers = make([]Peer, total)
 	n.drawClass = make([]uint8, total)
 	n.drawExposure = make([]float64, total)
 
 	next := 0
 	addPeer := func(profile churn.Profile, startDay int, stationaryStart bool) {
-		p := peers.alloc()
+		p := &n.Peers[next]
 		*p = Peer{
-			Index:    next,
+			Index:    int32(next),
 			ID:       netdb.HashFromUint64(n.cfg.Seed<<32 | uint64(next+1)),
 			Profile:  profile,
-			StartDay: startDay,
+			StartDay: int32(startDay),
 		}
 		horizon := n.cfg.Days - startDay
 		if stationaryStart {
@@ -416,11 +424,9 @@ func (n *Network) populate() *builder {
 		} else {
 			b.presence = profile.AppendPresence(b.presence[:0], b.rng, horizon)
 		}
-		n.decorate(p, b)
-		b.carve(p)
-		n.Peers[next] = p
+		n.drawExposure[next] = n.decorate(p, b)
+		b.carve(p, &n.words)
 		n.drawClass[next] = uint8(p.affinityClass())
-		n.drawExposure[next] = p.Exposure
 		next++
 
 		introducer := p.introducer()
@@ -472,13 +478,14 @@ func appendPresenceStationary(dst []bool, p churn.Profile, rng *rand.Rand, maxDa
 	return dst
 }
 
-// decorate assigns all non-temporal attributes: status, class, geography
-// and exposure on p, and the AS pool and IP schedule into b's scratch.
-func (n *Network) decorate(p *Peer, b *builder) {
+// decorate assigns all non-temporal attributes: status, class and
+// geography on p, and the AS pool and IP schedule into b's scratch. It
+// returns the peer's exposure, which the row does not hold.
+func (n *Network) decorate(p *Peer, b *builder) (exposure float64) {
 	rng := b.rng
 	// Geography first: censored-country peers default to hidden.
 	country := n.geo.SampleCountry(rng)
-	p.Country = country.Code
+	p.Country = geo.PackCountry(country.Code)
 
 	censored := country.Censored()
 	x := rng.Float64()
@@ -537,15 +544,15 @@ func (n *Network) decorate(p *Peer, b *builder) {
 	// Exposure tier.
 	if rng.Float64() < wellExposedFrac {
 		p.WellExposed = true
-		p.Exposure = wellExposedMin + rng.Float64()*(1-wellExposedMin)
+		exposure = wellExposedMin + rng.Float64()*(1-wellExposedMin)
 	} else if rng.Float64() < stealthFrac {
-		p.Exposure = stealthExposure * (0.5 + rng.Float64())
+		exposure = stealthExposure * (0.5 + rng.Float64())
 	} else {
-		p.Exposure = weakExposureLo + rng.Float64()*(weakExposureHi-weakExposureLo)
+		exposure = weakExposureLo + rng.Float64()*(weakExposureHi-weakExposureLo)
 	}
 	// Stable, high-bandwidth peers are systematically more visible.
 	if p.Profile.Class == churn.ClassStable && !p.WellExposed {
-		p.Exposure = math.Min(1, p.Exposure*1.5)
+		exposure = math.Min(1, exposure*1.5)
 	}
 
 	// IP profile and AS pool.
@@ -586,6 +593,7 @@ func (n *Network) decorate(p *Peer, b *builder) {
 		})
 	}
 	p.drawIPSchedule(n.cfg.Days, b)
+	return exposure
 }
 
 // index builds the per-day active sets and introducer pools in one pass
@@ -611,14 +619,15 @@ func (n *Network) index(b *builder) {
 		n.activeByDay[d] = active[at[d]:a:a]
 		n.introducersByDay[d] = introducerPool{peers: peers[intro[d]:k:k], v4: v4s[intro[d]:k:k]}
 	}
-	for _, p := range n.Peers {
+	for i := range n.Peers {
+		p := &n.Peers[i]
 		introducer := p.introducer()
-		sched := p.schedule()
-		idx := int32(p.Index)
+		sched := n.schedule(i)
+		idx := p.Index
 		seg := 0
-		for w, set := range p.presence() {
+		for w, set := range n.presence(i) {
 			for ; set != 0; set &= set - 1 {
-				d := p.StartDay + w<<5 + bits.TrailingZeros32(set)
+				d := int(p.StartDay) + w<<5 + bits.TrailingZeros32(set)
 				active[at[d]] = idx
 				at[d]++
 				if !introducer {
@@ -671,18 +680,81 @@ func (n *Network) introducerPool(day int) introducerPool {
 
 // RouterInfo materializes the record a sighting stands for: the RouterInfo
 // the sighted peer publishes on day, with the port or introducers of its
-// draw. It is the one place a RouterInfo is built. s must be a sighting
-// of this network on day — CaptureDay's, or a stored one CheckSighting
-// accepted.
+// draw, its flags from CapsOn's caps and its addresses from AddrOnDay. A
+// RouterInfo is built only where records leave the process (snapshot
+// files, reseed bundles, the distributors' served records); what reads a
+// peer's flags reads CapsOn. s must be a sighting of this network on
+// day — CaptureDay's, or a stored one CheckSighting accepted.
 func (n *Network) RouterInfo(day int, s Sighting) *netdb.RouterInfo {
-	return n.Peers[s.Peer].buildInfo(day, n.DayTime(day), n.Peers, n.introducerPool(day), s.Draw)
+	p := &n.Peers[s.Peer]
+	ri := &netdb.RouterInfo{
+		Identity:  p.ID,
+		Published: n.DayTime(day),
+		Version:   "0.9.34",
+		Caps:      p.caps(),
+	}
+	switch p.Status {
+	case StatusKnownIP:
+		v4, v6 := n.AddrOnDay(int(s.Peer), day)
+		k := 0
+		if v4.IsValid() {
+			k += 2
+		}
+		if v6.IsValid() {
+			k++
+		}
+		if k == 0 {
+			break
+		}
+		ri.Addresses = make([]netdb.RouterAddress, 0, k)
+		if v4.IsValid() {
+			ri.Addresses = append(ri.Addresses,
+				netdb.RouterAddress{Transport: netdb.TransportNTCP, Addr: v4, Port: s.Port},
+				netdb.RouterAddress{Transport: netdb.TransportSSU, Addr: v4, Port: s.Port})
+		}
+		if v6.IsValid() {
+			ri.Addresses = append(ri.Addresses,
+				netdb.RouterAddress{Transport: netdb.TransportNTCP, Addr: v6, Port: s.Port})
+		}
+	case StatusFirewalled, StatusToggling:
+		// A peer whose every pick was dropped publishes a nil list, as it
+		// did when the list was appended to.
+		var intros []netdb.Introducer
+		if s.N > 0 {
+			pool := n.introducerPool(day)
+			intros = make([]netdb.Introducer, s.N)
+			for i, in := range s.Intros[:s.N] {
+				intros[i] = netdb.Introducer{
+					Hash: n.Peers[pool.peers[in.Pick]].ID,
+					Tag:  in.Tag,
+					Addr: netip.AddrFrom4(pool.v4[in.Pick]),
+					Port: in.Port,
+				}
+			}
+		}
+		ri.Addresses = []netdb.RouterAddress{{Transport: netdb.TransportSSU, Introducers: intros}}
+	}
+	return ri
 }
 
-// SightingFor draws the sighting of the given peer on day, taking its
-// port or introducers from pcg as a capture would. RouterInfo
-// materializes it and IntroducerPeers resolves its introducers.
-func (n *Network) SightingFor(p *Peer, day int, pcg *rand.PCG) Sighting {
-	return Sighting{Peer: int32(p.Index), Draw: drawInfo(n.drawClass[p.Index], n.introducerPool(day), pcg)}
+// CapsOn returns what peer idx's record on day says of it as a tunnel
+// hop, without building the record: its capacity flags, and whether it
+// publishes an address of its own (RouterInfo.HasKnownIP). RouterInfo
+// reads the same flags and addresses.
+func (n *Network) CapsOn(idx, day int) (caps netdb.Caps, knownIP bool) {
+	p := &n.Peers[idx]
+	if p.Status == StatusKnownIP {
+		v4, v6 := n.AddrOnDay(idx, day)
+		knownIP = v4.IsValid() || v6.IsValid()
+	}
+	return p.caps(), knownIP
+}
+
+// SightingFor draws the sighting of peer idx on day, taking its port or
+// introducers from pcg as a capture would. RouterInfo materializes it
+// and IntroducerPeers resolves its introducers.
+func (n *Network) SightingFor(idx, day int, pcg *rand.PCG) Sighting {
+	return Sighting{Peer: int32(idx), Draw: drawInfo(n.drawClass[idx], n.introducerPool(day), pcg)}
 }
 
 // IntroducerPeers returns the indexes of the peers that s's record names
@@ -708,8 +780,8 @@ func (n *Network) CheckSighting(day int, s Sighting) error {
 	if s.Peer < 0 || int(s.Peer) >= len(n.Peers) {
 		return fmt.Errorf("sim: peer index %d outside the network's %d peers", s.Peer, len(n.Peers))
 	}
-	p := n.Peers[s.Peer]
-	if !p.ActiveOn(day) {
+	p := &n.Peers[s.Peer]
+	if !n.ActiveOn(int(s.Peer), day) {
 		return fmt.Errorf("sim: peer %d is not online on day %d", s.Peer, day)
 	}
 	if int(s.N) > len(s.Intros) {

@@ -154,7 +154,7 @@ func TestRouterInfoMaterialization(t *testing.T) {
 	var sawKnown, sawFirewalled, sawHidden, sawToggling bool
 	for _, idx := range n.ActivePeers(day) {
 		p := n.Peers[idx]
-		sighting := n.SightingFor(p, day, pcg)
+		sighting := n.SightingFor(int(idx), day, pcg)
 		ri := n.RouterInfo(day, sighting)
 		if ri.Identity != p.ID {
 			t.Fatal("identity mismatch")
@@ -183,7 +183,7 @@ func TestRouterInfoMaterialization(t *testing.T) {
 		if _, err := netdb.DecodeRouterInfo(data); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		ref, err := legacyRouterInfo(p, day, n.DayTime(day), refIntros[day].peers, refRNG).Encode()
+		ref, err := legacyRouterInfo(n, int(idx), day, n.DayTime(day), refIntros[day].peers, refRNG).Encode()
 		if err != nil {
 			t.Fatalf("encode reference: %v", err)
 		}
@@ -228,8 +228,7 @@ func TestIPv6LowerThanIPv4(t *testing.T) {
 	n := testNetwork(t, 10)
 	v4, v6 := 0, 0
 	for _, idx := range n.ActivePeers(5) {
-		p := n.Peers[idx]
-		a4, a6 := p.AddrOnDay(5)
+		a4, a6 := n.AddrOnDay(int(idx), 5)
 		if a4.IsValid() {
 			v4++
 		}
@@ -408,12 +407,12 @@ func TestIPChurnStatistics(t *testing.T) {
 	single, multi, over100, total := 0, 0, 0, 0
 	singleAS, over10AS := 0, 0
 	maxAS := 0
-	for _, p := range n.Peers {
+	for i, p := range n.Peers {
 		if p.Status != StatusKnownIP || p.segments == 0 {
 			continue
 		}
 		total++
-		ips := p.UniqueIPs()
+		ips := uniqueIPs(n, i)
 		if ips == 1 {
 			single++
 		} else {
@@ -422,7 +421,7 @@ func TestIPChurnStatistics(t *testing.T) {
 		if ips > 100 {
 			over100++
 		}
-		asns := uniqueASNs(p)
+		asns := uniqueASNs(n, i)
 		if asns == 1 {
 			singleAS++
 		}
@@ -444,6 +443,22 @@ func TestIPChurnStatistics(t *testing.T) {
 	}
 	if multi == 0 {
 		t.Fatal("no multi-IP peers")
+	}
+	// ManyIPPeers counts Figure 8's tail as the per-peer sets do, at its
+	// threshold and at limits that the short-schedule skip sits on.
+	if got := n.ManyIPPeers(100); got != over100 {
+		t.Fatalf("ManyIPPeers(100) = %d, the per-peer sets say %d", got, over100)
+	}
+	for _, limit := range []int{0, 1, 2, 7, 30} {
+		want := 0
+		for i := range n.Peers {
+			if uniqueIPs(n, i) > limit {
+				want++
+			}
+		}
+		if got := n.ManyIPPeers(limit); got != want {
+			t.Fatalf("ManyIPPeers(%d) = %d, the per-peer sets say %d", limit, got, want)
+		}
 	}
 	over100Frac := float64(over100) / float64(total)
 	if over100Frac < 0.001 || over100Frac > 0.02 {
@@ -468,11 +483,10 @@ func TestAddrLookupsResolveViaGeoDB(t *testing.T) {
 	day := 5
 	checked := 0
 	for _, idx := range n.ActivePeers(day) {
-		p := n.Peers[idx]
-		if p.Status != StatusKnownIP {
+		if n.Peers[idx].Status != StatusKnownIP {
 			continue
 		}
-		v4, _ := p.AddrOnDay(day)
+		v4, _ := n.AddrOnDay(int(idx), day)
 		if !v4.IsValid() {
 			continue
 		}
@@ -480,7 +494,7 @@ func TestAddrLookupsResolveViaGeoDB(t *testing.T) {
 		if !ok {
 			t.Fatalf("peer address %v does not resolve", v4)
 		}
-		if asn := p.schedule()[p.segmentOn(day)].asn; rec.ASN != asn {
+		if asn := n.schedule(int(idx))[n.segmentOn(int(idx), day)].asn; rec.ASN != asn {
 			t.Fatalf("ASN mismatch: lookup %d, schedule %d", rec.ASN, asn)
 		}
 		checked++
@@ -503,18 +517,19 @@ func TestPeerAccessors(t *testing.T) {
 		for i := max(first, 0); first >= 0 && i < len(b.presence); i += 3 {
 			b.presence[i] = true
 		}
-		p := &Peer{StartDay: 7}
-		b.carve(p)
+		one := &Network{Peers: []Peer{{StartDay: 7}}}
+		b.carve(&one.Peers[0], &one.words)
+		start := int(one.Peers[0].StartDay)
 		wantFirst := -1
 		if first >= 0 {
-			wantFirst = p.StartDay + first
+			wantFirst = start + first
 		}
-		if got := p.FirstActiveDay(); got != wantFirst {
+		if got := one.FirstActiveDay(0); got != wantFirst {
 			t.Fatalf("chain first online at %d: FirstActiveDay %d, want %d", first, got, wantFirst)
 		}
-		for day := p.StartDay - 1; day <= p.StartDay+len(b.presence); day++ {
-			i := day - p.StartDay
-			if want := i >= 0 && i < len(b.presence) && b.presence[i]; p.ActiveOn(day) != want {
+		for day := start - 1; day <= start+len(b.presence); day++ {
+			i := day - start
+			if want := i >= 0 && i < len(b.presence) && b.presence[i]; one.ActiveOn(0, day) != want {
 				t.Fatalf("chain first online at %d: ActiveOn(%d) = %v, want %v", first, day, !want, want)
 			}
 		}
@@ -533,15 +548,30 @@ func TestPeerAccessors(t *testing.T) {
 	}
 }
 
-// uniqueASNs returns the number of distinct autonomous systems across the
-// peer's schedule — Figure 12's per-peer statistic.
-func uniqueASNs(p *Peer) int {
+// uniqueASNs returns the number of distinct autonomous systems across
+// peer idx's schedule — Figure 12's per-peer statistic.
+func uniqueASNs(n *Network, idx int) int {
 	seen := make(map[uint32]bool, 4)
-	for _, seg := range p.schedule() {
+	for _, seg := range n.schedule(idx) {
 		seen[seg.asn] = true
 	}
-	for _, r := range p.sameDayRotations() {
+	for _, r := range n.sameDayRotations(idx) {
 		seen[r.asn] = true
+	}
+	return len(seen)
+}
+
+// uniqueIPs is the per-peer form ManyIPPeers replaced: the number of
+// distinct IPv4 addresses across peer idx's schedule, including same-day
+// rotations — Figure 8's per-peer statistic at the paper's hourly
+// capture resolution.
+func uniqueIPs(n *Network, idx int) int {
+	seen := make(map[[4]byte]bool)
+	for _, seg := range n.schedule(idx) {
+		seen[seg.v4] = true
+	}
+	for _, r := range n.sameDayRotations(idx) {
+		seen[r.v4] = true
 	}
 	return len(seen)
 }

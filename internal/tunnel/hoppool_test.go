@@ -3,17 +3,21 @@ package tunnel
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"slices"
 	"sync"
 	"testing"
 
+	"github.com/i2pstudy/i2pstudy/internal/censor"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
+	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
-// referenceSelectHops is SelectHops as it stood before HopPool, verbatim
-// but for float64(s.weight(ri)): the filter-and-scan every Select must
-// reproduce draw for draw.
+// referenceSelectHops is SelectHops as it stood before HopPool, over the
+// records themselves, verbatim but for float64(s.weight(c)) and the
+// policy reading each record through CandidateOf: the filter-and-scan
+// every Select must reproduce draw for draw.
 func referenceSelectHops(s Selector, candidates []*netdb.RouterInfo, n int, exclude map[netdb.Hash]bool, rng *rand.Rand) ([]netdb.Hash, error) {
 	if n <= 0 || n > MaxHops {
 		return nil, fmt.Errorf("tunnel: invalid hop count %d", n)
@@ -25,10 +29,11 @@ func referenceSelectHops(s Selector, candidates []*netdb.RouterInfo, n int, excl
 	pool := make([]cand, 0, len(candidates))
 	total := 0.0
 	for _, ri := range candidates {
-		if !s.Eligible(ri) || (exclude != nil && exclude[ri.Identity]) {
+		c := CandidateOf(ri)
+		if !s.Eligible(c) || (exclude != nil && exclude[ri.Identity]) {
 			continue
 		}
-		w := float64(s.weight(ri))
+		w := float64(s.weight(c))
 		pool = append(pool, cand{ri.Identity, w})
 		total += w
 	}
@@ -92,13 +97,13 @@ func TestHopPoolSelectMatchesReference(t *testing.T) {
 	for n := 1; n <= MaxHops; n++ {
 		for _, size := range []int{n - 1, n, n + 1, 37, 5001} {
 			cands, ineligible := mixedSet(size)
-			pool := sel.Prepare(cands)
+			pool := sel.Prepare(candidatesOf(cands))
 			if len(pool.ids) != size {
 				t.Fatalf("pool of %d eligible holds %d", size, len(pool.ids))
 			}
 			var live []netdb.Hash
 			for _, ri := range cands {
-				if sel.Eligible(ri) {
+				if sel.Eligible(CandidateOf(ri)) {
 					live = append(live, ri.Identity)
 				}
 			}
@@ -150,7 +155,7 @@ func TestHopPoolSelectMatchesReference(t *testing.T) {
 // A pool holds one entry per identity, so hops stay distinct even when
 // the candidate list repeats a record.
 func TestHopPoolKeepsOneEntryPerIdentity(t *testing.T) {
-	cands := candidateSet(12)
+	cands := candidatesOf(candidateSet(12))
 	pool := DefaultSelector().Prepare(append(cands, cands...))
 	if want := len(DefaultSelector().Prepare(cands).ids); len(pool.ids) != want {
 		t.Fatalf("doubled candidates: pool holds %d, want %d", len(pool.ids), want)
@@ -159,7 +164,7 @@ func TestHopPoolKeepsOneEntryPerIdentity(t *testing.T) {
 
 func TestHopPoolSelectAllocatesOnlyTheHops(t *testing.T) {
 	cands, _ := mixedSet(5001)
-	pool := DefaultSelector().Prepare(cands)
+	pool := DefaultSelector().Prepare(candidatesOf(cands))
 	owner := map[netdb.Hash]bool{cands[1].Identity: true}
 	rng := testRNG()
 	for name, exclude := range map[string]map[netdb.Hash]bool{"nil": nil, "owner": owner} {
@@ -178,7 +183,7 @@ func TestHopPoolSelectAllocatesOnlyTheHops(t *testing.T) {
 // stream yields serially. Run under -race.
 func TestHopPoolConcurrentSelect(t *testing.T) {
 	cands, _ := mixedSet(5001)
-	pool := DefaultSelector().Prepare(cands)
+	pool := DefaultSelector().Prepare(candidatesOf(cands))
 	exclude := map[netdb.Hash]bool{cands[1].Identity: true}
 	const workers, rounds = 8, 200
 	run := func(w int) [][]netdb.Hash {
@@ -212,10 +217,68 @@ func TestHopPoolConcurrentSelect(t *testing.T) {
 	wg.Wait()
 }
 
+// simCandidate reads peer idx of a simulated network as Figure 14's hop
+// pool does: its identity and the flags sim.Network.CapsOn reports for
+// day, with no record built.
+func simCandidate(n *sim.Network, idx, day int) Candidate {
+	caps, knownIP := n.CapsOn(idx, day)
+	return Candidate{Identity: n.Peers[idx].ID, Caps: caps, KnownIP: knownIP}
+}
+
+// TestHopPoolFromCapsMatchesRecords: on a 0.1-scale network, at several
+// days, a peer read through CapsOn is the candidate CandidateOf reads of
+// its RouterInfo, so every active peer is eligible, and weighs, the same
+// under the default and a loose policy; and the victim's netDb prepared
+// from caps is the pool prepared from its records, entry for entry.
+func TestHopPoolFromCapsMatchesRecords(t *testing.T) {
+	n, err := sim.New(sim.Config{Seed: 2018, Days: 45, TargetDailyPeers: sim.PaperDailyPeers / 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := censor.NewVictim(n, 911)
+	pcg := rand.NewPCG(14, 14)
+	record := func(idx, day int) *netdb.RouterInfo { return n.RouterInfo(day, n.SightingFor(idx, day, pcg)) }
+	policies := []Selector{DefaultSelector(), {MinClass: netdb.ClassK, AllowUnreachable: true}}
+	for _, day := range []int{0, 12, 40, 44} {
+		eligible := 0
+		for _, id := range n.ActivePeers(day) {
+			idx := int(id)
+			fromCaps, fromRecord := simCandidate(n, idx, day), CandidateOf(record(idx, day))
+			if fromCaps != fromRecord {
+				t.Fatalf("day %d peer %d: caps read %+v, record read %+v", day, idx, fromCaps, fromRecord)
+			}
+			for _, sel := range policies {
+				if sel.Eligible(fromCaps) != sel.Eligible(fromRecord) || sel.weight(fromCaps) != sel.weight(fromRecord) {
+					t.Fatalf("day %d peer %d policy %+v: eligibility or weight differs", day, idx, sel)
+				}
+			}
+			if DefaultSelector().Eligible(fromCaps) {
+				eligible++
+			}
+		}
+		if eligible == 0 {
+			t.Fatalf("day %d: no active peer is an eligible hop", day)
+		}
+
+		known := victim.KnownPeers(day)
+		fromCaps := make([]Candidate, len(known))
+		records := make([]*netdb.RouterInfo, len(known))
+		for i, idx := range known {
+			fromCaps[i], records[i] = simCandidate(n, idx, day), record(idx, day)
+		}
+		for _, sel := range policies {
+			got, want := sel.Prepare(fromCaps), sel.Prepare(candidatesOf(records))
+			if len(got.ids) == 0 || !slices.Equal(got.ids, want.ids) || !slices.Equal(got.prefix, want.prefix) || !maps.Equal(got.index, want.index) {
+				t.Fatalf("day %d policy %+v: pool of %d from caps, %d from records, or their entries differ", day, sel, len(got.ids), len(want.ids))
+			}
+		}
+	}
+}
+
 // benchCandidates is a netDb the size of the victim's at paper scale.
-func benchCandidates() []*netdb.RouterInfo {
+func benchCandidates() []Candidate {
 	cands, _ := mixedSet(10000) // 20 001 records, half of them eligible
-	return cands
+	return candidatesOf(cands)
 }
 
 var benchSink int

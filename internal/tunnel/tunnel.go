@@ -1,7 +1,13 @@
-// Package tunnel chooses I2P tunnel hops (Section 2.1.1): which
-// RouterInfos may serve as a hop under a selection policy that honors
-// capacity flags, and a prepared weighted draw over them. The eepsite
-// package models tunnel builds and Figure 14's page loads on top of it.
+// Package tunnel chooses I2P tunnel hops (Section 2.1.1): which routers
+// may serve as a hop under a selection policy that honors capacity flags,
+// and a prepared weighted draw over them. The eepsite package models
+// tunnel builds and Figure 14's page loads on top of it.
+//
+// Hop selection reads three things of a router — its identity, its
+// capacity flags and whether it publishes an address of its own — so it
+// takes a Candidate, not the router's RouterInfo: a netDb of records
+// converts once (CandidateOf), and a simulated network hands over its
+// peers' flags without building a record.
 //
 // Hop selection is prepare once, draw many: Selector.Prepare filters and
 // weights a netDb view into an immutable HopPool, and every tunnel-build
@@ -35,8 +41,27 @@ const DefaultHops = 2
 // no model is supplied: a mid-range figure for relayed hops.
 const DefaultHopRTT = 250 * time.Millisecond
 
-// Selector picks tunnel hops from RouterInfo candidates using the peer
-// selection criteria the paper describes: higher-bandwidth, reachable peers
+// Candidate is what hop selection reads of one router.
+type Candidate struct {
+	Identity netdb.Hash
+	Caps     netdb.Caps
+	// KnownIP reports whether the router publishes an address of its own
+	// (RouterInfo.HasKnownIP); a firewalled router publishes only its
+	// introducers'.
+	KnownIP bool
+}
+
+// CandidateOf returns what hop selection reads of ri. A nil record is
+// the zero Candidate, which no policy accepts.
+func CandidateOf(ri *netdb.RouterInfo) Candidate {
+	if ri == nil {
+		return Candidate{}
+	}
+	return Candidate{Identity: ri.Identity, Caps: ri.Caps, KnownIP: ri.HasKnownIP()}
+}
+
+// Selector picks tunnel hops from candidates using the peer selection
+// criteria the paper describes: higher-bandwidth, reachable peers
 // are preferred ("The higher the specifications a router has, the higher
 // the probability that it will be selected to participate in more tunnels",
 // Section 4.2).
@@ -54,31 +79,28 @@ func DefaultSelector() Selector {
 	return Selector{MinClass: netdb.ClassM, AllowUnreachable: false}
 }
 
-// Eligible reports whether ri can serve as a tunnel hop under this policy.
-func (s Selector) Eligible(ri *netdb.RouterInfo) bool {
-	if ri == nil {
-		return false
-	}
-	if ri.Caps.Hidden || !ri.HasKnownIP() {
+// Eligible reports whether c can serve as a tunnel hop under this policy.
+func (s Selector) Eligible(c Candidate) bool {
+	if c.Caps.Hidden || !c.KnownIP {
 		// Hidden and firewalled peers do not route for arbitrary others;
 		// firewalled peers require introducers and are skipped for
 		// simplicity, matching their U flag.
 		return false
 	}
-	if !s.AllowUnreachable && !ri.Caps.Reachable {
+	if !s.AllowUnreachable && !c.Caps.Reachable {
 		return false
 	}
-	if !ri.Caps.Class.AtLeast(s.MinClass) {
+	if !c.Caps.Class.AtLeast(s.MinClass) {
 		return false
 	}
 	return true
 }
 
-// weight returns the selection weight for an eligible record: bandwidth
+// weight returns the selection weight for an eligible candidate: bandwidth
 // class index squared, so O/P/X peers carry most tunnels, as the paper's
 // profiling citation (zzz & Schimmer 2009) describes.
-func (s Selector) weight(ri *netdb.RouterInfo) int64 {
-	idx := int64(ri.Caps.Class.Index() + 1)
+func (s Selector) weight(c Candidate) int64 {
+	idx := int64(c.Caps.Class.Index() + 1)
 	return idx * idx
 }
 
@@ -86,8 +108,8 @@ func (s Selector) weight(ri *netdb.RouterInfo) int64 {
 // the hops asked for.
 var ErrNotEnoughPeers = errors.New("tunnel: not enough eligible peers")
 
-// HopPool is a candidate set prepared for hop selection: the records that
-// pass a Selector's policy, as an identity column beside the running sum
+// HopPool is a candidate set prepared for hop selection: the candidates
+// that pass a Selector's policy, as an identity column beside the running sum
 // of their weights. It is immutable once Prepare returns and safe for
 // concurrent Select.
 type HopPool struct {
@@ -99,12 +121,12 @@ type HopPool struct {
 }
 
 // Prepare filters candidates by Eligible and weights them once, in input
-// order. A pool holds one entry per identity: of several records with the
-// same identity the first eligible one counts.
-func (s Selector) Prepare(candidates []*netdb.RouterInfo) *HopPool {
+// order. A pool holds one entry per identity: of several candidates with
+// the same identity the first eligible one counts.
+func (s Selector) Prepare(candidates []Candidate) *HopPool {
 	eligible := 0
-	for _, ri := range candidates {
-		if s.Eligible(ri) {
+	for _, c := range candidates {
+		if s.Eligible(c) {
 			eligible++
 		}
 	}
@@ -114,16 +136,16 @@ func (s Selector) Prepare(candidates []*netdb.RouterInfo) *HopPool {
 		index:  make(map[netdb.Hash]int32, eligible),
 	}
 	total := int64(0)
-	for _, ri := range candidates {
-		if !s.Eligible(ri) {
+	for _, c := range candidates {
+		if !s.Eligible(c) {
 			continue
 		}
-		if _, dup := p.index[ri.Identity]; dup {
+		if _, dup := p.index[c.Identity]; dup {
 			continue
 		}
-		total += s.weight(ri)
-		p.index[ri.Identity] = int32(len(p.ids))
-		p.ids = append(p.ids, ri.Identity)
+		total += s.weight(c)
+		p.index[c.Identity] = int32(len(p.ids))
+		p.ids = append(p.ids, c.Identity)
 		p.prefix = append(p.prefix, total)
 	}
 	return p

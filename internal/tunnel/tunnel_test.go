@@ -29,6 +29,15 @@ func makeRI(id uint64, rateKBps int, reachable bool) *netdb.RouterInfo {
 	return ri
 }
 
+// candidatesOf reads records as hop selection does, through CandidateOf.
+func candidatesOf(records []*netdb.RouterInfo) []Candidate {
+	out := make([]Candidate, len(records))
+	for i, ri := range records {
+		out[i] = CandidateOf(ri)
+	}
+	return out
+}
+
 func candidateSet(n int) []*netdb.RouterInfo {
 	out := make([]*netdb.RouterInfo, 0, n)
 	for i := 1; i <= n; i++ {
@@ -40,21 +49,22 @@ func candidateSet(n int) []*netdb.RouterInfo {
 
 func TestSelectorEligibility(t *testing.T) {
 	sel := DefaultSelector()
-	if sel.Eligible(nil) {
+	eligible := func(s Selector, ri *netdb.RouterInfo) bool { return s.Eligible(CandidateOf(ri)) }
+	if eligible(sel, nil) {
 		t.Fatal("nil record eligible")
 	}
-	if sel.Eligible(makeRI(1, 20, true)) {
+	if eligible(sel, makeRI(1, 20, true)) {
 		t.Fatal("L-class peer must be excluded by default policy")
 	}
-	if !sel.Eligible(makeRI(2, 100, true)) {
+	if !eligible(sel, makeRI(2, 100, true)) {
 		t.Fatal("N-class reachable peer must be eligible")
 	}
-	if sel.Eligible(makeRI(3, 100, false)) {
+	if eligible(sel, makeRI(3, 100, false)) {
 		t.Fatal("unreachable peer eligible under default policy")
 	}
 	hidden := makeRI(4, 100, true)
 	hidden.Caps.Hidden = true
-	if sel.Eligible(hidden) {
+	if eligible(sel, hidden) {
 		t.Fatal("hidden peer must never route")
 	}
 	firewalled := makeRI(5, 100, true)
@@ -62,12 +72,12 @@ func TestSelectorEligibility(t *testing.T) {
 		Transport:   netdb.TransportSSU,
 		Introducers: []netdb.Introducer{{Hash: netdb.HashFromUint64(9), Addr: netip.MustParseAddr("198.51.100.1"), Port: 9000}},
 	}}
-	if sel.Eligible(firewalled) {
+	if eligible(sel, firewalled) {
 		t.Fatal("firewalled peer must not be selected as a hop")
 	}
 
 	loose := Selector{MinClass: netdb.ClassK, AllowUnreachable: true}
-	if !loose.Eligible(makeRI(6, 20, true)) {
+	if !eligible(loose, makeRI(6, 20, true)) {
 		t.Fatal("loose policy should accept L peers")
 	}
 }
@@ -75,7 +85,7 @@ func TestSelectorEligibility(t *testing.T) {
 func TestSelectHopsDistinctAndExcluded(t *testing.T) {
 	sel := DefaultSelector()
 	rng := testRNG()
-	cands := candidateSet(40)
+	cands := candidatesOf(candidateSet(40))
 	exclude := map[netdb.Hash]bool{cands[1].Identity: true}
 	for trial := 0; trial < 50; trial++ {
 		hops, err := sel.Prepare(cands).Select(3, exclude, rng)
@@ -101,7 +111,7 @@ func TestSelectHopsDistinctAndExcluded(t *testing.T) {
 func TestSelectHopsPrefersHighBandwidth(t *testing.T) {
 	sel := DefaultSelector()
 	rng := testRNG()
-	cands := candidateSet(40)
+	cands := candidatesOf(candidateSet(40))
 	classCount := make(map[netdb.BandwidthClass]int)
 	for trial := 0; trial < 2000; trial++ {
 		hops, err := sel.Prepare(cands).Select(1, nil, rng)
@@ -123,13 +133,13 @@ func TestSelectHopsPrefersHighBandwidth(t *testing.T) {
 func TestSelectHopsErrors(t *testing.T) {
 	sel := DefaultSelector()
 	rng := testRNG()
-	if _, err := sel.Prepare(candidateSet(2)).Select(5, nil, rng); !errors.Is(err, ErrNotEnoughPeers) {
+	if _, err := sel.Prepare(candidatesOf(candidateSet(2))).Select(5, nil, rng); !errors.Is(err, ErrNotEnoughPeers) {
 		t.Fatalf("want ErrNotEnoughPeers, got %v", err)
 	}
-	if _, err := sel.Prepare(candidateSet(10)).Select(0, nil, rng); err == nil {
+	if _, err := sel.Prepare(candidatesOf(candidateSet(10))).Select(0, nil, rng); err == nil {
 		t.Fatal("hop count 0 accepted")
 	}
-	if _, err := sel.Prepare(candidateSet(10)).Select(MaxHops+1, nil, rng); err == nil {
+	if _, err := sel.Prepare(candidatesOf(candidateSet(10))).Select(MaxHops+1, nil, rng); err == nil {
 		t.Fatal("hop count beyond MaxHops accepted")
 	}
 }
