@@ -9,12 +9,19 @@
 //
 // Usage:
 //
-//	i2pcensor [-scale 0.1] [-seed 2018] [-experiment figure-13]
-//	i2pcensor -experiment figure-13,figure-14          # comma-separated subset
+//	i2pcensor -list
+//	i2pcensor [-scale 0.1] [-seed 2018] [-days 45] [-workers 0] [-experiment figure-13]
+//	i2pcensor -experiment figure-13,figure-14 -csv-dir csv   # comma-separated subset
+//	i2pcensor -snapshot-dir snaps                      # netDb snapshots of days 0-2
 //	i2pcensor -checkpoint-dir ckpt                     # spill finished experiments
 //	i2pcensor -checkpoint-dir ckpt -resume             # continue an interrupted run
 //	i2pcensor -cpuprofile cpu.out -memprofile mem.out -experiment figure-13
 //	i2pcensor -trace trace.json -experiment figure-13   # Perfetto-loadable spans
+//
+// Without -experiment, every censorship and distribution experiment
+// runs, in that order and each category in ID order; comma-separated
+// IDs run in the order given. stdout is byte-identical for any -workers
+// (the worker count and the run time go to stderr).
 //
 // With -checkpoint-dir, every finished experiment is spilled to the
 // directory; rerunning with -resume loads finished units instead of
@@ -26,52 +33,11 @@
 package main
 
 import (
-	"flag"
-	"fmt"
-	"os"
-
 	"github.com/i2pstudy/i2pstudy/internal/cli"
 	"github.com/i2pstudy/i2pstudy/internal/cli/studycli"
 	"github.com/i2pstudy/i2pstudy/internal/core"
 )
 
-func main() { cli.Main("i2pcensor", run) }
-
-func run() error {
-	f := studycli.Register()
-	flag.Parse()
-	// The experiment set is derived from the registry's category tags, so
-	// newly registered censorship and distribution experiments appear here
-	// automatically. A bad -experiment is refused before the network is
-	// built.
-	ids, err := f.IDs(append(core.ExperimentIDs(core.CategoryCensorship),
-		core.ExperimentIDs(core.CategoryDistribution)...))
-	if err != nil {
-		return err
-	}
-	stop, err := f.Start()
-	if err != nil {
-		return err
-	}
-	defer stop()
-	ctx, cancel := cli.SignalContext()
-	defer cancel()
-
-	study, err := f.NewStudy()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("network: %d daily peers (scale %.2f), %d days, seed %d\n\n",
-		study.Opts.TargetDailyPeers, f.Scale, study.Opts.Days, study.Opts.Seed)
-
-	results, err := study.RunAll(ctx, ids...)
-	if err != nil {
-		return err
-	}
-	for _, res := range results {
-		if err := studycli.WriteResult(os.Stdout, res); err != nil {
-			return err
-		}
-	}
-	return nil
+func main() {
+	cli.Main("i2pcensor", func() error { return studycli.Run(core.CategoryCensorship, core.CategoryDistribution) })
 }

@@ -173,9 +173,11 @@ type Result struct {
 }
 
 // Experiment categories. Every registered experiment carries exactly one;
-// the CLIs derive their experiment sets from these tags (cmd/i2pcensor
-// owns CategoryCensorship, cmd/i2pmeasure the other two), so adding an
-// experiment can never silently drift out of a hand-maintained ID list.
+// the study binaries derive their experiment sets from these tags, each
+// passing two to studycli.Run (cmd/i2pmeasure CategoryAblation and
+// CategoryPopulation, cmd/i2pcensor CategoryCensorship and
+// CategoryDistribution), so adding an experiment can never silently
+// drift out of a hand-maintained ID list.
 const (
 	// CategoryPopulation tags the Section 5 artifacts (Figures 2-12,
 	// Table 1, the floodfill population estimate).

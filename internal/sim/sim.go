@@ -208,7 +208,11 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Observation != nil {
 		n.obs = *cfg.Observation
 	}
-	n.index(n.populate())
+	b, err := n.populate()
+	if err != nil {
+		return nil, err
+	}
+	n.index(b)
 	return n, nil
 }
 
@@ -371,21 +375,30 @@ func (b *builder) carve(p *Peer, words *wordSlab) {
 
 // cohorts returns the peers each step of a steady-state draw adds: the
 // integer part of rate(i) plus the remainder carried from earlier steps.
-func cohorts(steps int, rate func(int) float64) []int {
+// It also returns the rates' sum, which the counts' sum never exceeds;
+// the counts mean nothing when an int cannot hold them.
+func cohorts(steps int, rate func(int) float64) ([]int, float64) {
 	out := make([]int, steps)
-	carry := 0.0
+	carry, total := 0.0, 0.0
 	for i := range out {
-		exact := rate(i) + carry
+		r := rate(i)
+		exact := r + carry
 		out[i] = int(exact)
 		carry = exact - float64(out[i])
+		total += r
 	}
-	return out
+	return out, total
 }
+
+// maxPeers is the most peers a network holds: a peer's index is an
+// int32.
+const maxPeers = math.MaxInt32
 
 // populate creates the steady-state initial population plus daily
 // arrivals, and counts each day's active peers and introducers for
-// index.
-func (n *Network) populate() *builder {
+// index. A configuration that needs more than maxPeers peers is refused
+// before any peer is allocated.
+func (n *Network) populate() (*builder, error) {
 	b := &builder{
 		rng:         rand.New(rand.NewPCG(n.cfg.Seed, n.cfg.Seed^0xD1B54A32D192ED03)),
 		active:      make([]int, n.cfg.Days),
@@ -402,8 +415,12 @@ func (n *Network) populate() *builder {
 	// S(t)) peers that arrived t days ago and are still in-span. Then
 	// fresh arrivals during the study.
 	maxAge := int(ccfg.StableSpanFloor + 8*ccfg.StableSpanMean)
-	initial := cohorts(maxAge+1, func(t int) float64 { return lambda * survival(ccfg, float64(t)) })
-	arrivals := cohorts(n.cfg.Days, func(int) float64 { return lambda })
+	initial, stayed := cohorts(maxAge+1, func(t int) float64 { return lambda * survival(ccfg, float64(t)) })
+	arrivals, arrived := cohorts(n.cfg.Days, func(int) float64 { return lambda })
+	if stayed+arrived > maxPeers {
+		return nil, fmt.Errorf("sim: TargetDailyPeers %d over %d days needs %.3g peers, more than the %d a network holds",
+			n.cfg.TargetDailyPeers, n.cfg.Days, stayed+arrived, maxPeers)
+	}
 	total := sum(initial) + sum(arrivals)
 	n.Peers = make([]Peer, total)
 	n.drawClass = make([]uint8, total)
@@ -449,7 +466,7 @@ func (n *Network) populate() *builder {
 			addPeer(n.model.SampleProfile(b.rng), d, false)
 		}
 	}
-	return b
+	return b, nil
 }
 
 // appendPresenceStationary is churn.Profile.AppendPresence but with the

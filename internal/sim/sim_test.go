@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/churn"
@@ -31,6 +32,13 @@ func TestNewValidation(t *testing.T) {
 	bad.StableFrac = 2
 	if _, err := New(Config{Days: 5, TargetDailyPeers: 100, Churn: &bad}); err == nil {
 		t.Fatal("bad churn config accepted")
+	}
+	// A peer's index is an int32: a network past that is refused, naming
+	// the limit, before any peer-sized slice is made.
+	for _, target := range []int{1 << 40, 1 << 62} {
+		if _, err := New(Config{Days: 45, TargetDailyPeers: target}); err == nil || !strings.Contains(err.Error(), "2147483647") {
+			t.Errorf("TargetDailyPeers %d: err = %v, want the int32 peer limit", target, err)
+		}
 	}
 }
 

@@ -160,6 +160,12 @@ func rules(allowFile string) []rule {
 		Scope: scope{In: []string{"cmd/...", "internal/..."}, Except: []string{"internal/cli", "internal/faults/..."}},
 		check: inFiles(exits),
 	}, {
+		Name: "one-study-run",
+		Contract: "the study binaries are category lists around studycli.Run, which owns the flags, the network line, " +
+			"the IDs, RunAll and the writers; a command that builds or runs a study itself is a second copy of the run",
+		Scope: scope{In: []string{"cmd/..."}},
+		check: inFiles(selector("RunAll", "NewStudy")),
+	}, {
 		Name: "tools-skip-the-study",
 		Contract: "i2pdistribd, i2pnetdb and i2psim run no study: reaching internal/measure (internal/core imports it) " +
 			"links the Section 5 campaign, and its idle counter families onto the daemon's /metrics, for nothing they use",
@@ -402,14 +408,15 @@ func isObj(obj types.Object, pkgPath, name string) bool {
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
-// selector returns a firer for a selector named name that denotes a
-// function or method, called or taken as a value. A field of another
-// type, such as a RouterAddress's Introducers list, does not fire.
-func selector(name string) firer {
+// selector returns a firer for a selector named one of names that
+// denotes a function or method, called or taken as a value. A field of
+// another type, such as a RouterAddress's Introducers list, does not
+// fire.
+func selector(names ...string) firer {
 	return func(info *types.Info, n ast.Node) string {
-		if s, ok := n.(*ast.SelectorExpr); ok && s.Sel.Name == name && info.Uses[s.Sel] != nil {
+		if s, ok := n.(*ast.SelectorExpr); ok && slices.Contains(names, s.Sel.Name) && info.Uses[s.Sel] != nil {
 			if _, ok := info.Uses[s.Sel].Type().Underlying().(*types.Signature); ok {
-				return "." + name
+				return "." + s.Sel.Name
 			}
 		}
 		return ""

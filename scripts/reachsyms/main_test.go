@@ -127,8 +127,8 @@ func TestStaleAllowlistFails(t *testing.T) {
 // identity hashes as values, internal/cache declaring WindowCounter, a
 // function-local sync.Map, the allowed atomic pointers, the exits in
 // internal/cli and internal/faults, the WaitGroups in internal/pool and
-// in a _test.go file, and the tools that reach internal/cli but no
-// campaign.
+// in a _test.go file, the tools that reach internal/cli but no
+// campaign, and the study that studycli builds and runs outside cmd/.
 func TestFixtureRules(t *testing.T) {
 	want := map[string][]string{
 		"no-global-network-cache": {
@@ -152,6 +152,10 @@ func TestFixtureRules(t *testing.T) {
 			"cmd/tool/main.go: log.Fatal",
 			"internal/cli/studycli/studycli.go: os.Exit",
 			"internal/sim/sim.go: os.Exit",
+		},
+		"one-study-run": {
+			"cmd/i2pcensor/main.go: .NewStudy",
+			"cmd/i2pcensor/main.go: .RunAll",
 		},
 		"tools-skip-the-study": {
 			"cmd/i2pdistribd/main.go: cmd/i2pdistribd imports internal/distrib, which imports internal/measure",

@@ -20,7 +20,7 @@ import (
 func main() {
 	cli.Main(func() error {
 		fmt.Println("os.Exit(", censor.Capture(&sim.Observer{}), distrib.Hand(&sim.Network{}), service.New(), netdb.Hash{})
-		return nil
+		return studycli.Run()
 	})
 	if len(os.Args) > 2 {
 		faults.Exit(3)
