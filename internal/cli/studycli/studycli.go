@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -98,6 +99,10 @@ func Run(categories ...string) error {
 	if err != nil {
 		return err
 	}
+	peers, err := f.dailyPeers()
+	if err != nil {
+		return err
+	}
 	stop, err := f.start()
 	if err != nil {
 		return err
@@ -109,7 +114,7 @@ func Run(categories ...string) error {
 	opts := core.DefaultOptions()
 	opts.Seed = f.seed
 	opts.Days = f.days
-	opts.TargetDailyPeers = int(f.scale * sim.PaperDailyPeers)
+	opts.TargetDailyPeers = peers
 	opts.Workers = f.workers
 	opts.CheckpointDir = f.checkpointDir
 	study, err := core.NewStudy(opts)
@@ -196,6 +201,18 @@ func (f *flags) ids(all []string) ([]string, error) {
 		return all, nil
 	}
 	return ids, nil
+}
+
+// dailyPeers returns the network's daily peer count for -scale. A NaN,
+// infinite or out-of-range float converts to an implementation-defined
+// int, so a scale that is not finite and > 0, or whose count overflows
+// an int32, is refused before the conversion.
+func (f *flags) dailyPeers() (int, error) {
+	peers := f.scale * sim.PaperDailyPeers
+	if !(peers > 0 && peers <= math.MaxInt32) {
+		return 0, fmt.Errorf("-scale %v: want a finite scale > 0 giving at most %d daily peers", f.scale, math.MaxInt32)
+	}
+	return int(peers), nil
 }
 
 // writeSnapshots runs a short 3-observer campaign with disk snapshots to

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -44,6 +45,22 @@ func TestIDs(t *testing.T) {
 		got, err := f.ids(all)
 		if err == nil || !strings.Contains(err.Error(), `unknown experiment "nope"`) || got != nil {
 			t.Errorf("-experiment %q: IDs = %q, %v; want the unknown ID refused", flag, got, err)
+		}
+	}
+}
+
+// TestDailyPeers holds -scale to a positive, finite peer count that fits
+// an int32: anything else is refused, naming the flag, before the float
+// is converted.
+func TestDailyPeers(t *testing.T) {
+	f := &flags{scale: 0.1}
+	if got, err := f.dailyPeers(); err != nil || got != int(0.1*sim.PaperDailyPeers) {
+		t.Errorf("-scale 0.1: %d, %v; want %d", got, err, int(0.1*sim.PaperDailyPeers))
+	}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), -1, 1e300} {
+		f := &flags{scale: scale}
+		if got, err := f.dailyPeers(); err == nil || !strings.Contains(err.Error(), "-scale") {
+			t.Errorf("-scale %v: %d, %v; want an error naming -scale", scale, got, err)
 		}
 	}
 }

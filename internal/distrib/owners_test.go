@@ -9,11 +9,11 @@ import (
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
-// buildOwners is the reference for censor.AddrIndex.Holders: the day's
+// referenceOwners is the reference for censor.AddrIndex.Holders: the day's
 // addrID -> publishing-peer table (owners[addrID] = the last known-IP
 // active peer, in ActivePeers(day) order, publishing the address that
 // day, or -1).
-func buildOwners(n *sim.Network, day int) []int32 {
+func referenceOwners(n *sim.Network, day int) []int32 {
 	ix := censor.IndexFor(n)
 	owners := make([]int32, ix.NumAddrs())
 	for i := range owners {
@@ -35,7 +35,7 @@ func buildOwners(n *sim.Network, day int) []int32 {
 }
 
 // holderCounts counts, per address, the known-IP active peers publishing
-// it on day: where it exceeds one, buildOwners' last-wins rule decides.
+// it on day: where it exceeds one, referenceOwners' last-wins rule decides.
 func holderCounts(n *sim.Network, day int) []int {
 	ix := censor.IndexFor(n)
 	counts := make([]int, ix.NumAddrs())
@@ -100,10 +100,10 @@ func distributionGrids(seed uint64) []SweepConfig {
 // TestOwnersEpochShared: on every (cell, horizon day) of both
 // distribution experiments' grids, at both bench seeds, the bystanders a
 // cell counts through AddrIndex.Holders equal what the from-scratch
-// owner table (buildOwners) counts over the same blacklist, address by
+// owner table (referenceOwners) counts over the same blacklist, address by
 // address;
 // and on every study day, over a blacklist of every address, Holders
-// names buildOwners' owner for each held address and no other. The rules
+// names referenceOwners' owner for each held address and no other. The rules
 // differ only where an address has several holders that day (the last
 // one in ActivePeers order owns it), so the test fails unless it met
 // such an address.
@@ -114,7 +114,7 @@ func TestOwnersEpochShared(t *testing.T) {
 		owners := make([][]int32, n.Days())
 		counts := make([][]int, n.Days())
 		for day := range owners {
-			owners[day], counts[day] = buildOwners(n, day), holderCounts(n, day)
+			owners[day], counts[day] = referenceOwners(n, day), holderCounts(n, day)
 		}
 		for _, cfg := range distributionGrids(seed) {
 			sw, err := NewSweep(n, cfg)

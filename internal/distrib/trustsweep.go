@@ -30,8 +30,8 @@ import (
 // derives from (SeedBase, row coordinates) and is consumed in day order
 // within the row, results land in cell-indexed slots, so any Workers
 // value yields byte-identical results — and sliding is exactly
-// resumable, so every cell equals the from-scratch replay Reference
-// computes (TestTrustSweepResumesAcrossRows).
+// resumable, so every cell equals a from-scratch replay of its row
+// (TestTrustSweepResumesAcrossRows).
 
 // TrustSweepConfig declares a (trust distributor x enumerator x
 // horizon day) grid.
@@ -236,16 +236,6 @@ func (s *TrustSweep) Run(ctx context.Context) ([]TrustCellResult, error) {
 	return results, nil
 }
 
-// Reference replays one cell from scratch: a fresh trustState advanced
-// serially from day zero through the cell's horizon day. It is the
-// golden reference the rolling rows are tested byte-identical against —
-// sliding a row is exactly resuming this replay.
-func (s *TrustSweep) Reference(c TrustCell) TrustCellResult {
-	st := s.newTrustState(c.Dist, c.Enum)
-	st.advanceTo(c.Day)
-	return st.result(c)
-}
-
 // trustState is one row's mutable arms-race state: the per-user trust
 // dynamics plus the censor's discoveries. Each row owns one; nothing in
 // it is shared.
@@ -347,7 +337,7 @@ func (s *TrustSweep) newTrustState(d *TrustSocial, e Enumerator) *trustState {
 // advanceTo slides the row through every horizon day up to and
 // including `to`. Days are simulated one at a time — sliding from day
 // h-1 to h is exactly what a from-scratch replay of day h does after
-// day h-1, which is why resumed rows match Reference bit for bit. A
+// day h-1, which is why resumed rows match that replay bit for bit. A
 // revisited day (duplicate grid entries) is a no-op.
 func (st *trustState) advanceTo(to int) {
 	for d := st.day + 1; d <= to; d++ {

@@ -160,13 +160,22 @@ func TestTrustSweepValidation(t *testing.T) {
 	}
 }
 
+// referenceTrustCell replays one cell from scratch: a fresh trustState
+// advanced serially from day zero through the cell's horizon day.
+// Sliding a row is exactly resuming this replay.
+func referenceTrustCell(sw *TrustSweep, c TrustCell) TrustCellResult {
+	st := sw.newTrustState(c.Dist, c.Enum)
+	st.advanceTo(c.Day)
+	return st.result(c)
+}
+
 // TestTrustSweepResumesAcrossRows is the trust engine's golden
 // guarantee (the TestRollingSweepMatchesFromScratch pattern): on
 // randomized graphs and grids, the rolling row engine — which resumes
 // each row's trustState from the previous cell — is byte-identical to
-// the from-scratch serial Reference replay of every cell, at Workers 1,
-// 4 and NumCPU. CI runs it under -race, so it also proves rows share
-// the backend, graph and address index safely.
+// the from-scratch serial replay of every cell (referenceTrustCell), at
+// Workers 1, 4 and NumCPU. CI runs it under -race, so it also proves
+// rows share the backend, graph and address index safely.
 func TestTrustSweepResumesAcrossRows(t *testing.T) {
 	n := network(t)
 	rng := rand.New(rand.NewPCG(2026, 5))
@@ -220,7 +229,7 @@ func TestTrustSweepResumesAcrossRows(t *testing.T) {
 				// from-scratch replay: resuming a row must equal
 				// restarting it.
 				for i, c := range sw.Cells() {
-					if ref := sw.Reference(c); !reflect.DeepEqual(results[i], ref) {
+					if ref := referenceTrustCell(sw, c); !reflect.DeepEqual(results[i], ref) {
 						t.Fatalf("trial %d cell %d (%s, %s, day %d): resumed row differs from from-scratch replay\n got %+v\nwant %+v",
 							trial, i, c.Dist.Name(), c.Enum.Name(), c.Day, results[i], ref)
 					}

@@ -31,22 +31,22 @@ func runStreamCampaign(t testing.TB, n *sim.Network, cfg CampaignConfig) (*Datas
 }
 
 // retainedUnits is the independent reference the pipeline is compared
-// against: every day's retainedUnit, with every day's unit retained in
+// against: every day's referenceMergeDay, with every day's unit retained in
 // memory.
 func retainedUnits(c *Campaign) [][]*netdb.RouterInfo {
 	units := make([][]*netdb.RouterInfo, c.cfg.EndDay)
 	for day := c.cfg.StartDay; day < c.cfg.EndDay; day++ {
-		units[day] = retainedUnit(c, day)
+		units[day] = referenceMergeDay(c, day)
 	}
 	return units
 }
 
-// retainedUnit is one day of the reference: every observer's full
+// referenceMergeDay is one day of the reference: every observer's full
 // CollectDay, merged through a map by the stated rule — newest Published
 // wins, ties to the earliest observer. It shares no code with
 // Observer.CaptureDay's claim set, so it is the test that fails if an
 // observer ever stamps a different Published.
-func retainedUnit(c *Campaign, day int) []*netdb.RouterInfo {
+func referenceMergeDay(c *Campaign, day int) []*netdb.RouterInfo {
 	merged := make(map[netdb.Hash]*netdb.RouterInfo)
 	for _, o := range c.obs {
 		for _, ri := range o.CollectDay(day) {

@@ -212,7 +212,7 @@ func TestPeerSetsMatchReference(t *testing.T) {
 			}
 			ref, sets := NewDataset(0, days), newReferenceSets(len(n.Peers))
 			for day := range days {
-				ref.referenceAccumulateDay(n, day, retainedUnit(c, day), sets)
+				ref.referenceAccumulateDay(n, day, referenceMergeDay(c, day), sets)
 			}
 			if !reflect.DeepEqual(ds, ref) {
 				t.Fatalf("seed %d, %d days: the sighting and the RouterInfo fold build different Datasets", seed, days)

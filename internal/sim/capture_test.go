@@ -371,11 +371,11 @@ func TestCoverageTableMatchesPerPeerForm(t *testing.T) {
 				if got, want := o.gamma[class], legacy(o, p); got != want {
 					t.Errorf("floodfill=%v %d KB/s class %d: table %v, legacy expression %v", floodfill, kbps, class, got, want)
 				}
-				if got := o.CoverageFactor(p); got != o.gamma[class] {
-					t.Errorf("floodfill=%v %d KB/s class %d: CoverageFactor %v, table %v", floodfill, kbps, class, got, o.gamma[class])
+				if got := referenceCoverageFactor(o, p); got != o.gamma[class] {
+					t.Errorf("floodfill=%v %d KB/s class %d: referenceCoverageFactor %v, table %v", floodfill, kbps, class, got, o.gamma[class])
 				}
-				if got, want := o.ObserveProbability(p), o.gamma[class]*n.drawExposure[p.Index]; got != want {
-					t.Errorf("floodfill=%v %d KB/s class %d: ObserveProbability %v, table form %v", floodfill, kbps, class, got, want)
+				if got, want := referenceObserveProbability(o, p), o.gamma[class]*n.drawExposure[p.Index]; got != want {
+					t.Errorf("floodfill=%v %d KB/s class %d: referenceObserveProbability %v, table form %v", floodfill, kbps, class, got, want)
 				}
 			}
 		}
@@ -403,8 +403,8 @@ func TestDrawColumnsMatchPeers(t *testing.T) {
 			t.Fatalf("peer %d: class column %d, affinityClass %d", i, n.drawClass[i], p.affinityClass())
 		}
 		for _, o := range observers {
-			if got, want := o.gamma[n.drawClass[i]]*n.drawExposure[i], o.ObserveProbability(p); got != want {
-				t.Fatalf("peer %d: dense product %v, ObserveProbability %v", i, got, want)
+			if got, want := o.gamma[n.drawClass[i]]*n.drawExposure[i], referenceObserveProbability(o, p); got != want {
+				t.Fatalf("peer %d: dense product %v, referenceObserveProbability %v", i, got, want)
 			}
 		}
 	}

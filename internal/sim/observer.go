@@ -95,9 +95,10 @@ type Observer struct {
 	Cfg ObserverConfig
 	net *Network
 
-	// gamma[class] is CoverageFactor for a peer of that affinity class,
-	// fixed at construction: the daily draw indexes it per peer instead
-	// of redoing the math.Exp behind it.
+	// gamma[class] is gamma_o for a peer of that affinity class: the
+	// fraction of the peer's exposure the observer converts into an
+	// observation each day. It is fixed at construction, so the daily
+	// draw indexes it per peer instead of redoing the math.Exp behind it.
 	gamma [affinityClasses]float64
 }
 
@@ -152,9 +153,8 @@ func (p *Peer) affinityClass() int {
 	}
 }
 
-// classCoverage returns gamma_o for one affinity class. CoverageFactor
-// and the per-observer table both come from here, so the floats — hence
-// the observation draws — cannot differ between them.
+// classCoverage returns gamma_o for one affinity class, the entry of the
+// per-observer table the daily draw reads.
 func (o *Observer) classCoverage(class int) float64 {
 	params := o.net.obs
 	affinity := [affinityClasses]float64{
@@ -177,18 +177,6 @@ func (o *Observer) classCoverage(class int) float64 {
 		return 1
 	}
 	return gamma
-}
-
-// CoverageFactor returns gamma_o(p): the fraction of peer p's exposure the
-// observer converts into an observation each day.
-func (o *Observer) CoverageFactor(p *Peer) float64 {
-	return o.classCoverage(p.affinityClass())
-}
-
-// ObserveProbability returns the probability that the observer sees peer p
-// on any day p is online.
-func (o *Observer) ObserveProbability(p *Peer) float64 {
-	return o.CoverageFactor(p) * o.net.drawExposure[p.Index]
 }
 
 // dayPCG returns the deterministic generator for (observer, day): repeated

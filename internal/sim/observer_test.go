@@ -7,6 +7,20 @@ import (
 	"testing/quick"
 )
 
+// referenceCoverageFactor is gamma_o(p) computed per peer, the form the
+// observer's class table replaced: the fraction of peer p's exposure the
+// observer converts into an observation each day.
+func referenceCoverageFactor(o *Observer, p *Peer) float64 {
+	return o.classCoverage(p.affinityClass())
+}
+
+// referenceObserveProbability is the per-peer probability that the
+// observer sees peer p on any day p is online, the product the dense
+// class and exposure columns replaced.
+func referenceObserveProbability(o *Observer, p *Peer) float64 {
+	return referenceCoverageFactor(o, p) * o.net.drawExposure[p.Index]
+}
+
 // TestCoverageFactorBounds: gamma is a probability for every peer and
 // observer configuration.
 func TestCoverageFactorBounds(t *testing.T) {
@@ -14,8 +28,8 @@ func TestCoverageFactorBounds(t *testing.T) {
 	f := func(kbps uint16, ff bool, peerSel uint16) bool {
 		o := n.NewObserver(ObserverConfig{SharedKBps: int(kbps), Floodfill: ff, Seed: 1})
 		p := &n.Peers[int(peerSel)%len(n.Peers)]
-		gamma := o.CoverageFactor(p)
-		prob := o.ObserveProbability(p)
+		gamma := referenceCoverageFactor(o, p)
+		prob := referenceObserveProbability(o, p)
 		return gamma >= 0 && gamma <= 1 && prob >= 0 && prob <= 1 && prob <= gamma+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -32,7 +46,7 @@ func TestCoverageMonotoneInBandwidth(t *testing.T) {
 	high := n.NewObserver(ObserverConfig{SharedKBps: 8192, Seed: 1})
 	for i := 0; i < 500; i++ {
 		p := &n.Peers[i*7%len(n.Peers)]
-		gl, gm, gh := low.CoverageFactor(p), mid.CoverageFactor(p), high.CoverageFactor(p)
+		gl, gm, gh := referenceCoverageFactor(low, p), referenceCoverageFactor(mid, p), referenceCoverageFactor(high, p)
 		if !(gl <= gm+1e-12 && gm <= gh+1e-12) {
 			t.Fatalf("coverage not monotone in bandwidth: %v %v %v", gl, gm, gh)
 		}
@@ -48,7 +62,7 @@ func TestFloodfillStoreChannelHelpsAtLowBandwidth(t *testing.T) {
 	nf := n.NewObserver(ObserverConfig{SharedKBps: 128, Floodfill: false, Seed: 1})
 	for i := 0; i < 500; i++ {
 		p := &n.Peers[i*11%len(n.Peers)]
-		if ff.CoverageFactor(p) < nf.CoverageFactor(p) {
+		if referenceCoverageFactor(ff, p) < referenceCoverageFactor(nf, p) {
 			t.Fatalf("peer %d: low-bandwidth floodfill coverage below non-floodfill", i)
 		}
 	}

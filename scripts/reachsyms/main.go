@@ -19,11 +19,14 @@
 // ServeHTTP through http.Handler).
 //
 // scripts/reachsyms/allow.txt names the symbols kept anyway, one per
-// line with one reason: reference (a test oracle the ROADMAP's standing
-// contracts keep), interface (a use the checker cannot see), test-seam
-// (an accessor a test in another package reads; the line names the test)
-// or planned:<item> (a ROADMAP item that will use it). An entry whose
-// symbol is reached or no longer exists is stale and fails the check too.
+// line with one reason: interface (a use the checker cannot see),
+// test-seam (an accessor a test in another package reads; the line names
+// the test) or planned:<item> (a ROADMAP item that will use it). An entry
+// whose symbol is reached or no longer exists is stale and fails the
+// check too. A test oracle is not kept in non-test code at all: a
+// reference is a package-level declaration of a _test.go file named
+// reference* or legacy*, and rule references-held holds each to a Test
+// or Fuzz function of its package.
 //
 // It uses only the standard library: go list for file sets and the
 // standard library's export data, go/parser and go/types for the
@@ -184,6 +187,13 @@ func rules(allowFile string) []rule {
 			"(enginetest and promtest are the two test harnesses); an example or a test is a consumer, not a reason",
 		Scope: gated,
 		check: reachedFrom("cmd/...", "scripts/...", "."),
+	}, {
+		Name: "references-held",
+		Contract: "a reference, the old algorithm a rewrite is compared against, is a package-level declaration " +
+			"of a _test.go file named reference* or legacy*, reached from a Test or Fuzz function of its package; " +
+			"one no test reaches guards nothing, and one in non-test code under internal/ is production code kept for a test",
+		Scope: scope{In: []string{"..."}, Tests: true},
+		check: referencesHeld,
 	}, {
 		Name: "symbol-reach",
 		Contract: "an exported identifier under internal/ is reached from non-test code " +
@@ -507,6 +517,150 @@ func (l *loader) closure(pkgs ...*types.Package) map[*types.Package]bool {
 		pkgs = append(pkgs, p.Imports()...)
 	}
 	return seen
+}
+
+// referencesHeld reports each reference of a scoped package's test files
+// that no Test or Fuzz function of the package reaches, and each non-test
+// function, method or type under internal/ named as a reference.
+func referencesHeld(l *loader, in []*loaded) ([]finding, error) {
+	var out []finding
+	tests := map[string][]*ast.File{} // test files by package directory
+	for _, lp := range in {
+		for _, f := range lp.files {
+			if strings.HasSuffix(l.fset.File(f.Pos()).Name(), "_test.go") {
+				tests[lp.rel] = append(tests[lp.rel], f)
+				continue
+			}
+			if !match([]string{"internal/..."}, lp.rel) {
+				continue
+			}
+			for _, d := range fileDecls(f) {
+				if d.isReference() {
+					out = append(out, finding{Pos: l.position(d.pos), What: d.what() + " is a reference outside a _test.go file"})
+				}
+			}
+		}
+	}
+	for _, files := range tests {
+		for _, d := range unheld(files) {
+			out = append(out, finding{Pos: l.position(d.pos), What: d.what() + " is reached from no Test or Fuzz function of its package"})
+		}
+	}
+	return out, nil
+}
+
+// A decl is one package-level name a file declares.
+type decl struct {
+	name string
+	recv string   // the receiver type's name, for a method
+	node ast.Node // *ast.FuncDecl, *ast.TypeSpec or *ast.ValueSpec
+	pos  token.Pos
+}
+
+// isReference reports whether d is a function, method or type named
+// Reference or reference* or legacy*.
+func (d decl) isReference() bool {
+	if _, value := d.node.(*ast.ValueSpec); value {
+		return false
+	}
+	return d.name == "Reference" || strings.HasPrefix(d.name, "reference") || strings.HasPrefix(d.name, "legacy")
+}
+
+func (d decl) what() string {
+	if d.recv != "" {
+		return d.recv + "." + d.name
+	}
+	return d.name
+}
+
+// fileDecls returns f's package-level declarations, methods included.
+func fileDecls(f *ast.File) []decl {
+	var out []decl
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			out = append(out, decl{name: d.Name.Name, recv: recvName(d), node: d, pos: d.Name.Pos()})
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					out = append(out, decl{name: s.Name.Name, node: s, pos: s.Name.Pos()})
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						out = append(out, decl{name: id.Name, node: s, pos: id.Pos()})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// recvName returns the name of a method's receiver type, or "".
+func recvName(d *ast.FuncDecl) string {
+	if d.Recv == nil || len(d.Recv.List) == 0 {
+		return ""
+	}
+	t := d.Recv.List[0].Type
+	if s, ok := t.(*ast.StarExpr); ok {
+		t = s.X
+	}
+	switch x := t.(type) {
+	case *ast.IndexExpr:
+		t = x.X
+	case *ast.IndexListExpr:
+		t = x.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name
+	}
+	return "?"
+}
+
+// unheld returns the references among one package's test-file
+// declarations that no Test or Fuzz function of those files reaches. Test
+// packages are checked without their function bodies, so the walk
+// resolves names, not objects: an identifier reaches every test-file
+// declaration of that name, a method named by a selector included, and a
+// reached type reaches its test-file methods.
+func unheld(files []*ast.File) []decl {
+	byName := map[string][]ast.Node{}
+	methods := map[string][]ast.Node{} // by receiver type name
+	var work []ast.Node
+	var refs []decl
+	for _, f := range files {
+		for _, d := range fileDecls(f) {
+			byName[d.name] = append(byName[d.name], d.node)
+			if d.recv != "" {
+				methods[d.recv] = append(methods[d.recv], d.node)
+			}
+			if _, fn := d.node.(*ast.FuncDecl); fn && d.recv == "" && (strings.HasPrefix(d.name, "Test") || strings.HasPrefix(d.name, "Fuzz")) {
+				work = append(work, d.node)
+			}
+			if d.isReference() {
+				refs = append(refs, d)
+			}
+		}
+	}
+	reached := map[ast.Node]bool{}
+	for len(work) > 0 {
+		n := work[len(work)-1]
+		work = work[:len(work)-1]
+		if reached[n] {
+			continue
+		}
+		reached[n] = true
+		if ts, ok := n.(*ast.TypeSpec); ok {
+			work = append(work, methods[ts.Name.Name]...)
+		}
+		ast.Inspect(n, func(x ast.Node) bool {
+			if id, ok := x.(*ast.Ident); ok {
+				work = append(work, byName[id.Name]...)
+			}
+			return true
+		})
+	}
+	return slices.DeleteFunc(refs, func(d decl) bool { return reached[d.node] })
 }
 
 // symbolReach returns the symbol reach check: the unreached exported
@@ -979,7 +1133,7 @@ func readAllow(path string) (map[string]string, []finding, error) {
 		sym := fields[0]
 		switch {
 		case len(fields) < 2 || !validReason(fields[1]):
-			bad = append(bad, finding{Pos: pos, What: sym + " needs one reason: reference, interface, test-seam or planned:<item>"})
+			bad = append(bad, finding{Pos: pos, What: sym + " needs one reason: interface, test-seam or planned:<item>"})
 		case fields[1] == "test-seam" && len(fields) < 3:
 			bad = append(bad, finding{Pos: pos, What: sym + " is a test-seam entry that names no test"})
 		default:
@@ -994,7 +1148,7 @@ func readAllow(path string) (map[string]string, []finding, error) {
 
 func validReason(r string) bool {
 	switch r {
-	case "reference", "interface", "test-seam":
+	case "interface", "test-seam":
 		return true
 	}
 	item, ok := strings.CutPrefix(r, "planned:")

@@ -94,9 +94,9 @@ func TestStaleAllowlistFails(t *testing.T) {
 	allow := filepath.Join(t.TempDir(), "allow.txt")
 	lines := []string{
 		"lib.Allowed test-seam TestAllowed in another package reads it",
-		"lib.Entry reference main calls it, so the entry is stale",
+		"lib.Entry interface main calls it, so the entry is stale",
 		"lib.Gone planned:1 the symbol no longer exists",
-		"lib.Dead because it is not one of the four reasons",
+		"lib.Dead because it is not one of the three reasons",
 		"lib.TestOnly test-seam",
 	}
 	if err := os.WriteFile(allow, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
@@ -121,14 +121,17 @@ func TestStaleAllowlistFails(t *testing.T) {
 // The forms the text gates missed are here: a var block, a _test.go
 // cache, a method value, an aliased os, a struct field, a package only an
 // example reaches, an import two levels down and an exit in a package
-// below internal/cli. So are the ones that must not fire: a comment
+// below internal/cli, an orphaned test reference and a Reference method
+// in non-test code. So are the ones that must not fire: a comment
 // naming WindowCounter (censor.go), a string "os.Exit(" (cmd/tool), an
 // address-keyed map in a _test.go file, maps holding addresses or
 // identity hashes as values, internal/cache declaring WindowCounter, a
 // function-local sync.Map, the allowed atomic pointers, the exits in
 // internal/cli and internal/faults, the WaitGroups in internal/pool and
 // in a _test.go file, the tools that reach internal/cli but no
-// campaign, and the study that studycli builds and runs outside cmd/.
+// campaign, the study that studycli builds and runs outside cmd/, a
+// reference reached only through a helper, and a reference type reached
+// through its constructor whose methods reach another reference.
 func TestFixtureRules(t *testing.T) {
 	want := map[string][]string{
 		"no-global-network-cache": {
@@ -164,6 +167,10 @@ func TestFixtureRules(t *testing.T) {
 			"internal/sim/sim.go: internal/sim imports internal/draw, which imports internal/cache",
 		},
 		"package-reach": {"internal/orphan/orphan.go: internal/orphan is imported by no binary, script or the root package"},
+		"references-held": {
+			"internal/lib/lib.go: Square.Reference is a reference outside a _test.go file",
+			"internal/lib/lib_test.go: referenceOrphan is reached from no Test or Fuzz function of its package",
+		},
 		"symbol-reach": {
 			"internal/lib/lib.go: lib.Dead is reached by no non-test code",
 			"internal/lib/lib.go: lib.Name.Loud is reached by no non-test code",

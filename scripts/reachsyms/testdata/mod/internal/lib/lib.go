@@ -39,3 +39,7 @@ type Shape interface{ Area() float64 }
 type Square struct{}
 
 func (Square) Area() float64 { return 1 }
+
+// Reference is a test oracle kept in non-test code; main calls it, so
+// only references-held fires on it.
+func (Square) Reference() float64 { return 1 }

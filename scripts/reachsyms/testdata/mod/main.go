@@ -12,4 +12,5 @@ func main() {
 	fmt.Println(lib.Name("x"))
 	var s lib.Shape = lib.Square{}
 	fmt.Println(s.Area())
+	fmt.Println(lib.Square{}.Reference())
 }
