@@ -86,6 +86,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	peers, err := sim.ScaledDailyPeers(*scale)
+	if err != nil {
+		return err
+	}
 
 	ctx, stop := cli.SignalContext()
 	defer stop()
@@ -99,7 +103,7 @@ func run() error {
 	network, err := sim.New(sim.Config{
 		Seed:             *seed,
 		Days:             *days,
-		TargetDailyPeers: int(*scale * sim.PaperDailyPeers),
+		TargetDailyPeers: peers,
 	})
 	if err != nil {
 		return err

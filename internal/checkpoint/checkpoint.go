@@ -2,8 +2,9 @@
 // resume: core.Study.RunAll's finished experiments and the measurement
 // campaign's day units spill to disk as they finish, so a run killed
 // midway resumes by loading finished units instead of recomputing them.
-// Because both engines fold results in stable order regardless of
-// Workers, a resumed run's output is byte-identical to an uninterrupted
+// RunAll fills results into slots by index and the campaign's census
+// fold commutes, so whatever Workers is and whichever units were on
+// disk, a resumed run's output is byte-identical to an uninterrupted
 // one — the determinism contract extends across process deaths.
 //
 // Layout: a checkpoint directory holds a manifest.json identifying the
@@ -18,8 +19,8 @@
 //
 // The experiment runner does not drive a Store itself: it declares its
 // slots to Units, which owns loading, the save on each Commit and the
-// fault point. The campaign, which folds binary day units in order, uses
-// Store.Save and Store.Load directly.
+// fault point. The campaign, which keeps binary day units and may find
+// any subset of them on disk, uses Store.Save and Store.Load directly.
 package checkpoint
 
 import (

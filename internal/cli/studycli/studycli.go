@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -99,7 +98,7 @@ func Run(categories ...string) error {
 	if err != nil {
 		return err
 	}
-	peers, err := f.dailyPeers()
+	peers, err := sim.ScaledDailyPeers(f.scale)
 	if err != nil {
 		return err
 	}
@@ -201,18 +200,6 @@ func (f *flags) ids(all []string) ([]string, error) {
 		return all, nil
 	}
 	return ids, nil
-}
-
-// dailyPeers returns the network's daily peer count for -scale. A NaN,
-// infinite or out-of-range float converts to an implementation-defined
-// int, so a scale that is not finite and > 0, or whose count overflows
-// an int32, is refused before the conversion.
-func (f *flags) dailyPeers() (int, error) {
-	peers := f.scale * sim.PaperDailyPeers
-	if !(peers > 0 && peers <= math.MaxInt32) {
-		return 0, fmt.Errorf("-scale %v: want a finite scale > 0 giving at most %d daily peers", f.scale, math.MaxInt32)
-	}
-	return int(peers), nil
 }
 
 // writeSnapshots runs a short 3-observer campaign with disk snapshots to

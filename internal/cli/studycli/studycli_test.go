@@ -49,18 +49,17 @@ func TestIDs(t *testing.T) {
 	}
 }
 
-// TestDailyPeers holds -scale to a positive, finite peer count that fits
-// an int32: anything else is refused, naming the flag, before the float
-// is converted.
+// TestDailyPeers: the study binaries convert -scale through
+// sim.ScaledDailyPeers, which keeps the refusal they printed when they
+// checked the flag themselves byte for byte.
 func TestDailyPeers(t *testing.T) {
-	f := &flags{scale: 0.1}
-	if got, err := f.dailyPeers(); err != nil || got != int(0.1*sim.PaperDailyPeers) {
+	if got, err := sim.ScaledDailyPeers(0.1); err != nil || got != int(0.1*sim.PaperDailyPeers) {
 		t.Errorf("-scale 0.1: %d, %v; want %d", got, err, int(0.1*sim.PaperDailyPeers))
 	}
 	for _, scale := range []float64{math.NaN(), math.Inf(1), -1, 1e300} {
-		f := &flags{scale: scale}
-		if got, err := f.dailyPeers(); err == nil || !strings.Contains(err.Error(), "-scale") {
-			t.Errorf("-scale %v: %d, %v; want an error naming -scale", scale, got, err)
+		want := fmt.Sprintf("-scale %v: want a finite scale > 0 giving at most 2147483647 daily peers", scale)
+		if got, err := sim.ScaledDailyPeers(scale); err == nil || err.Error() != want {
+			t.Errorf("-scale %v: %d, %v; want %q", scale, got, err, want)
 		}
 	}
 }

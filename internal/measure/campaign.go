@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
 	"github.com/i2pstudy/i2pstudy/internal/faults"
@@ -38,9 +40,10 @@ type CampaignConfig struct {
 	// negative selects one worker per CPU; 1 runs the same pipeline
 	// inline on the caller's goroutine. Every worker count yields a
 	// byte-identical Dataset: a day's capture is deterministic in (fleet,
-	// day) whichever worker runs it, and days fold in ascending order.
-	// Parallelism is across days only, so a campaign shorter than the
-	// worker count does not fan out within a day.
+	// day) whichever worker runs it, and the census fold commutes, so
+	// the order days fold in does not show. Parallelism is across days
+	// only, so a campaign shorter than the worker count does not fan out
+	// within a day.
 	Workers int
 	// CheckpointDir, when non-empty, spills each completed day's merged
 	// sightings — (peer index, draw) records, checksummed per unit — to a
@@ -49,10 +52,10 @@ type CampaignConfig struct {
 	// by a manifest (network + fleet config hash, seed, engine version);
 	// resuming against state from a different run, or from an older
 	// format, fails with a *checkpoint.MismatchError. A loaded unit is
-	// verified against the network before it is folded. Because
-	// accumulation always proceeds in ascending day order, a resumed
-	// run's Dataset is byte-identical to an uninterrupted one at any
-	// Workers value.
+	// verified against the network before it is folded. Any subset of
+	// the days may be on disk: a resumed run loads those and captures the
+	// rest, and because the fold commutes its Dataset is byte-identical
+	// to an uninterrupted one at any Workers value.
 	CheckpointDir string
 }
 
@@ -77,14 +80,14 @@ type Campaign struct {
 	net *sim.Network
 	obs []*sim.Observer
 
-	// Retained-unit accounting (see stream.go / MemStats).
+	// Retained-unit accounting (see MemStats).
 	retained     atomic.Int64
 	peakRetained atomic.Int64
 
 	// scribble, when set, is handed every unit buffer, to its capacity,
-	// once its day is committed and before the buffer is refilled: a
-	// test seam that overwrites it, proving nothing reads a unit after
-	// its commit.
+	// once its day is committed and saved and before the buffer is
+	// refilled: a test seam that overwrites it, proving nothing reads a
+	// unit after its commit.
 	scribble func([]sim.Sighting)
 }
 
@@ -115,13 +118,12 @@ func (c *Campaign) Run() (*Dataset, error) {
 // paper's daily netDb cleanup is implicit: each day starts from an empty
 // observation set.
 //
-// One day is one task. A worker takes the next day in ascending order
-// once it is within the admission window of the fold (see dayWindow),
-// captures the whole fleet for it, and parks the merged unit; whichever
-// worker parks the next day due folds it, and any later days already
-// parked, into the Dataset. Capture of later days therefore overlaps
-// the fold and snapshot of earlier ones, while accumulation itself always
-// proceeds in ascending day order whatever the worker count.
+// One day is one task, and days fold in whatever order workers finish
+// them: the census fold commutes. A worker loads the day's unit from
+// the checkpoint store if one is there, and otherwise captures the
+// whole fleet for it; then it folds the day and writes its snapshot
+// under the run's one commit lock, and spills the unit after letting
+// go of the lock.
 func (c *Campaign) RunContext(ctx context.Context) (*Dataset, error) {
 	c.retained.Store(0)
 	c.peakRetained.Store(0)
@@ -132,20 +134,17 @@ func (c *Campaign) RunContext(ctx context.Context) (*Dataset, error) {
 		return nil, err
 	}
 	var store *checkpoint.Store
-	from := c.cfg.StartDay
 	if c.cfg.CheckpointDir != "" {
 		store, err = checkpoint.Open(c.cfg.CheckpointDir, c.checkpointManifest())
 		if err != nil {
 			return nil, err
 		}
-		from, err = c.resume(f, snap, store)
-		if err != nil {
-			return nil, err
-		}
 	}
-	var unit []byte // the encode buffer: the window serializes folds
-	err = c.run(ctx, from, func(day int, recs []sim.Sighting) error {
-		return c.commitDay(f, snap, store, &unit, day, recs)
+	err = c.run(ctx, store, func(day int, recs []sim.Sighting) error {
+		f.fold(day, recs)
+		// A loaded day's snapshot is written again, so a resumed run
+		// leaves the SnapshotDir an uninterrupted one would.
+		return snap.write(day, recs)
 	})
 	if err != nil {
 		return nil, err
@@ -153,171 +152,125 @@ func (c *Campaign) RunContext(ctx context.Context) (*Dataset, error) {
 	return ds, nil
 }
 
-// resume folds previously checkpointed days into f and returns the
-// first day still to compute. Days are committed strictly in ascending
-// order, so checkpointed days form a contiguous prefix; a stray later
-// unit — possible only if a past run used a different day range, which
-// the manifest hash already refuses — is simply recomputed and
-// overwritten. Every unit decodes into one buffer, refilled day to day.
-func (c *Campaign) resume(f *folder, snap *snapshotter, store *checkpoint.Store) (int, error) {
-	day := c.cfg.StartDay
-	var recs []sim.Sighting
-	for ; day < c.cfg.EndDay; day++ {
-		data, ok, err := store.Load(dayKey(day))
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		recs, err = decodeDayUnit(c.net, day, data, recs)
-		if err != nil {
-			return 0, fmt.Errorf("checkpoint unit %s in %s: %w", dayKey(day), c.cfg.CheckpointDir, err)
-		}
-		f.fold(day, recs)
-		// Re-write the snapshot so resumed runs leave the same SnapshotDir
-		// an uninterrupted run would (cheap, idempotent, atomic).
-		if err := snap.write(day, recs); err != nil {
-			return 0, err
-		}
-		c.committed(recs)
-	}
-	return day, nil
-}
+// run drives every day of the campaign through load or capture, commit
+// and spill, on the resolved number of workers, each taking the next day
+// from one ticket. commit folds and snapshots, one day at a time under
+// one lock; the unit is saved after the lock is let go (a save under it
+// would serialize the fsyncs), and after the commit, so a unit on disk
+// guarantees the day's snapshot is complete.
+func (c *Campaign) run(ctx context.Context, store *checkpoint.Store, commit func(day int, recs []sim.Sighting) error) error {
+	workers := min(pool.Width(c.cfg.Workers), c.cfg.EndDay-c.cfg.StartDay)
+	var ticket atomic.Int64
+	ticket.Store(int64(c.cfg.StartDay))
+	var mu sync.Mutex
+	// Workers publish the peak as they raise it, last writer wins, so a
+	// stale Set can land last; the joined run's value is exact.
+	defer func() { campaignObs.Get().retainedPeak.Set(c.peakRetained.Load()) }()
 
-// commitDay finalizes one computed day: fold into the Dataset, persist
-// the netDb snapshot, spill the checkpoint unit, and cross the fault
-// boundary. The checkpoint write comes last of the persistence steps,
-// so a unit on disk guarantees the snapshot for that day is complete.
-// The unit is encoded into *unit, the run's one encode buffer; nothing
-// holds recs once commitDay returns.
-func (c *Campaign) commitDay(f *folder, snap *snapshotter, store *checkpoint.Store, unit *[]byte, day int, recs []sim.Sighting) error {
-	f.fold(day, recs)
-	if err := snap.write(day, recs); err != nil {
-		return err
-	}
-	if store != nil {
-		*unit = encodeDayUnit((*unit)[:0], recs)
-		if err := store.Save(dayKey(day), *unit); err != nil {
+	// commitDay commits the day in w.recs, then, for a captured day,
+	// spills its unit and crosses the day's fault boundary. A captured
+	// unit counts as retained until its commit returns.
+	commitDay := func(ctx context.Context, w *dayWorker, day int, loaded bool) error {
+		if !loaded {
+			bytes := unitBytes(w.recs)
+			c.retainUnit(bytes)
+			defer c.releaseUnit(bytes)
+			// Every captured day is a scheduler boundary the fault
+			// injector may target, as every FanOut task is.
+			if err := faults.Hit("pool.task"); err != nil {
+				return err
+			}
+		}
+		mu.Lock()
+		err := ctx.Err()
+		if err == nil {
+			err = commit(day, w.recs)
+		}
+		mu.Unlock()
+		if err == nil && !loaded && store != nil {
+			w.unit = encodeDayUnit(w.unit, w.recs)
+			err = store.Save(dayKey(day), w.unit)
+		}
+		if err != nil {
 			return err
 		}
-	}
-	return faults.Hit("measure.campaign.day")
-}
-
-// run drives days [from, EndDay) through capture and, in ascending day
-// order, commit, on the resolved number of workers.
-func (c *Campaign) run(ctx context.Context, from int, commit func(day int, recs []sim.Sighting) error) error {
-	nDays := c.cfg.EndDay - from
-	if nDays <= 0 {
-		return ctx.Err()
-	}
-	workers := min(pool.Width(c.cfg.Workers), nDays)
-	win := newDayWindow(from, c.cfg.EndDay, windowFactor*workers)
-	// A run that stops early strands the units parked behind the failure.
-	defer func() {
-		for _, u := range win.drain() {
-			c.releaseUnit(u.bytes)
+		c.committed(w.recs)
+		if loaded {
+			return nil
 		}
-		// Workers publish the peak as they raise it, last writer wins, so
-		// a stale Set can land last; the joined run's value is exact.
-		campaignObs.Get().retainedPeak.Set(c.peakRetained.Load())
-	}()
-	// A committed unit goes back to the window before its day's slot
-	// does (work calls folded after fold), for a later capture to refill.
-	fold := func(day int, u *dayUnit) error {
-		err := commit(day, u.recs)
-		c.releaseUnit(u.bytes)
-		c.committed(u.recs)
-		win.recycle(u)
-		return err
+		return faults.Hit("measure.campaign.day")
 	}
-	return pool.Run(ctx, workers, func(ctx context.Context, tid int) (int, error) {
-		return c.work(ctx, win, tid, fold)
+	return pool.Run(ctx, workers, func(ctx context.Context, tid int) (captured int, _ error) {
+		w := c.newDayWorker()
+		tr := obs.ActiveTracer()
+		for {
+			if err := ctx.Err(); err != nil {
+				return captured, err
+			}
+			day := int(ticket.Add(1)) - 1
+			if day >= c.cfg.EndDay {
+				return captured, nil
+			}
+			loaded, err := c.load(store, day, w)
+			if err != nil {
+				return captured, err
+			}
+			if !loaded {
+				t0 := tr.Now()
+				c.captureDay(day, w)
+				captured++
+				tr.Complete(tid, "day", t0, obs.Arg{Key: "day", Val: int64(day)})
+			}
+			if err := commitDay(ctx, w, day, loaded); err != nil {
+				return captured, err
+			}
+		}
 	})
 }
 
-// work is one worker's loop: admit a day, capture it, park it, then fold
-// whatever is due. At Workers 1 it runs on the caller's goroutine and
-// every day it parks is the day due, so the loop degenerates to capture,
-// fold, capture, fold. It returns how many days it captured, which the
-// pool counts as engine tasks.
-func (c *Campaign) work(ctx context.Context, win *dayWindow, tid int, fold func(day int, u *dayUnit) error) (int, error) {
-	sc := c.newDayCapture()
-	tr := obs.ActiveTracer()
-	captured := 0
-	for {
-		day, ok, err := win.admit(ctx)
-		if err != nil || !ok {
-			return captured, err
-		}
-		t0 := tr.Now()
-		u := c.captureDay(day, sc, win.reuse())
-		captured++
-		tr.Complete(tid, "day", t0, obs.Arg{Key: "day", Val: int64(day)})
-		c.retainUnit(u.bytes)
-		if err := win.put(day, u); err != nil {
-			c.releaseUnit(u.bytes)
-			return captured, err
-		}
-		// Every captured day is a scheduler boundary the fault injector
-		// may target, as every FanOut task is.
-		if err := faults.Hit("pool.task"); err != nil {
-			return captured, err
-		}
-		for {
-			due, u, ok := win.take()
-			if !ok {
-				break
-			}
-			// A failed fold keeps its turn: no later day may fold (or
-			// reach the checkpoint store) behind a day that did not.
-			if err := fold(due, u); err != nil {
-				return captured, err
-			}
-			win.folded()
-		}
-	}
-}
-
-// dayCapture is one worker's scratch for capturing days, reused from day
-// to day. The sorted unit a capture returns is not part of it: that
-// buffer comes from the admission window's free list.
-type dayCapture struct {
+// dayWorker is one worker's scratch, reused from day to day: the claim
+// set a capture merges and a decode checks peers through, the day's
+// unit, and the encode buffer.
+type dayWorker struct {
 	claimed sim.ClaimSet
-	recs    []sim.Sighting // the day's sightings in capture order
-	pos     []int32        // by peer index, the peer's position in recs (sortByPeer)
+	recs    []sim.Sighting
+	unit    []byte
 }
 
-func (c *Campaign) newDayCapture() *dayCapture {
-	return &dayCapture{claimed: c.net.NewClaimSet(), pos: make([]int32, len(c.net.Peers))}
+func (c *Campaign) newDayWorker() *dayWorker { return &dayWorker{claimed: c.net.NewClaimSet()} }
+
+// load decodes day's unit from the store into w.recs, if the store holds
+// one, and reports whether it did.
+func (c *Campaign) load(store *checkpoint.Store, day int, w *dayWorker) (bool, error) {
+	if store == nil {
+		return false, nil
+	}
+	data, ok, err := store.Load(dayKey(day))
+	if err != nil || !ok {
+		return false, err
+	}
+	if w.recs, err = decodeDayUnit(c.net, day, data, w.claimed, w.recs); err != nil {
+		return false, fmt.Errorf("checkpoint unit %s in %s: %w", dayKey(day), c.cfg.CheckpointDir, err)
+	}
+	return true, nil
 }
 
-// captureDay is the merge: observers in fleet order over one claim set, so
-// each peer's sighting is the first observer's to see it — what "newest
-// wins, ties to the earliest observer" resolves to when every observer
-// stamps the day's time — and no other is kept. The result is sorted by
-// peer index, the fold order that makes interned IDs (and checkpoint
-// bytes) deterministic.
-//
-// The sorted sightings refill u, a committed unit; when u is nil, a new
-// unit is made with room for the day's active peers, which bound its
-// sightings, so a later day refilling it rarely has to grow it.
-func (c *Campaign) captureDay(day int, sc *dayCapture, u *dayUnit) *dayUnit {
-	clear(sc.claimed)
+// captureDay is the merge: observers in fleet order over one claim set,
+// so each peer's sighting is the first observer's to see it — what
+// "newest wins, ties to the earliest observer" resolves to when every
+// observer stamps the day's time — and no other is kept. The sightings
+// land in w.recs in capture order, deterministic in (fleet, day), and
+// are returned.
+func (c *Campaign) captureDay(day int, w *dayWorker) []sim.Sighting {
+	clear(w.claimed)
 	// The claim set bounds the day's sightings by its active peers, so
-	// the scratch grows at most once, here, and never observer by
+	// the buffer grows at most once, here, and never observer by
 	// observer.
-	sc.recs = slices.Grow(sc.recs[:0], len(c.net.ActivePeers(day)))
+	w.recs = slices.Grow(w.recs[:0], len(c.net.ActivePeers(day)))
 	for _, o := range c.obs {
-		sc.recs = o.CaptureDay(day, sc.claimed, sc.recs)
+		w.recs = o.CaptureDay(day, w.claimed, w.recs)
 	}
-	if u == nil {
-		u = &dayUnit{recs: make([]sim.Sighting, 0, len(c.net.ActivePeers(day)))}
-	}
-	u.recs = sc.sortByPeer(u.recs)
-	u.bytes = unitBytes(u.recs)
-	return u
+	return w.recs
 }
 
 // committed passes a committed unit's buffer to the scribble seam, if
@@ -327,6 +280,71 @@ func (c *Campaign) committed(recs []sim.Sighting) {
 		c.scribble(recs[:cap(recs)])
 	}
 }
+
+// MemStats reports the campaign engine's retained-unit accounting —
+// the evidence that a run held at most one captured day unit per
+// worker, never O(days).
+type MemStats struct {
+	// PeakRetainedUnits is the high-water mark of merged day units
+	// simultaneously resident in memory.
+	PeakRetainedUnits int
+	// UnitsEvicted counts day units written to disk to make room in
+	// memory. Each worker holds one unit and commits it before taking
+	// another day, so it always reads 0.
+	UnitsEvicted int
+}
+
+// MemStats returns the retained-unit accounting of the campaign's most
+// recent (or in-progress) run.
+func (c *Campaign) MemStats() MemStats {
+	return MemStats{PeakRetainedUnits: int(c.peakRetained.Load())}
+}
+
+// unitBytes is the resident size of one merged day unit's records.
+func unitBytes(recs []sim.Sighting) int64 {
+	return int64(len(recs)) * int64(unsafe.Sizeof(sim.Sighting{}))
+}
+
+// retainUnit records one merged day unit entering memory.
+func (c *Campaign) retainUnit(bytes int64) {
+	n := c.retained.Add(1)
+	for {
+		p := c.peakRetained.Load()
+		if n <= p || c.peakRetained.CompareAndSwap(p, n) {
+			break
+		}
+	}
+	s := campaignObs.Get()
+	s.retained.Add(1)
+	s.retainedPeak.Set(c.peakRetained.Load())
+	s.residentBytes.Add(bytes)
+}
+
+// releaseUnit records one merged day unit leaving memory.
+func (c *Campaign) releaseUnit(bytes int64) {
+	c.retained.Add(-1)
+	s := campaignObs.Get()
+	s.retained.Add(-1)
+	s.residentBytes.Add(-bytes)
+}
+
+// campaignStats holds the campaign engine's instrument handles.
+type campaignStats struct {
+	retained      *obs.Gauge // i2p_measure_retained_units
+	retainedPeak  *obs.Gauge // i2p_measure_retained_units_peak
+	residentBytes *obs.Gauge // i2p_measure_resident_bytes
+}
+
+var campaignObs = obs.NewLazy(func(r *obs.Registry) campaignStats {
+	return campaignStats{
+		retained: r.Gauge("i2p_measure_retained_units",
+			"Merged day units currently resident in campaign memory."),
+		retainedPeak: r.Gauge("i2p_measure_retained_units_peak",
+			"High-water mark of simultaneously resident merged day units."),
+		residentBytes: r.Gauge("i2p_measure_resident_bytes",
+			"Bytes of merged day records (sightings) resident in campaign memory."),
+	}
+})
 
 // snapshotter persists one day's merged netDb at a time. Day directories
 // are staged under a temp name and renamed into place so readers (and

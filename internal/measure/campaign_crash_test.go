@@ -1,12 +1,15 @@
 package measure
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/faults"
@@ -48,8 +51,8 @@ func TestCampaignCrashResume(t *testing.T) {
 }
 
 // TestResumedDatasetMatchesRouterInfoFold: a campaign that computes
-// nothing and folds every day from its version 2 store yields the Dataset
-// the version 1 resume folded — the map-merged CollectDay records, each
+// nothing and folds every day from its store yields the Dataset the
+// version 1 resume folded — the map-merged CollectDay records, each
 // round-tripped through the netdb wire codec, under the RouterInfo fold.
 func TestResumedDatasetMatchesRouterInfoFold(t *testing.T) {
 	n := parallelTestNet(t)
@@ -78,6 +81,53 @@ func TestResumedDatasetMatchesRouterInfoFold(t *testing.T) {
 	}
 	if !reflect.DeepEqual(written, reference) {
 		t.Error("the Dataset of the writing run differs from the RouterInfo fold of wire-round-tripped records")
+	}
+}
+
+// TestCampaignResumesAnySubset: a store holding any subset of the days
+// resumes, not only a prefix. A finished store loses the units of its
+// first, a middle and its last day; the resumed run recaptures exactly
+// those three days, rewrites their units byte for byte, and folds the
+// Dataset of an uninterrupted run.
+func TestCampaignResumesAnySubset(t *testing.T) {
+	const days = 8
+	n := parallelTestNet(t)
+	dir := t.TempDir()
+	cfg := CampaignConfig{Observers: DefaultObserverFleet(4), StartDay: 0, EndDay: days, Workers: 4}
+	reference, _ := runStreamCampaign(t, n, cfg)
+	cfg.CheckpointDir = dir
+	runStreamCampaign(t, n, cfg)
+
+	dropped := []int{0, days / 2, days - 1}
+	want := map[int][]byte{}
+	for _, day := range dropped {
+		path := filepath.Join(dir, dayKey(day))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[day] = data
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reg := withObs(t)
+	resumed, _ := runStreamCampaign(t, n, cfg)
+	if !reflect.DeepEqual(resumed, reference) {
+		t.Error("the Dataset resumed from a store missing days 0, 4 and 7 differs from the uninterrupted run's")
+	}
+	if text, line := reg.RenderText(), fmt.Sprintf(`i2p_engine_tasks_total{mode="parallel"} %d`, len(dropped)); !strings.Contains(text, line) {
+		t.Errorf("the resumed run did not recapture exactly the %d missing days: want %s in\n%s", len(dropped), line, text)
+	}
+	for _, day := range dropped {
+		got, err := os.ReadFile(filepath.Join(dir, dayKey(day)))
+		if err != nil {
+			t.Fatalf("day %d's unit was not rewritten: %v", day, err)
+		}
+		if !bytes.Equal(got, want[day]) {
+			t.Errorf("day %d's rewritten unit differs from the one the first run wrote", day)
+		}
 	}
 }
 

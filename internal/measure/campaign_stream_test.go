@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -43,9 +44,9 @@ func retainedUnits(c *Campaign) [][]*netdb.RouterInfo {
 
 // referenceMergeDay is one day of the reference: every observer's full
 // CollectDay, merged through a map by the stated rule — newest Published
-// wins, ties to the earliest observer. It shares no code with
-// Observer.CaptureDay's claim set, so it is the test that fails if an
-// observer ever stamps a different Published.
+// wins, ties to the earliest observer — and returned in the map's order.
+// It shares no code with Observer.CaptureDay's claim set, so it is the
+// test that fails if an observer ever stamps a different Published.
 func referenceMergeDay(c *Campaign, day int) []*netdb.RouterInfo {
 	merged := make(map[netdb.Hash]*netdb.RouterInfo)
 	for _, o := range c.obs {
@@ -60,7 +61,6 @@ func referenceMergeDay(c *Campaign, day int) []*netdb.RouterInfo {
 	for _, ri := range merged {
 		recs = append(recs, ri)
 	}
-	referenceSortByPeer(c.net, recs)
 	return recs
 }
 
@@ -75,7 +75,7 @@ func foldUnits(c *Campaign, units [][]*netdb.RouterInfo) *Dataset {
 	return ds
 }
 
-// assertNeverSpilled checks what admission control makes true by
+// assertNeverSpilled checks what one unit per worker makes true by
 // construction: nothing was evicted, every retain was released, and no
 // spill directory was created under the (test-private) temp root.
 func assertNeverSpilled(t testing.TB, c *Campaign, tmpRoot string) {
@@ -98,7 +98,7 @@ func assertNeverSpilled(t testing.TB, c *Campaign, tmpRoot string) {
 // TestCampaignStreamingMatchesRetained is the tentpole contract, stated
 // through the shared harness: at every ladder width the pipeline
 // produces the Dataset its Workers = 1 run produces while its peak
-// retained-unit count stays within the admission window — never
+// retained-unit count stays within one unit per worker — never
 // O(days) — and nothing is ever written to disk to get there. The
 // Workers = 1 Dataset — folded from sightings — in turn equals the
 // RouterInfo fold of the retained, map-merged CollectDay reference.
@@ -123,9 +123,9 @@ func TestCampaignStreamingMatchesRetained(t *testing.T) {
 			}
 			return ds, c.MemStats().PeakRetainedUnits
 		},
-		// A unit exists only for an admitted, not yet folded day, and
-		// there are at most window of those.
-		MaxRetained: func(workers int) int { return windowFactor * workers },
+		// A worker holds one unit, and commits it before it takes
+		// another day.
+		MaxRetained: func(workers int) int { return workers },
 	}})
 
 	c, err := NewCampaign(n, cfg)
@@ -140,7 +140,7 @@ func TestCampaignStreamingMatchesRetained(t *testing.T) {
 // TestCampaignNeverEvicts runs the configuration that used to force
 // evictions — more workers than cores, with and without a checkpoint
 // store to spill into — and checks the Dataset matches the Workers = 1
-// run with the peak inside the window, retain/release balanced in the
+// run with at most one unit per worker, retain/release balanced in the
 // campaign and in the registry's gauges, and nothing evicted. The store
 // ends holding one unit per day and no staging file, so it can resume.
 func TestCampaignNeverEvicts(t *testing.T) {
@@ -161,8 +161,8 @@ func TestCampaignNeverEvicts(t *testing.T) {
 			t.Errorf("withStore=%v: Workers=8 dataset differs from the Workers=1 reference", withStore)
 		}
 		peak := c.MemStats().PeakRetainedUnits
-		if peak > windowFactor*8 {
-			t.Errorf("withStore=%v: peak retained units %d exceeds the window", withStore, peak)
+		if peak > cfg.Workers {
+			t.Errorf("withStore=%v: peak retained units %d exceeds one per worker", withStore, peak)
 		}
 		assertNeverSpilled(t, c, tmpRoot)
 
@@ -203,113 +203,11 @@ func TestCampaignNeverEvicts(t *testing.T) {
 	}
 }
 
-// TestDayWindowParksOutOfOrderFoldsInOrder pins the ring mechanics:
-// units parked in any order come out in day order, one fold turn at a
-// time, and a day's admission slot comes back only when it has folded.
-func TestDayWindowParksOutOfOrderFoldsInOrder(t *testing.T) {
-	ctx := context.Background()
-	w := newDayWindow(5, 9, 3)
-	units := map[int]*dayUnit{}
-	for want := 5; want < 8; want++ {
-		day, ok, err := w.admit(ctx)
-		if err != nil || !ok || day != want {
-			t.Fatalf("admit = (%d, %v, %v), want day %d", day, ok, err, want)
-		}
-		units[day] = &dayUnit{bytes: int64(day)}
-	}
-	if len(w.slots) != cap(w.slots) {
-		t.Fatalf("window holds %d of %d slots after admitting a full window", len(w.slots), cap(w.slots))
-	}
-
-	park := func(day int) {
-		t.Helper()
-		if err := w.put(day, units[day]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	takeWant := func(want int) {
-		t.Helper()
-		day, u, ok := w.take()
-		if !ok || day != want || u != units[want] {
-			t.Fatalf("take = (%d, %v, %v), want day %d", day, u, ok, want)
-		}
-	}
-	takeNothing := func(why string) {
-		t.Helper()
-		if day, _, ok := w.take(); ok {
-			t.Fatalf("take returned day %d %s", day, why)
-		}
-	}
-
-	park(7)
-	takeNothing("while day 5 is not parked")
-	park(5)
-	takeWant(5)
-	park(6)
-	takeNothing("while day 5 is still being folded")
-	w.folded()
-	if len(w.slots) != 2 {
-		t.Fatalf("folding a day returned %d slots, want 1", 3-len(w.slots))
-	}
-	takeWant(6)
-	w.folded()
-	takeWant(7)
-	w.folded()
-	takeNothing("from an empty ring")
-
-	// The slots folded free admit the last day, and then no more.
-	if day, ok, err := w.admit(ctx); err != nil || !ok || day != 8 {
-		t.Fatalf("admit = (%d, %v, %v), want day 8", day, ok, err)
-	}
-	if _, ok, err := w.admit(ctx); ok || err != nil {
-		t.Fatalf("admit past the last day = (ok %v, err %v), want (false, nil)", ok, err)
-	}
-	if len(w.slots) != 1 {
-		t.Fatalf("%d slots held with one day in flight", len(w.slots))
-	}
-}
-
-// TestDayWindowRefusesPutOutsideWindow: a unit for a day the window does
-// not cover — ahead of it, behind it, or already parked — is an error,
-// never a silent overwrite of another day's slot.
-func TestDayWindowRefusesPutOutsideWindow(t *testing.T) {
-	ctx := context.Background()
-	w := newDayWindow(0, 10, 2)
-	u := &dayUnit{}
-	for range 2 {
-		if _, ok, err := w.admit(ctx); !ok || err != nil {
-			t.Fatalf("admit = (ok %v, err %v)", ok, err)
-		}
-	}
-	if err := w.put(2, u); err == nil {
-		t.Error("put accepted day 2 into window [0, 2)")
-	}
-	if err := w.put(0, u); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.put(0, u); err == nil {
-		t.Error("put accepted day 0 twice")
-	}
-	if _, _, ok := w.take(); !ok {
-		t.Fatal("day 0 not available")
-	}
-	w.folded()
-	if err := w.put(0, u); err == nil {
-		t.Error("put accepted day 0 behind window [1, 3)")
-	}
-	if err := w.put(2, u); err != nil {
-		t.Errorf("put refused day 2 inside window [1, 3): %v", err)
-	}
-	if left := w.drain(); len(left) != 1 {
-		t.Errorf("drain returned %d units, want the one parked", len(left))
-	}
-}
-
-// TestStreamFoldOrderInvariant is the fold property test: whatever
-// order admitted days finish capturing in and however narrow the window,
-// folding the captured sightings the ring hands out — through one fold
-// state carried across days, as the campaign does — yields a Dataset
-// identical to the RouterInfo fold of the retained units in order.
+// TestStreamFoldOrderInvariant is the fold property test: the census
+// fold commutes. Folding the captured days through one folder carried
+// across days, as the campaign does, in a shuffled day order and each
+// day's records reversed, yields a Dataset identical to the RouterInfo
+// fold of the retained units in day order.
 func TestStreamFoldOrderInvariant(t *testing.T) {
 	const days = 10
 	n, err := sim.New(sim.Config{Seed: 13, Days: days, TargetDailyPeers: 200})
@@ -321,54 +219,28 @@ func TestStreamFoldOrderInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	reference := foldUnits(c, retainedUnits(c))
-	sc := c.newDayCapture()
+	w := c.newDayWorker()
 
-	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 8; trial++ {
-		window := 1 + rng.Intn(4)
-		w := newDayWindow(0, days, window)
 		ds := NewDataset(0, days)
 		f := newFolder(ds, n)
-		var inFlight []int // admitted, still "capturing"
-		folded := 0
-		for folded < days {
-			for len(w.slots) < window {
-				day, ok, err := w.admit(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				inFlight = append(inFlight, day)
-			}
-			i := rng.Intn(len(inFlight))
-			day := inFlight[i]
-			inFlight = append(inFlight[:i], inFlight[i+1:]...)
-			if err := w.put(day, c.captureDay(day, sc, nil)); err != nil {
-				t.Fatal(err)
-			}
-			for {
-				due, u, ok := w.take()
-				if !ok {
-					break
-				}
-				f.fold(due, u.recs)
-				w.folded()
-				folded++
-			}
+		for _, day := range rng.Perm(days) {
+			recs := c.captureDay(day, w)
+			slices.Reverse(recs)
+			f.fold(day, recs)
 		}
 		if !reflect.DeepEqual(ds, reference) {
-			t.Fatalf("trial %d (window %d): folded Dataset differs from in-order reference", trial, window)
+			t.Fatalf("trial %d: the shuffled, reversed fold differs from the in-order reference", trial)
 		}
 	}
 }
 
-// TestCampaignCancelledWhileBlockedOnAdmission stalls the fold of the
-// first day so the other workers fill the window and block in admit,
-// then cancels: run must return the context's error, which it can only
-// do once every worker goroutine has exited.
+// TestCampaignCancelledWhileBlockedOnAdmission stalls the commit of the
+// first day so the other workers capture a day each and wait on the
+// commit lock, then cancels: run must return the context's error, which
+// it can only do once every worker goroutine has exited, with every
+// captured unit released.
 func TestCampaignCancelledWhileBlockedOnAdmission(t *testing.T) {
 	const workers = 4
 	n := parallelTestNet(t)
@@ -382,19 +254,18 @@ func TestCampaignCancelledWhileBlockedOnAdmission(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		done <- c.run(ctx, 0, func(day int, _ []sim.Sighting) error {
-			<-ctx.Done() // day 0 never finishes folding
+		done <- c.run(ctx, nil, func(day int, _ []sim.Sighting) error {
+			<-ctx.Done() // the first commit never finishes
 			return ctx.Err()
 		})
 	}()
 
-	// With day 0 stuck in its fold, exactly the window's days can be
-	// admitted; once all of them are captured every other worker has
-	// nothing left to do but wait in admit.
+	// With one commit stuck holding the lock, each other worker captures
+	// one day and waits on the lock with its unit.
 	deadline := time.Now().Add(30 * time.Second)
-	for c.retained.Load() < windowFactor*workers {
+	for c.retained.Load() < workers {
 		if time.Now().After(deadline) {
-			t.Fatalf("window never filled: %d units retained", c.retained.Load())
+			t.Fatalf("the workers never all held a unit: %d units retained", c.retained.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -405,7 +276,7 @@ func TestCampaignCancelledWhileBlockedOnAdmission(t *testing.T) {
 			t.Fatalf("run returned %v, want context.Canceled", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("run did not return after cancellation: a worker is stuck in admit")
+		t.Fatal("run did not return after cancellation: a worker is stuck on the commit lock")
 	}
 	if got := c.retained.Load(); got != 0 {
 		t.Errorf("%d retained units leaked after cancellation", got)

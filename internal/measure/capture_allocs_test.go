@@ -36,9 +36,9 @@ func TestCaptureDayAllocs(t *testing.T) {
 	}
 }
 
-// TestCaptureDayGrowsScratchOnce: on a cold dayCapture, capturing a day
-// reallocates the sighting scratch at most once — it is sized to the
-// day's active peers before the first observer, not regrown observer by
+// TestCaptureDayGrowsScratchOnce: on a cold worker, capturing a day
+// reallocates the unit buffer at most once — it is sized to the day's
+// active peers before the first observer, not regrown observer by
 // observer as the fleet's sightings pile up.
 func TestCaptureDayGrowsScratchOnce(t *testing.T) {
 	n := parallelTestNet(t)
@@ -46,14 +46,14 @@ func TestCaptureDayGrowsScratchOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := c.newDayCapture()
-	u := c.captureDay(12, sc, nil) // warm the unit and the pooled draw positions
+	w := c.newDayWorker()
+	c.captureDay(12, w) // warm the pooled draw positions
 	allocs := testing.AllocsPerRun(20, func() {
-		sc.recs = nil
-		u = c.captureDay(12, sc, u)
+		w.recs = nil
+		c.captureDay(12, w)
 	})
 	if allocs > 1 {
-		t.Fatalf("capturing a day on a cold scratch makes %.0f allocations, want at most 1", allocs)
+		t.Fatalf("capturing a day on a cold buffer makes %.0f allocations, want at most 1", allocs)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
@@ -13,13 +12,13 @@ import (
 )
 
 // campaignVersion is the Campaign engine's checkpoint-format version;
-// bump it when the day-unit encoding, keying or order changes. Version 3
-// is the sighting stream below in peer-index order; version 2 held the
-// same records in identity order, version 1 netdb wire-encoded
-// RouterInfos. A unit names its peers by index into the manifest's
-// network, so an API that ever mutates a network must bump this or epoch
-// the manifest.
-const campaignVersion = 3
+// bump it when the day-unit encoding, keying or order changes. Version 4
+// is the sighting stream below in capture order; version 3 held the same
+// records in peer-index order, version 2 in identity order, version 1
+// netdb wire-encoded RouterInfos. A unit names its peers by index into
+// the manifest's network, so an API that ever mutates a network must
+// bump this or epoch the manifest.
+const campaignVersion = 4
 
 // HashNetwork folds every sim.Network config field that shapes engine
 // output into h. All five engines derive their checkpoint ConfigHash
@@ -75,42 +74,15 @@ func (c *Campaign) checkpointManifest() checkpoint.Manifest {
 // dayKey names the checkpoint unit holding one completed day.
 func dayKey(day int) string { return fmt.Sprintf("day-%03d", day) }
 
-// sortByPeer writes the day's captured sightings into dst's storage, in
-// canonical order, ascending by peer index, and returns them. dst is a
-// unit buffer, not sc's, so the next capture does not overwrite it; it is
-// grown only if the day has more sightings than it holds. This is the
-// single canonicalization point of the pipeline: everything downstream —
-// the fold (which assigns intern IDs on first sight and walks its
-// per-peer state in this order), the snapshot, and the checkpoint unit
-// bytes — inherits an order independent of which observer contributed
-// which record. A day holds one sighting per peer, so the order is total.
-//
-// No comparison sort is needed: the claim set is a bitset over peer index
-// holding exactly the day's sighted peers, so walking its set bits in
-// order and looking each peer up in a by-peer position table emits the
-// sightings sorted.
-func (sc *dayCapture) sortByPeer(dst []sim.Sighting) []sim.Sighting {
-	for i, s := range sc.recs {
-		sc.pos[s.Peer] = int32(i)
-	}
-	sorted := slices.Grow(dst[:0], len(sc.recs))
-	for w, word := range sc.claimed {
-		for ; word != 0; word &= word - 1 {
-			sorted = append(sorted, sc.recs[sc.pos[w<<6|bits.TrailingZeros64(word)]])
-		}
-	}
-	return sorted
-}
-
 // A day unit is a little-endian record stream:
 //
-//	magic "DU03" | count u32 | count × record | SHA-256 of all that precedes
+//	magic "DU04" | count u32 | count × record | SHA-256 of all that precedes
 //	record: peer u32 | port u16 | n u8 | n × (pick u32 | tag u32 | port u16)
 //
 // — each sighting's peer index and draw, nothing the network already
-// holds, records strictly ascending by peer index. The checksum covers
+// holds, records in capture order, no peer twice. The checksum covers
 // the whole unit and is verified before any field is read.
-var dayUnitMagic = [4]byte{'D', 'U', '0', '3'}
+var dayUnitMagic = [4]byte{'D', 'U', '0', '4'}
 
 const (
 	dayUnitHeader = len(dayUnitMagic) + 4
@@ -119,9 +91,8 @@ const (
 )
 
 // encodeDayUnit serializes one day's merged sightings into buf's storage
-// (grown if it is short) and returns the unit. recs must already be in
-// canonical peer order (see sortByPeer), which makes the unit's bytes
-// deterministic.
+// (grown if it is short) and returns the unit. A day's capture order is
+// deterministic in (fleet, day), and so are the unit's bytes.
 func encodeDayUnit(buf []byte, recs []sim.Sighting) []byte {
 	size := dayUnitHeader + sha256.Size
 	for i := range recs {
@@ -149,14 +120,15 @@ func encodeDayUnit(buf []byte, recs []sim.Sighting) []byte {
 // network, and refuses anything that network cannot have written: a unit
 // whose checksum does not match, and past that a peer index out of range
 // or offline that day, a draw the peer's status or the day's introducer
-// pool rules out (sim.Network.CheckSighting), records not strictly
-// ascending by peer index, short or trailing bytes. Records come back in
-// the canonical order they were written in, so accumulation code cannot
-// tell a resumed day from a computed one. They are decoded into dst's
-// storage (grown if it is short), every field of every record written,
-// so what dst held before cannot show through; on an error the records
-// in dst are undefined.
-func decodeDayUnit(network *sim.Network, day int, data []byte, dst []sim.Sighting) ([]sim.Sighting, error) {
+// pool rules out (sim.Network.CheckSighting), a peer repeated, short or
+// trailing bytes. claimed, a claim set of the network's, is cleared and
+// then marks each record's peer, which is how a repeat shows. Records
+// come back in the order they were written in, so accumulation code
+// cannot tell a resumed day from a computed one. They are decoded into
+// dst's storage (grown if it is short), every field of every record
+// written, so what dst held before cannot show through; on an error the
+// records in dst are undefined.
+func decodeDayUnit(network *sim.Network, day int, data []byte, claimed sim.ClaimSet, dst []sim.Sighting) ([]sim.Sighting, error) {
 	if len(data) < dayUnitHeader+sha256.Size {
 		return nil, fmt.Errorf("measure: day unit truncated: %d bytes", len(data))
 	}
@@ -174,6 +146,7 @@ func decodeDayUnit(network *sim.Network, day int, data []byte, dst []sim.Sightin
 		return nil, fmt.Errorf("measure: day unit truncated: %d records in %d bytes", count, len(body))
 	}
 	recs := slices.Grow(dst[:0], int(count))[:count]
+	clear(claimed)
 	for i := range recs {
 		s := &recs[i]
 		if len(body) < recordSize {
@@ -194,8 +167,8 @@ func decodeDayUnit(network *sim.Network, day int, data []byte, dst []sim.Sightin
 		if err := network.CheckSighting(day, *s); err != nil {
 			return nil, fmt.Errorf("measure: day unit record %d: %w", i, err)
 		}
-		if i > 0 && recs[i-1].Peer >= s.Peer {
-			return nil, fmt.Errorf("measure: day unit record %d: peer %d after peer %d, not strictly ascending", i, s.Peer, recs[i-1].Peer)
+		if !claimed.Claim(int(s.Peer)) {
+			return nil, fmt.Errorf("measure: day unit record %d: peer %d repeated", i, s.Peer)
 		}
 	}
 	if len(body) != 0 {

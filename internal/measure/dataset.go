@@ -27,13 +27,13 @@ import (
 // Dataset's seen slab, found by peer index, and the addresses it was seen
 // with are the Dataset's marks over the network's schedule segments
 // (sim.AddrTable), from which the analyses derive its addresses, ASes and
-// countries (peerSets). Fold order is canonical (ascending day, ascending
-// peer index within a day), and neither bitset depends on it, so the
-// whole Dataset is byte-identical across worker counts and resume.
+// countries (peerSets). Nothing here depends on the order days or
+// records fold in, so the whole Dataset is byte-identical across worker
+// counts and resume.
 type PeerTrack struct {
-	// FirstDay and LastDay bound the observation window (study days).
-	// Dataset.track sets both on the peer's first observation; a peer
-	// never observed keeps the zero track.
+	// FirstDay and LastDay bound the observation window (study days):
+	// the least and the greatest day Dataset.track was called with. A
+	// peer never observed keeps the zero track.
 	FirstDay, LastDay int32
 
 	// opened marks a peer the campaign observed: Dataset.track sets it
@@ -139,11 +139,10 @@ type Dataset struct {
 	addrs  *sim.AddrTable
 	marked []uint64
 
-	// geo and lastMark are dense columns over the network's address IDs
-	// (sim.AddrTable), sized by the first fold: each address's resolution,
-	// and day+1 of the last day it was counted (zero = never).
-	geo      []addrGeo
-	lastMark []int32
+	// geo is a dense column over the network's address IDs
+	// (sim.AddrTable), sized by the first fold: each address's
+	// resolution.
+	geo []addrGeo
 }
 
 // NewDataset prepares an empty dataset for the given day range.
@@ -164,15 +163,13 @@ func (ds *Dataset) sizeTracks(peers int) {
 	}
 }
 
-// sizeAddrColumns sizes the segment marks, geo and lastMark to the
-// network's address table, once: the first fold over the Dataset calls
-// it.
+// sizeAddrColumns sizes the segment marks and geo to the network's
+// address table, once: the first fold over the Dataset calls it.
 func (ds *Dataset) sizeAddrColumns(addrs *sim.AddrTable) {
 	if ds.addrs == nil {
 		ds.addrs = addrs
 		ds.marked = make([]uint64, (addrs.NumSegments()+63)/64)
 		ds.geo = make([]addrGeo, addrs.NumAddrs())
-		ds.lastMark = make([]int32, addrs.NumAddrs())
 	}
 }
 
@@ -185,18 +182,15 @@ func (ds *Dataset) day(d int) *DayStats {
 }
 
 // track records that peer idx was observed on day and returns its
-// PeerTrack. The first observation opens the window at day; days fold in
-// ascending order, so that day is the first the peer was seen. It
-// allocates nothing (TestTrackAllocatesNothing).
+// PeerTrack, its window widened to take day in, whatever order days come
+// in. It allocates nothing (TestTrackAllocatesNothing).
 func (ds *Dataset) track(idx int32, day int) *PeerTrack {
-	t := &ds.tracks[idx]
+	t, d := &ds.tracks[idx], int32(day)
 	if !t.opened {
-		*t = PeerTrack{FirstDay: int32(day), LastDay: int32(day), opened: true}
+		*t = PeerTrack{FirstDay: d, LastDay: d, opened: true}
 		ds.observed++
 	}
-	if int32(day) > t.LastDay {
-		t.LastDay = int32(day)
-	}
+	t.FirstDay, t.LastDay = min(t.FirstDay, d), max(t.LastDay, d)
 	i := int(idx)*ds.seenWords()*64 + day - ds.StartDay
 	ds.seen[i>>6] |= 1 << (i & 63)
 	return t
@@ -250,7 +244,9 @@ func (ds *Dataset) eachTrack(fn func(idx int, t *PeerTrack)) {
 
 // markSegment marks the segment at position pos as seen, resolving each
 // of its addresses on the fold's first sight of the address. geo.DB
-// .Lookup is pure, so resolving once per distinct address is exact.
+// .Lookup is pure, so resolving once per distinct address is exact, and
+// an address that does not resolve is counted in Unresolved then: once
+// per distinct address, in whichever order the fold meets it.
 func (ds *Dataset) markSegment(db *geo.DB, pos int) {
 	word, bit := pos>>6, uint64(1)<<(pos&63)
 	if ds.marked[word]&bit != 0 {
@@ -266,6 +262,8 @@ func (ds *Dataset) markSegment(db *geo.DB, pos int) {
 		g := addrGeo{is4: addr.Is4(), seen: true}
 		if rec, ok := db.Lookup(addr); ok {
 			g.asn, g.country, g.resolved = rec.ASN, geo.PackCountry(rec.CountryCode), true
+		} else {
+			ds.Unresolved++
 		}
 		ds.geo[id] = g
 	}

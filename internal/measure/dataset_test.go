@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/i2pstudy/i2pstudy/internal/geo"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -16,18 +17,18 @@ import (
 // unresolvable addresses for ten days must count as TWO unresolved
 // addresses, not twenty. The pre-fix code incremented per (record,
 // address, day) occurrence, so a single long-lived bad address inflated
-// the summary once per day.
+// the summary once per day. An address is counted at the fold's first
+// sight of it, so the days may fold in any order.
 func TestUnresolvedCountsDistinctAddresses(t *testing.T) {
 	n, err := sim.New(sim.Config{Seed: 3, Days: 1, TargetDailyPeers: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, addrs := n.GeoDB(), n.AddrTable()
+	addrs := n.AddrTable()
 	// The simulator never publishes an unresolvable address, so the test
-	// marks the addresses of two segments carrying an IPv6, each its own
-	// peer's, unresolved in the geo column before the fold first meets
-	// them, and feeds the fold's per-segment and per-address steps
-	// directly.
+	// resolves two segments carrying an IPv6, each its own peer's,
+	// through an empty geo database, which resolves nothing, and feeds
+	// the fold's per-segment and per-address steps directly.
 	type segment struct {
 		peer int32
 		pos  int
@@ -45,27 +46,22 @@ func TestUnresolvedCountsDistinctAddresses(t *testing.T) {
 	if len(bogus) < 2 {
 		t.Fatalf("%d peers publish an IPv6 address, want 2", len(bogus))
 	}
+	var f *folder
 	newDataset := func() *Dataset {
 		ds := NewDataset(0, 10)
-		ds.sizeTracks(len(n.Peers))
-		ds.sizeAddrColumns(addrs)
-		for _, b := range bogus {
-			v4, v6 := addrs.SegmentIDs(b.pos)
-			ds.geo[v4] = addrGeo{is4: true, seen: true}
-			ds.geo[v6] = addrGeo{seen: true}
-		}
+		f = newFolder(ds, n)
 		return ds
 	}
 	fold := func(ds *Dataset, day int, b segment) {
 		ds.track(b.peer, day)
-		ds.markSegment(db, b.pos)
+		ds.markSegment(&geo.DB{}, b.pos)
 		v4, v6 := addrs.SegmentIDs(b.pos)
-		ds.countAddr(ds.day(day), v4)
-		ds.countAddr(ds.day(day), v6)
+		f.countAddr(ds.day(day), v4)
+		f.countAddr(ds.day(day), v6)
 	}
 
 	ds := newDataset()
-	for day := 0; day < 10; day++ {
+	for day := 9; day >= 0; day-- {
 		fold(ds, day, bogus[0])
 	}
 	if ds.Unresolved != 2 {

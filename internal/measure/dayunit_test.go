@@ -2,6 +2,7 @@ package measure
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -70,17 +71,27 @@ func version2Unit(network *sim.Network, recs []sim.Sighting) []byte {
 	return seal(body)
 }
 
+// version3Unit is the day unit as campaignVersion 3 wrote it: the same
+// records under the magic "DU03", ascending by peer index.
+func version3Unit(recs []sim.Sighting) []byte {
+	recs = slices.Clone(recs)
+	slices.SortFunc(recs, func(a, b sim.Sighting) int { return cmp.Compare(a.Peer, b.Peer) })
+	body := unsealed(encodeDayUnit(nil, recs))
+	copy(body, "DU03")
+	return seal(body)
+}
+
 // TestDayUnitRoundTrip: every captured day decodes back to the sightings
-// it was encoded from, in the order the capture sorted them to.
+// it was encoded from, in the order the capture found them in.
 func TestDayUnitRoundTrip(t *testing.T) {
 	c := dayUnitFixture(t)
-	sc := c.newDayCapture()
+	w := c.newDayWorker()
 	for day := c.cfg.StartDay; day < c.cfg.EndDay; day++ {
-		recs := c.captureDay(day, sc, nil).recs
+		recs := c.captureDay(day, w)
 		if len(recs) == 0 {
 			t.Fatalf("day %d captured nothing", day)
 		}
-		got, err := decodeDayUnit(c.net, day, encodeDayUnit(nil, recs), nil)
+		got, err := decodeDayUnit(c.net, day, encodeDayUnit(nil, recs), w.claimed, nil)
 		if err != nil {
 			t.Fatalf("day %d: %v", day, err)
 		}
@@ -88,7 +99,7 @@ func TestDayUnitRoundTrip(t *testing.T) {
 			t.Fatalf("day %d: decoded sightings differ from the encoded ones", day)
 		}
 	}
-	if got, err := decodeDayUnit(c.net, 0, encodeDayUnit(nil, nil), nil); err != nil || len(got) != 0 {
+	if got, err := decodeDayUnit(c.net, 0, encodeDayUnit(nil, nil), w.claimed, nil); err != nil || len(got) != 0 {
 		t.Fatalf("empty unit = (%d records, %v)", len(got), err)
 	}
 }
@@ -99,7 +110,8 @@ func TestDayUnitRoundTrip(t *testing.T) {
 func TestDayUnitRefusesDoctoredBody(t *testing.T) {
 	c := dayUnitFixture(t)
 	const day = 4
-	valid := c.captureDay(day, c.newDayCapture(), nil).recs
+	w := c.newDayWorker()
+	valid := slices.Clone(c.captureDay(day, w))
 	// The first record that advertises an introducer, and its offset in
 	// the unit.
 	intro, introOff := -1, dayUnitHeader
@@ -147,11 +159,11 @@ func TestDayUnitRefusesDoctoredBody(t *testing.T) {
 		{"inactive peer", "not online", doctorRecs(func(recs []sim.Sighting) {
 			recs[0].Peer = int32(offline)
 		})},
-		{"duplicate peer", fmt.Sprintf("peer %d after peer %d, not strictly ascending", valid[0].Peer, valid[0].Peer), doctorRecs(func(recs []sim.Sighting) {
+		{"duplicate peer", fmt.Sprintf("record 1: peer %d repeated", valid[0].Peer), doctorRecs(func(recs []sim.Sighting) {
 			recs[1] = recs[0]
 		})},
-		{"descending peers", fmt.Sprintf("peer %d after peer %d, not strictly ascending", valid[0].Peer, valid[1].Peer), doctorRecs(func(recs []sim.Sighting) {
-			recs[0], recs[1] = recs[1], recs[0]
+		{"repeat far apart", fmt.Sprintf("record %d: peer %d repeated", len(valid)-1, valid[0].Peer), doctorRecs(func(recs []sim.Sighting) {
+			recs[len(recs)-1] = recs[0]
 		})},
 		{"n = 4", "4 introducers", doctorBody(func(body []byte) []byte {
 			body[introOff+6] = 4
@@ -176,21 +188,32 @@ func TestDayUnitRefusesDoctoredBody(t *testing.T) {
 		})},
 		{"version 1 unit", "checksum", version1Unit(t, c.net, day, valid)},
 		{"version 2 unit", "magic", version2Unit(c.net, valid)},
+		{"version 3 unit", "magic", version3Unit(valid)},
 		{"too short for a checksum", "truncated", encodeDayUnit(nil, valid)[:dayUnitHeader]},
 	}
 	for _, tc := range cases {
-		recs, err := decodeDayUnit(c.net, day, tc.unit, nil)
+		recs, err := decodeDayUnit(c.net, day, tc.unit, w.claimed, nil)
 		if err == nil {
 			t.Errorf("%s: accepted, %d records", tc.name, len(recs))
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: refused with %q, want the %q check", tc.name, err, tc.want)
 		}
 	}
-	if _, err := decodeDayUnit(c.net, day, encodeDayUnit(nil, valid), nil); err != nil {
+	if _, err := decodeDayUnit(c.net, day, encodeDayUnit(nil, valid), w.claimed, nil); err != nil {
 		t.Fatalf("the undoctored unit is refused: %v", err)
 	}
+	// Records need not ascend: descending peers, the capture order
+	// reversed, come back as written.
+	if !slices.IsSortedFunc(valid, func(a, b sim.Sighting) int { return cmp.Compare(b.Peer, a.Peer) }) {
+		descending := slices.Clone(valid)
+		slices.SortFunc(descending, func(a, b sim.Sighting) int { return cmp.Compare(b.Peer, a.Peer) })
+		got, err := decodeDayUnit(c.net, day, encodeDayUnit(nil, descending), w.claimed, nil)
+		if err != nil || !slices.Equal(got, descending) {
+			t.Errorf("descending peers: (%d records, %v), want the %d records back", len(got), err, len(descending))
+		}
+	}
 	// The unit belongs to its day: another day's pool and presence differ.
-	if _, err := decodeDayUnit(c.net, day+1, encodeDayUnit(nil, valid), nil); err == nil {
+	if _, err := decodeDayUnit(c.net, day+1, encodeDayUnit(nil, valid), w.claimed, nil); err == nil {
 		t.Error("day 4's unit decoded as day 5's")
 	}
 }
@@ -200,10 +223,11 @@ func TestDayUnitRefusesDoctoredBody(t *testing.T) {
 func TestDayUnitEveryByteIsCovered(t *testing.T) {
 	c := dayUnitFixture(t)
 	const day = 4
-	unit := encodeDayUnit(nil, c.captureDay(day, c.newDayCapture(), nil).recs)
+	w := c.newDayWorker()
+	unit := encodeDayUnit(nil, c.captureDay(day, w))
 	for i := range unit {
 		unit[i] ^= 0x40
-		if _, err := decodeDayUnit(c.net, day, unit, nil); err == nil {
+		if _, err := decodeDayUnit(c.net, day, unit, w.claimed, nil); err == nil {
 			t.Fatalf("unit accepted with byte %d of %d flipped", i, len(unit))
 		}
 		unit[i] ^= 0x40
@@ -213,34 +237,46 @@ func TestDayUnitEveryByteIsCovered(t *testing.T) {
 // FuzzDayUnit holds the day-unit decoder to four properties on hostile
 // input: it never panics; whatever it accepts re-encodes to the bytes it
 // was given (decode ∘ encode is the identity, and the encoding is
-// canonical); decoding into a reused buffer full of garbage gives what
-// decoding into a fresh one does, the same sightings or the same error;
+// canonical); decoding into a reused buffer full of garbage, through a
+// claim set full of marks, gives what decoding into a fresh one does,
+// the same sightings or the same error;
 // and a valid unit with any one byte changed is refused. The input is
 // tried as given and again with the checksum recomputed over its body,
 // so the fuzzer gets past the checksum to the validators.
 func FuzzDayUnit(f *testing.F) {
 	c := dayUnitFixture(f)
 	const day = 4
-	sc := c.newDayCapture()
-	valid := encodeDayUnit(nil, c.captureDay(day, sc, nil).recs)
+	w := c.newDayWorker()
+	valid := encodeDayUnit(nil, c.captureDay(day, w))
 	for _, d := range []int{0, day, 9} {
-		f.Add(encodeDayUnit(nil, c.captureDay(d, sc, nil).recs), uint(0), byte(1))
+		f.Add(encodeDayUnit(nil, c.captureDay(d, w)), uint(0), byte(1))
 	}
 	f.Add(encodeDayUnit(nil, nil), uint(7), byte(0x80))
-	f.Add([]byte("DU03"), uint(40), byte(0xff))
-	v2 := version2Unit(c.net, c.captureDay(day, sc, nil).recs)
-	if _, err := decodeDayUnit(c.net, day, v2, nil); err == nil {
+	f.Add([]byte("DU04"), uint(40), byte(0xff))
+	v2 := version2Unit(c.net, c.captureDay(day, w))
+	if _, err := decodeDayUnit(c.net, day, v2, w.claimed, nil); err == nil {
 		f.Fatal("a sealed version 2 unit decodes")
 	}
 	f.Add(v2, uint(0), byte(0))
+	// Capture order is no order by peer: the day's records reversed make
+	// a unit whose peers neither ascend nor descend throughout.
+	reversed := slices.Clone(c.captureDay(day, w))
+	slices.Reverse(reversed)
+	f.Add(encodeDayUnit(nil, reversed), uint(0), byte(0))
 	// Room for a fixture day's records, so most inputs decode into the
 	// dirty buffer's own storage rather than a grown copy.
+	// Every decode shares claims, so it finds the last one's marks; the
+	// dirty decode's claim set is set full first.
 	dirty := make([]sim.Sighting, 2*len(c.net.Peers))
+	claims, dirtyClaims := c.net.NewClaimSet(), c.net.NewClaimSet()
 	f.Fuzz(func(t *testing.T, data []byte, pos uint, flip byte) {
 		roundTrip := func(unit []byte) {
-			recs, err := decodeDayUnit(c.net, day, unit, nil)
+			recs, err := decodeDayUnit(c.net, day, unit, claims, nil)
 			scribbleSightings(dirty)
-			reused, reusedErr := decodeDayUnit(c.net, day, unit, dirty)
+			for i := range dirtyClaims {
+				dirtyClaims[i] = ^uint64(0)
+			}
+			reused, reusedErr := decodeDayUnit(c.net, day, unit, dirtyClaims, dirty)
 			if fmt.Sprint(err) != fmt.Sprint(reusedErr) || !slices.Equal(recs, reused) {
 				t.Fatalf("a %d-byte unit decodes to (%d records, %v) fresh and (%d records, %v) into a dirty buffer, not the same",
 					len(unit), len(recs), err, len(reused), reusedErr)
@@ -259,7 +295,7 @@ func FuzzDayUnit(f *testing.F) {
 		if flip != 0 {
 			mutated := bytes.Clone(valid)
 			mutated[pos%uint(len(mutated))] ^= flip
-			if _, err := decodeDayUnit(c.net, day, mutated, nil); err == nil {
+			if _, err := decodeDayUnit(c.net, day, mutated, claims, nil); err == nil {
 				t.Fatalf("valid unit accepted with byte %d xor %#x", pos%uint(len(mutated)), flip)
 			}
 		}
@@ -267,9 +303,9 @@ func FuzzDayUnit(f *testing.F) {
 }
 
 // TestCampaignRefusesVersion1Store: a directory an older campaign wrote
-// — version 1's RouterInfo wire records, or version 2's identity-ordered
-// sightings, under the same keys — is refused at the manifest, before a
-// unit is read.
+// — version 1's RouterInfo wire records, version 2's identity-ordered or
+// version 3's peer-ordered sightings, under the same keys — is refused
+// at the manifest, before a unit is read.
 func TestCampaignRefusesVersion1Store(t *testing.T) {
 	for _, tc := range []struct {
 		version int
@@ -277,6 +313,7 @@ func TestCampaignRefusesVersion1Store(t *testing.T) {
 	}{
 		{1, func(c *Campaign, recs []sim.Sighting) []byte { return version1Unit(t, c.net, 0, recs) }},
 		{2, func(c *Campaign, recs []sim.Sighting) []byte { return version2Unit(c.net, recs) }},
+		{3, func(c *Campaign, recs []sim.Sighting) []byte { return version3Unit(recs) }},
 	} {
 		t.Run(fmt.Sprintf("version %d", tc.version), func(t *testing.T) {
 			c := dayUnitFixture(t)
@@ -287,7 +324,7 @@ func TestCampaignRefusesVersion1Store(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			day0 := c.captureDay(0, c.newDayCapture(), nil).recs
+			day0 := c.captureDay(0, c.newDayWorker())
 			if err := store.Save(dayKey(0), tc.unit(c, day0)); err != nil {
 				t.Fatal(err)
 			}
@@ -297,7 +334,7 @@ func TestCampaignRefusesVersion1Store(t *testing.T) {
 			if !errors.As(err, &mismatch) {
 				t.Fatalf("run over a version %d store returned %v, want a *checkpoint.MismatchError", tc.version, err)
 			}
-			want := checkpoint.MismatchError{Field: "version", Have: fmt.Sprint(tc.version), Want: "3"}
+			want := checkpoint.MismatchError{Field: "version", Have: fmt.Sprint(tc.version), Want: "4"}
 			if *mismatch != want {
 				t.Fatalf("mismatch = %+v, want %+v", *mismatch, want)
 			}

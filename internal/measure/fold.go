@@ -6,17 +6,23 @@ import (
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
-// folder folds days of sightings into a Dataset, in ascending day order
-// and, within a day, ascending peer order. A day walks network.Peers, the
-// network's segment table and the Dataset's tracks in index order and
-// touches no map. It keeps no per-peer state of its own: what a peer
-// published is the Dataset's segment marks, which a fold sets at most
-// once each, so a fresh folder over a half-folded Dataset folds exactly
-// what a warm one would (TestFoldStateColdOrWarm).
+// folder folds days of sightings into a Dataset. The fold commutes: days
+// may come in any order and a day's records in any order, and the
+// Dataset comes out the same (TestStreamFoldOrderInvariant). A day walks
+// network.Peers, the network's segment table and the Dataset's tracks by
+// index and touches no map. It keeps no per-peer state of its own: what
+// a peer published is the Dataset's segment marks, which a fold sets at
+// most once each, so a fresh folder over a half-folded Dataset folds
+// exactly what a warm one would (TestFoldStateColdOrWarm).
 type folder struct {
 	ds  *Dataset
 	net *sim.Network
 	db  *geo.DB
+
+	// dayMark is per-day scratch over the network's address IDs: day+1
+	// of the day an address was last counted (zero = never), so a day
+	// counts each distinct address once without a per-day map.
+	dayMark []int32
 
 	// The day's capacity-flag tallies, written into its DayStats maps
 	// once the day is folded.
@@ -25,17 +31,17 @@ type folder struct {
 
 // newFolder returns a folder of the network's sightings into ds.
 func newFolder(ds *Dataset, network *sim.Network) *folder {
+	addrs := network.AddrTable()
 	ds.sizeTracks(len(network.Peers))
-	ds.sizeAddrColumns(network.AddrTable())
-	return &folder{ds: ds, net: network, db: network.GeoDB()}
+	ds.sizeAddrColumns(addrs)
+	return &folder{ds: ds, net: network, db: network.GeoDB(), dayMark: make([]int32, addrs.NumAddrs())}
 }
 
 // fold folds one day's merged sightings into the Dataset, reading what
 // each sighted peer's RouterInfo would publish that day straight from the
 // network's immutable peer: its scheduled addresses, its capacity flags,
-// and whether its draw holds an introducer. recs must be in canonical
-// peer order, ascending days and sorted records within a day, the order
-// every worker count and resume folds in.
+// and whether its draw holds an introducer. recs holds at most one
+// sighting per peer, in any order, and each day folds once.
 func (f *folder) fold(day int, recs []sim.Sighting) {
 	ds := f.ds
 	stats := ds.day(day)
@@ -55,7 +61,7 @@ func (f *folder) fold(day int, recs []sim.Sighting) {
 					ds.markSegment(f.db, pos)
 					for _, id := range [2]int32{v4, v6} {
 						if id >= 0 {
-							ds.countAddr(stats, id)
+							f.countAddr(stats, id)
 						}
 					}
 				}
@@ -134,23 +140,15 @@ func (c *classCounts) flush(m map[netdb.BandwidthClass]int) {
 }
 
 // countAddr counts address id into its day's distinct-address tallies,
-// once a day, through its lastMark slot (day+1, so zero means never)
-// instead of a fresh per-day map. The first count of an unresolvable
-// address is also its one count in Unresolved — one per distinct
-// address, not per (record, address, day) occurrence, which used to
-// inflate the summary once per day a bad address stayed alive.
-func (ds *Dataset) countAddr(stats *DayStats, id int32) {
+// once a day, through its dayMark slot.
+func (f *folder) countAddr(stats *DayStats, id int32) {
 	marker := int32(stats.Day + 1)
-	last := ds.lastMark[id]
-	if last == marker {
+	if f.dayMark[id] == marker {
 		return
 	}
-	if last == 0 && !ds.geo[id].resolved {
-		ds.Unresolved++
-	}
-	ds.lastMark[id] = marker
+	f.dayMark[id] = marker
 	stats.IPAll++
-	if ds.geo[id].is4 {
+	if f.ds.geo[id].is4 {
 		stats.IPv4++
 	} else {
 		stats.IPv6++

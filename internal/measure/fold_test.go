@@ -25,11 +25,11 @@ func foldTestCampaign(t testing.TB) *Campaign {
 	return c
 }
 
-// TestFoldOrderMovesNoAnalysisByte licenses the peer-index fold order:
-// the retained units folded in the old identity order through
-// referenceAccumulateDay, and the campaign's own peer-order fold, build
-// the same Dataset. The address IDs are the network's (sim.AddrTable),
-// not assigned in fold order, so not even an ID moves.
+// TestFoldOrderMovesNoAnalysisByte: the retained units folded in
+// identity order through referenceAccumulateDay, and the campaign's own
+// fold of each day in capture order, build the same Dataset. The address
+// IDs are the network's (sim.AddrTable), not assigned in fold order, so
+// not even an ID moves.
 func TestFoldOrderMovesNoAnalysisByte(t *testing.T) {
 	c := foldTestCampaign(t)
 	units := retainedUnits(c)
@@ -39,12 +39,12 @@ func TestFoldOrderMovesNoAnalysisByte(t *testing.T) {
 		})
 	}
 	byIdentity := foldUnits(c, units)
-	byPeer, err := c.Run()
+	byCapture, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(byIdentity, byPeer) {
-		t.Fatal("the identity-order and the peer-order fold build different Datasets")
+	if !reflect.DeepEqual(byIdentity, byCapture) {
+		t.Fatal("the identity-order and the capture-order fold build different Datasets")
 	}
 }
 
@@ -60,9 +60,9 @@ func TestFoldStateColdOrWarm(t *testing.T) {
 	cold := NewDataset(c.cfg.StartDay, c.cfg.EndDay)
 	warm := NewDataset(c.cfg.StartDay, c.cfg.EndDay)
 	warmFolder := newFolder(warm, c.net)
-	sc := c.newDayCapture()
+	w := c.newDayWorker()
 	for day := c.cfg.StartDay; day < c.cfg.EndDay; day++ {
-		recs := c.captureDay(day, sc, nil).recs
+		recs := c.captureDay(day, w)
 		newFolder(cold, c.net).fold(day, recs)
 		warmFolder.fold(day, recs)
 	}

@@ -3,6 +3,7 @@ package measure
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -36,9 +37,9 @@ func scribbleSightings(recs []sim.Sighting) {
 }
 
 // TestCampaignRecyclesUnits: over a 45-day campaign, every committed
-// unit goes back to the admission window and a later capture refills
-// it, so the unit buffers a run allocates are bounded by the window, not
-// by the number of days.
+// unit's buffer is refilled by the same worker's next day, so the unit
+// buffers a run allocates are bounded by its workers, not by the number
+// of days.
 func TestCampaignRecyclesUnits(t *testing.T) {
 	n := recycleTestNet(t)
 	for _, workers := range []int{1, 4} {
@@ -46,11 +47,15 @@ func TestCampaignRecyclesUnits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The seam runs inside the fold, which the window serializes.
-		// Holding each buffer keeps its address from being reused.
+		// The seam runs on every worker after the commit lock is let
+		// go, so it takes a lock of its own. Holding each buffer keeps
+		// its address from being reused.
+		var mu sync.Mutex
 		buffers := map[*sim.Sighting]bool{}
 		committed := 0
 		c.scribble = func(recs []sim.Sighting) {
+			mu.Lock()
+			defer mu.Unlock()
 			buffers[unsafe.SliceData(recs)] = true
 			committed++
 		}
@@ -61,9 +66,11 @@ func TestCampaignRecyclesUnits(t *testing.T) {
 			t.Errorf("workers %d: %d units came back for reuse, want one per day, 45", workers, committed)
 		}
 		t.Logf("workers %d: %d unit buffers over 45 days", workers, len(buffers))
-		if window := windowFactor * workers; len(buffers) > 2*window {
-			t.Errorf("workers %d: the run allocated %d unit buffers over 45 days, more than twice its window of %d",
-				workers, len(buffers), window)
+		// A worker's buffer is sized to its first day's active peers and
+		// regrown at most once, should a later day have more.
+		if len(buffers) > 2*workers {
+			t.Errorf("workers %d: the run allocated %d unit buffers over 45 days, more than two per worker",
+				workers, len(buffers))
 		}
 	}
 }
@@ -98,7 +105,7 @@ func TestCampaignPoisonedUnits(t *testing.T) {
 	}
 
 	// The first run stops at the fault after committing 20 days; the
-	// second decodes those from the store, one buffer scribbled between
+	// second decodes those from the store, each buffer scribbled between
 	// units, and captures the rest.
 	cfg.Workers = 4
 	cfg.CheckpointDir = t.TempDir()

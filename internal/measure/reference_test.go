@@ -13,8 +13,8 @@ import (
 )
 
 // This file keeps the campaign's RouterInfo path as it stood before the
-// campaign captured sightings: the fold over materialized RouterInfos and
-// the canonical sort over them. Nothing outside the tests runs it; the
+// campaign captured sightings: the fold over materialized RouterInfos.
+// Nothing outside the tests runs it; the
 // sighting fold is held to it Dataset for Dataset
 // (TestCampaignStreamingMatchesRetained, TestStreamFoldOrderInvariant,
 // TestResumedDatasetMatchesRouterInfoFold, TestFoldOrderMovesNoAnalysisByte).
@@ -27,15 +27,6 @@ func referencePeerIndex(network *sim.Network) map[netdb.Hash]int32 {
 		index[p.ID] = int32(i)
 	}
 	return index
-}
-
-// referenceSortByPeer is sortByPeer over RouterInfos: each record's
-// identity is mapped to its peer index through referencePeerIndex.
-func referenceSortByPeer(network *sim.Network, recs []*netdb.RouterInfo) {
-	index := referencePeerIndex(network)
-	slices.SortFunc(recs, func(a, b *netdb.RouterInfo) int {
-		return cmp.Compare(index[a.Identity], index[b.Identity])
-	})
 }
 
 // referenceSets is what a PeerTrack kept before the Dataset marked
@@ -75,19 +66,17 @@ func insertSorted[E interface{ ~uint16 | ~uint32 }](s []E, v E) ([]E, bool) {
 // (referencePeerIndex), addresses through IPs, each mapped to its ID
 // through the network's table (sim.AddrTable.IDOf) and added to the
 // peer's sets in sets, status through HasKnownIP / Firewalled /
-// HiddenPeer, classes through Caps.PublishedClasses. A record publishing
-// an address marks the segment the peer publishes that day
-// (sim.AddrTable.SegmentOn), so the Dataset it builds is the campaign's
-// byte for byte.
+// HiddenPeer, classes through Caps.PublishedClasses, distinct addresses
+// through a map of the day's. A record publishing an address marks the
+// segment the peer publishes that day (sim.AddrTable.SegmentOn), so the
+// Dataset it builds is the campaign's byte for byte, in any record order.
 func (ds *Dataset) referenceAccumulateDay(network *sim.Network, day int, recs []*netdb.RouterInfo, sets *referenceSets) {
 	addrs := network.AddrTable()
 	index := referencePeerIndex(network)
 	ds.sizeTracks(len(network.Peers))
 	ds.sizeAddrColumns(addrs)
 	stats := ds.day(day)
-	// Per-day distinct-address counting rides the lastMark column (day+1,
-	// so zero means never) instead of a fresh per-day map.
-	marker := int32(day + 1)
+	counted := make(map[int32]bool)
 
 	for _, ri := range recs {
 		stats.Peers++
@@ -113,18 +102,17 @@ func (ds *Dataset) referenceAccumulateDay(network *sim.Network, day int, recs []
 					g.asn = rec.ASN
 					g.country = geo.PackCountry(rec.CountryCode)
 					g.resolved = true
-				}
-			}
-			sets.ips[idx], _ = insertSorted(sets.ips[idx], uint32(id))
-			if ds.lastMark[id] != marker {
-				if ds.lastMark[id] == 0 && !g.resolved {
+				} else {
 					// One count per distinct unresolvable address — not
 					// per (record, address, day) occurrence, which used to
 					// inflate the summary once per day a bad address
 					// stayed alive.
 					ds.Unresolved++
 				}
-				ds.lastMark[id] = marker
+			}
+			sets.ips[idx], _ = insertSorted(sets.ips[idx], uint32(id))
+			if !counted[id] {
+				counted[id] = true
 				stats.IPAll++
 				if g.is4 {
 					stats.IPv4++

@@ -1,5 +1,5 @@
 // Package pool is the one worker pool below every engine: the campaign's
-// day admission, the experiment runner, the sweep grids, the fleet
+// day loop, the experiment runner, the sweep grids, the fleet
 // unions, the snapshot fsyncs, the netDb scan and the load generator all
 // start their goroutines here. It imports only obs and faults, so every
 // layer above them can reach it.
@@ -77,7 +77,8 @@ func Run(ctx context.Context, workers int, work func(ctx context.Context, tid in
 // selects one worker per CPU. FanOut is the one fan-out engine: the
 // population figures' fleet days, the experiment runner, the sweep grids
 // and the trust sweep's whole rows all run as its tasks (the campaign,
-// whose days must fold in order, admits them by window on Run instead).
+// whose workers each keep a unit buffer and an encode buffer from day
+// to day, runs its own ticket loop on Run instead).
 // Callers obtain worker-count-independent results by writing into
 // caller-owned slots indexed by task, never by arrival order.
 //

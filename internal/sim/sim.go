@@ -50,6 +50,20 @@ type Config struct {
 // of a paper-scale network and the unit of every -scale flag.
 const PaperDailyPeers = 30500
 
+// ScaledDailyPeers returns the TargetDailyPeers of a network at scale
+// times the paper's population: the one conversion of every -scale flag.
+// A NaN, infinite or out-of-range float converts to an
+// implementation-defined int, so a scale that is not finite and > 0, or
+// whose count overflows an int32, is refused before the conversion, with
+// an error naming -scale.
+func ScaledDailyPeers(scale float64) (int, error) {
+	peers := scale * PaperDailyPeers
+	if !(peers > 0 && peers <= math.MaxInt32) {
+		return 0, fmt.Errorf("-scale %v: want a finite scale > 0 giving at most %d daily peers", scale, math.MaxInt32)
+	}
+	return int(peers), nil
+}
+
 // Status mix (Section 5.1 / Figure 6): per-day ~30.5K peers split into
 // ~15.5K known-IP, ~11.4K firewalled-only, ~1.4K hidden-only and ~2.6K
 // toggling between the last two.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -39,6 +40,47 @@ func TestNewValidation(t *testing.T) {
 		if _, err := New(Config{Days: 45, TargetDailyPeers: target}); err == nil || !strings.Contains(err.Error(), "2147483647") {
 			t.Errorf("TargetDailyPeers %d: err = %v, want the int32 peer limit", target, err)
 		}
+	}
+}
+
+// TestScaledDailyPeers holds the -scale conversion to a finite, positive
+// peer count that fits an int32: NaN, the infinities, zero, a negative
+// scale and a scale past the int32 edge are refused, naming -scale,
+// before the float is converted.
+func TestScaledDailyPeers(t *testing.T) {
+	// edge is the greatest scale whose count is at most math.MaxInt32.
+	edge := float64(math.MaxInt32) / PaperDailyPeers
+	for edge*PaperDailyPeers > math.MaxInt32 {
+		edge = math.Nextafter(edge, 0)
+	}
+	for next := math.Nextafter(edge, 2*edge); next*PaperDailyPeers <= math.MaxInt32; next = math.Nextafter(next, 2*edge) {
+		edge = next
+	}
+	for _, tc := range []struct {
+		scale float64
+		want  int // 0: refused
+	}{
+		{0.1, 3050},
+		{1, PaperDailyPeers},
+		{edge, int(edge * PaperDailyPeers)},
+		{math.Nextafter(edge, 2*edge), 0},
+		{math.NaN(), 0},
+		{math.Inf(1), 0},
+		{math.Inf(-1), 0},
+		{0, 0},
+		{-1, 0},
+		{1e300, 0},
+	} {
+		got, err := ScaledDailyPeers(tc.scale)
+		switch {
+		case tc.want == 0 && (err == nil || !strings.HasPrefix(err.Error(), "-scale ")):
+			t.Errorf("scale %v: (%d, %v), want an error naming -scale", tc.scale, got, err)
+		case tc.want != 0 && (err != nil || got != tc.want):
+			t.Errorf("scale %v: (%d, %v), want %d", tc.scale, got, err, tc.want)
+		}
+	}
+	if got := int(edge * PaperDailyPeers); got < math.MaxInt32-1 {
+		t.Errorf("the greatest accepted scale gives %d peers, not the int32 edge", got)
 	}
 }
 

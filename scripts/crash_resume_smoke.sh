@@ -4,7 +4,9 @@
 # (faults Exit mode, status 3), confirm the interrupted run left
 # committed checkpoint units behind, confirm the directory is refused
 # without -resume, resume it, and require the resumed output to be
-# byte-identical to an uninterrupted reference run.
+# byte-identical to an uninterrupted reference run. A second leg does
+# the same to the measurement campaign's day units through
+# cmd/i2pmeasure -snapshot-dir, and also compares the snapshot trees.
 #
 # Usage:
 #
@@ -65,4 +67,33 @@ if ! diff -u "$workdir/ref.out" "$workdir/resumed.out"; then
   exit 1
 fi
 
-echo "crash-resume smoke OK (scale $scale, experiments $exps)"
+# Campaign leg: i2pmeasure's -snapshot-dir campaign keeps its day units
+# under <checkpoint-dir>/campaign. Two workers commit days in any order;
+# the hard exit lands after the second committed day, and the resumed
+# run loads whichever days are on disk and captures the rest.
+go build -o "$workdir/i2pmeasure" ./cmd/i2pmeasure
+measure=(-scale 0.02 -days 40 -experiment figure-05 -workers 2)
+"$workdir/i2pmeasure" "${measure[@]}" -snapshot-dir "$workdir/snap-ref" \
+  2>/dev/null | sed "s|$workdir/snap-ref|SNAP|" >"$workdir/measure-ref.out"
+status=0
+"$workdir/i2pmeasure" "${measure[@]}" -snapshot-dir "$workdir/snap" \
+  -checkpoint-dir "$workdir/mckpt" \
+  -inject measure.campaign.day:2:exit >"$workdir/measure-crash.out" 2>&1 || status=$?
+if [ "$status" -ne 3 ]; then
+  echo "crash_resume_smoke: campaign injected exit returned status $status, want 3" >&2
+  cat "$workdir/measure-crash.out" >&2
+  exit 1
+fi
+"$workdir/i2pmeasure" "${measure[@]}" -snapshot-dir "$workdir/snap" \
+  -checkpoint-dir "$workdir/mckpt" -resume \
+  2>/dev/null | sed "s|$workdir/snap|SNAP|" >"$workdir/measure-resumed.out"
+if ! diff -u "$workdir/measure-ref.out" "$workdir/measure-resumed.out"; then
+  echo "crash_resume_smoke: resumed campaign output differs from the uninterrupted reference" >&2
+  exit 1
+fi
+if ! diff -r "$workdir/snap-ref" "$workdir/snap"; then
+  echo "crash_resume_smoke: resumed campaign snapshots differ from the uninterrupted reference" >&2
+  exit 1
+fi
+
+echo "crash-resume smoke OK (scale $scale, experiments $exps; campaign leg figure-05)"
