@@ -50,14 +50,14 @@ func TestIDs(t *testing.T) {
 }
 
 // TestDailyPeers: the study binaries convert -scale through
-// sim.ScaledDailyPeers, which keeps the refusal they printed when they
-// checked the flag themselves byte for byte.
+// sim.ScaledDailyPeers, whose refusal names -scale and both ends of the
+// daily-peer range byte for byte.
 func TestDailyPeers(t *testing.T) {
 	if got, err := sim.ScaledDailyPeers(0.1); err != nil || got != int(0.1*sim.PaperDailyPeers) {
 		t.Errorf("-scale 0.1: %d, %v; want %d", got, err, int(0.1*sim.PaperDailyPeers))
 	}
-	for _, scale := range []float64{math.NaN(), math.Inf(1), -1, 1e300} {
-		want := fmt.Sprintf("-scale %v: want a finite scale > 0 giving at most 2147483647 daily peers", scale)
+	for _, scale := range []float64{math.NaN(), math.Inf(1), -1, 1e300, 1e-9} {
+		want := fmt.Sprintf("-scale %v: want a finite scale giving 1 to 2147483647 daily peers", scale)
 		if got, err := sim.ScaledDailyPeers(scale); err == nil || err.Error() != want {
 			t.Errorf("-scale %v: %d, %v; want %q", scale, got, err, want)
 		}

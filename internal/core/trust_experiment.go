@@ -45,13 +45,14 @@ func runTrustDistribution(ctx context.Context, s *Study) (*Result, error) {
 			BanThreshold: 1,
 		}),
 	}
+	enums := []distrib.Enumerator{
+		{Kind: distrib.Crawler, Budget: 200},
+		{Kind: distrib.Insider, InsiderFrac: 0.1},
+	}
 	sw, err := distrib.NewTrustSweep(s.Net, distrib.TrustSweepConfig{
 		Strategy:     censor.BridgeCombined,
 		Distributors: dists,
-		Enumerators: []distrib.Enumerator{
-			{Kind: distrib.Crawler, Budget: 200},
-			{Kind: distrib.Insider, InsiderFrac: 0.1},
-		},
+		Enumerators:  enums,
 		Day:          s.distribDay(),
 		HorizonDays:  distribHorizon,
 		MaxResources: 160,
@@ -61,45 +62,42 @@ func runTrustDistribution(ctx context.Context, s *Study) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := sw.Run(ctx)
+	rows, err := sw.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
+	// Rows lay enumerators outer, distributors inner.
+	row := func(e, d int) distrib.TrustRow { return rows[e*len(dists)+d] }
 
 	fig := &stats.Figure{
 		Title:  "Trust-graph distribution: bootstrap and enumeration under a 10% insider",
 		XLabel: "days after distribution",
 		YLabel: "fraction of population / partition (%)",
 	}
-	type rowKey [2]string
-	series := make(map[rowKey][]distrib.TrustCellResult)
-	for _, r := range results {
-		series[rowKey{r.Distributor, r.Enumerator}] = append(series[rowKey{r.Distributor, r.Enumerator}], r)
-	}
-	for _, d := range dists {
+	for di, d := range dists {
 		sr := fig.AddSeries(d.Name() + " bootstrap")
 		se := fig.AddSeries(d.Name() + " enumerated")
-		for _, r := range series[rowKey{d.Name(), "insider"}] {
-			sr.Append(float64(r.Day), 100*r.Bootstrap)
-			se.Append(float64(r.Day), 100*r.Enumerated)
+		for h, day := range row(1, di).Days { // the insider
+			sr.Append(float64(h), 100*day.Bootstrap)
+			se.Append(float64(h), 100*day.Enumerated)
 		}
 	}
 
-	rows := [][]string{{"distributor", "enumerator", "users", "bootstrap", "enumerated", "banned", "mean trust", "leaks"}}
+	table := [][]string{{"distributor", "enumerator", "users", "bootstrap", "enumerated", "banned", "mean trust", "leaks"}}
 	metrics := map[string]float64{}
-	for _, d := range dists {
-		for _, e := range []string{"crawler", "insider"} {
-			sr := series[rowKey{d.Name(), e}]
-			final := sr[len(sr)-1]
-			rows = append(rows, []string{
-				d.Name(), e, fmt.Sprint(final.Users),
+	for di, d := range dists {
+		for ei, e := range enums {
+			r := row(ei, di)
+			final := r.Days[len(r.Days)-1]
+			table = append(table, []string{
+				d.Name(), e.Name(), fmt.Sprint(r.Users),
 				fmt.Sprintf("%.2f", final.Bootstrap),
 				fmt.Sprintf("%.2f", final.Enumerated),
 				fmt.Sprintf("%.2f", final.Banned),
 				fmt.Sprintf("%.2f", final.MeanTrust),
 				fmt.Sprint(final.Leaks),
 			})
-			key := d.Name() + "_" + e
+			key := d.Name() + "_" + e.Name()
 			metrics[key+"_bootstrap_final"] = final.Bootstrap
 			metrics[key+"_enumerated_final"] = final.Enumerated
 			metrics[key+"_banned_final"] = final.Banned
@@ -107,7 +105,7 @@ func runTrustDistribution(ctx context.Context, s *Study) (*Result, error) {
 	}
 	var sb strings.Builder
 	sb.WriteString("Trust-graph (Salmon-style) distribution, 10-day horizon\n")
-	sb.WriteString(stats.RenderTable(rows))
+	sb.WriteString(stats.RenderTable(table))
 	return &Result{
 		ID: "trust-distribution", Title: "Trust-graph bridge distribution",
 		Text: sb.String(), Figure: fig, Metrics: metrics,

@@ -23,12 +23,18 @@
 // hash, so pool churn displaces at most the boundary resource of the
 // sample.
 //
-// Determinism contract: distrib.Sweep inherits the engine contract of
-// censor.Sweep — cells fan out through pool.FanOut writing into
-// slots indexed by grid position, every random draw derives from
-// (SeedBase, cell coordinates), and folds run in grid order, so any
-// Workers value yields byte-identical results
-// (TestDistribSweepWorkerDeterminism).
+// Two engines race the channels against the enumerators: distrib.Sweep
+// returns one CellResult per (distributor, enumerator, day) row and
+// TrustSweep one TrustRow per (enumerator, distributor) row, each
+// holding its horizon as one result. Both serve handouts through the
+// backend's own HandoutAPI (Backend.API, built by NewBackend) and run
+// the crawler and sybil enumeration through one censor view (view.go).
+//
+// Determinism contract: both inherit the engine contract of
+// censor.Sweep — rows fan out through pool.FanOut writing into slots
+// indexed by grid position, every random draw derives from (SeedBase,
+// row coordinates), and a row's days run in order, so any Workers value
+// yields byte-identical results (TestDistribSweepWorkerDeterminism).
 package distrib
 
 import (
@@ -147,6 +153,9 @@ type Backend struct {
 	// censor reading a handout blocks them by index (censorView.discover).
 	// Membership is collateral accounting's InPool.
 	pool map[int][]int32
+	// api serves handouts from this pool to the distributors it was
+	// partitioned across (API).
+	api *HandoutAPI
 }
 
 // DefaultMaxResources is the pool cap the sweeps and the service apply
@@ -169,8 +178,10 @@ type BackendConfig struct {
 }
 
 // NewBackend draws the day's pool from the strategy, materializes each
-// resource's RouterInfo and resolves its introducers, and partitions the
-// pool across the distributors on a stable hashring.
+// resource's RouterInfo and resolves its introducers, partitions the
+// pool across the distributors on a stable hashring, and binds the
+// distributors to it as the backend's HandoutAPI. Distributor names
+// must be unique.
 func NewBackend(network *sim.Network, cfg BackendConfig, distributors []Distributor) (*Backend, error) {
 	if len(distributors) == 0 {
 		return nil, fmt.Errorf("distrib: backend needs at least one distributor")
@@ -178,12 +189,16 @@ func NewBackend(network *sim.Network, cfg BackendConfig, distributors []Distribu
 	if cfg.Day < 0 || cfg.Day >= network.Days() {
 		return nil, fmt.Errorf("distrib: distribution day %d outside the %d-day study", cfg.Day, network.Days())
 	}
-	seen := make(map[string]bool, len(distributors))
-	for _, d := range distributors {
-		if seen[d.Name()] {
+	api := &HandoutAPI{
+		dists: make(map[string]Distributor, len(distributors)),
+		names: make([]string, len(distributors)),
+	}
+	for i, d := range distributors {
+		if _, dup := api.dists[d.Name()]; dup {
 			return nil, fmt.Errorf("distrib: duplicate distributor %q", d.Name())
 		}
-		seen[d.Name()] = true
+		api.dists[d.Name()] = d
+		api.names[i] = d.Name()
 	}
 
 	pool := censor.BridgePool(network, cfg.Strategy, cfg.Day)
@@ -200,13 +215,11 @@ func NewBackend(network *sim.Network, cfg BackendConfig, distributors []Distribu
 		When:  network.DayTime(cfg.Day),
 		parts: make(map[string]*Partition, len(distributors)),
 		pool:  make(map[int][]int32, len(resources)),
+		api:   api,
 	}
+	api.backend = b
 
-	names := make([]string, len(distributors))
-	for i, d := range distributors {
-		names[i] = d.Name()
-	}
-	ring := buildRing(names)
+	ring := buildRing(api.names)
 	owned := make(map[string][]Resource, len(distributors))
 	for _, r := range resources {
 		// Materialize records once, with a per-resource stream derived from
@@ -217,7 +230,7 @@ func NewBackend(network *sim.Network, cfg BackendConfig, distributors []Distribu
 		owner := ring.owner(r.Key)
 		owned[owner] = append(owned[owner], r)
 	}
-	for _, name := range names {
+	for _, name := range api.names {
 		b.parts[name] = newPartition(b, name, owned[name])
 	}
 	return b, nil
@@ -265,6 +278,10 @@ func (b *Backend) InPool(peer int) bool {
 // Partition returns the named distributor's arc of the ring (nil when the
 // distributor is unknown to this backend).
 func (b *Backend) Partition(dist string) *Partition { return b.parts[dist] }
+
+// API returns the handout API serving this backend's pool to the
+// distributors it was built with.
+func (b *Backend) API() *HandoutAPI { return b.api }
 
 // Partition is one distributor's share of a backend pool, in ring-key
 // order. Immutable and safe for concurrent use.

@@ -284,11 +284,7 @@ func TestGetManyMatchesReference(t *testing.T) {
 }
 
 func TestRingDistRotation(t *testing.T) {
-	b := testBackend(t, DefaultDistributors())
-	api, err := NewHandoutAPI(b, DefaultDistributors())
-	if err != nil {
-		t.Fatal(err)
-	}
+	api := testBackend(t, DefaultDistributors()).API()
 	serve := func(dist string, id uint64, day int) []Resource {
 		t.Helper()
 		h, err := api.Serve(Request{Dist: dist, ID: id, Day: day})
@@ -317,6 +313,73 @@ func TestRingDistRotation(t *testing.T) {
 	for i := range m1 {
 		if m1[i].Peer != m2[i].Peer {
 			t.Fatal("manual-reseed handout rotated")
+		}
+	}
+}
+
+// TestHandoutAPIServesItsBackend holds the API NewBackend builds to the
+// backend it serves: it names exactly the backend's distributors, in
+// construction order; for a sample of identities, days and attempts
+// every distributor serves its grant's Partition.GetMany arc (nothing,
+// where it grants nothing); and a distributor the backend was not built
+// with is refused with an error.
+func TestHandoutAPIServesItsBackend(t *testing.T) {
+	ts := NewTrustSocial(TrustSocialConfig{Graph: TrustGraphConfig{Users: 60, Seed: 4}})
+	dists := []Distributor{NewManualReseed(), ts, NewHTTPS(), NewEmail()}
+	b := testBackend(t, dists)
+	api := b.API()
+	var names []string
+	for _, d := range dists {
+		names = append(names, d.Name())
+	}
+	if !slices.Equal(api.Distributors(), names) {
+		t.Fatalf("API names %v, backend built with %v", api.Distributors(), names)
+	}
+	ids := []uint64{0xBADBADBAD}
+	for i := uint64(0); i < 32; i++ {
+		ids = append(ids, mix(0x617069, i), ts.Graph().Users()[i].ID) // "api"
+	}
+	for _, d := range dists {
+		if got, ok := api.Distributor(d.Name()); !ok || got != d {
+			t.Fatalf("API distributor %q = %v, %v; want the backend's", d.Name(), got, ok)
+		}
+		part := b.Partition(d.Name())
+		served := 0
+		for _, id := range ids {
+			for _, day := range []int{10, 24} {
+				for attempt := range 2 {
+					h, err := api.Serve(Request{Dist: d.Name(), ID: id, Day: day, Attempt: attempt})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if h.Distributor != d.Name() || h.Day != day {
+						t.Fatalf("%s: handout echoes (%s, %d), request (%s, %d)", d.Name(), h.Distributor, h.Day, d.Name(), day)
+					}
+					g, ok := d.Grant(id, day, attempt)
+					if !ok {
+						if h.Granted || h.Key != 0 || h.Resources != nil {
+							t.Fatalf("%s id %x: ungranted identity served %+v", d.Name(), id, h)
+						}
+						continue
+					}
+					if want := part.GetMany(g.Key, g.Count); !h.Granted || h.Key != g.Key || !slices.Equal(h.Resources, want) {
+						t.Fatalf("%s id %x day %d attempt %d: served (%v, key %d) %v, grant's arc (key %d) %v",
+							d.Name(), id, day, attempt, h.Granted, h.Key, h.Resources, g.Key, want)
+					}
+					served++
+				}
+			}
+		}
+		if served == 0 {
+			t.Fatalf("%s granted no sampled identity", d.Name())
+		}
+	}
+	for _, name := range []string{"social", "nope", ""} {
+		if h, err := api.Serve(Request{Dist: name, ID: ids[1], Day: 10}); err == nil {
+			t.Errorf("unknown distributor %q served %+v", name, h)
+		}
+		if _, ok := api.Distributor(name); ok {
+			t.Errorf("unknown distributor %q found", name)
 		}
 	}
 }
@@ -356,10 +419,7 @@ func TestManualReseedBundleRoundTrip(t *testing.T) {
 		}
 	}
 
-	api, err := NewHandoutAPI(b, DefaultDistributors())
-	if err != nil {
-		t.Fatal(err)
-	}
+	api := b.API()
 	d, _ := api.Distributor("manual-reseed")
 	for i := uint64(0); i < 64; i++ {
 		id := mix(0x6d616e75616c, i) // "manual"

@@ -1,11 +1,14 @@
 package distrib
 
 // This file is the unified handout API: the single request → handout
-// code path behind every consumer of the distribution pipeline. The
-// batch engines (distrib.Sweep's arms-race cells, TrustSweep's rolling
-// rows) and the resident service (internal/service, cmd/i2pdistribd)
-// all resolve handouts through HandoutAPI.Serve, so the determinism
-// harness covering the sweeps covers the live daemon's responses by
+// code path behind every consumer of the distribution pipeline. A
+// backend builds its own (NewBackend, from the distributor list it
+// partitions the pool across; Backend.API returns it), so there is no
+// second constructor to bind or validate a list beside it. The batch
+// engines (distrib.Sweep's arms-race cells, TrustSweep's rows) and the
+// resident service (internal/service, cmd/i2pdistribd) all resolve
+// handouts through HandoutAPI.Serve, so the determinism harness
+// covering the sweeps covers the live daemon's responses by
 // construction: same (backend, distributor, identity, day, attempt) →
 // same bridge set, in the batch goldens and over HTTP alike.
 //
@@ -63,39 +66,13 @@ type Handout struct {
 func IdentityKey(s string) uint64 { return keyOfString(s) }
 
 // HandoutAPI serves deterministic per-identity handouts from one
-// backend. It is immutable after NewHandoutAPI and safe for unbounded
-// concurrent use — sweep cells and HTTP handlers share one.
+// backend to the distributors it was built with; NewBackend builds it
+// (Backend.API). It is immutable and safe for unbounded concurrent use —
+// sweep cells and HTTP handlers share one.
 type HandoutAPI struct {
 	backend *Backend
 	dists   map[string]Distributor
 	names   []string
-}
-
-// NewHandoutAPI binds the distributors to a backend built over the same
-// name set. Every distributor must own a partition on the backend.
-func NewHandoutAPI(backend *Backend, dists []Distributor) (*HandoutAPI, error) {
-	if backend == nil {
-		return nil, fmt.Errorf("distrib: handout API needs a backend")
-	}
-	if len(dists) == 0 {
-		return nil, fmt.Errorf("distrib: handout API needs at least one distributor")
-	}
-	a := &HandoutAPI{
-		backend: backend,
-		dists:   make(map[string]Distributor, len(dists)),
-		names:   make([]string, 0, len(dists)),
-	}
-	for _, d := range dists {
-		if _, dup := a.dists[d.Name()]; dup {
-			return nil, fmt.Errorf("distrib: duplicate distributor %q", d.Name())
-		}
-		if backend.Partition(d.Name()) == nil {
-			return nil, fmt.Errorf("distrib: backend has no partition for distributor %q", d.Name())
-		}
-		a.dists[d.Name()] = d
-		a.names = append(a.names, d.Name())
-	}
-	return a, nil
 }
 
 // Distributors returns the frontend names in construction order.

@@ -227,7 +227,7 @@ func TestResourceIntroducersMatchRecord(t *testing.T) {
 				t.Fatalf("seed %d, %v: no resource names an introducer", seed, strat)
 			}
 			for _, day := range []int{studyDistribDay, studyDistribDay + 10} {
-				cv := newCensorView(n, b, nil)
+				cv := newCensorView(n, b, DefaultDistributors()[0], Enumerator{}, 0, nil)
 				cv.discover(rs, day)
 				ref := ix.NewSet()
 				for _, r := range rs {

@@ -108,12 +108,12 @@ type Sweep struct {
 	Net *sim.Network
 	Cfg SweepConfig
 
+	// backends hold one pool per distribution day; each serves its
+	// cells' handouts through its API, the same request → handout code
+	// path the resident service (internal/service) exposes over HTTP, so
+	// the worker-determinism goldens covering these cells cover the
+	// daemon's responses too.
 	backends map[int]*Backend
-	// apis serve every cell's handouts — one HandoutAPI per distribution
-	// day, the same request → handout code path the resident service
-	// (internal/service) exposes over HTTP, so the worker-determinism
-	// goldens covering these cells cover the daemon's responses too.
-	apis map[int]*HandoutAPI
 }
 
 // NewSweep validates the grid and builds the shared backends. Building is
@@ -135,7 +135,6 @@ func NewSweep(network *sim.Network, cfg SweepConfig) (*Sweep, error) {
 		Net:      network,
 		Cfg:      cfg,
 		backends: make(map[int]*Backend, len(cfg.Days)),
-		apis:     make(map[int]*HandoutAPI, len(cfg.Days)),
 	}
 	for _, day := range cfg.Days {
 		if day+cfg.HorizonDays >= network.Days() {
@@ -154,12 +153,7 @@ func NewSweep(network *sim.Network, cfg SweepConfig) (*Sweep, error) {
 		if err != nil {
 			return nil, err
 		}
-		api, err := NewHandoutAPI(b, cfg.Distributors)
-		if err != nil {
-			return nil, err
-		}
 		s.backends[day] = b
-		s.apis[day] = api
 	}
 	return s, nil
 }
@@ -223,53 +217,28 @@ func (s *Sweep) Run(ctx context.Context) ([]CellResult, error) {
 // collateral test holds the count to its reference through it.
 func (s *Sweep) runCell(c Cell, audit func(day int, bl *censor.AddrSet, bystanders int)) (CellResult, error) {
 	backend := s.backends[c.Day]
-	api := s.apis[c.Day]
-	part := backend.Partition(c.Dist.Name())
 	seed := s.cellSeed(c)
 	rng := rand.New(rand.NewPCG(seed, seed^0xA5A5A5A55A5A5A5A))
-	cost := c.Dist.IdentityCost()
 
+	// The censor's enumeration-fed blacklist and discovery set, with
+	// the discover/usable rules and the crawler and sybil enumeration
+	// shared with the trust rows (view.go).
+	cv := newCensorView(s.Net, backend, c.Dist, c.Enum, seed, rng)
 	res := CellResult{
 		Distributor:   c.Dist.Name(),
 		Enumerator:    c.Enum.Name(),
 		Day:           c.Day,
-		PartitionSize: part.Len(),
+		PartitionSize: cv.part.Len(),
 	}
 
-	// The censor's enumeration-fed blacklist and discovery set, with
-	// the discover/usable rules shared with the trust rows (view.go).
-	cv := newCensorView(s.Net, backend, rng)
-
-	// requester is any sticky identity and its current handout.
-	type requester struct {
-		id      uint64
-		handout []Resource
+	// Censored users: sticky identities, re-requesting only while cut
+	// off; handouts[u] is user u's current handout.
+	ids := make([]uint64, s.Cfg.Users)
+	for u := range ids {
+		ids[u] = mix(seed, 0x75736572, uint64(u)) // "user"
 	}
-	fetch := func(r *requester, day int) error {
-		h, err := api.Serve(Request{Dist: c.Dist.Name(), ID: r.id, Day: day})
-		if err != nil {
-			return err
-		}
-		r.handout = h.Resources
-		return nil
-	}
+	handouts := make([][]Resource, len(ids))
 
-	// Censored users: sticky identities, re-requesting only while cut off.
-	users := make([]requester, s.Cfg.Users)
-	for u := range users {
-		users[u].id = mix(seed, 0x75736572, uint64(u)) // "user"
-	}
-
-	// Sybil populations are established once, before day zero.
-	var sybils []requester
-	if c.Enum.Kind == Sybil {
-		sybils = make([]requester, c.Enum.sybilCount(cost))
-		for i := range sybils {
-			sybils[i].id = mix(seed, 0x737962696C, uint64(i)) // "sybil"
-		}
-	}
-
-	var crawlCarry float64
 	for h := 0; h <= s.Cfg.HorizonDays; h++ {
 		day := c.Day + h
 
@@ -278,62 +247,41 @@ func (s *Sweep) runCell(c Cell, audit func(day int, bl *censor.AddrSet, bystande
 		// counts as a request (the insider can intercept each one), even
 		// when the unchanged ring key serves the same handout again.
 		var requested []int
-		for u := range users {
-			if h > 0 && cv.anyUsable(users[u].handout, day) {
+		for u, id := range ids {
+			if h > 0 && cv.anyUsable(handouts[u], day) {
 				continue
 			}
-			if err := fetch(&users[u], day); err != nil {
+			served, err := backend.API().Serve(Request{Dist: c.Dist.Name(), ID: id, Day: day})
+			if err != nil {
 				return CellResult{}, err
 			}
+			handouts[u] = served.Resources
 			requested = append(requested, u)
 		}
 
-		// 2. Enumeration.
-		switch c.Enum.Kind {
-		case Crawler:
-			k := c.Enum.requestsOn(cost, &crawlCarry)
-			for i := 0; i < k; i++ {
-				id := mix(seed, 0x637261776C, uint64(day), uint64(i)) // "crawl"
-				h, err := api.Serve(Request{Dist: c.Dist.Name(), ID: id, Day: day})
-				if err != nil {
-					return CellResult{}, err
-				}
-				cv.discover(h.Resources, day)
-			}
-		case Sybil:
-			// Re-discovery stays daily — a re-queried bridge's *current*
-			// address lands on the blacklist even when the handout is
-			// unchanged — so address rotation never shakes the sybils.
-			for i := range sybils {
-				if err := fetch(&sybils[i], day); err != nil {
-					return CellResult{}, err
-				}
-				cv.discover(sybils[i].handout, day)
-			}
-		case Insider:
+		// 2. Enumeration: the crawler and the sybils through the view,
+		// the insider by a coin per intercepted request.
+		if err := cv.enumerate(day); err != nil {
+			return CellResult{}, err
+		}
+		if c.Enum.Kind == Insider {
 			for _, u := range requested {
 				if rng.Float64() < c.Enum.InsiderFrac {
-					cv.discover(users[u].handout, day)
+					cv.discover(handouts[u], day)
 				}
 			}
 		}
 
 		// 3. The day's outcome.
 		okUsers := 0
-		for u := range users {
-			if cv.anyUsable(users[u].handout, day) {
+		for _, hr := range handouts {
+			if cv.anyUsable(hr, day) {
 				okUsers++
 			}
 		}
-		alive := 0
-		for _, r := range part.Resources() {
-			if cv.usable(r, day) {
-				alive++
-			}
-		}
-		res.Bootstrap = append(res.Bootstrap, frac(okUsers, len(users)))
-		res.Survival = append(res.Survival, frac(alive, part.Len()))
-		res.Enumerated = append(res.Enumerated, frac(len(cv.discovered), part.Len()))
+		res.Bootstrap = append(res.Bootstrap, frac(okUsers, len(ids)))
+		res.Survival = append(res.Survival, cv.survival(day))
+		res.Enumerated = append(res.Enumerated, cv.enumerated())
 
 		bystanders := 0
 		cv.ix.Holders(cv.bl, day, func(_ int32, peer int) {

@@ -100,7 +100,7 @@ func TestSweepRun(t *testing.T) {
 // TestDistribSweepWorkerDeterminism is the subsystem's golden contract,
 // stated through the shared enginetest harness: Workers = 1 (the serial
 // reference), 4, NumCPU and auto produce byte-identical results for
-// both the cell-level arms-race sweep and the rolling trust-graph rows.
+// both the cell-level arms-race sweep and the trust-graph rows.
 func TestDistribSweepWorkerDeterminism(t *testing.T) {
 	n := network(t)
 	ctx := context.Background()
@@ -138,7 +138,8 @@ func TestDistribSweepWorkerDeterminism(t *testing.T) {
 }
 
 // TestSweepSharedBackendDeterminism: cells reusing one Sweep (shared
-// backends, owner tables) match cells from a freshly built Sweep.
+// backends and their handout APIs, the network's address index) match
+// cells from a freshly built Sweep.
 func TestSweepSharedBackendDeterminism(t *testing.T) {
 	n := network(t)
 	a, err := NewSweep(n, testSweepConfig(0))
@@ -176,13 +177,12 @@ func TestSweepCancelled(t *testing.T) {
 }
 
 // BenchmarkDistribSweepSerial / Parallel are the distribution-pipeline
-// perf pair. Each iteration rebuilds the sweep with fresh backends, so the numbers
-// measure real partition + arms-race work at each width; the per-day
-// owner tables come from the network-owned day memo (owners.go), so
-// after the first iteration they are cache hits — repeated sweeps on
-// one network are exactly the workload the cache exists for, and the
-// bench measures it that way. The pair is -short-safe: the CI bench
-// smoke covers it at -benchtime=1x.
+// perf pair. Each iteration rebuilds the sweep with fresh backends, so
+// the numbers measure real partition + arms-race work at each width; the
+// address index the cells resolve discoveries and bystanders through
+// (censor.IndexFor) is built once per network before the loop, as
+// repeated sweeps on one network share it. The pair is -short-safe: the
+// CI bench smoke covers it at -benchtime=1x.
 func benchmarkDistribSweep(b *testing.B, workers int) {
 	n, err := sim.New(sim.Config{Seed: 7, Days: 40, TargetDailyPeers: 2000})
 	if err != nil {

@@ -269,20 +269,16 @@ func (d *TrustSocial) Grant(id uint64, day, attempt int) (Grant, bool) {
 }
 
 // validateTrustDistributors checks a trust sweep's frontend list:
-// non-empty, unique names, non-empty graphs.
+// non-empty, no nil frontend, non-empty graphs. NewBackend refuses a
+// repeated name.
 func validateTrustDistributors(dists []*TrustSocial) error {
 	if len(dists) == 0 {
 		return fmt.Errorf("distrib: trust sweep needs at least one trust-social distributor")
 	}
-	seen := make(map[string]bool, len(dists))
 	for _, d := range dists {
 		if d == nil {
 			return fmt.Errorf("distrib: nil trust-social distributor")
 		}
-		if seen[d.Name()] {
-			return fmt.Errorf("distrib: duplicate trust-social distributor %q", d.Name())
-		}
-		seen[d.Name()] = true
 		if d.graph.Len() == 0 {
 			return fmt.Errorf("distrib: trust-social distributor %q has an empty graph", d.Name())
 		}

@@ -108,10 +108,7 @@ func TestTrustSocialHandout(t *testing.T) {
 	if part == nil || part.Len() == 0 {
 		t.Fatal("trust-social received no partition")
 	}
-	api, err := NewHandoutAPI(b, []Distributor{NewHTTPS(), ts})
-	if err != nil {
-		t.Fatal(err)
-	}
+	api := b.API()
 	serve := func(id uint64, day, attempt int) []Resource {
 		t.Helper()
 		h, err := api.Serve(Request{Dist: ts.Name(), ID: id, Day: day, Attempt: attempt})

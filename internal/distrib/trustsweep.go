@@ -23,14 +23,14 @@ import (
 // Unlike distrib.Sweep — whose cells each own a private horizon and
 // carry no cross-cell state, so they fan out cell-level — the trust
 // grid's day axis is inherently sequential: day h's trust levels, rate
-// counters and bans are day h-1's plus one step. A (distributor,
-// enumerator) row is therefore one whole pool.FanOut task that
-// slides one trustState forward a day at a time through the row's
-// cells. The determinism contract is unchanged: every random draw
-// derives from (SeedBase, row coordinates) and is consumed in day order
-// within the row, results land in cell-indexed slots, so any Workers
-// value yields byte-identical results — and sliding is exactly
-// resumable, so every cell equals a from-scratch replay of its row
+// counters and bans are day h-1's plus one step. An (enumerator,
+// distributor) row is therefore one whole pool.FanOut task that steps
+// one trustState through the horizon a day at a time and returns the
+// whole horizon as one TrustRow. The determinism contract is unchanged:
+// every random draw derives from (SeedBase, row coordinates) and is
+// consumed in day order within the row, rows land in row-indexed slots,
+// so any Workers value yields byte-identical results — and each day of
+// a row equals a fresh trustState stepped from day zero through it
 // (TestTrustSweepResumesAcrossRows).
 
 // TrustSweepConfig declares a (trust distributor x enumerator x
@@ -53,7 +53,7 @@ type TrustSweepConfig struct {
 	Enumerators []Enumerator
 	// Day is the distribution day the shared backend pool is drawn on.
 	Day int
-	// HorizonDays is how many days past distribution each row slides
+	// HorizonDays is how many days past distribution each row simulates
 	// (Day+HorizonDays must stay inside the study window).
 	HorizonDays int
 	// MaxResources caps the backend pool (<= 0: DefaultMaxResources).
@@ -66,25 +66,24 @@ type TrustSweepConfig struct {
 	Workers int
 }
 
-// TrustCell is one point of the trust grid.
-type TrustCell struct {
-	Dist *TrustSocial
-	Enum Enumerator
-	// Day is the horizon day: 0 is the distribution day, the cell
-	// evaluates study day Config.Day + Day.
-	Day int
-}
-
-// TrustCellResult is one cell's outcome — the row's state measured at
-// the end of the cell's horizon day.
-type TrustCellResult struct {
+// TrustRow is one (enumerator, distributor) row's outcome over the
+// horizon.
+type TrustRow struct {
 	Distributor string
 	Enumerator  string
-	// Day is the horizon day.
-	Day int
-	// Users is the graph population; Bootstrap, Banned and MeanTrust
-	// are fractions/means over it.
+	// Users is the graph population; a day's Bootstrap, Banned and
+	// MeanTrust are fractions/means over it.
 	Users int
+	// Compromised is how many graph users the insider controls on this
+	// row (drawn once, before day zero).
+	Compromised int
+	// Days[h] is the row's state measured at the end of horizon day h
+	// (study day Config.Day + h).
+	Days []TrustDay
+}
+
+// TrustDay is a trust row's state at the end of one horizon day.
+type TrustDay struct {
 	// Bootstrap is the fraction of users holding at least one usable
 	// bridge at the end of the day (banned users keep their last
 	// handout but can no longer refresh it).
@@ -106,37 +105,23 @@ type TrustCellResult struct {
 	Requests int
 	// Leaks is the cumulative count of insider leak events.
 	Leaks int
-	// Compromised is how many graph users the insider controls on this
-	// row; CompromisedBanned of them have been quarantined — once the
-	// two are equal the censor's channel into the graph is closed and
-	// enumeration plateaus.
-	Compromised, CompromisedBanned int
-}
-
-// TrustLeak is one insider interception: the leak event that feeds
-// trust updates — the leaked resources are blacklisted, and holders of
-// a newly burned bridge become suspects under the banning rule.
-type TrustLeak struct {
-	// Day is the horizon day of the interception.
-	Day int
-	// User is the graph index of the user whose handout was
-	// intercepted.
-	User int
-	// Resources is the intercepted handout.
-	Resources []Resource
+	// CompromisedBanned is how many of the row's Compromised users have
+	// been quarantined — once the two are equal the censor's channel
+	// into the graph is closed and enumeration plateaus.
+	CompromisedBanned int
 }
 
 // TrustSweep binds a trust grid to a network with the shared substrate
 // built once: the backend pool on the distribution day, holding each
-// resource's introducers by peer index. The address index is the
-// network's (censor.IndexFor); the rows resolve discoveries through it
-// (view.go) and derive no network table of their own.
+// resource's introducers by peer index and serving handouts through its
+// API. The address index is the network's (censor.IndexFor); the rows
+// resolve discoveries through it (view.go) and derive no network table
+// of their own.
 type TrustSweep struct {
 	Net *sim.Network
 	Cfg TrustSweepConfig
 
 	backend *Backend
-	api     *HandoutAPI
 }
 
 // NewTrustSweep validates the grid and builds the shared backend.
@@ -170,31 +155,7 @@ func NewTrustSweep(network *sim.Network, cfg TrustSweepConfig) (*TrustSweep, err
 	if err != nil {
 		return nil, err
 	}
-	api, err := NewHandoutAPI(backend, dists)
-	if err != nil {
-		return nil, err
-	}
-	return &TrustSweep{
-		Net:     network,
-		Cfg:     cfg,
-		backend: backend,
-		api:     api,
-	}, nil
-}
-
-// Cells enumerates the grid in deterministic order: horizon days
-// outermost, then enumerators, then distributors — the same layout as
-// distrib.Sweep, which makes cell i's row simply i % (enums x dists).
-func (s *TrustSweep) Cells() []TrustCell {
-	out := make([]TrustCell, 0, (s.Cfg.HorizonDays+1)*len(s.Cfg.Enumerators)*len(s.Cfg.Distributors))
-	for h := 0; h <= s.Cfg.HorizonDays; h++ {
-		for _, e := range s.Cfg.Enumerators {
-			for _, d := range s.Cfg.Distributors {
-				out = append(out, TrustCell{Dist: d, Enum: e, Day: h})
-			}
-		}
-	}
-	return out
+	return &TrustSweep{Net: network, Cfg: cfg, backend: backend}, nil
 }
 
 // rowSeed derives a row's private seed from its coordinates — never
@@ -207,33 +168,43 @@ func (s *TrustSweep) rowSeed(d *TrustSocial, e Enumerator) uint64 {
 		math.Float64bits(e.InsiderFrac))
 }
 
-// Run evaluates every cell and returns results in Cells() order. Each
-// (distributor, enumerator) row is one pool.FanOut task that slides
-// one trustState through the row's days in ascending order. Any Workers
+// Run evaluates every row and returns len(Enumerators) x
+// len(Distributors) rows, enumerators outer and distributors inner (the
+// order distrib.Sweep lays out one day's cells), each holding
+// HorizonDays+1 days. Each row is one pool.FanOut task that steps one
+// trustState through the horizon in ascending day order. Any Workers
 // value yields byte-identical results; the first error (or ctx
 // cancellation) stops the remaining rows, and a row in flight stops at
 // its next day when ctx is cancelled.
-func (s *TrustSweep) Run(ctx context.Context) ([]TrustCellResult, error) {
-	cells := s.Cells()
-	rows := len(s.Cfg.Enumerators) * len(s.Cfg.Distributors)
-	results := make([]TrustCellResult, len(cells))
-	// Cells lay days outermost, so row r's cells are r, r+rows, … in
-	// ascending day order, and cell r is the row's first.
-	err := pool.FanOut(ctx, rows, s.Cfg.Workers, func(r int) error {
-		st := s.newTrustState(cells[r].Dist, cells[r].Enum)
-		for i := r; i < len(cells); i += rows {
+func (s *TrustSweep) Run(ctx context.Context) ([]TrustRow, error) {
+	nd := len(s.Cfg.Distributors)
+	rows := make([]TrustRow, len(s.Cfg.Enumerators)*nd)
+	err := pool.FanOut(ctx, len(rows), s.Cfg.Workers, func(i int) error {
+		d, e := s.Cfg.Distributors[i%nd], s.Cfg.Enumerators[i/nd]
+		st := s.newTrustState(d, e)
+		row := TrustRow{
+			Distributor: d.Name(),
+			Enumerator:  e.Name(),
+			Users:       d.Graph().Len(),
+			Compromised: st.numCompromised,
+			Days:        make([]TrustDay, s.Cfg.HorizonDays+1),
+		}
+		for h := range row.Days {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			st.advanceTo(cells[i].Day)
-			results[i] = st.result(cells[i])
+			var err error
+			if row.Days[h], err = st.step(h); err != nil {
+				return err
+			}
 		}
+		rows[i] = row
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return results, nil
+	return rows, nil
 }
 
 // trustState is one row's mutable arms-race state: the per-user trust
@@ -242,10 +213,6 @@ func (s *TrustSweep) Run(ctx context.Context) ([]TrustCellResult, error) {
 type trustState struct {
 	s    *TrustSweep
 	dist *TrustSocial
-	enum Enumerator
-	part *Partition
-	seed uint64
-	rng  *rand.Rand
 
 	// Per-user dynamic state, indexed by graph user index.
 	level       []int
@@ -257,18 +224,14 @@ type trustState struct {
 	attempt     []int  // re-request arc offset (see TrustSocial.Grant)
 	handout     [][]Resource
 
-	// Censor state: blacklist + discoveries with the discover/usable
-	// rules shared with the arms-race cells (view.go).
-	cv         *censorView
-	crawlCarry float64
-	sybils     []uint64 // persistent sybil identities (never invited)
+	// Censor state: blacklist, discoveries and the crawler and sybil
+	// enumeration, shared with the arms-race cells (view.go).
+	cv *censorView
 
 	bannedCount      int
 	numCompromised   int
 	compromisedAlive int // compromised and not yet banned
 	leaks            int
-	day              int // last simulated horizon day, -1 before day zero
-	last             TrustCellResult
 
 	// Per-day scratch, reused across steps instead of reallocated every
 	// day (the sweep engines' remaining per-cell allocation pressure).
@@ -278,7 +241,7 @@ type trustState struct {
 	burnedBefore map[int]bool
 	newlyBurned  map[int]bool
 	struck       []bool
-	burns        []TrustLeak
+	burns        [][]Resource // the day's intercepted handouts
 }
 
 // newTrustState initializes a row at the eve of the distribution day.
@@ -290,10 +253,6 @@ func (s *TrustSweep) newTrustState(d *TrustSocial, e Enumerator) *trustState {
 	st := &trustState{
 		s:           s,
 		dist:        d,
-		enum:        e,
-		part:        s.backend.Partition(d.Name()),
-		seed:        seed,
-		rng:         rng,
 		level:       make([]int, n),
 		strikes:     make([]float64, n),
 		susp:        make([]float64, n),
@@ -302,8 +261,7 @@ func (s *TrustSweep) newTrustState(d *TrustSocial, e Enumerator) *trustState {
 		clean:       make([]int, n),
 		attempt:     make([]int, n),
 		handout:     make([][]Resource, n),
-		cv:          newCensorView(s.Net, s.backend, rng),
-		day:         -1,
+		cv:          newCensorView(s.Net, s.backend, d, e, seed, rng),
 
 		burnedBefore: make(map[int]bool),
 		newlyBurned:  make(map[int]bool),
@@ -318,31 +276,14 @@ func (s *TrustSweep) newTrustState(d *TrustSocial, e Enumerator) *trustState {
 		// the graph decides how much one quarantine wave costs the
 		// censor.
 		for i := range st.compromised {
-			if st.rng.Float64() < e.InsiderFrac {
+			if rng.Float64() < e.InsiderFrac {
 				st.compromised[i] = true
 				st.numCompromised++
 			}
 		}
 		st.compromisedAlive = st.numCompromised
 	}
-	if e.Kind == Sybil {
-		st.sybils = make([]uint64, e.sybilCount(d.IdentityCost()))
-		for i := range st.sybils {
-			st.sybils[i] = mix(seed, 0x737962696C, uint64(i)) // "sybil"
-		}
-	}
 	return st
-}
-
-// advanceTo slides the row through every horizon day up to and
-// including `to`. Days are simulated one at a time — sliding from day
-// h-1 to h is exactly what a from-scratch replay of day h does after
-// day h-1, which is why resumed rows match that replay bit for bit. A
-// revisited day (duplicate grid entries) is a no-op.
-func (st *trustState) advanceTo(to int) {
-	for d := st.day + 1; d <= to; d++ {
-		st.step(d)
-	}
 }
 
 // ban quarantines a user and their whole invitation subtree — the
@@ -361,11 +302,13 @@ func (st *trustState) ban(u int) {
 	}
 }
 
-// step simulates one horizon day, in a fixed phase order (promotion,
-// requests + interception, identity-based enumeration, banning, clean
-// accounting, metrics). Every random draw comes from the row's rng in
-// this order, which is what makes sliding resumable.
-func (st *trustState) step(h int) {
+// step simulates horizon day h, the day after the last one stepped, in
+// a fixed phase order (promotion, requests + interception,
+// identity-based enumeration, banning, clean accounting, metrics), and
+// returns the day's outcome. Every random draw comes from the row's rng
+// in this order, so stepping a fresh state through days 0…h is the
+// row's day h.
+func (st *trustState) step(h int) (TrustDay, error) {
 	g := st.dist.Graph()
 	users := g.Users()
 	day := st.s.Cfg.Day + h
@@ -385,9 +328,9 @@ func (st *trustState) step(h int) {
 	// zero: everyone bootstraps), re-requesting up to their trust
 	// level's rate limit; each failed attempt rotates them to a fresh
 	// arc. A compromised user reports every handout they are served —
-	// the TrustLeak events that feed the censor and, through burned
-	// bridges, the banning rule below — so the rate limit also caps how
-	// fast the insider can milk the ring.
+	// the leak events that feed the censor and, through burned bridges,
+	// the banning rule below — so the rate limit also caps how fast the
+	// insider can milk the ring.
 	requests := 0
 	newBurns := st.burns[:0]
 	for u := range users {
@@ -399,17 +342,18 @@ func (st *trustState) step(h int) {
 		}
 		limit := g.RequestLimit(st.level[u])
 		for r := 0; r < limit; r++ {
-			// Serve fails only on an unknown distributor, and the row's
-			// own is known.
-			served, _ := st.s.api.Serve(Request{
+			served, err := st.s.backend.API().Serve(Request{
 				Dist: st.dist.Name(), ID: users[u].ID, Day: day, Attempt: st.attempt[u],
 			})
+			if err != nil {
+				return TrustDay{}, err
+			}
 			hr := served.Resources
 			st.handout[u] = hr
 			requests++
 			if st.compromised[u] {
 				st.leaks++
-				newBurns = append(newBurns, TrustLeak{Day: h, User: u, Resources: hr})
+				newBurns = append(newBurns, hr)
 			}
 			if st.cv.anyUsable(hr, day) {
 				break
@@ -423,36 +367,23 @@ func (st *trustState) step(h int) {
 	// wave it was harvested from.
 	burnedBefore := st.burnedBefore
 	clear(burnedBefore)
-	for _, l := range newBurns {
-		for _, r := range l.Resources {
+	for _, hr := range newBurns {
+		for _, r := range hr {
 			if st.cv.discovered[r.Peer] {
 				burnedBefore[r.Peer] = true
 			}
 		}
 	}
-	for _, l := range newBurns {
-		st.cv.discover(l.Resources, day)
+	for _, hr := range newBurns {
+		st.cv.discover(hr, day)
 	}
 
 	// 3. Identity-based enumeration. Crawler and sybil identities were
 	// never invited, so the graph serves them nothing — the zeros are
 	// the channel's defense, and the code path proves it rather than
 	// assuming it.
-	switch st.enum.Kind {
-	case Crawler:
-		k := st.enum.requestsOn(st.dist.IdentityCost(), &st.crawlCarry)
-		for i := 0; i < k; i++ {
-			id := mix(st.seed, 0x637261776C, uint64(day), uint64(i)) // "crawl"
-			if served, _ := st.s.api.Serve(Request{Dist: st.dist.Name(), ID: id, Day: day}); len(served.Resources) > 0 {
-				st.cv.discover(served.Resources, day)
-			}
-		}
-	case Sybil:
-		for _, id := range st.sybils {
-			if served, _ := st.s.api.Serve(Request{Dist: st.dist.Name(), ID: id, Day: day}); len(served.Resources) > 0 {
-				st.cv.discover(served.Resources, day)
-			}
-		}
+	if err := st.cv.enumerate(day); err != nil {
+		return TrustDay{}, err
 	}
 
 	// 4. Salmon banning. Holders of a bridge that burned today are
@@ -466,8 +397,8 @@ func (st *trustState) step(h int) {
 	// quarantined with them.
 	newlyBurned := st.newlyBurned
 	clear(newlyBurned)
-	for _, l := range newBurns {
-		for _, r := range l.Resources {
+	for _, hr := range newBurns {
+		for _, r := range hr {
 			if !burnedBefore[r.Peer] {
 				newlyBurned[r.Peer] = true
 			}
@@ -536,34 +467,17 @@ func (st *trustState) step(h int) {
 			trustN++
 		}
 	}
-	alive := 0
-	for _, r := range st.part.Resources() {
-		if st.cv.usable(r, day) {
-			alive++
-		}
-	}
-	st.last = TrustCellResult{
-		Users:             len(users),
+	out := TrustDay{
 		Bootstrap:         frac(okUsers, len(users)),
-		Survival:          frac(alive, st.part.Len()),
-		Enumerated:        frac(len(st.cv.discovered), st.part.Len()),
+		Survival:          st.cv.survival(day),
+		Enumerated:        st.cv.enumerated(),
 		Banned:            frac(st.bannedCount, len(users)),
 		Requests:          requests,
 		Leaks:             st.leaks,
-		Compromised:       st.numCompromised,
 		CompromisedBanned: st.numCompromised - st.compromisedAlive,
 	}
 	if trustN > 0 {
-		st.last.MeanTrust = float64(trustSum) / float64(trustN)
+		out.MeanTrust = float64(trustSum) / float64(trustN)
 	}
-	st.day = h
-}
-
-// result labels the row's current state for one cell.
-func (st *trustState) result(c TrustCell) TrustCellResult {
-	r := st.last
-	r.Distributor = c.Dist.Name()
-	r.Enumerator = c.Enum.Name()
-	r.Day = c.Day
-	return r
+	return out, nil
 }

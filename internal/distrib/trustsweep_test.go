@@ -47,56 +47,51 @@ func TestTrustSweepRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := sw.Cells()
-	wantCells := (sw.Cfg.HorizonDays + 1) * len(sw.Cfg.Enumerators) * len(sw.Cfg.Distributors)
-	if len(cells) != wantCells {
-		t.Fatalf("grid has %d cells, want %d", len(cells), wantCells)
-	}
-	results, err := sw.Run(context.Background())
+	rows, err := sw.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != wantCells {
-		t.Fatalf("got %d results", len(results))
+	nd := len(sw.Cfg.Distributors)
+	if want := len(sw.Cfg.Enumerators) * nd; len(rows) != want {
+		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
 
-	// Index the series per (distributor, enumerator) row.
-	series := make(map[[2]string][]TrustCellResult)
-	for i, r := range results {
-		c := cells[i]
-		if r.Distributor != c.Dist.Name() || r.Enumerator != c.Enum.Name() || r.Day != c.Day {
-			t.Fatalf("result %d labeled (%s, %s, %d), cell is (%s, %s, %d)",
-				i, r.Distributor, r.Enumerator, r.Day, c.Dist.Name(), c.Enum.Name(), c.Day)
-		}
-		for _, v := range []float64{r.Bootstrap, r.Survival, r.Enumerated, r.Banned} {
-			if v < 0 || v > 1 {
-				t.Fatalf("cell %d: fraction %v outside [0, 1]", i, v)
-			}
+	// Enumerators outer, distributors inner.
+	byKey := make(map[[2]string]TrustRow)
+	for i, r := range rows {
+		d, e := sw.Cfg.Distributors[i%nd], sw.Cfg.Enumerators[i/nd]
+		if r.Distributor != d.Name() || r.Enumerator != e.Name() || r.Users != d.Graph().Len() {
+			t.Fatalf("row %d labeled (%s, %s, %d users), want (%s, %s, %d users)",
+				i, r.Distributor, r.Enumerator, r.Users, d.Name(), e.Name(), d.Graph().Len())
 		}
 		key := [2]string{r.Distributor, r.Enumerator}
-		series[key] = append(series[key], r)
-	}
-	for key, sr := range series {
+		byKey[key] = r
+		sr := r.Days
 		if len(sr) != sw.Cfg.HorizonDays+1 {
 			t.Fatalf("row %v has %d days", key, len(sr))
 		}
-		for h := 1; h < len(sr); h++ {
-			if sr[h].Day != h {
-				t.Fatalf("row %v day %d out of order", key, h)
+		for h, day := range sr {
+			for _, v := range []float64{day.Bootstrap, day.Survival, day.Enumerated, day.Banned} {
+				if v < 0 || v > 1 {
+					t.Fatalf("row %v day %d: fraction %v outside [0, 1]", key, h, v)
+				}
 			}
-			if sr[h].Enumerated < sr[h-1].Enumerated {
+			if day.CompromisedBanned > r.Compromised {
+				t.Fatalf("row %v day %d: banned %d of %d compromised users", key, h, day.CompromisedBanned, r.Compromised)
+			}
+			if h == 0 {
+				continue
+			}
+			if day.Enumerated < sr[h-1].Enumerated {
 				t.Fatalf("row %v: enumeration regressed at day %d", key, h)
 			}
-			if sr[h].Banned < sr[h-1].Banned {
+			if day.Banned < sr[h-1].Banned {
 				t.Fatalf("row %v: banned fraction regressed at day %d", key, h)
 			}
-			if sr[h].Leaks < sr[h-1].Leaks {
+			if day.Leaks < sr[h-1].Leaks {
 				t.Fatalf("row %v: leak count regressed at day %d", key, h)
 			}
-			if sr[h].Compromised != sr[0].Compromised {
-				t.Fatalf("row %v: compromised count changed mid-row at day %d", key, h)
-			}
-			if sr[h].CompromisedBanned < sr[h-1].CompromisedBanned {
+			if day.CompromisedBanned < sr[h-1].CompromisedBanned {
 				t.Fatalf("row %v: compromised-banned count regressed at day %d", key, h)
 			}
 		}
@@ -105,22 +100,19 @@ func TestTrustSweepRun(t *testing.T) {
 		case "crawler":
 			// Uninvited identities get nothing: the crawler never
 			// enumerates, nobody leaks, nobody is banned.
-			if final.Enumerated != 0 || final.Leaks != 0 || final.Banned != 0 {
-				t.Errorf("row %v: crawler enumerated %.2f (leaks %d, banned %.2f); graph identities cannot be minted",
-					key, final.Enumerated, final.Leaks, final.Banned)
+			if final.Enumerated != 0 || final.Leaks != 0 || final.Banned != 0 || r.Compromised != 0 {
+				t.Errorf("row %v: crawler enumerated %.2f (leaks %d, banned %.2f, compromised %d); graph identities cannot be minted",
+					key, final.Enumerated, final.Leaks, final.Banned, r.Compromised)
 			}
 		case "insider":
-			if final.Compromised == 0 {
-				t.Errorf("row %v: a 30%% insider compromised nobody in a %d-user graph", key, final.Users)
+			if r.Compromised == 0 {
+				t.Errorf("row %v: a 30%% insider compromised nobody in a %d-user graph", key, r.Users)
 			}
 			if final.Leaks == 0 {
 				t.Errorf("row %v: compromised users leaked nothing over %d days", key, sw.Cfg.HorizonDays)
 			}
 			if final.Enumerated == 0 {
 				t.Errorf("row %v: insider leaks enumerated nothing", key)
-			}
-			if final.CompromisedBanned > final.Compromised {
-				t.Errorf("row %v: banned %d of %d compromised users", key, final.CompromisedBanned, final.Compromised)
 			}
 		}
 		if sr[0].Bootstrap == 0 {
@@ -133,7 +125,7 @@ func TestTrustSweepRun(t *testing.T) {
 
 	// The Salmon loop closes: under a heavy insider the strict frontend
 	// (ban on first strike) must have banned someone by the end.
-	strict := series[[2]string{"trust-strict", "insider"}]
+	strict := byKey[[2]string{"trust-strict", "insider"}].Days
 	if final := strict[len(strict)-1]; final.Banned == 0 {
 		t.Error("trust-strict row banned nobody under a 30% insider")
 	}
@@ -160,22 +152,31 @@ func TestTrustSweepValidation(t *testing.T) {
 	}
 }
 
-// referenceTrustCell replays one cell from scratch: a fresh trustState
-// advanced serially from day zero through the cell's horizon day.
-// Sliding a row is exactly resuming this replay.
-func referenceTrustCell(sw *TrustSweep, c TrustCell) TrustCellResult {
-	st := sw.newTrustState(c.Dist, c.Enum)
-	st.advanceTo(c.Day)
-	return st.result(c)
+// referenceTrustCell replays one (distributor, enumerator) row's
+// horizon day h from scratch: a fresh trustState stepped serially from
+// day zero through h. A row's day h is exactly the end of this replay.
+func referenceTrustCell(t *testing.T, sw *TrustSweep, d *TrustSocial, e Enumerator, h int) TrustDay {
+	t.Helper()
+	st := sw.newTrustState(d, e)
+	var day TrustDay
+	for i := 0; i <= h; i++ {
+		var err error
+		if day, err = st.step(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return day
 }
 
 // TestTrustSweepResumesAcrossRows is the trust engine's golden
 // guarantee (the TestRollingSweepMatchesFromScratch pattern): on
-// randomized graphs and grids, the rolling row engine — which resumes
-// each row's trustState from the previous cell — is byte-identical to
-// the from-scratch serial replay of every cell (referenceTrustCell), at
-// Workers 1, 4 and NumCPU. CI runs it under -race, so it also proves
-// rows share the backend, graph and address index safely.
+// randomized graphs and grids, each row the engine returns — one
+// trustState stepped through the whole horizon — holds on every day h
+// what a fresh trustState stepped from day zero through h holds
+// (referenceTrustCell), and its labels and compromised count are the
+// row's; and the rows are byte-identical at Workers 1, 4 and NumCPU. CI
+// runs it under -race, so it also proves rows share the backend, graph
+// and address index safely.
 func TestTrustSweepResumesAcrossRows(t *testing.T) {
 	n := network(t)
 	rng := rand.New(rand.NewPCG(2026, 5))
@@ -212,29 +213,40 @@ func TestTrustSweepResumesAcrossRows(t *testing.T) {
 			SeedBase:     rng.Uint64(),
 		}
 
-		var serial []TrustCellResult
+		var serial []TrustRow
 		for _, workers := range []int{1, 4, runtime.NumCPU()} {
 			cfg.Workers = workers
 			sw, err := NewTrustSweep(n, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			results, err := sw.Run(context.Background())
+			rows, err := sw.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if workers == 1 {
-				serial = results
-				// The serial pass also checks every cell against the
-				// from-scratch replay: resuming a row must equal
-				// restarting it.
-				for i, c := range sw.Cells() {
-					if ref := referenceTrustCell(sw, c); !reflect.DeepEqual(results[i], ref) {
-						t.Fatalf("trial %d cell %d (%s, %s, day %d): resumed row differs from from-scratch replay\n got %+v\nwant %+v",
-							trial, i, c.Dist.Name(), c.Enum.Name(), c.Day, results[i], ref)
+				serial = rows
+				// The serial pass also checks every row day against the
+				// from-scratch replay: stepping on must equal restarting.
+				i := 0
+				for _, e := range cfg.Enumerators {
+					for _, d := range cfg.Distributors {
+						r := rows[i]
+						if r.Distributor != d.Name() || r.Enumerator != e.Name() || r.Users != d.Graph().Len() ||
+							r.Compromised != sw.newTrustState(d, e).numCompromised || len(r.Days) != cfg.HorizonDays+1 {
+							t.Fatalf("trial %d row %d: (%s, %s, %d users, %d compromised, %d days) is not the (%s, %s) row",
+								trial, i, r.Distributor, r.Enumerator, r.Users, r.Compromised, len(r.Days), d.Name(), e.Name())
+						}
+						for h, got := range r.Days {
+							if ref := referenceTrustCell(t, sw, d, e, h); !reflect.DeepEqual(got, ref) {
+								t.Fatalf("trial %d row (%s, %s) day %d: stepped row differs from from-scratch replay\n got %+v\nwant %+v",
+									trial, d.Name(), e.Name(), h, got, ref)
+							}
+						}
+						i++
 					}
 				}
-			} else if !reflect.DeepEqual(results, serial) {
+			} else if !reflect.DeepEqual(rows, serial) {
 				t.Fatalf("trial %d Workers=%d: trust sweep differs from serial", trial, workers)
 			}
 		}
@@ -297,12 +309,12 @@ func benchmarkTrustSweep(b *testing.B, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		results, err := sw.Run(context.Background())
+		rows, err := sw.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(results) != (cfg.HorizonDays+1)*len(cfg.Enumerators)*len(cfg.Distributors) {
-			b.Fatal("wrong cell count")
+		if len(rows) != len(cfg.Enumerators)*len(cfg.Distributors) {
+			b.Fatal("wrong row count")
 		}
 	}
 }

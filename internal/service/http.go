@@ -260,7 +260,7 @@ func bridgeJSON(res distrib.Resource) BridgeJSON {
 func (ep *epoch) preencode(m *Metrics) error {
 	ep.frontends = make(map[string]*frontend)
 	ep.fragments = make(map[int][]byte, ep.backend.PoolSize())
-	for _, name := range ep.api.Distributors() {
+	for _, name := range ep.backend.API().Distributors() {
 		head := appendJSONString([]byte(`{"distributor":`), name)
 		head = strconv.AppendInt(append(head, `,"day":`...), int64(ep.day), 10)
 		ep.frontends[name] = &frontend{
@@ -398,7 +398,7 @@ func (s *Service) handleHandout(w http.ResponseWriter, r *http.Request) {
 		code = denied
 		return
 	}
-	h, err := ep.api.Serve(distrib.Request{Dist: dist, ID: key, Day: ep.day, Attempt: attempt})
+	h, err := ep.backend.API().Serve(distrib.Request{Dist: dist, ID: key, Day: ep.day, Attempt: attempt})
 	if err != nil {
 		code = refuse(w, err.Error(), http.StatusNotFound)
 		return
@@ -438,7 +438,7 @@ func (s *Service) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		code = denied
 		return
 	}
-	h, err := ep.api.Serve(distrib.Request{Dist: dist, ID: key, Day: ep.day})
+	h, err := ep.backend.API().Serve(distrib.Request{Dist: dist, ID: key, Day: ep.day})
 	if err != nil || !h.Granted {
 		code = refuse(w, "no manual-reseed frontend", http.StatusNotFound)
 		return

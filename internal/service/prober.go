@@ -47,11 +47,8 @@ func (s *Service) ProbeOnce(ctx context.Context) {
 	now := s.cfg.Now()
 	ep := s.epoch.Load()
 	var dead []int
-	for _, name := range ep.api.Distributors() {
+	for _, name := range ep.backend.API().Distributors() {
 		part := ep.backend.Partition(name)
-		if part == nil {
-			continue
-		}
 		for _, r := range part.Resources() {
 			if ctx.Err() != nil {
 				return

@@ -136,7 +136,6 @@ type Service struct {
 type epoch struct {
 	day     int
 	backend *distrib.Backend
-	api     *distrib.HandoutAPI
 
 	// frontends (by distributor name) and fragments (by peer index) are
 	// the pre-encoded parts of a handout body (preencode).
@@ -190,11 +189,7 @@ func (s *Service) newEpoch(day int) (*epoch, error) {
 	if err != nil {
 		return nil, err
 	}
-	api, err := distrib.NewHandoutAPI(backend, s.cfg.Distributors)
-	if err != nil {
-		return nil, err
-	}
-	ep := &epoch{day: day, backend: backend, api: api}
+	ep := &epoch{day: day, backend: backend}
 	if err := ep.preencode(s.metrics); err != nil {
 		return nil, err
 	}
@@ -208,11 +203,8 @@ func (s *Service) newEpoch(day int) (*epoch, error) {
 // pool-size gauges in line with it.
 func (s *Service) publish(ep *epoch) {
 	s.epoch.Store(ep)
-	for _, name := range ep.api.Distributors() {
+	for _, name := range ep.backend.API().Distributors() {
 		part := ep.backend.Partition(name)
-		if part == nil {
-			continue
-		}
 		live := 0
 		for _, r := range part.Resources() {
 			if !ep.retired[r.Peer] {
@@ -227,7 +219,7 @@ func (s *Service) publish(ep *epoch) {
 func (s *Service) Backend() *distrib.Backend { return s.epoch.Load().backend }
 
 // HandoutAPI returns the shared handout code path, bound to that ring.
-func (s *Service) HandoutAPI() *distrib.HandoutAPI { return s.epoch.Load().api }
+func (s *Service) HandoutAPI() *distrib.HandoutAPI { return s.epoch.Load().backend.API() }
 
 // Blacklist returns the operator blacklist.
 func (s *Service) Blacklist() *Blacklist { return s.blacklist }
@@ -244,7 +236,7 @@ func (s *Service) RetiredCount() int { return len(s.epoch.Load().retired) }
 func (s *Service) Serve(req distrib.Request) (distrib.Handout, error) {
 	ep := s.epoch.Load()
 	req.Day = ep.day
-	h, err := ep.api.Serve(req)
+	h, err := ep.backend.API().Serve(req)
 	if err != nil {
 		return distrib.Handout{}, err
 	}
@@ -301,10 +293,8 @@ func (ep *epoch) buildBundles() error {
 	if part == nil || part.Len() == 0 {
 		return nil
 	}
-	d, ok := ep.api.Distributor("manual-reseed")
-	if !ok {
-		return nil
-	}
+	// The backend has the partition, so its API has the distributor.
+	d, _ := ep.backend.API().Distributor("manual-reseed")
 	g, ok := d.Grant(0, ep.day, 0)
 	if !ok {
 		return nil

@@ -52,7 +52,8 @@ func TestDeriveBuildsOncePerNetworkAndKey(t *testing.T) {
 
 // TestDeriveKeysAreIndependent: a build blocked on key A holds up neither
 // another key's first caller nor a build that derives another key from
-// inside itself (distrib's owner tables derive censor's index that way).
+// inside itself (censor's index derives the network's AddrTable that
+// way).
 func TestDeriveKeysAreIndependent(t *testing.T) {
 	n := deriveNet(t)
 	entered, release := make(chan struct{}), make(chan struct{})

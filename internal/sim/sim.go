@@ -53,13 +53,13 @@ const PaperDailyPeers = 30500
 // ScaledDailyPeers returns the TargetDailyPeers of a network at scale
 // times the paper's population: the one conversion of every -scale flag.
 // A NaN, infinite or out-of-range float converts to an
-// implementation-defined int, so a scale that is not finite and > 0, or
-// whose count overflows an int32, is refused before the conversion, with
-// an error naming -scale.
+// implementation-defined int, and a count below 1 truncates to no peers,
+// so a scale whose count is not finite and within 1 to MaxInt32 is
+// refused before the conversion, with an error naming -scale.
 func ScaledDailyPeers(scale float64) (int, error) {
 	peers := scale * PaperDailyPeers
-	if !(peers > 0 && peers <= math.MaxInt32) {
-		return 0, fmt.Errorf("-scale %v: want a finite scale > 0 giving at most %d daily peers", scale, math.MaxInt32)
+	if !(peers >= 1 && peers <= math.MaxInt32) {
+		return 0, fmt.Errorf("-scale %v: want a finite scale giving 1 to %d daily peers", scale, math.MaxInt32)
 	}
 	return int(peers), nil
 }

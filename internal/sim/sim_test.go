@@ -43,10 +43,11 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestScaledDailyPeers holds the -scale conversion to a finite, positive
-// peer count that fits an int32: NaN, the infinities, zero, a negative
-// scale and a scale past the int32 edge are refused, naming -scale,
-// before the float is converted.
+// TestScaledDailyPeers holds the -scale conversion to a finite peer
+// count from 1 to the int32 edge: NaN, the infinities, zero, a negative
+// scale, a scale giving less than one peer and a scale past the int32
+// edge are refused, naming -scale, before the float is converted; the
+// least accepted scale, 1/PaperDailyPeers, gives one peer.
 func TestScaledDailyPeers(t *testing.T) {
 	// edge is the greatest scale whose count is at most math.MaxInt32.
 	edge := float64(math.MaxInt32) / PaperDailyPeers
@@ -70,6 +71,9 @@ func TestScaledDailyPeers(t *testing.T) {
 		{0, 0},
 		{-1, 0},
 		{1e300, 0},
+		{1e-9, 0},
+		{math.Nextafter(1.0/PaperDailyPeers, 0), 0},
+		{1.0 / PaperDailyPeers, 1},
 	} {
 		got, err := ScaledDailyPeers(tc.scale)
 		switch {

@@ -126,6 +126,13 @@ func rules(allowFile string) []rule {
 		Scope: scope{In: []string{"..."}},
 		check: inFiles(identContaining("ObserveGrid", "UnionObserveDay", "FanRows", "PlanRows", "RowPlan")),
 	}, {
+		Name: "one-arms-race-row",
+		Contract: "a trust row returns its horizon as one result and a backend builds its own handout API; " +
+			"a per-day trust cell, a row that advances to a day, or a handout API built beside its backend " +
+			"is the second way back",
+		Scope: scope{In: []string{"internal/distrib", "internal/core", "internal/service"}},
+		check: inFiles(identContaining("NewHandoutAPI", "TrustCell", "advanceTo")),
+	}, {
 		Name: "one-pool",
 		Contract: "every worker pool is internal/pool: FanOut for indexed tasks, Run for per-worker loops, " +
 			"Width for the auto width; a WaitGroup anywhere else under internal/ is a second pool beside it",

@@ -146,6 +146,7 @@ func TestFixtureRules(t *testing.T) {
 		"censor-keeps-address-sets": {"internal/censor/censor.go: .ObserveDay"},
 		"one-blacklist-build":       {"internal/censor/censor.go: NewWindowCounter"},
 		"one-union-path":            {"examples/fleet/main.go: ObserveGrid"},
+		"one-arms-race-row":         {"internal/core/trust.go: advanceTo"},
 		"one-pool":                  {"internal/measure/measure.go: sync.WaitGroup"},
 		"below-the-campaign":        {"internal/distrib/distrib.go: internal/distrib imports internal/measure"},
 		"one-reachability-rule":     {"internal/distrib/distrib.go: .Introducers"},
