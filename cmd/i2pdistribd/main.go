@@ -141,7 +141,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// The smoke job greps this exact line to learn the bound port.
+	// TestDaemonSmoke reads this exact line to learn the bound port.
 	fmt.Printf("listening on %s\n", ln.Addr())
 
 	var debugSrv *http.Server

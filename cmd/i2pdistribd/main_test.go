@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,10 +11,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -22,6 +27,19 @@ import (
 	"github.com/i2pstudy/i2pstudy/internal/service"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
+
+// daemonChild, set in a child's environment, makes this test binary run
+// the daemon's main instead of its tests, so TestDaemonSmoke drives the
+// daemon as a process without building it.
+const daemonChild = "I2PDISTRIBD_TEST_DAEMON"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(daemonChild) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // newTestService builds the daemon's service at test scale on reg (nil:
 // a private registry).
@@ -39,7 +57,7 @@ func newTestService(t *testing.T, reg *obs.Registry) *service.Service {
 }
 
 // TestShutdownDrainsUnderLoad is the daemon's SIGTERM path with requests
-// in flight (the smoke script only drains an idle daemon): the server
+// in flight (TestDaemonSmoke drains an idle daemon process): the server
 // the daemon builds, on a real loopback socket, eight clients requesting
 // without pause, Shutdown called mid-flight. It must return nil inside
 // the daemon's budget, every response that arrived must be a whole 200
@@ -112,6 +130,95 @@ func TestShutdownDrainsUnderLoad(t *testing.T) {
 		t.Fatal("dial after Shutdown succeeded")
 	}
 	t.Logf("%d responses, drained in %v", answered.Load(), time.Since(start))
+}
+
+// TestDaemonSmoke runs the daemon as a process (this test binary,
+// re-executed with daemonChild set) on 127.0.0.1:0 and reads the bound
+// address from its "listening on" line. One identity's handout must be
+// granted and the same twice; the seed bundle, /metrics and /healthz
+// must answer 200; and SIGTERM must drain the daemon to exit status 0
+// with its clean-shutdown line. Every wait is bounded, so a hang fails.
+func TestDaemonSmoke(t *testing.T) {
+	const wait = 30 * time.Second
+	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-scale", "0.02")
+	cmd.Env = append(os.Environ(), daemonChild+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	listening := make(chan string, 1)
+	exited := make(chan struct{})
+	var waitErr error
+	go func() {
+		sc := bufio.NewScanner(stdout)
+		for sc.Scan() {
+			if addr, ok := strings.CutPrefix(sc.Text(), "listening on "); ok {
+				listening <- addr
+			}
+		}
+		waitErr = cmd.Wait()
+		close(exited)
+	}()
+	// fail kills the daemon, if it still runs, and reports its stderr.
+	fail := func(format string, args ...any) {
+		t.Helper()
+		cmd.Process.Kill()
+		<-exited
+		t.Fatalf(format+"\ndaemon stderr:\n%s", append(args, stderr.String())...)
+	}
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		<-exited
+	})
+
+	var base string
+	select {
+	case addr := <-listening:
+		base = "http://" + addr
+	case <-exited:
+		fail("daemon exited before listening: %v", waitErr)
+	case <-time.After(wait):
+		fail("no listening line in %v", wait)
+	}
+	client := &http.Client{Timeout: wait}
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := client.Get(base + path)
+		if err != nil {
+			fail("GET %s: %v", path, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(body) == 0 {
+			fail("GET %s: status %d, %d bytes, %v", path, resp.StatusCode, len(body), err)
+		}
+		return body
+	}
+	h1, h2 := get("/handout?dist=https&id=smoke"), get("/handout?dist=https&id=smoke")
+	var h service.HandoutJSON
+	if !bytes.Equal(h1, h2) || json.Unmarshal(h1, &h) != nil || !h.Granted {
+		fail("two handouts for one identity: %q and %q, want one granted body", h1, h2)
+	}
+	get("/i2pseeds.su3?id=smoke")
+	get("/metrics")
+	get("/healthz")
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		fail("SIGTERM: %v", err)
+	}
+	select {
+	case <-exited:
+	case <-time.After(wait):
+		fail("no exit %v after SIGTERM", wait)
+	}
+	if waitErr != nil || !strings.Contains(stderr.String(), `msg="shut down cleanly"`) {
+		t.Fatalf("after SIGTERM: %v, want exit status 0 and the clean-shutdown line\ndaemon stderr:\n%s", waitErr, stderr.String())
+	}
 }
 
 // TestDebugProberIsDebugOnly: the prober's state is on the -debug-addr

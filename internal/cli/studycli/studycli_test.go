@@ -3,7 +3,11 @@ package studycli
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
 	"math"
 	"os"
 	"os/exec"
@@ -11,6 +15,7 @@ import (
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/core"
@@ -64,34 +69,78 @@ func TestDailyPeers(t *testing.T) {
 	}
 }
 
-// TestBinaries builds cmd/i2pmeasure and cmd/i2pcensor and holds them to
-// the one run they share: the same -list and the same flags, CSV export
-// and flag-order -experiment in both, the two stderr lines, and a default
-// stdout that is the network line and then WriteResult of RunAll over
-// the binary's categories, in the order it passes them. The build takes
-// seconds on a cold cache, so -short skips it.
-func TestBinaries(t *testing.T) {
+// The study binaries' test network: -scale and -days of every run.
+const binScale, binDays = 0.02, 40
+
+// buildBinaries builds cmd/i2pmeasure and cmd/i2pcensor into a fresh
+// directory on its first call and returns that directory on every call,
+// so the tests that run the binaries share one build in any order.
+// TestMain removes the directory.
+var buildBinaries = sync.OnceValues(func() (string, error) {
+	dir, err := os.MkdirTemp("", "studycli-bin-")
+	if err != nil {
+		return "", err
+	}
+	binDir = dir
+	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "./cmd/i2pmeasure", "./cmd/i2pcensor")
+	build.Dir = filepath.Join("..", "..", "..")
+	if out, err := build.CombinedOutput(); err != nil {
+		return "", fmt.Errorf("go build: %v\n%s", err, out)
+	}
+	return dir, nil
+})
+
+// binDir is where buildBinaries built, once it has been called.
+var binDir string
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
+// runBinary runs the built study binary name on the test network with
+// args and returns its stdout, its stderr and its exit code. The build
+// takes seconds on a cold cache, so -short skips the calling test.
+func runBinary(t *testing.T, name string, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds both study binaries")
 	}
-	bin := t.TempDir()
-	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./cmd/i2pmeasure", "./cmd/i2pcensor")
-	build.Dir = filepath.Join("..", "..", "..")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	bin, err := buildBinaries()
+	if err != nil {
+		t.Fatal(err)
 	}
-	const scale, days = 0.02, 40
-	run := func(name string, args ...string) (stdout, stderr string) {
-		t.Helper()
-		cmd := exec.Command(filepath.Join(bin, name), append([]string{"-scale", fmt.Sprint(scale), "-days", fmt.Sprint(days)}, args...)...)
-		var out, errOut bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &out, &errOut
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("%s %q: %v\n%s", name, args, err, errOut.Bytes())
-		}
-		return out.String(), errOut.String()
+	cmd := exec.Command(filepath.Join(bin, name), append([]string{"-scale", fmt.Sprint(binScale), "-days", fmt.Sprint(binDays)}, args...)...)
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	var exit *exec.ExitError
+	if err := cmd.Run(); errors.As(err, &exit) {
+		code = exit.ExitCode()
+	} else if err != nil {
+		t.Fatalf("%s %q: %v", name, args, err)
 	}
+	return out.String(), errOut.String(), code
+}
 
+// run is runBinary for a run that must succeed.
+func run(t *testing.T, name string, args ...string) (stdout, stderr string) {
+	t.Helper()
+	stdout, stderr, code := runBinary(t, name, args...)
+	if code != 0 {
+		t.Fatalf("%s %q: exit status %d\n%s", name, args, code, stderr)
+	}
+	return stdout, stderr
+}
+
+// TestBinaries holds cmd/i2pmeasure and cmd/i2pcensor to the one run
+// they share: the same -list and the same flags, CSV export and
+// flag-order -experiment in both, the two stderr lines, and a default
+// stdout that is the network line and then WriteResult of RunAll over
+// the binary's categories, in the order it passes them.
+func TestBinaries(t *testing.T) {
 	binaries := []struct {
 		name       string
 		categories []string
@@ -101,21 +150,21 @@ func TestBinaries(t *testing.T) {
 	}
 	var lists, helps []string
 	for _, b := range binaries {
-		list, _ := run(b.name, "-list")
+		list, _ := run(t, b.name, "-list")
 		lists = append(lists, list)
 		// -h prints "Usage of <path>:" and then the flags.
-		_, help := run(b.name, "-h")
+		_, help := run(t, b.name, "-h")
 		_, flags, _ := strings.Cut(help, "\n")
 		helps = append(helps, flags)
 
-		out, _ := run(b.name, "-experiment", "figure-05,figure-03")
+		out, _ := run(t, b.name, "-experiment", "figure-05,figure-03")
 		if got := regexp.MustCompile(`(?m)^=== ([^:]+):`).FindAllStringSubmatch(out, -1); len(got) != 2 || got[0][1] != "figure-05" || got[1][1] != "figure-03" {
 			t.Errorf("%s -experiment figure-05,figure-03 printed %q, want figure-05 then figure-03", b.name, got)
 		}
 
 		opts := core.DefaultOptions()
-		opts.Days = days
-		opts.TargetDailyPeers = int(scale * sim.PaperDailyPeers)
+		opts.Days = binDays
+		opts.TargetDailyPeers = int(binScale * sim.PaperDailyPeers)
 		study, err := core.NewStudy(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -129,13 +178,13 @@ func TestBinaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want bytes.Buffer
-		fmt.Fprintf(&want, "network: %d daily peers (scale %.2f), %d days, seed %d\n\n", opts.TargetDailyPeers, scale, days, opts.Seed)
+		fmt.Fprintf(&want, "network: %d daily peers (scale %.2f), %d days, seed %d\n\n", opts.TargetDailyPeers, binScale, binDays, opts.Seed)
 		for _, res := range results {
 			if err := WriteResult(&want, res); err != nil {
 				t.Fatal(err)
 			}
 		}
-		out, stderr := run(b.name)
+		out, stderr := run(t, b.name)
 		if out != want.String() {
 			t.Errorf("%s stdout is not the network line and WriteResult of RunAll(%q)", b.name, ids)
 		}
@@ -151,11 +200,159 @@ func TestBinaries(t *testing.T) {
 	}
 
 	csv := t.TempDir()
-	out, _ := run("i2pcensor", "-experiment", "figure-13,figure-14", "-csv-dir", csv)
+	out, _ := run(t, "i2pcensor", "-experiment", "figure-13,figure-14", "-csv-dir", csv)
 	for _, id := range []string{"figure-13", "figure-14"} {
 		path := filepath.Join(csv, id+".csv")
 		if data, err := os.ReadFile(path); err != nil || len(data) == 0 || !strings.Contains(out, "wrote "+path+"\n") {
 			t.Errorf("i2pcensor -csv-dir: %s: %d bytes, %v; stdout names it: %v", path, len(data), err, strings.Contains(out, path))
 		}
+	}
+}
+
+// TestBinaryCrashResume is the checkpoint layer's crash drill on a real
+// process. i2pcensor killed by an injected hard exit (faults Exit mode,
+// status 3) after its first committed experiment leaves that unit and
+// no staging file; its directory is refused without -resume; and the
+// resumed run prints what an uninterrupted run prints. The i2pmeasure
+// leg kills the -snapshot-dir campaign after its second committed day
+// and compares the snapshot trees too. Last, an -inject the run never
+// reaches fails a run that otherwise succeeds, naming the point.
+func TestBinaryCrashResume(t *testing.T) {
+	exps := []string{"-experiment", "reseed-blocking,port-blocking,dpi-fingerprinting"}
+	ref, _ := run(t, "i2pcensor", exps...)
+	ckpt := filepath.Join(t.TempDir(), "ckpt")
+	resumable := slices.Concat(exps, []string{"-checkpoint-dir", ckpt})
+	// Serial, so exactly one unit is on disk when the process dies.
+	if _, stderr, code := runBinary(t, "i2pcensor", slices.Concat(resumable, []string{"-workers", "1", "-inject", "core.runall.experiment:1:exit"})...); code != 3 {
+		t.Fatalf("injected exit: status %d, want 3\n%s", code, stderr)
+	}
+	units, _ := filepath.Glob(filepath.Join(ckpt, "exp-*"))
+	staged, _ := filepath.Glob(filepath.Join(ckpt, ".*.tmp"))
+	if len(units) != 1 || len(staged) != 0 {
+		t.Fatalf("crashed run left units %q and staging files %q, want one unit and none", units, staged)
+	}
+	if _, stderr, code := runBinary(t, "i2pcensor", resumable...); code == 0 || !strings.Contains(stderr, "pass -resume") {
+		t.Fatalf("existing checkpoint directory without -resume: status %d, stderr %q; want it refused", code, stderr)
+	}
+	if got, _ := run(t, "i2pcensor", append(resumable, "-resume")...); got != ref {
+		t.Errorf("resumed stdout differs from the uninterrupted run:\n%s\nwant\n%s", got, ref)
+	}
+
+	// The campaign keeps its day units under <checkpoint-dir>/campaign.
+	// Two workers commit days in any order; the resumed run loads
+	// whichever two are on disk and captures the rest.
+	dir := t.TempDir()
+	measure := []string{"-experiment", "figure-05", "-workers", "2"}
+	snapRef, snap := filepath.Join(dir, "snap-ref"), filepath.Join(dir, "snap")
+	ref, _ = run(t, "i2pmeasure", append(measure, "-snapshot-dir", snapRef)...)
+	resumable = slices.Concat(measure, []string{"-snapshot-dir", snap, "-checkpoint-dir", filepath.Join(dir, "ckpt")})
+	if _, stderr, code := runBinary(t, "i2pmeasure", slices.Concat(resumable, []string{"-inject", "measure.campaign.day:2:exit"})...); code != 3 {
+		t.Fatalf("campaign injected exit: status %d, want 3\n%s", code, stderr)
+	}
+	got, _ := run(t, "i2pmeasure", append(resumable, "-resume")...)
+	if strings.ReplaceAll(got, snap, "SNAP") != strings.ReplaceAll(ref, snapRef, "SNAP") {
+		t.Errorf("resumed campaign stdout differs from the uninterrupted run:\n%s\nwant\n%s", got, ref)
+	}
+	if got, want := readTree(t, snap), readTree(t, snapRef); !maps.Equal(got, want) {
+		t.Errorf("resumed snapshot tree holds %d entries, the uninterrupted run's %d, or their bytes differ", len(got), len(want))
+	}
+
+	_, stderr, code := runBinary(t, "i2pcensor", "-experiment", "port-blocking", "-inject", "no.such.point:1:exit")
+	if code != 1 || !strings.Contains(stderr, "no.such.point 0 times") {
+		t.Errorf("-inject no.such.point:1:exit: status %d, stderr %q; want status 1 naming the point and 0 times", code, stderr)
+	}
+}
+
+// readTree returns every file and directory under root, keyed by its
+// path relative to root: a file's value is its bytes, a directory's "/".
+func readTree(t *testing.T, root string) map[string]string {
+	t.Helper()
+	tree := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			tree[rel] = "/"
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		tree[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// TestBinaryTrace: a traced run leaves a trace checkTrace accepts, and
+// so does a traced run that an injected error fails, which also still
+// writes its CPU profile. The binaries exit from cli.Main only, after
+// the deferred stop has closed the trace and the profiles.
+func TestBinaryTrace(t *testing.T) {
+	dir := t.TempDir()
+	traced := filepath.Join(dir, "figure-13.json")
+	run(t, "i2pcensor", "-experiment", "figure-13", "-trace", traced)
+	checkTrace(t, traced)
+
+	failed, cpu := filepath.Join(dir, "failed.json"), filepath.Join(dir, "cpu.out")
+	if _, stderr, code := runBinary(t, "i2pcensor", "-experiment", "port-blocking", "-trace", failed, "-cpuprofile", cpu, "-inject", "core.runall.experiment:1:error"); code != 1 {
+		t.Fatalf("injected error: status %d, want 1\n%s", code, stderr)
+	}
+	checkTrace(t, failed)
+	if fi, err := os.Stat(cpu); err != nil || fi.Size() == 0 {
+		t.Errorf("failed run's -cpuprofile: %v, want a non-empty file", err)
+	}
+}
+
+// checkTrace holds a -trace file to the Chrome trace-event format the
+// tracer writes: one JSON array of named events, each a complete span
+// ("X") with a pid, a tid and a non-negative ts and dur, an instant
+// ("i") with a non-negative ts, or metadata ("M"); and at least one
+// span, so a tracer that recorded nothing fails.
+func checkTrace(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Ph   string   `json:"ph"`
+		Name string   `json:"name"`
+		Pid  *int     `json:"pid"`
+		Tid  *int     `json:"tid"`
+		Ts   *float64 `json:"ts"`
+		Dur  *float64 `json:"dur"`
+	}
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatalf("%s: not a JSON event array: %v", path, err)
+	}
+	badTime := func(v *float64) bool { return v == nil || *v < 0 }
+	spans := 0
+	for i, e := range events {
+		var bad string
+		switch {
+		case e.Name == "":
+			bad = "no name"
+		case e.Ph == "X" && (e.Pid == nil || e.Tid == nil):
+			bad = "span without pid or tid"
+		case e.Ph == "X" && (badTime(e.Ts) || badTime(e.Dur)):
+			bad = "span with a missing or negative ts or dur"
+		case e.Ph == "i" && badTime(e.Ts):
+			bad = "instant with a missing or negative ts"
+		case e.Ph != "X" && e.Ph != "i" && e.Ph != "M":
+			bad = "unexpected phase"
+		}
+		if bad != "" {
+			t.Errorf("%s: event %d (%q %q): %s", path, i, e.Ph, e.Name, bad)
+		}
+		if e.Ph == "X" {
+			spans++
+		}
+	}
+	if spans == 0 {
+		t.Errorf("%s: %d events and no complete span: the tracer recorded nothing", path, len(events))
 	}
 }

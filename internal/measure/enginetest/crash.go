@@ -37,8 +37,8 @@ type CrashCase struct {
 // The injected fault is Error-mode: it surfaces as a task error the
 // engine propagates, which models any mid-run failure that kills the
 // process before completion (hard-exit injection on real binaries is
-// exercised by scripts/crash_resume_smoke.sh, where a dead process
-// can't take the test runner with it).
+// studycli's TestBinaryCrashResume, where the dead process is a child
+// and can't take the test runner with it).
 func CrashResume(t *testing.T, seed uint64, cases []CrashCase) {
 	t.Helper()
 	enableObs(t)
