@@ -10,12 +10,21 @@
 // the paper's churn statistics from the replay — exercising exactly the
 // analysis code a live study would run.
 //
-// Default parameters are calibrated so the synthetic network reproduces the
-// paper's headline marginals: ~56%/74% of peers present at least 7 days
-// continuously/intermittently, ~20%/31% at least 30 days, ~45% of known-IP
-// peers keeping a single address over three months, ~0.65% hoarding more
-// than a hundred addresses, >80% staying within one autonomous system and
-// ~8.4% hopping across more than ten.
+// The longevity model is one table, Config.Classes: a class share, a span
+// law and a presence chain per Class. Everything that reads the model
+// (profiles, presence chains, survival, the arrival-rate estimate) reads
+// that table through a Model, so callers hold no class parameter.
+//
+// Default parameters aim at the paper's headline marginals: ~56%/74% of
+// peers present at least 7 days continuously/intermittently, ~20%/31% at
+// least 30 days, ~45% of known-IP peers keeping a single address over
+// three months, ~0.65% hoarding more than a hundred addresses, >80%
+// staying within one autonomous system and ~8.4% hopping across more
+// than ten. These are targets, not what a study prints: a 45-day study
+// at paper scale measures 13.7%/23.7% at 30 days (the finite window cuts
+// long spans short) and 2.9% on more than ten ASes. The bounds the
+// study's output is held to are each experiment's Expectations in
+// internal/core.
 package churn
 
 import (
@@ -53,25 +62,60 @@ func (c Class) String() string {
 	}
 }
 
+// ClassParams is one longevity class's row of the model.
+type ClassParams struct {
+	// Frac is the class's share of the peers; the shares sum to about 1.
+	Frac float64
+	// SpanFloor and SpanMean shape the membership span in days: Floor +
+	// Exp(Mean). Stable spans are shifted so stable peers cover a large
+	// part of any study.
+	SpanFloor, SpanMean float64
+	// OnOn is P(online tomorrow | online today) of the class's presence
+	// Markov chain, OffOn P(online tomorrow | offline today).
+	OnOn, OffOn float64
+}
+
+// ExpectedDailyPresence returns the long-run fraction of in-span days a
+// peer of the class is online (the stationary probability of its Markov
+// chain).
+func (c ClassParams) ExpectedDailyPresence() float64 {
+	// pi = OffOn / (1 - OnOn + OffOn)
+	den := 1 - c.OnOn + c.OffOn
+	if den <= 0 {
+		return 1
+	}
+	return c.OffOn / den
+}
+
+// survival returns P(span > t days) for a peer of the class.
+func (c ClassParams) survival(t float64) float64 {
+	if t < c.SpanFloor {
+		return 1
+	}
+	return math.Exp(-(t - c.SpanFloor) / c.SpanMean)
+}
+
+// appendChain appends days days of the class's presence chain to dst,
+// the first day's state being online and each later one drawn from the
+// day before.
+func (c ClassParams) appendChain(dst []bool, online bool, days int, rng *rand.Rand) []bool {
+	dst = append(dst, online)
+	for range days - 1 {
+		pOn := c.OffOn
+		if online {
+			pOn = c.OnOn
+		}
+		online = rng.Float64() < pOn
+		dst = append(dst, online)
+	}
+	return dst
+}
+
 // Config holds the model parameters. The zero value is unusable; use
 // DefaultConfig.
 type Config struct {
-	// Class mix. Must sum to approximately 1.
-	StableFrac    float64
-	RegularFrac   float64
-	TransientFrac float64
-
-	// Membership span per class, in days: Floor + Exp(Mean). Stable spans
-	// are shifted so stable peers cover a large part of any study.
-	StableSpanFloor, StableSpanMean       float64
-	RegularSpanFloor, RegularSpanMean     float64
-	TransientSpanFloor, TransientSpanMean float64
-
-	// Presence Markov chain per class: OnOn is P(online tomorrow | online
-	// today), OffOn is P(online tomorrow | offline today).
-	StableOnOn, StableOffOn       float64
-	RegularOnOn, RegularOffOn     float64
-	TransientOnOn, TransientOffOn float64
+	// Classes is the longevity model, one row per Class.
+	Classes [3]ClassParams
 
 	// IP rotation mix over known-IP peers. Must sum to approximately 1.
 	StaticFrac  float64 // one address for the whole study
@@ -94,17 +138,11 @@ type Config struct {
 // comment.
 func DefaultConfig() Config {
 	return Config{
-		StableFrac:    0.28,
-		RegularFrac:   0.50,
-		TransientFrac: 0.22,
-
-		StableSpanFloor: 20, StableSpanMean: 50,
-		RegularSpanFloor: 5, RegularSpanMean: 14,
-		TransientSpanFloor: 1, TransientSpanMean: 3,
-
-		StableOnOn: 0.985, StableOffOn: 0.50,
-		RegularOnOn: 0.93, RegularOffOn: 0.35,
-		TransientOnOn: 0.70, TransientOffOn: 0.45,
+		Classes: [3]ClassParams{
+			ClassStable:    {Frac: 0.28, SpanFloor: 20, SpanMean: 50, OnOn: 0.985, OffOn: 0.50},
+			ClassRegular:   {Frac: 0.50, SpanFloor: 5, SpanMean: 14, OnOn: 0.93, OffOn: 0.35},
+			ClassTransient: {Frac: 0.22, SpanFloor: 1, SpanMean: 3, OnOn: 0.70, OffOn: 0.45},
+		},
 
 		StaticFrac:  0.32,
 		DynamicFrac: 0.48,
@@ -127,7 +165,10 @@ type Model struct {
 
 // NewModel validates cfg and returns a Model.
 func NewModel(cfg Config) (*Model, error) {
-	classSum := cfg.StableFrac + cfg.RegularFrac + cfg.TransientFrac
+	classSum := 0.0
+	for _, c := range cfg.Classes {
+		classSum += c.Frac
+	}
 	if math.Abs(classSum-1) > 0.01 {
 		return nil, fmt.Errorf("churn: class fractions sum to %.3f, want 1", classSum)
 	}
@@ -135,13 +176,18 @@ func NewModel(cfg Config) (*Model, error) {
 	if math.Abs(ipSum-1) > 0.01 {
 		return nil, fmt.Errorf("churn: IP-mode fractions sum to %.3f, want 1", ipSum)
 	}
-	for _, p := range []float64{
-		cfg.StableOnOn, cfg.StableOffOn, cfg.RegularOnOn, cfg.RegularOffOn,
-		cfg.TransientOnOn, cfg.TransientOffOn, cfg.IPv6Frac,
-	} {
-		if p < 0 || p > 1 {
-			return nil, fmt.Errorf("churn: probability %v out of range", p)
+	for i, c := range cfg.Classes {
+		for _, p := range [...]float64{c.OnOn, c.OffOn} {
+			if p < 0 || p > 1 {
+				return nil, fmt.Errorf("churn: %v chain probability %v out of range", Class(i), p)
+			}
 		}
+		if c.SpanMean <= 0 {
+			return nil, fmt.Errorf("churn: %v span mean must be positive", Class(i))
+		}
+	}
+	if cfg.IPv6Frac < 0 || cfg.IPv6Frac > 1 {
+		return nil, fmt.Errorf("churn: IPv6 fraction %v out of range", cfg.IPv6Frac)
 	}
 	if cfg.DynamicRotationMeanDays <= 0 || cfg.HeavyRotationMeanDays <= 0 {
 		return nil, fmt.Errorf("churn: rotation means must be positive")
@@ -149,99 +195,118 @@ func NewModel(cfg Config) (*Model, error) {
 	return &Model{cfg: cfg}, nil
 }
 
-// Config returns the model's configuration.
-func (m *Model) Config() Config { return m.cfg }
-
 // Profile is a sampled temporal profile for one peer. Its fields are
-// narrow because every simulated peer carries one.
+// narrow because every simulated peer carries one; the presence chain it
+// runs is its class's row of the model.
 type Profile struct {
 	Class Class
 	// SpanDays is the number of days between the peer's first and last
 	// possible appearance (inclusive); at least 1.
 	SpanDays int32
-	// OnOn and OffOn parameterize the daily presence Markov chain.
-	OnOn, OffOn float64
 }
 
 // SampleProfile draws a longevity profile.
 func (m *Model) SampleProfile(rng *rand.Rand) Profile {
 	x := rng.Float64()
-	switch {
-	case x < m.cfg.StableFrac:
-		span := int32(m.cfg.StableSpanFloor) + int32(rng.ExpFloat64()*m.cfg.StableSpanMean)
-		return Profile{Class: ClassStable, SpanDays: span, OnOn: m.cfg.StableOnOn, OffOn: m.cfg.StableOffOn}
-	case x < m.cfg.StableFrac+m.cfg.RegularFrac:
-		span := int32(m.cfg.RegularSpanFloor) + int32(rng.ExpFloat64()*m.cfg.RegularSpanMean)
-		return Profile{Class: ClassRegular, SpanDays: span, OnOn: m.cfg.RegularOnOn, OffOn: m.cfg.RegularOffOn}
-	default:
-		span := int32(m.cfg.TransientSpanFloor) + int32(rng.ExpFloat64()*m.cfg.TransientSpanMean)
-		return Profile{Class: ClassTransient, SpanDays: span, OnOn: m.cfg.TransientOnOn, OffOn: m.cfg.TransientOffOn}
+	c, below := ClassStable, m.cfg.Classes[ClassStable].Frac
+	for int(c) < len(m.cfg.Classes)-1 && x >= below {
+		c++
+		below += m.cfg.Classes[c].Frac
 	}
+	p := m.cfg.Classes[c]
+	return Profile{Class: c, SpanDays: int32(p.SpanFloor) + int32(rng.ExpFloat64()*p.SpanMean)}
 }
 
-// AppendPresence replays the profile's presence chain for up to maxDays
-// days, appending one boolean per day to dst and returning the extended
-// slice. Day 0 is always online (the peer is first observed when it
-// joins). It appends min(SpanDays, maxDays) days, and the last in-span
-// day is forced online so that SpanDays is the true first-to-last
-// distance.
-func (p Profile) AppendPresence(dst []bool, rng *rand.Rand, maxDays int) []bool {
-	n := int(p.SpanDays)
-	if n > maxDays {
-		n = maxDays
+// SampleResidualProfile draws the profile of a peer that joined age days
+// before the study, conditioned on its span exceeding age, and shifted so
+// only the residual span remains (memorylessness of the exponential
+// tail).
+func (m *Model) SampleResidualProfile(age int, rng *rand.Rand) Profile {
+	// P(class | span > age) ∝ Frac_c * S_c(age).
+	var weights [len(m.cfg.Classes)]float64
+	total := 0.0
+	for i, c := range m.cfg.Classes {
+		weights[i] = c.Frac * c.survival(float64(age))
+		total += weights[i]
 	}
+	x := rng.Float64() * total
+	sel := Class(len(weights) - 1)
+	for i, w := range weights {
+		x -= w
+		if x <= 0 {
+			sel = Class(i)
+			break
+		}
+	}
+	// Residual span: if the peer is younger than the floor, the remaining
+	// floor plus a fresh exponential; otherwise memoryless exponential.
+	c := m.cfg.Classes[sel]
+	var residual int
+	if float64(age) < c.SpanFloor {
+		residual = int(c.SpanFloor) - age + int(rng.ExpFloat64()*c.SpanMean)
+	} else {
+		residual = 1 + int(rng.ExpFloat64()*c.SpanMean)
+	}
+	return Profile{Class: sel, SpanDays: int32(max(residual, 1))}
+}
+
+// Survival returns P(span > t days) under the class mixture.
+func (m *Model) Survival(t float64) float64 {
+	s := 0.0
+	for _, c := range m.cfg.Classes {
+		s += c.Frac * c.survival(t)
+	}
+	return s
+}
+
+// MaxAge is the oldest age, in days, a peer present at the start of a
+// study is drawn at: eight span means past the floor of the class whose
+// spans run longest, where its survival is below e^-8.
+func (m *Model) MaxAge() int {
+	oldest := 0.0
+	for _, c := range m.cfg.Classes {
+		oldest = max(oldest, c.SpanFloor+8*c.SpanMean)
+	}
+	return int(oldest)
+}
+
+// AppendPresence replays p's presence chain for up to maxDays days,
+// appending one boolean per day to dst and returning the extended slice.
+// Day 0 is always online (the peer is first observed when it joins). It
+// appends min(SpanDays, maxDays) days, and the last in-span day is forced
+// online so that SpanDays is the true first-to-last distance.
+func (m *Model) AppendPresence(dst []bool, p Profile, rng *rand.Rand, maxDays int) []bool {
+	n := min(int(p.SpanDays), maxDays)
 	if n <= 0 {
 		return dst
 	}
-	dst = append(dst, true)
-	online := true
-	for d := 1; d < n; d++ {
-		var pOn float64
-		if online {
-			pOn = p.OnOn
-		} else {
-			pOn = p.OffOn
-		}
-		online = rng.Float64() < pOn
-		dst = append(dst, online)
-	}
+	dst = m.cfg.Classes[p.Class].appendChain(dst, true, n, rng)
 	if n == int(p.SpanDays) {
 		dst[len(dst)-1] = true
 	}
 	return dst
 }
 
-// ExpectedDailyPresence returns the long-run fraction of in-span days the
-// profile is online (the stationary probability of its Markov chain).
-func (p Profile) ExpectedDailyPresence() float64 {
-	// pi = OffOn / (1 - OnOn + OffOn)
-	den := 1 - p.OnOn + p.OffOn
-	if den <= 0 {
-		return 1
+// AppendStationaryPresence is AppendPresence for a peer already in the
+// network when the study starts: its day-0 state is drawn from the
+// chain's stationary distribution, and no last day is forced online.
+func (m *Model) AppendStationaryPresence(dst []bool, p Profile, rng *rand.Rand, maxDays int) []bool {
+	n := min(int(p.SpanDays), maxDays)
+	if n <= 0 {
+		return dst
 	}
-	return p.OffOn / den
+	c := m.cfg.Classes[p.Class]
+	return c.appendChain(dst, rng.Float64() < c.ExpectedDailyPresence(), n, rng)
 }
 
 // ExpectedActiveDays estimates the number of days a freshly sampled peer
 // will be observed online within a study of studyDays, used by the
 // population simulator to size arrival rates.
 func (m *Model) ExpectedActiveDays(studyDays int) float64 {
-	type classParams struct {
-		frac, spanMean, floor, onOn, offOn float64
-	}
-	classes := []classParams{
-		{m.cfg.StableFrac, m.cfg.StableSpanMean, m.cfg.StableSpanFloor, m.cfg.StableOnOn, m.cfg.StableOffOn},
-		{m.cfg.RegularFrac, m.cfg.RegularSpanMean, m.cfg.RegularSpanFloor, m.cfg.RegularOnOn, m.cfg.RegularOffOn},
-		{m.cfg.TransientFrac, m.cfg.TransientSpanMean, m.cfg.TransientSpanFloor, m.cfg.TransientOnOn, m.cfg.TransientOffOn},
-	}
 	total := 0.0
-	for _, c := range classes {
-		span := c.floor + c.spanMean
-		if span > float64(studyDays) {
-			span = float64(studyDays)
-		}
-		pi := Profile{OnOn: c.onOn, OffOn: c.offOn}.ExpectedDailyPresence()
-		total += c.frac * span * pi
+	for _, c := range m.cfg.Classes {
+		span := min(c.SpanFloor+c.SpanMean, float64(studyDays))
+		total += c.Frac * span * c.ExpectedDailyPresence()
 	}
 	return total
 }

@@ -23,7 +23,7 @@ func TestNewModelValidation(t *testing.T) {
 		t.Fatal("zero config accepted")
 	}
 	bad := DefaultConfig()
-	bad.StableFrac = 0.9
+	bad.Classes[ClassStable].Frac = 0.9
 	if _, err := NewModel(bad); err == nil {
 		t.Fatal("non-normalized class mix accepted")
 	}
@@ -33,9 +33,19 @@ func TestNewModelValidation(t *testing.T) {
 		t.Fatal("non-normalized IP mix accepted")
 	}
 	bad = DefaultConfig()
-	bad.StableOnOn = 1.5
+	bad.Classes[ClassStable].OnOn = 1.5
 	if _, err := NewModel(bad); err == nil {
 		t.Fatal("out-of-range probability accepted")
+	}
+	bad = DefaultConfig()
+	bad.Classes[ClassTransient].OffOn = -0.1
+	if _, err := NewModel(bad); err == nil {
+		t.Fatal("out-of-range probability in the last class accepted")
+	}
+	bad = DefaultConfig()
+	bad.Classes[ClassRegular].SpanMean = 0
+	if _, err := NewModel(bad); err == nil {
+		t.Fatal("zero span mean accepted")
 	}
 	bad = DefaultConfig()
 	bad.DynamicRotationMeanDays = 0
@@ -48,9 +58,10 @@ func TestNewModelValidation(t *testing.T) {
 }
 
 func TestSampleProfileClasses(t *testing.T) {
-	m := MustNewModel(DefaultConfig())
+	cfg := DefaultConfig()
+	m := MustNewModel(cfg)
 	rng := testRNG(1)
-	counts := make(map[Class]int)
+	var counts [len(cfg.Classes)]int
 	n := 50000
 	for i := 0; i < n; i++ {
 		p := m.SampleProfile(rng)
@@ -58,19 +69,14 @@ func TestSampleProfileClasses(t *testing.T) {
 		if p.SpanDays < 1 {
 			t.Fatalf("span %d < 1", p.SpanDays)
 		}
-		if p.Class == ClassStable && p.SpanDays < 20 {
-			t.Fatalf("stable span %d below floor", p.SpanDays)
+		if floor := cfg.Classes[p.Class].SpanFloor; float64(p.SpanDays) < floor {
+			t.Fatalf("%v span %d below floor %v", p.Class, p.SpanDays, floor)
 		}
 	}
-	cfg := DefaultConfig()
-	for class, want := range map[Class]float64{
-		ClassStable:    cfg.StableFrac,
-		ClassRegular:   cfg.RegularFrac,
-		ClassTransient: cfg.TransientFrac,
-	} {
+	for class, c := range cfg.Classes {
 		got := float64(counts[class]) / float64(n)
-		if math.Abs(got-want) > 0.02 {
-			t.Errorf("class %v frequency = %.3f, want ~%.3f", class, got, want)
+		if math.Abs(got-c.Frac) > 0.02 {
+			t.Errorf("class %v frequency = %.3f, want ~%.3f", Class(class), got, c.Frac)
 		}
 	}
 }
@@ -80,7 +86,7 @@ func TestGeneratePresenceInvariants(t *testing.T) {
 	rng := testRNG(2)
 	for i := 0; i < 2000; i++ {
 		p := m.SampleProfile(rng)
-		pres := p.AppendPresence(nil, rng, 90)
+		pres := m.AppendPresence(nil, p, rng, 90)
 		if len(pres) == 0 {
 			t.Fatal("empty presence")
 		}
@@ -108,7 +114,7 @@ func TestChurnCalibration(t *testing.T) {
 	cont7, cont30, int7, int30 := 0, 0, 0, 0
 	for i := 0; i < n; i++ {
 		p := m.SampleProfile(rng)
-		pres := p.AppendPresence(nil, rng, studyDays)
+		pres := m.AppendPresence(nil, p, rng, studyDays)
 		run := LongestRun(pres)
 		span := SpanDays(pres)
 		if run >= 7 {
@@ -148,15 +154,29 @@ func TestChurnCalibration(t *testing.T) {
 }
 
 func TestExpectedDailyPresence(t *testing.T) {
-	p := Profile{OnOn: 0.9, OffOn: 0.3}
+	c := ClassParams{OnOn: 0.9, OffOn: 0.3}
 	want := 0.3 / (1 - 0.9 + 0.3)
-	if got := p.ExpectedDailyPresence(); math.Abs(got-want) > 1e-12 {
+	if got := c.ExpectedDailyPresence(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("stationary presence = %v, want %v", got, want)
 	}
 	// Degenerate chain that never leaves the online state.
-	p = Profile{OnOn: 1, OffOn: 0}
-	if got := p.ExpectedDailyPresence(); got != 1 {
+	c = ClassParams{OnOn: 1, OffOn: 0}
+	if got := c.ExpectedDailyPresence(); got != 1 {
 		t.Fatalf("degenerate chain presence = %v, want 1", got)
+	}
+	// A stationary chain of the default classes is online on about the
+	// stationary share of its days.
+	m := MustNewModel(DefaultConfig())
+	rng := testRNG(8)
+	for class, c := range DefaultConfig().Classes {
+		on, days := 0, 0
+		for range 2000 {
+			pres := m.AppendStationaryPresence(nil, Profile{Class: Class(class), SpanDays: 50}, rng, 50)
+			on, days = on+DaysOnline(pres), days+len(pres)
+		}
+		if got, want := float64(on)/float64(days), c.ExpectedDailyPresence(); math.Abs(got-want) > 0.02 {
+			t.Errorf("%v: stationary chain online %.3f of its days, want ~%.3f", Class(class), got, want)
+		}
 	}
 }
 
@@ -173,7 +193,7 @@ func TestExpectedActiveDaysSanity(t *testing.T) {
 	const n = 20000
 	for i := 0; i < n; i++ {
 		p := m.SampleProfile(rng)
-		sum += DaysOnline(p.AppendPresence(nil, rng, 90))
+		sum += DaysOnline(m.AppendPresence(nil, p, rng, 90))
 	}
 	mc := float64(sum) / float64(n)
 	if got < mc*0.7 || got > mc*1.3 {

@@ -76,7 +76,8 @@ func DefaultOptions() Options {
 }
 
 // FullScaleOptions returns the paper-scale configuration (30.5K daily
-// peers, 90 days). Building it takes a few seconds and a few hundred MB.
+// peers, 90 days). Its network builds in about a quarter of a second and
+// keeps about 46 MB live (2-core amd64, go1.24).
 func FullScaleOptions() Options {
 	return Options{Seed: 2018, Days: 90, TargetDailyPeers: sim.PaperDailyPeers, MainFleetSize: 20}
 }

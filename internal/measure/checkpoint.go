@@ -21,17 +21,17 @@ import (
 const campaignVersion = 4
 
 // HashNetwork folds every sim.Network config field that shapes engine
-// output into h. All five engines derive their checkpoint ConfigHash
-// through this helper so "same network" means the same thing
-// everywhere. The network seed is deliberately excluded: it rides the
-// manifest's dedicated Seed field.
+// output into h. Its two callers, the campaign's manifest and core's
+// RunAll manifest, derive their checkpoint ConfigHash through it so "same
+// network" means the same thing to both. The network seed is deliberately excluded: it
+// rides the manifest's dedicated Seed field.
 func HashNetwork(h *checkpoint.Hasher, n *sim.Network) {
 	cfg := n.Config()
 	h.Int(cfg.Days)
 	h.Int(cfg.TargetDailyPeers)
-	// Churn and Observation are flat structs of scalars; fold their
-	// dereferenced %+v rendering (never the pointer, which would hash an
-	// address).
+	// Churn and Observation hold scalars only (Churn's class table is an
+	// array of them); fold their dereferenced %+v rendering (never the
+	// pointer, which would hash an address).
 	if cfg.Churn != nil {
 		h.String(fmt.Sprintf("%+v", *cfg.Churn))
 	} else {

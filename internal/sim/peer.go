@@ -82,7 +82,7 @@ func (s *ipAssignment) addrs() (v4, v6 netip.Addr) {
 // Peer is one simulated router's row: fixed-width fields only, no
 // pointer, slice or string, so Network.Peers is one allocation the GC
 // never scans. The structs come first, the 32-bit fields after them and
-// the bytes last, so the row packs into 112 bytes (TestPeerLayout).
+// the bytes last, so the row packs into 96 bytes (TestPeerLayout).
 // What varies in length lives in the row's window of the network's word
 // slab; the Network methods that read it take the peer's index.
 type Peer struct {

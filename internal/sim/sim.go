@@ -244,68 +244,6 @@ func (n *Network) DayTime(day int) time.Time {
 	return StudyStart.Add(time.Duration(day)*24*time.Hour + 12*time.Hour)
 }
 
-// survival returns P(span > t days) under the churn mixture.
-func survival(cfg churn.Config, t float64) float64 {
-	s := func(floor, mean float64) float64 {
-		if t < floor {
-			return 1
-		}
-		return math.Exp(-(t - floor) / mean)
-	}
-	return cfg.StableFrac*s(cfg.StableSpanFloor, cfg.StableSpanMean) +
-		cfg.RegularFrac*s(cfg.RegularSpanFloor, cfg.RegularSpanMean) +
-		cfg.TransientFrac*s(cfg.TransientSpanFloor, cfg.TransientSpanMean)
-}
-
-// residualProfile samples a profile conditioned on span > age, shifted so
-// only the residual span remains (memorylessness of the exponential tail).
-func residualProfile(m *churn.Model, age int, rng *rand.Rand) churn.Profile {
-	cfg := m.Config()
-	type cp struct {
-		class       churn.Class
-		frac        float64
-		floor, mean float64
-		onOn, offOn float64
-	}
-	classes := []cp{
-		{churn.ClassStable, cfg.StableFrac, cfg.StableSpanFloor, cfg.StableSpanMean, cfg.StableOnOn, cfg.StableOffOn},
-		{churn.ClassRegular, cfg.RegularFrac, cfg.RegularSpanFloor, cfg.RegularSpanMean, cfg.RegularOnOn, cfg.RegularOffOn},
-		{churn.ClassTransient, cfg.TransientFrac, cfg.TransientSpanFloor, cfg.TransientSpanMean, cfg.TransientOnOn, cfg.TransientOffOn},
-	}
-	// P(class | span > age) ∝ frac_c * S_c(age).
-	var weights [3]float64
-	total := 0.0
-	for i, c := range classes {
-		s := 1.0
-		if float64(age) >= c.floor {
-			s = math.Exp(-(float64(age) - c.floor) / c.mean)
-		}
-		weights[i] = c.frac * s
-		total += weights[i]
-	}
-	x := rng.Float64() * total
-	sel := classes[len(classes)-1]
-	for i, c := range classes {
-		x -= weights[i]
-		if x <= 0 {
-			sel = c
-			break
-		}
-	}
-	// Residual span: if the peer is younger than the floor, the remaining
-	// floor plus a fresh exponential; otherwise memoryless exponential.
-	var residual int
-	if float64(age) < sel.floor {
-		residual = int(sel.floor) - age + int(rng.ExpFloat64()*sel.mean)
-	} else {
-		residual = 1 + int(rng.ExpFloat64()*sel.mean)
-	}
-	if residual < 1 {
-		residual = 1
-	}
-	return churn.Profile{Class: sel.class, SpanDays: int32(residual), OnOn: sel.onOn, OffOn: sel.offOn}
-}
-
 // The word slab's chunks are chunkWords words, and a window's position
 // is its chunk's number above windowBits and its offset in the chunk
 // below them.
@@ -418,7 +356,6 @@ func (n *Network) populate() (*builder, error) {
 		active:      make([]int, n.cfg.Days),
 		introducers: make([]int, n.cfg.Days),
 	}
-	ccfg := n.model.Config()
 	// The arrival rate must use the *uncapped* expected active days per
 	// peer: the steady-state construction below integrates full spans, so
 	// capping at the study horizon would double-count short studies.
@@ -428,8 +365,7 @@ func (n *Network) populate() (*builder, error) {
 	// Steady-state initial population: for each age t, round(lambda *
 	// S(t)) peers that arrived t days ago and are still in-span. Then
 	// fresh arrivals during the study.
-	maxAge := int(ccfg.StableSpanFloor + 8*ccfg.StableSpanMean)
-	initial, stayed := cohorts(maxAge+1, func(t int) float64 { return lambda * survival(ccfg, float64(t)) })
+	initial, stayed := cohorts(n.model.MaxAge()+1, func(t int) float64 { return lambda * n.model.Survival(float64(t)) })
 	arrivals, arrived := cohorts(n.cfg.Days, func(int) float64 { return lambda })
 	if stayed+arrived > maxPeers {
 		return nil, fmt.Errorf("sim: TargetDailyPeers %d over %d days needs %.3g peers, more than the %d a network holds",
@@ -451,9 +387,9 @@ func (n *Network) populate() (*builder, error) {
 		}
 		horizon := n.cfg.Days - startDay
 		if stationaryStart {
-			b.presence = appendPresenceStationary(b.presence[:0], profile, b.rng, horizon)
+			b.presence = n.model.AppendStationaryPresence(b.presence[:0], profile, b.rng, horizon)
 		} else {
-			b.presence = profile.AppendPresence(b.presence[:0], b.rng, horizon)
+			b.presence = n.model.AppendPresence(b.presence[:0], profile, b.rng, horizon)
 		}
 		n.drawExposure[next] = n.decorate(p, b)
 		b.carve(p, &n.words)
@@ -472,7 +408,7 @@ func (n *Network) populate() (*builder, error) {
 	}
 	for t, count := range initial {
 		for range count {
-			addPeer(residualProfile(n.model, t, b.rng), 0, true)
+			addPeer(n.model.SampleResidualProfile(t, b.rng), 0, true)
 		}
 	}
 	for d, count := range arrivals {
@@ -481,32 +417,6 @@ func (n *Network) populate() (*builder, error) {
 		}
 	}
 	return b, nil
-}
-
-// appendPresenceStationary is churn.Profile.AppendPresence but with the
-// day-0 state drawn from the chain's stationary distribution (for peers
-// already in the network at study start) and no forced last day.
-func appendPresenceStationary(dst []bool, p churn.Profile, rng *rand.Rand, maxDays int) []bool {
-	days := int(p.SpanDays)
-	if days > maxDays {
-		days = maxDays
-	}
-	if days <= 0 {
-		return dst
-	}
-	online := rng.Float64() < p.ExpectedDailyPresence()
-	dst = append(dst, online)
-	for d := 1; d < days; d++ {
-		var pOn float64
-		if online {
-			pOn = p.OnOn
-		} else {
-			pOn = p.OffOn
-		}
-		online = rng.Float64() < pOn
-		dst = append(dst, online)
-	}
-	return dst
 }
 
 // decorate assigns all non-temporal attributes: status, class and

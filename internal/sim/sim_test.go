@@ -30,7 +30,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("zero target accepted")
 	}
 	bad := churn.DefaultConfig()
-	bad.StableFrac = 2
+	bad.Classes[churn.ClassStable].Frac = 2
 	if _, err := New(Config{Days: 5, TargetDailyPeers: 100, Churn: &bad}); err == nil {
 		t.Fatal("bad churn config accepted")
 	}

@@ -133,6 +133,13 @@ func rules(allowFile string) []rule {
 		Scope: scope{In: []string{"internal/distrib", "internal/core", "internal/service"}},
 		check: inFiles(identContaining("NewHandoutAPI", "TrustCell", "advanceTo")),
 	}, {
+		Name: "one-churn-model",
+		Contract: "the longevity model is one class table, churn.Config.Classes, read through a churn.Model " +
+			"(profiles, presence chains, survival, the oldest age); a span floor or mean, or a chain probability, " +
+			"spelled outside internal/churn is a second copy of the model beside it",
+		Scope: scope{In: []string{"internal/...", "cmd/..."}, Except: []string{"internal/churn"}},
+		check: inFiles(identContaining("OnOn", "OffOn", "SpanFloor", "SpanMean")),
+	}, {
 		Name: "one-pool",
 		Contract: "every worker pool is internal/pool: FanOut for indexed tasks, Run for per-worker loops, " +
 			"Width for the auto width; a WaitGroup anywhere else under internal/ is a second pool beside it",

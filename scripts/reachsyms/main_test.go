@@ -130,8 +130,9 @@ func TestStaleAllowlistFails(t *testing.T) {
 // internal/cli and internal/faults, the WaitGroups in internal/pool and
 // in a _test.go file, the tools that reach internal/cli but no
 // campaign, the study that studycli builds and runs outside cmd/, a
-// reference reached only through a helper, and a reference type reached
-// through its constructor whose methods reach another reference.
+// reference reached only through a helper, a reference type reached
+// through its constructor whose methods reach another reference, and the
+// class table spelled in internal/churn and read back in a sim test.
 func TestFixtureRules(t *testing.T) {
 	want := map[string][]string{
 		"no-global-network-cache": {
@@ -147,11 +148,16 @@ func TestFixtureRules(t *testing.T) {
 		"one-blacklist-build":       {"internal/censor/censor.go: NewWindowCounter"},
 		"one-union-path":            {"examples/fleet/main.go: ObserveGrid"},
 		"one-arms-race-row":         {"internal/core/trust.go: advanceTo"},
-		"one-pool":                  {"internal/measure/measure.go: sync.WaitGroup"},
-		"below-the-campaign":        {"internal/distrib/distrib.go: internal/distrib imports internal/measure"},
-		"one-reachability-rule":     {"internal/distrib/distrib.go: .Introducers"},
-		"one-address-table":         {"internal/measure/intern.go: map[netip.Addr]uint32"},
-		"one-peer-index":            {"internal/measure/tracks.go: map[netdb.Hash]int32"},
+		"one-churn-model": {
+			"cmd/i2psim/main.go: OffOn",
+			"internal/sim/sim.go: SpanFloor",
+			"internal/sim/sim.go: SpanMean",
+		},
+		"one-pool":              {"internal/measure/measure.go: sync.WaitGroup"},
+		"below-the-campaign":    {"internal/distrib/distrib.go: internal/distrib imports internal/measure"},
+		"one-reachability-rule": {"internal/distrib/distrib.go: .Introducers"},
+		"one-address-table":     {"internal/measure/intern.go: map[netip.Addr]uint32"},
+		"one-peer-index":        {"internal/measure/tracks.go: map[netdb.Hash]int32"},
 		"one-exit-site": {
 			"cmd/tool/main.go: log.Fatal",
 			"internal/cli/studycli/studycli.go: os.Exit",

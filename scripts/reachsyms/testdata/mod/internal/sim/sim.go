@@ -1,10 +1,11 @@
-// Package sim imports internal/cache through internal/draw and exits
-// through an aliased os.
+// Package sim imports internal/cache through internal/draw, exits
+// through an aliased os, and works out a class's oldest age itself.
 package sim
 
 import (
 	xos "os"
 
+	"example.com/fixture/internal/churn"
 	"example.com/fixture/internal/draw"
 )
 
@@ -24,3 +25,6 @@ func (*Observer) ObserveDay(day int) []int {
 	}
 	return draw.Positions(day)
 }
+
+// maxAge is the arithmetic over a class's span that churn owns.
+func maxAge(c churn.ClassParams) int { return int(c.SpanFloor + 8*c.SpanMean) }
